@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"accuracytrader/internal/audit"
 	"accuracytrader/internal/obs"
 	"accuracytrader/internal/rescache"
 	"accuracytrader/internal/service"
@@ -17,11 +16,11 @@ import (
 // admission policy.
 var ErrRejected = errors.New("frontend: admission rejected request")
 
-// Backend is the fan-out runtime a Frontend drives. It is the
-// clock-agnostic seam that lets one policy set (admission, routing,
-// degradation) govern every runtime: the in-process goroutine cluster
-// (service.Cluster), the networked aggregator (netsvc.Aggregator), and
-// — mirrored structurally — the discrete-event simulator. The load
+// Backend is the fan-out runtime a Frontend drives: the seam that lets
+// one policy set (admission, routing, degradation) govern both
+// wall-clock runtimes, the in-process goroutine cluster
+// (service.Cluster) and the networked aggregator (netsvc.Aggregator),
+// which run the same gather core (service.Gather). The load
 // probes (QueueDepth, Inflight, EstimatedP95) feed the Load snapshot;
 // SetRouter receives the frontend's replica-routing policy; Call fans
 // one request out and gathers sub-results.
@@ -87,23 +86,6 @@ type Options struct {
 	// frontend_rejected_total, frontend_cache_hits_total). Nil uses a
 	// private registry; Stats() is unaffected either way.
 	Metrics *obs.Registry
-	// SLO, when non-nil, receives one attainment record per finished
-	// Call: the request's class, whether its context deadline had
-	// already passed when the answer landed, and whether the answer was
-	// degraded (downgraded class or incomplete fan-out). The tenant
-	// dimension comes from obs.WithTenant on the request context.
-	SLO *obs.SLOTracker
-	// Audit, when non-nil together with AuditSample, offers answered
-	// approximate-class fresh fan-outs to the ground-truth auditor.
-	// The hash-based sampling decision runs on the request's trace ID;
-	// non-sampled requests pay two nil checks and no allocation.
-	Audit *audit.Auditor
-	// AuditSample captures one answered request in auditable shape
-	// (workload name, estimates, claimed bounds, replay payload). It
-	// runs only for sampled requests; returning nil skips the sample.
-	// The frontend fills TraceID, Class, Level, MinAccuracy,
-	// ClaimedAccuracy and Tenant afterwards.
-	AuditSample func(payload interface{}, res *Result) *audit.Sample
 }
 
 // Stats counts frontend outcomes.
@@ -228,9 +210,6 @@ const RefreshLoadCeiling = 0.7
 func (f *Frontend) refreshToExact(_ uint64, payload interface{}) (interface{}, float64, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*f.cl.Deadline())
 	defer cancel()
-	// Internal traffic: a background refresh must not count against
-	// client SLO windows (observe skips internal contexts).
-	ctx = obs.WithInternal(ctx)
 	res, err := f.callMiss(ctx, payload, ExactSLO())
 	if err != nil || !service.Complete(res.Sub) {
 		return nil, 0, false
@@ -283,65 +262,12 @@ func (f *Frontend) Snapshot() Load {
 // the cluster with the level attached to the context (handlers read it
 // via LevelFrom).
 func (f *Frontend) Call(ctx context.Context, payload interface{}, slo SLO) (*Result, error) {
-	res, err := f.call(ctx, payload, slo)
-	if f.opts.SLO != nil || f.opts.Audit != nil {
-		f.observe(ctx, payload, slo, res, err)
-	}
-	return res, err
-}
-
-func (f *Frontend) call(ctx context.Context, payload interface{}, slo SLO) (*Result, error) {
 	if f.opts.Cache != nil {
 		if key, ok := f.opts.CacheKey(payload); ok {
 			return f.callCached(ctx, key, payload, slo)
 		}
 	}
 	return f.callMiss(ctx, payload, slo)
-}
-
-// observe feeds a finished Call into the SLO tracker and (for sampled
-// approximate-class fresh fan-outs) the ground-truth auditor. Rejected
-// requests count toward the class totals — shedding a Bounded request
-// is an SLO-relevant outcome — but only answered requests can miss a
-// deadline or degrade.
-func (f *Frontend) observe(ctx context.Context, payload interface{}, slo SLO, res *Result, err error) {
-	if obs.IsInternal(ctx) {
-		// Internal traffic (audit replays, cache refreshes, re-warms) is
-		// measurement and maintenance, not service: recording it would
-		// dilute client attainment windows and skew audit sampling.
-		return
-	}
-	tenant := obs.TenantFrom(ctx)
-	if f.opts.SLO != nil {
-		var flags obs.SLOFlags
-		if dl, ok := ctx.Deadline(); ok && time.Now().After(dl) {
-			flags |= obs.SLODeadlineMiss
-		}
-		if res != nil && (res.Degraded || !service.Complete(res.Sub)) {
-			flags |= obs.SLODegraded
-		}
-		f.opts.SLO.Record(uint8(slo.Kind), tenant, flags)
-	}
-	if f.opts.Audit == nil || f.opts.AuditSample == nil ||
-		err != nil || res == nil || res.FromCache ||
-		slo.Kind == Exact || !service.Complete(res.Sub) {
-		return
-	}
-	tr := obs.TraceFrom(ctx)
-	if !f.opts.Audit.ShouldSample(tr.ID()) {
-		return
-	}
-	smp := f.opts.AuditSample(payload, res)
-	if smp == nil {
-		return
-	}
-	smp.TraceID = tr.ID()
-	smp.Class = uint8(slo.Kind)
-	smp.Level = int16(res.Level)
-	smp.MinAccuracy = slo.MinAccuracy
-	smp.ClaimedAccuracy = res.EstimatedAccuracy
-	smp.Tenant = tenant
-	f.opts.Audit.Submit(smp)
 }
 
 // cacheFloor maps an SLO to the accuracy floor a cached entry must

@@ -15,30 +15,23 @@ import (
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/obs"
 	"accuracytrader/internal/service"
-	"accuracytrader/internal/stats"
 	"accuracytrader/internal/wire"
 )
 
-// ErrClosed is returned by Aggregator.Call after Close.
-var ErrClosed = errors.New("netsvc: aggregator closed")
-
-// ErrQueueFull is reported for a sub-operation shed because the target
-// component's outstanding-request window was full — the network analog
-// of service.ErrQueueFull.
-var ErrQueueFull = errors.New("netsvc: component outstanding window full")
-
-// ErrPeerDown is reported for a sub-operation refused fast because the
-// target component's circuit breaker is not closed (or its dial
-// backoff window has not elapsed): the peer is known-unhealthy, so the
-// sub-operation fails immediately instead of waiting out a timeout and
-// is eligible for rerouting under the retry budget.
-var ErrPeerDown = errors.New("netsvc: peer circuit open")
+// The gather core's sentinels: Call after Close; a sub-operation shed at
+// a full outstanding window or by a busy server; one refused fast
+// because its peer is known-unhealthy (breaker not closed, or inside the
+// dial backoff window) and no healthy peer could take it.
+var (
+	ErrClosed    = service.ErrClosed
+	ErrQueueFull = service.ErrQueueFull
+	ErrPeerDown  = service.ErrComponentDown
+)
 
 // AggregatorOptions configures an Aggregator.
 type AggregatorOptions struct {
-	// Policy selects the gather behaviour — the same policies as the
-	// in-process runtime (service.WaitAll, service.PartialGather,
-	// service.Hedged), executed over sockets.
+	// Policy selects the gather behaviour (service.WaitAll,
+	// service.PartialGather, service.Hedged).
 	Policy service.Policy
 	// Deadline bounds gathering for PartialGather and is the default
 	// Call timeout otherwise (default 1s).
@@ -79,99 +72,59 @@ type AggregatorOptions struct {
 	// (dial error, connection failure, open breaker), always within
 	// the propagated deadline. Default 1; negative disables retries.
 	RetryBudget int
-	// Seed drives backoff jitter deterministically (default 1).
+	// Seed drives backoff jitter deterministically.
 	Seed uint64
-	// Metrics, when set, publishes per-peer breaker state gauges,
-	// breaker transition counters, and retry/fault counters.
+	// Metrics, when set, publishes the gather core's netsvc_* series
+	// (see service.GatherConfig.Metrics) and the ingest-forward counter.
 	Metrics *obs.Registry
 }
 
 func (o AggregatorOptions) withDefaults() AggregatorOptions {
-	if o.Deadline <= 0 {
-		o.Deadline = time.Second
-	}
 	if o.MaxOutstanding <= 0 {
 		o.MaxOutstanding = 128
 	}
 	if o.ConnsPerPeer <= 0 {
 		o.ConnsPerPeer = 2
 	}
-	if o.HedgeFloor <= 0 {
-		o.HedgeFloor = time.Millisecond
-	}
-	if o.ReplicaOf == nil {
-		o.ReplicaOf = func(subset, n int) int { return (subset + 1) % n }
-	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = wire.MaxFrame
 	}
 	if o.Dial == nil {
 		o.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	if o.RedialBase <= 0 {
-		o.RedialBase = 10 * time.Millisecond
-	}
 	if o.RedialMax <= 0 {
 		o.RedialMax = 500 * time.Millisecond
 	}
 	if o.RetryBudget == 0 {
 		o.RetryBudget = 1
-	}
-	if o.RetryBudget < 0 {
+	} else if o.RetryBudget < 0 {
 		o.RetryBudget = 0
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
 
-// AggregatorStats are the aggregator's scatter/gather counters.
+// AggregatorStats are the gather core's counters (SubOps, Hedges,
+// Retries, Faults, BreakerOpens, P999Ms) plus the connection pools'.
 type AggregatorStats struct {
-	SubOps       int   // sub-replies received
-	Hedges       int64 // replicas issued
-	Reconnects   int64 // re-dials after a connection failure
-	Retries      int64 // sub-operations re-dispatched after peer failure
-	Faults       int64 // peer-level failures (dial, conn, timeout)
-	BreakerOpens int64 // cumulative breaker trips across peers
-	P999Ms       float64
+	service.Stats
+	Reconnects int64 // re-dials after a connection failure
 }
 
-// Aggregator is the scatter/gather client over n component servers:
-// the networked counterpart of service.Cluster, implementing
-// frontend.Backend so the accuracy-aware frontend drives it unchanged.
+// Aggregator is the scatter/gather client over n component servers: the
+// gather core (service.Gather, whose Inflight, EstimatedP95, Deadline,
+// Components, SetRouter and BreakerState it exposes) over multiplexed
+// TCP connections. It implements frontend.Backend, so the frontend
+// drives it exactly as it drives a service.Cluster.
 type Aggregator struct {
-	addrs  []string
+	*service.Gather
 	opts   AggregatorOptions
 	peers  []*peer
 	nextID atomic.Uint64
 
-	mu     sync.Mutex
-	route  service.RouteFunc
-	closed bool
-
-	// Streaming sub-operation latency estimators (P², as in service).
-	estMu   sync.Mutex
-	p95est  *stats.P2Quantile
-	p999est *stats.P2Quantile
-	subOps  int
-	p95us   atomic.Uint64
-
-	hedges   atomic.Int64
-	retries  atomic.Int64
-	faults   atomic.Int64
-	inflight atomic.Int64
-
 	// ingestRR round-robins unrouted append batches across components.
 	ingestRR atomic.Uint64
-
-	mRetries *obs.Counter
-	mFaults  *obs.Counter
 	mIngests *obs.Counter
 }
 
@@ -183,58 +136,41 @@ func NewAggregator(addrs []string, opts AggregatorOptions) (*Aggregator, error) 
 		return nil, fmt.Errorf("netsvc: no component addresses")
 	}
 	opts = opts.withDefaults()
-	a := &Aggregator{
-		addrs:   addrs,
-		opts:    opts,
-		p95est:  stats.NewP2Quantile(0.95),
-		p999est: stats.NewP2Quantile(0.999),
-	}
-	a.p95us.Store(uint64(opts.HedgeFloor / time.Microsecond))
+	a := &Aggregator{opts: opts}
 	if opts.Metrics != nil {
-		a.mRetries = opts.Metrics.Counter("netsvc_retries_total")
-		a.mFaults = opts.Metrics.Counter("netsvc_faults_total")
 		a.mIngests = opts.Metrics.Counter("netsvc_ingest_forwarded_total")
 	}
-	for i, addr := range addrs {
-		p := &peer{
-			agg:     a,
-			addr:    addr,
-			idx:     i,
-			slots:   make([]*peerConn, opts.ConnsPerPeer),
-			backoff: breaker.NewBackoff(opts.RedialBase, opts.RedialMax, opts.Seed+uint64(i)*0x9e3779b97f4a7c15),
-			closeCh: make(chan struct{}),
-		}
-		bcfg := opts.Breaker
-		userHook := bcfg.OnStateChange
-		var transitions [3]*obs.Counter
-		if opts.Metrics != nil {
-			m := opts.Metrics
-			for s, label := range map[breaker.State]string{
-				breaker.Closed: "closed", breaker.Open: "open", breaker.HalfOpen: "half_open",
-			} {
-				transitions[s] = m.Counter(fmt.Sprintf(`netsvc_breaker_transitions_total{peer=%q,state=%q}`, addr, label))
-			}
-			m.GaugeFunc(fmt.Sprintf(`netsvc_breaker_state{peer=%q}`, addr), func() float64 {
-				return float64(p.br.State())
-			})
-		}
-		bcfg.OnStateChange = func(s breaker.State) {
+	a.Gather = service.NewGather(aggTransport{a}, service.GatherConfig{
+		N:           len(addrs),
+		Policy:      opts.Policy,
+		Deadline:    opts.Deadline,
+		HedgeFloor:  opts.HedgeFloor,
+		ReplicaOf:   opts.ReplicaOf,
+		RetryBudget: opts.RetryBudget,
+		Breaker:     opts.Breaker,
+		OnBreakerState: func(target int, s breaker.State) {
 			if s == breaker.Open {
 				// A tripped breaker starts the background prober even when
 				// the pooled connections are still nominally alive (a
 				// stalled or partitioned peer), so recovery never depends
 				// on fresh request traffic.
-				p.kickReconnector()
+				a.peers[target].kickReconnector()
 			}
-			if transitions[s] != nil {
-				transitions[s].Inc()
-			}
-			if userHook != nil {
-				userHook(s)
-			}
-		}
-		p.br = breaker.New(bcfg)
-		a.peers = append(a.peers, p)
+		},
+		Metrics: opts.Metrics,
+		Prefix:  "netsvc",
+		Label:   func(target int) string { return fmt.Sprintf("peer=%q", addrs[target]) },
+	})
+	for i, addr := range addrs {
+		a.peers = append(a.peers, &peer{
+			agg:     a,
+			addr:    addr,
+			idx:     i,
+			br:      a.Breaker(i),
+			slots:   make([]*peerConn, opts.ConnsPerPeer),
+			backoff: breaker.NewBackoff(opts.RedialBase, opts.RedialMax, opts.Seed+uint64(i)*0x9e3779b97f4a7c15),
+			closeCh: make(chan struct{}),
+		})
 	}
 	return a, nil
 }
@@ -245,11 +181,7 @@ func NewAggregator(addrs []string, opts AggregatorOptions) (*Aggregator, error) 
 func (a *Aggregator) WaitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for _, p := range a.peers {
-		for {
-			_, err := p.conn()
-			if err == nil {
-				break
-			}
+		for _, err := p.conn(); err != nil; _, err = p.conn() {
 			if !time.Now().Before(deadline) {
 				return fmt.Errorf("netsvc: component %s not ready: %w", p.addr, err)
 			}
@@ -258,9 +190,6 @@ func (a *Aggregator) WaitReady(timeout time.Duration) error {
 	}
 	return nil
 }
-
-// Components returns the fan-out width.
-func (a *Aggregator) Components() int { return len(a.peers) }
 
 // QueueCap returns the per-component outstanding window
 // (AggregatorOptions.MaxOutstanding).
@@ -272,18 +201,6 @@ func (a *Aggregator) QueueCap() int { return a.opts.MaxOutstanding }
 func (a *Aggregator) QueueDepth(comp int) int {
 	return int(a.peers[comp].outstanding.Load())
 }
-
-// Inflight returns the number of Calls currently executing.
-func (a *Aggregator) Inflight() int { return int(a.inflight.Load()) }
-
-// EstimatedP95 returns the streaming 95th-percentile sub-operation
-// latency estimate (the hedge trigger delay).
-func (a *Aggregator) EstimatedP95() time.Duration {
-	return time.Duration(a.p95us.Load()) * time.Microsecond
-}
-
-// Deadline returns the configured call deadline.
-func (a *Aggregator) Deadline() time.Duration { return a.opts.Deadline }
 
 // Ingest forwards one append batch to its owning component and waits
 // for the acknowledgement. Unlike query sub-operations, an append is
@@ -297,12 +214,6 @@ func (a *Aggregator) Ingest(ctx context.Context, req *wire.IngestRequest) *wire.
 	fail := func(status uint8, msg string) *wire.IngestReply {
 		return &wire.IngestReply{ID: req.ID, Subset: req.Subset, Status: status, Err: msg}
 	}
-	a.mu.Lock()
-	closed := a.closed
-	a.mu.Unlock()
-	if closed {
-		return fail(wire.IngestErr, ErrClosed.Error())
-	}
 	n := len(a.peers)
 	sub := *req
 	sub.ID = a.nextID.Add(1)
@@ -311,142 +222,65 @@ func (a *Aggregator) Ingest(ctx context.Context, req *wire.IngestRequest) *wire.
 	}
 	target := int(sub.Subset) % n
 	p := a.peers[target]
-	if !p.healthy() {
+	if p.br.State() != breaker.Closed {
 		return fail(wire.IngestRejected, ErrPeerDown.Error())
 	}
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, a.opts.Deadline)
+		ctx, cancel = context.WithTimeout(ctx, a.Deadline())
 		defer cancel()
 	}
-	type ack struct {
-		rep *wire.IngestReply
-		err error
-	}
-	// Buffered so a late delivery after the deadline never blocks the
-	// connection's read loop.
-	ch := make(chan ack, 1)
-	p.sendIngest(&sub, func(rep *wire.IngestReply, err error) {
-		select {
-		case ch <- ack{rep, err}:
-		default:
-		}
-	})
+	var rep *wire.IngestReply
+	var err error
+	acked := make(chan struct{})
+	p.send(sub.ID, wire.AppendIngestRequestFrame(nil, &sub), pending{ingest: func(r *wire.IngestReply, e error) {
+		rep, err = r, e
+		close(acked)
+	}})
 	select {
 	case <-ctx.Done():
 		return fail(wire.IngestErr, ctx.Err().Error())
-	case got := <-ch:
-		if got.err != nil {
-			if !errors.Is(got.err, ErrClosed) && !errors.Is(got.err, ErrPeerDown) {
-				a.recordFault(nil, target, sub.Subset)
-			}
-			return fail(wire.IngestErr, got.err.Error())
-		}
-		p.br.Success()
-		if a.mIngests != nil {
-			a.mIngests.Inc()
-		}
-		out := *got.rep
-		out.ID = req.ID
-		out.Subset = sub.Subset
-		return &out
+	case <-acked:
 	}
+	if err != nil {
+		if !refusal(err) {
+			a.Fault(nil, target, int(sub.Subset))
+		}
+		return fail(wire.IngestErr, err.Error())
+	}
+	p.br.Success()
+	if a.mIngests != nil {
+		a.mIngests.Inc()
+	}
+	out := *rep
+	out.ID = req.ID
+	out.Subset = sub.Subset
+	return &out
 }
 
-// SetRouter injects a routing policy used by subsequent Calls to place
-// each sub-operation on a component; nil restores home placement.
-func (a *Aggregator) SetRouter(route service.RouteFunc) {
-	a.mu.Lock()
-	a.route = route
-	a.mu.Unlock()
+// refusal reports a send error that is a fast refusal (closed
+// aggregator, dial backoff window), not new evidence against the peer.
+func refusal(err error) bool {
+	return errors.Is(err, ErrClosed) || errors.Is(err, ErrPeerDown)
 }
 
 // OpenBreakers returns the addresses of peers whose circuit breaker is
 // not closed — the degraded-health signal /healthz exposes.
 func (a *Aggregator) OpenBreakers() []string {
 	var open []string
-	for _, p := range a.peers {
-		if p.br.State() != breaker.Closed {
-			open = append(open, p.addr)
-		}
+	for _, i := range a.Gather.OpenBreakers() {
+		open = append(open, a.peers[i].addr)
 	}
 	return open
 }
 
-// BreakerState returns one component's breaker state.
-func (a *Aggregator) BreakerState(comp int) breaker.State {
-	return a.peers[comp].br.State()
-}
-
 // Stats returns a snapshot of the aggregator's counters.
 func (a *Aggregator) Stats() AggregatorStats {
-	var reconnects, opens int64
+	st := AggregatorStats{Stats: a.Gather.Stats()}
 	for _, p := range a.peers {
-		reconnects += p.reconnects.Load()
-		opens += p.br.Opens()
-	}
-	a.estMu.Lock()
-	defer a.estMu.Unlock()
-	st := AggregatorStats{
-		SubOps:       a.subOps,
-		Hedges:       a.hedges.Load(),
-		Reconnects:   reconnects,
-		Retries:      a.retries.Load(),
-		Faults:       a.faults.Load(),
-		BreakerOpens: opens,
-	}
-	if st.SubOps > 0 {
-		st.P999Ms = a.p999est.Value()
+		st.Reconnects += p.reconnects.Load()
 	}
 	return st
-}
-
-func (a *Aggregator) recordLatency(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	a.estMu.Lock()
-	a.subOps++
-	a.p95est.Add(ms)
-	a.p999est.Add(ms)
-	// Cold-start guard + warm-phase cadence (see stats.HedgeEstimateDue):
-	// with fewer than five observations the P² "p95" is an interpolation
-	// over noise, so the hedge delay holds HedgeFloor instead of firing
-	// replicas at a garbage threshold.
-	if stats.HedgeEstimateDue(a.subOps) {
-		p := a.p95est.Value()
-		floor := float64(a.opts.HedgeFloor) / float64(time.Millisecond)
-		if p < floor {
-			p = floor
-		}
-		a.p95us.Store(uint64(p * 1000))
-	}
-	a.estMu.Unlock()
-}
-
-// recordFault counts one peer-level failure (dial, connection, or
-// timeout) into the peer's breaker and the fault counters, recording a
-// breaker-trip span when this failure is the one that opened it.
-func (a *Aggregator) recordFault(tr *obs.Trace, target int, subset int32) {
-	a.faults.Add(1)
-	if a.mFaults != nil {
-		a.mFaults.Inc()
-	}
-	if a.peers[target].br.Fail() {
-		tr.Add(obs.SpanBreakerTrip, subset, time.Now(), 0, int64(target))
-	}
-}
-
-// nextHealthy returns the first other component after from (wrapping)
-// whose breaker is closed, or from itself when no other peer is
-// healthy.
-func (a *Aggregator) nextHealthy(from int) int {
-	n := len(a.peers)
-	for k := 1; k < n; k++ {
-		i := (from + k) % n
-		if a.peers[i].healthy() {
-			return i
-		}
-	}
-	return from
 }
 
 // Call fans the request template out to every component and gathers
@@ -468,304 +302,111 @@ func (a *Aggregator) Call(ctx context.Context, payload interface{}) ([]service.S
 	if !ok {
 		return nil, fmt.Errorf("netsvc: Call payload must be *wire.Request, got %T", payload)
 	}
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return nil, ErrClosed
-	}
-	route := a.route
-	a.mu.Unlock()
-	a.inflight.Add(1)
-	defer a.inflight.Add(-1)
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, a.opts.Deadline)
-		defer cancel()
-	}
-	dl, _ := ctx.Deadline()
-	// The frontend's context values override the template's class and
-	// level; without a frontend the request's own fields stand, so a
-	// client-stamped SLO survives an aggregator that runs bare.
-	level := tmpl.Level
-	if lv, ok := frontend.LevelFrom(ctx); ok {
-		level = int16(lv)
-	}
-	slo, minAcc := tmpl.SLO, tmpl.MinAccuracy
-	if s, ok := frontend.SLOFrom(ctx); ok {
-		slo, minAcc = uint8(s.Kind), s.MinAccuracy
-	}
-	// The active trace (nil when untraced) is threaded to every dispatch
-	// so the CAS-winning delivery records its sub-operation span and
-	// stitches the server-side spans off the wire.
 	tr := obs.TraceFrom(ctx)
-	// The request's cost account (nil when attribution is off): the
-	// gather loop folds each sub-reply's span costs and frame bytes in,
-	// so the front server's closer sees the whole fan-out's usage.
+	// stamp is what every sub-request of this fan-out shares. The
+	// frontend's context values override the template's class and level;
+	// without a frontend the request's own fields stand, so a
+	// client-stamped SLO survives an aggregator that runs bare.
+	stamp := *tmpl
+	stamp.Seq = tmpl.ID   // correlate sub-operations with their parent request
+	stamp.Trace = tr.ID() // nil-safe: 0 propagates "untraced"
+	if lv, ok := frontend.LevelFrom(ctx); ok {
+		stamp.Level = int16(lv)
+	}
+	if s, ok := frontend.SLOFrom(ctx); ok {
+		stamp.SLO, stamp.MinAccuracy = uint8(s.Kind), s.MinAccuracy
+	}
+	subs, err := a.Gather.Call(ctx, &stamp)
+	// Per winning sub-reply: stitch the server-side queue/exec spans it
+	// carried under the subset's sub-op span, and fold their costs plus
+	// the reply frame's own bytes into the request's cost account (the
+	// sub-request frame was counted by the component server, in the exec
+	// span's WireBytes). Both are nil, their methods no-ops, when off.
 	acct := cost.AccountFrom(ctx)
-
-	n := len(a.peers)
-	reply := make(chan service.SubResult, 2*n)
-	dones := make([]*atomic.Bool, n)
-	targets := make([]int, n)
-	var timers []*time.Timer
-	for i := 0; i < n; i++ {
-		dones[i] = &atomic.Bool{}
-		sub := *tmpl
-		sub.ID = a.nextID.Add(1)
-		sub.Seq = tmpl.ID // correlate sub-operations with their parent request
-		sub.Subset = int32(i)
-		// The call deadline only ever tightens a deadline the request
-		// already carries (a client-side l_spe): each hop propagates the
-		// strictest absolute budget downward.
-		if sub.Deadline == 0 || dl.UnixNano() < sub.Deadline {
-			sub.Deadline = dl.UnixNano()
-		}
-		sub.Level = level
-		sub.SLO, sub.MinAccuracy = slo, minAcc
-		sub.Trace = tr.ID() // nil-safe: 0 propagates "untraced"
-		target := i
-		if route != nil {
-			if t := route(i, n, a.QueueDepth); t >= 0 && t < n {
-				target = t
-			}
-		}
-		// Health-aware routing: an open-breaker peer is evicted from the
-		// route set when any healthy peer exists (every component server
-		// holds all shards, so placement is a latency choice, not a
-		// correctness one).
-		if !a.peers[target].healthy() {
-			target = a.nextHealthy(target)
-		}
-		targets[i] = target
-		hedged := &atomic.Bool{}
-		a.dispatch(tr, target, &sub, dones[i], hedged, reply, true)
-		if a.opts.Policy == service.Hedged {
-			timers = append(timers, a.armHedge(tr, sub, target, dones[i], hedged, reply))
-		}
+	if tr == nil && acct == nil {
+		return subs, err
 	}
-	defer func() {
-		for _, t := range timers {
-			t.Stop()
+	for i := range subs {
+		rep, ok := subs[i].Value.(*wire.SubReply)
+		if !ok {
+			continue
 		}
-	}()
-
-	out := make([]service.SubResult, n)
-	got := make([]bool, n)
-	remaining := n
-	var deadlineC <-chan time.Time
-	if a.opts.Policy == service.PartialGather {
-		t := time.NewTimer(time.Until(dl))
-		defer t.Stop()
-		deadlineC = t.C
-	}
-	for remaining > 0 {
-		select {
-		case r := <-reply:
-			if !got[r.Subset] {
-				got[r.Subset] = true
-				out[r.Subset] = r
-				remaining--
-				if acct != nil {
-					if rep, ok := r.Value.(*wire.SubReply); ok {
-						for _, sp := range rep.Spans {
-							acct.Add(cost.Usage{
-								CPUNs:     sp.Cost.CPUNs,
-								Scanned:   sp.Cost.Scanned,
-								QueueNs:   sp.Cost.QueueNs,
-								WireBytes: sp.Cost.WireBytes,
-							})
-						}
-						// The sub-reply frame's own bytes; the matching
-						// sub-request frame was counted by the component
-						// server (the exec span's WireBytes).
-						acct.AddWireBytes(uint64(rep.FrameLen))
-					}
-				}
+		for _, sp := range rep.Spans {
+			kind := obs.SpanServerQueue
+			if sp.Kind == wire.SpanExec {
+				kind = obs.SpanServerExec
 			}
-		case <-deadlineC:
-			// Partial execution: compose without the stragglers. Their
-			// servers keep working unless the propagated deadline stops
-			// them first; late replies are dropped via the done flags.
-			for i := range got {
-				if !got[i] {
-					dones[i].Store(true)
-					out[i] = service.SubResult{Subset: i, Skipped: true}
-					remaining--
-					// A sub-operation that never answered within the budget
-					// is failure evidence against its target: consecutive
-					// timeouts trip the breaker (a stalled or partitioned
-					// peer produces nothing else).
-					a.recordFault(tr, targets[i], int32(i))
-				}
-			}
-		case <-ctx.Done():
-			expired := errors.Is(ctx.Err(), context.DeadlineExceeded)
-			for i := range got {
-				if !got[i] {
-					dones[i].Store(true)
-					out[i] = service.SubResult{Subset: i, Err: ctx.Err(), Skipped: true}
-					remaining--
-					// Deadline expiry indicts the peer; caller cancellation
-					// does not.
-					if expired {
-						a.recordFault(tr, targets[i], int32(i))
-					}
-				}
-			}
+			tr.AddRemote(kind, int32(i), sp.Start, sp.Dur)
+			acct.Add(cost.Usage{CPUNs: sp.Cost.CPUNs, Scanned: sp.Cost.Scanned,
+				QueueNs: sp.Cost.QueueNs, WireBytes: sp.Cost.WireBytes})
 		}
+		acct.AddWireBytes(uint64(rep.FrameLen))
 	}
-	return out, nil
+	return subs, err
 }
 
-// dispatch sends one sub-operation to a component. primary outcomes
-// are always delivered (first-wins); hedge outcomes are delivered only
-// when the replica actually answered OK, so a failed or shed replica
-// can never displace the primary's pending reply.
-func (a *Aggregator) dispatch(tr *obs.Trace, target int, sub *wire.Request, done, hedged *atomic.Bool, reply chan<- service.SubResult, primary bool) {
-	a.dispatchAttempt(tr, target, sub, done, hedged, reply, primary, 0)
-}
+// aggTransport is the gather core's transport over the peer pools. The
+// peers' reconnectors are the breakers' probers (their dial is the
+// half-open probe), so a query sub-operation never is.
+type aggTransport struct{ *Aggregator } // QueueDepth is the Aggregator's
 
-// dispatchAttempt is one placement of a sub-operation; peer-level
-// failures recurse onto a healthy peer while the retry budget and the
-// propagated deadline allow.
-func (a *Aggregator) dispatchAttempt(tr *obs.Trace, target int, sub *wire.Request, done, hedged *atomic.Bool, reply chan<- service.SubResult, primary bool, attempt int) {
-	p := a.peers[target]
-	subset := int(sub.Subset)
-	// deliverErr resolves this attempt with an error. retryable marks
-	// peer-level failures (dial, connection, open breaker) that another
-	// peer could still answer; shed and server-reported errors are not.
-	deliverErr := func(err error, skipped, retryable bool) {
-		if !primary {
-			return
-		}
-		if retryable && attempt < a.opts.RetryBudget && !done.Load() &&
-			(sub.Deadline == 0 || time.Now().UnixNano() < sub.Deadline) {
-			next := target
-			if !p.healthy() {
-				next = a.nextHealthy(target)
-			}
-			if next != target || p.healthy() {
-				a.retries.Add(1)
-				if a.mRetries != nil {
-					a.mRetries.Inc()
-				}
-				tr.Add(obs.SpanRetry, sub.Subset, time.Now(), 0, int64(next))
-				clone := *sub
-				clone.ID = a.nextID.Add(1)
-				a.dispatchAttempt(tr, next, &clone, done, hedged, reply, primary, attempt+1)
-				return
-			}
-		}
-		if done.CompareAndSwap(false, true) {
-			reply <- service.SubResult{Subset: subset, Err: err, Skipped: skipped, Hedged: hedged.Load()}
-		}
-	}
-	if !p.healthy() {
-		// Fail fast instead of waiting out a timeout against a peer the
-		// breaker already condemned. Recovery is the reconnector's job,
-		// so known-unhealthy peers cost nothing per request.
-		deliverErr(ErrPeerDown, false, true)
-		return
-	}
+func (aggTransport) Probe(int, *breaker.Breaker) bool { return false }
+
+// Send completes the fan-out's stamp for one subset and transmits it.
+func (a aggTransport) Send(ctx context.Context, at service.Attempt, payload interface{}) bool {
+	p := a.peers[at.Target]
 	if p.outstanding.Add(1) > int64(a.opts.MaxOutstanding) {
 		p.outstanding.Add(-1)
-		deliverErr(ErrQueueFull, false, false)
-		return
+		at.Done(service.Result{Outcome: service.OutcomeShed, Err: ErrQueueFull})
+		return false
+	}
+	sub := *payload.(*wire.Request)
+	sub.ID = a.nextID.Add(1)
+	sub.Subset = int32(at.Subset)
+	// The call deadline only ever tightens a deadline the request
+	// already carries (a client-side l_spe): each hop propagates the
+	// strictest absolute budget downward.
+	if dl, _ := ctx.Deadline(); sub.Deadline == 0 || dl.UnixNano() < sub.Deadline {
+		sub.Deadline = dl.UnixNano()
 	}
 	start := time.Now()
-	p.send(sub, func(rep *wire.SubReply, err error) {
+	return p.send(sub.ID, wire.AppendRequestFrame(nil, &sub), pending{sub: func(rep *wire.SubReply, err error) {
 		p.outstanding.Add(-1)
 		if err != nil {
-			if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrPeerDown) {
-				a.recordFault(tr, target, sub.Subset)
+			out := service.OutcomePeerFailure
+			if refusal(err) {
+				out = service.OutcomeDown
 			}
-			deliverErr(err, false, true)
+			at.Done(service.Result{Outcome: out, Err: err})
 			return
 		}
-		// Any decoded reply — OK, skipped, or busy — is proof of life.
-		p.br.Success()
-		lat := time.Since(start)
-		a.recordLatency(lat)
+		r := service.Result{Latency: time.Since(start)}
 		switch rep.Status {
 		case wire.StatusOK:
-			if done.CompareAndSwap(false, true) {
-				if tr != nil {
-					// Only the winning delivery records: one SpanSubOp per
-					// subset, even when a hedge raced the primary. The
-					// server-side queue/exec spans that travelled back in
-					// the sub-reply are stitched under the same subset.
-					tr.Add(obs.SpanSubOp, int32(subset), start, lat, int64(target))
-					for _, sp := range rep.Spans {
-						kind := obs.SpanServerQueue
-						if sp.Kind == wire.SpanExec {
-							kind = obs.SpanServerExec
-						}
-						tr.AddRemote(kind, int32(subset), sp.Start, sp.Dur)
-					}
-				}
-				reply <- service.SubResult{Subset: subset, Value: rep, Latency: lat, Hedged: hedged.Load()}
-			}
+			r.Outcome, r.Value = service.OutcomeAnswered, rep
 		case wire.StatusSkipped:
-			// A skipped reply means the propagated budget is gone: any
-			// later reply would be past-deadline too, so a replica's
-			// skip resolves the subset just like a primary's.
-			if done.CompareAndSwap(false, true) {
-				reply <- service.SubResult{Subset: subset, Skipped: true, Latency: lat, Hedged: hedged.Load()}
-			}
+			r.Outcome = service.OutcomeSkipped
 		case wire.StatusBusy:
 			// A server-side shed is the same condition as the
 			// aggregator-side outstanding window: report the sentinel so
 			// composed replies classify it StatusBusy, not a generic
 			// error.
-			deliverErr(ErrQueueFull, false, false)
+			r.Outcome, r.Err = service.OutcomeShed, ErrQueueFull
 		default:
-			deliverErr(fmt.Errorf("netsvc: component %d: %s", target, rep.Err), false, false)
+			r.Outcome, r.Err = service.OutcomeAppError, fmt.Errorf("netsvc: component %d: %s", at.Target, rep.Err)
 		}
-	})
-}
-
-// armHedge schedules the reissue check for one sub-operation.
-func (a *Aggregator) armHedge(tr *obs.Trace, sub wire.Request, target int, done, hedged *atomic.Bool, reply chan<- service.SubResult) *time.Timer {
-	return time.AfterFunc(a.EstimatedP95(), func() {
-		if done.Load() {
-			return
-		}
-		rc := a.opts.ReplicaOf(int(sub.Subset), len(a.peers))
-		if !a.peers[rc].healthy() {
-			// Hedging into an open breaker buys nothing; place the
-			// replica on the next healthy peer instead.
-			rc = a.nextHealthy(rc)
-		}
-		if rc == target {
-			// A replica behind the very sub-operation it hedges would
-			// queue after it — skip, as in the in-process runtime.
-			return
-		}
-		// Mark before sending so the replica's own reply (which may win
-		// immediately) already observes the flag.
-		hedged.Store(true)
-		clone := sub
-		clone.ID = a.nextID.Add(1)
-		a.hedges.Add(1)
-		tr.Add(obs.SpanHedge, sub.Subset, time.Now(), 0, int64(rc))
-		a.dispatch(tr, rc, &clone, done, hedged, reply, false)
-	})
+		at.Done(r)
+	}})
 }
 
 // Close tears down every connection; Call returns ErrClosed afterwards
 // and outstanding sub-operations fail over to their gather policy's
 // error path.
 func (a *Aggregator) Close() {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return
-	}
-	a.closed = true
-	a.mu.Unlock()
 	for _, p := range a.peers {
 		p.close()
 	}
+	a.Gather.Close()
 }
 
 // peer is the connection pool plus failure-domain state for one
@@ -778,25 +419,16 @@ type peer struct {
 	outstanding atomic.Int64
 	reconnects  atomic.Int64
 
-	br           *breaker.Breaker
+	br           *breaker.Breaker // the gather core's, for this component
 	backoff      *breaker.Backoff
 	reconnecting atomic.Bool
+	closed       atomic.Bool
 	closeCh      chan struct{}
 
 	mu         sync.Mutex
 	slots      []*peerConn
 	next       int
 	nextDialAt time.Time
-	closed     bool
-}
-
-// healthy reports whether the peer's breaker admits normal traffic.
-func (p *peer) healthy() bool { return p.br.State() == breaker.Closed }
-
-func (p *peer) isClosed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.closed
 }
 
 // conn returns a live pooled connection, dialing a dead slot as
@@ -805,71 +437,57 @@ func (p *peer) isClosed() bool {
 // of hammering a refusing address once per request.
 func (p *peer) conn() (*peerConn, error) {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	defer p.mu.Unlock()
+	if p.closed.Load() {
 		return nil, ErrClosed
 	}
 	i := p.next
 	p.next = (p.next + 1) % len(p.slots)
-	pc := p.slots[i]
-	if pc != nil && !pc.isDead() {
-		p.mu.Unlock()
-		return pc, nil
-	}
-	// Prefer any other live slot over redialing (the background
-	// reconnector may have installed a fresh connection already).
-	for _, q := range p.slots {
-		if q != nil && !q.isDead() {
-			p.mu.Unlock()
-			return q, nil
+	// Any live slot beats redialing (the background reconnector may have
+	// installed a fresh connection already).
+	for k := range p.slots {
+		if pc := p.slots[(i+k)%len(p.slots)]; pc != nil && !pc.isDead() {
+			return pc, nil
 		}
 	}
-	if pc != nil {
+	if p.slots[i] != nil {
 		p.reconnects.Add(1)
 	}
-	if !p.nextDialAt.IsZero() && time.Now().Before(p.nextDialAt) {
-		p.mu.Unlock()
+	if time.Now().Before(p.nextDialAt) {
 		p.kickReconnector()
 		return nil, ErrPeerDown
 	}
 	c, err := p.agg.opts.Dial(p.addr, p.agg.opts.DialTimeout)
 	if err != nil {
 		p.nextDialAt = time.Now().Add(p.backoff.Next())
-		p.mu.Unlock()
 		p.kickReconnector()
 		return nil, err
 	}
-	p.backoff.Reset()
-	p.nextDialAt = time.Time{}
-	pc = p.newConn(c)
-	p.slots[i] = pc
-	p.mu.Unlock()
-	go pc.readLoop(p.agg.opts.MaxFrame)
-	return pc, nil
+	return p.install(c), nil
 }
 
-// newConn wraps an established transport connection. Caller holds p.mu
-// and must start the read loop after unlocking.
-func (p *peer) newConn(c net.Conn) *peerConn {
-	return &peerConn{
-		c:         c,
-		pending:   map[uint64]func(*wire.SubReply, error){},
-		pendingIn: map[uint64]func(*wire.IngestReply, error){},
-		onDead:    p.kickReconnector,
+// install pools an established connection in a dead or empty slot and
+// starts its read loop. Caller holds p.mu.
+func (p *peer) install(c net.Conn) *peerConn {
+	pc := &peerConn{c: c, pending: map[uint64]pending{}, onDead: p.kickReconnector}
+	i := 0
+	for i < len(p.slots)-1 && p.slots[i] != nil && !p.slots[i].isDead() {
+		i++
 	}
+	p.slots[i] = pc
+	p.backoff.Reset()
+	p.nextDialAt = time.Time{}
+	go pc.readLoop(p.agg.opts.MaxFrame)
+	return pc
 }
 
 // kickReconnector starts the background reconnect/probe loop unless it
 // is already running or the peer is closed. It is invoked on every
 // connection death, failed dial, and breaker trip.
 func (p *peer) kickReconnector() {
-	if p.isClosed() {
-		return
+	if !p.closed.Load() && p.reconnecting.CompareAndSwap(false, true) {
+		go p.reconnectLoop()
 	}
-	if !p.reconnecting.CompareAndSwap(false, true) {
-		return
-	}
-	go p.reconnectLoop()
 }
 
 // reconnectLoop is the traffic-independent recovery path: it redials
@@ -880,24 +498,11 @@ func (p *peer) kickReconnector() {
 // breaker re-closes — even with zero request traffic.
 func (p *peer) reconnectLoop() {
 	defer p.reconnecting.Store(false)
-	t := time.NewTimer(0)
-	defer t.Stop()
 	for {
-		d := p.backoff.Next()
-		if !t.Stop() {
-			select {
-			case <-t.C:
-			default:
-			}
-		}
-		t.Reset(d)
 		select {
 		case <-p.closeCh:
 			return
-		case <-t.C:
-		}
-		if p.isClosed() {
-			return
+		case <-time.After(p.backoff.Next()):
 		}
 		if p.br.State() != breaker.Closed && !p.br.Allow() {
 			// Still inside the cooldown; the backoff sleep above keeps
@@ -906,111 +511,69 @@ func (p *peer) reconnectLoop() {
 		}
 		c, err := p.agg.opts.Dial(p.addr, p.agg.opts.DialTimeout)
 		if err != nil {
-			p.br.Fail()
-			p.agg.faults.Add(1)
-			if p.agg.mFaults != nil {
-				p.agg.mFaults.Inc()
-			}
+			p.agg.Fault(nil, p.idx, -1)
 			continue
 		}
-		p.install(c)
-		p.br.Success()
-		p.backoff.Reset()
-		return
-	}
-}
-
-// install pools a successfully probed connection into a dead or empty
-// slot.
-func (p *peer) install(c net.Conn) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		c.Close()
-		return
-	}
-	idx := 0
-	for i, q := range p.slots {
-		if q == nil || q.isDead() {
-			idx = i
-			break
+		p.mu.Lock()
+		if p.closed.Load() {
+			p.mu.Unlock()
+			c.Close()
+			return
 		}
-	}
-	pc := p.newConn(c)
-	p.slots[idx] = pc
-	p.nextDialAt = time.Time{}
-	p.mu.Unlock()
-	go pc.readLoop(p.agg.opts.MaxFrame)
-}
-
-// send transmits one sub-operation and registers its delivery callback
-// (invoked exactly once: reply, connection failure, or close).
-func (p *peer) send(sub *wire.Request, deliver func(*wire.SubReply, error)) {
-	pc, err := p.conn()
-	if err != nil {
-		deliver(nil, err)
+		p.install(c)
+		p.mu.Unlock()
+		p.br.Success()
 		return
 	}
-	if !pc.register(sub.ID, deliver) {
+}
+
+// pending is the callback of one in-flight frame, sub for a query or
+// ingest for an append batch, invoked exactly once: reply, connection
+// failure, or close.
+type pending struct {
+	sub    func(*wire.SubReply, error)
+	ingest func(*wire.IngestReply, error)
+}
+
+func (d pending) fail(err error) {
+	if d.sub != nil {
+		d.sub(nil, err)
+	} else {
+		d.ingest(nil, err)
+	}
+}
+
+// send registers a frame's callback on a pooled connection and writes
+// the frame. False: not written, and the callback already failed.
+func (p *peer) send(id uint64, frame []byte, deliver pending) bool {
+	pc, err := p.conn()
+	if err == nil && !pc.register(id, deliver) {
 		// The connection died between pooling and registration; one
 		// retry against a fresh slot, then give up.
-		pc, err = p.conn()
-		if err != nil {
-			deliver(nil, err)
-			return
-		}
-		if !pc.register(sub.ID, deliver) {
-			deliver(nil, errors.New("netsvc: connection lost"))
-			return
+		if pc, err = p.conn(); err == nil && !pc.register(id, deliver) {
+			err = errors.New("netsvc: connection lost")
 		}
 	}
-	frame := wire.AppendRequestFrame(nil, sub)
-	pc.wmu.Lock()
-	_, werr := pc.c.Write(frame)
-	pc.wmu.Unlock()
-	if werr != nil {
-		pc.fail(werr)
-	}
-}
-
-// sendIngest transmits one append batch on a pooled connection and
-// registers its acknowledgement callback (invoked exactly once: reply,
-// connection failure, or close). It mirrors send, on the ingest half
-// of the multiplexed connection.
-func (p *peer) sendIngest(sub *wire.IngestRequest, deliver func(*wire.IngestReply, error)) {
-	pc, err := p.conn()
 	if err != nil {
-		deliver(nil, err)
-		return
+		deliver.fail(err)
+		return false
 	}
-	if !pc.registerIngest(sub.ID, deliver) {
-		pc, err = p.conn()
-		if err != nil {
-			deliver(nil, err)
-			return
-		}
-		if !pc.registerIngest(sub.ID, deliver) {
-			deliver(nil, errors.New("netsvc: connection lost"))
-			return
-		}
-	}
-	frame := wire.AppendIngestRequestFrame(nil, sub)
 	pc.wmu.Lock()
 	_, werr := pc.c.Write(frame)
 	pc.wmu.Unlock()
 	if werr != nil {
 		pc.fail(werr)
+		return false
 	}
+	return true
 }
 
 func (p *peer) close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if p.closed.Swap(true) {
 		return
 	}
-	p.closed = true
 	close(p.closeCh)
+	p.mu.Lock() // after the flag: a conn() racing us either sees it or is in this snapshot
 	slots := append([]*peerConn(nil), p.slots...)
 	p.mu.Unlock()
 	for _, pc := range slots {
@@ -1027,10 +590,9 @@ type peerConn struct {
 	onDead func() // kicks the owning peer's reconnector
 	wmu    sync.Mutex
 
-	pmu       sync.Mutex
-	pending   map[uint64]func(*wire.SubReply, error)
-	pendingIn map[uint64]func(*wire.IngestReply, error)
-	dead      bool
+	pmu     sync.Mutex
+	pending map[uint64]pending
+	dead    bool
 }
 
 func (pc *peerConn) isDead() bool {
@@ -1039,7 +601,7 @@ func (pc *peerConn) isDead() bool {
 	return pc.dead
 }
 
-func (pc *peerConn) register(id uint64, deliver func(*wire.SubReply, error)) bool {
+func (pc *peerConn) register(id uint64, deliver pending) bool {
 	pc.pmu.Lock()
 	defer pc.pmu.Unlock()
 	if pc.dead {
@@ -1049,14 +611,14 @@ func (pc *peerConn) register(id uint64, deliver func(*wire.SubReply, error)) boo
 	return true
 }
 
-func (pc *peerConn) registerIngest(id uint64, deliver func(*wire.IngestReply, error)) bool {
+// take removes and returns the callback registered for a reply's ID
+// (zero for an unknown or already-failed one).
+func (pc *peerConn) take(id uint64) pending {
 	pc.pmu.Lock()
 	defer pc.pmu.Unlock()
-	if pc.dead {
-		return false
-	}
-	pc.pendingIn[id] = deliver
-	return true
+	deliver := pc.pending[id]
+	delete(pc.pending, id)
+	return deliver
 }
 
 // readLoop dispatches reply frames to their pending callbacks until
@@ -1064,48 +626,38 @@ func (pc *peerConn) registerIngest(id uint64, deliver func(*wire.IngestReply, er
 func (pc *peerConn) readLoop(maxFrame int) {
 	br := bufio.NewReader(pc.c)
 	var buf []byte
-	for {
-		var err error
-		buf, err = wire.ReadFrame(br, buf, maxFrame)
-		if err != nil {
-			pc.fail(err)
-			return
+	var err error
+	for err == nil {
+		if buf, err = wire.ReadFrame(br, buf, maxFrame); err == nil {
+			err = pc.dispatch(buf)
 		}
-		// Query sub-replies and ingest acknowledgements share the
-		// connection; the kind byte routes before payload decoding.
-		kind, err := wire.FrameKind(buf)
-		if err != nil {
-			pc.fail(err)
-			return
-		}
-		if kind == wire.FrameIngestReply {
-			ack, err := wire.DecodeIngestReply(buf)
-			if err != nil {
-				pc.fail(err)
-				return
-			}
-			pc.pmu.Lock()
-			deliver := pc.pendingIn[ack.ID]
-			delete(pc.pendingIn, ack.ID)
-			pc.pmu.Unlock()
-			if deliver != nil {
+	}
+	pc.fail(err)
+}
+
+// dispatch hands one reply frame to its callback. Query sub-replies and
+// ingest acknowledgements share the connection; the kind byte routes.
+func (pc *peerConn) dispatch(buf []byte) error {
+	kind, err := wire.FrameKind(buf)
+	if err != nil {
+		return err
+	}
+	if kind == wire.FrameIngestReply {
+		ack, err := wire.DecodeIngestReply(buf)
+		if err == nil {
+			if deliver := pc.take(ack.ID).ingest; deliver != nil {
 				deliver(ack, nil)
 			}
-			continue
 		}
-		rep, err := wire.DecodeSubReply(buf)
-		if err != nil {
-			pc.fail(err)
-			return
-		}
-		pc.pmu.Lock()
-		deliver := pc.pending[rep.ID]
-		delete(pc.pending, rep.ID)
-		pc.pmu.Unlock()
-		if deliver != nil {
+		return err
+	}
+	rep, err := wire.DecodeSubReply(buf)
+	if err == nil {
+		if deliver := pc.take(rep.ID).sub; deliver != nil {
 			deliver(rep, nil)
 		}
 	}
+	return err
 }
 
 // fail marks the connection dead and fails every pending sub-operation
@@ -1118,18 +670,13 @@ func (pc *peerConn) fail(err error) {
 	}
 	pc.dead = true
 	pending := pc.pending
-	pendingIn := pc.pendingIn
 	pc.pending = nil
-	pc.pendingIn = nil
 	pc.pmu.Unlock()
 	pc.c.Close()
-	if pc.onDead != nil && !errors.Is(err, ErrClosed) {
+	if !errors.Is(err, ErrClosed) {
 		pc.onDead()
 	}
 	for _, deliver := range pending {
-		deliver(nil, fmt.Errorf("netsvc: connection failed: %w", err))
-	}
-	for _, deliver := range pendingIn {
-		deliver(nil, fmt.Errorf("netsvc: connection failed: %w", err))
+		deliver.fail(fmt.Errorf("netsvc: connection failed: %w", err))
 	}
 }

@@ -209,10 +209,9 @@ func (s *FrontServer) auditReplay(ctx context.Context, smp *audit.Sample) ([]flo
 	exact.SLO, exact.MinAccuracy = wire.SLOExact, 0
 	exact.Level, exact.Deadline = wire.NoLevel, 0
 	exact.Trace = 0
-	// Internal traffic: a replay is measurement, not service — it must
-	// not count against SLO windows or any tenant's cost curves (no cost
-	// account is opened, so fan-out costs fold into nothing).
-	ctx = obs.WithInternal(ctx)
+	// A replay is measurement, not service: it bypasses the serve path
+	// that feeds SLO windows, and opens no cost account, so its fan-out
+	// costs fold into nothing.
 	var epoch uint64
 	if s.cache != nil {
 		epoch = s.cache.Epoch()

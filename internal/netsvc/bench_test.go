@@ -64,13 +64,11 @@ func BenchmarkServeUntraced(b *testing.B) { benchServe(b, nil, nil) }
 
 func BenchmarkServeTraced(b *testing.B) { benchServe(b, obs.NewRecorder(256, 64), nil) }
 
-// BenchmarkServeUncosted/Costed bound the end-to-end overhead of cost
-// attribution (account on the context, span-cost folds in the gather
-// loop, table record per request — tracing included, since cost rides
-// traced spans). CI compares the pair with `benchjson
+// BenchmarkServeTraced/Costed bound the end-to-end overhead of cost
+// attribution (account on the context, span-cost folds over the
+// gathered winners, table record per request — tracing included, since
+// cost rides traced spans). CI compares the pair with `benchjson
 // -assert-max-regress`.
-func BenchmarkServeUncosted(b *testing.B) { benchServe(b, obs.NewRecorder(256, 64), nil) }
-
 func BenchmarkServeCosted(b *testing.B) {
 	benchServe(b, obs.NewRecorder(256, 64), cost.NewTable())
 }

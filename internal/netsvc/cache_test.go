@@ -13,48 +13,8 @@ import (
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/rescache"
 	"accuracytrader/internal/service"
-	"accuracytrader/internal/stats"
 	"accuracytrader/internal/wire"
 )
-
-// TestHedgeTriggerColdStartGuard is the satellite check on the
-// P²-estimated p95 hedge trigger: with fewer than five observations the
-// estimator has no meaningful tail estimate, so the hedge delay must
-// stay at the configured floor instead of a garbage threshold — and
-// must track the real tail once warm.
-func TestHedgeTriggerColdStartGuard(t *testing.T) {
-	floor := 2 * time.Millisecond
-	a, err := NewAggregator([]string{"127.0.0.1:1"}, AggregatorOptions{HedgeFloor: floor})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	// Four fat samples: still cold, the trigger must hold the floor.
-	for i := 0; i < stats.HedgeWarmObservations-1; i++ {
-		a.recordLatency(300 * time.Millisecond)
-	}
-	if got := a.EstimatedP95(); got != floor {
-		t.Fatalf("cold-start hedge delay = %v, want the %v floor", got, floor)
-	}
-	// The fifth observation completes the marker set: the trigger may
-	// now move, and with five identical 300ms samples it must.
-	a.recordLatency(300 * time.Millisecond)
-	if got := a.EstimatedP95(); got < 100*time.Millisecond {
-		t.Fatalf("warm hedge delay = %v, not tracking the %v samples", got, 300*time.Millisecond)
-	}
-	// The floor still clamps from below once warm.
-	b, err := NewAggregator([]string{"127.0.0.1:1"}, AggregatorOptions{HedgeFloor: floor})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	for i := 0; i < 16; i++ {
-		b.recordLatency(10 * time.Microsecond)
-	}
-	if got := b.EstimatedP95(); got != floor {
-		t.Fatalf("warm sub-floor estimate = %v, want clamped to %v", got, floor)
-	}
-}
 
 // startCachedFrontServer builds the full stack — component servers,
 // aggregator, frontend, result cache — counting backend handler

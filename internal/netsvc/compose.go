@@ -32,7 +32,7 @@ func SubStatuses(subs []service.SubResult) []uint8 {
 		case sr.Skipped:
 			out[i] = wire.StatusSkipped
 		case sr.Err != nil:
-			if sr.Err == ErrQueueFull || sr.Err == service.ErrQueueFull {
+			if sr.Err == ErrQueueFull {
 				out[i] = wire.StatusBusy
 			} else {
 				out[i] = wire.StatusErr

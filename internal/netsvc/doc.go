@@ -11,13 +11,14 @@
 //     already passed is answered Skipped without touching the handler,
 //     and handlers run under a context carrying the remaining budget
 //     so Algorithm 1 abandons improvement the moment it is exhausted.
-//   - Aggregator: the scatter/gather client — pooled persistent
-//     connections per component with transparent reconnect, and the
-//     same gather policies as the in-process runtime (service.WaitAll,
-//     service.PartialGather, service.Hedged) executed over sockets,
-//     including the P²-estimated p95 hedge trigger. It implements
-//     frontend.Backend, so the accuracy-aware frontend's admission,
-//     replica routing, and degradation policies drive it unchanged.
+//   - Aggregator: the scatter/gather client — the gather core of
+//     internal/service (service.Gather: placement, first-wins
+//     resolution, the P²-estimated p95 hedge trigger, breakers, retry,
+//     the WaitAll / PartialGather / Hedged policies) running over a
+//     transport of pooled persistent connections per component with
+//     transparent reconnect. It implements frontend.Backend, so the
+//     accuracy-aware frontend's admission, replica routing, and
+//     degradation policies drive it unchanged.
 //   - FrontServer: an aggregator process's client-facing listener: it
 //     accepts whole-service wire.Requests, runs them through the
 //     frontend pipeline, merges the sub-results with the application

@@ -321,3 +321,118 @@ func TestMidFlightKillEveryCallReturns(t *testing.T) {
 	srv1.Close()
 	checkLeaks()
 }
+
+// TestBusyRepliesDoNotFeedHedgeTrigger is the loopback twin of the gather
+// core's shed-latency test: a component server whose queue is full
+// answers StatusBusy within microseconds, precisely when the cluster is
+// overloaded. Those refusals are not service-time samples; counted as
+// such they would drag the p95 hedge trigger down to HedgeFloor.
+func TestBusyRepliesDoNotFeedHedgeTrigger(t *testing.T) {
+	release := make(chan struct{})
+	ok := &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
+		Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0}, CntVar: []float64{0}}}
+	h := func(ctx context.Context, req *wire.Request) *wire.SubReply {
+		if req.Tenant == "block" {
+			<-release
+		} else {
+			time.Sleep(10 * time.Millisecond)
+		}
+		return ok
+	}
+	srv, addr := startServer(t, h, ServerOptions{Workers: 1, QueueLen: 1})
+	a, err := NewAggregator([]string{addr}, AggregatorOptions{Policy: service.WaitAll, Deadline: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	call := func(tenant string, timeout time.Duration) service.SubResult {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		req := aggReq(agg.Sum, 0, 1)
+		req.Tenant = tenant
+		subs, err := a.Call(ctx, req)
+		if err != nil {
+			t.Error(err)
+			return service.SubResult{}
+		}
+		return subs[0]
+	}
+	for i := 0; i < 50; i++ {
+		if sr := call("", time.Second); sr.Err != nil {
+			t.Fatalf("warm-up call: %+v", sr)
+		}
+	}
+	warm := a.EstimatedP95()
+	if warm < 8*time.Millisecond {
+		t.Fatalf("warm hedge trigger = %v, want ~10ms", warm)
+	}
+	// One blocked request holds the only worker; the next request to
+	// arrive (it times out there) fills the one-slot queue behind it.
+	var blocked sync.WaitGroup
+	defer func() { close(release); blocked.Wait() }()
+	blocked.Add(1)
+	go func() { defer blocked.Done(); call("block", 30*time.Second) }()
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Requests < 51; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("blocking request never reached the worker")
+		}
+	}
+	if sr := call("", 50*time.Millisecond); !sr.Skipped {
+		t.Fatalf("request queued behind the blocked worker: %+v", sr)
+	}
+	for i := 0; i < 5000; i++ {
+		if sr := call("", time.Second); sr.Err != ErrQueueFull {
+			t.Fatalf("call %d against a full server queue: %+v", i, sr)
+		}
+	}
+	if got := a.EstimatedP95(); got < warm/2 {
+		t.Fatalf("hedge trigger fell %v -> %v on busy replies", warm, got)
+	}
+}
+
+// TestCloseWithHedgesArmedAndReconnectorRunning closes an aggregator
+// while Hedged calls are parked mid-gather (reissue timers armed, not
+// yet due) and a dead peer's reconnector is looping, and asserts every
+// goroutine the aggregator started is gone afterwards.
+func TestCloseWithHedgesArmedAndReconnectorRunning(t *testing.T) {
+	checkLeaks := leakCheck(t)
+	release := make(chan struct{})
+	h := func(ctx context.Context, req *wire.Request) *wire.SubReply {
+		<-release
+		return &wire.SubReply{Status: wire.StatusErr, Err: "released", Level: wire.NoLevel}
+	}
+	srv, addr := startServer(t, h, ServerOptions{Workers: 4})
+	a, err := NewAggregator([]string{addr, refusedAddr(t)}, AggregatorOptions{
+		Policy:     service.Hedged,
+		HedgeFloor: time.Minute, // armed at Close, never due
+		Deadline:   time.Minute,
+		RedialBase: 5 * time.Millisecond,
+		RedialMax:  20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		calls.Add(1)
+		go func() {
+			defer calls.Done()
+			a.Call(context.Background(), aggReq(agg.Sum, 0, 1))
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for a.Inflight() != 4 || a.QueueDepth(0) == 0 || a.Stats().Faults == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("calls never parked: inflight %d, depth %d, stats %+v", a.Inflight(), a.QueueDepth(0), a.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	a.Close()
+	calls.Wait()
+	if _, err := a.Call(context.Background(), aggReq(agg.Sum, 0, 1)); err != ErrClosed {
+		t.Fatalf("Call after Close: err = %v, want ErrClosed", err)
+	}
+	close(release)
+	srv.Close()
+	checkLeaks()
+}

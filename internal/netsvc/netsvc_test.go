@@ -133,84 +133,6 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 }
 
-// TestGatherPoliciesOverSockets pins the three gather policies'
-// distinguishing behaviour on a fan-out with one deliberately slow
-// component.
-func TestGatherPoliciesOverSockets(t *testing.T) {
-	const n = 3
-	const slowSubset = 1
-	const stall = 300 * time.Millisecond
-	mkHandler := func(server int) Handler {
-		return func(ctx context.Context, req *wire.Request) *wire.SubReply {
-			// Interference lives on server slowSubset, so the hedge
-			// replica (on another server) escapes it.
-			if server == slowSubset {
-				time.Sleep(stall)
-			}
-			return &wire.SubReply{
-				Status: wire.StatusOK, Level: wire.NoLevel,
-				Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0}, CntVar: []float64{0}},
-			}
-		}
-	}
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		_, addrs[i] = startServer(t, mkHandler(i), ServerOptions{})
-	}
-
-	call := func(policy service.Policy, deadline time.Duration, hedgeFloor time.Duration) ([]service.SubResult, time.Duration, *Aggregator) {
-		a, err := NewAggregator(addrs, AggregatorOptions{Policy: policy, Deadline: deadline, HedgeFloor: hedgeFloor})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(a.Close)
-		t0 := time.Now()
-		subs, err := a.Call(context.Background(), aggReq(agg.Sum, 0, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return subs, time.Since(t0), a
-	}
-
-	// WaitAll pays the straggler.
-	subs, lat, _ := call(service.WaitAll, 2*time.Second, 0)
-	if lat < stall {
-		t.Fatalf("WaitAll finished in %v, before the %v straggler", lat, stall)
-	}
-	for i, sr := range subs {
-		if sr.Err != nil || sr.Skipped {
-			t.Fatalf("WaitAll sub %d: %+v", i, sr)
-		}
-	}
-
-	// PartialGather composes at the deadline, skipping the straggler.
-	subs, lat, _ = call(service.PartialGather, 80*time.Millisecond, 0)
-	if lat >= stall {
-		t.Fatalf("PartialGather took %v, did not cut at the deadline", lat)
-	}
-	if !subs[slowSubset].Skipped {
-		t.Fatalf("PartialGather must skip the straggler: %+v", subs[slowSubset])
-	}
-	for i, sr := range subs {
-		if i != slowSubset && (sr.Err != nil || sr.Skipped) {
-			t.Fatalf("PartialGather sub %d: %+v", i, sr)
-		}
-	}
-
-	// Hedged reissues the straggler's sub-operation on its replica and
-	// the replica's reply wins well before the stall resolves.
-	subs, lat, a := call(service.Hedged, 2*time.Second, 5*time.Millisecond)
-	if lat >= stall {
-		t.Fatalf("Hedged took %v, the replica did not win", lat)
-	}
-	if !subs[slowSubset].Hedged {
-		t.Fatal("straggler sub-result must be marked hedged")
-	}
-	if a.Stats().Hedges == 0 {
-		t.Fatal("hedge counter must move")
-	}
-}
-
 // TestAggregatorReconnect kills the component server's listener-side
 // connections and asserts the next call transparently re-dials.
 func TestAggregatorReconnect(t *testing.T) {

@@ -771,9 +771,6 @@ func (s *FrontServer) refreshToExact(_ uint64, payload interface{}) (interface{}
 	exact.Level, exact.Deadline = wire.NoLevel, 0
 	ctx, cancel := context.WithTimeout(context.Background(), 2*s.agg.Deadline())
 	defer cancel()
-	// Internal traffic: refresh work must not count against client SLO
-	// windows or tenant cost curves.
-	ctx = obs.WithInternal(ctx)
 	// Refreshes get their own trace (CacheRefresh outcome) so background
 	// recomputation load is visible alongside foreground requests.
 	start := time.Now()

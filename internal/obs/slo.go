@@ -412,22 +412,3 @@ func TenantFrom(ctx context.Context) string {
 	t, _ := ctx.Value(tenantKey{}).(string)
 	return t
 }
-
-// internalKey marks a context as internal traffic: background work the
-// serving stack generates for itself (audit replays, cache refreshes,
-// re-warms) rather than on a client's behalf.
-type internalKey struct{}
-
-// WithInternal marks the context as internal traffic. Observability
-// consumers that model *client* experience — SLO attainment windows,
-// the ground-truth audit sampler, per-tenant cost attribution — must
-// skip or re-bucket work carried out under an internal context.
-func WithInternal(ctx context.Context) context.Context {
-	return context.WithValue(ctx, internalKey{}, true)
-}
-
-// IsInternal reports whether the context is marked as internal traffic.
-func IsInternal(ctx context.Context) bool {
-	v, _ := ctx.Value(internalKey{}).(bool)
-	return v
-}

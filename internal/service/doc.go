@@ -16,4 +16,9 @@
 // AccuracyTrader itself needs no special gather policy: components finish
 // within the deadline by construction (their handler runs Algorithm 1 via
 // core.RunWithDeadline), so WaitAll composes complete results quickly.
+//
+// The scatter/gather loop itself — placement, first-wins resolution,
+// hedging, breakers, retry, the three policies — is Gather, written
+// once against a three-method Transport. Cluster is Gather over mailbox
+// workers; netsvc.Aggregator is the same Gather over TCP connections.
 package service

@@ -58,4 +58,17 @@ func TestClusterHedgeTriggerColdStartGuard(t *testing.T) {
 	if got := cl.EstimatedP95(); got < 100*time.Millisecond {
 		t.Fatalf("warm hedge delay = %v, not tracking 250ms samples", got)
 	}
+	// The floor still clamps from below once warm.
+	fast, err := New([]Handler{func(ctx context.Context, p interface{}) (interface{}, error) { return nil, nil }},
+		Hedged, Options{HedgeFloor: floor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fast.Close()
+	for i := 0; i < 16; i++ {
+		fast.recordLatency(10 * time.Microsecond)
+	}
+	if got := fast.EstimatedP95(); got != floor {
+		t.Fatalf("warm sub-floor estimate = %v, want clamped to %v", got, floor)
+	}
 }

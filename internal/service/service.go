@@ -10,7 +10,6 @@ import (
 
 	"accuracytrader/internal/breaker"
 	"accuracytrader/internal/obs"
-	"accuracytrader/internal/stats"
 )
 
 // Handler processes one sub-operation against one data subset. Handlers
@@ -43,32 +42,15 @@ type Options struct {
 	// ReplicaOf maps a subset to the component that executes its hedged
 	// replica (default: next component).
 	ReplicaOf func(subset, n int) int
-	// Metrics is the observability registry the cluster's counters live
-	// in (service_subops_total, service_hedges_total, and the
-	// service_subop_latency_ms histogram). Nil uses a private registry;
-	// Stats() is unaffected either way.
+	// Metrics is the observability registry the gather core's service_*
+	// series live in (see GatherConfig.Metrics: sub-ops, hedges, faults,
+	// the sub-op latency histogram, breaker state). Nil uses a private
+	// registry; Stats() is unaffected either way.
 	Metrics *obs.Registry
-	// Breaker configures the per-component circuit breakers — the
-	// in-process mirror of the aggregator's per-peer breakers, fed by
-	// the outcome of every executed sub-operation on that component.
-	// Zero fields take the breaker package defaults.
+	// Breaker configures the per-component circuit breakers, fed by the
+	// outcome of every executed sub-operation on that component. Zero
+	// fields take the breaker package defaults.
 	Breaker breaker.Config
-}
-
-func (o Options) withDefaults() Options {
-	if o.QueueLen <= 0 {
-		o.QueueLen = 1024
-	}
-	if o.Deadline <= 0 {
-		o.Deadline = time.Second
-	}
-	if o.HedgeFloor <= 0 {
-		o.HedgeFloor = time.Millisecond
-	}
-	if o.ReplicaOf == nil {
-		o.ReplicaOf = func(subset, n int) int { return (subset + 1) % n }
-	}
-	return o
 }
 
 // SubResult is one component's reply.
@@ -94,19 +76,6 @@ func Complete(subs []SubResult) bool {
 	return true
 }
 
-// Answered counts the sub-results that actually delivered a value —
-// the in-process mirror of netsvc.DegradeStats, for accuracy
-// discounting and degraded-reply accounting on the goroutine runtime.
-func Answered(subs []SubResult) (answered, total int) {
-	total = len(subs)
-	for i := range subs {
-		if subs[i].Err == nil && !subs[i].Skipped && subs[i].Value != nil {
-			answered++
-		}
-	}
-	return
-}
-
 // Snapshot returns a cache-ready copy of sub-results holding only the
 // durable fields (Subset, Value). Latency and the hedge flag are
 // per-execution transport facts that must not replay on cache hits.
@@ -124,29 +93,24 @@ func Snapshot(subs []SubResult) []SubResult {
 // concurrent use (see Handler), so any component can serve any subset.
 type RouteFunc func(subset, n int, queueDepth func(comp int) int) int
 
-// ErrQueueFull is reported for a sub-operation whose component mailbox
-// was full at enqueue time.
+// ErrQueueFull is reported for a sub-operation shed because its
+// component's queue (mailbox, outstanding-request window) was full.
 var ErrQueueFull = errors.New("service: component queue full")
 
 // ErrComponentDown is reported for a sub-operation refused fast because
 // the target component's circuit breaker is open and no healthy
-// component could take the placement — the in-process mirror of
-// netsvc.ErrPeerDown.
+// component could take the placement.
 var ErrComponentDown = errors.New("service: component circuit open")
 
 // ErrClosed is returned by Call after Close.
-var ErrClosed = errors.New("service: cluster closed")
+var ErrClosed = errors.New("service: closed")
 
 type job struct {
+	a        Attempt
 	handler  Handler
 	payload  interface{}
-	subset   int
-	target   int          // component the primary was enqueued on (routing-aware)
-	hedged   *atomic.Bool // set once a replica has been issued for the sub-op
-	enqueued time.Time
-	done     *atomic.Bool
-	reply    chan<- SubResult
 	ctx      context.Context
+	enqueued time.Time
 }
 
 type component struct {
@@ -170,35 +134,16 @@ func ComponentFrom(ctx context.Context) (comp int, ok bool) {
 	return comp, ok
 }
 
-// quit signals workers to stop; mailboxes are never closed, so a hedge
-// callback racing with Close can still enqueue harmlessly.
-
-// Cluster is a fan-out service: one worker goroutine per component.
+// Cluster is a fan-out service: one worker goroutine per component,
+// serving as the gather core's in-process transport.
 type Cluster struct {
+	*Gather
 	handlers []Handler
 	comps    []*component
-	brs      []*breaker.Breaker // per-component, indexed like comps
-	opts     Options
-	policy   Policy
-
-	// Streaming quantile estimators keep the runtime's memory constant no
-	// matter how long the cluster serves (P², see internal/stats).
-	mu      sync.Mutex
-	p95est  *stats.P2Quantile
-	p999est *stats.P2Quantile
-	// subOps stays a plain in-lock int: the hedge-estimate cadence
-	// (stats.HedgeEstimateDue) needs the exact count at Add time.
-	subOps   int
-	hedges   *obs.Counter
-	subOpsC  *obs.Counter
-	latMs    *obs.Histogram
-	closed   bool
-	route    RouteFunc
-	quit     chan struct{}
-	wg       sync.WaitGroup // worker goroutines
-	calls    sync.WaitGroup // in-flight Calls, drained by Close
-	inflight atomic.Int64   // in-flight Calls, for load probes
-	p95ms    atomic.Uint64  // cached estimate, in microseconds
+	// quit signals workers to stop; mailboxes are never closed.
+	quit      chan struct{}
+	wg        sync.WaitGroup // worker goroutines
+	closeOnce sync.Once
 }
 
 // New starts a cluster with one worker per handler. handlers[i] owns data
@@ -207,50 +152,50 @@ func New(handlers []Handler, policy Policy, opts Options) (*Cluster, error) {
 	if len(handlers) == 0 {
 		return nil, fmt.Errorf("service: no handlers")
 	}
-	opts = opts.withDefaults()
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
+	if opts.QueueLen <= 0 {
+		opts.QueueLen = 1024
 	}
-	cl := &Cluster{
-		handlers: handlers,
-		opts:     opts,
-		policy:   policy,
-		p95est:   stats.NewP2Quantile(0.95),
-		p999est:  stats.NewP2Quantile(0.999),
-		quit:     make(chan struct{}),
-		hedges:   reg.Counter("service_hedges_total"),
-		subOpsC:  reg.Counter("service_subops_total"),
-		latMs:    reg.Histogram("service_subop_latency_ms", obs.DefaultLatencyBuckets()),
-	}
-	reg.GaugeFunc("service_inflight", func() float64 { return float64(cl.inflight.Load()) })
-	cl.p95ms.Store(uint64(opts.HedgeFloor / time.Microsecond))
+	cl := &Cluster{handlers: handlers, quit: make(chan struct{})}
 	for i := range handlers {
-		c := &component{mailbox: make(chan job, opts.QueueLen), idx: i}
-		cl.comps = append(cl.comps, c)
-		bcfg := opts.Breaker
-		userHook := bcfg.OnStateChange
-		var transitions [3]*obs.Counter
-		for s, label := range map[breaker.State]string{
-			breaker.Closed: "closed", breaker.Open: "open", breaker.HalfOpen: "half_open",
-		} {
-			transitions[s] = reg.Counter(fmt.Sprintf(`service_breaker_transitions_total{comp="%d",state=%q}`, i, label))
-		}
-		bcfg.OnStateChange = func(s breaker.State) {
-			transitions[s].Inc()
-			if userHook != nil {
-				userHook(s)
-			}
-		}
-		br := breaker.New(bcfg)
-		cl.brs = append(cl.brs, br)
-		reg.GaugeFunc(fmt.Sprintf(`service_breaker_state{comp="%d"}`, i), func() float64 {
-			return float64(br.State())
-		})
+		cl.comps = append(cl.comps, &component{mailbox: make(chan job, opts.QueueLen), idx: i})
+	}
+	cl.Gather = NewGather(clusterTransport{cl}, GatherConfig{
+		N:          len(handlers),
+		Policy:     policy,
+		Deadline:   opts.Deadline,
+		HedgeFloor: opts.HedgeFloor,
+		ReplicaOf:  opts.ReplicaOf,
+		Breaker:    opts.Breaker,
+		Metrics:    opts.Metrics,
+		Prefix:     "service",
+		Label:      func(comp int) string { return fmt.Sprintf(`comp="%d"`, comp) },
+	})
+	for _, c := range cl.comps {
 		cl.wg.Add(1)
 		go cl.worker(c)
 	}
 	return cl, nil
+}
+
+// clusterTransport is the mailbox-worker transport. In process there is
+// nothing to retry onto (RetryBudget 0) and no liveness signal but the
+// handler itself: a handler error is reported as a peer-level failure,
+// so consecutive errors trip the component's breaker, and a live
+// sub-operation is the breaker's half-open probe.
+type clusterTransport struct{ *Cluster } // QueueDepth is the Cluster's
+
+func (t clusterTransport) Probe(_ int, br *breaker.Breaker) bool { return br.Allow() }
+
+func (t clusterTransport) Send(ctx context.Context, a Attempt, payload interface{}) bool {
+	select {
+	case t.comps[a.Target].mailbox <- job{a, t.handlers[a.Subset], payload, ctx, time.Now()}:
+		return true
+	default:
+		// A full mailbox fails fast, surfacing overload instead of
+		// buffering it invisibly.
+		a.Done(Result{Outcome: OutcomeShed, Err: ErrQueueFull})
+		return false
+	}
 }
 
 // worker drains one component's mailbox sequentially — the single-server
@@ -262,76 +207,20 @@ func (cl *Cluster) worker(c *component) {
 		case <-cl.quit:
 			return
 		case j := <-c.mailbox:
-			if j.done.Load() {
+			if j.a.Resolved() {
 				continue // the other replica already answered
 			}
 			c.busy.Store(true)
 			v, err := j.handler(context.WithValue(j.ctx, compKey{}, c.idx), j.payload)
 			c.busy.Store(false)
-			// Every executed sub-operation is breaker evidence for the
-			// component that ran it (under hedging that may not be the
-			// subset's home): consecutive handler failures trip it open.
+			r := Result{Outcome: OutcomeAnswered, Value: v, Err: err, Latency: time.Since(j.enqueued)}
 			if err != nil {
-				if cl.brs[c.idx].Fail() {
-					if tr := obs.TraceFrom(j.ctx); tr != nil {
-						tr.Add(obs.SpanBreakerTrip, int32(j.subset), time.Now(), 0, int64(c.idx))
-					}
-				}
-			} else {
-				cl.brs[c.idx].Success()
+				r.Outcome = OutcomePeerFailure
 			}
-			lat := time.Since(j.enqueued)
-			if j.done.CompareAndSwap(false, true) {
-				cl.recordLatency(lat)
-				// Only the winning replica records the sub-op span, so a
-				// trace carries one per subset.
-				if tr := obs.TraceFrom(j.ctx); tr != nil {
-					tr.Add(obs.SpanSubOp, int32(j.subset), j.enqueued, lat, int64(c.idx))
-				}
-				hedged := j.hedged != nil && j.hedged.Load()
-				j.reply <- SubResult{Subset: j.subset, Value: v, Err: err, Latency: lat, Hedged: hedged}
-			}
+			j.a.Done(r)
 		}
 	}
 }
-
-func (cl *Cluster) recordLatency(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	cl.subOpsC.Inc()
-	cl.latMs.Observe(ms)
-	cl.mu.Lock()
-	cl.subOps++
-	cl.p95est.Add(ms)
-	cl.p999est.Add(ms)
-	// Cold-start guard + warm-phase cadence (see stats.HedgeEstimateDue):
-	// the trigger holds the floor until the P² estimator is meaningful.
-	if stats.HedgeEstimateDue(cl.subOps) {
-		p := cl.p95est.Value()
-		floor := float64(cl.opts.HedgeFloor) / float64(time.Millisecond)
-		if p < floor {
-			p = floor
-		}
-		cl.p95ms.Store(uint64(p * 1000))
-	}
-	cl.mu.Unlock()
-}
-
-// hedgeDelay returns the current reissue trigger delay.
-func (cl *Cluster) hedgeDelay() time.Duration {
-	return time.Duration(cl.p95ms.Load()) * time.Microsecond
-}
-
-// SetRouter injects a routing policy used by subsequent Calls to place
-// each sub-operation on a component. A nil route restores the default
-// (subset i on component i). Safe to call while the cluster serves.
-func (cl *Cluster) SetRouter(route RouteFunc) {
-	cl.mu.Lock()
-	cl.route = route
-	cl.mu.Unlock()
-}
-
-// Components returns the fan-out width.
-func (cl *Cluster) Components() int { return len(cl.comps) }
 
 // QueueDepth returns the number of jobs outstanding on one component:
 // those waiting in its mailbox plus the one its worker is executing.
@@ -347,263 +236,14 @@ func (cl *Cluster) QueueDepth(comp int) int {
 }
 
 // QueueCap returns each mailbox's bound (Options.QueueLen).
-func (cl *Cluster) QueueCap() int { return cl.opts.QueueLen }
+func (cl *Cluster) QueueCap() int { return cap(cl.comps[0].mailbox) }
 
-// Inflight returns the number of Calls currently executing.
-func (cl *Cluster) Inflight() int { return int(cl.inflight.Load()) }
-
-// EstimatedP95 returns the streaming 95th-percentile sub-operation
-// latency estimate (the hedge trigger delay).
-func (cl *Cluster) EstimatedP95() time.Duration { return cl.hedgeDelay() }
-
-// Deadline returns the configured call deadline (Options.Deadline).
-func (cl *Cluster) Deadline() time.Duration { return cl.opts.Deadline }
-
-// BreakerState returns one component's circuit-breaker state.
-func (cl *Cluster) BreakerState(comp int) breaker.State { return cl.brs[comp].State() }
-
-// OpenBreakers returns the indices of components whose breaker is not
-// closed — the degraded-health signal.
-func (cl *Cluster) OpenBreakers() []int {
-	var open []int
-	for i, b := range cl.brs {
-		if b.State() != breaker.Closed {
-			open = append(open, i)
-		}
-	}
-	return open
-}
-
-// nextHealthy returns the first other component after from (wrapping)
-// whose breaker is closed, or from itself when no other is healthy.
-func (cl *Cluster) nextHealthy(from int) int {
-	n := len(cl.brs)
-	for k := 1; k < n; k++ {
-		i := (from + k) % n
-		if cl.brs[i].State() == breaker.Closed {
-			return i
-		}
-	}
-	return from
-}
-
-// admit asks a component's breaker to accept one sub-operation. probe
-// reports that the admission claimed a half-open probe slot, whose
-// outcome must reach the breaker.
-func (cl *Cluster) admit(comp int) (admitted, probe bool) {
-	if cl.brs[comp].State() == breaker.Closed {
-		return true, false
-	}
-	if cl.brs[comp].Allow() {
-		return true, true
-	}
-	return false, false
-}
-
-// Stats reports cluster-level counters.
-type Stats struct {
-	SubOps       int
-	Hedges       int64
-	BreakerOpens int64 // cumulative breaker trips across components
-	P999Ms       float64
-}
-
-// Stats returns a snapshot of the recorded sub-operation statistics.
-// P999Ms is a streaming P² estimate, not an exact percentile. The
-// counters live in the Options.Metrics registry (or a private one), so
-// the same numbers are one Prometheus scrape away.
-func (cl *Cluster) Stats() Stats {
-	var opens int64
-	for _, b := range cl.brs {
-		opens += b.Opens()
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	st := Stats{SubOps: cl.subOps, Hedges: cl.hedges.Value(), BreakerOpens: opens}
-	if st.SubOps > 0 {
-		st.P999Ms = cl.p999est.Value()
-	}
-	return st
-}
-
-// Call fans the payload out to every component and gathers sub-results
-// according to the cluster policy. The returned slice always has one
-// entry per subset, in subset order; skipped or failed sub-operations
-// carry Err/Skipped.
-func (cl *Cluster) Call(ctx context.Context, payload interface{}) ([]SubResult, error) {
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return nil, ErrClosed
-	}
-	cl.calls.Add(1)
-	route := cl.route
-	cl.mu.Unlock()
-	defer cl.calls.Done()
-	cl.inflight.Add(1)
-	defer cl.inflight.Add(-1)
-	n := len(cl.comps)
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cl.opts.Deadline)
-		defer cancel()
-	}
-	reply := make(chan SubResult, 2*n)
-	dones := make([]*atomic.Bool, n)
-	var timers []*time.Timer
-	now := time.Now()
-	for i := 0; i < n; i++ {
-		dones[i] = &atomic.Bool{}
-		j := job{
-			handler:  cl.handlers[i],
-			payload:  payload,
-			subset:   i,
-			hedged:   &atomic.Bool{},
-			enqueued: now,
-			done:     dones[i],
-			reply:    reply,
-			ctx:      ctx,
-		}
-		target := i
-		if route != nil {
-			if t := route(i, n, cl.QueueDepth); t >= 0 && t < n {
-				target = t
-			}
-		}
-		// Health-aware placement: an open-breaker component is evicted
-		// from the route set when a healthy one exists (handlers are safe
-		// to run on any worker); a cooled-down breaker admits the
-		// sub-operation as its half-open probe.
-		admitted, probe := cl.admit(target)
-		if !admitted {
-			if alt := cl.nextHealthy(target); alt != target {
-				target = alt
-				admitted, probe = cl.admit(target)
-			}
-		}
-		j.target = target
-		if !admitted {
-			dones[i].Store(true)
-			reply <- SubResult{Subset: i, Err: ErrComponentDown}
-			continue
-		}
-		if !cl.enqueue(target, j) {
-			if probe {
-				// The probe never ran; resolve it so the breaker is not
-				// wedged half-open.
-				cl.brs[target].Fail()
-			}
-			dones[i].Store(true)
-			reply <- SubResult{Subset: i, Err: ErrQueueFull}
-			continue
-		}
-		if cl.policy == Hedged {
-			timers = append(timers, cl.armHedge(j))
-		}
-	}
-	defer func() {
-		for _, t := range timers {
-			t.Stop()
-		}
-	}()
-
-	out := make([]SubResult, n)
-	got := make([]bool, n)
-	remaining := n
-	var deadlineC <-chan time.Time
-	if cl.policy == PartialGather {
-		t := time.NewTimer(cl.opts.Deadline - time.Since(now))
-		defer t.Stop()
-		deadlineC = t.C
-	}
-	for remaining > 0 {
-		select {
-		case r := <-reply:
-			if !got[r.Subset] {
-				got[r.Subset] = true
-				out[r.Subset] = r
-				remaining--
-			}
-		case <-deadlineC:
-			// Partial execution: skip everything still outstanding. The
-			// components keep working (wasted computation, as in the
-			// paper), but their replies are ignored via the done flags.
-			for i := range got {
-				if !got[i] {
-					dones[i].Store(true)
-					out[i] = SubResult{Subset: i, Skipped: true}
-					remaining--
-				}
-			}
-		case <-ctx.Done():
-			for i := range got {
-				if !got[i] {
-					dones[i].Store(true)
-					out[i] = SubResult{Subset: i, Err: ctx.Err(), Skipped: true}
-					remaining--
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-func (cl *Cluster) enqueue(comp int, j job) bool {
-	select {
-	case cl.comps[comp].mailbox <- j:
-		return true
-	default:
-		return false
-	}
-}
-
-// armHedge schedules the reissue check for one sub-operation.
-func (cl *Cluster) armHedge(j job) *time.Timer {
-	return time.AfterFunc(cl.hedgeDelay(), func() {
-		if j.done.Load() {
-			return
-		}
-		// A replica on the component the primary actually sits on (the
-		// router may have placed it away from its home) would queue
-		// behind the very sub-operation it is meant to hedge — skip.
-		rc := cl.opts.ReplicaOf(j.subset, len(cl.comps))
-		if cl.brs[rc].State() != breaker.Closed {
-			// Hedging into an open breaker buys nothing; place the replica
-			// on the next healthy component instead.
-			rc = cl.nextHealthy(rc)
-			if cl.brs[rc].State() != breaker.Closed {
-				return
-			}
-		}
-		if rc == j.target {
-			return
-		}
-		// Mark before enqueueing so the replica's own reply (which may win
-		// immediately) already observes the flag.
-		j.hedged.Store(true)
-		if cl.enqueue(rc, j) {
-			cl.hedges.Inc()
-			if tr := obs.TraceFrom(j.ctx); tr != nil {
-				tr.Add(obs.SpanHedge, int32(j.subset), time.Now(), 0, int64(rc))
-			}
-		} else {
-			j.hedged.Store(false)
-		}
-	})
-}
-
-// Close shuts the cluster down: it waits for in-flight Calls (including
-// their hedge timers' enqueues), processes pending mailbox jobs, then
+// Close shuts the cluster down: it waits for in-flight Calls, then
 // stops the workers. Call returns ErrClosed afterwards.
 func (cl *Cluster) Close() {
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return
-	}
-	cl.closed = true
-	cl.mu.Unlock()
-	cl.calls.Wait()
-	close(cl.quit)
-	cl.wg.Wait()
+	cl.closeOnce.Do(func() {
+		cl.Gather.Close()
+		close(cl.quit)
+		cl.wg.Wait()
+	})
 }

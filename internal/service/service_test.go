@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,18 @@ func sleepHandler(d time.Duration, v interface{}) Handler {
 			return nil, ctx.Err()
 		}
 	}
+}
+
+// park enqueues a standalone job running h on one component — how
+// these tests occupy a worker or fill a mailbox — and returns the
+// channel its result arrives on.
+func park(cl *Cluster, comp int, h Handler) <-chan SubResult {
+	c := &call{
+		g: cl.Gather, ctx: context.Background(), deadline: time.Now().Add(time.Minute),
+		reply: make(chan SubResult, 1), subs: make([]subState, 1),
+	}
+	cl.comps[comp].mailbox <- job{a: Attempt{c: c, Target: comp}, handler: h, ctx: c.ctx, enqueued: time.Now()}
+	return c.reply
 }
 
 func TestWaitAllGathersEverything(t *testing.T) {
@@ -56,74 +69,6 @@ func TestNewRequiresHandlers(t *testing.T) {
 	}
 }
 
-func TestPartialGatherSkipsSlow(t *testing.T) {
-	cl, err := New([]Handler{
-		sleepHandler(time.Millisecond, "fast"),
-		sleepHandler(300*time.Millisecond, "slow"),
-	}, PartialGather, Options{Deadline: 40 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	start := time.Now()
-	res, err := cl.Call(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
-		t.Fatalf("partial gather blocked for %v", elapsed)
-	}
-	if res[0].Skipped || res[0].Value != "fast" {
-		t.Fatalf("fast sub-op wrong: %+v", res[0])
-	}
-	if !res[1].Skipped {
-		t.Fatalf("slow sub-op not skipped: %+v", res[1])
-	}
-}
-
-func TestHedgedUsesReplica(t *testing.T) {
-	// Subset 0's primary worker is blocked by a long-running job, so the
-	// hedge must reissue subset 0 onto component 1 and win.
-	var calls0 atomic.Int64
-	h0 := func(ctx context.Context, _ interface{}) (interface{}, error) {
-		calls0.Add(1)
-		return "zero", nil
-	}
-	blocker := sleepHandler(150*time.Millisecond, "blocked")
-	cl, err := New([]Handler{h0, sleepHandler(time.Millisecond, "one")}, Hedged,
-		Options{HedgeFloor: 10 * time.Millisecond, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	// Occupy component 0 with a long job so the real sub-op queues.
-	done := &atomic.Bool{}
-	blockReply := make(chan SubResult, 1)
-	cl.comps[0].mailbox <- job{
-		handler: blocker, subset: 0, done: done, reply: blockReply,
-		enqueued: time.Now(), ctx: context.Background(),
-	}
-	start := time.Now()
-	res, err := cl.Call(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if res[0].Err != nil || res[0].Value != "zero" {
-		t.Fatalf("subset 0 result: %+v", res[0])
-	}
-	if !res[0].Hedged {
-		t.Fatalf("subset 0 should have been answered by a hedge: %+v", res[0])
-	}
-	if elapsed > 120*time.Millisecond {
-		t.Fatalf("hedge did not cut latency: %v", elapsed)
-	}
-	if cl.Stats().Hedges == 0 {
-		t.Fatal("no hedges recorded")
-	}
-	<-blockReply
-}
-
 func TestQueueFullFailsFast(t *testing.T) {
 	release := make(chan struct{})
 	blocking := func(ctx context.Context, _ interface{}) (interface{}, error) {
@@ -135,13 +80,7 @@ func TestQueueFullFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Occupy the worker and fill the 1-slot mailbox deterministically.
-	reply := make(chan SubResult, 2)
-	for i := 0; i < 2; i++ {
-		cl.comps[0].mailbox <- job{
-			handler: blocking, subset: 0, done: &atomic.Bool{}, reply: reply,
-			enqueued: time.Now(), ctx: context.Background(),
-		}
-	}
+	parked := []<-chan SubResult{park(cl, 0, blocking), park(cl, 0, blocking)}
 	res, err := cl.Call(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +89,8 @@ func TestQueueFullFailsFast(t *testing.T) {
 		t.Fatalf("expected ErrQueueFull, got %+v", res[0])
 	}
 	close(release)
-	<-reply
-	<-reply
+	<-parked[0]
+	<-parked[1]
 	cl.Close()
 }
 
@@ -273,13 +212,7 @@ func TestReplicaOfOverride(t *testing.T) {
 	defer cl.Close()
 	// Block workers 0 and 1 with long jobs.
 	blocker := sleepHandler(250*time.Millisecond, "blocked")
-	blockReply := make(chan SubResult, 2)
-	for _, c := range []int{0, 1} {
-		cl.comps[c].mailbox <- job{
-			handler: blocker, subset: c, done: &atomic.Bool{}, hedged: &atomic.Bool{},
-			reply: blockReply, enqueued: time.Now(), ctx: context.Background(),
-		}
-	}
+	parked := []<-chan SubResult{park(cl, 0, blocker), park(cl, 1, blocker)}
 	res, err := cl.Call(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -297,8 +230,8 @@ func TestReplicaOfOverride(t *testing.T) {
 	if res[0].Latency > 150*time.Millisecond {
 		t.Fatalf("replica did not take the ReplicaOf route: %v", res[0].Latency)
 	}
-	<-blockReply
-	<-blockReply
+	<-parked[0]
+	<-parked[1]
 }
 
 func TestReplicaOfSelfIsSkipped(t *testing.T) {
@@ -318,32 +251,6 @@ func TestReplicaOfSelfIsSkipped(t *testing.T) {
 	}
 	if cl.Stats().Hedges != 0 {
 		t.Fatal("self-replica hedge fired")
-	}
-}
-
-func TestPartialGatherAllFast(t *testing.T) {
-	// When everything beats the deadline, nothing is skipped and the call
-	// returns as soon as all replies arrive.
-	cl, err := New([]Handler{
-		sleepHandler(time.Millisecond, 1),
-		sleepHandler(time.Millisecond, 2),
-	}, PartialGather, Options{Deadline: 500 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	start := time.Now()
-	res, err := cl.Call(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) > 200*time.Millisecond {
-		t.Fatal("partial gather waited for the deadline with all replies in")
-	}
-	for _, r := range res {
-		if r.Skipped {
-			t.Fatalf("fast sub-op skipped: %+v", r)
-		}
 	}
 }
 
@@ -426,11 +333,7 @@ func TestSetRouterRedirectsSubsets(t *testing.T) {
 	}
 	defer cl.Close()
 	cl.SetRouter(func(subset, n int, depth func(int) int) int { return 1 })
-	blockReply := make(chan SubResult, 1)
-	cl.comps[0].mailbox <- job{
-		handler: sleepHandler(300*time.Millisecond, "blocked"), subset: 0,
-		done: &atomic.Bool{}, reply: blockReply, enqueued: time.Now(), ctx: context.Background(),
-	}
+	blockReply := park(cl, 0, sleepHandler(300*time.Millisecond, "blocked"))
 	start := time.Now()
 	res, err := cl.Call(context.Background(), nil)
 	if err != nil {
@@ -450,31 +353,6 @@ func TestSetRouterRedirectsSubsets(t *testing.T) {
 	<-blockReply
 }
 
-func TestHedgeSkipsPrimaryPlacement(t *testing.T) {
-	// The router places subset 0's primary on component 1 — exactly
-	// where the default ReplicaOf would put the hedge replica. The
-	// hedge must be skipped rather than queue behind its own primary.
-	cl, err := New([]Handler{
-		sleepHandler(20*time.Millisecond, 0),
-		sleepHandler(20*time.Millisecond, 1),
-	}, Hedged, Options{HedgeFloor: 2 * time.Millisecond, Deadline: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.SetRouter(func(subset, n int, depth func(int) int) int { return 1 })
-	if _, err := cl.Call(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	// Subset 1's hedge would also target component (1+1)%2 = 0 — but
-	// its primary sits on 1, so that hedge is legitimate; subset 0's
-	// (replica target 1 == placement 1) is not. At most one hedge, and
-	// never one queued behind its primary on component 1.
-	if h := cl.Stats().Hedges; h > 1 {
-		t.Fatalf("hedges = %d, collision hedge fired", h)
-	}
-}
-
 func TestQueueDepthAndInflightProbes(t *testing.T) {
 	release := make(chan struct{})
 	blocking := func(ctx context.Context, _ interface{}) (interface{}, error) {
@@ -489,12 +367,9 @@ func TestQueueDepthAndInflightProbes(t *testing.T) {
 		t.Fatalf("Components=%d QueueCap=%d", cl.Components(), cl.QueueCap())
 	}
 	// Park jobs behind the blocked worker; depth counts the waiting ones.
-	reply := make(chan SubResult, 4)
+	var parked []<-chan SubResult
 	for i := 0; i < 4; i++ {
-		cl.comps[0].mailbox <- job{
-			handler: blocking, subset: 0, done: &atomic.Bool{}, reply: reply,
-			enqueued: time.Now(), ctx: context.Background(),
-		}
+		parked = append(parked, park(cl, 0, blocking))
 	}
 	// The worker holds one job (busy) and three wait in the mailbox;
 	// depth counts both.
@@ -521,8 +396,8 @@ func TestQueueDepthAndInflightProbes(t *testing.T) {
 	}
 	close(release)
 	<-done
-	for i := 0; i < 4; i++ {
-		<-reply
+	for _, p := range parked {
+		<-p
 	}
 	cl.Close()
 }
@@ -543,7 +418,47 @@ func TestHedgeDelayAdaptsToObservedLatency(t *testing.T) {
 	}
 	// After warm-up the estimate must reflect the ~2ms handler, not the
 	// 1ms floor.
-	if d := cl.hedgeDelay(); d < 1500*time.Microsecond {
+	if d := cl.EstimatedP95(); d < 1500*time.Microsecond {
 		t.Fatalf("hedge delay %v did not adapt upward", d)
+	}
+}
+
+// TestCloseWithHedgesArmedLeavesNoGoroutines closes a cluster while
+// Hedged calls are parked mid-gather (reissue timers armed, not yet
+// due) and asserts the workers and every per-call goroutine are gone.
+func TestCloseWithHedgesArmedLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	release := make(chan struct{})
+	parked := func(context.Context, interface{}) (interface{}, error) {
+		<-release
+		return nil, nil
+	}
+	cl, err := New([]Handler{parked, parked}, Hedged, Options{HedgeFloor: time.Minute, Deadline: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		calls.Add(1)
+		go func() {
+			defer calls.Done()
+			cl.Call(context.Background(), nil)
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); cl.Inflight() != 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("Inflight = %d, want 4", cl.Inflight())
+		}
+	}
+	closed := make(chan struct{})
+	go func() { cl.Close(); close(closed) }() // waits for the in-flight calls
+	close(release)
+	<-closed
+	calls.Wait()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutine leak: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
