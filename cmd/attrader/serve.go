@@ -10,7 +10,6 @@ import (
 	"syscall"
 	"time"
 
-	"accuracytrader/internal/agg"
 	"accuracytrader/internal/audit"
 	"accuracytrader/internal/breaker"
 	"accuracytrader/internal/cost"
@@ -22,6 +21,7 @@ import (
 	"accuracytrader/internal/service"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/wire"
+	"accuracytrader/internal/workload"
 )
 
 // drainTimeout bounds the graceful drain on SIGINT/SIGTERM: queued and
@@ -66,12 +66,28 @@ type netService struct {
 func buildNetService(workload string, sc experiments.Scale) (*netService, error) {
 	ns := &netService{workload: workload, shards: sc.Shards}
 	switch workload {
-	case "agg":
+	case "agg", "agglive":
 		svc, err := experiments.BuildAggService(sc)
 		if err != nil {
 			return nil, err
 		}
 		ns.handler = netsvc.NewAggBackend(svc.Comps, netsvc.BackendOptions{})
+		if workload == "agglive" {
+			// The same deterministic fact shards, served from live
+			// epoch-swapped stores: the initial rows are staged and compacted
+			// into each shard's base synopsis, a process-lifetime merge worker
+			// publishes later appends as fresh epochs and periodically folds
+			// them into the base, and the server accepts v5 append batches.
+			lives := make([]*ingest.AggLive, len(svc.Data.Subsets))
+			for i, tab := range svc.Data.Subsets {
+				if lives[i], err = experiments.StageAggLive(tab, sc.AggConfig()); err != nil {
+					return nil, err
+				}
+				ingest.NewWorker(lives[i], ingest.WorkerOptions{Interval: 5 * time.Millisecond, CompactEvery: 64})
+			}
+			ns.handler = netsvc.NewLiveAggBackend(lives, netsvc.BackendOptions{})
+			ns.ingest = netsvc.NewLiveIngestHandler(netsvc.LiveStores{Agg: lives})
+		}
 		queries := svc.Data.SampleAggQueries(sc.Seed^0x51, 16)
 		for _, q := range queries {
 			ns.templates = append(ns.templates, &wire.Request{
@@ -79,49 +95,7 @@ func buildNetService(workload string, sc experiments.Scale) (*netService, error)
 				Agg: &wire.AggRequest{Op: uint8(q.Op), Lo: q.Lo, Hi: q.Hi},
 			})
 		}
-		for l := 0; l < svc.Comps[0].Syn.Levels(); l++ {
-			ns.levelAcc = append(ns.levelAcc, agg.MeasureLevelAccuracy(svc.Comps, queries, l))
-		}
-	case "agglive":
-		// Same deterministic fact shards as "agg", but served from live
-		// epoch-swapped stores: the initial rows are staged and compacted
-		// into each shard's base synopsis, a merge worker keeps folding
-		// later appends, and the server accepts v5 append batches.
-		svc, err := experiments.BuildAggService(sc)
-		if err != nil {
-			return nil, err
-		}
-		lives := make([]*ingest.AggLive, len(svc.Data.Subsets))
-		for i, tab := range svc.Data.Subsets {
-			keys := make([]int32, tab.NumRows())
-			vals := make([]float64, tab.NumRows())
-			for r := 0; r < tab.NumRows(); r++ {
-				keys[r], vals[r] = tab.Key(r), tab.Value(r)
-			}
-			l := ingest.NewAggLive(tab.NumKeys(), sc.AggConfig())
-			if _, err := l.Append(keys, vals); err != nil {
-				return nil, err
-			}
-			if _, _, _, err := l.Compact(); err != nil {
-				return nil, err
-			}
-			lives[i] = l
-			// Process-lifetime merge worker: publishes staged appends as
-			// fresh epochs and periodically folds them into the base.
-			ingest.NewWorker(l, ingest.WorkerOptions{Interval: 5 * time.Millisecond, CompactEvery: 64})
-		}
-		ns.handler = netsvc.NewLiveAggBackend(lives, netsvc.BackendOptions{})
-		ns.ingest = netsvc.NewLiveIngestHandler(netsvc.LiveStores{Agg: lives})
-		queries := svc.Data.SampleAggQueries(sc.Seed^0x51, 16)
-		for _, q := range queries {
-			ns.templates = append(ns.templates, &wire.Request{
-				Kind: wire.KindAgg, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
-				Agg: &wire.AggRequest{Op: uint8(q.Op), Lo: q.Lo, Hi: q.Hi},
-			})
-		}
-		for l := 0; l < svc.Comps[0].Syn.Levels(); l++ {
-			ns.levelAcc = append(ns.levelAcc, agg.MeasureLevelAccuracy(svc.Comps, queries, l))
-		}
+		ns.levelAcc = experiments.LadderAccuracy(svc.Comps, queries)
 	case "cf":
 		svc, err := experiments.BuildCFService(sc)
 		if err != nil {
@@ -275,7 +249,18 @@ func serveAggregator(workload, listen, peers, admin, tenant string, rate float64
 	if listen != "" {
 		return serveFront(ns, agr, listen, admin, reg, rec, prof)
 	}
-	return measure(ns, agr, tenant, rate, time.Duration(sc.SessionSeconds*float64(time.Second)))
+	err = offerLoad("aggregator measurement", ns, tenant, rate, sc.SessionSeconds, func(req *wire.Request) bool {
+		subs, err := agr.Call(context.Background(), req)
+		for _, sr := range subs {
+			if sr.Err != nil {
+				return false
+			}
+		}
+		return err == nil
+	})
+	st := agr.Stats()
+	fmt.Printf("  sub-ops %d  reconnects %d\n", st.SubOps, st.Reconnects)
+	return err
 }
 
 // serveFront runs the client-facing composed-reply server, with the
@@ -284,24 +269,8 @@ func serveAggregator(workload, listen, peers, admin, tenant string, rate float64
 func serveFront(ns *netService, agr *netsvc.Aggregator, listen, admin string, reg *obs.Registry, rec *obs.Recorder, prof *obs.Profiler) error {
 	var fe *frontend.Frontend
 	if len(ns.levelAcc) > 0 {
-		ctrl, err := frontend.NewController(frontend.ControllerConfig{
-			Levels:             len(ns.levelAcc),
-			LevelAccuracy:      ns.levelAcc,
-			InflightSaturation: 4 * agr.Components(),
-		})
-		if err != nil {
-			return err
-		}
-		fe, err = frontend.New(agr, frontend.Options{
-			Replicas: 2,
-			Router:   frontend.NewLeastLoaded(),
-			Admission: []frontend.AdmissionPolicy{
-				frontend.NewMaxInflight(4 * agr.Components()),
-				frontend.NewQueueWatermark(0.35, 0.85),
-			},
-			Controller: ctrl,
-			Metrics:    reg,
-		})
+		var err error
+		fe, err = experiments.StandardFrontend(agr, 4*agr.Components(), ns.levelAcc, frontend.Options{Metrics: reg})
 		if err != nil {
 			return err
 		}
@@ -416,69 +385,39 @@ func serveClient(workload, peers, tenant string, rate float64, sc experiments.Sc
 	// request — the frontend picks the ladder level, so the cost table
 	// and frontier see the accuracy-trading path, not just best-effort.
 	bounded := len(ns.levelAcc) > 0
-	window := time.Duration(sc.SessionSeconds * float64(time.Second))
-	var mu sync.Mutex
-	lat := stats.NewLatencyRecorder(2048)
-	errs := 0
-	rng := stats.NewRNG(0xc11e)
-	fired := netsvc.OpenLoop(rng, rate, window, func(r int) {
-		req := *ns.templates[r%len(ns.templates)]
-		req.ID = uint64(r)
-		req.Tenant = tenant
+	return offerLoad("client", ns, tenant, rate, sc.SessionSeconds, func(req *wire.Request) bool {
 		if bounded {
 			req.SLO, req.MinAccuracy = wire.SLOBounded, 0.9
 		}
-		t0 := time.Now()
-		rep, err := cl.Call(context.Background(), &req)
-		d := float64(time.Since(t0)) / float64(time.Millisecond)
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil || rep.Status != wire.ReplyOK {
-			errs++
-			return
-		}
-		lat.Record(d)
+		rep, err := cl.Call(context.Background(), req)
+		return err == nil && rep.Status == wire.ReplyOK
 	})
-	fmt.Printf("client: %d requests at %.0f req/s over %.1fs (tenant=%q)\n", fired, rate, window.Seconds(), tenant)
-	fmt.Printf("  answered %d (errors %d)  p50 %.1fms  p99 %.1fms\n",
-		lat.Count(), errs, lat.Percentile(50), lat.Percentile(99))
-	if lat.Count() == 0 {
-		return fmt.Errorf("no requests answered")
-	}
-	return nil
 }
 
-// measure drives open-loop load through the aggregator and reports.
-func measure(ns *netService, agr *netsvc.Aggregator, tenant string, rate float64, window time.Duration) error {
+// offerLoad drives the session's open-loop Poisson schedule of
+// tenant-tagged requests through call (which reports whether the request
+// was answered) and prints the latency report, timed from each arrival's
+// intended send instant. who names the role in the report.
+func offerLoad(who string, ns *netService, tenant string, rate, seconds float64, call func(*wire.Request) bool) error {
+	arrivals := workload.PoissonArrivals(stats.NewRNG(0x5e55), rate, seconds*1000)
 	var mu sync.Mutex
 	lat := stats.NewLatencyRecorder(2048)
-	errs := 0
-	rng := stats.NewRNG(0x5e55)
-	fired := netsvc.OpenLoop(rng, rate, window, func(r int) {
+	lag := netsvc.OpenLoop(arrivals, func(r int, intended time.Time) {
 		req := *ns.templates[r%len(ns.templates)]
 		req.ID = uint64(r)
 		req.Tenant = tenant
-		t0 := time.Now()
-		subs, err := agr.Call(context.Background(), &req)
-		d := float64(time.Since(t0)) / float64(time.Millisecond)
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			errs++
+		if !call(&req) {
 			return
 		}
-		for _, sr := range subs {
-			if sr.Err != nil {
-				errs++
-				return
-			}
-		}
+		d := float64(time.Since(intended)) / float64(time.Millisecond)
+		mu.Lock()
 		lat.Record(d)
+		mu.Unlock()
 	})
-	st := agr.Stats()
-	fmt.Printf("aggregator measurement: %d requests at %.0f req/s over %.1fs\n", fired, rate, window.Seconds())
-	fmt.Printf("  answered %d (errors %d)  p50 %.1fms  p99 %.1fms  sub-ops %d  reconnects %d\n",
-		lat.Count(), errs, lat.Percentile(50), lat.Percentile(99), st.SubOps, st.Reconnects)
+	fmt.Printf("%s: %d requests over %.1fs (nominal %.0f req/s, realised %.1f; tenant=%q, max send lag %.1fms)\n",
+		who, len(arrivals), seconds, rate, float64(len(arrivals))/seconds, tenant, float64(lag)/float64(time.Millisecond))
+	fmt.Printf("  answered %d (errors %d)  p50 %.1fms  p99 %.1fms\n",
+		lat.Count(), len(arrivals)-lat.Count(), lat.Percentile(50), lat.Percentile(99))
 	if lat.Count() == 0 {
 		return fmt.Errorf("no requests answered")
 	}

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	at "accuracytrader"
+	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/workload"
 )
@@ -173,58 +174,46 @@ func run(rate float64, comps []*at.AggComponent, levelAcc []float64, queries []a
 	}
 	var mu sync.Mutex
 	perClass := map[string]*classStats{}
-	var wg sync.WaitGroup
-	rng := stats.NewRNG(uint64(rate))
-	stop := time.Now().Add(runFor)
-	req := 0
-	for time.Now().Before(stop) {
-		slo := classOf(req)
+	arrivals := workload.PoissonArrivals(stats.NewRNG(uint64(rate)), rate, runFor.Seconds()*1000)
+	netsvc.OpenLoop(arrivals, func(req int, intended time.Time) {
 		qi := req % len(queries)
-		req++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			q := queries[qi]
-			t0 := time.Now()
-			res, err := fe.Call(context.Background(), q, slo)
-			if err != nil {
-				return // rejected; counted by frontend stats
+		q := queries[qi]
+		res, err := fe.Call(context.Background(), q, classOf(req))
+		if err != nil {
+			return // rejected; counted by frontend stats
+		}
+		d := float64(time.Since(intended)) / float64(time.Millisecond)
+		// Compose: merge the per-shard partial results.
+		merged := at.AggResult{}
+		first := true
+		for _, sub := range res.Sub {
+			if sub.Err != nil || sub.Skipped {
+				continue
 			}
-			d := float64(time.Since(t0)) / float64(time.Millisecond)
-			// Compose: merge the per-shard partial results.
-			merged := at.AggResult{}
-			first := true
-			for _, sub := range res.Sub {
-				if sub.Err != nil || sub.Skipped {
-					continue
-				}
-				part := sub.Value.(at.AggResult)
-				if first {
-					merged = part
-					first = false
-					continue
-				}
-				merged.Merge(part)
-			}
+			part := sub.Value.(at.AggResult)
 			if first {
-				return // nothing answered within the deadline
+				merged = part
+				first = false
+				continue
 			}
-			acc := at.AggAccuracy(merged.Estimates(q.Op), exactEst[qi])
-			mu.Lock()
-			cs := perClass[res.SLO.String()]
-			if cs == nil {
-				cs = &classStats{lat: stats.NewLatencyRecorder(256)}
-				perClass[res.SLO.String()] = cs
-			}
-			cs.lat.Record(d)
-			cs.acc.Add(acc)
-			cs.level += res.Level
-			cs.count++
-			mu.Unlock()
-		}()
-		time.Sleep(time.Duration(rng.Exp(rate) * float64(time.Second)))
-	}
-	wg.Wait()
+			merged.Merge(part)
+		}
+		if first {
+			return // nothing answered within the deadline
+		}
+		acc := at.AggAccuracy(merged.Estimates(q.Op), exactEst[qi])
+		mu.Lock()
+		cs := perClass[res.SLO.String()]
+		if cs == nil {
+			cs = &classStats{lat: stats.NewLatencyRecorder(256)}
+			perClass[res.SLO.String()] = cs
+		}
+		cs.lat.Record(d)
+		cs.acc.Add(acc)
+		cs.level += res.Level
+		cs.count++
+		mu.Unlock()
+	})
 	st := fe.Stats()
 	fmt.Printf("admitted %d  degraded %d  rejected %d  (smoothed load %.2f)\n",
 		st.Admitted, st.Degraded, st.Rejected, ctrl.Load())

@@ -178,11 +178,11 @@ func main() {
 		var mu sync.Mutex
 		lats := []float64{}
 		rejected, hits0 := 0, fe.Stats().CacheHits
-		netsvc.OpenLoop(stats.NewRNG(7), 180, phaseFor, func(r int) {
+		arrivals := workload.PoissonArrivals(stats.NewRNG(7), 180, phaseFor.Seconds()*1000)
+		netsvc.OpenLoop(arrivals, func(r int, intended time.Time) {
 			tmpl := templates[zipf.Draw()]
-			t0 := time.Now()
 			_, err := fe.Call(context.Background(), tmpl, classOf(r))
-			lat := float64(time.Since(t0)) / float64(time.Millisecond)
+			lat := float64(time.Since(intended)) / float64(time.Millisecond)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {

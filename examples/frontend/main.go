@@ -22,7 +22,9 @@ import (
 	"time"
 
 	at "accuracytrader"
+	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/stats"
+	"accuracytrader/internal/workload"
 )
 
 const (
@@ -115,36 +117,24 @@ func run(rate float64) {
 	}
 	var mu sync.Mutex
 	perClass := map[string]*classStats{}
-	var wg sync.WaitGroup
-	rng := stats.NewRNG(uint64(rate))
-	stop := time.Now().Add(runFor)
-	req := 0
-	for time.Now().Before(stop) {
-		slo := classOf(req)
-		req++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			res, err := fe.Call(context.Background(), nil, slo)
-			if err != nil {
-				return // rejected (or closed); counted by frontend stats
-			}
-			d := float64(time.Since(t0)) / float64(time.Millisecond)
-			mu.Lock()
-			cs := perClass[res.SLO.String()]
-			if cs == nil {
-				cs = &classStats{lat: stats.NewLatencyRecorder(256)}
-				perClass[res.SLO.String()] = cs
-			}
-			cs.lat.Record(d)
-			cs.levelSum += res.Level
-			cs.count++
-			mu.Unlock()
-		}()
-		time.Sleep(time.Duration(rng.Exp(rate) * float64(time.Second)))
-	}
-	wg.Wait()
+	arrivals := workload.PoissonArrivals(stats.NewRNG(uint64(rate)), rate, runFor.Seconds()*1000)
+	netsvc.OpenLoop(arrivals, func(req int, intended time.Time) {
+		res, err := fe.Call(context.Background(), nil, classOf(req))
+		if err != nil {
+			return // rejected (or closed); counted by frontend stats
+		}
+		d := float64(time.Since(intended)) / float64(time.Millisecond)
+		mu.Lock()
+		cs := perClass[res.SLO.String()]
+		if cs == nil {
+			cs = &classStats{lat: stats.NewLatencyRecorder(256)}
+			perClass[res.SLO.String()] = cs
+		}
+		cs.lat.Record(d)
+		cs.levelSum += res.Level
+		cs.count++
+		mu.Unlock()
+	})
 	st := fe.Stats()
 	fmt.Printf("admitted %d  degraded %d  rejected %d  (smoothed load %.2f)\n",
 		st.Admitted, st.Degraded, st.Rejected, ctrl.Load())

@@ -21,7 +21,9 @@ import (
 	"time"
 
 	at "accuracytrader"
+	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/stats"
+	"accuracytrader/internal/workload"
 )
 
 const (
@@ -119,25 +121,16 @@ func runPolicy(name string, rate float64, policy at.Policy, handlers []at.Handle
 
 	var mu sync.Mutex
 	lat := stats.NewLatencyRecorder(1024)
-	var wg sync.WaitGroup
-	rng := stats.NewRNG(uint64(rate))
-	stop := time.Now().Add(runFor)
-	for time.Now().Before(stop) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			if _, err := cl.Call(context.Background(), nil); err != nil {
-				return
-			}
-			d := float64(time.Since(t0)) / float64(time.Millisecond)
-			mu.Lock()
-			lat.Record(d)
-			mu.Unlock()
-		}()
-		time.Sleep(time.Duration(rng.Exp(rate) * float64(time.Second)))
-	}
-	wg.Wait()
+	arrivals := workload.PoissonArrivals(stats.NewRNG(uint64(rate)), rate, runFor.Seconds()*1000)
+	netsvc.OpenLoop(arrivals, func(_ int, intended time.Time) {
+		if _, err := cl.Call(context.Background(), nil); err != nil {
+			return
+		}
+		d := float64(time.Since(intended)) / float64(time.Millisecond)
+		mu.Lock()
+		lat.Record(d)
+		mu.Unlock()
+	})
 	cl.Close()
 
 	mu.Lock()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing" // AllocsPerRun: the non-sampled hot-path zero-allocation guard
@@ -12,11 +11,9 @@ import (
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/audit"
-	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/ingest"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/obs"
-	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
 )
 
@@ -137,11 +134,9 @@ func RunAuditCompare(sc Scale) (*AuditCompare, error) {
 		return nil, err
 	}
 	queries := svc.Data.SampleAggQueries(sc.Seed^0xa0d1, 16)
-	levels := svc.Comps[0].Syn.Levels()
-	honest := make([]float64, levels)
-	biased := make([]float64, levels)
-	for l := 0; l < levels; l++ {
-		honest[l] = agg.MeasureLevelAccuracy(svc.Comps, queries, l)
+	honest := LadderAccuracy(svc.Comps, queries)
+	biased := make([]float64, len(honest))
+	for l := range biased {
 		biased[l] = auditBiasClaim
 	}
 
@@ -258,85 +253,50 @@ type auditPassResult struct {
 // snapshots the auditor. detectK > 0 additionally waits for the
 // verdict pins to land (the bias pass inspects them).
 func runAuditedPass(svc *AggService, queries []agg.Query, levelAcc []float64, floor float64, calls, detectK int) (*auditPassResult, error) {
-	n := len(svc.Comps)
 	backend := netsvc.NewAggBackend(svc.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		srv := netsvc.NewServer(backend, netsvc.ServerOptions{Workers: 1, QueueLen: 256})
-		go srv.Serve(l)
-		closers = append(closers, srv.Close)
-		addrs[i] = l.Addr().String()
-	}
-	agr, err := netsvc.NewAggregator(addrs, netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		return nil, err
-	}
-	closers = append(closers, agr.Close)
-	if err := agr.WaitReady(5 * time.Second); err != nil {
-		return nil, err
-	}
-	ctrl, err := frontend.NewController(frontend.ControllerConfig{Levels: len(levelAcc), LevelAccuracy: levelAcc})
-	if err != nil {
-		return nil, err
-	}
-	fe, err := frontend.New(agr, frontend.Options{Controller: ctrl})
-	if err != nil {
-		return nil, err
-	}
 	rec := obs.NewRecorder(2*calls, 32)
-	fs := netsvc.NewFrontServer(agr, fe, netsvc.ServerOptions{Tracer: rec})
-	fs.EnableSLO(obs.NewSLOTracker(obs.DefaultSLOBudgets()), nil)
-
 	// detectAt records the audited-sample index of the first floor
 	// violation — the "within K samples" detection-latency measurement.
 	var audited, detectAt atomic.Int64
-	auditor, err := fs.EnableAudit(audit.Config{
-		SampleFraction: 1,
-		Interval:       200 * time.Microsecond,
-		Gate:           func() bool { return true }, // keep pacing deterministic at this load
-		OnVerdict: func(_ *audit.Sample, v audit.Verdict) {
-			i := audited.Add(1)
-			if v.FloorViolated {
-				detectAt.CompareAndSwap(0, i)
+	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
+		Components: len(svc.Comps),
+		Handler:    func(int) netsvc.Handler { return backend },
+		Server:     netsvc.ServerOptions{Workers: 1, QueueLen: 256},
+		Agg:        gatherAll,
+		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
+			fe, err := calibratedFrontend(agr, levelAcc)
+			if err != nil {
+				return nil, err
 			}
+			fs := netsvc.NewFrontServer(agr, fe, netsvc.ServerOptions{Tracer: rec})
+			fs.EnableSLO(obs.NewSLOTracker(obs.DefaultSLOBudgets()), nil)
+			_, err = fs.EnableAudit(audit.Config{
+				SampleFraction: 1,
+				Interval:       200 * time.Microsecond,
+				Gate:           func() bool { return true }, // keep pacing deterministic at this load
+				OnVerdict: func(_ *audit.Sample, v audit.Verdict) {
+					i := audited.Add(1)
+					if v.FloorViolated {
+						detectAt.CompareAndSwap(0, i)
+					}
+				},
+			})
+			return fs, err
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	closers = append(closers, auditor.Close)
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go fs.Serve(fl)
-	closers = append(closers, fs.Close)
-	cl, err := netsvc.DialClient(fl.Addr().String(), netsvc.ClientOptions{})
-	if err != nil {
-		return nil, err
-	}
-	closers = append(closers, func() { cl.Close() })
+	defer lb.Close()
+	cl, auditor := lb.Client, lb.Front.Auditor()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 0; i < calls; i++ {
 		q := queries[i%len(queries)]
-		req := &wire.Request{
-			Kind: wire.KindAgg, Subset: -1, SLO: wire.SLOBounded, Level: wire.NoLevel,
-			MinAccuracy: floor,
-			Deadline:    time.Now().Add(auditDeadlineMs * time.Millisecond).UnixNano(),
-			Agg:         &wire.AggRequest{Op: uint8(q.Op), Lo: q.Lo, Hi: q.Hi},
-		}
+		req := aggRequest(q)
+		req.SLO, req.MinAccuracy = wire.SLOBounded, floor
+		req.Deadline = time.Now().Add(auditDeadlineMs * time.Millisecond).UnixNano()
 		rep, err := cl.Call(ctx, req)
 		if err != nil {
 			return nil, err
@@ -387,70 +347,41 @@ func countPinned(rec *obs.Recorder, bit obs.AnomalyReason) int {
 func (ac *AuditCompare) runDriftPhase(sc Scale, svc *AggService) error {
 	const shards = 2
 	const preSwap, postSwap = 3, 2
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}()
 	lives := make([]*ingest.AggLive, shards)
-	addrs := make([]string, shards)
-	for i := 0; i < shards; i++ {
-		tab := svc.Data.Subsets[i%len(svc.Data.Subsets)]
-		keys := make([]int32, tab.NumRows())
-		vals := make([]float64, tab.NumRows())
-		for r := 0; r < tab.NumRows(); r++ {
-			keys[r], vals[r] = tab.Key(r), tab.Value(r)
-		}
-		l := ingest.NewAggLive(tab.NumKeys(), sc.AggConfig())
-		if _, err := l.Append(keys, vals); err != nil {
-			return err
-		}
-		if _, _, _, err := l.Compact(); err != nil {
-			return err
-		}
-		lives[i] = l
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for i := range lives {
+		l, err := StageAggLive(svc.Data.Subsets[i%len(svc.Data.Subsets)], sc.AggConfig())
 		if err != nil {
 			return err
 		}
-		srv := netsvc.NewServer(netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{IMaxFrac: auditIMaxFrac}), netsvc.ServerOptions{Workers: 1})
-		srv.SetIngest(netsvc.NewLiveIngestHandler(netsvc.LiveStores{Agg: lives[i : i+1]}))
-		go srv.Serve(ln)
-		closers = append(closers, srv.Close)
-		addrs[i] = ln.Addr().String()
+		lives[i] = l
 	}
-	agr, err := netsvc.NewAggregator(addrs, netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		return err
-	}
-	closers = append(closers, agr.Close)
-	if err := agr.WaitReady(5 * time.Second); err != nil {
-		return err
-	}
-	fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Tracer: obs.NewRecorder(32, 16)})
-	fs.EnableIngest(0)
 	var gateOpen atomic.Bool
-	auditor, err := fs.EnableAudit(audit.Config{
-		SampleFraction: 1,
-		Interval:       200 * time.Microsecond,
-		Gate:           gateOpen.Load,
+	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
+		Components: shards,
+		Handler: func(i int) netsvc.Handler {
+			return netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
+		},
+		Ingest: func(i int) netsvc.IngestHandler {
+			return netsvc.NewLiveIngestHandler(netsvc.LiveStores{Agg: lives[i : i+1]})
+		},
+		Server: netsvc.ServerOptions{Workers: 1},
+		Agg:    gatherAll,
+		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
+			fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Tracer: obs.NewRecorder(32, 16)})
+			fs.EnableIngest(0)
+			_, err := fs.EnableAudit(audit.Config{
+				SampleFraction: 1,
+				Interval:       200 * time.Microsecond,
+				Gate:           gateOpen.Load,
+			})
+			return fs, err
+		},
 	})
 	if err != nil {
 		return err
 	}
-	closers = append(closers, auditor.Close)
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go fs.Serve(fl)
-	closers = append(closers, fs.Close)
-	cl, err := netsvc.DialClient(fl.Addr().String(), netsvc.ClientOptions{})
-	if err != nil {
-		return err
-	}
-	closers = append(closers, func() { cl.Close() })
+	defer lb.Close()
+	cl, fs, auditor := lb.Client, lb.Front, lb.Front.Auditor()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -637,59 +568,38 @@ func (ac *AuditCompare) runBurnPhase() {
 func (ac *AuditCompare) runRetentionPhase(svc *AggService) error {
 	const shards = 2
 	const anomalous = 4
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}()
 	inner := netsvc.NewAggBackend(svc.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
 	var lose atomic.Bool
-	addrs := make([]string, shards)
-	for i := 0; i < shards; i++ {
-		handler := inner
-		if i == 0 {
+	rec := obs.NewRecorder(auditRetentionRing, 16)
+	slo := obs.NewSLOTracker(obs.DefaultSLOBudgets())
+	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
+		Components: shards,
+		Handler: func(i int) netsvc.Handler {
+			if i != 0 {
+				return inner
+			}
 			// Fault injection on shard 0: while lose is set, its
 			// sub-operations fail and BestEffort answers degrade.
-			handler = func(ctx context.Context, req *wire.Request) *wire.SubReply {
+			return func(ctx context.Context, req *wire.Request) *wire.SubReply {
 				if lose.Load() {
 					return &wire.SubReply{Status: wire.StatusErr, Err: "auditcompare: injected fault"}
 				}
 				return inner(ctx, req)
 			}
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		srv := netsvc.NewServer(handler, netsvc.ServerOptions{Workers: 1})
-		go srv.Serve(l)
-		closers = append(closers, srv.Close)
-		addrs[i] = l.Addr().String()
-	}
-	agr, err := netsvc.NewAggregator(addrs, netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
+		},
+		Server: netsvc.ServerOptions{Workers: 1},
+		Agg:    gatherAll,
+		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
+			fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Tracer: rec})
+			fs.EnableSLO(slo, nil)
+			return fs, nil
+		},
+	})
 	if err != nil {
 		return err
 	}
-	closers = append(closers, agr.Close)
-	if err := agr.WaitReady(5 * time.Second); err != nil {
-		return err
-	}
-	rec := obs.NewRecorder(auditRetentionRing, 16)
-	slo := obs.NewSLOTracker(obs.DefaultSLOBudgets())
-	fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Tracer: rec})
-	fs.EnableSLO(slo, nil)
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go fs.Serve(fl)
-	closers = append(closers, fs.Close)
-	cl, err := netsvc.DialClient(fl.Addr().String(), netsvc.ClientOptions{})
-	if err != nil {
-		return err
-	}
-	closers = append(closers, func() { cl.Close() })
+	defer lb.Close()
+	cl := lb.Client
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"accuracytrader/internal/service"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/wire"
+	"accuracytrader/internal/workload"
 )
 
 // The cachecompare experiment (result-cache extension, not a paper
@@ -50,6 +52,10 @@ const (
 	// same cold start (empty queues, cold cache), and the reported
 	// numbers are steady-state.
 	ccWarmupFrac = 0.25
+	// ccArrivalSalt seeds the arrival schedule; as netArrivalSalt, chosen
+	// so the default-seed draw (whole window and past the warm-up cut)
+	// lands within 2% of rate x window at both scales.
+	ccArrivalSalt = 0x9e83
 	// ccIMaxFrac caps Algorithm 1 improvement at the top fraction of
 	// ranked strata (the paper's imax), keeping approximate answers
 	// genuinely approximate so the accuracy ladder has texture.
@@ -79,7 +85,7 @@ var ccSkews = []float64{0.4, 1.0, 1.4}
 type CacheRow struct {
 	Skew    float64
 	Cached  bool
-	Calls   int // offered requests
+	Calls   int // offered requests past the warm-up cut: equal for both rows of a skew
 	HitPct  float64
 	Goodput float64
 	P50Ms   float64
@@ -95,20 +101,18 @@ type CacheRow struct {
 	FloorViolations int
 	Coalesced       int64
 	Refreshes       int64
-
-	classCnt  [3]int
-	accCnt    int
-	good      int
-	rejected  int
-	latencies []float64
+	MaxLagMs        float64 // worst send lag behind the arrival schedule
 }
 
 // CacheCompare is the full experiment result.
 type CacheCompare struct {
 	Servers       int
 	DeadlineMs    float64
-	RatePerSec    float64
+	RatePerSec    float64 // nominal offered rate
 	WindowSeconds float64
+	// Arrivals is the realised arrival count of every row over the whole
+	// window (warm-up included).
+	Arrivals      int
 	QuerySupport  int
 	CacheCapacity int
 	LevelAccuracy []float64
@@ -121,6 +125,14 @@ type CacheCompare struct {
 	CoalesceShared   int64
 
 	Rows []*CacheRow
+
+	// The traffic every row is offered: one Poisson arrival schedule (a
+	// pure function of the seed), the query population as shared request
+	// templates, and each query's exact merged estimates.
+	arrivalsMs []float64
+	templates  []*wire.Request
+	queries    []agg.Query
+	exactEst   [][]float64
 }
 
 // Row returns the row at one skew with/without the cache (nil if none).
@@ -133,38 +145,6 @@ func (cc *CacheCompare) Row(skew float64, cached bool) *CacheRow {
 	return nil
 }
 
-// record folds one answered request into the row.
-func (row *CacheRow) record(latMs float64, kind frontend.SLOKind, acc float64) {
-	row.latencies = append(row.latencies, latMs)
-	row.ClassAcc[kind] += acc
-	row.classCnt[kind]++
-	row.MeanAcc += acc
-	row.accCnt++
-	if latMs <= goodLatencyFactor*ccDeadlineMs && acc >= goodAccuracyFloor {
-		row.good++
-	}
-}
-
-// finish converts accumulators into the reported statistics.
-func (row *CacheRow) finish(windowSec float64, hits int64) {
-	row.Goodput = float64(row.good) / windowSec
-	row.P50Ms = stats.Percentile(row.latencies, 50)
-	row.P999Ms = stats.Percentile(row.latencies, 99.9)
-	if row.accCnt > 0 {
-		row.MeanAcc /= float64(row.accCnt)
-	}
-	for k := range row.ClassAcc {
-		if row.classCnt[k] > 0 {
-			row.ClassAcc[k] /= float64(row.classCnt[k])
-		}
-	}
-	if row.Calls > 0 {
-		row.ShedPct = 100 * float64(row.rejected) / float64(row.Calls)
-		row.HitPct = 100 * float64(hits) / float64(row.Calls)
-	}
-	row.latencies = nil
-}
-
 // ccTemplates builds one canonical whole-service request per query.
 // All arrivals of a query share the template pointer, so its canonical
 // cache key — and the payload the refresh worker recomputes from — is
@@ -172,10 +152,7 @@ func (row *CacheRow) finish(windowSec float64, hits int64) {
 func ccTemplates(queries []agg.Query) []*wire.Request {
 	out := make([]*wire.Request, len(queries))
 	for i, q := range queries {
-		out[i] = &wire.Request{
-			Kind: wire.KindAgg, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
-			Agg: &wire.AggRequest{Op: uint8(q.Op), Lo: q.Lo, Hi: q.Hi},
-		}
+		out[i] = aggRequest(q)
 	}
 	return out
 }
@@ -223,30 +200,12 @@ func ccHandlers(comps []*agg.Component, backend netsvc.Handler, subCalls *atomic
 
 // ccFrontend assembles the standard pipeline for one row: fresh
 // admission, routing and controller state, plus the cache when cached.
-func ccFrontend(cl *service.Cluster, n int, levelAcc []float64, cache *rescache.Cache) (*frontend.Frontend, error) {
-	ctrl, err := frontend.NewController(frontend.ControllerConfig{
-		Levels:             len(levelAcc),
-		LevelAccuracy:      levelAcc,
-		InflightSaturation: 6 * n,
-	})
-	if err != nil {
-		return nil, err
-	}
-	opts := frontend.Options{
-		Replicas: 2,
-		Router:   frontend.NewLeastLoaded(),
-		Admission: []frontend.AdmissionPolicy{
-			frontend.NewMaxInflight(6 * n),
-			frontend.NewQueueWatermark(0.35, 0.85),
-		},
-		Controller: ctrl,
-	}
+func ccFrontend(cl *service.Cluster, levelAcc []float64, cache *rescache.Cache) (*frontend.Frontend, error) {
+	var opts frontend.Options
 	if cache != nil {
-		opts.Cache = cache
-		opts.CacheKey = ccCacheKey
-		opts.CacheRefresh = true
+		opts = frontend.Options{Cache: cache, CacheKey: ccCacheKey, CacheRefresh: true}
 	}
-	return frontend.New(cl, opts)
+	return StandardFrontend(cl, 6*cl.Components(), levelAcc, opts)
 }
 
 // RunCacheCompare measures the result cache against the no-cache
@@ -264,83 +223,60 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 	// Query population with precomputed exact merged estimates (the
 	// accuracy references) and calibrated per-level accuracy.
 	queries := svc.Data.SampleAggQueries(sc.Seed^0xca4e, ccQuerySupport)
-	nKeys := comps[0].T.NumKeys()
-	exactEst := make([][]float64, len(queries))
-	exact := agg.NewResult(nKeys)
-	var scratch agg.Result
-	for qi, q := range queries {
-		exact = exact.Reset(nKeys)
-		for _, c := range comps {
-			scratch = agg.ExactResultInto(scratch, c, q)
-			exact.Merge(scratch)
-		}
-		exactEst[qi] = exact.Estimates(q.Op)
-	}
 	calib := queries
 	if len(calib) > 40 {
 		calib = calib[:40]
 	}
-	levels := comps[0].Syn.Levels()
-	levelAcc := make([]float64, levels)
-	for l := 0; l < levels; l++ {
-		levelAcc[l] = agg.MeasureLevelAccuracy(comps, calib, l)
-	}
-
-	finestUnits := 0.0
-	for _, c := range comps {
-		finestUnits += float64(c.Syn.SampleUnits(levels - 1))
-	}
-	finestUnits /= float64(n)
-	satRate := 1000 / (finestUnits * unitMs)
-	window := time.Duration(sc.SessionSeconds * ccWindowFrac * float64(time.Second))
 
 	cc := &CacheCompare{
 		Servers:       n,
 		DeadlineMs:    ccDeadlineMs,
-		RatePerSec:    ccRateFrac * satRate,
-		WindowSeconds: window.Seconds(),
+		RatePerSec:    ccRateFrac * finestSaturationRate(comps, unitMs),
+		WindowSeconds: sc.SessionSeconds * ccWindowFrac,
 		QuerySupport:  len(queries),
 		CacheCapacity: ccCacheCapacity,
-		LevelAccuracy: levelAcc,
+		LevelAccuracy: LadderAccuracy(comps, calib),
 		CoalesceFanIn: ccCoalesceFanIn,
+		templates:     ccTemplates(queries),
+		queries:       queries,
+		exactEst:      exactEstimates(comps, queries),
 	}
+	cc.arrivalsMs = workload.PoissonArrivals(stats.NewRNG(sc.Seed^ccArrivalSalt), cc.RatePerSec, cc.WindowSeconds*1000)
+	cc.Arrivals = len(cc.arrivalsMs)
 
 	backend := netsvc.NewAggBackend(comps, netsvc.BackendOptions{
 		UnitCost:  unitCost,
 		SubBudget: time.Duration(ccSubBudgetFrac * ccDeadlineMs * float64(time.Millisecond)),
 		IMaxFrac:  ccIMaxFrac,
 	})
-	templates := ccTemplates(queries)
 
+	// Every row is offered the one arrival schedule; the request→query
+	// schedule is drawn per skew and shared by its cached and uncached
+	// rows, so paired rows face identical traffic at identical instants.
 	for si, skew := range ccSkews {
-		// One request→query schedule per skew, shared by the cached and
-		// uncached rows so they face identical traffic.
-		zrng := stats.NewRNG(sc.Seed ^ (0x51b0 + uint64(si)))
-		zipf := stats.NewZipf(zrng, len(queries), skew)
-		qis := make([]int, 16384)
+		zipf := stats.NewZipf(stats.NewRNG(sc.Seed^(0x51b0+uint64(si))), len(queries), skew)
+		qis := make([]int, len(cc.arrivalsMs))
 		for i := range qis {
 			qis[i] = zipf.Draw()
 		}
 		for _, cached := range []bool{false, true} {
-			row, err := cc.runRow(sc, skew, cached, comps, backend, templates, queries, exactEst, levelAcc, qis, uint64(si))
+			row, err := cc.runRow(skew, cached, ccHandlers(comps, backend, nil), qis)
 			if err != nil {
 				return nil, err
 			}
 			cc.Rows = append(cc.Rows, row)
 		}
 	}
-	if err := cc.runCoalesceCheck(comps, levelAcc); err != nil {
+	if err := cc.runCoalesceCheck(comps); err != nil {
 		return nil, err
 	}
 	return cc, nil
 }
 
-// runRow measures one (skew, cached?) configuration.
-func (cc *CacheCompare) runRow(sc Scale, skew float64, cached bool, comps []*agg.Component,
-	backend netsvc.Handler, templates []*wire.Request, queries []agg.Query, exactEst [][]float64,
-	levelAcc []float64, qis []int, salt uint64) (*CacheRow, error) {
-	n := len(comps)
-	cl, err := service.New(ccHandlers(comps, backend, nil), service.WaitAll, service.Options{
+// runRow measures one (skew, cached?) configuration; arrival r asks
+// query qis[r].
+func (cc *CacheCompare) runRow(skew float64, cached bool, handlers []service.Handler, qis []int) (*CacheRow, error) {
+	cl, err := service.New(handlers, service.WaitAll, service.Options{
 		Deadline: time.Duration(ccCallTimeoutMs * float64(time.Millisecond)),
 	})
 	if err != nil {
@@ -361,26 +297,21 @@ func (cc *CacheCompare) runRow(sc Scale, skew float64, cached bool, comps []*agg
 		}
 		defer cache.Close()
 	}
-	fe, err := ccFrontend(cl, n, levelAcc, cache)
+	fe, err := ccFrontend(cl, cc.LevelAccuracy, cache)
 	if err != nil {
 		return nil, err
 	}
 
 	row := &CacheRow{Skew: skew, Cached: cached}
 	var mu sync.Mutex
-	var hits int64
-	measured := 0
-	window := time.Duration(cc.WindowSeconds * float64(time.Second))
-	warmup := time.Duration(ccWarmupFrac * float64(window))
-	rowStart := time.Now()
-	rng := stats.NewRNG(sc.Seed ^ (0xcc01 + salt)) // same arrivals for both rows of a skew
-	netsvc.OpenLoop(rng, cc.RatePerSec, window, func(r int) {
-		qi := qis[r%len(qis)]
+	var t tally
+	hits, rejected := 0, 0
+	warmupMs := ccWarmupFrac * cc.WindowSeconds * 1000
+	lag := netsvc.OpenLoop(cc.arrivalsMs, func(r int, intended time.Time) {
+		qi := qis[r]
 		slo := overloadClassMix(r)
-		t0 := time.Now()
-		inWarmup := t0.Sub(rowStart) < warmup
-		res, err := fe.Call(context.Background(), templates[qi], slo)
-		latMs := float64(time.Since(t0)) / float64(time.Millisecond)
+		res, err := fe.Call(context.Background(), cc.templates[qi], slo)
+		latMs := float64(time.Since(intended)) / float64(time.Millisecond)
 		// Floor violations are checked over the whole run — warmup hits
 		// must honor the contract too.
 		mu.Lock()
@@ -389,35 +320,40 @@ func (cc *CacheCompare) runRow(sc Scale, skew float64, cached bool, comps []*agg
 			res.EstimatedAccuracy < slo.MinAccuracy-1e-9 {
 			row.FloorViolations++
 		}
-		if inWarmup {
-			return
+		if cc.arrivalsMs[r] < warmupMs {
+			return // the cut is on the intended time: the same arrivals in both rows
 		}
-		measured++
+		row.Calls++
 		if err != nil {
 			if errors.Is(err, frontend.ErrRejected) {
-				row.rejected++
+				rejected++
 			}
 			return
 		}
 		if res.FromCache {
 			hits++
 		}
-		row.record(latMs, slo.Kind, netAccuracy(res.Sub, queries[qi].Op, exactEst[qi]))
+		t.addTimed(latMs, ccDeadlineMs, slo.Kind, netAccuracy(res.Sub, cc.queries[qi].Op, cc.exactEst[qi]))
 	})
-	row.Calls = measured
+	row.MaxLagMs = float64(lag) / float64(time.Millisecond)
 	if cache != nil {
 		cst := cache.Stats()
 		row.Coalesced = cst.Coalesced
 		row.Refreshes = cst.Refreshes
 	}
-	row.finish((1-ccWarmupFrac)*cc.WindowSeconds, hits)
+	row.Goodput, row.MeanAcc, row.ClassAcc = t.means((1 - ccWarmupFrac) * cc.WindowSeconds)
+	row.P50Ms, row.P999Ms = t.percentile(50), t.percentile(99.9)
+	if row.Calls > 0 {
+		row.ShedPct = 100 * float64(rejected) / float64(row.Calls)
+		row.HitPct = 100 * float64(hits) / float64(row.Calls)
+	}
 	return row, nil
 }
 
 // runCoalesceCheck fires FanIn concurrent identical requests at a cold
 // cache behind an idle frontend and counts backend fan-outs: the
 // singleflight must collapse them to one.
-func (cc *CacheCompare) runCoalesceCheck(comps []*agg.Component, levelAcc []float64) error {
+func (cc *CacheCompare) runCoalesceCheck(comps []*agg.Component) error {
 	n := len(comps)
 	release := make(chan struct{})
 	var subCalls atomic.Int64
@@ -438,7 +374,7 @@ func (cc *CacheCompare) runCoalesceCheck(comps []*agg.Component, levelAcc []floa
 		return err
 	}
 	defer cache.Close()
-	fe, err := ccFrontend(cl, n, levelAcc, cache)
+	fe, err := ccFrontend(cl, cc.LevelAccuracy, cache)
 	if err != nil {
 		return err
 	}
@@ -481,10 +417,16 @@ func (cc *CacheCompare) runCoalesceCheck(comps []*agg.Component, levelAcc []floa
 func (cc *CacheCompare) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "CACHECOMPARE: accuracy-aware result cache (internal/rescache) vs no-cache frontend\n")
-	fmt.Fprintf(&b, "(aggregation workload, in-process runtime, %d components; open-loop %.1f req/s — above the no-cache\n",
+	maxLag := 0.0
+	for _, r := range cc.Rows {
+		maxLag = math.Max(maxLag, r.MaxLagMs)
+	}
+	fmt.Fprintf(&b, "(aggregation workload, in-process runtime, %d components; open-loop Poisson, nominal %.1f req/s — above the\n",
 		cc.Servers, cc.RatePerSec)
-	fmt.Fprintf(&b, " improvement-capped capacity — for %.1fs per row, first %.0f%% discarded as warmup; %d distinct\n",
-		cc.WindowSeconds, 100*ccWarmupFrac, cc.QuerySupport)
+	fmt.Fprintf(&b, " no-cache improvement-capped capacity — for %.1fs: the same %d scheduled arrivals offered to every row\n",
+		cc.WindowSeconds, cc.Arrivals)
+	fmt.Fprintf(&b, " (realised %.1f req/s), max send lag %.1f ms, first %.0f%% of the window discarded as warmup; %d distinct\n",
+		float64(cc.Arrivals)/cc.WindowSeconds, maxLag, 100*ccWarmupFrac, cc.QuerySupport)
 	fmt.Fprintf(&b, " queries, cache capacity %d; deadline %.0f ms;\n", cc.CacheCapacity, cc.DeadlineMs)
 	fmt.Fprintf(&b, " goodput = answered <= %.1fx deadline with measured accuracy >= %.2f; class mix %s)\n\n",
 		goodLatencyFactor, goodAccuracyFloor, overloadClassMixLabel)
@@ -495,19 +437,20 @@ func (cc *CacheCompare) Render() string {
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "coalescing check: %d concurrent identical misses -> %d backend fan-out(s), %d shared\n\n",
 		cc.CoalesceFanIn, cc.CoalesceComputes, cc.CoalesceShared)
-	fmt.Fprintf(&b, "  %-5s %-8s %6s %6s %10s %8s %8s %6s %8s %9s %10s %10s %9s %7s %8s\n",
-		"skew", "config", "calls", "hit%", "goodput/s", "p50 ms", "p99.9", "shed%", "acc",
+	fmt.Fprintf(&b, "  %-5s %-8s %6s %7s %6s %10s %8s %8s %6s %8s %9s %10s %10s %9s %7s %8s\n",
+		"skew", "config", "calls", "lag ms", "hit%", "goodput/s", "p50 ms", "p99.9", "shed%", "acc",
 		"accExact", "accBounded", "accBestEff", "floorViol", "coal", "refresh")
 	for _, r := range cc.Rows {
 		cfg := "nocache"
 		if r.Cached {
 			cfg = "cache"
 		}
-		fmt.Fprintf(&b, "  %-5.1f %-8s %6d %6.1f %10.1f %8.1f %8.1f %6.1f %8.3f %9.3f %10.3f %10.3f %9d %7d %8d\n",
-			r.Skew, cfg, r.Calls, r.HitPct, r.Goodput, r.P50Ms, r.P999Ms, r.ShedPct, r.MeanAcc,
+		fmt.Fprintf(&b, "  %-5.1f %-8s %6d %7.1f %6.1f %10.1f %8.1f %8.1f %6.1f %8.3f %9.3f %10.3f %10.3f %9d %7d %8d\n",
+			r.Skew, cfg, r.Calls, r.MaxLagMs, r.HitPct, r.Goodput, r.P50Ms, r.P999Ms, r.ShedPct, r.MeanAcc,
 			r.ClassAcc[frontend.Exact], r.ClassAcc[frontend.Bounded], r.ClassAcc[frontend.BestEffort],
 			r.FloorViolations, r.Coalesced, r.Refreshes)
 	}
+	b.WriteString("\nlag ms is the row's worst send lag behind the schedule (host scheduling noise), charged to latency.\n")
 	b.WriteString("\nReading: past saturation the no-cache rows queue — p99.9 blows through the deadline and admission\n")
 	b.WriteString("sheds — while cache hits (whose rate grows with skew) bypass admission and the fan-out entirely,\n")
 	b.WriteString("relieving the backend so even misses queue less: p99.9 drops and goodput rises at skew >= 1.\n")

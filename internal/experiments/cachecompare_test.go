@@ -41,6 +41,10 @@ func TestCacheCompareQuick(t *testing.T) {
 				t.Fatalf("skew %g cached=%v measured only %d requests", skew, r.Cached, r.Calls)
 			}
 		}
+		// Paired rows are paired: the same arrivals past the warm-up cut.
+		if nocache.Calls != cached.Calls {
+			t.Fatalf("skew %g: no-cache row measured %d requests, cached row %d", skew, nocache.Calls, cached.Calls)
+		}
 		// The hit rule is hard: no Bounded request is ever served a
 		// cached answer whose recorded accuracy is below its floor.
 		if cached.FloorViolations != 0 {
@@ -72,7 +76,7 @@ func TestCacheCompareQuick(t *testing.T) {
 	}
 
 	out := cc.Render()
-	for _, want := range []string{"CACHECOMPARE", "coalescing check", "floorViol", "hit%", "nocache"} {
+	for _, want := range []string{"CACHECOMPARE", "coalescing check", "floorViol", "hit%", "nocache", "nominal", "realised", "max send lag"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q:\n%s", want, out)
 		}

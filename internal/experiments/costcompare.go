@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing" // AllocsPerRun: the cost-off zero-allocation guard
@@ -13,7 +12,6 @@ import (
 	"accuracytrader/internal/cost"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/obs"
-	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
 )
 
@@ -194,51 +192,25 @@ func RunCostCompare(sc Scale) (*CostCompare, error) {
 // components and drives costCallsPerCell Bounded requests into every
 // (tenant, ladder level) cell, then snapshots the cost table.
 func runCostPass(svc *AggService, queries []agg.Query, levels int) (cost.View, error) {
-	n := len(svc.Comps)
 	backend := netsvc.NewAggBackend(svc.Comps, netsvc.BackendOptions{IMaxFrac: costIMaxFrac})
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return cost.View{}, err
-		}
-		srv := netsvc.NewServer(backend, netsvc.ServerOptions{Workers: 1, QueueLen: 256})
-		go srv.Serve(l)
-		closers = append(closers, srv.Close)
-		addrs[i] = l.Addr().String()
-	}
-	agr, err := netsvc.NewAggregator(addrs, netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		return cost.View{}, err
-	}
-	closers = append(closers, agr.Close)
-	if err := agr.WaitReady(5 * time.Second); err != nil {
-		return cost.View{}, err
-	}
-	// Cost attribution rides tracing: the front server needs a tracer
-	// so component spans come back costed.
-	fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Tracer: obs.NewRecorder(64, 16)})
 	table := cost.NewTable()
-	if err := fs.EnableCost(table); err != nil {
-		return cost.View{}, err
-	}
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
+	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
+		Components: len(svc.Comps),
+		Handler:    func(int) netsvc.Handler { return backend },
+		Server:     netsvc.ServerOptions{Workers: 1, QueueLen: 256},
+		Agg:        gatherAll,
+		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
+			// Cost attribution rides tracing: the front server needs a
+			// tracer so component spans come back costed.
+			fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Tracer: obs.NewRecorder(64, 16)})
+			return fs, fs.EnableCost(table)
+		},
+	})
 	if err != nil {
 		return cost.View{}, err
 	}
-	go fs.Serve(fl)
-	closers = append(closers, fs.Close)
-	cl, err := netsvc.DialClient(fl.Addr().String(), netsvc.ClientOptions{})
-	if err != nil {
-		return cost.View{}, err
-	}
-	closers = append(closers, func() { cl.Close() })
+	defer lb.Close()
+	cl := lb.Client
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -248,12 +220,8 @@ func runCostPass(svc *AggService, queries []agg.Query, levels int) (cost.View, e
 			for c := 0; c < costCallsPerCell; c++ {
 				q := queries[i%len(queries)]
 				i++
-				req := &wire.Request{
-					Kind: wire.KindAgg, Subset: -1,
-					SLO: wire.SLOBounded, Level: int16(l),
-					Tenant: tenant,
-					Agg:    &wire.AggRequest{Op: uint8(q.Op), Lo: q.Lo, Hi: q.Hi},
-				}
+				req := aggRequest(q)
+				req.SLO, req.Level, req.Tenant = wire.SLOBounded, int16(l), tenant
 				rep, err := cl.Call(ctx, req)
 				if err != nil {
 					return cost.View{}, err

@@ -152,18 +152,7 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 		nq = 12
 	}
 	queries := svc.Data.SampleAggQueries(sc.Seed^0x0fa, nq)
-	nKeys := comps[0].T.NumKeys()
-	exactEst := make([][]float64, len(queries))
-	exact := agg.NewResult(nKeys)
-	var scratch agg.Result
-	for qi, q := range queries {
-		exact = exact.Reset(nKeys)
-		for _, c := range comps {
-			scratch = agg.ExactResultInto(scratch, c, q)
-			exact.Merge(scratch)
-		}
-		exactEst[qi] = exact.Estimates(q.Op)
-	}
+	exactEst := exactEstimates(comps, queries)
 
 	fc := &FaultCompare{
 		Servers:      n,
@@ -193,59 +182,37 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 	// call crashes or stalls a component and Heal() restores it.
 	fab := faultinject.NewFabric(sc.Seed)
 	handler := netsvc.NewAggBackend(comps, netsvc.BackendOptions{})
-	servers := make([]*netsvc.Server, n)
-	addrs := make([]string, n)
-	scripts := make([]*faultinject.Script, n)
-	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[i] = l.Addr().String()
-		scripts[i] = fab.Script(addrs[i])
-		servers[i] = netsvc.NewServer(handler, netsvc.ServerOptions{Workers: 1, QueueLen: 256})
-		go servers[i].Serve(scripts[i].WrapListener(l))
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-
 	deadline := time.Duration(faultDeadlineMs * float64(time.Millisecond))
-	agr, err := netsvc.NewAggregator(addrs, netsvc.AggregatorOptions{
-		Policy:     service.WaitAll,
-		Deadline:   deadline,
-		Breaker:    breaker.Config{FailThreshold: faultThreshold, Cooldown: time.Duration(faultCooldownMs * float64(time.Millisecond))},
-		RedialBase: 5 * time.Millisecond,
-		RedialMax:  50 * time.Millisecond,
-		Seed:       sc.Seed ^ 0xfa17,
-		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
-			return fab.Script(addr).Dialer(func(a string, to time.Duration) (net.Conn, error) {
-				return net.DialTimeout("tcp", a, to)
-			})(addr, timeout)
+	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
+		Components: n,
+		Handler:    func(int) netsvc.Handler { return handler },
+		Server:     netsvc.ServerOptions{Workers: 1, QueueLen: 256},
+		WrapListener: func(_ int, l net.Listener) net.Listener {
+			return fab.Script(l.Addr().String()).WrapListener(l)
+		},
+		Agg: netsvc.AggregatorOptions{
+			Policy:     service.WaitAll,
+			Deadline:   deadline,
+			Breaker:    breaker.Config{FailThreshold: faultThreshold, Cooldown: time.Duration(faultCooldownMs * float64(time.Millisecond))},
+			RedialBase: 5 * time.Millisecond,
+			RedialMax:  50 * time.Millisecond,
+			Seed:       sc.Seed ^ 0xfa17,
+			Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+				return fab.Script(addr).Dialer(func(a string, to time.Duration) (net.Conn, error) {
+					return net.DialTimeout("tcp", a, to)
+				})(addr, timeout)
+			},
+		},
+		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
+			return netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Workers: 8}), nil
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer agr.Close()
-	if err := agr.WaitReady(5 * time.Second); err != nil {
-		return nil, err
-	}
-
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Workers: 8})
-	go fs.Serve(fl)
-	defer fs.Close()
-	cl, err := netsvc.DialClient(fl.Addr().String(), netsvc.ClientOptions{})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
+	defer lb.Close()
+	agr, cl := lb.Agg, lb.Client
+	killed := fab.Script(lb.Addrs[fc.Killed])
 
 	qrng := stats.NewRNG(sc.Seed ^ 0x5eed)
 	qis := make([]int, 4096)
@@ -261,7 +228,7 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 		for agr.BreakerState(fc.Killed) != breaker.Closed {
 			if !time.Now().Before(limit) {
 				return fmt.Errorf("faultcompare: breaker on %s still %v after heal",
-					addrs[fc.Killed], agr.BreakerState(fc.Killed))
+					lb.Addrs[fc.Killed], agr.BreakerState(fc.Killed))
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -282,14 +249,14 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 	}
 	for _, ph := range sweep {
 		if ph.mode == faultinject.None {
-			if scripts[fc.Killed].Mode() != faultinject.None {
-				scripts[fc.Killed].Heal()
+			if killed.Mode() != faultinject.None {
+				killed.Heal()
 				if err := awaitReclose(); err != nil {
 					return nil, err
 				}
 			}
 		} else {
-			scripts[fc.Killed].Set(ph.mode)
+			killed.Set(ph.mode)
 		}
 		phase, err := fc.runPhase(cl, ph.name, ph.calls, queries, exactEst, qis, deadline)
 		if err != nil {
@@ -315,11 +282,8 @@ func (fc *FaultCompare) runPhase(cl *netsvc.Client, name string, calls int,
 		qi := qis[r%len(qis)]
 		q := queries[qi]
 		class := r % faultClasses
-		req := &wire.Request{
-			ID: uint64(r), Kind: wire.KindAgg, Subset: -1, Level: wire.NoLevel,
-			Agg:      &wire.AggRequest{Op: uint8(q.Op), Lo: q.Lo, Hi: q.Hi},
-			Deadline: time.Now().Add(deadline).UnixNano(),
-		}
+		req := aggRequest(q)
+		req.ID, req.Deadline = uint64(r), time.Now().Add(deadline).UnixNano()
 		switch class {
 		case faultClassBestEffort:
 			req.SLO = wire.SLOBestEffort

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
 	"strings"
 	"testing" // AllocsPerRun: the live-snapshot read-path zero-allocation guard
 	"time"
@@ -13,7 +12,6 @@ import (
 	"accuracytrader/internal/ingest"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/rescache"
-	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
 	"accuracytrader/internal/workload"
 )
@@ -417,61 +415,35 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 func (ic *IngestCompare) runWirePhase(data *workload.FactsData, cfg agg.Config) error {
 	const shards = 2
 	lives := make([]*ingest.AggLive, shards)
-	addrs := make([]string, shards)
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}()
-	for i := 0; i < shards; i++ {
-		tab := data.Subsets[i]
-		keys := make([]int32, tab.NumRows())
-		vals := make([]float64, tab.NumRows())
-		for r := 0; r < tab.NumRows(); r++ {
-			keys[r], vals[r] = tab.Key(r), tab.Value(r)
-		}
-		l := ingest.NewAggLive(tab.NumKeys(), cfg)
-		if _, err := l.Append(keys, vals); err != nil {
-			return err
-		}
-		if _, _, _, err := l.Compact(); err != nil {
-			return err
-		}
-		lives[i] = l
-		w := ingest.NewWorker(l, ingest.WorkerOptions{Interval: time.Millisecond, CompactEvery: 16})
-		closers = append(closers, w.Close)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for i := range lives {
+		l, err := StageAggLive(data.Subsets[i], cfg)
 		if err != nil {
 			return err
 		}
-		addrs[i] = ln.Addr().String()
-		srv := netsvc.NewServer(netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{}), netsvc.ServerOptions{Workers: 2})
-		srv.SetIngest(netsvc.NewLiveIngestHandler(netsvc.LiveStores{Agg: lives[i : i+1]}))
-		go srv.Serve(ln)
-		closers = append(closers, srv.Close)
+		lives[i] = l
+		defer ingest.NewWorker(l, ingest.WorkerOptions{Interval: time.Millisecond, CompactEvery: 16}).Close()
 	}
-	agr, err := netsvc.NewAggregator(addrs, netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
+	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
+		Components: shards,
+		Handler: func(i int) netsvc.Handler {
+			return netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{})
+		},
+		Ingest: func(i int) netsvc.IngestHandler {
+			return netsvc.NewLiveIngestHandler(netsvc.LiveStores{Agg: lives[i : i+1]})
+		},
+		Server: netsvc.ServerOptions{Workers: 2},
+		Agg:    gatherAll,
+		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
+			fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Workers: 8})
+			fs.EnableIngest(ingestCacheHot)
+			return fs, nil
+		},
+	})
 	if err != nil {
 		return err
 	}
-	closers = append(closers, agr.Close)
-	if err := agr.WaitReady(5 * time.Second); err != nil {
-		return err
-	}
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Workers: 8})
-	fs.EnableIngest(ingestCacheHot)
-	go fs.Serve(fl)
-	closers = append(closers, fs.Close)
-	cl, err := netsvc.DialClient(fl.Addr().String(), netsvc.ClientOptions{})
-	if err != nil {
-		return err
-	}
-	closers = append(closers, cl.Close)
+	defer lb.Close()
+	cl := lb.Client
 
 	// Expected composed exact answer after the append: the two shards'
 	// pinned snapshots plus the batch.
@@ -501,10 +473,8 @@ func (ic *IngestCompare) runWirePhase(data *workload.FactsData, cfg agg.Config) 
 	}
 	ic.WireAccepted, ic.WireEpoch = ack.Accepted, ack.Epoch
 
-	req := &wire.Request{
-		Kind: wire.KindAgg, Subset: -1, SLO: wire.SLOExact, Level: wire.NoLevel,
-		Agg: &wire.AggRequest{Op: uint8(q.Op), Lo: q.Lo, Hi: q.Hi},
-	}
+	req := aggRequest(q)
+	req.SLO = wire.SLOExact
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		rep, err := cl.Call(ctx, req)

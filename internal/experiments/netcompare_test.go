@@ -37,6 +37,12 @@ func TestNetCompareQuick(t *testing.T) {
 			}
 		}
 	}
+	// The load is the load: every row was offered exactly the schedule.
+	for _, row := range nc.Rows {
+		if row.Calls != nc.Arrivals {
+			t.Fatalf("%s/%s offered %d requests, schedule has %d", row.Runtime, row.Name, row.Calls, nc.Arrivals)
+		}
+	}
 
 	waitAll := nc.Row("net", "WaitAll")
 	partial := nc.Row("net", "PartialGather")
@@ -80,7 +86,7 @@ func TestNetCompareQuick(t *testing.T) {
 	}
 
 	out := nc.Render()
-	for _, want := range []string{"wire parity", "Frontend+AT", "inproc", "p99.9"} {
+	for _, want := range []string{"wire parity", "Frontend+AT", "inproc", "p99.9", "nominal", "realised", "max send lag"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q:\n%s", want, out)
 		}

@@ -65,7 +65,6 @@ type OverloadRow struct {
 	// (indexed by frontend.SLOKind) over answered requests; NaN-free:
 	// classes with no answered requests report 0.
 	ClassAccuracy [3]float64
-	classCount    [3]int
 }
 
 // OverloadPoint is one offered-load step of the sweep.
@@ -181,74 +180,48 @@ func RunOverload(sc Scale, multipliers []float64) (*OverloadSweep, error) {
 	return sweep, nil
 }
 
-// accumulate folds one answered request into a row.
-func (row *OverloadRow) accumulate(kind frontend.SLOKind, accuracy float64) {
-	row.ClassAccuracy[kind] += accuracy
-	row.classCount[kind]++
-}
-
-// finish converts accumulated sums into means.
-func (row *OverloadRow) finish() {
-	for k := range row.ClassAccuracy {
-		if row.classCount[k] > 0 {
-			row.ClassAccuracy[k] /= float64(row.classCount[k])
-		}
+// overloadRow closes one simulated configuration's tally into its row.
+func overloadRow(name string, res *cluster.Result, t *tally, windowSec float64, rejected int) OverloadRow {
+	row := OverloadRow{
+		Name:        name,
+		P999Ms:      stats.Percentile(res.ComponentLatencies(), 99.9),
+		RejectedPct: 100 * float64(rejected) / float64(len(res.Ops)),
 	}
-}
-
-func scoreBasic(res *cluster.Result, sc Scale, windowSec float64, classOf func(int) frontend.SLO) OverloadRow {
-	row := OverloadRow{Name: "Basic (WaitAll)"}
-	row.P999Ms = stats.Percentile(res.ComponentLatencies(), 99.9)
-	good := 0
-	for r, lat := range res.ServiceLatencies(true, 0) {
-		row.accumulate(classOf(r).Kind, 1) // exact results
-		if lat <= goodLatencyFactor*sc.DeadlineMs {
-			good++
-		}
-	}
-	row.GoodputPerSec = float64(good) / windowSec
-	row.finish()
+	row.GoodputPerSec, _, row.ClassAccuracy = t.means(windowSec)
 	return row
 }
 
+func scoreBasic(res *cluster.Result, sc Scale, windowSec float64, classOf func(int) frontend.SLO) OverloadRow {
+	var t tally
+	for r, lat := range res.ServiceLatencies(true, 0) {
+		t.add(classOf(r).Kind, 1, lat <= goodLatencyFactor*sc.DeadlineMs) // exact results
+	}
+	return overloadRow("Basic (WaitAll)", res, &t, windowSec, 0)
+}
+
 func scorePartial(res *cluster.Result, sc Scale, windowSec float64, classOf func(int) frontend.SLO) OverloadRow {
-	row := OverloadRow{Name: "PartialGather"}
-	row.P999Ms = stats.Percentile(res.ComponentLatencies(), 99.9)
-	good := 0
+	var t tally
 	for r := range res.Ops {
 		// Composition at the deadline: latency is capped there, accuracy
 		// is the fraction of components that made it.
 		acc := res.CompletedFraction(r, sc.DeadlineMs)
-		row.accumulate(classOf(r).Kind, acc)
-		if acc >= goodAccuracyFloor {
-			good++
-		}
+		t.add(classOf(r).Kind, acc, acc >= goodAccuracyFloor)
 	}
-	row.GoodputPerSec = float64(good) / windowSec
-	row.finish()
-	return row
+	return overloadRow("PartialGather", res, &t, windowSec, 0)
 }
 
 func scoreFrontend(res *cluster.Result, works []cluster.WorkModel, levelAcc []float64, deadlineMs, windowSec float64) OverloadRow {
-	row := OverloadRow{Name: "Frontend+AT"}
-	row.P999Ms = stats.Percentile(res.ComponentLatencies(), 99.9)
+	var t tally
 	svc := res.ServiceLatencies(true, 0)
-	good, rejected := 0, 0
+	rejected := 0
 	for r := range res.Ops {
 		if res.Rejected[r] {
 			rejected++
 			continue
 		}
-		acc := requestAccuracy(res, r, works, levelAcc)
-		row.accumulate(res.Class[r].Kind, acc)
-		if svc[r] <= goodLatencyFactor*deadlineMs && acc >= goodAccuracyFloor {
-			good++
-		}
+		t.addTimed(svc[r], deadlineMs, res.Class[r].Kind, requestAccuracy(res, r, works, levelAcc))
 	}
-	row.GoodputPerSec = float64(good) / windowSec
-	row.RejectedPct = 100 * float64(rejected) / float64(len(res.Ops))
-	row.finish()
-	return row
+	return overloadRow("Frontend+AT", res, &t, windowSec, rejected)
 }
 
 // requestAccuracy is the model estimate of one answered frontend

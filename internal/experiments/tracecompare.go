@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing" // AllocsPerRun: the disabled-path zero-allocation guard
@@ -13,7 +12,6 @@ import (
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/obs"
-	"accuracytrader/internal/service"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/wire"
 )
@@ -91,11 +89,7 @@ func RunTraceCompare(sc Scale) (*TraceCompare, error) {
 	}
 	comps := svc.Comps
 	queries := svc.Data.SampleAggQueries(sc.Seed^0x7ace, 16)
-	levels := comps[0].Syn.Levels()
-	levelAcc := make([]float64, levels)
-	for l := 0; l < levels; l++ {
-		levelAcc[l] = agg.MeasureLevelAccuracy(comps, queries, l)
-	}
+	levelAcc := LadderAccuracy(comps, queries)
 	unitCost := time.Duration(sc.aggUnitCostMs() * float64(time.Millisecond))
 
 	tc := &TraceCompare{Servers: len(comps), Requests: traceRequests}
@@ -136,52 +130,25 @@ func RunTraceCompare(sc Scale) (*TraceCompare, error) {
 // built loopback stack and returns the mean request latency in ms.
 func (tc *TraceCompare) runPass(sc Scale, comps []*agg.Component, queries []agg.Query,
 	levelAcc []float64, unitCost time.Duration, rec *obs.Recorder) (float64, error) {
-	n := len(comps)
 	backend := netsvc.NewAggBackend(comps, netsvc.BackendOptions{UnitCost: unitCost})
-	servers := make([]*netsvc.Server, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return 0, err
-		}
-		servers[i] = netsvc.NewServer(backend, netsvc.ServerOptions{Workers: 1, QueueLen: 512})
-		go servers[i].Serve(l)
-		addrs[i] = l.Addr().String()
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	agr, err := netsvc.NewAggregator(addrs, netsvc.AggregatorOptions{
-		Policy: service.WaitAll, Deadline: 2 * time.Second,
+	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
+		Components: len(comps),
+		Handler:    func(int) netsvc.Handler { return backend },
+		Server:     netsvc.ServerOptions{Workers: 1, QueueLen: 512},
+		Agg:        gatherAll,
+		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
+			fe, err := calibratedFrontend(agr, levelAcc)
+			if err != nil {
+				return nil, err
+			}
+			return netsvc.NewFrontServer(agr, fe, netsvc.ServerOptions{Tracer: rec}), nil
+		},
 	})
 	if err != nil {
 		return 0, err
 	}
-	defer agr.Close()
-	if err := agr.WaitReady(5 * time.Second); err != nil {
-		return 0, err
-	}
-	ctrl, err := frontend.NewController(frontend.ControllerConfig{
-		Levels:        len(levelAcc),
-		LevelAccuracy: levelAcc,
-	})
-	if err != nil {
-		return 0, err
-	}
-	fe, err := frontend.New(agr, frontend.Options{Controller: ctrl})
-	if err != nil {
-		return 0, err
-	}
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	fs := netsvc.NewFrontServer(agr, fe, netsvc.ServerOptions{Tracer: rec})
-	go fs.Serve(fl)
-	defer fs.Close()
+	defer lb.Close()
+	cl := lb.Client // one multiplexed connection shared by the workers
 
 	var mu sync.Mutex
 	var totalMs float64
@@ -193,24 +160,11 @@ func (tc *TraceCompare) runPass(sc Scale, comps []*agg.Component, queries []agg.
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cl, err := netsvc.DialClient(fl.Addr().String(), netsvc.ClientOptions{})
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			defer cl.Close()
 			rng := stats.NewRNG(sc.Seed ^ uint64(0xace1+w))
 			for i := 0; i < perWorker; i++ {
 				r := w*perWorker + i
 				q := queries[rng.Intn(len(queries))]
-				req := &wire.Request{
-					Kind: wire.KindAgg, Subset: -1, Level: wire.NoLevel,
-					Agg: &wire.AggRequest{Op: uint8(q.Op), Lo: q.Lo, Hi: q.Hi},
-				}
+				req := aggRequest(q)
 				slo := overloadClassMix(r)
 				req.SLO = uint8(slo.Kind)
 				req.MinAccuracy = slo.MinAccuracy

@@ -3,7 +3,6 @@ package netsvc
 import (
 	"context"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/audit"
 	"accuracytrader/internal/obs"
-	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
 )
 
@@ -22,45 +20,27 @@ import (
 func auditStack(t *testing.T, cfg audit.Config) (*Client, *FrontServer, *audit.Auditor) {
 	t.Helper()
 	comps := buildAggComps(t, 4)
-	addrs := make([]string, 4)
-	for i := range addrs {
-		// IMaxFrac caps Algorithm 1 improvement at one ranked set, so a
-		// coarse-level answer stays genuinely approximate and the exact
-		// replay has real error to measure.
-		_, addrs[i] = startServer(t, NewAggBackend(comps, BackendOptions{IMaxFrac: 0.01}), ServerOptions{})
-	}
-	a, err := NewAggregator(addrs, AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
-	if err := a.WaitReady(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	fs := NewFrontServer(a, nil, ServerOptions{Tracer: obs.NewRecorder(64, 16)})
-	fs.EnableSLO(obs.NewSLOTracker(obs.SLOBudgets{}), nil)
 	if cfg.SampleFraction == 0 {
 		cfg.SampleFraction = 1
 	}
 	if cfg.Interval == 0 {
 		cfg.Interval = time.Microsecond
 	}
-	auditor, err := fs.EnableAudit(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(auditor.Close)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go fs.Serve(l)
-	t.Cleanup(fs.Close)
-	cl, err := DialClient(l.Addr().String(), ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
+	lb := startLoopback(t, LoopbackSpec{
+		Components: 4,
+		// IMaxFrac caps Algorithm 1 improvement at one ranked set, so a
+		// coarse-level answer stays genuinely approximate and the exact
+		// replay has real error to measure.
+		Handler: every(NewAggBackend(comps, BackendOptions{IMaxFrac: 0.01})),
+		Agg:     waitAll,
+		Front: func(a *Aggregator) (*FrontServer, error) {
+			fs := NewFrontServer(a, nil, ServerOptions{Tracer: obs.NewRecorder(64, 16)})
+			fs.EnableSLO(obs.NewSLOTracker(obs.SLOBudgets{}), nil)
+			_, err := fs.EnableAudit(cfg)
+			return fs, err
+		},
+	})
+	cl, fs, auditor := lb.Client, lb.Front, lb.Front.Auditor()
 	return cl, fs, auditor
 }
 
@@ -303,31 +283,13 @@ func TestDegradedReplyPinnedAndRecorded(t *testing.T) {
 		return &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
 			Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0.5}, CntVar: []float64{0}}}
 	}
-	addrs := make([]string, 4)
-	for i := range addrs {
-		_, addrs[i] = startServer(t, h, ServerOptions{})
-	}
-	a, err := NewAggregator(addrs, AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
-	if err := a.WaitReady(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	fs := NewFrontServer(a, nil, ServerOptions{Tracer: obs.NewRecorder(4, 8)})
-	fs.EnableSLO(obs.NewSLOTracker(obs.SLOBudgets{}), nil)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go fs.Serve(l)
-	t.Cleanup(fs.Close)
-	cl, err := DialClient(l.Addr().String(), ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
+	lb := startLoopback(t, LoopbackSpec{Components: 4, Handler: every(h), Agg: waitAll,
+		Front: func(a *Aggregator) (*FrontServer, error) {
+			fs := NewFrontServer(a, nil, ServerOptions{Tracer: obs.NewRecorder(4, 8)})
+			fs.EnableSLO(obs.NewSLOTracker(obs.SLOBudgets{}), nil)
+			return fs, nil
+		}})
+	cl, fs := lb.Client, lb.Front
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 

@@ -3,47 +3,30 @@ package netsvc
 import (
 	"context"
 	"math"
-	"net"
 	"testing"
-	"time"
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/cost"
 	"accuracytrader/internal/obs"
-	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
 )
 
 // benchServe measures one whole-service round trip over loopback —
 // client → front server → component fan-out → composed reply — with an
 // optional trace recorder on the front server. The traced/untraced
-// pair bounds the end-to-end tracing overhead; CI feeds both through
-// `benchjson -assert-max-regress`.
+// pair gives a quick local read of the end-to-end tracing overhead;
+// the benchmark's instrument for it is trace.overhead_frac in `bash
+// bench/run.sh --trace 1`.
 func benchServe(b *testing.B, rec *obs.Recorder, costs *cost.Table) {
 	comps := buildAggComps(b, 1)
-	_, addr := startServer(b, NewAggBackend(comps, BackendOptions{}), ServerOptions{})
-	a, err := NewAggregator([]string{addr}, AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(a.Close)
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fs := NewFrontServer(a, nil, ServerOptions{Tracer: rec})
-	if costs != nil {
-		if err := fs.EnableCost(costs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	go fs.Serve(fl)
-	b.Cleanup(fs.Close)
-	cl, err := DialClient(fl.Addr().String(), ClientOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { cl.Close() })
+	cl := startLoopback(b, LoopbackSpec{Components: 1, Handler: every(NewAggBackend(comps, BackendOptions{})), Agg: waitAll,
+		Front: func(a *Aggregator) (*FrontServer, error) {
+			fs := NewFrontServer(a, nil, ServerOptions{Tracer: rec})
+			if costs == nil {
+				return fs, nil
+			}
+			return fs, fs.EnableCost(costs)
+		}}).Client
 
 	req := aggReq(agg.Sum, 0, math.Inf(1))
 	req.SLO = wire.SLOBestEffort
@@ -67,8 +50,8 @@ func BenchmarkServeTraced(b *testing.B) { benchServe(b, obs.NewRecorder(256, 64)
 // BenchmarkServeTraced/Costed bound the end-to-end overhead of cost
 // attribution (account on the context, span-cost folds over the
 // gathered winners, table record per request — tracing included, since
-// cost rides traced spans). CI compares the pair with `benchjson
-// -assert-max-regress`.
+// cost rides traced spans). The benchmark's instrument for it is
+// planes.overhead_us in `bash bench/run.sh --trace 1`.
 func BenchmarkServeCosted(b *testing.B) {
 	benchServe(b, obs.NewRecorder(256, 64), cost.NewTable())
 }

@@ -3,16 +3,13 @@ package netsvc
 import (
 	"context"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"accuracytrader/internal/agg"
-	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/rescache"
-	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
 )
 
@@ -24,49 +21,22 @@ func startCachedFrontServer(t *testing.T, n int, cacheCfg rescache.Config) (*Fro
 	comps := buildAggComps(t, n)
 	var backendCalls atomic.Int64
 	inner := NewAggBackend(comps, BackendOptions{})
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		_, addrs[i] = startServer(t, func(ctx context.Context, req *wire.Request) *wire.SubReply {
-			backendCalls.Add(1)
-			return inner(ctx, req)
-		}, ServerOptions{Workers: 2})
-	}
-	a, err := NewAggregator(addrs, AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
-	ctrl, err := frontend.NewController(frontend.ControllerConfig{
-		Levels:        comps[0].Syn.Levels(),
-		LevelAccuracy: []float64{0.8, 0.97},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := frontend.New(a, frontend.Options{Controller: ctrl})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cache, err := rescache.New(cacheCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cache.Close)
-	fs := NewFrontServer(a, fe, ServerOptions{})
-	if err := fs.EnableCache(cache); err != nil {
-		t.Fatal(err)
-	}
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go fs.Serve(fl)
-	t.Cleanup(fs.Close)
-	cl, err := DialClient(fl.Addr().String(), ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
+	lb := startLoopback(t, LoopbackSpec{
+		Components: n,
+		Handler: every(func(ctx context.Context, req *wire.Request) *wire.SubReply {
+			backendCalls.Add(1)
+			return inner(ctx, req)
+		}),
+		Server: ServerOptions{Workers: 2},
+		Agg:    waitAll,
+		Front:  calibratedFront(comps, ServerOptions{}, func(fs *FrontServer) error { return fs.EnableCache(cache) }),
+	})
+	fs, cl := lb.Front, lb.Client
 	return fs, cache, cl, &backendCalls, comps
 }
 

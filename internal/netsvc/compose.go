@@ -4,7 +4,6 @@ import (
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/cf"
 	"accuracytrader/internal/service"
-	"accuracytrader/internal/textindex"
 	"accuracytrader/internal/topk"
 	"accuracytrader/internal/wire"
 )
@@ -174,13 +173,4 @@ func AggResultOf(r *wire.AggResult) agg.Result {
 // CFResultOf views a wire CF result as a cf.Result (for Predictions).
 func CFResultOf(r *wire.CFResult) cf.Result {
 	return cf.Result{Num: r.Num, Den: r.Den}
-}
-
-// SearchHitsOf converts wire hits to textindex hits (global doc ids).
-func SearchHitsOf(r *wire.SearchResult) []textindex.Hit {
-	out := make([]textindex.Hit, len(r.Hits))
-	for i, h := range r.Hits {
-		out[i] = textindex.Hit{Doc: int(h.Doc), Score: h.Score}
-	}
-	return out
 }

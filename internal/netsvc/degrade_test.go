@@ -3,13 +3,11 @@ package netsvc
 import (
 	"context"
 	"math"
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
 )
 
@@ -25,33 +23,7 @@ func degradeFixture(t *testing.T) (*Client, *atomic.Bool) {
 		return &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
 			Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0.5}, CntVar: []float64{0}}}
 	}
-	addrs := make([]string, 4)
-	for i := range addrs {
-		_, addrs[i] = startServer(t, h, ServerOptions{})
-	}
-	a, err := NewAggregator(addrs, AggregatorOptions{
-		Policy:   service.WaitAll,
-		Deadline: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
-	if err := a.WaitReady(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	fs := NewFrontServer(a, nil, ServerOptions{})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go fs.Serve(l)
-	t.Cleanup(fs.Close)
-	cl, err := DialClient(l.Addr().String(), ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
+	cl := startLoopback(t, LoopbackSpec{Components: 4, Handler: every(h), Agg: waitAll, Front: bareFront}).Client
 	return cl, &lose
 }
 

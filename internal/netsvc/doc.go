@@ -29,6 +29,13 @@
 //     application engines, with an optional modeled per-point scan
 //     cost and a co-located-interference hook so laptop-scale loopback
 //     deployments exhibit cluster-shaped tails.
-//   - OpenLoop: the open-loop Poisson load generator used by the
-//     netcompare experiment and the distributed example.
+//   - StartLoopback: the one place a loopback deployment (component
+//     servers, aggregator, optional front server and client) is
+//     assembled, waited ready and torn down in reverse order; the
+//     *compare experiments and this package's tests all build on it.
+//   - OpenLoop: the schedule-driven open-loop load generator. It offers
+//     a precomputed arrival schedule (workload.PoissonArrivals — the
+//     slice the simulator consumes) against absolute times and hands
+//     each request its intended send instant, so latency is timed from
+//     when the request was due, not from when the generator got to it.
 package netsvc

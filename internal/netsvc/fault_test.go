@@ -56,6 +56,7 @@ func refusedAddr(t *testing.T) string {
 func TestDialBackoffLimitsRedialStorm(t *testing.T) {
 	addr := refusedAddr(t)
 	var dials atomic.Int64
+	// Not the rig: the only peer is an address nothing listens on.
 	a, err := NewAggregator([]string{addr}, AggregatorOptions{
 		Policy:     service.WaitAll,
 		Deadline:   50 * time.Millisecond,
@@ -103,34 +104,19 @@ func TestBreakerEvictsReroutesAndRecloses(t *testing.T) {
 	comps := buildAggComps(t, 2)
 	h := NewAggBackend(comps, BackendOptions{})
 
-	l0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr0 := l0.Addr().String()
-	srv0 := NewServer(h, ServerOptions{})
-	go srv0.Serve(l0)
-	_, addr1 := startServer(t, h, ServerOptions{})
-
 	reg := obs.NewRegistry()
-	a, err := NewAggregator([]string{addr0, addr1}, AggregatorOptions{
+	lb := startLoopback(t, LoopbackSpec{Components: 2, Handler: every(h), Agg: AggregatorOptions{
 		Policy:     service.WaitAll,
 		Deadline:   300 * time.Millisecond,
 		RedialBase: 10 * time.Millisecond,
 		RedialMax:  80 * time.Millisecond,
 		Breaker:    breaker.Config{FailThreshold: 3, Cooldown: 50 * time.Millisecond},
 		Metrics:    reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if err := a.WaitReady(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	}})
+	a, addr0 := lb.Agg, lb.Addrs[0]
 
 	// Kill component 0.
-	srv0.Close()
+	lb.Servers[0].Close()
 
 	// Calls keep succeeding end to end: once the breaker opens, subset 0
 	// is rerouted to the healthy peer (every server holds all shards).
@@ -217,15 +203,11 @@ func TestCallCancellationReleasesInflight(t *testing.T) {
 		return &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
 			Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0}, CntVar: []float64{0}}}
 	}
-	srv1, addr1 := startServer(t, h, ServerOptions{})
-	srv2, addr2 := startServer(t, h, ServerOptions{})
-	a, err := NewAggregator([]string{addr1, addr2}, AggregatorOptions{
+	lb := startLoopback(t, LoopbackSpec{Components: 2, Handler: every(h), Agg: AggregatorOptions{
 		Policy:   service.Hedged,
 		Deadline: 30 * time.Second, // far away: only cancellation can release
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
+	a := lb.Agg
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -252,9 +234,7 @@ func TestCallCancellationReleasesInflight(t *testing.T) {
 		t.Fatalf("Inflight = %d after cancelled Call returned", got)
 	}
 	close(release)
-	a.Close()
-	srv1.Close()
-	srv2.Close()
+	lb.Close()
 	checkLeaks()
 }
 
@@ -270,24 +250,9 @@ func TestMidFlightKillEveryCallReturns(t *testing.T) {
 		time.Sleep(20 * time.Millisecond) // hold replies so the kill lands mid-flight
 		return inner(ctx, req)
 	}
-	l0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv0 := NewServer(h, ServerOptions{})
-	go srv0.Serve(l0)
-	srv1, addr1 := startServer(t, h, ServerOptions{})
-
-	a, err := NewAggregator([]string{l0.Addr().String(), addr1}, AggregatorOptions{
-		Policy:   service.WaitAll,
-		Deadline: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.WaitReady(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	lb := startLoopback(t, LoopbackSpec{Components: 2, Handler: every(h),
+		Agg: AggregatorOptions{Policy: service.WaitAll, Deadline: time.Second}})
+	a := lb.Agg
 
 	const inflight = 24
 	var wg sync.WaitGroup
@@ -306,7 +271,7 @@ func TestMidFlightKillEveryCallReturns(t *testing.T) {
 		}()
 	}
 	time.Sleep(10 * time.Millisecond) // calls dispatched, replies pending
-	srv0.Close()                      // abrupt kill: connections reset mid-flight
+	lb.Servers[0].Close()             // abrupt kill: connections reset mid-flight
 	waitDone := make(chan struct{})
 	go func() { wg.Wait(); close(waitDone) }()
 	select {
@@ -317,8 +282,7 @@ func TestMidFlightKillEveryCallReturns(t *testing.T) {
 	if got := returned.Load(); got != inflight {
 		t.Fatalf("%d of %d calls returned", got, inflight)
 	}
-	a.Close()
-	srv1.Close()
+	lb.Close()
 	checkLeaks()
 }
 
@@ -339,12 +303,10 @@ func TestBusyRepliesDoNotFeedHedgeTrigger(t *testing.T) {
 		}
 		return ok
 	}
-	srv, addr := startServer(t, h, ServerOptions{Workers: 1, QueueLen: 1})
-	a, err := NewAggregator([]string{addr}, AggregatorOptions{Policy: service.WaitAll, Deadline: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	lb := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(h),
+		Server: ServerOptions{Workers: 1, QueueLen: 1},
+		Agg:    AggregatorOptions{Policy: service.WaitAll, Deadline: 30 * time.Second}})
+	srv, a := lb.Servers[0], lb.Agg
 	call := func(tenant string, timeout time.Duration) service.SubResult {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
@@ -402,6 +364,8 @@ func TestCloseWithHedgesArmedAndReconnectorRunning(t *testing.T) {
 		return &wire.SubReply{Status: wire.StatusErr, Err: "released", Level: wire.NoLevel}
 	}
 	srv, addr := startServer(t, h, ServerOptions{Workers: 4})
+	// Not the rig: the second peer must be dead from the start (the rig
+	// waits until every component answers).
 	a, err := NewAggregator([]string{addr, refusedAddr(t)}, AggregatorOptions{
 		Policy:     service.Hedged,
 		HedgeFloor: time.Minute, // armed at Close, never due

@@ -3,13 +3,11 @@ package netsvc
 import (
 	"context"
 	"math"
-	"net"
 	"testing"
 	"time"
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/ingest"
-	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
 )
 
@@ -20,40 +18,27 @@ func startLiveStack(t *testing.T, n, numKeys int) (*Client, *FrontServer, []*ing
 	t.Helper()
 	cfg := agg.Config{Rates: []float64{0.1, 0.4}, MinSample: 4, Seed: 3}
 	lives := make([]*ingest.AggLive, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
+	for i := range lives {
 		lives[i] = ingest.NewAggLive(numKeys, cfg)
 		w := ingest.NewWorker(lives[i], ingest.WorkerOptions{Interval: 2 * time.Millisecond, CompactEvery: 8})
 		t.Cleanup(w.Close)
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(NewLiveAggBackend(lives[i:i+1], BackendOptions{}), ServerOptions{})
-		srv.SetIngest(NewLiveIngestHandler(LiveStores{Agg: lives[i : i+1]}))
-		go srv.Serve(l)
-		t.Cleanup(srv.Close)
-		addrs[i] = l.Addr().String()
 	}
-	a, err := NewAggregator(addrs, AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
+	lb := startLoopback(t, LoopbackSpec{
+		Components: n,
+		Handler:    func(i int) Handler { return NewLiveAggBackend(lives[i:i+1], BackendOptions{}) },
+		Ingest:     func(i int) IngestHandler { return NewLiveIngestHandler(LiveStores{Agg: lives[i : i+1]}) },
+		Agg:        waitAll,
+		Front:      ingestFront,
+	})
+	cl, fs := lb.Client, lb.Front
+	return cl, fs, lives
+}
+
+// ingestFront is the bare front server with append forwarding on.
+func ingestFront(a *Aggregator) (*FrontServer, error) {
 	fs := NewFrontServer(a, nil, ServerOptions{})
 	fs.EnableIngest(0)
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go fs.Serve(fl)
-	t.Cleanup(fs.Close)
-	cl, err := DialClient(fl.Addr().String(), ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	return cl, fs, lives
+	return fs, nil
 }
 
 // TestIngestEndToEnd drives an append batch through client → front
@@ -140,25 +125,8 @@ func TestIngestEndToEnd(t *testing.T) {
 // server to the client.
 func TestIngestNotEnabled(t *testing.T) {
 	comps := buildAggComps(t, 1)
-	_, addr := startServer(t, NewAggBackend(comps, BackendOptions{}), ServerOptions{})
-	a, err := NewAggregator([]string{addr}, AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
-	fs := NewFrontServer(a, nil, ServerOptions{})
-	fs.EnableIngest(0)
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go fs.Serve(fl)
-	t.Cleanup(fs.Close)
-	cl, err := DialClient(fl.Addr().String(), ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
+	cl := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(NewAggBackend(comps, BackendOptions{})),
+		Agg: waitAll, Front: ingestFront}).Client
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()

@@ -3,28 +3,36 @@ package netsvc
 import (
 	"sync"
 	"time"
-
-	"accuracytrader/internal/stats"
 )
 
-// OpenLoop drives open-loop Poisson load for the window: fire(i) runs
-// in its own goroutine at each arrival — arrivals never wait for
-// earlier requests, so queueing delay shows up as latency instead of
-// silently throttling the offered rate (the closed-loop trap). It
-// returns the number of requests fired, after all of them complete.
-func OpenLoop(rng *stats.RNG, ratePerSec float64, window time.Duration, fire func(i int)) int {
+// OpenLoop offers open-loop load on a precomputed schedule — the slice
+// workload.PoissonArrivals returns and cluster.Config.Arrivals consumes:
+// arrival i is due arrivalsMs[i] milliseconds after the call, and
+// fire(i, intended) runs in its own goroutine at that moment. Arrivals
+// never wait for earlier requests, so queueing delay shows up as latency
+// instead of silently throttling the offered rate (the closed-loop
+// trap), and pacing is against absolute times: a late wake-up is sent
+// immediately and never pushes later arrivals back. Callers time each
+// request from intended, not from when fire ran, so generator lateness
+// is charged to latency (no coordinated omission). It returns the worst
+// send lag behind the schedule, after every fire has returned.
+func OpenLoop(arrivalsMs []float64, fire func(i int, intended time.Time)) (maxLag time.Duration) {
 	var wg sync.WaitGroup
-	stop := time.Now().Add(window)
-	n := 0
-	for time.Now().Before(stop) {
+	start := time.Now()
+	for i, ms := range arrivalsMs {
+		intended := start.Add(time.Duration(ms * float64(time.Millisecond)))
+		if wait := time.Until(intended); wait > 0 {
+			time.Sleep(wait)
+		}
+		if lag := time.Since(intended); lag > maxLag {
+			maxLag = lag
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			fire(i)
-		}(n)
-		n++
-		time.Sleep(time.Duration(rng.Exp(ratePerSec) * float64(time.Second)))
+			fire(i, intended)
+		}()
 	}
 	wg.Wait()
-	return n
+	return maxLag
 }

@@ -13,12 +13,13 @@ import (
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/service"
-	"accuracytrader/internal/stats"
 	"accuracytrader/internal/wire"
 	"accuracytrader/internal/workload"
 )
 
-// startServer runs a component server on an ephemeral loopback port.
+// startServer runs a component server on an ephemeral loopback port,
+// for the tests whose shape is not the rig's (no aggregator, or one
+// whose peer list is not the server list).
 func startServer(t testing.TB, h Handler, opts ServerOptions) (*Server, string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -29,6 +30,53 @@ func startServer(t testing.TB, h Handler, opts ServerOptions) (*Server, string) 
 	go s.Serve(l)
 	t.Cleanup(s.Close)
 	return s, l.Addr().String()
+}
+
+// startLoopback runs the spec's deployment for the length of the test.
+func startLoopback(t testing.TB, spec LoopbackSpec) *Loopback {
+	t.Helper()
+	lb, err := StartLoopback(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lb.Close)
+	return lb
+}
+
+// every deploys the same handler on every component server.
+func every(h Handler) func(int) Handler { return func(int) Handler { return h } }
+
+// waitAll is the aggregator most tests want: gather everything, with a
+// deadline far beyond any healthy round trip.
+var waitAll = AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second}
+
+// bareFront is the front server with no frontend and no planes.
+func bareFront(a *Aggregator) (*FrontServer, error) {
+	return NewFrontServer(a, nil, ServerOptions{}), nil
+}
+
+// calibratedFront returns a Front callback deploying the frontend with a
+// two-level calibrated controller, and whatever enable adds to the
+// server (nil: nothing).
+func calibratedFront(comps []*agg.Component, sopts ServerOptions, enable func(*FrontServer) error) func(*Aggregator) (*FrontServer, error) {
+	return func(a *Aggregator) (*FrontServer, error) {
+		ctrl, err := frontend.NewController(frontend.ControllerConfig{
+			Levels:        comps[0].Syn.Levels(),
+			LevelAccuracy: []float64{0.8, 0.97},
+		})
+		if err != nil {
+			return nil, err
+		}
+		fe, err := frontend.New(a, frontend.Options{Controller: ctrl})
+		if err != nil {
+			return nil, err
+		}
+		fs := NewFrontServer(a, fe, sopts)
+		if enable != nil {
+			err = enable(fs)
+		}
+		return fs, err
+	}
 }
 
 // aggReq builds a whole-service aggregation request template.
@@ -74,12 +122,9 @@ func TestDeadlinePropagation(t *testing.T) {
 		handlerRuns.Add(1)
 		return inner(ctx, req)
 	}
-	srv, addr := startServer(t, h, ServerOptions{})
-	agg1, err := NewAggregator([]string{addr}, AggregatorOptions{Policy: service.WaitAll, Deadline: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg1.Close()
+	lb := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(h),
+		Agg: AggregatorOptions{Policy: service.WaitAll, Deadline: time.Second}})
+	srv, agg1 := lb.Servers[0], lb.Agg
 
 	// (1) Expired on arrival: the server answers Skipped and never
 	// invokes the handler.
@@ -138,19 +183,9 @@ func TestDeadlinePropagation(t *testing.T) {
 func TestAggregatorReconnect(t *testing.T) {
 	comps := buildAggComps(t, 1)
 	h := NewAggBackend(comps, BackendOptions{})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	srv := NewServer(h, ServerOptions{})
-	go srv.Serve(l)
-
-	a, err := NewAggregator([]string{addr}, AggregatorOptions{Policy: service.WaitAll, Deadline: time.Second, ConnsPerPeer: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	lb := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(h),
+		Agg: AggregatorOptions{Policy: service.WaitAll, Deadline: time.Second, ConnsPerPeer: 1}})
+	srv, addr, a := lb.Servers[0], lb.Addrs[0], lb.Agg
 	if _, err := a.Call(context.Background(), aggReq(agg.Count, 0, math.Inf(1))); err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +228,10 @@ func TestServerShedsAtQueueBound(t *testing.T) {
 		return &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
 			Agg: &wire.AggResult{Sum: []float64{0}, Cnt: []float64{0}, SumVar: []float64{0}, CntVar: []float64{0}}}
 	}
-	srv, addr := startServer(t, h, ServerOptions{Workers: 1, QueueLen: 1})
+	lb := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(h),
+		Server: ServerOptions{Workers: 1, QueueLen: 1}, Agg: waitAll})
 	defer close(release)
-	a, err := NewAggregator([]string{addr}, AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	srv, a := lb.Servers[0], lb.Agg
 
 	var busy atomic.Int64
 	var wg sync.WaitGroup
@@ -235,38 +267,8 @@ func TestServerShedsAtQueueBound(t *testing.T) {
 func TestEndToEndComposedReply(t *testing.T) {
 	const n = 3
 	comps := buildAggComps(t, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		_, addrs[i] = startServer(t, NewAggBackend(comps, BackendOptions{}), ServerOptions{})
-	}
-	a, err := NewAggregator(addrs, AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	ctrl, err := frontend.NewController(frontend.ControllerConfig{
-		Levels:        comps[0].Syn.Levels(),
-		LevelAccuracy: []float64{0.8, 0.97},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := frontend.New(a, frontend.Options{Controller: ctrl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := NewFrontServer(a, fe, ServerOptions{})
-	go fs.Serve(fl)
-	t.Cleanup(fs.Close)
-	cl, err := DialClient(fl.Addr().String(), ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := startLoopback(t, LoopbackSpec{Components: n, Handler: every(NewAggBackend(comps, BackendOptions{})),
+		Agg: waitAll, Front: calibratedFront(comps, ServerOptions{}, nil)}).Client
 
 	// Exact-class request: every component bypasses its synopsis, so
 	// the composed answer equals the exact merged answer bit for bit.
@@ -326,12 +328,7 @@ func TestEndToEndComposedReply(t *testing.T) {
 // Exact-class request must take the exact-scan path, not the synopsis.
 func TestTemplateSLOSurvivesBareAggregator(t *testing.T) {
 	comps := buildAggComps(t, 1)
-	_, addr := startServer(t, NewAggBackend(comps, BackendOptions{}), ServerOptions{})
-	a, err := NewAggregator([]string{addr}, AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	a := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(NewAggBackend(comps, BackendOptions{})), Agg: waitAll}).Agg
 	q := agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)}
 	req := aggReq(q.Op, q.Lo, q.Hi)
 	req.SLO = wire.SLOExact
@@ -369,26 +366,66 @@ func TestFrontendBackendSeam(t *testing.T) {
 	var _ frontend.Backend = (*service.Cluster)(nil)
 }
 
-// TestOpenLoopFiresConcurrently asserts the generator is open-loop: a
-// slow request must not throttle later arrivals.
+// TestOpenLoopFiresConcurrently pins the load generator's contract over
+// fixed schedules: every arrival fires exactly once with intended ==
+// start + its offset, a slow request never delays later sends (the
+// generator is open-loop, not closed-loop), and a schedule already in
+// the past is sent without sleeping, its lateness returned as the lag.
 func TestOpenLoopFiresConcurrently(t *testing.T) {
-	var max atomic.Int64
-	var cur atomic.Int64
-	n := OpenLoop(stats.NewRNG(9), 400, 150*time.Millisecond, func(i int) {
-		c := cur.Add(1)
-		for {
-			m := max.Load()
-			if c <= m || max.CompareAndSwap(m, c) {
-				break
+	for _, tc := range []struct {
+		name     string
+		schedule []float64     // ms after the call
+		block    time.Duration // how long each fire holds its goroutine
+		maxWall  time.Duration // the whole run must finish within this
+		minLag   time.Duration // the returned lag must be at least this
+	}{
+		{"fixed schedule", []float64{0, 2.5, 2.5, 7, 19.25, 30}, 0, time.Second, 0},
+		{"blocking fire does not delay later sends", []float64{0, 10, 20, 30, 40}, 50 * time.Millisecond, time.Second, 0},
+		{"schedule in the past is sent at once", []float64{-300, -200, -100, -100}, 0, 100 * time.Millisecond, 300 * time.Millisecond},
+		{"empty schedule", nil, 0, time.Second, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			intended := make([]time.Time, len(tc.schedule))
+			fired := make([]atomic.Int64, len(tc.schedule))
+			var sendLag atomic.Int64 // worst fire-time lateness, ns
+			t0 := time.Now()
+			lag := OpenLoop(tc.schedule, func(i int, at time.Time) {
+				late := int64(time.Since(at))
+				for m := sendLag.Load(); late > m && !sendLag.CompareAndSwap(m, late); m = sendLag.Load() {
+				}
+				intended[i] = at
+				fired[i].Add(1)
+				time.Sleep(tc.block)
+			})
+			wall := time.Since(t0)
+			for i := range tc.schedule {
+				if n := fired[i].Load(); n != 1 {
+					t.Fatalf("arrival %d fired %d times, want once", i, n)
+				}
+				// Offsets between intended times are exact: the schedule, not
+				// the wall clock, decides them.
+				want := time.Duration(tc.schedule[i]*float64(time.Millisecond)) - time.Duration(tc.schedule[0]*float64(time.Millisecond))
+				if got := intended[i].Sub(intended[0]); got != want {
+					t.Fatalf("arrival %d intended %v after arrival 0, want exactly %v", i, got, want)
+				}
 			}
-		}
-		time.Sleep(30 * time.Millisecond)
-		cur.Add(-1)
-	})
-	if n < 10 {
-		t.Fatalf("only %d arrivals fired", n)
-	}
-	if max.Load() < 2 {
-		t.Fatal("arrivals never overlapped — generator is closed-loop")
+			if len(tc.schedule) > 0 {
+				if first := intended[0].Sub(t0) - time.Duration(tc.schedule[0]*float64(time.Millisecond)); first < 0 || first > 20*time.Millisecond {
+					t.Fatalf("schedule anchored %v after the call, want ~0", first)
+				}
+			}
+			if wall > tc.maxWall {
+				t.Fatalf("run took %v, want <= %v", wall, tc.maxWall)
+			}
+			if lag < tc.minLag {
+				t.Fatalf("returned lag %v, want >= %v", lag, tc.minLag)
+			}
+			// Later sends were not held back by earlier (blocking) fires:
+			// with 50 ms blocks on a 10 ms grid a closed loop would run
+			// 80 ms late by the third arrival.
+			if tc.block > 0 && time.Duration(sendLag.Load()) >= tc.block {
+				t.Fatalf("a send ran %v late behind a %v blocking fire", time.Duration(sendLag.Load()), tc.block)
+			}
+		})
 	}
 }

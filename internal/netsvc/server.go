@@ -565,10 +565,6 @@ func (s *FrontServer) EnableCost(t *cost.Table) error {
 	return nil
 }
 
-// CostTable returns the installed cost table (nil when disabled) — the
-// admin plane serves its snapshots at /costs.
-func (s *FrontServer) CostTable() *cost.Table { return s.costs }
-
 // tenantFor resolves a request's tenant: the EnableSLO hook when one
 // is installed (it may re-map or reject wire tenants), the request's
 // wire tenant field otherwise.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"accuracytrader/internal/agg"
-	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/obs"
 	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
@@ -21,39 +20,9 @@ import (
 func startTracedStack(t *testing.T, n int) (*obs.Recorder, *Client) {
 	t.Helper()
 	comps := buildAggComps(t, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		_, addrs[i] = startServer(t, NewAggBackend(comps, BackendOptions{}), ServerOptions{})
-	}
-	a, err := NewAggregator(addrs, AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
-	ctrl, err := frontend.NewController(frontend.ControllerConfig{
-		Levels:        comps[0].Syn.Levels(),
-		LevelAccuracy: []float64{0.8, 0.97},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := frontend.New(a, frontend.Options{Controller: ctrl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := obs.NewRecorder(16, 64)
-	fs := NewFrontServer(a, fe, ServerOptions{Tracer: rec})
-	go fs.Serve(fl)
-	t.Cleanup(fs.Close)
-	cl, err := DialClient(fl.Addr().String(), ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
+	cl := startLoopback(t, LoopbackSpec{Components: n, Handler: every(NewAggBackend(comps, BackendOptions{})),
+		Agg: waitAll, Front: calibratedFront(comps, ServerOptions{Tracer: rec}, nil)}).Client
 	return rec, cl
 }
 
@@ -161,24 +130,7 @@ func TestUntracedServerStaysSilent(t *testing.T) {
 		}
 		return inner(ctx, req)
 	}
-	_, addr := startServer(t, h, ServerOptions{})
-	a, err := NewAggregator([]string{addr}, AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := NewFrontServer(a, nil, ServerOptions{})
-	go fs.Serve(fl)
-	t.Cleanup(fs.Close)
-	cl, err := DialClient(fl.Addr().String(), ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(h), Agg: waitAll, Front: bareFront}).Client
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	rep, err := cl.Call(ctx, aggReq(agg.Sum, 0, math.Inf(1)))
@@ -205,12 +157,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		return inner(ctx, req)
 	}
-	srv, addr := startServer(t, h, ServerOptions{})
-	a, err := NewAggregator([]string{addr}, AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
+	lb := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(h), Agg: waitAll})
+	srv, addr, a := lb.Servers[0], lb.Addrs[0], lb.Agg
 
 	type result struct {
 		subs []service.SubResult

@@ -3,8 +3,7 @@ package rescache
 import "testing"
 
 // BenchmarkCacheHit is the hot hit path: one resident key served
-// repeatedly. CI pipes this through cmd/benchjson -assert-zero-allocs
-// to guard the 0 allocs/op contract.
+// repeatedly. TestHitPathZeroAlloc guards its 0 allocs/op contract.
 func BenchmarkCacheHit(b *testing.B) {
 	c, err := New(Config{Capacity: 4096})
 	if err != nil {

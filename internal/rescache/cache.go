@@ -457,19 +457,6 @@ func (c *Cache) UpgradeIfPresent(key uint64, payload, value interface{}, accurac
 	return true
 }
 
-// Invalidate removes one key (for targeted invalidation; whole-dataset
-// changes should BumpEpoch instead).
-func (c *Cache) Invalidate(key uint64) {
-	s := &c.shards[key&c.mask]
-	s.mu.Lock()
-	if i, present := s.idx[key]; present {
-		s.unlink(i)
-		delete(s.idx, key)
-		s.release(i)
-	}
-	s.mu.Unlock()
-}
-
 // Len returns the live entry count (entries from old epochs still
 // count until their lazy discard).
 func (c *Cache) Len() int {
@@ -498,15 +485,6 @@ func (c *Cache) Stats() Stats {
 		SavedCPUNs:   c.savedCPU.Value(),
 		SavedScanned: c.savedScanned.Value(),
 	}
-}
-
-// HitRate returns hits over lookups (0 when idle).
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // payloadOf fetches the stored payload for a pending refresh; ok is

@@ -449,47 +449,43 @@ func aggregatorRig(t *testing.T, p service.Policy, s *script, cap int) rig {
 	// a scripted peer failure can cut the wire under an in-flight request.
 	var mu sync.Mutex
 	conns := map[string][]net.Conn{}
-	addrs := make([]string, n)
-	for i := range addrs {
-		comp := i
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = l.Addr().String()
-		srv := netsvc.NewServer(func(ctx context.Context, req *wire.Request) *wire.SubReply {
-			if s.run(req.Tenant == "park", int(req.Subset), comp) {
-				mu.Lock()
-				for _, c := range conns[addrs[comp]] {
-					c.Close()
+	var addrs []string // the servers' addresses, set (under mu) once the rig is up
+	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
+		Components: n,
+		Handler: func(comp int) netsvc.Handler {
+			return func(ctx context.Context, req *wire.Request) *wire.SubReply {
+				if s.run(req.Tenant == "park", int(req.Subset), comp) {
+					mu.Lock()
+					for _, c := range conns[addrs[comp]] {
+						c.Close()
+					}
+					mu.Unlock()
 				}
-				mu.Unlock()
+				return &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
+					Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0}, CntVar: []float64{0}}}
 			}
-			return &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
-				Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0}, CntVar: []float64{0}}}
-		}, netsvc.ServerOptions{})
-		go srv.Serve(l)
-		t.Cleanup(srv.Close)
-	}
-	a, err := netsvc.NewAggregator(addrs, netsvc.AggregatorOptions{
-		Policy: p, HedgeFloor: floor, MaxOutstanding: cap, ConnsPerPeer: 1,
-		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
-			c, err := net.DialTimeout("tcp", addr, timeout)
-			if err == nil {
-				mu.Lock()
-				conns[addr] = append(conns[addr], c)
-				mu.Unlock()
-			}
-			return c, err
+		},
+		Agg: netsvc.AggregatorOptions{
+			Policy: p, HedgeFloor: floor, MaxOutstanding: cap, ConnsPerPeer: 1,
+			Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+				c, err := net.DialTimeout("tcp", addr, timeout)
+				if err == nil {
+					mu.Lock()
+					conns[addr] = append(conns[addr], c)
+					mu.Unlock()
+				}
+				return c, err
+			},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(a.Close)
-	if err := a.WaitReady(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(lb.Close)
+	mu.Lock()
+	addrs = lb.Addrs
+	mu.Unlock()
+	a := lb.Agg
 	return rig{
 		call: func(ctx context.Context, park bool) ([]service.SubResult, error) {
 			req := &wire.Request{Kind: wire.KindAgg, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
