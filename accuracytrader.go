@@ -443,9 +443,11 @@ type ResultCacheConfig = rescache.Config
 type ResultCacheStats = rescache.Stats
 
 // NewResultCache returns an empty cache. Wire it into a frontend via
-// FrontendOptions.Cache/CacheKey/CacheRefresh (both runtimes), or into
-// a NetFrontServer via its EnableCache method (canonical wire keys).
-// Bump its epoch after synopsis updates to invalidate lazily.
+// FrontendOptions.Cache/CacheKey (either runtime), or into a
+// NetFrontServer via its EnableCache method (canonical wire keys);
+// both serve through the cache's one Serve entry point and install its
+// refresh-to-exact worker. Bump its epoch after synopsis updates to
+// invalidate lazily.
 func NewResultCache(cfg ResultCacheConfig) (*ResultCache, error) { return rescache.New(cfg) }
 
 // WireCacheKey derives the canonical cache key of a wire request:

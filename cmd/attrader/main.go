@@ -53,7 +53,7 @@ func main() {
 		requests = flag.Int("requests", 200, "fig4 requests per service")
 
 		serve    = flag.String("serve", "", "network role: component|aggregator|client (empty = run -exp)")
-		workload = flag.String("workload", "agg", "workload served by -serve: agg|cf|search")
+		workload = flag.String("workload", "agg", "workload served by -serve: agg|agglive|cf|search (agglive: agg over live, ingesting stores)")
 		listen   = flag.String("listen", "", "listen address (component server, or aggregator front server)")
 		peers    = flag.String("peers", "", "comma-separated component addresses (aggregator), or the front server address (client)")
 		rate     = flag.Float64("rate", 40, "client / aggregator measurement: open-loop request rate per second")

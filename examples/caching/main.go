@@ -153,7 +153,6 @@ func main() {
 			}
 			return at.WireCacheKey(req), true
 		},
-		CacheRefresh: true,
 	})
 	if err != nil {
 		log.Fatal(err)

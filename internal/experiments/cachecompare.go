@@ -203,7 +203,7 @@ func ccHandlers(comps []*agg.Component, backend netsvc.Handler, subCalls *atomic
 func ccFrontend(cl *service.Cluster, levelAcc []float64, cache *rescache.Cache) (*frontend.Frontend, error) {
 	var opts frontend.Options
 	if cache != nil {
-		opts = frontend.Options{Cache: cache, CacheKey: ccCacheKey, CacheRefresh: true}
+		opts = frontend.Options{Cache: cache, CacheKey: ccCacheKey}
 	}
 	return StandardFrontend(cl, 6*cl.Components(), levelAcc, opts)
 }

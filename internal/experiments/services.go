@@ -99,11 +99,6 @@ func BuildSearchService(sc Scale) (*SearchService, error) {
 	return svc, nil
 }
 
-// Shard returns the real component behind simulated component c.
-func (s *SearchService) Shard(c int) *textindex.Component {
-	return s.Comps[c%s.Scale.Shards]
-}
-
 // aggConfig returns the aggregation application's synopsis-ladder
 // configuration for a scale. The finest rate and the per-stratum floor
 // are sized so the finest level's measured accuracy clears the

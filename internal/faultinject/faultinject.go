@@ -83,9 +83,6 @@ func NewScript(name string, seed uint64) *Script {
 	}
 }
 
-// Name returns the target name the script was created under.
-func (s *Script) Name() string { return s.name }
-
 // Mode returns the current fault mode.
 func (s *Script) Mode() Mode { return Mode(s.mode.Load()) }
 

@@ -28,7 +28,9 @@ func cachedFrontend(t *testing.T, opts Options, handler service.Handler) (*Front
 	}
 	t.Cleanup(cl.Close)
 	if opts.Cache == nil {
-		cache, err := rescache.New(rescache.Config{Capacity: 64})
+		// A frontend with a cache installs the refresh worker; these
+		// tests count handler calls, so idle it (nothing is below 1e-9).
+		cache, err := rescache.New(rescache.Config{Capacity: 64, RefreshBelow: 1e-9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +239,7 @@ func TestCacheRefreshUpgradesThroughAdmission(t *testing.T) {
 	}
 	t.Cleanup(cache.Close)
 	var exactCalls atomic.Int64
-	f, _ := cachedFrontend(t, Options{Controller: ctrl, Cache: cache, CacheRefresh: true},
+	f, _ := cachedFrontend(t, Options{Controller: ctrl, Cache: cache},
 		func(ctx context.Context, p interface{}) (interface{}, error) {
 			if slo, ok := SLOFrom(ctx); ok && slo.Kind == Exact {
 				exactCalls.Add(1)

@@ -144,6 +144,17 @@ func (c *Controller) Load() float64 {
 	return c.load
 }
 
+// RefreshLoadCeiling is the smoothed load above which background exact
+// recomputation — cache refresh, post-swap re-warm, audit replay — is
+// deferred entirely, in both runtimes.
+const RefreshLoadCeiling = 0.7
+
+// RefreshAllowed is the gate of every background exact recomputation:
+// low priority means not even attempting one while the smoothed load
+// says the service is busy (the admission chain still has the final say
+// below the gate).
+func (c *Controller) RefreshAllowed() bool { return c.Load() < RefreshLoadCeiling }
+
 // Levels returns the configured ladder depth.
 func (c *Controller) Levels() int { return c.cfg.Levels }
 

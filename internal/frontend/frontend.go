@@ -66,21 +66,19 @@ type Options struct {
 	// only when that accuracy clears the request's floor (Exact: 1,
 	// Bounded: MinAccuracy, BestEffort: the cache's load-loosened base
 	// floor) and the entry's data epoch is current. Concurrent
-	// identical misses coalesce onto one backend computation.
-	// Requires CacheKey and Controller (the accuracy tags come from the
-	// controller's calibrated level estimates).
+	// identical misses coalesce onto one backend computation, and the
+	// cache's background refresh-to-exact worker is installed: hits on
+	// entries below the cache's refresh target enqueue the key, and a
+	// low-priority worker recomputes the answer at Exact class through
+	// this frontend — admission included, so refreshes lose to
+	// foreground traffic under overload — and upgrades the entry to
+	// accuracy 1. Requires CacheKey and Controller (the accuracy tags
+	// come from the controller's calibrated level estimates).
 	Cache *rescache.Cache
 	// CacheKey derives the canonical cache key of a payload; ok = false
 	// marks the request uncacheable (it bypasses the cache entirely).
 	// Use rescache.Key over wire.AppendCanonicalKey for wire payloads.
 	CacheKey func(payload interface{}) (key uint64, ok bool)
-	// CacheRefresh installs the cache's background refresh-to-exact
-	// worker: hits on entries below the cache's refresh target enqueue
-	// the key, and a low-priority worker recomputes the answer at
-	// Exact class through this frontend — admission included, so
-	// refreshes lose to foreground traffic under overload — and
-	// upgrades the entry to accuracy 1.
-	CacheRefresh bool
 	// Metrics is the observability registry the frontend's counters live
 	// in (frontend_admitted_total, frontend_degraded_total,
 	// frontend_rejected_total, frontend_cache_hits_total). Nil uses a
@@ -161,9 +159,6 @@ func New(cl Backend, opts Options) (*Frontend, error) {
 		// silently voiding the cache's core contract.
 		return nil, fmt.Errorf("frontend: Options.Cache requires Options.Controller (entries are tagged with its calibrated level accuracy)")
 	}
-	if opts.CacheRefresh && opts.Cache == nil {
-		return nil, fmt.Errorf("frontend: Options.CacheRefresh requires Options.Cache")
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -182,25 +177,11 @@ func New(cl Backend, opts Options) (*Frontend, error) {
 	cl.SetRouter(func(subset, n int, queueDepth func(int) int) int {
 		return f.opts.Router.Pick(subset, f.rmap.Replicas(subset), queueDepth)
 	})
-	if opts.CacheRefresh {
-		var gate func() bool
-		if opts.Controller != nil {
-			// Low priority: don't even attempt an exact recomputation
-			// while the smoothed load says the service is busy; the
-			// admission chain still has the final say below the gate.
-			ctrl := opts.Controller
-			gate = func() bool { return ctrl.Load() < RefreshLoadCeiling }
-		}
-		opts.Cache.SetRefresh(f.refreshToExact, gate)
+	if opts.Cache != nil {
+		opts.Cache.SetRefresh(f.refreshToExact, opts.Controller.RefreshAllowed)
 	}
 	return f, nil
 }
-
-// RefreshLoadCeiling gates the background refresh-to-exact worker in
-// both runtimes: above this smoothed controller load, refreshes are
-// deferred entirely (netsvc.FrontServer.EnableCache uses the same
-// value, so tuning it here tunes both).
-const RefreshLoadCeiling = 0.7
 
 // refreshToExact is the cache's refresh function: recompute one cached
 // answer at Exact class through the full frontend pipeline. Going
@@ -270,83 +251,53 @@ func (f *Frontend) Call(ctx context.Context, payload interface{}, slo SLO) (*Res
 	return f.callMiss(ctx, payload, slo)
 }
 
-// cacheFloor maps an SLO to the accuracy floor a cached entry must
-// clear to serve it. Exact and Bounded floors are hard; the BestEffort
-// floor is the cache's load-loosened base.
-func (f *Frontend) cacheFloor(slo SLO) float64 {
-	switch slo.Kind {
+// CacheFloor maps an SLO to the accuracy floor a cached entry must
+// clear to serve it — the one class → floor rule of both runtimes. Exact
+// and Bounded floors are hard; the BestEffort floor is the cache's
+// load-loosened base.
+func (s SLO) CacheFloor(c *rescache.Cache) float64 {
+	switch s.Kind {
 	case Exact:
 		return 1
 	case Bounded:
-		return slo.MinAccuracy
+		return s.MinAccuracy
 	default:
-		return f.opts.Cache.BestEffortFloor()
+		return c.BestEffortFloor()
 	}
 }
 
-// errPartialResult marks a computed result that must not be shared
-// with coalesced waiters or stored: a fan-out with errors or skips
-// does not back its accuracy tag. The reply itself still travels back
-// to its own caller alongside it.
-var errPartialResult = errors.New("frontend: partial result not cacheable")
-
-// callCached serves one cacheable request: lookup, coalesce, or
-// compute-and-store.
+// callCached serves one cacheable request through rescache.Serve:
+// lookup, coalesce, or compute-and-keep.
 func (f *Frontend) callCached(ctx context.Context, key uint64, payload interface{}, slo SLO) (*Result, error) {
-	if f.opts.Controller != nil {
-		// Keep the cache's BestEffort slack tracking the degradation
-		// controller's smoothed load.
-		f.opts.Cache.SetLoad(f.opts.Controller.Load())
-	}
-	tr := obs.TraceFrom(ctx)
-	var cacheT0 time.Time
-	if tr != nil {
-		cacheT0 = time.Now()
-	}
-	v, acc, outcome, err := f.opts.Cache.DoWith(ctx, key, f.cacheFloor(slo),
-		func() (interface{}, float64, error) {
-			// Capture the epoch before computing: if a synopsis update
-			// bumps it mid-flight, the entry is born stale rather than
-			// serving pre-update data as current.
-			epoch := f.opts.Cache.Epoch()
+	cache := f.opts.Cache
+	// Keep the cache's BestEffort slack tracking the degradation
+	// controller's smoothed load.
+	cache.SetLoad(f.opts.Controller.Load())
+	v, acc, shared, err := cache.Serve(ctx, key, slo.CacheFloor(cache), payload,
+		func() (interface{}, float64, interface{}, error) {
 			res, err := f.callMiss(ctx, payload, slo)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, nil, err
 			}
 			acc := res.EstimatedAccuracy
 			if !service.Complete(res.Sub) {
-				return res, acc, errPartialResult
+				// A fan-out with errors or skips does not back its accuracy
+				// tag: answer this caller (the errors live in Sub), keep
+				// nothing.
+				return res, acc, nil, nil
 			}
-			f.opts.Cache.StoreAt(key, payload, storableResult(res, acc), acc, epoch)
-			return res, acc, nil
+			return res, acc, storableResult(res, acc), nil
 		})
-	if errors.Is(err, errPartialResult) {
-		// This caller's own partial computation: answer it (the errors
-		// live in Sub), just never share or store it.
-		tr.SetCacheOutcome(obs.CacheMiss)
-		return v.(*Result), nil
-	}
 	if err != nil {
 		return nil, err
 	}
 	res := v.(*Result)
-	if outcome == rescache.OutcomeMiss {
-		// This caller's own computation: the cost lives in callMiss's
-		// spans, so no cache span — it would double-count the fan-out.
-		tr.SetCacheOutcome(obs.CacheMiss)
+	if !shared {
 		return res, nil
 	}
-	// Cache hit or coalesced share: the stored/shared result is
-	// immutable, so hand out a copy stamped with this request's class.
+	// Cache hit or coalesced share: the kept result is immutable, so hand
+	// out a copy stamped with this request's class.
 	f.cacheHits.Inc()
-	if tr != nil {
-		out := int64(obs.CacheHit)
-		if outcome == rescache.OutcomeCoalesced {
-			out = obs.CacheCoalesced
-		}
-		tr.SetCacheOutcome(uint8(out))
-		tr.Add(obs.SpanCache, -1, cacheT0, time.Since(cacheT0), out)
-	}
 	out := *res
 	out.SLO = slo
 	out.EstimatedAccuracy = acc

@@ -230,29 +230,25 @@ func (a *Aggregator) Ingest(ctx context.Context, req *wire.IngestRequest) *wire.
 		ctx, cancel = context.WithTimeout(ctx, a.Deadline())
 		defer cancel()
 	}
-	var rep *wire.IngestReply
-	var err error
-	acked := make(chan struct{})
-	p.send(sub.ID, wire.AppendIngestRequestFrame(nil, &sub), pending{ingest: func(r *wire.IngestReply, e error) {
-		rep, err = r, e
-		close(acked)
-	}})
+	ack := make(chan answer[*wire.IngestReply], 1)
+	p.send(sub.ID, wire.AppendIngestRequestFrame(nil, &sub), pending{ack: ack})
+	var got answer[*wire.IngestReply]
 	select {
 	case <-ctx.Done():
 		return fail(wire.IngestErr, ctx.Err().Error())
-	case <-acked:
+	case got = <-ack:
 	}
-	if err != nil {
-		if !refusal(err) {
+	if got.err != nil {
+		if !refusal(got.err) {
 			a.Fault(nil, target, int(sub.Subset))
 		}
-		return fail(wire.IngestErr, err.Error())
+		return fail(wire.IngestErr, got.err.Error())
 	}
 	p.br.Success()
 	if a.mIngests != nil {
 		a.mIngests.Inc()
 	}
-	out := *rep
+	out := *got.rep
 	out.ID = req.ID
 	out.Subset = sub.Subset
 	return &out
@@ -469,7 +465,7 @@ func (p *peer) conn() (*peerConn, error) {
 // install pools an established connection in a dead or empty slot and
 // starts its read loop. Caller holds p.mu.
 func (p *peer) install(c net.Conn) *peerConn {
-	pc := &peerConn{c: c, pending: map[uint64]pending{}, onDead: p.kickReconnector}
+	pc := newPeerConn(c, p.agg.opts.MaxFrame, p.kickReconnector)
 	i := 0
 	for i < len(p.slots)-1 && p.slots[i] != nil && !p.slots[i].isDead() {
 		i++
@@ -477,7 +473,6 @@ func (p *peer) install(c net.Conn) *peerConn {
 	p.slots[i] = pc
 	p.backoff.Reset()
 	p.nextDialAt = time.Time{}
-	go pc.readLoop(p.agg.opts.MaxFrame)
 	return pc
 }
 
@@ -527,19 +522,33 @@ func (p *peer) reconnectLoop() {
 	}
 }
 
-// pending is the callback of one in-flight frame, sub for a query or
-// ingest for an append batch, invoked exactly once: reply, connection
-// failure, or close.
+// pending is who waits for the reply to one in-flight frame — the
+// gather core's callback for a sub-operation, or the channel of a caller
+// blocked on an append batch (ack) or a Client's whole-service request
+// (reply) — delivered to exactly once: reply, connection failure, or
+// close.
 type pending struct {
-	sub    func(*wire.SubReply, error)
-	ingest func(*wire.IngestReply, error)
+	sub   func(*wire.SubReply, error)
+	ack   chan answer[*wire.IngestReply]
+	reply chan answer[*wire.Reply]
+}
+
+// answer is what a channel waiter receives: the decoded reply, or why
+// the connection failed first. Waiter channels are buffered for the one
+// delivery, so delivering never blocks a read loop.
+type answer[T any] struct {
+	rep T
+	err error
 }
 
 func (d pending) fail(err error) {
-	if d.sub != nil {
+	switch {
+	case d.sub != nil:
 		d.sub(nil, err)
-	} else {
-		d.ingest(nil, err)
+	case d.ack != nil:
+		d.ack <- answer[*wire.IngestReply]{err: err}
+	case d.reply != nil:
+		d.reply <- answer[*wire.Reply]{err: err}
 	}
 }
 
@@ -558,14 +567,7 @@ func (p *peer) send(id uint64, frame []byte, deliver pending) bool {
 		deliver.fail(err)
 		return false
 	}
-	pc.wmu.Lock()
-	_, werr := pc.c.Write(frame)
-	pc.wmu.Unlock()
-	if werr != nil {
-		pc.fail(werr)
-		return false
-	}
-	return true
+	return pc.write(frame) == nil
 }
 
 func (p *peer) close() {
@@ -583,16 +585,37 @@ func (p *peer) close() {
 	}
 }
 
-// peerConn is one multiplexed connection: concurrent requests are
-// matched to replies by ID.
+// peerConn is one multiplexed connection — an aggregator's to a
+// component server, or a Client's to a front server: concurrent requests
+// are matched to replies by ID.
 type peerConn struct {
 	c      net.Conn
-	onDead func() // kicks the owning peer's reconnector
+	onDead func() // told of a death that was not a Close (kicks a peer's reconnector)
 	wmu    sync.Mutex
 
 	pmu     sync.Mutex
 	pending map[uint64]pending
 	dead    bool
+}
+
+// newPeerConn wraps an established connection and starts its read loop.
+func newPeerConn(c net.Conn, maxFrame int, onDead func()) *peerConn {
+	pc := &peerConn{c: c, pending: map[uint64]pending{}, onDead: onDead}
+	go pc.readLoop(maxFrame)
+	return pc
+}
+
+// write sends one frame whose waiter is already registered. A failed
+// write kills the connection, which fails every waiter — that one
+// included.
+func (pc *peerConn) write(frame []byte) error {
+	pc.wmu.Lock()
+	_, err := pc.c.Write(frame)
+	pc.wmu.Unlock()
+	if err != nil {
+		pc.fail(err)
+	}
+	return err
 }
 
 func (pc *peerConn) isDead() bool {
@@ -635,18 +658,28 @@ func (pc *peerConn) readLoop(maxFrame int) {
 	pc.fail(err)
 }
 
-// dispatch hands one reply frame to its callback. Query sub-replies and
-// ingest acknowledgements share the connection; the kind byte routes.
+// dispatch hands one reply frame to its waiter. Sub-replies, composed
+// replies and ingest acknowledgements can share a connection; the kind
+// byte routes before any payload decoding.
 func (pc *peerConn) dispatch(buf []byte) error {
 	kind, err := wire.FrameKind(buf)
 	if err != nil {
 		return err
 	}
-	if kind == wire.FrameIngestReply {
+	switch kind {
+	case wire.FrameIngestReply:
 		ack, err := wire.DecodeIngestReply(buf)
 		if err == nil {
-			if deliver := pc.take(ack.ID).ingest; deliver != nil {
-				deliver(ack, nil)
+			if ch := pc.take(ack.ID).ack; ch != nil {
+				ch <- answer[*wire.IngestReply]{rep: ack}
+			}
+		}
+		return err
+	case wire.FrameReply:
+		rep, err := wire.DecodeReply(buf)
+		if err == nil {
+			if ch := pc.take(rep.ID).reply; ch != nil {
+				ch <- answer[*wire.Reply]{rep: rep}
 			}
 		}
 		return err
@@ -660,8 +693,7 @@ func (pc *peerConn) dispatch(buf []byte) error {
 	return err
 }
 
-// fail marks the connection dead and fails every pending sub-operation
-// exactly once.
+// fail marks the connection dead and fails every waiter exactly once.
 func (pc *peerConn) fail(err error) {
 	pc.pmu.Lock()
 	if pc.dead {

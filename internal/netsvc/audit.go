@@ -8,7 +8,6 @@ import (
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/audit"
-	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/obs"
 	"accuracytrader/internal/wire"
 )
@@ -40,8 +39,7 @@ func (s *FrontServer) EnableAudit(cfg audit.Config) (*audit.Auditor, error) {
 		cfg.Replay = s.auditReplay
 	}
 	if cfg.Gate == nil && s.fe != nil && s.fe.Controller() != nil {
-		ctrl := s.fe.Controller()
-		cfg.Gate = func() bool { return ctrl.Load() < frontend.RefreshLoadCeiling }
+		cfg.Gate = s.fe.Controller().RefreshAllowed
 	}
 	if cfg.Epoch == nil {
 		cfg.Epoch = s.DataEpoch
@@ -94,7 +92,7 @@ func (s *FrontServer) onAuditVerdict(smp *audit.Sample, v audit.Verdict) {
 // approximate-class OK answers from a real fan-out qualify, and only
 // when the answer did not straddle a data-epoch swap. The non-sampled
 // path is allocation-free: the sample is built after the hash decision.
-func (s *FrontServer) maybeAudit(req *wire.Request, rep *wire.Reply, acc float64, epoch uint64) {
+func (s *FrontServer) maybeAudit(req *wire.Request, rep *wire.Reply, acc float64, epoch uint64, tenant string) {
 	if s.auditor == nil || rep.Cached || rep.Status != wire.ReplyOK || req.SLO == wire.SLOExact {
 		return
 	}
@@ -102,16 +100,34 @@ func (s *FrontServer) maybeAudit(req *wire.Request, rep *wire.Reply, acc float64
 	if id == 0 {
 		id = req.ID
 	}
-	if !s.auditor.ShouldSample(id) {
+	if !s.auditor.ShouldSample(id) || s.dataEpoch.Load() != epoch {
 		return
 	}
-	if s.dataEpoch.Load() != epoch {
+	// The approximate answer in auditable shape. The decoded request is
+	// retained as the replay payload — requests are decoded fresh per
+	// frame, so nothing else aliases it after the reply is written.
+	vals, bounds, ok := auditValues(req, rep, true)
+	if !ok {
 		return
 	}
-	smp := s.buildSample(req, rep, acc, epoch, id)
-	if smp != nil {
-		s.auditor.Submit(smp)
+	smp := &audit.Sample{
+		TraceID:         id,
+		Workload:        req.Kind.String(),
+		Class:           sloClassOf(req.SLO),
+		Level:           rep.Level,
+		MinAccuracy:     req.MinAccuracy,
+		ClaimedAccuracy: acc,
+		Epoch:           epoch,
+		Tenant:          tenant,
+		Mode:            audit.ModeRelErr,
+		Estimates:       vals,
+		Bounds:          bounds,
+		Payload:         req,
 	}
+	if req.Kind == wire.KindSearch {
+		smp.Mode = audit.ModeOverlap
+	}
+	s.auditor.Submit(smp)
 }
 
 // sloClassOf collapses the wire class byte to the tracker's 0/1/2
@@ -123,52 +139,36 @@ func sloClassOf(class uint8) uint8 {
 	return class
 }
 
-// buildSample captures the approximate answer in auditable shape. The
-// decoded request is retained as the replay payload — requests are
-// decoded fresh per frame, so nothing else aliases it after the reply
-// is written.
-func (s *FrontServer) buildSample(req *wire.Request, rep *wire.Reply, acc float64, epoch uint64, id uint64) *audit.Sample {
-	smp := &audit.Sample{
-		TraceID:         id,
-		Class:           sloClassOf(req.SLO),
-		Level:           rep.Level,
-		MinAccuracy:     req.MinAccuracy,
-		ClaimedAccuracy: acc,
-		Epoch:           epoch,
-		Payload:         req,
-	}
-	smp.Tenant = s.tenantFor(req)
+// auditValues extracts a reply's values in audit shape — per-key
+// aggregate estimates (withBounds: and their CLT half-widths; an exact
+// replay has none worth computing), CF predictions, or search doc IDs —
+// for the sampled answer and its exact replay alike. ok is false when
+// the reply carries no result of the request's kind.
+func auditValues(req *wire.Request, rep *wire.Reply, withBounds bool) (vals, bounds []float64, ok bool) {
 	switch req.Kind {
 	case wire.KindAgg:
 		if rep.Agg == nil || req.Agg == nil {
-			return nil
+			return nil, nil, false
 		}
-		smp.Workload, smp.Mode = "agg", audit.ModeRelErr
-		res := AggResultOf(rep.Agg)
-		op := agg.Op(req.Agg.Op)
-		n := len(rep.Agg.Sum)
-		smp.Estimates = make([]float64, n)
-		smp.Bounds = make([]float64, n)
-		for k := 0; k < n; k++ {
-			smp.Estimates[k] = res.Estimate(op, k)
-			smp.Bounds[k] = res.Bound(op, k)
+		res, op, n := AggResultOf(rep.Agg), agg.Op(req.Agg.Op), len(rep.Agg.Sum)
+		vals = res.EstimatesInto(make([]float64, 0, n), op)
+		if withBounds {
+			bounds = res.BoundsInto(make([]float64, 0, n), op)
 		}
 	case wire.KindCF:
 		if rep.CF == nil || req.CF == nil {
-			return nil
+			return nil, nil, false
 		}
-		smp.Workload, smp.Mode = "cf", audit.ModeRelErr
-		smp.Estimates = CFResultOf(rep.CF).Predictions(activeMeanOf(req.CF))
+		vals = CFResultOf(rep.CF).Predictions(activeMeanOf(req.CF))
 	case wire.KindSearch:
 		if rep.Search == nil {
-			return nil
+			return nil, nil, false
 		}
-		smp.Workload, smp.Mode = "search", audit.ModeOverlap
-		smp.Estimates = searchIDs(rep.Search)
+		vals = searchIDs(rep.Search)
 	default:
-		return nil
+		return nil, nil, false
 	}
-	return smp
+	return vals, bounds, true
 }
 
 // activeMeanOf is the CF prediction baseline: the active user's mean
@@ -196,72 +196,37 @@ func searchIDs(res *wire.SearchResult) []float64 {
 }
 
 // auditReplay recomputes a sampled request at Exact class through the
-// same composition path the original answer took — the audit.Config
-// Replay hook. A successful replay also upgrades the request's cache
-// entry in place (if it is still cached), so audits double as free
-// refreshes.
+// same pass the original answer took — the audit.Config Replay hook. A
+// successful replay also upgrades the request's cache entry in place
+// (if it is still cached), so audits double as free refreshes.
 func (s *FrontServer) auditReplay(ctx context.Context, smp *audit.Sample) ([]float64, error) {
 	req, ok := smp.Payload.(*wire.Request)
 	if !ok {
 		return nil, errors.New("netsvc: audit sample payload is not a request")
 	}
-	exact := *req
-	exact.SLO, exact.MinAccuracy = wire.SLOExact, 0
-	exact.Level, exact.Deadline = wire.NoLevel, 0
-	exact.Trace = 0
-	// A replay is measurement, not service: it bypasses the serve path
-	// that feeds SLO windows, and opens no cost account, so its fan-out
-	// costs fold into nothing.
 	var epoch uint64
 	if s.cache != nil {
 		epoch = s.cache.Epoch()
 	}
-	start := time.Now()
-	tr := s.tracer.Start(0, start)
-	if tr != nil {
-		tr.SetRequest(uint8(exact.Kind), exact.SLO, 0, 0)
-		tr.SetCacheOutcome(obs.CacheRefresh)
-		ctx = obs.ContextWithTrace(ctx, tr)
-	}
-	rep, _ := s.serveMiss(ctx, &exact)
-	tr.Finish(time.Since(start))
-	if rep.Status != wire.ReplyOK || !allOK(rep.SubStatus) {
+	rep, _, _ := s.pass(ctx, exactOf(req), originAudit, time.Time{})
+	kept := storable(rep)
+	if kept == nil {
 		return nil, fmt.Errorf("netsvc: audit replay not exact: status %d (%s)", rep.Status, rep.Err)
 	}
 	if s.cache != nil {
-		stored := *rep
-		stored.ID = 0
-		s.cache.UpgradeIfPresent(s.cacheKey(req), req, &stored, 1, epoch)
+		s.cache.UpgradeIfPresent(s.cacheKey(req), req, kept, 1, epoch)
 	}
-	return exactValuesOf(req, rep, smp)
-}
-
-// exactValuesOf extracts the replay's values in the sample's shape.
-func exactValuesOf(req *wire.Request, rep *wire.Reply, smp *audit.Sample) ([]float64, error) {
-	switch req.Kind {
-	case wire.KindAgg:
-		if rep.Agg == nil {
-			return nil, errors.New("netsvc: audit replay returned no agg result")
-		}
-		return AggResultOf(rep.Agg).Estimates(agg.Op(req.Agg.Op)), nil
-	case wire.KindCF:
-		if rep.CF == nil {
-			return nil, errors.New("netsvc: audit replay returned no cf result")
-		}
-		return CFResultOf(rep.CF).Predictions(activeMeanOf(req.CF)), nil
-	case wire.KindSearch:
-		if rep.Search == nil {
-			return nil, errors.New("netsvc: audit replay returned no search result")
-		}
-		return searchIDs(rep.Search), nil
+	vals, _, ok := auditValues(req, rep, false)
+	if !ok {
+		return nil, fmt.Errorf("netsvc: audit replay returned no %s result", req.Kind)
 	}
-	return nil, fmt.Errorf("netsvc: audit replay: unknown kind %d", req.Kind)
+	return vals, nil
 }
 
 // recordSLO accounts one answered request with the tracker. Kept
 // allocation-free for known tenants (the common case): flags are
 // computed from facts already in hand.
-func (s *FrontServer) recordSLO(req *wire.Request, rep *wire.Reply, start time.Time, dur time.Duration) {
+func (s *FrontServer) recordSLO(req *wire.Request, rep *wire.Reply, tenant string, start time.Time, dur time.Duration) {
 	if s.slo == nil {
 		return
 	}
@@ -272,5 +237,5 @@ func (s *FrontServer) recordSLO(req *wire.Request, rep *wire.Reply, start time.T
 	if rep.Degraded || rep.Status == wire.ReplyDegraded || rep.Status == wire.ReplyUnavailable {
 		flags |= obs.SLODegraded
 	}
-	s.slo.Record(sloClassOf(req.SLO), s.tenantFor(req), flags)
+	s.slo.Record(sloClassOf(req.SLO), tenant, flags)
 }

@@ -44,13 +44,6 @@ type BackendOptions struct {
 	IMaxFrac float64
 }
 
-func (o BackendOptions) withDefaults() BackendOptions {
-	if o.K <= 0 {
-		o.K = 10
-	}
-	return o
-}
-
 // imax converts the configured improvement fraction into a set cap.
 func (o BackendOptions) imax(sets int, workloadDefault float64) int {
 	frac := o.IMaxFrac
@@ -81,23 +74,37 @@ func budgetContinue(ctx context.Context) core.Continue {
 	return func(int) bool { return time.Now().Before(dl) }
 }
 
-// costedEngine wraps an application engine with the modeled scan cost.
+// meteredEngine wraps an application engine to charge each Algorithm 1
+// step for the data units it touches, both ways a sub-operation is
+// charged: credited to the request's scan counter — the Scanned
+// dimension of cost attribution, present on traced requests — and paid
+// for at the modeled unit cost. It is installed only when one of the two
+// applies, so the untraced, uncosted hot path never pays the
+// indirection.
+//
 // Costs are paid through a debt account: sub-millisecond charges are
 // accumulated and slept in chunks, and each sleep's measured overshoot
 // (Go timers overshoot small sleeps by up to ~1ms under load) is
 // credited back, so the long-run wall cost tracks the model instead of
 // the platform's timer granularity.
-type costedEngine struct {
-	inner    core.Engine
-	synopsis time.Duration
-	setCost  func(g int) time.Duration
+type meteredEngine struct {
+	algorithm1
+	synopsis int           // data units the synopsis pass touches
+	sc       *scanCounter  // nil: untraced
+	unit     time.Duration // 0: pure compute
 	debt     time.Duration
 }
 
-// pay charges d against the debt account and sleeps when at least a
-// millisecond is owed.
-func (e *costedEngine) pay(d time.Duration) {
-	e.debt += d
+// charge credits and pays for units data units; it sleeps once at least
+// a millisecond is owed.
+func (e *meteredEngine) charge(units int) {
+	if e.sc != nil {
+		e.sc.n.Add(uint64(units))
+	}
+	if e.unit <= 0 {
+		return
+	}
+	e.debt += time.Duration(units) * e.unit
 	if e.debt < time.Millisecond {
 		return
 	}
@@ -106,36 +113,14 @@ func (e *costedEngine) pay(d time.Duration) {
 	e.debt -= time.Since(t0)
 }
 
-func (e *costedEngine) ProcessSynopsis() []float64 {
-	e.pay(e.synopsis)
-	return e.inner.ProcessSynopsis()
+func (e *meteredEngine) ProcessSynopsis() []float64 {
+	e.charge(e.synopsis)
+	return e.Engine.ProcessSynopsis()
 }
 
-func (e *costedEngine) ProcessSet(g int) {
-	e.pay(e.setCost(g))
-	e.inner.ProcessSet(g)
-}
-
-// tallyEngine wraps an engine to credit the data units each step
-// touches to the request's scan counter — the Scanned dimension of
-// cost attribution. It is installed only when a counter is present
-// (traced requests), so the untraced hot path never pays the
-// indirection.
-type tallyEngine struct {
-	inner    core.Engine
-	synopsis uint64
-	setSize  func(g int) uint64
-	sc       *scanCounter
-}
-
-func (e *tallyEngine) ProcessSynopsis() []float64 {
-	e.sc.n.Add(e.synopsis)
-	return e.inner.ProcessSynopsis()
-}
-
-func (e *tallyEngine) ProcessSet(g int) {
-	e.sc.n.Add(e.setSize(g))
-	e.inner.ProcessSet(g)
+func (e *meteredEngine) ProcessSet(g int) {
+	e.charge(e.groups.GroupSize(g))
+	e.Engine.ProcessSet(g)
 }
 
 // interfere applies the server's modeled co-located interference.
@@ -157,166 +142,188 @@ func (o BackendOptions) budget(ctx context.Context) (context.Context, context.Ca
 	return context.WithTimeout(ctx, o.SubBudget)
 }
 
+// backend is what one workload supplies to the component-handler
+// skeleton (newBackend). Everything else — validation, the l_spe budget,
+// interference, the shard pick, crediting and paying for scanned units,
+// and the one core.Run — is the skeleton's, so no workload can forget a
+// step. The hooks are built once per handler, never per sub-operation.
+type backend struct {
+	kind   wire.Kind
+	name   string  // names the workload in the malformed-request error
+	shards int     // subset s is answered by shard s mod shards
+	imax   float64 // default improvement fraction when IMaxFrac is unset
+	// has reports whether req carries this workload's payload.
+	has func(req *wire.Request) bool
+	// exact answers an Exact-class request with the shard's full scan,
+	// written into rep, and returns the data units it scanned.
+	exact func(shard int, req *wire.Request, rep *wire.SubReply) (units int)
+	// approx opens the shard's Algorithm 1 engine for req and returns it
+	// with the data units its synopsis pass touches. A shard whose
+	// approximate answer is itself one bounded scan (a live shard's
+	// ladder read) answers into rep instead and returns the zero
+	// algorithm1 with the units it scanned.
+	approx func(shard int, req *wire.Request, rep *wire.SubReply) (a algorithm1, units int)
+	// finish moves the improved result out of the engine approx opened
+	// into rep, and releases the engine.
+	finish func(e core.Engine, req *wire.Request, rep *wire.SubReply)
+}
+
+// algorithm1 is an opened engine with the shape of the synopsis it
+// improves over: the ranked sets available (the imax base) and their
+// sizes in data units. All three static components are grouped.
+type algorithm1 struct {
+	core.Engine
+	groups interface{ GroupSize(g int) int }
+	sets   int
+}
+
+// newBackend returns the component handler of one workload: Exact
+// requests scan the whole shard; others run Algorithm 1 from the
+// synopsis against the propagated budget.
+func newBackend(opts BackendOptions, w backend) Handler {
+	return func(ctx context.Context, req *wire.Request) *wire.SubReply {
+		if req.Kind != w.kind || req.Subset < 0 || !w.has(req) {
+			return errSub("netsvc: malformed " + w.name + " request")
+		}
+		ctx, cancel := opts.budget(ctx)
+		defer cancel()
+		opts.interfere(req.Seq)
+		shard := int(req.Subset) % w.shards
+		rep := &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel}
+		var a algorithm1
+		var units int
+		if req.SLO == wire.SLOExact {
+			units = w.exact(shard, req, rep)
+		} else {
+			a, units = w.approx(shard, req, rep)
+		}
+		sc := scanCounterFrom(ctx)
+		if a.Engine == nil {
+			// Answered by one scan: credit its units and pay for them.
+			if sc != nil {
+				sc.n.Add(uint64(units))
+			}
+			if opts.UnitCost > 0 {
+				time.Sleep(time.Duration(units) * opts.UnitCost)
+			}
+			return rep
+		}
+		eng := a.Engine
+		if sc != nil || opts.UnitCost > 0 {
+			eng = &meteredEngine{algorithm1: a, synopsis: units, sc: sc, unit: opts.UnitCost}
+		}
+		trace := core.Run(eng, budgetContinue(ctx), opts.imax(a.sets, w.imax))
+		rep.SetsProcessed = uint32(trace.SetsProcessed)
+		w.finish(a.Engine, req, rep)
+		return rep
+	}
+}
+
 // NewAggBackend returns a handler serving the aggregation workload
 // over comps (component c answers for subset c mod len(comps)). Exact
 // requests scan every row; others run Algorithm 1 at the request's
 // ladder level against the propagated budget.
 func NewAggBackend(comps []*agg.Component, opts BackendOptions) Handler {
-	opts = opts.withDefaults()
-	return func(ctx context.Context, req *wire.Request) *wire.SubReply {
-		if req.Kind != wire.KindAgg || req.Agg == nil || req.Subset < 0 {
-			return errSub("netsvc: malformed aggregation request")
-		}
-		ctx, cancel := opts.budget(ctx)
-		defer cancel()
-		opts.interfere(req.Seq)
-		c := comps[int(req.Subset)%len(comps)]
-		q := agg.Query{Op: agg.Op(req.Agg.Op), Lo: req.Agg.Lo, Hi: req.Agg.Hi}
-		rep := &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel}
-		if req.SLO == wire.SLOExact {
-			AddScanned(ctx, uint64(c.T.NumRows()))
-			if opts.UnitCost > 0 {
-				time.Sleep(time.Duration(c.T.NumRows()) * opts.UnitCost)
+	return newBackend(opts, backend{
+		kind: wire.KindAgg, name: "aggregation", shards: len(comps), imax: 1.0,
+		has: hasAgg,
+		exact: func(shard int, req *wire.Request, rep *wire.SubReply) int {
+			c := comps[shard]
+			rep.Agg = wireAgg(agg.ExactResult(c, aggQuery(req)))
+			return c.T.NumRows()
+		},
+		approx: func(shard int, req *wire.Request, _ *wire.SubReply) (algorithm1, int) {
+			c := comps[shard]
+			level := int(req.Level)
+			if req.Level == wire.NoLevel {
+				level = c.Syn.Levels() - 1
 			}
-			res := agg.ExactResult(c, q)
-			rep.Agg = &wire.AggResult{Sum: res.Sum, Cnt: res.Cnt, SumVar: res.SumVar, CntVar: res.CntVar}
-			return rep
-		}
-		level := int(req.Level)
-		if req.Level == wire.NoLevel {
-			level = c.Syn.Levels() - 1
-		}
-		e := agg.GetEngine(c, q, level)
-		var eng core.Engine = e
-		if opts.UnitCost > 0 {
-			eng = &costedEngine{
-				inner:    e,
-				synopsis: time.Duration(c.Syn.SampleUnits(e.Level)) * opts.UnitCost,
-				setCost:  func(g int) time.Duration { return time.Duration(c.Syn.StratumSize(g)) * opts.UnitCost },
-			}
-		}
-		if sc := scanCounterFrom(ctx); sc != nil {
-			eng = &tallyEngine{
-				inner:    eng,
-				synopsis: uint64(c.Syn.SampleUnits(e.Level)),
-				setSize:  func(g int) uint64 { return uint64(c.Syn.StratumSize(g)) },
-				sc:       sc,
-			}
-		}
-		trace := core.Run(eng, budgetContinue(ctx), opts.imax(c.Syn.NumStrata(), 1.0))
-		served := e.Level
-		res := e.TakeResult()
-		e.Release()
-		rep.Level = int16(served)
-		rep.SetsProcessed = uint32(trace.SetsProcessed)
-		rep.Agg = &wire.AggResult{Sum: res.Sum, Cnt: res.Cnt, SumVar: res.SumVar, CntVar: res.CntVar}
-		return rep
-	}
+			e := agg.GetEngine(c, aggQuery(req), level)
+			return algorithm1{e, c, c.Syn.NumStrata()}, c.Syn.SampleUnits(e.Level)
+		},
+		finish: func(eng core.Engine, _ *wire.Request, rep *wire.SubReply) {
+			e := eng.(*agg.Engine)
+			rep.Level = int16(e.Level)
+			rep.Agg = wireAgg(e.TakeResult())
+			e.Release()
+		},
+	})
+}
+
+func hasAgg(req *wire.Request) bool { return req.Agg != nil }
+
+func aggQuery(req *wire.Request) agg.Query {
+	return agg.Query{Op: agg.Op(req.Agg.Op), Lo: req.Agg.Lo, Hi: req.Agg.Hi}
+}
+
+// wireAgg ships a result the caller owns; its slices are not copied.
+func wireAgg(res agg.Result) *wire.AggResult {
+	return &wire.AggResult{Sum: res.Sum, Cnt: res.Cnt, SumVar: res.SumVar, CntVar: res.CntVar}
 }
 
 // NewCFBackend returns a handler serving the CF recommender workload
 // over comps.
 func NewCFBackend(comps []*cf.Component, opts BackendOptions) Handler {
-	opts = opts.withDefaults()
-	return func(ctx context.Context, req *wire.Request) *wire.SubReply {
-		if req.Kind != wire.KindCF || req.CF == nil || req.Subset < 0 {
-			return errSub("netsvc: malformed CF request")
-		}
-		ctx, cancel := opts.budget(ctx)
-		defer cancel()
-		opts.interfere(req.Seq)
-		c := comps[int(req.Subset)%len(comps)]
+	query := func(req *wire.Request) cf.Request {
 		ratings := make([]cf.Rating, len(req.CF.Ratings))
 		for i, r := range req.CF.Ratings {
 			ratings[i] = cf.Rating{Item: r.Item, Score: r.Score}
 		}
-		creq := cf.NewRequest(ratings, req.CF.Targets)
-		rep := &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel}
-		if req.SLO == wire.SLOExact {
-			AddScanned(ctx, uint64(c.M.NumUsers()))
-			if opts.UnitCost > 0 {
-				time.Sleep(time.Duration(c.M.NumUsers()) * opts.UnitCost)
-			}
-			res := cf.ExactResult(c, creq)
-			rep.CF = &wire.CFResult{Num: res.Num, Den: res.Den}
-			return rep
-		}
-		e := cf.GetEngine(c, creq)
-		var eng core.Engine = e
-		if opts.UnitCost > 0 {
-			eng = &costedEngine{
-				inner:    e,
-				synopsis: time.Duration(len(c.Aggs)) * opts.UnitCost,
-				setCost:  func(g int) time.Duration { return time.Duration(len(c.Aggs[g].Members)) * opts.UnitCost },
-			}
-		}
-		if sc := scanCounterFrom(ctx); sc != nil {
-			eng = &tallyEngine{
-				inner:    eng,
-				synopsis: uint64(len(c.Aggs)),
-				setSize:  func(g int) uint64 { return uint64(len(c.Aggs[g].Members)) },
-				sc:       sc,
-			}
-		}
-		trace := core.Run(eng, budgetContinue(ctx), opts.imax(len(c.Aggs), 1.0))
-		res := e.TakeResult()
-		e.Release()
-		rep.SetsProcessed = uint32(trace.SetsProcessed)
-		rep.CF = &wire.CFResult{Num: res.Num, Den: res.Den}
-		return rep
+		return cf.NewRequest(ratings, req.CF.Targets)
 	}
+	return newBackend(opts, backend{
+		kind: wire.KindCF, name: "CF", shards: len(comps), imax: 1.0,
+		has: func(req *wire.Request) bool { return req.CF != nil },
+		exact: func(shard int, req *wire.Request, rep *wire.SubReply) int {
+			c := comps[shard]
+			res := cf.ExactResult(c, query(req))
+			rep.CF = &wire.CFResult{Num: res.Num, Den: res.Den}
+			return c.M.NumUsers()
+		},
+		approx: func(shard int, req *wire.Request, _ *wire.SubReply) (algorithm1, int) {
+			c := comps[shard]
+			return algorithm1{cf.GetEngine(c, query(req)), c, len(c.Aggs)}, len(c.Aggs)
+		},
+		finish: func(eng core.Engine, _ *wire.Request, rep *wire.SubReply) {
+			e := eng.(*cf.Engine)
+			res := e.TakeResult()
+			e.Release()
+			rep.CF = &wire.CFResult{Num: res.Num, Den: res.Den}
+		},
+	})
 }
 
 // NewSearchBackend returns a handler serving the web-search workload
 // over comps.
 func NewSearchBackend(comps []*textindex.Component, opts BackendOptions) Handler {
-	opts = opts.withDefaults()
-	return func(ctx context.Context, req *wire.Request) *wire.SubReply {
-		if req.Kind != wire.KindSearch || req.Search == nil || req.Subset < 0 {
-			return errSub("netsvc: malformed search request")
+	hits := func(req *wire.Request) int {
+		if k := int(req.Search.K); k > 0 {
+			return k
 		}
-		ctx, cancel := opts.budget(ctx)
-		defer cancel()
-		opts.interfere(req.Seq)
-		c := comps[int(req.Subset)%len(comps)]
-		q := c.Ix.ParseQuery(req.Search.Query)
-		k := int(req.Search.K)
-		if k <= 0 {
-			k = opts.K
+		if opts.K > 0 {
+			return opts.K
 		}
-		rep := &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel}
-		if req.SLO == wire.SLOExact {
-			AddScanned(ctx, uint64(c.Ix.NumDocs()))
-			if opts.UnitCost > 0 {
-				time.Sleep(time.Duration(c.Ix.NumDocs()) * opts.UnitCost)
-			}
-			rep.Search = wireHits(textindex.ExactTopK(c, q, k))
-			return rep
-		}
-		e := textindex.GetEngine(c, q)
-		var eng core.Engine = e
-		if opts.UnitCost > 0 {
-			eng = &costedEngine{
-				inner:    e,
-				synopsis: time.Duration(len(c.Aggs)) * opts.UnitCost,
-				setCost:  func(g int) time.Duration { return time.Duration(c.GroupSize(g)) * opts.UnitCost },
-			}
-		}
-		if sc := scanCounterFrom(ctx); sc != nil {
-			eng = &tallyEngine{
-				inner:    eng,
-				synopsis: uint64(len(c.Aggs)),
-				setSize:  func(g int) uint64 { return uint64(c.GroupSize(g)) },
-				sc:       sc,
-			}
-		}
-		trace := core.Run(eng, budgetContinue(ctx), opts.imax(len(c.Aggs), 0.4))
-		hits := e.TopK(k)
-		e.Release()
-		rep.SetsProcessed = uint32(trace.SetsProcessed)
-		rep.Search = wireHits(hits)
-		return rep
+		return 10
 	}
+	return newBackend(opts, backend{
+		kind: wire.KindSearch, name: "search", shards: len(comps), imax: 0.4,
+		has: func(req *wire.Request) bool { return req.Search != nil },
+		exact: func(shard int, req *wire.Request, rep *wire.SubReply) int {
+			c := comps[shard]
+			rep.Search = wireHits(textindex.ExactTopK(c, c.Ix.ParseQuery(req.Search.Query), hits(req)))
+			return c.Ix.NumDocs()
+		},
+		approx: func(shard int, req *wire.Request, _ *wire.SubReply) (algorithm1, int) {
+			c := comps[shard]
+			e := textindex.GetEngine(c, c.Ix.ParseQuery(req.Search.Query))
+			return algorithm1{e, c, len(c.Aggs)}, len(c.Aggs)
+		},
+		finish: func(eng core.Engine, req *wire.Request, rep *wire.SubReply) {
+			e := eng.(*textindex.Engine)
+			rep.Search = wireHits(e.TopK(hits(req)))
+			e.Release()
+		},
+	})
 }
 
 func wireHits(hits []textindex.Hit) *wire.SearchResult {

@@ -1,7 +1,6 @@
 package netsvc
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -32,26 +31,17 @@ func (o ClientOptions) withDefaults() ClientOptions {
 }
 
 // Client talks to a FrontServer: it sends whole-service requests and
-// receives composed replies over one multiplexed connection with
-// transparent re-dial after failures. Safe for concurrent use.
+// receives composed replies over one multiplexed connection (the same
+// peerConn the aggregator pools) with transparent re-dial after
+// failures. Safe for concurrent use.
 type Client struct {
 	addr   string
 	opts   ClientOptions
 	nextID atomic.Uint64
 
 	mu     sync.Mutex
-	conn   *clientConn
+	conn   *peerConn
 	closed bool
-}
-
-type clientConn struct {
-	c   net.Conn
-	wmu sync.Mutex
-
-	pmu       sync.Mutex
-	pending   map[uint64]chan *wire.Reply
-	pendingIn map[uint64]chan *wire.IngestReply
-	dead      bool
 }
 
 // DialClient connects to a FrontServer.
@@ -63,37 +53,54 @@ func DialClient(addr string, opts ClientOptions) (*Client, error) {
 	return cl, nil
 }
 
-func (cl *Client) live() (*clientConn, error) {
+// live returns the connection, re-dialing a dead one.
+func (cl *Client) live() (*peerConn, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
 		return nil, ErrClosed
 	}
-	if cc := cl.conn; cc != nil && !cc.isDead() {
-		return cc, nil
+	if pc := cl.conn; pc != nil && !pc.isDead() {
+		return pc, nil
 	}
 	c, err := net.DialTimeout("tcp", cl.addr, cl.opts.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	cc := &clientConn{
-		c:         c,
-		pending:   map[uint64]chan *wire.Reply{},
-		pendingIn: map[uint64]chan *wire.IngestReply{},
+	cl.conn = newPeerConn(c, cl.opts.MaxFrame, func() {}) // nobody to tell: the next call re-dials
+	return cl.conn, nil
+}
+
+// roundTrip registers a call's waiter on the live connection, writes its
+// frame and waits on ch, the waiter's channel, for the answer. A call
+// whose context gives up first takes its waiter back off the connection,
+// so it leaves no entry behind (a late reply finds no one and is
+// dropped).
+func roundTrip[T any](ctx context.Context, cl *Client, id uint64, frame []byte, waiter pending, ch chan answer[T]) (T, error) {
+	var none T
+	pc, err := cl.live()
+	if err != nil {
+		return none, err
 	}
-	cl.conn = cc
-	go cc.readLoop(cl.opts.MaxFrame)
-	return cc, nil
+	if !pc.register(id, waiter) {
+		return none, errors.New("netsvc: connection lost")
+	}
+	if err := pc.write(frame); err != nil {
+		return none, fmt.Errorf("netsvc: send failed: %w", err)
+	}
+	select {
+	case got := <-ch:
+		return got.rep, got.err
+	case <-ctx.Done():
+		pc.take(id)
+		return none, ctx.Err()
+	}
 }
 
 // Call sends one whole-service request and waits for its composed
 // reply. The request's ID is stamped by the client and its Deadline
 // from the context; Subset is forced to -1 (whole service).
 func (cl *Client) Call(ctx context.Context, req *wire.Request) (*wire.Reply, error) {
-	cc, err := cl.live()
-	if err != nil {
-		return nil, err
-	}
 	sub := *req
 	sub.ID = cl.nextID.Add(1)
 	sub.Subset = -1
@@ -105,28 +112,8 @@ func (cl *Client) Call(ctx context.Context, req *wire.Request) (*wire.Reply, err
 			sub.Deadline = dl.UnixNano()
 		}
 	}
-	ch := make(chan *wire.Reply, 1)
-	if !cc.register(sub.ID, ch) {
-		return nil, errors.New("netsvc: connection lost")
-	}
-	defer cc.deregister(sub.ID)
-	frame := wire.AppendRequestFrame(nil, &sub)
-	cc.wmu.Lock()
-	_, werr := cc.c.Write(frame)
-	cc.wmu.Unlock()
-	if werr != nil {
-		cc.fail()
-		return nil, fmt.Errorf("netsvc: send failed: %w", werr)
-	}
-	select {
-	case rep := <-ch:
-		if rep == nil {
-			return nil, errors.New("netsvc: connection failed awaiting reply")
-		}
-		return rep, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	ch := make(chan answer[*wire.Reply], 1)
+	return roundTrip(ctx, cl, sub.ID, wire.AppendRequestFrame(nil, &sub), pending{reply: ch}, ch)
 }
 
 // Ingest sends one append batch and waits for its acknowledgement.
@@ -136,149 +123,19 @@ func (cl *Client) Call(ctx context.Context, req *wire.Request) (*wire.Reply, err
 // batch was staged at — the appended rows are visible to every query
 // answered at a strictly greater epoch.
 func (cl *Client) Ingest(ctx context.Context, req *wire.IngestRequest) (*wire.IngestReply, error) {
-	cc, err := cl.live()
-	if err != nil {
-		return nil, err
-	}
 	sub := *req
 	sub.ID = cl.nextID.Add(1)
-	ch := make(chan *wire.IngestReply, 1)
-	if !cc.registerIngest(sub.ID, ch) {
-		return nil, errors.New("netsvc: connection lost")
-	}
-	defer cc.deregisterIngest(sub.ID)
-	frame := wire.AppendIngestRequestFrame(nil, &sub)
-	cc.wmu.Lock()
-	_, werr := cc.c.Write(frame)
-	cc.wmu.Unlock()
-	if werr != nil {
-		cc.fail()
-		return nil, fmt.Errorf("netsvc: send failed: %w", werr)
-	}
-	select {
-	case rep := <-ch:
-		if rep == nil {
-			return nil, errors.New("netsvc: connection failed awaiting ingest ack")
-		}
-		return rep, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	ch := make(chan answer[*wire.IngestReply], 1)
+	return roundTrip(ctx, cl, sub.ID, wire.AppendIngestRequestFrame(nil, &sub), pending{ack: ch}, ch)
 }
 
 // Close tears the connection down; in-flight Calls fail.
 func (cl *Client) Close() {
 	cl.mu.Lock()
 	cl.closed = true
-	cc := cl.conn
+	pc := cl.conn
 	cl.mu.Unlock()
-	if cc != nil {
-		cc.fail()
-	}
-}
-
-func (cc *clientConn) isDead() bool {
-	cc.pmu.Lock()
-	defer cc.pmu.Unlock()
-	return cc.dead
-}
-
-func (cc *clientConn) register(id uint64, ch chan *wire.Reply) bool {
-	cc.pmu.Lock()
-	defer cc.pmu.Unlock()
-	if cc.dead {
-		return false
-	}
-	cc.pending[id] = ch
-	return true
-}
-
-func (cc *clientConn) deregister(id uint64) {
-	cc.pmu.Lock()
-	delete(cc.pending, id)
-	cc.pmu.Unlock()
-}
-
-func (cc *clientConn) registerIngest(id uint64, ch chan *wire.IngestReply) bool {
-	cc.pmu.Lock()
-	defer cc.pmu.Unlock()
-	if cc.dead {
-		return false
-	}
-	cc.pendingIn[id] = ch
-	return true
-}
-
-func (cc *clientConn) deregisterIngest(id uint64) {
-	cc.pmu.Lock()
-	delete(cc.pendingIn, id)
-	cc.pmu.Unlock()
-}
-
-func (cc *clientConn) readLoop(maxFrame int) {
-	br := bufio.NewReader(cc.c)
-	var buf []byte
-	for {
-		var err error
-		buf, err = wire.ReadFrame(br, buf, maxFrame)
-		if err != nil {
-			cc.fail()
-			return
-		}
-		// Composed replies and ingest acknowledgements share the
-		// connection; route on the kind byte before decoding.
-		kind, err := wire.FrameKind(buf)
-		if err != nil {
-			cc.fail()
-			return
-		}
-		if kind == wire.FrameIngestReply {
-			ack, err := wire.DecodeIngestReply(buf)
-			if err != nil {
-				cc.fail()
-				return
-			}
-			cc.pmu.Lock()
-			ch := cc.pendingIn[ack.ID]
-			delete(cc.pendingIn, ack.ID)
-			cc.pmu.Unlock()
-			if ch != nil {
-				ch <- ack
-			}
-			continue
-		}
-		rep, err := wire.DecodeReply(buf)
-		if err != nil {
-			cc.fail()
-			return
-		}
-		cc.pmu.Lock()
-		ch := cc.pending[rep.ID]
-		delete(cc.pending, rep.ID)
-		cc.pmu.Unlock()
-		if ch != nil {
-			ch <- rep
-		}
-	}
-}
-
-func (cc *clientConn) fail() {
-	cc.pmu.Lock()
-	if cc.dead {
-		cc.pmu.Unlock()
-		return
-	}
-	cc.dead = true
-	pending := cc.pending
-	pendingIn := cc.pendingIn
-	cc.pending = nil
-	cc.pendingIn = nil
-	cc.pmu.Unlock()
-	cc.c.Close()
-	for _, ch := range pending {
-		ch <- nil
-	}
-	for _, ch := range pendingIn {
-		ch <- nil
+	if pc != nil {
+		pc.fail(ErrClosed)
 	}
 }

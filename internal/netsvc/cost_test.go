@@ -7,6 +7,7 @@ import (
 
 	"accuracytrader/internal/audit"
 	"accuracytrader/internal/cost"
+	"accuracytrader/internal/obs"
 	"accuracytrader/internal/wire"
 )
 
@@ -154,5 +155,67 @@ func TestRefreshBilledToInternalTenant(t *testing.T) {
 	}
 	if row.Totals.CPUNs == 0 || row.Totals.Scanned == 0 {
 		t.Fatalf("refresh row has no usage: %+v", row.Totals)
+	}
+}
+
+// TestOriginCharges walks the charges table: the same pass, asked for by
+// each origin, must land in exactly the planes its row names — every
+// origin traced, only a client counted by the SLO windows and offered to
+// the auditor, a refresh billed to the internal tenant, an audit replay
+// billed to nobody.
+func TestOriginCharges(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		from    origin
+		outcome uint8  // the trace's cache outcome
+		slo     int64  // SLO window delta, all classes
+		tenant  string // the one cost row's tenant ("" = no row at all)
+		sampled int64  // samples offered to the auditor
+	}{
+		{"client", originClient, obs.CacheNone, 1, "acme", 1},
+		{"refresh", originRefresh, obs.CacheRefresh, 0, cost.InternalTenant, 0},
+		{"audit", originAudit, obs.CacheRefresh, 0, "", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A closed gate parks the auditor's own replays, so the only
+			// pass in the stack is the one made here.
+			_, fs, auditor, table := costStack(t, audit.Config{Gate: func() bool { return false }})
+			req := boundedCoarseReq(0.1)
+			req.Tenant = "acme"
+			if tc.from != originClient {
+				req = exactOf(req)
+			}
+			rep, _, row := fs.pass(context.Background(), req, tc.from, time.Time{})
+			if rep.Status != wire.ReplyOK {
+				t.Fatalf("reply: %+v", rep)
+			}
+			if metered := row.acct != nil; metered != (tc.tenant != "") {
+				t.Fatalf("pass metered = %v, want %v", metered, tc.tenant != "")
+			}
+			row.close(0)
+
+			traces := fs.Tracer().Snapshot(0)
+			if len(traces) != 1 || traces[0].ID != rep.Trace || traces[0].CacheOutcome != tc.outcome {
+				t.Fatalf("traces = %+v, want one with id %d and cache outcome %d", traces, rep.Trace, tc.outcome)
+			}
+			var total int64
+			for class := uint8(0); class <= wire.SLOBestEffort; class++ {
+				n, _, _, _ := fs.SLOTracker().Window(class, 0)
+				total += n
+			}
+			if total != tc.slo {
+				t.Fatalf("SLO windows counted %d requests, want %d", total, tc.slo)
+			}
+			rows := table.Snapshot().Rows
+			if tc.tenant == "" && len(rows) != 0 {
+				t.Fatalf("cost rows = %+v, want none", rows)
+			}
+			if tc.tenant != "" && (len(rows) != 1 || rows[0].Tenant != tc.tenant || rows[0].Totals.Scanned == 0) {
+				t.Fatalf("cost rows = %+v, want one metered row for tenant %q", rows, tc.tenant)
+			}
+			if got := auditor.Stats().Sampled; got != tc.sampled {
+				t.Fatalf("auditor sampled %d, want %d", got, tc.sampled)
+			}
+		})
 	}
 }

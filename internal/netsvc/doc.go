@@ -24,11 +24,21 @@
 //     frontend pipeline, merges the sub-results with the application
 //     composers (additive for CF and aggregation — bounds-aware via
 //     the carried variances — top-k for search), and answers with a
-//     composed wire.Reply recording what was delivered.
-//   - Backends: per-workload component handlers wrapping the pooled
-//     application engines, with an optional modeled per-point scan
-//     cost and a co-located-interference hook so laptop-scale loopback
-//     deployments exhibit cluster-shaped tails.
+//     composed wire.Reply recording what was delivered. Client
+//     requests, cache refreshes, re-warms and audit replays all take
+//     one pass (FrontServer.pass), which owns the trace, the cost
+//     account, the cache-or-fan-out choice and the SLO and audit
+//     feeds; the charges table beside it says what each origin is
+//     charged to.
+//   - Client: the front server's wire client, over the same
+//     multiplexed connection type (peerConn) the aggregator pools.
+//   - Backends: per-workload component handlers on one skeleton
+//     (newBackend: validation, l_spe budget, interference, shard pick,
+//     scan crediting and modeled per-point scan cost, the single
+//     core.Run), each workload supplying only its exact scan, its
+//     pooled engine and its result's wire form; the interference hook
+//     and modeled cost give laptop-scale loopback deployments
+//     cluster-shaped tails.
 //   - StartLoopback: the one place a loopback deployment (component
 //     servers, aggregator, optional front server and client) is
 //     assembled, waited ready and torn down in reverse order; the

@@ -2,6 +2,7 @@ package netsvc
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net"
 	"runtime"
@@ -236,6 +237,50 @@ func TestCallCancellationReleasesInflight(t *testing.T) {
 	close(release)
 	lb.Close()
 	checkLeaks()
+}
+
+// TestClientCancelLeavesNoPending abandons a Client.Call whose reply is
+// still being computed and asserts the call took its waiter back off the
+// multiplexed connection: nothing is left pending, the late reply finds
+// no one and is dropped, and the connection keeps serving.
+func TestClientCancelLeavesNoPending(t *testing.T) {
+	release := make(chan struct{})
+	var stalled atomic.Bool
+	h := func(ctx context.Context, req *wire.Request) *wire.SubReply {
+		if stalled.CompareAndSwap(false, true) {
+			<-release // only the first request stalls
+		}
+		return &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
+			Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0}, CntVar: []float64{0}}}
+	}
+	lb := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(h), Server: ServerOptions{Workers: 2},
+		Agg: waitAll, Front: bareFront})
+	defer close(release)
+	cl := lb.Client
+
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel) // after the request reached the handler
+	if _, err := cl.Call(ctx, aggReq(agg.Sum, 0, 1)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("stalled Call = %v, want context.Canceled", err)
+	}
+	if !stalled.Load() {
+		t.Fatal("request never reached the handler")
+	}
+	pc := cl.conn
+	pc.pmu.Lock()
+	n := len(pc.pending)
+	pc.pmu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d waiters still pending after the cancelled Call returned", n)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if rep, err := cl.Call(ctx, aggReq(agg.Sum, 0, 1)); err != nil || rep.Status != wire.ReplyOK {
+		t.Fatalf("Call after a cancelled one = %+v, %v", rep, err)
+	}
+	if cl.conn != pc {
+		t.Fatal("a cancelled Call cost the client its connection")
+	}
 }
 
 // TestMidFlightKillEveryCallReturns kills a component server while N

@@ -3,7 +3,6 @@ package netsvc
 import (
 	"context"
 	"sync"
-	"time"
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/cf"
@@ -145,37 +144,27 @@ var liveAggResults = sync.Pool{New: func() any { return new(agg.Result) }}
 // single atomic load and answers entirely from it — concurrent epoch
 // swaps never tear a result — using the snapshot's base synopsis at
 // the requested ladder level plus an exact fold of the unmerged delta.
+// Either way the answer is one bounded scan, not an Algorithm 1 run, so
+// both hooks of the handler skeleton answer in place.
 func NewLiveAggBackend(lives []*ingest.AggLive, opts BackendOptions) Handler {
-	opts = opts.withDefaults()
-	return func(ctx context.Context, req *wire.Request) *wire.SubReply {
-		if req.Kind != wire.KindAgg || req.Agg == nil || req.Subset < 0 {
-			return errSub("netsvc: malformed aggregation request")
-		}
-		opts.interfere(req.Seq)
-		l := lives[int(req.Subset)%len(lives)]
-		snap, _ := l.Snapshot()
-		q := agg.Query{Op: agg.Op(req.Agg.Op), Lo: req.Agg.Lo, Hi: req.Agg.Hi}
-		rep := &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel}
+	answer := func(exact bool, shard int, req *wire.Request, rep *wire.SubReply) (units int) {
+		snap, _ := lives[shard].Snapshot()
+		q := aggQuery(req)
 		res := liveAggResults.Get().(*agg.Result)
-		if req.SLO == wire.SLOExact || snap.Base() == nil {
+		if base := snap.Base(); exact || base == nil {
 			// Exact class — or an epoch before the first compaction, whose
 			// only data is the exactly scanned delta.
-			if opts.UnitCost > 0 {
-				time.Sleep(time.Duration(snap.Rows()) * opts.UnitCost)
-			}
+			units = snap.Rows()
 			*res = snap.Exact(*res, q)
 		} else {
-			syn := snap.Base().Syn
 			level := int(req.Level)
-			if req.Level == wire.NoLevel || level >= syn.Levels() {
-				level = syn.Levels() - 1
+			if req.Level == wire.NoLevel || level >= base.Syn.Levels() {
+				level = base.Syn.Levels() - 1
 			}
 			if level < 0 {
 				level = 0
 			}
-			if opts.UnitCost > 0 {
-				time.Sleep(time.Duration(syn.SampleUnits(level)+snap.DeltaRows()) * opts.UnitCost)
-			}
+			units = base.Syn.SampleUnits(level) + snap.DeltaRows()
 			*res = snap.QueryLevel(*res, q, level)
 			rep.Level = int16(level)
 		}
@@ -186,8 +175,18 @@ func NewLiveAggBackend(lives []*ingest.AggLive, opts BackendOptions) Handler {
 			CntVar: append([]float64(nil), res.CntVar...),
 		}
 		liveAggResults.Put(res)
-		return rep
+		return units
 	}
+	return newBackend(opts, backend{
+		kind: wire.KindAgg, name: "aggregation", shards: len(lives),
+		has: hasAgg,
+		exact: func(shard int, req *wire.Request, rep *wire.SubReply) int {
+			return answer(true, shard, req, rep)
+		},
+		approx: func(shard int, req *wire.Request, rep *wire.SubReply) (algorithm1, int) {
+			return algorithm1{}, answer(false, shard, req, rep)
+		},
+	})
 }
 
 // EnableIngest makes the front server accept v5 append batches and

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"accuracytrader/internal/agg"
+	"accuracytrader/internal/cost"
 	"accuracytrader/internal/ingest"
+	"accuracytrader/internal/obs"
 	"accuracytrader/internal/wire"
 )
 
@@ -145,5 +147,66 @@ func TestIngestNotEnabled(t *testing.T) {
 	q.SLO = wire.SLOExact
 	if qrep, err := cl.Call(ctx, q); err != nil || qrep.Status != wire.ReplyOK {
 		t.Fatalf("query after rejected ingest: %v %+v", err, qrep)
+	}
+}
+
+// TestLiveBackendCreditsScannedUnits is the regression test for the live
+// backend's scan accounting: a traced, costed deployment over live
+// shards must meter the rows its answers scanned — an Exact full scan
+// and a ladder-level read alike — or the cost frontier of the one
+// workload that ingests has no cost axis.
+func TestLiveBackendCreditsScannedUnits(t *testing.T) {
+	const n, numKeys, rowsPerShard = 2, 8, 400
+	lives := make([]*ingest.AggLive, n)
+	for i := range lives {
+		lives[i] = ingest.NewAggLive(numKeys, agg.Config{Rates: []float64{0.1, 0.4}, MinSample: 4, Seed: 3})
+		keys, vals := make([]int32, rowsPerShard), make([]float64, rowsPerShard)
+		for r := range keys {
+			keys[r], vals[r] = int32(r%numKeys), float64(r)
+		}
+		if _, err := lives[i].Append(keys, vals); err != nil {
+			t.Fatal(err)
+		}
+		// Compacting gives the shard a base synopsis, so a levelled
+		// request takes the ladder read and not the exact fallback.
+		if _, _, _, err := lives[i].Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table := cost.NewTable()
+	lb := startLoopback(t, LoopbackSpec{
+		Components: n,
+		Handler:    func(i int) Handler { return NewLiveAggBackend(lives[i:i+1], BackendOptions{}) },
+		Agg:        waitAll,
+		Front: func(a *Aggregator) (*FrontServer, error) {
+			fs := NewFrontServer(a, nil, ServerOptions{Tracer: obs.NewRecorder(16, 16)})
+			return fs, fs.EnableCost(table)
+		},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	call := func(slo uint8, level int16) {
+		t.Helper()
+		req := aggReq(agg.Sum, 0, math.Inf(1))
+		req.SLO, req.Level = slo, level
+		rep, err := lb.Client.Call(ctx, req)
+		if err != nil || rep.Status != wire.ReplyOK {
+			t.Fatalf("call(slo %d, level %d) = %+v, %v", slo, level, rep, err)
+		}
+	}
+
+	call(wire.SLOExact, wire.NoLevel)
+	exact := table.Snapshot().Global.Scanned
+	if exact != n*rowsPerShard {
+		t.Fatalf("Exact request metered %d scanned units, want every row (%d)", exact, n*rowsPerShard)
+	}
+	call(wire.SLOBestEffort, 0)
+	var sample uint64
+	for _, l := range lives {
+		snap, _ := l.Snapshot()
+		sample += uint64(snap.Base().Syn.SampleUnits(0) + snap.DeltaRows())
+	}
+	if levelled := table.Snapshot().Global.Scanned - exact; sample == 0 || levelled != sample {
+		t.Fatalf("level-0 request metered %d scanned units, want the level's sample units (%d)", levelled, sample)
 	}
 }

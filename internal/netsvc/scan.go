@@ -5,9 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// scanCounter tallies the rows/postings a backend computation touched.
-// Component servers install one in the request context only when the
-// request is traced, so the untraced hot path stays allocation-free.
+// scanCounter tallies the rows/postings a backend computation touched
+// (the handler skeleton, newBackend, credits it). Component servers
+// install one in the request context only when the request is traced, so
+// the untraced hot path stays allocation-free.
 type scanCounter struct {
 	n atomic.Uint64
 }
@@ -21,14 +22,4 @@ func withScanCounter(ctx context.Context, c *scanCounter) context.Context {
 func scanCounterFrom(ctx context.Context) *scanCounter {
 	c, _ := ctx.Value(scanCounterKey{}).(*scanCounter)
 	return c
-}
-
-// AddScanned credits n scanned rows/postings to the request's scan
-// counter. Backend engines call it from compute paths; when no counter
-// is installed (untraced request, or a caller outside a component
-// server) it is a no-op.
-func AddScanned(ctx context.Context, n uint64) {
-	if c := scanCounterFrom(ctx); c != nil {
-		c.n.Add(n)
-	}
 }

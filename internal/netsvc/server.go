@@ -181,6 +181,15 @@ func (s *srvCore) Serve(l net.Listener) error {
 	}
 }
 
+// ListenAndServe listens on addr and serves until Close.
+func (s *srvCore) ListenAndServe(addr string) error {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return s.Serve(l)
+}
+
 // readConn decodes request frames off one connection and enqueues them
 // on the bounded worker queue. A protocol error closes the connection.
 func (s *srvCore) readConn(c net.Conn) {
@@ -396,15 +405,6 @@ func NewServer(h Handler, opts ServerOptions) *Server {
 	return s
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // FrontServer is an aggregator process's client-facing listener: it
 // answers whole-service requests with composed replies, optionally
 // running every request through the accuracy-aware frontend pipeline
@@ -438,7 +438,7 @@ type FrontServer struct {
 
 	// costs, when set (EnableCost), meters every answered request into
 	// the per-(tenant, class, workload, level) cost table. Nil costs
-	// nothing: serve skips the account entirely.
+	// nothing: the pass skips the account entirely.
 	costs *cost.Table
 }
 
@@ -454,40 +454,28 @@ func NewFrontServer(agg *Aggregator, fe *frontend.Frontend, opts ServerOptions) 
 	s.srvCore = newSrvCore(opts)
 	s.srvCore.graceful = true
 	s.srvCore.respond = func(ctx context.Context, req *wire.Request, enq time.Time) []byte {
-		rep, costDone := s.serve(ctx, req, enq)
+		rep, _, row := s.pass(ctx, req, originClient, enq)
 		frame := wire.AppendReplyFrame(nil, rep)
-		if costDone != nil {
-			// The reply frame's own bytes are part of the request's wire
-			// cost; only the encoder knows them, so the cost record closes
-			// here rather than in serve.
-			costDone(len(frame))
-		}
+		// The reply frame's own bytes are part of the request's wire cost;
+		// only the encoder knows them, so the cost row closes here rather
+		// than in the pass.
+		row.close(len(frame))
 		return frame
 	}
 	s.srvCore.expired = func(req *wire.Request) []byte {
-		return wire.AppendReplyFrame(nil, &wire.Reply{
-			ID: req.ID, Kind: req.Kind, Status: wire.ReplyErr,
-			Err: "deadline expired before service", SLO: req.SLO,
-			MinAccuracy: req.MinAccuracy, Level: wire.NoLevel,
-		})
+		return wire.AppendReplyFrame(nil, replyTo(req, wire.ReplyErr, "deadline expired before service"))
 	}
 	s.srvCore.busy = func(req *wire.Request) []byte {
-		return wire.AppendReplyFrame(nil, &wire.Reply{
-			ID: req.ID, Kind: req.Kind, Status: wire.ReplyRejected,
-			Err: "aggregator queue full", SLO: req.SLO,
-			MinAccuracy: req.MinAccuracy, Level: wire.NoLevel,
-		})
+		return wire.AppendReplyFrame(nil, replyTo(req, wire.ReplyRejected, "aggregator queue full"))
 	}
 	return s
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (s *FrontServer) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
+// replyTo starts the reply to a whole-service request: its identity and
+// class echoed, no level served yet.
+func replyTo(req *wire.Request, status uint8, errMsg string) *wire.Reply {
+	return &wire.Reply{ID: req.ID, Kind: req.Kind, Status: status, Err: errMsg,
+		SLO: req.SLO, MinAccuracy: req.MinAccuracy, Level: wire.NoLevel}
 }
 
 // EnableCache puts the accuracy-tagged result cache in front of the
@@ -507,10 +495,7 @@ func (s *FrontServer) EnableCache(c *rescache.Cache) error {
 		return errors.New("netsvc: result cache requires a frontend with a degradation controller (entries are accuracy-tagged by its calibrated level estimates)")
 	}
 	s.cache = c
-	ctrl := s.fe.Controller()
-	c.SetRefresh(s.refreshToExact, func() bool {
-		return ctrl.Load() < frontend.RefreshLoadCeiling
-	})
+	c.SetRefresh(s.refreshToExact, s.fe.Controller().RefreshAllowed)
 	return nil
 }
 
@@ -527,24 +512,6 @@ func (s *FrontServer) cacheKey(req *wire.Request) uint64 {
 	s.keyBufs.Put(buf) //nolint:staticcheck // slice header boxing is amortized by the pool
 	return key
 }
-
-// cacheFloorOf maps the wire SLO class to the accuracy floor a cached
-// entry must clear to serve it.
-func (s *FrontServer) cacheFloorOf(req *wire.Request) float64 {
-	switch req.SLO {
-	case wire.SLOExact:
-		return 1
-	case wire.SLOBounded:
-		return req.MinAccuracy
-	default:
-		return s.cache.BestEffortFloor()
-	}
-}
-
-// errUncacheable marks a composed reply that must not be shared with
-// coalesced waiters or stored (rejected, failed, or partial); the
-// reply itself still travels back to the caller alongside it.
-var errUncacheable = errors.New("netsvc: reply not cacheable")
 
 // Tracer returns the decision-trace recorder (nil when tracing is
 // disabled) — the admin plane serves its snapshots at /traces.
@@ -575,36 +542,57 @@ func (s *FrontServer) tenantFor(req *wire.Request) string {
 	return req.Tenant
 }
 
-// workloadName maps a wire request kind to the workload label shared
-// by the cost table, the audit plane and the frontier join — the three
-// must agree or per-workload joins silently come up empty.
-func workloadName(kind wire.Kind) string {
-	switch kind {
-	case wire.KindAgg:
-		return "agg"
-	case wire.KindCF:
-		return "cf"
-	case wire.KindSearch:
-		return "search"
-	default:
-		return "unknown"
-	}
+// origin names who asked for a whole-service pass.
+type origin uint8
+
+const (
+	originClient  origin = iota // a client request off the wire
+	originRefresh               // the cache's refresh-to-exact worker, and the post-swap re-warm that shares it
+	originAudit                 // a ground-truth audit replay
+)
+
+// charges is what a pass is charged to, per origin; every origin is
+// traced. This table is the one place that decides "internal traffic is
+// excluded": refreshes are real work billed to the reserved internal
+// tenant, never to a client's; an audit replay is measurement, not
+// service, and is charged to nothing.
+var charges = [...]struct {
+	cached bool   // answered through the result cache (else a fresh fan-out, traced as CacheRefresh)
+	slo    bool   // counts in the SLO windows, and pins its degradations as anomaly exemplars
+	audit  bool   // offered to the ground-truth auditor
+	cost   bool   // metered into the cost table …
+	tenant string // … under this tenant (a client is billed as the request's own)
+}{
+	originClient:  {cached: true, slo: true, audit: true, cost: true},
+	originRefresh: {cost: true, tenant: cost.InternalTenant},
+	originAudit:   {},
 }
 
-// serve wraps one whole-service request in a decision trace (when a
-// Tracer is configured) and answers it. The client's propagated trace
-// ID is adopted so the client can correlate; an untraced server does
-// no extra work beyond two nil checks. The second return value, when
-// non-nil, closes the request's cost record once the caller knows the
-// encoded reply frame's size; a cost-off server always returns nil.
-func (s *FrontServer) serve(ctx context.Context, req *wire.Request, enq time.Time) (*wire.Reply, func(replyBytes int)) {
+// pass answers one whole-service request for an origin. It is the only
+// code that starts and finishes a decision trace (adopting the request's
+// propagated trace ID so a client can correlate, minting one otherwise),
+// opens and closes a cost account, consults the cache or fans out, and
+// feeds the SLO tracker and the auditor — each per the origin's row of
+// charges, each a nil check when its plane is off. It returns the reply,
+// the accuracy the answer is claimed at, and the pass's open cost row
+// for the caller to close.
+func (s *FrontServer) pass(ctx context.Context, req *wire.Request, from origin, enq time.Time) (*wire.Reply, float64, costRow) {
+	ch := &charges[from]
 	start := time.Now()
 	epoch := s.dataEpoch.Load()            // pre-answer epoch: audit samples must not straddle a swap
 	tr := s.tracer.Start(req.Trace, start) // nil recorder -> nil trace
-	tenant := s.tenantFor(req)
+	tenant := ch.tenant
+	if from == originClient {
+		tenant = s.tenantFor(req)
+	}
 	if tr != nil {
 		tr.SetRequest(uint8(req.Kind), req.SLO, req.MinAccuracy, req.Deadline)
 		tr.SetTenant(tenant)
+		if !ch.cached {
+			// Background recomputation load stays visible alongside
+			// foreground requests.
+			tr.SetCacheOutcome(obs.CacheRefresh)
+		}
 		if !enq.IsZero() {
 			// The front server's own queue wait, before any pipeline
 			// stage ran. Comp -1: not tied to a subset.
@@ -613,28 +601,35 @@ func (s *FrontServer) serve(ctx context.Context, req *wire.Request, enq time.Tim
 		ctx = obs.ContextWithTrace(ctx, tr)
 	}
 	var acct *cost.Account
-	if s.costs != nil {
+	if ch.cost && s.costs != nil {
 		acct = &cost.Account{}
 		acct.AddWireBytes(uint64(req.FrameLen))
 		ctx = cost.WithAccount(ctx, acct)
-		if tenant != "" {
-			ctx = obs.WithTenant(ctx, tenant)
-		}
 	}
-	rep, acc := s.answer(ctx, req)
+	var rep *wire.Reply
+	var acc float64
+	if ch.cached && s.cache != nil {
+		rep, acc = s.answer(ctx, req)
+	} else {
+		rep, acc = s.serveMiss(ctx, req)
+	}
 	rep.Trace = tr.ID() // nil-safe: 0 when untraced
-	switch rep.Status {
-	case wire.ReplyDegraded:
-		tr.MarkAnomaly(obs.AnomalyDegraded)
-	case wire.ReplyUnavailable:
-		tr.MarkAnomaly(obs.AnomalyUnavailable)
-	}
 	dur := time.Since(start)
+	if ch.slo {
+		switch rep.Status {
+		case wire.ReplyDegraded:
+			tr.MarkAnomaly(obs.AnomalyDegraded)
+		case wire.ReplyUnavailable:
+			tr.MarkAnomaly(obs.AnomalyUnavailable)
+		}
+		s.recordSLO(req, rep, tenant, start, dur)
+	}
 	tr.Finish(dur) // pins anomalous traces (incl. deadline misses) as exemplars
-	s.recordSLO(req, rep, start, dur)
-	s.maybeAudit(req, rep, acc, epoch)
+	if ch.audit {
+		s.maybeAudit(req, rep, acc, epoch, tenant)
+	}
 	if acct == nil {
-		return rep, nil
+		return rep, acc, costRow{}
 	}
 	lvl := rep.Level
 	if lvl == wire.NoLevel {
@@ -642,100 +637,86 @@ func (s *FrontServer) serve(ctx context.Context, req *wire.Request, enq time.Tim
 		// explicit level, but nothing stamped it on the reply.
 		lvl = req.Level
 	}
-	key := cost.Key{
+	return rep, acc, costRow{table: s.costs, acct: acct, wall: dur, hit: rep.Cached, key: cost.Key{
 		Tenant:   tenant,
 		Class:    sloClassOf(req.SLO),
-		Workload: workloadName(req.Kind),
+		Workload: req.Kind.String(), // the label the audit plane and the frontier join share
 		Level:    lvl,
-	}
-	hit := rep.Cached
-	return rep, func(replyBytes int) {
-		acct.AddWireBytes(uint64(replyBytes))
-		u := acct.Usage()
-		u.WallNs = uint64(dur)
-		s.costs.Record(key, u, hit)
-	}
+	}}
 }
 
-// answer resolves one whole-service request, through the result cache
-// when one is enabled, and reports the accuracy the answer is claimed
-// at (the cached entry's recorded accuracy on hits).
+// costRow is a metered pass's open cost record. The zero value — cost
+// plane off, or an origin that is not metered — closes to nothing.
+type costRow struct {
+	table *cost.Table
+	acct  *cost.Account
+	key   cost.Key
+	wall  time.Duration
+	hit   bool
+}
+
+// close records the row once the caller knows the encoded reply frame's
+// size (0 when there is none).
+func (r costRow) close(replyBytes int) {
+	if r.acct == nil {
+		return
+	}
+	r.acct.AddWireBytes(uint64(replyBytes))
+	u := r.acct.Usage()
+	u.WallNs = uint64(r.wall)
+	r.table.Record(r.key, u, r.hit)
+}
+
+// exactOf clones a request for an internal recomputation at Exact class:
+// no ladder level, no client deadline or frame, and a trace of its own.
+func exactOf(req *wire.Request) *wire.Request {
+	exact := *req
+	exact.SLO, exact.MinAccuracy = wire.SLOExact, 0
+	exact.Level, exact.Deadline = wire.NoLevel, 0
+	exact.Trace, exact.FrameLen = 0, 0
+	return &exact
+}
+
+// storable returns the immutable copy of a composed reply that the cache
+// may keep — hits are re-stamped with their own request ID — or nil for
+// a reply that must be neither shared nor stored: rejected, failed, or
+// missing a subset.
+func storable(rep *wire.Reply) interface{} {
+	if rep.Status != wire.ReplyOK {
+		return nil
+	}
+	for _, st := range rep.SubStatus {
+		if st != wire.StatusOK {
+			return nil
+		}
+	}
+	stored := *rep
+	stored.ID = 0
+	return &stored
+}
+
+// answer resolves one client request through the result cache, and
+// reports the accuracy the answer is claimed at (the cached entry's
+// recorded accuracy on hits).
 func (s *FrontServer) answer(ctx context.Context, req *wire.Request) (*wire.Reply, float64) {
-	if s.cache == nil {
-		return s.serveMiss(ctx, req)
-	}
-	if ctrl := s.fe.Controller(); ctrl != nil {
-		s.cache.SetLoad(ctrl.Load())
-	}
-	tr := obs.TraceFrom(ctx)
-	var cacheT0 time.Time
-	if tr != nil {
-		cacheT0 = time.Now()
-	}
-	key := s.cacheKey(req)
-	v, acc, outcome, err := s.cache.DoWith(ctx, key, s.cacheFloorOf(req),
-		func() (interface{}, float64, error) {
-			// Capture the epoch before computing so an entry whose
-			// fan-out straddles a data update is born stale.
-			epoch := s.cache.Epoch()
-			acct := cost.AccountFrom(ctx)
-			before := acct.Usage()
+	s.cache.SetLoad(s.fe.Controller().Load())
+	floor := sloFromWire(req.SLO, req.MinAccuracy).CacheFloor(s.cache)
+	v, acc, shared, err := s.cache.Serve(ctx, s.cacheKey(req), floor, req,
+		func() (interface{}, float64, interface{}, error) {
 			rep, acc := s.serveMiss(ctx, req)
-			if rep.Status != wire.ReplyOK || !allOK(rep.SubStatus) {
-				return rep, acc, errUncacheable
-			}
-			stored := *rep
-			stored.ID = 0 // hits are re-stamped with their own request ID
-			// Tag the entry with what the fan-out cost (the account delta
-			// across serveMiss), so later hits can be credited as saved
-			// work. With cost attribution off the delta is zero and the
-			// tag is inert.
-			after := acct.Usage()
-			fill := cost.Usage{
-				CPUNs:     after.CPUNs - before.CPUNs,
-				Scanned:   after.Scanned - before.Scanned,
-				QueueNs:   after.QueueNs - before.QueueNs,
-				WireBytes: after.WireBytes - before.WireBytes,
-			}
-			s.cache.StoreCosted(key, req, &stored, acc, epoch, fill)
-			return rep, acc, nil
+			return rep, acc, storable(rep), nil
 		})
-	if tr != nil {
-		switch outcome {
-		case rescache.OutcomeHit:
-			tr.SetCacheOutcome(obs.CacheHit)
-			tr.Add(obs.SpanCache, -1, cacheT0, time.Since(cacheT0), obs.CacheHit)
-		case rescache.OutcomeCoalesced:
-			tr.SetCacheOutcome(obs.CacheCoalesced)
-			tr.Add(obs.SpanCache, -1, cacheT0, time.Since(cacheT0), obs.CacheCoalesced)
-		default:
-			// Miss: the cost is the fan-out itself, already covered by its
-			// own admission/sub-op/merge spans — a SpanCache here would
-			// double-count the whole request.
-			tr.SetCacheOutcome(obs.CacheMiss)
-		}
+	if err != nil {
+		// The wait for a shared result was cut short by the connection's
+		// context.
+		return replyTo(req, wire.ReplyErr, err.Error()), 0
 	}
-	rep, ok := v.(*wire.Reply)
-	if !ok {
-		// Only possible when the wait for a shared result was cut short
-		// by the connection's context.
-		msg := "cache wait cancelled"
-		if err != nil {
-			msg = err.Error()
-		}
-		return &wire.Reply{ID: req.ID, Kind: req.Kind, Status: wire.ReplyErr,
-			Err: msg, SLO: req.SLO, MinAccuracy: req.MinAccuracy, Level: wire.NoLevel}, 0
+	rep := v.(*wire.Reply)
+	if !shared {
+		return rep, acc
 	}
-	if outcome == rescache.OutcomeMiss {
-		// This request's own computation, already stamped — but the
-		// same object was handed to any coalesced waiters, who copy it
-		// concurrently. Return a private copy so serve's trace-ID stamp
-		// never races those reads.
-		out := *rep
-		return &out, acc
-	}
-	// Cache hit or coalesced share: the stored reply is immutable —
-	// copy it and stamp this request's identity and class.
+	// Cache hit or coalesced share: the kept reply is immutable — copy it
+	// and stamp this request's identity and class.
 	s.cacheHits.Add(1)
 	out := *rep
 	out.ID = req.ID
@@ -745,64 +726,20 @@ func (s *FrontServer) answer(ctx context.Context, req *wire.Request) (*wire.Repl
 	return &out, acc
 }
 
-// allOK reports whether every subset answered StatusOK.
-func allOK(statuses []uint8) bool {
-	for _, st := range statuses {
-		if st != wire.StatusOK {
-			return false
-		}
-	}
-	return true
-}
-
 // refreshToExact recomputes one cached answer at Exact class through
-// the frontend pipeline and returns the upgraded reply (accuracy 1).
+// the frontend pipeline and returns the upgraded reply (accuracy 1) —
+// the cache's RefreshFunc.
 func (s *FrontServer) refreshToExact(_ uint64, payload interface{}) (interface{}, float64, bool) {
 	req, ok := payload.(*wire.Request)
 	if !ok {
 		return nil, 0, false
 	}
-	exact := *req
-	exact.SLO, exact.MinAccuracy = wire.SLOExact, 0
-	exact.Level, exact.Deadline = wire.NoLevel, 0
 	ctx, cancel := context.WithTimeout(context.Background(), 2*s.agg.Deadline())
 	defer cancel()
-	// Refreshes get their own trace (CacheRefresh outcome) so background
-	// recomputation load is visible alongside foreground requests.
-	start := time.Now()
-	tr := s.tracer.Start(0, start)
-	if tr != nil {
-		tr.SetRequest(uint8(exact.Kind), exact.SLO, exact.MinAccuracy, 0)
-		tr.SetCacheOutcome(obs.CacheRefresh)
-		ctx = obs.ContextWithTrace(ctx, tr)
-	}
-	// Refresh work is still real work: meter it under the reserved
-	// internal tenant so capacity spent on background upgrades is
-	// visible, without polluting any client tenant's curves.
-	var acct *cost.Account
-	if s.costs != nil {
-		acct = &cost.Account{}
-		ctx = cost.WithAccount(ctx, acct)
-	}
-	rep, acc := s.serveMiss(ctx, &exact)
-	dur := time.Since(start)
-	tr.Finish(dur)
-	if acct != nil {
-		u := acct.Usage()
-		u.WallNs = uint64(dur)
-		s.costs.Record(cost.Key{
-			Tenant:   cost.InternalTenant,
-			Class:    sloClassOf(exact.SLO),
-			Workload: workloadName(exact.Kind),
-			Level:    rep.Level,
-		}, u, false)
-	}
-	if rep.Status != wire.ReplyOK || !allOK(rep.SubStatus) {
-		return nil, 0, false
-	}
-	stored := *rep
-	stored.ID = 0
-	return &stored, acc, true
+	rep, acc, row := s.pass(ctx, exactOf(req), originRefresh, time.Time{})
+	row.close(0)
+	kept := storable(rep)
+	return kept, acc, kept != nil
 }
 
 // serveMiss composes one whole-service reply from a fresh fan-out and
@@ -810,10 +747,7 @@ func (s *FrontServer) refreshToExact(_ uint64, payload interface{}) (interface{}
 // answers, the controller's calibrated level estimate otherwise; 0 for
 // failures).
 func (s *FrontServer) serveMiss(ctx context.Context, req *wire.Request) (*wire.Reply, float64) {
-	rep := &wire.Reply{
-		ID: req.ID, Kind: req.Kind, SLO: req.SLO,
-		MinAccuracy: req.MinAccuracy, Level: wire.NoLevel,
-	}
+	rep := replyTo(req, wire.ReplyOK, "")
 	acc := 0.0
 	var subs []service.SubResult
 	if s.fe != nil {

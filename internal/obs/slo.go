@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"sync"
 	"time"
 )
@@ -394,21 +393,4 @@ func (t *SLOTracker) RegisterMetrics(reg *Registry) {
 			}
 		}
 	}
-}
-
-// tenantKey carries the request's tenant through its context.
-type tenantKey struct{}
-
-// WithTenant attaches a tenant key to the context ("" is a no-op).
-func WithTenant(ctx context.Context, tenant string) context.Context {
-	if tenant == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, tenantKey{}, tenant)
-}
-
-// TenantFrom extracts the tenant key ("" when absent).
-func TenantFrom(ctx context.Context) string {
-	t, _ := ctx.Value(tenantKey{}).(string)
-	return t
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -302,19 +301,5 @@ func TestSLOTrackerRecordDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Record allocates %.1f/op on a warm tenant, want 0", allocs)
-	}
-}
-
-func TestTenantContextRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if got := TenantFrom(ctx); got != "" {
-		t.Fatalf("TenantFrom(empty) = %q", got)
-	}
-	ctx2 := WithTenant(ctx, "acme")
-	if got := TenantFrom(ctx2); got != "acme" {
-		t.Fatalf("TenantFrom = %q, want acme", got)
-	}
-	if WithTenant(ctx, "") != ctx {
-		t.Fatal("WithTenant(\"\") should be a no-op")
 	}
 }

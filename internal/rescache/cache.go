@@ -75,7 +75,7 @@ type Stats struct {
 	Hits   int64 // lookups served from the cache
 	Misses int64 // lookups that fell through (includes coalesced waiters)
 	// Coalesced counts misses resolved by another caller's in-flight
-	// computation instead of their own (Do). Backend computations for
+	// computation instead of their own (Serve). Backend computations for
 	// cached keys are therefore Misses - Coalesced.
 	Coalesced    int64
 	Stored       int64 // Store calls
@@ -85,7 +85,7 @@ type Stats struct {
 	Refreshes    int64 // entries upgraded by the refresh worker
 	Rewarms      int64 // entries recomputed by RewarmHot after epoch bumps
 	// SavedCPUNs and SavedScanned accumulate the fill cost of every hit
-	// entry (StoreCosted tags entries with what computing them cost):
+	// entry (Serve tags entries with what computing them cost):
 	// the backend work the cache absorbed instead of the fan-out — the
 	// cache's contribution in the same units the cost plane meters.
 	SavedCPUNs   int64
@@ -100,7 +100,7 @@ type entry struct {
 	payload interface{}
 	acc     float64
 	epoch   uint64
-	fill    cost.Usage // what computing the entry cost (StoreCosted)
+	fill    cost.Usage // what computing the entry cost (Serve)
 	queued  bool       // a refresh for this key is pending
 	prev    int32
 	next    int32
@@ -340,8 +340,8 @@ func (c *Cache) Get(key uint64, floor float64) (value interface{}, accuracy floa
 	}
 	c.hits.Inc()
 	// A hit means the entry's fill work was not redone: credit it as
-	// saved. Entries stored without a cost tag (Store/StoreAt) leave the
-	// counters untouched.
+	// saved. Entries stored without a cost tag (Store, StoreAt, or a
+	// Serve with no cost account) leave the counters untouched.
 	if fill.CPUNs != 0 {
 		c.savedCPU.Add(int64(fill.CPUNs))
 	}
@@ -372,15 +372,11 @@ func (c *Cache) StoreAt(key uint64, payload, value interface{}, accuracy float64
 	c.storeAt(key, payload, value, accuracy, epoch, cost.Usage{})
 }
 
-// StoreCosted is StoreAt with a fill-cost tag: what computing the value
-// cost (CPU, rows scanned, …). Every later hit on the entry accumulates
-// the tag into the saved-cost counters (Stats.SavedCPUNs,
+// storeAt is StoreAt with a fill-cost tag: what computing the value cost
+// (CPU, rows scanned, …). Every later hit on the entry accumulates the
+// tag into the saved-cost counters (Stats.SavedCPUNs,
 // Stats.SavedScanned), so the cache's contribution is metered in the
 // same units as the cost-attribution plane.
-func (c *Cache) StoreCosted(key uint64, payload, value interface{}, accuracy float64, epoch uint64, fill cost.Usage) {
-	c.storeAt(key, payload, value, accuracy, epoch, fill)
-}
-
 func (c *Cache) storeAt(key uint64, payload, value interface{}, accuracy float64, epoch uint64, fill cost.Usage) {
 	if accuracy < 0 {
 		accuracy = 0

@@ -130,14 +130,13 @@ func TestDoCoalescesConcurrentMisses(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-started
-			v, acc, _, err := c.Do(context.Background(), 42, 0.5, func() (interface{}, float64, error) {
+			v, acc, _, err := c.Serve(context.Background(), 42, 0.5, nil, func() (interface{}, float64, interface{}, error) {
 				computes.Add(1)
 				time.Sleep(20 * time.Millisecond) // hold the flight open
-				c.Store(42, nil, "answer", 0.9)
-				return "answer", 0.9, nil
+				return "answer", 0.9, "answer", nil
 			})
 			if err != nil || v != "answer" || acc != 0.9 {
-				t.Errorf("Do = %v %v %v", v, acc, err)
+				t.Errorf("Serve = %v %v %v", v, acc, err)
 			}
 		}()
 	}
@@ -154,9 +153,9 @@ func TestDoCoalescesConcurrentMisses(t *testing.T) {
 		t.Fatalf("coalesced %d + hits %d != %d (stats %+v)", st.Coalesced, st.Hits, waiters-1, st)
 	}
 	// The flight is gone: a later miss computes again.
-	_, _, shared, _ := c.Do(context.Background(), 42, 0.95, func() (interface{}, float64, error) {
+	_, _, shared, _ := c.Serve(context.Background(), 42, 0.95, nil, func() (interface{}, float64, interface{}, error) {
 		computes.Add(1)
-		return "exact", 1, nil
+		return "exact", 1, "exact", nil
 	})
 	if shared || computes.Load() != 2 {
 		t.Fatalf("follow-up above the cached accuracy did not compute (shared=%v computes=%d)", shared, computes.Load())
@@ -174,20 +173,73 @@ func TestStoreAtEpochCapture(t *testing.T) {
 	if _, _, ok := c.Get(2, 0); ok {
 		t.Fatal("pre-update answer served as current after epoch bump")
 	}
-	// The same pattern through Do: compute bumps the epoch mid-flight
-	// (standing in for a concurrent synopsis update) and stores under
-	// its captured epoch.
-	v, _, shared, err := c.Do(context.Background(), 3, 0, func() (interface{}, float64, error) {
-		ep := c.Epoch()
+	// The same pattern through Serve, which captures the epoch itself:
+	// compute bumps it mid-flight (standing in for a concurrent synopsis
+	// update), so what it keeps is stored under the pre-bump epoch.
+	v, _, shared, err := c.Serve(context.Background(), 3, 0, nil, func() (interface{}, float64, interface{}, error) {
 		c.BumpEpoch()
-		c.StoreAt(3, nil, "stale", 0.9, ep)
-		return "stale", 0.9, nil
+		return "stale", 0.9, "stale", nil
 	})
 	if err != nil || shared || v != "stale" {
-		t.Fatalf("Do = %v %v %v", v, shared, err)
+		t.Fatalf("Serve = %v %v %v", v, shared, err)
+	}
+	if st := c.Stats(); st.Stored != 2 {
+		t.Fatalf("stored = %d, want 2 (Serve keeps what compute returned)", st.Stored)
 	}
 	if _, _, ok := c.Get(3, 0); ok {
 		t.Fatal("entry stored across a bump served as current")
+	}
+}
+
+func TestServeKeepNothingAnswersCallerOnly(t *testing.T) {
+	// A compute that keeps nothing (rejected, failed, partial) answers
+	// its own caller; a concurrent waiter must not share that answer —
+	// it re-enters and computes exactly once itself.
+	c := mustNew(t, Config{Capacity: 8})
+	inFlight := make(chan struct{})
+	release := make(chan struct{})
+	winner := make(chan struct{})
+	go func() {
+		defer close(winner)
+		v, acc, shared, err := c.Serve(context.Background(), 6, 0, nil, func() (interface{}, float64, interface{}, error) {
+			close(inFlight)
+			<-release
+			return "partial", 0.4, nil, nil
+		})
+		if err != nil || shared || v != "partial" || acc != 0.4 {
+			t.Errorf("winner Serve = %v %v shared=%v err=%v", v, acc, shared, err)
+		}
+	}()
+	<-inFlight
+	var computes atomic.Int64
+	waiter := make(chan struct{})
+	go func() {
+		defer close(waiter)
+		v, _, shared, err := c.Serve(context.Background(), 6, 0, nil, func() (interface{}, float64, interface{}, error) {
+			computes.Add(1)
+			return "whole", 0.9, "whole", nil
+		})
+		if err != nil || shared || v != "whole" {
+			t.Errorf("waiter Serve = %v shared=%v err=%v", v, shared, err)
+		}
+	}()
+	// The waiter must be parked on the flight before the winner returns,
+	// or it would simply miss and compute without ever having waited.
+	for deadline := time.Now().Add(2 * time.Second); c.Stats().Misses < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(5 * time.Millisecond)
+	close(release)
+	<-winner
+	<-waiter
+	if computes.Load() != 1 {
+		t.Fatalf("waiter computed %d times, want 1", computes.Load())
+	}
+	if st := c.Stats(); st.Stored != 1 || st.Coalesced != 0 {
+		t.Fatalf("stats = %+v, want only the waiter's result stored and nothing coalesced", st)
+	}
+	if v, _, ok := c.Get(6, 0); !ok || v != "whole" {
+		t.Fatalf("Get = %v %v, want the waiter's kept result", v, ok)
 	}
 }
 
@@ -205,7 +257,7 @@ func TestDoFailedWinnerSerializesWaiters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-started
-			c.Do(context.Background(), 8, 0.5, func() (interface{}, float64, error) {
+			c.Serve(context.Background(), 8, 0.5, nil, func() (interface{}, float64, interface{}, error) {
 				cur := inCompute.Add(1)
 				for {
 					m := maxConcurrent.Load()
@@ -216,7 +268,7 @@ func TestDoFailedWinnerSerializesWaiters(t *testing.T) {
 				computes.Add(1)
 				time.Sleep(2 * time.Millisecond)
 				inCompute.Add(-1)
-				return nil, 0, context.DeadlineExceeded // every winner fails
+				return nil, 0, nil, context.DeadlineExceeded // every winner fails
 			})
 		}()
 	}
@@ -238,10 +290,10 @@ func TestDoFloorFallback(t *testing.T) {
 	inFlight := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		c.Do(context.Background(), 9, 0, func() (interface{}, float64, error) {
+		c.Serve(context.Background(), 9, 0, nil, func() (interface{}, float64, interface{}, error) {
 			close(inFlight)
 			<-release
-			return "coarse", 0.5, nil
+			return "coarse", 0.5, "coarse", nil
 		})
 	}()
 	<-inFlight
@@ -249,12 +301,12 @@ func TestDoFloorFallback(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		v, acc, shared, err := c.Do(context.Background(), 9, 0.9, func() (interface{}, float64, error) {
+		v, acc, shared, err := c.Serve(context.Background(), 9, 0.9, nil, func() (interface{}, float64, interface{}, error) {
 			ownCompute.Store(true)
-			return "fine", 0.95, nil
+			return "fine", 0.95, "fine", nil
 		})
 		if err != nil || shared || v != "fine" || acc != 0.95 {
-			t.Errorf("fallback Do = %v %v shared=%v err=%v", v, acc, shared, err)
+			t.Errorf("fallback Serve = %v %v shared=%v err=%v", v, acc, shared, err)
 		}
 	}()
 	close(release)
@@ -270,18 +322,18 @@ func TestDoWaiterHonorsContext(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	go func() {
-		c.Do(context.Background(), 5, 0, func() (interface{}, float64, error) {
+		c.Serve(context.Background(), 5, 0, nil, func() (interface{}, float64, interface{}, error) {
 			close(inFlight)
 			<-release
-			return nil, 0, nil
+			return nil, 0, nil, nil
 		})
 	}()
 	<-inFlight
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := c.Do(ctx, 5, 0, func() (interface{}, float64, error) {
+	if _, _, _, err := c.Serve(ctx, 5, 0, nil, func() (interface{}, float64, interface{}, error) {
 		t.Error("cancelled waiter computed")
-		return nil, 0, nil
+		return nil, 0, nil, nil
 	}); err != context.Canceled {
 		t.Fatalf("err = %v", err)
 	}

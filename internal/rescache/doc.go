@@ -25,9 +25,15 @@
 //     map, and an intrusive LRU threaded through a preallocated entry
 //     slab, so Get performs no allocation (benchmarked and CI-guarded
 //     at 0 allocs/op);
-//   - singleflight request coalescing (Do): concurrent identical misses
-//     compute once, and a waiter whose accuracy floor the shared result
-//     cannot satisfy falls back to its own computation;
+//   - one cache-fronted serve for both runtimes (Serve): lookup, then
+//     singleflight coalescing — concurrent identical misses compute
+//     once, and a waiter whose accuracy floor the shared result cannot
+//     satisfy falls back to its own computation — then compute and
+//     keep. Serve owns the rules around the map: the epoch is read
+//     before computing, a result the computation does not ask to keep
+//     (rejected, failed, partial) is neither shared nor stored, the
+//     entry is tagged with its fill cost, and the outcome lands on the
+//     request's trace;
 //   - background refresh-to-exact: hits on entries below a target
 //     accuracy enqueue the key for a low-priority worker that recomputes
 //     the answer exactly and overwrites the entry — the paper's "coarse
@@ -37,6 +43,7 @@
 //
 // Keys are 64-bit hashes of a canonical request encoding (see
 // wire.AppendCanonicalKey); Key hashes such bytes. The cache itself is
-// payload-agnostic: internal/frontend stores trimmed frontend results,
-// internal/netsvc stores composed wire replies.
+// payload-agnostic: internal/frontend keeps trimmed frontend results,
+// internal/netsvc keeps composed wire replies — each supplies Serve
+// only its compute closure and stamps its own hits.
 package rescache

@@ -110,17 +110,25 @@ func (c *Cache) RewarmHot(max int) int {
 		if gate != nil && !gate() {
 			break
 		}
-		// Epoch at compute start, not store time: see the method comment.
-		epoch := c.Epoch()
-		v, acc, ok := fn(j.key, j.payload)
-		if !ok {
-			continue
+		if c.recompute(fn, j.key, j.payload) {
+			c.rewarms.Inc()
+			n++
 		}
-		c.StoreAt(j.key, j.payload, v, acc, epoch)
-		c.rewarms.Inc()
-		n++
 	}
 	return n
+}
+
+// recompute runs the refresh function for one entry and stores what it
+// returns under the epoch captured before it ran, not at store time: if
+// the data is updated mid-recompute, the upgraded entry is born stale
+// instead of resurrecting a pre-update answer as current.
+func (c *Cache) recompute(fn RefreshFunc, key uint64, payload interface{}) bool {
+	epoch := c.Epoch()
+	v, acc, ok := fn(key, payload)
+	if ok {
+		c.StoreAt(key, payload, v, acc, epoch)
+	}
+	return ok
 }
 
 func (c *Cache) refreshOne(key uint64) {
@@ -134,21 +142,11 @@ func (c *Cache) refreshOne(key uint64) {
 		}
 		return
 	}
-	// Capture the epoch before recomputing: if the data is updated while
-	// the refresh runs, the upgraded entry is born stale instead of
-	// resurrecting a pre-update answer as current.
-	epoch := c.Epoch()
-	payload, ok := c.payloadOf(key)
-	if !ok {
-		// Evicted, stale, or payload-free since it was queued.
+	// A missing payload: evicted, stale, or payload-free since it was
+	// queued.
+	if payload, ok := c.payloadOf(key); ok && c.recompute(c.refreshFn, key, payload) {
+		c.refreshes.Inc()
+	} else {
 		c.clearQueued(key)
-		return
 	}
-	v, acc, ok := c.refreshFn(key, payload)
-	if !ok {
-		c.clearQueued(key)
-		return
-	}
-	c.StoreAt(key, payload, v, acc, epoch)
-	c.refreshes.Inc()
 }

@@ -59,9 +59,6 @@ func NewDefault(dim int) *Tree {
 // Len returns the number of stored data items.
 func (t *Tree) Len() int { return t.size }
 
-// Dim returns the point dimensionality.
-func (t *Tree) Dim() int { return t.dim }
-
 // Height returns the number of levels (1 for a tree that is a single
 // leaf). Depth 0 is the root level; leaves live at depth Height()-1.
 func (t *Tree) Height() int {

@@ -117,7 +117,3 @@ func (l *LatencyRecorder) Reset() {
 	l.samples = l.samples[:0]
 	l.sorted = false
 }
-
-// Samples returns the recorded samples (shared slice; callers must not
-// modify it). Order is unspecified.
-func (l *LatencyRecorder) Samples() []float64 { return l.samples }

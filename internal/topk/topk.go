@@ -33,9 +33,6 @@ func (s *Selector) Reset(k int) {
 	s.heap = s.heap[:0]
 }
 
-// Len returns the number of items currently kept.
-func (s *Selector) Len() int { return len(s.heap) }
-
 // Offer considers one candidate. It is kept iff it ranks above the
 // current k-th best (or the selector holds fewer than k items).
 func (s *Selector) Offer(id int, score float64) {
