@@ -8,9 +8,11 @@
 //	attrader -exp <name>               # run one experiment
 //	attrader -exp all                  # everything in catalogue order
 //
-// The experiment catalogue is generated from a single registry
-// (internal/experiments.Registry), which `-exp list` prints and
-// EXPERIMENTS.md documents; a test asserts the three cannot drift.
+// The experiment catalogue is one registry (internal/experiments.Registry):
+// every entry names itself, runs, renders its report and states its
+// contracts. This command only lists entries, runs them, and turns a
+// violated contract into a non-zero exit; a test asserts EXPERIMENTS.md
+// and README.md document every entry.
 //
 // Scale flags shrink or grow the reproduction; defaults regenerate all
 // shapes in a few minutes on a laptop.
@@ -42,15 +44,13 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "list", "experiment to run (list|all|"+strings.Join(experiments.Names(), "|")+")")
-		quick    = flag.Bool("quick", false, "use the reduced test-size scale")
-		comps    = flag.Int("components", 0, "override simulated component count")
-		shards   = flag.Int("shards", 0, "override real data shard count")
-		session  = flag.Float64("session", 0, "override session seconds per arrival rate")
-		samples  = flag.Int("samples", 0, "override accuracy samples per run")
-		seed     = flag.Uint64("seed", 0, "override random seed")
-		repeats  = flag.Int("repeats", 3, "fig3 repeats per scenario")
-		requests = flag.Int("requests", 200, "fig4 requests per service")
+		exp     = flag.String("exp", "list", "experiment to run (list|all|"+strings.Join(experiments.Names(), "|")+")")
+		quick   = flag.Bool("quick", false, "use the reduced test-size scale")
+		comps   = flag.Int("components", 0, "override simulated component count")
+		shards  = flag.Int("shards", 0, "override real data shard count")
+		session = flag.Float64("session", 0, "override session seconds per arrival rate")
+		samples = flag.Int("samples", 0, "override accuracy samples per run")
+		seed    = flag.Uint64("seed", 0, "override random seed")
 
 		serve    = flag.String("serve", "", "network role: component|aggregator|client (empty = run -exp)")
 		workload = flag.String("workload", "agg", "workload served by -serve: agg|agglive|cf|search (agglive: agg over live, ingesting stores)")
@@ -86,7 +86,7 @@ func main() {
 	if *serve != "" {
 		err = runServe(*serve, *workload, *listen, *peers, *admin, *tenant, *rate, sc)
 	} else {
-		err = run(os.Stdout, *exp, sc, *repeats, *requests)
+		err = run(os.Stdout, experiments.Registry(), *exp, sc)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "attrader:", err)
@@ -94,322 +94,74 @@ func main() {
 	}
 }
 
-// runner executes one registered experiment at a scale.
-type runner func(sc experiments.Scale, repeats, requests int) error
-
-// runners maps every registered experiment name to its implementation.
-// TestRunnersCoverRegistry asserts the map and the registry agree, so a
-// new experiment cannot be registered without being runnable (or vice
-// versa). Aliases that share one run (table1/table2, fig5/fig6,
-// fig7/fig8) map to the same function and are deduplicated by `all`.
-var runners = map[string]runner{
-	"creation":      func(sc experiments.Scale, _, _ int) error { return runCreation(sc) },
-	"fig3":          func(sc experiments.Scale, repeats, _ int) error { return runFig3(sc, repeats) },
-	"fig4":          func(sc experiments.Scale, _, requests int) error { return runFig4(sc, requests) },
-	"table1":        func(sc experiments.Scale, _, _ int) error { return runTables(sc) },
-	"table2":        func(sc experiments.Scale, _, _ int) error { return runTables(sc) },
-	"fig5":          func(sc experiments.Scale, _, _ int) error { return runHours(sc) },
-	"fig6":          func(sc experiments.Scale, _, _ int) error { return runHours(sc) },
-	"fig7":          func(sc experiments.Scale, _, _ int) error { _, err := runDay(sc, true); return err },
-	"fig8":          func(sc experiments.Scale, _, _ int) error { _, err := runDay(sc, true); return err },
-	"headline":      func(sc experiments.Scale, _, _ int) error { return runHeadline(sc) },
-	"overload":      func(sc experiments.Scale, _, _ int) error { return runOverload(sc) },
-	"aggcompare":    func(sc experiments.Scale, _, _ int) error { return runAggCompare(sc) },
-	"netcompare":    func(sc experiments.Scale, _, _ int) error { return runNetCompare(sc) },
-	"cachecompare":  func(sc experiments.Scale, _, _ int) error { return runCacheCompare(sc) },
-	"tracecompare":  func(sc experiments.Scale, _, _ int) error { return runTraceCompare(sc) },
-	"faultcompare":  func(sc experiments.Scale, _, _ int) error { return runFaultCompare(sc) },
-	"ingestcompare": func(sc experiments.Scale, _, _ int) error { return runIngestCompare(sc) },
-	"auditcompare":  func(sc experiments.Scale, _, _ int) error { return runAuditCompare(sc) },
-	"costcompare":   func(sc experiments.Scale, _, _ int) error { return runCostCompare(sc) },
-}
-
-// aliasOf collapses experiment aliases onto the run they share, so
-// `-exp all` executes each run once.
-func aliasOf(name string) string {
-	switch name {
-	case "table2":
-		return "table1"
-	case "fig6":
-		return "fig5"
-	case "fig8":
-		return "fig7"
-	default:
-		return name
+// run executes -exp over a catalogue: "list" prints it, "all" runs every
+// entry in catalogue order, anything else that one entry. A section is
+// a banner, the report's rendering, its contract check and a timing
+// line. Finished reports are kept for the rest of the invocation, so
+// every distinct run executes once: an alias prints nothing its target
+// already printed, and a composed entry reads its parts from the kept
+// reports (computing them silently when it is asked for alone).
+func run(out io.Writer, reg []experiments.Experiment, exp string, sc experiments.Scale) error {
+	byName := map[string]experiments.Experiment{}
+	for _, e := range reg {
+		byName[e.Name] = e
 	}
-}
-
-func run(out io.Writer, exp string, sc experiments.Scale, repeats, requests int) error {
-	switch exp {
-	case "list":
-		printCatalogue(out)
-		return nil
-	case "all":
-		done := map[string]bool{}
-		for _, name := range experiments.Names() {
-			key := aliasOf(name)
-			if done[key] {
-				continue
-			}
-			done[key] = true
-			if err := runners[name](sc, repeats, requests); err != nil {
-				return err
-			}
+	todo := reg
+	if e, ok := byName[exp]; ok {
+		todo = []experiments.Experiment{e}
+	} else if exp != "all" {
+		fmt.Fprintln(out, "experiments (run one with -exp <name>, or -exp all):")
+		for _, e := range reg {
+			fmt.Fprintf(out, "  %-12s %-10s %s\n", e.Name, e.Artifact, e.About)
 		}
-		return nil
-	default:
-		r, ok := runners[exp]
-		if !ok {
-			// A typo in a script must fail loudly AND helpfully: print
-			// the catalogue, then exit non-zero through the error path.
-			printCatalogue(out)
-			return fmt.Errorf("unknown experiment %q", exp)
+		if exp == "list" {
+			return nil
 		}
-		return r(sc, repeats, requests)
+		// A typo in a script must fail loudly AND helpfully: the
+		// catalogue above, then a non-zero exit through the error path.
+		return fmt.Errorf("unknown experiment %q", exp)
 	}
-}
 
-// printCatalogue writes the registry-generated experiment list.
-func printCatalogue(out io.Writer) {
-	fmt.Fprintln(out, "experiments (run one with -exp <name>, or -exp all):")
-	for _, e := range experiments.Registry() {
-		fmt.Fprintf(out, "  %-12s %-10s %s\n", e.Name, e.Artifact, e.About)
+	kept := map[string]experiments.Report{}
+	var report func(e experiments.Experiment) (experiments.Report, error)
+	report = func(e experiments.Experiment) (r experiments.Report, err error) {
+		if done, ok := kept[e.Name]; ok {
+			return done, nil
+		}
+		if e.Compose == nil {
+			r, err = e.Run(sc)
+		} else {
+			from := make([]experiments.Report, len(e.From))
+			for i, name := range e.From {
+				if from[i], err = report(byName[name]); err != nil {
+					return nil, err
+				}
+			}
+			r, err = e.Compose(sc, from)
+		}
+		if err == nil {
+			kept[e.Name] = r
+		}
+		return r, err
 	}
-}
-
-func timed(name string, f func() error) error {
-	t0 := time.Now()
-	fmt.Printf("== %s ==\n", name)
-	if err := f(); err != nil {
-		return err
+	for _, e := range todo {
+		if e.AliasOf != "" {
+			e = byName[e.AliasOf]
+		}
+		if _, printed := kept[e.Name]; printed {
+			continue
+		}
+		t0 := time.Now()
+		fmt.Fprintf(out, "== %s ==\n", e.Title)
+		r, err := report(e)
+		if err == nil {
+			fmt.Fprintln(out, r.Render())
+			err = experiments.Check(r)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		fmt.Fprintf(out, "[%s took %.1fs]\n\n", e.Title, time.Since(t0).Seconds())
 	}
-	fmt.Printf("[%s took %.1fs]\n\n", name, time.Since(t0).Seconds())
 	return nil
-}
-
-func runTables(sc experiments.Scale) error {
-	return timed("Tables 1-2 (CF recommender workloads)", func() error {
-		svc, err := experiments.BuildCFService(sc)
-		if err != nil {
-			return err
-		}
-		res, err := experiments.RunCFComparison(svc, []float64{20, 40, 60, 80, 100})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.RenderTable1())
-		fmt.Println(res.RenderTable2())
-		return nil
-	})
-}
-
-func runFig3(sc experiments.Scale, repeats int) error {
-	return timed("Figure 3 (synopsis updating)", func() error {
-		f3, err := experiments.RunFig3(sc, repeats)
-		if err != nil {
-			return err
-		}
-		fmt.Println(f3.Render())
-		return nil
-	})
-}
-
-func runFig4(sc experiments.Scale, requests int) error {
-	return timed("Figure 4 (synopsis effectiveness)", func() error {
-		cfSvc, err := experiments.BuildCFService(sc)
-		if err != nil {
-			return err
-		}
-		sSvc, err := experiments.BuildSearchService(sc)
-		if err != nil {
-			return err
-		}
-		f4, err := experiments.RunFig4(cfSvc, sSvc, requests)
-		if err != nil {
-			return err
-		}
-		fmt.Println(f4.Render())
-		return nil
-	})
-}
-
-func runHours(sc experiments.Scale) error {
-	return timed("Figures 5-6 (hours 9/10/24, search workloads)", func() error {
-		svc, err := experiments.BuildSearchService(sc)
-		if err != nil {
-			return err
-		}
-		hf, err := experiments.RunHourFigures(svc)
-		if err != nil {
-			return err
-		}
-		fmt.Println(hf.RenderFig5())
-		fmt.Println(hf.RenderFig6())
-		return nil
-	})
-}
-
-func runDay(sc experiments.Scale, render bool) (*experiments.DayFigures, error) {
-	var day *experiments.DayFigures
-	err := timed("Figures 7-8 (24-hour search workloads)", func() error {
-		svc, err := experiments.BuildSearchService(sc)
-		if err != nil {
-			return err
-		}
-		day, err = experiments.RunDayFigures(svc)
-		if err != nil {
-			return err
-		}
-		if render {
-			fmt.Println(day.RenderFig7())
-			fmt.Println(day.RenderFig8())
-		}
-		return nil
-	})
-	return day, err
-}
-
-func runCreation(sc experiments.Scale) error {
-	return timed("Synopsis creation overheads", func() error {
-		rep, err := experiments.RunCreation(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		return nil
-	})
-}
-
-func runOverload(sc experiments.Scale) error {
-	return timed("Overload sweep (accuracy-aware frontend extension)", func() error {
-		sw, err := experiments.RunOverload(sc, []float64{0.5, 1, 1.5, 2, 3})
-		if err != nil {
-			return err
-		}
-		fmt.Println(sw.Render())
-		return nil
-	})
-}
-
-func runAggCompare(sc experiments.Scale) error {
-	return timed("Aggregation workload (ladder accuracy/latency + frontend overload)", func() error {
-		res, err := experiments.RunAggCompare(sc, []float64{0.5, 1, 1.5, 2, 3})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		return nil
-	})
-}
-
-func runNetCompare(sc experiments.Scale) error {
-	return timed("Networked serving layer (loopback sockets vs in-process runtime)", func() error {
-		res, err := experiments.RunNetCompare(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		return nil
-	})
-}
-
-func runCacheCompare(sc experiments.Scale) error {
-	return timed("Result cache (accuracy-tagged cache vs no-cache frontend under Zipf load)", func() error {
-		res, err := experiments.RunCacheCompare(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		return nil
-	})
-}
-
-func runTraceCompare(sc experiments.Scale) error {
-	return timed("Decision tracing (stitching, budget accounting, zero-cost-off)", func() error {
-		res, err := experiments.RunTraceCompare(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if !res.OK() {
-			return fmt.Errorf("tracecompare contracts violated (see report above)")
-		}
-		return nil
-	})
-}
-
-func runFaultCompare(sc experiments.Scale) error {
-	return timed("Failure-domain hardening (kill/stall/heal sweep)", func() error {
-		res, err := experiments.RunFaultCompare(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if v := res.Violations(); v != 0 || !res.ZeroAllocOK {
-			return fmt.Errorf("faultcompare contracts violated: %d degradation violations, zeroAlloc=%v", v, res.ZeroAllocOK)
-		}
-		return nil
-	})
-}
-
-func runIngestCompare(sc experiments.Scale) error {
-	return timed("Live synopsis updates (streaming ingestion sweep)", func() error {
-		res, err := experiments.RunIngestCompare(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if v := res.Violations(); v != 0 || !res.ZeroAllocOK || !res.WireOK {
-			return fmt.Errorf("ingestcompare contracts violated: %d violations, zeroAlloc=%v, wire=%v",
-				v, res.ZeroAllocOK, res.WireOK)
-		}
-		return nil
-	})
-}
-
-func runHeadline(sc experiments.Scale) error {
-	return timed("Headline results", func() error {
-		cfSvc, err := experiments.BuildCFService(sc)
-		if err != nil {
-			return err
-		}
-		cfc, err := experiments.RunCFComparison(cfSvc, []float64{20, 40, 60, 80, 100})
-		if err != nil {
-			return err
-		}
-		day, err := runDay(sc, true)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.ComputeHeadline(cfc, day, sc.SearchPeakRate).Render())
-		return nil
-	})
-}
-
-func runCostCompare(sc experiments.Scale) error {
-	return timed("Cost attribution plane (per-request accounting, frontier, profiler)", func() error {
-		res, err := experiments.RunCostCompare(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if !res.OK() {
-			return fmt.Errorf("costcompare contracts violated (see report above)")
-		}
-		return nil
-	})
-}
-
-func runAuditCompare(sc experiments.Scale) error {
-	return timed("Accuracy audit plane (ground-truth replay, burn rates, tail retention)", func() error {
-		res, err := experiments.RunAuditCompare(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if !res.OK() {
-			return fmt.Errorf("auditcompare contracts violated (see report above)")
-		}
-		return nil
-	})
 }

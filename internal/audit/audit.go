@@ -28,6 +28,9 @@ const (
 // class with a floor to violate.
 const ClassBounded = 1
 
+// replayTimeout bounds one exact replay.
+const replayTimeout = 2 * time.Second
+
 // Sample is one answered request captured for ground-truth replay.
 // Estimates (and, when the workload ships them, Bounds — per-estimate
 // CLT half-widths) are the approximate answer as the client saw it;
@@ -75,8 +78,6 @@ type Config struct {
 	QueueLen int
 	// Interval paces replays (default 5ms between audits).
 	Interval time.Duration
-	// ReplayTimeout bounds one exact replay (default 2s).
-	ReplayTimeout time.Duration
 	// Gate, when set, must return true for a replay to run — wire the
 	// controller's load ceiling here so audits never compete with
 	// foreground traffic. A closed gate requeues the sample.
@@ -148,9 +149,6 @@ func New(cfg Config) (*Auditor, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Millisecond
-	}
-	if cfg.ReplayTimeout <= 0 {
-		cfg.ReplayTimeout = 2 * time.Second
 	}
 	a := &Auditor{
 		cfg:       cfg,
@@ -298,7 +296,7 @@ func (a *Auditor) auditOne(s *Sample) {
 		a.skippedStale.Inc()
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.ReplayTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), replayTimeout)
 	exact, err := a.cfg.Replay(ctx, s)
 	cancel()
 	if err != nil {

@@ -79,8 +79,6 @@ type Config struct {
 	// HedgeFloorMs is the minimum hedge delay for Reissue before the
 	// latency estimator warms up.
 	HedgeFloorMs float64
-	// ReplicaOffset places subset c's replica on component (c+offset)%n.
-	ReplicaOffset int
 	// AdaptiveSynopsis enables the load-adaptive extension for
 	// AccuracyTrader: when a sub-operation has already burned more than
 	// half its deadline queueing, the component answers from the coarsest
@@ -260,9 +258,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.HedgeFloorMs <= 0 {
 		cfg.HedgeFloorMs = 1
 	}
-	if cfg.ReplicaOffset <= 0 {
-		cfg.ReplicaOffset = 1
-	}
 	slowdown := cfg.Slowdown
 	if slowdown == nil {
 		slowdown = func(int, float64) float64 { return 1 }
@@ -430,7 +425,7 @@ func scheduleHedge(sim *des.Sim, cfg Config, h *hedgeEstimator, res *Result, op 
 			return
 		}
 		replica := op
-		replica.comp = (op.comp + cfg.ReplicaOffset) % cfg.Components
+		replica.comp = (op.comp + 1) % cfg.Components // subset c's replica lives on the next component
 		res.Ops[op.req][op.subset].Hedged = true
 		enqueue(replica)
 	})

@@ -8,9 +8,6 @@ import (
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/cluster"
 	"accuracytrader/internal/core"
-	"accuracytrader/internal/frontend"
-	"accuracytrader/internal/stats"
-	"accuracytrader/internal/workload"
 )
 
 // The aggcompare experiment (third-workload extension, not a paper
@@ -123,87 +120,20 @@ func RunAggCompare(sc Scale, multipliers []float64) (*AggCompare, error) {
 		res.LevelAccuracy = append(res.LevelAccuracy, synAcc)
 	}
 
-	sweep, err := runAggOverload(sc, svc, res.LevelAccuracy, multipliers)
-	if err != nil {
-		return nil, err
-	}
-	res.Overload = sweep
-	return res, nil
-}
-
-// runAggOverload is the overload sweep over the aggregation work model:
-// Basic and Partial share one exact run; Frontend+AT puts admission,
-// 2-replica least-loaded routing and calibrated degradation in front of
-// AccuracyTrader components.
-func runAggOverload(sc Scale, svc *AggService, levelAcc []float64, multipliers []float64) (*OverloadSweep, error) {
-	unit := sc.aggUnitCostMs()
-	satRate := 1000 / (svc.Work[0].FullUnits * unit)
-	windowMs := sc.SessionSeconds * 1000
-	sweep := &OverloadSweep{
-		SaturationRate: satRate,
-		DeadlineMs:     sc.DeadlineMs,
-		WindowSeconds:  sc.SessionSeconds,
-	}
-	base := cluster.Config{
+	// The overload sweep over the aggregation work model, its controller
+	// calibrated with the accuracies just measured.
+	res.Overload, err = overloadSweep(sc, cluster.Config{
 		Components: sc.Components,
 		Work:       svc.Work,
 		UnitCostMs: unit,
 		DeadlineMs: sc.DeadlineMs,
 		// The recommender-style cap: every stratum is eligible.
 		IMaxFrac: 1.0,
+	}, 0xa66, res.LevelAccuracy, multipliers)
+	if err != nil {
+		return nil, err
 	}
-	for i, m := range multipliers {
-		rate := m * satRate
-		rng := stats.NewRNG(sc.Seed).Split(uint64(i) + 0xa66)
-		arrivals := workload.PoissonArrivals(rng, rate, windowMs)
-		if len(arrivals) == 0 {
-			return nil, fmt.Errorf("experiments: no arrivals at %gx saturation (%.2f req/s over %.0fs)",
-				m, rate, sc.SessionSeconds)
-		}
-		point := OverloadPoint{Multiplier: m, RatePerSec: rate}
-
-		cfgB := base
-		cfgB.Arrivals = arrivals
-		cfgB.Technique = cluster.Basic
-		resB, err := cluster.Run(cfgB)
-		if err != nil {
-			return nil, err
-		}
-		point.Rows = append(point.Rows,
-			scoreBasic(resB, sc, sweep.WindowSeconds, overloadClassMix),
-			scorePartial(resB, sc, sweep.WindowSeconds, overloadClassMix))
-
-		ctrl, err := frontend.NewController(frontend.ControllerConfig{
-			Levels:             len(levelAcc),
-			LevelAccuracy:      levelAcc,
-			InflightSaturation: 4 * sc.Components,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cfgF := base
-		cfgF.Arrivals = arrivals
-		cfgF.Technique = cluster.AccuracyTrader
-		cfgF.Frontend = &cluster.FrontendConfig{
-			Replicas: 2,
-			Router:   frontend.NewLeastLoaded(),
-			Admission: []frontend.AdmissionPolicy{
-				frontend.NewMaxInflight(4 * sc.Components),
-				frontend.NewQueueWatermark(0.35, 0.85),
-			},
-			Controller: ctrl,
-			QueueCap:   32,
-			ClassOf:    overloadClassMix,
-		}
-		resF, err := cluster.Run(cfgF)
-		if err != nil {
-			return nil, err
-		}
-		point.Rows = append(point.Rows,
-			scoreFrontend(resF, cfgF.Work, levelAcc, sc.DeadlineMs, sweep.WindowSeconds))
-		sweep.Points = append(sweep.Points, point)
-	}
-	return sweep, nil
+	return res, nil
 }
 
 // Render formats the experiment as paper-style text tables.

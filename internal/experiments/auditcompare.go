@@ -72,12 +72,12 @@ const (
 
 // AuditCompare is the experiment result.
 type AuditCompare struct {
+	contracts
 	Servers int
 
 	// Zero-cost contracts.
 	DisabledAllocs   float64 // nil auditor: ShouldSample + Submit
 	NotSampledAllocs float64 // live auditor, request not chosen
-	RaceDetector     bool
 
 	// Healthy pass (honest calibration).
 	HealthyCalls    int
@@ -101,7 +101,6 @@ type AuditCompare struct {
 	DriftQueued      int
 	DriftSkipped     int64
 	DriftPostAudited int64
-	DriftErr         string
 
 	// Burn-rate windows vs the naive reference.
 	BurnChecks     int
@@ -113,18 +112,6 @@ type AuditCompare struct {
 	RetainInRing    int   // of those, still in the live ring (want 0: rotated)
 	RetainHealthy   int   // healthy rotation requests
 	RetainSLODeg    int64 // degraded count in the 1h SLO window
-
-	ZeroAllocOK bool
-	CoverageOK  bool
-	DetectOK    bool
-	DriftOK     bool
-	BurnOK      bool
-	RetentionOK bool
-}
-
-// OK reports whether every asserted contract held.
-func (ac *AuditCompare) OK() bool {
-	return ac.ZeroAllocOK && ac.CoverageOK && ac.DetectOK && ac.DriftOK && ac.BurnOK && ac.RetentionOK
 }
 
 // RunAuditCompare runs the audit-plane validation at a scale.
@@ -140,7 +127,7 @@ func RunAuditCompare(sc Scale) (*AuditCompare, error) {
 		biased[l] = auditBiasClaim
 	}
 
-	ac := &AuditCompare{Servers: len(svc.Comps), RaceDetector: raceEnabled}
+	ac := &AuditCompare{Servers: len(svc.Comps)}
 
 	// (1) Zero cost when off, and on the non-sampled hot path.
 	var nilAuditor *audit.Auditor
@@ -164,7 +151,9 @@ func RunAuditCompare(sc Scale) (*AuditCompare, error) {
 		}
 	})
 	probe.Close()
-	ac.ZeroAllocOK = (ac.DisabledAllocs == 0 && ac.NotSampledAllocs == 0) || raceEnabled
+	ac.promise("zero-cost", (ac.DisabledAllocs == 0 && ac.NotSampledAllocs == 0) || raceEnabled,
+		"disabled %.1f allocs/op, non-sampled hot path %.1f allocs/op (%s)",
+		ac.DisabledAllocs, ac.NotSampledAllocs, wantZeroAllocs())
 
 	// (2) Healthy pass: honest calibration, achievable floor.
 	hp, err := runAuditedPass(svc, queries, honest, auditHealthyFloor, auditHealthyCalls, 0)
@@ -192,8 +181,11 @@ func RunAuditCompare(sc Scale) (*AuditCompare, error) {
 		ac.HealthyRealized = sumRealized / float64(samples)
 		ac.HealthyClaimed = sumClaimed / float64(samples)
 	}
-	ac.CoverageOK = ac.HealthyAudited == int64(auditHealthyCalls) &&
-		total > 0 && ac.HealthyCoverage >= auditNominalConfidence
+	ac.promise("calibration", ac.HealthyAudited == int64(auditHealthyCalls) &&
+		total > 0 && ac.HealthyCoverage >= auditNominalConfidence,
+		"honest table: %d/%d audited, bound coverage %.3f over %d bounds (nominal %.2f), realized %.3f vs claimed %.3f, %d floor violations",
+		ac.HealthyAudited, ac.HealthyCalls, ac.HealthyCoverage, ac.HealthyBounds,
+		auditNominalConfidence, ac.HealthyRealized, ac.HealthyClaimed, ac.HealthyViol)
 
 	// (3) Bias pass: a stale table claims every level is near-exact, so
 	// Bounded{auditBiasFloor} traffic lands on the coarsest level and
@@ -218,15 +210,19 @@ func RunAuditCompare(sc Scale) (*AuditCompare, error) {
 		ac.BiasRealized = sumRealized / float64(samples)
 		ac.BiasClaimed = sumClaimed / float64(samples)
 	}
-	ac.DetectOK = ac.BiasViol > 0 &&
+	ac.promise("detection", ac.BiasViol > 0 &&
 		ac.BiasDetectAt > 0 && ac.BiasDetectAt <= auditDetectK &&
-		ac.BiasPinned == int(ac.BiasViol)
+		ac.BiasPinned == int(ac.BiasViol),
+		"stale table claiming %.3f: %d/%d audits violated the %.2f floor, first at audit #%d (budget %d), %d traces pinned; realized %.3f vs claimed %.3f — the audit gap IS the staleness",
+		auditBiasClaim, ac.BiasViol, ac.BiasAudited, auditBiasFloor, ac.BiasDetectAt, auditDetectK, ac.BiasPinned, ac.BiasRealized, ac.BiasClaimed)
 
 	// (4) Drift: audits queued across an ingest-driven epoch swap must
 	// be skipped stale, and post-swap answers must audit normally.
 	if err := ac.runDriftPhase(sc, svc); err != nil {
-		ac.DriftErr = err.Error()
-		ac.DriftOK = false
+		ac.promise("drift", false, "%v", err)
+	} else {
+		ac.promise("drift", true, "%d audits queued across an ingest epoch swap: %d skipped stale, %d post-swap audited",
+			ac.DriftQueued, ac.DriftSkipped, ac.DriftPostAudited)
 	}
 
 	// (5a) Burn-rate windows vs a naive re-scanning reference.
@@ -449,7 +445,6 @@ func (ac *AuditCompare) runDriftPhase(sc Scale, svc *AggService) error {
 	if st.Sampled != st.Audited+st.SkippedStale+st.ReplayErrs+st.Dropped {
 		return fmt.Errorf("audit accounting broken: %+v", st)
 	}
-	ac.DriftOK = true
 	return nil
 }
 
@@ -559,7 +554,8 @@ func (ac *AuditCompare) runBurnPhase() {
 			}
 		}
 	}
-	ac.BurnOK = ac.BurnChecks == 9 && ac.BurnMismatches == 0
+	ac.promise("burn rates", ac.BurnChecks == 9 && ac.BurnMismatches == 0,
+		"%d class x window checks against the naive reference, %d mismatches", ac.BurnChecks, ac.BurnMismatches)
 }
 
 // runRetentionPhase drives degraded replies through a deliberately tiny
@@ -656,48 +652,20 @@ func (ac *AuditCompare) runRetentionPhase(svc *AggService) error {
 	}
 	_, _, _, deg := slo.Window(wire.SLOBestEffort, 2)
 	ac.RetainSLODeg = deg
-	ac.RetentionOK = ac.RetainAnomalous == anomalous &&
+	ac.promise("retention", ac.RetainAnomalous == anomalous &&
 		ac.RetainPinned == anomalous &&
 		ac.RetainInRing == 0 &&
-		ac.RetainSLODeg == int64(anomalous)
+		ac.RetainSLODeg == int64(anomalous),
+		"%d degraded replies through a %d-slot ring + %d healthy: %d pinned as exemplars, %d left in ring (want 0), SLO degraded %d",
+		ac.RetainAnomalous, auditRetentionRing, ac.RetainHealthy, ac.RetainPinned, ac.RetainInRing, ac.RetainSLODeg)
 	return nil
 }
 
 // Render formats the validation report.
 func (ac *AuditCompare) Render() string {
 	var b strings.Builder
-	mark := func(v bool) string {
-		if v {
-			return "ok"
-		}
-		return "FAIL"
-	}
 	fmt.Fprintf(&b, "AUDITCOMPARE: accuracy audit plane over loopback TCP (%d component servers)\n\n", ac.Servers)
-	if ac.RaceDetector {
-		fmt.Fprintf(&b, "  zero-cost   %-4s  disabled %.1f allocs/op, non-sampled %.1f allocs/op (informational under -race)\n",
-			mark(ac.ZeroAllocOK), ac.DisabledAllocs, ac.NotSampledAllocs)
-	} else {
-		fmt.Fprintf(&b, "  zero-cost   %-4s  disabled %.1f allocs/op, non-sampled hot path %.1f allocs/op (want 0)\n",
-			mark(ac.ZeroAllocOK), ac.DisabledAllocs, ac.NotSampledAllocs)
-	}
-	fmt.Fprintf(&b, "  calibration %-4s  honest table: %d/%d audited, bound coverage %.3f over %d bounds (nominal %.2f), realized %.3f vs claimed %.3f, %d floor violations\n",
-		mark(ac.CoverageOK), ac.HealthyAudited, ac.HealthyCalls, ac.HealthyCoverage, ac.HealthyBounds,
-		auditNominalConfidence, ac.HealthyRealized, ac.HealthyClaimed, ac.HealthyViol)
-	fmt.Fprintf(&b, "  detection   %-4s  stale table claiming %.3f: %d/%d audits violated the %.2f floor, first at audit #%d (budget %d), %d traces pinned\n",
-		mark(ac.DetectOK), auditBiasClaim, ac.BiasViol, ac.BiasAudited, auditBiasFloor, ac.BiasDetectAt, auditDetectK, ac.BiasPinned)
-	fmt.Fprintf(&b, "              realized %.3f vs claimed %.3f: the audit gap IS the staleness\n", ac.BiasRealized, ac.BiasClaimed)
-	if ac.DriftErr != "" {
-		fmt.Fprintf(&b, "  drift       FAIL  %s\n", ac.DriftErr)
-	} else {
-		fmt.Fprintf(&b, "  drift       %-4s  %d audits queued across an ingest epoch swap: %d skipped stale, %d post-swap audited\n",
-			mark(ac.DriftOK), ac.DriftQueued, ac.DriftSkipped, ac.DriftPostAudited)
-	}
-	fmt.Fprintf(&b, "  burn rates  %-4s  %d class x window checks against the naive reference, %d mismatches\n",
-		mark(ac.BurnOK), ac.BurnChecks, ac.BurnMismatches)
-	fmt.Fprintf(&b, "  retention   %-4s  %d degraded replies through a %d-slot ring + %d healthy: %d pinned as exemplars, %d left in ring (want 0), SLO degraded %d\n",
-		mark(ac.RetentionOK), ac.RetainAnomalous, auditRetentionRing, ac.RetainHealthy,
-		ac.RetainPinned, ac.RetainInRing, ac.RetainSLODeg)
-
+	ac.renderContracts(&b)
 	b.WriteString("\nReading: the auditor replays a sampled fraction of answered requests at Exact class, off the hot\n")
 	b.WriteString("path and gated on foreground load, so ground truth is measured continuously without touching\n")
 	b.WriteString("tail latency. A healthy calibration shows CLT bound coverage at or above the nominal confidence;\n")

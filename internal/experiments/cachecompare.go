@@ -106,6 +106,7 @@ type CacheRow struct {
 
 // CacheCompare is the full experiment result.
 type CacheCompare struct {
+	contracts
 	Servers       int
 	DeadlineMs    float64
 	RatePerSec    float64 // nominal offered rate
@@ -267,6 +268,12 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 			cc.Rows = append(cc.Rows, row)
 		}
 	}
+	floorViol := 0
+	for _, r := range cc.Rows {
+		floorViol += r.FloorViolations
+	}
+	cc.promise("cache floor", floorViol == 0,
+		"%d cache hits served below a Bounded request's floor across %d rows, warm-up included (want 0)", floorViol, len(cc.Rows))
 	if err := cc.runCoalesceCheck(comps); err != nil {
 		return nil, err
 	}
@@ -410,6 +417,9 @@ func (cc *CacheCompare) runCoalesceCheck(comps []*agg.Component) error {
 	// request was answered by the one computation.
 	cst := cache.Stats()
 	cc.CoalesceShared = cst.Coalesced + cst.Hits
+	cc.promise("coalescing", cc.CoalesceComputes == 1 && cc.CoalesceShared == int64(cc.CoalesceFanIn-1),
+		"%d concurrent identical misses -> %d backend fan-out(s), %d shared (want 1 and %d)",
+		cc.CoalesceFanIn, cc.CoalesceComputes, cc.CoalesceShared, cc.CoalesceFanIn-1)
 	return nil
 }
 
@@ -435,8 +445,8 @@ func (cc *CacheCompare) Render() string {
 		fmt.Fprintf(&b, " %.3f", a)
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "coalescing check: %d concurrent identical misses -> %d backend fan-out(s), %d shared\n\n",
-		cc.CoalesceFanIn, cc.CoalesceComputes, cc.CoalesceShared)
+	cc.renderContracts(&b)
+	b.WriteString("\n")
 	fmt.Fprintf(&b, "  %-5s %-8s %6s %7s %6s %10s %8s %8s %6s %8s %9s %10s %10s %9s %7s %8s\n",
 		"skew", "config", "calls", "lag ms", "hit%", "goodput/s", "p50 ms", "p99.9", "shed%", "acc",
 		"accExact", "accBounded", "accBestEff", "floorViol", "coal", "refresh")

@@ -20,16 +20,9 @@ func TestCacheCompareQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Singleflight: N concurrent identical misses -> one fan-out, the
-	// rest shared.
-	if cc.CoalesceComputes != 1 {
-		t.Fatalf("%d backend fan-outs for %d concurrent identical requests, want 1",
-			cc.CoalesceComputes, cc.CoalesceFanIn)
-	}
-	if cc.CoalesceShared != int64(cc.CoalesceFanIn-1) {
-		t.Fatalf("%d of %d requests shared the computation, want %d",
-			cc.CoalesceShared, cc.CoalesceFanIn, cc.CoalesceFanIn-1)
-	}
+	// Singleflight (N concurrent identical misses -> one fan-out, the
+	// rest shared) and the hit rule's floor.
+	checkContracts(t, "cachecompare", cc)
 
 	for _, skew := range ccSkews {
 		nocache, cached := cc.Row(skew, false), cc.Row(skew, true)
@@ -76,7 +69,7 @@ func TestCacheCompareQuick(t *testing.T) {
 	}
 
 	out := cc.Render()
-	for _, want := range []string{"CACHECOMPARE", "coalescing check", "floorViol", "hit%", "nocache", "nominal", "realised", "max send lag"} {
+	for _, want := range []string{"CACHECOMPARE", "floorViol", "hit%", "nocache", "nominal", "realised", "max send lag"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q:\n%s", want, out)
 		}

@@ -37,31 +37,14 @@ func RunCFComparison(svc *CFService, rates []float64) (*CFComparison, error) {
 		seed := sc.Seed ^ uint64(ri+1)*0x9e37
 		arrivals := workload.PoissonArrivals(stats.NewRNG(seed), rate, horizon)
 		slow := slowdownFunc(seed, sc.Components, horizon+600000)
-		base := cluster.Config{
+		resBasic, resRe, resAT, err := runTechniques(cluster.Config{
 			Components: sc.Components,
 			Arrivals:   arrivals,
 			Work:       svc.Work,
 			UnitCostMs: sc.cfUnitCostMs(),
 			Slowdown:   slow,
 			DeadlineMs: sc.DeadlineMs,
-		}
-
-		cfgBasic := base
-		cfgBasic.Technique = cluster.Basic
-		resBasic, err := cluster.Run(cfgBasic)
-		if err != nil {
-			return nil, err
-		}
-		cfgRe := base
-		cfgRe.Technique = cluster.Reissue
-		cfgRe.HedgeFloorMs = 2 * fullScanMs
-		resRe, err := cluster.Run(cfgRe)
-		if err != nil {
-			return nil, err
-		}
-		cfgAT := base
-		cfgAT.Technique = cluster.AccuracyTrader
-		resAT, err := cluster.Run(cfgAT)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -83,6 +66,24 @@ func RunCFComparison(svc *CFService, rates []float64) (*CFComparison, error) {
 		out.ATLoss = append(out.ATLoss, al)
 	}
 	return out, nil
+}
+
+// runTechniques simulates one workload under the paper's three latency
+// techniques: Basic, Request reissue (hedging no earlier than two full
+// scans) and AccuracyTrader.
+func runTechniques(base cluster.Config) (basic, reissue, at *cluster.Result, err error) {
+	base.Technique = cluster.Basic
+	if basic, err = cluster.Run(base); err != nil {
+		return nil, nil, nil, err
+	}
+	re := base
+	re.Technique, re.HedgeFloorMs = cluster.Reissue, 2*fullScanMs
+	if reissue, err = cluster.Run(re); err != nil {
+		return nil, nil, nil, err
+	}
+	base.Technique = cluster.AccuracyTrader
+	at, err = cluster.Run(base)
+	return basic, reissue, at, err
 }
 
 // replayCFAccuracy replays sampled requests through the real CF engines:
@@ -149,6 +150,9 @@ func mergeATShard(at cf.Result, comp *cf.Component, req cf.Request, k int) {
 	at.Merge(e.Result())
 	e.Release()
 }
+
+// Render renders both tables.
+func (c *CFComparison) Render() string { return c.RenderTable1() + "\n" + c.RenderTable2() }
 
 // RenderTable1 renders the Table 1 analogue.
 func (c *CFComparison) RenderTable1() string {

@@ -63,18 +63,17 @@ var costTenants = []string{"acme", "bravo", "carol"}
 
 // CostCompare is the experiment result.
 type CostCompare struct {
+	contracts
 	Servers int
 	Levels  int
 
 	// Zero-cost contract.
 	DisabledAllocs float64
-	RaceDetector   bool
 
 	// Attribution pass.
 	Calls     int
 	Rows      int
 	WantRows  int
-	SumOK     bool
 	WorkShare float64 // (CPU+queue) / wall over the global totals
 	ShareCeil float64
 
@@ -89,17 +88,6 @@ type CostCompare struct {
 	ProfRefired    bool
 	ProfReason     string
 	ProfHeapOK     bool
-
-	ZeroAllocOK bool
-	ConserveOK  bool
-	TenantSumOK bool
-	FrontierOK  bool
-	ProfilerOK  bool
-}
-
-// OK reports whether every asserted contract held.
-func (cc *CostCompare) OK() bool {
-	return cc.ZeroAllocOK && cc.ConserveOK && cc.TenantSumOK && cc.FrontierOK && cc.ProfilerOK
 }
 
 // RunCostCompare runs the cost-plane validation at a scale.
@@ -110,7 +98,7 @@ func RunCostCompare(sc Scale) (*CostCompare, error) {
 	}
 	queries := svc.Data.SampleAggQueries(sc.Seed^0xc057, 16)
 	levels := svc.Comps[0].Syn.Levels()
-	cc := &CostCompare{Servers: len(svc.Comps), Levels: levels, RaceDetector: raceEnabled}
+	cc := &CostCompare{Servers: len(svc.Comps), Levels: levels}
 
 	// (1) Zero cost when off: no account on the context means every
 	// accounting call is a nil-receiver no-op.
@@ -120,7 +108,8 @@ func RunCostCompare(sc Scale) (*CostCompare, error) {
 		acct.Add(cost.Usage{CPUNs: 1, Scanned: 2})
 		acct.AddWireBytes(64)
 	})
-	cc.ZeroAllocOK = cc.DisabledAllocs == 0 || raceEnabled
+	cc.promise("zero-cost", cc.DisabledAllocs == 0 || raceEnabled,
+		"cost-off accounting path %.1f allocs/op (%s)", cc.DisabledAllocs, wantZeroAllocs())
 
 	// (2)-(4) share one metered loopback stack.
 	v, err := runCostPass(svc, queries, levels)
@@ -138,8 +127,10 @@ func RunCostCompare(sc Scale) (*CostCompare, error) {
 		cc.WorkShare = float64(work) / float64(v.Global.WallNs)
 	}
 	cc.ShareCeil = costShareCeilPerShard * float64(cc.Servers)
-	cc.ConserveOK = v.Global.Scanned > 0 && v.Global.WireBytes > 0 &&
-		cc.WorkShare >= costShareFloor && cc.WorkShare <= cc.ShareCeil
+	cc.promise("conservation", v.Global.Scanned > 0 && v.Global.WireBytes > 0 &&
+		cc.WorkShare >= costShareFloor && cc.WorkShare <= cc.ShareCeil,
+		"component exec+queue explain %.3fx of parent wall time (want within [%g, %.2f])",
+		cc.WorkShare, costShareFloor, cc.ShareCeil)
 
 	// (3) Tenant attribution: rows sum to the global totals exactly.
 	var sum cost.Usage
@@ -148,8 +139,10 @@ func RunCostCompare(sc Scale) (*CostCompare, error) {
 		sum = sum.Add(r.Totals)
 		sumReq += r.Requests
 	}
-	cc.TenantSumOK = cc.Rows == cc.WantRows &&
-		sum == v.Global && sumReq == v.Requests && v.Requests == uint64(cc.Calls)
+	cc.promise("attribution", cc.Rows == cc.WantRows &&
+		sum == v.Global && sumReq == v.Requests && v.Requests == uint64(cc.Calls),
+		"%d calls over %d tenants: %d/%d rows, per-tenant sums must equal global totals exactly",
+		cc.Calls, len(costTenants), cc.Rows, cc.WantRows)
 
 	// (4) Frontier: join the table's measured per-level scan costs with
 	// the measured per-level accuracy and require a monotone Pareto
@@ -163,23 +156,26 @@ func RunCostCompare(sc Scale) (*CostCompare, error) {
 		})
 	}
 	curves := cost.Frontier(v, pts)
-	cc.FrontierOK = len(curves) == 1 && curves[0].Workload == "agg"
-	if cc.FrontierOK {
+	frontierOK := len(curves) == 1 && curves[0].Workload == "agg"
+	if frontierOK {
 		c := curves[0]
 		cc.FrontierPoints = len(c.Points)
 		cc.FrontierDominated = len(c.Dominated)
-		cc.FrontierOK = len(c.Points) >= 2 &&
+		frontierOK = len(c.Points) >= 2 &&
 			len(c.Points)+len(c.Dominated) == levels
 		for i := 1; i < len(c.Points); i++ {
 			if c.Points[i].Scanned <= c.Points[i-1].Scanned ||
 				c.Points[i].Accuracy <= c.Points[i-1].Accuracy {
-				cc.FrontierOK = false
+				frontierOK = false
 			}
 		}
 		if n := len(c.Points); n >= 2 && c.Points[0].Scanned > 0 {
 			cc.FrontierSpread = c.Points[n-1].Scanned / c.Points[0].Scanned
 		}
 	}
+	cc.promise("frontier", frontierOK,
+		"%d Pareto points (+%d dominated) of %d levels, scanned spread %.1fx; accuracy must strictly increase with cost over >= 2 points",
+		cc.FrontierPoints, cc.FrontierDominated, cc.Levels, cc.FrontierSpread)
 
 	// (5) Profiler hygiene under a sustained burn.
 	if err := cc.runProfilerPhase(); err != nil {
@@ -290,38 +286,20 @@ func (cc *CostCompare) runProfilerPhase() error {
 			cc.ProfHeapOK = true
 		}
 	}
-	cc.ProfilerOK = cc.ProfRefired && end.Triggered == 2 &&
+	cc.promise("profiler", cc.ProfRefired && end.Triggered == 2 &&
 		cc.ProfSuppressed >= 5 && cc.ProfHeapOK &&
-		strings.HasPrefix(cc.ProfReason, "slo-burn")
+		strings.HasPrefix(cc.ProfReason, "slo-burn"),
+		"fired %d (want 2: once + re-arm), %d re-triggers suppressed by cooldown, reason %q, heap captured %v",
+		cc.ProfTriggered, cc.ProfSuppressed, cc.ProfReason, cc.ProfHeapOK)
 	return nil
 }
 
 // Render formats the validation report.
 func (cc *CostCompare) Render() string {
 	var b strings.Builder
-	mark := func(v bool) string {
-		if v {
-			return "ok"
-		}
-		return "FAIL"
-	}
 	fmt.Fprintf(&b, "COSTCOMPARE: cost attribution plane over loopback TCP (%d component servers, %d ladder levels)\n\n",
 		cc.Servers, cc.Levels)
-	if cc.RaceDetector {
-		fmt.Fprintf(&b, "  zero-cost    %-4s  cost-off accounting path %.1f allocs/op (informational under -race)\n",
-			mark(cc.ZeroAllocOK), cc.DisabledAllocs)
-	} else {
-		fmt.Fprintf(&b, "  zero-cost    %-4s  cost-off accounting path %.1f allocs/op (want 0)\n",
-			mark(cc.ZeroAllocOK), cc.DisabledAllocs)
-	}
-	fmt.Fprintf(&b, "  conservation %-4s  component exec+queue explain %.3fx of parent wall time (want within [%g, %.2f])\n",
-		mark(cc.ConserveOK), cc.WorkShare, costShareFloor, cc.ShareCeil)
-	fmt.Fprintf(&b, "  attribution  %-4s  %d calls over %d tenants: %d/%d rows, per-tenant sums == global totals exactly\n",
-		mark(cc.TenantSumOK), cc.Calls, len(costTenants), cc.Rows, cc.WantRows)
-	fmt.Fprintf(&b, "  frontier     %-4s  %d Pareto points (+%d dominated) of %d levels, scanned spread %.1fx, accuracy strictly increasing with cost\n",
-		mark(cc.FrontierOK), cc.FrontierPoints, cc.FrontierDominated, cc.Levels, cc.FrontierSpread)
-	fmt.Fprintf(&b, "  profiler     %-4s  fired %d (want 2: once + re-arm), %d re-triggers suppressed by cooldown, reason %q\n",
-		mark(cc.ProfilerOK), cc.ProfTriggered, cc.ProfSuppressed, cc.ProfReason)
+	cc.renderContracts(&b)
 
 	b.WriteString("\nReading: every answered request carries its own bill — component exec time, scan units, queue\n")
 	b.WriteString("time and wire bytes folded from span costs into a per-(tenant, class, workload, level) table —\n")

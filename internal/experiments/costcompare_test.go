@@ -20,27 +20,9 @@ func TestCostCompareQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cc.ZeroAllocOK {
-		t.Errorf("zero-cost: cost-off path %.1f allocs/op, want 0", cc.DisabledAllocs)
-	}
-	if !cc.ConserveOK {
-		t.Errorf("conservation: work share %.4f of wall, want within [%g, %.2f]",
-			cc.WorkShare, costShareFloor, cc.ShareCeil)
-	}
-	if !cc.TenantSumOK {
-		t.Errorf("attribution: %d/%d rows over %d calls, sums must equal global totals exactly",
-			cc.Rows, cc.WantRows, cc.Calls)
-	}
-	if !cc.FrontierOK {
-		t.Errorf("frontier: %d points (+%d dominated) of %d levels, want >= 2 monotone points",
-			cc.FrontierPoints, cc.FrontierDominated, cc.Levels)
-	}
-	if !cc.ProfilerOK {
-		t.Errorf("profiler: triggered=%d suppressed=%d refired=%v reason=%q heap=%v",
-			cc.ProfTriggered, cc.ProfSuppressed, cc.ProfRefired, cc.ProfReason, cc.ProfHeapOK)
-	}
+	checkContracts(t, "costcompare", cc)
 	out := cc.Render()
-	for _, want := range []string{"COSTCOMPARE", "zero-cost", "conservation", "attribution", "frontier", "profiler"} {
+	for _, want := range []string{"COSTCOMPARE", "Reading:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

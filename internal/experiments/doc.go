@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4). Each experiment is a pure function of a Scale (the
 // knobs that shrink the paper's 30-node testbed onto a laptop) returning
-// a typed result with a paper-style text rendering.
+// a typed result with a paper-style text rendering. Registry is the
+// catalogue: every entry names itself and produces its Report; a report
+// that makes promises states them as Contracts, and Check judges them.
 //
 // Scaling approach (DESIGN.md §4): the latency experiments simulate the
 // full fan-out width (108 components by default, as in the paper) on the

@@ -94,6 +94,7 @@ func (p *FaultPhase) AnsweredFrac(class int) float64 {
 
 // FaultCompare is the full experiment result.
 type FaultCompare struct {
+	contracts
 	Servers      int
 	Killed       int // index of the faulted component
 	DeadlineMs   float64
@@ -111,10 +112,8 @@ type FaultCompare struct {
 	Faults       int64
 
 	// NoFaultAllocs is allocs/op of the healthy-path fault machinery
-	// (breaker check + success + strata accounting); ZeroAllocOK pins it
-	// at zero.
+	// (breaker check + success + strata accounting), pinned at zero.
 	NoFaultAllocs float64
-	ZeroAllocOK   bool
 }
 
 // Phase returns the first phase with the given name (nil if none).
@@ -175,7 +174,8 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 			panic("full fan-out accounted as degraded")
 		}
 	})
-	fc.ZeroAllocOK = fc.NoFaultAllocs == 0
+	fc.promise("zero-alloc no-fault path", fc.NoFaultAllocs == 0,
+		"%.1f allocs/op on breaker check + success feedback + strata accounting (want 0)", fc.NoFaultAllocs)
 
 	// Component servers behind fault-injection scripts: every listener
 	// and every aggregator dial goes through the fabric, so one Set()
@@ -269,6 +269,8 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 	fc.BreakerOpens = st.BreakerOpens
 	fc.Retries = st.Retries
 	fc.Faults = st.Faults
+	fc.promise("degradation", fc.Violations() == 0,
+		"%d degradation-contract violations over %d phases (want 0)", fc.Violations(), len(fc.Phases))
 	return fc, nil
 }
 
@@ -364,15 +366,8 @@ func (fc *FaultCompare) Render() string {
 		fmt.Fprintf(&b, "heal %d: breaker re-closed by the background prober in %.1f ms (budget %.0f ms), no traffic needed\n",
 			i+1, ms, faultRecloseBudgetMs)
 	}
-	mark := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "FAIL"
-	}
-	fmt.Fprintf(&b, "breaker opens %d, retries %d, faults %d over the sweep\n", fc.BreakerOpens, fc.Retries, fc.Faults)
-	fmt.Fprintf(&b, "contract violations: %d (want 0) | no-fault path: %s (%.1f allocs/op, want 0)\n",
-		fc.Violations(), mark(fc.ZeroAllocOK), fc.NoFaultAllocs)
+	fmt.Fprintf(&b, "breaker opens %d, retries %d, faults %d over the sweep\n\n", fc.BreakerOpens, fc.Retries, fc.Faults)
+	fc.renderContracts(&b)
 	b.WriteString("\nReading: during the crash phase the killed component's breaker opens and health-aware routing re-homes\n")
 	b.WriteString("its strata on the survivors (every server holds all shards), so BestEffort availability holds and the\n")
 	b.WriteString("brief trip window surfaces as honestly-degraded or typed-unavailable replies — never a silently skewed\n")

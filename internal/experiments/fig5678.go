@@ -40,6 +40,9 @@ func RunHourFigures(svc *SearchService) (*HourFigures, error) {
 	return out, nil
 }
 
+// Render prints both figures.
+func (f *HourFigures) Render() string { return f.RenderFig5() + "\n" + f.RenderFig6() }
+
 // RenderFig5 prints the 12 panels of Figure 5 as per-minute series
 // (sub-sampled every 5 minutes for width).
 func (f *HourFigures) RenderFig5() string {
@@ -109,6 +112,9 @@ func RunDayFigures(svc *SearchService) (*DayFigures, error) {
 	}
 	return out, nil
 }
+
+// Render prints both figures.
+func (d *DayFigures) Render() string { return d.RenderFig7() + "\n" + d.RenderFig8() }
 
 // RenderFig7 prints Figure 7: hourly arrival rates and tail latencies.
 func (d *DayFigures) RenderFig7() string {

@@ -67,13 +67,13 @@ const (
 
 // IngestCompare is the full experiment result.
 type IngestCompare struct {
+	contracts
 	Shards       int
 	NumKeys      int
 	RowsPerShard int // rows streamed into each live shard over phases 1-2
 	RowsSeeded   int // rows staged+compacted per shard before the workers started
 	FinestLevel  int
 	Floor        float64
-	RaceDetector bool // allocation phase informational-only under -race
 
 	// Streaming phase (merge workers running on every shard).
 	Batches      int // per-shard append batches
@@ -100,21 +100,12 @@ type IngestCompare struct {
 	Rewarms     int64
 
 	// Read-path allocation phase.
-	ReadAllocs  float64
-	ZeroAllocOK bool
+	ReadAllocs float64
 
 	// Wire phase (loopback TCP).
-	WireOK        bool
-	WireErr       string
 	WireAccepted  uint32
 	WireEpoch     uint64
 	WireVisibleMs float64
-}
-
-// Violations sums every pinned-contract breach: floor violations while
-// streaming, bit-identity mismatches, and stale cache serves.
-func (ic *IngestCompare) Violations() int {
-	return ic.FloorViol + ic.IdentityViol + ic.StaleServes
 }
 
 // ingestIdentical reports whether two results are bit-identical across
@@ -175,7 +166,6 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 		RowsSeeded:   seeded,
 		Floor:        ingestFloor,
 		MinAcc:       1,
-		RaceDetector: raceEnabled,
 		CacheRounds:  ingestCacheRounds,
 	}
 
@@ -283,6 +273,9 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 		ic.MeanAcc = accSum / float64(accCnt)
 		ic.BaselineMean = baseSum / float64(accCnt)
 	}
+	ic.promise("floor", ic.FloorViol == 0,
+		"%d probed merged answers, live accuracy mean %.3f min %.3f vs frozen baseline mean %.3f min %.3f; effective floor min(%.2f, frozen) -> %d violations",
+		ic.FloorChecks, ic.MeanAcc, ic.MinAcc, ic.BaselineMean, ic.BaselineMin, ic.Floor, ic.FloorViol)
 
 	// Phase 2 — bit-identity at compacted epochs: with the workers gone
 	// this goroutine is shard 0's single publisher; every probe appends,
@@ -332,6 +325,10 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 		}
 	}
 
+	ic.promise("bit-identity", ic.IdentityViol == 0 && ic.IdentityProbes == ingestIdentityProbes,
+		"%d compacted epochs probed %v, exact + every level vs from-scratch rebuild -> %d mismatches",
+		ic.IdentityProbes, ic.ProbedEpochs, ic.IdentityViol)
+
 	// Phase 3 — cache coherence across swaps: cached values record the
 	// live epoch they were computed at; after each swap bumps the cache
 	// epoch and re-warms the hot set, a hit carrying a pre-swap epoch
@@ -379,6 +376,9 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 		}
 	}
 	ic.Rewarms = cache.Stats().Rewarms
+	ic.promise("cache coherence", ic.StaleServes == 0,
+		"%d swap rounds, %d hits / %d misses, %d re-warms -> %d stale serves",
+		ic.CacheRounds, ic.CacheHits, ic.CacheMisses, ic.Rewarms, ic.StaleServes)
 
 	// Phase 4 — the live read path must be allocation-free once warm:
 	// one atomic snapshot load, one pooled engine over the base, one
@@ -395,15 +395,17 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 		snap, _ := l.Snapshot()
 		res = snap.QueryLevel(res, q0, ic.FinestLevel)
 	})
-	ic.ZeroAllocOK = ic.ReadAllocs == 0 || raceEnabled
+	ic.promise("read path", ic.ReadAllocs == 0 || raceEnabled,
+		"%.1f allocs/op on Snapshot+QueryLevel (%s)", ic.ReadAllocs, wantZeroAllocs())
 
 	// Phase 5 — the wire: a v5 append batch through client → front
 	// server → component over loopback TCP, visible to exact queries
 	// after the next swap.
 	if err := ic.runWirePhase(data, cfg); err != nil {
-		ic.WireErr = err.Error()
+		ic.promise("wire", false, "%v", err)
 	} else {
-		ic.WireOK = true
+		ic.promise("wire", true, "v5 append acked (accepted %d, staged at epoch %d), visible to exact queries in %.1f ms",
+			ic.WireAccepted, ic.WireEpoch, ic.WireVisibleMs)
 	}
 	return ic, nil
 }
@@ -506,40 +508,15 @@ func (ic *IngestCompare) runWirePhase(data *workload.FactsData, cfg agg.Config) 
 // Render formats the sweep as a text report.
 func (ic *IngestCompare) Render() string {
 	var b strings.Builder
-	mark := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "FAIL"
-	}
 	fmt.Fprintf(&b, "INGESTCOMPARE: live synopsis updates vs frozen rebuilds (epoch-swapped streaming ingestion)\n")
 	fmt.Fprintf(&b, "(%d live shards, %d-key domain, %d rows/shard: %d seeded+compacted, then streamed in %d-row\n",
 		ic.Shards, ic.NumKeys, ic.RowsPerShard, ic.RowsSeeded, ingestBatchRows)
 	fmt.Fprintf(&b, " batches under 1 ms merge workers; finest ladder level %d; Bounded floor %.2f on the merged answer)\n\n",
 		ic.FinestLevel, ic.Floor)
 
-	fmt.Fprintf(&b, "streaming:    %3d batches/shard, %d worker publishes + %d compactions, worst freshness lag %.1f ms\n",
+	fmt.Fprintf(&b, "streaming: %d batches/shard, %d worker publishes + %d compactions, worst freshness lag %.1f ms\n\n",
 		ic.Batches, ic.Publishes, ic.Compactions, ic.MaxLagMs)
-	fmt.Fprintf(&b, "  floor:      %3d probed merged answers, live accuracy mean %.3f min %.3f vs frozen baseline mean %.3f\n",
-		ic.FloorChecks, ic.MeanAcc, ic.MinAcc, ic.BaselineMean)
-	fmt.Fprintf(&b, "              min %.3f; effective floor min(%.2f, frozen) -> %d violations (%s)\n",
-		ic.BaselineMin, ic.Floor, ic.FloorViol, mark(ic.FloorViol == 0))
-	fmt.Fprintf(&b, "bit-identity: %3d compacted epochs probed %v, exact + every level vs from-scratch rebuild -> %d mismatches (%s)\n",
-		ic.IdentityProbes, ic.ProbedEpochs, ic.IdentityViol, mark(ic.IdentityViol == 0 && ic.IdentityProbes == ingestIdentityProbes))
-	fmt.Fprintf(&b, "cache:        %3d swap rounds, %d hits / %d misses, %d re-warms -> %d stale serves (%s)\n",
-		ic.CacheRounds, ic.CacheHits, ic.CacheMisses, ic.Rewarms, ic.StaleServes, mark(ic.StaleServes == 0))
-	if ic.RaceDetector {
-		fmt.Fprintf(&b, "read path:    %.1f allocs/op (informational: race detector randomizes pool reuse)\n", ic.ReadAllocs)
-	} else {
-		fmt.Fprintf(&b, "read path:    %.1f allocs/op on Snapshot+QueryLevel, want 0 (%s)\n", ic.ReadAllocs, mark(ic.ZeroAllocOK))
-	}
-	if ic.WireOK {
-		fmt.Fprintf(&b, "wire:         v5 append acked (accepted %d, staged at epoch %d), visible to exact queries in %.1f ms (ok)\n",
-			ic.WireAccepted, ic.WireEpoch, ic.WireVisibleMs)
-	} else {
-		fmt.Fprintf(&b, "wire:         FAIL: %s\n", ic.WireErr)
-	}
-	fmt.Fprintf(&b, "\ncontract violations: %d (want 0)\n", ic.Violations())
+	ic.renderContracts(&b)
 
 	b.WriteString("\nReading: the delta segment is scanned exactly, so between compactions a live answer is the frozen\n")
 	b.WriteString("base's stratified estimate plus a zero-variance fold of the new rows — accuracy can only tighten,\n")

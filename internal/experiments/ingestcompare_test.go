@@ -20,22 +20,13 @@ func TestIngestCompareQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ic.Violations() != 0 {
-		t.Errorf("contract violations: %d floor (of %d probes), %d bit-identity (of %d epochs), %d stale serves",
-			ic.FloorViol, ic.FloorChecks, ic.IdentityViol, ic.IdentityProbes, ic.StaleServes)
-	}
+	checkContracts(t, "ingestcompare", ic)
 	if ic.FloorChecks == 0 || ic.IdentityProbes != ingestIdentityProbes || ic.CacheHits == 0 {
 		t.Errorf("a phase measured nothing: %d floor probes, %d/%d identity probes, %d cache hits",
 			ic.FloorChecks, ic.IdentityProbes, ingestIdentityProbes, ic.CacheHits)
 	}
-	if !ic.WireOK {
-		t.Errorf("wire: %s", ic.WireErr)
-	}
-	if !ic.ZeroAllocOK {
-		t.Errorf("read path: %.1f allocs/op on Snapshot+QueryLevel, want 0", ic.ReadAllocs)
-	}
 	out := ic.Render()
-	for _, want := range []string{"INGESTCOMPARE", "bit-identity", "stale serves", "read path", "wire:"} {
+	for _, want := range []string{"INGESTCOMPARE", "streaming:", "stale serves"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

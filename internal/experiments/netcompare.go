@@ -100,8 +100,11 @@ type NetRow struct {
 	MaxLagMs float64 // worst send lag behind the arrival schedule
 }
 
-// NetCompare is the full experiment result.
+// NetCompare is the full experiment result. Its contracts are the wire
+// parities: per workload, the network-composed result must be
+// bit-identical to the in-process composition.
 type NetCompare struct {
+	contracts
 	Servers       int
 	DeadlineMs    float64
 	RatePerSec    float64 // nominal offered rate
@@ -114,10 +117,7 @@ type NetCompare struct {
 	// LevelAccuracy is the measured synopsis-only accuracy per ladder
 	// level (coarse to fine) that calibrates the frontend controller.
 	LevelAccuracy []float64
-	// Parity: network-composed result bit-identical to the in-process
-	// composition, one request set per workload.
-	ParityCF, ParitySearch, ParityAgg bool
-	Rows                              []*NetRow
+	Rows          []*NetRow
 
 	// arrivalsMs is the one Poisson schedule every row is offered — a
 	// pure function of the seed, the same slice a DES run would consume.
@@ -414,9 +414,8 @@ func (nc *NetCompare) runParity(sc Scale, aggSvc *AggService) error {
 			CF: &wire.CFRequest{Ratings: ratings, Targets: r.Targets},
 		}
 	}
-	nc.ParityCF, err = parityRun(netsvc.NewCFBackend(cfSvc.Comps, netsvc.BackendOptions{}), sc.Shards, cfTemplates,
-		func(subs []service.SubResult) interface{} { return netsvc.ComposeCF(subs) })
-	if err != nil {
+	if err := nc.parity("cf", netsvc.NewCFBackend(cfSvc.Comps, netsvc.BackendOptions{}), sc.Shards, cfTemplates,
+		func(subs []service.SubResult) interface{} { return netsvc.ComposeCF(subs) }); err != nil {
 		return err
 	}
 
@@ -428,9 +427,8 @@ func (nc *NetCompare) runParity(sc Scale, aggSvc *AggService) error {
 			Search: &wire.SearchRequest{Query: q, K: 10},
 		}
 	}
-	nc.ParitySearch, err = parityRun(netsvc.NewSearchBackend(searchSvc.Comps, netsvc.BackendOptions{}), sc.Shards, searchTemplates,
-		func(subs []service.SubResult) interface{} { return netsvc.ComposeSearch(subs, 10) })
-	if err != nil {
+	if err := nc.parity("search", netsvc.NewSearchBackend(searchSvc.Comps, netsvc.BackendOptions{}), sc.Shards, searchTemplates,
+		func(subs []service.SubResult) interface{} { return netsvc.ComposeSearch(subs, 10) }); err != nil {
 		return err
 	}
 
@@ -439,15 +437,14 @@ func (nc *NetCompare) runParity(sc Scale, aggSvc *AggService) error {
 	for i, q := range aggQueries {
 		aggTemplates[i] = aggRequest(q)
 	}
-	nc.ParityAgg, err = parityRun(netsvc.NewAggBackend(aggSvc.Comps, netsvc.BackendOptions{}), sc.Shards, aggTemplates,
+	return nc.parity("agg", netsvc.NewAggBackend(aggSvc.Comps, netsvc.BackendOptions{}), sc.Shards, aggTemplates,
 		func(subs []service.SubResult) interface{} { return netsvc.ComposeAgg(subs) })
-	return err
 }
 
-// parityRun compares the network path against direct invocation for
-// one workload handler.
-func parityRun(h netsvc.Handler, n int, templates []*wire.Request,
-	compose func([]service.SubResult) interface{}) (bool, error) {
+// parity compares the network path against direct invocation for one
+// workload handler and states the outcome as that workload's contract.
+func (nc *NetCompare) parity(workload string, h netsvc.Handler, n int, templates []*wire.Request,
+	compose func([]service.SubResult) interface{}) error {
 	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
 		Components: n,
 		Handler:    func(int) netsvc.Handler { return h },
@@ -455,13 +452,14 @@ func parityRun(h netsvc.Handler, n int, templates []*wire.Request,
 		Agg:        netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 30 * time.Second},
 	})
 	if err != nil {
-		return false, err
+		return err
 	}
 	defer lb.Close()
+	identical := 0
 	for _, tmpl := range templates {
 		netSubs, err := lb.Agg.Call(context.Background(), tmpl)
 		if err != nil {
-			return false, err
+			return err
 		}
 		localSubs := make([]service.SubResult, n)
 		for i := 0; i < n; i++ {
@@ -471,11 +469,13 @@ func parityRun(h netsvc.Handler, n int, templates []*wire.Request,
 			rep.Subset, rep.Kind = sub.Subset, sub.Kind
 			localSubs[i] = service.SubResult{Subset: i, Value: rep}
 		}
-		if !reflect.DeepEqual(compose(netSubs), compose(localSubs)) {
-			return false, nil
+		if reflect.DeepEqual(compose(netSubs), compose(localSubs)) {
+			identical++
 		}
 	}
-	return true, nil
+	nc.promise("wire parity "+workload, identical == len(templates),
+		"%d/%d requests over %d servers: network answer bit-identical to the in-process composition", identical, len(templates), n)
+	return nil
 }
 
 // Render formats the comparison as a paper-style text table.
@@ -494,14 +494,7 @@ func (nc *NetCompare) Render() string {
 		nc.WindowSeconds, nc.Arrivals, float64(nc.Arrivals)/nc.WindowSeconds, maxLag)
 	fmt.Fprintf(&b, " goodput = answered <= %.1fx deadline with accuracy >= %.2f; class mix %s)\n\n",
 		goodLatencyFactor, goodAccuracyFloor, overloadClassMixLabel)
-	ok := func(v bool) string {
-		if v {
-			return "ok"
-		}
-		return "MISMATCH"
-	}
-	fmt.Fprintf(&b, "wire parity (network answer bit-identical to in-process composition): cf=%s search=%s agg=%s\n",
-		ok(nc.ParityCF), ok(nc.ParitySearch), ok(nc.ParityAgg))
+	nc.renderContracts(&b)
 	fmt.Fprintf(&b, "calibrated ladder accuracy (coarse->fine):")
 	for _, a := range nc.LevelAccuracy {
 		fmt.Fprintf(&b, " %.3f", a)

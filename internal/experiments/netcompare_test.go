@@ -22,9 +22,7 @@ func TestNetCompareQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !nc.ParityCF || !nc.ParitySearch || !nc.ParityAgg {
-		t.Fatalf("wire parity failed: cf=%v search=%v agg=%v", nc.ParityCF, nc.ParitySearch, nc.ParityAgg)
-	}
+	checkContracts(t, "netcompare", nc)
 
 	for _, runtime := range []string{"net", "inproc"} {
 		for _, name := range []string{"WaitAll", "PartialGather", "Hedged"} {
@@ -86,7 +84,7 @@ func TestNetCompareQuick(t *testing.T) {
 	}
 
 	out := nc.Render()
-	for _, want := range []string{"wire parity", "Frontend+AT", "inproc", "p99.9", "nominal", "realised", "max send lag"} {
+	for _, want := range []string{"Frontend+AT", "inproc", "p99.9", "nominal", "realised", "max send lag"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q:\n%s", want, out)
 		}

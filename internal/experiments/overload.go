@@ -104,27 +104,33 @@ func overloadWork(sc Scale) cluster.WorkModel {
 // RunOverload sweeps offered load across the multipliers (of the
 // exact-processing saturation rate) and measures every configuration.
 func RunOverload(sc Scale, multipliers []float64) (*OverloadSweep, error) {
-	work := overloadWork(sc)
-	unit := sc.searchUnitCostMs()
-	satRate := 1000 / (work.FullUnits * unit) // one component, exact scans
+	return overloadSweep(sc, cluster.Config{
+		Components: sc.Components,
+		Work:       []cluster.WorkModel{overloadWork(sc)},
+		UnitCostMs: sc.searchUnitCostMs(),
+		DeadlineMs: sc.DeadlineMs,
+		// Paper §4.3: the search engine caps improvement at the top 40%
+		// of ranked sets.
+		IMaxFrac: 0.4,
+	}, 0x0ad, overloadLadderAccuracy, multipliers)
+}
+
+// overloadSweep is the one sweep loop behind `overload` and
+// `aggcompare`: base carries the simulated service (work model, unit
+// cost, improvement cap), salt separates the arrival streams, and
+// levelAcc is the per-level synopsis accuracy (coarse to fine) that
+// both calibrates the degradation controller and scores Frontend+AT.
+func overloadSweep(sc Scale, base cluster.Config, salt uint64, levelAcc, multipliers []float64) (*OverloadSweep, error) {
+	satRate := 1000 / (base.Work[0].FullUnits * base.UnitCostMs) // one component, exact scans
 	windowMs := sc.SessionSeconds * 1000
 	sweep := &OverloadSweep{
 		SaturationRate: satRate,
 		DeadlineMs:     sc.DeadlineMs,
 		WindowSeconds:  sc.SessionSeconds,
 	}
-	base := cluster.Config{
-		Components: sc.Components,
-		Work:       []cluster.WorkModel{work},
-		UnitCostMs: unit,
-		DeadlineMs: sc.DeadlineMs,
-		// Paper §4.3: the search engine caps improvement at the top 40%
-		// of ranked sets.
-		IMaxFrac: 0.4,
-	}
 	for i, m := range multipliers {
 		rate := m * satRate
-		rng := stats.NewRNG(sc.Seed).Split(uint64(i) + 0x0ad)
+		rng := stats.NewRNG(sc.Seed).Split(uint64(i) + salt)
 		arrivals := workload.PoissonArrivals(rng, rate, windowMs)
 		if len(arrivals) == 0 {
 			// Dropping the point silently would misalign Points with the
@@ -148,8 +154,8 @@ func RunOverload(sc Scale, multipliers []float64) (*OverloadSweep, error) {
 
 		// Frontend+AT: fresh policy state per run.
 		ctrl, err := frontend.NewController(frontend.ControllerConfig{
-			Levels:             len(work.SynopsisLadder),
-			LevelAccuracy:      overloadLadderAccuracy,
+			Levels:             len(levelAcc),
+			LevelAccuracy:      levelAcc,
 			InflightSaturation: 4 * sc.Components,
 		})
 		if err != nil {
@@ -174,7 +180,7 @@ func RunOverload(sc Scale, multipliers []float64) (*OverloadSweep, error) {
 			return nil, err
 		}
 		point.Rows = append(point.Rows,
-			scoreFrontend(resF, cfgF.Work, overloadLadderAccuracy, sc.DeadlineMs, sweep.WindowSeconds))
+			scoreFrontend(resF, cfgF.Work, levelAcc, sc.DeadlineMs, sweep.WindowSeconds))
 		sweep.Points = append(sweep.Points, point)
 	}
 	return sweep, nil

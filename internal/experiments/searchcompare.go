@@ -60,7 +60,9 @@ func windowArrivals(rng *stats.RNG, p workload.DiurnalPattern, hour int, windowM
 func RunSearchWindow(svc *SearchService, arrivals []float64, windowMs float64, seed uint64) (*SearchWindow, error) {
 	sc := svc.Scale
 	slow := slowdownFunc(seed, sc.Components, windowMs+600000)
-	base := cluster.Config{
+	w := &SearchWindow{WindowMs: windowMs, Arrivals: arrivals}
+	var err error
+	w.Basic, w.Re, w.AT, err = runTechniques(cluster.Config{
 		Components: sc.Components,
 		Arrivals:   arrivals,
 		Work:       svc.Work,
@@ -70,23 +72,8 @@ func RunSearchWindow(svc *SearchService, arrivals []float64, windowMs float64, s
 		// Paper §4.3: the search engine processes at most the top 40% of
 		// ranked aggregated pages (they hold >98% of actual top-10 pages).
 		IMaxFrac: 0.4,
-	}
-	w := &SearchWindow{WindowMs: windowMs, Arrivals: arrivals}
-	var err error
-	cfgB := base
-	cfgB.Technique = cluster.Basic
-	if w.Basic, err = cluster.Run(cfgB); err != nil {
-		return nil, err
-	}
-	cfgR := base
-	cfgR.Technique = cluster.Reissue
-	cfgR.HedgeFloorMs = 2 * fullScanMs
-	if w.Re, err = cluster.Run(cfgR); err != nil {
-		return nil, err
-	}
-	cfgA := base
-	cfgA.Technique = cluster.AccuracyTrader
-	if w.AT, err = cluster.Run(cfgA); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	w.replayAccuracy(svc, seed)

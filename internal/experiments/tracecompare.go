@@ -53,6 +53,7 @@ const (
 
 // TraceCompare is the experiment result.
 type TraceCompare struct {
+	contracts
 	Servers  int
 	Requests int // per pass
 
@@ -69,16 +70,7 @@ type TraceCompare struct {
 
 	DisabledAllocs float64 // allocs/op of the disabled tracing path
 
-	StitchOK    bool
-	CoverageOK  bool
-	ZeroAllocOK bool
-
 	Summary *obs.Summary
-}
-
-// OK reports whether every asserted contract held.
-func (tc *TraceCompare) OK() bool {
-	return tc.StitchOK && tc.CoverageOK && tc.ZeroAllocOK
 }
 
 // RunTraceCompare runs the tracing validation at a scale.
@@ -105,7 +97,7 @@ func RunTraceCompare(sc Scale) (*TraceCompare, error) {
 		tr.Add(obs.SpanSubOp, 0, time.Time{}, 0, 0)
 		tr.Finish(0)
 	})
-	tc.ZeroAllocOK = tc.DisabledAllocs == 0
+	tc.promise("zero-cost", tc.DisabledAllocs == 0, "%.1f allocs/op with tracing off (want 0)", tc.DisabledAllocs)
 
 	// Traced pass: recorder sized to retain every request.
 	rec := obs.NewRecorder(traceRequests+traceWorkers, 64)
@@ -255,8 +247,11 @@ func (tc *TraceCompare) inspect(views []obs.TraceView) {
 	if coverCnt > 0 {
 		tc.CoverageMean = coverSum / float64(coverCnt)
 	}
-	tc.StitchOK = tc.FanOuts > 0 && tc.Stitched == tc.FanOuts
-	tc.CoverageOK = coverOK && tc.CoverageMean >= traceCoverageFloor
+	tc.promise("stitching", tc.FanOuts > 0 && tc.Stitched == tc.FanOuts,
+		"%d/%d fan-out traces: every answered sub-op span carries both of its server-side spans", tc.Stitched, tc.FanOuts)
+	tc.promise("accounting", coverOK && tc.CoverageMean >= traceCoverageFloor,
+		"critical-path spans explain %.0f%% of measured latency on average (floor %.0f%%, ceil %.0f%%)",
+		100*tc.CoverageMean, 100*traceCoverageFloor, 100*traceCoverageCeil)
 }
 
 // Render formats the validation report and the budget breakdown table.
@@ -264,18 +259,7 @@ func (tc *TraceCompare) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "TRACECOMPARE: end-to-end decision tracing over loopback TCP (%d component servers, %d requests per pass)\n\n",
 		tc.Servers, tc.Requests)
-	mark := func(v bool) string {
-		if v {
-			return "ok"
-		}
-		return "FAIL"
-	}
-	fmt.Fprintf(&b, "  stitching   %-4s  %d/%d fan-out traces: every answered sub-op span carries both of its server-side spans\n",
-		mark(tc.StitchOK), tc.Stitched, tc.FanOuts)
-	fmt.Fprintf(&b, "  accounting  %-4s  critical-path spans explain %.0f%% of measured latency on average (floor %.0f%%, ceil %.0f%%)\n",
-		mark(tc.CoverageOK), 100*tc.CoverageMean, 100*traceCoverageFloor, 100*traceCoverageCeil)
-	fmt.Fprintf(&b, "  disabled    %-4s  %.1f allocs/op with tracing off (want 0)\n",
-		mark(tc.ZeroAllocOK), tc.DisabledAllocs)
+	tc.renderContracts(&b)
 	fmt.Fprintf(&b, "\n  mean latency: traced %.2f ms vs untraced %.2f ms (overhead %+.1f%%)\n\n",
 		tc.MeanTracedMs, tc.MeanUntracedMs, tc.OverheadPct)
 	if tc.Summary != nil {

@@ -19,21 +19,12 @@ func TestTraceCompareQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tc.ZeroAllocOK {
-		t.Errorf("disabled tracing path allocates %.1f allocs/op, want 0", tc.DisabledAllocs)
-	}
-	if !tc.StitchOK {
-		t.Errorf("stitching: %d of %d fan-out traces complete", tc.Stitched, tc.FanOuts)
-	}
-	if !tc.CoverageOK {
-		t.Errorf("accounting: mean span coverage %.2f outside [%.2f, %.2f]",
-			tc.CoverageMean, traceCoverageFloor, traceCoverageCeil)
-	}
+	checkContracts(t, "tracecompare", tc)
 	if tc.Answered == 0 || tc.FanOuts == 0 {
 		t.Fatalf("no answered fan-outs recorded: answered=%d fanouts=%d", tc.Answered, tc.FanOuts)
 	}
 	out := tc.Render()
-	for _, want := range []string{"TRACECOMPARE", "stitching", "accounting", "disabled", "TRACE SUMMARY"} {
+	for _, want := range []string{"TRACECOMPARE", "TRACE SUMMARY"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

@@ -70,85 +70,37 @@ func (s *Series) Add(t, v float64) {
 	s.bins[i] = append(s.bins[i], v)
 }
 
-// Bins returns the number of bins.
-func (s *Series) Bins() int { return len(s.bins) }
-
-// Count returns the number of observations in bin i.
-func (s *Series) Count(i int) int { return len(s.bins[i]) }
-
-// Percentile returns the p-th percentile of bin i (NaN when empty).
-func (s *Series) Percentile(i int, p float64) float64 {
-	if len(s.bins[i]) == 0 {
-		return math.NaN()
-	}
-	out := make([]float64, 1)
-	var scratch []float64
-	s.binPercentiles(i, []float64{p}, out, &scratch)
-	return out[0]
-}
-
-// Mean returns the mean of bin i (NaN when empty).
-func (s *Series) Mean(i int) float64 {
-	if len(s.bins[i]) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range s.bins[i] {
-		sum += v
-	}
-	return sum / float64(len(s.bins[i]))
-}
-
-// MeanSeries returns per-bin means.
+// MeanSeries returns per-bin means (NaN for an empty bin).
 func (s *Series) MeanSeries() []float64 {
 	out := make([]float64, len(s.bins))
-	for i := range s.bins {
-		out[i] = s.Mean(i)
-	}
-	return out
-}
-
-// PercentileSeries returns per-bin p-th percentiles.
-func (s *Series) PercentileSeries(p float64) []float64 {
-	return s.PercentileSeriesAll(p)[0]
-}
-
-// PercentileSeriesAll returns, for each requested quantile, the
-// per-bin percentile series: out[j][i] is the ps[j]-th percentile of
-// bin i. Each bin is copied into a reused scratch buffer and sorted
-// exactly once, and every requested quantile is read from that one
-// sorted copy — the multi-quantile reports (p50/p99/p99.9 panels) no
-// longer re-copy and re-sort every bin per quantile.
-func (s *Series) PercentileSeriesAll(ps ...float64) [][]float64 {
-	out := make([][]float64, len(ps))
-	for j := range out {
-		out[j] = make([]float64, len(s.bins))
-	}
-	var scratch []float64
-	row := make([]float64, len(ps))
-	for i := range s.bins {
-		if len(s.bins[i]) == 0 {
-			for j := range ps {
-				out[j][i] = math.NaN()
-			}
+	for i, bin := range s.bins {
+		if len(bin) == 0 {
+			out[i] = math.NaN()
 			continue
 		}
-		s.binPercentiles(i, ps, row, &scratch)
-		for j := range ps {
-			out[j][i] = row[j]
+		sum := 0.0
+		for _, v := range bin {
+			sum += v
 		}
+		out[i] = sum / float64(len(bin))
 	}
 	return out
 }
 
-// binPercentiles sorts bin i once (into *scratch, reused across bins)
-// and reads every requested quantile from the sorted copy into out.
-// The bin must be non-empty.
-func (s *Series) binPercentiles(i int, ps []float64, out []float64, scratch *[]float64) {
-	cp := append((*scratch)[:0], s.bins[i]...)
-	sort.Float64s(cp)
-	*scratch = cp
-	for j, p := range ps {
-		out[j] = stats.PercentileSorted(cp, p)
+// PercentileSeries returns per-bin p-th percentiles (NaN for an empty
+// bin). Each bin is copied into one reused scratch buffer and sorted
+// there, so the series itself is never reordered.
+func (s *Series) PercentileSeries(p float64) []float64 {
+	out := make([]float64, len(s.bins))
+	var scratch []float64
+	for i, bin := range s.bins {
+		if len(bin) == 0 {
+			out[i] = math.NaN()
+			continue
+		}
+		scratch = append(scratch[:0], bin...)
+		sort.Float64s(scratch)
+		out[i] = stats.PercentileSorted(scratch, p)
 	}
+	return out
 }

@@ -55,23 +55,21 @@ func TestSeriesBinning(t *testing.T) {
 	s.Add(2500, 40)
 	s.Add(5000, 99) // out of range: dropped
 	s.Add(-1, 99)   // out of range: dropped
-	if s.Bins() != 3 {
-		t.Fatalf("Bins = %d", s.Bins())
+	means, maxes := s.MeanSeries(), s.PercentileSeries(100)
+	if len(means) != 3 || len(maxes) != 3 {
+		t.Fatalf("bins = %d/%d", len(means), len(maxes))
 	}
-	if s.Count(0) != 2 || s.Count(1) != 1 || s.Count(2) != 1 {
-		t.Fatalf("counts = %d,%d,%d", s.Count(0), s.Count(1), s.Count(2))
+	if means[0] != 15 || means[1] != 30 || means[2] != 40 {
+		t.Fatalf("means = %v", means)
 	}
-	if got := s.Mean(0); got != 15 {
-		t.Fatalf("Mean(0) = %v", got)
-	}
-	if got := s.Percentile(0, 100); got != 20 {
-		t.Fatalf("P100(0) = %v", got)
+	if maxes[0] != 20 || maxes[1] != 30 || maxes[2] != 40 {
+		t.Fatalf("P100 = %v", maxes)
 	}
 }
 
 func TestSeriesEmptyBin(t *testing.T) {
 	s := NewSeries(100, 2)
-	if !math.IsNaN(s.Mean(0)) || !math.IsNaN(s.Percentile(1, 50)) {
+	if !math.IsNaN(s.MeanSeries()[0]) || !math.IsNaN(s.PercentileSeries(50)[1]) {
 		t.Fatal("empty bins must be NaN")
 	}
 }

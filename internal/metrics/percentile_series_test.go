@@ -8,9 +8,8 @@ import (
 	"accuracytrader/internal/stats"
 )
 
-// naivePercentile is the retained reference: re-copy and re-sort the
-// bin for every quantile read, exactly as PercentileSeries did before
-// the sort-once rewrite.
+// naivePercentile is the reference: copy and sort the bin afresh for
+// every read.
 func naivePercentile(vals []float64, p float64) float64 {
 	if len(vals) == 0 {
 		return math.NaN()
@@ -32,65 +31,20 @@ func fillSeries(seed uint64, bins, perBin int) *Series {
 	return s
 }
 
-// TestPercentileSeriesMatchesNaive asserts the sort-once path returns
-// bit-identical values to the per-quantile re-sort reference, across
-// single- and multi-quantile reads, sparse and empty bins included.
+// TestPercentileSeriesMatchesNaive asserts the reused-scratch path
+// returns bit-identical values to the re-copy-and-re-sort reference,
+// sparse and empty bins included.
 func TestPercentileSeriesMatchesNaive(t *testing.T) {
 	quantiles := []float64{0, 10, 50, 90, 95, 99, 99.9, 100}
 	for seed := uint64(1); seed <= 5; seed++ {
 		s := fillSeries(seed, 24, 40)
-		all := s.PercentileSeriesAll(quantiles...)
-		for j, p := range quantiles {
-			single := s.PercentileSeries(p)
-			for i := 0; i < s.Bins(); i++ {
-				want := naivePercentile(s.bins[i], p)
-				for name, got := range map[string]float64{"all": all[j][i], "single": single[i], "Percentile": s.Percentile(i, p)} {
-					if math.IsNaN(want) != math.IsNaN(got) || (!math.IsNaN(want) && want != got) {
-						t.Fatalf("seed %d bin %d p%.1f (%s): got %v want %v", seed, i, p, name, got, want)
-					}
+		for _, p := range quantiles {
+			got := s.PercentileSeries(p)
+			for i, bin := range s.bins {
+				want := naivePercentile(bin, p)
+				if math.IsNaN(want) != math.IsNaN(got[i]) || (!math.IsNaN(want) && want != got[i]) {
+					t.Fatalf("seed %d bin %d p%.1f: got %v want %v", seed, i, p, got[i], want)
 				}
-			}
-		}
-	}
-}
-
-// TestPercentileSeriesAllShape pins the [quantile][bin] layout.
-func TestPercentileSeriesAllShape(t *testing.T) {
-	s := NewSeries(10, 3)
-	s.Add(0, 1)
-	s.Add(0, 2)
-	out := s.PercentileSeriesAll(0, 100)
-	if len(out) != 2 || len(out[0]) != 3 {
-		t.Fatalf("shape = %dx%d, want 2x3", len(out), len(out[0]))
-	}
-	if out[0][0] != 1 || out[1][0] != 2 {
-		t.Fatalf("bin 0 min/max = %v/%v", out[0][0], out[1][0])
-	}
-	if !math.IsNaN(out[0][1]) || !math.IsNaN(out[1][2]) {
-		t.Fatal("empty bins must be NaN")
-	}
-}
-
-// BenchmarkPercentileSeriesAll is the satellite's perf guard: reading
-// three quantiles from every bin with one sort per bin.
-func BenchmarkPercentileSeriesAll(b *testing.B) {
-	s := fillSeries(7, 60, 400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.PercentileSeriesAll(50, 99, 99.9)
-	}
-}
-
-// BenchmarkPercentileSeriesNaive is the retained before-shape: one
-// full PercentileSeries pass per quantile, each bin re-copied and
-// re-sorted per quantile read.
-func BenchmarkPercentileSeriesNaive(b *testing.B) {
-	s := fillSeries(7, 60, 400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range []float64{50, 99, 99.9} {
-			for bin := 0; bin < s.Bins(); bin++ {
-				naivePercentile(s.bins[bin], p)
 			}
 		}
 	}

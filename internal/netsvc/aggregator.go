@@ -28,6 +28,9 @@ var (
 	ErrPeerDown  = service.ErrComponentDown
 )
 
+// dialTimeout bounds each connection attempt to a component.
+const dialTimeout = 2 * time.Second
+
 // AggregatorOptions configures an Aggregator.
 type AggregatorOptions struct {
 	// Policy selects the gather behaviour (service.WaitAll,
@@ -50,10 +53,6 @@ type AggregatorOptions struct {
 	// ReplicaOf maps a subset to the component executing its hedged
 	// replica (default: next component).
 	ReplicaOf func(subset, n int) int
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
-	// MaxFrame bounds accepted reply frames (default wire.MaxFrame).
-	MaxFrame int
 	// Dial overrides the transport dial (default net.DialTimeout over
 	// TCP) — the seam fault injection and connection tests hook.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
@@ -85,9 +84,6 @@ func (o AggregatorOptions) withDefaults() AggregatorOptions {
 	}
 	if o.ConnsPerPeer <= 0 {
 		o.ConnsPerPeer = 2
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
 	}
 	if o.Dial == nil {
 		o.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -453,7 +449,7 @@ func (p *peer) conn() (*peerConn, error) {
 		p.kickReconnector()
 		return nil, ErrPeerDown
 	}
-	c, err := p.agg.opts.Dial(p.addr, p.agg.opts.DialTimeout)
+	c, err := p.agg.opts.Dial(p.addr, dialTimeout)
 	if err != nil {
 		p.nextDialAt = time.Now().Add(p.backoff.Next())
 		p.kickReconnector()
@@ -465,7 +461,7 @@ func (p *peer) conn() (*peerConn, error) {
 // install pools an established connection in a dead or empty slot and
 // starts its read loop. Caller holds p.mu.
 func (p *peer) install(c net.Conn) *peerConn {
-	pc := newPeerConn(c, p.agg.opts.MaxFrame, p.kickReconnector)
+	pc := newPeerConn(c, wire.MaxFrame, p.kickReconnector)
 	i := 0
 	for i < len(p.slots)-1 && p.slots[i] != nil && !p.slots[i].isDead() {
 		i++
@@ -504,7 +500,7 @@ func (p *peer) reconnectLoop() {
 			// the loop from spinning.
 			continue
 		}
-		c, err := p.agg.opts.Dial(p.addr, p.agg.opts.DialTimeout)
+		c, err := p.agg.opts.Dial(p.addr, dialTimeout)
 		if err != nil {
 			p.agg.Fault(nil, p.idx, -1)
 			continue

@@ -35,8 +35,6 @@ type ServerOptions struct {
 	// A full queue answers StatusBusy immediately, surfacing overload
 	// instead of buffering it invisibly.
 	QueueLen int
-	// MaxFrame bounds accepted frame sizes (default wire.MaxFrame).
-	MaxFrame int
 	// Tracer, when non-nil on a FrontServer, records a decision trace
 	// per whole-service request (propagating the client's trace ID, or
 	// minting one). Component Servers need no recorder: they attach
@@ -50,9 +48,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	}
 	if o.QueueLen <= 0 {
 		o.QueueLen = 256
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = wire.MaxFrame
 	}
 	return o
 }
@@ -205,7 +200,7 @@ func (s *srvCore) readConn(c net.Conn) {
 	var buf []byte
 	for {
 		var err error
-		buf, err = wire.ReadFrame(br, buf, s.opts.MaxFrame)
+		buf, err = wire.ReadFrame(br, buf, wire.MaxFrame)
 		if err != nil {
 			return
 		}

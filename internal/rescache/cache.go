@@ -36,9 +36,6 @@ type Config struct {
 	// RefreshInterval paces the low-priority refresh worker: at most
 	// one refresh attempt per interval (default 25ms).
 	RefreshInterval time.Duration
-	// RefreshQueue bounds the pending-refresh queue (default 256). A
-	// full queue drops the candidate; the next hit re-enqueues it.
-	RefreshQueue int
 	// Metrics is the observability registry the cache's counters live in
 	// (rescache_hits_total, rescache_misses_total, …). Nil uses a
 	// private registry; Stats() is unaffected either way.
@@ -63,9 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RefreshInterval <= 0 {
 		c.RefreshInterval = 25 * time.Millisecond
-	}
-	if c.RefreshQueue <= 0 {
-		c.RefreshQueue = 256
 	}
 	return c
 }

