@@ -19,6 +19,29 @@ var namedContracts = map[string][]string{
 	"costcompare":   {"zero-cost", "conservation", "attribution", "frontier", "profiler"},
 }
 
+// calmLagMs is the send lag (a report row's MaxLagMs: how far the load
+// generator fell behind its schedule, which is host scheduling noise
+// charged to the latencies of the requests it delayed) under which a
+// row's tail percentiles describe its policy rather than the host. It
+// sits well below the 50 ms gather deadlines and 100 ms modeled stalls
+// the p99.9-shape assertions tell apart; calm rows read 1-7 ms.
+const calmLagMs = 20.0
+
+// calm reports whether every compared row's own worst send lag stayed
+// under calmLagMs. When one did not, the caller skips the tail-shape
+// assertion that compares those rows — never the test, never a contract:
+// a host stall is not a regression, and the run says so in the log.
+func calm(t *testing.T, what string, lagsMs ...float64) bool {
+	t.Helper()
+	for _, lag := range lagsMs {
+		if lag >= calmLagMs {
+			t.Logf("%s: not asserted, a compared row's max send lag was %.1f ms (>= %.0f ms): the host stalled the load generator", what, lag, calmLagMs)
+			return false
+		}
+	}
+	return true
+}
+
 // checkContracts is the one judge of a *compare report, called by each
 // Test*CompareQuick on the report it already ran: every contract holds
 // (reporting its detail when not), names are non-empty and unique, the

@@ -1,7 +1,6 @@
 package netsvc
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -227,7 +226,7 @@ func (a *Aggregator) Ingest(ctx context.Context, req *wire.IngestRequest) *wire.
 		defer cancel()
 	}
 	ack := make(chan answer[*wire.IngestReply], 1)
-	p.send(sub.ID, wire.AppendIngestRequestFrame(nil, &sub), pending{ack: ack})
+	p.send(sub.ID, &sub, pending{ack: ack})
 	var got answer[*wire.IngestReply]
 	select {
 	case <-ctx.Done():
@@ -362,7 +361,7 @@ func (a aggTransport) Send(ctx context.Context, at service.Attempt, payload inte
 		sub.Deadline = dl.UnixNano()
 	}
 	start := time.Now()
-	return p.send(sub.ID, wire.AppendRequestFrame(nil, &sub), pending{sub: func(rep *wire.SubReply, err error) {
+	return p.send(sub.ID, &sub, pending{sub: func(rep *wire.SubReply, err error) {
 		p.outstanding.Add(-1)
 		if err != nil {
 			out := service.OutcomePeerFailure
@@ -548,9 +547,10 @@ func (d pending) fail(err error) {
 	}
 }
 
-// send registers a frame's callback on a pooled connection and writes
-// the frame. False: not written, and the callback already failed.
-func (p *peer) send(id uint64, frame []byte, deliver pending) bool {
+// send registers a record's callback on a pooled connection and writes
+// the record as one frame. False: not written, and the callback already
+// failed.
+func (p *peer) send(id uint64, rec interface{}, deliver pending) bool {
 	pc, err := p.conn()
 	if err == nil && !pc.register(id, deliver) {
 		// The connection died between pooling and registration; one
@@ -563,7 +563,7 @@ func (p *peer) send(id uint64, frame []byte, deliver pending) bool {
 		deliver.fail(err)
 		return false
 	}
-	return pc.write(frame) == nil
+	return pc.write(rec) == nil
 }
 
 func (p *peer) close() {
@@ -585,9 +585,8 @@ func (p *peer) close() {
 // component server, or a Client's to a front server: concurrent requests
 // are matched to replies by ID.
 type peerConn struct {
-	c      net.Conn
+	w      connWriter
 	onDead func() // told of a death that was not a Close (kicks a peer's reconnector)
-	wmu    sync.Mutex
 
 	pmu     sync.Mutex
 	pending map[uint64]pending
@@ -596,18 +595,16 @@ type peerConn struct {
 
 // newPeerConn wraps an established connection and starts its read loop.
 func newPeerConn(c net.Conn, maxFrame int, onDead func()) *peerConn {
-	pc := &peerConn{c: c, pending: map[uint64]pending{}, onDead: onDead}
+	pc := &peerConn{w: connWriter{c: c}, pending: map[uint64]pending{}, onDead: onDead}
 	go pc.readLoop(maxFrame)
 	return pc
 }
 
-// write sends one frame whose waiter is already registered. A failed
+// write sends one record whose waiter is already registered. A failed
 // write kills the connection, which fails every waiter — that one
 // included.
-func (pc *peerConn) write(frame []byte) error {
-	pc.wmu.Lock()
-	_, err := pc.c.Write(frame)
-	pc.wmu.Unlock()
+func (pc *peerConn) write(rec interface{}) error {
+	err := pc.w.write(rec)
 	if err != nil {
 		pc.fail(err)
 	}
@@ -643,11 +640,11 @@ func (pc *peerConn) take(id uint64) pending {
 // readLoop dispatches reply frames to their pending callbacks until
 // the connection fails.
 func (pc *peerConn) readLoop(maxFrame int) {
-	br := bufio.NewReader(pc.c)
-	var buf []byte
+	fr := newFrameReader(pc.w.c, maxFrame)
 	var err error
 	for err == nil {
-		if buf, err = wire.ReadFrame(br, buf, maxFrame); err == nil {
+		var buf []byte
+		if buf, err = fr.next(); err == nil {
 			err = pc.dispatch(buf)
 		}
 	}
@@ -700,7 +697,7 @@ func (pc *peerConn) fail(err error) {
 	pending := pc.pending
 	pc.pending = nil
 	pc.pmu.Unlock()
-	pc.c.Close()
+	pc.w.c.Close()
 	if !errors.Is(err, ErrClosed) {
 		pc.onDead()
 	}

@@ -72,11 +72,11 @@ func (cl *Client) live() (*peerConn, error) {
 }
 
 // roundTrip registers a call's waiter on the live connection, writes its
-// frame and waits on ch, the waiter's channel, for the answer. A call
+// record and waits on ch, the waiter's channel, for the answer. A call
 // whose context gives up first takes its waiter back off the connection,
 // so it leaves no entry behind (a late reply finds no one and is
 // dropped).
-func roundTrip[T any](ctx context.Context, cl *Client, id uint64, frame []byte, waiter pending, ch chan answer[T]) (T, error) {
+func roundTrip[T any](ctx context.Context, cl *Client, id uint64, rec interface{}, waiter pending, ch chan answer[T]) (T, error) {
 	var none T
 	pc, err := cl.live()
 	if err != nil {
@@ -85,7 +85,7 @@ func roundTrip[T any](ctx context.Context, cl *Client, id uint64, frame []byte, 
 	if !pc.register(id, waiter) {
 		return none, errors.New("netsvc: connection lost")
 	}
-	if err := pc.write(frame); err != nil {
+	if err := pc.write(rec); err != nil {
 		return none, fmt.Errorf("netsvc: send failed: %w", err)
 	}
 	select {
@@ -113,7 +113,7 @@ func (cl *Client) Call(ctx context.Context, req *wire.Request) (*wire.Reply, err
 		}
 	}
 	ch := make(chan answer[*wire.Reply], 1)
-	return roundTrip(ctx, cl, sub.ID, wire.AppendRequestFrame(nil, &sub), pending{reply: ch}, ch)
+	return roundTrip(ctx, cl, sub.ID, &sub, pending{reply: ch}, ch)
 }
 
 // Ingest sends one append batch and waits for its acknowledgement.
@@ -126,7 +126,7 @@ func (cl *Client) Ingest(ctx context.Context, req *wire.IngestRequest) (*wire.In
 	sub := *req
 	sub.ID = cl.nextID.Add(1)
 	ch := make(chan answer[*wire.IngestReply], 1)
-	return roundTrip(ctx, cl, sub.ID, wire.AppendIngestRequestFrame(nil, &sub), pending{ack: ch}, ch)
+	return roundTrip(ctx, cl, sub.ID, &sub, pending{ack: ch}, ch)
 }
 
 // Close tears the connection down; in-flight Calls fail.

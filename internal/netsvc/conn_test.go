@@ -1,0 +1,236 @@
+package netsvc
+
+import (
+	"context"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"accuracytrader/internal/faultinject"
+	"accuracytrader/internal/svd"
+	"accuracytrader/internal/synopsis"
+	"accuracytrader/internal/textindex"
+	"accuracytrader/internal/wire"
+	"accuracytrader/internal/workload"
+)
+
+// idReply is a sub-reply whose payload is a function of its ID — length
+// and every value — so a frame that was interleaved with another, or
+// encoded from a buffer another writer had reused, cannot decode to a
+// consistent record.
+func idReply(id uint64, floats int) *wire.SubReply {
+	num := make([]float64, floats)
+	for i := range num {
+		num[i] = float64(id)
+	}
+	return &wire.SubReply{ID: id, Kind: wire.KindCF, Level: wire.NoLevel, CF: &wire.CFResult{Num: num, Den: num[:1]}}
+}
+
+func checkIDReply(t *testing.T, rep *wire.SubReply, floats int) {
+	t.Helper()
+	if rep.CF == nil || len(rep.CF.Num) != floats || len(rep.CF.Den) != 1 {
+		t.Fatalf("frame %d: payload shape %+v, want %d floats", rep.ID, rep.CF, floats)
+	}
+	for _, v := range rep.CF.Num {
+		if v != float64(rep.ID) {
+			t.Fatalf("frame %d carries another frame's payload (%v)", rep.ID, v)
+		}
+	}
+}
+
+// TestConnWriterConcurrentFrames: N goroutines writing distinct records
+// through one connWriter arrive as N whole, un-interleaved, individually
+// decodable frames — over a plain pipe, and over a fault-injection conn
+// in Slow mode, whose delayed Write holds the writer (and its buffer)
+// while the other goroutines queue behind it.
+func TestConnWriterConcurrentFrames(t *testing.T) {
+	const writers, each = 16, 25
+	floatsOf := func(id uint64) int { return 1 + int(id%97) }
+	for _, tc := range []struct {
+		name string
+		wrap func(net.Conn) net.Conn
+	}{
+		{"pipe", func(c net.Conn) net.Conn { return c }},
+		{"slow fault conn", func(c net.Conn) net.Conn {
+			s := faultinject.NewScript("peer", 1)
+			s.SetSlow(50 * time.Microsecond)
+			s.Set(faultinject.Slow)
+			return s.WrapConn(c)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			near, far := net.Pipe()
+			defer near.Close()
+			defer far.Close()
+			w := &connWriter{c: tc.wrap(near)}
+			var wg sync.WaitGroup
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						id := uint64(g*each + i + 1)
+						if err := w.write(idReply(id, floatsOf(id))); err != nil {
+							t.Errorf("write %d: %v", id, err)
+							return
+						}
+					}
+				}(g)
+			}
+			fr := newFrameReader(far, wire.MaxFrame)
+			seen := map[uint64]bool{}
+			for len(seen) < writers*each {
+				body, err := fr.next()
+				if err != nil {
+					t.Fatalf("after %d frames: %v", len(seen), err)
+				}
+				rep, err := wire.DecodeSubReply(body)
+				if err != nil {
+					t.Fatalf("after %d frames: %v", len(seen), err)
+				}
+				if seen[rep.ID] {
+					t.Fatalf("frame %d arrived twice", rep.ID)
+				}
+				seen[rep.ID] = true
+				checkIDReply(t, rep, floatsOf(rep.ID))
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// TestConnWriterPartitionedConn: a partitioned conn swallows writes
+// (Write reports success, nothing leaves); the frame after the heal is
+// built in the same reused buffer and must arrive whole.
+func TestConnWriterPartitionedConn(t *testing.T) {
+	near, far := net.Pipe()
+	defer near.Close()
+	defer far.Close()
+	s := faultinject.NewScript("peer", 1)
+	w := &connWriter{c: s.WrapConn(near)}
+	s.Set(faultinject.Partition)
+	if err := w.write(idReply(1, 500)); err != nil {
+		t.Fatalf("partitioned write: %v", err)
+	}
+	s.Heal()
+	go func() {
+		if err := w.write(idReply(2, 30)); err != nil {
+			t.Errorf("healed write: %v", err)
+		}
+	}()
+	body, err := newFrameReader(far, wire.MaxFrame).next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := wire.DecodeSubReply(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ID != 2 {
+		t.Fatalf("frame %d arrived, want 2 (1 was swallowed by the partition)", rep.ID)
+	}
+	checkIDReply(t, rep, 30)
+}
+
+// TestOversizedFrameDoesNotPinBuffer: one 1 MiB frame (legal up to
+// wire.MaxFrame) followed by a small one leaves neither the writer nor
+// the reader holding more than retainBuf — the buffers are per
+// connection, and connections are what a hostile peer can multiply.
+func TestOversizedFrameDoesNotPinBuffer(t *testing.T) {
+	near, far := net.Pipe()
+	defer near.Close()
+	defer far.Close()
+	w := &connWriter{c: near}
+	fr := newFrameReader(far, wire.MaxFrame)
+	const bigFloats = 1 << 17 // 8 bytes each: a 1 MiB frame
+	retained := func() int {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return cap(w.buf)
+	}
+	send := func(id uint64, floats int) *wire.SubReply {
+		t.Helper()
+		errc := make(chan error, 1)
+		go func() { errc <- w.write(idReply(id, floats)) }()
+		body, err := fr.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		rep, err := wire.DecodeSubReply(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIDReply(t, rep, floats)
+		return rep
+	}
+
+	send(1, 100)
+	if c := retained(); c == 0 || c > retainBuf {
+		t.Fatalf("writer keeps %d bytes after a small frame, want a reusable buffer within %d", c, retainBuf)
+	}
+	send(2, bigFloats)
+	if c := cap(fr.buf); c < 8*bigFloats {
+		t.Fatalf("reader buffer is %d bytes after a %d-byte frame: the frame was not read in place", c, 8*bigFloats)
+	}
+	if c := retained(); c > retainBuf {
+		t.Fatalf("writer pins %d bytes after an oversized frame, bound %d", c, retainBuf)
+	}
+	send(3, 100)
+	if c := cap(fr.buf); c > retainBuf {
+		t.Fatalf("reader pins %d bytes after the frame following an oversized one, bound %d", c, retainBuf)
+	}
+	if c := retained(); c == 0 || c > retainBuf {
+		t.Fatalf("writer keeps %d bytes after a small frame, want a reusable buffer within %d", c, retainBuf)
+	}
+}
+
+// searchRoundTripBudget is the allocation budget of one Exact search
+// through a bare front server to 8 shards: 18 frames, 8 sub-operation
+// dispatches and a top-k merge. The test measures 146 (340 at the commit
+// before the frames stopped producing garbage: every frame built in a
+// nil slice, three objects per decoded record, a Builder per query
+// token); the budget is ~10% above that, so a regression of one
+// allocation per frame (18) trips it.
+const searchRoundTripBudget = 160
+
+func TestSearchRoundTripAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops at random)")
+	}
+	const shards = 8
+	ccfg := workload.DefaultCorpusConfig()
+	ccfg.DocsPerSubset = 120
+	ccfg.Seed = 21
+	data := workload.GenerateCorpus(ccfg, shards)
+	comps := make([]*textindex.Component, shards)
+	for i, ix := range data.Subsets {
+		c, err := textindex.BuildComponent(ix, synopsis.Config{
+			SVD: svd.Config{Dims: 3, Epochs: 10, Seed: 5}, CompressionRatio: 8, FoldInEpochs: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps[i] = c
+	}
+	cl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(NewSearchBackend(comps, BackendOptions{})),
+		Agg: waitAll, Front: bareFront}).Client
+	queries := data.SampleQueries(3, 16)
+	ctx := context.Background()
+	i := 0
+	allocs := testing.AllocsPerRun(300, func() {
+		req := &wire.Request{Kind: wire.KindSearch, Subset: -1, SLO: wire.SLOExact, Level: wire.NoLevel,
+			Search: &wire.SearchRequest{Query: queries[i%len(queries)], K: 10}}
+		i++
+		rep, err := cl.Call(ctx, req)
+		if err != nil || rep.Status != wire.ReplyOK || len(rep.SubStatus) != shards {
+			t.Fatalf("reply %+v, err %v", rep, err)
+		}
+	})
+	t.Logf("Exact search round trip over %d shards: %.1f allocations", shards, allocs)
+	if allocs > searchRoundTripBudget {
+		t.Fatalf("Exact search round trip allocates %.1f times, budget %d", allocs, searchRoundTripBudget)
+	}
+}

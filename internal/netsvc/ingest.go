@@ -30,7 +30,7 @@ func (s *srvCore) SetIngest(h IngestHandler) { s.ingest = h }
 // critical section (no synopsis work — that happens on the merge
 // worker), so appends bypass the query worker queue the way a write
 // path must not contend with Algorithm 1's budgets.
-func (s *srvCore) serveIngest(sc *srvConn, req *wire.IngestRequest) {
+func (s *srvCore) serveIngest(sc *connWriter, req *wire.IngestRequest) {
 	s.ingests.Add(1)
 	var rep *wire.IngestReply
 	if h := s.ingest; h != nil {
@@ -42,7 +42,7 @@ func (s *srvCore) serveIngest(sc *srvConn, req *wire.IngestRequest) {
 		rep = &wire.IngestReply{Subset: req.Subset, Status: wire.IngestRejected, Err: "ingest not enabled"}
 	}
 	rep.ID = req.ID
-	sc.write(wire.AppendIngestReplyFrame(nil, rep))
+	_ = sc.write(rep) // a failed write closed the connection: the calling reader exits on its next read
 }
 
 // LiveStores bundles the live shards one component server ingests

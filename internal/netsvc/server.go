@@ -1,7 +1,6 @@
 package netsvc
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -60,40 +59,26 @@ type ServerStats struct {
 	Ingests   int64 // append batches answered inline on connection readers
 }
 
-// srvConn is one accepted connection with serialized writes (workers
-// reply concurrently).
-type srvConn struct {
-	c  net.Conn
-	mu sync.Mutex
-}
-
-func (sc *srvConn) write(frame []byte) {
-	sc.mu.Lock()
-	_, err := sc.c.Write(frame)
-	sc.mu.Unlock()
-	if err != nil {
-		// The reader side will observe the broken connection and exit.
-		sc.c.Close()
-	}
-}
-
 type srvJob struct {
 	req  *wire.Request
-	conn *srvConn
-	enq  time.Time // when the request entered the worker queue
+	conn *connWriter // the accepted connection's writer: workers reply concurrently
+	enq  time.Time   // when the request entered the worker queue
 }
 
 // srvCore is the shared listener/worker machinery of Server and
 // FrontServer; the two differ only in how they respond.
 type srvCore struct {
 	opts ServerOptions
-	// respond handles one live request and returns the encoded reply
-	// frame (enq is when the request entered the worker queue, for
-	// queue-wait spans); expired answers a request whose deadline has
-	// already passed; busy answers a request shed at the queue bound.
-	respond func(ctx context.Context, req *wire.Request, enq time.Time) []byte
-	expired func(req *wire.Request) []byte
-	busy    func(req *wire.Request) []byte
+	// respond handles one live request and returns the reply record for
+	// the connection's writer to encode (enq is when the request entered
+	// the worker queue, for queue-wait spans); expired answers a request
+	// whose deadline has already passed; busy answers a request shed at
+	// the queue bound. A Server's are *wire.SubReply, a FrontServer's
+	// *wire.Reply. A failed reply write closes the connection; its reader
+	// observes that and exits.
+	respond func(ctx context.Context, req *wire.Request, enq time.Time) interface{}
+	expired func(req *wire.Request) interface{}
+	busy    func(req *wire.Request) interface{}
 
 	// graceful extends the work deadline with gather slack: a front
 	// server's budget bounds the components' work (propagated in the
@@ -195,12 +180,10 @@ func (s *srvCore) readConn(c net.Conn) {
 		s.mu.Unlock()
 		c.Close()
 	}()
-	sc := &srvConn{c: c}
-	br := bufio.NewReader(c)
-	var buf []byte
+	sc := &connWriter{c: c}
+	fr := newFrameReader(c, wire.MaxFrame)
 	for {
-		var err error
-		buf, err = wire.ReadFrame(br, buf, wire.MaxFrame)
+		buf, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -232,7 +215,7 @@ func (s *srvCore) readConn(c net.Conn) {
 		default:
 			s.pending.Add(-1)
 			s.shed.Add(1)
-			sc.write(s.busy(req))
+			_ = sc.write(s.busy(req)) // a failed write closed c: the next read ends this loop
 		}
 	}
 }
@@ -260,7 +243,7 @@ func (s *srvCore) serveJob(j srvJob) {
 		// this subset, so computing would be pure waste.
 		if !time.Now().Before(dl) {
 			s.abandoned.Add(1)
-			j.conn.write(s.expired(j.req))
+			_ = j.conn.write(s.expired(j.req)) // see respond: the reader notices
 			return
 		}
 		if s.graceful {
@@ -271,7 +254,7 @@ func (s *srvCore) serveJob(j srvJob) {
 		ctx, cancel = context.WithDeadline(ctx, dl)
 		defer cancel()
 	}
-	j.conn.write(s.respond(ctx, j.req, j.enq))
+	_ = j.conn.write(s.respond(ctx, j.req, j.enq)) // see respond: the reader notices
 }
 
 // Stats returns the server's request counters.
@@ -356,7 +339,7 @@ type Server struct {
 func NewServer(h Handler, opts ServerOptions) *Server {
 	s := &Server{h: h}
 	s.srvCore = newSrvCore(opts)
-	s.srvCore.respond = func(ctx context.Context, req *wire.Request, enq time.Time) []byte {
+	s.srvCore.respond = func(ctx context.Context, req *wire.Request, enq time.Time) interface{} {
 		exec0 := time.Now()
 		var sc *scanCounter
 		if req.Trace != 0 {
@@ -383,19 +366,19 @@ func NewServer(h Handler, opts ServerOptions) *Server {
 				wire.Span{Kind: wire.SpanExec, Start: exec0.UnixNano(), Dur: int64(execDur),
 					Cost: wire.Cost{CPUNs: uint64(execDur), Scanned: sc.n.Load(), WireBytes: uint64(req.FrameLen)}})
 		}
-		return wire.AppendSubReplyFrame(nil, rep)
+		return rep
 	}
-	s.srvCore.expired = func(req *wire.Request) []byte {
-		return wire.AppendSubReplyFrame(nil, &wire.SubReply{
+	s.srvCore.expired = func(req *wire.Request) interface{} {
+		return &wire.SubReply{
 			ID: req.ID, Subset: req.Subset, Kind: req.Kind,
 			Status: wire.StatusSkipped, Level: wire.NoLevel,
-		})
+		}
 	}
-	s.srvCore.busy = func(req *wire.Request) []byte {
-		return wire.AppendSubReplyFrame(nil, &wire.SubReply{
+	s.srvCore.busy = func(req *wire.Request) interface{} {
+		return &wire.SubReply{
 			ID: req.ID, Subset: req.Subset, Kind: req.Kind,
 			Status: wire.StatusBusy, Err: "server queue full", Level: wire.NoLevel,
-		})
+		}
 	}
 	return s
 }
@@ -448,20 +431,19 @@ func NewFrontServer(agg *Aggregator, fe *frontend.Frontend, opts ServerOptions) 
 	s := &FrontServer{agg: agg, fe: fe, tracer: opts.Tracer}
 	s.srvCore = newSrvCore(opts)
 	s.srvCore.graceful = true
-	s.srvCore.respond = func(ctx context.Context, req *wire.Request, enq time.Time) []byte {
+	s.srvCore.respond = func(ctx context.Context, req *wire.Request, enq time.Time) interface{} {
 		rep, _, row := s.pass(ctx, req, originClient, enq)
-		frame := wire.AppendReplyFrame(nil, rep)
-		// The reply frame's own bytes are part of the request's wire cost;
-		// only the encoder knows them, so the cost row closes here rather
-		// than in the pass.
-		row.close(len(frame))
-		return frame
+		// The reply frame's own bytes are part of the request's wire cost,
+		// and the row must be on the table before the client can have its
+		// reply: close it on the frame's exact size, ahead of the encode.
+		row.close(rep.FrameSize())
+		return rep
 	}
-	s.srvCore.expired = func(req *wire.Request) []byte {
-		return wire.AppendReplyFrame(nil, replyTo(req, wire.ReplyErr, "deadline expired before service"))
+	s.srvCore.expired = func(req *wire.Request) interface{} {
+		return replyTo(req, wire.ReplyErr, "deadline expired before service")
 	}
-	s.srvCore.busy = func(req *wire.Request) []byte {
-		return wire.AppendReplyFrame(nil, replyTo(req, wire.ReplyRejected, "aggregator queue full"))
+	s.srvCore.busy = func(req *wire.Request) interface{} {
+		return replyTo(req, wire.ReplyRejected, "aggregator queue full")
 	}
 	return s
 }

@@ -1,7 +1,5 @@
 package textindex
 
-import "strings"
-
 // stopwords is a small English stopword list, matching the kind of
 // analysis Lucene's StandardAnalyzer performs.
 var stopwords = map[string]bool{
@@ -13,30 +11,53 @@ var stopwords = map[string]bool{
 	"this": true, "to": true, "was": true, "will": true, "with": true,
 }
 
+// tokenScanner walks text once and yields its tokens: maximal runs of
+// ASCII letters and digits, lower-cased, minus stopwords and
+// single-character runs. Every other byte separates — which is every
+// byte of a multi-byte or invalid UTF-8 sequence, so scanning bytes
+// splits exactly where scanning runes would. It is the one definition of
+// a token: Tokenize (index build, delta analysis) and ParseQuery (the
+// serve path) both run on it.
+//
+// Tokens are lower-cased into a buffer inside the scanner, so a scanner
+// on the caller's stack tokenizes without allocating; only a token
+// longer than the buffer spills to the heap.
+type tokenScanner struct {
+	text string
+	pos  int
+	buf  [64]byte
+}
+
+// next returns the next token, valid until the following call, or false
+// at the end of the text.
+func (s *tokenScanner) next() ([]byte, bool) {
+	for s.pos < len(s.text) {
+		tok := s.buf[:0]
+		for ; s.pos < len(s.text); s.pos++ {
+			c := s.text[s.pos]
+			if c >= 'A' && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if !(c >= 'a' && c <= 'z' || c >= '0' && c <= '9') {
+				s.pos++ // consume the separator that ended the run
+				break
+			}
+			tok = append(tok, c)
+		}
+		if len(tok) > 1 && !stopwords[string(tok)] {
+			return tok, true
+		}
+	}
+	return nil, false
+}
+
 // Tokenize lowercases text, splits it on non-alphanumeric runes and drops
 // stopwords and single-character tokens.
 func Tokenize(text string) []string {
 	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 1 {
-			tok := b.String()
-			if !stopwords[tok] {
-				tokens = append(tokens, tok)
-			}
-		}
-		b.Reset()
+	s := tokenScanner{text: text}
+	for tok, ok := s.next(); ok; tok, ok = s.next() {
+		tokens = append(tokens, string(tok))
 	}
-	for _, r := range text {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			b.WriteRune(r)
-		case r >= 'A' && r <= 'Z':
-			b.WriteRune(r + ('a' - 'A'))
-		default:
-			flush()
-		}
-	}
-	flush()
 	return tokens
 }

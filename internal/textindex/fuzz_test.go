@@ -1,6 +1,7 @@
 package textindex
 
 import (
+	"reflect"
 	"testing"
 	"unicode"
 )
@@ -15,6 +16,9 @@ func FuzzTokenize(f *testing.F) {
 	f.Add("ALL CAPS AND    SPACES")
 	f.Add("emoji 🎉 mixed 中文 tokens42")
 	f.Fuzz(func(t *testing.T, text string) {
+		if got, want := Tokenize(text), naiveTokenize(text); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, reference %q", text, got, want)
+		}
 		for _, tok := range Tokenize(text) {
 			if len(tok) < 2 {
 				t.Fatalf("short token %q", tok)

@@ -187,15 +187,26 @@ type Query struct {
 
 // ParseQuery analyzes raw query text against the index vocabulary;
 // out-of-vocabulary tokens are dropped, duplicates kept (they boost the
-// term like Lucene does).
+// term like Lucene does). It runs per sub-operation on the serve path, so
+// it scans the text in place, collects the known term ids on the stack
+// (a query with more than 16 of them spills to the heap) and allocates
+// only the query's two slices, each sized once.
 func (ix *Index) ParseQuery(text string) Query {
-	var q Query
-	for _, tok := range Tokenize(text) {
-		if id, ok := ix.vocab[tok]; ok {
-			q.Terms = append(q.Terms, id)
-			idf := ix.IDF(id)
-			q.idf2 = append(q.idf2, idf*idf)
+	var inline [16]int32
+	ids := inline[:0]
+	s := tokenScanner{text: text}
+	for tok, ok := s.next(); ok; tok, ok = s.next() {
+		if id, known := ix.vocab[string(tok)]; known {
+			ids = append(ids, id)
 		}
+	}
+	if len(ids) == 0 {
+		return Query{}
+	}
+	q := Query{Terms: slices.Clone(ids), idf2: make([]float64, len(ids))}
+	for i, id := range ids {
+		idf := ix.IDF(id)
+		q.idf2[i] = idf * idf
 	}
 	return q
 }

@@ -8,7 +8,9 @@ package textindex
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"accuracytrader/internal/stats"
@@ -250,5 +252,128 @@ func TestEngineResetReuseMatchesFresh(t *testing.T) {
 			reused.ProcessSet(g)
 		}
 		assertHitsBitEqual(t, reused.TopK(10), fresh.TopK(10), fmt.Sprintf("trial %d", trial))
+	}
+}
+
+// naiveTokenize is the pre-scanner Tokenize, verbatim: a rune walk
+// through a strings.Builder per token.
+func naiveTokenize(text string) []string {
+	var tokens []string
+	var b strings.Builder
+	flush := func() {
+		if b.Len() > 1 {
+			tok := b.String()
+			if !stopwords[tok] {
+				tokens = append(tokens, tok)
+			}
+		}
+		b.Reset()
+	}
+	for _, r := range text {
+		switch {
+		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
+			b.WriteRune(r)
+		case r >= 'A' && r <= 'Z':
+			b.WriteRune(r + ('a' - 'A'))
+		default:
+			flush()
+		}
+	}
+	flush()
+	return tokens
+}
+
+// naiveParseQuery is the pre-scanner ParseQuery: tokenize, then look
+// each token up.
+func naiveParseQuery(ix *Index, text string) Query {
+	var q Query
+	for _, tok := range naiveTokenize(text) {
+		if id, ok := ix.vocab[tok]; ok {
+			q.Terms = append(q.Terms, id)
+			idf := ix.IDF(id)
+			q.idf2 = append(q.idf2, idf*idf)
+		}
+	}
+	return q
+}
+
+// randomText draws text that exercises every branch of the scanner:
+// known and unknown words, stopwords, single characters, mixed case,
+// multi-byte and invalid UTF-8 separators, and tokens longer than the
+// scanner's inline buffer.
+func randomText(rng *stats.RNG) string {
+	pieces := []string{"the", "a", "x", "Word", "WORD7", "and", "é", "中文", "🎉", "\xff", "\xc3", "-", "  ", "\n", "zzzunknown", "42"}
+	var b []byte
+	for i := rng.Intn(12); i > 0; i-- {
+		switch rng.Intn(4) {
+		case 0:
+			b = append(b, fmt.Sprintf("word%d", rng.Intn(60))...)
+		case 1:
+			for j := 1 + rng.Intn(150); j > 0; j-- { // up to 150 > the 64-byte buffer
+				b = append(b, "abcXYZ019"[rng.Intn(9)])
+			}
+		default:
+			b = append(b, pieces[rng.Intn(len(pieces))]...)
+		}
+		if rng.Intn(3) > 0 {
+			b = append(b, " ,;é\xfe"[rng.Intn(6)])
+		}
+	}
+	return string(b)
+}
+
+// TestAnalysisMatchesNaiveReference holds the one scanner to the old
+// analyzer: Tokenize returns the same tokens, and ParseQuery the same
+// Terms and bit-equal idf² weights (nil for a query with no known term),
+// on random ASCII, UTF-8, invalid-UTF-8 and over-long-token input.
+func TestAnalysisMatchesNaiveReference(t *testing.T) {
+	rng := stats.NewRNG(77)
+	ix := NewIndex()
+	for i := 0; i < 200; i++ {
+		ix.Add(randomDoc(rng))
+	}
+	long := strings.Repeat("q", 100)
+	ix.Add(long + " " + long + "r")
+	for i := 0; i < 3000; i++ {
+		text := randomText(rng)
+		if i%50 == 0 {
+			text += " " + long
+		}
+		if got, want := Tokenize(text), naiveTokenize(text); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, reference %q", text, got, want)
+		}
+		got, want := ix.ParseQuery(text), naiveParseQuery(ix, text)
+		if !reflect.DeepEqual(got.Terms, want.Terms) {
+			t.Fatalf("ParseQuery(%q).Terms = %v, reference %v", text, got.Terms, want.Terms)
+		}
+		if (got.idf2 == nil) != (want.idf2 == nil) || len(got.idf2) != len(want.idf2) {
+			t.Fatalf("ParseQuery(%q).idf2 = %v, reference %v", text, got.idf2, want.idf2)
+		}
+		for j := range got.idf2 {
+			if math.Float64bits(got.idf2[j]) != math.Float64bits(want.idf2[j]) {
+				t.Fatalf("ParseQuery(%q).idf2[%d] = %v, reference %v", text, j, got.idf2[j], want.idf2[j])
+			}
+		}
+	}
+}
+
+// TestParseQueryAllocations pins the serve path's share of query
+// analysis: the query's two slices and nothing per token — none at all
+// when no token is known.
+func TestParseQueryAllocations(t *testing.T) {
+	rng := stats.NewRNG(78)
+	ix := NewIndex()
+	for i := 0; i < 50; i++ {
+		ix.Add(randomDoc(rng))
+	}
+	var sink Query
+	if n := testing.AllocsPerRun(100, func() { sink = ix.ParseQuery("The word3, WORD17 and word3 of zzzunknown word59") }); n != 2 {
+		t.Errorf("ParseQuery allocates %.0f times, want 2 (Terms, idf2)", n)
+	}
+	if len(sink.Terms) != 4 {
+		t.Fatalf("parsed %d terms, want 4", len(sink.Terms))
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = ix.ParseQuery("the zzzunknown of it") }); n != 0 {
+		t.Errorf("ParseQuery with no known term allocates %.0f times, want 0", n)
 	}
 }

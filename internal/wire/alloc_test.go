@@ -1,0 +1,110 @@
+package wire
+
+import (
+	"bytes"
+	"testing"
+)
+
+// allocFrames is one frame of every kind for the allocation contracts.
+var allocFrames = []struct {
+	name  string
+	enc   func(dst []byte) []byte
+	allow float64 // Decode* allocations: 1 + one per variable-length field present; -1 = not pinned
+	dec   func(body []byte) error
+}{
+	{"request/search+tenant", func(dst []byte) []byte {
+		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindSearch, Subset: -1, Tenant: "acme",
+			Search: &SearchRequest{Query: "alpha beta gamma", K: 10}})
+	}, 1 + 2, decodes(DecodeRequest)},
+	{"request/cf", func(dst []byte) []byte {
+		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindCF,
+			CF: &CFRequest{Ratings: []Rating{{Item: 1, Score: 2}}, Targets: []int32{3, 4}}})
+	}, 1 + 2, decodes(DecodeRequest)},
+	{"request/agg", func(dst []byte) []byte {
+		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindAgg, Agg: &AggRequest{Op: 1, Lo: 0, Hi: 9}})
+	}, 1, decodes(DecodeRequest)},
+	{"sub-reply/search", func(dst []byte) []byte {
+		return AppendSubReplyFrame(dst, &SubReply{ID: 1, Kind: KindSearch, Level: NoLevel,
+			Search: &SearchResult{Hits: make([]Hit, 10)}})
+	}, 1 + 1, decodes(DecodeSubReply)},
+	// The parallel arrays of one CF or aggregation result are one field
+	// here: they share a backing allocation.
+	{"sub-reply/cf", func(dst []byte) []byte {
+		return AppendSubReplyFrame(dst, &SubReply{ID: 1, Kind: KindCF, Level: NoLevel,
+			CF: &CFResult{Num: make([]float64, 40), Den: make([]float64, 40)}})
+	}, 1 + 1, decodes(DecodeSubReply)},
+	{"sub-reply/agg+spans", func(dst []byte) []byte {
+		return AppendSubReplyFrame(dst, &SubReply{ID: 1, Kind: KindAgg, Level: 2, Spans: make([]Span, 2),
+			Agg: &AggResult{Sum: make([]float64, 64), Cnt: make([]float64, 64), SumVar: make([]float64, 64), CntVar: make([]float64, 64)}})
+	}, 1 + 2, decodes(DecodeSubReply)},
+	{"sub-reply/busy", func(dst []byte) []byte {
+		return AppendSubReplyFrame(dst, &SubReply{ID: 1, Kind: KindAgg, Status: StatusBusy, Err: "server queue full", Level: NoLevel})
+	}, 1 + 1, decodes(DecodeSubReply)},
+	{"reply/search", func(dst []byte) []byte {
+		return AppendReplyFrame(dst, &Reply{ID: 1, Kind: KindSearch, Level: NoLevel, SubStatus: make([]uint8, 8),
+			Search: &SearchResult{Hits: make([]Hit, 10)}})
+	}, 1 + 1, decodes(DecodeReply)},
+	{"reply/agg, wide fan-out", func(dst []byte) []byte {
+		return AppendReplyFrame(dst, &Reply{ID: 1, Kind: KindAgg, Level: 1, SubStatus: make([]uint8, inlineSubStatus+1),
+			Agg: &AggResult{Sum: make([]float64, 64), Cnt: make([]float64, 64), SumVar: make([]float64, 64), CntVar: make([]float64, 64)}})
+	}, 1 + 2, decodes(DecodeReply)},
+	{"reply/rejected", func(dst []byte) []byte {
+		return AppendReplyFrame(dst, &Reply{ID: 1, Kind: KindCF, Status: ReplyRejected, Level: NoLevel})
+	}, 1, decodes(DecodeReply)},
+	{"ingest request", func(dst []byte) []byte {
+		return AppendIngestRequestFrame(dst, &IngestRequest{ID: 1, Kind: KindAgg,
+			Agg: &AggIngest{Keys: make([]int32, 32), Vals: make([]float64, 32)}})
+	}, -1, decodes(DecodeIngestRequest)},
+	{"ingest reply", func(dst []byte) []byte {
+		return AppendIngestReplyFrame(dst, &IngestReply{ID: 1, Subset: 2, Accepted: 32, Epoch: 5})
+	}, -1, decodes(DecodeIngestReply)},
+}
+
+func decodes[T any](dec func([]byte) (*T, error)) func([]byte) error {
+	return func(body []byte) error {
+		_, err := dec(body)
+		return err
+	}
+}
+
+// TestFrameAllocations pins the codec's allocation counts, the numbers
+// the serve path's per-request budget is built from: a frame of any of
+// the five kinds encodes into a buffer with room without allocating and
+// into nil with exactly one allocation (the buffer, grown once to
+// FrameSize); a query-path record decodes into one heap object plus one
+// per variable-length field actually present; and a connection's steady
+// state reads frames without allocating.
+func TestFrameAllocations(t *testing.T) {
+	warm := make([]byte, 0, 4096)
+	var stream []byte
+	for _, f := range allocFrames {
+		f := f
+		if n := testing.AllocsPerRun(100, func() { f.enc(warm) }); n != 0 {
+			t.Errorf("%s: encode into a warm buffer allocates %.0f times, want 0", f.name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { f.enc(nil) }); n != 1 {
+			t.Errorf("%s: encode into nil allocates %.0f times, want 1", f.name, n)
+		}
+		frame := f.enc(nil)
+		if err := f.dec(frame[4:]); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = f.dec(frame[4:]) }); f.allow >= 0 && n != f.allow {
+			t.Errorf("%s: decode allocates %.0f times, want %.0f", f.name, n, f.allow)
+		}
+		stream = append(stream, frame...)
+	}
+	rd := bytes.NewReader(nil)
+	buf := make([]byte, 0, 4096)
+	if n := testing.AllocsPerRun(100, func() {
+		rd.Reset(stream)
+		for range allocFrames {
+			var err error
+			if buf, err = ReadFrame(rd, buf, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("ReadFrame into a buffer with room allocates %.2f times per %d frames, want 0", n, len(allocFrames))
+	}
+}

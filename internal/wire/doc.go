@@ -18,4 +18,23 @@
 // Float64 values round-trip bit-exactly, so a result served over the
 // network is bit-identical to the same result composed in process
 // (asserted by the netcompare parity check).
+//
+// The codec produces no garbage of its own. Encoding: each of the five
+// records knows its exact encoded size (FrameSize), and Append*Frame
+// grows dst once to it — zero allocations into a buffer with room (a
+// connection's writer reuses one), exactly one into nil. Decoding:
+// ReadFrame reads into the caller's buffer, length prefix included, and
+// DecodeRequest / DecodeSubReply / DecodeReply allocate one heap object
+// per record — the record and the payload struct of its kind together,
+// a Reply's SubStatus bytes inline when they fit — plus one per
+// variable-length field actually present (a string, the hits, the
+// spans; the parallel float arrays of one CF or aggregation result share
+// one backing allocation, each capped to its own length). Ownership is
+// unchanged by any of this: a decoded record never aliases the body it
+// was read from and belongs to the caller outright, who may retain it
+// indefinitely (the result cache and the auditor do) — retaining a
+// record retains its payload, and one array of a result its siblings.
+// The retained reference decoders in reference_test.go are the simple
+// field-by-field form; FuzzDecodeDifferential holds the live ones to
+// them.
 package wire

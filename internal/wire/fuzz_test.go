@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"testing"
 
 	"accuracytrader/internal/stats"
@@ -113,5 +115,98 @@ func FuzzDecodeReply(f *testing.F) {
 		if re2 := AppendReplyFrame(nil, back)[4:]; !bytes.Equal(re, re2) {
 			t.Fatalf("re-encode not identity:\nfirst  %+v\nsecond %+v", rep, back)
 		}
+	})
+}
+
+// sameRecord is reflect.DeepEqual with float64s compared by bit pattern:
+// arbitrary fuzz bytes legitimately decode to NaNs, and NaN != NaN under
+// DeepEqual. Like DeepEqual it tells a nil slice or pointer from an empty
+// one.
+func sameRecord(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameRecord(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameRecord(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameRecord(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	default: // the records' scalars: integers, bools, strings
+		return a.Interface() == b.Interface()
+	}
+}
+
+// differential holds one frame kind's live decoder against its retained
+// reference on one body: both fail, or both decode to the same record;
+// the record shares no memory with the body it was decoded from; and it
+// re-encodes to exactly FrameSize bytes that decode back to itself.
+func differential[T any](t *testing.T, what string, data []byte,
+	live, ref func([]byte) (*T, error), enc func([]byte, *T) []byte, size func(*T) int) {
+	in := append([]byte(nil), data...)
+	got, err := live(in)
+	want, refErr := ref(data)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("%s: live decoder says %v, reference says %v", what, err, refErr)
+	}
+	if err != nil {
+		return
+	}
+	if !sameRecord(reflect.ValueOf(got), reflect.ValueOf(want)) {
+		t.Fatalf("%s: decoders disagree:\nlive      %+v\nreference %+v", what, got, want)
+	}
+	frame := enc(nil, got)
+	if len(frame) != size(got) {
+		t.Fatalf("%s: encoded to %d bytes, FrameSize says %d: %+v", what, len(frame), size(got), got)
+	}
+	for i := range in {
+		in[i] = ^in[i]
+	}
+	if !bytes.Equal(enc(nil, got), frame) {
+		t.Fatalf("%s: decoded record aliases the body it was read from: %+v", what, got)
+	}
+	back, err := live(frame[4:])
+	if err != nil {
+		t.Fatalf("%s: re-decode of re-encoded record: %v", what, err)
+	}
+	if !sameRecord(reflect.ValueOf(back), reflect.ValueOf(got)) {
+		t.Fatalf("%s: round trip not identity:\nfirst  %+v\nsecond %+v", what, got, back)
+	}
+}
+
+// FuzzDecodeDifferential runs every body through all five frame kinds'
+// decoders (the header admits at most one) against the reference
+// decoders in reference_test.go.
+func FuzzDecodeDifferential(f *testing.F) {
+	for _, b := range seedBodies(f) {
+		f.Add(b)
+	}
+	rng := stats.NewRNG(63)
+	for i := 0; i < 12; i++ {
+		f.Add(AppendIngestRequestFrame(nil, randIngestRequest(rng))[4:])
+		f.Add(AppendIngestReplyFrame(nil, randIngestReply(rng))[4:])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		differential(t, "request", data, DecodeRequest, refDecodeRequest, AppendRequestFrame, (*Request).FrameSize)
+		differential(t, "sub-reply", data, DecodeSubReply, refDecodeSubReply, AppendSubReplyFrame, (*SubReply).FrameSize)
+		differential(t, "reply", data, DecodeReply, refDecodeReply, AppendReplyFrame, (*Reply).FrameSize)
+		differential(t, "ingest request", data, DecodeIngestRequest, refDecodeIngestRequest, AppendIngestRequestFrame, (*IngestRequest).FrameSize)
+		differential(t, "ingest reply", data, DecodeIngestReply, refDecodeIngestReply, AppendIngestReplyFrame, (*IngestReply).FrameSize)
 	})
 }

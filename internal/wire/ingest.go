@@ -62,8 +62,31 @@ type IngestReply struct {
 	Epoch uint64
 }
 
-// AppendIngestRequestFrame appends the length-prefixed encoding of req.
+// FrameSize returns the exact number of bytes AppendIngestRequestFrame
+// appends for req, length prefix included.
+func (req *IngestRequest) FrameSize() int {
+	n := frameHeaderSize + 8 + 1 + 4 + 8
+	switch req.Kind {
+	case KindCF:
+		n += 4
+		for _, rs := range req.CF.Users {
+			n += 4 + 12*len(rs)
+		}
+	case KindSearch:
+		n += 4
+		for _, d := range req.Search.Docs {
+			n += 4 + len(d)
+		}
+	case KindAgg:
+		n += 4 + 4*len(req.Agg.Keys) + 4 + 8*len(req.Agg.Vals)
+	}
+	return n
+}
+
+// AppendIngestRequestFrame appends the length-prefixed encoding of req,
+// growing dst at most once (to FrameSize).
 func AppendIngestRequestFrame(dst []byte, req *IngestRequest) []byte {
+	dst = grow(dst, req.FrameSize())
 	start := len(dst)
 	dst = appendU32(dst, 0) // length, patched below
 	dst = append(dst, Version, frameIngest)
@@ -153,8 +176,16 @@ func DecodeIngestRequest(body []byte) (*IngestRequest, error) {
 	return req, nil
 }
 
-// AppendIngestReplyFrame appends the length-prefixed encoding of rep.
+// FrameSize returns the exact number of bytes AppendIngestReplyFrame
+// appends for rep, length prefix included.
+func (rep *IngestReply) FrameSize() int {
+	return frameHeaderSize + 8 + 4 + 1 + 4 + len(rep.Err) + 4 + 8
+}
+
+// AppendIngestReplyFrame appends the length-prefixed encoding of rep,
+// growing dst at most once (to FrameSize).
 func AppendIngestReplyFrame(dst []byte, rep *IngestReply) []byte {
+	dst = grow(dst, rep.FrameSize())
 	start := len(dst)
 	dst = appendU32(dst, 0)
 	dst = append(dst, Version, frameIngestReply)

@@ -350,6 +350,16 @@ func appendI32s(b []byte, vs []int32) []byte {
 	return b
 }
 
+// grow returns dst with room for n more bytes, reallocating at most once
+// and to exactly that size: every Append*Frame calls it with the frame's
+// FrameSize, so the appenders above never reallocate.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
+}
+
 // reader decodes a frame body with sticky bounds-checked errors: a
 // truncated or corrupt frame yields an error, never a panic.
 type reader struct {
@@ -443,6 +453,38 @@ func (r *reader) f64s(what string) []float64 {
 	return out
 }
 
+// f64Group decodes consecutive float64 arrays — the parallel arrays of
+// one CF or aggregation result — into one backing allocation: it
+// validates every declared count against the bytes present first, then
+// carves each array off the backing with its capacity capped to its
+// length, so an append to one never writes into its neighbour. An empty
+// array decodes to nil, as f64s does.
+func (r *reader) f64Group(what string, dst ...*[]float64) {
+	scan := *r
+	total := 0
+	for range dst {
+		n := scan.count(8, what)
+		scan.take(8*n, what)
+		total += n
+	}
+	if scan.err != nil || total == 0 {
+		*r = scan // failed, or past the empty arrays: nothing to allocate
+		return
+	}
+	back := make([]float64, total)
+	for _, d := range dst {
+		n := r.count(8, what)
+		raw := r.take(8*n, what)
+		if n == 0 {
+			continue
+		}
+		*d, back = back[:n:n], back[n:]
+		for i := range *d {
+			(*d)[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+	}
+}
+
 func (r *reader) i32s(what string) []int32 {
 	n := r.count(4, what)
 	if r.err != nil || n == 0 {
@@ -465,8 +507,35 @@ func (r *reader) done(kind string) error {
 	return nil
 }
 
-// AppendRequestFrame appends the length-prefixed encoding of req.
+// Encoded sizes of the fixed parts of each frame, length prefix, version
+// and frame-kind bytes included; every variable-length field adds its
+// 4-byte count plus its elements.
+const (
+	frameHeaderSize   = 4 + 1 + 1
+	requestFixedSize  = frameHeaderSize + 8 + 8 + 1 + 4 + 1 + 8 + 2 + 8 + 8 + 4
+	subReplyFixedSize = frameHeaderSize + 8 + 4 + 1 + 4 + 1 + 2 + 4 + 4
+	replyFixedSize    = frameHeaderSize + 8 + 1 + 4 + 1 + 1 + 8 + 1 + 1 + 2 + 8 + 4
+)
+
+// FrameSize returns the exact number of bytes AppendRequestFrame appends
+// for req, length prefix included.
+func (req *Request) FrameSize() int {
+	n := requestFixedSize + len(req.Tenant)
+	switch req.Kind {
+	case KindCF:
+		n += 4 + 12*len(req.CF.Ratings) + 4 + 4*len(req.CF.Targets)
+	case KindSearch:
+		n += 4 + len(req.Search.Query) + 4
+	case KindAgg:
+		n += 1 + 8 + 8
+	}
+	return n
+}
+
+// AppendRequestFrame appends the length-prefixed encoding of req,
+// growing dst at most once (to FrameSize).
 func AppendRequestFrame(dst []byte, req *Request) []byte {
+	dst = grow(dst, req.FrameSize())
 	start := len(dst)
 	dst = appendU32(dst, 0) // length, patched below
 	dst = append(dst, Version, frameRequest)
@@ -500,13 +569,16 @@ func AppendRequestFrame(dst []byte, req *Request) []byte {
 	return dst
 }
 
-// DecodeRequest decodes a request frame body.
+// DecodeRequest decodes a request frame body. The request and the
+// payload struct of its kind are one heap object; the tenant, query and
+// CF slices are the only further allocations, and nothing in the result
+// aliases body.
 func DecodeRequest(body []byte) (*Request, error) {
 	r := &reader{b: body}
 	if err := checkHeader(r, frameRequest, "request"); err != nil {
 		return nil, err
 	}
-	req := &Request{}
+	var req Request // decoded on the stack, copied into its box once the kind is known
 	req.ID = r.u64("id")
 	req.Seq = r.u64("seq")
 	req.Kind = Kind(r.u8("kind"))
@@ -517,9 +589,11 @@ func DecodeRequest(body []byte) (*Request, error) {
 	req.Deadline = int64(r.u64("deadline"))
 	req.Trace = r.u64("trace")
 	req.Tenant = r.str("tenant")
+	var out *Request
 	switch req.Kind {
 	case KindCF:
-		cf := &CFRequest{}
+		var cf *CFRequest
+		out, cf = box[Request, CFRequest]()
 		n := r.count(12, "ratings")
 		if r.err == nil && n > 0 {
 			cf.Ratings = make([]Rating, n)
@@ -531,9 +605,14 @@ func DecodeRequest(body []byte) (*Request, error) {
 		cf.Targets = r.i32s("targets")
 		req.CF = cf
 	case KindSearch:
-		req.Search = &SearchRequest{Query: r.str("query"), K: int32(r.u32("k"))}
+		out, req.Search = box[Request, SearchRequest]()
+		req.Search.Query = r.str("query")
+		req.Search.K = int32(r.u32("k"))
 	case KindAgg:
-		req.Agg = &AggRequest{Op: r.u8("op"), Lo: r.f64("lo"), Hi: r.f64("hi")}
+		out, req.Agg = box[Request, AggRequest]()
+		req.Agg.Op = r.u8("op")
+		req.Agg.Lo = r.f64("lo")
+		req.Agg.Hi = r.f64("hi")
 	default:
 		return nil, fmt.Errorf("wire: unknown payload kind %d", req.Kind)
 	}
@@ -541,11 +620,24 @@ func DecodeRequest(body []byte) (*Request, error) {
 		return nil, err
 	}
 	req.FrameLen = 4 + len(body)
-	return req, nil
+	*out = req
+	return out, nil
 }
 
-// AppendSubReplyFrame appends the length-prefixed encoding of rep.
+// FrameSize returns the exact number of bytes AppendSubReplyFrame
+// appends for rep, length prefix included.
+func (rep *SubReply) FrameSize() int {
+	n := subReplyFixedSize + len(rep.Err) + spanWireSize*len(rep.Spans)
+	if rep.Status == StatusOK {
+		n += resultPayloadSize(rep.Kind, rep.CF, rep.Search, rep.Agg)
+	}
+	return n
+}
+
+// AppendSubReplyFrame appends the length-prefixed encoding of rep,
+// growing dst at most once (to FrameSize).
 func AppendSubReplyFrame(dst []byte, rep *SubReply) []byte {
+	dst = grow(dst, rep.FrameSize())
 	start := len(dst)
 	dst = appendU32(dst, 0)
 	dst = append(dst, Version, frameSubReply)
@@ -573,13 +665,16 @@ func AppendSubReplyFrame(dst []byte, rep *SubReply) []byte {
 	return dst
 }
 
-// DecodeSubReply decodes a sub-reply frame body.
+// DecodeSubReply decodes a sub-reply frame body. The sub-reply and the
+// result struct of its kind are one heap object (see box); the error
+// string, the spans and the result's arrays are the only further
+// allocations, and nothing in the result aliases body.
 func DecodeSubReply(body []byte) (*SubReply, error) {
 	r := &reader{b: body}
 	if err := checkHeader(r, frameSubReply, "sub-reply"); err != nil {
 		return nil, err
 	}
-	rep := &SubReply{}
+	var rep SubReply
 	rep.ID = r.u64("id")
 	rep.Subset = int32(r.u32("subset"))
 	rep.Status = r.u8("status")
@@ -599,23 +694,45 @@ func DecodeSubReply(body []byte) (*SubReply, error) {
 			rep.Spans[i].Cost.WireBytes = r.u64("span wire bytes")
 		}
 	}
-	if rep.Status == StatusOK {
-		var err error
-		rep.CF, rep.Search, rep.Agg, err = decodeResultPayload(r, rep.Kind)
-		if err != nil {
-			return nil, err
-		}
+	var out *SubReply
+	switch {
+	case rep.Status != StatusOK:
+		out = new(SubReply)
+	case rep.Kind == KindCF:
+		out, rep.CF = box[SubReply, CFResult]()
+		r.cfResult(rep.CF)
+	case rep.Kind == KindSearch:
+		out, rep.Search = box[SubReply, SearchResult]()
+		r.searchResult(rep.Search)
+	case rep.Kind == KindAgg:
+		out, rep.Agg = box[SubReply, AggResult]()
+		r.aggResult(rep.Agg)
+	default:
+		return nil, fmt.Errorf("wire: unknown payload kind %d", rep.Kind)
 	}
 	if err := r.done("sub-reply"); err != nil {
 		return nil, err
 	}
 	rep.FrameLen = 4 + len(body)
-	return rep, nil
+	*out = rep
+	return out, nil
+}
+
+// FrameSize returns the exact number of bytes AppendReplyFrame appends
+// for rep, length prefix included — what a front server charges to the
+// request's wire cost before the reply is encoded.
+func (rep *Reply) FrameSize() int {
+	n := replyFixedSize + len(rep.Err) + len(rep.SubStatus)
+	if ReplyCarriesPayload(rep.Status) {
+		n += resultPayloadSize(rep.Kind, rep.CF, rep.Search, rep.Agg)
+	}
+	return n
 }
 
 // AppendReplyFrame appends the length-prefixed encoding of the
-// composed reply.
+// composed reply, growing dst at most once (to FrameSize).
 func AppendReplyFrame(dst []byte, rep *Reply) []byte {
+	dst = grow(dst, rep.FrameSize())
 	start := len(dst)
 	dst = appendU32(dst, 0)
 	dst = append(dst, Version, frameReply)
@@ -646,13 +763,28 @@ func AppendReplyFrame(dst []byte, rep *Reply) []byte {
 	return dst
 }
 
-// DecodeReply decodes a composed-reply frame body.
+// inlineSubStatus is how many per-subset statuses a decoded Reply keeps
+// inside its own heap object; a wider fan-out's SubStatus is a slice of
+// its own.
+const inlineSubStatus = 16
+
+// replyHead is a decoded Reply with room for its SubStatus bytes.
+type replyHead struct {
+	Reply
+	sub [inlineSubStatus]uint8
+}
+
+// DecodeReply decodes a composed-reply frame body. The reply, its
+// SubStatus bytes (up to inlineSubStatus of them) and the result struct
+// of its kind are one heap object (see box); the error string and the
+// result's arrays are the only further allocations, and nothing in the
+// result aliases body.
 func DecodeReply(body []byte) (*Reply, error) {
 	r := &reader{b: body}
 	if err := checkHeader(r, frameReply, "reply"); err != nil {
 		return nil, err
 	}
-	rep := &Reply{}
+	var rep Reply
 	rep.ID = r.u64("id")
 	rep.Status = r.u8("status")
 	rep.Err = r.str("err")
@@ -663,20 +795,49 @@ func DecodeReply(body []byte) (*Reply, error) {
 	rep.Cached = r.u8("cached") != 0
 	rep.Level = int16(r.u16("level"))
 	rep.Trace = r.u64("trace")
-	if n := r.count(1, "substatus"); r.err == nil && n > 0 {
-		rep.SubStatus = append([]uint8(nil), r.take(n, "substatus")...)
-	}
-	if ReplyCarriesPayload(rep.Status) {
-		var err error
-		rep.CF, rep.Search, rep.Agg, err = decodeResultPayload(r, rep.Kind)
-		if err != nil {
-			return nil, err
-		}
+	sub := r.take(r.count(1, "substatus"), "substatus") // still in body: copied out below
+	var out *replyHead
+	switch {
+	case !ReplyCarriesPayload(rep.Status):
+		out = new(replyHead)
+	case rep.Kind == KindCF:
+		out, rep.CF = box[replyHead, CFResult]()
+		r.cfResult(rep.CF)
+	case rep.Kind == KindSearch:
+		out, rep.Search = box[replyHead, SearchResult]()
+		r.searchResult(rep.Search)
+	case rep.Kind == KindAgg:
+		out, rep.Agg = box[replyHead, AggResult]()
+		r.aggResult(rep.Agg)
+	default:
+		return nil, fmt.Errorf("wire: unknown payload kind %d", rep.Kind)
 	}
 	if err := r.done("reply"); err != nil {
 		return nil, err
 	}
-	return rep, nil
+	switch n := len(sub); {
+	case n > len(out.sub):
+		rep.SubStatus = append([]uint8(nil), sub...)
+	case n > 0:
+		// Capped, so an append by the owner reallocates instead of running
+		// into the rest of the array.
+		rep.SubStatus = out.sub[:n:n]
+		copy(rep.SubStatus, sub)
+	}
+	out.Reply = rep
+	return &out.Reply, nil
+}
+
+func resultPayloadSize(kind Kind, cf *CFResult, search *SearchResult, agg *AggResult) int {
+	switch kind {
+	case KindCF:
+		return 4 + 8*len(cf.Num) + 4 + 8*len(cf.Den)
+	case KindSearch:
+		return 4 + 12*len(search.Hits)
+	case KindAgg:
+		return 4*4 + 8*(len(agg.Sum)+len(agg.Cnt)+len(agg.SumVar)+len(agg.CntVar))
+	}
+	return 0
 }
 
 func appendResultPayload(dst []byte, kind Kind, cf *CFResult, search *SearchResult, agg *AggResult) []byte {
@@ -699,32 +860,35 @@ func appendResultPayload(dst []byte, kind Kind, cf *CFResult, search *SearchResu
 	return dst
 }
 
-func decodeResultPayload(r *reader, kind Kind) (*CFResult, *SearchResult, *AggResult, error) {
-	switch kind {
-	case KindCF:
-		return &CFResult{Num: r.f64s("num"), Den: r.f64s("den")}, nil, nil, nil
-	case KindSearch:
-		sr := &SearchResult{}
-		n := r.count(12, "hits")
-		if r.err == nil && n > 0 {
-			sr.Hits = make([]Hit, n)
-			for i := range sr.Hits {
-				sr.Hits[i].Doc = int32(r.u32("hit doc"))
-				sr.Hits[i].Score = r.f64("hit score")
-			}
+// box allocates a record and the payload struct of its kind as one heap
+// object and returns pointers to both halves: the decoders' one
+// allocation per record. Only the payload of the frame's own kind is
+// boxed, so a record costs its own bytes plus one payload's, and whoever
+// retains the record retains the payload with it (they were never
+// separable: the record points at it).
+func box[R, P any]() (*R, *P) {
+	b := new(struct {
+		rec     R
+		payload P
+	})
+	return &b.rec, &b.payload
+}
+
+func (r *reader) cfResult(cf *CFResult) { r.f64Group("cf partials", &cf.Num, &cf.Den) }
+
+func (r *reader) searchResult(sr *SearchResult) {
+	n := r.count(12, "hits")
+	if r.err == nil && n > 0 {
+		sr.Hits = make([]Hit, n)
+		for i := range sr.Hits {
+			sr.Hits[i].Doc = int32(r.u32("hit doc"))
+			sr.Hits[i].Score = r.f64("hit score")
 		}
-		return nil, sr, nil, nil
-	case KindAgg:
-		ar := &AggResult{
-			Sum:    r.f64s("sum"),
-			Cnt:    r.f64s("cnt"),
-			SumVar: r.f64s("sumVar"),
-			CntVar: r.f64s("cntVar"),
-		}
-		return nil, nil, ar, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("wire: unknown payload kind %d", kind)
 	}
+}
+
+func (r *reader) aggResult(ar *AggResult) {
+	r.f64Group("agg partials", &ar.Sum, &ar.Cnt, &ar.SumVar, &ar.CntVar)
 }
 
 func checkHeader(r *reader, wantFrame byte, what string) error {
@@ -753,19 +917,25 @@ func FrameKind(body []byte) (byte, error) {
 	return body[1], nil
 }
 
-// ReadFrame reads one length-prefixed frame body from r, reusing buf
-// when it is large enough. maxFrame bounds the accepted body size
-// (<= 0 selects MaxFrame); an oversized or corrupt length prefix is an
-// error, never an allocation.
+// ReadFrame reads one length-prefixed frame body from r into buf,
+// allocating only when buf cannot hold it: the length prefix is read into
+// the head of buf and overwritten by the body, so a caller that passes
+// the returned slice back in reads its steady state without allocating.
+// The returned body aliases buf (or its replacement) and is valid until
+// the next call; the Decode* functions copy everything they keep out of
+// it. maxFrame bounds the accepted body size (<= 0 selects MaxFrame); an
+// oversized or corrupt length prefix is an error, never an allocation.
 func ReadFrame(r io.Reader, buf []byte, maxFrame int) ([]byte, error) {
 	if maxFrame <= 0 {
 		maxFrame = MaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return buf, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(buf[:4]))
 	if n < 2 || n > maxFrame {
 		return buf, fmt.Errorf("wire: frame length %d outside [2, %d]", n, maxFrame)
 	}
