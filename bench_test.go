@@ -459,6 +459,33 @@ func BenchmarkCFWeight(b *testing.B) {
 	}
 }
 
+// BenchmarkCFExactScan measures the CF kernel where the cf-exact
+// workload spends its request: exact scans of one benchmark-sized shard
+// (400 users x 200 items), cycling through 16 sampled requests.
+func BenchmarkCFExactScan(b *testing.B) {
+	rcfg := workload.DefaultRatingsConfig()
+	rcfg.Seed = 1
+	data := workload.GenerateRatings(rcfg, 1)
+	comp, err := cf.BuildComponent(data.Subsets[0], synopsis.Config{
+		SVD:              svd.Config{Dims: 3, Epochs: 25, Seed: 1},
+		CompressionRatio: 8,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sampled := data.SampleCFRequests(1, 16, 0.2)
+	reqs := make([]cf.Request, len(sampled))
+	for i, s := range sampled {
+		reqs[i] = cf.NewRequest(s.Known, s.Targets)
+	}
+	var res cf.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res = cf.ExactResultInto(res, comp, reqs[i%len(reqs)])
+	}
+}
+
 func BenchmarkSearchQuery(b *testing.B) {
 	_, sSvc := services(b)
 	ix := sSvc.Comps[0].Ix

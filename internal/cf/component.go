@@ -46,12 +46,13 @@ func aggregate(m *Matrix, groupID int64, members []int) AggregatedUser {
 	return ag
 }
 
-// sortRatings orders ratings by item. Items are unique within a user or
-// aggregate, so the comparator is a total order and the (unstable) sort
-// is deterministic.
-func sortRatings(rs []Rating) {
-	slices.SortFunc(rs, func(a, b Rating) int { return int(a.Item) - int(b.Item) })
-}
+// sortRatings orders ratings by item. Where items are unique (an
+// aggregate, an honest user) the comparator is a total order; duplicate
+// items, which SetUser and a wire request admit, land in whatever order
+// the (deterministic) sort leaves them, the same for every reader.
+func sortRatings(rs []Rating) { slices.SortFunc(rs, compareItems) }
+
+func compareItems(a, b Rating) int { return int(a.Item) - int(b.Item) }
 
 // Component is one parallel service component of the CF recommender: its
 // rating-matrix subset plus the synopsis and cached aggregated users.

@@ -2,6 +2,7 @@ package cf
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -14,11 +15,21 @@ type Request struct {
 	Targets []int32  // items to predict
 }
 
-// NewRequest sorts the active ratings and returns a Request.
+// NewRequest copies the active ratings, sorts the copy by item and
+// returns a Request.
 func NewRequest(ratings []Rating, targets []int32) Request {
-	cp := append([]Rating(nil), ratings...)
-	sortRatings(cp)
-	return Request{Ratings: cp, Targets: targets}
+	return NewRequestInPlace(append([]Rating(nil), ratings...), targets)
+}
+
+// NewRequestInPlace is NewRequest taking ownership of ratings instead of
+// copying them: the slice is sorted in place unless it already is (the
+// same comparator decides both, so an unsorted vector ends up exactly
+// as NewRequest always left it).
+func NewRequestInPlace(ratings []Rating, targets []int32) Request {
+	if !slices.IsSortedFunc(ratings, compareItems) {
+		sortRatings(ratings)
+	}
+	return Request{Ratings: ratings, Targets: targets}
 }
 
 // ActiveMean returns the mean of the active user's known ratings.
@@ -90,86 +101,6 @@ func (r Result) PredictionsInto(dst []float64, activeMean float64) []float64 {
 	return dst
 }
 
-// targetLookup maps item ids to request target slots in O(1): pos[item]
-// holds the first slot predicting that item, next[slot] chains duplicate
-// targets of the same item. Entries are validated by an epoch stamp, so
-// re-building for a new request costs O(targets), not O(items).
-type targetLookup struct {
-	pos   []int32
-	stamp []uint32
-	next  []int32
-	epoch uint32
-}
-
-// build prepares the lookup for a target list over an nItems item space.
-func (tl *targetLookup) build(nItems int, targets []int32) {
-	if len(tl.pos) < nItems {
-		tl.pos = make([]int32, nItems)
-		tl.stamp = make([]uint32, nItems)
-		tl.epoch = 0
-	}
-	tl.epoch++
-	if tl.epoch == 0 { // stamp wraparound: invalidate everything explicitly
-		clear(tl.stamp)
-		tl.epoch = 1
-	}
-	if cap(tl.next) < len(targets) {
-		tl.next = make([]int32, len(targets))
-	} else {
-		tl.next = tl.next[:len(targets)]
-	}
-	for t := len(targets) - 1; t >= 0; t-- {
-		item := targets[t]
-		if item < 0 || int(item) >= nItems {
-			// An out-of-range target can never be rated by a neighbour: the
-			// slot keeps a zero denominator and predicts the active mean,
-			// exactly as the binary-search kernel it replaced behaved.
-			tl.next[t] = -1
-			continue
-		}
-		if tl.stamp[item] == tl.epoch {
-			tl.next[t] = tl.pos[item]
-		} else {
-			tl.next[t] = -1
-		}
-		tl.pos[item] = int32(t)
-		tl.stamp[item] = tl.epoch
-	}
-}
-
-// contribute accumulates one neighbour (weight w, neighbour ratings rs,
-// neighbour mean) into the result for every target it rated. Instead of a
-// binary search per (neighbour × target), it streams the neighbour's
-// ratings once and resolves targets through the O(1) lookup. Each
-// (neighbour, target) pair adds exactly the value the reference kernel
-// adds, in the same per-slot order, so accumulators stay bit-identical.
-func (tl *targetLookup) contribute(res Result, w float64, rs []Rating, mean float64, sign float64) {
-	if w == 0 {
-		return
-	}
-	aw := math.Abs(w)
-	prev := int32(-1)
-	for _, r := range rs {
-		// rs is sorted; skip non-first duplicate items so each (neighbour,
-		// target) pair contributes once, from the first occurrence — the
-		// semantics of the binary-search kernel this replaces (SetUser
-		// accepts duplicate items without deduplicating).
-		if r.Item == prev {
-			continue
-		}
-		prev = r.Item
-		if tl.stamp[r.Item] != tl.epoch {
-			continue
-		}
-		dev := sign * w * (r.Score - mean)
-		dden := sign * aw
-		for t := tl.pos[r.Item]; t >= 0; t = tl.next[t] {
-			res.Num[t] += dev
-			res.Den[t] += dden
-		}
-	}
-}
-
 // Engine runs Algorithm 1 for one CF request on one component. It
 // implements core.Engine: ProcessSynopsis predicts from aggregated users
 // and returns |weight| correlations; ProcessSet replaces one aggregated
@@ -181,7 +112,7 @@ type Engine struct {
 	res        Result
 	aggWeights []float64
 	corr       []float64
-	lookup     targetLookup
+	sc         scorer
 }
 
 // NewEngine prepares an engine for a request.
@@ -192,12 +123,12 @@ func NewEngine(c *Component, req Request) *Engine {
 }
 
 // Reset re-targets the engine at a component and request, reusing all
-// internal buffers (result accumulators, weight vectors and the target
-// lookup). It makes engines poolable across requests.
+// internal buffers (result accumulators, weight vectors and the bound
+// scorer's table). It makes engines poolable across requests.
 func (e *Engine) Reset(c *Component, req Request) {
 	e.Comp, e.Req = c, req
 	e.res = e.res.Reset(len(req.Targets))
-	e.lookup.build(c.M.NumItems(), req.Targets)
+	e.sc.bind(c.M.NumItems(), req.Ratings, req.Targets)
 }
 
 // enginePool recycles Engines across requests (see GetEngine).
@@ -216,6 +147,7 @@ func GetEngine(c *Component, req Request) *Engine {
 func (e *Engine) Release() {
 	e.Comp = nil
 	e.Req = Request{}
+	e.sc.active = nil
 	enginePool.Put(e)
 }
 
@@ -234,10 +166,9 @@ func (e *Engine) ProcessSynopsis() []float64 {
 		e.corr = e.corr[:m]
 	}
 	for g, ag := range e.Comp.Aggs {
-		w := Weight(e.Req.Ratings, ag.Ratings)
+		w := e.sc.fold(e.res, ag.Ratings, ag.Mean)
 		e.aggWeights[g] = w
 		e.corr[g] = math.Abs(w)
-		e.lookup.contribute(e.res, w, ag.Ratings, ag.Mean, +1)
 	}
 	return e.corr
 }
@@ -247,11 +178,9 @@ func (e *Engine) ProcessSynopsis() []float64 {
 // with its exact weight (Algorithm 1 line 7).
 func (e *Engine) ProcessSet(g int) {
 	ag := e.Comp.Aggs[g]
-	e.lookup.contribute(e.res, e.aggWeights[g], ag.Ratings, ag.Mean, -1)
+	e.sc.foldAt(e.res, e.aggWeights[g], ag.Ratings, ag.Mean, -1)
 	for _, u := range ag.Members {
-		rs := e.Comp.M.Ratings(u)
-		w := Weight(e.Req.Ratings, rs)
-		e.lookup.contribute(e.res, w, rs, e.Comp.M.Mean(u), +1)
+		e.sc.fold(e.res, e.Comp.M.Ratings(u), e.Comp.M.Mean(u))
 	}
 }
 
@@ -269,9 +198,6 @@ func (e *Engine) TakeResult() Result {
 	return r
 }
 
-// exactLookupPool recycles target lookups for ExactResultInto callers.
-var exactLookupPool = sync.Pool{New: func() any { return new(targetLookup) }}
-
 // ExactResult computes the component's exact partial result: every
 // original user contributes — the paper's "full computation over the
 // entire input data" baseline.
@@ -280,17 +206,17 @@ func ExactResult(c *Component, req Request) Result {
 }
 
 // ExactResultInto is ExactResult accumulating into res's reused buffers
-// (re-zeroed first); it returns the (possibly re-anchored) result.
+// (re-zeroed first); it returns the (possibly re-anchored) result. The
+// scan borrows a pooled engine for its scorer, so the exact and the
+// Algorithm 1 paths warm the same tables.
 func ExactResultInto(res Result, c *Component, req Request) Result {
 	res = res.Reset(len(req.Targets))
-	tl := exactLookupPool.Get().(*targetLookup)
-	tl.build(c.M.NumItems(), req.Targets)
+	e := enginePool.Get().(*Engine)
+	e.sc.bind(c.M.NumItems(), req.Ratings, req.Targets)
 	for u := 0; u < c.M.NumUsers(); u++ {
-		rs := c.M.Ratings(u)
-		w := Weight(req.Ratings, rs)
-		tl.contribute(res, w, rs, c.M.Mean(u), +1)
+		e.sc.fold(res, c.M.Ratings(u), c.M.Mean(u))
 	}
-	exactLookupPool.Put(tl)
+	e.Release()
 	return res
 }
 

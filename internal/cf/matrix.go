@@ -2,7 +2,6 @@ package cf
 
 import (
 	"math"
-	"slices"
 
 	"accuracytrader/internal/csr"
 	"accuracytrader/internal/svd"
@@ -46,7 +45,7 @@ func (m *Matrix) SetUser(u int, rs []Rating) {
 		panic("cf: SetUser out of range")
 	}
 	cp := append([]Rating(nil), rs...)
-	slices.SortFunc(cp, func(a, b Rating) int { return int(a.Item) - int(b.Item) })
+	sortRatings(cp)
 	sum := 0.0
 	for _, r := range cp {
 		if r.Item < 0 || int(r.Item) >= m.nItems {
@@ -105,6 +104,11 @@ func (m *Matrix) Rating(u int, item int32) (float64, bool) {
 // zero allocations, and the accumulation order is exactly that of the
 // reference implementation (collect pairs, then vmath.Pearson), keeping
 // the result bit-identical to it.
+//
+// Weight is the two-vector definition, for callers that hold two rating
+// vectors and no request. Requests are scored by the bound scorer
+// (scorer.go), which finds the same pairs in one pass over the neighbour
+// and computes the same weight; no scan loop calls Weight.
 func Weight(a, b []Rating) float64 {
 	n := 0
 	sx, sy := 0.0, 0.0

@@ -1,15 +1,16 @@
 package cf
 
 // Reference (naive) implementations of the optimized CF kernels, retained
-// as test-only helpers: the property tests assert the optimized merge-join
-// Weight and the lookup-table contribute are result-identical to the
-// simple semantics on randomized inputs.
+// as test-only helpers: the property tests assert the merge-join Weight
+// and the one-pass scorer every scan site runs (scorer.go) are
+// result-identical to the simple semantics on randomized inputs.
 
 import (
 	"fmt"
 	"math"
 	"testing"
 
+	"accuracytrader/internal/core"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/vmath"
 )
@@ -97,13 +98,13 @@ func TestWeightMatchesNaiveReference(t *testing.T) {
 	}
 }
 
-// TestContributeMatchesNaiveReference checks the target-lookup contribute
-// accumulates bit-identically to the binary-search reference, including
+// TestContributeMatchesNaiveReference checks the scorer's known-weight
+// fold accumulates bit-identically to the binary-search reference, including
 // duplicate target items.
 func TestContributeMatchesNaiveReference(t *testing.T) {
 	rng := stats.NewRNG(2)
 	const nItems = 40
-	var tl targetLookup
+	var sc scorer
 	for trial := 0; trial < 300; trial++ {
 		nT := 1 + rng.Intn(8)
 		targets := make([]int32, nT)
@@ -114,7 +115,7 @@ func TestContributeMatchesNaiveReference(t *testing.T) {
 		if trial%2 == 0 && nT > 1 {
 			targets[nT-1] = targets[0]
 		}
-		tl.build(nItems, targets)
+		sc.bind(nItems, nil, targets)
 		got := NewResult(nT)
 		want := NewResult(nT)
 		for n := 0; n < 5; n++ {
@@ -125,7 +126,7 @@ func TestContributeMatchesNaiveReference(t *testing.T) {
 			if rng.Float64() < 0.3 {
 				sign = -1
 			}
-			tl.contribute(got, w, rs, mean, sign)
+			sc.foldAt(got, w, rs, mean, sign)
 			naiveContribute(want, targets, w, rs, mean, sign)
 		}
 		for i := range want.Num {
@@ -143,11 +144,11 @@ func TestContributeMatchesNaiveReference(t *testing.T) {
 func TestContributeDuplicateNeighbourItems(t *testing.T) {
 	targets := []int32{3, 8}
 	rs := []Rating{{Item: 3, Score: 4}, {Item: 3, Score: 1}, {Item: 8, Score: 2}}
-	var tl targetLookup
-	tl.build(10, targets)
+	var sc scorer
+	sc.bind(10, nil, targets)
 	got := NewResult(2)
 	want := NewResult(2)
-	tl.contribute(got, 0.7, rs, 2.5, +1)
+	sc.foldAt(got, 0.7, rs, 2.5, +1)
 	naiveContribute(want, targets, 0.7, rs, 2.5, +1)
 	for i := range want.Num {
 		if got.Num[i] != want.Num[i] || got.Den[i] != want.Den[i] {
@@ -312,5 +313,78 @@ func TestPredictionsIntoMatchesPredictions(t *testing.T) {
 	}
 	if cap(got) != cap(buf) {
 		t.Fatalf("buffer not reused")
+	}
+}
+
+// lockstepEngine drives an Engine and, beside it, the same Algorithm 1
+// run composed from naiveWeight + naiveContribute, comparing the two
+// with == after every step core.Run takes.
+type lockstepEngine struct {
+	t       *testing.T
+	e       *Engine
+	want    Result
+	weights []float64 // naive aggregated-user weights, for the retraction
+}
+
+func (l *lockstepEngine) ProcessSynopsis() []float64 {
+	corr := l.e.ProcessSynopsis()
+	c, req := l.e.Comp, l.e.Req
+	l.weights = make([]float64, len(c.Aggs))
+	for g, ag := range c.Aggs {
+		l.weights[g] = naiveFold(l.want, req, ag.Ratings, ag.Mean)
+		if corr[g] != math.Abs(l.weights[g]) {
+			l.t.Fatalf("corr[%d] = %v, naive %v", g, corr[g], math.Abs(l.weights[g]))
+		}
+	}
+	sameResult(l.t, l.e.Result(), l.want, "synopsis")
+	return corr
+}
+
+func (l *lockstepEngine) ProcessSet(g int) {
+	l.e.ProcessSet(g)
+	c, req := l.e.Comp, l.e.Req
+	ag := c.Aggs[g]
+	naiveContribute(l.want, req.Targets, l.weights[g], ag.Ratings, ag.Mean, -1)
+	for _, u := range ag.Members {
+		naiveFold(l.want, req, c.M.Ratings(u), c.M.Mean(u))
+	}
+	sameResult(l.t, l.e.Result(), l.want, fmt.Sprintf("set %d", g))
+}
+
+// TestScanSitesMatchNaiveComposition checks ExactResultInto and a full
+// Algorithm 1 run — synopsis, then every set, retractions included —
+// bit-identical to the naive composition, on shards whose users hold
+// duplicate items and requests whose active ratings hold duplicates and
+// whose targets repeat or fall outside the item space.
+func TestScanSitesMatchNaiveComposition(t *testing.T) {
+	const nItems = 30
+	for seed := uint64(40); seed <= 42; seed++ {
+		rng := stats.NewRNG(seed)
+		m, _ := testMatrix(rng, 120, nItems, 4, 0.4)
+		for u := 0; u < m.NumUsers(); u += 3 {
+			rs := append([]Rating(nil), m.Ratings(u)...)
+			m.SetUser(u, append(rs, hostileRatings(rng, 1+rng.Intn(3), 0, nItems)...))
+		}
+		c, err := BuildComponent(m, synCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reused Result
+		for trial := 0; trial < 10; trial++ {
+			active := append(randomRatings(rng, nItems), hostileRatings(rng, rng.Intn(4), -2, nItems+2)...)
+			targets := []int32{int32(rng.Intn(nItems)), int32(rng.Intn(nItems)), -1, int32(nItems), int32(rng.Intn(nItems))}
+			targets[4] = targets[0]
+			req := NewRequest(active, targets)
+
+			reused = ExactResultInto(reused, c, req)
+			sameResult(t, reused, naiveExactResult(c, req), fmt.Sprintf("seed %d trial %d exact", seed, trial))
+
+			e := GetEngine(c, req)
+			tr := core.Run(&lockstepEngine{t: t, e: e, want: NewResult(len(targets))}, func(int) bool { return true }, 0)
+			if tr.SetsProcessed != len(c.Aggs) {
+				t.Fatalf("seed %d trial %d: %d of %d sets processed", seed, trial, tr.SetsProcessed, len(c.Aggs))
+			}
+			e.Release()
+		}
 	}
 }

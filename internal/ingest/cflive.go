@@ -10,8 +10,8 @@ import (
 	"accuracytrader/internal/synopsis"
 )
 
-// deltaScorerPool recycles the exact-kernel scorers FoldDelta uses so
-// the delta path allocates nothing once warm.
+// deltaScorerPool recycles the exact-kernel scorers Exact and FoldDelta
+// use so the live exact path allocates nothing once warm.
 var deltaScorerPool = sync.Pool{New: func() any { return new(cf.DeltaScorer) }}
 
 // CFSnapshot is one epoch of a live CF shard: a frozen base component
@@ -40,33 +40,40 @@ func (s *CFSnapshot) Users() int {
 func (s *CFSnapshot) DeltaUsers() int { return len(s.deltaUsers) }
 
 // FoldDelta adds every delta user's exact contribution into res with
-// the reference kernel (Pearson weight, epoch-stamped target lookup),
-// in append order — the same order ExactResultInto scans them after a
-// rebuild, so the exact path stays bit-identical to rebuilding the
-// matrix with the delta appended. Returns res for chaining.
+// the one CF kernel (cf.DeltaScorer), in append order — the same order
+// ExactResultInto scans them after a rebuild, so the exact path stays
+// bit-identical to rebuilding the matrix with the delta appended.
+// Returns res for chaining.
 func (s *CFSnapshot) FoldDelta(res cf.Result, req cf.Request) cf.Result {
-	if len(s.deltaUsers) == 0 {
-		return res
+	if len(s.deltaUsers) > 0 {
+		s.fold(res, req, false)
 	}
+	return res
+}
+
+// Exact computes the exact partial result over every visible user —
+// base scan, then delta fold, under one binding of the request —
+// accumulating into res's reused buffers; it returns the (possibly
+// re-anchored) result.
+func (s *CFSnapshot) Exact(res cf.Result, req cf.Request) cf.Result {
+	res = res.Reset(len(req.Targets))
+	s.fold(res, req, true)
+	return res
+}
+
+// fold binds one pooled scorer to req and accumulates the base users
+// (when asked for, and once there is a base) and then the delta users
+// into res.
+func (s *CFSnapshot) fold(res cf.Result, req cf.Request, base bool) {
 	d := deltaScorerPool.Get().(*cf.DeltaScorer)
 	d.Bind(s.nItems, req.Targets)
+	if base && s.comp != nil {
+		d.AddMatrix(res, req.Ratings, s.comp.M)
+	}
 	for i, rs := range s.deltaUsers {
 		d.Add(res, req.Ratings, rs, s.deltaMeans[i])
 	}
 	deltaScorerPool.Put(d)
-	return res
-}
-
-// Exact computes the exact partial result over every visible user,
-// accumulating into res's reused buffers; it returns the (possibly
-// re-anchored) result.
-func (s *CFSnapshot) Exact(res cf.Result, req cf.Request) cf.Result {
-	if s.comp != nil {
-		res = cf.ExactResultInto(res, s.comp, req)
-	} else {
-		res = res.Reset(len(req.Targets))
-	}
-	return s.FoldDelta(res, req)
 }
 
 // CFStats counts a live CF shard's ingest activity.

@@ -269,7 +269,7 @@ func NewCFBackend(comps []*cf.Component, opts BackendOptions) Handler {
 		for i, r := range req.CF.Ratings {
 			ratings[i] = cf.Rating{Item: r.Item, Score: r.Score}
 		}
-		return cf.NewRequest(ratings, req.CF.Targets)
+		return cf.NewRequestInPlace(ratings, req.CF.Targets)
 	}
 	return newBackend(opts, backend{
 		kind: wire.KindCF, name: "CF", shards: len(comps), imax: 1.0,
