@@ -10,13 +10,16 @@ package accuracytrader
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
+	"accuracytrader/internal/agg"
 	"accuracytrader/internal/cf"
 	"accuracytrader/internal/cluster"
 	"accuracytrader/internal/core"
 	"accuracytrader/internal/experiments"
+	"accuracytrader/internal/ingest"
 	"accuracytrader/internal/rtree"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/svd"
@@ -484,6 +487,90 @@ func BenchmarkCFExactScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res = cf.ExactResultInto(res, comp, reqs[i%len(reqs)])
 	}
+}
+
+// aggScanShapes builds the two shapes the agg kernel benchmarks scan,
+// from the agg workloads' data and ladder: a benchmark-sized live shard
+// (48 keys, Zipf 1.1, 20 000 compacted rows plus one published 2 000-row
+// delta) and a frozen 4 000-row component, plus 16 sampled queries.
+func aggScanShapes(b *testing.B) (*ingest.AggSnapshot, *agg.Component, []agg.Query) {
+	b.Helper()
+	cfg := agg.Config{Rates: []float64{0.03, 0.08, 0.18, 0.40}, MinSample: 8, Seed: 1}
+	fcfg := workload.DefaultFactsConfig()
+	fcfg.RowsPerSubset = 22000
+	fcfg.Seed = 1
+	data := workload.GenerateFacts(fcfg, 1)
+	tab := data.Subsets[0]
+	keys := make([]int32, tab.NumRows())
+	vals := make([]float64, tab.NumRows())
+	for r := range keys {
+		keys[r], vals[r] = tab.Key(r), tab.Value(r)
+	}
+	l := ingest.NewAggLive(fcfg.Keys, cfg)
+	if _, err := l.Append(keys[:20000], vals[:20000]); err != nil {
+		b.Fatal(err)
+	}
+	if _, _, _, err := l.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := l.Append(keys[20000:], vals[20000:]); err != nil {
+		b.Fatal(err)
+	}
+	l.PublishDelta()
+	snap, _ := l.Snapshot()
+	frozenTab := agg.NewTable(fcfg.Keys)
+	for r := 0; r < 4000; r++ {
+		frozenTab.Append(keys[r], vals[r])
+	}
+	frozen, err := agg.BuildComponent(frozenTab, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC() // the set-up's garbage is not the scan's cost
+	return snap, frozen, data.SampleAggQueries(1, 16)
+}
+
+// BenchmarkAggExactScan measures the agg kernel where the exact class
+// spends its request: every row of a shard through the masked scan,
+// cycling through 16 sampled queries.
+func BenchmarkAggExactScan(b *testing.B) {
+	live, frozen, qs := aggScanShapes(b)
+	var res agg.Result
+	b.Run("live", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res = live.Exact(res, qs[i%len(qs)])
+		}
+	})
+	b.Run("frozen", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res = agg.ExactResultInto(res, frozen, qs[i%len(qs)])
+		}
+	})
+}
+
+// BenchmarkAggLevelScan measures the agg kernel on Algorithm 1's
+// synopsis pass: the finest ladder level's (40%) samples of a shard,
+// cycling through 16 sampled queries.
+func BenchmarkAggLevelScan(b *testing.B) {
+	live, frozen, qs := aggScanShapes(b)
+	level := frozen.Syn.Levels() - 1
+	var res agg.Result
+	b.Run("live", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res = live.QueryLevel(res, qs[i%len(qs)], level)
+		}
+	})
+	b.Run("frozen", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e := agg.GetEngine(frozen, qs[i%len(qs)], level)
+			e.ProcessSynopsis()
+			e.Release()
+		}
+	})
 }
 
 func BenchmarkSearchQuery(b *testing.B) {

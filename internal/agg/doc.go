@@ -47,4 +47,17 @@
 // and Result offers EstimatesInto/BoundsInto caller-buffer variants.
 // The pooled fast paths are property-tested bit-identical to a retained
 // naive reference (reference_test.go).
+//
+// Every scan — a ladder-level sample (stratumEstimate), a whole stratum
+// (exactStratum: ProcessSet, ExactResultInto) and a key/value batch no
+// synopsis covers (Result.Fold, a live shard's delta) — selects rows
+// with one branch-free step, Query.keep: a kept row adds its value and
+// a count of one, a dropped row adds −0.0, the additive identity, so
+// every accumulator is bit-identical to the branchy "if kept, add"
+// (FuzzScanDifferential holds all three to the references with floats
+// compared by bits). The kernels gather values through the synopsis's
+// row order. A frozen component built by BuildComponent keeps its
+// caller's table order, so that order is a shuffle; a live shard's base
+// (internal/ingest) is written in synopsis order, so the same kernels
+// read it sequentially.
 package agg

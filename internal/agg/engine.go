@@ -30,13 +30,52 @@ func (o Op) String() string {
 // Query is one aggregation request: Op(value) GROUP BY key over the
 // rows whose value falls in the half-open filter window [Lo, Hi) —
 // the WHERE clause that makes every estimate genuinely sample-based.
+// A row is kept exactly when Lo <= v && v < Hi, so a NaN value or a
+// NaN bound keeps nothing and Lo >= Hi is an empty window.
 type Query struct {
 	Op     Op
 	Lo, Hi float64
 }
 
-// selects reports whether the query's filter keeps a row value.
-func (q Query) selects(v float64) bool { return q.Lo <= v && v < q.Hi }
+// negZero is −0.0's bit pattern. −0.0 is the additive identity of IEEE
+// round-to-nearest arithmetic: x + (−0.0) is bitwise x for every x a
+// sum can hold, −0.0 and NaN included, so it is what a row the window
+// drops adds.
+const negZero = 1 << 63
+
+// keep is the scan kernels' one selection step, a select instead of a
+// branch: a window that keeps a large, query-dependent share of rows
+// arriving in shuffled order makes a branch a coin flip. The two
+// compares become the select s (1 keeps the row, 0 drops it) and keep
+// returns (v, 1) or (−0.0, 0), so adding both unconditionally leaves
+// every accumulator bit-identical to the branchy "if kept, add".
+func (q Query) keep(v float64) (float64, uint64) {
+	s := b2u(q.Lo <= v) & b2u(v < q.Hi)
+	return orNegZero(s, math.Float64bits(v)), s
+}
+
+// oneBits is 1.0's bit pattern.
+const oneBits = 0x3ff0000000000000
+
+// orNegZero returns the float with bits x if the select s is 1 and −0.0
+// if it is 0. The assignment is a conditional move (CMOVQEQ on amd64),
+// not a jump: it measured 5–20% faster on the scan than the same pick
+// as mask arithmetic, (x^negZero)&-s ^ negZero.
+func orNegZero(s, x uint64) float64 {
+	if s == 0 {
+		x = negZero
+	}
+	return math.Float64frombits(x)
+}
+
+// b2u is a bool as 0 or 1; the compiler emits a SETcc, not a jump.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
+}
 
 // zCI is the 95% normal quantile used for the CLT confidence bounds.
 const zCI = 1.96
@@ -54,13 +93,16 @@ type Result struct {
 	CntVar []float64
 }
 
-// NewResult returns a zeroed result over n group keys.
+// NewResult returns a zeroed result over n group keys. The four arrays
+// are carved from one allocation, each capped at its length so an
+// append to one never writes into its neighbour.
 func NewResult(n int) Result {
+	b := make([]float64, 4*n)
 	return Result{
-		Sum:    make([]float64, n),
-		Cnt:    make([]float64, n),
-		SumVar: make([]float64, n),
-		CntVar: make([]float64, n),
+		Sum:    b[0*n : 1*n : 1*n],
+		Cnt:    b[1*n : 2*n : 2*n],
+		SumVar: b[2*n : 3*n : 3*n],
+		CntVar: b[3*n : 4*n : 4*n],
 	}
 }
 
@@ -236,7 +278,7 @@ func (e *Engine) ProcessSynopsis() []float64 {
 			e.corr[g] = 0
 			continue
 		}
-		sum, cnt, sumVar, cntVar := stratumEstimate(e.Comp.T, e.Q, syn.sample(e.Level, g), N)
+		sum, cnt, sumVar, cntVar := stratumEstimate(e.Comp.T.vals, e.Q, syn.sample(e.Level, g), N)
 		e.res.Sum[g] = sum
 		e.res.Cnt[g] = cnt
 		e.res.SumVar[g] = sumVar
@@ -252,17 +294,17 @@ func (e *Engine) ProcessSynopsis() []float64 {
 // the standard stratified-sampling form N²·s²/n·(1−n/N) with the
 // (n−1)-denominator sample variance; n ≥ 2 whenever n < N because the
 // per-stratum sample floor is at least 2.
-func stratumEstimate(t *Table, q Query, sample []int32, N float64) (sum, cnt, sumVar, cntVar float64) {
+func stratumEstimate(vals []float64, q Query, sample []int32, N float64) (sum, cnt, sumVar, cntVar float64) {
 	n := float64(len(sample))
-	var sy, syy, sb float64
+	var sy, syy float64
+	var kept uint64
 	for _, row := range sample {
-		v := t.vals[row]
-		if q.selects(v) {
-			sy += v
-			syy += v * v
-			sb++
-		}
+		v, s := q.keep(vals[row])
+		sy += v
+		syy += v * v // a dropped row's (−0.0)² is +0.0, and syy is never −0.0
+		kept += s
 	}
+	sb := float64(kept) // exact: a float count of ones is exact below 2⁵³
 	scale := N / n
 	sum = scale * sy
 	cnt = scale * sb
@@ -292,7 +334,7 @@ func (e *Engine) ProcessSet(g int) {
 		return
 	}
 	e.done[g] = true
-	sum, cnt := exactStratum(e.Comp.T, e.Q, e.Comp.Syn.stratumRows(g))
+	sum, cnt := exactStratum(e.Comp.T.vals, e.Q, e.Comp.Syn.stratumRows(g))
 	e.res.Sum[g] = sum
 	e.res.Cnt[g] = cnt
 	e.res.SumVar[g] = 0
@@ -300,15 +342,27 @@ func (e *Engine) ProcessSet(g int) {
 }
 
 // exactStratum scans a stratum's rows exactly.
-func exactStratum(t *Table, q Query, rows []int32) (sum, cnt float64) {
+func exactStratum(vals []float64, q Query, rows []int32) (sum, cnt float64) {
+	var kept uint64
 	for _, row := range rows {
-		v := t.vals[row]
-		if q.selects(v) {
-			sum += v
-			cnt++
-		}
+		v, s := q.keep(vals[row])
+		sum += v
+		kept += s
 	}
-	return sum, cnt
+	return sum, float64(kept)
+}
+
+// Fold adds the rows of a key/value batch the query's window keeps into
+// r exactly, with zero variance: the scatter form of the scan kernel,
+// for rows no synopsis covers yet (a live shard's unmerged delta). Each
+// key must lie in r's key domain.
+func (r Result) Fold(q Query, keys []int32, vals []float64) {
+	vals = vals[:len(keys)]
+	for i, k := range keys {
+		v, s := q.keep(vals[i])
+		r.Sum[k] += v
+		r.Cnt[k] += orNegZero(s, oneBits)
+	}
 }
 
 // Result returns the current partial result. It aliases the engine's
@@ -338,7 +392,7 @@ func ExactResult(c *Component, q Query) Result {
 func ExactResultInto(res Result, c *Component, q Query) Result {
 	res = res.Reset(c.T.NumKeys())
 	for g := 0; g < c.Syn.NumStrata(); g++ {
-		sum, cnt := exactStratum(c.T, q, c.Syn.stratumRows(g))
+		sum, cnt := exactStratum(c.T.vals, q, c.Syn.stratumRows(g))
 		res.Sum[g] = sum
 		res.Cnt[g] = cnt
 	}

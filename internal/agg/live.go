@@ -5,19 +5,13 @@ import (
 	"math"
 )
 
-// Selects reports whether the query's filter window keeps a row value —
-// the exported form of the engine's row predicate, so streaming-ingest
-// delta scans fold unsampled rows with exactly the engine's selection
-// semantics.
-func (q Query) Selects(v float64) bool { return q.selects(v) }
-
 // TableFromColumns wraps caller-owned columnar storage as a Table
-// without copying. The ingest layer uses it to share one append-only
-// column pair across epoch snapshots: each snapshot's base table is a
-// capacity-clamped prefix of the live columns, so publishing a merged
-// base costs a slice header, not a copy. The caller must not mutate
-// keys[i]/vals[i] for any i < len(keys) after handing them over; keys
-// must already be within [0, numKeys).
+// without copying. The ingest layer uses it for a live shard's base:
+// each compaction writes fresh stratum-major columns in synopsis order,
+// so base row i is synopsis position i and the scan kernels read the
+// values sequentially. The caller must not mutate keys[i]/vals[i] for
+// any i < len(keys) after handing them over; keys must already be
+// within [0, numKeys).
 func TableFromColumns(keys []int32, vals []float64, numKeys int) *Table {
 	if numKeys <= 0 {
 		panic("agg: table needs a positive key domain")
@@ -37,7 +31,9 @@ func TableFromColumns(keys []int32, vals []float64, numKeys int) *Table {
 // capped at N — which is the reservoir-maintenance step of streaming
 // ingest: the caller keeps each stratum ordered by a deterministic
 // per-row sampling priority, so every level-l prefix is a uniform
-// bottom-k sample whose rate tracks the stratum as it grows.
+// bottom-k sample whose rate tracks the stratum as it grows. A caller
+// that stores its table in that order already (the live base) passes
+// the identity permutation; rows is kept, not copied.
 func SynopsisFromOrder(t *Table, cfg Config, rows, off []int32) (*Synopsis, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Rates) == 0 {

@@ -80,6 +80,18 @@ func (na *naiveAnswer) naiveExactStratum(t *Table, q Query, rows []int32, key in
 	na.cntVar[key] = 0
 }
 
+// naiveFold is the branchy delta fold the scatter kernel Result.Fold
+// replaced: a kept row adds its value and a count of one, a dropped row
+// touches nothing.
+func naiveFold(r Result, q Query, keys []int32, vals []float64) {
+	for i, k := range keys {
+		if v := vals[i]; q.Lo <= v && v < q.Hi {
+			r.Sum[k] += v
+			r.Cnt[k]++
+		}
+	}
+}
+
 // naiveSynopsisAnswer runs the synopsis stage of Algorithm 1 naively.
 func naiveSynopsisAnswer(c *Component, q Query, level int) *naiveAnswer {
 	na := newNaiveAnswer()

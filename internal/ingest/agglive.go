@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -11,10 +12,11 @@ import (
 )
 
 // AggSnapshot is one epoch of a live aggregation shard: a frozen base
-// component (table prefix + priority-ordered stratified synopsis) plus
-// the delta rows appended since the last compaction. Snapshots are
-// immutable; queries running on an acquired snapshot keep answering
-// with its epoch's data across any number of swaps.
+// component (stratum-major columns stored in synopsis order, plus the
+// priority-ordered stratified synopsis over them) and the delta rows
+// appended since the last compaction. Snapshots are immutable; queries
+// running on an acquired snapshot keep answering with its epoch's data
+// across any number of swaps.
 type AggSnapshot struct {
 	comp      *agg.Component
 	deltaKeys []int32
@@ -25,7 +27,7 @@ type AggSnapshot struct {
 // Base returns the frozen base component, nil before the first
 // compaction. The synopsis engines (agg.GetEngine, agg.ExactResultInto)
 // run against it unchanged; delta rows are folded on top with
-// FoldDelta.
+// agg.Result.Fold.
 func (s *AggSnapshot) Base() *agg.Component { return s.comp }
 
 // NumKeys returns the group-key domain size.
@@ -43,24 +45,14 @@ func (s *AggSnapshot) Rows() int {
 // DeltaRows returns the rows not yet folded into the base synopsis.
 func (s *AggSnapshot) DeltaRows() int { return len(s.deltaKeys) }
 
-// FoldDelta scans the delta segment exactly and adds the selected rows
-// into res. Delta rows contribute with zero variance — an unmerged
-// append can only tighten the CLT bounds, never loosen them — which is
-// what keeps Bounded-class accuracy floors honest between compactions.
-func (s *AggSnapshot) FoldDelta(res agg.Result, q agg.Query) {
-	for i, k := range s.deltaKeys {
-		if v := s.deltaVals[i]; q.Selects(v) {
-			res.Sum[k] += v
-			res.Cnt[k]++
-		}
-	}
-}
-
 // QueryLevel answers the query from the ladder-level samples of the
 // base plus an exact delta fold, accumulating into res's reused buffers
 // (re-zeroed first); it returns the (possibly re-anchored) result. The
 // path is allocation-free once pools are warm: one pooled engine over
-// the immutable base, one linear scan over the delta slices.
+// the immutable base, one linear scan over the delta slices. Delta rows
+// contribute with zero variance — an unmerged append can only tighten
+// the CLT bounds, never loosen them — which is what keeps Bounded-class
+// accuracy floors honest between compactions.
 func (s *AggSnapshot) QueryLevel(res agg.Result, q agg.Query, level int) agg.Result {
 	res = res.Reset(s.numKeys)
 	if s.comp != nil {
@@ -69,7 +61,7 @@ func (s *AggSnapshot) QueryLevel(res agg.Result, q agg.Query, level int) agg.Res
 		res.Merge(e.Result())
 		e.Release()
 	}
-	s.FoldDelta(res, q)
+	res.Fold(q, s.deltaKeys, s.deltaVals)
 	return res
 }
 
@@ -85,7 +77,7 @@ func (s *AggSnapshot) Exact(res agg.Result, q agg.Query) agg.Result {
 	} else {
 		res = res.Reset(s.numKeys)
 	}
-	s.FoldDelta(res, q)
+	res.Fold(q, s.deltaKeys, s.deltaVals)
 	return res
 }
 
@@ -99,29 +91,37 @@ type AggStats struct {
 	StagedRows  int    // appended but not yet visible in any snapshot
 }
 
-// AggLive is the online update path for one aggregation shard: an
-// append-only columnar row log, per-stratum reservoirs kept ordered by
-// deterministic sampling priority, and epoch-swapped snapshots. Appends
-// stage rows invisibly; PublishDelta makes them visible as an exactly
-// scanned delta segment; Compact folds everything into a new base
-// synopsis whose per-level sample lengths are recomputed for the grown
-// strata (reservoir maintenance), keeping each level's sampling rate
-// honest. All mutators serialize on one mutex; readers never lock.
+// AggLive is the online update path for one aggregation shard: a base
+// whose columns are stored stratum by stratum in synopsis order, an
+// append tail holding only the rows not yet compacted, per-stratum
+// reservoirs kept ordered by deterministic sampling priority, and
+// epoch-swapped snapshots. Appends stage rows invisibly; PublishDelta
+// makes them visible as an exactly scanned delta segment; Compact folds
+// everything into a new base synopsis whose per-level sample lengths
+// are recomputed for the grown strata (reservoir maintenance), keeping
+// each level's sampling rate honest. All mutators serialize on one
+// mutex; readers never lock.
+//
+// Rows are named by their arrival index, the row id the sampling
+// priority hashes: base position i holds row strata[i], and tail
+// position j holds row based+j.
 type AggLive struct {
 	numKeys int
 	cfg     agg.Config
 	seed    uint64
 
 	mu        sync.Mutex
-	keys      []int32
-	vals      []float64
-	based     int // rows folded into the base synopsis
-	published int // rows visible in the current snapshot
+	keys      []int32   // the tail: rows [based, based+len(keys)), arrival order
+	vals      []float64 // the tail's values
+	based     int       // rows folded into the base synopsis
+	published int       // rows visible in the current snapshot
 	base      *agg.Component
-	strata    csr.Store[int32] // per-stratum ids of [0,based), (priority,row)-ordered
-	pending   csr.Store[int32] // per-stratum ids of [based,len), arrival order
-	scratch   []int32
-	oldest    time.Time // arrival of the oldest row not yet visible
+	baseVals  []float64        // the base's values, stratum-major, (priority,row)-ordered within a stratum
+	strata    []int32          // the row id at each base position: every stratum's reservoir
+	spare     []int32          // the previous strata array, rewritten by the next Compact
+	off       []int32          // stratum s owns base positions [off[s], off[s+1])
+	pending   csr.Store[int32] // per-stratum ids of the tail, arrival order
+	oldest    time.Time        // arrival of the oldest row not yet visible
 	stats     AggStats
 
 	snaps Epochs[AggSnapshot]
@@ -136,8 +136,8 @@ func NewAggLive(numKeys int, cfg agg.Config) *AggLive {
 		panic("ingest: live shard needs a positive key domain")
 	}
 	l := &AggLive{numKeys: numKeys, cfg: cfg, seed: cfg.Seed ^ 0x1b9a5e11d0e57a1e}
+	l.off = make([]int32, numKeys+1)
 	for s := 0; s < numKeys; s++ {
-		l.strata.AddRow(nil)
 		l.pending.AddRow(nil)
 	}
 	l.snaps.Publish(&AggSnapshot{numKeys: numKeys})
@@ -151,14 +151,17 @@ func (l *AggLive) Snapshot() (*AggSnapshot, uint64) { return l.snaps.Acquire() }
 // Epoch returns the current epoch.
 func (l *AggLive) Epoch() uint64 { return l.snaps.Epoch() }
 
+// rows returns the number of rows ever appended. Caller holds l.mu.
+func (l *AggLive) rows() int { return l.based + len(l.keys) }
+
 // Stats returns a snapshot of the ingest counters.
 func (l *AggLive) Stats() AggStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.stats
-	st.Rows = len(l.keys)
+	st.Rows = l.rows()
 	st.BaseRows = l.based
-	st.StagedRows = len(l.keys) - l.published
+	st.StagedRows = l.rows() - l.published
 	return st
 }
 
@@ -176,14 +179,15 @@ func (l *AggLive) Append(keys []int32, vals []float64) (int, error) {
 			return 0, fmt.Errorf("ingest: key %d outside domain [0,%d)", k, l.numKeys)
 		}
 	}
-	if len(l.keys) == l.published {
+	if l.rows() == l.published {
 		l.oldest = time.Now()
 	}
+	id := int32(l.rows())
 	for i, k := range keys {
-		l.pending.AppendElem(int(k), int32(len(l.keys)))
-		l.keys = append(l.keys, k)
-		l.vals = append(l.vals, vals[i])
+		l.pending.AppendElem(int(k), id+int32(i))
 	}
+	l.keys = append(l.keys, keys...)
+	l.vals = append(l.vals, vals...)
 	l.stats.Appends += uint64(len(keys))
 	return len(keys), nil
 }
@@ -197,10 +201,11 @@ func (l *AggLive) publishLocked(n int) (uint64, int, time.Duration) {
 		l.oldest = time.Time{}
 	}
 	moved := n - l.published
+	d := n - l.based
 	snap := &AggSnapshot{
 		comp:      l.base,
-		deltaKeys: l.keys[l.based:n:n],
-		deltaVals: l.vals[l.based:n:n],
+		deltaKeys: l.keys[:d:d],
+		deltaVals: l.vals[:d:d],
 		numKeys:   l.numKeys,
 	}
 	l.published = n
@@ -209,86 +214,163 @@ func (l *AggLive) publishLocked(n int) (uint64, int, time.Duration) {
 }
 
 // PublishDelta makes every staged row visible by swapping in a fresh
-// snapshot that extends the delta segment over the shared append-only
-// columns (no copying — the snapshot captures capacity-clamped slice
-// prefixes). It returns the new epoch, the number of rows that became
-// visible, and the freshness lag of the oldest of them; a no-op publish
-// (nothing staged) keeps the current epoch and returns 0 rows.
+// snapshot that extends the delta segment over the append tail (no
+// copying — the snapshot captures capacity-clamped slice prefixes, and
+// appends only ever write past them). It returns the new epoch, the
+// number of rows that became visible, and the freshness lag of the
+// oldest of them; a no-op publish (nothing staged) keeps the current
+// epoch and returns 0 rows.
 func (l *AggLive) PublishDelta() (uint64, int, time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if n := len(l.keys); n > l.published {
+	if n := l.rows(); n > l.published {
 		return l.publishLocked(n)
 	}
 	return l.snaps.Epoch(), 0, 0
 }
 
 // Compact folds all appended rows into a new base: per stratum, the
-// pending ids are priority-sorted and merged into the reservoir order,
-// then the sample ladder's per-level lengths are recomputed for the
+// pending ids are priority-sorted and merged with the old reservoir,
+// and the merge writes the new base's columns itself, so base row i is
+// synopsis position i and the synopsis's row order is the identity.
+// The sample ladder's per-level lengths are then recomputed for the
 // grown strata and a fresh base component is published with an empty
-// delta. Because the per-row priority is a pure function of (seed,
-// row id), the merged order — and therefore every sample prefix and
-// every query answer — is bit-identical to rebuilding the synopsis from
-// scratch over the same rows. Returns the new epoch, the rows folded,
-// and the freshness lag of the oldest row that became visible.
+// delta over a fresh tail — published snapshots keep the old tail and
+// the old base, and nothing either holds is written again. Because the
+// per-row priority is a pure function of (seed, row id), the merged
+// order — and therefore every sample prefix and every query answer — is
+// bit-identical to rebuilding the synopsis from scratch over the same
+// rows. Returns the new epoch, the rows folded, and the freshness lag
+// of the oldest row that became visible.
 func (l *AggLive) Compact() (uint64, int, time.Duration, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := len(l.keys)
+	n := l.rows()
 	if n == l.based {
 		return l.snaps.Epoch(), 0, 0, nil
 	}
-	for s := 0; s < l.numKeys; s++ {
-		seg := l.pending.Row(s)
-		if len(seg) == 0 {
-			continue
-		}
-		slices.SortFunc(seg, func(a, b int32) int {
-			if priorityLess(l.seed, a, b) {
-				return -1
-			}
-			return 1
-		})
-		l.scratch = mergeByPriority(l.scratch[:0], l.seed, l.strata.Row(s), seg)
-		l.strata.SetRow(s, l.scratch)
-		l.pending.SetRow(s, nil)
+	// No snapshot sees a strata array, so the one the last compaction
+	// replaced is rewritten: the reservoirs cost growth, not a copy each.
+	ids := l.spare[:0]
+	if cap(ids) < n {
+		ids = make([]int32, 0, n+n/4) // room for the next compactions' growth
 	}
-	rows := make([]int32, n)
+	merged := run{ids: ids, vals: make([]float64, 0, n)}
+	keys := make([]int32, n)
 	off := make([]int32, l.numKeys+1)
-	pos := 0
+	var tail []pendingRow
 	for s := 0; s < l.numKeys; s++ {
-		off[s] = int32(pos)
-		pos += copy(rows[pos:], l.strata.Row(s))
+		tail = tail[:0]
+		for _, id := range l.pending.Row(s) {
+			tail = append(tail, pendingRow{Priority(l.seed, id), id, l.vals[int(id)-l.based]})
+		}
+		slices.SortFunc(tail, func(x, y pendingRow) int {
+			if c := cmp.Compare(x.p, y.p); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.id, y.id)
+		})
+		lo, hi := l.off[s], l.off[s+1]
+		merged = mergeByPriority(merged, l.seed, run{ids: l.strata[lo:hi], vals: l.baseVals[lo:hi]}, tail)
+		l.pending.SetRow(s, nil)
+		off[s+1] = int32(len(merged.ids))
+		for i := off[s]; i < off[s+1]; i++ {
+			keys[i] = int32(s)
+		}
 	}
-	off[l.numKeys] = int32(pos)
-	t := agg.TableFromColumns(l.keys[:n:n], l.vals[:n:n], l.numKeys)
-	syn, err := agg.SynopsisFromOrder(t, l.cfg, rows, off)
+	// The reservoirs hold every row now, built or not: the synopsis fails
+	// only for a config without a valid rate, which fails every
+	// compaction alike while the tail keeps serving the rows.
+	l.strata, l.spare = merged.ids, l.strata
+	l.baseVals, l.off = merged.vals, off
+	t := agg.TableFromColumns(keys, merged.vals, l.numKeys)
+	syn, err := agg.SynopsisFromOrder(t, l.cfg, identityOrder(n), off)
 	if err != nil {
 		return l.snaps.Epoch(), 0, 0, err
 	}
 	folded := n - l.based
 	l.base = &agg.Component{T: t, Syn: syn}
+	l.keys, l.vals = nil, nil
 	l.based = n
 	l.stats.Compactions++
 	ep, _, lag := l.publishLocked(n)
 	return ep, folded, lag, nil
 }
 
-// mergeByPriority merges two (priority,row)-ordered id lists into dst.
-func mergeByPriority(dst []int32, seed uint64, a, b []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if priorityLess(seed, a[i], b[j]) {
-			dst = append(dst, a[i])
-			i++
+// run is a (priority,row)-ordered list of row ids with each id's value
+// at the same position.
+type run struct {
+	ids  []int32
+	vals []float64
+}
+
+// pendingRow is an appended row on its way into a reservoir, its
+// priority hashed once for the sort and the merge.
+type pendingRow struct {
+	p   uint64
+	id  int32
+	val float64
+}
+
+// mergeByPriority merges the sorted pending rows b into the reservoir
+// run a, appending each row's id and value to dst in (priority,row)
+// order. b is one compaction's appends against a whole reservoir, so
+// each of its rows gallops to its place in a and the stretch of a
+// before it is copied whole: a priority hash per probe and two copies
+// per stretch, not a hash and two appends per row of a.
+func mergeByPriority(dst run, seed uint64, a run, b []pendingRow) run {
+	for _, r := range b {
+		k := gallop(a.ids, seed, r.p, r.id)
+		dst.ids = append(append(dst.ids, a.ids[:k]...), r.id)
+		dst.vals = append(append(dst.vals, a.vals[:k]...), r.val)
+		a.ids, a.vals = a.ids[k:], a.vals[k:]
+	}
+	dst.ids = append(dst.ids, a.ids...)
+	dst.vals = append(dst.vals, a.vals...)
+	return dst
+}
+
+// gallop returns how many of the (priority,row)-ordered ids sort before
+// row id of priority p: it probes 1, 2, 4, … ids ahead until one does
+// not, then binary-searches the last step, so a row landing k ids in
+// costs about 2·log2(k) hashes.
+func gallop(ids []int32, seed, p uint64, id int32) int {
+	sortsBefore := func(i int) bool { return before(Priority(seed, ids[i]), ids[i], p, id) }
+	lo, step := 0, 1 // ids[:lo] sort before the row
+	for lo+step <= len(ids) && sortsBefore(lo+step-1) {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step-1, len(ids)) // ids[hi:] do not
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if sortsBefore(m) {
+			lo = m + 1
 		} else {
-			dst = append(dst, b[j])
-			j++
+			hi = m
 		}
 	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
+	return lo
+}
+
+// identity is the row order every compacted base shares: a base stores
+// its rows in synopsis order, so its order is 0, 1, 2, …. Element i is
+// i in every array it ever had, so shards (and tests) can share it
+// without seeing each other; it only grows, and an append writes past
+// every prefix a published base holds, never into one.
+var identity struct {
+	sync.Mutex
+	ids []int32
+}
+
+// identityOrder returns the identity order over n rows.
+func identityOrder(n int) []int32 {
+	identity.Lock()
+	defer identity.Unlock()
+	for i := len(identity.ids); i < n; i++ {
+		identity.ids = append(identity.ids, int32(i))
+	}
+	return identity.ids[:n:n]
 }
 
 // BuildAggSnapshot is the frozen-rebuild reference: it constructs, in

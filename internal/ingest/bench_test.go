@@ -47,9 +47,10 @@ func BenchmarkAggSnapshotQueryLevel(b *testing.B) {
 	}
 }
 
-// TestAggSnapshotQueryZeroAlloc asserts the live read path allocates
-// nothing once the engine pools are warm — appends and epoch swaps must
-// never put allocation back on the query path.
+// TestAggSnapshotQueryZeroAlloc asserts the live read paths — a ladder
+// level and the exact scan — allocate nothing once the engine pools are
+// warm: appends and epoch swaps must never put allocation back on the
+// query path.
 func TestAggSnapshotQueryZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse")
@@ -63,5 +64,11 @@ func TestAggSnapshotQueryZeroAlloc(t *testing.T) {
 		res = snap.QueryLevel(res, q, 1)
 	}); n != 0 {
 		t.Fatalf("live-snapshot query allocates %v per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		snap, _ := l.Snapshot()
+		res = snap.Exact(res, q)
+	}); n != 0 {
+		t.Fatalf("live-snapshot exact scan allocates %v per op, want 0", n)
 	}
 }

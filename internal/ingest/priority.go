@@ -19,9 +19,8 @@ func Priority(seed uint64, row int32) uint64 {
 	return z ^ (z >> 31)
 }
 
-// priorityLess orders row ids by (priority, row) — the total order
-// every stratum reservoir maintains.
-func priorityLess(seed uint64, a, b int32) bool {
-	pa, pb := Priority(seed, a), Priority(seed, b)
+// before orders rows by (priority, row) — the total order every
+// stratum reservoir maintains — given their hashed priorities.
+func before(pa uint64, a int32, pb uint64, b int32) bool {
 	return pa < pb || (pa == pb && a < b)
 }

@@ -2,7 +2,6 @@ package netsvc
 
 import (
 	"context"
-	"sync"
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/cf"
@@ -134,10 +133,6 @@ func NewLiveIngestHandler(ls LiveStores) IngestHandler {
 	}
 }
 
-// liveAggResults recycles result accumulators across live aggregation
-// requests so the serving path allocates only its wire reply.
-var liveAggResults = sync.Pool{New: func() any { return new(agg.Result) }}
-
 // NewLiveAggBackend returns a handler serving the aggregation workload
 // from the epoch-swapped snapshots of live shards (component c answers
 // for subset c mod len(lives)). Each request pins one snapshot with a
@@ -145,17 +140,18 @@ var liveAggResults = sync.Pool{New: func() any { return new(agg.Result) }}
 // swaps never tear a result — using the snapshot's base synopsis at
 // the requested ladder level plus an exact fold of the unmerged delta.
 // Either way the answer is one bounded scan, not an Algorithm 1 run, so
-// both hooks of the handler skeleton answer in place.
+// both hooks of the handler skeleton answer in place, into one fresh
+// result the reply then owns.
 func NewLiveAggBackend(lives []*ingest.AggLive, opts BackendOptions) Handler {
 	answer := func(exact bool, shard int, req *wire.Request, rep *wire.SubReply) (units int) {
 		snap, _ := lives[shard].Snapshot()
 		q := aggQuery(req)
-		res := liveAggResults.Get().(*agg.Result)
+		res := agg.NewResult(snap.NumKeys())
 		if base := snap.Base(); exact || base == nil {
 			// Exact class — or an epoch before the first compaction, whose
 			// only data is the exactly scanned delta.
 			units = snap.Rows()
-			*res = snap.Exact(*res, q)
+			res = snap.Exact(res, q)
 		} else {
 			level := int(req.Level)
 			if req.Level == wire.NoLevel || level >= base.Syn.Levels() {
@@ -165,16 +161,10 @@ func NewLiveAggBackend(lives []*ingest.AggLive, opts BackendOptions) Handler {
 				level = 0
 			}
 			units = base.Syn.SampleUnits(level) + snap.DeltaRows()
-			*res = snap.QueryLevel(*res, q, level)
+			res = snap.QueryLevel(res, q, level)
 			rep.Level = int16(level)
 		}
-		rep.Agg = &wire.AggResult{
-			Sum:    append([]float64(nil), res.Sum...),
-			Cnt:    append([]float64(nil), res.Cnt...),
-			SumVar: append([]float64(nil), res.SumVar...),
-			CntVar: append([]float64(nil), res.CntVar...),
-		}
-		liveAggResults.Put(res)
+		rep.Agg = wireAgg(res)
 		return units
 	}
 	return newBackend(opts, backend{
