@@ -360,34 +360,36 @@ func (a aggTransport) Send(ctx context.Context, at service.Attempt, payload inte
 	if dl, _ := ctx.Deadline(); sub.Deadline == 0 || dl.UnixNano() < sub.Deadline {
 		sub.Deadline = dl.UnixNano()
 	}
-	start := time.Now()
-	return p.send(sub.ID, &sub, pending{sub: func(rep *wire.SubReply, err error) {
-		p.outstanding.Add(-1)
-		if err != nil {
-			out := service.OutcomePeerFailure
-			if refusal(err) {
-				out = service.OutcomeDown
-			}
-			at.Done(service.Result{Outcome: out, Err: err})
-			return
+	return p.send(sub.ID, &sub, pending{peer: p, at: at, sent: time.Now()})
+}
+
+// subDone reports a sub-operation's outcome to its attempt: the
+// sub-reply's status, classified, or the failure that preempted it.
+func (d pending) subDone(rep *wire.SubReply, err error) {
+	d.peer.outstanding.Add(-1)
+	if err != nil {
+		out := service.OutcomePeerFailure
+		if refusal(err) {
+			out = service.OutcomeDown
 		}
-		r := service.Result{Latency: time.Since(start)}
-		switch rep.Status {
-		case wire.StatusOK:
-			r.Outcome, r.Value = service.OutcomeAnswered, rep
-		case wire.StatusSkipped:
-			r.Outcome = service.OutcomeSkipped
-		case wire.StatusBusy:
-			// A server-side shed is the same condition as the
-			// aggregator-side outstanding window: report the sentinel so
-			// composed replies classify it StatusBusy, not a generic
-			// error.
-			r.Outcome, r.Err = service.OutcomeShed, ErrQueueFull
-		default:
-			r.Outcome, r.Err = service.OutcomeAppError, fmt.Errorf("netsvc: component %d: %s", at.Target, rep.Err)
-		}
-		at.Done(r)
-	}})
+		d.at.Done(service.Result{Outcome: out, Err: err})
+		return
+	}
+	r := service.Result{Latency: time.Since(d.sent)}
+	switch rep.Status {
+	case wire.StatusOK:
+		r.Outcome, r.Value = service.OutcomeAnswered, rep
+	case wire.StatusSkipped:
+		r.Outcome = service.OutcomeSkipped
+	case wire.StatusBusy:
+		// A server-side shed is the same condition as the
+		// aggregator-side outstanding window: report the sentinel so
+		// composed replies classify it StatusBusy, not a generic error.
+		r.Outcome, r.Err = service.OutcomeShed, ErrQueueFull
+	default:
+		r.Outcome, r.Err = service.OutcomeAppError, fmt.Errorf("netsvc: component %d: %s", d.at.Target, rep.Err)
+	}
+	d.at.Done(r)
 }
 
 // Close tears down every connection; Call returns ErrClosed afterwards
@@ -517,13 +519,16 @@ func (p *peer) reconnectLoop() {
 	}
 }
 
-// pending is who waits for the reply to one in-flight frame — the
-// gather core's callback for a sub-operation, or the channel of a caller
-// blocked on an append batch (ack) or a Client's whole-service request
-// (reply) — delivered to exactly once: reply, connection failure, or
-// close.
+// pending is who waits for the reply to one in-flight frame — a
+// sub-operation's gather attempt (peer set: the attempt, the peer it was
+// sent to and when, held by value so a dispatch allocates no callback),
+// or the channel of a caller blocked on an append batch (ack) or a
+// Client's whole-service request (reply) — delivered to exactly once:
+// reply, connection failure, or close.
 type pending struct {
-	sub   func(*wire.SubReply, error)
+	peer  *peer
+	at    service.Attempt
+	sent  time.Time
 	ack   chan answer[*wire.IngestReply]
 	reply chan answer[*wire.Reply]
 }
@@ -538,8 +543,8 @@ type answer[T any] struct {
 
 func (d pending) fail(err error) {
 	switch {
-	case d.sub != nil:
-		d.sub(nil, err)
+	case d.peer != nil:
+		d.subDone(nil, err)
 	case d.ack != nil:
 		d.ack <- answer[*wire.IngestReply]{err: err}
 	case d.reply != nil:
@@ -679,8 +684,8 @@ func (pc *peerConn) dispatch(buf []byte) error {
 	}
 	rep, err := wire.DecodeSubReply(buf)
 	if err == nil {
-		if deliver := pc.take(rep.ID).sub; deliver != nil {
-			deliver(rep, nil)
+		if d := pc.take(rep.ID); d.peer != nil {
+			d.subDone(rep, nil)
 		}
 	}
 	return err

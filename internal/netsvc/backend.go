@@ -2,6 +2,7 @@ package netsvc
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"accuracytrader/internal/agg"
@@ -63,12 +64,11 @@ func errSub(msg string) *wire.SubReply {
 }
 
 // budgetContinue stops Algorithm 1's improvement loop once the
-// context's propagated deadline has passed — the per-hop budget
-// enforcement (the paper's l_spe measured from the remaining request
-// budget, not from a local constant).
-func budgetContinue(ctx context.Context) core.Continue {
-	dl, ok := ctx.Deadline()
-	if !ok {
+// sub-operation's deadline (budget's; zero: none) has passed — the
+// per-hop budget enforcement (the paper's l_spe measured from the
+// remaining request budget, not from a local constant).
+func budgetContinue(dl time.Time) core.Continue {
+	if dl.IsZero() {
 		return func(int) bool { return true }
 	}
 	return func(int) bool { return time.Now().Before(dl) }
@@ -132,14 +132,23 @@ func (o BackendOptions) interfere(seq uint64) {
 	}
 }
 
-// budget caps the sub-operation's context at l_spe from now.
-// context.WithTimeout keeps the parent's deadline when it is earlier,
-// so the propagated request deadline always remains the outer bound.
-func (o BackendOptions) budget(ctx context.Context) (context.Context, context.CancelFunc) {
-	if o.SubBudget <= 0 {
-		return ctx, func() {}
+// budget returns the sub-operation's deadline, min(propagated, now +
+// SubBudget), zero for none: the propagated request deadline always
+// remains the outer bound. On a served job it is folded into the job
+// record, so the handler's context reports the deadline it works to
+// without deriving a child (see job); a context from an in-process
+// caller is left as it is.
+func (o BackendOptions) budget(ctx context.Context) time.Time {
+	dl, _ := ctx.Deadline()
+	if o.SubBudget > 0 {
+		if capped := time.Now().Add(o.SubBudget); dl.IsZero() || capped.Before(dl) {
+			dl = capped
+		}
 	}
-	return context.WithTimeout(ctx, o.SubBudget)
+	if j, ok := ctx.(*job); ok {
+		j.dl = dl
+	}
+	return dl
 }
 
 // backend is what one workload supplies to the component-handler
@@ -155,7 +164,8 @@ type backend struct {
 	// has reports whether req carries this workload's payload.
 	has func(req *wire.Request) bool
 	// exact answers an Exact-class request with the shard's full scan,
-	// written into rep, and returns the data units it scanned.
+	// written into rep's payload struct (newSubReply), and returns the data
+	// units it scanned.
 	exact func(shard int, req *wire.Request, rep *wire.SubReply) (units int)
 	// approx opens the shard's Algorithm 1 engine for req and returns it
 	// with the data units its synopsis pass touches. A shard whose
@@ -177,6 +187,60 @@ type algorithm1 struct {
 	sets   int
 }
 
+// newSubReply allocates an OK sub-reply together with the payload
+// struct of its kind, one object per reply (wire.Box); a search reply's
+// hit list starts in the inline array beside it.
+func newSubReply(kind wire.Kind) *wire.SubReply {
+	rep := wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel}
+	var out *wire.SubReply
+	switch kind {
+	case wire.KindCF:
+		out, rep.CF = wire.Box[wire.SubReply, wire.CFResult]()
+	case wire.KindSearch:
+		var res *searchResult
+		out, res = wire.Box[wire.SubReply, searchResult]()
+		res.Hits = res.inline[:0]
+		rep.Search = &res.SearchResult
+	default:
+		out, rep.Agg = wire.Box[wire.SubReply, wire.AggResult]()
+	}
+	*out = rep
+	return out
+}
+
+// inlineHits is how many hits a search sub-reply holds in its own heap
+// object — the default k (BackendOptions.K); a larger k's hits spill to
+// a slice of their own.
+const inlineHits = 10
+
+// searchResult is a search sub-reply's payload with room for its hits.
+type searchResult struct {
+	wire.SearchResult
+	inline [inlineHits]wire.Hit
+}
+
+// hitSink appends ranked hits to a search reply as the engine's
+// selector hands them out (the emit of SearchEach and TopKEach): no
+// intermediate hit list.
+type hitSink struct{ r *wire.SearchResult }
+
+func (s hitSink) add(doc int, score float64) {
+	s.r.Hits = append(s.r.Hits, wire.Hit{Doc: int32(doc), Score: score})
+}
+
+// queryBufs pools parsed-query storage across search sub-operations:
+// ParseQueryInto refills it, so a shard parses a query without
+// allocating once the pool has held one as long.
+var queryBufs = sync.Pool{New: func() any { return new(textindex.Query) }}
+
+// parseQuery analyzes text into pooled storage; the caller puts it back
+// into queryBufs when done with it.
+func parseQuery(ix *textindex.Index, text string) *textindex.Query {
+	q := queryBufs.Get().(*textindex.Query)
+	*q = ix.ParseQueryInto(*q, text)
+	return q
+}
+
 // newBackend returns the component handler of one workload: Exact
 // requests scan the whole shard; others run Algorithm 1 from the
 // synopsis against the propagated budget.
@@ -185,11 +249,10 @@ func newBackend(opts BackendOptions, w backend) Handler {
 		if req.Kind != w.kind || req.Subset < 0 || !w.has(req) {
 			return errSub("netsvc: malformed " + w.name + " request")
 		}
-		ctx, cancel := opts.budget(ctx)
-		defer cancel()
+		dl := opts.budget(ctx)
 		opts.interfere(req.Seq)
 		shard := int(req.Subset) % w.shards
-		rep := &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel}
+		rep := newSubReply(w.kind)
 		var a algorithm1
 		var units int
 		if req.SLO == wire.SLOExact {
@@ -212,7 +275,7 @@ func newBackend(opts BackendOptions, w backend) Handler {
 		if sc != nil || opts.UnitCost > 0 {
 			eng = &meteredEngine{algorithm1: a, synopsis: units, sc: sc, unit: opts.UnitCost}
 		}
-		trace := core.Run(eng, budgetContinue(ctx), opts.imax(a.sets, w.imax))
+		trace := core.Run(eng, budgetContinue(dl), opts.imax(a.sets, w.imax))
 		rep.SetsProcessed = uint32(trace.SetsProcessed)
 		w.finish(a.Engine, req, rep)
 		return rep
@@ -229,7 +292,7 @@ func NewAggBackend(comps []*agg.Component, opts BackendOptions) Handler {
 		has: hasAgg,
 		exact: func(shard int, req *wire.Request, rep *wire.SubReply) int {
 			c := comps[shard]
-			rep.Agg = wireAgg(agg.ExactResult(c, aggQuery(req)))
+			setAgg(rep, agg.ExactResult(c, aggQuery(req)))
 			return c.T.NumRows()
 		},
 		approx: func(shard int, req *wire.Request, _ *wire.SubReply) (algorithm1, int) {
@@ -244,7 +307,7 @@ func NewAggBackend(comps []*agg.Component, opts BackendOptions) Handler {
 		finish: func(eng core.Engine, _ *wire.Request, rep *wire.SubReply) {
 			e := eng.(*agg.Engine)
 			rep.Level = int16(e.Level)
-			rep.Agg = wireAgg(e.TakeResult())
+			setAgg(rep, e.TakeResult())
 			e.Release()
 		},
 	})
@@ -256,9 +319,10 @@ func aggQuery(req *wire.Request) agg.Query {
 	return agg.Query{Op: agg.Op(req.Agg.Op), Lo: req.Agg.Lo, Hi: req.Agg.Hi}
 }
 
-// wireAgg ships a result the caller owns; its slices are not copied.
-func wireAgg(res agg.Result) *wire.AggResult {
-	return &wire.AggResult{Sum: res.Sum, Cnt: res.Cnt, SumVar: res.SumVar, CntVar: res.CntVar}
+// setAgg ships a result the caller owns in the reply's payload struct;
+// its slices are not copied.
+func setAgg(rep *wire.SubReply, res agg.Result) {
+	*rep.Agg = wire.AggResult{Sum: res.Sum, Cnt: res.Cnt, SumVar: res.SumVar, CntVar: res.CntVar}
 }
 
 // NewCFBackend returns a handler serving the CF recommender workload
@@ -277,7 +341,7 @@ func NewCFBackend(comps []*cf.Component, opts BackendOptions) Handler {
 		exact: func(shard int, req *wire.Request, rep *wire.SubReply) int {
 			c := comps[shard]
 			res := cf.ExactResult(c, query(req))
-			rep.CF = &wire.CFResult{Num: res.Num, Den: res.Den}
+			*rep.CF = wire.CFResult{Num: res.Num, Den: res.Den}
 			return c.M.NumUsers()
 		},
 		approx: func(shard int, req *wire.Request, _ *wire.SubReply) (algorithm1, int) {
@@ -288,7 +352,7 @@ func NewCFBackend(comps []*cf.Component, opts BackendOptions) Handler {
 			e := eng.(*cf.Engine)
 			res := e.TakeResult()
 			e.Release()
-			rep.CF = &wire.CFResult{Num: res.Num, Den: res.Den}
+			*rep.CF = wire.CFResult{Num: res.Num, Den: res.Den}
 		},
 	})
 }
@@ -310,26 +374,22 @@ func NewSearchBackend(comps []*textindex.Component, opts BackendOptions) Handler
 		has: func(req *wire.Request) bool { return req.Search != nil },
 		exact: func(shard int, req *wire.Request, rep *wire.SubReply) int {
 			c := comps[shard]
-			rep.Search = wireHits(textindex.ExactTopK(c, c.Ix.ParseQuery(req.Search.Query), hits(req)))
+			q := parseQuery(c.Ix, req.Search.Query)
+			c.Ix.SearchEach(*q, hits(req), hitSink{rep.Search}.add)
+			queryBufs.Put(q)
 			return c.Ix.NumDocs()
 		},
 		approx: func(shard int, req *wire.Request, _ *wire.SubReply) (algorithm1, int) {
 			c := comps[shard]
-			e := textindex.GetEngine(c, c.Ix.ParseQuery(req.Search.Query))
+			q := parseQuery(c.Ix, req.Search.Query)
+			e := textindex.GetEngine(c, *q) // the engine keeps its own copy
+			queryBufs.Put(q)
 			return algorithm1{e, c, len(c.Aggs)}, len(c.Aggs)
 		},
 		finish: func(eng core.Engine, req *wire.Request, rep *wire.SubReply) {
 			e := eng.(*textindex.Engine)
-			rep.Search = wireHits(e.TopK(hits(req)))
+			e.TopKEach(hits(req), hitSink{rep.Search}.add)
 			e.Release()
 		},
 	})
-}
-
-func wireHits(hits []textindex.Hit) *wire.SearchResult {
-	out := make([]wire.Hit, len(hits))
-	for i, h := range hits {
-		out[i] = wire.Hit{Doc: int32(h.Doc), Score: h.Score}
-	}
-	return &wire.SearchResult{Hits: out}
 }

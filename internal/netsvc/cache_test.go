@@ -220,3 +220,23 @@ func TestFrontServerCacheRefreshToExact(t *testing.T) {
 	}
 	t.Fatal("cache entry never refreshed to exact")
 }
+
+// TestCacheKeyDoesNotAllocate: every cache-fronted request, hits
+// included, computes its canonical key in a pooled buffer. The pool holds
+// *[]byte — a slice header put into the pool's interface would allocate
+// on every Put.
+func TestCacheKeyDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops at random)")
+	}
+	s := &FrontServer{}
+	req := aggReq(agg.Sum, 0, math.Inf(1))
+	want := rescache.Key(wire.AppendCanonicalKey(nil, req))
+	if n := testing.AllocsPerRun(100, func() {
+		if s.cacheKey(req) != want {
+			t.Fatal("pooled cache key differs from the canonical key")
+		}
+	}); n != 0 {
+		t.Fatalf("cacheKey allocates %.0f times per request, want 0", n)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"accuracytrader/internal/cf"
 	"accuracytrader/internal/faultinject"
 	"accuracytrader/internal/svd"
 	"accuracytrader/internal/synopsis"
@@ -188,14 +189,51 @@ func TestOversizedFrameDoesNotPinBuffer(t *testing.T) {
 	}
 }
 
-// searchRoundTripBudget is the allocation budget of one Exact search
-// through a bare front server to 8 shards: 18 frames, 8 sub-operation
-// dispatches and a top-k merge. The test measures 146 (340 at the commit
-// before the frames stopped producing garbage: every frame built in a
-// nil slice, three objects per decoded record, a Builder per query
-// token); the budget is ~10% above that, so a regression of one
-// allocation per frame (18) trips it.
-const searchRoundTripBudget = 160
+// The allocation budgets of one Exact request through a bare front
+// server to 8 shards: 18 frames, 8 sub-operation dispatches and a merge.
+// Each budget is the count the test measures plus ~10%, so a regression
+// of one allocation per frame (18) trips it. The deadline-carrying case
+// is the benchmark client's shape — a fresh context.WithTimeout per call
+// — and its budget includes that context.
+//
+// Measured here, and at the commit before a served job became its own
+// context and a sub-reply one object (a context.WithDeadline per served
+// job, a callback closure per dispatch, the hit list copied twice, the
+// query parsed into fresh slices): search 73 (148 before) without a
+// deadline and 76 (153) with one; CF 104 (143) and 107 (148).
+const (
+	searchRoundTripBudget         = 80
+	searchDeadlineRoundTripBudget = 84
+	cfRoundTripBudget             = 114
+	cfDeadlineRoundTripBudget     = 118
+)
+
+// roundTripAllocs measures the allocations of one client call of next's
+// request, without a deadline and with the benchmark client's.
+func roundTripAllocs(t *testing.T, cl *Client, next func() *wire.Request) (bare, withDeadline float64) {
+	t.Helper()
+	call := func(ctx context.Context) {
+		rep, err := cl.Call(ctx, next())
+		if err != nil || rep.Status != wire.ReplyOK || len(rep.SubStatus) != 8 {
+			t.Fatalf("reply %+v, err %v", rep, err)
+		}
+	}
+	bare = testing.AllocsPerRun(300, func() { call(context.Background()) })
+	withDeadline = testing.AllocsPerRun(300, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		call(ctx)
+		cancel()
+	})
+	return bare, withDeadline
+}
+
+func checkRoundTripAllocs(t *testing.T, what string, got float64, budget int) {
+	t.Helper()
+	t.Logf("%s round trip over 8 shards: %.1f allocations", what, got)
+	if got > float64(budget) {
+		t.Errorf("%s round trip allocates %.1f times, budget %d", what, got, budget)
+	}
+}
 
 func TestSearchRoundTripAllocations(t *testing.T) {
 	if raceEnabled {
@@ -218,19 +256,50 @@ func TestSearchRoundTripAllocations(t *testing.T) {
 	cl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(NewSearchBackend(comps, BackendOptions{})),
 		Agg: waitAll, Front: bareFront}).Client
 	queries := data.SampleQueries(3, 16)
-	ctx := context.Background()
 	i := 0
-	allocs := testing.AllocsPerRun(300, func() {
-		req := &wire.Request{Kind: wire.KindSearch, Subset: -1, SLO: wire.SLOExact, Level: wire.NoLevel,
-			Search: &wire.SearchRequest{Query: queries[i%len(queries)], K: 10}}
+	bare, withDeadline := roundTripAllocs(t, cl, func() *wire.Request {
 		i++
-		rep, err := cl.Call(ctx, req)
-		if err != nil || rep.Status != wire.ReplyOK || len(rep.SubStatus) != shards {
-			t.Fatalf("reply %+v, err %v", rep, err)
-		}
+		return &wire.Request{Kind: wire.KindSearch, Subset: -1, SLO: wire.SLOExact, Level: wire.NoLevel,
+			Search: &wire.SearchRequest{Query: queries[i%len(queries)], K: 10}}
 	})
-	t.Logf("Exact search round trip over %d shards: %.1f allocations", shards, allocs)
-	if allocs > searchRoundTripBudget {
-		t.Fatalf("Exact search round trip allocates %.1f times, budget %d", allocs, searchRoundTripBudget)
+	checkRoundTripAllocs(t, "Exact search", bare, searchRoundTripBudget)
+	checkRoundTripAllocs(t, "Exact search with a deadline", withDeadline, searchDeadlineRoundTripBudget)
+}
+
+func TestCFRoundTripAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops at random)")
 	}
+	const shards = 8
+	rcfg := workload.DefaultRatingsConfig()
+	rcfg.UsersPerSubset = 60
+	rcfg.Seed = 23
+	data := workload.GenerateRatings(rcfg, shards)
+	comps := make([]*cf.Component, shards)
+	for i, m := range data.Subsets {
+		c, err := cf.BuildComponent(m, synopsis.Config{SVD: svd.Config{Dims: 3, Epochs: 10, Seed: 5}, CompressionRatio: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps[i] = c
+	}
+	cl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(NewCFBackend(comps, BackendOptions{})),
+		Agg: waitAll, Front: bareFront}).Client
+	sampled := data.SampleCFRequests(7, 16, 0.2)
+	reqs := make([]*wire.Request, len(sampled))
+	for i, s := range sampled {
+		ratings := make([]wire.Rating, len(s.Known))
+		for j, kr := range s.Known {
+			ratings[j] = wire.Rating{Item: kr.Item, Score: kr.Score}
+		}
+		reqs[i] = &wire.Request{Kind: wire.KindCF, Subset: -1, SLO: wire.SLOExact, Level: wire.NoLevel,
+			CF: &wire.CFRequest{Ratings: ratings, Targets: s.Targets}}
+	}
+	i := 0
+	bare, withDeadline := roundTripAllocs(t, cl, func() *wire.Request {
+		i++
+		return reqs[i%len(reqs)]
+	})
+	checkRoundTripAllocs(t, "Exact CF", bare, cfRoundTripBudget)
+	checkRoundTripAllocs(t, "Exact CF with a deadline", withDeadline, cfDeadlineRoundTripBudget)
 }

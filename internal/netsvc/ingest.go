@@ -164,7 +164,7 @@ func NewLiveAggBackend(lives []*ingest.AggLive, opts BackendOptions) Handler {
 			res = snap.QueryLevel(res, q, level)
 			rep.Level = int16(level)
 		}
-		rep.Agg = wireAgg(res)
+		setAgg(rep, res)
 		return units
 	}
 	return newBackend(opts, backend{

@@ -1,0 +1,217 @@
+package netsvc
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"accuracytrader/internal/wire"
+)
+
+var _ context.Context = (*job)(nil)
+
+// servedJob is a job as serveJob leaves it for the handler: a request
+// with a propagated deadline, the deadline set.
+func servedJob(dl time.Time, trace uint64) *job {
+	j := &job{req: &wire.Request{Deadline: dl.UnixNano(), Trace: trace}, enq: time.Now()}
+	j.dl = dl
+	return j
+}
+
+// TestJobDeadline: the record reports the propagated deadline, and the
+// component skeleton's l_spe cap folds into it — min(propagated, now +
+// SubBudget) — without deriving a child context.
+func TestJobDeadline(t *testing.T) {
+	far := time.Now().Add(time.Hour)
+	j := servedJob(far, 0)
+	if dl, ok := j.Deadline(); !ok || !dl.Equal(far) {
+		t.Fatalf("Deadline = %v, %v; want the propagated %v", dl, ok, far)
+	}
+	before := time.Now()
+	got := BackendOptions{SubBudget: 50 * time.Millisecond}.budget(j)
+	if dl, ok := j.Deadline(); !ok || !dl.Equal(got) || dl.Before(before.Add(50*time.Millisecond)) || dl.After(time.Now().Add(50*time.Millisecond)) {
+		t.Fatalf("Deadline after a 50ms SubBudget = %v, %v (budget %v); want now + 50ms", dl, ok, got)
+	}
+	near := time.Now().Add(time.Millisecond)
+	j = servedJob(near, 0)
+	if got := (BackendOptions{SubBudget: time.Hour}).budget(j); !got.Equal(near) {
+		t.Fatalf("budget under a propagated deadline nearer than SubBudget = %v, want %v", got, near)
+	}
+	if dl, _ := j.Deadline(); !dl.Equal(near) {
+		t.Fatalf("Deadline = %v, want the propagated %v to stand", dl, near)
+	}
+	var none job
+	if _, ok := none.Deadline(); ok || none.Done() != nil || none.Err() != nil {
+		t.Fatal("a job without a deadline must behave like context.Background")
+	}
+}
+
+// TestJobDoneAtDeadline: Done closes once, at the deadline; Err is nil
+// before it and DeadlineExceeded after, agreeing with Done.
+func TestJobDoneAtDeadline(t *testing.T) {
+	const wait = 30 * time.Millisecond
+	start := time.Now()
+	j := servedJob(start.Add(wait), 0)
+	d := j.Done()
+	if d != j.Done() {
+		t.Fatal("Done returned two channels")
+	}
+	if err := j.Err(); err != nil {
+		t.Fatalf("Err before the deadline = %v", err)
+	}
+	select {
+	case <-d:
+		t.Fatal("Done closed before the deadline")
+	default:
+	}
+	<-d
+	if el := time.Since(start); el < wait {
+		t.Fatalf("Done closed after %v, deadline %v", el, wait)
+	}
+	if err := j.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Err after the deadline = %v", err)
+	}
+	j.finish() // ending an expired job changes nothing
+	if err := j.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Err after finish of an expired job = %v", err)
+	}
+
+	// Err reads the clock: a job nobody asked Done of still expires, and
+	// Done then agrees.
+	j = servedJob(time.Now().Add(time.Millisecond), 0)
+	time.Sleep(2 * time.Millisecond)
+	if err := j.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Err past an unwatched deadline = %v", err)
+	}
+	select {
+	case <-j.Done():
+	default:
+		t.Fatal("Done open while Err reports the deadline")
+	}
+
+	// A job answered before its deadline ends like a canceled context.
+	j = servedJob(time.Now().Add(time.Hour), 0)
+	d = j.Done()
+	j.finish()
+	select {
+	case <-d:
+	default:
+		t.Fatal("finish left Done open")
+	}
+	if err := j.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Err after finish = %v, want Canceled", err)
+	}
+}
+
+// TestJobValue: the record answers the scan counter on traced requests
+// only, and finds nothing for any other key.
+func TestJobValue(t *testing.T) {
+	traced := servedJob(time.Now().Add(time.Hour), 7)
+	sc := scanCounterFrom(traced)
+	if sc != &traced.scan {
+		t.Fatalf("traced job's scan counter = %p, want the record's own %p", sc, &traced.scan)
+	}
+	if sc := scanCounterFrom(servedJob(time.Now().Add(time.Hour), 0)); sc != nil {
+		t.Fatal("untraced job hands out a scan counter")
+	}
+	type other struct{}
+	if v := traced.Value(other{}); v != nil {
+		t.Fatalf("Value(other key) = %v, want nil", v)
+	}
+}
+
+// TestJobChildren: stdlib children of a job — values, timeouts,
+// after-funcs — see its values, deadline and cancellation.
+func TestJobChildren(t *testing.T) {
+	type key struct{}
+	j := servedJob(time.Now().Add(20*time.Millisecond), 7)
+	vctx := context.WithValue(j, key{}, "v")
+	if vctx.Value(key{}) != "v" || scanCounterFrom(vctx) != &j.scan {
+		t.Fatal("WithValue child lost its own value or the job's scan counter")
+	}
+	if dl, _ := vctx.Deadline(); !dl.Equal(j.dl) {
+		t.Fatalf("WithValue child deadline %v, want %v", dl, j.dl)
+	}
+
+	tctx, cancel := context.WithTimeout(j, time.Hour)
+	defer cancel()
+	if dl, _ := tctx.Deadline(); !dl.Equal(j.dl) {
+		t.Fatalf("WithTimeout child deadline %v, want the job's earlier %v", dl, j.dl)
+	}
+	fired := make(chan struct{})
+	stop := context.AfterFunc(j, func() { close(fired) })
+	defer stop()
+	select {
+	case <-tctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("WithTimeout child not canceled at the job's deadline")
+	}
+	if !errors.Is(tctx.Err(), context.DeadlineExceeded) {
+		t.Fatalf("child Err = %v", tctx.Err())
+	}
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("AfterFunc did not run at the job's deadline")
+	}
+
+	// finish cancels what a served job's children wait on.
+	j = servedJob(time.Now().Add(time.Hour), 0)
+	cctx, ccancel := context.WithCancel(j)
+	defer ccancel()
+	j.finish()
+	select {
+	case <-cctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("child not canceled when the job finished")
+	}
+}
+
+// TestJobDoneConcurrent: concurrent first calls to Done agree on one
+// channel and arm one timer (clean under -race).
+func TestJobDoneConcurrent(t *testing.T) {
+	j := servedJob(time.Now().Add(10*time.Millisecond), 0)
+	chans := make([]<-chan struct{}, 16)
+	var wg sync.WaitGroup
+	for i := range chans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			chans[i] = j.Done()
+			<-chans[i]
+			if !errors.Is(j.Err(), context.DeadlineExceeded) {
+				t.Errorf("Err after Done = %v", j.Err())
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, c := range chans[1:] {
+		if c != chans[0] {
+			t.Fatal("concurrent Done calls returned different channels")
+		}
+	}
+}
+
+// TestComponentJobContextAllocations: a component handler never asks for
+// Done, so its job's context — the record with the skeleton's budget
+// fold, deadline and scan-counter reads, and the end of the job — costs
+// the one allocation of the record itself: no channel, no timer.
+func TestComponentJobContextAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	opts := BackendOptions{SubBudget: time.Second}
+	req := &wire.Request{Deadline: time.Now().Add(time.Hour).UnixNano(), Trace: 7}
+	n := testing.AllocsPerRun(100, func() {
+		j := &job{req: req}
+		j.dl = time.Unix(0, req.Deadline)
+		budgetContinue(opts.budget(j))(0)
+		scanCounterFrom(j).n.Add(1)
+		j.finish()
+	})
+	if n != 1 {
+		t.Fatalf("a component job's context allocates %.0f times, want 1 (the record)", n)
+	}
+}

@@ -59,24 +59,18 @@ type ServerStats struct {
 	Ingests   int64 // append batches answered inline on connection readers
 }
 
-type srvJob struct {
-	req  *wire.Request
-	conn *connWriter // the accepted connection's writer: workers reply concurrently
-	enq  time.Time   // when the request entered the worker queue
-}
-
 // srvCore is the shared listener/worker machinery of Server and
 // FrontServer; the two differ only in how they respond.
 type srvCore struct {
 	opts ServerOptions
-	// respond handles one live request and returns the reply record for
-	// the connection's writer to encode (enq is when the request entered
-	// the worker queue, for queue-wait spans); expired answers a request
-	// whose deadline has already passed; busy answers a request shed at
-	// the queue bound. A Server's are *wire.SubReply, a FrontServer's
-	// *wire.Reply. A failed reply write closes the connection; its reader
-	// observes that and exits.
-	respond func(ctx context.Context, req *wire.Request, enq time.Time) interface{}
+	// respond handles one live job — its request, its queue entry time
+	// (for queue-wait spans), and its context: the job itself — and
+	// returns the reply record for the connection's writer to encode;
+	// expired answers a request whose deadline has already passed; busy
+	// answers a request shed at the queue bound. A Server's are
+	// *wire.SubReply, a FrontServer's *wire.Reply. A failed reply write
+	// closes the connection; its reader observes that and exits.
+	respond func(j *job) interface{}
 	expired func(req *wire.Request) interface{}
 	busy    func(req *wire.Request) interface{}
 
@@ -88,7 +82,7 @@ type srvCore struct {
 	// race by a transport epsilon.
 	graceful bool
 
-	queue chan srvJob
+	queue chan *job
 	quit  chan struct{}
 
 	mu       sync.Mutex
@@ -115,7 +109,7 @@ func newSrvCore(opts ServerOptions) *srvCore {
 	opts = opts.withDefaults()
 	s := &srvCore{
 		opts:  opts,
-		queue: make(chan srvJob, opts.QueueLen),
+		queue: make(chan *job, opts.QueueLen),
 		quit:  make(chan struct{}),
 		conns: map[net.Conn]struct{}{},
 	}
@@ -211,7 +205,7 @@ func (s *srvCore) readConn(c net.Conn) {
 		// zero while a just-enqueued job is still unserved.
 		s.pending.Add(1)
 		select {
-		case s.queue <- srvJob{req: req, conn: sc, enq: time.Now()}:
+		case s.queue <- &job{req: req, conn: sc, enq: time.Now()}:
 		default:
 			s.pending.Add(-1)
 			s.shed.Add(1)
@@ -233,28 +227,25 @@ func (s *srvCore) worker() {
 	}
 }
 
-func (s *srvCore) serveJob(j srvJob) {
+func (s *srvCore) serveJob(j *job) {
 	s.requests.Add(1)
-	ctx := context.Background()
 	if j.req.Deadline != 0 {
-		dl := time.Unix(0, j.req.Deadline)
+		j.dl = time.Unix(0, j.req.Deadline)
 		// The propagated budget is already gone: abandon the work
 		// entirely — the aggregator has (or will have) composed without
 		// this subset, so computing would be pure waste.
-		if !time.Now().Before(dl) {
+		if !time.Now().Before(j.dl) {
 			s.abandoned.Add(1)
 			_ = j.conn.write(s.expired(j.req)) // see respond: the reader notices
 			return
 		}
 		if s.graceful {
-			rem := time.Until(dl)
-			dl = dl.Add(rem/4 + 2*time.Millisecond)
+			rem := time.Until(j.dl)
+			j.dl = j.dl.Add(rem/4 + 2*time.Millisecond)
 		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, dl)
-		defer cancel()
 	}
-	_ = j.conn.write(s.respond(ctx, j.req, j.enq)) // see respond: the reader notices
+	_ = j.conn.write(s.respond(j)) // see respond: the reader notices
+	j.finish()
 }
 
 // Stats returns the server's request counters.
@@ -339,17 +330,12 @@ type Server struct {
 func NewServer(h Handler, opts ServerOptions) *Server {
 	s := &Server{h: h}
 	s.srvCore = newSrvCore(opts)
-	s.srvCore.respond = func(ctx context.Context, req *wire.Request, enq time.Time) interface{} {
+	s.srvCore.respond = func(j *job) interface{} {
+		req := j.req
 		exec0 := time.Now()
-		var sc *scanCounter
-		if req.Trace != 0 {
-			// Traced request: install a scan counter so the handler's
-			// engine can report the data units it touched. Untraced
-			// requests skip the context allocation entirely.
-			sc = &scanCounter{}
-			ctx = withScanCounter(ctx, sc)
-		}
-		rep := h(ctx, req)
+		// On a traced request the job's context answers its scan counter,
+		// so the handler's engine can report the data units it touched.
+		rep := h(j, req)
 		rep.ID, rep.Subset, rep.Kind = req.ID, req.Subset, req.Kind
 		if req.Trace != 0 {
 			// Traced request: ship the server-side queue wait and handler
@@ -358,13 +344,13 @@ func NewServer(h Handler, opts ServerOptions) *Server {
 			// span; CPU, scanned units, and the request frame's wire bytes
 			// on the exec span). Untraced requests pay nothing, not even
 			// the two time stamps' encoding.
-			queueWait := exec0.Sub(enq)
+			queueWait := exec0.Sub(j.enq)
 			execDur := time.Since(exec0)
 			rep.Spans = append(rep.Spans,
-				wire.Span{Kind: wire.SpanQueue, Start: enq.UnixNano(), Dur: int64(queueWait),
+				wire.Span{Kind: wire.SpanQueue, Start: j.enq.UnixNano(), Dur: int64(queueWait),
 					Cost: wire.Cost{QueueNs: uint64(queueWait)}},
 				wire.Span{Kind: wire.SpanExec, Start: exec0.UnixNano(), Dur: int64(execDur),
-					Cost: wire.Cost{CPUNs: uint64(execDur), Scanned: sc.n.Load(), WireBytes: uint64(req.FrameLen)}})
+					Cost: wire.Cost{CPUNs: uint64(execDur), Scanned: j.scan.n.Load(), WireBytes: uint64(req.FrameLen)}})
 		}
 		return rep
 	}
@@ -394,8 +380,9 @@ type FrontServer struct {
 	cache  *rescache.Cache
 	tracer *obs.Recorder
 
-	// keyBufs pools canonical-key scratch buffers so the cache lookup
-	// path does not allocate per request.
+	// keyBufs pools canonical-key scratch buffers (*[]byte: a pointer
+	// boxes into the pool's interface without allocating, a slice header
+	// would not) so the cache lookup path does not allocate per request.
 	keyBufs sync.Pool
 
 	cacheHits atomic.Int64
@@ -431,8 +418,8 @@ func NewFrontServer(agg *Aggregator, fe *frontend.Frontend, opts ServerOptions) 
 	s := &FrontServer{agg: agg, fe: fe, tracer: opts.Tracer}
 	s.srvCore = newSrvCore(opts)
 	s.srvCore.graceful = true
-	s.srvCore.respond = func(ctx context.Context, req *wire.Request, enq time.Time) interface{} {
-		rep, _, row := s.pass(ctx, req, originClient, enq)
+	s.srvCore.respond = func(j *job) interface{} {
+		rep, _, row := s.pass(j, j.req, originClient, j.enq)
 		// The reply frame's own bytes are part of the request's wire cost,
 		// and the row must be on the table before the client can have its
 		// reply: close it on the frame's exact size, ahead of the encode.
@@ -483,10 +470,13 @@ func (s *FrontServer) CacheHits() int64 { return s.cacheHits.Load() }
 // cacheKey computes the canonical cache key of a whole-service request
 // using a pooled scratch buffer.
 func (s *FrontServer) cacheKey(req *wire.Request) uint64 {
-	buf, _ := s.keyBufs.Get().([]byte)
-	buf = wire.AppendCanonicalKey(buf[:0], req)
-	key := rescache.Key(buf)
-	s.keyBufs.Put(buf) //nolint:staticcheck // slice header boxing is amortized by the pool
+	bp, _ := s.keyBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	*bp = wire.AppendCanonicalKey((*bp)[:0], req)
+	key := rescache.Key(*bp)
+	s.keyBufs.Put(bp)
 	return key
 }
 

@@ -167,11 +167,14 @@ func NewEngine(c *Component, q Query) *Engine {
 }
 
 // Reset re-targets the engine at a component and query, reusing all
-// internal buffers. It makes engines poolable: the live runtime and the
-// experiment replays process a request stream with a handful of engines
-// instead of allocating one per request.
+// internal buffers — the query's included: Q is the engine's own copy,
+// so a caller may reuse q's storage as soon as Reset returns. It makes
+// engines poolable: the live runtime and the experiment replays process
+// a request stream with a handful of engines instead of allocating one
+// per request.
 func (e *Engine) Reset(c *Component, q Query) {
-	e.Comp, e.Q = c, q
+	e.Comp = c
+	e.Q = Query{Terms: append(e.Q.Terms[:0], q.Terms...), idf2: append(e.Q.idf2[:0], q.idf2...)}
 	e.aggScores = e.aggScores[:0]
 	e.processed = e.processed[:0]
 	e.scored = e.scored[:0]
@@ -192,7 +195,6 @@ func GetEngine(c *Component, q Query) *Engine {
 // obtained from its ProcessSynopsis) must not be used afterwards.
 func (e *Engine) Release() {
 	e.Comp = nil
-	e.Q = Query{}
 	enginePool.Put(e)
 }
 
@@ -237,19 +239,28 @@ func (e *Engine) ProcessSet(g int) {
 // of the best unprocessed aggregated pages in descending aggregated score
 // (the synopsis-only initial result of Algorithm 1 line 1).
 func (e *Engine) TopK(k int) []Hit {
+	hits := make([]Hit, 0, max(k, 0))
+	e.TopKEach(k, func(doc int, score float64) { hits = append(hits, Hit{Doc: doc, Score: score}) })
+	return hits
+}
+
+// TopKEach is TopK handing each hit to emit in rank order instead of
+// collecting them: a caller that keeps hits in a form of its own (a wire
+// reply) builds no intermediate hit list.
+func (e *Engine) TopKEach(k int, emit func(doc int, score float64)) {
 	// Bounded top-k selection over the exactly scored pages: no full sort,
 	// no per-call copy of the scored list.
 	e.sel.Reset(k)
 	for _, h := range e.scored {
 		e.sel.Offer(h.Doc, h.Score)
 	}
-	selected := e.sel.Sorted()
-	hits := make([]Hit, 0, k)
-	for _, it := range selected {
-		hits = append(hits, Hit{Doc: it.ID, Score: it.Score})
+	n := 0
+	for _, it := range e.sel.Sorted() {
+		emit(it.ID, it.Score)
+		n++
 	}
 	if len(e.scored) >= k {
-		return hits
+		return
 	}
 	// Fill from unprocessed groups by aggregated rank.
 	e.order = e.order[:0]
@@ -271,13 +282,12 @@ func (e *Engine) TopK(k int) []Hit {
 				continue
 			}
 			// Filler pages carry the aggregated score as an estimate.
-			hits = append(hits, Hit{Doc: d, Score: e.aggScores[g]})
-			if len(hits) >= k {
-				return hits[:k]
+			emit(d, e.aggScores[g])
+			if n++; n >= k {
+				return
 			}
 		}
 	}
-	return hits
 }
 
 // ExactTopK is the component's exact result over its whole subset.

@@ -187,11 +187,20 @@ type Query struct {
 
 // ParseQuery analyzes raw query text against the index vocabulary;
 // out-of-vocabulary tokens are dropped, duplicates kept (they boost the
-// term like Lucene does). It runs per sub-operation on the serve path, so
-// it scans the text in place, collects the known term ids on the stack
-// (a query with more than 16 of them spills to the heap) and allocates
-// only the query's two slices, each sized once.
+// term like Lucene does). It is ParseQueryInto(Query{}, text): the
+// query's two slices are its only allocations, each sized once.
 func (ix *Index) ParseQuery(text string) Query {
+	return ix.ParseQueryInto(Query{}, text)
+}
+
+// ParseQueryInto is ParseQuery writing the analyzed query into dst's
+// storage (reused when its capacity allows; dst's contents are
+// overwritten). It runs per sub-operation on the serve path, so it scans
+// the text in place and collects the known term ids on the stack (a
+// query with more than 16 of them spills to the heap) before sizing the
+// query once: into storage that has held a query as long, it allocates
+// nothing.
+func (ix *Index) ParseQueryInto(dst Query, text string) Query {
 	var inline [16]int32
 	ids := inline[:0]
 	s := tokenScanner{text: text}
@@ -201,9 +210,13 @@ func (ix *Index) ParseQuery(text string) Query {
 		}
 	}
 	if len(ids) == 0 {
-		return Query{}
+		return Query{Terms: dst.Terms[:0], idf2: dst.idf2[:0]}
 	}
-	q := Query{Terms: slices.Clone(ids), idf2: make([]float64, len(ids))}
+	q := Query{Terms: append(dst.Terms[:0], ids...), idf2: dst.idf2[:0]}
+	if cap(q.idf2) < len(ids) {
+		q.idf2 = make([]float64, len(ids))
+	}
+	q.idf2 = q.idf2[:len(ids)]
 	for i, id := range ids {
 		idf := ix.IDF(id)
 		q.idf2[i] = idf * idf
@@ -242,8 +255,39 @@ func (ix *Index) Search(q Query, k int) []Hit {
 // allows, truncated first).
 func (ix *Index) SearchInto(dst []Hit, q Query, k int) []Hit {
 	dst = dst[:0]
-	if k <= 0 || len(q.Terms) == 0 {
+	sc := ix.topK(q, k)
+	if sc == nil {
 		return dst
+	}
+	selected := sc.sel.Sorted()
+	dst = slices.Grow(dst, len(selected))
+	for _, it := range selected {
+		dst = append(dst, Hit{Doc: it.ID, Score: it.Score})
+	}
+	ix.scratch.Put(sc)
+	return dst
+}
+
+// SearchEach is Search handing each of the top k hits to emit, best
+// first, straight from the pooled selector: a caller that keeps hits in
+// a form of its own (a wire reply) builds no intermediate hit list.
+func (ix *Index) SearchEach(q Query, k int, emit func(doc int, score float64)) {
+	sc := ix.topK(q, k)
+	if sc == nil {
+		return
+	}
+	for _, it := range sc.sel.Sorted() {
+		emit(it.ID, it.Score)
+	}
+	ix.scratch.Put(sc)
+}
+
+// topK runs the exact search into pooled scratch whose selector then
+// holds the top k, for the caller to read out and hand back to
+// ix.scratch; nil when nothing can match.
+func (ix *Index) topK(q Query, k int) *searchScratch {
+	if k <= 0 || len(q.Terms) == 0 {
+		return nil
 	}
 	sc := ix.getScratch()
 	// Accumulate term contributions into the dense arrays. Accumulation
@@ -272,15 +316,7 @@ func (ix *Index) SearchInto(dst []Hit, q Query, k int) []Hit {
 		sel.Offer(int(d), ix.finalScore(sum, matched, qLen, ix.docLen[d]))
 	}
 	sc.touched = sc.touched[:0]
-	selected := sel.Sorted()
-	if cap(dst) < len(selected) {
-		dst = make([]Hit, 0, len(selected))
-	}
-	for _, it := range selected {
-		dst = append(dst, Hit{Doc: it.ID, Score: it.Score})
-	}
-	ix.scratch.Put(sc)
-	return dst
+	return sc
 }
 
 // ScoreDoc scores a single live document against the query (0 when no

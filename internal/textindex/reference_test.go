@@ -233,10 +233,15 @@ func TestEngineResetReuseMatchesFresh(t *testing.T) {
 	c, _ := buildTopicComponent(t, rng, 250)
 	reused := GetEngine(c, Query{})
 	defer reused.Release()
+	var buf Query
 	for trial := 0; trial < 15; trial++ {
-		q := c.Ix.ParseQuery(fmt.Sprintf("topic%dword%d common%d", trial%4, rng.Intn(25), rng.Intn(40)))
-		fresh := NewEngine(c, q)
-		reused.Reset(c, q)
+		text := fmt.Sprintf("topic%dword%d common%d", trial%4, rng.Intn(25), rng.Intn(40))
+		fresh := NewEngine(c, c.Ix.ParseQuery(text))
+		buf = c.Ix.ParseQueryInto(buf, text)
+		reused.Reset(c, buf)
+		// The engine keeps its own copy: the caller's storage is free for
+		// the next parse at once.
+		buf = c.Ix.ParseQueryInto(buf, "common1 common2 common3")
 		corrF := fresh.ProcessSynopsis()
 		corrR := reused.ProcessSynopsis()
 		if len(corrF) != len(corrR) {
@@ -375,5 +380,43 @@ func TestParseQueryAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { sink = ix.ParseQuery("the zzzunknown of it") }); n != 0 {
 		t.Errorf("ParseQuery with no known term allocates %.0f times, want 0", n)
+	}
+	// Into storage that has held a query as long: nothing, and the query
+	// ParseQuery returns.
+	text := "The word3, WORD17 and word3 of zzzunknown word59"
+	dst := ix.ParseQuery("word1 word2 word3 word4")
+	if n := testing.AllocsPerRun(100, func() { dst = ix.ParseQueryInto(dst, text) }); n != 0 {
+		t.Errorf("ParseQueryInto reused storage allocates %.0f times, want 0", n)
+	}
+	if want := ix.ParseQuery(text); !reflect.DeepEqual(dst, want) {
+		t.Fatalf("ParseQueryInto = %+v, ParseQuery = %+v", dst, want)
+	}
+}
+
+// TestSearchEachDoesNotAllocate: SearchEach hands out exactly Search's
+// hits, best first, from pooled scratch — with a warm pool, nothing.
+func TestSearchEachDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops at random)")
+	}
+	rng := stats.NewRNG(79)
+	ix := NewIndex()
+	for i := 0; i < 80; i++ {
+		ix.Add(randomDoc(rng))
+	}
+	var got []Hit
+	collect := func(doc int, score float64) { got = append(got, Hit{Doc: doc, Score: score}) }
+	for i := 0; i < 20; i++ {
+		q := ix.ParseQuery(randomQueryText(rng))
+		got = got[:0]
+		ix.SearchEach(q, 7, collect)
+		assertHitsBitEqual(t, got, naiveSearch(ix, q, 7), fmt.Sprintf("query %d", i))
+	}
+	q := ix.ParseQuery("word3 word17 word59")
+	var sum float64
+	if n := testing.AllocsPerRun(100, func() {
+		ix.SearchEach(q, 10, func(_ int, score float64) { sum += score })
+	}); n != 0 {
+		t.Errorf("SearchEach allocates %.0f times, want 0", n)
 	}
 }

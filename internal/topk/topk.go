@@ -24,13 +24,24 @@ type Selector struct {
 	heap []Item // min-heap: root is the worst item kept
 }
 
-// Reset empties the selector and sets its bound. k <= 0 selects nothing.
+// reserveMax caps what Reset reserves up front. k often arrives in a
+// request, and a hostile one must not buy a huge allocation before a
+// single item is offered: past the cap the heap grows as items arrive.
+const reserveMax = 1 << 12
+
+// Reset empties the selector, sets its bound and reserves room for k
+// items (up to reserveMax), so a fresh selector fills in one allocation
+// and a reused one in none. k <= 0 selects nothing.
 func (s *Selector) Reset(k int) {
 	if k < 0 {
 		k = 0
 	}
 	s.k = k
-	s.heap = s.heap[:0]
+	if r := min(k, reserveMax); cap(s.heap) < r {
+		s.heap = make([]Item, 0, r)
+	} else {
+		s.heap = s.heap[:0]
+	}
 }
 
 // Offer considers one candidate. It is kept iff it ranks above the

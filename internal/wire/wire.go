@@ -593,7 +593,7 @@ func DecodeRequest(body []byte) (*Request, error) {
 	switch req.Kind {
 	case KindCF:
 		var cf *CFRequest
-		out, cf = box[Request, CFRequest]()
+		out, cf = Box[Request, CFRequest]()
 		n := r.count(12, "ratings")
 		if r.err == nil && n > 0 {
 			cf.Ratings = make([]Rating, n)
@@ -605,11 +605,11 @@ func DecodeRequest(body []byte) (*Request, error) {
 		cf.Targets = r.i32s("targets")
 		req.CF = cf
 	case KindSearch:
-		out, req.Search = box[Request, SearchRequest]()
+		out, req.Search = Box[Request, SearchRequest]()
 		req.Search.Query = r.str("query")
 		req.Search.K = int32(r.u32("k"))
 	case KindAgg:
-		out, req.Agg = box[Request, AggRequest]()
+		out, req.Agg = Box[Request, AggRequest]()
 		req.Agg.Op = r.u8("op")
 		req.Agg.Lo = r.f64("lo")
 		req.Agg.Hi = r.f64("hi")
@@ -666,7 +666,7 @@ func AppendSubReplyFrame(dst []byte, rep *SubReply) []byte {
 }
 
 // DecodeSubReply decodes a sub-reply frame body. The sub-reply and the
-// result struct of its kind are one heap object (see box); the error
+// result struct of its kind are one heap object (see Box); the error
 // string, the spans and the result's arrays are the only further
 // allocations, and nothing in the result aliases body.
 func DecodeSubReply(body []byte) (*SubReply, error) {
@@ -699,13 +699,13 @@ func DecodeSubReply(body []byte) (*SubReply, error) {
 	case rep.Status != StatusOK:
 		out = new(SubReply)
 	case rep.Kind == KindCF:
-		out, rep.CF = box[SubReply, CFResult]()
+		out, rep.CF = Box[SubReply, CFResult]()
 		r.cfResult(rep.CF)
 	case rep.Kind == KindSearch:
-		out, rep.Search = box[SubReply, SearchResult]()
+		out, rep.Search = Box[SubReply, SearchResult]()
 		r.searchResult(rep.Search)
 	case rep.Kind == KindAgg:
-		out, rep.Agg = box[SubReply, AggResult]()
+		out, rep.Agg = Box[SubReply, AggResult]()
 		r.aggResult(rep.Agg)
 	default:
 		return nil, fmt.Errorf("wire: unknown payload kind %d", rep.Kind)
@@ -776,7 +776,7 @@ type replyHead struct {
 
 // DecodeReply decodes a composed-reply frame body. The reply, its
 // SubStatus bytes (up to inlineSubStatus of them) and the result struct
-// of its kind are one heap object (see box); the error string and the
+// of its kind are one heap object (see Box); the error string and the
 // result's arrays are the only further allocations, and nothing in the
 // result aliases body.
 func DecodeReply(body []byte) (*Reply, error) {
@@ -801,13 +801,13 @@ func DecodeReply(body []byte) (*Reply, error) {
 	case !ReplyCarriesPayload(rep.Status):
 		out = new(replyHead)
 	case rep.Kind == KindCF:
-		out, rep.CF = box[replyHead, CFResult]()
+		out, rep.CF = Box[replyHead, CFResult]()
 		r.cfResult(rep.CF)
 	case rep.Kind == KindSearch:
-		out, rep.Search = box[replyHead, SearchResult]()
+		out, rep.Search = Box[replyHead, SearchResult]()
 		r.searchResult(rep.Search)
 	case rep.Kind == KindAgg:
-		out, rep.Agg = box[replyHead, AggResult]()
+		out, rep.Agg = Box[replyHead, AggResult]()
 		r.aggResult(rep.Agg)
 	default:
 		return nil, fmt.Errorf("wire: unknown payload kind %d", rep.Kind)
@@ -860,13 +860,15 @@ func appendResultPayload(dst []byte, kind Kind, cf *CFResult, search *SearchResu
 	return dst
 }
 
-// box allocates a record and the payload struct of its kind as one heap
+// Box allocates a record and the payload struct of its kind as one heap
 // object and returns pointers to both halves: the decoders' one
-// allocation per record. Only the payload of the frame's own kind is
-// boxed, so a record costs its own bytes plus one payload's, and whoever
-// retains the record retains the payload with it (they were never
-// separable: the record points at it).
-func box[R, P any]() (*R, *P) {
+// allocation per record, and a component handler's per sub-reply. Only
+// the payload of the record's own kind is boxed, so a record costs its
+// own bytes plus one payload's, and whoever retains the record retains
+// the payload with it (they were never separable: the record points at
+// it). P may embed the payload struct beside inline storage its slices
+// start in.
+func Box[R, P any]() (*R, *P) {
 	b := new(struct {
 		rec     R
 		payload P
