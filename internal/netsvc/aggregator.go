@@ -276,7 +276,8 @@ func (a *Aggregator) Stats() AggregatorStats {
 
 // Call fans the request template out to every component and gathers
 // sub-results according to the gather policy. payload must be a
-// *wire.Request with the payload fields set; the aggregator stamps
+// *wire.Request with the payload of its kind set (wire.Request.CheckPayload;
+// one without is an error before any dispatch); the aggregator stamps
 // per-sub-operation IDs, the subset, the absolute deadline from the
 // context, and the frontend-selected SLO class and ladder level (read
 // from the context via the frontend package's conventions). The
@@ -292,6 +293,9 @@ func (a *Aggregator) Call(ctx context.Context, payload interface{}) ([]service.S
 	tmpl, ok := payload.(*wire.Request)
 	if !ok {
 		return nil, fmt.Errorf("netsvc: Call payload must be *wire.Request, got %T", payload)
+	}
+	if err := tmpl.CheckPayload(); err != nil {
+		return nil, err
 	}
 	tr := obs.TraceFrom(ctx)
 	// stamp is what every sub-request of this fan-out shares. The

@@ -105,7 +105,9 @@ func (s *FrontServer) maybeAudit(req *wire.Request, rep *wire.Reply, acc float64
 	}
 	// The approximate answer in auditable shape. The decoded request is
 	// retained as the replay payload — requests are decoded fresh per
-	// frame, so nothing else aliases it after the reply is written.
+	// frame, so nothing else aliases it after the reply is written; the
+	// job it was decoded into comes along, and has dropped its
+	// connection by the time the job ends (job.finish).
 	vals, bounds, ok := auditValues(req, rep, true)
 	if !ok {
 		return

@@ -35,7 +35,7 @@ type BackendOptions struct {
 	// the sub-operation's budget, exactly like queueing delay.
 	Interfere func(seq uint64) time.Duration
 	// K is the per-component search hit count when the request carries
-	// none (default 10).
+	// none (default wire.DefaultK).
 	K int
 	// IMaxFrac caps Algorithm 1 improvement at the top fraction of
 	// ranked sets (the paper's imax). 0 selects the workload default:
@@ -189,7 +189,7 @@ type algorithm1 struct {
 
 // newSubReply allocates an OK sub-reply together with the payload
 // struct of its kind, one object per reply (wire.Box); a search reply's
-// hit list starts in the inline array beside it.
+// hit list starts in the payload's inline array (wire.SearchPayload).
 func newSubReply(kind wire.Kind) *wire.SubReply {
 	rep := wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel}
 	var out *wire.SubReply
@@ -197,26 +197,14 @@ func newSubReply(kind wire.Kind) *wire.SubReply {
 	case wire.KindCF:
 		out, rep.CF = wire.Box[wire.SubReply, wire.CFResult]()
 	case wire.KindSearch:
-		var res *searchResult
-		out, res = wire.Box[wire.SubReply, searchResult]()
-		res.Hits = res.inline[:0]
-		rep.Search = &res.SearchResult
+		var p *wire.SearchPayload
+		out, p = wire.Box[wire.SubReply, wire.SearchPayload]()
+		rep.Search = p.Init()
 	default:
 		out, rep.Agg = wire.Box[wire.SubReply, wire.AggResult]()
 	}
 	*out = rep
 	return out
-}
-
-// inlineHits is how many hits a search sub-reply holds in its own heap
-// object — the default k (BackendOptions.K); a larger k's hits spill to
-// a slice of their own.
-const inlineHits = 10
-
-// searchResult is a search sub-reply's payload with room for its hits.
-type searchResult struct {
-	wire.SearchResult
-	inline [inlineHits]wire.Hit
 }
 
 // hitSink appends ranked hits to a search reply as the engine's
@@ -367,7 +355,7 @@ func NewSearchBackend(comps []*textindex.Component, opts BackendOptions) Handler
 		if opts.K > 0 {
 			return opts.K
 		}
-		return 10
+		return wire.DefaultK
 	}
 	return newBackend(opts, backend{
 		kind: wire.KindSearch, name: "search", shards: len(comps), imax: 0.4,

@@ -99,8 +99,13 @@ func roundTrip[T any](ctx context.Context, cl *Client, id uint64, rec interface{
 
 // Call sends one whole-service request and waits for its composed
 // reply. The request's ID is stamped by the client and its Deadline
-// from the context; Subset is forced to -1 (whole service).
+// from the context; Subset is forced to -1 (whole service). A request
+// that cannot be encoded (wire.Request.CheckPayload) is an error before
+// anything is sent.
 func (cl *Client) Call(ctx context.Context, req *wire.Request) (*wire.Reply, error) {
+	if err := req.CheckPayload(); err != nil {
+		return nil, err
+	}
 	sub := *req
 	sub.ID = cl.nextID.Add(1)
 	sub.Subset = -1

@@ -116,7 +116,8 @@ func ComposeCF(subs []service.SubResult) *wire.CFResult {
 
 // ComposeSearch merges per-component hit lists into a global top-k via
 // the same bounded selection kernel the engines use (internal/topk),
-// globalizing shard-local doc ids with GlobalDocStride.
+// globalizing shard-local doc ids with GlobalDocStride. The result is one
+// object, its hits inline up to wire.DefaultK (wire.SearchPayload).
 func ComposeSearch(subs []service.SubResult, k int) *wire.SearchResult {
 	var sel topk.Selector
 	sel.Reset(k)
@@ -133,11 +134,14 @@ func ComposeSearch(subs []service.SubResult, k int) *wire.SearchResult {
 		}
 	}
 	items := sel.Sorted()
-	hits := make([]wire.Hit, 0, len(items))
-	for _, it := range items {
-		hits = append(hits, wire.Hit{Doc: int32(it.ID), Score: it.Score})
+	res := new(wire.SearchPayload).Init()
+	if len(items) > cap(res.Hits) {
+		res.Hits = make([]wire.Hit, 0, len(items))
 	}
-	return &wire.SearchResult{Hits: hits}
+	for _, it := range items {
+		res.Hits = append(res.Hits, wire.Hit{Doc: int32(it.ID), Score: it.Score})
+	}
+	return res
 }
 
 // ComposeAgg merges aggregation sub-results additively, variances

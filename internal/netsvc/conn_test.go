@@ -196,16 +196,18 @@ func TestOversizedFrameDoesNotPinBuffer(t *testing.T) {
 // is the benchmark client's shape — a fresh context.WithTimeout per call
 // — and its budget includes that context.
 //
-// Measured here, and at the commit before a served job became its own
-// context and a sub-reply one object (a context.WithDeadline per served
-// job, a callback closure per dispatch, the hit list copied twice, the
-// query parsed into fresh slices): search 73 (148 before) without a
-// deadline and 76 (153) with one; CF 104 (143) and 107 (148).
+// Measured here: search 45 without a deadline and 48 with one, CF 95 and
+// 98. At the commit before each request frame was decoded into the job
+// that serves it, with a search request's query and every search result's
+// hits inline (a job record beside each served request, a string per
+// query, a hit list per search reply and two per merge): search 73 and
+// 76, CF 104 and 107. Before a served job became its own context and a
+// sub-reply one object: search 148 and 153, CF 143 and 148.
 const (
-	searchRoundTripBudget         = 80
-	searchDeadlineRoundTripBudget = 84
-	cfRoundTripBudget             = 114
-	cfDeadlineRoundTripBudget     = 118
+	searchRoundTripBudget         = 50
+	searchDeadlineRoundTripBudget = 53
+	cfRoundTripBudget             = 105
+	cfDeadlineRoundTripBudget     = 108
 )
 
 // roundTripAllocs measures the allocations of one client call of next's

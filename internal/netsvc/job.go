@@ -10,20 +10,27 @@ import (
 )
 
 // job is one request a server's worker answers and, while it is served,
-// that request's context: the record a connection's reader enqueues is
-// the only object serving it costs. It carries the propagated deadline
-// itself instead of deriving a context per job, so a handler that never
-// waits on the context — every component handler — never pays for a
-// channel or a timer; Done makes both on first call.
+// that request's context. A connection's reader decodes each request
+// frame straight into its job (wire.DecodeRequestWith), so the request,
+// its payload and the job are the one object serving it costs. It
+// carries the propagated deadline itself instead of deriving a context
+// per job, so a handler that never waits on the context — every
+// component handler — never pays for a channel or a timer; Done makes
+// both on first call.
 //
 // No path of a component server derives a child context from a job: a
 // stdlib child (WithTimeout, WithCancel) asks its parent for Done, which
 // would arm the timer the record exists to avoid. The component skeleton
 // folds its l_spe cap into the record instead (BackendOptions.budget).
+//
+// Whoever keeps the request keeps the job: the result cache holds a
+// client request as its refresh payload, the auditor as its sample
+// payload. So every path that ends a job drops its connection (finish),
+// and a kept request never pins a closed connection's writer and buffer.
 type job struct {
-	req  *wire.Request
-	conn *connWriter // the accepted connection's writer: workers reply concurrently
-	enq  time.Time   // when the request entered the worker queue
+	req  *wire.Request // decoded into the same object as the job
+	conn *connWriter   // the accepted connection's writer, until the job ends: workers reply concurrently
+	enq  time.Time     // when the request entered the worker queue
 
 	// dl is the job's deadline, zero for none: the propagated one (plus a
 	// front server's gather grace), set at dequeue and tightened by the
@@ -113,10 +120,15 @@ func (j *job) Value(key any) any {
 
 func (j *job) expire() { j.end(context.DeadlineExceeded) }
 
-// finish ends a served job, as the deferred cancel of a stdlib context
-// would: Done, if anyone asked for it, closes with Canceled, and the
-// timer is stopped, so an answered job leaves nothing armed.
-func (j *job) finish() { j.end(context.Canceled) }
+// finish ends a job once its reply is written (or it was shed), as the
+// deferred cancel of a stdlib context would: Done, if anyone asked for
+// it, closes with Canceled, and the timer is stopped, so an answered job
+// leaves nothing armed. It drops the connection the job no longer
+// writes to (see job).
+func (j *job) finish() {
+	j.conn = nil
+	j.end(context.Canceled)
+}
 
 func (j *job) end(err error) {
 	if j.dl.IsZero() {

@@ -3,6 +3,7 @@ package netsvc
 import (
 	"context"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -195,23 +196,75 @@ func TestJobDoneConcurrent(t *testing.T) {
 }
 
 // TestComponentJobContextAllocations: a component handler never asks for
-// Done, so its job's context — the record with the skeleton's budget
-// fold, deadline and scan-counter reads, and the end of the job — costs
-// the one allocation of the record itself: no channel, no timer.
+// Done, so serving its job — the request frame decoded into the job, the
+// skeleton's budget fold, deadline and scan-counter reads, and the end of
+// the job — costs the one allocation of the decoded object: no separate
+// job record, no channel, no timer.
 func TestComponentJobContextAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	opts := BackendOptions{SubBudget: time.Second}
-	req := &wire.Request{Deadline: time.Now().Add(time.Hour).UnixNano(), Trace: 7}
+	frame := wire.AppendRequestFrame(nil, &wire.Request{Kind: wire.KindSearch, Subset: 2, Level: wire.NoLevel,
+		Deadline: time.Now().Add(time.Hour).UnixNano(), Trace: 7,
+		Search: &wire.SearchRequest{Query: "alpha beta gamma", K: wire.DefaultK}})
 	n := testing.AllocsPerRun(100, func() {
-		j := &job{req: req}
+		req, j, err := wire.DecodeRequestWith[job](frame[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.req = req
 		j.dl = time.Unix(0, req.Deadline)
 		budgetContinue(opts.budget(j))(0)
 		scanCounterFrom(j).n.Add(1)
 		j.finish()
 	})
 	if n != 1 {
-		t.Fatalf("a component job's context allocates %.0f times, want 1 (the record)", n)
+		t.Fatalf("a component job, decoded and served, allocates %.0f times, want 1 (the decoded object)", n)
+	}
+}
+
+// TestEndedJobDropsConnection: a request a plane keeps after its answer
+// (the cache's refresh payload, the auditor's sample) shares its object
+// with the job that served it, so the ended job must not keep the
+// connection's writer — and with it the writer's buffer — alive.
+func TestEndedJobDropsConnection(t *testing.T) {
+	s := newSrvCore(ServerOptions{})
+	defer s.Close()
+	served := make(chan *job, 1)
+	s.respond = func(j *job) interface{} {
+		served <- j
+		return &wire.SubReply{ID: j.req.ID, Kind: j.req.Kind, Status: wire.StatusSkipped, Level: wire.NoLevel}
+	}
+	near, far := net.Pipe()
+	defer near.Close()
+	s.readers.Add(1)
+	go s.readConn(far)
+
+	w := &connWriter{c: near}
+	if err := w.write(&wire.Request{ID: 9, Kind: wire.KindSearch, Subset: -1,
+		Search: &wire.SearchRequest{Query: "kept", K: wire.DefaultK}}); err != nil {
+		t.Fatal(err)
+	}
+	body, err := newFrameReader(near, wire.MaxFrame).next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := wire.DecodeSubReply(body); err != nil || rep.ID != 9 {
+		t.Fatalf("reply %+v, err %v", rep, err)
+	}
+	j := <-served
+	kept := j.req // as the cache keeps a client request
+	for deadline := time.Now().Add(5 * time.Second); s.pending.Load() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the served job never ended")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if j.conn != nil {
+		t.Fatal("an ended job still references its connection's writer")
+	}
+	if kept.Search.Query != "kept" {
+		t.Fatalf("kept request's query = %q", kept.Search.Query)
 	}
 }

@@ -107,6 +107,33 @@ func buildAggComps(t testing.TB, n int) []*agg.Component {
 	return comps
 }
 
+// TestCallRejectsRequestWithoutPayload: a request whose kind has no
+// payload cannot be encoded. Client.Call and Aggregator.Call answer it
+// with an error before anything is registered or written, and the same
+// client and aggregator then serve a valid request as usual.
+func TestCallRejectsRequestWithoutPayload(t *testing.T) {
+	lb := startLoopback(t, LoopbackSpec{Components: 2, Handler: every(NewAggBackend(buildAggComps(t, 2), BackendOptions{})),
+		Agg: waitAll, Front: bareFront})
+	for _, bad := range []*wire.Request{{Kind: wire.KindSearch}, {Kind: wire.KindCF, Agg: &wire.AggRequest{}}, {Kind: 9}} {
+		if rep, err := lb.Client.Call(context.Background(), bad); err == nil {
+			t.Fatalf("Client.Call of kind %d without its payload: reply %+v, no error", bad.Kind, rep)
+		}
+		if subs, err := lb.Agg.Call(context.Background(), bad); err == nil {
+			t.Fatalf("Aggregator.Call of kind %d without its payload: %+v, no error", bad.Kind, subs)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rep, err := lb.Client.Call(ctx, aggReq(agg.Sum, 0, math.Inf(1)))
+	if err != nil || rep.Status != wire.ReplyOK {
+		t.Fatalf("valid call after the rejected ones: reply %+v, err %v", rep, err)
+	}
+	subs, err := lb.Agg.Call(ctx, aggReq(agg.Sum, 0, math.Inf(1)))
+	if err != nil || subs[0].Value == nil || subs[1].Value == nil {
+		t.Fatalf("valid fan-out after the rejected ones: %+v, err %v", subs, err)
+	}
+}
+
 // TestDeadlinePropagation is the budget-propagation contract, both
 // halves:
 //

@@ -197,19 +197,22 @@ func (s *srvCore) readConn(c net.Conn) {
 			s.serveIngest(sc, in)
 			continue
 		}
-		req, err := wire.DecodeRequest(buf)
+		// The request is decoded into the job that serves it: one object.
+		req, j, err := wire.DecodeRequestWith[job](buf)
 		if err != nil {
 			return
 		}
+		j.req, j.conn, j.enq = req, sc, time.Now()
 		// pending is raised before the enqueue so a drain never observes
 		// zero while a just-enqueued job is still unserved.
 		s.pending.Add(1)
 		select {
-		case s.queue <- &job{req: req, conn: sc, enq: time.Now()}:
+		case s.queue <- j:
 		default:
 			s.pending.Add(-1)
 			s.shed.Add(1)
 			_ = sc.write(s.busy(req)) // a failed write closed c: the next read ends this loop
+			j.finish()
 		}
 	}
 }
@@ -237,6 +240,7 @@ func (s *srvCore) serveJob(j *job) {
 		if !time.Now().Before(j.dl) {
 			s.abandoned.Add(1)
 			_ = j.conn.write(s.expired(j.req)) // see respond: the reader notices
+			j.finish()
 			return
 		}
 		if s.graceful {
@@ -783,7 +787,7 @@ func (s *FrontServer) serveMiss(ctx context.Context, req *wire.Request) (*wire.R
 	case wire.KindCF:
 		rep.CF = ComposeCF(subs)
 	case wire.KindSearch:
-		k := 10
+		k := wire.DefaultK
 		if req.Search != nil && req.Search.K > 0 {
 			k = int(req.Search.K)
 		}

@@ -9,13 +9,26 @@ import (
 var allocFrames = []struct {
 	name  string
 	enc   func(dst []byte) []byte
-	allow float64 // Decode* allocations: 1 + one per variable-length field present; -1 = not pinned
+	allow float64 // Decode* allocations: 1 + one per variable-length field that does not fit inline; -1 = not pinned
 	dec   func(body []byte) error
 }{
+	// A search request's tenant and query share inlineStrBytes (24): 4 + 16
+	// fit, 4 + 21 leave the query to spill.
 	{"request/search+tenant", func(dst []byte) []byte {
 		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindSearch, Subset: -1, Tenant: "acme",
 			Search: &SearchRequest{Query: "alpha beta gamma", K: 10}})
-	}, 1 + 2, decodes(DecodeRequest)},
+	}, 1, decodes(DecodeRequest)},
+	{"request/search+tenant, 25 bytes", func(dst []byte) []byte {
+		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindSearch, Subset: -1, Tenant: "acme",
+			Search: &SearchRequest{Query: "alpha beta gamma zeta", K: 10}})
+	}, 1 + 1, decodes(DecodeRequest)},
+	{"request/search, with a caller record", func(dst []byte) []byte {
+		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindSearch, Subset: 3,
+			Search: &SearchRequest{Query: "alpha beta gamma", K: 10}})
+	}, 1, func(body []byte) error {
+		_, _, err := DecodeRequestWith[[120]byte](body)
+		return err
+	}},
 	{"request/cf", func(dst []byte) []byte {
 		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindCF,
 			CF: &CFRequest{Ratings: []Rating{{Item: 1, Score: 2}}, Targets: []int32{3, 4}}})
@@ -23,9 +36,17 @@ var allocFrames = []struct {
 	{"request/agg", func(dst []byte) []byte {
 		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindAgg, Agg: &AggRequest{Op: 1, Lo: 0, Hi: 9}})
 	}, 1, decodes(DecodeRequest)},
+	{"request/agg+tenant", func(dst []byte) []byte {
+		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindAgg, Tenant: "acme", Agg: &AggRequest{Op: 1, Lo: 0, Hi: 9}})
+	}, 1 + 1, decodes(DecodeRequest)},
+	// DefaultK hits fit a SearchPayload; one more spills.
 	{"sub-reply/search", func(dst []byte) []byte {
 		return AppendSubReplyFrame(dst, &SubReply{ID: 1, Kind: KindSearch, Level: NoLevel,
-			Search: &SearchResult{Hits: make([]Hit, 10)}})
+			Search: &SearchResult{Hits: make([]Hit, DefaultK)}})
+	}, 1, decodes(DecodeSubReply)},
+	{"sub-reply/search, 11 hits", func(dst []byte) []byte {
+		return AppendSubReplyFrame(dst, &SubReply{ID: 1, Kind: KindSearch, Level: NoLevel,
+			Search: &SearchResult{Hits: make([]Hit, DefaultK+1)}})
 	}, 1 + 1, decodes(DecodeSubReply)},
 	// The parallel arrays of one CF or aggregation result are one field
 	// here: they share a backing allocation.
@@ -42,8 +63,8 @@ var allocFrames = []struct {
 	}, 1 + 1, decodes(DecodeSubReply)},
 	{"reply/search", func(dst []byte) []byte {
 		return AppendReplyFrame(dst, &Reply{ID: 1, Kind: KindSearch, Level: NoLevel, SubStatus: make([]uint8, 8),
-			Search: &SearchResult{Hits: make([]Hit, 10)}})
-	}, 1 + 1, decodes(DecodeReply)},
+			Search: &SearchResult{Hits: make([]Hit, DefaultK)}})
+	}, 1, decodes(DecodeReply)},
 	{"reply/agg, wide fan-out", func(dst []byte) []byte {
 		return AppendReplyFrame(dst, &Reply{ID: 1, Kind: KindAgg, Level: 1, SubStatus: make([]uint8, inlineSubStatus+1),
 			Agg: &AggResult{Sum: make([]float64, 64), Cnt: make([]float64, 64), SumVar: make([]float64, 64), CntVar: make([]float64, 64)}})
@@ -72,8 +93,9 @@ func decodes[T any](dec func([]byte) (*T, error)) func([]byte) error {
 // the five kinds encodes into a buffer with room without allocating and
 // into nil with exactly one allocation (the buffer, grown once to
 // FrameSize); a query-path record decodes into one heap object plus one
-// per variable-length field actually present; and a connection's steady
-// state reads frames without allocating.
+// per variable-length field that does not fit inline in it (a search
+// request's short strings and up to DefaultK hits do); and a
+// connection's steady state reads frames without allocating.
 func TestFrameAllocations(t *testing.T) {
 	warm := make([]byte, 0, 4096)
 	var stream []byte

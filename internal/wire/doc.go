@@ -25,16 +25,26 @@
 // connection's writer reuses one), exactly one into nil. Decoding:
 // ReadFrame reads into the caller's buffer, length prefix included, and
 // DecodeRequest / DecodeSubReply / DecodeReply allocate one heap object
-// per record — the record and the payload struct of its kind together,
-// a Reply's SubStatus bytes inline when they fit — plus one per
-// variable-length field actually present (a string, the hits, the
-// spans; the parallel float arrays of one CF or aggregation result share
-// one backing allocation, each capped to its own length). Ownership is
-// unchanged by any of this: a decoded record never aliases the body it
-// was read from and belongs to the caller outright, who may retain it
-// indefinitely (the result cache and the auditor do) — retaining a
-// record retains its payload, and one array of a result its siblings.
-// The retained reference decoders in reference_test.go are the simple
-// field-by-field form; FuzzDecodeDifferential holds the live ones to
-// them.
+// per record, plus one per variable-length field that does not fit
+// inline in it. The object holds the record and the payload struct of
+// its kind, and inline in it a Reply's SubStatus bytes (up to 16), a
+// search request's tenant and query (24 bytes together) and a search
+// result's hits (up to DefaultK, SearchPayload). Each field that does
+// not fit is one allocation: a longer string or hit list, an error
+// string, the spans, a CF request's slices, and the parallel float
+// arrays of one CF or aggregation result (one backing allocation, each
+// array capped to its own length). DecodeRequestWith adds a zeroed
+// record of the caller's to the same object, so a server's reader
+// decodes each request into the job that serves it.
+//
+// Ownership is unchanged by any of this: a decoded record never aliases
+// the body it was read from and belongs to the caller outright, who may
+// retain it indefinitely (the result cache and the auditor do).
+// Retaining a record, or any string or slice of it that lives inline,
+// retains its whole object, and one array of a result its siblings. The
+// inline strings are unsafe.String views of bytes the decoder writes
+// once; a decoded record is never reused or pooled, so they never change
+// (inlineString). The retained reference decoders in reference_test.go
+// are the simple field-by-field form; FuzzDecodeDifferential holds the
+// live ones to them.
 package wire

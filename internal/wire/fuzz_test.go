@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"accuracytrader/internal/stats"
@@ -190,11 +191,39 @@ func differential[T any](t *testing.T, what string, data []byte,
 	}
 }
 
+// spillEdgeBodies are bodies on both sides of the decoders' inline
+// bounds: a search request whose tenant and query fill inlineStrBytes
+// exactly and one byte past, and search results of DefaultK and DefaultK+1
+// hits in a sub-reply and a composed reply.
+func spillEdgeBodies() [][]byte {
+	query := strings.Repeat("q", inlineStrBytes-len("acme"))
+	hits := func(n int) *SearchResult {
+		h := make([]Hit, n)
+		for i := range h {
+			h[i] = Hit{Doc: int32(i), Score: float64(n - i)}
+		}
+		return &SearchResult{Hits: h}
+	}
+	var out [][]byte
+	for _, extra := range []int{0, 1} {
+		out = append(out,
+			AppendRequestFrame(nil, &Request{ID: 1, Kind: KindSearch, Subset: -1, Level: NoLevel, Tenant: "acme",
+				Search: &SearchRequest{Query: query + strings.Repeat("x", extra), K: DefaultK}})[4:],
+			AppendSubReplyFrame(nil, &SubReply{ID: 1, Kind: KindSearch, Level: NoLevel, Search: hits(DefaultK + extra)})[4:],
+			AppendReplyFrame(nil, &Reply{ID: 1, Kind: KindSearch, Level: NoLevel, SubStatus: []uint8{StatusOK},
+				Search: hits(DefaultK + extra)})[4:])
+	}
+	return out
+}
+
 // FuzzDecodeDifferential runs every body through all five frame kinds'
 // decoders (the header admits at most one) against the reference
 // decoders in reference_test.go.
 func FuzzDecodeDifferential(f *testing.F) {
 	for _, b := range seedBodies(f) {
+		f.Add(b)
+	}
+	for _, b := range spillEdgeBodies() {
 		f.Add(b)
 	}
 	rng := stats.NewRNG(63)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 )
 
 // Version is the protocol version stamped into every frame. A peer
@@ -142,8 +143,12 @@ type CFRequest struct {
 // SearchRequest asks for the top-K pages matching a query string.
 type SearchRequest struct {
 	Query string
-	K     int32
+	K     int32 // 0: the server's default (DefaultK unless configured)
 }
+
+// DefaultK is the search hit count of a request that names none, and the
+// number of hits a SearchPayload holds in its own heap object.
+const DefaultK = 10
 
 // AggRequest asks for a filtered per-group aggregate: Op(value) GROUP
 // BY key over rows with value in [Lo, Hi). Op values mirror agg.Op.
@@ -163,6 +168,23 @@ type CFResult struct {
 // shard-local doc ids; composed replies carry globalized ids.
 type SearchResult struct {
 	Hits []Hit
+}
+
+// SearchPayload is a search result with room for DefaultK hits in the
+// same object: the payload struct of every search sub-reply and composed
+// reply — the decoders box it beside the record, a component's sub-reply
+// and ComposeSearch's merge are built in one. A longer hit list spills to
+// a slice of its own.
+type SearchPayload struct {
+	SearchResult
+	inline [DefaultK]Hit
+}
+
+// Init empties the hit list into the payload's inline array and returns
+// the result, ready for hits to be appended.
+func (p *SearchPayload) Init() *SearchResult {
+	p.Hits = p.inline[:0]
+	return &p.SearchResult
 }
 
 // AggResult is an aggregation partial result: per-key estimated SUM
@@ -211,8 +233,8 @@ type Request struct {
 	// canonical cache key: identical queries from different tenants share
 	// one cache entry.
 	Tenant string
-	// FrameLen is receiver-side metadata, not a wire field: DecodeRequest
-	// sets it to the decoded frame's total byte length (length prefix
+	// FrameLen is receiver-side metadata, not a wire field: the request
+	// decoders set it to the decoded frame's total byte length (length prefix
 	// included) so servers can attribute inbound wire bytes without
 	// re-measuring the frame. Zero on requests built in process.
 	FrameLen int
@@ -517,6 +539,28 @@ const (
 	replyFixedSize    = frameHeaderSize + 8 + 1 + 4 + 1 + 1 + 8 + 1 + 1 + 2 + 8 + 4
 )
 
+// CheckPayload reports a request that cannot be sent: its kind is
+// unknown, or the payload struct of its kind is missing. FrameSize and
+// AppendRequestFrame assume a request that passes, so a sender checks
+// before it commits the request to a connection.
+func (req *Request) CheckPayload() error {
+	var has bool
+	switch req.Kind {
+	case KindCF:
+		has = req.CF != nil
+	case KindSearch:
+		has = req.Search != nil
+	case KindAgg:
+		has = req.Agg != nil
+	default:
+		return fmt.Errorf("wire: unknown payload kind %d", req.Kind)
+	}
+	if !has {
+		return fmt.Errorf("wire: %s request without its payload", req.Kind)
+	}
+	return nil
+}
+
 // FrameSize returns the exact number of bytes AppendRequestFrame appends
 // for req, length prefix included.
 func (req *Request) FrameSize() int {
@@ -569,14 +613,35 @@ func AppendRequestFrame(dst []byte, req *Request) []byte {
 	return dst
 }
 
-// DecodeRequest decodes a request frame body. The request and the
-// payload struct of its kind are one heap object; the tenant, query and
-// CF slices are the only further allocations, and nothing in the result
-// aliases body.
+// DecodeRequest decodes a request frame body into one heap object, as
+// DecodeRequestWith does with no caller record.
 func DecodeRequest(body []byte) (*Request, error) {
+	req, _, err := DecodeRequestWith[struct{}](body)
+	return req, err
+}
+
+// inlineStrBytes is how many bytes of a search request's tenant and
+// query, together, its decoded object holds (see inlineString).
+const inlineStrBytes = 24
+
+// searchRequestPayload is a decoded search request's payload with room
+// for its short strings.
+type searchRequestPayload struct {
+	SearchRequest
+	inline [inlineStrBytes]byte
+}
+
+// DecodeRequestWith decodes a request frame body into one heap object
+// that holds the request, the payload struct of its kind and a zeroed
+// record X of the caller's: a server decodes each request straight into
+// the record that serves it. A search request's tenant and query live in
+// the same object when together they fit its inlineStrBytes; a longer
+// string, a CF or aggregation request's tenant, and the CF slices are the
+// only further allocations. Nothing in the result aliases body.
+func DecodeRequestWith[X any](body []byte) (*Request, *X, error) {
 	r := &reader{b: body}
 	if err := checkHeader(r, frameRequest, "request"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var req Request // decoded on the stack, copied into its box once the kind is known
 	req.ID = r.u64("id")
@@ -588,12 +653,17 @@ func DecodeRequest(body []byte) (*Request, error) {
 	req.Level = int16(r.u16("level"))
 	req.Deadline = int64(r.u64("deadline"))
 	req.Trace = r.u64("trace")
-	req.Tenant = r.str("tenant")
-	var out *Request
+	tenant := r.take(r.count(1, "tenant"), "tenant") // still in body: copied out below
+	var (
+		x     *X
+		out   *Request
+		query []byte // still in body, as tenant
+		spare []byte // the object's inline string bytes (none but a search request's)
+	)
 	switch req.Kind {
 	case KindCF:
 		var cf *CFRequest
-		out, cf = Box[Request, CFRequest]()
+		x, out, cf = boxWith[X, Request, CFRequest]()
 		n := r.count(12, "ratings")
 		if r.err == nil && n > 0 {
 			cf.Ratings = make([]Rating, n)
@@ -605,23 +675,53 @@ func DecodeRequest(body []byte) (*Request, error) {
 		cf.Targets = r.i32s("targets")
 		req.CF = cf
 	case KindSearch:
-		out, req.Search = Box[Request, SearchRequest]()
-		req.Search.Query = r.str("query")
-		req.Search.K = int32(r.u32("k"))
+		var s *searchRequestPayload
+		x, out, s = boxWith[X, Request, searchRequestPayload]()
+		spare = s.inline[:]
+		query = r.take(r.count(1, "query"), "query")
+		s.K = int32(r.u32("k"))
+		req.Search = &s.SearchRequest
 	case KindAgg:
-		out, req.Agg = Box[Request, AggRequest]()
+		x, out, req.Agg = boxWith[X, Request, AggRequest]()
 		req.Agg.Op = r.u8("op")
 		req.Agg.Lo = r.f64("lo")
 		req.Agg.Hi = r.f64("hi")
 	default:
-		return nil, fmt.Errorf("wire: unknown payload kind %d", req.Kind)
+		return nil, nil, fmt.Errorf("wire: unknown payload kind %d", req.Kind)
 	}
 	if err := r.done("request"); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	req.Tenant = inlineString(&spare, tenant)
+	if req.Search != nil {
+		req.Search.Query = inlineString(&spare, query)
 	}
 	req.FrameLen = 4 + len(body)
 	*out = req
-	return out, nil
+	return out, x, nil
+}
+
+// inlineString copies raw into the front of *spare, advances *spare past
+// it and returns the copy as a string; raw longer than what is left of
+// *spare spills to an ordinary string of its own. spare must be inline
+// bytes of the decoded record's own object, and the string is built with
+// unsafe.String over them, which is sound only under the invariant every
+// decoder keeps: it writes those bytes once, here, before the record is
+// returned, and a decoded record is never reused or pooled — nothing
+// writes them again while a string over them can be live. Retaining the
+// string retains the record's object.
+func inlineString(spare *[]byte, raw []byte) string {
+	n := len(raw)
+	if n == 0 {
+		return ""
+	}
+	if n > len(*spare) {
+		return string(raw)
+	}
+	b := (*spare)[:n:n]
+	*spare = (*spare)[n:]
+	copy(b, raw)
+	return unsafe.String(&b[0], n)
 }
 
 // FrameSize returns the exact number of bytes AppendSubReplyFrame
@@ -666,9 +766,10 @@ func AppendSubReplyFrame(dst []byte, rep *SubReply) []byte {
 }
 
 // DecodeSubReply decodes a sub-reply frame body. The sub-reply and the
-// result struct of its kind are one heap object (see Box); the error
-// string, the spans and the result's arrays are the only further
-// allocations, and nothing in the result aliases body.
+// result struct of its kind — a search result's hits inline when they
+// fit (SearchPayload) — are one heap object (see Box); the error string,
+// the spans and a longer hit list or the result's arrays are the only
+// further allocations, and nothing in the result aliases body.
 func DecodeSubReply(body []byte) (*SubReply, error) {
 	r := &reader{b: body}
 	if err := checkHeader(r, frameSubReply, "sub-reply"); err != nil {
@@ -702,8 +803,9 @@ func DecodeSubReply(body []byte) (*SubReply, error) {
 		out, rep.CF = Box[SubReply, CFResult]()
 		r.cfResult(rep.CF)
 	case rep.Kind == KindSearch:
-		out, rep.Search = Box[SubReply, SearchResult]()
-		r.searchResult(rep.Search)
+		var p *SearchPayload
+		out, p = Box[SubReply, SearchPayload]()
+		rep.Search = r.searchResult(p)
 	case rep.Kind == KindAgg:
 		out, rep.Agg = Box[SubReply, AggResult]()
 		r.aggResult(rep.Agg)
@@ -776,7 +878,8 @@ type replyHead struct {
 
 // DecodeReply decodes a composed-reply frame body. The reply, its
 // SubStatus bytes (up to inlineSubStatus of them) and the result struct
-// of its kind are one heap object (see Box); the error string and the
+// of its kind — a search result's hits inline when they fit — are one
+// heap object (see Box); the error string and a longer hit list or the
 // result's arrays are the only further allocations, and nothing in the
 // result aliases body.
 func DecodeReply(body []byte) (*Reply, error) {
@@ -804,8 +907,9 @@ func DecodeReply(body []byte) (*Reply, error) {
 		out, rep.CF = Box[replyHead, CFResult]()
 		r.cfResult(rep.CF)
 	case rep.Kind == KindSearch:
-		out, rep.Search = Box[replyHead, SearchResult]()
-		r.searchResult(rep.Search)
+		var p *SearchPayload
+		out, p = Box[replyHead, SearchPayload]()
+		rep.Search = r.searchResult(p)
 	case rep.Kind == KindAgg:
 		out, rep.Agg = Box[replyHead, AggResult]()
 		r.aggResult(rep.Agg)
@@ -867,26 +971,42 @@ func appendResultPayload(dst []byte, kind Kind, cf *CFResult, search *SearchResu
 // own bytes plus one payload's, and whoever retains the record retains
 // the payload with it (they were never separable: the record points at
 // it). P may embed the payload struct beside inline storage its slices
-// start in.
+// start in (SearchPayload).
 func Box[R, P any]() (*R, *P) {
+	_, rec, payload := boxWith[struct{}, R, P]()
+	return rec, payload
+}
+
+// boxWith is Box with a caller's record X in the same object
+// (DecodeRequestWith). X comes first: a zero-size last field would pad
+// the object, a zero-size first one costs nothing.
+func boxWith[X, R, P any]() (*X, *R, *P) {
 	b := new(struct {
+		x       X
 		rec     R
 		payload P
 	})
-	return &b.rec, &b.payload
+	return &b.x, &b.rec, &b.payload
 }
 
 func (r *reader) cfResult(cf *CFResult) { r.f64Group("cf partials", &cf.Num, &cf.Den) }
 
-func (r *reader) searchResult(sr *SearchResult) {
+// searchResult decodes a hit list into p — into its inline array, capped
+// to the list's length, when it fits there — and returns p's result.
+func (r *reader) searchResult(p *SearchPayload) *SearchResult {
 	n := r.count(12, "hits")
 	if r.err == nil && n > 0 {
-		sr.Hits = make([]Hit, n)
-		for i := range sr.Hits {
-			sr.Hits[i].Doc = int32(r.u32("hit doc"))
-			sr.Hits[i].Score = r.f64("hit score")
+		if n <= len(p.inline) {
+			p.Hits = p.inline[:n:n]
+		} else {
+			p.Hits = make([]Hit, n)
+		}
+		for i := range p.Hits {
+			p.Hits[i].Doc = int32(r.u32("hit doc"))
+			p.Hits[i].Score = r.f64("hit score")
 		}
 	}
+	return &p.SearchResult
 }
 
 func (r *reader) aggResult(ar *AggResult) {

@@ -208,6 +208,70 @@ func TestReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestWith: the caller's record comes back zeroed beside a
+// request equal to DecodeRequest's, for every payload kind and for
+// strings on both sides of the inline bound, and nothing decoded changes
+// when the body is overwritten afterwards.
+func TestDecodeRequestWith(t *testing.T) {
+	type record struct {
+		a, b uint64
+		s    string
+	}
+	long := strings.Repeat("q", inlineStrBytes+1)
+	for _, req := range []*Request{
+		{ID: 1, Kind: KindSearch, Search: &SearchRequest{Query: "alpha beta", K: 3}},
+		{ID: 2, Kind: KindSearch, Tenant: "acme", Search: &SearchRequest{Query: long[:inlineStrBytes-4]}},
+		{ID: 3, Kind: KindSearch, Tenant: "acme", Search: &SearchRequest{Query: long[:inlineStrBytes-3]}},
+		{ID: 4, Kind: KindSearch, Tenant: long, Search: &SearchRequest{Query: "short"}},
+		{ID: 5, Kind: KindCF, Tenant: "acme", CF: &CFRequest{Ratings: []Rating{{Item: 1, Score: 2}}, Targets: []int32{3}}},
+		{ID: 6, Kind: KindAgg, Tenant: "acme", Agg: &AggRequest{Op: 1, Hi: 9}},
+	} {
+		b := AppendRequestFrame(nil, req)[4:]
+		want, err := DecodeRequest(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, x, err := DecodeRequestWith[record](b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *x != (record{}) {
+			t.Fatalf("request %d: caller record %+v, want zero", req.ID, *x)
+		}
+		for i := range b {
+			b[i] = 0xff
+		}
+		if !reflect.DeepEqual(got, want) || got.Tenant != req.Tenant ||
+			(req.Search != nil && got.Search.Query != req.Search.Query) {
+			t.Fatalf("request %d: DecodeRequestWith %+v, DecodeRequest %+v, sent %+v", req.ID, got, want, req)
+		}
+	}
+	if _, x, err := DecodeRequestWith[record]([]byte{Version, frameReply}); err == nil || x != nil {
+		t.Fatalf("a reply frame decoded as a request: record %v, err %v", x, err)
+	}
+}
+
+// TestCheckPayload: a request passes only with the payload of its kind.
+func TestCheckPayload(t *testing.T) {
+	for _, tc := range []struct {
+		req *Request
+		ok  bool
+	}{
+		{&Request{Kind: KindCF, CF: &CFRequest{}}, true},
+		{&Request{Kind: KindSearch, Search: &SearchRequest{}}, true},
+		{&Request{Kind: KindAgg, Agg: &AggRequest{}}, true},
+		{&Request{Kind: KindCF, Search: &SearchRequest{}}, false},
+		{&Request{Kind: KindSearch}, false},
+		{&Request{Kind: KindAgg, CF: &CFRequest{}}, false},
+		{&Request{Kind: 7, Agg: &AggRequest{}}, false},
+	} {
+		if err := tc.req.CheckPayload(); (err == nil) != tc.ok {
+			t.Errorf("kind %d, payloads cf %v search %v agg %v: CheckPayload = %v", tc.req.Kind,
+				tc.req.CF != nil, tc.req.Search != nil, tc.req.Agg != nil, err)
+		}
+	}
+}
+
 // TestTruncatedFramesError asserts every strict prefix of a valid body
 // decodes to a clean error — never a panic, never a silent success.
 func TestTruncatedFramesError(t *testing.T) {
