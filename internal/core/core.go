@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"sync"
 	"time"
 )
 
@@ -28,9 +29,12 @@ type Continue func(setsDone int) bool
 
 // Trace records what a Run actually did, for experiments and debugging.
 type Trace struct {
-	SetsProcessed int   // sets improved before stopping
-	Ranking       []int // aggregated point ids in processing order
+	SetsProcessed int // sets improved before stopping
 }
+
+// rankBufs recycles Run's ranking storage across runs, so a run whose
+// ranking fits a buffer the pool already holds allocates nothing.
+var rankBufs = sync.Pool{New: func() any { return new([]int) }}
 
 // Run executes Algorithm 1: process the synopsis, rank the aggregated
 // points by descending correlation, then improve with each ranked member
@@ -38,7 +42,8 @@ type Trace struct {
 // imax <= 0 means "no cap" (all sets are eligible).
 func Run(e Engine, cont Continue, imax int) Trace {
 	corr := e.ProcessSynopsis()
-	ranking := Rank(corr)
+	buf := rankBufs.Get().(*[]int)
+	ranking := rankInto(*buf, corr)
 	if imax <= 0 || imax > len(ranking) {
 		imax = len(ranking)
 	}
@@ -50,18 +55,35 @@ func Run(e Engine, cont Continue, imax int) Trace {
 		e.ProcessSet(ag)
 		done++
 	}
-	return Trace{SetsProcessed: done, Ranking: ranking}
+	*buf = ranking
+	rankBufs.Put(buf)
+	return Trace{SetsProcessed: done}
 }
 
 // Rank returns aggregated point ids sorted by descending correlation
 // (Algorithm 1 line 2). Ties break toward the lower id so ranking is
 // deterministic.
-func Rank(corr []float64) []int {
-	ids := make([]int, len(corr))
+func Rank(corr []float64) []int { return rankInto(nil, corr) }
+
+// rankInto is Rank writing into ids' storage, grown only when too short.
+// The comparator orders by corr[a] > corr[b] and nothing else, so NaN
+// compares equal to everything and the stable sort makes the same moves
+// as sort.SliceStable under that predicate (FuzzRankDifferential holds
+// it to one); cmp.Compare, which orders NaN first, would rank otherwise.
+func rankInto(ids []int, corr []float64) []int {
+	ids = slices.Grow(ids[:0], len(corr))[:len(corr)]
 	for i := range ids {
 		ids[i] = i
 	}
-	sort.SliceStable(ids, func(a, b int) bool { return corr[ids[a]] > corr[ids[b]] })
+	slices.SortStableFunc(ids, func(a, b int) int {
+		switch {
+		case corr[a] > corr[b]:
+			return -1
+		case corr[b] > corr[a]:
+			return 1
+		}
+		return 0
+	})
 	return ids
 }
 

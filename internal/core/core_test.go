@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -80,41 +81,76 @@ func TestRunZeroBudgetStillProducesInitialResult(t *testing.T) {
 	if tr.SetsProcessed != 0 || len(e.processed) != 0 {
 		t.Fatalf("expected no sets processed, got %v", e.processed)
 	}
-	if len(tr.Ranking) != 2 {
-		t.Fatalf("ranking missing: %v", tr.Ranking)
+}
+
+// checkProcessingOrder holds the sets e processed to Algorithm 1's
+// order: distinct ids in range (a prefix of a permutation), descending
+// correlation, ties toward the lower id.
+func checkProcessingOrder(e *fakeEngine) error {
+	seen := make([]bool, len(e.corr))
+	for i, id := range e.processed {
+		if id < 0 || id >= len(e.corr) || seen[id] {
+			return fmt.Errorf("processed %v: not a prefix of a permutation of %d ids", e.processed, len(e.corr))
+		}
+		seen[id] = true
+		if i == 0 {
+			continue
+		}
+		prev, cur := e.corr[e.processed[i-1]], e.corr[id]
+		if prev < cur || prev == cur && e.processed[i-1] > id {
+			return fmt.Errorf("processed %v over correlations %v: step %d out of order", e.processed, e.corr, i)
+		}
 	}
+	return nil
 }
 
 func TestRunRankingIsPermutationProperty(t *testing.T) {
 	rng := stats.NewRNG(1)
-	f := func(seed uint32, n uint8) bool {
+	f := func(seed uint32, n, budget uint8) bool {
 		r := rng.Split(uint64(seed))
 		m := int(n%50) + 1
 		corr := make([]float64, m)
 		for i := range corr {
-			corr[i] = r.Float64()
+			corr[i] = float64(r.Intn(8)) / 8 // coarse values: plenty of ties
 		}
+		k := int(budget) % (m + 1)
 		e := &fakeEngine{corr: corr}
-		tr := Run(e, BudgetContinue(m), 0)
-		if len(tr.Ranking) != m {
+		tr := Run(e, BudgetContinue(k), 0)
+		if tr.SetsProcessed != k || len(e.processed) != k {
 			return false
 		}
-		seen := make([]bool, m)
-		for _, id := range tr.Ranking {
-			if id < 0 || id >= m || seen[id] {
-				return false
-			}
-			seen[id] = true
-		}
-		// Correlations must be non-increasing along the ranking.
-		for i := 1; i < m; i++ {
-			if corr[tr.Ranking[i-1]] < corr[tr.Ranking[i]] {
-				return false
-			}
+		if err := checkProcessingOrder(e); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunDoesNotAllocate: once the pool holds a ranking buffer long
+// enough, a run costs nothing beyond what the engine and the
+// continuation themselves allocate.
+func TestRunDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops at random)")
+	}
+	corr := make([]float64, 64)
+	for i := range corr {
+		corr[i] = float64((i * 37) % 11)
+	}
+	e := &fakeEngine{corr: corr, processed: make([]int, 0, len(corr))}
+	cont := BudgetContinue(len(corr) / 2)
+	// AllocsPerRun's warm-up invocation primes the pool.
+	if n := testing.AllocsPerRun(100, func() {
+		e.processed = e.processed[:0]
+		Run(e, cont, 0)
+	}); n != 0 {
+		t.Fatalf("Run allocates %.1f times per run, want 0", n)
+	}
+	if err := checkProcessingOrder(e); err != nil {
 		t.Fatal(err)
 	}
 }

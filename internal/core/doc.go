@@ -6,9 +6,11 @@
 // descending correlation order, until a deadline or a set cap (imax) stops
 // it.
 //
-// The algorithm is generic over the application: collaborative filtering
-// and web search plug in through the Engine interface. Time is abstracted
-// behind Continue so the exact same loop runs under wall-clock deadlines
-// (internal/service) and under the discrete-event simulator's modeled
-// budgets (internal/cluster).
+// The algorithm is generic over the application: collaborative filtering,
+// web search and aggregation plug in through the Engine interface. Time
+// is abstracted behind Continue, so one loop serves wall-clock deadlines
+// (the live component handlers of internal/netsvc) and set-count budgets
+// (BudgetContinue, in the experiments). The discrete-event simulator,
+// internal/cluster, does not call Run: it replays the same loop over its
+// cost model, counting sets instead of processing them.
 package core

@@ -63,17 +63,6 @@ func errSub(msg string) *wire.SubReply {
 	return &wire.SubReply{Status: wire.StatusErr, Err: msg, Level: wire.NoLevel}
 }
 
-// budgetContinue stops Algorithm 1's improvement loop once the
-// sub-operation's deadline (budget's; zero: none) has passed — the
-// per-hop budget enforcement (the paper's l_spe measured from the
-// remaining request budget, not from a local constant).
-func budgetContinue(dl time.Time) core.Continue {
-	if dl.IsZero() {
-		return func(int) bool { return true }
-	}
-	return func(int) bool { return time.Now().Before(dl) }
-}
-
 // meteredEngine wraps an application engine to charge each Algorithm 1
 // step for the data units it touches, both ways a sub-operation is
 // charged: credited to the request's scan counter — the Scanned
@@ -121,6 +110,41 @@ func (e *meteredEngine) ProcessSynopsis() []float64 {
 func (e *meteredEngine) ProcessSet(g int) {
 	e.charge(e.groups.GroupSize(g))
 	e.Engine.ProcessSet(g)
+}
+
+// subop is one Algorithm 1 sub-operation's run state, pooled so that a
+// run allocates nothing of its own: the deadline its budget check reads
+// and the metered engine, when one is installed. The check, more, is
+// bound into cont once, when the pool makes the record.
+type subop struct {
+	metered meteredEngine
+	dl      time.Time // zero: no deadline
+	cont    core.Continue
+}
+
+var subops = sync.Pool{New: func() any {
+	s := new(subop)
+	s.cont = s.more
+	return s
+}}
+
+// getSubop returns a pooled record whose budget check stops Algorithm
+// 1's improvement loop once dl (zero: none) has passed — the per-hop
+// budget enforcement (the paper's l_spe measured from the remaining
+// request budget, not from a local constant).
+func getSubop(dl time.Time) *subop {
+	s := subops.Get().(*subop)
+	s.dl = dl
+	return s
+}
+
+func (s *subop) more(int) bool { return s.dl.IsZero() || time.Now().Before(s.dl) }
+
+// release zeroes the record, so the pool keeps no engine or scan
+// counter alive, and returns it to the pool.
+func (s *subop) release() {
+	*s = subop{cont: s.cont}
+	subops.Put(s)
 }
 
 // interfere applies the server's modeled co-located interference.
@@ -259,11 +283,14 @@ func newBackend(opts BackendOptions, w backend) Handler {
 			}
 			return rep
 		}
+		s := getSubop(dl)
 		eng := a.Engine
 		if sc != nil || opts.UnitCost > 0 {
-			eng = &meteredEngine{algorithm1: a, synopsis: units, sc: sc, unit: opts.UnitCost}
+			s.metered = meteredEngine{algorithm1: a, synopsis: units, sc: sc, unit: opts.UnitCost}
+			eng = &s.metered
 		}
-		trace := core.Run(eng, budgetContinue(dl), opts.imax(a.sets, w.imax))
+		trace := core.Run(eng, s.cont, opts.imax(a.sets, w.imax))
+		s.release()
 		rep.SetsProcessed = uint32(trace.SetsProcessed)
 		w.finish(a.Engine, req, rep)
 		return rep

@@ -5,7 +5,9 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 
+	"accuracytrader/internal/agg"
 	"accuracytrader/internal/cf"
 	"accuracytrader/internal/core"
 	"accuracytrader/internal/stats"
@@ -146,5 +148,44 @@ func TestCFBackendHostileRequests(t *testing.T) {
 				t.Errorf("%s, SLO %d: reply (%v,%v), reference (%v,%v)", tc.name, slo, rep.CF.Num, rep.CF.Den, want.Num, want.Den)
 			}
 		}
+	}
+}
+
+// TestAggSubOperationAllocations: one Bounded agg sub-operation through
+// the skeleton — budget, Algorithm 1's ranking and budget check, the
+// engine's improvement — allocates only its reply: the sub-reply boxed
+// with its payload struct (wire.Box) and the result backing the reply
+// ships. That holds on the plain path and on the metered one, where a
+// scan counter on the context installs the metered engine.
+func TestAggSubOperationAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops at random)")
+	}
+	const replyAllocs = 2 // the boxed sub-reply, the result backing
+	comps := buildAggComps(t, 1)
+	h := NewAggBackend(comps, BackendOptions{SubBudget: time.Hour})
+	req := aggReq(agg.Sum, 0, math.Inf(1))
+	req.Subset, req.SLO = 0, wire.SLOBounded
+	sc := new(scanCounter)
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"plain", context.Background()},
+		{"metered", context.WithValue(context.Background(), scanCounterKey{}, sc)},
+	} {
+		var rep *wire.SubReply
+		// AllocsPerRun's warm-up invocation primes the engine, ranking
+		// and sub-operation pools.
+		n := testing.AllocsPerRun(100, func() { rep = h(tc.ctx, req) })
+		if rep.Status != wire.StatusOK || int(rep.SetsProcessed) != comps[0].Syn.NumStrata() {
+			t.Fatalf("%s: reply %+v, want OK over all %d strata", tc.name, rep, comps[0].Syn.NumStrata())
+		}
+		if n != replyAllocs {
+			t.Errorf("%s Bounded agg sub-operation allocates %.1f times, want %d (its reply)", tc.name, n, replyAllocs)
+		}
+	}
+	if sc.n.Load() == 0 {
+		t.Fatal("the metered path credited no scanned units")
 	}
 }

@@ -215,7 +215,9 @@ func TestComponentJobContextAllocations(t *testing.T) {
 		}
 		j.req = req
 		j.dl = time.Unix(0, req.Deadline)
-		budgetContinue(opts.budget(j))(0)
+		s := getSubop(opts.budget(j))
+		s.cont(0)
+		s.release()
 		scanCounterFrom(j).n.Add(1)
 		j.finish()
 	})

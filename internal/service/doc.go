@@ -14,8 +14,10 @@
 //     replica of it on another component and use the quicker reply.
 //
 // AccuracyTrader itself needs no special gather policy: components finish
-// within the deadline by construction (their handler runs Algorithm 1 via
-// core.RunWithDeadline), so WaitAll composes complete results quickly.
+// within the deadline by construction (the component handler skeleton,
+// netsvc's newBackend, runs Algorithm 1's core.Run against the
+// sub-operation's budget, min(propagated deadline, now + SubBudget)), so
+// WaitAll composes complete results quickly.
 //
 // The scatter/gather loop itself — placement, first-wins resolution,
 // hedging, breakers, retry, the three policies — is Gather, written
