@@ -1,7 +1,9 @@
 package cf
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -76,6 +78,100 @@ func TestMatrixBasics(t *testing.T) {
 	m.SetUser(0, []Rating{{Item: 2, Score: 5}})
 	if m.NumRatings() != 1 || m.Mean(0) != 5 {
 		t.Fatal("SetUser failed")
+	}
+}
+
+// TestMatrixItemBitsTrackRows drives AddUser / SetUser over a three-word
+// item space — every user's row grown, shrunk, emptied, given a repeated
+// item and made duplicate-free again, then random steps — and after each
+// step checks every user's item bitmap against a model of its rows: bit
+// i set exactly when the row rates item i, the duplicate flag set
+// exactly when it rates some item twice.
+func TestMatrixItemBitsTrackRows(t *testing.T) {
+	const nItems = 130
+	rng := stats.NewRNG(81)
+	m := NewMatrix(nItems)
+	var rows [][]Rating // the model: each user's last ratings, as given
+	set := func(u int, rs []Rating) {
+		rows[u] = rs
+		m.SetUser(u, rs)
+	}
+	check := func(step string) {
+		t.Helper()
+		for u, rs := range rows {
+			count := make(map[int32]int)
+			dup := false
+			for _, r := range rs {
+				count[r.Item]++
+				dup = dup || count[r.Item] > 1
+			}
+			ub := m.itemBits(u)
+			if len(ub) != 3 {
+				t.Fatalf("%s: user %d has %d bitmap words, want 3", step, u, len(ub))
+			}
+			for item := 0; item < 3*64; item++ {
+				if got := ub[item/64]>>(item%64)&1 == 1; got != (count[int32(item)] > 0) {
+					t.Fatalf("%s: user %d item %d: bit %v, row rates it %d times", step, u, item, got, count[int32(item)])
+				}
+			}
+			if m.dup[u] != dup {
+				t.Fatalf("%s: user %d duplicate flag %v, want %v", step, u, m.dup[u], dup)
+			}
+		}
+	}
+	random := func() []Rating {
+		density := rng.Float64() / 2
+		var rs []Rating
+		for i := 0; i < nItems; i++ {
+			if rng.Float64() < density {
+				rs = append(rs, Rating{Item: int32(i), Score: 1 + 4*rng.Float64()})
+			}
+		}
+		rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
+		return rs
+	}
+	steps := []struct {
+		name string
+		edit func(rs []Rating) []Rating
+	}{
+		{"grow", func(rs []Rating) []Rating {
+			return append(append([]Rating(nil), rs...), Rating{Item: 63, Score: 2}, Rating{Item: 64, Score: 3}, Rating{Item: 129, Score: 4})
+		}},
+		{"shrink", func(rs []Rating) []Rating { return append([]Rating(nil), rs[:len(rs)/2]...) }},
+		{"empty", func([]Rating) []Rating { return nil }},
+		{"repeat", func(rs []Rating) []Rating {
+			rs = append(random(), Rating{Item: 127, Score: 1}, Rating{Item: 128, Score: 5})
+			return append(rs, Rating{Item: 127, Score: 3})
+		}},
+		{"dedupe", func(rs []Rating) []Rating {
+			rs = append([]Rating(nil), rs...)
+			sortRatings(rs)
+			return slices.CompactFunc(rs, func(a, b Rating) bool { return a.Item == b.Item })
+		}},
+	}
+	for u := 0; u < 6; u++ {
+		rs := random()
+		rows = append(rows, rs)
+		if id := m.AddUser(rs); id != u {
+			t.Fatalf("AddUser returned %d, want %d", id, u)
+		}
+		check(fmt.Sprintf("add %d", u))
+	}
+	for u := range rows {
+		for _, s := range steps {
+			set(u, s.edit(rows[u]))
+			check(fmt.Sprintf("user %d %s", u, s.name))
+		}
+	}
+	for step := 0; step < 300; step++ {
+		if rng.Intn(8) == 0 {
+			rows = append(rows, nil)
+			m.AddUser(nil)
+		}
+		u := rng.Intn(len(rows))
+		s := steps[rng.Intn(len(steps))]
+		set(u, s.edit(rows[u]))
+		check(fmt.Sprintf("step %d user %d %s", step, u, s.name))
 	}
 }
 

@@ -53,6 +53,6 @@ func (d *DeltaScorer) Add(res Result, active []Rating, rs []Rating, mean float64
 func (d *DeltaScorer) AddMatrix(res Result, active []Rating, m *Matrix) {
 	d.bindActive(active)
 	for u := 0; u < m.NumUsers(); u++ {
-		d.sc.fold(res, m.Ratings(u), m.Mean(u))
+		d.sc.foldUser(res, m, u)
 	}
 }

@@ -180,7 +180,7 @@ func (e *Engine) ProcessSet(g int) {
 	ag := e.Comp.Aggs[g]
 	e.sc.foldAt(e.res, e.aggWeights[g], ag.Ratings, ag.Mean, -1)
 	for _, u := range ag.Members {
-		e.sc.fold(e.res, e.Comp.M.Ratings(u), e.Comp.M.Mean(u))
+		e.sc.foldUser(e.res, e.Comp.M, u)
 	}
 }
 
@@ -214,7 +214,7 @@ func ExactResultInto(res Result, c *Component, req Request) Result {
 	e := enginePool.Get().(*Engine)
 	e.sc.bind(c.M.NumItems(), req.Ratings, req.Targets)
 	for u := 0; u < c.M.NumUsers(); u++ {
-		e.sc.fold(res, c.M.Ratings(u), c.M.Mean(u))
+		e.sc.foldUser(res, c.M, u)
 	}
 	e.Release()
 	return res

@@ -17,9 +17,16 @@ type Rating struct {
 // subset. User ratings are kept sorted by item for merge-join weight
 // computation, in one flat CSR backing array (internal/csr) so exact
 // scans and Algorithm 1's set processing stream contiguous memory.
+//
+// Beside the rows, every user has a bitmap of the items it rated — one
+// word per 64 items, all users in one flat array — and a flag set when
+// its row repeats an item. The scorer folds a user without a repeated
+// item by intersecting its bitmap with the request's (scorer.go).
 type Matrix struct {
 	users  csr.Store[Rating]
 	means  []float64
+	bits   []uint64 // item bitmaps, user by user (itemBits)
+	dup    []bool   // dup[u]: user u's row holds an item more than once
 	nItems int
 }
 
@@ -31,15 +38,21 @@ func NewMatrix(nItems int) *Matrix {
 	return &Matrix{nItems: nItems}
 }
 
+// bitmapWords returns the 64-bit words a bitmap over nItems items takes.
+func bitmapWords(nItems int) int { return (nItems + 63) / 64 }
+
 // AddUser appends a user with the given ratings and returns the user id.
 func (m *Matrix) AddUser(rs []Rating) int {
 	id := m.users.AddRow(nil)
 	m.means = append(m.means, 0)
+	m.bits = append(m.bits, make([]uint64, bitmapWords(m.nItems))...)
+	m.dup = append(m.dup, false)
 	m.SetUser(id, rs)
 	return id
 }
 
-// SetUser replaces user u's ratings (an input-data change).
+// SetUser replaces user u's ratings (an input-data change). It is the
+// one mutation path, so it keeps u's item bitmap and duplicate flag.
 func (m *Matrix) SetUser(u int, rs []Rating) {
 	if u < 0 || u >= m.users.NumRows() {
 		panic("cf: SetUser out of range")
@@ -59,6 +72,20 @@ func (m *Matrix) SetUser(u int, rs []Rating) {
 	} else {
 		m.means[u] = 0
 	}
+	ub := m.itemBits(u)
+	clear(ub)
+	dup := false
+	for i, r := range cp {
+		dup = dup || i > 0 && cp[i-1].Item == r.Item
+		ub[r.Item>>6] |= 1 << (r.Item & 63)
+	}
+	m.dup[u] = dup
+}
+
+// itemBits returns user u's item bitmap, aliasing the matrix.
+func (m *Matrix) itemBits(u int) []uint64 {
+	w := bitmapWords(m.nItems)
+	return m.bits[u*w : (u+1)*w : (u+1)*w]
 }
 
 // NumUsers returns the number of users.
@@ -107,8 +134,9 @@ func (m *Matrix) Rating(u int, item int32) (float64, bool) {
 //
 // Weight is the two-vector definition, for callers that hold two rating
 // vectors and no request. Requests are scored by the bound scorer
-// (scorer.go), which finds the same pairs in one pass over the neighbour
-// and computes the same weight; no scan loop calls Weight.
+// (scorer.go), which finds the same pairs by item bitmap or in one pass
+// over the neighbour and computes the same weight; no scan loop calls
+// Weight.
 func Weight(a, b []Rating) float64 {
 	n := 0
 	sx, sy := 0.0, 0.0

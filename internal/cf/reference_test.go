@@ -158,56 +158,60 @@ func TestContributeDuplicateNeighbourItems(t *testing.T) {
 }
 
 // TestEngineMatchesNaivePipeline runs the full Algorithm 1 pipeline on
-// randomized components and checks predictions against the naive kernels
-// within 1e-12 at every processing depth.
+// randomized components, over one item-bitmap word and over three, and
+// checks correlations, accumulators and predictions against the naive
+// kernels with == at every processing depth.
 func TestEngineMatchesNaivePipeline(t *testing.T) {
-	for seed := uint64(10); seed <= 12; seed++ {
-		rng := stats.NewRNG(seed)
-		m, _ := testMatrix(rng, 150, 30, 4, 0.4)
-		c, err := BuildComponent(m, synCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 10; trial++ {
-			known := randomRatings(rng, 30)
-			nT := 1 + rng.Intn(5)
-			targets := make([]int32, nT)
-			for i := range targets {
-				targets[i] = int32(rng.Intn(30))
+	for _, nItems := range []int{30, 150} {
+		for seed := uint64(10); seed <= 12; seed++ {
+			rng := stats.NewRNG(seed)
+			m, _ := testMatrix(rng, 150, nItems, 4, 0.4)
+			c, err := BuildComponent(m, synCfg())
+			if err != nil {
+				t.Fatal(err)
 			}
-			req := NewRequest(known, targets)
+			for trial := 0; trial < 10; trial++ {
+				ctx := fmt.Sprintf("%d items seed %d trial %d", nItems, seed, trial)
+				known := randomRatings(rng, nItems)
+				nT := 1 + rng.Intn(5)
+				targets := make([]int32, nT)
+				for i := range targets {
+					targets[i] = int32(rng.Intn(nItems))
+				}
+				req := NewRequest(known, targets)
 
-			e := GetEngine(c, req)
-			naiveRes := NewResult(nT)
-			corr := e.ProcessSynopsis()
-			for g, ag := range c.Aggs {
-				w := naiveWeight(req.Ratings, ag.Ratings)
-				if math.Abs(corr[g]-math.Abs(w)) > 1e-15 {
-					t.Fatalf("seed %d trial %d: corr[%d] %v vs naive %v", seed, trial, g, corr[g], math.Abs(w))
+				e := GetEngine(c, req)
+				naiveRes := NewResult(nT)
+				corr := e.ProcessSynopsis()
+				for g, ag := range c.Aggs {
+					w := naiveWeight(req.Ratings, ag.Ratings)
+					if corr[g] != math.Abs(w) {
+						t.Fatalf("%s: corr[%d] %v vs naive %v", ctx, g, corr[g], math.Abs(w))
+					}
+					naiveContribute(naiveRes, req.Targets, w, ag.Ratings, ag.Mean, +1)
 				}
-				naiveContribute(naiveRes, req.Targets, w, ag.Ratings, ag.Mean, +1)
-			}
-			checkResultsClose(t, e.Result(), naiveRes, 1e-12, fmt.Sprintf("seed %d trial %d synopsis", seed, trial))
-			for g := range c.Aggs {
-				e.ProcessSet(g)
-				ag := c.Aggs[g]
-				naiveContribute(naiveRes, req.Targets, e.aggWeights[g], ag.Ratings, ag.Mean, -1)
-				for _, u := range ag.Members {
-					rs := c.M.Ratings(u)
-					naiveContribute(naiveRes, req.Targets, naiveWeight(req.Ratings, rs), rs, c.M.Mean(u), +1)
+				checkResultsClose(t, e.Result(), naiveRes, 0, ctx+" synopsis")
+				for g := range c.Aggs {
+					e.ProcessSet(g)
+					ag := c.Aggs[g]
+					naiveContribute(naiveRes, req.Targets, e.aggWeights[g], ag.Ratings, ag.Mean, -1)
+					for _, u := range ag.Members {
+						rs := c.M.Ratings(u)
+						naiveContribute(naiveRes, req.Targets, naiveWeight(req.Ratings, rs), rs, c.M.Mean(u), +1)
+					}
 				}
-			}
-			checkResultsClose(t, e.Result(), naiveRes, 1e-12, fmt.Sprintf("seed %d trial %d full", seed, trial))
+				checkResultsClose(t, e.Result(), naiveRes, 0, ctx+" full")
 
-			am := req.ActiveMean()
-			got := e.Result().Predictions(am)
-			want := naiveRes.Predictions(am)
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-12 {
-					t.Fatalf("seed %d trial %d: prediction %d = %v, naive %v", seed, trial, i, got[i], want[i])
+				am := req.ActiveMean()
+				got := e.Result().Predictions(am)
+				want := naiveRes.Predictions(am)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: prediction %d = %v, naive %v", ctx, i, got[i], want[i])
+					}
 				}
+				e.Release()
 			}
-			e.Release()
 		}
 	}
 }
@@ -222,25 +226,28 @@ func checkResultsClose(t *testing.T, got, want Result, tol float64, ctx string) 
 	}
 }
 
-// TestExactResultMatchesNaive checks the streaming CSR ExactResult (and
-// its buffer-reusing variant) against the naive composition.
+// TestExactResultMatchesNaive checks ExactResult (and its buffer-reusing
+// variant) against the naive composition, over one item-bitmap word and
+// over four.
 func TestExactResultMatchesNaive(t *testing.T) {
-	rng := stats.NewRNG(21)
-	m, _ := testMatrix(rng, 200, 35, 4, 0.4)
-	c, err := BuildComponent(m, synCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reused Result
-	for trial := 0; trial < 20; trial++ {
-		known := randomRatings(rng, 35)
-		targets := []int32{int32(rng.Intn(35)), int32(rng.Intn(35)), int32(rng.Intn(35))}
-		req := NewRequest(known, targets)
-		want := naiveExactResult(c, req)
-		got := ExactResult(c, req)
-		checkResultsClose(t, got, want, 0, fmt.Sprintf("trial %d fresh", trial))
-		reused = ExactResultInto(reused, c, req)
-		checkResultsClose(t, reused, want, 0, fmt.Sprintf("trial %d reused", trial))
+	for _, nItems := range []int{35, 200} {
+		rng := stats.NewRNG(21)
+		m, _ := testMatrix(rng, 200, nItems, 4, 0.4)
+		c, err := BuildComponent(m, synCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reused Result
+		for trial := 0; trial < 20; trial++ {
+			known := randomRatings(rng, nItems)
+			targets := []int32{int32(rng.Intn(nItems)), int32(rng.Intn(nItems)), int32(rng.Intn(nItems))}
+			req := NewRequest(known, targets)
+			want := naiveExactResult(c, req)
+			got := ExactResult(c, req)
+			checkResultsClose(t, got, want, 0, fmt.Sprintf("%d items trial %d fresh", nItems, trial))
+			reused = ExactResultInto(reused, c, req)
+			checkResultsClose(t, reused, want, 0, fmt.Sprintf("%d items trial %d reused", nItems, trial))
+		}
 	}
 }
 
@@ -353,38 +360,42 @@ func (l *lockstepEngine) ProcessSet(g int) {
 
 // TestScanSitesMatchNaiveComposition checks ExactResultInto and a full
 // Algorithm 1 run — synopsis, then every set, retractions included —
-// bit-identical to the naive composition, on shards whose users hold
-// duplicate items and requests whose active ratings hold duplicates and
-// whose targets repeat or fall outside the item space.
+// bit-identical to the naive composition, on shards over one item-bitmap
+// word and over three whose users in part hold duplicate items (the
+// stream fallback beside the bitmap path) and requests whose active
+// ratings hold duplicates and whose targets repeat or fall outside the
+// item space.
 func TestScanSitesMatchNaiveComposition(t *testing.T) {
-	const nItems = 30
-	for seed := uint64(40); seed <= 42; seed++ {
-		rng := stats.NewRNG(seed)
-		m, _ := testMatrix(rng, 120, nItems, 4, 0.4)
-		for u := 0; u < m.NumUsers(); u += 3 {
-			rs := append([]Rating(nil), m.Ratings(u)...)
-			m.SetUser(u, append(rs, hostileRatings(rng, 1+rng.Intn(3), 0, nItems)...))
-		}
-		c, err := BuildComponent(m, synCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var reused Result
-		for trial := 0; trial < 10; trial++ {
-			active := append(randomRatings(rng, nItems), hostileRatings(rng, rng.Intn(4), -2, nItems+2)...)
-			targets := []int32{int32(rng.Intn(nItems)), int32(rng.Intn(nItems)), -1, int32(nItems), int32(rng.Intn(nItems))}
-			targets[4] = targets[0]
-			req := NewRequest(active, targets)
-
-			reused = ExactResultInto(reused, c, req)
-			sameResult(t, reused, naiveExactResult(c, req), fmt.Sprintf("seed %d trial %d exact", seed, trial))
-
-			e := GetEngine(c, req)
-			tr := core.Run(&lockstepEngine{t: t, e: e, want: NewResult(len(targets))}, func(int) bool { return true }, 0)
-			if tr.SetsProcessed != len(c.Aggs) {
-				t.Fatalf("seed %d trial %d: %d of %d sets processed", seed, trial, tr.SetsProcessed, len(c.Aggs))
+	for _, nItems := range []int{30, 150} {
+		for seed := uint64(40); seed <= 42; seed++ {
+			rng := stats.NewRNG(seed)
+			m, _ := testMatrix(rng, 120, nItems, 4, 0.4)
+			for u := 0; u < m.NumUsers(); u += 3 {
+				rs := append([]Rating(nil), m.Ratings(u)...)
+				m.SetUser(u, append(rs, hostileRatings(rng, 1+rng.Intn(3), 0, nItems)...))
 			}
-			e.Release()
+			c, err := BuildComponent(m, synCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reused Result
+			for trial := 0; trial < 10; trial++ {
+				ctx := fmt.Sprintf("%d items seed %d trial %d", nItems, seed, trial)
+				active := append(randomRatings(rng, nItems), hostileRatings(rng, rng.Intn(4), -2, nItems+2)...)
+				targets := []int32{int32(rng.Intn(nItems)), int32(rng.Intn(nItems)), -1, int32(nItems), int32(rng.Intn(nItems))}
+				targets[4] = targets[0]
+				req := NewRequest(active, targets)
+
+				reused = ExactResultInto(reused, c, req)
+				sameResult(t, reused, naiveExactResult(c, req), ctx+" exact")
+
+				e := GetEngine(c, req)
+				tr := core.Run(&lockstepEngine{t: t, e: e, want: NewResult(len(targets))}, func(int) bool { return true }, 0)
+				if tr.SetsProcessed != len(c.Aggs) {
+					t.Fatalf("%s: %d of %d sets processed", ctx, tr.SetsProcessed, len(c.Aggs))
+				}
+				e.Release()
+			}
 		}
 	}
 }

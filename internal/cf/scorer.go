@@ -1,27 +1,40 @@
 package cf
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // scorer is the one CF kernel: bound to a request, it folds a neighbour
 // (a matrix user, an aggregated user or an ingest delta user) into a
-// partial Result in a single stream over the neighbour's ratings.
+// partial Result.
 //
 // Binding stamps one per-item table with, for every item the request
 // mentions, the index of the active user's rating of it and the first
 // target slot predicting it. Entries are validated by an epoch stamp,
-// so a bind costs O(active + targets) and nothing is cleared between
-// requests. fold then probes that table once per neighbour rating: a
-// co-rated item's score pair goes into pairs, a rated target into hits.
-// The Pearson weight is computed over the collected pairs and the hits
-// are applied at that weight — the floating-point operations Weight and
-// the retained naive kernels perform, in the same order per accumulator,
-// so every Num/Den is bit-identical to them.
+// so nothing is cleared between requests. Binding also sets two item
+// bitmaps: the items the active user rated and the target items.
+//
+// A matrix user whose row repeats no item is folded by its item bitmap
+// (foldBits): intersecting its words with the request's finds exactly
+// the co-rated items and the rated targets, and each one's rating is
+// located in the row by rank. Every other neighbour is folded by one
+// stream over its ratings with a table probe each (fold). Either way
+// co-rated score pairs go into pairs and rated targets into hits, both
+// in item order; the Pearson weight is computed over the pairs and the
+// hits are applied at it — the floating-point operations Weight and the
+// retained naive kernels perform, in the same order per accumulator, so
+// every Num/Den is bit-identical to them.
 type scorer struct {
 	tab   []itemEntry
 	epoch uint32
-	// active is the bound request's rating vector; fold reads the scores
-	// the table's act indices point at.
+	// active is the bound request's rating vector; the folds read the
+	// scores the table's act indices point at.
 	active []Rating
+	// actBits and tgtBits are the bound request's item bitmaps, over the
+	// bound item space: the items the active user rated, the targets.
+	actBits []uint64
+	tgtBits []uint64
 	// next[slot] chains duplicate targets of one item, -1 terminated.
 	next  []int32
 	pairs []scorePair
@@ -46,9 +59,9 @@ type targetHit struct {
 
 // bind prepares the scorer for one request over an nItems item space.
 // Items outside [0, nItems) — a wire request may carry any — are left
-// out of the table: no neighbour rates them, so an out-of-range active
-// rating pairs with nothing and an out-of-range target keeps a zero
-// denominator and predicts the active mean.
+// out of the table and the bitmaps: no neighbour rates them, so an
+// out-of-range active rating pairs with nothing and an out-of-range
+// target keeps a zero denominator and predicts the active mean.
 func (s *scorer) bind(nItems int, active []Rating, targets []int32) {
 	if len(s.tab) < nItems {
 		s.tab = make([]itemEntry, nItems)
@@ -60,6 +73,13 @@ func (s *scorer) bind(nItems int, active []Rating, targets []int32) {
 		s.epoch = 1
 	}
 	s.active = active
+	if words := bitmapWords(nItems); cap(s.actBits) < words {
+		s.actBits, s.tgtBits = make([]uint64, words), make([]uint64, words)
+	} else {
+		s.actBits, s.tgtBits = s.actBits[:words], s.tgtBits[:words]
+		clear(s.actBits)
+		clear(s.tgtBits)
+	}
 	// A sorted neighbour pairs each active rating, and hits each distinct
 	// target item, at most once: sized here, the buffers never grow in a
 	// fold.
@@ -83,6 +103,7 @@ func (s *scorer) bind(nItems int, active []Rating, targets []int32) {
 		if item < 0 || int(item) >= nItems {
 			continue
 		}
+		s.tgtBits[item>>6] |= 1 << (item & 63)
 		e := &s.tab[item]
 		if e.stamp == s.epoch {
 			s.next[t] = e.tgt
@@ -96,6 +117,7 @@ func (s *scorer) bind(nItems int, active []Rating, targets []int32) {
 		if item < 0 || int(item) >= nItems {
 			continue
 		}
+		s.actBits[item>>6] |= 1 << (item & 63)
 		e := &s.tab[item]
 		if e.stamp != s.epoch {
 			e.stamp, e.tgt = s.epoch, -1
@@ -104,9 +126,53 @@ func (s *scorer) bind(nItems int, active []Rating, targets []int32) {
 	}
 }
 
+// foldUser accumulates matrix user u into res and returns its Pearson
+// weight against the active user: by its item bitmap unless its row
+// repeats an item, whose k-th-duplicate rule (see fold) rank cannot
+// express.
+func (s *scorer) foldUser(res Result, m *Matrix, u int) float64 {
+	if m.dup[u] {
+		return s.fold(res, m.Ratings(u), m.Mean(u))
+	}
+	return s.foldBits(res, m.Ratings(u), m.itemBits(u), m.Mean(u))
+}
+
+// foldBits is fold for a neighbour whose ratings rs hold each item at
+// most once, with ub its item bitmap. The words ub shares with the
+// active and target bitmaps give the co-rated items and the rated
+// targets, each visited in item order; the rating of an item is the one
+// at its rank in the row — the ratings in earlier words plus the set
+// bits below it in its own. Only the ratings that pair or hit are read,
+// and no branch depends on whether a given rating does.
+func (s *scorer) foldBits(res Result, rs []Rating, ub []uint64, mean float64) float64 {
+	act, tgt := s.actBits, s.tgtBits
+	n := min(len(ub), len(act)) // the bound and the matrix item space may differ
+	tab, active := s.tab, s.active
+	pairs, hits := s.pairs[:0], s.hits[:0]
+	var sx, sy float64
+	base := 0 // ratings in the words before w
+	for w, b := range ub[:n] {
+		for m := b & act[w]; m != 0; m &= m - 1 {
+			y := rs[base+bits.OnesCount64(b&(m&-m-1))].Score
+			x := active[tab[w<<6|bits.TrailingZeros64(m)].act].Score
+			sx += x
+			sy += y
+			pairs = append(pairs, scorePair{x, y})
+		}
+		for m := b & tgt[w]; m != 0; m &= m - 1 {
+			y := rs[base+bits.OnesCount64(b&(m&-m-1))].Score
+			hits = append(hits, targetHit{tab[w<<6|bits.TrailingZeros64(m)].tgt, y})
+		}
+		base += bits.OnesCount64(b)
+	}
+	s.pairs, s.hits = pairs, hits
+	return s.weigh(res, sx, sy, mean)
+}
+
 // fold accumulates one neighbour — ratings rs sorted by item, in the
-// bound item space — into res and returns its Pearson weight against
-// the active user (0 for fewer than two co-rated items, as Weight).
+// bound item space — into res by one stream over its ratings, and
+// returns its Pearson weight against the active user (0 for fewer than
+// two co-rated items, as Weight).
 //
 // Duplicate items follow merge-join semantics: the k-th duplicate of a
 // neighbour's item pairs with the k-th duplicate of the active user's,
@@ -135,13 +201,20 @@ func (s *scorer) fold(res Result, rs []Rating, mean float64) float64 {
 		}
 	}
 	s.pairs, s.hits = pairs, hits
-	n := len(pairs)
+	return s.weigh(res, sx, sy, mean)
+}
+
+// weigh computes the Pearson weight over the collected pairs, whose
+// score sums are sx and sy, applies the collected hits at it and
+// returns it.
+func (s *scorer) weigh(res Result, sx, sy, mean float64) float64 {
+	n := len(s.pairs)
 	if n < 2 {
 		return 0
 	}
 	mx, my := sx/float64(n), sy/float64(n)
 	var sxy, sxx, syy float64
-	for _, p := range pairs {
+	for _, p := range s.pairs {
 		dx, dy := p.x-mx, p.y-my
 		sxy += dx * dy
 		sxx += dx * dx
@@ -159,7 +232,7 @@ func (s *scorer) fold(res Result, rs []Rating, mean float64) float64 {
 	}
 	if w != 0 {
 		aw := math.Abs(w)
-		for _, h := range hits {
+		for _, h := range s.hits {
 			s.apply(res, h.slot, w*(h.score-mean), aw)
 		}
 	}

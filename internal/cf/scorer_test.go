@@ -17,19 +17,6 @@ func naiveFold(res Result, req Request, rs []Rating, mean float64) float64 {
 	return w
 }
 
-// neighbour sorts rs and computes its mean exactly as Matrix.SetUser does.
-func neighbour(rs []Rating) ([]Rating, float64) {
-	sortRatings(rs)
-	if len(rs) == 0 {
-		return rs, 0
-	}
-	sum := 0.0
-	for _, r := range rs {
-		sum += r.Score
-	}
-	return rs, sum / float64(len(rs))
-}
-
 func sameResult(t *testing.T, got, want Result, ctx string) {
 	t.Helper()
 	if !slices.Equal(got.Num, want.Num) || !slices.Equal(got.Den, want.Den) {
@@ -37,26 +24,44 @@ func sameResult(t *testing.T, got, want Result, ctx string) {
 	}
 }
 
-// checkScorer binds sc to (active, targets) as a request would and folds
-// every neighbour, each followed by a retraction and re-addition of the
-// previous one at its weight, against the naive kernels with == on every
-// float.
+// checkScorer binds sc to (active, targets) as a request would, stores
+// the neighbours as the users of an nItems matrix — sorted, averaged and
+// bitmapped by SetUser — and folds every one both ways the scorer can:
+// by the stream (fold) and as a matrix user (foldUser: the bitmap path
+// for a row without a repeated item, the stream for one with). Each fold
+// is followed by a retraction and re-addition at its weight (foldAt).
+// Both results are held to the naive kernels with == on every float.
 func checkScorer(t *testing.T, sc *scorer, nItems int, active []Rating, targets []int32, neighbours [][]Rating, ctx string) {
 	t.Helper()
 	req := NewRequest(active, targets)
+	m := NewMatrix(nItems)
+	for _, rs := range neighbours {
+		m.AddUser(rs)
+	}
 	sc.bind(nItems, req.Ratings, req.Targets)
-	got, want := NewResult(len(targets)), NewResult(len(targets))
-	for n, rs := range neighbours {
-		rs, mean := neighbour(rs)
-		w, nw := sc.fold(got, rs, mean), naiveFold(want, req, rs, mean)
-		if w != nw {
-			t.Fatalf("%s neighbour %d: weight %v, naive %v", ctx, n, w, nw)
+	stream, user, want := NewResult(len(targets)), NewResult(len(targets)), NewResult(len(targets))
+	for u := range neighbours {
+		rs, mean := m.Ratings(u), m.Mean(u)
+		nw := naiveFold(want, req, rs, mean)
+		for _, path := range []struct {
+			name string
+			got  Result
+			w    float64
+		}{
+			{"stream", stream, sc.fold(stream, rs, mean)},
+			{"matrix user", user, sc.foldUser(user, m, u)},
+		} {
+			if path.w != nw {
+				t.Fatalf("%s neighbour %d (%s, %d items): weight %v, naive %v", ctx, u, path.name, nItems, path.w, nw)
+			}
+			sameResult(t, path.got, want, fmt.Sprintf("%s neighbour %d (%s, %d items)", ctx, u, path.name, nItems))
 		}
-		sameResult(t, got, want, ctx)
 		for _, sign := range []float64{-1, +1} {
-			sc.foldAt(got, w, rs, mean, sign)
-			naiveContribute(want, req.Targets, w, rs, mean, sign)
-			sameResult(t, got, want, ctx)
+			sc.foldAt(stream, nw, rs, mean, sign)
+			sc.foldAt(user, nw, rs, mean, sign)
+			naiveContribute(want, req.Targets, nw, rs, mean, sign)
+			sameResult(t, stream, want, ctx)
+			sameResult(t, user, want, ctx)
 		}
 	}
 }
@@ -115,18 +120,26 @@ func TestScorerEpochWraparound(t *testing.T) {
 	}
 }
 
-// FuzzScorerDifferential decodes arbitrary active, neighbour and target
-// vectors from bytes — sorted as NewRequest / SetUser would — and holds
-// the scorer to naiveWeight + naiveContribute with == on every float.
+// fuzzItemSpaces are the item-space sizes FuzzScorerDifferential's first
+// byte picks from: one word, exactly one and two words, one item past a
+// word, and the benchmark's 200 items over four words.
+var fuzzItemSpaces = []int{16, 64, 65, 130, 200}
+
+// FuzzScorerDifferential decodes an item space, and arbitrary active,
+// neighbour and target vectors over it, from bytes — sorted as NewRequest
+// / SetUser would — and holds the scorer to naiveWeight + naiveContribute
+// with == on every float. The neighbour is folded by the stream and as a
+// matrix user (checkScorer), and its last byte decides whether its row
+// keeps repeated items (the stream fallback) or is deduplicated (the
+// bitmap path).
 func FuzzScorerDifferential(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{3, 4, 2, 5, 8, 6, 2, 7, 9, 5, 1, 6, 3, 7, 4, 9, 2, 5, 7})
-	f.Add([]byte{4, 4, 3, 5, 2, 5, 8, 5, 4, 0, 9, 5, 1, 5, 7, 5, 3, 9, 6, 5, 5, 0, 19})         // duplicates both sides
-	f.Add([]byte{3, 2, 4, 0, 1, 19, 9, 18, 5, 6, 2, 7, 8, 0, 1, 19, 18})                        // out-of-range active and targets
-	f.Add([]byte{1, 6, 1, 7, 3, 2, 1, 3, 5, 4, 2, 5, 9, 6, 4, 7, 8, 7})                         // one active rating: weight 0
-	f.Add([]byte{6, 6, 2, 9, 1, 8, 3, 7, 5, 6, 7, 5, 9, 4, 2, 4, 1, 5, 3, 6, 5, 7, 7, 8, 9, 8}) // unsorted
+	f.Add([]byte{0, 3, 4, 2, 5, 8, 6, 2, 7, 9, 5, 1, 6, 3, 7, 4, 9, 2, 5, 7})
+	f.Add([]byte{0, 4, 4, 3, 5, 2, 5, 8, 5, 4, 0, 9, 5, 1, 5, 7, 5, 3, 9, 6, 5, 5, 0, 19})         // duplicates both sides
+	f.Add([]byte{0, 3, 2, 4, 0, 1, 19, 9, 18, 5, 6, 2, 7, 8, 0, 1, 19, 18})                        // out-of-range active and targets
+	f.Add([]byte{0, 1, 6, 1, 7, 3, 2, 1, 3, 5, 4, 2, 5, 9, 6, 4, 7, 8, 7})                         // one active rating: weight 0
+	f.Add([]byte{0, 6, 6, 2, 9, 1, 8, 3, 7, 5, 6, 7, 5, 9, 4, 2, 4, 1, 5, 3, 6, 5, 7, 7, 8, 9, 8}) // unsorted
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const nItems = 16
 		next := func() int {
 			if len(data) == 0 {
 				return 0
@@ -135,11 +148,13 @@ func FuzzScorerDifferential(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
-		// Items decode into [-2, 18): two below and two above the item space.
+		nItems := fuzzItemSpaces[next()%len(fuzzItemSpaces)]
+		// Items decode into [-2, nItems+2): two below and two above the
+		// item space.
 		ratings := func(n int, inRange bool) []Rating {
 			rs := make([]Rating, n)
 			for i := range rs {
-				item := next()%20 - 2
+				item := next()%(nItems+4) - 2
 				if inRange {
 					item = next() % nItems
 				}
@@ -152,7 +167,11 @@ func FuzzScorerDifferential(f *testing.F) {
 		rs := ratings(nB, true)
 		targets := make([]int32, nT)
 		for i := range targets {
-			targets[i] = int32(next()%20 - 2)
+			targets[i] = int32(next()%(nItems+4) - 2)
+		}
+		if next()%2 == 1 {
+			sortRatings(rs)
+			rs = slices.CompactFunc(rs, func(a, b Rating) bool { return a.Item == b.Item })
 		}
 		var sc scorer
 		checkScorer(t, &sc, nItems, active, targets, [][]Rating{rs}, "fuzz")
