@@ -426,12 +426,12 @@ func DialNetClient(addr string, opts NetClientOptions) (*NetClient, error) {
 func NetAggResultOf(r *wire.AggResult) AggResult { return netsvc.AggResultOf(r) }
 
 // The accuracy-aware result cache (internal/rescache): a sharded,
-// bounded, accuracy-tagged response cache shared by both serving
-// runtimes. Entries carry the accuracy bound they were computed at and
-// a data-version epoch; a hit is served only when the recorded
-// accuracy clears the request's floor and the epoch is current.
-// Concurrent identical misses coalesce onto one computation, and a
-// low-priority worker refreshes popular coarse entries to exact.
+// bounded, accuracy-tagged response cache in front of a NetFrontServer.
+// Entries carry the accuracy bound they were computed at and a
+// data-version epoch; a hit is served only when the recorded accuracy
+// clears the request's floor and the epoch is current. Concurrent
+// identical misses coalesce onto one computation, and a low-priority
+// worker refreshes popular coarse entries to exact.
 
 // ResultCache is the accuracy-aware response cache.
 type ResultCache = rescache.Cache
@@ -439,29 +439,12 @@ type ResultCache = rescache.Cache
 // ResultCacheConfig configures a ResultCache.
 type ResultCacheConfig = rescache.Config
 
-// ResultCacheStats are the cache's cumulative counters.
-type ResultCacheStats = rescache.Stats
-
-// NewResultCache returns an empty cache. Wire it into a frontend via
-// FrontendOptions.Cache/CacheKey (either runtime), or into a
-// NetFrontServer via its EnableCache method (canonical wire keys);
-// both serve through the cache's one Serve entry point and install its
-// refresh-to-exact worker. Bump its epoch after synopsis updates to
-// invalidate lazily.
+// NewResultCache returns an empty cache. Wire it into a NetFrontServer
+// via its EnableCache method, which keys requests on their canonical
+// wire encoding (semantically identical requests share an entry), serves
+// hits ahead of admission and installs the refresh-to-exact worker.
+// Bump its epoch after synopsis updates to invalidate lazily.
 func NewResultCache(cfg ResultCacheConfig) (*ResultCache, error) { return rescache.New(cfg) }
-
-// WireCacheKey derives the canonical cache key of a wire request:
-// the hash of its canonical payload encoding (order-insensitive fields
-// sorted, per-request metadata excluded) — semantically identical
-// requests key identically.
-func WireCacheKey(req *WireRequest) uint64 {
-	return rescache.Key(wire.AppendCanonicalKey(nil, req))
-}
-
-// CanonicalizeWireRequest returns a copy of req with order-insensitive
-// payload fields in canonical order (and CF targets sorted/deduped, so
-// apply it before sending — replies are positional).
-func CanonicalizeWireRequest(req *WireRequest) *WireRequest { return wire.Canonicalize(req) }
 
 // The observability plane (internal/obs): a unified metrics registry,
 // per-request decision traces that stitch across the wire, and the

@@ -3,13 +3,14 @@
 // Zipf-skewed traffic from many users, most requests repeat, so the
 // cheapest approximate answer is one that was already computed.
 //
-// The demo drives the aggregation workload through the accuracy-aware
-// frontend with a result cache in front of admission and shows, in
-// phases:
+// The demo deploys the aggregation workload over loopback TCP —
+// component servers, an aggregator, the accuracy-aware frontend, and a
+// front server with the result cache ahead of admission — and shows,
+// in phases:
 //
 //  1. Zipf traffic past the backend's saturation rate: the cache
 //     absorbs the popular head, goodput recovers and the tail
-//     collapses, while the no-cache phase queues and sheds.
+//     collapses, while the cold-cache phase queues and sheds.
 //  2. The accuracy-floor hit rule: the same cached entry serves
 //     BestEffort and Bounded{0.90} requests but never a request whose
 //     floor exceeds its recorded accuracy — Exact requests miss until
@@ -28,12 +29,14 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"net"
 	"sync"
 	"time"
 
 	at "accuracytrader"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/stats"
+	"accuracytrader/internal/wire"
 	"accuracytrader/internal/workload"
 )
 
@@ -46,6 +49,7 @@ const (
 	numQueries = 80
 	zipfSkew   = 1.1
 	phaseFor   = 1500 * time.Millisecond
+	queueLen   = 1024 // component queue and aggregator outstanding window
 )
 
 func classOf(r int) at.SLO {
@@ -96,31 +100,30 @@ func main() {
 	}
 	fmt.Println()
 
-	// The live stack: modeled-cost backend -> cluster -> frontend with
-	// the result cache ahead of admission.
+	// The live stack over loopback sockets: one component server per
+	// shard over the modeled-cost backend, an aggregator, the frontend,
+	// and a front server with the result cache ahead of admission.
 	backend := at.NewNetAggBackend(comps, at.NetBackendOptions{
 		UnitCost: perRowCost, SubBudget: 4 * deadline / 5, IMaxFrac: 0.4,
 	})
-	handlers := make([]at.Handler, shards)
-	for i := 0; i < shards; i++ {
-		subset := i
-		handlers[i] = func(ctx context.Context, payload interface{}) (interface{}, error) {
-			sub := *(payload.(*at.WireRequest))
-			sub.Subset = int32(subset)
-			if slo, ok := at.SLOFrom(ctx); ok {
-				sub.SLO, sub.MinAccuracy = uint8(slo.Kind), slo.MinAccuracy
-			}
-			if lv, ok := at.LevelFrom(ctx); ok {
-				sub.Level = int16(lv)
-			}
-			return backend(ctx, &sub), nil
+	addrs := make([]string, shards)
+	for s := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			log.Fatal(err)
 		}
+		srv := at.NewNetComponentServer(backend, at.NetServerOptions{QueueLen: queueLen})
+		go srv.Serve(l)
+		defer srv.Close()
+		addrs[s] = l.Addr().String()
 	}
-	cl, err := at.NewCluster(handlers, at.WaitAll, at.ClusterOptions{Deadline: 6 * deadline})
+	agr, err := at.NewNetAggregator(addrs, at.NetAggregatorOptions{
+		Policy: at.WaitAll, Deadline: 6 * deadline, MaxOutstanding: queueLen,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cl.Close()
+	defer agr.Close()
 
 	cache, err := at.NewResultCache(at.ResultCacheConfig{
 		Capacity:        48,
@@ -138,59 +141,81 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fe, err := at.NewFrontend(cl, at.FrontendOptions{
+	fe, err := at.NewFrontend(agr, at.FrontendOptions{
 		Replicas: 2,
 		Admission: []at.AdmissionPolicy{
 			at.NewMaxInflight(6 * shards),
 			at.NewQueueWatermark(0.35, 0.85),
 		},
 		Controller: ctrl,
-		Cache:      cache,
-		CacheKey: func(payload interface{}) (uint64, bool) {
-			req, ok := payload.(*at.WireRequest)
-			if !ok {
-				return 0, false
-			}
-			return at.WireCacheKey(req), true
-		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	fs := at.NewNetFrontServer(agr, fe, at.NetServerOptions{})
+	if err := fs.EnableCache(cache); err != nil {
+		log.Fatal(err)
+	}
+	fl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	go fs.Serve(fl)
+	defer fs.Close()
+	cl, err := at.DialNetClient(fl.Addr().String(), at.NetClientOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cl.Close()
 
-	// One canonical template per query: identical arrivals share the
-	// pointer, the canonical key, and eventually the cached entry.
+	// One template per query; the front server keys the cache on the
+	// request's canonical encoding, so every arrival of a query shares
+	// its entry whatever its class.
 	templates := make([]*at.WireRequest, len(queries))
 	for i, q := range queries {
 		templates[i] = &at.WireRequest{
-			Kind: at.WireKindAgg, Subset: -1, Level: -1, SLO: 0xff,
+			Kind: at.WireKindAgg, Subset: -1, Level: -1,
 			Agg: &at.WireAggRequest{Op: uint8(q.Op), Lo: q.Lo, Hi: q.Hi},
 		}
+	}
+	call := func(tmpl *at.WireRequest, slo at.SLO) *at.WireReply {
+		req := *tmpl
+		req.SLO, req.MinAccuracy = uint8(slo.Kind), slo.MinAccuracy
+		rep, err := cl.Call(context.Background(), &req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rep
 	}
 
 	// Phase 1 — Zipf load past saturation. ~139/s is this backend's
 	// capacity (7.2ms modeled work per request); offer 180/s.
 	fmt.Println("\n-- phase 1: Zipf open-loop load, 180 req/s offered --")
 	runLoad := func(label string) {
-		zrng := stats.NewRNG(5)
-		zipf := stats.NewZipf(zrng, len(queries), zipfSkew)
+		arrivals := workload.PoissonArrivals(stats.NewRNG(7), 180, phaseFor.Seconds()*1000)
+		zipf := stats.NewZipf(stats.NewRNG(5), len(queries), zipfSkew)
+		qis := make([]int, len(arrivals))
+		for i := range qis {
+			qis[i] = zipf.Draw()
+		}
 		var mu sync.Mutex
 		lats := []float64{}
-		rejected, hits0 := 0, fe.Stats().CacheHits
-		arrivals := workload.PoissonArrivals(stats.NewRNG(7), 180, phaseFor.Seconds()*1000)
+		rejected, hits := 0, 0
 		netsvc.OpenLoop(arrivals, func(r int, intended time.Time) {
-			tmpl := templates[zipf.Draw()]
-			_, err := fe.Call(context.Background(), tmpl, classOf(r))
+			rep := call(templates[qis[r]], classOf(r))
 			lat := float64(time.Since(intended)) / float64(time.Millisecond)
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil {
+			if rep.Status == wire.ReplyRejected {
 				rejected++
 				return
 			}
+			if rep.Cached {
+				hits++
+			}
 			lats = append(lats, lat)
 		})
-		hitPct := 100 * float64(fe.Stats().CacheHits-hits0) / float64(len(lats)+rejected)
+		hitPct := 100 * float64(hits) / float64(len(lats)+rejected)
 		fmt.Printf("  %-12s answered %4d  shed %3d  hit%% %5.1f  p50 %6.1fms  p99 %6.1fms\n",
 			label, len(lats), rejected, hitPct, stats.Percentile(lats, 50), stats.Percentile(lats, 99))
 	}
@@ -202,12 +227,8 @@ func main() {
 	fmt.Println("\n-- phase 2: the hit rule `cached accuracy >= request floor` --")
 	tmpl := templates[len(templates)-1]
 	show := func(slo at.SLO, note string) {
-		res, err := fe.Call(context.Background(), tmpl, slo)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-14s -> fromCache=%-5v recorded accuracy %.3f   (%s)\n",
-			slo, res.FromCache, res.EstimatedAccuracy, note)
+		rep := call(tmpl, slo)
+		fmt.Printf("  %-14s -> cached=%-5v level %d   (%s)\n", slo, rep.Cached, rep.Level, note)
 	}
 	show(at.BestEffortSLO(), "cold: computed at the finest level, entry stored")
 	show(at.BoundedSLO(0.95), "floor 0.95 > recorded accuracy: recomputes, no hit")
@@ -215,19 +236,28 @@ func main() {
 	show(at.ExactSLO(), "the exact answer now serves even Exact requests")
 	show(at.BoundedSLO(0.95), "and every lower floor too")
 
-	// Phase 3 — refresh-to-exact upgrades a popular coarse entry.
+	// Phase 3 — refresh-to-exact upgrades a popular coarse entry: keep
+	// hitting it until a hit carries the exact answer.
 	fmt.Println("\n-- phase 3: background refresh-to-exact --")
 	tmpl2 := templates[1]
-	if _, err := fe.Call(context.Background(), tmpl2, at.BestEffortSLO()); err != nil {
-		log.Fatal(err)
+	q := queries[1]
+	exact := at.ExactAggResult(comps[0], q)
+	for _, c := range comps[1:] {
+		exact.Merge(at.ExactAggResult(c, q))
 	}
+	isExact := func(rep *at.WireReply) bool {
+		got := at.NetAggResultOf(rep.Agg)
+		for k := range exact.Sum {
+			if got.Sum[k] != exact.Sum[k] || got.Cnt[k] != exact.Cnt[k] {
+				return false
+			}
+		}
+		return true
+	}
+	call(tmpl2, at.BestEffortSLO())
 	refined := false
 	for i := 0; i < 400 && !refined; i++ {
-		res, err := fe.Call(context.Background(), tmpl2, at.BestEffortSLO())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if res.FromCache && res.EstimatedAccuracy == 1 {
+		if rep := call(tmpl2, at.BestEffortSLO()); rep.Cached && isExact(rep) {
 			fmt.Printf("  entry refined to exact after %d hits (refreshes so far: %d)\n",
 				i+1, cache.Stats().Refreshes)
 			refined = true
@@ -247,12 +277,9 @@ func main() {
 	fresh, _ := buildComps(18) // updated data, rebuilt ladders
 	copy(comps, fresh)         // handlers see the new components
 	cache.BumpEpoch()
-	res, err := fe.Call(context.Background(), tmpl, at.BestEffortSLO())
-	if err != nil {
-		log.Fatal(err)
-	}
+	rep := call(tmpl, at.BestEffortSLO())
 	st := cache.Stats()
-	fmt.Printf("  after update: fromCache=%v (recomputed from new data), stale discards %d\n",
-		res.FromCache, st.Stale)
+	fmt.Printf("  after update: cached=%v (recomputed from new data), stale discards %d\n",
+		rep.Cached, st.Stale)
 	fmt.Printf("\ncache stats: %+v\n", st)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -22,9 +21,10 @@ import (
 
 // The cachecompare experiment (result-cache extension, not a paper
 // figure) evaluates internal/rescache on the aggregation workload over
-// the in-process runtime: an open-loop load whose query popularity is
+// a loopback front tier (component servers, aggregator, frontend and
+// netsvc.FrontServer): an open-loop load whose query popularity is
 // Zipf-distributed — the production shape in which most requests
-// repeat — drives the frontend once without and once with the
+// repeat — drives the front server once without and once with the
 // accuracy-tagged result cache, at several skew exponents, offered
 // above the no-cache saturation rate. Reported per row: cache hit
 // rate, goodput, p50/p99.9 call latency, shed fraction, measured
@@ -32,7 +32,7 @@ import (
 // (must be zero — the cache-hit rule is `cached accuracy >= request
 // floor`), and coalescing/refresh counters. A separate deterministic
 // phase fires N concurrent identical requests at a cold cache and
-// counts backend fan-outs (must be one: singleflight coalescing).
+// counts component fan-outs (must be one: singleflight coalescing).
 const (
 	// ccDeadlineMs is the service deadline the goodput criterion uses.
 	ccDeadlineMs = 50.0
@@ -70,6 +70,10 @@ const (
 	// ccCallTimeoutMs bounds WaitAll calls so overload queueing cannot
 	// wedge the load generator.
 	ccCallTimeoutMs = 400.0
+	// ccQueueLen is each component server's queue bound and the
+	// aggregator's per-component outstanding window — the QueueCap the
+	// frontend's queue watermark is measured against.
+	ccQueueLen = 1024
 	// ccSubBudgetFrac is the component-side l_spe as a fraction of the
 	// deadline.
 	ccSubBudgetFrac = 0.8
@@ -96,8 +100,9 @@ type CacheRow struct {
 	// frontend.SLOKind) over answered requests.
 	ClassAcc [3]float64
 	// FloorViolations counts cache hits served to a Bounded request
-	// whose recorded accuracy was below the request's floor. The hit
-	// rule makes this impossible; the experiment proves it.
+	// from a ladder level whose calibrated accuracy was below the
+	// request's floor. The hit rule makes this impossible; the
+	// experiment proves it.
 	FloorViolations int
 	Coalesced       int64
 	Refreshes       int64
@@ -128,10 +133,9 @@ type CacheCompare struct {
 	Rows []*CacheRow
 
 	// The traffic every row is offered: one Poisson arrival schedule (a
-	// pure function of the seed), the query population as shared request
-	// templates, and each query's exact merged estimates.
+	// pure function of the seed), the query population, and each query's
+	// exact merged estimates.
 	arrivalsMs []float64
-	templates  []*wire.Request
 	queries    []agg.Query
 	exactEst   [][]float64
 }
@@ -146,67 +150,30 @@ func (cc *CacheCompare) Row(skew float64, cached bool) *CacheRow {
 	return nil
 }
 
-// ccTemplates builds one canonical whole-service request per query.
-// All arrivals of a query share the template pointer, so its canonical
-// cache key — and the payload the refresh worker recomputes from — is
-// stable across the run.
-func ccTemplates(queries []agg.Query) []*wire.Request {
-	out := make([]*wire.Request, len(queries))
-	for i, q := range queries {
-		out[i] = aggRequest(q)
-	}
-	return out
-}
-
-// ccCacheKey keys payloads on their canonical wire encoding.
-func ccCacheKey(payload interface{}) (uint64, bool) {
-	req, ok := payload.(*wire.Request)
-	if !ok {
-		return 0, false
-	}
-	return rescache.Key(wire.AppendCanonicalKey(nil, req)), true
-}
-
-// ccHandlers wraps the aggregation backend into per-subset cluster
-// handlers that read the frontend-selected SLO class and ladder level
-// from the context (the same translation netsvc.Aggregator performs on
-// the wire).
-func ccHandlers(comps []*agg.Component, backend netsvc.Handler, subCalls *atomic.Int64) []service.Handler {
-	n := len(comps)
-	handlers := make([]service.Handler, n)
-	for i := 0; i < n; i++ {
-		subset := i
-		handlers[i] = func(ctx context.Context, payload interface{}) (interface{}, error) {
-			req, ok := payload.(*wire.Request)
-			if !ok {
-				return nil, fmt.Errorf("experiments: payload must be *wire.Request, got %T", payload)
+// ccDeploy stands up one loopback deployment of the experiment: a
+// component server per shard over handler (one worker, a 1,024-deep
+// queue), a WaitAll aggregator with the given call timeout whose
+// 1,024-wide outstanding window is the bound the queue watermark reads,
+// and the standard frontend behind a front server — with the result
+// cache enabled when cache is non-nil.
+func ccDeploy(n int, handler netsvc.Handler, timeout time.Duration, levelAcc []float64, cache *rescache.Cache) (*netsvc.Loopback, error) {
+	return netsvc.StartLoopback(netsvc.LoopbackSpec{
+		Components: n,
+		Handler:    func(int) netsvc.Handler { return handler },
+		Server:     netsvc.ServerOptions{Workers: 1, QueueLen: ccQueueLen},
+		Agg:        netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: timeout, MaxOutstanding: ccQueueLen},
+		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
+			fe, err := StandardFrontend(agr, 6*n, levelAcc, frontend.Options{})
+			if err != nil {
+				return nil, err
 			}
-			if subCalls != nil {
-				subCalls.Add(1)
+			fs := netsvc.NewFrontServer(agr, fe, netsvc.ServerOptions{})
+			if cache == nil {
+				return fs, nil
 			}
-			sub := *req
-			sub.Seq = req.ID
-			sub.Subset = int32(subset)
-			if slo, ok := frontend.SLOFrom(ctx); ok {
-				sub.SLO, sub.MinAccuracy = uint8(slo.Kind), slo.MinAccuracy
-			}
-			if lv, ok := frontend.LevelFrom(ctx); ok {
-				sub.Level = int16(lv)
-			}
-			return backend(ctx, &sub), nil
-		}
-	}
-	return handlers
-}
-
-// ccFrontend assembles the standard pipeline for one row: fresh
-// admission, routing and controller state, plus the cache when cached.
-func ccFrontend(cl *service.Cluster, levelAcc []float64, cache *rescache.Cache) (*frontend.Frontend, error) {
-	var opts frontend.Options
-	if cache != nil {
-		opts = frontend.Options{Cache: cache, CacheKey: ccCacheKey}
-	}
-	return StandardFrontend(cl, 6*cl.Components(), levelAcc, opts)
+			return fs, fs.EnableCache(cache)
+		},
+	})
 }
 
 // RunCacheCompare measures the result cache against the no-cache
@@ -238,7 +205,6 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 		CacheCapacity: ccCacheCapacity,
 		LevelAccuracy: LadderAccuracy(comps, calib),
 		CoalesceFanIn: ccCoalesceFanIn,
-		templates:     ccTemplates(queries),
 		queries:       queries,
 		exactEst:      exactEstimates(comps, queries),
 	}
@@ -261,7 +227,7 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 			qis[i] = zipf.Draw()
 		}
 		for _, cached := range []bool{false, true} {
-			row, err := cc.runRow(skew, cached, ccHandlers(comps, backend, nil), qis)
+			row, err := cc.runRow(skew, cached, backend, qis)
 			if err != nil {
 				return nil, err
 			}
@@ -274,7 +240,7 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 	}
 	cc.promise("cache floor", floorViol == 0,
 		"%d cache hits served below a Bounded request's floor across %d rows, warm-up included (want 0)", floorViol, len(cc.Rows))
-	if err := cc.runCoalesceCheck(comps); err != nil {
+	if err := cc.runCoalesceCheck(n); err != nil {
 		return nil, err
 	}
 	return cc, nil
@@ -282,16 +248,10 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 
 // runRow measures one (skew, cached?) configuration; arrival r asks
 // query qis[r].
-func (cc *CacheCompare) runRow(skew float64, cached bool, handlers []service.Handler, qis []int) (*CacheRow, error) {
-	cl, err := service.New(handlers, service.WaitAll, service.Options{
-		Deadline: time.Duration(ccCallTimeoutMs * float64(time.Millisecond)),
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
+func (cc *CacheCompare) runRow(skew float64, cached bool, backend netsvc.Handler, qis []int) (*CacheRow, error) {
 	var cache *rescache.Cache
 	if cached {
+		var err error
 		cache, err = rescache.New(rescache.Config{
 			Capacity:        ccCacheCapacity,
 			BestEffortFloor: 0.6,
@@ -304,10 +264,11 @@ func (cc *CacheCompare) runRow(skew float64, cached bool, handlers []service.Han
 		}
 		defer cache.Close()
 	}
-	fe, err := ccFrontend(cl, cc.LevelAccuracy, cache)
+	lb, err := ccDeploy(cc.Servers, backend, time.Duration(ccCallTimeoutMs*float64(time.Millisecond)), cc.LevelAccuracy, cache)
 	if err != nil {
 		return nil, err
 	}
+	defer lb.Close()
 
 	row := &CacheRow{Skew: skew, Cached: cached}
 	var mu sync.Mutex
@@ -317,30 +278,37 @@ func (cc *CacheCompare) runRow(skew float64, cached bool, handlers []service.Han
 	lag := netsvc.OpenLoop(cc.arrivalsMs, func(r int, intended time.Time) {
 		qi := qis[r]
 		slo := overloadClassMix(r)
-		res, err := fe.Call(context.Background(), cc.templates[qi], slo)
+		req := aggRequest(cc.queries[qi])
+		req.SLO, req.MinAccuracy = uint8(slo.Kind), slo.MinAccuracy
+		rep, err := lb.Client.Call(context.Background(), req)
 		latMs := float64(time.Since(intended)) / float64(time.Millisecond)
 		// Floor violations are checked over the whole run — warmup hits
-		// must honor the contract too.
+		// must honor the contract too: a cached Bounded reply must come
+		// from a level whose calibrated accuracy clears the floor.
 		mu.Lock()
 		defer mu.Unlock()
-		if err == nil && res.FromCache && slo.Kind == frontend.Bounded &&
-			res.EstimatedAccuracy < slo.MinAccuracy-1e-9 {
+		if err == nil && rep.Cached && slo.Kind == frontend.Bounded &&
+			cc.LevelAccuracy[rep.Level] < slo.MinAccuracy-1e-9 {
 			row.FloorViolations++
 		}
 		if cc.arrivalsMs[r] < warmupMs {
 			return // the cut is on the intended time: the same arrivals in both rows
 		}
 		row.Calls++
-		if err != nil {
-			if errors.Is(err, frontend.ErrRejected) {
+		if err != nil || !wire.ReplyCarriesPayload(rep.Status) {
+			if err == nil && rep.Status == wire.ReplyRejected {
 				rejected++
 			}
 			return
 		}
-		if res.FromCache {
+		if rep.Cached {
 			hits++
 		}
-		t.addTimed(latMs, ccDeadlineMs, slo.Kind, netAccuracy(res.Sub, cc.queries[qi].Op, cc.exactEst[qi]))
+		acc := 0.0 // a degraded reply that lost every stratum
+		if len(rep.Agg.Sum) > 0 {
+			acc = agg.Accuracy(netsvc.AggResultOf(rep.Agg).Estimates(cc.queries[qi].Op), cc.exactEst[qi])
+		}
+		t.addTimed(latMs, ccDeadlineMs, slo.Kind, acc)
 	})
 	row.MaxLagMs = float64(lag) / float64(time.Millisecond)
 	if cache != nil {
@@ -358,34 +326,31 @@ func (cc *CacheCompare) runRow(skew float64, cached bool, handlers []service.Han
 }
 
 // runCoalesceCheck fires FanIn concurrent identical requests at a cold
-// cache behind an idle frontend and counts backend fan-outs: the
-// singleflight must collapse them to one.
-func (cc *CacheCompare) runCoalesceCheck(comps []*agg.Component) error {
-	n := len(comps)
+// cache behind an idle front server and counts component sub-operations:
+// the singleflight must collapse them to one fan-out.
+func (cc *CacheCompare) runCoalesceCheck(n int) error {
 	release := make(chan struct{})
 	var subCalls atomic.Int64
 	gated := func(ctx context.Context, req *wire.Request) *wire.SubReply {
+		subCalls.Add(1)
 		<-release
 		return &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
 			Agg: &wire.AggResult{Sum: make([]float64, 1), Cnt: make([]float64, 1),
 				SumVar: make([]float64, 1), CntVar: make([]float64, 1)}}
 	}
-	cl, err := service.New(ccHandlers(comps, gated, &subCalls), service.WaitAll,
-		service.Options{Deadline: 10 * time.Second})
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	cache, err := rescache.New(rescache.Config{Capacity: ccCacheCapacity})
+	// No refresh target: the background worker stays idle, so every
+	// sub-operation counted belongs to the flight.
+	cache, err := rescache.New(rescache.Config{Capacity: ccCacheCapacity, RefreshBelow: 1e-9})
 	if err != nil {
 		return err
 	}
 	defer cache.Close()
-	fe, err := ccFrontend(cl, cc.LevelAccuracy, cache)
+	lb, err := ccDeploy(n, gated, 10*time.Second, cc.LevelAccuracy, cache)
 	if err != nil {
 		return err
 	}
-	tmpl := &wire.Request{Kind: wire.KindAgg, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
+	defer lb.Close()
+	tmpl := &wire.Request{Kind: wire.KindAgg, Subset: -1, SLO: wire.SLOBounded, MinAccuracy: 0.5, Level: wire.NoLevel,
 		Agg: &wire.AggRequest{Op: uint8(agg.Sum), Lo: 0, Hi: 1}}
 	var wg sync.WaitGroup
 	var errOnce sync.Once
@@ -394,15 +359,19 @@ func (cc *CacheCompare) runCoalesceCheck(comps []*agg.Component) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := fe.Call(context.Background(), tmpl, frontend.BoundedSLO(0.5)); err != nil {
+			rep, err := lb.Client.Call(context.Background(), tmpl)
+			if err == nil && rep.Status != wire.ReplyOK {
+				err = fmt.Errorf("experiments: coalescing call answered status %d: %s", rep.Status, rep.Err)
+			}
+			if err != nil {
 				errOnce.Do(func() { callErr = err })
 			}
 		}()
 	}
-	// Give every goroutine time to reach the flight (the winner is
-	// parked in the gated handler), then let the computation finish.
+	// Give every call time to reach the flight (the winner's fan-out is
+	// parked in the gated handlers), then let the computation finish.
 	deadline := time.Now().Add(5 * time.Second)
-	for fe.Stats().Admitted == 0 && time.Now().Before(deadline) {
+	for subCalls.Load() < int64(n) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -413,8 +382,8 @@ func (cc *CacheCompare) runCoalesceCheck(comps []*agg.Component) error {
 	}
 	cc.CoalesceComputes = int(subCalls.Load()) / n
 	// Shared = flight joins plus hits on the freshly stored entry (a
-	// goroutine scheduled after the winner completed); both mean the
-	// request was answered by the one computation.
+	// call scheduled after the winner completed); both mean the request
+	// was answered by the one computation.
 	cst := cache.Stats()
 	cc.CoalesceShared = cst.Coalesced + cst.Hits
 	cc.promise("coalescing", cc.CoalesceComputes == 1 && cc.CoalesceShared == int64(cc.CoalesceFanIn-1),
@@ -431,7 +400,7 @@ func (cc *CacheCompare) Render() string {
 	for _, r := range cc.Rows {
 		maxLag = math.Max(maxLag, r.MaxLagMs)
 	}
-	fmt.Fprintf(&b, "(aggregation workload, in-process runtime, %d components; open-loop Poisson, nominal %.1f req/s — above the\n",
+	fmt.Fprintf(&b, "(aggregation workload, loopback front server, %d components; open-loop Poisson, nominal %.1f req/s — above the\n",
 		cc.Servers, cc.RatePerSec)
 	fmt.Fprintf(&b, " no-cache improvement-capped capacity — for %.1fs: the same %d scheduled arrivals offered to every row\n",
 		cc.WindowSeconds, cc.Arrivals)

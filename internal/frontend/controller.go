@@ -146,7 +146,7 @@ func (c *Controller) Load() float64 {
 
 // RefreshLoadCeiling is the smoothed load above which background exact
 // recomputation — cache refresh, post-swap re-warm, audit replay — is
-// deferred entirely, in both runtimes.
+// deferred entirely.
 const RefreshLoadCeiling = 0.7
 
 // RefreshAllowed is the gate of every background exact recomputation:

@@ -3,12 +3,10 @@ package frontend
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"accuracytrader/internal/obs"
-	"accuracytrader/internal/rescache"
 	"accuracytrader/internal/service"
 )
 
@@ -59,30 +57,10 @@ type Options struct {
 	// handlers use their finest synopsis) and Result.Level is -1,
 	// matching the simulator's nil-controller behaviour.
 	Controller *Controller
-	// Cache, when non-nil, serves repeated requests from the
-	// accuracy-aware result cache *ahead of admission* — a hit consumes
-	// no token, no in-flight slot and no backend work. Entries are
-	// tagged with the accuracy they were computed at; a hit is served
-	// only when that accuracy clears the request's floor (Exact: 1,
-	// Bounded: MinAccuracy, BestEffort: the cache's load-loosened base
-	// floor) and the entry's data epoch is current. Concurrent
-	// identical misses coalesce onto one backend computation, and the
-	// cache's background refresh-to-exact worker is installed: hits on
-	// entries below the cache's refresh target enqueue the key, and a
-	// low-priority worker recomputes the answer at Exact class through
-	// this frontend — admission included, so refreshes lose to
-	// foreground traffic under overload — and upgrades the entry to
-	// accuracy 1. Requires CacheKey and Controller (the accuracy tags
-	// come from the controller's calibrated level estimates).
-	Cache *rescache.Cache
-	// CacheKey derives the canonical cache key of a payload; ok = false
-	// marks the request uncacheable (it bypasses the cache entirely).
-	// Use rescache.Key over wire.AppendCanonicalKey for wire payloads.
-	CacheKey func(payload interface{}) (key uint64, ok bool)
 	// Metrics is the observability registry the frontend's counters live
 	// in (frontend_admitted_total, frontend_degraded_total,
-	// frontend_rejected_total, frontend_cache_hits_total). Nil uses a
-	// private registry; Stats() is unaffected either way.
+	// frontend_rejected_total). Nil uses a private registry; Stats() is
+	// unaffected either way.
 	Metrics *obs.Registry
 }
 
@@ -91,11 +69,6 @@ type Stats struct {
 	Admitted int64
 	Degraded int64 // admitted with a downgraded SLO
 	Rejected int64
-	// CacheHits counts requests served from the result cache (including
-	// coalesced waiters that shared another request's computation);
-	// cache-served requests appear in no other counter — they bypass
-	// admission entirely.
-	CacheHits int64
 }
 
 // Result is one answered request.
@@ -108,15 +81,10 @@ type Result struct {
 	// … fine Levels-1), or -1 when no degradation controller is set.
 	Level int
 	// EstimatedAccuracy is the controller's accuracy estimate for
-	// Level (for cache-served results: the accuracy recorded on the
-	// entry, 1 for exact answers).
+	// Level (1 for Exact-class results).
 	EstimatedAccuracy float64
 	// Degraded reports that admission downgraded the request's class.
 	Degraded bool
-	// FromCache reports that the result was served from the result
-	// cache (or shared from a coalesced concurrent computation) instead
-	// of a fresh fan-out.
-	FromCache bool
 }
 
 // Frontend is the admission → routing → degradation pipeline in front
@@ -129,10 +97,9 @@ type Frontend struct {
 	rmap  ReplicaMap
 	start time.Time
 
-	admitted  *obs.Counter
-	degraded  *obs.Counter
-	rejected  *obs.Counter
-	cacheHits *obs.Counter
+	admitted *obs.Counter
+	degraded *obs.Counter
+	rejected *obs.Counter
 	// inflightNow reserves a request's in-flight slot at admission
 	// time: the cluster's own counter only rises once Call reaches it,
 	// which would let a concurrent burst race past MaxInflight.
@@ -149,65 +116,24 @@ func New(cl Backend, opts Options) (*Frontend, error) {
 	if opts.Router == nil {
 		opts.Router = NewLeastLoaded()
 	}
-	if opts.Cache != nil && opts.CacheKey == nil {
-		return nil, fmt.Errorf("frontend: Options.Cache requires Options.CacheKey")
-	}
-	if opts.Cache != nil && opts.Controller == nil {
-		// Without a controller there is no calibrated accuracy estimate
-		// to tag entries with — callMiss would claim accuracy 1 for
-		// approximate answers and Exact/Bounded floors would admit them,
-		// silently voiding the cache's core contract.
-		return nil, fmt.Errorf("frontend: Options.Cache requires Options.Controller (entries are tagged with its calibrated level accuracy)")
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	f := &Frontend{
-		cl:        cl,
-		opts:      opts,
-		rmap:      NewReplicaMap(cl.Components(), opts.Replicas),
-		start:     time.Now(),
-		admitted:  reg.Counter("frontend_admitted_total"),
-		degraded:  reg.Counter("frontend_degraded_total"),
-		rejected:  reg.Counter("frontend_rejected_total"),
-		cacheHits: reg.Counter("frontend_cache_hits_total"),
+		cl:       cl,
+		opts:     opts,
+		rmap:     NewReplicaMap(cl.Components(), opts.Replicas),
+		start:    time.Now(),
+		admitted: reg.Counter("frontend_admitted_total"),
+		degraded: reg.Counter("frontend_degraded_total"),
+		rejected: reg.Counter("frontend_rejected_total"),
 	}
 	reg.GaugeFunc("frontend_inflight", func() float64 { return float64(f.inflightNow.Load()) })
 	cl.SetRouter(func(subset, n int, queueDepth func(int) int) int {
 		return f.opts.Router.Pick(subset, f.rmap.Replicas(subset), queueDepth)
 	})
-	if opts.Cache != nil {
-		opts.Cache.SetRefresh(f.refreshToExact, opts.Controller.RefreshAllowed)
-	}
 	return f, nil
-}
-
-// refreshToExact is the cache's refresh function: recompute one cached
-// answer at Exact class through the full frontend pipeline. Going
-// through admission is what makes the worker genuinely low-priority —
-// under overload the refresh is shed like any other request and the
-// entry keeps its coarse answer until load drops.
-func (f *Frontend) refreshToExact(_ uint64, payload interface{}) (interface{}, float64, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*f.cl.Deadline())
-	defer cancel()
-	res, err := f.callMiss(ctx, payload, ExactSLO())
-	if err != nil || !service.Complete(res.Sub) {
-		return nil, 0, false
-	}
-	return storableResult(res, 1), 1, true
-}
-
-// storableResult trims a fresh result down to what a cache entry may
-// replay: values and the serving metadata, no per-execution transport
-// facts.
-func storableResult(res *Result, acc float64) *Result {
-	return &Result{
-		Sub:               service.Snapshot(res.Sub),
-		SLO:               res.SLO,
-		Level:             res.Level,
-		EstimatedAccuracy: acc,
-	}
 }
 
 // Snapshot reads the backend's live load signals.
@@ -234,81 +160,11 @@ func (f *Frontend) Snapshot() Load {
 	}
 }
 
-// Call runs one request through the pipeline. With a result cache
-// configured, the cache is consulted first — ahead of admission, so a
-// hit consumes no token and no in-flight slot — and concurrent
-// identical misses coalesce onto one computation. The miss path (and
-// the cacheless path): observe load, admit (or reject/downgrade),
-// select the ladder level for the request's SLO, and fan out through
-// the cluster with the level attached to the context (handlers read it
-// via LevelFrom).
+// Call runs one request through the pipeline: observe load, admit (or
+// reject/downgrade), select the ladder level for the request's SLO, and
+// fan out through the backend with the level attached to the context
+// (handlers read it via LevelFrom).
 func (f *Frontend) Call(ctx context.Context, payload interface{}, slo SLO) (*Result, error) {
-	if f.opts.Cache != nil {
-		if key, ok := f.opts.CacheKey(payload); ok {
-			return f.callCached(ctx, key, payload, slo)
-		}
-	}
-	return f.callMiss(ctx, payload, slo)
-}
-
-// CacheFloor maps an SLO to the accuracy floor a cached entry must
-// clear to serve it — the one class → floor rule of both runtimes. Exact
-// and Bounded floors are hard; the BestEffort floor is the cache's
-// load-loosened base.
-func (s SLO) CacheFloor(c *rescache.Cache) float64 {
-	switch s.Kind {
-	case Exact:
-		return 1
-	case Bounded:
-		return s.MinAccuracy
-	default:
-		return c.BestEffortFloor()
-	}
-}
-
-// callCached serves one cacheable request through rescache.Serve:
-// lookup, coalesce, or compute-and-keep.
-func (f *Frontend) callCached(ctx context.Context, key uint64, payload interface{}, slo SLO) (*Result, error) {
-	cache := f.opts.Cache
-	// Keep the cache's BestEffort slack tracking the degradation
-	// controller's smoothed load.
-	cache.SetLoad(f.opts.Controller.Load())
-	v, acc, shared, err := cache.Serve(ctx, key, slo.CacheFloor(cache), payload,
-		func() (interface{}, float64, interface{}, error) {
-			res, err := f.callMiss(ctx, payload, slo)
-			if err != nil {
-				return nil, 0, nil, err
-			}
-			acc := res.EstimatedAccuracy
-			if !service.Complete(res.Sub) {
-				// A fan-out with errors or skips does not back its accuracy
-				// tag: answer this caller (the errors live in Sub), keep
-				// nothing.
-				return res, acc, nil, nil
-			}
-			return res, acc, storableResult(res, acc), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	res := v.(*Result)
-	if !shared {
-		return res, nil
-	}
-	// Cache hit or coalesced share: the kept result is immutable, so hand
-	// out a copy stamped with this request's class.
-	f.cacheHits.Inc()
-	out := *res
-	out.SLO = slo
-	out.EstimatedAccuracy = acc
-	out.Degraded = false
-	out.FromCache = true
-	return &out, nil
-}
-
-// callMiss is the uncached pipeline: admission, level selection, fan
-// out.
-func (f *Frontend) callMiss(ctx context.Context, payload interface{}, slo SLO) (*Result, error) {
 	// Reserve before deciding: concurrent callers serialize through
 	// the counter, so each sees every earlier reservation and a burst
 	// admits at most MaxInflight requests (the slot is released when
@@ -383,17 +239,11 @@ func (f *Frontend) callMiss(ctx context.Context, payload interface{}, slo SLO) (
 // one Prometheus scrape away; this snapshot API is unchanged.
 func (f *Frontend) Stats() Stats {
 	return Stats{
-		Admitted:  f.admitted.Value(),
-		Degraded:  f.degraded.Value(),
-		Rejected:  f.rejected.Value(),
-		CacheHits: f.cacheHits.Value(),
+		Admitted: f.admitted.Value(),
+		Degraded: f.degraded.Value(),
+		Rejected: f.rejected.Value(),
 	}
 }
-
-// Cache exposes the configured result cache (nil when the frontend
-// runs without one) — integrators bump its epoch after synopsis
-// updates.
-func (f *Frontend) Cache() *rescache.Cache { return f.opts.Cache }
 
 // Controller exposes the degradation controller (for reporting); nil
 // when the frontend runs without degradation.

@@ -9,14 +9,15 @@ import (
 	"time"
 
 	"accuracytrader/internal/agg"
+	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/rescache"
 	"accuracytrader/internal/wire"
 )
 
 // startCachedFrontServer builds the full stack — component servers,
-// aggregator, frontend, result cache — counting backend handler
-// invocations.
-func startCachedFrontServer(t *testing.T, n int, cacheCfg rescache.Config) (*FrontServer, *rescache.Cache, *Client, *atomic.Int64, []*agg.Component) {
+// aggregator, frontend behind the given admission policies, result
+// cache — counting backend handler invocations.
+func startCachedFrontServer(t *testing.T, n int, admission []frontend.AdmissionPolicy, cacheCfg rescache.Config) (*FrontServer, *rescache.Cache, *Client, *atomic.Int64, []*agg.Component) {
 	t.Helper()
 	comps := buildAggComps(t, n)
 	var backendCalls atomic.Int64
@@ -34,7 +35,7 @@ func startCachedFrontServer(t *testing.T, n int, cacheCfg rescache.Config) (*Fro
 		}),
 		Server: ServerOptions{Workers: 2},
 		Agg:    waitAll,
-		Front:  calibratedFront(comps, ServerOptions{}, func(fs *FrontServer) error { return fs.EnableCache(cache) }),
+		Front:  calibratedFront(admission, ServerOptions{}, func(fs *FrontServer) error { return fs.EnableCache(cache) }),
 	})
 	fs, cl := lb.Front, lb.Client
 	return fs, cache, cl, &backendCalls, comps
@@ -43,12 +44,14 @@ func startCachedFrontServer(t *testing.T, n int, cacheCfg rescache.Config) (*Fro
 // TestFrontServerCacheHitAndFloor covers the networked cache end to
 // end: a repeat request is answered from the cache (Cached flag set,
 // no backend work), a Bounded request whose floor exceeds the entry's
-// recorded accuracy recomputes, and an epoch bump invalidates.
+// recorded accuracy recomputes, an Exact request misses every inexact
+// entry until its own exact answer is stored, and an epoch bump
+// invalidates.
 func TestFrontServerCacheHitAndFloor(t *testing.T) {
 	const n = 2
 	// RefreshBelow under every entry's accuracy: the background worker
 	// stays idle, so backend-call counts are deterministic.
-	fs, cache, cl, backendCalls, _ := startCachedFrontServer(t, n, rescache.Config{Capacity: 64, RefreshBelow: 0.01})
+	_, cache, cl, backendCalls, _ := startCachedFrontServer(t, n, nil, rescache.Config{Capacity: 64, RefreshBelow: 0.01})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -102,6 +105,28 @@ func TestFrontServerCacheHitAndFloor(t *testing.T) {
 		t.Fatal("floor-violating lookup did not recompute")
 	}
 
+	// Exact requests only match exact entries: the 0.97 entry is not
+	// enough, so the first Exact request computes, and the accuracy-1
+	// answer it stores serves the repeat.
+	exact := aggReq(agg.Sum, 0, math.Inf(1))
+	exact.SLO = wire.SLOExact
+	calls = backendCalls.Load()
+	rep5, err := cl.Call(ctx, exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep5.Status != wire.ReplyOK || rep5.Cached || backendCalls.Load() == calls {
+		t.Fatalf("Exact request over an inexact entry: status %d cached %v", rep5.Status, rep5.Cached)
+	}
+	calls = backendCalls.Load()
+	rep6, err := cl.Call(ctx, exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep6.Cached || backendCalls.Load() != calls {
+		t.Fatal("stored exact answer did not serve the Exact repeat")
+	}
+
 	// Epoch bump: the data changed, the entry must not serve again.
 	cache.BumpEpoch()
 	calls = backendCalls.Load()
@@ -112,8 +137,60 @@ func TestFrontServerCacheHitAndFloor(t *testing.T) {
 	if rep4.Cached || backendCalls.Load() == calls {
 		t.Fatal("stale entry served after epoch bump")
 	}
-	if fs.CacheHits() == 0 {
-		t.Fatal("front-server cache-hit counter never moved")
+	if st := cache.Stats(); st.Hits+st.Coalesced != 2 {
+		t.Fatalf("cache stats = %+v, want 2 requests answered from the cache", st)
+	}
+}
+
+// TestFrontServerCacheHitBypassesAdmission: a cache hit consumes no
+// admission state. Behind a one-token bucket the first miss takes the
+// token, its repeats are answered from the cache, and a request with a
+// distinct key is a real miss that the drained bucket rejects — and a
+// rejection is never stored, so its repeat is rejected afresh.
+func TestFrontServerCacheHitBypassesAdmission(t *testing.T) {
+	const n = 2
+	fs, cache, cl, backendCalls, _ := startCachedFrontServer(t, n,
+		[]frontend.AdmissionPolicy{frontend.NewTokenBucket(0, 1)}, rescache.Config{Capacity: 64, RefreshBelow: 0.01})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	rep, err := cl.Call(ctx, aggReqBounded(0.9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Status != wire.ReplyOK || rep.Cached {
+		t.Fatalf("first reply = status %d cached %v err %q", rep.Status, rep.Cached, rep.Err)
+	}
+	calls := backendCalls.Load()
+	for i := 0; i < 3; i++ {
+		rep, err = cl.Call(ctx, aggReqBounded(0.9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Status != wire.ReplyOK || !rep.Cached {
+			t.Fatalf("repeat %d went through the drained token bucket: status %d cached %v err %q",
+				i, rep.Status, rep.Cached, rep.Err)
+		}
+	}
+	if backendCalls.Load() != calls {
+		t.Fatal("cache hits did backend work")
+	}
+	distinct := aggReq(agg.Sum, 0, 100)
+	distinct.SLO, distinct.MinAccuracy = wire.SLOBounded, 0.9
+	for i := 0; i < 2; i++ {
+		rep, err = cl.Call(ctx, distinct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Status != wire.ReplyRejected || rep.Cached {
+			t.Fatalf("distinct-key call %d skipped admission: status %d cached %v", i, rep.Status, rep.Cached)
+		}
+	}
+	if st := fs.fe.Stats(); st.Admitted != 1 || st.Rejected != 2 {
+		t.Fatalf("frontend stats = %+v, want 1 admitted and 2 rejected", st)
+	}
+	if st := cache.Stats(); st.Hits != 3 || st.Stored != 1 {
+		t.Fatalf("cache stats = %+v, want 3 hits and 1 stored entry", st)
 	}
 }
 
@@ -130,7 +207,7 @@ func aggReqBounded(minAcc float64) *wire.Request {
 func TestFrontServerCoalescesConcurrentMisses(t *testing.T) {
 	const n = 2
 	const clients = 16
-	_, cache, cl, backendCalls, _ := startCachedFrontServer(t, n, rescache.Config{Capacity: 64, RefreshBelow: 0.01})
+	_, cache, cl, backendCalls, _ := startCachedFrontServer(t, n, nil, rescache.Config{Capacity: 64, RefreshBelow: 0.01})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -175,7 +252,7 @@ func TestFrontServerCoalescesConcurrentMisses(t *testing.T) {
 // accuracy 1 — "coarse first, refine later" applied to reuse.
 func TestFrontServerCacheRefreshToExact(t *testing.T) {
 	const n = 2
-	_, cache, cl, _, comps := startCachedFrontServer(t, n, rescache.Config{
+	_, cache, cl, _, comps := startCachedFrontServer(t, n, nil, rescache.Config{
 		Capacity: 64, RefreshBelow: 1, RefreshInterval: time.Millisecond,
 	})
 

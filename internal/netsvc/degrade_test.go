@@ -8,12 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"accuracytrader/internal/rescache"
 	"accuracytrader/internal/wire"
 )
 
 // degradeFixture serves four subsets where subset 0 fails on demand,
-// behind a FrontServer, and returns a client plus the fault switch.
-func degradeFixture(t *testing.T) (*Client, *atomic.Bool) {
+// behind the FrontServer front builds, and returns a client plus the
+// fault switch.
+func degradeFixture(t *testing.T, front func(*Aggregator) (*FrontServer, error)) (*Client, *atomic.Bool) {
 	t.Helper()
 	var lose atomic.Bool
 	h := func(ctx context.Context, req *wire.Request) *wire.SubReply {
@@ -23,7 +25,7 @@ func degradeFixture(t *testing.T) (*Client, *atomic.Bool) {
 		return &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
 			Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0.5}, CntVar: []float64{0}}}
 	}
-	cl := startLoopback(t, LoopbackSpec{Components: 4, Handler: every(h), Agg: waitAll, Front: bareFront}).Client
+	cl := startLoopback(t, LoopbackSpec{Components: 4, Handler: every(h), Agg: waitAll, Front: front}).Client
 	return cl, &lose
 }
 
@@ -48,7 +50,7 @@ func degradeCall(t *testing.T, cl *Client, slo uint8, minAcc float64) *wire.Repl
 // its floor (typed rejection otherwise), Exact fails fast — and a
 // healthy fan-out stays a plain OK answer.
 func TestDegradationSLORule(t *testing.T) {
-	cl, lose := degradeFixture(t)
+	cl, lose := degradeFixture(t, bareFront)
 
 	// Healthy control: full fan-out, plain OK, no degradation flag.
 	rep := degradeCall(t, cl, wire.SLOBestEffort, 0)
@@ -106,5 +108,39 @@ func TestDegradationSLORule(t *testing.T) {
 	rep = degradeCall(t, cl, wire.SLOBounded, 0.9)
 	if rep.Status != wire.ReplyOK || rep.Degraded {
 		t.Fatalf("post-heal reply: status %d degraded %v err %q", rep.Status, rep.Degraded, rep.Err)
+	}
+}
+
+// TestDegradedReplyIsNeverCached: with the result cache on, a reply
+// composed over a missing stratum answers its caller but is neither
+// stored nor shared — the repeat under the same fault computes again —
+// and after healing the first whole answer is the one that gets stored.
+func TestDegradedReplyIsNeverCached(t *testing.T) {
+	cache, err := rescache.New(rescache.Config{Capacity: 64, RefreshBelow: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cache.Close)
+	cl, lose := degradeFixture(t, calibratedFront(nil, ServerOptions{}, func(fs *FrontServer) error { return fs.EnableCache(cache) }))
+
+	lose.Store(true)
+	for i := 0; i < 2; i++ {
+		rep := degradeCall(t, cl, wire.SLOBestEffort, 0)
+		if rep.Status != wire.ReplyDegraded || rep.Cached {
+			t.Fatalf("best-effort call %d under loss: status %d cached %v err %q", i, rep.Status, rep.Cached, rep.Err)
+		}
+	}
+
+	lose.Store(false)
+	rep := degradeCall(t, cl, wire.SLOBestEffort, 0)
+	if rep.Status != wire.ReplyOK || rep.Cached {
+		t.Fatalf("first post-heal call: status %d cached %v err %q (a degraded entry served?)", rep.Status, rep.Cached, rep.Err)
+	}
+	rep = degradeCall(t, cl, wire.SLOBestEffort, 0)
+	if rep.Status != wire.ReplyOK || !rep.Cached {
+		t.Fatalf("second post-heal call: status %d cached %v, want the stored whole answer", rep.Status, rep.Cached)
+	}
+	if st := cache.Stats(); st.Stored != 1 {
+		t.Fatalf("cache stats = %+v, want exactly the one whole answer stored", st)
 	}
 }

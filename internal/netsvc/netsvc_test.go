@@ -56,18 +56,19 @@ func bareFront(a *Aggregator) (*FrontServer, error) {
 }
 
 // calibratedFront returns a Front callback deploying the frontend with a
-// two-level calibrated controller, and whatever enable adds to the
-// server (nil: nothing).
-func calibratedFront(comps []*agg.Component, sopts ServerOptions, enable func(*FrontServer) error) func(*Aggregator) (*FrontServer, error) {
+// controller calibrated for buildAggComps' two-level ladder, the given
+// admission policies (nil: admit everything), and whatever enable adds
+// to the server (nil: nothing).
+func calibratedFront(admission []frontend.AdmissionPolicy, sopts ServerOptions, enable func(*FrontServer) error) func(*Aggregator) (*FrontServer, error) {
 	return func(a *Aggregator) (*FrontServer, error) {
 		ctrl, err := frontend.NewController(frontend.ControllerConfig{
-			Levels:        comps[0].Syn.Levels(),
+			Levels:        2,
 			LevelAccuracy: []float64{0.8, 0.97},
 		})
 		if err != nil {
 			return nil, err
 		}
-		fe, err := frontend.New(a, frontend.Options{Controller: ctrl})
+		fe, err := frontend.New(a, frontend.Options{Admission: admission, Controller: ctrl})
 		if err != nil {
 			return nil, err
 		}
@@ -295,7 +296,7 @@ func TestEndToEndComposedReply(t *testing.T) {
 	const n = 3
 	comps := buildAggComps(t, n)
 	cl := startLoopback(t, LoopbackSpec{Components: n, Handler: every(NewAggBackend(comps, BackendOptions{})),
-		Agg: waitAll, Front: calibratedFront(comps, ServerOptions{}, nil)}).Client
+		Agg: waitAll, Front: calibratedFront(nil, ServerOptions{}, nil)}).Client
 
 	// Exact-class request: every component bypasses its synopsis, so
 	// the composed answer equals the exact merged answer bit for bit.

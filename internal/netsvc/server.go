@@ -389,8 +389,6 @@ type FrontServer struct {
 	// would not) so the cache lookup path does not allocate per request.
 	keyBufs sync.Pool
 
-	cacheHits atomic.Int64
-
 	// Ingest-driven invalidation state (see EnableIngest): the highest
 	// component data epoch observed, the re-warm budget per swap, and
 	// the flag serializing background re-warm passes.
@@ -466,10 +464,6 @@ func (s *FrontServer) EnableCache(c *rescache.Cache) error {
 	c.SetRefresh(s.refreshToExact, s.fe.Controller().RefreshAllowed)
 	return nil
 }
-
-// CacheHits returns the number of whole-service requests answered from
-// the result cache.
-func (s *FrontServer) CacheHits() int64 { return s.cacheHits.Load() }
 
 // cacheKey computes the canonical cache key of a whole-service request
 // using a pooled scratch buffer.
@@ -671,8 +665,7 @@ func storable(rep *wire.Reply) interface{} {
 // recorded accuracy on hits).
 func (s *FrontServer) answer(ctx context.Context, req *wire.Request) (*wire.Reply, float64) {
 	s.cache.SetLoad(s.fe.Controller().Load())
-	floor := sloFromWire(req.SLO, req.MinAccuracy).CacheFloor(s.cache)
-	v, acc, shared, err := s.cache.Serve(ctx, s.cacheKey(req), floor, req,
+	v, acc, shared, err := s.cache.Serve(ctx, s.cacheKey(req), cacheFloor(req, s.cache), req,
 		func() (interface{}, float64, interface{}, error) {
 			rep, acc := s.serveMiss(ctx, req)
 			return rep, acc, storable(rep), nil
@@ -688,13 +681,26 @@ func (s *FrontServer) answer(ctx context.Context, req *wire.Request) (*wire.Repl
 	}
 	// Cache hit or coalesced share: the kept reply is immutable — copy it
 	// and stamp this request's identity and class.
-	s.cacheHits.Add(1)
 	out := *rep
 	out.ID = req.ID
 	out.SLO, out.MinAccuracy = req.SLO, req.MinAccuracy
 	out.Degraded = false
 	out.Cached = true
 	return &out, acc
+}
+
+// cacheFloor is the accuracy floor a cached entry must clear to serve
+// req. Exact and Bounded floors are hard; BestEffort — and SLONone, a
+// client that states no contract — gets the cache's load-loosened base.
+func cacheFloor(req *wire.Request, c *rescache.Cache) float64 {
+	switch req.SLO {
+	case wire.SLOExact:
+		return 1
+	case wire.SLOBounded:
+		return req.MinAccuracy
+	default:
+		return c.BestEffortFloor()
+	}
 }
 
 // refreshToExact recomputes one cached answer at Exact class through

@@ -22,7 +22,7 @@ func startTracedStack(t *testing.T, n int) (*obs.Recorder, *Client) {
 	comps := buildAggComps(t, n)
 	rec := obs.NewRecorder(16, 64)
 	cl := startLoopback(t, LoopbackSpec{Components: n, Handler: every(NewAggBackend(comps, BackendOptions{})),
-		Agg: waitAll, Front: calibratedFront(comps, ServerOptions{Tracer: rec}, nil)}).Client
+		Agg: waitAll, Front: calibratedFront(nil, ServerOptions{Tracer: rec}, nil)}).Client
 	return rec, cl
 }
 

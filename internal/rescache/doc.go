@@ -1,6 +1,6 @@
-// Package rescache is the accuracy-aware result cache shared by both
-// serving runtimes: a sharded, bounded, accuracy-tagged map from
-// canonical request keys to composed replies.
+// Package rescache is the accuracy-aware result cache of the front tier
+// (netsvc.FrontServer.EnableCache): a sharded, bounded, accuracy-tagged
+// map from canonical request keys to composed replies.
 //
 // In a Zipf-skewed request population most requests repeat, so the
 // cheapest approximate answer is one that was already computed. The
@@ -25,7 +25,7 @@
 //     map, and an intrusive LRU threaded through a preallocated entry
 //     slab, so Get performs no allocation (benchmarked and CI-guarded
 //     at 0 allocs/op);
-//   - one cache-fronted serve for both runtimes (Serve): lookup, then
+//   - one cache-fronted serve (Serve): lookup, then
 //     singleflight coalescing — concurrent identical misses compute
 //     once, and a waiter whose accuracy floor the shared result cannot
 //     satisfy falls back to its own computation — then compute and
@@ -43,7 +43,7 @@
 //
 // Keys are 64-bit hashes of a canonical request encoding (see
 // wire.AppendCanonicalKey); Key hashes such bytes. The cache itself is
-// payload-agnostic: internal/frontend keeps trimmed frontend results,
-// internal/netsvc keeps composed wire replies — each supplies Serve
-// only its compute closure and stamps its own hits.
+// payload-agnostic: its one caller, internal/netsvc's front server,
+// keeps composed wire replies, supplies Serve its compute closure and
+// stamps its own hits.
 package rescache

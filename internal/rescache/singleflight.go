@@ -16,8 +16,8 @@ type flight struct {
 	acc  float64
 }
 
-// Serve is the cache-fronted serve both runtimes run — the one
-// lookup-or-compute entry point:
+// Serve is the cache-fronted serve — the one lookup-or-compute entry
+// point:
 //
 //  1. a current-epoch entry clearing floor is returned immediately
 //     (shared = true);

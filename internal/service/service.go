@@ -64,9 +64,7 @@ type SubResult struct {
 }
 
 // Complete reports whether every sub-result was answered: no errors,
-// nothing skipped, a value present. Result caches store only complete
-// fan-outs — a partial composition's accuracy tag would overstate what
-// the entry actually contains.
+// nothing skipped, a value present.
 func Complete(subs []SubResult) bool {
 	for i := range subs {
 		if subs[i].Err != nil || subs[i].Skipped || subs[i].Value == nil {
@@ -74,17 +72,6 @@ func Complete(subs []SubResult) bool {
 		}
 	}
 	return true
-}
-
-// Snapshot returns a cache-ready copy of sub-results holding only the
-// durable fields (Subset, Value). Latency and the hedge flag are
-// per-execution transport facts that must not replay on cache hits.
-func Snapshot(subs []SubResult) []SubResult {
-	out := make([]SubResult, len(subs))
-	for i := range subs {
-		out[i] = SubResult{Subset: subs[i].Subset, Value: subs[i].Value}
-	}
-	return out
 }
 
 // RouteFunc picks the component that executes a subset's sub-operation.
