@@ -28,6 +28,7 @@ import (
 	"time"
 
 	at "accuracytrader"
+	"accuracytrader/internal/agg"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/workload"
@@ -107,11 +108,32 @@ func main() {
 	}
 }
 
+// paidEngine charges each improvement step the modeled cost of the rows
+// it reads: the rest of the stratum past its sample. Charges are slept
+// once a millisecond is owed, and each sleep's overshoot is credited
+// against the next, so timer granularity does not inflate a run of
+// small strata.
+type paidEngine struct {
+	*agg.Engine
+	debt time.Duration
+}
+
+func (e *paidEngine) ProcessSet(g int) {
+	e.debt += time.Duration(e.GroupSize(g)) * perRowCost
+	if e.debt >= time.Millisecond {
+		t0 := time.Now()
+		time.Sleep(e.debt)
+		e.debt -= time.Since(t0)
+	}
+	e.Engine.ProcessSet(g)
+}
+
 // handler answers one sub-operation on one shard: an exact scan for
 // Exact-class requests, otherwise Algorithm 1 from the
 // frontend-selected ladder level within the remaining deadline. The
-// modeled per-row scan cost makes queueing real on a laptop-sized
-// shard, as in the other examples.
+// modeled per-row scan cost — of the sample, then of each stratum
+// improved — makes queueing real on a laptop-sized shard, as in the
+// other examples.
 func handler(comp *at.AggComponent) at.Handler {
 	return func(ctx context.Context, payload interface{}) (interface{}, error) {
 		q := payload.(at.AggQuery)
@@ -126,7 +148,7 @@ func handler(comp *at.AggComponent) at.Handler {
 		e := at.GetAggEngine(comp, q, level)
 		scan := time.Duration(comp.Syn.SampleUnits(e.Level)) * perRowCost
 		time.Sleep(scan)
-		at.RunWithDeadline(e, deadline-scan, 0)
+		at.RunWithDeadline(&paidEngine{Engine: e}, deadline-scan, 0)
 		res := e.TakeResult()
 		e.Release()
 		return res, nil

@@ -33,9 +33,15 @@
 //     correlation of a stratum is its estimated error contribution —
 //     the CI half-width of the requested aggregate — so Algorithm 1
 //     ranks the most uncertain strata first.
-//   - ProcessSet replaces a stratum's estimate with an exact scan of
-//     its rows (zero variance), the counterpart of cf/textindex
-//     re-processing a group's original members.
+//   - ProcessSet replaces a stratum's estimate with its exact value
+//     (zero variance), the counterpart of cf/textindex re-processing a
+//     group's original members. Because the sample is a prefix of the
+//     stratum's stored rows, it finishes the scan from where the sample
+//     stopped instead of reading the stratum again: the synopsis pass
+//     keeps each sample's raw sum and kept count, and the float adds
+//     carry on in the same order, so the sum is bit-identical to one
+//     scan of the whole stratum. Engine.GroupSize reports the rows an
+//     improvement will read, the volume a metered run charges.
 //
 // Accuracy of an approximate answer is 1 − mean relative error against
 // the exact answer (Accuracy), the metric reported by the `aggcompare`
@@ -48,16 +54,17 @@
 // The pooled fast paths are property-tested bit-identical to a retained
 // naive reference (reference_test.go).
 //
-// Every scan — a ladder-level sample (stratumEstimate), a whole stratum
-// (exactStratum: ProcessSet, ExactResultInto) and a key/value batch no
-// synopsis covers (Result.Fold, a live shard's delta) — selects rows
-// with one branch-free step, Query.keep: a kept row adds its value and
-// a count of one, a dropped row adds −0.0, the additive identity, so
-// every accumulator is bit-identical to the branchy "if kept, add"
-// (FuzzScanDifferential holds all three to the references with floats
-// compared by bits). The kernels gather values through the synopsis's
-// row order. A frozen component built by BuildComponent keeps its
-// caller's table order, so that order is a shuffle; a live shard's base
-// (internal/ingest) is written in synopsis order, so the same kernels
-// read it sequentially.
+// Every scan — a ladder-level sample (stratumEstimate), the rest of a
+// stratum or all of it (prefix.resume: ProcessSet, ExactResultInto) and
+// a key/value batch no synopsis covers (Result.Fold, a live shard's
+// delta) — selects rows with one branch-free step, Query.keep: a kept
+// row adds its value and a count of one, a dropped row adds −0.0, the
+// additive identity, so every accumulator is bit-identical to the
+// branchy "if kept, add" (FuzzScanDifferential holds all three to the
+// references with floats compared by bits, the resumed scan at every
+// split of the stratum). The kernels gather values through the
+// synopsis's row order. A frozen component built by BuildComponent
+// keeps its caller's table order, so that order is a shuffle; a live
+// shard's base (internal/ingest) is written in synopsis order, so the
+// same kernels read it sequentially.
 package agg

@@ -209,7 +209,8 @@ func (r Result) BoundsInto(dst []float64, op Op) []float64 {
 // It implements core.Engine: ProcessSynopsis estimates every stratum
 // from its ladder-level sample and returns the per-stratum error
 // contributions as correlations; ProcessSet replaces one stratum's
-// estimate with an exact scan of its rows.
+// estimate with its exact value, finishing the scan where the sample
+// stopped.
 type Engine struct {
 	Comp  *Component
 	Q     Query
@@ -217,7 +218,7 @@ type Engine struct {
 
 	res  Result
 	corr []float64
-	done []bool
+	scan []prefix // per stratum: the rows read so far, where ProcessSet resumes
 }
 
 // NewEngine prepares an engine for a query at a ladder level.
@@ -237,11 +238,11 @@ func (e *Engine) Reset(c *Component, q Query, level int) {
 	n := c.Syn.NumStrata()
 	if cap(e.corr) < n {
 		e.corr = make([]float64, n)
-		e.done = make([]bool, n)
+		e.scan = make([]prefix, n)
 	} else {
 		e.corr = e.corr[:n]
-		e.done = e.done[:n]
-		clear(e.done)
+		e.scan = e.scan[:n]
+		clear(e.scan)
 	}
 }
 
@@ -268,8 +269,9 @@ func (e *Engine) Release() {
 // (Horvitz-Thompson scaling N/n with finite-population-corrected CLT
 // variances) and returns the per-stratum error contributions — the
 // requested aggregate's CI half-width — as the correlation estimates.
-// The returned slice is owned by the engine and valid until the next
-// Reset or Release.
+// It keeps each sample's raw scan, so ProcessSet reads only the rows
+// past it. The returned slice is owned by the engine and valid until
+// the next Reset or Release.
 func (e *Engine) ProcessSynopsis() []float64 {
 	syn := e.Comp.Syn
 	for g := 0; g < syn.NumStrata(); g++ {
@@ -278,7 +280,8 @@ func (e *Engine) ProcessSynopsis() []float64 {
 			e.corr[g] = 0
 			continue
 		}
-		sum, cnt, sumVar, cntVar := stratumEstimate(e.Comp.T.vals, e.Q, syn.sample(e.Level, g), N)
+		sum, cnt, sumVar, cntVar, p := stratumEstimate(e.Comp.T.vals, e.Q, syn.sample(e.Level, g), N)
+		e.scan[g] = p
 		e.res.Sum[g] = sum
 		e.res.Cnt[g] = cnt
 		e.res.SumVar[g] = sumVar
@@ -289,12 +292,13 @@ func (e *Engine) ProcessSynopsis() []float64 {
 }
 
 // stratumEstimate computes one stratum's scaled SUM/COUNT estimates and
-// estimator variances from its sampled rows. A fully sampled stratum
-// (n == N) is exact: scale 1, variance 0. For n < N the variances use
-// the standard stratified-sampling form N²·s²/n·(1−n/N) with the
-// (n−1)-denominator sample variance; n ≥ 2 whenever n < N because the
-// per-stratum sample floor is at least 2.
-func stratumEstimate(vals []float64, q Query, sample []int32, N float64) (sum, cnt, sumVar, cntVar float64) {
+// estimator variances from its sampled rows, and returns the sample's
+// raw scan beside them. A fully sampled stratum (n == N) is exact:
+// scale 1, variance 0. For n < N the variances use the standard
+// stratified-sampling form N²·s²/n·(1−n/N) with the (n−1)-denominator
+// sample variance; n ≥ 2 whenever n < N because the per-stratum sample
+// floor is at least 2.
+func stratumEstimate(vals []float64, q Query, sample []int32, N float64) (sum, cnt, sumVar, cntVar float64, p prefix) {
 	n := float64(len(sample))
 	var sy, syy float64
 	var kept uint64
@@ -304,12 +308,13 @@ func stratumEstimate(vals []float64, q Query, sample []int32, N float64) (sum, c
 		syy += v * v // a dropped row's (−0.0)² is +0.0, and syy is never −0.0
 		kept += s
 	}
+	p = prefix{sum: sy, kept: kept, rows: len(sample)}
 	sb := float64(kept) // exact: a float count of ones is exact below 2⁵³
 	scale := N / n
 	sum = scale * sy
 	cnt = scale * sb
 	if n >= N {
-		return sum, cnt, 0, 0
+		return sum, cnt, 0, 0, p
 	}
 	fpc := 1 - n/N
 	s2y := (syy - sy*sy/n) / (n - 1)
@@ -322,35 +327,54 @@ func stratumEstimate(vals []float64, q Query, sample []int32, N float64) (sum, c
 	}
 	sumVar = N * N * s2y / n * fpc
 	cntVar = N * N * s2b / n * fpc
-	return sum, cnt, sumVar, cntVar
+	return sum, cnt, sumVar, cntVar, p
 }
 
-// ProcessSet improves the result with stratum g's original rows: the
-// sample-based estimate is replaced by an exact scan (Algorithm 1 line
-// 7). Strata map 1:1 onto group keys, so replacement is exact — no
-// floating-point retraction residue.
-func (e *Engine) ProcessSet(g int) {
-	if e.done[g] {
-		return
-	}
-	e.done[g] = true
-	sum, cnt := exactStratum(e.Comp.T.vals, e.Q, e.Comp.Syn.stratumRows(g))
-	e.res.Sum[g] = sum
-	e.res.Cnt[g] = cnt
-	e.res.SumVar[g] = 0
-	e.res.CntVar[g] = 0
+// prefix is a scan of a stratum's first rows, in the synopsis's stored
+// order: how many rows it read and their raw, unscaled filtered sum and
+// kept count. A ladder-level sample is such a prefix, because samples
+// are nested prefixes of one shuffle.
+type prefix struct {
+	sum  float64
+	kept uint64
+	rows int
 }
 
-// exactStratum scans a stratum's rows exactly.
-func exactStratum(vals []float64, q Query, rows []int32) (sum, cnt float64) {
-	var kept uint64
-	for _, row := range rows {
+// resume finishes p's scan over rows, the whole stratum, reading only
+// rows[p.rows:], and returns the scan of all of it. The accumulators
+// carry on where p stopped, so the float adds are the same ones, in
+// the same order from +0.0, as one scan from the first row: the sum is
+// bit-identical however the stratum was split.
+func (p prefix) resume(vals []float64, q Query, rows []int32) prefix {
+	sum, kept := p.sum, p.kept
+	for _, row := range rows[p.rows:] {
 		v, s := q.keep(vals[row])
 		sum += v
 		kept += s
 	}
-	return sum, float64(kept)
+	return prefix{sum: sum, kept: kept, rows: len(rows)}
 }
+
+// ProcessSet improves the result with stratum g's original rows: the
+// sample-based estimate is replaced by the stratum's exact value
+// (Algorithm 1 line 7), its scan resumed where the synopsis pass's
+// sample stopped. Strata map 1:1 onto group keys, so replacement is
+// exact — no floating-point retraction residue. Improving a stratum
+// again reads nothing and leaves it as it is.
+func (e *Engine) ProcessSet(g int) {
+	p := e.scan[g].resume(e.Comp.T.vals, e.Q, e.Comp.Syn.stratumRows(g))
+	e.scan[g] = p
+	e.res.Sum[g] = p.sum
+	e.res.Cnt[g] = float64(p.kept)
+	e.res.SumVar[g] = 0
+	e.res.CntVar[g] = 0
+}
+
+// GroupSize returns the rows ProcessSet(g) will read: the stratum's rows
+// past its sample once ProcessSynopsis has run, all of them before, and
+// none once the stratum is exact. It is the data volume an improvement
+// step scans, for metering it.
+func (e *Engine) GroupSize(g int) int { return e.Comp.Syn.StratumSize(g) - e.scan[g].rows }
 
 // Fold adds the rows of a key/value batch the query's window keeps into
 // r exactly, with zero variance: the scatter form of the scan kernel,
@@ -392,9 +416,9 @@ func ExactResult(c *Component, q Query) Result {
 func ExactResultInto(res Result, c *Component, q Query) Result {
 	res = res.Reset(c.T.NumKeys())
 	for g := 0; g < c.Syn.NumStrata(); g++ {
-		sum, cnt := exactStratum(c.T.vals, q, c.Syn.stratumRows(g))
-		res.Sum[g] = sum
-		res.Cnt[g] = cnt
+		p := prefix{}.resume(c.T.vals, q, c.Syn.stratumRows(g))
+		res.Sum[g] = p.sum
+		res.Cnt[g] = float64(p.kept)
 	}
 	return res
 }
@@ -444,7 +468,10 @@ func Accuracy(approx, exact []float64) float64 {
 // merges the partial results, and returns the mean accuracy against
 // the exact merged answers. The per-level values feed the frontend
 // degradation controller's LevelAccuracy — the bridge that lets
-// Bounded{MinAccuracy} SLO classes map onto real measured error.
+// Bounded{MinAccuracy} SLO classes map onto real measured error. The
+// exact side is the same engine improved over every stratum, so each
+// row is read once: the sample by the synopsis pass, the rest by the
+// resumed scans.
 func MeasureLevelAccuracy(comps []*Component, queries []Query, level int) float64 {
 	if len(comps) == 0 || len(queries) == 0 {
 		return 0
@@ -453,7 +480,6 @@ func MeasureLevelAccuracy(comps []*Component, queries []Query, level int) float6
 	approx := NewResult(nKeys)
 	exact := NewResult(nKeys)
 	var estA, estE []float64
-	var scratch Result
 	total := 0.0
 	for _, q := range queries {
 		approx = approx.Reset(nKeys)
@@ -462,9 +488,11 @@ func MeasureLevelAccuracy(comps []*Component, queries []Query, level int) float6
 			e := GetEngine(c, q, level)
 			e.ProcessSynopsis()
 			approx.Merge(e.Result())
+			for g := range c.Syn.NumStrata() {
+				e.ProcessSet(g)
+			}
+			exact.Merge(e.Result())
 			e.Release()
-			scratch = ExactResultInto(scratch, c, q)
-			exact.Merge(scratch)
 		}
 		estA = approx.EstimatesInto(estA, q.Op)
 		estE = exact.EstimatesInto(estE, q.Op)

@@ -246,6 +246,56 @@ func TestEngineResetReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// naiveMeasureLevelAccuracy is the ladder calibration with its exact
+// side taken by a separate ExactResultInto scan of every component,
+// independent of the engine's resumed scans.
+func naiveMeasureLevelAccuracy(comps []*Component, queries []Query, level int) float64 {
+	if len(comps) == 0 || len(queries) == 0 {
+		return 0
+	}
+	nKeys := comps[0].T.NumKeys()
+	total := 0.0
+	for _, q := range queries {
+		approx, exact := NewResult(nKeys), NewResult(nKeys)
+		for _, c := range comps {
+			e := NewEngine(c, q, level)
+			e.ProcessSynopsis()
+			approx.Merge(e.Result())
+			exact.Merge(ExactResultInto(Result{}, c, q))
+		}
+		total += Accuracy(approx.Estimates(q.Op), exact.Estimates(q.Op))
+	}
+	return total / float64(len(queries))
+}
+
+// TestMeasureLevelAccuracyMatchesNaive pins the calibration, whose exact
+// side finishes the synopsis engine's scans, bit-identical to the one
+// that scans every component again, at every level on randomized seeds.
+func TestMeasureLevelAccuracyMatchesNaive(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := stats.NewRNG(seed)
+		keys := 5 + rng.Intn(16)
+		comps := make([]*Component, 1+rng.Intn(4))
+		for i := range comps {
+			c, err := BuildComponent(randomTable(rng, keys, 200+rng.Intn(600)), Config{Seed: seed + uint64(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			comps[i] = c
+		}
+		queries := make([]Query, 12)
+		for i := range queries {
+			queries[i] = randomQuery(rng)
+		}
+		for l := 0; l < comps[0].Syn.Levels(); l++ {
+			got, want := MeasureLevelAccuracy(comps, queries, l), naiveMeasureLevelAccuracy(comps, queries, l)
+			if !sameBits(got, want) {
+				t.Fatalf("seed %d level %d: MeasureLevelAccuracy %v, naive %v", seed, l, got, want)
+			}
+		}
+	}
+}
+
 // TestFullyImprovedMatchesExact checks that processing every set turns
 // the approximate result into the exact one, bit for bit.
 func TestFullyImprovedMatchesExact(t *testing.T) {

@@ -55,10 +55,11 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // (any bounds: Lo > Hi, NaN, ±Inf), a stratum of values in a decoded
 // row order, and a key/value batch with arbitrary starting
 // accumulators. Every sample prefix — lengths 0, 1, …, the whole
-// stratum — goes through stratumEstimate against naiveStratum, the
-// stratum through exactStratum against naiveExactStratum, and the batch
-// through Result.Fold against naiveFold; every float is compared by its
-// bits.
+// stratum — goes through stratumEstimate against naiveStratum, and the
+// raw scan it returns is resumed over the rest of the stratum against
+// naiveExactStratum of the whole (split 0 is ExactResultInto's scan);
+// the batch goes through Result.Fold against naiveFold. Every float is
+// compared by its bits.
 func FuzzScanDifferential(f *testing.F) {
 	f.Add([]byte{})
 	// Window [−1, 1) over 0, −0, 1, −1, NaN, +Inf; batch rows on both bounds.
@@ -77,6 +78,12 @@ func FuzzScanDifferential(f *testing.F) {
 	f.Add([]byte{9, 0x80, 0x00, 0x0f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
 		3, 0x80, 0x7f, 0xf0, 0, 0, 0, 0, 0, 1, 0x80, 0x00, 0x0f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 11,
 		1, 0, 0, 2, 0, 0x80, 0x80, 0, 0, 0, 0, 0, 0, 1, 0, 13, 1, 0})
+	// Window [−3, 3) over 1, 2, 0.5, −1 in stored order: a resume from the
+	// scaled estimate (N/k · sum) starts at 4 after the first row, not 1.
+	f.Add([]byte{7, 6, 4, 2, 5, 4, 3, 3, 2, 1})
+	// Window [−Inf, +Inf) over −0, +0, NaN: every sum is +0.0, so only the
+	// kept count shows a resume that skips the row at the split.
+	f.Add([]byte{9, 8, 3, 1, 0, 10, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := scanInput(data)
 		q := Query{Lo: in.f64(), Hi: in.f64()}
@@ -98,20 +105,22 @@ func FuzzScanDifferential(f *testing.F) {
 		}
 		tab := TableFromColumns(keys, vals, 1)
 		N := float64(n)
+		exact := newNaiveAnswer()
+		exact.naiveExactStratum(tab, q, rows, 0)
 		for k := 0; k <= n; k++ {
 			na := newNaiveAnswer()
 			na.naiveStratum(tab, q, rows[:k], N, 0)
-			sum, cnt, sumVar, cntVar := stratumEstimate(vals, q, rows[:k], N)
+			sum, cnt, sumVar, cntVar, p := stratumEstimate(vals, q, rows[:k], N)
 			if !sameBits(sum, na.sum[0]) || !sameBits(cnt, na.cnt[0]) ||
 				!sameBits(sumVar, na.sumVar[0]) || !sameBits(cntVar, na.cntVar[0]) {
 				t.Fatalf("%+v sample %d of %d: stratumEstimate (%v,%v,%v,%v), naive (%v,%v,%v,%v)",
 					q, k, n, sum, cnt, sumVar, cntVar, na.sum[0], na.cnt[0], na.sumVar[0], na.cntVar[0])
 			}
-		}
-		na := newNaiveAnswer()
-		na.naiveExactStratum(tab, q, rows, 0)
-		if sum, cnt := exactStratum(vals, q, rows); !sameBits(sum, na.sum[0]) || !sameBits(cnt, na.cnt[0]) {
-			t.Fatalf("%+v stratum of %d: exactStratum (%v,%v), naive (%v,%v)", q, n, sum, cnt, na.sum[0], na.cnt[0])
+			whole := p.resume(vals, q, rows)
+			if !sameBits(whole.sum, exact.sum[0]) || !sameBits(float64(whole.kept), exact.cnt[0]) || whole.rows != n {
+				t.Fatalf("%+v stratum of %d resumed after %d: (%v,%v over %d rows), naive (%v,%v)",
+					q, n, k, whole.sum, whole.kept, whole.rows, exact.sum[0], exact.cnt[0])
+			}
 		}
 
 		// One key/value batch folded onto arbitrary accumulators.

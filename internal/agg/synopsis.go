@@ -252,7 +252,3 @@ func BuildComponent(t *Table, cfg Config) (*Component, error) {
 // synopsis answer — the data volume the cost model charges for
 // processing the synopsis.
 func (c *Component) SynopsisSize() int { return c.Syn.SampleUnits(c.Syn.Levels() - 1) }
-
-// GroupSize returns the number of rows in stratum g — the data volume
-// scanned when improving with that member set.
-func (c *Component) GroupSize(g int) int { return c.Syn.StratumSize(g) }

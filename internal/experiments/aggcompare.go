@@ -18,8 +18,10 @@ import (
 //     level's sampling rate is replayed over real fact-table shards,
 //     reporting the measured synopsis-only accuracy (1 − mean relative
 //     error vs the exact GROUP-BY answers), the accuracy after
-//     Algorithm 1 improves the most uncertain strata, and the modeled
-//     light-load service time of the level's scan volume.
+//     Algorithm 1 improves the most uncertain strata, the modeled
+//     light-load service time of the level's scan volume, and the rows
+//     that improvement reads (each improved stratum's rows past its
+//     sample).
 //  2. An overload sweep mirroring `-exp overload`, with the simulated
 //     components serving the aggregation work model and the frontend's
 //     degradation controller calibrated with the *measured* per-level
@@ -38,6 +40,7 @@ type AggLevelRow struct {
 	ModelMs      float64 // modeled light-load service time of that scan
 	SynAccuracy  float64 // measured, synopsis only
 	ImprovedAcc  float64 // measured, after improving aggImproveFrac of strata
+	ImproveUnits float64 // mean rows per shard that improvement reads past the sample
 }
 
 // AggCompare is the full experiment result.
@@ -64,6 +67,7 @@ func RunAggCompare(sc Scale, multipliers []float64) (*AggCompare, error) {
 	levels := svc.Comps[0].Syn.Levels()
 	synSum := make([]float64, levels)
 	impSum := make([]float64, levels)
+	impRows := make([]int, levels)
 	nKeys := svc.Comps[0].T.NumKeys()
 	approx := agg.NewResult(nKeys)
 	improved := agg.NewResult(nKeys)
@@ -90,6 +94,7 @@ func RunAggCompare(sc Scale, multipliers []float64) (*AggCompare, error) {
 				approx.Merge(e.Result())
 				budget := int(math.Ceil(aggImproveFrac * float64(c.Syn.NumStrata())))
 				for _, g := range core.Rank(corr)[:budget] {
+					impRows[l] += e.GroupSize(g)
 					e.ProcessSet(g)
 				}
 				improved.Merge(e.Result())
@@ -116,6 +121,7 @@ func RunAggCompare(sc Scale, multipliers []float64) (*AggCompare, error) {
 			ModelMs:      units * unit,
 			SynAccuracy:  synAcc,
 			ImprovedAcc:  impSum[l] / float64(len(queries)),
+			ImproveUnits: float64(impRows[l]) / float64(len(queries)*len(svc.Comps)),
 		})
 		res.LevelAccuracy = append(res.LevelAccuracy, synAcc)
 	}
@@ -144,11 +150,11 @@ func (a *AggCompare) Render() string {
 		a.Queries, a.Shards)
 	fmt.Fprintf(&b, " '+improve' = Algorithm 1 processing the %.0f%% most uncertain strata by CLT error bound)\n\n",
 		100*aggImproveFrac)
-	fmt.Fprintf(&b, "  %-7s %8s %12s %12s %12s %12s\n",
-		"level", "rate", "rows/comp", "model ms", "accuracy", "+improve")
+	fmt.Fprintf(&b, "  %-7s %8s %12s %12s %12s %12s %18s\n",
+		"level", "rate", "rows/comp", "model ms", "accuracy", "+improve", "improve rows/comp")
 	for _, row := range a.Levels {
-		fmt.Fprintf(&b, "  %-7d %8.2f %12.0f %12.2f %12.4f %12.4f\n",
-			row.Level, row.Rate, row.UnitsPerComp, row.ModelMs, row.SynAccuracy, row.ImprovedAcc)
+		fmt.Fprintf(&b, "  %-7d %8.2f %12.0f %12.2f %12.4f %12.4f %18.0f\n",
+			row.Level, row.Rate, row.UnitsPerComp, row.ModelMs, row.SynAccuracy, row.ImprovedAcc, row.ImproveUnits)
 	}
 	b.WriteString("\nOverload sweep over the aggregation work model (controller calibrated with the measured\nper-level accuracies above):\n\n")
 	b.WriteString(a.Overload.Render())

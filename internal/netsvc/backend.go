@@ -74,8 +74,11 @@ func errSub(msg string) *wire.SubReply {
 // Costs are paid through a debt account: sub-millisecond charges are
 // accumulated and slept in chunks, and each sleep's measured overshoot
 // (Go timers overshoot small sleeps by up to ~1ms under load) is
-// credited back, so the long-run wall cost tracks the model instead of
-// the platform's timer granularity.
+// credited back against the sub-operation's later charges. The account
+// lives in the pooled subop record, which is zeroed on release, so it
+// never crosses a sub-operation: a run's last sub-millisecond of debt
+// goes unpaid, and an overshoot its later charges do not absorb is
+// never credited.
 type meteredEngine struct {
 	algorithm1
 	synopsis int           // data units the synopsis pass touches
@@ -203,8 +206,10 @@ type backend struct {
 }
 
 // algorithm1 is an opened engine with the shape of the synopsis it
-// improves over: the ranked sets available (the imax base) and their
-// sizes in data units. All three static components are grouped.
+// improves over: the ranked sets available (the imax base) and the data
+// units improving each one scans. For cf and search that is a group's
+// member volume (the component); the agg engine reports its own, the
+// rows each stratum has left past the sample it already read.
 type algorithm1 struct {
 	core.Engine
 	groups interface{ GroupSize(g int) int }
@@ -317,7 +322,7 @@ func NewAggBackend(comps []*agg.Component, opts BackendOptions) Handler {
 				level = c.Syn.Levels() - 1
 			}
 			e := agg.GetEngine(c, aggQuery(req), level)
-			return algorithm1{e, c, c.Syn.NumStrata()}, c.Syn.SampleUnits(e.Level)
+			return algorithm1{e, e, c.Syn.NumStrata()}, c.Syn.SampleUnits(e.Level)
 		},
 		finish: func(eng core.Engine, _ *wire.Request, rep *wire.SubReply) {
 			e := eng.(*agg.Engine)

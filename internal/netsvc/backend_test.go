@@ -156,7 +156,11 @@ func TestCFBackendHostileRequests(t *testing.T) {
 // engine's improvement — allocates only its reply: the sub-reply boxed
 // with its payload struct (wire.Box) and the result backing the reply
 // ships. That holds on the plain path and on the metered one, where a
-// scan counter on the context installs the metered engine.
+// scan counter on the context installs the metered engine. The metered
+// engine credits the rows the engine reads: every row once when every
+// stratum is improved, since each improvement resumes where its sample
+// stopped, and the sample plus the rest of each stratum run when imax
+// caps the run.
 func TestAggSubOperationAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops at random)")
@@ -187,5 +191,27 @@ func TestAggSubOperationAllocations(t *testing.T) {
 	}
 	if sc.n.Load() == 0 {
 		t.Fatal("the metered path credited no scanned units")
+	}
+
+	c := comps[0]
+	level := c.Syn.Levels() - 1 // a request without a level is served at the finest
+	credited := func(h Handler) int {
+		sc := new(scanCounter)
+		h(context.WithValue(context.Background(), scanCounterKey{}, sc), req)
+		return int(sc.n.Load())
+	}
+	if got, want := credited(h), c.T.NumRows(); got != want {
+		t.Errorf("fully improved sub-operation credits %d units, want every row once: %d", got, want)
+	}
+	const frac = 0.25
+	capped := NewAggBackend(comps, BackendOptions{SubBudget: time.Hour, IMaxFrac: frac})
+	want := c.Syn.SampleUnits(level)
+	e := agg.NewEngine(c, aggQuery(req), level)
+	for _, g := range core.Rank(e.ProcessSynopsis())[:BackendOptions{IMaxFrac: frac}.imax(c.Syn.NumStrata(), 1)] {
+		want += c.Syn.StratumSize(g) - c.Syn.SampleLen(level, g)
+	}
+	if got := credited(capped); got != want {
+		t.Errorf("sub-operation capped at %.2f of the strata credits %d units, want the sample plus the rest of each set run: %d",
+			frac, got, want)
 	}
 }
