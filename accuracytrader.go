@@ -174,8 +174,13 @@ type Frontend = frontend.Frontend
 // FrontendOptions configures a Frontend.
 type FrontendOptions = frontend.Options
 
-// FrontendResult is one answered frontend request.
+// FrontendResult is one answered frontend request; it claims an
+// accuracy discounted by the strata its gather is missing.
 type FrontendResult = frontend.Result
+
+// FrontendUnavailable is Frontend.Call's typed refusal of a partial
+// gather its class cannot take (match it with errors.As).
+type FrontendUnavailable = frontend.UnavailableError
 
 // SLO is a per-request accuracy/latency class.
 type SLO = frontend.SLO

@@ -22,6 +22,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"sync"
@@ -42,6 +43,7 @@ const (
 	runFor      = 2 * time.Second
 	perRowCost  = 4 * time.Microsecond // modeled scan cost per fact row
 	calibration = 40                   // queries per level for calibration
+	imaxFrac    = 0.4                  // improve at most this fraction of ranked strata (imax)
 )
 
 func classOf(r int) at.SLO {
@@ -130,11 +132,12 @@ func (e *paidEngine) ProcessSet(g int) {
 
 // handler answers one sub-operation on one shard: an exact scan for
 // Exact-class requests, otherwise Algorithm 1 from the
-// frontend-selected ladder level within the remaining deadline. The
-// modeled per-row scan cost — of the sample, then of each stratum
-// improved — makes queueing real on a laptop-sized shard, as in the
-// other examples.
+// frontend-selected ladder level, improving at most imax strata within
+// the remaining deadline. The modeled per-row scan cost — of the
+// sample, then of each stratum improved — makes queueing real on a
+// laptop-sized shard, as in the other examples.
 func handler(comp *at.AggComponent) at.Handler {
+	imax := int(imaxFrac * float64(comp.Syn.NumStrata()))
 	return func(ctx context.Context, payload interface{}) (interface{}, error) {
 		q := payload.(at.AggQuery)
 		if slo, ok := at.SLOFrom(ctx); ok && slo.Kind == at.ExactSLO().Kind {
@@ -148,7 +151,7 @@ func handler(comp *at.AggComponent) at.Handler {
 		e := at.GetAggEngine(comp, q, level)
 		scan := time.Duration(comp.Syn.SampleUnits(e.Level)) * perRowCost
 		time.Sleep(scan)
-		at.RunWithDeadline(&paidEngine{Engine: e}, deadline-scan, 0)
+		at.RunWithDeadline(&paidEngine{Engine: e}, deadline-scan, imax)
 		res := e.TakeResult()
 		e.Release()
 		return res, nil
@@ -196,32 +199,35 @@ func run(rate float64, comps []*at.AggComponent, levelAcc []float64, queries []a
 	}
 	var mu sync.Mutex
 	perClass := map[string]*classStats{}
+	unavail := map[string]int{} // per class: the degrade rule's typed refusals
 	arrivals := workload.PoissonArrivals(stats.NewRNG(uint64(rate)), rate, runFor.Seconds()*1000)
 	netsvc.OpenLoop(arrivals, func(req int, intended time.Time) {
 		qi := req % len(queries)
 		q := queries[qi]
 		res, err := fe.Call(context.Background(), q, classOf(req))
 		if err != nil {
-			return // rejected; counted by frontend stats
+			if errors.As(err, new(*at.FrontendUnavailable)) {
+				mu.Lock()
+				unavail[res.SLO.String()]++
+				mu.Unlock()
+			}
+			return // rejections are counted by frontend stats
+		}
+		if res.Answered == 0 {
+			return // nothing answered within the deadline
 		}
 		d := float64(time.Since(intended)) / float64(time.Millisecond)
 		// Compose: merge the per-shard partial results.
-		merged := at.AggResult{}
-		first := true
+		var merged at.AggResult
 		for _, sub := range res.Sub {
-			if sub.Err != nil || sub.Skipped {
+			if !sub.Answered() {
 				continue
 			}
-			part := sub.Value.(at.AggResult)
-			if first {
+			if part := sub.Value.(at.AggResult); merged.Sum == nil {
 				merged = part
-				first = false
-				continue
+			} else {
+				merged.Merge(part)
 			}
-			merged.Merge(part)
-		}
-		if first {
-			return // nothing answered within the deadline
 		}
 		acc := at.AggAccuracy(merged.Estimates(q.Op), exactEst[qi])
 		mu.Lock()
@@ -241,13 +247,13 @@ func run(rate float64, comps []*at.AggComponent, levelAcc []float64, queries []a
 		st.Admitted, st.Degraded, st.Rejected, ctrl.Load())
 	mu.Lock()
 	for _, name := range []string{"Exact", "Bounded{0.90}", "BestEffort"} {
-		cs := perClass[name]
-		if cs == nil {
-			continue
+		fmt.Printf("%-14s unavailable %4d", name, unavail[name])
+		if cs := perClass[name]; cs != nil {
+			fmt.Printf("   calls %5d   p50 %6.1fms   p99 %6.1fms   accuracy %.3f   mean level %.1f",
+				cs.count, cs.lat.Percentile(50), cs.lat.Percentile(99),
+				cs.acc.Mean(), float64(cs.level)/float64(cs.count))
 		}
-		fmt.Printf("%-14s calls %5d   p50 %6.1fms   p99 %6.1fms   accuracy %.3f   mean level %.1f\n",
-			name, cs.count, cs.lat.Percentile(50), cs.lat.Percentile(99),
-			cs.acc.Mean(), float64(cs.level)/float64(cs.count))
+		fmt.Println()
 	}
 	mu.Unlock()
 	cl.Close()

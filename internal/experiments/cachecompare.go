@@ -140,16 +140,6 @@ type CacheCompare struct {
 	exactEst   [][]float64
 }
 
-// Row returns the row at one skew with/without the cache (nil if none).
-func (cc *CacheCompare) Row(skew float64, cached bool) *CacheRow {
-	for _, r := range cc.Rows {
-		if r.Skew == skew && r.Cached == cached {
-			return r
-		}
-	}
-	return nil
-}
-
 // ccDeploy stands up one loopback deployment of the experiment: a
 // component server per shard over handler (one worker, a 1,024-deep
 // queue), a WaitAll aggregator with the given call timeout whose

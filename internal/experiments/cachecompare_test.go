@@ -77,3 +77,13 @@ func TestCacheCompareQuick(t *testing.T) {
 		}
 	}
 }
+
+// Row returns the row at one skew with/without the cache (nil if none).
+func (cc *CacheCompare) Row(skew float64, cached bool) *CacheRow {
+	for _, r := range cc.Rows {
+		if r.Skew == skew && r.Cached == cached {
+			return r
+		}
+	}
+	return nil
+}

@@ -10,7 +10,7 @@ import (
 // — the ones that hold on any host and gate the CLI's exit code.
 // EXPERIMENTS.md § Contracts documents the same table.
 var namedContracts = map[string][]string{
-	"netcompare":    {"wire parity cf", "wire parity search", "wire parity agg"},
+	"netcompare":    {"wire parity cf", "wire parity search", "wire parity agg", "floor or typed"},
 	"cachecompare":  {"coalescing", "cache floor"},
 	"tracecompare":  {"stitching", "accounting", "zero-cost"},
 	"faultcompare":  {"degradation", "zero-alloc no-fault path"},

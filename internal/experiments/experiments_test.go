@@ -46,9 +46,6 @@ func TestCFServiceShape(t *testing.T) {
 		if w.SynopsisUnits*4 > w.FullUnits {
 			t.Fatalf("component %d synopsis not small: %+v", c, w)
 		}
-		if svc.Shard(c) != svc.Comps[c%sc.Shards] {
-			t.Fatal("shard mapping broken")
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/breaker"
 	"accuracytrader/internal/faultinject"
+	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/service"
 	"accuracytrader/internal/stats"
@@ -34,7 +36,7 @@ import (
 //     the background dial prober — without request traffic — within a
 //     small multiple of the cooldown;
 //  4. zero cost when healthy: the no-fault hot path (breaker state
-//     check, success feedback, strata accounting) allocates nothing.
+//     check, success feedback, the degrade rule) allocates nothing.
 const (
 	// faultDeadlineMs is the propagated service budget (l_spe): small, so
 	// stalled-component phases cycle through trip/probe quickly.
@@ -84,14 +86,6 @@ type FaultPhase struct {
 	accCnt     int
 }
 
-// AnsweredFrac returns the answered fraction of one SLO class.
-func (p *FaultPhase) AnsweredFrac(class int) float64 {
-	if p.Offered[class] == 0 {
-		return 0
-	}
-	return float64(p.Answered[class]) / float64(p.Offered[class])
-}
-
 // FaultCompare is the full experiment result.
 type FaultCompare struct {
 	contracts
@@ -112,18 +106,8 @@ type FaultCompare struct {
 	Faults       int64
 
 	// NoFaultAllocs is allocs/op of the healthy-path fault machinery
-	// (breaker check + success + strata accounting), pinned at zero.
+	// (breaker check + success + degrade rule), pinned at zero.
 	NoFaultAllocs float64
-}
-
-// Phase returns the first phase with the given name (nil if none).
-func (fc *FaultCompare) Phase(name string) *FaultPhase {
-	for _, p := range fc.Phases {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
 }
 
 // Violations sums contract breaches over every phase.
@@ -161,21 +145,24 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 	}
 
 	// The no-fault hot path must stay allocation-free: a closed breaker's
-	// admission check and success feedback, and the full-fan-out strata
-	// accounting of the compose path.
+	// admission check and success feedback, and the degrade rule on a
+	// full fan-out.
 	br := breaker.New(breaker.Config{})
-	statuses := make([]uint8, n)
+	full := make([]service.SubResult, n)
+	for i := range full {
+		full[i].Value = &wire.SubReply{}
+	}
 	fc.NoFaultAllocs = testing.AllocsPerRun(1000, func() {
 		if br.State() != breaker.Closed {
 			panic("breaker opened on the no-fault path")
 		}
 		br.Success()
-		if answered, total := netsvc.DegradeStats(statuses); answered != total {
-			panic("full fan-out accounted as degraded")
+		if answered, _, err := frontend.Claim(full, frontend.BoundedSLO(faultBoundedFloor), 1); answered != n || err != nil {
+			panic("full fan-out settled as partial")
 		}
 	})
 	fc.promise("zero-alloc no-fault path", fc.NoFaultAllocs == 0,
-		"%.1f allocs/op on breaker check + success feedback + strata accounting (want 0)", fc.NoFaultAllocs)
+		"%.1f allocs/op on breaker check + success feedback + degrade rule (want 0)", fc.NoFaultAllocs)
 
 	// Component servers behind fault-injection scripts: every listener
 	// and every aggregator dial goes through the fabric, so one Set()
@@ -304,7 +291,7 @@ func (fc *FaultCompare) runPhase(cl *netsvc.Client, name string, calls int,
 		switch rep.Status {
 		case wire.ReplyOK, wire.ReplyDegraded:
 			p.Answered[class]++
-			answered, total := netsvc.DegradeStats(rep.SubStatus)
+			answered, total := bytes.Count(rep.SubStatus, []byte{wire.StatusOK}), len(rep.SubStatus)
 			if rep.Status == wire.ReplyOK {
 				if answered < total {
 					p.Violations++ // silent partial served as a full answer

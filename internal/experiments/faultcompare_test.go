@@ -74,3 +74,21 @@ func TestFaultCompareQuick(t *testing.T) {
 		}
 	}
 }
+
+// AnsweredFrac returns the answered fraction of one SLO class.
+func (p *FaultPhase) AnsweredFrac(class int) float64 {
+	if p.Offered[class] == 0 {
+		return 0
+	}
+	return float64(p.Answered[class]) / float64(p.Offered[class])
+}
+
+// Phase returns the first phase with the given name (nil if none).
+func (fc *FaultCompare) Phase(name string) *FaultPhase {
+	for _, p := range fc.Phases {
+		if p.Name == name {
+			return p
+		}
+	}
+	return nil
+}

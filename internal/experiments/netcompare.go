@@ -98,11 +98,18 @@ type NetRow struct {
 	MeanSets float64 // mean Algorithm 1 improvement steps per answered sub-op
 	ClassAcc [3]float64
 	MaxLagMs float64 // worst send lag behind the arrival schedule
+
+	// Unavailable counts the degrade rule's typed refusals; of the
+	// answered Exact and Bounded replies (promised), broken is those not
+	// exact or claiming under their floor.
+	Unavailable      int
+	promised, broken int
 }
 
 // NetCompare is the full experiment result. Its contracts are the wire
-// parities: per workload, the network-composed result must be
-// bit-identical to the in-process composition.
+// parities — per workload, the network-composed result must be
+// bit-identical to the in-process composition — and Frontend+AT's
+// answers keeping their class.
 type NetCompare struct {
 	contracts
 	Servers       int
@@ -131,24 +138,16 @@ type NetCompare struct {
 	exactEst [][]float64 // exact merged estimates per query
 }
 
-// Row returns the first row matching runtime and name (nil if none).
-func (nc *NetCompare) Row(runtime, name string) *NetRow {
-	for _, r := range nc.Rows {
-		if r.Runtime == runtime && r.Name == name {
-			return r
-		}
-	}
-	return nil
-}
-
 // netAccuracy scores one answered request: the composed estimates
-// against the precomputed exact estimates of its query.
-func netAccuracy(subs []service.SubResult, op agg.Op, exact []float64) float64 {
+// against the precomputed exact estimates of its query, and whether
+// they are those exactly.
+func netAccuracy(subs []service.SubResult, op agg.Op, exact []float64) (acc float64, isExact bool) {
 	merged := netsvc.ComposeAgg(subs)
 	if len(merged.Sum) == 0 {
-		return 0 // every component skipped or failed
+		return 0, false // every component skipped or failed
 	}
-	return agg.Accuracy(netsvc.AggResultOf(merged).Estimates(op), exact)
+	est := netsvc.AggResultOf(merged).Estimates(op)
+	return agg.Accuracy(est, exact), reflect.DeepEqual(est, exact)
 }
 
 // RunNetCompare measures the networked serving layer against the
@@ -225,9 +224,17 @@ type netCfg struct {
 	frontend bool
 }
 
-// netCall is the one thing the two runtimes differ in since they share
+// netCall is the one thing the rows differ in since both runtimes share
 // the gather core: how a whole-service request is issued.
-type netCall func(ctx context.Context, req *wire.Request) ([]service.SubResult, error)
+type netCall func(ctx context.Context, req *wire.Request) (*frontend.Result, error)
+
+// bare issues requests straight to a gather, which promises nothing.
+func bare(call func(context.Context, interface{}) ([]service.SubResult, error)) netCall {
+	return func(ctx context.Context, req *wire.Request) (*frontend.Result, error) {
+		subs, err := call(ctx, req)
+		return &frontend.Result{Sub: subs, SLO: frontend.BestEffortSLO()}, err
+	}
+}
 
 // drive offers the shared arrival schedule through call and folds every
 // answer into one row. Latency runs from each arrival's intended send
@@ -246,26 +253,34 @@ func (nc *NetCompare) drive(runtime, name string, call netCall, gathered func() 
 		req := aggRequest(nc.queries[qi])
 		req.ID = uint64(r)
 		req.Deadline = intended.Add(budget).UnixNano()
-		subs, err := call(context.Background(), req)
+		res, err := call(context.Background(), req)
 		latMs := float64(time.Since(intended)) / float64(time.Millisecond)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
-			if errors.Is(err, frontend.ErrRejected) {
+			switch {
+			case errors.As(err, new(*frontend.UnavailableError)):
+				row.Unavailable++
+			case errors.Is(err, frontend.ErrRejected):
 				rejected++
 			}
 			return
 		}
-		acc := netAccuracy(subs, nc.queries[qi].Op, nc.exactEst[qi])
+		acc, isExact := netAccuracy(res.Sub, nc.queries[qi].Op, nc.exactEst[qi])
 		t.addTimed(latMs, nc.DeadlineMs, overloadClassMix(r).Kind, acc)
-		for _, sr := range subs {
+		if k := res.SLO.Kind; k != frontend.BestEffort {
+			row.promised++
+			if k == frontend.Exact && !isExact || k == frontend.Bounded && res.EstimatedAccuracy < res.SLO.MinAccuracy {
+				row.broken++
+			}
+		}
+		for _, sr := range res.Sub {
 			subCnt++
-			rep, ok := sr.Value.(*wire.SubReply)
-			if sr.Skipped || sr.Err != nil || !ok || rep.Status != wire.StatusOK {
+			if !sr.Answered() {
 				skipCnt++
 				continue
 			}
-			setsSum += int(rep.SetsProcessed)
+			setsSum += int(sr.Value.(*wire.SubReply).SetsProcessed)
 		}
 	})
 	row.MaxLagMs = float64(lag) / float64(time.Millisecond)
@@ -320,25 +335,26 @@ func (nc *NetCompare) runNet(cfg netCfg, comps []*agg.Component, unitCost time.D
 	}
 	defer lb.Close()
 	agr := lb.Agg
-	call := func(ctx context.Context, req *wire.Request) ([]service.SubResult, error) { return agr.Call(ctx, req) }
+	call := bare(agr.Call)
 	if cfg.frontend {
 		fe, err := StandardFrontend(agr, 3*n, nc.LevelAccuracy, frontend.Options{})
 		if err != nil {
 			return nil, err
 		}
-		call = func(ctx context.Context, req *wire.Request) ([]service.SubResult, error) {
+		call = func(ctx context.Context, req *wire.Request) (*frontend.Result, error) {
 			slo := overloadClassMix(int(req.ID))
 			if slo.Kind == frontend.Exact {
 				req.Deadline = 0 // Exact carries no budget: its guarantee is paid in latency
 			}
-			res, err := fe.Call(ctx, req, slo)
-			if res == nil {
-				return nil, err
-			}
-			return res.Sub, err
+			return fe.Call(ctx, req, slo)
 		}
 	}
-	return nc.drive("net", cfg.name, call, func() service.Stats { return agr.Stats().Stats }), nil
+	row := nc.drive("net", cfg.name, call, func() service.Stats { return agr.Stats().Stats })
+	if cfg.frontend {
+		nc.promise("floor or typed", row.broken == 0, "%d of %d answered Exact/Bounded replies inexact or claiming under the floor (want 0); %d typed unavailable",
+			row.broken, row.promised, row.Unavailable)
+	}
+	return row, nil
 }
 
 // runInproc measures the identical configuration on the in-process
@@ -358,8 +374,7 @@ func (nc *NetCompare) runInproc(cfg netCfg, comps []*agg.Component, unitCost tim
 			if req.Deadline != 0 {
 				dl := time.Unix(0, req.Deadline)
 				if !time.Now().Before(dl) {
-					return &wire.SubReply{Subset: int32(subset), Kind: req.Kind,
-						Status: wire.StatusSkipped, Level: wire.NoLevel}, nil
+					return nil, service.ErrBudgetExpired
 				}
 				var cancel context.CancelFunc
 				ctx, cancel = context.WithDeadline(ctx, dl)
@@ -383,9 +398,7 @@ func (nc *NetCompare) runInproc(cfg netCfg, comps []*agg.Component, unitCost tim
 		panic(err) // static config: cannot fail
 	}
 	defer cl.Close()
-	return nc.drive("inproc", cfg.name,
-		func(ctx context.Context, req *wire.Request) ([]service.SubResult, error) { return cl.Call(ctx, req) },
-		cl.Stats)
+	return nc.drive("inproc", cfg.name, bare(cl.Call), cl.Stats)
 }
 
 // runParity verifies encode→transport→decode→compose fidelity for all
@@ -500,19 +513,24 @@ func (nc *NetCompare) Render() string {
 		fmt.Fprintf(&b, " %.3f", a)
 	}
 	b.WriteString("\n\n")
-	fmt.Fprintf(&b, "  %-7s %-14s %6s %7s %10s %8s %8s %8s %7s %6s %6s %5s %8s %9s %10s %10s\n",
-		"runtime", "technique", "calls", "lag ms", "goodput/s", "p50 ms", "p99 ms", "p99.9", "hedge%", "shed%", "skip%", "sets", "acc", "accExact", "accBounded", "accBestEff")
+	fmt.Fprintf(&b, "  %-7s %-14s %6s %7s %10s %8s %8s %8s %7s %6s %7s %6s %5s %8s %9s %10s %10s\n",
+		"runtime", "technique", "calls", "lag ms", "goodput/s", "p50 ms", "p99 ms", "p99.9", "hedge%", "shed%", "unavail", "skip%", "sets", "acc", "accExact", "accBounded", "accBestEff")
 	for _, r := range nc.Rows {
-		fmt.Fprintf(&b, "  %-7s %-14s %6d %7.1f %10.1f %8.1f %8.1f %8.1f %7.1f %6.1f %6.1f %5.1f %8.3f %9.3f %10.3f %10.3f\n",
-			r.Runtime, r.Name, r.Calls, r.MaxLagMs, r.Goodput, r.P50Ms, r.P99Ms, r.P999Ms, r.HedgePct, r.ShedPct, r.SkipPct, r.MeanSets,
+		unavail := "-" // a bare gather refuses nothing
+		if r.Name == "Frontend+AT" {
+			unavail = fmt.Sprint(r.Unavailable)
+		}
+		fmt.Fprintf(&b, "  %-7s %-14s %6d %7.1f %10.1f %8.1f %8.1f %8.1f %7.1f %6.1f %7s %6.1f %5.1f %8.3f %9.3f %10.3f %10.3f\n",
+			r.Runtime, r.Name, r.Calls, r.MaxLagMs, r.Goodput, r.P50Ms, r.P99Ms, r.P999Ms, r.HedgePct, r.ShedPct, unavail, r.SkipPct, r.MeanSets,
 			r.MeanAcc, r.ClassAcc[frontend.Exact], r.ClassAcc[frontend.Bounded], r.ClassAcc[frontend.BestEffort])
 	}
 	b.WriteString("\nlag ms is the row's worst send lag behind the schedule: host scheduling noise, charged to the latencies\n")
 	b.WriteString("of the requests it delayed. A row with a lag near its p99 was disturbed by the host, not by its policy.\n")
 	b.WriteString("\nReading: the exact techniques pay the interference stall in full (WaitAll p99.9 ~ the stall), while\n")
 	b.WriteString("PartialGather cuts at the deadline (accuracy dips when a shard is skipped) and Hedged escapes via the\n")
-	b.WriteString("replica. Frontend+AT adds admission, least-loaded 2-replica routing and calibrated degradation: Bounded\n")
-	b.WriteString("requests hold their accuracy floor because the controller never serves them below it. The inproc rows\n")
-	b.WriteString("are the same handlers without sockets: the gap to the net rows is the transport + serialization cost.\n")
+	b.WriteString("replica. Frontend+AT adds admission, least-loaded 2-replica routing and calibrated degradation; its\n")
+	b.WriteString("degrade rule refuses (unavail) an Exact request missing a stratum and a Bounded one whose discounted\n")
+	b.WriteString("claim falls under its floor. The inproc rows are the same handlers without sockets: the gap to the net\n")
+	b.WriteString("rows is the transport + serialization cost.\n")
 	return b.String()
 }

@@ -3,16 +3,14 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"accuracytrader/internal/frontend"
 )
 
 // TestNetCompareQuick runs the full networked-vs-in-process comparison
 // at quick scale on loopback sockets and pins the acceptance
-// behaviours: wire parity for all three workloads, both tail-tolerant
-// gather policies beating WaitAll's p99.9 over real sockets, and the
-// frontend holding Bounded{0.90} delivered accuracy at or above its
-// floor.
+// behaviours: its contracts (wire parity for all three workloads, and
+// every Frontend+AT reply within its class or typed unavailable), and
+// both tail-tolerant gather policies beating WaitAll's p99.9 over real
+// sockets.
 func TestNetCompareQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback load run: seconds per configuration")
@@ -65,16 +63,6 @@ func TestNetCompareQuick(t *testing.T) {
 		t.Fatal("Hedged row issued no hedges")
 	}
 
-	// Frontend semantics over sockets: Exact-class requests are served
-	// exactly (bit-identical merged answers, accuracy 1), and Bounded
-	// requests hold their calibrated accuracy floor.
-	if fe.ClassAcc[frontend.Exact] != 1 {
-		t.Fatalf("frontend Exact-class accuracy = %.4f, want exactly 1", fe.ClassAcc[frontend.Exact])
-	}
-	if fe.ClassAcc[frontend.Bounded] < 0.90 {
-		t.Fatalf("frontend Bounded{0.90} delivered accuracy %.4f below its floor", fe.ClassAcc[frontend.Bounded])
-	}
-
 	// The calibrated ladder must be usable: its finest level has to
 	// clear the Bounded floor, or the controller could never serve the
 	// class at all.
@@ -84,9 +72,19 @@ func TestNetCompareQuick(t *testing.T) {
 	}
 
 	out := nc.Render()
-	for _, want := range []string{"Frontend+AT", "inproc", "p99.9", "nominal", "realised", "max send lag"} {
+	for _, want := range []string{"Frontend+AT", "inproc", "p99.9", "unavail", "nominal", "realised", "max send lag"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// Row returns the first row matching runtime and name (nil if none).
+func (nc *NetCompare) Row(runtime, name string) *NetRow {
+	for _, r := range nc.Rows {
+		if r.Runtime == runtime && r.Name == name {
+			return r
+		}
+	}
+	return nil
 }

@@ -60,9 +60,6 @@ func BuildCFService(sc Scale) (*CFService, error) {
 	return svc, nil
 }
 
-// Shard returns the real component behind simulated component c.
-func (s *CFService) Shard(c int) *cf.Component { return s.Comps[c%s.Scale.Shards] }
-
 // SearchService bundles the search engine's real data shards with the
 // work models of the cluster simulator.
 type SearchService struct {
@@ -158,9 +155,6 @@ func BuildAggService(sc Scale) (*AggService, error) {
 	}
 	return svc, nil
 }
-
-// Shard returns the real component behind simulated component c.
-func (s *AggService) Shard(c int) *agg.Component { return s.Comps[c%s.Scale.Shards] }
 
 // slowdownFunc builds the per-node interference slowdown used by all
 // latency runs: one independent trace per component over the horizon.

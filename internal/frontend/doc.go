@@ -16,6 +16,11 @@
 //     SLO classes — saturation coarsens synopses instead of growing
 //     queues until requests time out.
 //
+// Every gather is then settled by the one per-SLO degrade rule, Claim,
+// which discounts a partial answer's claim and refuses with a typed
+// *UnavailableError the ones an Exact or Bounded class cannot take.
+// Both wall-clock runtimes obey it: netsvc only maps it to the wire.
+//
 // Every policy is clock-agnostic (time is a float64 millisecond
 // offset) and reads load through the Load snapshot, so the same policy
 // values drive both the live goroutine runtime (internal/service via

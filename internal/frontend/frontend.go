@@ -3,6 +3,7 @@ package frontend
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -71,7 +72,7 @@ type Stats struct {
 	Rejected int64
 }
 
-// Result is one answered request.
+// Result is one request's gathered answer.
 type Result struct {
 	// Sub holds the per-subset replies, in subset order.
 	Sub []service.SubResult
@@ -80,11 +81,59 @@ type Result struct {
 	// Level is the ladder level the request was served from (coarse 0
 	// … fine Levels-1), or -1 when no degradation controller is set.
 	Level int
-	// EstimatedAccuracy is the controller's accuracy estimate for
-	// Level (1 for Exact-class results).
+	// Answered counts the subsets that contributed; fewer than len(Sub)
+	// is a partial answer.
+	Answered int
+	// EstimatedAccuracy is the accuracy the answer claims (Claim): the
+	// controller's estimate for Level (1 for Exact-class results and
+	// without a controller), discounted by Answered of len(Sub).
 	EstimatedAccuracy float64
 	// Degraded reports that admission downgraded the request's class.
 	Degraded bool
+}
+
+// UnavailableError is the degrade rule's typed refusal of a partial
+// gather (see Claim): Exact with a stratum missing, or Bounded whose
+// discounted claim falls under its floor. Match it with errors.As.
+type UnavailableError struct {
+	Kind       SLOKind // Exact or Bounded
+	Answered   int     // strata that contributed
+	Total      int     // the fan-out width
+	Floor      float64 // 1 for Exact, MinAccuracy for Bounded
+	Discounted float64 // the claim the gathered strata support
+}
+
+func (e *UnavailableError) Error() string {
+	if e.Kind == Exact {
+		return fmt.Sprintf("exact answer unavailable: %d of %d strata answered", e.Answered, e.Total)
+	}
+	return fmt.Sprintf("accuracy floor %.3f unreachable: %d of %d strata answered (discounted accuracy %.3f)",
+		e.Floor, e.Answered, e.Total, e.Discounted)
+}
+
+// Claim is the per-SLO degrade rule that both runtimes apply to a
+// gather. A full gather claims acc, the accuracy it was served at. Each
+// stratum is 1/total of the answer, so a partial one claims
+// acc·answered/total, and is refused when its class cannot take it:
+// Exact always, Bounded under its floor. Only a refusal allocates.
+func Claim(subs []service.SubResult, slo SLO, acc float64) (answered int, claim float64, err error) {
+	for i := range subs {
+		if subs[i].Answered() {
+			answered++
+		}
+	}
+	total := len(subs)
+	if answered == total {
+		return answered, acc, nil
+	}
+	claim = acc * float64(answered) / float64(total)
+	switch {
+	case slo.Kind == Exact:
+		err = &UnavailableError{Exact, answered, total, 1, claim}
+	case slo.Kind == Bounded && claim < slo.MinAccuracy:
+		err = &UnavailableError{Bounded, answered, total, slo.MinAccuracy, claim}
+	}
+	return answered, claim, err
 }
 
 // Frontend is the admission → routing → degradation pipeline in front
@@ -161,9 +210,10 @@ func (f *Frontend) Snapshot() Load {
 }
 
 // Call runs one request through the pipeline: observe load, admit (or
-// reject/downgrade), select the ladder level for the request's SLO, and
-// fan out through the backend with the level attached to the context
-// (handlers read it via LevelFrom).
+// reject/downgrade), select the ladder level for the request's SLO, fan
+// out through the backend with the level attached to the context
+// (handlers read it via LevelFrom), and settle the gather with Claim. A
+// refusal comes with the refused gather's Result; other errors with nil.
 func (f *Frontend) Call(ctx context.Context, payload interface{}, slo SLO) (*Result, error) {
 	// Reserve before deciding: concurrent callers serialize through
 	// the counter, so each sees every earlier reservation and a burst
@@ -225,13 +275,9 @@ func (f *Frontend) Call(ctx context.Context, payload interface{}, slo SLO) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Sub:               sub,
-		SLO:               slo,
-		Level:             level,
-		EstimatedAccuracy: estAcc,
-		Degraded:          degraded,
-	}, nil
+	res := &Result{Sub: sub, SLO: slo, Level: level, Degraded: degraded}
+	res.Answered, res.EstimatedAccuracy, err = Claim(sub, slo, estAcc)
+	return res, err
 }
 
 // Stats returns the admission counters. The counters live in the

@@ -20,7 +20,7 @@ func levelRecorder(levels *atomic.Int64, noLevel *atomic.Int64) service.Handler 
 		} else {
 			noLevel.Add(1)
 		}
-		return nil, nil
+		return true, nil
 	}
 }
 
@@ -108,7 +108,7 @@ func TestFrontendDegradeDemotesClassButNotExact(t *testing.T) {
 			if slo, ok := SLOFrom(ctx); ok {
 				lastKind.Store(int64(slo.Kind))
 			}
-			return nil, nil
+			return true, nil
 		},
 	}, service.WaitAll, service.Options{})
 	if err != nil {

@@ -38,17 +38,6 @@ func NewReplicaMap(n, r int) ReplicaMap {
 	return m
 }
 
-// Components returns the component count n.
-func (m ReplicaMap) Components() int { return m.n }
-
-// Factor returns the replica factor R.
-func (m ReplicaMap) Factor() int {
-	if m.n == 0 {
-		return 0
-	}
-	return len(m.replicas[0])
-}
-
 // Replicas returns the components that can serve the subset. The
 // returned slice is shared; callers must not modify it.
 func (m ReplicaMap) Replicas(subset int) []int {

@@ -4,8 +4,8 @@ import "testing"
 
 func TestReplicaMap(t *testing.T) {
 	m := NewReplicaMap(5, 3)
-	if m.Components() != 5 || m.Factor() != 3 {
-		t.Fatalf("n=%d r=%d", m.Components(), m.Factor())
+	if r := len(m.Replicas(0)); r != 3 {
+		t.Fatalf("r=%d", r)
 	}
 	got := m.Replicas(4) // wraps around
 	want := []int{4, 0, 1}
@@ -14,11 +14,11 @@ func TestReplicaMap(t *testing.T) {
 			t.Fatalf("Replicas(4) = %v", got)
 		}
 	}
-	// Factor clamps to [1, n].
-	if NewReplicaMap(3, 10).Factor() != 3 {
+	// The replica factor clamps to [1, n].
+	if len(NewReplicaMap(3, 10).Replicas(0)) != 3 {
 		t.Fatal("factor not clamped to n")
 	}
-	if NewReplicaMap(3, 0).Factor() != 1 {
+	if len(NewReplicaMap(3, 0).Replicas(0)) != 1 {
 		t.Fatal("factor not clamped to 1")
 	}
 	// Out-of-range subsets wrap instead of panicking.

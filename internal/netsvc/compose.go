@@ -15,7 +15,7 @@ const GlobalDocStride = 10_000_000
 
 // subReplyOf extracts the decoded sub-reply of an answered sub-result.
 func subReplyOf(sr service.SubResult) *wire.SubReply {
-	if sr.Err != nil || sr.Skipped || sr.Value == nil {
+	if !sr.Answered() {
 		return nil
 	}
 	rep, _ := sr.Value.(*wire.SubReply)
@@ -30,49 +30,20 @@ func SubStatuses(subs []service.SubResult) []uint8 {
 		switch {
 		case sr.Skipped:
 			out[i] = wire.StatusSkipped
+		case sr.Err == ErrQueueFull:
+			out[i] = wire.StatusBusy
 		case sr.Err != nil:
-			if sr.Err == ErrQueueFull {
-				out[i] = wire.StatusBusy
-			} else {
-				out[i] = wire.StatusErr
-			}
+			out[i] = wire.StatusErr
 		default:
 			out[i] = wire.StatusOK
-			// An in-process handler may resolve a sub-operation with a
-			// non-OK reply in the value slot; surface the inner status.
-			if rep, ok := sr.Value.(*wire.SubReply); ok && rep != nil {
-				out[i] = rep.Status
-			}
 		}
 	}
 	return out
 }
 
-// DegradeStats counts the strata that contributed a payload to the
-// composed reply (StatusOK) against the fan-out width — the inputs to
-// the per-SLO degradation rule.
-func DegradeStats(statuses []uint8) (answered, total int) {
-	for _, st := range statuses {
-		if st == wire.StatusOK {
-			answered++
-		}
-	}
-	return answered, len(statuses)
-}
-
-// DiscountAccuracy discounts an accuracy bound by the answered
-// fraction of the fan-out: each stratum contributes 1/total of the
-// answer, so a reply composed over answered strata cannot promise more
-// than acc·answered/total of it.
-func DiscountAccuracy(acc float64, answered, total int) float64 {
-	if total <= 0 || answered >= total {
-		return acc
-	}
-	return acc * float64(answered) / float64(total)
-}
-
 // ExtrapolateAgg rescales an aggregation answer composed over answered
-// of total strata up to the full population: sums and counts grow by
+// of total strata (a partial answer frontend.Claim let through) up to
+// the full population: sums and counts grow by
 // total/answered (unbiased under the uniform sharding of the replays),
 // variances by its square — the CLT bounds honestly widen to cover the
 // unseen strata instead of silently skewing low.

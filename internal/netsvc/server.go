@@ -3,7 +3,6 @@ package netsvc
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -645,15 +644,10 @@ func exactOf(req *wire.Request) *wire.Request {
 // storable returns the immutable copy of a composed reply that the cache
 // may keep — hits are re-stamped with their own request ID — or nil for
 // a reply that must be neither shared nor stored: rejected, failed, or
-// missing a subset.
+// missing a subset (ReplyDegraded, frontend.Claim's partial answer).
 func storable(rep *wire.Reply) interface{} {
 	if rep.Status != wire.ReplyOK {
 		return nil
-	}
-	for _, st := range rep.SubStatus {
-		if st != wire.StatusOK {
-			return nil
-		}
 	}
 	stored := *rep
 	stored.ID = 0
@@ -720,69 +714,46 @@ func (s *FrontServer) refreshToExact(_ uint64, payload interface{}) (interface{}
 }
 
 // serveMiss composes one whole-service reply from a fresh fan-out and
-// reports the accuracy bound it was computed at (1 for Exact-class
-// answers, the controller's calibrated level estimate otherwise; 0 for
-// failures).
+// reports the accuracy its answer claims (0 for failures, and without a
+// frontend, which has no calibrated claim). The degrade rule is
+// frontend.Claim's; this only maps its outcome to the wire.
 func (s *FrontServer) serveMiss(ctx context.Context, req *wire.Request) (*wire.Reply, float64) {
 	rep := replyTo(req, wire.ReplyOK, "")
-	acc := 0.0
 	var subs []service.SubResult
+	var answered int
+	var acc float64
+	var err error
 	if s.fe != nil {
-		res, err := s.fe.Call(ctx, req, sloFromWire(req.SLO, req.MinAccuracy))
-		switch {
+		var res *frontend.Result
+		res, err = s.fe.Call(ctx, req, sloFromWire(req))
+		if res != nil {
+			rep.SLO = uint8(res.SLO.Kind)
+			rep.MinAccuracy = res.SLO.MinAccuracy
+			rep.Degraded = res.Degraded
+			rep.Level = int16(res.Level)
+			subs, answered, acc = res.Sub, res.Answered, res.EstimatedAccuracy
+		}
+	} else if subs, err = s.agg.Call(ctx, req); err == nil {
+		// Without a frontend the components run at full fidelity, so the
+		// rule's base accuracy is 1.
+		answered, _, err = frontend.Claim(subs, sloFromWire(req), 1)
+	}
+	if err != nil {
+		rep.Status, rep.Err = wire.ReplyErr, err.Error()
+		switch { // Is first: an admission rejection allocates nothing here
 		case errors.Is(err, frontend.ErrRejected):
 			rep.Status = wire.ReplyRejected
-			rep.Err = err.Error()
-			return rep, 0
-		case err != nil:
-			rep.Status = wire.ReplyErr
-			rep.Err = err.Error()
-			return rep, 0
+		case errors.As(err, new(*frontend.UnavailableError)):
+			rep.Status, rep.SubStatus = wire.ReplyUnavailable, SubStatuses(subs)
 		}
-		rep.SLO = uint8(res.SLO.Kind)
-		rep.MinAccuracy = res.SLO.MinAccuracy
-		rep.Degraded = res.Degraded
-		rep.Level = int16(res.Level)
-		subs = res.Sub
-		acc = res.EstimatedAccuracy // 1 for Exact-class results
-	} else {
-		var err error
-		subs, err = s.agg.Call(ctx, req)
-		if err != nil {
-			rep.Status = wire.ReplyErr
-			rep.Err = err.Error()
-			return rep, 0
-		}
+		return rep, 0
 	}
-	rep.Status = wire.ReplyOK
 	rep.SubStatus = SubStatuses(subs)
-	answered, total := DegradeStats(rep.SubStatus)
-	if answered < total {
-		// Some strata are absent (dead component, tripped breaker, shed
-		// queue, expired budget). Discount the accuracy by the lost
-		// contribution and apply the per-SLO rule instead of silently
-		// composing a skewed answer.
-		base := acc
-		if s.fe == nil {
-			// Without a frontend the components run at full fidelity; the
-			// only accuracy loss is the missing strata themselves.
-			base = 1
-		}
-		disc := DiscountAccuracy(base, answered, total)
-		switch {
-		case rep.SLO == wire.SLOExact:
-			rep.Status = wire.ReplyUnavailable
-			rep.Err = fmt.Sprintf("exact answer unavailable: %d of %d strata answered", answered, total)
-			return rep, 0
-		case rep.SLO == wire.SLOBounded && disc < rep.MinAccuracy:
-			rep.Status = wire.ReplyUnavailable
-			rep.Err = fmt.Sprintf("accuracy floor %.3f unreachable: %d of %d strata answered (discounted accuracy %.3f)",
-				rep.MinAccuracy, answered, total, disc)
-			return rep, 0
-		}
-		rep.Status = wire.ReplyDegraded
-		rep.Degraded = true
-		acc = disc
+	// A partial answer the rule let through: some strata are absent (dead
+	// component, tripped breaker, shed queue, expired budget).
+	partial := answered < len(subs)
+	if partial {
+		rep.Status, rep.Degraded = wire.ReplyDegraded, true
 	}
 	tr := obs.TraceFrom(ctx)
 	var mergeT0 time.Time
@@ -800,8 +771,8 @@ func (s *FrontServer) serveMiss(ctx context.Context, req *wire.Request) (*wire.R
 		rep.Search = ComposeSearch(subs, k)
 	case wire.KindAgg:
 		rep.Agg = ComposeAgg(subs)
-		if rep.Status == wire.ReplyDegraded {
-			ExtrapolateAgg(rep.Agg, answered, total)
+		if partial {
+			ExtrapolateAgg(rep.Agg, answered, len(subs))
 		}
 	}
 	if tr != nil {
@@ -810,15 +781,15 @@ func (s *FrontServer) serveMiss(ctx context.Context, req *wire.Request) (*wire.R
 	return rep, acc
 }
 
-// sloFromWire converts a wire SLO class to the frontend's. SLONone
-// maps to BestEffort: a client that states no contract accepts
+// sloFromWire converts a request's wire SLO class to the frontend's.
+// SLONone maps to BestEffort: a client that states no contract accepts
 // whatever the current load dictates.
-func sloFromWire(class uint8, minAcc float64) frontend.SLO {
-	switch class {
+func sloFromWire(req *wire.Request) frontend.SLO {
+	switch req.SLO {
 	case wire.SLOExact:
 		return frontend.ExactSLO()
 	case wire.SLOBounded:
-		return frontend.BoundedSLO(minAcc)
+		return frontend.BoundedSLO(req.MinAccuracy)
 	default:
 		return frontend.BestEffortSLO()
 	}

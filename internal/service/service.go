@@ -63,11 +63,14 @@ type SubResult struct {
 	Hedged  bool // Hedged: a replica was issued for this sub-operation
 }
 
-// Complete reports whether every sub-result was answered: no errors,
-// nothing skipped, a value present.
+// Answered reports whether the sub-result contributes to the answer: no
+// error, not skipped, a value present.
+func (r SubResult) Answered() bool { return r.Err == nil && !r.Skipped && r.Value != nil }
+
+// Complete reports whether every sub-result was answered.
 func Complete(subs []SubResult) bool {
 	for i := range subs {
-		if subs[i].Err != nil || subs[i].Skipped || subs[i].Value == nil {
+		if !subs[i].Answered() {
 			return false
 		}
 	}
@@ -88,6 +91,11 @@ var ErrQueueFull = errors.New("service: component queue full")
 // the target component's circuit breaker is open and no healthy
 // component could take the placement.
 var ErrComponentDown = errors.New("service: component circuit open")
+
+// ErrBudgetExpired is a handler's answer to a sub-operation whose budget
+// was gone before it started. Like a component server's Skipped reply,
+// it resolves the subset Skipped and is no breaker evidence.
+var ErrBudgetExpired = errors.New("service: sub-operation budget expired")
 
 // ErrClosed is returned by Call after Close.
 var ErrClosed = errors.New("service: closed")
@@ -201,7 +209,10 @@ func (cl *Cluster) worker(c *component) {
 			v, err := j.handler(context.WithValue(j.ctx, compKey{}, c.idx), j.payload)
 			c.busy.Store(false)
 			r := Result{Outcome: OutcomeAnswered, Value: v, Err: err, Latency: time.Since(j.enqueued)}
-			if err != nil {
+			switch {
+			case errors.Is(err, ErrBudgetExpired):
+				r.Outcome = OutcomeSkipped
+			case err != nil:
 				r.Outcome = OutcomePeerFailure
 			}
 			j.a.Done(r)
