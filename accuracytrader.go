@@ -508,8 +508,11 @@ func NewAdminPlane(reg *MetricsRegistry, rec *TraceRecorder) *AdminPlane {
 	return obs.NewAdmin(reg, rec)
 }
 
-// Live synopsis updates (internal/ingest): components accept appended
-// rows while serving. A live store layers an append-only,
+// Live synopsis updates (internal/ingest): aggregation components
+// accept appended rows while serving — aggregation is the one workload
+// whose CLT bounds rest on its samples staying uniform, so it is the one
+// with a live store; CF and search synopses are refreshed offline
+// (Synopsis.Update). A live store layers an append-only,
 // exactly-scanned delta segment over a frozen synopsis base behind an
 // epoch-swapped snapshot — readers stay lock- and allocation-free, the
 // delta fold can only tighten estimates, and a compacted store is
@@ -528,15 +531,15 @@ func NewAggLiveStore(numKeys int, cfg AggConfig) *AggLiveStore {
 	return ingest.NewAggLive(numKeys, cfg)
 }
 
-// IngestWorker drives one live store's publish/compact cycle in the
-// background; Close drains with a final publish.
+// IngestWorker drives one live aggregation store's publish/compact
+// cycle in the background; Close drains with a final publish.
 type IngestWorker = ingest.Worker
 
 // IngestWorkerOptions configures an IngestWorker.
 type IngestWorkerOptions = ingest.WorkerOptions
 
-// NewIngestWorker starts a worker over any live store.
-func NewIngestWorker(s ingest.Store, opts IngestWorkerOptions) *IngestWorker {
+// NewIngestWorker starts a worker over a live aggregation store.
+func NewIngestWorker(s *AggLiveStore, opts IngestWorkerOptions) *IngestWorker {
 	return ingest.NewWorker(s, opts)
 }
 
@@ -549,8 +552,8 @@ type WireIngestRequest = wire.IngestRequest
 // to queries at any epoch strictly greater than Epoch.
 type WireIngestReply = wire.IngestReply
 
-// NetLiveStores bundles the live stores a component server ingests
-// into, one slice entry per locally-served shard.
+// NetLiveStores bundles the live aggregation stores a component server
+// ingests into, one slice entry per locally-served shard.
 type NetLiveStores = netsvc.LiveStores
 
 // NewNetLiveAggBackend answers aggregation queries from live-store
@@ -561,8 +564,8 @@ func NewNetLiveAggBackend(lives []*AggLiveStore, opts NetBackendOptions) NetHand
 	return netsvc.NewLiveAggBackend(lives, opts)
 }
 
-// NewNetLiveIngestHandler stages protocol-v5 append batches into the
-// bundled live stores.
+// NewNetLiveIngestHandler stages protocol-v5 aggregation append
+// batches into the bundled live stores.
 func NewNetLiveIngestHandler(stores NetLiveStores) netsvc.IngestHandler {
 	return netsvc.NewLiveIngestHandler(stores)
 }

@@ -10,10 +10,9 @@
 // A request spends its time in one loop: the Pearson weight of the active
 // user against a neighbour, then the neighbour's weighted deviation on
 // every target it rated. That loop exists once, as the bound-request
-// scorer (scorer.go), and every scan site runs it: ExactResultInto (the
-// "exact processing" baseline), Engine.ProcessSynopsis and
-// Engine.ProcessSet (Algorithm 1 lines 1 and 7) and DeltaScorer (a live
-// shard's not-yet-compacted users, internal/ingest).
+// scorer (scorer.go), and all three scan sites run it: ExactResultInto
+// (the "exact processing" baseline), Engine.ProcessSynopsis and
+// Engine.ProcessSet (Algorithm 1 lines 1 and 7).
 //
 // Binding a request stamps one epoch-validated per-item table with the
 // active user's rating index and the first target slot of every item the
@@ -28,9 +27,9 @@
 // ratings that matter are read, and no branch depends on whether a given
 // rating pairs or hits. The streaming fold — one pass over the ratings,
 // one table probe each — still runs where the bitmap cannot: for
-// aggregated users (ProcessSynopsis) and ingest delta users, which have
-// no bitmap; for a matrix row that repeats an item (SetUser flags it),
-// whose k-th-duplicate rule below rank cannot express; and for
+// aggregated users (ProcessSynopsis), which have no bitmap; for a matrix
+// row that repeats an item (SetUser flags it), whose k-th-duplicate rule
+// below rank cannot express; and for
 // ProcessSet's retraction of an aggregated user at a known weight. Either
 // way co-rated score pairs are collected into a buffer sized at bind,
 // target hits into a second, the weight is computed over the collected

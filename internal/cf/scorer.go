@@ -6,8 +6,7 @@ import (
 )
 
 // scorer is the one CF kernel: bound to a request, it folds a neighbour
-// (a matrix user, an aggregated user or an ingest delta user) into a
-// partial Result.
+// (a matrix user or an aggregated user) into a partial Result.
 //
 // Binding stamps one per-item table with, for every item the request
 // mentions, the index of the active user's rating of it and the first

@@ -1,12 +1,15 @@
-// Package ingest is the online update path of the reproduction: it
-// layers append-friendly delta segments (new fact rows, ratings and
-// documents) over the frozen per-workload synopsis bases and publishes
+// Package ingest is the online update path of the reproduction's
+// aggregation workload: it layers an append-friendly delta segment of
+// new fact rows over the frozen synopsis base and publishes
 // epoch-swapped read-mostly snapshots behind a single atomic pointer,
 // so the pooled zero-alloc query engines stay lock-free on the hot
-// path while a periodic merge worker compacts deltas into a new base.
-// For the aggregation ladder the compaction step performs per-stratum
-// reservoir maintenance — strata stay ordered by a deterministic
-// sampling priority, so every ladder level's prefix remains a uniform
-// bottom-k sample whose rate (and therefore its CLT bounds) stays
-// statistically honest as strata grow.
+// path while a periodic merge worker compacts the delta into a new
+// base. The compaction step performs per-stratum reservoir
+// maintenance — strata stay ordered by a deterministic sampling
+// priority, so every ladder level's prefix remains a uniform bottom-k
+// sample whose rate (and therefore its CLT bounds) stays statistically
+// honest as strata grow. Aggregation is the one workload with a live
+// store because it is the one whose error bounds rest on the sample
+// staying uniform; CF and search synopses are refreshed offline
+// (synopsis.Update).
 package ingest

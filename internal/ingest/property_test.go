@@ -6,11 +6,7 @@ import (
 	"testing"
 
 	"accuracytrader/internal/agg"
-	"accuracytrader/internal/cf"
 	"accuracytrader/internal/stats"
-	"accuracytrader/internal/svd"
-	"accuracytrader/internal/synopsis"
-	"accuracytrader/internal/textindex"
 )
 
 // The property harness pins the sampling honesty of live ingestion:
@@ -236,178 +232,6 @@ func TestAggReservoirInclusionCLT(t *testing.T) {
 	}{{"first build", hitFirst}, {"old row after growth", hitOld}, {"new row after growth", hitNew}} {
 		if math.Abs(float64(c.hits)-mean) > tol {
 			t.Errorf("%s: included in %d of %d trials, want %.0f±%.0f", c.name, c.hits, T, mean, tol)
-		}
-	}
-}
-
-func sameCFResult(a, b cf.Result) error {
-	if len(a.Num) != len(b.Num) {
-		return fmt.Errorf("targets %d vs %d", len(a.Num), len(b.Num))
-	}
-	for i := range a.Num {
-		if a.Num[i] != b.Num[i] || a.Den[i] != b.Den[i] {
-			return fmt.Errorf("target %d: (%v,%v) vs (%v,%v)", i, a.Num[i], a.Den[i], b.Num[i], b.Den[i])
-		}
-	}
-	return nil
-}
-
-// TestCFLiveMatchesFrozenRebuild drives a live CF shard through random
-// interleavings. At every epoch the exact path must be bit-identical to
-// running the reference kernel over a matrix rebuilt from the visible
-// users; at merged epochs the whole snapshot — synopsis answers
-// included — must match the frozen rebuild.
-func TestCFLiveMatchesFrozenRebuild(t *testing.T) {
-	const nItems = 40
-	cfg := synopsis.Config{SVD: svd.Config{Dims: 3, Epochs: 10, Seed: 11}, CompressionRatio: 10}
-	rng := stats.NewRNG(0xcf11fe)
-	genUser := func() []cf.Rating {
-		n := 5 + rng.Intn(11)
-		perm := rng.Perm(nItems)
-		rs := make([]cf.Rating, n)
-		for i := range rs {
-			rs[i] = cf.Rating{Item: int32(perm[i]), Score: 1 + 4*rng.Float64()}
-		}
-		return rs
-	}
-	req := cf.NewRequest(genUser(), []int32{0, 7, 19, 33})
-
-	l := NewCFLive(nItems, cfg)
-	var allUsers [][]cf.Rating
-	res := cf.NewResult(len(req.Targets))
-	want := cf.NewResult(len(req.Targets))
-	for step := 0; step < 30; step++ {
-		switch rng.Intn(4) {
-		case 0, 1:
-			u := genUser()
-			if _, err := l.Append(u); err != nil {
-				t.Fatal(err)
-			}
-			allUsers = append(allUsers, u)
-		case 2:
-			l.PublishDelta()
-		case 3:
-			if _, _, _, err := l.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		snap, _ := l.Snapshot()
-		n := snap.Users()
-		// Exact path vs the reference kernel over a rebuilt matrix of
-		// the visible users: bit-identical (same kernel, same order).
-		m := cf.NewMatrix(nItems)
-		for _, rs := range allUsers[:n] {
-			m.AddUser(rs)
-		}
-		res = snap.Exact(res, req)
-		want = want.Reset(len(req.Targets))
-		sc := new(cf.DeltaScorer)
-		sc.Bind(nItems, req.Targets)
-		for u := 0; u < n; u++ {
-			sc.Add(want, req.Ratings, m.Ratings(u), m.Mean(u))
-		}
-		if err := sameCFResult(res, want); err != nil {
-			t.Fatalf("step %d exact vs rebuilt matrix: %v", step, err)
-		}
-
-		if snap.DeltaUsers() != 0 || snap.Base() == nil {
-			continue
-		}
-		frozen, err := BuildCFSnapshot(nItems, cfg, allUsers[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		res = snap.Exact(res, req)
-		want = frozen.Exact(want, req)
-		if err := sameCFResult(res, want); err != nil {
-			t.Fatalf("step %d merged exact vs frozen: %v", step, err)
-		}
-		le := cf.GetEngine(snap.Base(), req)
-		fe := cf.GetEngine(frozen.Base(), req)
-		lc := le.ProcessSynopsis()
-		fc := fe.ProcessSynopsis()
-		if len(lc) != len(fc) {
-			t.Fatalf("step %d: %d vs %d synopsis correlations", step, len(lc), len(fc))
-		}
-		for g := range lc {
-			if lc[g] != fc[g] {
-				t.Fatalf("step %d set %d: correlation %v vs %v", step, g, lc[g], fc[g])
-			}
-		}
-		if err := sameCFResult(le.Result(), fe.Result()); err != nil {
-			t.Fatalf("step %d merged synopsis vs frozen: %v", step, err)
-		}
-		le.Release()
-		fe.Release()
-	}
-}
-
-// TestSearchLiveMatchesFrozenRebuild drives a live search shard through
-// random interleavings. Merged epochs must be bit-identical to the
-// frozen rebuild; unmerged epochs serve delta documents scored at the
-// base epoch's idf weights, so only structural sanity is pinned there.
-func TestSearchLiveMatchesFrozenRebuild(t *testing.T) {
-	vocab := []string{"alpha", "beta", "gamma", "delta", "omega", "sigma", "tau", "kappa"}
-	rng := stats.NewRNG(0x5ea4c4)
-	genDoc := func() string {
-		n := 3 + rng.Intn(10)
-		doc := ""
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				doc += " "
-			}
-			doc += vocab[rng.Intn(len(vocab))]
-		}
-		return doc
-	}
-	cfg := synopsis.Config{SVD: svd.Config{Dims: 3, Epochs: 10, Seed: 9}, CompressionRatio: 10}
-
-	l := NewSearchLive(cfg)
-	var allDocs []string
-	var hits, want []textindex.Hit
-	for step := 0; step < 30; step++ {
-		switch rng.Intn(4) {
-		case 0, 1:
-			d := genDoc()
-			l.Append(d)
-			allDocs = append(allDocs, d)
-		case 2:
-			l.PublishDelta()
-		case 3:
-			if _, _, _, err := l.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		snap, _ := l.Snapshot()
-		n := snap.Docs()
-		q := snap.ParseQuery("alpha gamma sigma")
-		hits = snap.ExactTopK(hits, q, 5)
-		for i, h := range hits {
-			if h.Doc < 0 || h.Doc >= n {
-				t.Fatalf("step %d: hit doc %d outside %d visible docs", step, h.Doc, n)
-			}
-			if i > 0 && hits[i-1].Score < h.Score {
-				t.Fatalf("step %d: hits not sorted at %d", step, i)
-			}
-		}
-
-		if snap.DeltaDocs() != 0 || snap.Base() == nil {
-			continue
-		}
-		frozen, err := BuildSearchSnapshot(cfg, allDocs[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = frozen.ExactTopK(want, frozen.ParseQuery("alpha gamma sigma"), 5)
-		if len(hits) != len(want) {
-			t.Fatalf("step %d: %d hits vs frozen's %d", step, len(hits), len(want))
-		}
-		for i := range hits {
-			if hits[i] != want[i] {
-				t.Fatalf("step %d hit %d: %+v vs frozen %+v", step, i, hits[i], want[i])
-			}
 		}
 	}
 }

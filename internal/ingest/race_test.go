@@ -7,10 +7,7 @@ import (
 	"time"
 
 	"accuracytrader/internal/agg"
-	"accuracytrader/internal/cf"
 	"accuracytrader/internal/stats"
-	"accuracytrader/internal/svd"
-	"accuracytrader/internal/synopsis"
 )
 
 // TestAggLiveConcurrent hammers a live aggregation shard with
@@ -106,82 +103,5 @@ func TestAggLiveConcurrent(t *testing.T) {
 	st := w.Stats()
 	if st.Publishes+st.Compactions == 0 {
 		t.Fatal("worker never swapped an epoch")
-	}
-}
-
-// TestCFAndSearchLiveConcurrent runs the same torn-snapshot and
-// epoch-pinning checks over the CF and search shards: an acquired
-// snapshot answers identically no matter how many swaps happen
-// underneath it.
-func TestCFAndSearchLiveConcurrent(t *testing.T) {
-	cfg := synopsis.Config{SVD: svd.Config{Dims: 3, Epochs: 10, Seed: 11}, CompressionRatio: 10}
-	rng := stats.NewRNG(7)
-
-	cl := NewCFLive(20, cfg)
-	cw := NewWorker(cl, WorkerOptions{Interval: time.Millisecond, CompactEvery: 8, Name: "cf"})
-	sl := NewSearchLive(cfg)
-	sw := NewWorker(sl, WorkerOptions{Interval: time.Millisecond, CompactEvery: 8, Name: "search"})
-
-	req := cf.NewRequest([]cf.Rating{{Item: 1, Score: 4}, {Item: 3, Score: 2}, {Item: 8, Score: 5}}, []int32{0, 5, 12})
-	vocab := []string{"alpha", "beta", "gamma", "delta", "omega"}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		arng := stats.NewRNG(99)
-		for b := 0; b < 80; b++ {
-			n := 3 + arng.Intn(8)
-			rs := make([]cf.Rating, n)
-			perm := arng.Perm(20)
-			for i := range rs {
-				rs[i] = cf.Rating{Item: int32(perm[i]), Score: 1 + 4*arng.Float64()}
-			}
-			if _, err := cl.Append(rs); err != nil {
-				t.Error(err)
-				return
-			}
-			doc := ""
-			for i := 0; i < 4+arng.Intn(6); i++ {
-				if i > 0 {
-					doc += " "
-				}
-				doc += vocab[arng.Intn(len(vocab))]
-			}
-			sl.Append(doc)
-		}
-	}()
-
-	res := cf.NewResult(3)
-	again := cf.NewResult(3)
-	for i := 0; i < 40; i++ {
-		csnap, cep := cl.Snapshot()
-		res = csnap.Exact(res, req)
-		ssnap, sep := sl.Snapshot()
-		q := ssnap.ParseQuery("alpha omega")
-		hits := ssnap.ExactTopK(nil, q, 5)
-		time.Sleep(time.Duration(1+rng.Intn(3)) * time.Millisecond)
-		again = csnap.Exact(again, req)
-		for k := range res.Num {
-			if res.Num[k] != again.Num[k] || res.Den[k] != again.Den[k] {
-				t.Fatalf("cf epoch %d target %d: pinned snapshot drifted", cep, k)
-			}
-		}
-		hits2 := ssnap.ExactTopK(nil, q, 5)
-		if len(hits) != len(hits2) {
-			t.Fatalf("search epoch %d: pinned snapshot drifted (%d vs %d hits)", sep, len(hits), len(hits2))
-		}
-		for j := range hits {
-			if hits[j] != hits2[j] {
-				t.Fatalf("search epoch %d hit %d: pinned snapshot drifted", sep, j)
-			}
-		}
-	}
-
-	wg.Wait()
-	cw.Close()
-	sw.Close()
-	if cl.Stats().StagedUsers != 0 || sl.Stats().StagedDocs != 0 {
-		t.Fatalf("drain left %d users / %d docs staged", cl.Stats().StagedUsers, sl.Stats().StagedDocs)
 	}
 }

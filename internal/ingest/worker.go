@@ -7,21 +7,6 @@ import (
 	"accuracytrader/internal/obs"
 )
 
-// Store is the worker-facing surface every live shard implements:
-// publish staged appends as a visible delta, compact everything into a
-// new base, and report the current epoch.
-type Store interface {
-	// PublishDelta makes staged appends visible; returns the epoch, the
-	// newly visible item count (0 for a no-op that kept the epoch), and
-	// the freshness lag of the oldest item that became visible.
-	PublishDelta() (epoch uint64, published int, lag time.Duration)
-	// Compact folds everything into a new base and publishes it;
-	// returns the epoch, the items folded (0 for a no-op), and the lag.
-	Compact() (epoch uint64, folded int, lag time.Duration, err error)
-	// Epoch returns the current snapshot epoch.
-	Epoch() uint64
-}
-
 // WorkerOptions configures a merge worker.
 type WorkerOptions struct {
 	// Interval is the publish cadence (default 5ms): how long an append
@@ -62,13 +47,13 @@ type WorkerStats struct {
 	CompactErrs uint64        // failed compactions (base kept serving)
 }
 
-// Worker is the periodic merge worker of one live shard: every tick it
-// publishes the staged delta (or, on the compaction cadence, folds
-// everything into a new base), fires the swap hook, and feeds the obs
-// plane. A failed compaction is counted and the previous base keeps
+// Worker is the periodic merge worker of one live aggregation shard:
+// every tick it publishes the staged delta (or, on the compaction
+// cadence, folds everything into a new base), fires the swap hook, and
+// feeds the obs plane. A failed compaction is counted and the previous base keeps
 // serving — ingest degrades to a growing delta, never to an outage.
 type Worker struct {
-	store Store
+	store *AggLive
 	opts  WorkerOptions
 
 	mu    sync.Mutex
@@ -84,8 +69,8 @@ type Worker struct {
 	gLag         *obs.Gauge
 }
 
-// NewWorker starts a merge worker over a live shard.
-func NewWorker(s Store, opts WorkerOptions) *Worker {
+// NewWorker starts a merge worker over a live aggregation shard.
+func NewWorker(s *AggLive, opts WorkerOptions) *Worker {
 	opts = opts.withDefaults()
 	w := &Worker{store: s, opts: opts, quit: make(chan struct{}), done: make(chan struct{})}
 	if m := opts.Metrics; m != nil {

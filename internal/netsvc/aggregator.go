@@ -49,9 +49,6 @@ type AggregatorOptions struct {
 	// HedgeFloor is the minimum hedge delay before the p95 estimator
 	// has warmed up (default 1ms).
 	HedgeFloor time.Duration
-	// ReplicaOf maps a subset to the component executing its hedged
-	// replica (default: next component).
-	ReplicaOf func(subset, n int) int
 	// Dial overrides the transport dial (default net.DialTimeout over
 	// TCP) — the seam fault injection and connection tests hook.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
@@ -140,7 +137,6 @@ func NewAggregator(addrs []string, opts AggregatorOptions) (*Aggregator, error) 
 		Policy:      opts.Policy,
 		Deadline:    opts.Deadline,
 		HedgeFloor:  opts.HedgeFloor,
-		ReplicaOf:   opts.ReplicaOf,
 		RetryBudget: opts.RetryBudget,
 		Breaker:     opts.Breaker,
 		OnBreakerState: func(target int, s breaker.State) {

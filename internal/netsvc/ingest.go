@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"accuracytrader/internal/agg"
-	"accuracytrader/internal/cf"
 	"accuracytrader/internal/ingest"
 	"accuracytrader/internal/wire"
 )
@@ -13,7 +12,7 @@ import (
 // acknowledgement. The server fills in the reply's ID and Subset from
 // the request; handlers must be safe for concurrent use (one call per
 // connection reader can be in flight at a time). Batches are atomic:
-// either every item is staged (IngestOK with the count) or none is.
+// either every row is staged (IngestOK with the count) or none is.
 type IngestHandler func(req *wire.IngestRequest) *wire.IngestReply
 
 // SetIngest installs the append-batch handler. Component servers pass
@@ -45,89 +44,41 @@ func (s *srvCore) serveIngest(sc *connWriter, req *wire.IngestRequest) {
 }
 
 // LiveStores bundles the live shards one component server ingests
-// into and serves from, per workload. A nil slice rejects that
-// workload's batches.
+// into and serves from. Aggregation is the one workload with a live
+// store (internal/ingest); a nil Agg rejects every batch.
 type LiveStores struct {
-	Agg    []*ingest.AggLive
-	CF     []*ingest.CFLive
-	Search []*ingest.SearchLive
-}
-
-// shard maps a wire subset onto one of n shards (Subset < 0 — a batch
-// that was never routed — lands on shard 0).
-func shard(subset int32, n int) int {
-	if subset < 0 {
-		return 0
-	}
-	return int(subset) % n
+	Agg []*ingest.AggLive
 }
 
 // NewLiveIngestHandler returns the component-side append handler over
-// a set of live shards: each batch is validated, staged atomically
-// into the owning shard, and acknowledged with the epoch at which it
-// was staged (visible to every snapshot with a strictly greater
-// epoch, i.e. after the merge worker's next swap).
+// a set of live aggregation shards: each batch is validated, staged
+// atomically into the owning shard, and acknowledged with the epoch at
+// which it was staged (visible to every snapshot with a strictly
+// greater epoch, i.e. after the merge worker's next swap).
 func NewLiveIngestHandler(ls LiveStores) IngestHandler {
 	return func(req *wire.IngestRequest) *wire.IngestReply {
+		// The decoder admits aggregation batches only, so req.Agg is the
+		// payload whenever it is set.
 		rep := &wire.IngestReply{Subset: req.Subset}
-		reject := func(msg string) *wire.IngestReply {
+		if len(ls.Agg) == 0 || req.Agg == nil {
 			rep.Status = wire.IngestRejected
-			rep.Err = msg
+			rep.Err = "no live aggregation shard"
 			return rep
 		}
-		switch req.Kind {
-		case wire.KindAgg:
-			if len(ls.Agg) == 0 || req.Agg == nil {
-				return reject("no live aggregation shard")
-			}
-			l := ls.Agg[shard(req.Subset, len(ls.Agg))]
-			n, err := l.Append(req.Agg.Keys, req.Agg.Vals)
-			if err != nil {
-				rep.Status = wire.IngestErr
-				rep.Err = err.Error()
-				return rep
-			}
-			rep.Accepted = uint32(n)
-			rep.Epoch = l.Epoch()
-		case wire.KindCF:
-			if len(ls.CF) == 0 || req.CF == nil {
-				return reject("no live CF shard")
-			}
-			l := ls.CF[shard(req.Subset, len(ls.CF))]
-			// Convert every user before appending any, so a bad rating
-			// rejects the batch whole instead of staging a prefix.
-			users := make([][]cf.Rating, len(req.CF.Users))
-			for u, rs := range req.CF.Users {
-				users[u] = make([]cf.Rating, len(rs))
-				for i, r := range rs {
-					users[u][i] = cf.Rating{Item: r.Item, Score: r.Score}
-				}
-			}
-			for u, rs := range users {
-				if _, err := l.Append(rs); err != nil {
-					rep.Status = wire.IngestErr
-					rep.Err = err.Error()
-					rep.Accepted = uint32(u)
-					return rep
-				}
-			}
-			rep.Accepted = uint32(len(users))
-			rep.Epoch = l.Epoch()
-		case wire.KindSearch:
-			if len(ls.Search) == 0 || req.Search == nil {
-				return reject("no live search shard")
-			}
-			l := ls.Search[shard(req.Subset, len(ls.Search))]
-			for _, d := range req.Search.Docs {
-				l.Append(d)
-			}
-			rep.Accepted = uint32(len(req.Search.Docs))
-			rep.Epoch = l.Epoch()
-		default:
+		// A batch that was never routed (Subset < 0) lands on shard 0.
+		i := 0
+		if req.Subset >= 0 {
+			i = int(req.Subset) % len(ls.Agg)
+		}
+		l := ls.Agg[i]
+		n, err := l.Append(req.Agg.Keys, req.Agg.Vals)
+		if err != nil {
 			rep.Status = wire.IngestErr
-			rep.Err = "unknown payload kind"
+			rep.Err = err.Error()
 			return rep
 		}
+		rep.Accepted = uint32(n)
+		rep.Epoch = l.Epoch()
 		rep.Status = wire.IngestOK
 		return rep
 	}

@@ -66,10 +66,9 @@ type Transport interface {
 type GatherConfig struct {
 	N           int // fan-out width: components and subsets
 	Policy      Policy
-	Deadline    time.Duration           // PartialGather bound, default Call timeout (default 1s)
-	HedgeFloor  time.Duration           // hedge delay until the estimator is warm (default 1ms)
-	ReplicaOf   func(subset, n int) int // component of a subset's replica (default: next)
-	RetryBudget int                     // re-dispatches of a sub-operation after a retryable outcome
+	Deadline    time.Duration // PartialGather bound, default Call timeout (default 1s)
+	HedgeFloor  time.Duration // hedge delay until the estimator is warm (default 1ms)
+	RetryBudget int           // re-dispatches of a sub-operation after a retryable outcome
 	Breaker     breaker.Config
 	// OnBreakerState observes each transition with the component it
 	// happened on (Breaker.OnStateChange still runs).
@@ -114,9 +113,6 @@ func NewGather(t Transport, cfg GatherConfig) *Gather {
 	}
 	if cfg.HedgeFloor <= 0 {
 		cfg.HedgeFloor = time.Millisecond
-	}
-	if cfg.ReplicaOf == nil {
-		cfg.ReplicaOf = func(subset, n int) int { return (subset + 1) % n }
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -441,10 +437,11 @@ func (c *call) hedge() {
 		if s.done.Load() {
 			continue
 		}
-		// A replica goes to the next healthy component rather than into
-		// an open breaker, and never where the primary sits: it would
-		// queue behind the very sub-operation it hedges.
-		rc, ok := c.g.admit(c.g.cfg.ReplicaOf(i, len(c.subs)), false)
+		// A replica goes to the component after the subset's own (the
+		// next healthy one rather than into an open breaker), and never
+		// where the primary sits: it would queue behind the very
+		// sub-operation it hedges.
+		rc, ok := c.g.admit((i+1)%len(c.subs), false)
 		if !ok || rc == int(s.target.Load()) {
 			continue
 		}

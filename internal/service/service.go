@@ -39,9 +39,6 @@ type Options struct {
 	// HedgeFloor is the minimum hedge delay before the p95 estimator has
 	// warmed up (default 1ms).
 	HedgeFloor time.Duration
-	// ReplicaOf maps a subset to the component that executes its hedged
-	// replica (default: next component).
-	ReplicaOf func(subset, n int) int
 	// Metrics is the observability registry the gather core's service_*
 	// series live in (see GatherConfig.Metrics: sub-ops, hedges, faults,
 	// the sub-op latency histogram, breaker state). Nil uses a private
@@ -159,7 +156,6 @@ func New(handlers []Handler, policy Policy, opts Options) (*Cluster, error) {
 		Policy:     policy,
 		Deadline:   opts.Deadline,
 		HedgeFloor: opts.HedgeFloor,
-		ReplicaOf:  opts.ReplicaOf,
 		Breaker:    opts.Breaker,
 		Metrics:    opts.Metrics,
 		Prefix:     "service",

@@ -192,55 +192,13 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestReplicaOfOverride(t *testing.T) {
-	// Subset 0's fast handler is stuck behind blockers on BOTH its own
-	// worker and the default replica target (component 1). Routing the
-	// replica to component 2 via ReplicaOf is the only way to answer
-	// quickly.
-	fast := sleepHandler(time.Millisecond, "fast")
-	cl, err := New(
-		[]Handler{fast, sleepHandler(time.Millisecond, 1), sleepHandler(time.Millisecond, 2)},
-		Hedged,
-		Options{
-			HedgeFloor: 5 * time.Millisecond,
-			Deadline:   2 * time.Second,
-			ReplicaOf:  func(subset, n int) int { return (subset + 2) % n },
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	// Block workers 0 and 1 with long jobs.
-	blocker := sleepHandler(250*time.Millisecond, "blocked")
-	parked := []<-chan SubResult{park(cl, 0, blocker), park(cl, 1, blocker)}
-	res, err := cl.Call(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != nil || res[0].Value != "fast" {
-		t.Fatalf("subset 0 result: %+v", res[0])
-	}
-	if !res[0].Hedged {
-		t.Fatalf("subset 0 not hedged: %+v", res[0])
-	}
-	// Subset 0's sub-operation must have finished long before the 250ms
-	// blockers cleared — only possible via the ReplicaOf route to the
-	// free component 2 (subset 1's result legitimately takes ~250ms, so
-	// the overall call does too).
-	if res[0].Latency > 150*time.Millisecond {
-		t.Fatalf("replica did not take the ReplicaOf route: %v", res[0].Latency)
-	}
-	<-parked[0]
-	<-parked[1]
-}
-
-func TestReplicaOfSelfIsSkipped(t *testing.T) {
-	// A replica mapped to the same component would be useless; the hedge
-	// must not fire in that case.
+func TestReplicaSelfIsSkipped(t *testing.T) {
+	// On one component the replica's target, the next component, is the
+	// primary's own; a replica there would be useless, so the hedge must
+	// not fire.
 	cl, err := New([]Handler{sleepHandler(50*time.Millisecond, nil)}, Hedged, Options{
 		HedgeFloor: 2 * time.Millisecond,
 		Deadline:   time.Second,
-		ReplicaOf:  func(subset, n int) int { return subset },
 	})
 	if err != nil {
 		t.Fatal(err)

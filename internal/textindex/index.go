@@ -347,21 +347,6 @@ func (ix *Index) finalScore(sum float64, matched, qLen, docLen int) float64 {
 	return coord * sum / math.Sqrt(float64(docLen))
 }
 
-// SortHits orders hits by descending score, breaking ties by ascending
-// doc id for determinism.
-func SortHits(hits []Hit) {
-	slices.SortFunc(hits, func(a, b Hit) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		default:
-			return a.Doc - b.Doc
-		}
-	})
-}
-
 // FeatureSource adapts the index to synopsis building: each document is a
 // data point whose sparse features are term occurrence counts (paper
 // §2.2 step 1, text datasets).

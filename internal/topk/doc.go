@@ -8,9 +8,8 @@
 // sort-everything-take-k pattern in the online scoring kernels, where n
 // (matching documents) routinely dwarfs k (requested hits).
 //
-// The ordering is the total order used throughout the search engine
-// (textindex.SortHits): higher score first, ties broken toward the lower
-// id. Because the order is total over distinct ids, the selected set and
+// The ordering is the total order used throughout the search engine:
+// higher score first, ties broken toward the lower id. Because the order is total over distinct ids, the selected set and
 // its emitted order are independent of offer order — the selector is
 // result-identical to a full sort followed by truncation.
 package topk

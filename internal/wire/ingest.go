@@ -12,17 +12,6 @@ const (
 	IngestRejected = 2 // shed at admission (queue bound, shutdown)
 )
 
-// CFIngest appends whole users to a CF shard, each a list of (item,
-// score) ratings in any order.
-type CFIngest struct {
-	Users [][]Rating
-}
-
-// SearchIngest appends documents to a search shard.
-type SearchIngest struct {
-	Docs []string
-}
-
 // AggIngest appends fact rows to an aggregation shard: parallel
 // (group key, value) columns of equal length.
 type AggIngest struct {
@@ -30,8 +19,9 @@ type AggIngest struct {
 	Vals []float64
 }
 
-// IngestRequest is a v5 append op: a batch of new rows/users/documents
-// for one workload. With Subset < 0 it is a client→aggregator request
+// IngestRequest is a v5 append op: a batch of new fact rows for the
+// aggregation workload, the one workload with a live store (CF and
+// search payload kinds are rejected as unknown). With Subset < 0 it is a client→aggregator request
 // routed to the owning component; otherwise it targets one subset
 // directly. The batch is atomic — it becomes visible in full at an
 // epoch swap, or is rejected in full.
@@ -43,19 +33,17 @@ type IngestRequest struct {
 	// so ingest spans land in the same trace tree as query spans.
 	Trace uint64
 
-	CF     *CFIngest
-	Search *SearchIngest
-	Agg    *AggIngest
+	Agg *AggIngest
 }
 
-// IngestReply acknowledges an append batch: how many items were
+// IngestReply acknowledges an append batch: how many rows were
 // accepted and the epoch at (or after) which they will be visible.
 type IngestReply struct {
 	ID     uint64
 	Subset int32
 	Status uint8
 	Err    string
-	// Accepted is the number of items (rows, users, documents) staged.
+	// Accepted is the number of rows staged.
 	Accepted uint32
 	// Epoch is the shard's epoch when the batch was staged; the batch is
 	// visible to every snapshot with a strictly greater epoch.
@@ -66,18 +54,7 @@ type IngestReply struct {
 // appends for req, length prefix included.
 func (req *IngestRequest) FrameSize() int {
 	n := frameHeaderSize + 8 + 1 + 4 + 8
-	switch req.Kind {
-	case KindCF:
-		n += 4
-		for _, rs := range req.CF.Users {
-			n += 4 + 12*len(rs)
-		}
-	case KindSearch:
-		n += 4
-		for _, d := range req.Search.Docs {
-			n += 4 + len(d)
-		}
-	case KindAgg:
+	if req.Kind == KindAgg {
 		n += 4 + 4*len(req.Agg.Keys) + 4 + 8*len(req.Agg.Vals)
 	}
 	return n
@@ -94,22 +71,7 @@ func AppendIngestRequestFrame(dst []byte, req *IngestRequest) []byte {
 	dst = append(dst, byte(req.Kind))
 	dst = appendU32(dst, uint32(req.Subset))
 	dst = appendU64(dst, req.Trace)
-	switch req.Kind {
-	case KindCF:
-		dst = appendU32(dst, uint32(len(req.CF.Users)))
-		for _, rs := range req.CF.Users {
-			dst = appendU32(dst, uint32(len(rs)))
-			for _, rt := range rs {
-				dst = appendU32(dst, uint32(rt.Item))
-				dst = appendF64(dst, rt.Score)
-			}
-		}
-	case KindSearch:
-		dst = appendU32(dst, uint32(len(req.Search.Docs)))
-		for _, d := range req.Search.Docs {
-			dst = appendStr(dst, d)
-		}
-	case KindAgg:
+	if req.Kind == KindAgg {
 		dst = appendI32s(dst, req.Agg.Keys)
 		dst = appendF64s(dst, req.Agg.Vals)
 	}
@@ -128,47 +90,13 @@ func DecodeIngestRequest(body []byte) (*IngestRequest, error) {
 	req.Kind = Kind(r.u8("kind"))
 	req.Subset = int32(r.u32("subset"))
 	req.Trace = r.u64("trace")
-	switch req.Kind {
-	case KindCF:
-		ci := &CFIngest{}
-		// Each user costs at least its own 4-byte rating count.
-		n := r.count(4, "users")
-		if r.err == nil && n > 0 {
-			ci.Users = make([][]Rating, n)
-			for u := range ci.Users {
-				m := r.count(12, "ratings")
-				if r.err != nil {
-					break
-				}
-				if m > 0 {
-					ci.Users[u] = make([]Rating, m)
-					for i := range ci.Users[u] {
-						ci.Users[u][i].Item = int32(r.u32("rating item"))
-						ci.Users[u][i].Score = r.f64("rating score")
-					}
-				}
-			}
-		}
-		req.CF = ci
-	case KindSearch:
-		si := &SearchIngest{}
-		// Each document costs at least its own 4-byte length.
-		n := r.count(4, "docs")
-		if r.err == nil && n > 0 {
-			si.Docs = make([]string, n)
-			for i := range si.Docs {
-				si.Docs[i] = r.str("doc")
-			}
-		}
-		req.Search = si
-	case KindAgg:
-		req.Agg = &AggIngest{Keys: r.i32s("keys"), Vals: r.f64s("vals")}
-		if r.err == nil && len(req.Agg.Keys) != len(req.Agg.Vals) {
-			return nil, fmt.Errorf("wire: agg ingest shape %d keys, %d vals",
-				len(req.Agg.Keys), len(req.Agg.Vals))
-		}
-	default:
+	if req.Kind != KindAgg {
 		return nil, fmt.Errorf("wire: unknown payload kind %d", req.Kind)
+	}
+	req.Agg = &AggIngest{Keys: r.i32s("keys"), Vals: r.f64s("vals")}
+	if r.err == nil && len(req.Agg.Keys) != len(req.Agg.Vals) {
+		return nil, fmt.Errorf("wire: agg ingest shape %d keys, %d vals",
+			len(req.Agg.Keys), len(req.Agg.Vals))
 	}
 	if err := r.done("ingest"); err != nil {
 		return nil, err

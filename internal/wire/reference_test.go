@@ -167,38 +167,6 @@ func refDecodeIngestRequest(body []byte) (*IngestRequest, error) {
 	req.Subset = int32(r.u32("subset"))
 	req.Trace = r.u64("trace")
 	switch req.Kind {
-	case KindCF:
-		ci := &CFIngest{}
-		// Each user costs at least its own 4-byte rating count.
-		n := r.count(4, "users")
-		if r.err == nil && n > 0 {
-			ci.Users = make([][]Rating, n)
-			for u := range ci.Users {
-				m := r.count(12, "ratings")
-				if r.err != nil {
-					break
-				}
-				if m > 0 {
-					ci.Users[u] = make([]Rating, m)
-					for i := range ci.Users[u] {
-						ci.Users[u][i].Item = int32(r.u32("rating item"))
-						ci.Users[u][i].Score = r.f64("rating score")
-					}
-				}
-			}
-		}
-		req.CF = ci
-	case KindSearch:
-		si := &SearchIngest{}
-		// Each document costs at least its own 4-byte length.
-		n := r.count(4, "docs")
-		if r.err == nil && n > 0 {
-			si.Docs = make([]string, n)
-			for i := range si.Docs {
-				si.Docs[i] = r.str("doc")
-			}
-		}
-		req.Search = si
 	case KindAgg:
 		req.Agg = &AggIngest{Keys: r.i32s("keys"), Vals: r.f64s("vals")}
 		if r.err == nil && len(req.Agg.Keys) != len(req.Agg.Vals) {
