@@ -30,9 +30,14 @@
 //     query's value filter from its sample, scaled by the inverse
 //     sampling rate, and attaches closed-form CLT error bounds (normal
 //     approximation with finite-population correction). The
-//     correlation of a stratum is its estimated error contribution —
-//     the CI half-width of the requested aggregate — so Algorithm 1
-//     ranks the most uncertain strata first.
+//     correlation of a stratum is its estimated error contribution to
+//     the accuracy metric, a mean of per-group relative errors: the CI
+//     half-width of the requested aggregate over the estimate's
+//     magnitude. Algorithm 1 therefore ranks the relatively most
+//     uncertain strata first — with Zipf keys, the small tail strata,
+//     not the head strata whose wide absolute bounds are small beside
+//     their estimates. A zero bound ranks last and a positive bound on a
+//     zero estimate first, and the correlation is never NaN.
 //   - ProcessSet replaces a stratum's estimate with its exact value
 //     (zero variance), the counterpart of cf/textindex re-processing a
 //     group's original members. Because the sample is a prefix of the

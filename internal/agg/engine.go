@@ -177,6 +177,26 @@ func (r Result) Bound(op Op, k int) float64 {
 	}
 }
 
+// correlation is stratum k's correlation to the query's accuracy, the
+// relative CI bound Bound/|Estimate|: accuracy is 1 − mean relative
+// error over groups, so a wide bound on a large estimate matters less
+// than a narrow one on a small estimate. A zero bound gives 0 (an exact
+// or empty stratum gains nothing from improvement); a positive bound on
+// a zero estimate gives +Inf, and so does a NaN quotient — an error the
+// sample cannot size ranks first. It never returns NaN, which
+// core.Rank would order as equal to everything.
+func (r Result) correlation(op Op, k int) float64 {
+	b := r.Bound(op, k)
+	if b == 0 {
+		return 0
+	}
+	c := b / math.Abs(r.Estimate(op, k))
+	if c != c {
+		return math.Inf(1)
+	}
+	return c
+}
+
 // Estimates returns the per-key point estimates of op. The slice is
 // freshly allocated; hot paths should use EstimatesInto.
 func (r Result) Estimates(op Op) []float64 { return r.EstimatesInto(nil, op) }
@@ -207,8 +227,8 @@ func (r Result) BoundsInto(dst []float64, op Op) []float64 {
 
 // Engine runs Algorithm 1 for one aggregation query on one component.
 // It implements core.Engine: ProcessSynopsis estimates every stratum
-// from its ladder-level sample and returns the per-stratum error
-// contributions as correlations; ProcessSet replaces one stratum's
+// from its ladder-level sample and returns the per-stratum relative
+// error bounds as correlations; ProcessSet replaces one stratum's
 // estimate with its exact value, finishing the scan where the sample
 // stopped.
 type Engine struct {
@@ -268,7 +288,8 @@ func (e *Engine) Release() {
 // ProcessSynopsis estimates every stratum from its ladder-level sample
 // (Horvitz-Thompson scaling N/n with finite-population-corrected CLT
 // variances) and returns the per-stratum error contributions — the
-// requested aggregate's CI half-width — as the correlation estimates.
+// requested aggregate's CI half-width relative to its estimate (see
+// Result.correlation) — as the correlation estimates.
 // It keeps each sample's raw scan, so ProcessSet reads only the rows
 // past it. The returned slice is owned by the engine and valid until
 // the next Reset or Release.
@@ -286,7 +307,7 @@ func (e *Engine) ProcessSynopsis() []float64 {
 		e.res.Cnt[g] = cnt
 		e.res.SumVar[g] = sumVar
 		e.res.CntVar[g] = cntVar
-		e.corr[g] = e.res.Bound(e.Q.Op, g)
+		e.corr[g] = e.res.correlation(e.Q.Op, g)
 	}
 	return e.corr
 }

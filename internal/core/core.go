@@ -7,8 +7,8 @@ import (
 )
 
 // Engine is the application-specific side of Algorithm 1. Implementations
-// exist for the CF recommender (internal/cf) and the web search engine
-// (internal/textindex).
+// exist for the CF recommender (internal/cf), the web search engine
+// (internal/textindex) and approximate aggregation (internal/agg).
 type Engine interface {
 	// ProcessSynopsis computes the initial approximate result for the
 	// request (Algorithm 1 line 1) and returns, for every aggregated data

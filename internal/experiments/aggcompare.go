@@ -18,10 +18,10 @@ import (
 //     level's sampling rate is replayed over real fact-table shards,
 //     reporting the measured synopsis-only accuracy (1 − mean relative
 //     error vs the exact GROUP-BY answers), the accuracy after
-//     Algorithm 1 improves the most uncertain strata, the modeled
-//     light-load service time of the level's scan volume, and the rows
-//     that improvement reads (each improved stratum's rows past its
-//     sample).
+//     Algorithm 1 improves the most uncertain strata by relative CLT
+//     bound, the modeled light-load service time of the level's scan
+//     volume, and the rows that improvement reads (each improved
+//     stratum's rows past its sample).
 //  2. An overload sweep mirroring `-exp overload`, with the simulated
 //     components serving the aggregation work model and the frontend's
 //     degradation controller calibrated with the *measured* per-level
@@ -148,7 +148,7 @@ func (a *AggCompare) Render() string {
 	fmt.Fprintf(&b, "AGGREGATION WORKLOAD (internal/agg): accuracy vs latency across the synopsis ladder\n")
 	fmt.Fprintf(&b, "(%d SUM/COUNT/AVG-per-group queries over %d shards; accuracy = 1 - mean relative error vs exact;\n",
 		a.Queries, a.Shards)
-	fmt.Fprintf(&b, " '+improve' = Algorithm 1 processing the %.0f%% most uncertain strata by CLT error bound)\n\n",
+	fmt.Fprintf(&b, " '+improve' = Algorithm 1 processing the %.0f%% most uncertain strata by relative CLT bound)\n\n",
 		100*aggImproveFrac)
 	fmt.Fprintf(&b, "  %-7s %8s %12s %12s %12s %12s %18s\n",
 		"level", "rate", "rows/comp", "model ms", "accuracy", "+improve", "improve rows/comp")
