@@ -406,11 +406,12 @@ func NewNetAggregator(addrs []string, opts NetAggregatorOptions) (*NetAggregator
 	return netsvc.NewAggregator(addrs, opts)
 }
 
-// NetFrontServer answers whole-service requests with composed replies,
-// optionally through the accuracy-aware frontend pipeline.
+// NetFrontServer answers whole-service requests with composed replies
+// through the accuracy-aware frontend pipeline.
 type NetFrontServer = netsvc.FrontServer
 
-// NewNetFrontServer wraps an aggregator (and optional frontend).
+// NewNetFrontServer wraps an aggregator and a frontend; a nil fe is one
+// with no controller and no admission policy, on home placement.
 func NewNetFrontServer(agr *NetAggregator, fe *Frontend, opts NetServerOptions) *NetFrontServer {
 	return netsvc.NewFrontServer(agr, fe, opts)
 }

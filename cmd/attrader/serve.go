@@ -263,9 +263,9 @@ func serveAggregator(workload, listen, peers, admin, tenant string, rate float64
 	return err
 }
 
-// serveFront runs the client-facing composed-reply server, with the
-// accuracy-aware frontend pipeline when the workload has a calibrated
-// ladder.
+// serveFront runs the client-facing composed-reply server, whose
+// frontend gets the standard admission and degradation policies when
+// the workload has a calibrated ladder.
 func serveFront(ns *netService, agr *netsvc.Aggregator, listen, admin string, reg *obs.Registry, rec *obs.Recorder, prof *obs.Profiler) error {
 	var fe *frontend.Frontend
 	if len(ns.levelAcc) > 0 {

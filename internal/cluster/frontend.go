@@ -101,54 +101,18 @@ func (fe *frontendSim) depth(c int) int {
 	return d
 }
 
-// snapshot summarises current pressure for the policies.
-func (fe *frontendSim) snapshot() frontend.Load {
-	sum, max := 0.0, 0.0
-	for c := range fe.comps {
-		frac := float64(fe.depth(c)) / float64(fe.cfg.QueueCap)
-		sum += frac
-		if frac > max {
-			max = frac
-		}
-	}
-	lat := 0.0
-	if fe.deadlineMs > 0 {
-		lat = fe.hedge.p95() / fe.deadlineMs
-	}
-	return frontend.Load{
-		Inflight:     fe.inflight,
-		QueueFrac:    sum / float64(len(fe.comps)),
-		MaxQueueFrac: max,
-		LatencyFrac:  lat,
-	}
-}
-
-// admit runs one arrival through admission and level selection,
-// recording the outcome on the result. It returns false for shed
-// requests.
+// admit runs one arrival through the frontend's decision (admission
+// and level selection), recording the outcome on the result. It
+// returns false for shed requests.
 func (fe *frontendSim) admit(nowMs float64, req, n int, res *Result) bool {
 	slo := fe.cfg.ClassOf(req)
-	res.Class[req] = slo
-	load := fe.snapshot()
-	if fe.cfg.Controller != nil {
-		fe.cfg.Controller.Observe(load)
-	}
-	switch frontend.Chain(nowMs, load, fe.cfg.Admission) {
-	case frontend.Reject:
+	load := frontend.FoldLoad(len(fe.comps), fe.cfg.QueueCap, fe.inflight, fe.depth, fe.hedge.p95(), fe.deadlineMs)
+	slo, level, _, rejected := frontend.Decide(nowMs, load, fe.cfg.Admission, fe.cfg.Controller, slo)
+	res.Class[req], res.Level[req] = slo, level
+	if rejected {
 		res.Rejected[req] = true
-		res.Level[req] = -1
 		return false
-	case frontend.Degrade:
-		if slo.Kind == frontend.Bounded {
-			slo = frontend.BestEffortSLO()
-			res.Class[req] = slo
-		}
 	}
-	level := -1
-	if fe.cfg.Controller != nil {
-		level = fe.cfg.Controller.LevelFor(slo)
-	}
-	res.Level[req] = level
 	fe.inflight++
 	fe.remaining[req] = n
 	return true

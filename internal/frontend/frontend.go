@@ -72,7 +72,12 @@ type Stats struct {
 	Rejected int64
 }
 
-// Result is one request's gathered answer.
+// Result is one request's call record: its gathered answer, and the
+// context its fan-out ran under. As a context it is the caller's, except
+// that it answers SLOFrom with its SLO and, once a controller chose one,
+// LevelFrom with its Level, so a call adds no context layer of its own.
+// Sub-operations can outlive the call (a late straggler, an abandoned
+// in-process handler) and still read it: a record is never reused.
 type Result struct {
 	// Sub holds the per-subset replies, in subset order.
 	Sub []service.SubResult
@@ -90,6 +95,26 @@ type Result struct {
 	EstimatedAccuracy float64
 	// Degraded reports that admission downgraded the request's class.
 	Degraded bool
+
+	parent // the caller's context: Deadline, Done and Err are its
+}
+
+// parent embeds the caller's context in a record without exporting it.
+type parent = context.Context
+
+// Value answers the SLO key with a pointer to the record's class (no
+// boxing), the level key with the chosen level, and defers every other
+// key to the caller's context.
+func (r *Result) Value(key any) any {
+	switch key.(type) {
+	case sloKey:
+		return &r.SLO
+	case levelKey:
+		if r.Level >= 0 {
+			return r.Level
+		}
+	}
+	return r.parent.Value(key)
 }
 
 // UnavailableError is the degrade rule's typed refusal of a partial
@@ -187,34 +212,79 @@ func New(cl Backend, opts Options) (*Frontend, error) {
 
 // Snapshot reads the backend's live load signals.
 func (f *Frontend) Snapshot() Load {
-	n := f.cl.Components()
-	cap := f.cl.QueueCap()
+	return FoldLoad(f.cl.Components(), f.cl.QueueCap(), f.cl.Inflight(), f.cl.QueueDepth,
+		float64(f.cl.EstimatedP95()), float64(f.cl.Deadline()))
+}
+
+// FoldLoad folds load probes into a snapshot: each of n components'
+// queue depth as a fraction of cap, averaged and maxed, and the tail
+// estimate p95 as a fraction of the deadline (0 without one; any one
+// unit for both). The live frontend and the simulator both fold here.
+func FoldLoad(n, cap, inflight int, depth func(c int) int, p95, deadline float64) Load {
 	sum, max := 0.0, 0.0
 	for c := 0; c < n; c++ {
-		frac := float64(f.cl.QueueDepth(c)) / float64(cap)
+		frac := float64(depth(c)) / float64(cap)
 		sum += frac
 		if frac > max {
 			max = frac
 		}
 	}
 	lat := 0.0
-	if d := f.cl.Deadline(); d > 0 {
-		lat = float64(f.cl.EstimatedP95()) / float64(d)
+	if deadline > 0 {
+		lat = p95 / deadline
 	}
 	return Load{
-		Inflight:     f.cl.Inflight(),
+		Inflight:     inflight,
 		QueueFrac:    sum / float64(n),
 		MaxQueueFrac: max,
 		LatencyFrac:  lat,
 	}
 }
 
-// Call runs one request through the pipeline: observe load, admit (or
-// reject/downgrade), select the ladder level for the request's SLO, fan
-// out through the backend with the level attached to the context
-// (handlers read it via LevelFrom), and settle the gather with Claim. A
-// refusal comes with the refused gather's Result; other errors with nil.
+// Decide is the front decision on one request, in both runtimes and the
+// simulator: ctrl (nil: none) observes the load, the admission policies
+// rule (Chain), a Degrade verdict drops a Bounded request to BestEffort
+// (Exact keeps its guarantee, BestEffort has nothing to give up), and
+// ctrl picks the level for the effective class (-1 without one, or when
+// rejected).
+func Decide(nowMs float64, l Load, policies []AdmissionPolicy, ctrl *Controller, slo SLO) (eff SLO, level int, degraded, rejected bool) {
+	if ctrl != nil {
+		ctrl.Observe(l)
+	}
+	switch Chain(nowMs, l, policies) {
+	case Reject:
+		return slo, -1, false, true
+	case Degrade:
+		if slo.Kind == Bounded {
+			slo, degraded = BestEffortSLO(), true
+		}
+	}
+	level = -1
+	if ctrl != nil {
+		level = ctrl.LevelFor(slo)
+	}
+	return slo, level, degraded, false
+}
+
+// Call runs one request through the pipeline (CallInto) into a fresh
+// record. A refusal comes with the refused gather's Result; other
+// errors with nil.
 func (f *Frontend) Call(ctx context.Context, payload interface{}, slo SLO) (*Result, error) {
+	res := new(Result)
+	err := f.CallInto(ctx, payload, slo, res)
+	if err != nil && res.Sub == nil {
+		return nil, err
+	}
+	return res, err
+}
+
+// CallInto runs one request through the pipeline into the caller's
+// record r, allocating nothing of its own: observe load, admit and pick
+// a level (Decide), fan out under r (handlers read LevelFrom and
+// SLOFrom), and settle the gather with Claim. r.Sub stays nil on a
+// rejection or backend error. Sub-operations may read r after CallInto
+// returns, so it must not be reused.
+func (f *Frontend) CallInto(ctx context.Context, payload interface{}, slo SLO, r *Result) error {
 	// Reserve before deciding: concurrent callers serialize through
 	// the counter, so each sees every earlier reservation and a burst
 	// admits at most MaxInflight requests (the slot is released when
@@ -228,56 +298,42 @@ func (f *Frontend) Call(ctx context.Context, payload interface{}, slo SLO) (*Res
 	}
 	load := f.Snapshot()
 	load.Inflight = int(reserved - 1)
-	if f.opts.Controller != nil {
-		f.opts.Controller.Observe(load)
-	}
 	nowMs := float64(time.Since(f.start)) / float64(time.Millisecond)
-	degraded := false
-	switch Chain(nowMs, load, f.opts.Admission) {
-	case Reject:
+	eff, level, degraded, rejected := Decide(nowMs, load, f.opts.Admission, f.opts.Controller, slo)
+	*r = Result{SLO: eff, Level: level, Degraded: degraded, parent: ctx}
+	if rejected {
 		f.rejected.Inc()
 		if tr != nil {
 			tr.SetDecision(obs.VerdictRejected, uint8(slo.Kind), -1)
 			tr.Add(obs.SpanAdmission, -1, admitT0, time.Since(admitT0), obs.VerdictRejected)
 		}
-		return nil, ErrRejected
-	case Degrade:
-		// Only Bounded requests actually lose their class: Exact keeps
-		// its guarantee, BestEffort has nothing left to give up.
-		if slo.Kind == Bounded {
-			slo = BestEffortSLO()
-			degraded = true
-			f.degraded.Inc()
-		}
+		return ErrRejected
+	}
+	if degraded {
+		f.degraded.Inc()
 	}
 	f.admitted.Inc()
-	level, estAcc := -1, 1.0
-	callCtx := WithSLO(ctx, slo)
-	if f.opts.Controller != nil {
-		level = f.opts.Controller.LevelFor(slo)
+	estAcc := 1.0
+	// Exact-class handlers bypass their synopsis entirely; the delivered
+	// accuracy is 1 regardless of the level estimate.
+	if f.opts.Controller != nil && eff.Kind != Exact {
 		estAcc = f.opts.Controller.LevelAccuracy(level)
-		callCtx = WithLevel(callCtx, level)
-		if slo.Kind == Exact {
-			// Exact-class handlers bypass their synopsis entirely; the
-			// delivered accuracy is 1 regardless of the level estimate.
-			estAcc = 1
-		}
 	}
 	if tr != nil {
 		verdict := uint8(obs.VerdictAdmitted)
 		if degraded {
 			verdict = obs.VerdictDegraded
 		}
-		tr.SetDecision(verdict, uint8(slo.Kind), int16(level))
+		tr.SetDecision(verdict, uint8(eff.Kind), int16(level))
 		tr.Add(obs.SpanAdmission, -1, admitT0, time.Since(admitT0), int64(verdict))
 	}
-	sub, err := f.cl.Call(callCtx, payload)
+	sub, err := f.cl.Call(r, payload)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := &Result{Sub: sub, SLO: slo, Level: level, Degraded: degraded}
-	res.Answered, res.EstimatedAccuracy, err = Claim(sub, slo, estAcc)
-	return res, err
+	r.Sub = sub
+	r.Answered, r.EstimatedAccuracy, err = Claim(sub, eff, estAcc)
+	return err
 }
 
 // Stats returns the admission counters. The counters live in the
@@ -295,30 +351,21 @@ func (f *Frontend) Stats() Stats {
 // when the frontend runs without degradation.
 func (f *Frontend) Controller() *Controller { return f.opts.Controller }
 
-// levelKey is the context key carrying the selected ladder level to
-// handlers.
+// levelKey is the context key a call record answers with its ladder
+// level.
 type levelKey struct{}
 
-// WithLevel attaches a ladder level to the context.
-func WithLevel(ctx context.Context, level int) context.Context {
-	return context.WithValue(ctx, levelKey{}, level)
-}
-
 // LevelFrom extracts the ladder level a handler should serve from.
-// ok is false when the request did not pass through a Frontend; such
-// handlers should use their finest synopsis.
+// ok is false when no controller chose one (or the request did not pass
+// through a Frontend); such handlers should use their finest synopsis.
 func LevelFrom(ctx context.Context) (level int, ok bool) {
 	level, ok = ctx.Value(levelKey{}).(int)
 	return level, ok
 }
 
-// sloKey is the context key carrying the request's effective SLO.
+// sloKey is the context key a call record answers with its effective
+// SLO.
 type sloKey struct{}
-
-// WithSLO attaches the effective SLO class to the context.
-func WithSLO(ctx context.Context, slo SLO) context.Context {
-	return context.WithValue(ctx, sloKey{}, slo)
-}
 
 // SLOFrom extracts the request's effective SLO inside a handler —
 // in particular, handlers that can process exactly should bypass
@@ -326,6 +373,8 @@ func WithSLO(ctx context.Context, slo SLO) context.Context {
 // simulator's semantics (exactness is a guarantee paid in latency).
 // ok is false when the request did not pass through a Frontend.
 func SLOFrom(ctx context.Context) (slo SLO, ok bool) {
-	slo, ok = ctx.Value(sloKey{}).(SLO)
-	return slo, ok
+	if p, ok := ctx.Value(sloKey{}).(*SLO); ok {
+		return *p, true
+	}
+	return SLO{}, false
 }

@@ -52,7 +52,7 @@ func TestFrontendCallSelectsLevel(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 	// The effective SLO rides along for handlers that honor exactness.
-	if slo, ok := SLOFrom(WithSLO(context.Background(), ExactSLO())); !ok || slo.Kind != Exact {
+	if slo, ok := SLOFrom(res); !ok || slo.Kind != BestEffort {
 		t.Fatalf("SLOFrom = %v, %v", slo, ok)
 	}
 	if _, ok := SLOFrom(context.Background()); ok {
@@ -334,4 +334,127 @@ func TestSnapshotReflectsQueues(t *testing.T) {
 		<-done
 	}
 	cl.Close()
+}
+
+// nopBackend gathers a fixed answer at once, so a test measures the
+// frontend alone; it keeps the context its last fan-out ran under.
+type nopBackend struct {
+	subs []service.SubResult
+	ran  context.Context
+}
+
+func (b *nopBackend) Components() int             { return len(b.subs) }
+func (b *nopBackend) QueueCap() int               { return 64 }
+func (b *nopBackend) QueueDepth(int) int          { return 0 }
+func (b *nopBackend) Inflight() int               { return 0 }
+func (b *nopBackend) EstimatedP95() time.Duration { return 0 }
+func (b *nopBackend) Deadline() time.Duration     { return time.Second }
+func (b *nopBackend) SetRouter(service.RouteFunc) {}
+func (b *nopBackend) Call(ctx context.Context, _ interface{}) ([]service.SubResult, error) {
+	b.ran = ctx
+	return b.subs, nil
+}
+
+// TestCallIntoDoesNotAllocate: the call record is the fan-out's context,
+// so CallInto adds nothing to a request's allocations, with a controller
+// or without one, and Call only the record. The record a handler sees
+// answers the effective class (here downgraded from Bounded by
+// admission) and the chosen level, or no level without a controller.
+func TestCallIntoDoesNotAllocate(t *testing.T) {
+	ctrl, err := NewController(ControllerConfig{Levels: 3, LevelAccuracy: []float64{0.5, 0.9, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		ctrl  *Controller
+		level int
+	}{
+		{"no controller", nil, -1},
+		{"controller", ctrl, 2},
+	} {
+		b := &nopBackend{subs: make([]service.SubResult, 4)}
+		for i := range b.subs {
+			b.subs[i].Value = true
+		}
+		f, err := New(b, Options{Controller: c.ctrl, Admission: []AdmissionPolicy{alwaysDegrade{}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		const runs = 100
+		recs := make([]Result, runs+1) // AllocsPerRun calls once more to warm up
+		i := 0
+		n := testing.AllocsPerRun(runs, func() {
+			if err := f.CallInto(ctx, nil, BoundedSLO(0.9), &recs[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if n != 0 {
+			t.Errorf("%s: CallInto allocates %v times, want 0", c.name, n)
+		}
+		rec := &recs[runs]
+		if b.ran != context.Context(rec) {
+			t.Errorf("%s: the fan-out ran under %T, not the call record", c.name, b.ran)
+		}
+		if n := testing.AllocsPerRun(runs, func() { _, _ = f.Call(ctx, nil, BoundedSLO(0.9)) }); n != 1 {
+			t.Errorf("%s: Call allocates %v times, want 1 (the record)", c.name, n)
+		}
+		if slo, ok := SLOFrom(rec); !ok || slo != BestEffortSLO() {
+			t.Errorf("%s: SLOFrom(record) = %v, %v; want the downgraded BestEffort", c.name, slo, ok)
+		}
+		if lv, ok := LevelFrom(rec); ok != (c.level >= 0) || (ok && lv != c.level) {
+			t.Errorf("%s: LevelFrom(record) = %d, %v; want level %d", c.name, lv, ok, c.level)
+		}
+		if !rec.Degraded || rec.Level != c.level || rec.Answered != 4 || rec.EstimatedAccuracy == 0 {
+			t.Errorf("%s: record %+v", c.name, rec)
+		}
+	}
+}
+
+// TestRecordOutlivesAbandonedHandler: a PartialGather call returns
+// without its straggler, whose handler reads the call record only
+// afterwards. Under -race this is the record's lifetime contract in
+// process: never reused, and still the request's class and level.
+func TestRecordOutlivesAbandonedHandler(t *testing.T) {
+	release := make(chan struct{})
+	type seen struct {
+		slo   SLO
+		level int
+		ok    bool
+	}
+	late := make(chan seen, 1)
+	straggler := func(ctx context.Context, _ interface{}) (interface{}, error) {
+		<-release
+		slo, ok := SLOFrom(ctx)
+		lv, lok := LevelFrom(ctx)
+		late <- seen{slo, lv, ok && lok}
+		return true, nil
+	}
+	prompt := func(context.Context, interface{}) (interface{}, error) { return true, nil }
+	cl, err := service.New([]service.Handler{prompt, straggler}, service.PartialGather,
+		service.Options{Deadline: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctrl, err := NewController(ControllerConfig{Levels: 2, LevelAccuracy: []float64{0.8, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(cl, Options{Controller: ctrl, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := BoundedSLO(0.3)
+	res, err := f.Call(context.Background(), nil, want)
+	if err != nil || res.Answered != 1 {
+		t.Fatalf("partial call: result %+v, err %v", res, err)
+	}
+	close(release)
+	got := <-late
+	if !got.ok || got.slo != want || got.level != res.Level {
+		t.Fatalf("abandoned handler read class %v level %d (ok %v), want %v level %d", got.slo, got.level, got.ok, want, res.Level)
+	}
 }

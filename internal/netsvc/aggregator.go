@@ -27,7 +27,7 @@ var (
 	ErrPeerDown  = service.ErrComponentDown
 )
 
-// dialTimeout bounds each connection attempt to a component.
+// dialTimeout bounds each connection attempt, a client's included.
 const dialTimeout = 2 * time.Second
 
 // AggregatorOptions configures an Aggregator.
@@ -295,9 +295,9 @@ func (a *Aggregator) Call(ctx context.Context, payload interface{}) ([]service.S
 	}
 	tr := obs.TraceFrom(ctx)
 	// stamp is what every sub-request of this fan-out shares. The
-	// frontend's context values override the template's class and level;
-	// without a frontend the request's own fields stand, so a
-	// client-stamped SLO survives an aggregator that runs bare.
+	// frontend's call record overrides the template's class, and its level
+	// once a controller chose one; a direct caller (netcompare's bare
+	// rows) keeps the request's own, so a client-stamped SLO survives.
 	stamp := *tmpl
 	stamp.Seq = tmpl.ID   // correlate sub-operations with their parent request
 	stamp.Trace = tr.ID() // nil-safe: 0 propagates "untraced"
@@ -462,7 +462,7 @@ func (p *peer) conn() (*peerConn, error) {
 // install pools an established connection in a dead or empty slot and
 // starts its read loop. Caller holds p.mu.
 func (p *peer) install(c net.Conn) *peerConn {
-	pc := newPeerConn(c, wire.MaxFrame, p.kickReconnector)
+	pc := newPeerConn(c, p.kickReconnector)
 	i := 0
 	for i < len(p.slots)-1 && p.slots[i] != nil && !p.slots[i].isDead() {
 		i++
@@ -599,9 +599,9 @@ type peerConn struct {
 }
 
 // newPeerConn wraps an established connection and starts its read loop.
-func newPeerConn(c net.Conn, maxFrame int, onDead func()) *peerConn {
+func newPeerConn(c net.Conn, onDead func()) *peerConn {
 	pc := &peerConn{w: connWriter{c: c}, pending: map[uint64]pending{}, onDead: onDead}
-	go pc.readLoop(maxFrame)
+	go pc.readLoop()
 	return pc
 }
 
@@ -644,8 +644,8 @@ func (pc *peerConn) take(id uint64) pending {
 
 // readLoop dispatches reply frames to their pending callbacks until
 // the connection fails.
-func (pc *peerConn) readLoop(maxFrame int) {
-	fr := newFrameReader(pc.w.c, maxFrame)
+func (pc *peerConn) readLoop() {
+	fr := newFrameReader(pc.w.c, wire.MaxFrame)
 	var err error
 	for err == nil {
 		var buf []byte

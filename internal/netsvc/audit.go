@@ -38,7 +38,7 @@ func (s *FrontServer) EnableAudit(cfg audit.Config) (*audit.Auditor, error) {
 	if cfg.Replay == nil {
 		cfg.Replay = s.auditReplay
 	}
-	if cfg.Gate == nil && s.fe != nil && s.fe.Controller() != nil {
+	if cfg.Gate == nil && s.fe.Controller() != nil {
 		cfg.Gate = s.fe.Controller().RefreshAllowed
 	}
 	if cfg.Epoch == nil {

@@ -7,28 +7,13 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"accuracytrader/internal/wire"
 )
 
-// ClientOptions configures a Client.
-type ClientOptions struct {
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
-	// MaxFrame bounds accepted reply frames (default wire.MaxFrame).
-	MaxFrame int
-}
-
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = wire.MaxFrame
-	}
-	return o
-}
+// ClientOptions configures a Client. It has no settings: a client dials
+// within dialTimeout and accepts frames up to wire.MaxFrame.
+type ClientOptions struct{}
 
 // Client talks to a FrontServer: it sends whole-service requests and
 // receives composed replies over one multiplexed connection (the same
@@ -36,7 +21,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // failures. Safe for concurrent use.
 type Client struct {
 	addr   string
-	opts   ClientOptions
 	nextID atomic.Uint64
 
 	mu     sync.Mutex
@@ -45,8 +29,8 @@ type Client struct {
 }
 
 // DialClient connects to a FrontServer.
-func DialClient(addr string, opts ClientOptions) (*Client, error) {
-	cl := &Client{addr: addr, opts: opts.withDefaults()}
+func DialClient(addr string, _ ClientOptions) (*Client, error) {
+	cl := &Client{addr: addr}
 	if _, err := cl.live(); err != nil {
 		return nil, err
 	}
@@ -63,11 +47,11 @@ func (cl *Client) live() (*peerConn, error) {
 	if pc := cl.conn; pc != nil && !pc.isDead() {
 		return pc, nil
 	}
-	c, err := net.DialTimeout("tcp", cl.addr, cl.opts.DialTimeout)
+	c, err := net.DialTimeout("tcp", cl.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	cl.conn = newPeerConn(c, cl.opts.MaxFrame, func() {}) // nobody to tell: the next call re-dials
+	cl.conn = newPeerConn(c, func() {}) // nobody to tell: the next call re-dials
 	return cl.conn, nil
 }
 

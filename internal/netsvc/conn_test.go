@@ -190,7 +190,7 @@ func TestOversizedFrameDoesNotPinBuffer(t *testing.T) {
 }
 
 // The allocation budgets of one Exact request through a bare front
-// server to 8 shards: 18 frames, 8 sub-operation dispatches and a merge.
+// server (built without a frontend, so one with no controller) to 8 shards: 18 frames, 8 sub-operation dispatches and a merge.
 // Each budget is the count the test measures plus ~10%, so a regression
 // of one allocation per frame (18) trips it. The deadline-carrying case
 // is the benchmark client's shape — a fresh context.WithTimeout per call

@@ -137,9 +137,8 @@ func TestInternalTrafficExcluded(t *testing.T) {
 func TestRefreshBilledToInternalTenant(t *testing.T) {
 	_, fs, _, table := costStack(t, audit.Config{SampleFraction: 0.000001})
 
-	// (Without a frontend the claimed accuracy stays 0 — EnableCache
-	// requires one in production; the cost accounting is what's under
-	// test here.)
+	// (Without a controller EnableCache refuses, so the refresh hook is
+	// called directly; the cost accounting is what's under test here.)
 	v, _, ok := fs.refreshToExact(0, boundedCoarseReq(0.1))
 	if !ok || v == nil {
 		t.Fatalf("refreshToExact = (%v, _, %v), want a successful recompute", v, ok)

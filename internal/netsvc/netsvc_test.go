@@ -50,7 +50,8 @@ func every(h Handler) func(int) Handler { return func(int) Handler { return h } 
 // deadline far beyond any healthy round trip.
 var waitAll = AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second}
 
-// bareFront is the front server with no frontend and no planes.
+// bareFront is the front server built without a frontend (so one with
+// no controller and no admission policy) and with no planes.
 func bareFront(a *Aggregator) (*FrontServer, error) {
 	return NewFrontServer(a, nil, ServerOptions{}), nil
 }

@@ -13,7 +13,6 @@ import (
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/obs"
 	"accuracytrader/internal/rescache"
-	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
 )
 
@@ -373,9 +372,9 @@ func NewServer(h Handler, opts ServerOptions) *Server {
 }
 
 // FrontServer is an aggregator process's client-facing listener: it
-// answers whole-service requests with composed replies, optionally
-// running every request through the accuracy-aware frontend pipeline
-// and, with EnableCache, through the accuracy-tagged result cache.
+// answers whole-service requests with composed replies, running every
+// request through the accuracy-aware frontend pipeline and, with
+// EnableCache, through the accuracy-tagged result cache.
 type FrontServer struct {
 	*srvCore
 	agg    *Aggregator
@@ -408,15 +407,20 @@ type FrontServer struct {
 	costs *cost.Table
 }
 
-// NewFrontServer wraps an aggregator (and, when fe is non-nil, the
-// frontend pipeline in front of it). FrontServers want Workers > 1:
-// each in-flight client request occupies a worker for its whole
-// scatter/gather.
-func NewFrontServer(agg *Aggregator, fe *frontend.Frontend, opts ServerOptions) *FrontServer {
+// NewFrontServer wraps an aggregator and the frontend in front of it. A
+// nil front is a frontend with no controller and no admission policy on
+// home placement: every request is admitted, served at the level it
+// asks for, and settled by the degrade rule at base accuracy 1.
+// FrontServers want Workers > 1: each in-flight client request occupies
+// a worker for its whole scatter/gather.
+func NewFrontServer(agg *Aggregator, front *frontend.Frontend, opts ServerOptions) *FrontServer {
 	if opts.Workers <= 0 {
 		opts.Workers = 64
 	}
-	s := &FrontServer{agg: agg, fe: fe, tracer: opts.Tracer}
+	if front == nil {
+		front, _ = frontend.New(agg, frontend.Options{Replicas: 1}) // New never fails
+	}
+	s := &FrontServer{agg: agg, fe: front, tracer: opts.Tracer}
 	s.srvCore = newSrvCore(opts)
 	s.srvCore.graceful = true
 	s.srvCore.respond = func(j *job) interface{} {
@@ -450,11 +454,11 @@ func replyTo(req *wire.Request, status uint8, errMsg string) *wire.Reply {
 // identical misses coalesce onto one fan-out. When the cache was built
 // with a refresh target, a background worker recomputes popular coarse
 // entries at Exact class through the frontend (admission included, so
-// refreshes yield to foreground traffic). Requires a frontend — the
-// accuracy tags come from its degradation controller. Call before
+// refreshes yield to foreground traffic). Requires a frontend with a
+// degradation controller — the accuracy tags come from it. Call before
 // Serve.
 func (s *FrontServer) EnableCache(c *rescache.Cache) error {
-	if s.fe == nil || s.fe.Controller() == nil {
+	if s.fe.Controller() == nil {
 		// Without a controller the frontend would tag approximate
 		// answers with accuracy 1 and the floor rule would be void.
 		return errors.New("netsvc: result cache requires a frontend with a degradation controller (entries are accuracy-tagged by its calibrated level estimates)")
@@ -597,8 +601,8 @@ func (s *FrontServer) pass(ctx context.Context, req *wire.Request, from origin, 
 	}
 	lvl := rep.Level
 	if lvl == wire.NoLevel {
-		// No frontend in the path: the components honored the request's
-		// explicit level, but nothing stamped it on the reply.
+		// No controller chose a level: the components honored the
+		// request's explicit one, but nothing stamped it on the reply.
 		lvl = req.Level
 	}
 	return rep, acc, costRow{table: s.costs, acct: acct, wall: dur, hit: rep.Cached, key: cost.Key{
@@ -713,30 +717,27 @@ func (s *FrontServer) refreshToExact(_ uint64, payload interface{}) (interface{}
 	return kept, acc, kept != nil
 }
 
-// serveMiss composes one whole-service reply from a fresh fan-out and
-// reports the accuracy its answer claims (0 for failures, and without a
-// frontend, which has no calibrated claim). The degrade rule is
-// frontend.Claim's; this only maps its outcome to the wire.
+// miss is a fresh fan-out's reply and frontend call record in one
+// allocation. The record is the fan-out's context, which a straggler may
+// read after the reply is written, so a miss is never pooled.
+type miss struct {
+	rep  wire.Reply
+	call frontend.Result
+}
+
+// serveMiss composes one whole-service reply from a fresh fan-out through
+// the frontend and reports the accuracy its answer claims (0 for
+// failures). The degrade rule is frontend.Claim's; this only maps its
+// outcome to the wire. Once the fan-out ran, the reply carries the class
+// and level it ran at: an SLONone request's class reads BestEffort.
 func (s *FrontServer) serveMiss(ctx context.Context, req *wire.Request) (*wire.Reply, float64) {
-	rep := replyTo(req, wire.ReplyOK, "")
-	var subs []service.SubResult
-	var answered int
-	var acc float64
-	var err error
-	if s.fe != nil {
-		var res *frontend.Result
-		res, err = s.fe.Call(ctx, req, sloFromWire(req))
-		if res != nil {
-			rep.SLO = uint8(res.SLO.Kind)
-			rep.MinAccuracy = res.SLO.MinAccuracy
-			rep.Degraded = res.Degraded
-			rep.Level = int16(res.Level)
-			subs, answered, acc = res.Sub, res.Answered, res.EstimatedAccuracy
-		}
-	} else if subs, err = s.agg.Call(ctx, req); err == nil {
-		// Without a frontend the components run at full fidelity, so the
-		// rule's base accuracy is 1.
-		answered, _, err = frontend.Claim(subs, sloFromWire(req), 1)
+	m := &miss{rep: *replyTo(req, wire.ReplyOK, "")}
+	rep, call := &m.rep, &m.call
+	err := s.fe.CallInto(ctx, req, sloFromWire(req), call)
+	subs := call.Sub
+	if subs != nil {
+		rep.SLO, rep.MinAccuracy = uint8(call.SLO.Kind), call.SLO.MinAccuracy
+		rep.Degraded, rep.Level = call.Degraded, int16(call.Level)
 	}
 	if err != nil {
 		rep.Status, rep.Err = wire.ReplyErr, err.Error()
@@ -751,7 +752,7 @@ func (s *FrontServer) serveMiss(ctx context.Context, req *wire.Request) (*wire.R
 	rep.SubStatus = SubStatuses(subs)
 	// A partial answer the rule let through: some strata are absent (dead
 	// component, tripped breaker, shed queue, expired budget).
-	partial := answered < len(subs)
+	partial := call.Answered < len(subs)
 	if partial {
 		rep.Status, rep.Degraded = wire.ReplyDegraded, true
 	}
@@ -772,13 +773,13 @@ func (s *FrontServer) serveMiss(ctx context.Context, req *wire.Request) (*wire.R
 	case wire.KindAgg:
 		rep.Agg = ComposeAgg(subs)
 		if partial {
-			ExtrapolateAgg(rep.Agg, answered, len(subs))
+			ExtrapolateAgg(rep.Agg, call.Answered, len(subs))
 		}
 	}
 	if tr != nil {
 		tr.Add(obs.SpanMerge, -1, mergeT0, time.Since(mergeT0), 0)
 	}
-	return rep, acc
+	return rep, call.EstimatedAccuracy
 }
 
 // sloFromWire converts a request's wire SLO class to the frontend's.

@@ -211,8 +211,8 @@ type Request struct {
 	Seq    uint64
 	Kind   Kind
 	Subset int32 // data subset to serve; < 0 on client→aggregator requests
-	// SLO is the request's class (SLOExact…SLOBestEffort, or SLONone
-	// when no frontend is involved); MinAccuracy is the Bounded floor.
+	// SLO is the request's class (SLOExact…SLOBestEffort, or SLONone:
+	// no contract stated); MinAccuracy is the Bounded floor.
 	SLO         uint8
 	MinAccuracy float64
 	// Level is the frontend-selected ladder level (coarse 0 … fine), or
