@@ -23,14 +23,11 @@
 //     correlation order until the service deadline (l_spe) or the set
 //     cap (imax).
 //
-// This package is the facade over the implementation packages:
+// This package is the facade the examples program against. It
+// re-exports from:
 //
 //	internal/core      Algorithm 1 (generic over applications)
-//	internal/synopsis  offline synopsis management
-//	internal/svd       incremental (Funk/Gorrell) SVD
-//	internal/rtree     R-tree with bulk load, level cuts, updates
-//	internal/cf        user-based CF recommender application
-//	internal/textindex Lucene-style search engine application
+//	internal/synopsis  offline synopsis management (with internal/svd)
 //	internal/agg       approximate aggregation analytics application
 //	internal/service   live goroutine fan-out runtime (wall clock)
 //	internal/frontend  accuracy-aware frontend: admission, replica
@@ -38,12 +35,14 @@
 //	internal/wire      binary protocol of the networked serving layer
 //	internal/netsvc    networked serving: component servers, socket
 //	                   aggregator, composed-reply front server
-//	internal/cluster   discrete-event cluster simulator (virtual clock)
-//	internal/experiments  regeneration of every paper table and figure
+//	internal/rescache  accuracy-tagged result cache
+//	internal/obs       metrics registry, decision traces, admin plane
+//	internal/audit     background ground-truth accuracy auditor
 //
-// See ARCHITECTURE.md for the dataflow and package-dependency map,
-// examples/ for runnable end-to-end programs and EXPERIMENTS.md for
-// the paper-vs-measured record.
+// See README.md for the full package map, ARCHITECTURE.md for the
+// dataflow and package-dependency map, examples/ for runnable
+// end-to-end programs and EXPERIMENTS.md for the paper-vs-measured
+// record.
 package accuracytrader
 
 import (
@@ -53,17 +52,14 @@ import (
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/audit"
-	"accuracytrader/internal/cf"
 	"accuracytrader/internal/core"
 	"accuracytrader/internal/frontend"
-	"accuracytrader/internal/ingest"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/obs"
 	"accuracytrader/internal/rescache"
 	"accuracytrader/internal/service"
 	"accuracytrader/internal/svd"
 	"accuracytrader/internal/synopsis"
-	"accuracytrader/internal/textindex"
 	"accuracytrader/internal/wire"
 )
 
@@ -89,16 +85,8 @@ type Group = synopsis.Group
 // Change describes an input-data change for incremental updating.
 type Change = synopsis.Change
 
-// Change kinds (paper §2.2: new data points and changed data points,
-// plus deletion).
-const (
-	Add    = synopsis.Add
-	Modify = synopsis.Modify
-	Delete = synopsis.Delete
-)
-
-// UpdateStats reports what an incremental update touched.
-type UpdateStats = synopsis.UpdateStats
+// Add is the change kind of a new data point (paper §2.2).
+const Add = synopsis.Add
 
 // BuildSynopsis creates a synopsis for one component's data subset.
 func BuildSynopsis(src FeatureSource, cfg SynopsisConfig) (*Synopsis, error) {
@@ -148,9 +136,6 @@ type Cluster = service.Cluster
 // ClusterOptions configures the live runtime.
 type ClusterOptions = service.Options
 
-// SubResult is one component's reply in the live runtime.
-type SubResult = service.SubResult
-
 // Policy selects the live runtime's gather behaviour.
 type Policy = service.Policy
 
@@ -174,10 +159,6 @@ type Frontend = frontend.Frontend
 // FrontendOptions configures a Frontend.
 type FrontendOptions = frontend.Options
 
-// FrontendResult is one answered frontend request; it claims an
-// accuracy discounted by the strata its gather is missing.
-type FrontendResult = frontend.Result
-
 // FrontendUnavailable is Frontend.Call's typed refusal of a partial
 // gather its class cannot take (match it with errors.As).
 type FrontendUnavailable = frontend.UnavailableError
@@ -198,11 +179,6 @@ func BestEffortSLO() SLO { return frontend.BestEffortSLO() }
 // fan-out.
 type AdmissionPolicy = frontend.AdmissionPolicy
 
-// NewTokenBucket rate-limits admissions.
-func NewTokenBucket(ratePerSec, burst float64) AdmissionPolicy {
-	return frontend.NewTokenBucket(ratePerSec, burst)
-}
-
 // NewMaxInflight caps concurrent admitted requests.
 func NewMaxInflight(limit int) AdmissionPolicy { return frontend.NewMaxInflight(limit) }
 
@@ -214,14 +190,8 @@ func NewQueueWatermark(degradeAt, rejectAt float64) AdmissionPolicy {
 // Router places sub-operations on shard replicas.
 type Router = frontend.Router
 
-// NewRoundRobin cycles each subset through its replicas.
-func NewRoundRobin() Router { return frontend.NewRoundRobin() }
-
 // NewLeastLoaded routes to the replica with the shallowest queue.
 func NewLeastLoaded() Router { return frontend.NewLeastLoaded() }
-
-// NewPowerOfTwo routes to the less loaded of two random replicas.
-func NewPowerOfTwo(seed uint64) Router { return frontend.NewPowerOfTwo(seed) }
 
 // DegradationController maps observed load to ladder levels per SLO.
 type DegradationController = frontend.Controller
@@ -279,15 +249,8 @@ func BuildAggComponent(t *FactTable, cfg AggConfig) (*AggComponent, error) {
 // rows whose value lies in [Lo, Hi).
 type AggQuery = agg.Query
 
-// AggOp selects an AggQuery's aggregate.
-type AggOp = agg.Op
-
-// The supported aggregates.
-const (
-	AggSum   = agg.Sum
-	AggCount = agg.Count
-	AggAvg   = agg.Avg
-)
+// AggSum is the SUM aggregate of an AggQuery.
+const AggSum = agg.Sum
 
 // AggResult is a component's partial aggregation answer: per-key
 // estimates with CLT variances; partial results merge by addition.
@@ -321,12 +284,6 @@ func MeasureAggLevelAccuracy(comps []*AggComponent, queries []AggQuery, level in
 // false when the request did not pass a Frontend.
 func SLOFrom(ctx context.Context) (slo SLO, ok bool) { return frontend.SLOFrom(ctx) }
 
-// ComponentFrom returns the index of the component executing the
-// current sub-operation inside a live-cluster Handler — under hedging
-// the replica runs on a different component than the primary, so
-// handlers modeling per-machine effects can key on the executor.
-func ComponentFrom(ctx context.Context) (comp int, ok bool) { return service.ComponentFrom(ctx) }
-
 // The networked serving layer (internal/wire + internal/netsvc): the
 // paper's deployment model — an aggregator fanning each request out to
 // many component sub-services — over real TCP sockets, with the SLO
@@ -336,26 +293,14 @@ func ComponentFrom(ctx context.Context) (comp int, ok bool) { return service.Com
 // whole-service request) on the wire.
 type WireRequest = wire.Request
 
-// WireSubReply is one component server's reply.
-type WireSubReply = wire.SubReply
-
-// WireCFRequest, WireSearchRequest and WireAggRequest are the
-// per-workload request payloads.
-type (
-	WireCFRequest     = wire.CFRequest
-	WireSearchRequest = wire.SearchRequest
-	WireAggRequest    = wire.AggRequest
-)
+// WireAggRequest is the aggregation workload's request payload.
+type WireAggRequest = wire.AggRequest
 
 // WireReply is the composed whole-service reply.
 type WireReply = wire.Reply
 
-// The wire payload kinds, one per application workload.
-const (
-	WireKindCF     = wire.KindCF
-	WireKindSearch = wire.KindSearch
-	WireKindAgg    = wire.KindAgg
-)
+// WireKindAgg is the aggregation workload's payload kind.
+const WireKindAgg = wire.KindAgg
 
 // NetHandler serves one sub-operation on a component server.
 type NetHandler = netsvc.Handler
@@ -375,16 +320,6 @@ func NewNetComponentServer(h NetHandler, opts NetServerOptions) *NetComponentSer
 // NetBackendOptions configures the per-workload component handlers
 // (modeled scan cost, interference hook, improvement cap).
 type NetBackendOptions = netsvc.BackendOptions
-
-// NewNetCFBackend serves the CF recommender workload over comps.
-func NewNetCFBackend(comps []*cf.Component, opts NetBackendOptions) NetHandler {
-	return netsvc.NewCFBackend(comps, opts)
-}
-
-// NewNetSearchBackend serves the web-search workload over comps.
-func NewNetSearchBackend(comps []*textindex.Component, opts NetBackendOptions) NetHandler {
-	return netsvc.NewSearchBackend(comps, opts)
-}
 
 // NewNetAggBackend serves the aggregation workload over comps.
 func NewNetAggBackend(comps []*AggComponent, opts NetBackendOptions) NetHandler {
@@ -477,17 +412,8 @@ type TraceRecorder = obs.Recorder
 // capped at maxSpans spans.
 func NewTraceRecorder(n, maxSpans int) *TraceRecorder { return obs.NewRecorder(n, maxSpans) }
 
-// RequestTrace is one request's decision trace. All methods are
-// nil-receiver safe: code records unconditionally and pays nothing
-// when the request is untraced.
-type RequestTrace = obs.Trace
-
 // TraceView is an immutable snapshot of one recorded trace.
 type TraceView = obs.TraceView
-
-// RequestTraceFrom returns the trace recording the current request, or
-// nil (safe to use) when the request is untraced.
-func RequestTraceFrom(ctx context.Context) *RequestTrace { return obs.TraceFrom(ctx) }
 
 // TraceSummary aggregates recorded traces into a per-SLO-class
 // deadline-budget breakdown table (its Render method).
@@ -507,68 +433,6 @@ type AdminPlane = obs.Admin
 // Listen method with a loopback address, Close when done.
 func NewAdminPlane(reg *MetricsRegistry, rec *TraceRecorder) *AdminPlane {
 	return obs.NewAdmin(reg, rec)
-}
-
-// Live synopsis updates (internal/ingest): aggregation components
-// accept appended rows while serving — aggregation is the one workload
-// whose CLT bounds rest on its samples staying uniform, so it is the one
-// with a live store; CF and search synopses are refreshed offline
-// (Synopsis.Update). A live store layers an append-only,
-// exactly-scanned delta segment over a frozen synopsis base behind an
-// epoch-swapped snapshot — readers stay lock- and allocation-free, the
-// delta fold can only tighten estimates, and a compacted store is
-// bit-identical to an offline rebuild over the same rows. A merge
-// worker publishes staged rows each interval and periodically
-// compacts; appends travel the wire as protocol-v5 batches
-// (NetClient.Ingest), and NetFrontServer.EnableIngest bumps the
-// result-cache epoch and re-warms hot entries on every swap.
-
-// AggLiveStore is the aggregation workload's live synopsis store.
-type AggLiveStore = ingest.AggLive
-
-// NewAggLiveStore returns an empty live store over a numKeys-group
-// domain; seed it with Append + Compact before serving.
-func NewAggLiveStore(numKeys int, cfg AggConfig) *AggLiveStore {
-	return ingest.NewAggLive(numKeys, cfg)
-}
-
-// IngestWorker drives one live aggregation store's publish/compact
-// cycle in the background; Close drains with a final publish.
-type IngestWorker = ingest.Worker
-
-// IngestWorkerOptions configures an IngestWorker.
-type IngestWorkerOptions = ingest.WorkerOptions
-
-// NewIngestWorker starts a worker over a live aggregation store.
-func NewIngestWorker(s *AggLiveStore, opts IngestWorkerOptions) *IngestWorker {
-	return ingest.NewWorker(s, opts)
-}
-
-// WireIngestRequest is a protocol-v5 append batch: atomic (all rows or
-// none), routed to one home shard, acknowledged with its staging
-// epoch.
-type WireIngestRequest = wire.IngestRequest
-
-// WireIngestReply acknowledges an append batch; the rows are visible
-// to queries at any epoch strictly greater than Epoch.
-type WireIngestReply = wire.IngestReply
-
-// NetLiveStores bundles the live aggregation stores a component server
-// ingests into, one slice entry per locally-served shard.
-type NetLiveStores = netsvc.LiveStores
-
-// NewNetLiveAggBackend answers aggregation queries from live-store
-// snapshots — the live-data twin of NewNetAggBackend. Pair it with
-// NetComponentServer.SetIngest(NewNetLiveIngestHandler(...)) to accept
-// appends on the same connections.
-func NewNetLiveAggBackend(lives []*AggLiveStore, opts NetBackendOptions) NetHandler {
-	return netsvc.NewLiveAggBackend(lives, opts)
-}
-
-// NewNetLiveIngestHandler stages protocol-v5 aggregation append
-// batches into the bundled live stores.
-func NewNetLiveIngestHandler(stores NetLiveStores) netsvc.IngestHandler {
-	return netsvc.NewLiveIngestHandler(stores)
 }
 
 // The accuracy audit plane (internal/audit + internal/obs): the system
@@ -600,24 +464,10 @@ type SLOTracker = obs.SLOTracker
 // NewSLOTracker returns an empty tracker with the given budgets.
 func NewSLOTracker(budgets SLOBudgets) *SLOTracker { return obs.NewSLOTracker(budgets) }
 
-// Auditor is the background ground-truth auditor. Obtain one from
-// NetFrontServer.EnableAudit; Close it before shutting the server
-// down.
-type Auditor = audit.Auditor
-
 // AuditConfig configures EnableAudit. The zero value is serviceable:
 // 5% deterministic trace-ID sampling, a 256-slot queue and a paced
 // single worker.
 type AuditConfig = audit.Config
-
-// AuditStats are the auditor's cumulative counters
-// (sampled = audited + skipped-stale + replay-errors + dropped).
-type AuditStats = audit.Stats
-
-// AuditTableView is one workload/level calibration row: samples,
-// mean claimed vs mean realized accuracy, bound coverage, floor
-// violations.
-type AuditTableView = audit.TableView
 
 // AuditReport bundles an auditor's stats and calibration tables —
 // the document AdminPlane.SetAuditSource serves at /audit.

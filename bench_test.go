@@ -405,7 +405,7 @@ func BenchmarkAblationHedge(b *testing.B) {
 
 func BenchmarkRTreeInsert(b *testing.B) {
 	rng := stats.NewRNG(1)
-	tr := rtree.NewDefault(3)
+	tr := rtree.New(3, rtree.DefaultMax/4, rtree.DefaultMax)
 	pts := make([][]float64, 4096)
 	for i := range pts {
 		pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}

@@ -243,11 +243,3 @@ func (b *Backoff) Reset() {
 	b.attempt = 0
 	b.mu.Unlock()
 }
-
-// Attempts returns how many delays Next has handed out since the last
-// Reset.
-func (b *Backoff) Attempts() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.attempt
-}

@@ -166,8 +166,8 @@ func TestBackoffCapsAndJitters(t *testing.T) {
 		}
 		prevCeil = exp
 	}
-	if b.Attempts() != 8 {
-		t.Fatalf("attempts = %d", b.Attempts())
+	if b.attempt != 8 {
+		t.Fatalf("attempts = %d", b.attempt)
 	}
 	b.Reset()
 	if d := b.Next(); d >= base {

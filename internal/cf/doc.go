@@ -43,7 +43,7 @@
 //
 // The scorer is bit-identical to the naive kernels retained in
 // reference_test.go (materialize the co-rated pairs by merge-join, then
-// vmath.Pearson; a binary search per neighbour x target), not merely
+// pearson; a binary search per neighbour x target), not merely
 // close to them, because each accumulator sees the same floating-point
 // operations in the same order: pairs are collected, summed and centred
 // in item order, as the merge-join meets them, and each target slot

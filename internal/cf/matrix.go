@@ -129,7 +129,7 @@ func (m *Matrix) Rating(u int, item int32) (float64, bool) {
 // The co-rated pairs are found by a merge-join over the sorted rating
 // vectors, run twice (means, then moments) so nothing is materialized:
 // zero allocations, and the accumulation order is exactly that of the
-// reference implementation (collect pairs, then vmath.Pearson), keeping
+// reference implementation (collect pairs, then pearson), keeping
 // the result bit-identical to it.
 //
 // Weight is the two-vector definition, for callers that hold two rating

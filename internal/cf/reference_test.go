@@ -9,14 +9,14 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"testing/quick"
 
 	"accuracytrader/internal/core"
 	"accuracytrader/internal/stats"
-	"accuracytrader/internal/vmath"
 )
 
 // naiveWeight is the pre-optimization Weight: materialize the co-rated
-// pairs, then vmath.Pearson.
+// pairs, then pearson.
 func naiveWeight(a, b []Rating) float64 {
 	var xs, ys []float64
 	i, j := 0, 0
@@ -33,7 +33,108 @@ func naiveWeight(a, b []Rating) float64 {
 			j++
 		}
 	}
-	return vmath.Pearson(xs, ys)
+	return pearson(xs, ys)
+}
+
+// pearson returns the Pearson correlation coefficient of the co-rated
+// pairs (x[i], y[i]). The slices must have equal length; fewer than two
+// pairs, or zero variance on either side, yields 0.
+func pearson(x, y []float64) float64 {
+	if len(x) != len(y) {
+		panic("cf: pearson length mismatch")
+	}
+	n := len(x)
+	if n < 2 {
+		return 0
+	}
+	mx, my := mean(x), mean(y)
+	var sxy, sxx, syy float64
+	for i := 0; i < n; i++ {
+		dx, dy := x[i]-mx, y[i]-my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	if sxx == 0 || syy == 0 {
+		return 0
+	}
+	r := sxy / math.Sqrt(sxx*syy)
+	// Clamp rounding noise so callers can rely on [-1,1].
+	if r > 1 {
+		r = 1
+	} else if r < -1 {
+		r = -1
+	}
+	return r
+}
+
+// mean returns the arithmetic mean of v (0 for empty input).
+func mean(v []float64) float64 {
+	if len(v) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, x := range v {
+		s += x
+	}
+	return s / float64(len(v))
+}
+
+func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+
+func TestPearsonKnown(t *testing.T) {
+	// Perfect positive and negative correlation.
+	if !almostEq(pearson([]float64{1, 2, 3}, []float64{2, 4, 6}), 1) {
+		t.Fatal("perfect positive")
+	}
+	if !almostEq(pearson([]float64{1, 2, 3}, []float64{6, 4, 2}), -1) {
+		t.Fatal("perfect negative")
+	}
+	if pearson([]float64{1, 1, 1}, []float64{1, 2, 3}) != 0 {
+		t.Fatal("zero variance must give 0")
+	}
+	if pearson([]float64{1}, []float64{2}) != 0 {
+		t.Fatal("single pair must give 0")
+	}
+}
+
+func TestPearsonRangeProperty(t *testing.T) {
+	rng := stats.NewRNG(99)
+	f := func(seed uint32, n uint8) bool {
+		r := rng.Split(uint64(seed))
+		m := int(n%40) + 2
+		xs := make([]float64, m)
+		ys := make([]float64, m)
+		for i := 0; i < m; i++ {
+			xs[i] = r.Norm(0, 100)
+			ys[i] = r.Norm(0, 100)
+		}
+		p := pearson(xs, ys)
+		return p >= -1 && p <= 1 && !math.IsNaN(p)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPearsonSymmetry(t *testing.T) {
+	x := []float64{1, 4, 2, 8, 5, 7}
+	y := []float64{2, 3, 1, 9, 4, 6}
+	if !almostEq(pearson(x, y), pearson(y, x)) {
+		t.Fatal("Pearson not symmetric")
+	}
+}
+
+func TestPearsonShiftScaleInvariance(t *testing.T) {
+	x := []float64{1, 4, 2, 8, 5, 7}
+	y := []float64{2, 3, 1, 9, 4, 6}
+	x2 := make([]float64, len(x))
+	for i, v := range x {
+		x2[i] = 3*v + 10
+	}
+	if !almostEq(pearson(x, y), pearson(x2, y)) {
+		t.Fatal("Pearson not invariant to positive affine transform")
+	}
 }
 
 // naiveContribute is the pre-optimization contribute: a binary search per

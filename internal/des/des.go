@@ -71,16 +71,6 @@ func (s *Sim) Run() {
 	}
 }
 
-// RunUntil processes events with time <= t, then advances the clock to t.
-func (s *Sim) RunUntil(t float64) {
-	for len(s.heap) > 0 && s.heap[0].at <= t {
-		s.step()
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
 func (s *Sim) step() {
 	e := heap.Pop(&s.heap).(event)
 	s.now = e.at

@@ -7,7 +7,6 @@ import (
 	"accuracytrader/internal/cf"
 	"accuracytrader/internal/cluster"
 	"accuracytrader/internal/core"
-	"accuracytrader/internal/metrics"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/workload"
 )
@@ -133,11 +132,11 @@ func replayCFAccuracy(svc *CFService, resBasic, resAT *cluster.Result, seed uint
 		}
 		baseRMSE := cf.RMSE(trivial, spec.Truth)
 		preds = exact.PredictionsInto(preds, activeMean)
-		exSkill := metrics.Skill(cf.RMSE(preds, spec.Truth), baseRMSE)
+		exSkill := skill(cf.RMSE(preds, spec.Truth), baseRMSE)
 		preds = partial.PredictionsInto(preds, activeMean)
-		plSum.Add(metrics.LossPct(exSkill, metrics.Skill(cf.RMSE(preds, spec.Truth), baseRMSE)))
+		plSum.Add(lossPct(exSkill, skill(cf.RMSE(preds, spec.Truth), baseRMSE)))
 		preds = at.PredictionsInto(preds, activeMean)
-		alSum.Add(metrics.LossPct(exSkill, metrics.Skill(cf.RMSE(preds, spec.Truth), baseRMSE)))
+		alSum.Add(lossPct(exSkill, skill(cf.RMSE(preds, spec.Truth), baseRMSE)))
 	}
 	return plSum.Mean(), alSum.Mean()
 }

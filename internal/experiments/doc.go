@@ -11,5 +11,7 @@
 // smaller number of distinct shards of real CF/search data, cycled across
 // components. Accuracy is computed by replaying the real application
 // engines over exactly the sets each simulated component had time to
-// process.
+// process. The package also holds the paper's accuracy-loss metrics
+// (metrics.go) and the co-located-interference model that slows the
+// simulated components (services.go).
 package experiments

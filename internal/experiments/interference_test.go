@@ -1,4 +1,4 @@
-package interference
+package experiments
 
 import (
 	"testing"
@@ -7,40 +7,39 @@ import (
 )
 
 func TestTraceAtPiecewise(t *testing.T) {
-	tr := &Trace{times: []float64{0, 10, 20}, slow: []float64{1, 2, 1.5}}
+	tr := &slowdownTrace{times: []float64{0, 10, 20}, slow: []float64{1, 2, 1.5}}
 	cases := []struct{ t, want float64 }{
 		{-5, 1}, {0, 1}, {9.99, 1}, {10, 2}, {15, 2}, {20, 1.5}, {100, 1.5},
 	}
 	for _, c := range cases {
-		if got := tr.At(c.t); got != c.want {
+		if got := tr.at(c.t); got != c.want {
 			t.Fatalf("At(%v) = %v, want %v", c.t, got, c.want)
 		}
 	}
 }
 
 func TestTraceAtEmpty(t *testing.T) {
-	tr := &Trace{}
-	if tr.At(5) != 1 {
+	tr := &slowdownTrace{}
+	if tr.at(5) != 1 {
 		t.Fatal("empty trace should be 1")
 	}
 }
 
 func TestTraceMean(t *testing.T) {
-	tr := &Trace{times: []float64{0, 10}, slow: []float64{1, 3}}
-	if got := tr.Mean(20); got != 2 {
+	tr := &slowdownTrace{times: []float64{0, 10}, slow: []float64{1, 3}}
+	if got := tr.mean(20); got != 2 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if got := tr.Mean(10); got != 1 {
+	if got := tr.mean(10); got != 1 {
 		t.Fatalf("Mean(10) = %v", got)
 	}
 }
 
 func TestGenerateBounds(t *testing.T) {
 	rng := stats.NewRNG(1)
-	cfg := DefaultConfig()
-	tr := Generate(rng, 60000, cfg)
+	tr := generateSlowdown(rng, 60000)
 	for _, s := range tr.slow {
-		if s < 1 || s > cfg.MaxSlowdown {
+		if s < 1 || s > maxSlowdown {
 			t.Fatalf("slowdown %v out of bounds", s)
 		}
 	}
@@ -56,7 +55,7 @@ func TestGenerateBounds(t *testing.T) {
 
 func TestGenerateProducesVariance(t *testing.T) {
 	rng := stats.NewRNG(2)
-	tr := Generate(rng, 600000, DefaultConfig())
+	tr := generateSlowdown(rng, 600000)
 	// A 10-minute trace should contain both idle (1.0) and slowed
 	// segments.
 	sawIdle, sawBusy := false, false
@@ -71,15 +70,15 @@ func TestGenerateProducesVariance(t *testing.T) {
 	if !sawIdle || !sawBusy {
 		t.Fatalf("trace lacks variance: idle=%v busy=%v (%d segments)", sawIdle, sawBusy, len(tr.slow))
 	}
-	m := tr.Mean(600000)
+	m := tr.mean(600000)
 	if m < 1.05 || m > 3 {
-		t.Fatalf("mean slowdown %v implausible for default config", m)
+		t.Fatalf("mean slowdown %v implausible for the calibrated intensity", m)
 	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(stats.NewRNG(3), 60000, DefaultConfig())
-	b := Generate(stats.NewRNG(3), 60000, DefaultConfig())
+	a := generateSlowdown(stats.NewRNG(3), 60000)
+	b := generateSlowdown(stats.NewRNG(3), 60000)
 	if len(a.times) != len(b.times) {
 		t.Fatal("not deterministic")
 	}
@@ -91,16 +90,12 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateNodesIndependent(t *testing.T) {
-	rng := stats.NewRNG(4)
-	traces := GenerateNodes(rng, 4, 60000, DefaultConfig())
-	if len(traces) != 4 {
-		t.Fatalf("traces = %d", len(traces))
-	}
+	slowdown := slowdownFunc(4, 4, 60000)
 	// Different nodes should have different busy patterns.
 	same := 0
 	for i := 0; i < 100; i++ {
 		tm := float64(i) * 600
-		if traces[0].At(tm) == traces[1].At(tm) {
+		if slowdown(0, tm) == slowdown(1, tm) {
 			same++
 		}
 	}
@@ -109,11 +104,22 @@ func TestGenerateNodesIndependent(t *testing.T) {
 	}
 }
 
-func TestZeroRateIsIdle(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.JobsPerSecond = 0
-	tr := Generate(stats.NewRNG(5), 60000, cfg)
-	if tr.At(30000) != 1 {
-		t.Fatal("zero-rate interference should be idle")
+// mean returns the time-weighted mean slowdown over [0, horizon].
+func (tr *slowdownTrace) mean(horizon float64) float64 {
+	if len(tr.times) == 0 || horizon <= 0 {
+		return 1
 	}
+	total := 0.0
+	for i := range tr.times {
+		start := tr.times[i]
+		if start >= horizon {
+			break
+		}
+		end := horizon
+		if i+1 < len(tr.times) && tr.times[i+1] < horizon {
+			end = tr.times[i+1]
+		}
+		total += (end - start) * tr.slow[i]
+	}
+	return total / horizon
 }

@@ -1,4 +1,4 @@
-package metrics
+package experiments
 
 import (
 	"math"
@@ -6,49 +6,49 @@ import (
 )
 
 func TestSkill(t *testing.T) {
-	if got := Skill(0.5, 1.0); got != 0.5 {
+	if got := skill(0.5, 1.0); got != 0.5 {
 		t.Fatalf("Skill = %v", got)
 	}
-	if got := Skill(0, 1); got != 1 {
+	if got := skill(0, 1); got != 1 {
 		t.Fatalf("perfect skill = %v", got)
 	}
-	if got := Skill(2, 1); got != 0 {
+	if got := skill(2, 1); got != 0 {
 		t.Fatal("worse than baseline must floor at 0")
 	}
-	if got := Skill(0.5, 0); got != 0 {
+	if got := skill(0.5, 0); got != 0 {
 		t.Fatal("zero baseline must give 0")
 	}
-	if got := Skill(math.NaN(), 1); got != 0 {
+	if got := skill(math.NaN(), 1); got != 0 {
 		t.Fatal("NaN RMSE must give 0")
 	}
 }
 
 func TestLossPct(t *testing.T) {
-	if got := LossPct(0.8, 0.6); math.Abs(got-25) > 1e-9 {
+	if got := lossPct(0.8, 0.6); math.Abs(got-25) > 1e-9 {
 		t.Fatalf("LossPct = %v", got)
 	}
-	if got := LossPct(0.8, 0.9); got != 0 {
+	if got := lossPct(0.8, 0.9); got != 0 {
 		t.Fatal("improvement must clamp to 0")
 	}
-	if got := LossPct(0.8, -5); got != 100 {
+	if got := lossPct(0.8, -5); got != 100 {
 		t.Fatal("loss must clamp to 100")
 	}
-	if got := LossPct(0, 0.5); got != 0 {
+	if got := lossPct(0, 0.5); got != 0 {
 		t.Fatal("zero exact accuracy must give 0")
 	}
 }
 
 func TestOverlapLossPct(t *testing.T) {
-	if got := OverlapLossPct(0.7); math.Abs(got-30) > 1e-9 {
+	if got := overlapLossPct(0.7); math.Abs(got-30) > 1e-9 {
 		t.Fatalf("OverlapLossPct = %v", got)
 	}
-	if got := OverlapLossPct(1); got != 0 {
+	if got := overlapLossPct(1); got != 0 {
 		t.Fatalf("full overlap loss = %v", got)
 	}
 }
 
 func TestSeriesBinning(t *testing.T) {
-	s := NewSeries(1000, 3)
+	s := newTimeSeries(1000, 3)
 	s.Add(0, 10)
 	s.Add(999, 20)
 	s.Add(1000, 30)
@@ -68,14 +68,14 @@ func TestSeriesBinning(t *testing.T) {
 }
 
 func TestSeriesEmptyBin(t *testing.T) {
-	s := NewSeries(100, 2)
+	s := newTimeSeries(100, 2)
 	if !math.IsNaN(s.MeanSeries()[0]) || !math.IsNaN(s.PercentileSeries(50)[1]) {
 		t.Fatal("empty bins must be NaN")
 	}
 }
 
 func TestSeriesSeries(t *testing.T) {
-	s := NewSeries(10, 2)
+	s := newTimeSeries(10, 2)
 	s.Add(5, 1)
 	s.Add(6, 3)
 	s.Add(15, 5)
@@ -95,5 +95,5 @@ func TestSeriesPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSeries(0, 5)
+	newTimeSeries(0, 5)
 }

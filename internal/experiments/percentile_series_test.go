@@ -1,4 +1,4 @@
-package metrics
+package experiments
 
 import (
 	"math"
@@ -19,9 +19,9 @@ func naivePercentile(vals []float64, p float64) float64 {
 	return stats.PercentileSorted(cp, p)
 }
 
-func fillSeries(seed uint64, bins, perBin int) *Series {
+func fillSeries(seed uint64, bins, perBin int) *timeSeries {
 	rng := stats.NewRNG(seed)
-	s := NewSeries(1000, bins)
+	s := newTimeSeries(1000, bins)
 	for i := 0; i < bins; i++ {
 		n := rng.Intn(perBin + 1) // some bins sparse or empty
 		for j := 0; j < n; j++ {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"accuracytrader/internal/cluster"
 	"accuracytrader/internal/core"
-	"accuracytrader/internal/metrics"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/textindex"
 	"accuracytrader/internal/workload"
@@ -117,8 +116,8 @@ func (w *SearchWindow) replayAccuracy(svc *SearchService, seed uint64) {
 		pOverlap := textindex.TopKOverlap(exTop, textindex.MergeTopK(partial, 10))
 		aOverlap := textindex.TopKOverlap(exTop, textindex.MergeTopK(at, 10))
 		w.SampleTimes = append(w.SampleTimes, w.Arrivals[ridx])
-		w.PartialLoss = append(w.PartialLoss, metrics.OverlapLossPct(pOverlap))
-		w.ATLoss = append(w.ATLoss, metrics.OverlapLossPct(aOverlap))
+		w.PartialLoss = append(w.PartialLoss, overlapLossPct(pOverlap))
+		w.ATLoss = append(w.ATLoss, overlapLossPct(aOverlap))
 	}
 }
 
@@ -144,7 +143,7 @@ func atShardTopK(comp *textindex.Component, q textindex.Query, k int) []textinde
 // MinuteTail returns the per-minute-bin p-th percentile component latency
 // for one technique's result, with bins minutes of the represented hour.
 func (w *SearchWindow) MinuteTail(res *cluster.Result, p float64, bins int) []float64 {
-	s := metrics.NewSeries(w.WindowMs/float64(bins), bins)
+	s := newTimeSeries(w.WindowMs/float64(bins), bins)
 	for i, a := range res.Arrivals {
 		for _, op := range res.Ops[i] {
 			s.Add(a, op.LatencyMs)
@@ -173,7 +172,7 @@ func (w *SearchWindow) MinuteRate(bins int) []float64 {
 // MinuteLoss bins the accuracy-loss samples of one technique (per-minute
 // means). kind selects "partial" or "at".
 func (w *SearchWindow) MinuteLoss(kind string, bins int) []float64 {
-	s := metrics.NewSeries(w.WindowMs/float64(bins), bins)
+	s := newTimeSeries(w.WindowMs/float64(bins), bins)
 	vals := w.ATLoss
 	if kind == "partial" {
 		vals = w.PartialLoss

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/cf"
 	"accuracytrader/internal/cluster"
-	"accuracytrader/internal/interference"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/svd"
 	"accuracytrader/internal/synopsis"
@@ -157,8 +157,124 @@ func BuildAggService(sc Scale) (*AggService, error) {
 }
 
 // slowdownFunc builds the per-node interference slowdown used by all
-// latency runs: one independent trace per component over the horizon.
+// latency runs: one independent trace per component over the horizon,
+// each from a split of the base RNG, mirroring the paper's per-node
+// co-location.
 func slowdownFunc(seed uint64, components int, horizonMs float64) func(int, float64) float64 {
-	traces := interference.GenerateNodes(stats.NewRNG(seed^0x1f2e3d4c), components, horizonMs, interference.DefaultConfig())
-	return func(c int, t float64) float64 { return traces[c].At(t) }
+	rng := stats.NewRNG(seed ^ 0x1f2e3d4c)
+	traces := make([]*slowdownTrace, components)
+	for i := range traces {
+		traces[i] = generateSlowdown(rng.Split(uint64(i)+1), horizonMs)
+	}
+	return func(c int, t float64) float64 { return traces[c].at(t) }
+}
+
+// The interference from co-located MapReduce workloads (paper §4.1:
+// WordCount and Sort jobs replayed from the SWIM/Facebook trace with
+// BigDataBench-MT). What the tail-latency experiments need from the
+// co-located jobs is their effect: a time-varying, bursty, node-specific
+// slowdown of the service components. Jobs arrive at each node as a
+// Poisson process, job durations are heavy-tailed (lognormal — the SWIM
+// Facebook trace is dominated by short jobs with a long tail), and each
+// running job contributes a slowdown depending on its class (CPU-bound
+// WordCount vs I/O-bound Sort). The intensity is calibrated so the
+// time-weighted mean node slowdown is ~1.2-1.3 with occasional bursts of
+// several x — co-location that perturbs the tail without saturating the
+// nodes by itself.
+const (
+	jobsPerSecond = 0.35 // mean arrival rate of co-located jobs
+	cpuJobShare   = 0.5  // CPU-bound (WordCount-like) share; the rest are I/O-bound (Sort-like)
+	// The lognormal job duration: mean scale and log-space sigma.
+	jobDurationMs    = 500
+	jobDurationSigma = 1.1
+	// Per-job slowdown contributions: a node running one CPU job
+	// processes service work (1+cpuJobSlow) times slower.
+	cpuJobSlow  = 0.9
+	ioJobSlow   = 0.5
+	maxSlowdown = 4 // cap on the total node slowdown factor
+)
+
+// slowdownTrace is a piecewise-constant slowdown function of virtual
+// time for one node.
+type slowdownTrace struct {
+	times []float64 // segment start times, ascending; times[0] == 0
+	slow  []float64 // slowdown factor of each segment (>= 1)
+}
+
+// at returns the node slowdown factor at time t (ms). Times before 0 or
+// after the generated horizon clamp to the nearest segment.
+func (tr *slowdownTrace) at(t float64) float64 {
+	if len(tr.times) == 0 {
+		return 1
+	}
+	i := sort.SearchFloat64s(tr.times, t)
+	// SearchFloat64s returns the first index with times[i] >= t; the
+	// segment covering t starts one earlier unless t hits a boundary.
+	if i == len(tr.times) || tr.times[i] > t {
+		i--
+	}
+	if i < 0 {
+		i = 0
+	}
+	return tr.slow[i]
+}
+
+// generateSlowdown builds a slowdown trace covering [0, horizonMs) for
+// one node.
+func generateSlowdown(rng *stats.RNG, horizonMs float64) *slowdownTrace {
+	type edge struct {
+		t     float64
+		delta float64
+	}
+	var edges []edge
+	// Job arrivals over the horizon (also admit jobs that started before
+	// time 0 by extending the generation window backwards one mean
+	// duration, so the trace does not start artificially idle).
+	t := -2.0 * jobDurationMs
+	for {
+		t += rng.Exp(jobsPerSecond / 1000) // rate per ms
+		if t >= horizonMs {
+			break
+		}
+		dur := rng.LogNormal(0, jobDurationSigma) * jobDurationMs
+		slow := ioJobSlow
+		if rng.Float64() < cpuJobShare {
+			slow = cpuJobSlow
+		}
+		// Scale the contribution a little per job so bursts differ.
+		slow *= 0.5 + rng.Float64()
+		edges = append(edges, edge{t: t, delta: slow}, edge{t: t + dur, delta: -slow})
+	}
+	sort.Slice(edges, func(i, j int) bool { return edges[i].t < edges[j].t })
+	tr := &slowdownTrace{times: []float64{0}, slow: []float64{1}}
+	level := 0.0
+	for _, e := range edges {
+		if e.t < 0 {
+			level += e.delta
+			tr.slow[0] = clampSlow(1 + level)
+			continue
+		}
+		if e.t >= horizonMs {
+			break
+		}
+		level += e.delta
+		s := clampSlow(1 + level)
+		if e.t == tr.times[len(tr.times)-1] {
+			tr.slow[len(tr.slow)-1] = s
+			continue
+		}
+		tr.times = append(tr.times, e.t)
+		tr.slow = append(tr.slow, s)
+	}
+	return tr
+}
+
+func clampSlow(s float64) float64 {
+	if s < 1 {
+		return 1
+	}
+	if s > maxSlowdown {
+		return maxSlowdown
+	}
+	return s
 }

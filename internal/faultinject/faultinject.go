@@ -316,16 +316,3 @@ func (f *Fabric) Targets() []string {
 	}
 	return out
 }
-
-// HealAll heals every script in the fabric.
-func (f *Fabric) HealAll() {
-	f.mu.Lock()
-	all := make([]*Script, 0, len(f.scripts))
-	for _, s := range f.scripts {
-		all = append(all, s)
-	}
-	f.mu.Unlock()
-	for _, s := range all {
-		s.Heal()
-	}
-}

@@ -115,71 +115,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile returns an estimate of the q-th quantile by linear
-// interpolation inside the holding bucket — coarse by design (fixed
-// buckets), but monotone and cheap. Edge cases are pinned to sane
-// values instead of bucket-boundary artifacts: an empty histogram
-// returns 0 (not NaN, which would poison JSON encoders), q is clamped
-// into [0,1], a single observation returns the exact mean, q=0 returns
-// the lower edge of the first occupied bucket, q=1 the upper edge of
-// the last occupied one, and a quantile landing in the open +Inf
-// bucket reports the mean when it exceeds the bucket's lower edge (the
-// only remaining signal about how far the tail runs) rather than the
-// top finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	mean := h.Sum() / float64(total)
-	if total == 1 {
-		// One observation: the sum is the observation.
-		return mean
-	}
-	rank := q * float64(total)
-	var cum int64
-	lo := 0.0
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n > 0 {
-			hi := math.Inf(1)
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
-			}
-			if q == 0 {
-				return lo // lower edge of the first occupied bucket
-			}
-			if float64(cum)+float64(n) >= rank {
-				if math.IsInf(hi, 1) {
-					// Open bucket: no upper edge to interpolate toward. The
-					// mean bounds the tail from below at least as tightly as
-					// the bucket's lower edge when mass sits out there.
-					if mean > lo {
-						return mean
-					}
-					return lo
-				}
-				if q == 1 {
-					return hi // upper edge of the last occupied bucket
-				}
-				frac := (rank - float64(cum)) / float64(n)
-				return lo + frac*(hi-lo)
-			}
-		}
-		cum += n
-		if i < len(h.bounds) {
-			lo = h.bounds[i]
-		}
-	}
-	return lo
-}
-
 // Registry names and exposes a process's metrics. Metric instruments
 // are get-or-create: asking twice for the same name returns the same
 // instrument, so independently wired subsystems share counters by
@@ -205,8 +140,7 @@ func NewRegistry() *Registry {
 // NameError is the typed registration error for malformed metric
 // names. Registration methods panic with a *NameError — metric names
 // are compile-time constants, so a typo should fail the first test
-// that touches it — and callers validating dynamic names up front use
-// CheckName, which returns it.
+// that touches it.
 type NameError struct {
 	Name   string // the offending metric name
 	Reason string // what is wrong with it
@@ -215,16 +149,6 @@ type NameError struct {
 // Error implements error.
 func (e *NameError) Error() string {
 	return fmt.Sprintf("obs: invalid metric name %q: %s", e.Name, e.Reason)
-}
-
-// CheckName reports whether name is a well-formed metric name (a
-// Prometheus identifier with an optional {label="value",...} suffix);
-// a non-nil result is always a *NameError.
-func CheckName(name string) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	return nil
 }
 
 // validName checks the metric name: a Prometheus-compatible identifier

@@ -274,18 +274,6 @@ func NewRecorder(n, maxSpans int) *Recorder {
 	return r
 }
 
-// SetExemplarCapacity bounds the anomalous-trace exemplar store at n
-// pins (n <= 0 keeps the default of 128). Call before traffic: shrink
-// does not drop already-pinned entries retroactively.
-func (r *Recorder) SetExemplarCapacity(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.ex.mu.Lock()
-	r.ex.cap = n
-	r.ex.mu.Unlock()
-}
-
 // Exemplars returns up to n pinned anomalous traces, most recently
 // pinned first. n <= 0 returns every pin.
 func (r *Recorder) Exemplars(n int) []TraceView {
@@ -314,15 +302,6 @@ func (r *Recorder) PinnedTotal() int64 {
 		return 0
 	}
 	return r.ex.pinned.Value()
-}
-
-// EvictedExemplars returns the number of pins dropped to the capacity
-// bound.
-func (r *Recorder) EvictedExemplars() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.ex.evicted.Value()
 }
 
 // Pin marks the trace with the given ID anomalous for reason after the
@@ -358,14 +337,6 @@ func (r *Recorder) Pin(id uint64, reason AnomalyReason) bool {
 	}
 	return false
 }
-
-// Started returns the number of traces started.
-func (r *Recorder) Started() int64 { return r.started.Value() }
-
-// Overflowed returns the number of traces that could not claim a ring
-// slot (every slot was in flight) and were recorded detached — they
-// never appear in Snapshot.
-func (r *Recorder) Overflowed() int64 { return r.overflow.Value() }
 
 // Start claims a trace for a request beginning at start. id is the
 // propagated trace ID; pass 0 to mint a fresh one.
@@ -415,14 +386,6 @@ func (tr *Trace) ID() uint64 {
 		return 0
 	}
 	return tr.id
-}
-
-// Begin returns the trace's start time (zero for a nil trace).
-func (tr *Trace) Begin() time.Time {
-	if tr == nil {
-		return time.Time{}
-	}
-	return tr.start
 }
 
 // SetRequest stamps the request facts: workload kind, SLO class, its

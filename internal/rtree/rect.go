@@ -16,20 +16,6 @@ func PointRect(p []float64) Rect {
 	return Rect{Lo: lo, Hi: hi}
 }
 
-// NewRect returns a rectangle with the given corners; it panics when the
-// corners disagree in dimension or ordering, which is always a bug.
-func NewRect(lo, hi []float64) Rect {
-	if len(lo) != len(hi) {
-		panic("rtree: corner dimension mismatch")
-	}
-	for i := range lo {
-		if lo[i] > hi[i] {
-			panic("rtree: lo > hi")
-		}
-	}
-	return Rect{Lo: lo, Hi: hi}
-}
-
 // Dim returns the dimensionality of the rectangle.
 func (r Rect) Dim() int { return len(r.Lo) }
 
@@ -42,29 +28,10 @@ func (r Rect) Area() float64 {
 	return a
 }
 
-// Margin returns the sum of edge lengths (used by split heuristics).
-func (r Rect) Margin() float64 {
-	m := 0.0
-	for i := range r.Lo {
-		m += r.Hi[i] - r.Lo[i]
-	}
-	return m
-}
-
 // Contains reports whether r fully contains s.
 func (r Rect) Contains(s Rect) bool {
 	for i := range r.Lo {
 		if s.Lo[i] < r.Lo[i] || s.Hi[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsPoint reports whether the point p lies inside r (inclusive).
-func (r Rect) ContainsPoint(p []float64) bool {
-	for i := range r.Lo {
-		if p[i] < r.Lo[i] || p[i] > r.Hi[i] {
 			return false
 		}
 	}
@@ -95,15 +62,6 @@ func (r Rect) Union(s Rect) Rect {
 // Enlargement returns the area increase needed for r to cover s.
 func (r Rect) Enlargement(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
-}
-
-// Center returns the rectangle's center point.
-func (r Rect) Center() []float64 {
-	c := make([]float64, len(r.Lo))
-	for i := range r.Lo {
-		c[i] = (r.Lo[i] + r.Hi[i]) / 2
-	}
-	return c
 }
 
 func (r Rect) clone() Rect {

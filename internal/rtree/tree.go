@@ -50,12 +50,6 @@ func New(dim, min, max int) *Tree {
 	}
 }
 
-// NewDefault returns an empty tree with default capacities for dim
-// dimensions.
-func NewDefault(dim int) *Tree {
-	return New(dim, DefaultMax/4, DefaultMax)
-}
-
 // Len returns the number of stored data items.
 func (t *Tree) Len() int { return t.size }
 
@@ -381,11 +375,6 @@ func (t *Tree) search(n *node, q Rect, dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// All appends every stored ID to dst and returns the extended slice.
-func (t *Tree) All(dst []int) []int {
-	return t.collectIDs(t.root, dst)
 }
 
 func (t *Tree) collectIDs(n *node, dst []int) []int {

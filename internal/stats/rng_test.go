@@ -99,8 +99,8 @@ func TestNormMoments(t *testing.T) {
 	if math.Abs(s.Mean()-3) > 0.05 {
 		t.Fatalf("normal mean %v too far from 3", s.Mean())
 	}
-	if math.Abs(s.Std()-2) > 0.05 {
-		t.Fatalf("normal std %v too far from 2", s.Std())
+	if math.Abs(math.Sqrt(s.Var())-2) > 0.05 {
+		t.Fatalf("normal std %v too far from 2", math.Sqrt(s.Var()))
 	}
 }
 

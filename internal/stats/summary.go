@@ -48,9 +48,6 @@ func (s *Summary) Var() float64 {
 	return s.m2 / float64(s.n-1)
 }
 
-// Std returns the sample standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
 // Min returns the smallest observation (NaN when empty).
 func (s *Summary) Min() float64 {
 	if s.n == 0 {

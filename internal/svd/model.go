@@ -212,12 +212,6 @@ func (mo *Model) AppendRow(cells []Cell, epochs int) int {
 	return len(mo.U) - 1
 }
 
-// UpdateRow re-learns the latent vector for an existing row whose data
-// changed, in place.
-func (mo *Model) UpdateRow(r int, cells []Cell, epochs int) {
-	mo.U[r] = mo.FoldIn(cells, epochs)
-}
-
 // Snapshot is the serializable state of a trained Model.
 type Snapshot struct {
 	U, V [][]float64

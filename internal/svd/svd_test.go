@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"accuracytrader/internal/stats"
-	"accuracytrader/internal/vmath"
 )
 
 // syntheticMatrix builds a rows x cols matrix of rank `rank` plus noise,
@@ -32,7 +31,7 @@ func syntheticMatrix(rng *stats.RNG, rows, cols, rank int, noise, density float6
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if rng.Float64() < density {
-				m.Set(r, c, vmath.Dot(uTrue[r], vTrue[c])+rng.Norm(0, noise))
+				m.Set(r, c, dot(uTrue[r], vTrue[c])+rng.Norm(0, noise))
 			}
 		}
 	}
@@ -151,7 +150,7 @@ func TestSimilarRowsStayClose(t *testing.T) {
 	var intra, inter stats.Summary
 	for a := 0; a < rows; a++ {
 		for b := a + 1; b < rows; b++ {
-			d := vmath.Dist(mo.RowFactors(a), mo.RowFactors(b))
+			d := dist(mo.RowFactors(a), mo.RowFactors(b))
 			if a/(rows/3) == b/(rows/3) {
 				intra.Add(d)
 			} else {
@@ -175,7 +174,7 @@ func TestFoldInApproximatesTraining(t *testing.T) {
 	var seTrained, seFolded float64
 	for _, c := range row {
 		pt := c.Val - mo.Predict(0, int(c.Col))
-		pf := c.Val - vmath.Dot(folded, mo.V[c.Col])
+		pf := c.Val - dot(folded, mo.V[c.Col])
 		seTrained += pt * pt
 		seFolded += pf * pf
 	}
@@ -196,13 +195,13 @@ func TestAppendAndUpdateRow(t *testing.T) {
 		t.Fatalf("AppendRow index = %d, len = %d", idx, len(mo.U))
 	}
 	// A row folded from row 3's data should land near row 3's factors.
-	if d := vmath.Dist(mo.U[idx], mo.U[3]); d > 0.8 {
+	if d := dist(mo.U[idx], mo.U[3]); d > 0.8 {
 		t.Fatalf("appended row too far from its twin: %v", d)
 	}
-	old := vmath.Clone(mo.U[5])
-	mo.UpdateRow(5, m.Row(3), 30)
-	if vmath.Dist(mo.U[5], old) == 0 {
-		t.Fatal("UpdateRow did not change factors")
+	old := clone(mo.U[5])
+	mo.U[5] = mo.FoldIn(m.Row(3), 30)
+	if dist(mo.U[5], old) == 0 {
+		t.Fatal("re-folding a row did not change its factors")
 	}
 }
 
@@ -296,4 +295,36 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(u) != 2 {
 		t.Fatalf("fold-in after restore: %v", u)
 	}
+}
+
+// dot returns the inner product of two equal-length dense vectors.
+func dot(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic("svd: dot length mismatch")
+	}
+	s := 0.0
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
+// dist returns the Euclidean distance between a and b.
+func dist(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic("svd: dist length mismatch")
+	}
+	s := 0.0
+	for i, v := range a {
+		d := v - b[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
+}
+
+// clone returns a copy of v.
+func clone(v []float64) []float64 {
+	c := make([]float64, len(v))
+	copy(c, v)
+	return c
 }

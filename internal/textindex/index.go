@@ -78,9 +78,6 @@ func (ix *Index) NumTerms() int { return len(ix.terms) }
 // deleted documents (doc ids are never reused).
 func (ix *Index) NumSlots() int { return len(ix.docLen) }
 
-// DocLen returns the token count of document d.
-func (ix *Index) DocLen(d int) int { return ix.docLen[d] }
-
 // Alive reports whether document d exists and is not deleted.
 func (ix *Index) Alive(d int) bool { return d >= 0 && d < len(ix.alive) && ix.alive[d] }
 

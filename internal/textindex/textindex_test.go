@@ -45,8 +45,8 @@ func TestIndexBasics(t *testing.T) {
 	if ix.NumDocs() != 5 {
 		t.Fatalf("NumDocs = %d", ix.NumDocs())
 	}
-	if ix.DocLen(0) != 5 {
-		t.Fatalf("DocLen = %d", ix.DocLen(0))
+	if ix.docLen[0] != 5 {
+		t.Fatalf("DocLen = %d", ix.docLen[0])
 	}
 	if _, ok := ix.TermID("channels"); !ok {
 		t.Fatal("vocab missing term")
@@ -396,8 +396,8 @@ func TestUpdateIsIdempotentForSameText(t *testing.T) {
 func TestUpdateToEmptyText(t *testing.T) {
 	ix := buildSmallIndex()
 	ix.Update(3, "")
-	if ix.DocLen(3) != 0 {
-		t.Fatalf("doc len = %d", ix.DocLen(3))
+	if ix.docLen[3] != 0 {
+		t.Fatalf("doc len = %d", ix.docLen[3])
 	}
 	q := ix.ParseQuery("channels")
 	for _, h := range ix.Search(q, 10) {

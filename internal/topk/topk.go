@@ -60,15 +60,6 @@ func (s *Selector) Offer(id int, score float64) {
 	s.down(0)
 }
 
-// Threshold returns the current k-th best item and true when the selector
-// is full; callers can use it to skip candidates that cannot qualify.
-func (s *Selector) Threshold() (Item, bool) {
-	if len(s.heap) < s.k || s.k == 0 {
-		return Item{}, false
-	}
-	return s.heap[0], true
-}
-
 // Sorted sorts the kept items best-first in place and returns the
 // internal slice. The heap invariant is destroyed: the selector must be
 // Reset before the next use, and the slice is only valid until then.
