@@ -46,11 +46,13 @@ const (
 	imaxFrac    = 0.4                  // improve at most this fraction of ranked strata (imax)
 )
 
+// classOf is the 10% Exact / 30% Bounded{0.90} / 60% BestEffort mix
+// the benchmark's agg workloads offer.
 func classOf(r int) at.SLO {
 	switch r % 10 {
-	case 0, 1:
+	case 0:
 		return at.ExactSLO()
-	case 2, 3, 4:
+	case 1, 2, 3:
 		return at.BoundedSLO(0.9)
 	default:
 		return at.BestEffortSLO()

@@ -24,8 +24,7 @@
 //     (Synopsis): each stratum's rows are shuffled once under a seeded
 //     RNG and ladder level l takes a prefix whose length is that
 //     level's sampling rate (nested samples, so finer levels strictly
-//     extend coarser ones). Ladder level = sampling rate, the analogue
-//     of synopsis.Ladder's compression-ratio cuts.
+//     extend coarser ones). Ladder level = sampling rate.
 //   - ProcessSynopsis estimates each stratum's SUM and COUNT under the
 //     query's value filter from its sample, scaled by the inverse
 //     sampling rate, and attaches closed-form CLT error bounds (normal

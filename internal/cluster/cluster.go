@@ -43,7 +43,7 @@ type WorkModel struct {
 	// SynopsisLadder, when non-empty, lists alternative synopsis sizes
 	// (work units, ascending = coarse to fine) for the load-adaptive
 	// extension: under pressure the component answers from a coarser
-	// synopsis (see Config.AdaptiveSynopsis and synopsis.Ladder).
+	// synopsis (see Config.AdaptiveSynopsis).
 	SynopsisLadder []float64
 }
 
@@ -288,7 +288,7 @@ func Run(cfg Config) (*Result, error) {
 			switch {
 			case op.level >= 0 && len(w.SynopsisLadder) > 0:
 				// The frontend picked a ladder level at admission time
-				// (coarse 0 … fine len-1, as in synopsis.Ladder cuts).
+				// (coarse 0 … fine len-1).
 				idx := op.level
 				if idx >= len(w.SynopsisLadder) {
 					idx = len(w.SynopsisLadder) - 1

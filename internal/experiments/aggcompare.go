@@ -57,11 +57,11 @@ type AggCompare struct {
 // RunAggCompare measures the ladder and runs the frontend overload
 // sweep over the aggregation workload.
 func RunAggCompare(sc Scale, multipliers []float64) (*AggCompare, error) {
-	svc, err := BuildAggService(sc)
+	f, err := aggFixture(sc, 0x8a6, sc.AccuracySamples)
 	if err != nil {
 		return nil, err
 	}
-	queries := svc.Data.SampleAggQueries(sc.Seed^0x8a6, sc.AccuracySamples)
+	svc, queries := f.AggService, f.queries
 	res := &AggCompare{Queries: len(queries), Shards: sc.Shards}
 
 	levels := svc.Comps[0].Syn.Levels()
@@ -71,16 +71,9 @@ func RunAggCompare(sc Scale, multipliers []float64) (*AggCompare, error) {
 	nKeys := svc.Comps[0].T.NumKeys()
 	approx := agg.NewResult(nKeys)
 	improved := agg.NewResult(nKeys)
-	exact := agg.NewResult(nKeys)
-	var scratch agg.Result
-	var estA, estI, estE []float64
-	for _, q := range queries {
-		exact = exact.Reset(nKeys)
-		for _, c := range svc.Comps {
-			scratch = agg.ExactResultInto(scratch, c, q)
-			exact.Merge(scratch)
-		}
-		estE = exact.EstimatesInto(estE, q.Op)
+	var estA, estI []float64
+	for qi, q := range queries {
+		estE := f.exact[qi]
 		for l := 0; l < levels; l++ {
 			approx = approx.Reset(nKeys)
 			improved = improved.Reset(nKeys)
@@ -106,7 +99,7 @@ func RunAggCompare(sc Scale, multipliers []float64) (*AggCompare, error) {
 			impSum[l] += agg.Accuracy(estI, estE)
 		}
 	}
-	unit := sc.aggUnitCostMs()
+	unit := f.unitMs
 	for l := 0; l < levels; l++ {
 		units := 0.0
 		for _, c := range svc.Comps {

@@ -11,6 +11,7 @@ import (
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/audit"
+	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/ingest"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/obs"
@@ -21,20 +22,11 @@ import (
 // figure) validates the accuracy audit plane end to end on the real
 // networked stack: a ground-truth auditor replaying answered requests
 // at Exact class off the hot path, SLO burn-rate accounting, and
-// tail-based trace retention. Five contracts are asserted —
-//
-//  1. zero cost when off: the disabled auditor and the non-sampled
-//     hot path (auditing enabled, request not chosen) allocate nothing;
-//  2. healthy calibration: with an honest accuracy table, the audited
-//     CLT bound coverage sits at or above the nominal confidence;
-//  3. bias detection: with a stale calibration table that over-claims
-//     the coarse ladder levels, the auditor reports floor violations
-//     within auditDetectK audited samples and pins the original traces;
-//  4. drift safety: samples answered before an ingest-driven epoch
-//     swap are skipped stale, never audited against newer data;
-//  5. burn rates and retention: the SLO tracker's sliding windows
-//     match a naive re-scanning reference exactly, and every
-//     anomalous trace stays pinned while healthy traces rotate out.
+// tail-based trace retention. Its contracts (EXPERIMENTS.md §
+// auditcompare): zero cost when off or not sampled; healthy bound
+// coverage at the nominal confidence; a stale table detected within
+// auditDetectK audits; drift safety across an ingest epoch swap; burn
+// windows equal to a naive reference; anomalous traces kept pinned.
 const (
 	// auditNominalConfidence is the CLT confidence the agg bounds claim
 	// (z = 1.96): healthy coverage must not fall below it.
@@ -75,63 +67,27 @@ type AuditCompare struct {
 	contracts
 	Servers int
 
-	// Zero-cost contracts.
-	DisabledAllocs   float64 // nil auditor: ShouldSample + Submit
-	NotSampledAllocs float64 // live auditor, request not chosen
-
-	// Healthy pass (honest calibration).
-	HealthyCalls    int
-	HealthyAudited  int64
-	HealthyCoverage float64 // bound coverage across all tables
-	HealthyBounds   int64
-	HealthyRealized float64 // mean realized accuracy
-	HealthyClaimed  float64 // mean claimed accuracy
-	HealthyViol     int64
-
-	// Bias pass (stale calibration claiming near-exact coarse levels).
-	BiasCalls    int
-	BiasAudited  int64
-	BiasViol     int64
-	BiasDetectAt int64 // audited samples when the first violation surfaced
+	// The bias pass's mean realized and claimed accuracy: a stale table
+	// shows as the gap between them.
 	BiasRealized float64
 	BiasClaimed  float64
-	BiasPinned   int // traces pinned as floor-violation anomalies
-
-	// Drift pass (ingest-driven epoch swap under queued audits).
-	DriftQueued      int
-	DriftSkipped     int64
-	DriftPostAudited int64
-
-	// Burn-rate windows vs the naive reference.
-	BurnChecks     int
-	BurnMismatches int
-
-	// Tail retention.
-	RetainAnomalous int   // degraded replies driven through the tiny ring
-	RetainPinned    int   // of those, found in the exemplar store at the end
-	RetainInRing    int   // of those, still in the live ring (want 0: rotated)
-	RetainHealthy   int   // healthy rotation requests
-	RetainSLODeg    int64 // degraded count in the 1h SLO window
 }
 
 // RunAuditCompare runs the audit-plane validation at a scale.
 func RunAuditCompare(sc Scale) (*AuditCompare, error) {
-	svc, err := BuildAggService(sc)
+	f, err := aggFixture(sc, 0xa0d1, 16)
 	if err != nil {
 		return nil, err
 	}
-	queries := svc.Data.SampleAggQueries(sc.Seed^0xa0d1, 16)
-	honest := LadderAccuracy(svc.Comps, queries)
-	biased := make([]float64, len(honest))
+	biased := make([]float64, len(f.levelAcc))
 	for l := range biased {
 		biased[l] = auditBiasClaim
 	}
-
-	ac := &AuditCompare{Servers: len(svc.Comps)}
+	ac := &AuditCompare{Servers: len(f.Comps)}
 
 	// (1) Zero cost when off, and on the non-sampled hot path.
 	var nilAuditor *audit.Auditor
-	ac.DisabledAllocs = testing.AllocsPerRun(1000, func() {
+	disabled := testing.AllocsPerRun(1000, func() {
 		if nilAuditor.ShouldSample(12345) {
 			nilAuditor.Submit(nil)
 		}
@@ -144,95 +100,66 @@ func RunAuditCompare(sc Scale) (*AuditCompare, error) {
 		return nil, err
 	}
 	var id uint64
-	ac.NotSampledAllocs = testing.AllocsPerRun(1000, func() {
+	notSampled := testing.AllocsPerRun(1000, func() {
 		id = id*2654435761 + 12345
 		if probe.ShouldSample(id) {
 			_ = id
 		}
 	})
 	probe.Close()
-	ac.promise("zero-cost", (ac.DisabledAllocs == 0 && ac.NotSampledAllocs == 0) || raceEnabled,
-		"disabled %.1f allocs/op, non-sampled hot path %.1f allocs/op (%s)",
-		ac.DisabledAllocs, ac.NotSampledAllocs, wantZeroAllocs())
+	ac.promise("zero-cost", (disabled == 0 && notSampled == 0) || raceEnabled,
+		"disabled %.1f allocs/op, non-sampled hot path %.1f allocs/op (%s)", disabled, notSampled, wantZeroAllocs())
 
 	// (2) Healthy pass: honest calibration, achievable floor.
-	hp, err := runAuditedPass(svc, queries, honest, auditHealthyFloor, auditHealthyCalls, 0)
+	hp, err := runAuditedPass(f, f.levelAcc, auditHealthyFloor, auditHealthyCalls)
 	if err != nil {
 		return nil, err
 	}
-	ac.HealthyCalls = auditHealthyCalls
-	ac.HealthyAudited = hp.stats.Audited
-	ac.HealthyViol = hp.stats.Violations
-	var covered, total int64
-	var sumRealized, sumClaimed float64
-	var samples int64
+	var covered, bounds int64
 	for _, tv := range hp.tables {
 		covered += tv.BoundsCovered
-		total += tv.BoundsTotal
-		sumRealized += tv.MeanRealized * float64(tv.Samples)
-		sumClaimed += tv.MeanClaimed * float64(tv.Samples)
-		samples += tv.Samples
+		bounds += tv.BoundsTotal
 	}
-	ac.HealthyBounds = total
-	if total > 0 {
-		ac.HealthyCoverage = float64(covered) / float64(total)
+	coverage := 0.0
+	if bounds > 0 {
+		coverage = float64(covered) / float64(bounds)
 	}
-	if samples > 0 {
-		ac.HealthyRealized = sumRealized / float64(samples)
-		ac.HealthyClaimed = sumClaimed / float64(samples)
-	}
-	ac.promise("calibration", ac.HealthyAudited == int64(auditHealthyCalls) &&
-		total > 0 && ac.HealthyCoverage >= auditNominalConfidence,
+	realized, claimed := hp.means()
+	ac.promise("calibration", hp.stats.Audited == auditHealthyCalls && bounds > 0 && coverage >= auditNominalConfidence,
 		"honest table: %d/%d audited, bound coverage %.3f over %d bounds (nominal %.2f), realized %.3f vs claimed %.3f, %d floor violations",
-		ac.HealthyAudited, ac.HealthyCalls, ac.HealthyCoverage, ac.HealthyBounds,
-		auditNominalConfidence, ac.HealthyRealized, ac.HealthyClaimed, ac.HealthyViol)
+		hp.stats.Audited, auditHealthyCalls, coverage, bounds, auditNominalConfidence, realized, claimed, hp.stats.Violations)
 
 	// (3) Bias pass: a stale table claims every level is near-exact, so
 	// Bounded{auditBiasFloor} traffic lands on the coarsest level and
 	// every audit measures realized accuracy far below both the claim
-	// and the floor.
-	bp, err := runAuditedPass(svc, queries, biased, auditBiasFloor, auditBiasCalls, auditDetectK)
+	// and the floor — by at least auditMismatchGapFloor.
+	bp, err := runAuditedPass(f, biased, auditBiasFloor, auditBiasCalls)
 	if err != nil {
 		return nil, err
 	}
-	ac.BiasCalls = auditBiasCalls
-	ac.BiasAudited = bp.stats.Audited
-	ac.BiasViol = bp.stats.Violations
-	ac.BiasDetectAt = bp.detectAt
-	ac.BiasPinned = bp.pinnedFloor
-	sumRealized, sumClaimed, samples = 0, 0, 0
-	for _, tv := range bp.tables {
-		sumRealized += tv.MeanRealized * float64(tv.Samples)
-		sumClaimed += tv.MeanClaimed * float64(tv.Samples)
-		samples += tv.Samples
-	}
-	if samples > 0 {
-		ac.BiasRealized = sumRealized / float64(samples)
-		ac.BiasClaimed = sumClaimed / float64(samples)
-	}
-	ac.promise("detection", ac.BiasViol > 0 &&
-		ac.BiasDetectAt > 0 && ac.BiasDetectAt <= auditDetectK &&
-		ac.BiasPinned == int(ac.BiasViol),
-		"stale table claiming %.3f: %d/%d audits violated the %.2f floor, first at audit #%d (budget %d), %d traces pinned; realized %.3f vs claimed %.3f — the audit gap IS the staleness",
-		auditBiasClaim, ac.BiasViol, ac.BiasAudited, auditBiasFloor, ac.BiasDetectAt, auditDetectK, ac.BiasPinned, ac.BiasRealized, ac.BiasClaimed)
+	ac.BiasRealized, ac.BiasClaimed = bp.means()
+	ac.promise("detection", bp.stats.Violations > 0 &&
+		bp.detectAt > 0 && bp.detectAt <= auditDetectK &&
+		bp.pinnedFloor == int(bp.stats.Violations) &&
+		ac.BiasClaimed-ac.BiasRealized >= auditMismatchGapFloor,
+		"stale table claiming %.3f: %d/%d audits violated the %.2f floor, first at audit #%d (budget %d), %d traces pinned; realized %.3f vs claimed %.3f (gap floor %.2f) — the audit gap IS the staleness",
+		auditBiasClaim, bp.stats.Violations, bp.stats.Audited, auditBiasFloor, bp.detectAt, auditDetectK, bp.pinnedFloor,
+		ac.BiasRealized, ac.BiasClaimed, auditMismatchGapFloor)
 
 	// (4) Drift: audits queued across an ingest-driven epoch swap must
 	// be skipped stale, and post-swap answers must audit normally.
-	if err := ac.runDriftPhase(sc, svc); err != nil {
+	if err := runDriftPhase(sc, f); err != nil {
 		ac.promise("drift", false, "%v", err)
 	} else {
 		ac.promise("drift", true, "%d audits queued across an ingest epoch swap: %d skipped stale, %d post-swap audited",
-			ac.DriftQueued, ac.DriftSkipped, ac.DriftPostAudited)
+			auditDriftPre, auditDriftPre, auditDriftPost)
 	}
 
 	// (5a) Burn-rate windows vs a naive re-scanning reference.
 	ac.runBurnPhase()
 
 	// (5b) Tail retention: anomalies survive a tiny rotating ring.
-	if err := ac.runRetentionPhase(svc); err != nil {
-		return nil, err
-	}
-	return ac, nil
+	return ac, ac.runRetentionPhase(f)
 }
 
 // auditPassResult carries one calibration pass's outcome.
@@ -243,62 +170,61 @@ type auditPassResult struct {
 	pinnedFloor int   // exemplars carrying the floor-violation anomaly bit
 }
 
-// runAuditedPass builds a fresh audited loopback stack over the shared
-// components — claimed per-level accuracy as given — drives `calls`
-// Bounded requests at `floor`, waits for every audit to settle, and
-// snapshots the auditor. detectK > 0 additionally waits for the
-// verdict pins to land (the bias pass inspects them).
-func runAuditedPass(svc *AggService, queries []agg.Query, levelAcc []float64, floor float64, calls, detectK int) (*auditPassResult, error) {
-	backend := netsvc.NewAggBackend(svc.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
+// means returns the pass's mean realized and claimed accuracy over every
+// audited sample.
+func (r *auditPassResult) means() (realized, claimed float64) {
+	var samples int64
+	for _, tv := range r.tables {
+		realized += tv.MeanRealized * float64(tv.Samples)
+		claimed += tv.MeanClaimed * float64(tv.Samples)
+		samples += tv.Samples
+	}
+	if samples == 0 {
+		return 0, 0
+	}
+	return realized / float64(samples), claimed / float64(samples)
+}
+
+// runAuditedPass builds a fresh audited loopback stack over the
+// fixture's components — claimed per-level accuracy as given — drives
+// `calls` Bounded requests at `floor`, waits for every audit and its
+// verdict pin to settle, and snapshots the auditor.
+func runAuditedPass(f *aggFix, levelAcc []float64, floor float64, calls int) (*auditPassResult, error) {
 	rec := obs.NewRecorder(2*calls, 32)
 	// detectAt records the audited-sample index of the first floor
 	// violation — the "within K samples" detection-latency measurement.
 	var audited, detectAt atomic.Int64
-	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
-		Components: len(svc.Comps),
-		Handler:    func(int) netsvc.Handler { return backend },
-		Server:     netsvc.ServerOptions{Workers: 1, QueueLen: 256},
-		Agg:        gatherAll,
-		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
-			fe, err := calibratedFrontend(agr, levelAcc)
-			if err != nil {
-				return nil, err
-			}
-			fs := netsvc.NewFrontServer(agr, fe, netsvc.ServerOptions{Tracer: rec})
-			fs.EnableSLO(obs.NewSLOTracker(obs.DefaultSLOBudgets()), nil)
-			_, err = fs.EnableAudit(audit.Config{
-				SampleFraction: 1,
-				Interval:       200 * time.Microsecond,
-				Gate:           func() bool { return true }, // keep pacing deterministic at this load
-				OnVerdict: func(_ *audit.Sample, v audit.Verdict) {
-					i := audited.Add(1)
-					if v.FloorViolated {
-						detectAt.CompareAndSwap(0, i)
-					}
-				},
-			})
-			return fs, err
+	st, err := deployment{
+		n:        len(f.Comps),
+		handler:  shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})),
+		server:   netsvc.ServerOptions{Workers: 1, QueueLen: 256},
+		front:    netsvc.ServerOptions{Tracer: rec},
+		levelAcc: levelAcc,
+		slo:      obs.NewSLOTracker(obs.DefaultSLOBudgets()),
+		audit: &audit.Config{
+			SampleFraction: 1,
+			Interval:       200 * time.Microsecond,
+			Gate:           func() bool { return true }, // keep pacing deterministic at this load
+			OnVerdict: func(_ *audit.Sample, v audit.Verdict) {
+				i := audited.Add(1)
+				if v.FloorViolated {
+					detectAt.CompareAndSwap(0, i)
+				}
+			},
 		},
-	})
+	}.start()
 	if err != nil {
 		return nil, err
 	}
-	defer lb.Close()
-	cl, auditor := lb.Client, lb.Front.Auditor()
+	defer st.Close()
+	auditor := st.Front.Auditor()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 0; i < calls; i++ {
-		q := queries[i%len(queries)]
-		req := aggRequest(q)
-		req.SLO, req.MinAccuracy = wire.SLOBounded, floor
-		req.Deadline = time.Now().Add(auditDeadlineMs * time.Millisecond).UnixNano()
-		rep, err := cl.Call(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		if rep.Status != wire.ReplyOK {
-			return nil, fmt.Errorf("auditcompare: call %d status %d (%s)", i, rep.Status, rep.Err)
+		s := stamp{slo: frontend.BoundedSLO(floor), deadline: time.Now().Add(msDur(auditDeadlineMs))}
+		if err := st.issue(ctx, aggRequest(f.queries[i%len(f.queries)]), s, nil).failed(); err != nil {
+			return nil, fmt.Errorf("auditcompare: call %d: %w", i, err)
 		}
 	}
 	if !auditor.Drain(20 * time.Second) {
@@ -308,105 +234,72 @@ func runAuditedPass(svc *AggService, queries []agg.Query, levelAcc []float64, fl
 
 	// Drain returns once the counters balance; the final OnVerdict (and
 	// its trace pin) may still be in flight on the worker. Poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for audited.Load() < res.stats.Audited && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	res.detectAt = detectAt.Load()
-	if detectK > 0 {
-		for time.Now().Before(deadline) {
-			res.pinnedFloor = countPinned(rec, obs.AnomalyFloorViolation)
-			if int64(res.pinnedFloor) >= res.stats.Violations {
-				break
+	waitFor(func() bool {
+		res.pinnedFloor = 0
+		for _, tv := range rec.Exemplars(0) {
+			if tv.Anomaly&uint8(obs.AnomalyFloorViolation) != 0 {
+				res.pinnedFloor++
 			}
-			time.Sleep(time.Millisecond)
 		}
-	}
+		return audited.Load() >= res.stats.Audited && int64(res.pinnedFloor) >= res.stats.Violations
+	}, 5*time.Second)
+	res.detectAt = detectAt.Load()
 	return res, nil
 }
 
-// countPinned counts exemplars carrying the given anomaly bit.
-func countPinned(rec *obs.Recorder, bit obs.AnomalyReason) int {
-	n := 0
-	for _, tv := range rec.Exemplars(0) {
-		if tv.Anomaly&uint8(bit) != 0 {
-			n++
-		}
-	}
-	return n
-}
+// The drift phase's audits queued before and answered after the swap.
+const auditDriftPre, auditDriftPost = 3, 2
 
 // runDriftPhase stages the shared fact shards into live stores, queues
 // audits behind a closed gate, swaps the data epoch through the ingest
 // path, and asserts the queued samples are skipped stale while
 // post-swap answers audit normally.
-func (ac *AuditCompare) runDriftPhase(sc Scale, svc *AggService) error {
-	const shards = 2
-	const preSwap, postSwap = 3, 2
-	lives := make([]*ingest.AggLive, shards)
+func runDriftPhase(sc Scale, f *aggFix) error {
+	lives := make([]*ingest.AggLive, 2)
 	for i := range lives {
-		l, err := StageAggLive(svc.Data.Subsets[i%len(svc.Data.Subsets)], sc.AggConfig())
+		l, err := StageAggLive(f.Data.Subsets[i%len(f.Data.Subsets)], sc.AggConfig())
 		if err != nil {
 			return err
 		}
 		lives[i] = l
 	}
 	var gateOpen atomic.Bool
-	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
-		Components: shards,
-		Handler: func(i int) netsvc.Handler {
+	st, err := deployment{
+		n: len(lives),
+		handler: func(i int) netsvc.Handler {
 			return netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
 		},
-		Ingest: func(i int) netsvc.IngestHandler {
-			return netsvc.NewLiveIngestHandler(netsvc.LiveStores{Agg: lives[i : i+1]})
-		},
-		Server: netsvc.ServerOptions{Workers: 1},
-		Agg:    gatherAll,
-		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
-			fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Tracer: obs.NewRecorder(32, 16)})
-			fs.EnableIngest(0)
-			_, err := fs.EnableAudit(audit.Config{
-				SampleFraction: 1,
-				Interval:       200 * time.Microsecond,
-				Gate:           gateOpen.Load,
-			})
-			return fs, err
-		},
-	})
+		lives: lives,
+		front: netsvc.ServerOptions{Tracer: obs.NewRecorder(32, 16)},
+		audit: &audit.Config{SampleFraction: 1, Interval: 200 * time.Microsecond, Gate: gateOpen.Load},
+	}.start()
 	if err != nil {
 		return err
 	}
-	defer lb.Close()
-	cl, fs, auditor := lb.Client, lb.Front, lb.Front.Auditor()
+	defer st.Close()
+	auditor := st.Front.Auditor()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	call := func() error {
-		req := &wire.Request{
-			Kind: wire.KindAgg, Subset: -1, SLO: wire.SLOBounded, Level: 0,
-			Agg: &wire.AggRequest{Op: uint8(agg.Sum), Lo: 0, Hi: math.Inf(1)},
-		}
-		rep, err := cl.Call(ctx, req)
-		if err != nil {
-			return err
-		}
-		if rep.Status != wire.ReplyOK {
-			return fmt.Errorf("drift call status %d (%s)", rep.Status, rep.Err)
+	calls := func(n int) error {
+		for i := 0; i < n; i++ {
+			req := aggRequest(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)})
+			req.Level = 0
+			if err := st.issue(ctx, req, stamp{slo: frontend.BoundedSLO(0)}, nil).failed(); err != nil {
+				return fmt.Errorf("drift call: %w", err)
+			}
 		}
 		return nil
 	}
-	// Queue preSwap audits behind the closed gate.
-	for i := 0; i < preSwap; i++ {
-		if err := call(); err != nil {
-			return err
-		}
+	// Queue auditDriftPre audits behind the closed gate.
+	if err := calls(auditDriftPre); err != nil {
+		return err
 	}
-	ac.DriftQueued = preSwap
 	// Drift arrives through the write path: the append's acknowledgement
 	// carries the staging epoch, which the front server folds in as an
 	// observed swap — every queued sample is now stale.
-	before := fs.DataEpoch()
-	ack, err := cl.Ingest(ctx, &wire.IngestRequest{
+	before := st.Front.DataEpoch()
+	ack, err := st.Client.Ingest(ctx, &wire.IngestRequest{
 		Kind: wire.KindAgg, Subset: 0,
 		Agg: &wire.AggIngest{Keys: []int32{0, 1}, Vals: []float64{5, 7}},
 	})
@@ -416,47 +309,36 @@ func (ac *AuditCompare) runDriftPhase(sc Scale, svc *AggService) error {
 	if ack.Status != wire.IngestOK {
 		return fmt.Errorf("drift ingest status %d (%s)", ack.Status, ack.Err)
 	}
-	if fs.DataEpoch() == before {
+	if st.Front.DataEpoch() == before {
 		return fmt.Errorf("ingest ack (epoch %d) did not advance the observed data epoch %d", ack.Epoch, before)
 	}
 	gateOpen.Store(true)
 	if !auditor.Drain(10 * time.Second) {
 		return fmt.Errorf("drift drain: %+v", auditor.Stats())
 	}
-	st := auditor.Stats()
-	ac.DriftSkipped = st.SkippedStale
-	if st.Audited != 0 || st.SkippedStale != preSwap {
-		return fmt.Errorf("pre-swap samples not skipped stale: %+v", st)
+	if s := auditor.Stats(); s.Audited != 0 || s.SkippedStale != auditDriftPre {
+		return fmt.Errorf("pre-swap samples not skipped stale: %+v", s)
 	}
 	// Requests answered entirely after the swap audit normally.
-	for i := 0; i < postSwap; i++ {
-		if err := call(); err != nil {
-			return err
-		}
+	if err := calls(auditDriftPost); err != nil {
+		return err
 	}
 	if !auditor.Drain(10 * time.Second) {
 		return fmt.Errorf("post-swap drain: %+v", auditor.Stats())
 	}
-	st = auditor.Stats()
-	ac.DriftPostAudited = st.Audited
-	if st.Audited != postSwap {
-		return fmt.Errorf("post-swap samples not audited: %+v", st)
+	s := auditor.Stats()
+	if s.Audited != auditDriftPost {
+		return fmt.Errorf("post-swap samples not audited: %+v", s)
 	}
-	if st.Sampled != st.Audited+st.SkippedStale+st.ReplayErrs+st.Dropped {
-		return fmt.Errorf("audit accounting broken: %+v", st)
+	if s.Sampled != s.Audited+s.SkippedStale+s.ReplayErrs+s.Dropped {
+		return fmt.Errorf("audit accounting broken: %+v", s)
 	}
 	return nil
 }
 
-// burnWindow mirrors the tracker's published window geometry: 60
+// burnGrans mirrors the tracker's published window geometry: 60
 // buckets of gran seconds (1m/10m/1h at 1s/10s/60s granularity).
-type burnWindow struct {
-	name    string
-	gran    int64
-	buckets int64
-}
-
-var burnWindows = []burnWindow{{"1m", 1, 60}, {"10m", 10, 60}, {"1h", 60, 60}}
+var burnGrans = []int64{1, 10, 60}
 
 // runBurnPhase feeds one deterministic event stream to the SLO tracker
 // (under a fake clock) and to a naive keep-everything reference, then
@@ -504,11 +386,11 @@ func (ac *AuditCompare) runBurnPhase() {
 	}
 	now = at
 
-	naive := func(class uint8, w burnWindow) (total, miss, floor, deg int64) {
-		hi := at.Unix() / w.gran
-		lo := hi - w.buckets + 1
+	naive := func(class uint8, gran int64) (total, miss, floor, deg int64) {
+		hi := at.Unix() / gran
+		lo := hi - 60 + 1
 		for _, e := range events {
-			b := e.sec / w.gran
+			b := e.sec / gran
 			if e.class != class || b < lo || b > hi {
 				continue
 			}
@@ -533,13 +415,14 @@ func (ac *AuditCompare) runBurnPhase() {
 		}
 		return float64(bad) / float64(total) / budget
 	}
+	checks, mismatches := 0, 0
 	for class := uint8(0); class < 3; class++ {
-		for w, spec := range burnWindows {
+		for w, gran := range burnGrans {
 			total, miss, floor, deg := tr.Window(class, w)
-			nt, nm, nf, nd := naive(class, spec)
-			ac.BurnChecks++
+			nt, nm, nf, nd := naive(class, gran)
+			checks++
 			if total != nt || miss != nm || floor != nf || deg != nd {
-				ac.BurnMismatches++
+				mismatches++
 				continue
 			}
 			for _, pair := range [][2]float64{
@@ -548,29 +431,28 @@ func (ac *AuditCompare) runBurnPhase() {
 				{tr.BurnRate(class, obs.SLODegraded, w), burnOf(nd, nt, budgets.Degraded)},
 			} {
 				if math.Abs(pair[0]-pair[1]) > 1e-9 {
-					ac.BurnMismatches++
+					mismatches++
 					break
 				}
 			}
 		}
 	}
-	ac.promise("burn rates", ac.BurnChecks == 9 && ac.BurnMismatches == 0,
-		"%d class x window checks against the naive reference, %d mismatches", ac.BurnChecks, ac.BurnMismatches)
+	ac.promise("burn rates", checks == 9 && mismatches == 0,
+		"%d class x window checks against the naive reference, %d mismatches", checks, mismatches)
 }
 
 // runRetentionPhase drives degraded replies through a deliberately tiny
 // trace ring, then floods it with healthy traffic: the anomalies must
 // survive in the exemplar store after rotating out of the ring.
-func (ac *AuditCompare) runRetentionPhase(svc *AggService) error {
-	const shards = 2
-	const anomalous = 4
-	inner := netsvc.NewAggBackend(svc.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
+func (ac *AuditCompare) runRetentionPhase(f *aggFix) error {
+	const anomalous, healthy = 4, 3 * auditRetentionRing
+	inner := netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
 	var lose atomic.Bool
 	rec := obs.NewRecorder(auditRetentionRing, 16)
 	slo := obs.NewSLOTracker(obs.DefaultSLOBudgets())
-	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
-		Components: shards,
-		Handler: func(i int) netsvc.Handler {
+	st, err := deployment{
+		n: 2,
+		handler: func(i int) netsvc.Handler {
 			if i != 0 {
 				return inner
 			}
@@ -583,81 +465,63 @@ func (ac *AuditCompare) runRetentionPhase(svc *AggService) error {
 				return inner(ctx, req)
 			}
 		},
-		Server: netsvc.ServerOptions{Workers: 1},
-		Agg:    gatherAll,
-		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
-			fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Tracer: rec})
-			fs.EnableSLO(slo, nil)
-			return fs, nil
-		},
-	})
+		front: netsvc.ServerOptions{Tracer: rec},
+		slo:   slo,
+	}.start()
 	if err != nil {
 		return err
 	}
-	defer lb.Close()
-	cl := lb.Client
+	defer st.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	call := func() (*wire.Reply, error) {
-		req := &wire.Request{
-			Kind: wire.KindAgg, Subset: -1, SLO: wire.SLOBestEffort, Level: wire.NoLevel,
-			Agg: &wire.AggRequest{Op: uint8(agg.Sum), Lo: 0, Hi: math.Inf(1)},
+	call := func() (outcome, error) {
+		o := st.issue(ctx, aggRequest(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)}), stamp{slo: frontend.BestEffortSLO()}, nil)
+		if o.err == nil && !wire.ReplyCarriesPayload(o.status) {
+			o.err = fmt.Errorf("retention call status %d (%s)", o.status, o.rep.Err)
 		}
-		rep, err := cl.Call(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		if rep.Status != wire.ReplyOK && rep.Status != wire.ReplyDegraded {
-			return nil, fmt.Errorf("retention call status %d (%s)", rep.Status, rep.Err)
-		}
-		return rep, nil
+		return o, o.err
 	}
 
 	// Degraded phase: shard 0 is down, BestEffort serves around it.
 	lose.Store(true)
 	anomalyIDs := make(map[uint64]bool, anomalous)
 	for i := 0; i < anomalous; i++ {
-		rep, err := call()
+		o, err := call()
 		if err != nil {
 			return err
 		}
-		if !rep.Degraded && rep.Status != wire.ReplyDegraded {
-			return fmt.Errorf("faulted reply not degraded: %+v", rep)
+		if !o.rep.Degraded && o.status != wire.ReplyDegraded {
+			return fmt.Errorf("faulted reply not degraded: %+v", o.rep)
 		}
-		if rep.Trace == 0 {
+		if o.rep.Trace == 0 {
 			return fmt.Errorf("degraded reply carries no trace ID")
 		}
-		anomalyIDs[rep.Trace] = true
+		anomalyIDs[o.rep.Trace] = true
 	}
 	lose.Store(false)
-	ac.RetainAnomalous = len(anomalyIDs)
 
 	// Healthy flood: 3x the ring, rotating the anomalies out of it.
-	ac.RetainHealthy = 3 * auditRetentionRing
-	for i := 0; i < ac.RetainHealthy; i++ {
+	for i := 0; i < healthy; i++ {
 		if _, err := call(); err != nil {
 			return err
 		}
 	}
+	inRing, pinned := 0, 0
 	for _, tv := range rec.Snapshot(0) {
 		if anomalyIDs[tv.ID] {
-			ac.RetainInRing++
+			inRing++
 		}
 	}
 	for _, tv := range rec.Exemplars(0) {
 		if anomalyIDs[tv.ID] && tv.Anomaly&uint8(obs.AnomalyDegraded) != 0 {
-			ac.RetainPinned++
+			pinned++
 		}
 	}
 	_, _, _, deg := slo.Window(wire.SLOBestEffort, 2)
-	ac.RetainSLODeg = deg
-	ac.promise("retention", ac.RetainAnomalous == anomalous &&
-		ac.RetainPinned == anomalous &&
-		ac.RetainInRing == 0 &&
-		ac.RetainSLODeg == int64(anomalous),
+	ac.promise("retention", len(anomalyIDs) == anomalous && pinned == anomalous && inRing == 0 && deg == anomalous,
 		"%d degraded replies through a %d-slot ring + %d healthy: %d pinned as exemplars, %d left in ring (want 0), SLO degraded %d",
-		ac.RetainAnomalous, auditRetentionRing, ac.RetainHealthy, ac.RetainPinned, ac.RetainInRing, ac.RetainSLODeg)
+		len(anomalyIDs), auditRetentionRing, healthy, pinned, inRing, deg)
 	return nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -99,10 +98,10 @@ type CacheRow struct {
 	// ClassAcc[k] is the mean measured accuracy of class k (indexed by
 	// frontend.SLOKind) over answered requests.
 	ClassAcc [3]float64
-	// FloorViolations counts cache hits served to a Bounded request
-	// from a ladder level whose calibrated accuracy was below the
-	// request's floor. The hit rule makes this impossible; the
-	// experiment proves it.
+	// FloorViolations counts cache hits that break their class's
+	// promise: a Bounded request served from a ladder level calibrated
+	// below its floor, or an Exact one served inexact. The hit rule makes
+	// this impossible; the experiment proves it.
 	FloorViolations int
 	Coalesced       int64
 	Refreshes       int64
@@ -122,88 +121,54 @@ type CacheCompare struct {
 	QuerySupport  int
 	CacheCapacity int
 	LevelAccuracy []float64
+	Rows          []*CacheRow
 
-	// The deterministic coalescing check: FanIn concurrent identical
-	// requests at a cold cache must trigger exactly one backend
-	// fan-out, with the rest sharing it.
-	CoalesceFanIn    int
-	CoalesceComputes int
-	CoalesceShared   int64
-
-	Rows []*CacheRow
-
-	// The traffic every row is offered: one Poisson arrival schedule (a
-	// pure function of the seed), the query population, and each query's
-	// exact merged estimates.
+	// arrivalsMs is the one Poisson arrival schedule every row is
+	// offered, a pure function of the seed.
 	arrivalsMs []float64
-	queries    []agg.Query
-	exactEst   [][]float64
 }
 
-// ccDeploy stands up one loopback deployment of the experiment: a
-// component server per shard over handler (one worker, a 1,024-deep
-// queue), a WaitAll aggregator with the given call timeout whose
-// 1,024-wide outstanding window is the bound the queue watermark reads,
-// and the standard frontend behind a front server — with the result
-// cache enabled when cache is non-nil.
-func ccDeploy(n int, handler netsvc.Handler, timeout time.Duration, levelAcc []float64, cache *rescache.Cache) (*netsvc.Loopback, error) {
-	return netsvc.StartLoopback(netsvc.LoopbackSpec{
-		Components: n,
-		Handler:    func(int) netsvc.Handler { return handler },
-		Server:     netsvc.ServerOptions{Workers: 1, QueueLen: ccQueueLen},
-		Agg:        netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: timeout, MaxOutstanding: ccQueueLen},
-		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
-			fe, err := StandardFrontend(agr, 6*n, levelAcc, frontend.Options{})
-			if err != nil {
-				return nil, err
-			}
-			fs := netsvc.NewFrontServer(agr, fe, netsvc.ServerOptions{})
-			if cache == nil {
-				return fs, nil
-			}
-			return fs, fs.EnableCache(cache)
-		},
-	})
+// ccDeploy is one deployment of the experiment: a component server per
+// shard over handler (one worker, a 1,024-deep queue), a WaitAll
+// aggregator with the given call timeout whose 1,024-wide outstanding
+// window is the bound the queue watermark reads, and the standard
+// frontend behind a front server — with the result cache enabled when
+// cache is non-nil.
+func ccDeploy(n int, handler netsvc.Handler, timeout time.Duration, levelAcc []float64, cache *rescache.Cache) (*served, error) {
+	return deployment{
+		n:        n,
+		handler:  shared(handler),
+		server:   netsvc.ServerOptions{Workers: 1, QueueLen: ccQueueLen},
+		agg:      &netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: timeout, MaxOutstanding: ccQueueLen},
+		levelAcc: levelAcc,
+		inflight: 6 * n,
+		cache:    cache,
+	}.start()
 }
 
 // RunCacheCompare measures the result cache against the no-cache
 // frontend across Zipf skews.
 func RunCacheCompare(sc Scale) (*CacheCompare, error) {
-	svc, err := BuildAggService(sc)
+	f, err := aggFixture(sc, 0xca4e, ccQuerySupport)
 	if err != nil {
 		return nil, err
 	}
-	comps := svc.Comps
-	n := len(comps)
-	unitMs := sc.aggUnitCostMs()
-	unitCost := time.Duration(unitMs * float64(time.Millisecond))
-
-	// Query population with precomputed exact merged estimates (the
-	// accuracy references) and calibrated per-level accuracy.
-	queries := svc.Data.SampleAggQueries(sc.Seed^0xca4e, ccQuerySupport)
-	calib := queries
-	if len(calib) > 40 {
-		calib = calib[:40]
-	}
-
+	n := len(f.Comps)
 	cc := &CacheCompare{
 		Servers:       n,
 		DeadlineMs:    ccDeadlineMs,
-		RatePerSec:    ccRateFrac * finestSaturationRate(comps, unitMs),
+		RatePerSec:    ccRateFrac * finestSaturationRate(f.Comps, f.unitMs),
 		WindowSeconds: sc.SessionSeconds * ccWindowFrac,
-		QuerySupport:  len(queries),
+		QuerySupport:  len(f.queries),
 		CacheCapacity: ccCacheCapacity,
-		LevelAccuracy: LadderAccuracy(comps, calib),
-		CoalesceFanIn: ccCoalesceFanIn,
-		queries:       queries,
-		exactEst:      exactEstimates(comps, queries),
+		LevelAccuracy: f.levelAcc,
 	}
 	cc.arrivalsMs = workload.PoissonArrivals(stats.NewRNG(sc.Seed^ccArrivalSalt), cc.RatePerSec, cc.WindowSeconds*1000)
 	cc.Arrivals = len(cc.arrivalsMs)
 
-	backend := netsvc.NewAggBackend(comps, netsvc.BackendOptions{
-		UnitCost:  unitCost,
-		SubBudget: time.Duration(ccSubBudgetFrac * ccDeadlineMs * float64(time.Millisecond)),
+	backend := netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{
+		UnitCost:  msDur(f.unitMs),
+		SubBudget: msDur(ccSubBudgetFrac * ccDeadlineMs),
 		IMaxFrac:  ccIMaxFrac,
 	})
 
@@ -211,13 +176,13 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 	// schedule is drawn per skew and shared by its cached and uncached
 	// rows, so paired rows face identical traffic at identical instants.
 	for si, skew := range ccSkews {
-		zipf := stats.NewZipf(stats.NewRNG(sc.Seed^(0x51b0+uint64(si))), len(queries), skew)
+		zipf := stats.NewZipf(stats.NewRNG(sc.Seed^(0x51b0+uint64(si))), len(f.queries), skew)
 		qis := make([]int, len(cc.arrivalsMs))
 		for i := range qis {
 			qis[i] = zipf.Draw()
 		}
 		for _, cached := range []bool{false, true} {
-			row, err := cc.runRow(skew, cached, backend, qis)
+			row, err := cc.runRow(f, skew, cached, backend, qis)
 			if err != nil {
 				return nil, err
 			}
@@ -238,7 +203,7 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 
 // runRow measures one (skew, cached?) configuration; arrival r asks
 // query qis[r].
-func (cc *CacheCompare) runRow(skew float64, cached bool, backend netsvc.Handler, qis []int) (*CacheRow, error) {
+func (cc *CacheCompare) runRow(f *aggFix, skew float64, cached bool, backend netsvc.Handler, qis []int) (*CacheRow, error) {
 	var cache *rescache.Cache
 	if cached {
 		var err error
@@ -254,53 +219,39 @@ func (cc *CacheCompare) runRow(skew float64, cached bool, backend netsvc.Handler
 		}
 		defer cache.Close()
 	}
-	lb, err := ccDeploy(cc.Servers, backend, time.Duration(ccCallTimeoutMs*float64(time.Millisecond)), cc.LevelAccuracy, cache)
+	st, err := ccDeploy(cc.Servers, backend, msDur(ccCallTimeoutMs), cc.LevelAccuracy, cache)
 	if err != nil {
 		return nil, err
 	}
-	defer lb.Close()
+	defer st.Close()
 
 	row := &CacheRow{Skew: skew, Cached: cached}
-	var mu sync.Mutex
 	var t tally
 	hits, rejected := 0, 0
 	warmupMs := ccWarmupFrac * cc.WindowSeconds * 1000
-	lag := netsvc.OpenLoop(cc.arrivalsMs, func(r int, intended time.Time) {
-		qi := qis[r]
-		slo := overloadClassMix(r)
-		req := aggRequest(cc.queries[qi])
-		req.SLO, req.MinAccuracy = uint8(slo.Kind), slo.MinAccuracy
-		rep, err := lb.Client.Call(context.Background(), req)
-		latMs := float64(time.Since(intended)) / float64(time.Millisecond)
-		// Floor violations are checked over the whole run — warmup hits
-		// must honor the contract too: a cached Bounded reply must come
-		// from a level whose calibrated accuracy clears the floor.
-		mu.Lock()
-		defer mu.Unlock()
-		if err == nil && rep.Cached && slo.Kind == frontend.Bounded &&
-			cc.LevelAccuracy[rep.Level] < slo.MinAccuracy-1e-9 {
+	row.MaxLagMs = f.openRow(st.target, cc.arrivalsMs, qis, func(r int, _ time.Time) stamp {
+		return stamp{slo: overloadClassMix(r)}
+	}, func(r int, latMs float64, o outcome) {
+		// Hits are judged over the whole run — warm-up hits must honor
+		// the floor too.
+		if o.broken && o.rep.Cached {
 			row.FloorViolations++
 		}
 		if cc.arrivalsMs[r] < warmupMs {
 			return // the cut is on the intended time: the same arrivals in both rows
 		}
 		row.Calls++
-		if err != nil || !wire.ReplyCarriesPayload(rep.Status) {
-			if err == nil && rep.Status == wire.ReplyRejected {
-				rejected++
-			}
+		if o.status == wire.ReplyRejected {
+			rejected++
+		}
+		if !wire.ReplyCarriesPayload(o.status) {
 			return
 		}
-		if rep.Cached {
+		if o.rep.Cached {
 			hits++
 		}
-		acc := 0.0 // a degraded reply that lost every stratum
-		if len(rep.Agg.Sum) > 0 {
-			acc = agg.Accuracy(netsvc.AggResultOf(rep.Agg).Estimates(cc.queries[qi].Op), cc.exactEst[qi])
-		}
-		t.addTimed(latMs, ccDeadlineMs, slo.Kind, acc)
+		t.addTimed(latMs, ccDeadlineMs, overloadClassMix(r).Kind, o.acc)
 	})
-	row.MaxLagMs = float64(lag) / float64(time.Millisecond)
 	if cache != nil {
 		cst := cache.Stats()
 		row.Coalesced = cst.Coalesced
@@ -308,16 +259,14 @@ func (cc *CacheCompare) runRow(skew float64, cached bool, backend netsvc.Handler
 	}
 	row.Goodput, row.MeanAcc, row.ClassAcc = t.means((1 - ccWarmupFrac) * cc.WindowSeconds)
 	row.P50Ms, row.P999Ms = t.percentile(50), t.percentile(99.9)
-	if row.Calls > 0 {
-		row.ShedPct = 100 * float64(rejected) / float64(row.Calls)
-		row.HitPct = 100 * float64(hits) / float64(row.Calls)
-	}
+	row.ShedPct, row.HitPct = pct(rejected, row.Calls), pct(hits, row.Calls)
 	return row, nil
 }
 
-// runCoalesceCheck fires FanIn concurrent identical requests at a cold
-// cache behind an idle front server and counts component sub-operations:
-// the singleflight must collapse them to one fan-out.
+// runCoalesceCheck fires ccCoalesceFanIn concurrent identical requests at
+// a cold cache behind an idle front server and counts component
+// sub-operations: the singleflight must collapse them to one fan-out,
+// the rest sharing it.
 func (cc *CacheCompare) runCoalesceCheck(n int) error {
 	release := make(chan struct{})
 	var subCalls atomic.Int64
@@ -335,50 +284,32 @@ func (cc *CacheCompare) runCoalesceCheck(n int) error {
 		return err
 	}
 	defer cache.Close()
-	lb, err := ccDeploy(n, gated, 10*time.Second, cc.LevelAccuracy, cache)
+	st, err := ccDeploy(n, gated, 10*time.Second, cc.LevelAccuracy, cache)
 	if err != nil {
 		return err
 	}
-	defer lb.Close()
-	tmpl := &wire.Request{Kind: wire.KindAgg, Subset: -1, SLO: wire.SLOBounded, MinAccuracy: 0.5, Level: wire.NoLevel,
-		Agg: &wire.AggRequest{Op: uint8(agg.Sum), Lo: 0, Hi: 1}}
-	var wg sync.WaitGroup
-	var errOnce sync.Once
-	var callErr error
-	for i := 0; i < ccCoalesceFanIn; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rep, err := lb.Client.Call(context.Background(), tmpl)
-			if err == nil && rep.Status != wire.ReplyOK {
-				err = fmt.Errorf("experiments: coalescing call answered status %d: %s", rep.Status, rep.Err)
-			}
-			if err != nil {
-				errOnce.Do(func() { callErr = err })
-			}
-		}()
-	}
+	defer st.Close()
 	// Give every call time to reach the flight (the winner's fan-out is
 	// parked in the gated handlers), then let the computation finish.
-	deadline := time.Now().Add(5 * time.Second)
-	for subCalls.Load() < int64(n) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	go func() {
+		waitFor(func() bool { return subCalls.Load() >= int64(n) }, 5*time.Second)
+		time.Sleep(20 * time.Millisecond)
+		close(release)
+	}()
+	if err := together(ccCoalesceFanIn, func(int) error {
+		return st.issue(context.Background(), aggRequest(agg.Query{Op: agg.Sum, Lo: 0, Hi: 1}), stamp{slo: frontend.BoundedSLO(0.5)}, nil).failed()
+	}); err != nil {
+		return fmt.Errorf("experiments: coalescing call: %w", err)
 	}
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	if callErr != nil {
-		return callErr
-	}
-	cc.CoalesceComputes = int(subCalls.Load()) / n
+	computes := int(subCalls.Load()) / n
 	// Shared = flight joins plus hits on the freshly stored entry (a
 	// call scheduled after the winner completed); both mean the request
 	// was answered by the one computation.
 	cst := cache.Stats()
-	cc.CoalesceShared = cst.Coalesced + cst.Hits
-	cc.promise("coalescing", cc.CoalesceComputes == 1 && cc.CoalesceShared == int64(cc.CoalesceFanIn-1),
+	shared := cst.Coalesced + cst.Hits
+	cc.promise("coalescing", computes == 1 && shared == int64(ccCoalesceFanIn-1),
 		"%d concurrent identical misses -> %d backend fan-out(s), %d shared (want 1 and %d)",
-		cc.CoalesceFanIn, cc.CoalesceComputes, cc.CoalesceShared, cc.CoalesceFanIn-1)
+		ccCoalesceFanIn, computes, shared, ccCoalesceFanIn-1)
 	return nil
 }
 

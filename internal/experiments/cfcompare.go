@@ -155,43 +155,32 @@ func (c *CFComparison) Render() string { return c.RenderTable1() + "\n" + c.Rend
 
 // RenderTable1 renders the Table 1 analogue.
 func (c *CFComparison) RenderTable1() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "TABLE 1. 99.9th percentile component latency (ms), CF recommender workloads\n")
-	fmt.Fprintf(&b, "%-22s", "Request arrival rate")
-	for _, r := range c.Rates {
-		fmt.Fprintf(&b, "%12.0f", r)
-	}
-	b.WriteString("\n")
-	row := func(name string, vals []float64) {
-		fmt.Fprintf(&b, "%-22s", name)
-		for _, v := range vals {
-			fmt.Fprintf(&b, "%12.0f", v)
-		}
-		b.WriteString("\n")
-	}
-	row("Basic", c.BasicTail)
-	row("Request reissue", c.ReissueTail)
-	row("AccuracyTrader", c.ATTail)
-	return b.String()
+	return c.renderTable("TABLE 1. 99.9th percentile component latency (ms), CF recommender workloads\n", "%12.0f",
+		[]string{"Basic", "Request reissue", "AccuracyTrader"}, c.BasicTail, c.ReissueTail, c.ATTail)
 }
 
 // RenderTable2 renders the Table 2 analogue.
 func (c *CFComparison) RenderTable2() string {
+	return c.renderTable("TABLE 2. Accuracy losses (%), CF recommender workloads\n", "%12.2f",
+		[]string{"Partial execution", "AccuracyTrader"}, c.PartialLoss, c.ATLoss)
+}
+
+// renderTable writes one table over the arrival rates: its title, the
+// rate header, and one row per technique with values in format.
+func (c *CFComparison) renderTable(title, format string, names []string, rows ...[]float64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "TABLE 2. Accuracy losses (%%), CF recommender workloads\n")
+	b.WriteString(title)
 	fmt.Fprintf(&b, "%-22s", "Request arrival rate")
 	for _, r := range c.Rates {
 		fmt.Fprintf(&b, "%12.0f", r)
 	}
 	b.WriteString("\n")
-	row := func(name string, vals []float64) {
-		fmt.Fprintf(&b, "%-22s", name)
+	for i, vals := range rows {
+		fmt.Fprintf(&b, "%-22s", names[i])
 		for _, v := range vals {
-			fmt.Fprintf(&b, "%12.2f", v)
+			fmt.Fprintf(&b, format, v)
 		}
 		b.WriteString("\n")
 	}
-	row("Partial execution", c.PartialLoss)
-	row("AccuracyTrader", c.ATLoss)
 	return b.String()
 }

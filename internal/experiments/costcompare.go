@@ -8,8 +8,8 @@ import (
 	"testing" // AllocsPerRun: the cost-off zero-allocation guard
 	"time"
 
-	"accuracytrader/internal/agg"
 	"accuracytrader/internal/cost"
+	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/obs"
 	"accuracytrader/internal/wire"
@@ -20,22 +20,11 @@ import (
 // networked stack: per-request resource accounts folded from component
 // span costs, a sharded per-(tenant, class, workload, level) table,
 // the accuracy-vs-cost frontier joined from measured accuracy, and the
-// anomaly-triggered profiler. Five contracts are asserted —
-//
-//  1. zero cost when off: with no account on the context, the serving
-//     path's accounting calls allocate nothing and no-op;
-//  2. cost conservation: summed child costs (component exec + queue
-//     time) explain a bounded, nonzero share of the parent requests'
-//     wall time — neither vanishing nor exceeding the fan-out width;
-//  3. tenant attribution: per-(tenant, level) rows sum to the global
-//     totals exactly — the same integers feed both sides, so metering
-//     is lossless, not approximately reconciled;
-//  4. frontier monotonicity: joining the measured per-level scan costs
-//     with measured per-level accuracy yields a Pareto frontier where
-//     paying more always buys more accuracy;
-//  5. profiler hygiene: under a sustained SLO burn the profiler fires
-//     exactly once, suppresses every re-trigger through the cooldown,
-//     and re-arms after it.
+// anomaly-triggered profiler. Its contracts (EXPERIMENTS.md §
+// costcompare): zero cost when off; child costs conserving a bounded
+// share of parent wall time; per-tenant rows summing exactly to the
+// totals; a monotone accuracy-vs-cost frontier; and a profiler that
+// fires once per sustained burn, cools down and re-arms.
 const (
 	// costIMaxFrac caps Algorithm 1's improvement phase so coarse
 	// ladder levels stay genuinely cheaper: an unloaded backend would
@@ -66,71 +55,45 @@ type CostCompare struct {
 	contracts
 	Servers int
 	Levels  int
-
-	// Zero-cost contract.
-	DisabledAllocs float64
-
-	// Attribution pass.
-	Calls     int
-	Rows      int
-	WantRows  int
-	WorkShare float64 // (CPU+queue) / wall over the global totals
-	ShareCeil float64
-
-	// Frontier join.
-	FrontierPoints    int
-	FrontierDominated int
-	FrontierSpread    float64 // scanned ratio, most/least expensive point
-
-	// Profiler phase.
-	ProfTriggered  int64
-	ProfSuppressed int64
-	ProfRefired    bool
-	ProfReason     string
-	ProfHeapOK     bool
 }
 
 // RunCostCompare runs the cost-plane validation at a scale.
 func RunCostCompare(sc Scale) (*CostCompare, error) {
-	svc, err := BuildAggService(sc)
+	f, err := aggFixture(sc, 0xc057, 16)
 	if err != nil {
 		return nil, err
 	}
-	queries := svc.Data.SampleAggQueries(sc.Seed^0xc057, 16)
-	levels := svc.Comps[0].Syn.Levels()
-	cc := &CostCompare{Servers: len(svc.Comps), Levels: levels}
+	levels := len(f.levelAcc)
+	cc := &CostCompare{Servers: len(f.Comps), Levels: levels}
 
 	// (1) Zero cost when off: no account on the context means every
 	// accounting call is a nil-receiver no-op.
 	ctx := context.Background()
-	cc.DisabledAllocs = testing.AllocsPerRun(1000, func() {
+	allocs := testing.AllocsPerRun(1000, func() {
 		acct := cost.AccountFrom(ctx)
 		acct.Add(cost.Usage{CPUNs: 1, Scanned: 2})
 		acct.AddWireBytes(64)
 	})
-	cc.promise("zero-cost", cc.DisabledAllocs == 0 || raceEnabled,
-		"cost-off accounting path %.1f allocs/op (%s)", cc.DisabledAllocs, wantZeroAllocs())
+	cc.promise("zero-cost", allocs == 0 || raceEnabled,
+		"cost-off accounting path %.1f allocs/op (%s)", allocs, wantZeroAllocs())
 
 	// (2)-(4) share one metered loopback stack.
-	v, err := runCostPass(svc, queries, levels)
+	v, err := runCostPass(f)
 	if err != nil {
 		return nil, err
 	}
-	cc.Calls = len(costTenants) * levels * costCallsPerCell
-	cc.Rows = len(v.Rows)
-	cc.WantRows = len(costTenants) * levels
+	calls, wantRows := len(costTenants)*levels*costCallsPerCell, len(costTenants)*levels
 
 	// (2) Conservation: the folded child costs explain a bounded,
 	// nonzero share of the parents' wall time.
-	work := v.Global.CPUNs + v.Global.QueueNs
+	share, ceil := 0.0, costShareCeilPerShard*float64(cc.Servers)
 	if v.Global.WallNs > 0 {
-		cc.WorkShare = float64(work) / float64(v.Global.WallNs)
+		share = float64(v.Global.CPUNs+v.Global.QueueNs) / float64(v.Global.WallNs)
 	}
-	cc.ShareCeil = costShareCeilPerShard * float64(cc.Servers)
 	cc.promise("conservation", v.Global.Scanned > 0 && v.Global.WireBytes > 0 &&
-		cc.WorkShare >= costShareFloor && cc.WorkShare <= cc.ShareCeil,
+		share >= costShareFloor && share <= ceil,
 		"component exec+queue explain %.3fx of parent wall time (want within [%g, %.2f])",
-		cc.WorkShare, costShareFloor, cc.ShareCeil)
+		share, costShareFloor, ceil)
 
 	// (3) Tenant attribution: rows sum to the global totals exactly.
 	var sum cost.Usage
@@ -139,43 +102,38 @@ func RunCostCompare(sc Scale) (*CostCompare, error) {
 		sum = sum.Add(r.Totals)
 		sumReq += r.Requests
 	}
-	cc.promise("attribution", cc.Rows == cc.WantRows &&
-		sum == v.Global && sumReq == v.Requests && v.Requests == uint64(cc.Calls),
+	cc.promise("attribution", len(v.Rows) == wantRows &&
+		sum == v.Global && sumReq == v.Requests && v.Requests == uint64(calls),
 		"%d calls over %d tenants: %d/%d rows, per-tenant sums must equal global totals exactly",
-		cc.Calls, len(costTenants), cc.Rows, cc.WantRows)
+		calls, len(costTenants), len(v.Rows), wantRows)
 
 	// (4) Frontier: join the table's measured per-level scan costs with
 	// the measured per-level accuracy and require a monotone Pareto
 	// curve of at least two points.
 	var pts []cost.AccuracyPoint
-	for l := 0; l < levels; l++ {
-		pts = append(pts, cost.AccuracyPoint{
-			Workload: "agg", Level: int16(l),
-			Accuracy: agg.MeasureLevelAccuracy(svc.Comps, queries, l),
-			Samples:  costCallsPerCell,
-		})
+	for l, acc := range f.levelAcc {
+		pts = append(pts, cost.AccuracyPoint{Workload: "agg", Level: int16(l), Accuracy: acc, Samples: costCallsPerCell})
 	}
 	curves := cost.Frontier(v, pts)
 	frontierOK := len(curves) == 1 && curves[0].Workload == "agg"
+	points, dominated, spread := 0, 0, 0.0
 	if frontierOK {
 		c := curves[0]
-		cc.FrontierPoints = len(c.Points)
-		cc.FrontierDominated = len(c.Dominated)
-		frontierOK = len(c.Points) >= 2 &&
-			len(c.Points)+len(c.Dominated) == levels
-		for i := 1; i < len(c.Points); i++ {
+		points, dominated = len(c.Points), len(c.Dominated)
+		frontierOK = points >= 2 && points+dominated == levels
+		for i := 1; i < points; i++ {
 			if c.Points[i].Scanned <= c.Points[i-1].Scanned ||
 				c.Points[i].Accuracy <= c.Points[i-1].Accuracy {
 				frontierOK = false
 			}
 		}
-		if n := len(c.Points); n >= 2 && c.Points[0].Scanned > 0 {
-			cc.FrontierSpread = c.Points[n-1].Scanned / c.Points[0].Scanned
+		if points >= 2 && c.Points[0].Scanned > 0 {
+			spread = c.Points[points-1].Scanned / c.Points[0].Scanned
 		}
 	}
 	cc.promise("frontier", frontierOK,
 		"%d Pareto points (+%d dominated) of %d levels, scanned spread %.1fx; accuracy must strictly increase with cost over >= 2 points",
-		cc.FrontierPoints, cc.FrontierDominated, cc.Levels, cc.FrontierSpread)
+		points, dominated, levels, spread)
 
 	// (5) Profiler hygiene under a sustained burn.
 	if err := cc.runProfilerPhase(); err != nil {
@@ -184,46 +142,36 @@ func RunCostCompare(sc Scale) (*CostCompare, error) {
 	return cc, nil
 }
 
-// runCostPass builds a metered loopback stack over the shared
+// runCostPass builds a metered loopback stack over the fixture's
 // components and drives costCallsPerCell Bounded requests into every
 // (tenant, ladder level) cell, then snapshots the cost table.
-func runCostPass(svc *AggService, queries []agg.Query, levels int) (cost.View, error) {
-	backend := netsvc.NewAggBackend(svc.Comps, netsvc.BackendOptions{IMaxFrac: costIMaxFrac})
+func runCostPass(f *aggFix) (cost.View, error) {
 	table := cost.NewTable()
-	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
-		Components: len(svc.Comps),
-		Handler:    func(int) netsvc.Handler { return backend },
-		Server:     netsvc.ServerOptions{Workers: 1, QueueLen: 256},
-		Agg:        gatherAll,
-		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
-			// Cost attribution rides tracing: the front server needs a
-			// tracer so component spans come back costed.
-			fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Tracer: obs.NewRecorder(64, 16)})
-			return fs, fs.EnableCost(table)
-		},
-	})
+	st, err := deployment{
+		n:       len(f.Comps),
+		handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: costIMaxFrac})),
+		server:  netsvc.ServerOptions{Workers: 1, QueueLen: 256},
+		// Cost attribution rides tracing: the front server needs a
+		// tracer so component spans come back costed.
+		front: netsvc.ServerOptions{Tracer: obs.NewRecorder(64, 16)},
+		costs: table,
+	}.start()
 	if err != nil {
 		return cost.View{}, err
 	}
-	defer lb.Close()
-	cl := lb.Client
+	defer st.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	i := 0
 	for _, tenant := range costTenants {
-		for l := 0; l < levels; l++ {
+		for l := range f.levelAcc {
 			for c := 0; c < costCallsPerCell; c++ {
-				q := queries[i%len(queries)]
+				req := aggRequest(f.queries[i%len(f.queries)])
 				i++
-				req := aggRequest(q)
-				req.SLO, req.Level, req.Tenant = wire.SLOBounded, int16(l), tenant
-				rep, err := cl.Call(ctx, req)
-				if err != nil {
-					return cost.View{}, err
-				}
-				if rep.Status != wire.ReplyOK {
-					return cost.View{}, fmt.Errorf("costcompare: %s level %d call status %d (%s)", tenant, l, rep.Status, rep.Err)
+				req.Level = int16(l)
+				if err := st.issue(ctx, req, stamp{slo: frontend.BoundedSLO(0), tenant: tenant}, nil).failed(); err != nil {
+					return cost.View{}, fmt.Errorf("costcompare: %s level %d: %w", tenant, l, err)
 				}
 			}
 		}
@@ -248,49 +196,40 @@ func (cc *CostCompare) runProfilerPhase() error {
 
 	stop := prof.WatchBurn(tr, time.Millisecond)
 	defer stop()
-	waitFor := func(cond func(obs.ProfilerView) bool) bool {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if cond(prof.Snapshot()) {
-				return true
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return false
+	seen := func(cond func(obs.ProfilerView) bool) bool {
+		return waitFor(func() bool { return cond(prof.Snapshot()) }, 10*time.Second)
 	}
 	// Fire once...
-	if !waitFor(func(v obs.ProfilerView) bool { return v.Triggered >= 1 }) {
+	if !seen(func(v obs.ProfilerView) bool { return v.Triggered >= 1 }) {
 		return fmt.Errorf("costcompare: profiler never fired on a 1000x burn")
 	}
 	// ...then cool down: the watcher keeps evaluating every millisecond
 	// against the same burning tracker, and every re-trigger must be
 	// suppressed until the clock moves.
-	if !waitFor(func(v obs.ProfilerView) bool { return v.SuppressedCooldown >= 5 }) {
+	if !seen(func(v obs.ProfilerView) bool { return v.SuppressedCooldown >= 5 }) {
 		return fmt.Errorf("costcompare: no cooldown suppressions under a sustained burn: %+v", prof.Snapshot())
 	}
 	mid := prof.Snapshot()
-	cc.ProfSuppressed = mid.SuppressedCooldown
 	if mid.Triggered != 1 {
 		return fmt.Errorf("costcompare: %d captures inside the cooldown window, want exactly 1", mid.Triggered)
 	}
 	// ...then re-arm once the cooldown has elapsed.
 	skew.Store(int64(costProfCooldown + time.Second))
-	cc.ProfRefired = waitFor(func(v obs.ProfilerView) bool { return v.Triggered >= 2 })
+	refired := seen(func(v obs.ProfilerView) bool { return v.Triggered >= 2 })
 	stop()
 	prof.Wait()
 	end := prof.Snapshot()
-	cc.ProfTriggered = end.Triggered
+	reason, heapOK := "", false
 	for _, p := range end.Profiles {
-		cc.ProfReason = p.Reason
+		reason = p.Reason
 		if p.HeapBytes > 0 {
-			cc.ProfHeapOK = true
+			heapOK = true
 		}
 	}
-	cc.promise("profiler", cc.ProfRefired && end.Triggered == 2 &&
-		cc.ProfSuppressed >= 5 && cc.ProfHeapOK &&
-		strings.HasPrefix(cc.ProfReason, "slo-burn"),
+	cc.promise("profiler", refired && end.Triggered == 2 &&
+		mid.SuppressedCooldown >= 5 && heapOK && strings.HasPrefix(reason, "slo-burn"),
 		"fired %d (want 2: once + re-arm), %d re-triggers suppressed by cooldown, reason %q, heap captured %v",
-		cc.ProfTriggered, cc.ProfSuppressed, cc.ProfReason, cc.ProfHeapOK)
+		end.Triggered, mid.SuppressedCooldown, reason, heapOK)
 	return nil
 }
 

@@ -14,4 +14,12 @@
 // process. The package also holds the paper's accuracy-loss metrics
 // (metrics.go) and the co-located-interference model that slows the
 // simulated components (services.go).
+//
+// The experiments, in Registry order: the paper's creation, fig3, fig4,
+// table1/table2, fig5/fig6, fig7/fig8 and headline; the simulated
+// extensions overload and aggcompare; and the seven wall-clock *compare
+// experiments — netcompare, cachecompare, tracecompare, faultcompare,
+// ingestcompare, auditcompare and costcompare — which deploy, drive and
+// classify through the one loopback harness in serving.go (deployment,
+// target.issue, waitFor) and together state the 27 named contracts.
 package experiments

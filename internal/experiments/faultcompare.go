@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -9,7 +8,6 @@ import (
 	"testing" // AllocsPerRun: the no-fault-path zero-allocation guard
 	"time"
 
-	"accuracytrader/internal/agg"
 	"accuracytrader/internal/breaker"
 	"accuracytrader/internal/faultinject"
 	"accuracytrader/internal/frontend"
@@ -23,20 +21,10 @@ import (
 // figure) kills, stalls and heals component servers mid-sweep on the
 // real networked stack — wire clients against a FrontServer whose
 // aggregator fans out over loopback TCP through internal/faultinject
-// scripts — and validates the failure-domain contracts:
-//
-//  1. degradation honesty: no reply is ever served ReplyOK with strata
-//     missing, Bounded requests are never served below their accuracy
-//     floor (they get the typed ReplyUnavailable instead), Exact never
-//     degrades, BestEffort always answers;
-//  2. availability: with 1 of N components lost, BestEffort answer
-//     rates hold at least (N-1)/N of the healthy phase (health-aware
-//     rerouting means in practice they hold ~N/N);
-//  3. recovery: after a heal, the killed peer's breaker re-closes via
-//     the background dial prober — without request traffic — within a
-//     small multiple of the cooldown;
-//  4. zero cost when healthy: the no-fault hot path (breaker state
-//     check, success feedback, the degrade rule) allocates nothing.
+// scripts. Its contracts (EXPERIMENTS.md § faultcompare): degradation
+// honesty — every reply keeps its class's promise (target.issue's
+// classifier); and a zero-allocation no-fault path. Its test adds
+// availability under 1-of-N loss and breaker re-close after each heal.
 const (
 	// faultDeadlineMs is the propagated service budget (l_spe): small, so
 	// stalled-component phases cycle through trip/probe quickly.
@@ -55,7 +43,8 @@ const (
 	faultRecloseBudgetMs = 1500.0
 )
 
-// The SLO-class mix of the sweep, indexed by request number mod 3.
+// The SLO-class mix of the sweep, indexed by request number mod 3, and
+// each class's SLO.
 const (
 	faultClassBestEffort = iota
 	faultClassBounded
@@ -63,7 +52,7 @@ const (
 	faultClasses
 )
 
-var faultClassNames = [faultClasses]string{"BestEffort", "Bounded", "Exact"}
+var faultClassSLOs = [faultClasses]frontend.SLO{frontend.BestEffortSLO(), frontend.BoundedSLO(faultBoundedFloor), frontend.ExactSLO()}
 
 // FaultPhase is one measured segment of the kill/stall/heal sweep.
 type FaultPhase struct {
@@ -82,8 +71,6 @@ type FaultPhase struct {
 	Violations int
 	MeanAcc    float64 // measured accuracy of payload replies vs exact
 	Seconds    float64
-	accSum     float64
-	accCnt     int
 }
 
 // FaultCompare is the full experiment result.
@@ -104,39 +91,15 @@ type FaultCompare struct {
 	BreakerOpens int64
 	Retries      int64
 	Faults       int64
-
-	// NoFaultAllocs is allocs/op of the healthy-path fault machinery
-	// (breaker check + success + degrade rule), pinned at zero.
-	NoFaultAllocs float64
-}
-
-// Violations sums contract breaches over every phase.
-func (fc *FaultCompare) Violations() int {
-	total := 0
-	for _, p := range fc.Phases {
-		total += p.Violations
-	}
-	return total
 }
 
 // RunFaultCompare runs the kill/stall/heal sweep at the given scale.
 func RunFaultCompare(sc Scale) (*FaultCompare, error) {
-	svc, err := BuildAggService(sc)
+	f, err := aggFixture(sc, 0x0fa, min(sc.AccuracySamples, 12))
 	if err != nil {
 		return nil, err
 	}
-	comps := svc.Comps
-	n := len(comps)
-
-	// Query sample with precomputed exact merged estimates, for the
-	// measured-accuracy column.
-	nq := sc.AccuracySamples
-	if nq > 12 {
-		nq = 12
-	}
-	queries := svc.Data.SampleAggQueries(sc.Seed^0x0fa, nq)
-	exactEst := exactEstimates(comps, queries)
-
+	n := len(f.Comps)
 	fc := &FaultCompare{
 		Servers:      n,
 		Killed:       0,
@@ -152,7 +115,7 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 	for i := range full {
 		full[i].Value = &wire.SubReply{}
 	}
-	fc.NoFaultAllocs = testing.AllocsPerRun(1000, func() {
+	allocs := testing.AllocsPerRun(1000, func() {
 		if br.State() != breaker.Closed {
 			panic("breaker opened on the no-fault path")
 		}
@@ -161,26 +124,24 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 			panic("full fan-out settled as partial")
 		}
 	})
-	fc.promise("zero-alloc no-fault path", fc.NoFaultAllocs == 0,
-		"%.1f allocs/op on breaker check + success feedback + degrade rule (want 0)", fc.NoFaultAllocs)
+	fc.promise("zero-alloc no-fault path", allocs == 0,
+		"%.1f allocs/op on breaker check + success feedback + degrade rule (want 0)", allocs)
 
 	// Component servers behind fault-injection scripts: every listener
 	// and every aggregator dial goes through the fabric, so one Set()
 	// call crashes or stalls a component and Heal() restores it.
 	fab := faultinject.NewFabric(sc.Seed)
-	handler := netsvc.NewAggBackend(comps, netsvc.BackendOptions{})
-	deadline := time.Duration(faultDeadlineMs * float64(time.Millisecond))
-	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
-		Components: n,
-		Handler:    func(int) netsvc.Handler { return handler },
-		Server:     netsvc.ServerOptions{Workers: 1, QueueLen: 256},
-		WrapListener: func(_ int, l net.Listener) net.Listener {
+	st, err := deployment{
+		n:       n,
+		handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{})),
+		server:  netsvc.ServerOptions{Workers: 1, QueueLen: 256},
+		wrap: func(_ int, l net.Listener) net.Listener {
 			return fab.Script(l.Addr().String()).WrapListener(l)
 		},
-		Agg: netsvc.AggregatorOptions{
+		agg: &netsvc.AggregatorOptions{
 			Policy:     service.WaitAll,
-			Deadline:   deadline,
-			Breaker:    breaker.Config{FailThreshold: faultThreshold, Cooldown: time.Duration(faultCooldownMs * float64(time.Millisecond))},
+			Deadline:   msDur(faultDeadlineMs),
+			Breaker:    breaker.Config{FailThreshold: faultThreshold, Cooldown: msDur(faultCooldownMs)},
 			RedialBase: 5 * time.Millisecond,
 			RedialMax:  50 * time.Millisecond,
 			Seed:       sc.Seed ^ 0xfa17,
@@ -190,37 +151,18 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 				})(addr, timeout)
 			},
 		},
-		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
-			return netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Workers: 8}), nil
-		},
-	})
+		front: netsvc.ServerOptions{Workers: 8},
+	}.start()
 	if err != nil {
 		return nil, err
 	}
-	defer lb.Close()
-	agr, cl := lb.Agg, lb.Client
-	killed := fab.Script(lb.Addrs[fc.Killed])
+	defer st.Close()
+	killed := fab.Script(st.Addrs[fc.Killed])
 
 	qrng := stats.NewRNG(sc.Seed ^ 0x5eed)
 	qis := make([]int, 4096)
 	for i := range qis {
-		qis[i] = qrng.Intn(len(queries))
-	}
-
-	// awaitReclose polls the faulted peer's breaker after a heal and
-	// records how long the background prober took to re-close it.
-	awaitReclose := func() error {
-		t0 := time.Now()
-		limit := t0.Add(time.Duration(4 * faultRecloseBudgetMs * float64(time.Millisecond)))
-		for agr.BreakerState(fc.Killed) != breaker.Closed {
-			if !time.Now().Before(limit) {
-				return fmt.Errorf("faultcompare: breaker on %s still %v after heal",
-					lb.Addrs[fc.Killed], agr.BreakerState(fc.Killed))
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		fc.RecloseMs = append(fc.RecloseMs, float64(time.Since(t0))/float64(time.Millisecond))
-		return nil
+		qis[i] = qrng.Intn(len(f.queries))
 	}
 
 	sweep := []struct {
@@ -234,95 +176,62 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 		{"stall comp0", faultinject.Stall, 60},
 		{"healed again", faultinject.None, 100},
 	}
+	violations := 0
 	for _, ph := range sweep {
-		if ph.mode == faultinject.None {
-			if killed.Mode() != faultinject.None {
-				killed.Heal()
-				if err := awaitReclose(); err != nil {
-					return nil, err
-				}
-			}
-		} else {
+		switch {
+		case ph.mode != faultinject.None:
 			killed.Set(ph.mode)
+		case killed.Mode() != faultinject.None:
+			// Heal, then time the background prober re-closing the
+			// faulted peer's breaker.
+			killed.Heal()
+			t0 := time.Now()
+			if !waitFor(func() bool { return st.Agg.BreakerState(fc.Killed) == breaker.Closed }, 4*msDur(faultRecloseBudgetMs)) {
+				return nil, fmt.Errorf("faultcompare: breaker on %s still %v after heal",
+					st.Addrs[fc.Killed], st.Agg.BreakerState(fc.Killed))
+			}
+			fc.RecloseMs = append(fc.RecloseMs, ms(time.Since(t0)))
 		}
-		phase, err := fc.runPhase(cl, ph.name, ph.calls, queries, exactEst, qis, deadline)
-		if err != nil {
-			return nil, err
+		p := &FaultPhase{Name: ph.name, Calls: ph.calls}
+		answered, t0 := 0, time.Now()
+		for r := 0; r < ph.calls; r++ {
+			qi, class := qis[r%len(qis)], r%faultClasses
+			p.Offered[class]++
+			ctx, cancel := context.WithTimeout(context.Background(), 6*msDur(faultDeadlineMs))
+			o := st.issue(ctx, aggRequest(f.queries[qi]),
+				stamp{slo: faultClassSLOs[class], deadline: time.Now().Add(msDur(faultDeadlineMs))}, f.exact[qi])
+			cancel()
+			if o.err != nil {
+				return nil, fmt.Errorf("faultcompare: client call in phase %q: %w", ph.name, o.err)
+			}
+			if o.broken {
+				p.Violations++
+			}
+			switch o.status {
+			case wire.ReplyOK, wire.ReplyDegraded:
+				p.Answered[class]++
+				answered++
+				p.MeanAcc += o.acc
+				if o.status == wire.ReplyDegraded {
+					p.Degraded++
+				}
+			case wire.ReplyUnavailable:
+				p.Unavailable++
+			default:
+				p.Errors++
+			}
 		}
-		fc.Phases = append(fc.Phases, phase)
+		p.Seconds = time.Since(t0).Seconds()
+		p.MeanAcc /= float64(max(answered, 1))
+		violations += p.Violations
+		fc.Phases = append(fc.Phases, p)
 	}
 
-	st := agr.Stats()
-	fc.BreakerOpens = st.BreakerOpens
-	fc.Retries = st.Retries
-	fc.Faults = st.Faults
-	fc.promise("degradation", fc.Violations() == 0,
-		"%d degradation-contract violations over %d phases (want 0)", fc.Violations(), len(fc.Phases))
+	ast := st.Agg.Stats()
+	fc.BreakerOpens, fc.Retries, fc.Faults = ast.BreakerOpens, ast.Retries, ast.Faults
+	fc.promise("degradation", violations == 0,
+		"%d degradation-contract violations over %d phases (want 0)", violations, len(fc.Phases))
 	return fc, nil
-}
-
-// runPhase drives one closed-loop call segment and classifies every
-// reply against the per-SLO degradation contract.
-func (fc *FaultCompare) runPhase(cl *netsvc.Client, name string, calls int,
-	queries []agg.Query, exactEst [][]float64, qis []int, deadline time.Duration) (*FaultPhase, error) {
-	p := &FaultPhase{Name: name, Calls: calls}
-	t0 := time.Now()
-	for r := 0; r < calls; r++ {
-		qi := qis[r%len(qis)]
-		q := queries[qi]
-		class := r % faultClasses
-		req := aggRequest(q)
-		req.ID, req.Deadline = uint64(r), time.Now().Add(deadline).UnixNano()
-		switch class {
-		case faultClassBestEffort:
-			req.SLO = wire.SLOBestEffort
-		case faultClassBounded:
-			req.SLO, req.MinAccuracy = wire.SLOBounded, faultBoundedFloor
-		default:
-			req.SLO = wire.SLOExact
-		}
-		p.Offered[class]++
-		ctx, cancel := context.WithTimeout(context.Background(), 6*deadline)
-		rep, err := cl.Call(ctx, req)
-		cancel()
-		if err != nil {
-			return nil, fmt.Errorf("faultcompare: client call in phase %q: %w", name, err)
-		}
-		switch rep.Status {
-		case wire.ReplyOK, wire.ReplyDegraded:
-			p.Answered[class]++
-			answered, total := bytes.Count(rep.SubStatus, []byte{wire.StatusOK}), len(rep.SubStatus)
-			if rep.Status == wire.ReplyOK {
-				if answered < total {
-					p.Violations++ // silent partial served as a full answer
-				}
-			} else {
-				p.Degraded++
-				switch {
-				case class == faultClassExact:
-					p.Violations++ // Exact must fail fast, never degrade
-				case class == faultClassBounded && float64(answered)/float64(total) < faultBoundedFloor:
-					p.Violations++ // served below the promised floor
-				}
-			}
-			if rep.Agg != nil && len(rep.Agg.Sum) > 0 {
-				p.accSum += agg.Accuracy(netsvc.AggResultOf(rep.Agg).Estimates(q.Op), exactEst[qi])
-				p.accCnt++
-			}
-		case wire.ReplyUnavailable:
-			p.Unavailable++
-			if class == faultClassBestEffort {
-				p.Violations++ // BestEffort always answers
-			}
-		default:
-			p.Errors++
-		}
-	}
-	p.Seconds = time.Since(t0).Seconds()
-	if p.accCnt > 0 {
-		p.MeanAcc = p.accSum / float64(p.accCnt)
-	}
-	return p, nil
 }
 
 // Render formats the sweep as a text report.
@@ -342,7 +251,7 @@ func (fc *FaultCompare) Render() string {
 		}
 		var perClass []string
 		for c := 0; c < faultClasses; c++ {
-			perClass = append(perClass, fmt.Sprintf("%s %d/%d", faultClassNames[c], p.Answered[c], p.Offered[c]))
+			perClass = append(perClass, fmt.Sprintf("%s %d/%d", faultClassSLOs[c].Kind, p.Answered[c], p.Offered[c]))
 		}
 		fmt.Fprintf(&b, "  %-13s %6d %9d %6d %7d %7d %7d %8.3f %6.2f  %s\n",
 			p.Name, p.Calls, total, p.Degraded, p.Unavailable, p.Errors, p.Violations, p.MeanAcc, p.Seconds,

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing" // AllocsPerRun: the live-snapshot read-path zero-allocation guard
 	"time"
 
 	"accuracytrader/internal/agg"
+	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/ingest"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/rescache"
@@ -20,29 +22,12 @@ import (
 // figure) validates the live synopsis-update path — append-only delta
 // segments over a frozen base, epoch-swapped snapshots, periodic merge
 // worker — against the frozen rebuilds the paper's offline pipeline
-// produces, and pins the contracts that make streaming ingestion safe
-// to serve from:
-//
-//  1. sampling honesty: while rows stream into every shard under
-//     running merge workers, the merged service answer at the finest
-//     ladder level clears the Bounded accuracy floor — self-calibrated
-//     per probe as min(0.90, accuracy of the same pinned frozen bases)
-//     since per-query frozen accuracy varies around the calibrated
-//     mean — so streaming never costs accuracy the frozen system had:
-//     the exactly-scanned delta can only tighten estimates, never
-//     loosen them;
-//  2. bit-identity: at every probed compacted epoch, the live store's
-//     answers (exact and at every ladder level) are bit-identical to a
-//     from-scratch frozen build over the same row prefix — reservoir
-//     maintenance loses nothing an offline rebuild would keep;
-//  3. cache coherence: epoch swaps bump the result-cache epoch and
-//     re-warm hot entries; no lookup ever serves an answer computed
-//     from pre-swap data as current (zero stale serves);
-//  4. zero read-path cost: Snapshot + QueryLevel on a live store
-//     allocates nothing once pools are warm;
-//  5. wire: a v5 append batch travels client → front server →
-//     component, is acknowledged with its staging epoch, and becomes
-//     visible to exact queries after the next swap.
+// produces. Its contracts (EXPERIMENTS.md § ingestcompare): sampling
+// honesty under streaming (the merged finest-level answer clears
+// min(0.90, the frozen bases' accuracy)); bit-identity of compacted
+// epochs with from-scratch rebuilds; cache coherence across swaps (zero
+// stale serves); an allocation-free live read path; and a v5 append
+// over the wire that becomes visible to exact queries.
 const (
 	// ingestFloor is the Bounded-class accuracy floor probed during
 	// streaming, merged across shards the way the service composes
@@ -76,48 +61,14 @@ type IngestCompare struct {
 	Floor        float64
 
 	// Streaming phase (merge workers running on every shard).
-	Batches      int // per-shard append batches
-	FloorChecks  int // merged-answer probes against the floor
-	FloorViol    int
-	MeanAcc      float64
-	MinAcc       float64
-	BaselineMean float64 // frozen-base accuracy over the same pinned snapshots
-	BaselineMin  float64
-	Publishes    uint64 // worker epoch swaps that exposed a new delta (all shards)
-	Compactions  uint64 // worker base rebuilds (all shards)
-	MaxLagMs     float64
+	Batches     int    // per-shard append batches
+	FloorChecks int    // merged-answer probes against the floor
+	Publishes   uint64 // worker epoch swaps that exposed a new delta (all shards)
+	Compactions uint64 // worker base rebuilds (all shards)
+	MaxLagMs    float64
 
-	// Bit-identity phase (manual compactions, frozen rebuild per probe).
-	IdentityProbes int
-	IdentityViol   int
-	ProbedEpochs   []uint64
-
-	// Cache-coherence phase.
-	CacheRounds int
-	CacheHits   int
-	CacheMisses int
-	StaleServes int
-	Rewarms     int64
-
-	// Read-path allocation phase.
-	ReadAllocs float64
-
-	// Wire phase (loopback TCP).
-	WireAccepted  uint32
-	WireEpoch     uint64
-	WireVisibleMs float64
-}
-
-// ingestIdentical reports whether two results are bit-identical across
-// every accumulator column.
-func ingestIdentical(a, b agg.Result) bool {
-	for k := range a.Sum {
-		if a.Sum[k] != b.Sum[k] || a.Cnt[k] != b.Cnt[k] ||
-			a.SumVar[k] != b.SumVar[k] || a.CntVar[k] != b.CntVar[k] {
-			return false
-		}
-	}
-	return true
+	IdentityProbes int // compacted epochs compared with a frozen rebuild
+	CacheHits      int // cache-coherence lookups that hit
 }
 
 // RunIngestCompare runs the streaming-ingestion validation sweep.
@@ -165,8 +116,6 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 		RowsPerShard: total,
 		RowsSeeded:   seeded,
 		Floor:        ingestFloor,
-		MinAcc:       1,
-		CacheRounds:  ingestCacheRounds,
 	}
 
 	lives := make([]*ingest.AggLive, shards)
@@ -198,8 +147,7 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 	var scratch agg.Result
 	var estL, estE, estBL, estBE []float64
 	snaps := make([]*ingest.AggSnapshot, shards)
-	accSum, baseSum, accCnt := 0.0, 0.0, 0
-	ic.BaselineMin = 1
+	accSum, baseSum, minAcc, baseMin, floorViol := 0.0, 0.0, 1.0, 1.0, 0
 	for at := seeded; at < streamEnd; at += ingestBatchRows {
 		hi := at + ingestBatchRows
 		if hi > streamEnd {
@@ -244,19 +192,9 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 			ic.FloorChecks++
 			accSum += acc
 			baseSum += baseAcc
-			accCnt++
-			if acc < ic.MinAcc {
-				ic.MinAcc = acc
-			}
-			if baseAcc < ic.BaselineMin {
-				ic.BaselineMin = baseAcc
-			}
-			floor := ingestFloor
-			if f := baseAcc - 1e-9; f < floor {
-				floor = f
-			}
-			if acc < floor {
-				ic.FloorViol++
+			minAcc, baseMin = min(minAcc, acc), min(baseMin, baseAcc)
+			if acc < min(ingestFloor, baseAcc-1e-9) {
+				floorViol++
 			}
 		}
 	}
@@ -265,17 +203,12 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 		ws := workers[i].Stats()
 		ic.Publishes += ws.Publishes
 		ic.Compactions += ws.Compactions
-		if lag := float64(ws.MaxLag) / float64(time.Millisecond); lag > ic.MaxLagMs {
-			ic.MaxLagMs = lag
-		}
+		ic.MaxLagMs = max(ic.MaxLagMs, ms(ws.MaxLag))
 	}
-	if accCnt > 0 {
-		ic.MeanAcc = accSum / float64(accCnt)
-		ic.BaselineMean = baseSum / float64(accCnt)
-	}
-	ic.promise("floor", ic.FloorViol == 0,
+	probes := float64(max(ic.FloorChecks, 1))
+	ic.promise("floor", floorViol == 0,
 		"%d probed merged answers, live accuracy mean %.3f min %.3f vs frozen baseline mean %.3f min %.3f; effective floor min(%.2f, frozen) -> %d violations",
-		ic.FloorChecks, ic.MeanAcc, ic.MinAcc, ic.BaselineMean, ic.BaselineMin, ic.Floor, ic.FloorViol)
+		ic.FloorChecks, accSum/probes, minAcc, baseSum/probes, baseMin, ic.Floor, floorViol)
 
 	// Phase 2 — bit-identity at compacted epochs: with the workers gone
 	// this goroutine is shard 0's single publisher; every probe appends,
@@ -286,6 +219,8 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 	probeRows := (total - streamEnd) / ingestIdentityProbes
 	at := streamEnd
 	reb1, reb2 := agg.NewResult(sc.FactKeys), agg.NewResult(sc.FactKeys)
+	identityViol := 0
+	var probedEpochs []uint64
 	for p := 0; p < ingestIdentityProbes; p++ {
 		hi := at + probeRows
 		if p == ingestIdentityProbes-1 {
@@ -300,7 +235,7 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 		}
 		snap, epoch := l.Snapshot()
 		if snap.DeltaRows() != 0 || snap.Rows() != hi {
-			ic.IdentityViol++
+			identityViol++
 			continue
 		}
 		rebuilt, err := ingest.BuildAggSnapshot(sc.FactKeys, cfg, keysBy[0][:hi], valsBy[0][:hi])
@@ -308,26 +243,26 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 			return nil, err
 		}
 		ic.IdentityProbes++
-		ic.ProbedEpochs = append(ic.ProbedEpochs, epoch)
+		probedEpochs = append(probedEpochs, epoch)
 		for _, q := range queries {
 			reb1 = snap.Exact(reb1, q)
 			reb2 = rebuilt.Exact(reb2, q)
-			if !ingestIdentical(reb1, reb2) {
-				ic.IdentityViol++
+			if !reflect.DeepEqual(reb1, reb2) {
+				identityViol++
 			}
 			for lvl := 0; lvl <= ic.FinestLevel; lvl++ {
 				reb1 = snap.QueryLevel(reb1, q, lvl)
 				reb2 = rebuilt.QueryLevel(reb2, q, lvl)
-				if !ingestIdentical(reb1, reb2) {
-					ic.IdentityViol++
+				if !reflect.DeepEqual(reb1, reb2) {
+					identityViol++
 				}
 			}
 		}
 	}
 
-	ic.promise("bit-identity", ic.IdentityViol == 0 && ic.IdentityProbes == ingestIdentityProbes,
+	ic.promise("bit-identity", identityViol == 0 && ic.IdentityProbes == ingestIdentityProbes,
 		"%d compacted epochs probed %v, exact + every level vs from-scratch rebuild -> %d mismatches",
-		ic.IdentityProbes, ic.ProbedEpochs, ic.IdentityViol)
+		ic.IdentityProbes, probedEpochs, identityViol)
 
 	// Phase 3 — cache coherence across swaps: cached values record the
 	// live epoch they were computed at; after each swap bumps the cache
@@ -349,7 +284,7 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 		}
 	}
 	lastSwap := l.Epoch()
-	cacheAt := 0
+	cacheAt, misses, stale := 0, 0, 0
 	for round := 0; round < ingestCacheRounds; round++ {
 		// A small deterministic append, re-using the head of the stream.
 		n := 8
@@ -366,19 +301,18 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 		for k := uint64(1); k <= ingestCacheHot; k++ {
 			v, _, ok := cache.Get(k, 0)
 			if !ok {
-				ic.CacheMisses++
+				misses++
 				continue
 			}
 			ic.CacheHits++
 			if ep, _ := v.(uint64); ep < lastSwap {
-				ic.StaleServes++
+				stale++
 			}
 		}
 	}
-	ic.Rewarms = cache.Stats().Rewarms
-	ic.promise("cache coherence", ic.StaleServes == 0,
+	ic.promise("cache coherence", stale == 0,
 		"%d swap rounds, %d hits / %d misses, %d re-warms -> %d stale serves",
-		ic.CacheRounds, ic.CacheHits, ic.CacheMisses, ic.Rewarms, ic.StaleServes)
+		ingestCacheRounds, ic.CacheHits, misses, cache.Stats().Rewarms, stale)
 
 	// Phase 4 — the live read path must be allocation-free once warm:
 	// one atomic snapshot load, one pooled engine over the base, one
@@ -391,61 +325,54 @@ func RunIngestCompare(sc Scale) (*IngestCompare, error) {
 		snap, _ := l.Snapshot()
 		res = snap.QueryLevel(res, q0, ic.FinestLevel)
 	}
-	ic.ReadAllocs = testing.AllocsPerRun(200, func() {
+	allocs := testing.AllocsPerRun(200, func() {
 		snap, _ := l.Snapshot()
 		res = snap.QueryLevel(res, q0, ic.FinestLevel)
 	})
-	ic.promise("read path", ic.ReadAllocs == 0 || raceEnabled,
-		"%.1f allocs/op on Snapshot+QueryLevel (%s)", ic.ReadAllocs, wantZeroAllocs())
+	ic.promise("read path", allocs == 0 || raceEnabled,
+		"%.1f allocs/op on Snapshot+QueryLevel (%s)", allocs, wantZeroAllocs())
 
 	// Phase 5 — the wire: a v5 append batch through client → front
 	// server → component over loopback TCP, visible to exact queries
 	// after the next swap.
-	if err := ic.runWirePhase(data, cfg); err != nil {
+	if ack, visibleMs, err := runIngestWire(data, cfg); err != nil {
 		ic.promise("wire", false, "%v", err)
 	} else {
 		ic.promise("wire", true, "v5 append acked (accepted %d, staged at epoch %d), visible to exact queries in %.1f ms",
-			ic.WireAccepted, ic.WireEpoch, ic.WireVisibleMs)
+			ack.Accepted, ack.Epoch, visibleMs)
 	}
 	return ic, nil
 }
 
-// runWirePhase drives the loopback-TCP smoke: two live component
+// runIngestWire drives the loopback-TCP smoke: two live component
 // servers with merge workers, an aggregator, an ingest-enabled front
 // server, and a client appending one batch then polling exact queries
-// until the rows land.
-func (ic *IngestCompare) runWirePhase(data *workload.FactsData, cfg agg.Config) error {
-	const shards = 2
-	lives := make([]*ingest.AggLive, shards)
+// until the rows land. It returns the batch's acknowledgement and how
+// long the rows took to become visible.
+func runIngestWire(data *workload.FactsData, cfg agg.Config) (*wire.IngestReply, float64, error) {
+	lives := make([]*ingest.AggLive, 2)
 	for i := range lives {
 		l, err := StageAggLive(data.Subsets[i], cfg)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		lives[i] = l
 		defer ingest.NewWorker(l, ingest.WorkerOptions{Interval: time.Millisecond, CompactEvery: 16}).Close()
 	}
-	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
-		Components: shards,
-		Handler: func(i int) netsvc.Handler {
+	st, err := deployment{
+		n: len(lives),
+		handler: func(i int) netsvc.Handler {
 			return netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{})
 		},
-		Ingest: func(i int) netsvc.IngestHandler {
-			return netsvc.NewLiveIngestHandler(netsvc.LiveStores{Agg: lives[i : i+1]})
-		},
-		Server: netsvc.ServerOptions{Workers: 2},
-		Agg:    gatherAll,
-		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
-			fs := netsvc.NewFrontServer(agr, nil, netsvc.ServerOptions{Workers: 8})
-			fs.EnableIngest(ingestCacheHot)
-			return fs, nil
-		},
-	})
+		server: netsvc.ServerOptions{Workers: 2},
+		lives:  lives,
+		rewarm: ingestCacheHot,
+		front:  netsvc.ServerOptions{Workers: 8},
+	}.start()
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	defer lb.Close()
-	cl := lb.Client
+	defer st.Close()
 
 	// Expected composed exact answer after the append: the two shards'
 	// pinned snapshots plus the batch.
@@ -466,43 +393,33 @@ func (ic *IngestCompare) runWirePhase(data *workload.FactsData, cfg agg.Config) 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	t0 := time.Now()
-	ack, err := cl.Ingest(ctx, &wire.IngestRequest{Kind: wire.KindAgg, Subset: 0, Agg: batch})
+	ack, err := st.Client.Ingest(ctx, &wire.IngestRequest{Kind: wire.KindAgg, Subset: 0, Agg: batch})
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	if ack.Status != wire.IngestOK || ack.Accepted != uint32(len(batch.Keys)) {
-		return fmt.Errorf("ingest ack status %d accepted %d (err %q)", ack.Status, ack.Accepted, ack.Err)
+		return nil, 0, fmt.Errorf("ingest ack status %d accepted %d (err %q)", ack.Status, ack.Accepted, ack.Err)
 	}
-	ic.WireAccepted, ic.WireEpoch = ack.Accepted, ack.Epoch
-
-	req := aggRequest(q)
-	req.SLO = wire.SLOExact
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rep, err := cl.Call(ctx, req)
-		if err != nil {
-			return err
+	visible := waitFor(func() bool {
+		o := st.issue(ctx, aggRequest(q), stamp{slo: frontend.ExactSLO()}, nil)
+		if err = o.failed(); err != nil {
+			return true
 		}
-		if rep.Status != wire.ReplyOK {
-			return fmt.Errorf("exact query status %d err %q", rep.Status, rep.Err)
-		}
-		got := netsvc.AggResultOf(rep.Agg)
-		match := true
+		got := netsvc.AggResultOf(o.rep.Agg)
 		for k := range want.Sum {
 			if got.Sum[k] != want.Sum[k] || got.Cnt[k] != want.Cnt[k] {
-				match = false
-				break
+				return false
 			}
 		}
-		if match {
-			ic.WireVisibleMs = float64(time.Since(t0)) / float64(time.Millisecond)
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("appended batch never became visible to exact queries")
-		}
-		time.Sleep(time.Millisecond)
+		return true
+	}, 5*time.Second)
+	switch {
+	case err != nil:
+		return nil, 0, fmt.Errorf("exact query: %w", err)
+	case !visible:
+		return nil, 0, fmt.Errorf("appended batch never became visible to exact queries")
 	}
+	return ack, ms(time.Since(t0)), nil
 }
 
 // Render formats the sweep as a text report.

@@ -7,10 +7,9 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
-	"accuracytrader/internal/agg"
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/service"
@@ -45,11 +44,9 @@ const (
 	// stalls its designated server.
 	netStragglerInv = 23
 	// netRateFrac is the offered rate as a fraction of one server's
-	// finest-synopsis saturation rate. It is the load the experiment was
-	// calibrated at: the sleep-paced generator this replaced was set to
-	// 0.28 and realised 87% of it; offering a true 0.28, with budgets
-	// measured from the intended send, left the Frontend+AT row's Bounded
-	// accuracy straddling its floor under the race detector.
+	// finest-synopsis saturation rate: the load the experiment is
+	// calibrated at (at 0.28 the Frontend+AT row's Bounded accuracy
+	// straddled its floor under the race detector).
 	netRateFrac = 0.24
 	// netWindowFrac is the measured window per configuration as a
 	// fraction of Scale.SessionSeconds.
@@ -118,9 +115,6 @@ type NetCompare struct {
 	WindowSeconds float64
 	Arrivals      int // realised arrival count of every row
 	UnitCostUs    float64
-	// SubBudgetMs is the client-stamped per-request service budget
-	// (l_spe) propagated as an absolute deadline through every hop.
-	SubBudgetMs float64
 	// LevelAccuracy is the measured synopsis-only accuracy per ladder
 	// level (coarse to fine) that calibrates the frontend controller.
 	LevelAccuracy []float64
@@ -133,75 +127,46 @@ type NetCompare struct {
 	// randomly so the query mix is independent of the deterministic
 	// SLO-class mix (class = r mod 10): per-class accuracies then
 	// measure the policy, not a fixed subset of queries.
-	qis      []int
-	queries  []agg.Query
-	exactEst [][]float64 // exact merged estimates per query
-}
-
-// netAccuracy scores one answered request: the composed estimates
-// against the precomputed exact estimates of its query, and whether
-// they are those exactly.
-func netAccuracy(subs []service.SubResult, op agg.Op, exact []float64) (acc float64, isExact bool) {
-	merged := netsvc.ComposeAgg(subs)
-	if len(merged.Sum) == 0 {
-		return 0, false // every component skipped or failed
-	}
-	est := netsvc.AggResultOf(merged).Estimates(op)
-	return agg.Accuracy(est, exact), reflect.DeepEqual(est, exact)
+	qis []int
 }
 
 // RunNetCompare measures the networked serving layer against the
 // in-process runtime on the aggregation workload.
 func RunNetCompare(sc Scale) (*NetCompare, error) {
-	svc, err := BuildAggService(sc)
+	f, err := aggFixture(sc, 0x0e7, min(sc.AccuracySamples, 40))
 	if err != nil {
 		return nil, err
 	}
-	comps := svc.Comps
-	n := len(comps)
-	unitMs := sc.aggUnitCostMs()
-	unitCost := time.Duration(unitMs * float64(time.Millisecond))
-
-	nq := sc.AccuracySamples
-	if nq > 40 {
-		nq = 40
-	}
-	queries := svc.Data.SampleAggQueries(sc.Seed^0x0e7, nq)
-	rate := netRateFrac * finestSaturationRate(comps, unitMs)
+	rate := netRateFrac * finestSaturationRate(f.Comps, f.unitMs)
 	windowSec := sc.SessionSeconds * netWindowFrac
-
 	nc := &NetCompare{
-		Servers:       n,
+		Servers:       len(f.Comps),
 		DeadlineMs:    netDeadlineMs,
-		SubBudgetMs:   netSubBudgetFrac * netDeadlineMs,
 		RatePerSec:    rate,
 		WindowSeconds: windowSec,
-		UnitCostUs:    unitMs * 1000,
-		LevelAccuracy: LadderAccuracy(comps, queries),
+		UnitCostUs:    f.unitMs * 1000,
+		LevelAccuracy: f.levelAcc,
 		arrivalsMs:    workload.PoissonArrivals(stats.NewRNG(sc.Seed^netArrivalSalt), rate, windowSec*1000),
-		queries:       queries,
-		exactEst:      exactEstimates(comps, queries),
 	}
 	nc.Arrivals = len(nc.arrivalsMs)
 	qrng := stats.NewRNG(sc.Seed ^ 0x9135)
 	nc.qis = make([]int, nc.Arrivals)
 	for i := range nc.qis {
-		nc.qis[i] = qrng.Intn(len(queries))
+		nc.qis[i] = qrng.Intn(len(f.queries))
 	}
-	if err := nc.runParity(sc, svc); err != nil {
+	if err := nc.runParity(sc, f.AggService); err != nil {
 		return nil, err
 	}
 
-	deadline := time.Duration(netDeadlineMs * float64(time.Millisecond))
-	callTimeout := time.Duration(netCallTimeoutMs * float64(time.Millisecond))
+	callTimeout := msDur(netCallTimeoutMs)
 	cfgs := []netCfg{
 		{"WaitAll", service.WaitAll, callTimeout, false},
-		{"PartialGather", service.PartialGather, deadline, false},
+		{"PartialGather", service.PartialGather, msDur(netDeadlineMs), false},
 		{"Hedged", service.Hedged, callTimeout, false},
 		{"Frontend+AT", service.WaitAll, callTimeout, true},
 	}
 	for _, cfg := range cfgs {
-		row, err := nc.runNet(cfg, comps, unitCost)
+		row, err := nc.runNet(f, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +176,7 @@ func RunNetCompare(sc Scale) (*NetCompare, error) {
 		if cfg.frontend {
 			continue // the frontend-over-sockets row is the net-only headline
 		}
-		nc.Rows = append(nc.Rows, nc.runInproc(cfg, comps, unitCost))
+		nc.Rows = append(nc.Rows, nc.runInproc(f, cfg))
 	}
 	return nc, nil
 }
@@ -228,75 +193,90 @@ type netCfg struct {
 // the gather core: how a whole-service request is issued.
 type netCall func(ctx context.Context, req *wire.Request) (*frontend.Result, error)
 
-// bare issues requests straight to a gather, which promises nothing.
+// bare issues requests straight to a gather, which promises nothing: its
+// sub-requests travel unclassed.
 func bare(call func(context.Context, interface{}) ([]service.SubResult, error)) netCall {
 	return func(ctx context.Context, req *wire.Request) (*frontend.Result, error) {
+		req.SLO, req.MinAccuracy = wire.SLONone, 0
 		subs, err := call(ctx, req)
-		return &frontend.Result{Sub: subs, SLO: frontend.BestEffortSLO()}, err
+		return &frontend.Result{Sub: subs, SLO: frontend.BestEffortSLO(), Level: -1}, err
 	}
 }
 
-// drive offers the shared arrival schedule through call and folds every
+// row offers the shared arrival schedule through call and folds every
 // answer into one row. Latency runs from each arrival's intended send
 // time, so generator lateness is charged to the request, and the
 // request carries its own absolute service budget (l_spe) measured from
 // that same instant: queueing anywhere along the path eats it, which is
-// what makes component work self-regulating under load.
-func (nc *NetCompare) drive(runtime, name string, call netCall, gathered func() service.Stats) *NetRow {
+// what makes component work self-regulating under load. The replies are
+// composed as a front server would (unextrapolated), so the row is
+// classified like every other serving row.
+func (nc *NetCompare) row(f *aggFix, runtime, name string, call netCall, fe bool, gathered func() service.Stats) *NetRow {
 	row := &NetRow{Runtime: runtime, Name: name, Calls: nc.Arrivals}
-	budget := time.Duration(nc.SubBudgetMs * float64(time.Millisecond))
-	var mu sync.Mutex
-	var t tally
-	rejected, subCnt, skipCnt, setsSum := 0, 0, 0, 0
-	lag := netsvc.OpenLoop(nc.arrivalsMs, func(r int, intended time.Time) {
-		qi := nc.qis[r]
-		req := aggRequest(nc.queries[qi])
-		req.ID = uint64(r)
-		req.Deadline = intended.Add(budget).UnixNano()
-		res, err := call(context.Background(), req)
-		latMs := float64(time.Since(intended)) / float64(time.Millisecond)
-		mu.Lock()
-		defer mu.Unlock()
+	var sets atomic.Int64
+	tg := target{levelAcc: nc.LevelAccuracy, send: func(ctx context.Context, req *wire.Request) (*wire.Reply, error) {
+		res, err := call(ctx, req)
+		rep := &wire.Reply{ID: req.ID, Kind: req.Kind, SLO: req.SLO, MinAccuracy: req.MinAccuracy, Level: wire.NoLevel}
+		switch {
+		case errors.Is(err, frontend.ErrRejected):
+			rep.Status = wire.ReplyRejected
+			return rep, nil
+		case errors.As(err, new(*frontend.UnavailableError)):
+			rep.Status = wire.ReplyUnavailable
+		case err != nil:
+			return nil, err
+		}
+		rep.SLO, rep.Level, rep.SubStatus = uint8(res.SLO.Kind), int16(res.Level), netsvc.SubStatuses(res.Sub)
 		if err != nil {
-			switch {
-			case errors.As(err, new(*frontend.UnavailableError)):
-				row.Unavailable++
-			case errors.Is(err, frontend.ErrRejected):
-				rejected++
-			}
-			return
+			return rep, nil
 		}
-		acc, isExact := netAccuracy(res.Sub, nc.queries[qi].Op, nc.exactEst[qi])
-		t.addTimed(latMs, nc.DeadlineMs, overloadClassMix(r).Kind, acc)
-		if k := res.SLO.Kind; k != frontend.BestEffort {
-			row.promised++
-			if k == frontend.Exact && !isExact || k == frontend.Bounded && res.EstimatedAccuracy < res.SLO.MinAccuracy {
-				row.broken++
-			}
-		}
+		rep.Agg = netsvc.ComposeAgg(res.Sub)
 		for _, sr := range res.Sub {
-			subCnt++
 			if !sr.Answered() {
-				skipCnt++
+				rep.Status = wire.ReplyDegraded
 				continue
 			}
-			setsSum += int(sr.Value.(*wire.SubReply).SetsProcessed)
+			sets.Add(int64(sr.Value.(*wire.SubReply).SetsProcessed))
 		}
+		return rep, nil
+	}}
+	budget := msDur(netSubBudgetFrac * netDeadlineMs)
+	var t tally
+	rejected, subCnt, skipCnt := 0, 0, 0
+	row.MaxLagMs = f.openRow(tg, nc.arrivalsMs, nc.qis, func(r int, intended time.Time) stamp {
+		st := stamp{slo: overloadClassMix(r), deadline: intended.Add(budget)}
+		if fe && st.slo.Kind == frontend.Exact {
+			st.deadline = time.Time{} // Exact carries no budget: its guarantee is paid in latency
+		}
+		return st
+	}, func(r int, latMs float64, o outcome) {
+		switch o.status {
+		case wire.ReplyUnavailable:
+			row.Unavailable++
+		case wire.ReplyRejected:
+			rejected++
+		}
+		if o.broken {
+			row.broken++
+		}
+		if !wire.ReplyCarriesPayload(o.status) {
+			return
+		}
+		t.addTimed(latMs, nc.DeadlineMs, overloadClassMix(r).Kind, o.acc)
+		if o.rep.SLO != wire.SLOBestEffort {
+			row.promised++
+		}
+		subCnt += o.strata
+		skipCnt += o.missing
 	})
-	row.MaxLagMs = float64(lag) / float64(time.Millisecond)
 	row.Goodput, row.MeanAcc, row.ClassAcc = t.means(nc.WindowSeconds)
 	row.P50Ms, row.P99Ms, row.P999Ms = t.percentile(50), t.percentile(99), t.percentile(99.9)
-	if st := gathered(); st.SubOps > 0 {
-		row.HedgePct = 100 * float64(st.Hedges) / float64(st.SubOps)
-	}
-	if row.Calls > 0 {
-		row.ShedPct = 100 * float64(rejected) / float64(row.Calls)
-	}
-	if subCnt > 0 {
-		row.SkipPct = 100 * float64(skipCnt) / float64(subCnt)
-	}
+	st := gathered()
+	row.HedgePct = pct(int(st.Hedges), int(st.SubOps))
+	row.ShedPct = pct(rejected, row.Calls)
+	row.SkipPct = pct(skipCnt, subCnt)
 	if ok := subCnt - skipCnt; ok > 0 {
-		row.MeanSets = float64(setsSum) / float64(ok)
+		row.MeanSets = float64(sets.Load()) / float64(ok)
 	}
 	return row
 }
@@ -304,52 +284,43 @@ func (nc *NetCompare) drive(runtime, name string, call netCall, gathered func() 
 // runNet measures one gather configuration over loopback sockets: real
 // engines plus the modeled scan cost, interference keyed on (parent
 // request, server).
-func (nc *NetCompare) runNet(cfg netCfg, comps []*agg.Component, unitCost time.Duration) (*NetRow, error) {
+func (nc *NetCompare) runNet(f *aggFix, cfg netCfg) (*NetRow, error) {
 	n := nc.Servers
-	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
-		Components: n,
-		Handler: func(server int) netsvc.Handler {
-			return netsvc.NewAggBackend(comps, netsvc.BackendOptions{
-				UnitCost: unitCost,
+	st, err := deployment{
+		n: n,
+		handler: func(server int) netsvc.Handler {
+			return netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{
+				UnitCost: msDur(f.unitMs),
 				IMaxFrac: netIMaxFrac,
 				Interfere: func(seq uint64) time.Duration {
 					if netStall(seq, server, n) {
-						return time.Duration(netStallMs * float64(time.Millisecond))
+						return msDur(netStallMs)
 					}
 					return 0
 				},
 			})
 		},
-		Server: netsvc.ServerOptions{Workers: 1, QueueLen: 512},
-		Agg: netsvc.AggregatorOptions{
-			Policy:   cfg.policy,
-			Deadline: cfg.deadline,
-			// Warm-start hedging just below the typical finest-synopsis
-			// service time; the P² estimator takes over as it converges.
-			HedgeFloor:     4 * time.Millisecond,
-			MaxOutstanding: 64,
-		},
-	})
+		server: netsvc.ServerOptions{Workers: 1, QueueLen: 512},
+		// Warm-start hedging just below the typical finest-synopsis
+		// service time; the P² estimator takes over as it converges.
+		agg:        &netsvc.AggregatorOptions{Policy: cfg.policy, Deadline: cfg.deadline, HedgeFloor: 4 * time.Millisecond, MaxOutstanding: 64},
+		gatherOnly: true,
+	}.start()
 	if err != nil {
 		return nil, err
 	}
-	defer lb.Close()
-	agr := lb.Agg
-	call := bare(agr.Call)
+	defer st.Close()
+	call := bare(st.Agg.Call)
 	if cfg.frontend {
-		fe, err := StandardFrontend(agr, 3*n, nc.LevelAccuracy, frontend.Options{})
+		fe, err := StandardFrontend(st.Agg, 3*n, nc.LevelAccuracy, frontend.Options{})
 		if err != nil {
 			return nil, err
 		}
 		call = func(ctx context.Context, req *wire.Request) (*frontend.Result, error) {
-			slo := overloadClassMix(int(req.ID))
-			if slo.Kind == frontend.Exact {
-				req.Deadline = 0 // Exact carries no budget: its guarantee is paid in latency
-			}
-			return fe.Call(ctx, req, slo)
+			return fe.Call(ctx, req, frontend.SLO{Kind: frontend.SLOKind(req.SLO), MinAccuracy: req.MinAccuracy})
 		}
 	}
-	row := nc.drive("net", cfg.name, call, func() service.Stats { return agr.Stats().Stats })
+	row := nc.row(f, "net", cfg.name, call, cfg.frontend, func() service.Stats { return st.Agg.Stats().Stats })
 	if cfg.frontend {
 		nc.promise("floor or typed", row.broken == 0, "%d of %d answered Exact/Bounded replies inexact or claiming under the floor (want 0); %d typed unavailable",
 			row.broken, row.promised, row.Unavailable)
@@ -361,12 +332,11 @@ func (nc *NetCompare) runNet(cfg netCfg, comps []*agg.Component, unitCost time.D
 // goroutine runtime: the same backend handlers (with the same modeled
 // costs), the same interference rule keyed on the executing component
 // via service.ComponentFrom, no sockets or serialization.
-func (nc *NetCompare) runInproc(cfg netCfg, comps []*agg.Component, unitCost time.Duration) *NetRow {
+func (nc *NetCompare) runInproc(f *aggFix, cfg netCfg) *NetRow {
 	n := nc.Servers
-	backend := netsvc.NewAggBackend(comps, netsvc.BackendOptions{UnitCost: unitCost, IMaxFrac: netIMaxFrac})
+	backend := netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{UnitCost: msDur(f.unitMs), IMaxFrac: netIMaxFrac})
 	handlers := make([]service.Handler, n)
-	for i := 0; i < n; i++ {
-		subset := i
+	for i := range handlers {
 		handlers[i] = func(ctx context.Context, payload interface{}) (interface{}, error) {
 			req := payload.(*wire.Request)
 			// Honor the request's propagated absolute budget, exactly as
@@ -382,11 +352,11 @@ func (nc *NetCompare) runInproc(cfg netCfg, comps []*agg.Component, unitCost tim
 			}
 			comp, _ := service.ComponentFrom(ctx)
 			if netStall(req.ID, comp, n) {
-				time.Sleep(time.Duration(netStallMs * float64(time.Millisecond)))
+				time.Sleep(msDur(netStallMs))
 			}
 			sub := *req
 			sub.Seq = req.ID
-			sub.Subset = int32(subset)
+			sub.Subset = int32(i)
 			return backend(ctx, &sub), nil
 		}
 	}
@@ -398,7 +368,7 @@ func (nc *NetCompare) runInproc(cfg netCfg, comps []*agg.Component, unitCost tim
 		panic(err) // static config: cannot fail
 	}
 	defer cl.Close()
-	return nc.drive("inproc", cfg.name, bare(cl.Call), cl.Stats)
+	return nc.row(f, "inproc", cfg.name, bare(cl.Call), false, cl.Stats)
 }
 
 // runParity verifies encode→transport→decode→compose fidelity for all
@@ -414,43 +384,25 @@ func (nc *NetCompare) runParity(sc Scale, aggSvc *AggService) error {
 	if err != nil {
 		return err
 	}
-
-	cfReqs := cfSvc.Data.SampleCFRequests(sc.Seed^0x31, 3, 0.2)
-	cfTemplates := make([]*wire.Request, len(cfReqs))
-	for i, r := range cfReqs {
-		ratings := make([]wire.Rating, len(r.Known))
-		for j, kr := range r.Known {
-			ratings[j] = wire.Rating{Item: kr.Item, Score: kr.Score}
-		}
-		cfTemplates[i] = &wire.Request{
-			Kind: wire.KindCF, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
-			CF: &wire.CFRequest{Ratings: ratings, Targets: r.Targets},
-		}
+	var cfReqs, searchReqs, aggReqs []*wire.Request
+	for _, r := range cfSvc.Data.SampleCFRequests(sc.Seed^0x31, 3, 0.2) {
+		cfReqs = append(cfReqs, cfRequest(r))
 	}
-	if err := nc.parity("cf", netsvc.NewCFBackend(cfSvc.Comps, netsvc.BackendOptions{}), sc.Shards, cfTemplates,
+	for _, q := range searchSvc.Data.SampleQueries(sc.Seed^0x32, 3) {
+		searchReqs = append(searchReqs, searchRequest(q, 10))
+	}
+	for _, q := range aggSvc.Data.SampleAggQueries(sc.Seed^0x33, 3) {
+		aggReqs = append(aggReqs, aggRequest(q))
+	}
+	if err := nc.parity("cf", netsvc.NewCFBackend(cfSvc.Comps, netsvc.BackendOptions{}), sc.Shards, cfReqs,
 		func(subs []service.SubResult) interface{} { return netsvc.ComposeCF(subs) }); err != nil {
 		return err
 	}
-
-	searchQueries := searchSvc.Data.SampleQueries(sc.Seed^0x32, 3)
-	searchTemplates := make([]*wire.Request, len(searchQueries))
-	for i, q := range searchQueries {
-		searchTemplates[i] = &wire.Request{
-			Kind: wire.KindSearch, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
-			Search: &wire.SearchRequest{Query: q, K: 10},
-		}
-	}
-	if err := nc.parity("search", netsvc.NewSearchBackend(searchSvc.Comps, netsvc.BackendOptions{}), sc.Shards, searchTemplates,
+	if err := nc.parity("search", netsvc.NewSearchBackend(searchSvc.Comps, netsvc.BackendOptions{}), sc.Shards, searchReqs,
 		func(subs []service.SubResult) interface{} { return netsvc.ComposeSearch(subs, 10) }); err != nil {
 		return err
 	}
-
-	aggQueries := aggSvc.Data.SampleAggQueries(sc.Seed^0x33, 3)
-	aggTemplates := make([]*wire.Request, len(aggQueries))
-	for i, q := range aggQueries {
-		aggTemplates[i] = aggRequest(q)
-	}
-	return nc.parity("agg", netsvc.NewAggBackend(aggSvc.Comps, netsvc.BackendOptions{}), sc.Shards, aggTemplates,
+	return nc.parity("agg", netsvc.NewAggBackend(aggSvc.Comps, netsvc.BackendOptions{}), sc.Shards, aggReqs,
 		func(subs []service.SubResult) interface{} { return netsvc.ComposeAgg(subs) })
 }
 
@@ -458,19 +410,15 @@ func (nc *NetCompare) runParity(sc Scale, aggSvc *AggService) error {
 // workload handler and states the outcome as that workload's contract.
 func (nc *NetCompare) parity(workload string, h netsvc.Handler, n int, templates []*wire.Request,
 	compose func([]service.SubResult) interface{}) error {
-	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
-		Components: n,
-		Handler:    func(int) netsvc.Handler { return h },
-		Server:     netsvc.ServerOptions{Workers: 2},
-		Agg:        netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 30 * time.Second},
-	})
+	st, err := deployment{n: n, handler: shared(h), server: netsvc.ServerOptions{Workers: 2},
+		agg: &netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 30 * time.Second}, gatherOnly: true}.start()
 	if err != nil {
 		return err
 	}
-	defer lb.Close()
+	defer st.Close()
 	identical := 0
 	for _, tmpl := range templates {
-		netSubs, err := lb.Agg.Call(context.Background(), tmpl)
+		netSubs, err := st.Agg.Call(context.Background(), tmpl)
 		if err != nil {
 			return err
 		}

@@ -1,22 +1,33 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"reflect"
+	"sync"
 	"time"
 
 	"accuracytrader/internal/agg"
+	"accuracytrader/internal/audit"
+	"accuracytrader/internal/cost"
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/ingest"
 	"accuracytrader/internal/netsvc"
+	"accuracytrader/internal/obs"
+	"accuracytrader/internal/rescache"
 	"accuracytrader/internal/service"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/wire"
+	"accuracytrader/internal/workload"
 )
 
 // What the wall-clock serving experiments (the *compare family over
-// internal/service and internal/netsvc) share: the request template,
-// the accuracy references, the calibrated ladder, the standard frontend
-// and the per-row tally. The loopback deployment itself is
-// netsvc.StartLoopback and the load generator netsvc.OpenLoop.
+// internal/service and internal/netsvc) share: the request templates, the
+// accuracy references, the calibrated ladder, the frontends, one loopback
+// deployment (deployment.start over netsvc.StartLoopback), one way to
+// issue and classify a request (target.issue), and the per-row tally.
 
 // aggRequest builds the whole-service wire request of one aggregation
 // query, unclassed and unlevelled; callers stamp SLO, budget and tenant.
@@ -27,22 +38,73 @@ func aggRequest(q agg.Query) *wire.Request {
 	}
 }
 
-// exactEstimates precomputes each query's exact merged estimates — the
-// reference every measured-accuracy column scores against.
-func exactEstimates(comps []*agg.Component, queries []agg.Query) [][]float64 {
-	nKeys := comps[0].T.NumKeys()
-	out := make([][]float64, len(queries))
+// cfRequest builds the whole-service wire request of one CF request.
+func cfRequest(r workload.CFRequest) *wire.Request {
+	ratings := make([]wire.Rating, len(r.Known))
+	for i, kr := range r.Known {
+		ratings[i] = wire.Rating{Item: kr.Item, Score: kr.Score}
+	}
+	return &wire.Request{
+		Kind: wire.KindCF, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
+		CF: &wire.CFRequest{Ratings: ratings, Targets: r.Targets},
+	}
+}
+
+// searchRequest builds the whole-service wire request of one top-k
+// search query.
+func searchRequest(q string, k int32) *wire.Request {
+	return &wire.Request{
+		Kind: wire.KindSearch, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
+		Search: &wire.SearchRequest{Query: q, K: k},
+	}
+}
+
+// aggFix is what an aggregation serving experiment starts from: the
+// service, a query sample, the ladder accuracy calibrated over at most
+// its first 40 queries, each query's exact merged estimates (the
+// reference every measured accuracy scores against), and the modeled
+// per-row scan cost.
+type aggFix struct {
+	*AggService
+	queries  []agg.Query
+	levelAcc []float64
+	exact    [][]float64
+	unitMs   float64
+}
+
+// aggFixture builds the service at sc and samples nq queries with the
+// experiment's salt.
+func aggFixture(sc Scale, salt uint64, nq int) (*aggFix, error) {
+	svc, err := BuildAggService(sc)
+	if err != nil {
+		return nil, err
+	}
+	f := &aggFix{AggService: svc, queries: svc.Data.SampleAggQueries(sc.Seed^salt, nq), unitMs: sc.aggUnitCostMs()}
+	f.levelAcc = LadderAccuracy(svc.Comps, f.queries[:min(len(f.queries), 40)])
+	nKeys := svc.Comps[0].T.NumKeys()
 	exact := agg.NewResult(nKeys)
 	var scratch agg.Result
-	for qi, q := range queries {
+	for _, q := range f.queries {
 		exact = exact.Reset(nKeys)
-		for _, c := range comps {
+		for _, c := range svc.Comps {
 			scratch = agg.ExactResultInto(scratch, c, q)
 			exact.Merge(scratch)
 		}
-		out[qi] = exact.Estimates(q.Op)
+		f.exact = append(f.exact, exact.Estimates(q.Op))
 	}
-	return out
+	return f, nil
+}
+
+// ms converts a duration to milliseconds; msDur converts back.
+func ms(d time.Duration) float64    { return float64(d) / float64(time.Millisecond) }
+func msDur(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+
+// pct is n as a percentage of of (0 of nothing).
+func pct(n, of int) float64 {
+	if of == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(of)
 }
 
 // LadderAccuracy measures the synopsis-only accuracy of every ladder
@@ -92,23 +154,255 @@ func finestSaturationRate(comps []*agg.Component, unitMs float64) float64 {
 // component, with a deadline far beyond any healthy round trip.
 var gatherAll = netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second}
 
-// calibratedFrontend is the frontend of the contract experiments: the
-// degradation controller calibrated with levelAcc and nothing else — no
-// admission policy, default routing — so every request is answered.
-func calibratedFrontend(b frontend.Backend, levelAcc []float64) (*frontend.Frontend, error) {
-	ctrl, err := frontend.NewController(frontend.ControllerConfig{Levels: len(levelAcc), LevelAccuracy: levelAcc})
+// deployment is one loopback stack of the serving experiments: n
+// component servers, the aggregator over them and — unless gatherOnly —
+// a front server with its frontend and planes.
+type deployment struct {
+	n       int
+	handler func(i int) netsvc.Handler
+	server  netsvc.ServerOptions
+	agg     *netsvc.AggregatorOptions // nil: gatherAll
+	wrap    func(i int, l net.Listener) net.Listener
+	// lives, when set, are the live stores server i appends to (lives[i]);
+	// the front server then forwards appends and re-warms up to rewarm
+	// cached answers per observed epoch swap.
+	lives  []*ingest.AggLive
+	rewarm int
+
+	gatherOnly bool // no front server: callers drive the aggregator
+	front      netsvc.ServerOptions
+	// levelAcc calibrates the standard frontend, admitting at most
+	// inflight requests (0: every one); nil runs the front server's
+	// default frontend.
+	levelAcc []float64
+	inflight int
+	cache    *rescache.Cache
+	slo      *obs.SLOTracker
+	audit    *audit.Config
+	costs    *cost.Table
+}
+
+// shared serves every component with one handler.
+func shared(h netsvc.Handler) func(int) netsvc.Handler {
+	return func(int) netsvc.Handler { return h }
+}
+
+// served is a running deployment and the target its client is.
+type served struct {
+	*netsvc.Loopback
+	target
+}
+
+// start deploys d; the caller closes it.
+func (d deployment) start() (*served, error) {
+	spec := netsvc.LoopbackSpec{Components: d.n, Handler: d.handler, Server: d.server, Agg: gatherAll, WrapListener: d.wrap}
+	if d.agg != nil {
+		spec.Agg = *d.agg
+	}
+	if d.lives != nil {
+		spec.Ingest = func(i int) netsvc.IngestHandler {
+			return netsvc.NewLiveIngestHandler(netsvc.LiveStores{Agg: d.lives[i : i+1]})
+		}
+	}
+	if !d.gatherOnly {
+		spec.Front = d.frontServer
+	}
+	lb, err := netsvc.StartLoopback(spec)
 	if err != nil {
 		return nil, err
 	}
-	return frontend.New(b, frontend.Options{Controller: ctrl})
+	return &served{lb, target{lb.Client.Call, d.levelAcc}}, nil // a nil Client's Call is never made
+}
+
+// frontServer builds the front server over agr and enables its planes.
+// The ordering lives here: NewFrontServer fixes the tracer and the
+// frontend (cost attribution needs the one, the cache's accuracy tags
+// the other's controller), then the setters run — cache, SLO, audit,
+// cost, ingest — before StartLoopback serves.
+func (d deployment) frontServer(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
+	var fe *frontend.Frontend
+	if d.levelAcc != nil {
+		var err error
+		if fe, err = StandardFrontend(agr, d.inflight, d.levelAcc, frontend.Options{}); err != nil {
+			return nil, err
+		}
+	}
+	fs := netsvc.NewFrontServer(agr, fe, d.front)
+	if d.cache != nil {
+		if err := fs.EnableCache(d.cache); err != nil {
+			return fs, err
+		}
+	}
+	fs.EnableSLO(d.slo, nil) // nil leaves the plane off, as for cost
+	if d.audit != nil {
+		if _, err := fs.EnableAudit(*d.audit); err != nil {
+			return fs, err
+		}
+	}
+	if err := fs.EnableCost(d.costs); err != nil {
+		return fs, err
+	}
+	if d.lives != nil {
+		fs.EnableIngest(d.rewarm)
+	}
+	return fs, nil
+}
+
+// target is where a serving experiment sends whole-service requests —
+// a loopback client, or an in-process gather replying as a front server
+// would — and the ladder calibration its replies' claims are judged by
+// (nil: every level claims 1, a frontend without a controller).
+type target struct {
+	send     func(context.Context, *wire.Request) (*wire.Reply, error)
+	levelAcc []float64
+}
+
+// stamp is what a request carries beyond its query: its class and
+// floor, its absolute service budget (zero: none) and its tenant.
+type stamp struct {
+	slo      frontend.SLO
+	deadline time.Time
+	tenant   string
+}
+
+// outcome is one request's classified reply.
+type outcome struct {
+	rep    *wire.Reply // nil when the call itself failed
+	err    error       // the call's own failure
+	status uint8       // the reply's status; ReplyErr when the call failed
+	// strata is the fan-out width the reply reports, missing how many of
+	// them are absent from its answer.
+	strata, missing int
+	acc             float64   // accuracy against the exact estimates (payload replies)
+	broken          bool      // the reply breaks its class's promise
+	at              time.Time // when the reply arrived
+}
+
+// issue stamps req, sends it and classifies the reply; ref is the
+// query's exact estimates (nil scores no accuracy).
+func (tg target) issue(ctx context.Context, req *wire.Request, st stamp, ref []float64) outcome {
+	req.SLO, req.MinAccuracy = uint8(st.slo.Kind), st.slo.MinAccuracy
+	if !st.deadline.IsZero() {
+		req.Deadline = st.deadline.UnixNano()
+	}
+	req.Tenant = st.tenant
+	rep, err := tg.send(ctx, req)
+	at := time.Now()
+	o := outcome{err: err, status: wire.ReplyErr}
+	if err == nil {
+		o = classify(req, rep, st.slo, ref, tg.levelAcc)
+	}
+	o.at = at
+	return o
+}
+
+// classify judges rep, the reply to req sent as class slo. The promises:
+// a ReplyOK answer has every stratum; an Exact answer is never degraded
+// and equals the exact estimates; a Bounded answer claims at least its
+// floor — its level's calibrated accuracy discounted by the strata it
+// lost — unless admission downgraded it to BestEffort; and BestEffort
+// is never refused.
+func classify(req *wire.Request, rep *wire.Reply, slo frontend.SLO, ref, levelAcc []float64) outcome {
+	o := outcome{rep: rep, status: rep.Status, strata: len(rep.SubStatus)}
+	for _, s := range rep.SubStatus {
+		if s != wire.StatusOK {
+			o.missing++
+		}
+	}
+	payload, exact := wire.ReplyCarriesPayload(rep.Status), false
+	if payload && ref != nil && rep.Agg != nil && len(rep.Agg.Sum) > 0 {
+		est := netsvc.AggResultOf(rep.Agg).Estimates(agg.Op(req.Agg.Op))
+		o.acc, exact = agg.Accuracy(est, ref), reflect.DeepEqual(est, ref)
+	}
+	kind := slo.Kind
+	if kind == frontend.Bounded && rep.SLO == wire.SLOBestEffort {
+		kind = frontend.BestEffort // admission's one downgrade
+	}
+	switch {
+	case rep.Status == wire.ReplyUnavailable:
+		o.broken = kind == frontend.BestEffort
+	case !payload:
+	case rep.Status == wire.ReplyOK && o.missing > 0:
+		o.broken = true // a silent partial served as a full answer
+	case kind == frontend.Exact:
+		o.broken = rep.Status == wire.ReplyDegraded || ref != nil && !exact
+	case kind == frontend.Bounded:
+		claim := 1.0
+		if levelAcc != nil && rep.Level >= 0 {
+			claim = levelAcc[min(int(rep.Level), len(levelAcc)-1)]
+		}
+		if o.strata > 0 {
+			claim *= float64(o.strata-o.missing) / float64(o.strata)
+		}
+		o.broken = claim < slo.MinAccuracy-1e-9
+	}
+	return o
+}
+
+// failed is nil for a ReplyOK outcome, and otherwise says what went wrong.
+func (o outcome) failed() error {
+	if o.err == nil && o.status != wire.ReplyOK {
+		return fmt.Errorf("reply status %d (%s)", o.status, o.rep.Err)
+	}
+	return o.err
+}
+
+// openRow offers the arrival schedule to tg, arrival r asking query
+// qis[r] stamped by stampOf, and hands fold each outcome with its
+// latency from the intended send, under one lock. It returns the worst
+// send lag in ms.
+func (f *aggFix) openRow(tg target, arrivalsMs []float64, qis []int,
+	stampOf func(r int, intended time.Time) stamp, fold func(r int, latMs float64, o outcome)) float64 {
+	var mu sync.Mutex
+	lag := netsvc.OpenLoop(arrivalsMs, func(r int, intended time.Time) {
+		qi := qis[r]
+		req := aggRequest(f.queries[qi])
+		req.ID = uint64(r)
+		o := tg.issue(context.Background(), req, stampOf(r, intended), f.exact[qi])
+		mu.Lock()
+		defer mu.Unlock()
+		fold(r, ms(o.at.Sub(intended)), o)
+	})
+	return ms(lag)
+}
+
+// together runs do(0), …, do(n-1) concurrently — a closed-loop worker
+// pool — and returns their errors joined (nil when none failed).
+func together(n int, do func(w int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for w := range errs {
+		go func() {
+			defer wg.Done()
+			errs[w] = do(w)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// waitFor polls cond every millisecond until it holds (true) or limit
+// has passed (false).
+func waitFor(cond func() bool, limit time.Duration) bool {
+	end := time.Now().Add(limit)
+	for !cond() {
+		if !time.Now().Before(end) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
 }
 
 // StandardFrontend assembles the accuracy-aware pipeline every serving
 // deployment here runs: 2 replicas, least-loaded routing, admission by
 // an in-flight cap plus the 0.35/0.85 queue watermark, and a controller
 // calibrated with levelAcc that saturates at the same in-flight count.
-// opts carries what a deployment adds (cache, metrics registry); its
-// routing, admission and controller fields are overwritten.
+// A maxInflight of 0 admits every request, its controller saturating
+// at the controller's default. opts carries what a deployment adds
+// (cache, metrics registry); its routing, admission and controller
+// fields are overwritten.
 func StandardFrontend(b frontend.Backend, maxInflight int, levelAcc []float64, opts frontend.Options) (*frontend.Frontend, error) {
 	ctrl, err := frontend.NewController(frontend.ControllerConfig{
 		Levels:             len(levelAcc),
@@ -120,11 +414,11 @@ func StandardFrontend(b frontend.Backend, maxInflight int, levelAcc []float64, o
 	}
 	opts.Replicas = 2
 	opts.Router = frontend.NewLeastLoaded()
-	opts.Admission = []frontend.AdmissionPolicy{
-		frontend.NewMaxInflight(maxInflight),
-		frontend.NewQueueWatermark(0.35, 0.85),
-	}
 	opts.Controller = ctrl
+	opts.Admission = nil
+	if maxInflight > 0 {
+		opts.Admission = []frontend.AdmissionPolicy{frontend.NewMaxInflight(maxInflight), frontend.NewQueueWatermark(0.35, 0.85)}
+	}
 	return frontend.New(b, opts)
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing" // AllocsPerRun: the disabled-path zero-allocation guard
 	"time"
 
-	"accuracytrader/internal/agg"
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/obs"
@@ -20,20 +19,11 @@ import (
 // figure) validates the end-to-end decision tracing pipeline on the
 // real networked stack: wire clients against a traced FrontServer,
 // whose aggregator fans out to component servers over loopback TCP.
-// It asserts three contracts —
-//
-//  1. stitching: in every answered fan-out trace, each answered
-//     sub-operation span carries the server-side queue/exec spans that
-//     travelled back in its sub-reply (span trees survive the wire);
-//  2. accounting: the span tree explains the measured request latency —
-//     the critical-path accounted time covers at least
-//     traceCoverageFloor of the measured total on average;
-//  3. zero cost when off: the disabled tracing path (no recorder)
-//     allocates nothing per request.
-//
-// It also runs an identical untraced pass and reports the measured
-// tracing overhead, and renders the per-SLO-class deadline-budget
-// breakdown table (obs.Summarize) over the traced pass.
+// Its contracts (EXPERIMENTS.md § tracecompare): stitching — span trees
+// survive the wire; accounting — the critical path explains at least
+// traceCoverageFloor of measured latency; zero cost when tracing is off.
+// An identical untraced pass measures the tracing overhead, and the
+// traced pass renders the per-SLO-class budget breakdown (obs.Summarize).
 const (
 	// traceRequests is the request count per pass (traced and untraced).
 	traceRequests = 240
@@ -60,56 +50,45 @@ type TraceCompare struct {
 	// Traced-pass outcomes.
 	Answered     int // traces answered (not rejected)
 	FanOuts      int // answered traces that ran a fan-out (no cache here)
-	Stitched     int // fan-out traces with complete remote stitching
-	CoverageMean float64
 	MeanTracedMs float64
 
 	// Untraced-pass outcomes.
 	MeanUntracedMs float64
 	OverheadPct    float64 // traced vs untraced mean latency
 
-	DisabledAllocs float64 // allocs/op of the disabled tracing path
-
 	Summary *obs.Summary
 }
 
 // RunTraceCompare runs the tracing validation at a scale.
 func RunTraceCompare(sc Scale) (*TraceCompare, error) {
-	svc, err := BuildAggService(sc)
+	f, err := aggFixture(sc, 0x7ace, 16)
 	if err != nil {
 		return nil, err
 	}
-	comps := svc.Comps
-	queries := svc.Data.SampleAggQueries(sc.Seed^0x7ace, 16)
-	levelAcc := LadderAccuracy(comps, queries)
-	unitCost := time.Duration(sc.aggUnitCostMs() * float64(time.Millisecond))
-
-	tc := &TraceCompare{Servers: len(comps), Requests: traceRequests}
+	tc := &TraceCompare{Servers: len(f.Comps), Requests: traceRequests}
 
 	// (3) Disabled path: TraceFrom on an untraced context returns nil,
 	// and every method on the nil receiver is a no-op. One request's
 	// worth of trace calls must not allocate.
 	bg := context.Background()
-	tc.DisabledAllocs = testing.AllocsPerRun(1000, func() {
+	allocs := testing.AllocsPerRun(1000, func() {
 		tr := obs.TraceFrom(bg)
 		tr.SetRequest(uint8(wire.KindAgg), wire.SLOBounded, 0.9, 0)
 		tr.SetDecision(obs.VerdictAdmitted, wire.SLOBounded, 1)
 		tr.Add(obs.SpanSubOp, 0, time.Time{}, 0, 0)
 		tr.Finish(0)
 	})
-	tc.promise("zero-cost", tc.DisabledAllocs == 0, "%.1f allocs/op with tracing off (want 0)", tc.DisabledAllocs)
+	tc.promise("zero-cost", allocs == 0, "%.1f allocs/op with tracing off (want 0)", allocs)
 
 	// Traced pass: recorder sized to retain every request.
 	rec := obs.NewRecorder(traceRequests+traceWorkers, 64)
-	tc.MeanTracedMs, err = tc.runPass(sc, comps, queries, levelAcc, unitCost, rec)
-	if err != nil {
+	if tc.MeanTracedMs, err = tc.runPass(sc, f, rec); err != nil {
 		return nil, err
 	}
 	tc.inspect(rec.Snapshot(0))
 
 	// Untraced pass: identical stack, nil recorder.
-	tc.MeanUntracedMs, err = tc.runPass(sc, comps, queries, levelAcc, unitCost, nil)
-	if err != nil {
+	if tc.MeanUntracedMs, err = tc.runPass(sc, f, nil); err != nil {
 		return nil, err
 	}
 	if tc.MeanUntracedMs > 0 {
@@ -120,75 +99,50 @@ func RunTraceCompare(sc Scale) (*TraceCompare, error) {
 
 // runPass drives traceRequests closed-loop requests through a freshly
 // built loopback stack and returns the mean request latency in ms.
-func (tc *TraceCompare) runPass(sc Scale, comps []*agg.Component, queries []agg.Query,
-	levelAcc []float64, unitCost time.Duration, rec *obs.Recorder) (float64, error) {
-	backend := netsvc.NewAggBackend(comps, netsvc.BackendOptions{UnitCost: unitCost})
-	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
-		Components: len(comps),
-		Handler:    func(int) netsvc.Handler { return backend },
-		Server:     netsvc.ServerOptions{Workers: 1, QueueLen: 512},
-		Agg:        gatherAll,
-		Front: func(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
-			fe, err := calibratedFrontend(agr, levelAcc)
-			if err != nil {
-				return nil, err
-			}
-			return netsvc.NewFrontServer(agr, fe, netsvc.ServerOptions{Tracer: rec}), nil
-		},
-	})
+func (tc *TraceCompare) runPass(sc Scale, f *aggFix, rec *obs.Recorder) (float64, error) {
+	st, err := deployment{
+		n:        len(f.Comps),
+		handler:  shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{UnitCost: msDur(f.unitMs)})),
+		server:   netsvc.ServerOptions{Workers: 1, QueueLen: 512},
+		front:    netsvc.ServerOptions{Tracer: rec},
+		levelAcc: f.levelAcc,
+	}.start()
 	if err != nil {
 		return 0, err
 	}
-	defer lb.Close()
-	cl := lb.Client // one multiplexed connection shared by the workers
+	defer st.Close()
 
 	var mu sync.Mutex
 	var totalMs float64
 	answered := 0
-	var wg sync.WaitGroup
-	var firstErr error
 	perWorker := traceRequests / traceWorkers
-	for w := 0; w < traceWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := stats.NewRNG(sc.Seed ^ uint64(0xace1+w))
-			for i := 0; i < perWorker; i++ {
-				r := w*perWorker + i
-				q := queries[rng.Intn(len(queries))]
-				req := aggRequest(q)
-				slo := overloadClassMix(r)
-				req.SLO = uint8(slo.Kind)
-				req.MinAccuracy = slo.MinAccuracy
-				if slo.Kind != frontend.Exact {
-					req.Deadline = time.Now().Add(time.Duration(traceDeadlineMs * float64(time.Millisecond))).UnixNano()
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				t0 := time.Now()
-				rep, err := cl.Call(ctx, req)
-				lat := time.Since(t0)
-				cancel()
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				if rep.Status != wire.ReplyOK {
-					continue
-				}
+	// The workers share the deployment's one multiplexed client connection.
+	err = together(traceWorkers, func(w int) error {
+		rng := stats.NewRNG(sc.Seed ^ uint64(0xace1+w))
+		for i := 0; i < perWorker; i++ {
+			q := f.queries[rng.Intn(len(f.queries))]
+			s := stamp{slo: overloadClassMix(w*perWorker + i)}
+			if s.slo.Kind != frontend.Exact {
+				s.deadline = time.Now().Add(msDur(traceDeadlineMs))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			t0 := time.Now()
+			o := st.issue(ctx, aggRequest(q), s, nil)
+			cancel()
+			if o.err != nil {
+				return o.err
+			}
+			if o.status == wire.ReplyOK {
 				mu.Lock()
-				totalMs += float64(lat) / float64(time.Millisecond)
+				totalMs += ms(o.at.Sub(t0))
 				answered++
 				mu.Unlock()
 			}
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, firstErr
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	if answered == 0 {
 		return 0, fmt.Errorf("tracecompare: no request answered")
@@ -200,8 +154,8 @@ func (tc *TraceCompare) runPass(sc Scale, comps []*agg.Component, queries []agg.
 // traced pass's recorded traces.
 func (tc *TraceCompare) inspect(views []obs.TraceView) {
 	tc.Summary = obs.Summarize(views)
-	var coverSum float64
-	coverCnt := 0
+	var coverSum, coverMean float64
+	coverCnt, stitchedCnt := 0, 0
 	coverOK := true
 	for _, tv := range views {
 		if !tv.Done || tv.Verdict == obs.VerdictRejected {
@@ -233,10 +187,10 @@ func (tc *TraceCompare) inspect(views []obs.TraceView) {
 			}
 		}
 		if stitched {
-			tc.Stitched++
+			stitchedCnt++
 		}
 		if tv.DurNs > 0 {
-			cover := obs.Accounted(tv) / (float64(tv.DurNs) / float64(time.Millisecond))
+			cover := obs.Accounted(tv) / ms(time.Duration(tv.DurNs))
 			coverSum += cover
 			coverCnt++
 			if cover > traceCoverageCeil {
@@ -245,13 +199,13 @@ func (tc *TraceCompare) inspect(views []obs.TraceView) {
 		}
 	}
 	if coverCnt > 0 {
-		tc.CoverageMean = coverSum / float64(coverCnt)
+		coverMean = coverSum / float64(coverCnt)
 	}
-	tc.promise("stitching", tc.FanOuts > 0 && tc.Stitched == tc.FanOuts,
-		"%d/%d fan-out traces: every answered sub-op span carries both of its server-side spans", tc.Stitched, tc.FanOuts)
-	tc.promise("accounting", coverOK && tc.CoverageMean >= traceCoverageFloor,
+	tc.promise("stitching", tc.FanOuts > 0 && stitchedCnt == tc.FanOuts,
+		"%d/%d fan-out traces: every answered sub-op span carries both of its server-side spans", stitchedCnt, tc.FanOuts)
+	tc.promise("accounting", coverOK && coverMean >= traceCoverageFloor,
 		"critical-path spans explain %.0f%% of measured latency on average (floor %.0f%%, ceil %.0f%%)",
-		100*tc.CoverageMean, 100*traceCoverageFloor, 100*traceCoverageCeil)
+		100*coverMean, 100*traceCoverageFloor, 100*traceCoverageCeil)
 }
 
 // Render formats the validation report and the budget breakdown table.

@@ -1,7 +1,5 @@
 package frontend
 
-import "sync"
-
 // Load is a point-in-time snapshot of cluster pressure, the input to
 // admission decisions and the degradation controller.
 type Load struct {
@@ -53,59 +51,6 @@ func (d Decision) String() string {
 // be safe for concurrent use.
 type AdmissionPolicy interface {
 	Admit(nowMs float64, l Load) Decision
-}
-
-// TokenBucket is a rate-limiting admission policy: requests consume
-// one token each, tokens refill continuously at a fixed rate up to a
-// burst capacity, and an empty bucket rejects.
-type TokenBucket struct {
-	mu      sync.Mutex
-	rate    float64 // tokens per second
-	burst   float64
-	tokens  float64
-	lastMs  float64
-	started bool
-}
-
-// NewTokenBucket returns a bucket admitting ratePerSec requests/second
-// with bursts up to burst. The bucket starts full.
-func NewTokenBucket(ratePerSec, burst float64) *TokenBucket {
-	if burst < 1 {
-		burst = 1
-	}
-	return &TokenBucket{rate: ratePerSec, burst: burst, tokens: burst}
-}
-
-// Admit consumes a token if one is available.
-func (b *TokenBucket) Admit(nowMs float64, _ Load) Decision {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.started {
-		b.started = true
-		b.lastMs = nowMs
-	}
-	if nowMs > b.lastMs {
-		b.tokens += (nowMs - b.lastMs) / 1000 * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-		b.lastMs = nowMs
-	}
-	if b.tokens < 1 {
-		return Reject
-	}
-	b.tokens--
-	return Admit
-}
-
-// Refund returns the token consumed by an Admit whose request was
-// rejected elsewhere in the chain.
-func (b *TokenBucket) Refund() {
-	b.mu.Lock()
-	if b.tokens++; b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	b.mu.Unlock()
 }
 
 // MaxInflight rejects once the number of in-flight requests reaches a
@@ -166,35 +111,13 @@ func (q *QueueWatermark) Admit(_ float64, l Load) Decision {
 	}
 }
 
-// Refunder is implemented by consuming policies (the token bucket)
-// whose Admit verdict charges state that should be returned when the
-// chain's final verdict rejects the request anyway.
-type Refunder interface {
-	Refund()
-}
-
 // Chain evaluates every policy and returns the most severe verdict, so
-// a rate limit, a concurrency cap, and a queue watermark compose. When
-// the final verdict is Reject, policies that admitted are refunded —
-// a request shed by the concurrency cap must not also drain the token
-// bucket.
+// a concurrency cap and a queue watermark compose.
 func Chain(nowMs float64, l Load, policies []AdmissionPolicy) Decision {
 	verdict := Admit
-	var charged []AdmissionPolicy
 	for _, p := range policies {
-		d := p.Admit(nowMs, l)
-		if d > verdict {
+		if d := p.Admit(nowMs, l); d > verdict {
 			verdict = d
-		}
-		if d == Admit {
-			if _, ok := p.(Refunder); ok {
-				charged = append(charged, p)
-			}
-		}
-	}
-	if verdict == Reject {
-		for _, p := range charged {
-			p.(Refunder).Refund()
 		}
 	}
 	return verdict

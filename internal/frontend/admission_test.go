@@ -2,42 +2,6 @@ package frontend
 
 import "testing"
 
-func TestTokenBucketRefills(t *testing.T) {
-	b := NewTokenBucket(100, 2) // 100/s, burst 2, starts full
-	if d := b.Admit(0, Load{}); d != Admit {
-		t.Fatalf("first = %v", d)
-	}
-	if d := b.Admit(0, Load{}); d != Admit {
-		t.Fatalf("second (burst) = %v", d)
-	}
-	if d := b.Admit(0, Load{}); d != Reject {
-		t.Fatalf("empty bucket = %v", d)
-	}
-	// 10ms at 100/s refills exactly one token.
-	if d := b.Admit(10, Load{}); d != Admit {
-		t.Fatalf("after refill = %v", d)
-	}
-	if d := b.Admit(10, Load{}); d != Reject {
-		t.Fatalf("refill over-credited: %v", d)
-	}
-	// A long idle period caps at the burst, not unbounded credit.
-	if d := b.Admit(100_000, Load{}); d != Admit {
-		t.Fatal("idle bucket rejected")
-	}
-	if d := b.Admit(100_000, Load{}); d != Admit {
-		t.Fatal("burst capacity lost")
-	}
-	if d := b.Admit(100_000, Load{}); d != Reject {
-		t.Fatal("burst cap not enforced after idle")
-	}
-	// A clock that does not advance must not mint tokens.
-	b2 := NewTokenBucket(1000, 1)
-	b2.Admit(5, Load{})
-	if d := b2.Admit(5, Load{}); d != Reject {
-		t.Fatalf("same-instant refill: %v", d)
-	}
-}
-
 func TestMaxInflight(t *testing.T) {
 	m := NewMaxInflight(3)
 	if d := m.Admit(0, Load{Inflight: 2}); d != Admit {
@@ -70,31 +34,6 @@ func TestQueueWatermark(t *testing.T) {
 	inv := NewQueueWatermark(0.9, 0.5)
 	if d := inv.Admit(0, Load{MaxQueueFrac: 0.7}); d != Reject {
 		t.Fatalf("inverted marks = %v", d)
-	}
-}
-
-func TestChainRefundsTokenOnReject(t *testing.T) {
-	// A request shed by the concurrency cap must not also drain the
-	// token bucket: a zero-rate bucket with one token survives any
-	// number of capped-out arrivals and still admits once the cap
-	// clears.
-	bucket := NewTokenBucket(0, 1)
-	policies := []AdmissionPolicy{bucket, NewMaxInflight(1)}
-	full := Load{Inflight: 5}
-	for i := 0; i < 10; i++ {
-		if d := Chain(0, full, policies); d != Reject {
-			t.Fatalf("capped arrival %d = %v", i, d)
-		}
-	}
-	if d := Chain(0, Load{}, policies); d != Admit {
-		t.Fatal("token drained by rejected arrivals")
-	}
-	// The refund never over-credits past the burst.
-	for i := 0; i < 5; i++ {
-		Chain(0, full, policies)
-	}
-	if d := Chain(0, Load{}, policies); d != Reject {
-		t.Fatal("refund minted tokens beyond the burst")
 	}
 }
 

@@ -60,7 +60,7 @@ func (s SLO) String() string {
 // ControllerConfig parametrizes the degradation controller.
 type ControllerConfig struct {
 	// Levels is the number of ladder levels, coarse (0) to fine
-	// (Levels-1), matching synopsis.Ladder's cut order. Required ≥ 1.
+	// (Levels-1). Required ≥ 1.
 	Levels int
 	// LevelAccuracy estimates the delivered accuracy of each level in
 	// [0,1], coarse to fine. Defaults to a linear ramp ending at 1 —
@@ -171,8 +171,8 @@ func (c *Controller) LevelAccuracy(level int) float64 {
 }
 
 // LevelFor maps the current load and a request's SLO to the ladder
-// level to serve it from, mirroring synopsis.Ladder.Select's load→cut
-// mapping: load 0 picks the finest level, load 1 the coarsest. Exact
+// level to serve it from: load 0 picks the finest level, load 1 the
+// coarsest. Exact
 // requests always get the finest level; Bounded requests never go
 // coarser than the finest level whose estimated accuracy still meets
 // their floor.

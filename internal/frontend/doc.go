@@ -4,15 +4,15 @@
 //
 // A request passes three cooperating pieces:
 //
-//   - Admission: pluggable policies that reject or
+//   - Admission: an in-flight cap and a queue watermark that reject or
 //     downgrade requests before they consume any component capacity,
 //     so overload surfaces at the door instead of as mailbox overflow
 //     deep in the fan-out.
-//   - Router: shard-replica routing policies over an R-replica
-//     component map, so a hot subset can be served by any of its
-//     replicas instead of only its home component.
+//   - Router: least-loaded routing over an R-replica component map, so
+//     a hot subset can be served by any of its replicas instead of only
+//     its home component.
 //   - DegradationController: an EWMA load estimator that maps observed
-//     load to a synopsis.Ladder level per request, honoring per-request
+//     load to a synopsis ladder level per request, honoring per-request
 //     SLO classes — saturation coarsens synopses instead of growing
 //     queues until requests time out.
 //

@@ -77,11 +77,7 @@ func TestFrontendRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	f, err := New(cl, Options{
-		// A drained zero-rate bucket rejects everything after the first
-		// request.
-		Admission: []AdmissionPolicy{NewTokenBucket(0, 1)},
-	})
+	f, err := New(cl, Options{Admission: []AdmissionPolicy{new(admitOnce)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +90,16 @@ func TestFrontendRejects(t *testing.T) {
 	if st := f.Stats(); st.Admitted != 1 || st.Rejected != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// admitOnce admits its first request and rejects every later one.
+type admitOnce struct{ used atomic.Bool }
+
+func (a *admitOnce) Admit(float64, Load) Decision {
+	if a.used.Swap(true) {
+		return Reject
+	}
+	return Admit
 }
 
 // alwaysDegrade forces the Degrade verdict.

@@ -1,11 +1,5 @@
 package frontend
 
-import (
-	"sync"
-
-	"accuracytrader/internal/stats"
-)
-
 // ReplicaMap places R replicas of each data subset on consecutive
 // components: subset s can be served by components s, s+1, …, s+R-1
 // (mod n). R=1 degenerates to the fixed home-component placement; R=n
@@ -58,30 +52,6 @@ type Router interface {
 	Pick(subset int, replicas []int, queueDepth func(comp int) int) int
 }
 
-// RoundRobin cycles each subset through its replicas independently,
-// spreading load without looking at it.
-type RoundRobin struct {
-	mu   sync.Mutex
-	next map[int]int
-}
-
-// NewRoundRobin returns a round-robin router.
-func NewRoundRobin() *RoundRobin {
-	return &RoundRobin{next: make(map[int]int)}
-}
-
-// Pick returns the subset's next replica in rotation.
-func (r *RoundRobin) Pick(subset int, replicas []int, _ func(int) int) int {
-	if len(replicas) == 0 {
-		return subset
-	}
-	r.mu.Lock()
-	i := r.next[subset]
-	r.next[subset] = (i + 1) % len(replicas)
-	r.mu.Unlock()
-	return replicas[i%len(replicas)]
-}
-
 // LeastLoaded sends the sub-operation to the replica with the
 // shallowest queue (ties break toward the home component, which comes
 // first in the replica set).
@@ -103,40 +73,4 @@ func (*LeastLoaded) Pick(subset int, replicas []int, queueDepth func(int) int) i
 		}
 	}
 	return best
-}
-
-// PowerOfTwo samples two distinct random replicas and picks the less
-// loaded — near-least-loaded balance at two probes per decision, and
-// no herding onto a single momentarily-idle component.
-type PowerOfTwo struct {
-	mu  sync.Mutex
-	rng *stats.RNG
-}
-
-// NewPowerOfTwo returns a power-of-two-choices router seeded for
-// reproducible runs.
-func NewPowerOfTwo(seed uint64) *PowerOfTwo {
-	return &PowerOfTwo{rng: stats.NewRNG(seed)}
-}
-
-// Pick compares two random replicas.
-func (p *PowerOfTwo) Pick(subset int, replicas []int, queueDepth func(int) int) int {
-	switch len(replicas) {
-	case 0:
-		return subset
-	case 1:
-		return replicas[0]
-	}
-	p.mu.Lock()
-	i := p.rng.Intn(len(replicas))
-	j := p.rng.Intn(len(replicas) - 1)
-	p.mu.Unlock()
-	if j >= i {
-		j++
-	}
-	a, b := replicas[i], replicas[j]
-	if queueDepth(b) < queueDepth(a) {
-		return b
-	}
-	return a
 }

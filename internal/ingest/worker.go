@@ -15,9 +15,6 @@ type WorkerOptions struct {
 	// CompactEvery compacts instead of publishing every Nth tick
 	// (default 0: never auto-compact; the owner calls Compact itself).
 	CompactEvery int
-	// OnSwap, when set, runs after every tick that swapped the epoch —
-	// the result cache's invalidation hook (epoch bump + re-warm).
-	OnSwap func(epoch uint64)
 	// Name labels this store's metrics (e.g. "agg").
 	Name string
 	// Metrics, when set, publishes ingest counters and gauges:
@@ -120,14 +117,12 @@ func (w *Worker) loop() {
 	}
 }
 
-// tick runs one publish-or-compact step and fires the swap hook when
-// the epoch moved.
+// tick runs one publish-or-compact step and counts what it moved.
 func (w *Worker) tick(compact bool) {
-	var epoch uint64
 	var moved int
 	var lag time.Duration
 	if compact {
-		ep, folded, l, err := w.store.Compact()
+		_, folded, l, err := w.store.Compact()
 		if err != nil {
 			w.mu.Lock()
 			w.stats.CompactErrs++
@@ -137,7 +132,7 @@ func (w *Worker) tick(compact bool) {
 			}
 			return
 		}
-		epoch, moved, lag = ep, folded, l
+		moved, lag = folded, l
 		if moved > 0 {
 			w.mu.Lock()
 			w.stats.Compactions++
@@ -147,7 +142,7 @@ func (w *Worker) tick(compact bool) {
 			}
 		}
 	} else {
-		epoch, moved, lag = w.store.PublishDelta()
+		_, moved, lag = w.store.PublishDelta()
 		if moved > 0 {
 			w.mu.Lock()
 			w.stats.Publishes++
@@ -171,8 +166,5 @@ func (w *Worker) tick(compact bool) {
 	}
 	if w.gLag != nil {
 		w.gLag.Set(float64(lag) / float64(time.Millisecond))
-	}
-	if w.opts.OnSwap != nil {
-		w.opts.OnSwap(epoch)
 	}
 }

@@ -142,15 +142,25 @@ func TestFrontServerCacheHitAndFloor(t *testing.T) {
 	}
 }
 
+// admitOnce admits its first request and rejects every later one.
+type admitOnce struct{ used atomic.Bool }
+
+func (a *admitOnce) Admit(float64, frontend.Load) frontend.Decision {
+	if a.used.Swap(true) {
+		return frontend.Reject
+	}
+	return frontend.Admit
+}
+
 // TestFrontServerCacheHitBypassesAdmission: a cache hit consumes no
-// admission state. Behind a one-token bucket the first miss takes the
-// token, its repeats are answered from the cache, and a request with a
-// distinct key is a real miss that the drained bucket rejects — and a
-// rejection is never stored, so its repeat is rejected afresh.
+// admission state. Behind a policy that admits only the first request,
+// that miss is admitted, its repeats are answered from the cache, and a
+// request with a distinct key is a real miss that the policy rejects —
+// and a rejection is never stored, so its repeat is rejected afresh.
 func TestFrontServerCacheHitBypassesAdmission(t *testing.T) {
 	const n = 2
 	fs, cache, cl, backendCalls, _ := startCachedFrontServer(t, n,
-		[]frontend.AdmissionPolicy{frontend.NewTokenBucket(0, 1)}, rescache.Config{Capacity: 64, RefreshBelow: 0.01})
+		[]frontend.AdmissionPolicy{new(admitOnce)}, rescache.Config{Capacity: 64, RefreshBelow: 0.01})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -168,7 +178,7 @@ func TestFrontServerCacheHitBypassesAdmission(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rep.Status != wire.ReplyOK || !rep.Cached {
-			t.Fatalf("repeat %d went through the drained token bucket: status %d cached %v err %q",
+			t.Fatalf("repeat %d went through admission: status %d cached %v err %q",
 				i, rep.Status, rep.Cached, rep.Err)
 		}
 	}

@@ -133,12 +133,12 @@ func NewLiveAggBackend(lives []*ingest.AggLive, opts BackendOptions) Handler {
 // EnableIngest makes the front server accept v5 append batches and
 // forward each to its owning component through the aggregator, and
 // wires the ingest-driven cache invalidation: whenever a component
-// epoch swap is observed — via NotifyEpochSwap from an in-process
-// merge worker's OnSwap hook, or via the advancing epochs on ingest
-// acknowledgements — the result cache's epoch is bumped (staling every
-// entry) and up to rewarmMax of the hottest entries are recomputed in
-// the background (rescache.RewarmHot), turning the post-swap miss
-// burst back into hits. rewarmMax 0 disables re-warming; without
+// epoch swap is observed — via the advancing epochs on ingest
+// acknowledgements, or a NotifyEpochSwap call by an in-process owner
+// that swaps its stores itself — the result cache's epoch is bumped
+// (staling every entry) and up to rewarmMax of the hottest entries are
+// recomputed in the background (rescache.RewarmHot), turning the
+// post-swap miss burst back into hits. rewarmMax 0 disables re-warming; without
 // EnableCache the epoch bookkeeping is kept but there is nothing to
 // invalidate. Call before Serve.
 func (s *FrontServer) EnableIngest(rewarmMax int) {
@@ -161,7 +161,7 @@ func (s *FrontServer) EnableIngest(rewarmMax int) {
 // server's view. An advance past the highest epoch seen so far bumps
 // the result cache (every cached answer predates the swap) and kicks
 // one background re-warm pass over the hottest entries; stale or
-// duplicate notifications are no-ops, so the in-process OnSwap hook
+// duplicate notifications are no-ops, so an in-process owner's calls
 // and the acknowledgement-observed epochs can both feed it safely.
 func (s *FrontServer) NotifyEpochSwap(epoch uint64) {
 	for {
