@@ -32,6 +32,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -100,7 +101,10 @@ func main() {
 // line. Finished reports are kept for the rest of the invocation, so
 // every distinct run executes once: an alias prints nothing its target
 // already printed, and a composed entry reads its parts from the kept
-// reports (computing them silently when it is asked for alone).
+// reports (computing them silently when it is asked for alone). A
+// violated contract or a failed Run does not stop the invocation: every
+// entry runs, a run of more than one ends with a table of every
+// contract's verdict, and the error joins every failure.
 func run(out io.Writer, reg []experiments.Experiment, exp string, sc experiments.Scale) error {
 	byName := map[string]experiments.Experiment{}
 	for _, e := range reg {
@@ -123,6 +127,7 @@ func run(out io.Writer, reg []experiments.Experiment, exp string, sc experiments
 	}
 
 	kept := map[string]experiments.Report{}
+	ran := map[string]bool{} // an alias of an entry whose Run erred does not run it again
 	var report func(e experiments.Experiment) (experiments.Report, error)
 	report = func(e experiments.Experiment) (r experiments.Report, err error) {
 		if done, ok := kept[e.Name]; ok {
@@ -144,24 +149,41 @@ func run(out io.Writer, reg []experiments.Experiment, exp string, sc experiments
 		}
 		return r, err
 	}
+	var failed []error
+	var verdicts strings.Builder
 	for _, e := range todo {
 		if e.AliasOf != "" {
 			e = byName[e.AliasOf]
 		}
-		if _, printed := kept[e.Name]; printed {
+		if _, printed := kept[e.Name]; printed || ran[e.Name] {
 			continue
 		}
+		ran[e.Name] = true
 		t0 := time.Now()
 		fmt.Fprintf(out, "== %s ==\n", e.Title)
 		r, err := report(e)
-		if err == nil {
+		if err != nil {
+			fmt.Fprintf(&verdicts, "  %-14s %-28s ERROR  %v\n", e.Name, "-", err)
+		} else {
 			fmt.Fprintln(out, r.Render())
+			if c, ok := r.(interface{ Contracts() []experiments.Contract }); ok {
+				for _, k := range c.Contracts() {
+					mark := "ok"
+					if !k.OK {
+						mark = "FAIL"
+					}
+					fmt.Fprintf(&verdicts, "  %-14s %-28s %s\n", e.Name, k.Name, mark)
+				}
+			}
 			err = experiments.Check(r)
 		}
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
+			failed = append(failed, fmt.Errorf("%s: %w", e.Name, err))
 		}
 		fmt.Fprintf(out, "[%s took %.1fs]\n\n", e.Title, time.Since(t0).Seconds())
 	}
-	return nil
+	if len(ran) > 1 {
+		fmt.Fprintf(out, "== verdicts ==\n%s%d of %d experiment(s) failed\n", verdicts.String(), len(failed), len(ran))
+	}
+	return errors.Join(failed...)
 }

@@ -76,6 +76,57 @@ func TestRunChecksContracts(t *testing.T) {
 	}
 }
 
+// TestRunAllRunsEverything: under `all` a violated contract or a failed
+// Run stops nothing — every entry after it runs and prints, the closing
+// table lists every contract's verdict and every error, and the joined
+// error names each failure.
+func TestRunAllRunsEverything(t *testing.T) {
+	calls := map[string]int{}
+	boom := errors.New("rig would not start")
+	reg := []experiments.Experiment{
+		counting("bad", calls, fakeReport{"BAD REPORT", []experiments.Contract{
+			{Name: "wire parity cf", OK: false, Detail: "reply 2 differs"},
+			{Name: "wire parity agg", OK: true, Detail: "3 requests"},
+		}}, nil),
+		counting("broken", calls, nil, boom),
+		{Name: "broken2", Artifact: "test", About: "alias of broken", AliasOf: "broken"},
+		counting("good", calls, fakeReport{"GOOD REPORT", []experiments.Contract{{Name: "coalescing", OK: true, Detail: "1 fan-out"}}}, nil),
+	}
+	var out strings.Builder
+	err := run(&out, reg, "all", experiments.QuickScale())
+	if err == nil || !errors.Is(err, boom) {
+		t.Fatalf("run error %v, want one that joins the failed Run", err)
+	}
+	for _, want := range []string{"bad", "wire parity cf", "reply 2 differs", "broken"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	for name, n := range map[string]int{"bad": 1, "broken": 1, "good": 1} {
+		if calls[name] != n {
+			t.Errorf("%s ran %d times, want %d", name, calls[name], n)
+		}
+	}
+	_, verdicts, ok := strings.Cut(out.String(), "== verdicts ==")
+	if !ok || !strings.Contains(out.String(), "GOOD REPORT") {
+		t.Fatalf("output lacks the report after the failures or the verdict table:\n%s", out.String())
+	}
+	for _, row := range [][]string{{"bad", "wire parity cf", "FAIL"}, {"bad", "wire parity agg", "ok"},
+		{"broken", "ERROR", "rig would not start"}, {"good", "coalescing", "ok"}, {"2 of 3 experiment(s) failed"}} {
+		found := false
+		for _, line := range strings.Split(verdicts, "\n") {
+			all := true
+			for _, w := range row {
+				all = all && strings.Contains(line, w)
+			}
+			found = found || all
+		}
+		if !found {
+			t.Errorf("verdict table has no row with %q:\n%s", row, verdicts)
+		}
+	}
+}
+
 // TestRunAllRunsEachOnce pins the run-once rule: under `all` an alias
 // prints nothing its target already printed, a composed entry reads the
 // kept reports of its parts, and every distinct Run executes exactly

@@ -86,8 +86,8 @@ func ExampleGetAggEngine() {
 		res.Estimate(at.AggSum, 0), res.Bound(at.AggSum, 0))
 	fmt.Printf("accuracy: %.3f\n", at.AggAccuracy(res.Estimates(at.AggSum), exact.Estimates(at.AggSum)))
 	// Output:
-	// synopsis estimate key 0: 200 +- 235 (exact 300)
-	// accuracy: 0.889
+	// synopsis estimate key 0: 120 +- 225 (exact 300)
+	// accuracy: 0.800
 	// after improvement key 0: 300 +- 0
 	// accuracy: 1.000
 }

@@ -63,6 +63,57 @@ func TestSynopsisShape(t *testing.T) {
 	}
 }
 
+// TestCappedLadderBudget holds the capped ladder to its budget and
+// shape on random stratum-size vectors: every level spends exactly the
+// proportional row total Σ clamp(⌈rate·N⌉, MinSample, N), levels are
+// nested, every stratum keeps its floor, and the split is even — the
+// strata sampled in part hold K or K+1 rows, and every fully sampled
+// stratum has at most K+1.
+func TestCappedLadderBudget(t *testing.T) {
+	rng := stats.NewRNG(77)
+	for trial := 0; trial < 300; trial++ {
+		nStrata := 1 + rng.Intn(40)
+		off := make([]int32, nStrata+1)
+		for s := 0; s < nStrata; s++ {
+			N := rng.Intn(12) // small and empty strata
+			if rng.Intn(3) == 0 {
+				N = rng.Intn(3000) // heavy ones
+			}
+			off[s+1] = off[s] + int32(N)
+		}
+		minSample := 2 + rng.Intn(10)
+		cfg := Config{Rates: []float64{rng.Float64(), rng.Float64(), rng.Float64(), 1}, MinSample: minSample}.withDefaults()
+		lens := ladderLens(off, cfg.Rates, minSample)
+		for l, rate := range cfg.Rates {
+			total, spent := 0, 0
+			partial := math.MaxInt
+			for s := 0; s < nStrata; s++ {
+				N, n := int(off[s+1]-off[s]), int(lens[l][s])
+				total += min(max(int(math.Ceil(rate*float64(N))), minSample), N)
+				spent += n
+				if n < min(minSample, N) || n > N {
+					t.Fatalf("trial %d level %d stratum %d: %d of %d rows, floor %d", trial, l, s, n, N, minSample)
+				}
+				if l > 0 && n < int(lens[l-1][s]) {
+					t.Fatalf("trial %d level %d stratum %d: %d rows, below level %d's %d", trial, l, s, n, l-1, lens[l-1][s])
+				}
+				if n < N {
+					partial = min(partial, n)
+				}
+			}
+			if spent != total {
+				t.Fatalf("trial %d level %d: spends %d rows, budget %d", trial, l, spent, total)
+			}
+			for s := 0; s < nStrata; s++ {
+				N, n := int(off[s+1]-off[s]), int(lens[l][s])
+				if n < N && n > partial+1 || n == N && partial != math.MaxInt && N > partial+1 {
+					t.Fatalf("trial %d level %d stratum %d: %d of %d rows against cap %d", trial, l, s, n, N, partial)
+				}
+			}
+		}
+	}
+}
+
 func TestConfigRateNormalization(t *testing.T) {
 	cfg := Config{Rates: []float64{0.5, -1, 0.1, 0.5, 2}}.withDefaults()
 	if len(cfg.Rates) != 2 || cfg.Rates[0] != 0.1 || cfg.Rates[1] != 0.5 {

@@ -22,21 +22,29 @@
 //     rare groups are represented in the synopsis.
 //   - The synopsis is a multi-resolution ladder of per-stratum samples
 //     (Synopsis): each stratum's rows are shuffled once under a seeded
-//     RNG and ladder level l takes a prefix whose length is that
-//     level's sampling rate (nested samples, so finer levels strictly
-//     extend coarser ones). Ladder level = sampling rate.
+//     RNG and ladder level l takes a prefix of each (nested samples, so
+//     finer levels extend coarser ones). A level's rate is its row
+//     budget, the rows a proportional sample at that rate would take,
+//     spent capped: every stratum gets the same number of rows up to
+//     its size (BlinkDB's cap), so the rare groups that weigh as much in
+//     the accuracy metric as the hot ones are not left at the floor.
 //   - ProcessSynopsis estimates each stratum's SUM and COUNT under the
 //     query's value filter from its sample, scaled by the inverse
-//     sampling rate, and attaches closed-form CLT error bounds (normal
-//     approximation with finite-population correction). The
-//     correlation of a stratum is its estimated error contribution to
-//     the accuracy metric, a mean of per-group relative errors: the CI
-//     half-width of the requested aggregate over the estimate's
-//     magnitude. Algorithm 1 therefore ranks the relatively most
-//     uncertain strata first — with Zipf keys, the small tail strata,
-//     not the head strata whose wide absolute bounds are small beside
-//     their estimates. A zero bound ranks last and a positive bound on a
-//     zero estimate first, and the correlation is never NaN.
+//     sampling fraction, and attaches closed-form CLT error bounds
+//     (normal approximation with finite-population correction, the
+//     per-row variances floored by Agresti–Coull pseudo-counts so a
+//     sample that kept few rows or none still gets a bound that
+//     covers). The correlation of a stratum is its estimated error
+//     contribution to the accuracy metric, a mean of per-group relative
+//     errors, per row an improvement would read: the CI half-width of
+//     the requested aggregate over the estimate's magnitude, over the
+//     stratum's unread rows. Algorithm 1 therefore ranks first the
+//     strata whose relative uncertainty is cheapest to remove — with
+//     Zipf keys, the small tail strata, not the head strata whose wide
+//     absolute bounds are small beside their estimates and whose
+//     improvement reads thousands of rows. A zero bound ranks last and a
+//     positive bound on a zero estimate first, and the correlation is
+//     never NaN.
 //   - ProcessSet replaces a stratum's estimate with its exact value
 //     (zero variance), the counterpart of cf/textindex re-processing a
 //     group's original members. Because the sample is a prefix of the

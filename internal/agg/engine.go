@@ -177,20 +177,23 @@ func (r Result) Bound(op Op, k int) float64 {
 	}
 }
 
-// correlation is stratum k's correlation to the query's accuracy, the
-// relative CI bound Bound/|Estimate|: accuracy is 1 − mean relative
-// error over groups, so a wide bound on a large estimate matters less
-// than a narrow one on a small estimate. A zero bound gives 0 (an exact
-// or empty stratum gains nothing from improvement); a positive bound on
-// a zero estimate gives +Inf, and so does a NaN quotient — an error the
-// sample cannot size ranks first. It never returns NaN, which
-// core.Rank would order as equal to everything.
-func (r Result) correlation(op Op, k int) float64 {
+// correlation is stratum k's correlation to the query's accuracy per
+// row improving it would read: the relative CI bound Bound/|Estimate|
+// over rows. Accuracy is 1 − mean relative error over groups, so a wide
+// bound on a large estimate matters less than a narrow one on a small
+// estimate; and an improvement reads the stratum's rows past its
+// sample, so of two equally uncertain strata the one that costs fewer
+// rows to make exact goes first. A zero bound gives 0 (an exact or
+// empty stratum gains nothing from improvement); a positive bound on a
+// zero estimate or over no rows gives +Inf, and so does a NaN quotient
+// — an error the sample cannot size ranks first. It never returns NaN,
+// which core.Rank would order as equal to everything.
+func (r Result) correlation(op Op, k int, rows float64) float64 {
 	b := r.Bound(op, k)
 	if b == 0 {
 		return 0
 	}
-	c := b / math.Abs(r.Estimate(op, k))
+	c := b / math.Abs(r.Estimate(op, k)) / rows
 	if c != c {
 		return math.Inf(1)
 	}
@@ -228,9 +231,9 @@ func (r Result) BoundsInto(dst []float64, op Op) []float64 {
 // Engine runs Algorithm 1 for one aggregation query on one component.
 // It implements core.Engine: ProcessSynopsis estimates every stratum
 // from its ladder-level sample and returns the per-stratum relative
-// error bounds as correlations; ProcessSet replaces one stratum's
-// estimate with its exact value, finishing the scan where the sample
-// stopped.
+// error bounds per unread row as correlations; ProcessSet replaces one
+// stratum's estimate with its exact value, finishing the scan where the
+// sample stopped.
 type Engine struct {
 	Comp  *Component
 	Q     Query
@@ -287,9 +290,10 @@ func (e *Engine) Release() {
 
 // ProcessSynopsis estimates every stratum from its ladder-level sample
 // (Horvitz-Thompson scaling N/n with finite-population-corrected CLT
-// variances) and returns the per-stratum error contributions — the
-// requested aggregate's CI half-width relative to its estimate (see
-// Result.correlation) — as the correlation estimates.
+// variances) and returns the per-stratum error contributions per row
+// an improvement would read — the requested aggregate's CI half-width
+// relative to its estimate, over GroupSize (see Result.correlation) —
+// as the correlation estimates.
 // It keeps each sample's raw scan, so ProcessSet reads only the rows
 // past it. The returned slice is owned by the engine and valid until
 // the next Reset or Release.
@@ -307,7 +311,7 @@ func (e *Engine) ProcessSynopsis() []float64 {
 		e.res.Cnt[g] = cnt
 		e.res.SumVar[g] = sumVar
 		e.res.CntVar[g] = cntVar
-		e.corr[g] = e.res.correlation(e.Q.Op, g)
+		e.corr[g] = e.res.correlation(e.Q.Op, g, float64(e.GroupSize(g)))
 	}
 	return e.corr
 }
@@ -316,17 +320,24 @@ func (e *Engine) ProcessSynopsis() []float64 {
 // estimator variances from its sampled rows, and returns the sample's
 // raw scan beside them. A fully sampled stratum (n == N) is exact:
 // scale 1, variance 0. For n < N the variances use the standard
-// stratified-sampling form N²·s²/n·(1−n/N) with the (n−1)-denominator
-// sample variance; n ≥ 2 whenever n < N because the per-stratum sample
-// floor is at least 2.
+// stratified-sampling form N²·s²/n·(1−n/N), with the per-row variances
+// s² floored by Agresti–Coull pseudo-counts: with p̃ = (kept+2)/(n+4),
+// the kept indicator's s² is at least p̃(1−p̃), and the kept values'
+// at least p̃(1−p̃)·Σv²/n over every sampled row, kept or not. The
+// floor keeps the bound of a sample that kept few rows or none from
+// collapsing to the Wald interval's zero width, so the nominal 95%
+// bounds cover on samples as small as MinSample. n ≥ 2 whenever n < N
+// because the per-stratum sample floor is at least 2.
 func stratumEstimate(vals []float64, q Query, sample []int32, N float64) (sum, cnt, sumVar, cntVar float64, p prefix) {
 	n := float64(len(sample))
-	var sy, syy float64
+	var sy, syy, svv float64
 	var kept uint64
 	for _, row := range sample {
-		v, s := q.keep(vals[row])
+		raw := vals[row]
+		v, s := q.keep(raw)
 		sy += v
 		syy += v * v // a dropped row's (−0.0)² is +0.0, and syy is never −0.0
+		svv += raw * raw
 		kept += s
 	}
 	p = prefix{sum: sy, kept: kept, rows: len(sample)}
@@ -338,13 +349,18 @@ func stratumEstimate(vals []float64, q Query, sample []int32, N float64) (sum, c
 		return sum, cnt, 0, 0, p
 	}
 	fpc := 1 - n/N
+	pt := (sb + 2) / (n + 4)
+	pq := pt * (1 - pt)
 	s2y := (syy - sy*sy/n) / (n - 1)
 	if s2y < 0 { // float cancellation on near-constant samples
 		s2y = 0
 	}
+	if floor := pq * svv / n; s2y < floor {
+		s2y = floor
+	}
 	s2b := (sb - sb*sb/n) / (n - 1)
-	if s2b < 0 {
-		s2b = 0
+	if s2b < pq {
+		s2b = pq
 	}
 	sumVar = N * N * s2y / n * fpc
 	cntVar = N * N * s2b / n * fpc

@@ -1,9 +1,6 @@
 package agg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // TableFromColumns wraps caller-owned columnar storage as a Table
 // without copying. The ingest layer uses it for a live shard's base:
@@ -26,12 +23,12 @@ func TableFromColumns(keys []int32, vals []float64, numKeys int) *Table {
 // order instead of BuildSynopsis's counting-sort-plus-shuffle: rows is
 // the row-id permutation in stratum-major order and off its stratum
 // offsets (stratum s owns rows[off[s]:off[s+1]]; len(off) must be
-// t.NumKeys()+1). Sample lengths per ladder level are computed with
-// exactly BuildSynopsis's clamp — ceil(rate·N) floored at MinSample,
-// capped at N — which is the reservoir-maintenance step of streaming
-// ingest: the caller keeps each stratum ordered by a deterministic
-// per-row sampling priority, so every level-l prefix is a uniform
-// bottom-k sample whose rate tracks the stratum as it grows. A caller
+// t.NumKeys()+1). Sample lengths per ladder level are BuildSynopsis's
+// capped ladder over the current stratum sizes, which is the
+// reservoir-maintenance step of streaming ingest: the caller keeps each
+// stratum ordered by a deterministic per-row sampling priority, so
+// every level-l prefix is a uniform bottom-k sample whose length tracks
+// the strata as they grow. A caller
 // that stores its table in that order already (the live base) passes
 // the identity permutation; rows is kept, not copied.
 func SynopsisFromOrder(t *Table, cfg Config, rows, off []int32) (*Synopsis, error) {
@@ -54,21 +51,7 @@ func SynopsisFromOrder(t *Table, cfg Config, rows, off []int32) (*Synopsis, erro
 			}
 		}
 	}
-	for _, rate := range cfg.Rates {
-		lv := make([]int32, t.NumKeys())
-		for s := 0; s < t.NumKeys(); s++ {
-			N := off[s+1] - off[s]
-			n := int32(math.Ceil(rate * float64(N)))
-			if n < int32(cfg.MinSample) {
-				n = int32(cfg.MinSample)
-			}
-			if n > N {
-				n = N
-			}
-			lv[s] = n
-		}
-		syn.lens = append(syn.lens, lv)
-	}
+	syn.lens = ladderLens(off, cfg.Rates, cfg.MinSample)
 	if err := syn.CheckInvariants(); err != nil {
 		return nil, err
 	}

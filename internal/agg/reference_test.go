@@ -30,11 +30,12 @@ func newNaiveAnswer() *naiveAnswer {
 }
 
 // naiveStratum computes one stratum's sample estimate with the plain
-// textbook formulas, mirroring the optimized kernel's operation order
-// so accumulators stay bit-identical.
+// textbook formulas and the Agresti–Coull variance floors, mirroring
+// the optimized kernel's operation order so accumulators stay
+// bit-identical.
 func (na *naiveAnswer) naiveStratum(t *Table, q Query, sample []int32, N float64, key int) {
 	n := float64(len(sample))
-	sy, syy, sb := 0.0, 0.0, 0.0
+	sy, syy, svv, sb := 0.0, 0.0, 0.0, 0.0
 	for _, row := range sample {
 		v := t.Value(int(row))
 		if q.Lo <= v && v < q.Hi {
@@ -42,6 +43,7 @@ func (na *naiveAnswer) naiveStratum(t *Table, q Query, sample []int32, N float64
 			syy += v * v
 			sb++
 		}
+		svv += v * v
 	}
 	scale := N / n
 	na.sum[key] = scale * sy
@@ -52,13 +54,18 @@ func (na *naiveAnswer) naiveStratum(t *Table, q Query, sample []int32, N float64
 		return
 	}
 	fpc := 1 - n/N
+	// Agresti–Coull: two pseudo-successes and two pseudo-failures.
+	pt := (sb + 2) / (n + 4)
 	s2y := (syy - sy*sy/n) / (n - 1)
 	if s2y < 0 {
 		s2y = 0
 	}
+	if floor := pt * (1 - pt) * svv / n; floor > s2y {
+		s2y = floor
+	}
 	s2b := (sb - sb*sb/n) / (n - 1)
-	if s2b < 0 {
-		s2b = 0
+	if floor := pt * (1 - pt); floor > s2b {
+		s2b = floor
 	}
 	na.sumVar[key] = N * N * s2y / n * fpc
 	na.cntVar[key] = N * N * s2b / n * fpc
@@ -162,8 +169,8 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 			// Correlations must equal the naive per-stratum relative bounds.
 			for g := range corr {
 				want := 0.0
-				if c.Syn.StratumSize(g) > 0 {
-					want = naiveCorrelation(na, q.Op, g)
+				if N := c.Syn.StratumSize(g); N > 0 {
+					want = naiveCorrelation(na, q.Op, g, float64(N-c.Syn.SampleLen(level, g)))
 				}
 				if !sameBits(corr[g], want) {
 					t.Fatalf("seed %d trial %d: corr[%d] = %v, naive %v", seed, trial, g, corr[g], want)
@@ -212,20 +219,21 @@ func naiveEstimate(na *naiveAnswer, op Op, k int) float64 {
 	}
 }
 
-// naiveCorrelation is the relative bound spelt out case by case: 0 for
-// a zero bound, +Inf for a positive bound on a zero estimate or a
-// quotient that is NaN, else naiveBound / |naiveEstimate|.
-func naiveCorrelation(na *naiveAnswer, op Op, k int) float64 {
+// naiveCorrelation is the relative bound per row spelt out case by
+// case: 0 for a zero bound, +Inf for a positive bound on a zero
+// estimate, over no rows, or a quotient that is NaN, else naiveBound /
+// |naiveEstimate| / rows.
+func naiveCorrelation(na *naiveAnswer, op Op, k int, rows float64) float64 {
 	b, est := naiveBound(na, op, k), naiveEstimate(na, op, k)
 	switch {
 	case b == 0:
 		return 0
-	case est == 0:
+	case est == 0, rows == 0:
 		return math.Inf(1)
-	case math.IsNaN(b / math.Abs(est)):
+	case math.IsNaN(b / math.Abs(est) / rows):
 		return math.Inf(1)
 	}
-	return b / math.Abs(est)
+	return b / math.Abs(est) / rows
 }
 
 // rankDesc is a simple descending-correlation ordering (ties toward the

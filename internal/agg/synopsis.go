@@ -13,9 +13,12 @@ import (
 // Config controls offline synopsis creation for the aggregation
 // application.
 type Config struct {
-	// Rates are the ladder's sampling rates in (0,1], coarse to fine.
-	// They are sorted ascending and deduplicated. Default:
-	// 0.02, 0.05, 0.12, 0.30.
+	// Rates are the ladder's row budgets in (0,1], coarse to fine, each
+	// a fraction of the shard: level l samples as many rows as sampling
+	// every stratum at Rates[l] (floored at MinSample) would, but spends
+	// them capped — every stratum gets the same number of rows, up to
+	// its size (see ladderLens). They are sorted ascending and
+	// deduplicated. Default: 0.02, 0.05, 0.12, 0.30.
 	Rates []float64
 	// MinSample is the per-stratum sample-size floor (default 4): even
 	// the rarest group key keeps enough sampled rows for a CLT estimate
@@ -48,9 +51,9 @@ func (c Config) withDefaults() Config {
 // Synopsis is the offline product for one fact-table shard: the strata
 // (index file: one member set per group key) and the multi-resolution
 // sample ladder. Samples are nested — each stratum's rows are shuffled
-// once and level l reads the prefix of length rate_l — so a finer level
-// strictly extends a coarser one and the ladder costs one permutation,
-// not one copy per level.
+// once and level l reads a prefix whose length is the level's capped
+// share of its row budget — so a finer level extends a coarser one and
+// the ladder costs one permutation, not one copy per level.
 type Synopsis struct {
 	cfg  Config
 	rows []int32   // row ids, stratum-major, shuffled within each stratum
@@ -94,21 +97,63 @@ func BuildSynopsis(t *Table, cfg Config) (*Synopsis, error) {
 		srng := rng.Split(uint64(s) + 1)
 		srng.Shuffle(len(part), func(i, j int) { part[i], part[j] = part[j], part[i] })
 	}
-	for _, rate := range cfg.Rates {
+	syn.lens = ladderLens(off, cfg.Rates, cfg.MinSample)
+	return syn, nil
+}
+
+// ladderLens returns every ladder level's per-stratum sample lengths
+// for the strata with offsets off (stratum s holds off[s+1]−off[s]
+// rows): the capped ladder. Level l spends the row total a proportional
+// ladder would, T = Σ clamp(⌈rate_l·N_s⌉, minSample, N_s), but splits
+// it evenly: stratum s gets min(N_s, K), K the largest cap with
+// Σ min(N_s, K) ≤ T, and the T − Σ min(N_s, K) rows left over (fewer
+// than the strata still larger than K) go one each to those strata in
+// stratum order. K ≥ minSample, because T covers every stratum's
+// floor. A finer level has a K at least as large, and at an equal K at
+// least as many leftover rows, so every level extends the one below.
+func ladderLens(off []int32, rates []float64, minSample int) [][]int32 {
+	nStrata := len(off) - 1
+	var maxN int32
+	for s := 0; s < nStrata; s++ {
+		maxN = max(maxN, off[s+1]-off[s])
+	}
+	spent := func(k int32) (rows int64) {
+		for s := 0; s < nStrata; s++ {
+			rows += int64(min(off[s+1]-off[s], k))
+		}
+		return rows
+	}
+	lens := make([][]int32, len(rates))
+	for l, rate := range rates {
+		var total int64
+		for s := 0; s < nStrata; s++ {
+			N := off[s+1] - off[s]
+			total += int64(min(max(int32(math.Ceil(rate*float64(N))), int32(minSample)), N))
+		}
+		// The largest K with spent(K) ≤ total: spent is non-decreasing
+		// and spent(0) = 0.
+		lo, hi := int32(0), maxN
+		for lo < hi {
+			mid := lo + (hi-lo+1)/2
+			if spent(mid) <= total {
+				lo = mid
+			} else {
+				hi = mid - 1
+			}
+		}
+		left := total - spent(lo)
 		lv := make([]int32, nStrata)
 		for s := 0; s < nStrata; s++ {
-			n := int32(math.Ceil(rate * float64(counts[s])))
-			if n < int32(cfg.MinSample) {
-				n = int32(cfg.MinSample)
+			N := off[s+1] - off[s]
+			lv[s] = min(N, lo)
+			if N > lo && left > 0 {
+				lv[s]++
+				left--
 			}
-			if n > counts[s] {
-				n = counts[s]
-			}
-			lv[s] = n
 		}
-		syn.lens = append(syn.lens, lv)
+		lens[l] = lv
 	}
-	return syn, nil
+	return lens
 }
 
 // Levels returns the ladder depth (number of sampling rates).

@@ -19,7 +19,7 @@ import (
 //     reporting the measured synopsis-only accuracy (1 − mean relative
 //     error vs the exact GROUP-BY answers), the accuracy after
 //     Algorithm 1 improves the most uncertain strata by relative CLT
-//     bound, the modeled light-load service time of the level's scan
+//     bound per row, the modeled light-load service time of the level's scan
 //     volume, and the rows that improvement reads (each improved
 //     stratum's rows past its sample).
 //  2. An overload sweep mirroring `-exp overload`, with the simulated
@@ -35,7 +35,7 @@ const aggImproveFrac = 0.25
 // AggLevelRow is one ladder level of the accuracy-vs-latency table.
 type AggLevelRow struct {
 	Level        int
-	Rate         float64 // sampling rate
+	Rate         float64 // the level's row budget, a fraction of the shard
 	UnitsPerComp float64 // mean sampled rows per shard
 	ModelMs      float64 // modeled light-load service time of that scan
 	SynAccuracy  float64 // measured, synopsis only
@@ -141,7 +141,7 @@ func (a *AggCompare) Render() string {
 	fmt.Fprintf(&b, "AGGREGATION WORKLOAD (internal/agg): accuracy vs latency across the synopsis ladder\n")
 	fmt.Fprintf(&b, "(%d SUM/COUNT/AVG-per-group queries over %d shards; accuracy = 1 - mean relative error vs exact;\n",
 		a.Queries, a.Shards)
-	fmt.Fprintf(&b, " '+improve' = Algorithm 1 processing the %.0f%% most uncertain strata by relative CLT bound)\n\n",
+	fmt.Fprintf(&b, " '+improve' = Algorithm 1 processing the %.0f%% most uncertain strata by relative CLT bound per row)\n\n",
 		100*aggImproveFrac)
 	fmt.Fprintf(&b, "  %-7s %8s %12s %12s %12s %12s %18s\n",
 		"level", "rate", "rows/comp", "model ms", "accuracy", "+improve", "improve rows/comp")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing" // AllocsPerRun: the non-sampled hot-path zero-allocation guard
@@ -44,16 +45,10 @@ const (
 	// auditDetectK is the detection budget: a biased calibration must
 	// surface as a floor violation within this many audited samples.
 	auditDetectK = 10
-	// auditHealthyFloor / auditBiasFloor are the Bounded accuracy
-	// floors. The bias floor is chosen above the coarse levels' realized
-	// accuracy, so a table that over-claims them turns every audited
-	// sample into a violation.
+	// auditHealthyFloor is the healthy pass's Bounded accuracy floor.
+	// The bias pass's floor and its stale claim are derived from the
+	// honest table (staleTable).
 	auditHealthyFloor = 0.85
-	auditBiasFloor    = 0.95
-	// auditBiasClaim is the stale table's inflated per-level accuracy
-	// claim: every ladder level pretends to be near-exact, so the
-	// controller routes Bounded traffic to the coarsest (cheapest) one.
-	auditBiasClaim = 0.999
 	// auditRetentionRing is the deliberately tiny trace ring of the
 	// retention phase: healthy traffic must rotate anomalies out of it.
 	auditRetentionRing = 8
@@ -79,10 +74,7 @@ func RunAuditCompare(sc Scale) (*AuditCompare, error) {
 	if err != nil {
 		return nil, err
 	}
-	biased := make([]float64, len(f.levelAcc))
-	for l := range biased {
-		biased[l] = auditBiasClaim
-	}
+	biased, biasFloor := staleTable(f.levelAcc)
 	ac := &AuditCompare{Servers: len(f.Comps)}
 
 	// (1) Zero cost when off, and on the non-sampled hot path.
@@ -129,22 +121,26 @@ func RunAuditCompare(sc Scale) (*AuditCompare, error) {
 		"honest table: %d/%d audited, bound coverage %.3f over %d bounds (nominal %.2f), realized %.3f vs claimed %.3f, %d floor violations",
 		hp.stats.Audited, auditHealthyCalls, coverage, bounds, auditNominalConfidence, realized, claimed, hp.stats.Violations)
 
-	// (3) Bias pass: a stale table claims every level is near-exact, so
-	// Bounded{auditBiasFloor} traffic lands on the coarsest level and
-	// every audit measures realized accuracy far below both the claim
-	// and the floor — by at least auditMismatchGapFloor.
-	bp, err := runAuditedPass(f, biased, auditBiasFloor, auditBiasCalls)
+	// (3) Bias pass: a stale table claims a quarter of the best honest
+	// level's error at every level, and Bounded{biasFloor} traffic — a
+	// floor midway between that level's accuracy and the claim — lands
+	// where load puts it. Every audit then measures realized accuracy under both the
+	// claim and the floor, however good the honest ladder is: the gap
+	// floor is the claim's margin over the floor, 3/8 of the honest
+	// error.
+	bp, err := runAuditedPass(f, biased, biasFloor, auditBiasCalls)
 	if err != nil {
 		return nil, err
 	}
 	ac.BiasRealized, ac.BiasClaimed = bp.means()
+	gapFloor := biased[0] - biasFloor
 	ac.promise("detection", bp.stats.Violations > 0 &&
 		bp.detectAt > 0 && bp.detectAt <= auditDetectK &&
 		bp.pinnedFloor == int(bp.stats.Violations) &&
-		ac.BiasClaimed-ac.BiasRealized >= auditMismatchGapFloor,
-		"stale table claiming %.3f: %d/%d audits violated the %.2f floor, first at audit #%d (budget %d), %d traces pinned; realized %.3f vs claimed %.3f (gap floor %.2f) — the audit gap IS the staleness",
-		auditBiasClaim, bp.stats.Violations, bp.stats.Audited, auditBiasFloor, bp.detectAt, auditDetectK, bp.pinnedFloor,
-		ac.BiasRealized, ac.BiasClaimed, auditMismatchGapFloor)
+		ac.BiasClaimed-ac.BiasRealized >= gapFloor,
+		"stale table claiming %.4f: %d/%d audits violated the %.4f floor, first at audit #%d (budget %d), %d traces pinned; realized %.4f vs claimed %.4f (gap floor %.4f) — the audit gap IS the staleness",
+		biased[0], bp.stats.Violations, bp.stats.Audited, biasFloor, bp.detectAt, auditDetectK, bp.pinnedFloor,
+		ac.BiasRealized, ac.BiasClaimed, gapFloor)
 
 	// (4) Drift: audits queued across an ingest-driven epoch swap must
 	// be skipped stale, and post-swap answers must audit normally.
@@ -541,8 +537,20 @@ func (ac *AuditCompare) Render() string {
 	return b.String()
 }
 
-// auditMismatchGapFloor is the minimum claimed-minus-realized gap the
-// bias pass must demonstrate for the staleness story to hold — at
-// least the runtime's mismatch-pinning slack, so the gap is large
-// enough to pin traces as audit mismatches.
-const auditMismatchGapFloor = 0.05
+// staleTable derives the bias pass's stale calibration from the honest
+// one: with best the most accurate honest level, every level claims
+// 1 − (1 − best)/4 — a quarter of the error the ladder really makes,
+// wherever load puts the traffic — and the Bounded floor sits midway
+// between best and that claim, above every level's honest accuracy. So
+// the scenario stays a stale table at any seed or scale: a fixed
+// near-exact claim over a ladder that reads 0.98 would hide only 0.02
+// of error, and a fixed floor under it would see no violation.
+func staleTable(honest []float64) (claims []float64, floor float64) {
+	best := slices.Max(honest)
+	claim := 1 - (1-best)/4
+	claims = make([]float64, len(honest))
+	for l := range claims {
+		claims[l] = claim
+	}
+	return claims, (best + claim) / 2
+}

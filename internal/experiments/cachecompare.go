@@ -36,13 +36,13 @@ const (
 	// ccDeadlineMs is the service deadline the goodput criterion uses.
 	ccDeadlineMs = 50.0
 	// ccRateFrac is the offered rate as a fraction of one component's
-	// finest-synopsis saturation rate. With the improvement cap
-	// (ccIMaxFrac) the real per-request cost is synopsis + capped
-	// improvement, so this offered rate sits *above* the no-cache
-	// service capacity — the no-cache rows queue persistently — while a
-	// warm cache at skew >= 1 absorbs enough repeats to bring the
-	// backend back below saturation.
-	ccRateFrac = 0.75
+	// finest-synopsis saturation rate. The real per-request cost is the
+	// class mix's: Exact's full scans beside approximate answers of
+	// synopsis + capped improvement (ccIMaxFrac), so this offered rate
+	// sits *above* the no-cache service capacity — the no-cache rows
+	// queue persistently — while a warm cache at skew >= 1 absorbs
+	// enough repeats to bring the backend back below saturation.
+	ccRateFrac = 1.0
 	// ccWindowFrac is the window per row as a fraction of
 	// Scale.SessionSeconds.
 	ccWindowFrac = 0.25
@@ -53,7 +53,7 @@ const (
 	ccWarmupFrac = 0.25
 	// ccArrivalSalt seeds the arrival schedule; as netArrivalSalt, chosen
 	// so the default-seed draw (whole window and past the warm-up cut)
-	// lands within 2% of rate x window at both scales.
+	// lands within 4% of rate x window at both scales.
 	ccArrivalSalt = 0x9e83
 	// ccIMaxFrac caps Algorithm 1 improvement at the top fraction of
 	// ranked strata (the paper's imax), keeping approximate answers

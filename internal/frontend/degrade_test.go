@@ -95,6 +95,68 @@ func TestDegradeRuleInProcess(t *testing.T) {
 	}
 }
 
+// TestUnreachableFloorDowngrades pins the floor leak shut, without
+// sockets: under a calibrated ladder whose finest level reads 0.897, a
+// Bounded{0.90} request is dropped to BestEffort and counted degraded
+// by Decide, before the fan-out, in both runtimes' decision and through
+// the in-process frontend; and Claim, the backstop, refuses a complete
+// gather served as Bounded at a level under the floor.
+func TestUnreachableFloorDowngrades(t *testing.T) {
+	acc := []float64{0.834, 0.836, 0.853, 0.897}
+	newCtrl := func() *Controller {
+		ctrl, err := NewController(ControllerConfig{Levels: len(acc), LevelAccuracy: acc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctrl
+	}
+	floor := BoundedSLO(0.90)
+
+	eff, level, degraded, rejected := Decide(0, Load{}, nil, newCtrl(), floor)
+	if eff.Kind != BestEffort || !degraded || rejected || level != len(acc)-1 {
+		t.Fatalf("Decide(Bounded{0.90}) = %v at level %d, degraded %v, rejected %v; want BestEffort at level 3, degraded",
+			eff, level, degraded, rejected)
+	}
+	if eff, _, degraded, _ := Decide(0, Load{}, nil, newCtrl(), BoundedSLO(0.85)); eff.Kind != Bounded || degraded {
+		t.Fatalf("Decide(Bounded{0.85}) = %v, degraded %v; a reachable floor stays Bounded", eff, degraded)
+	}
+
+	full := make([]service.SubResult, 4)
+	for i := range full {
+		full[i].Value = i
+	}
+	var refused *UnavailableError
+	answered, claim, err := Claim(full, floor, acc[3])
+	if !errors.As(err, &refused) || answered != 4 || claim != acc[3] {
+		t.Fatalf("Claim of a full gather at %v under floor 0.90: answered %d, claim %v, err %v; want a refusal",
+			acc[3], answered, claim, err)
+	}
+	if refused.Kind != Bounded || refused.Answered != 4 || refused.Total != 4 || refused.Floor != 0.90 || refused.Discounted != acc[3] {
+		t.Fatalf("full-gather refusal = %+v", refused)
+	}
+
+	handlers := make([]service.Handler, 4)
+	for i := range handlers {
+		handlers[i] = func(context.Context, interface{}) (interface{}, error) { return true, nil }
+	}
+	cl, err := service.New(handlers, service.WaitAll, service.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	f, err := New(cl, Options{Controller: newCtrl()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Call(context.Background(), nil, floor)
+	if err != nil || res.SLO.Kind != BestEffort || !res.Degraded || res.Answered != 4 || res.EstimatedAccuracy != acc[res.Level] {
+		t.Fatalf("in-process Bounded{0.90}: result %+v, err %v; want a degraded BestEffort answer", res, err)
+	}
+	if st := f.Stats(); st.Degraded != 1 || st.Admitted != 1 {
+		t.Fatalf("stats %+v, want the request admitted and counted degraded", st)
+	}
+}
+
 // TestClaimDoesNotAllocate: the rule runs on every gather, so settling a
 // full fan-out, or a BestEffort partial one, allocates nothing.
 func TestClaimDoesNotAllocate(t *testing.T) {

@@ -93,7 +93,9 @@ type Result struct {
 	// controller's estimate for Level (1 for Exact-class results and
 	// without a controller), discounted by Answered of len(Sub).
 	EstimatedAccuracy float64
-	// Degraded reports that admission downgraded the request's class.
+	// Degraded reports that the front decision downgraded the request's
+	// class: admission's Degrade verdict, or a Bounded floor no level
+	// reaches.
 	Degraded bool
 
 	parent // the caller's context: Deadline, Done and Err are its
@@ -117,8 +119,8 @@ func (r *Result) Value(key any) any {
 	return r.parent.Value(key)
 }
 
-// UnavailableError is the degrade rule's typed refusal of a partial
-// gather (see Claim): Exact with a stratum missing, or Bounded whose
+// UnavailableError is the degrade rule's typed refusal of a gather
+// (see Claim): Exact with a stratum missing, or Bounded whose
 // discounted claim falls under its floor. Match it with errors.As.
 type UnavailableError struct {
 	Kind       SLOKind // Exact or Bounded
@@ -139,8 +141,11 @@ func (e *UnavailableError) Error() string {
 // Claim is the per-SLO degrade rule that both runtimes apply to a
 // gather. A full gather claims acc, the accuracy it was served at. Each
 // stratum is 1/total of the answer, so a partial one claims
-// acc·answered/total, and is refused when its class cannot take it:
-// Exact always, Bounded under its floor. Only a refusal allocates.
+// acc·answered/total. A claim its class cannot take is refused: Exact
+// with any stratum missing, Bounded under its floor — a partial gather,
+// or a full one served at a level under the floor (Decide downgrades
+// those before the fan-out; this is the backstop). Only a refusal
+// allocates.
 func Claim(subs []service.SubResult, slo SLO, acc float64) (answered int, claim float64, err error) {
 	for i := range subs {
 		if subs[i].Answered() {
@@ -148,12 +153,12 @@ func Claim(subs []service.SubResult, slo SLO, acc float64) (answered int, claim 
 		}
 	}
 	total := len(subs)
-	if answered == total {
-		return answered, acc, nil
+	claim = acc
+	if answered < total {
+		claim = acc * float64(answered) / float64(total)
 	}
-	claim = acc * float64(answered) / float64(total)
 	switch {
-	case slo.Kind == Exact:
+	case slo.Kind == Exact && answered < total:
 		err = &UnavailableError{Exact, answered, total, 1, claim}
 	case slo.Kind == Bounded && claim < slo.MinAccuracy:
 		err = &UnavailableError{Bounded, answered, total, slo.MinAccuracy, claim}
@@ -246,7 +251,10 @@ func FoldLoad(n, cap, inflight int, depth func(c int) int, p95, deadline float64
 // rule (Chain), a Degrade verdict drops a Bounded request to BestEffort
 // (Exact keeps its guarantee, BestEffort has nothing to give up), and
 // ctrl picks the level for the effective class (-1 without one, or when
-// rejected).
+// rejected). A Bounded request whose level ctrl estimates under its
+// floor — a floor no ladder level reaches — is dropped to BestEffort
+// and counted degraded the same way, before any work is spent, so it
+// is never answered as Bounded under its floor.
 func Decide(nowMs float64, l Load, policies []AdmissionPolicy, ctrl *Controller, slo SLO) (eff SLO, level int, degraded, rejected bool) {
 	if ctrl != nil {
 		ctrl.Observe(l)
@@ -262,6 +270,10 @@ func Decide(nowMs float64, l Load, policies []AdmissionPolicy, ctrl *Controller,
 	level = -1
 	if ctrl != nil {
 		level = ctrl.LevelFor(slo)
+		if slo.Kind == Bounded && ctrl.LevelAccuracy(level) < slo.MinAccuracy {
+			slo, degraded = BestEffortSLO(), true
+			level = ctrl.LevelFor(slo)
+		}
 	}
 	return slo, level, degraded, false
 }

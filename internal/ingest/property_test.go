@@ -111,6 +111,10 @@ func TestAggLiveMatchesFrozenRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			ls, fs := snap.Base().Syn, frozen.Base().Syn
+			sizes := make([]int, numKeys)
+			for g := range sizes {
+				sizes[g] = ls.StratumSize(g)
+			}
 			for g := 0; g < numKeys; g++ {
 				if ls.StratumSize(g) != fs.StratumSize(g) {
 					t.Fatalf("trial %d step %d stratum %d: size %d vs %d",
@@ -123,15 +127,9 @@ func TestAggLiveMatchesFrozenRebuild(t *testing.T) {
 							trial, step, g, lev, n, fs.SampleLen(lev, g))
 					}
 					// Reservoir maintenance honesty: the sample length
-					// must track the grown stratum, not the size at
+					// must track the grown strata, not their sizes at
 					// some earlier epoch.
-					wantLen := int(math.Ceil(cfg.Rates[lev] * float64(N)))
-					if wantLen < 2 {
-						wantLen = 2
-					}
-					if wantLen > N {
-						wantLen = N
-					}
+					wantLen := cappedLadderLen(sizes, cfg.Rates[lev], 2)[g]
 					if N > 0 && n != wantLen {
 						t.Fatalf("trial %d step %d stratum %d level %d: sample %d of %d, want %d",
 							trial, step, g, lev, n, N, wantLen)
@@ -155,6 +153,39 @@ func TestAggLiveMatchesFrozenRebuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cappedLadderLen is the capped ladder's per-stratum sample lengths at
+// one rate, spelt out step by step: the proportional row total, then
+// the cap raised one row at a time while the total still covers it,
+// then the rows left over, one each to the strata above the cap in
+// stratum order.
+func cappedLadderLen(sizes []int, rate float64, minSample int) []int {
+	total := 0
+	for _, N := range sizes {
+		total += min(max(int(math.Ceil(rate*float64(N))), minSample), N)
+	}
+	spent := func(k int) int {
+		rows := 0
+		for _, N := range sizes {
+			rows += min(N, k)
+		}
+		return rows
+	}
+	k := 0
+	for spent(k+1) <= total && spent(k+1) > spent(k) {
+		k++
+	}
+	left := total - spent(k)
+	lens := make([]int, len(sizes))
+	for g, N := range sizes {
+		lens[g] = min(N, k)
+		if N > k && left > 0 {
+			lens[g]++
+			left--
+		}
+	}
+	return lens
 }
 
 // TestAggReservoirInclusionCLT checks sampling honesty statistically:

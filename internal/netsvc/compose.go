@@ -45,8 +45,10 @@ func SubStatuses(subs []service.SubResult) []uint8 {
 // of total strata (a partial answer frontend.Claim let through) up to
 // the full population: sums and counts grow by
 // total/answered (unbiased under the uniform sharding of the replays),
-// variances by its square — the CLT bounds honestly widen to cover the
-// unseen strata instead of silently skewing low.
+// variances by its square, so the CLT bounds size the answered strata's
+// sampling error at the scaled-up magnitude. They do not size what the
+// unseen strata would have added (agg.TestBoundsCoverAtNominalRate
+// measures both).
 func ExtrapolateAgg(res *wire.AggResult, answered, total int) {
 	if res == nil || answered <= 0 || answered >= total {
 		return
