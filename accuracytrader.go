@@ -425,15 +425,17 @@ func SummarizeTraces(views []TraceView) *TraceSummary { return obs.Summarize(vie
 
 // AdminPlane is the operational HTTP endpoint set: /metrics (the
 // registry in Prometheus text), /traces (recent decision traces as
-// JSON), /healthz (readiness, flipped during graceful shutdown) and
-// /debug/pprof.
+// JSON), /healthz (readiness, flipped during graceful shutdown), /slo,
+// /audit, /costs, /frontier, /debug/profiles and /debug/pprof.
 type AdminPlane = obs.Admin
 
-// NewAdminPlane serves reg and rec (either may be nil); call its
-// Listen method with a loopback address, Close when done.
-func NewAdminPlane(reg *MetricsRegistry, rec *TraceRecorder) *AdminPlane {
-	return obs.NewAdmin(reg, rec)
-}
+// AdminSources are the planes an AdminPlane serves, each nil when the
+// deployment runs without it.
+type AdminSources = obs.AdminSources
+
+// NewAdminPlane serves the planes in src, built first; call its Listen
+// method with a loopback address, Close when done.
+func NewAdminPlane(src AdminSources) *AdminPlane { return obs.NewAdmin(src) }
 
 // The accuracy audit plane (internal/audit + internal/obs): the system
 // claims an accuracy on every approximate answer; the audit plane
@@ -458,7 +460,7 @@ func DefaultSLOBudgets() SLOBudgets { return obs.DefaultSLOBudgets() }
 
 // SLOTracker accumulates per-class (and per-tenant) SLO attainment
 // over sliding 1m/10m/1h windows. Wire it into a NetFrontServer via
-// EnableSLO and serve it via AdminPlane.SetSLOTracker (/slo).
+// EnableSLO and serve it via AdminSources.SLO (/slo).
 type SLOTracker = obs.SLOTracker
 
 // NewSLOTracker returns an empty tracker with the given budgets.
@@ -470,5 +472,5 @@ func NewSLOTracker(budgets SLOBudgets) *SLOTracker { return obs.NewSLOTracker(bu
 type AuditConfig = audit.Config
 
 // AuditReport bundles an auditor's stats and calibration tables —
-// the document AdminPlane.SetAuditSource serves at /audit.
+// the document AdminSources.Audit serves at /audit.
 type AuditReport = audit.Report

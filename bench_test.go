@@ -1,7 +1,7 @@
 // Benchmark harness: one benchmark per paper table and figure (regenerate
 // with `go test -bench=. -benchmem`), plus ablation benchmarks for the
-// design choices called out in DESIGN.md §5 and micro-benchmarks for the
-// hot substrate paths.
+// design choices of ARCHITECTURE.md § Offline dataflow and § Online
+// dataflow and micro-benchmarks for the hot substrate paths.
 //
 // The experiment benchmarks report the headline domain metrics through
 // b.ReportMetric (tail latencies in ms, accuracy losses in %), so a bench
@@ -216,7 +216,7 @@ func BenchmarkSynopsisCreationSearch(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (ARCHITECTURE.md § Offline dataflow, § Online dataflow) ---
 
 // BenchmarkAblationRatio sweeps the synopsis compression ratio and
 // reports the synopsis-only (initial result) top-10 overlap: smaller
@@ -629,44 +629,5 @@ func BenchmarkClusterSimulation(b *testing.B) {
 		if _, err := cluster.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationAdaptive compares the fixed synopsis against the
-// load-adaptive ladder (DESIGN.md §5) under extreme overload, where even
-// synopsis-only work starts to queue.
-func BenchmarkAblationAdaptive(b *testing.B) {
-	arr := workload.PoissonArrivals(stats.NewRNG(12), 1200, 5000)
-	work := cluster.WorkModel{
-		FullUnits:      1000,
-		SynopsisUnits:  120,
-		NumGroups:      10,
-		SynopsisLadder: []float64{5, 30, 120},
-	}
-	for _, adaptive := range []bool{false, true} {
-		name := "fixed"
-		if adaptive {
-			name = "adaptive"
-		}
-		b.Run(name, func(b *testing.B) {
-			var tail float64
-			for i := 0; i < b.N; i++ {
-				cfg := cluster.Config{
-					Components:       4,
-					Arrivals:         arr,
-					Work:             []cluster.WorkModel{work},
-					UnitCostMs:       0.01,
-					Technique:        cluster.AccuracyTrader,
-					DeadlineMs:       20,
-					AdaptiveSynopsis: adaptive,
-				}
-				res, err := cluster.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tail = stats.Percentile(res.ComponentLatencies(), 99.9)
-			}
-			b.ReportMetric(tail, "p999_ms")
-		})
 	}
 }

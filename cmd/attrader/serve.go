@@ -28,14 +28,13 @@ import (
 // in-flight requests get this long to finish before the hard close.
 const drainTimeout = 10 * time.Second
 
-// startAdmin stands up the admin plane when an address was given:
-// /metrics (reg), /traces (rec), /healthz, /debug/pprof. Returns nil
-// when addr is empty — every call site is nil-safe.
-func startAdmin(addr string, reg *obs.Registry, rec *obs.Recorder) (*obs.Admin, error) {
+// startAdmin stands up the admin plane over src when an address was
+// given. Returns nil when addr is empty — every call site is nil-safe.
+func startAdmin(addr string, src obs.AdminSources) (*obs.Admin, error) {
 	if addr == "" {
 		return nil, nil
 	}
-	ad := obs.NewAdmin(reg, rec)
+	ad := obs.NewAdmin(src)
 	got, err := ad.Listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("admin plane: %w", err)
@@ -154,7 +153,7 @@ func serveComponent(workload, listen, admin string, sc experiments.Scale) error 
 	if err != nil {
 		return err
 	}
-	ad, err := startAdmin(admin, obs.NewRegistry(), nil)
+	ad, err := startAdmin(admin, obs.AdminSources{Registry: obs.NewRegistry()})
 	if err != nil {
 		return err
 	}
@@ -270,42 +269,31 @@ func serveFront(ns *netService, agr *netsvc.Aggregator, listen, admin string, re
 	var fe *frontend.Frontend
 	if len(ns.levelAcc) > 0 {
 		var err error
-		fe, err = experiments.StandardFrontend(agr, 4*agr.Components(), ns.levelAcc, frontend.Options{Metrics: reg})
+		fe, err = experiments.StandardFrontend(agr, 4*agr.Components(), ns.levelAcc, reg)
 		if err != nil {
 			return err
 		}
-	}
-	ad, err := startAdmin(admin, reg, rec)
-	if err != nil {
-		return err
-	}
-	if ad != nil {
-		// /healthz answers 200 "degraded" (still routable — requests are
-		// served around the failure) whenever any peer breaker is open.
-		ad.SetHealthSource(agr.OpenBreakers)
 	}
 	fs := netsvc.NewFrontServer(agr, fe, netsvc.ServerOptions{Tracer: rec})
 	// Forward append batches to their owning component; after each
 	// observed epoch swap, re-warm up to 32 hot cache entries.
 	fs.EnableIngest(32)
-	// The admin plane also switches on SLO attainment tracking and the
-	// ground-truth auditor: burn rates land in /metrics and /slo, audit
-	// calibration tables in /audit, and audit-flagged traces are pinned
-	// as exemplars at /traces?filter=anomaly.
-	var auditor *audit.Auditor
-	if ad != nil {
+	// /healthz answers 200 "degraded" (still routable — requests are
+	// served around the failure) whenever any peer breaker is open.
+	src := obs.AdminSources{Registry: reg, Traces: rec, OpenBreakers: agr.OpenBreakers, Profiler: prof}
+	if admin != "" {
+		// The admin plane also switches on SLO attainment tracking and
+		// the ground-truth auditor: burn rates land in /metrics and
+		// /slo, audit calibration tables in /audit, and audit-flagged
+		// traces are pinned as exemplars at /traces?filter=anomaly.
 		slo := obs.NewSLOTracker(obs.DefaultSLOBudgets())
 		slo.RegisterMetrics(reg)
 		fs.EnableSLO(slo, nil)
-		ad.SetSLOTracker(slo)
-		auditor, err = fs.EnableAudit(audit.Config{Metrics: reg})
+		auditor, err := fs.EnableAudit(audit.Config{Metrics: reg})
 		if err != nil {
 			return err
 		}
 		defer auditor.Close()
-		ad.SetAuditSource(func() any {
-			return audit.Report{Stats: auditor.Stats(), Tables: auditor.Tables()}
-		})
 		// Cost attribution: every answered request is metered into a
 		// per-(tenant, class, workload, level) table served at /costs and
 		// exported as cost_* metrics; joined with the auditor's realized
@@ -316,26 +304,30 @@ func serveFront(ns *netService, agr *netsvc.Aggregator, listen, admin string, re
 		if err := fs.EnableCost(costs); err != nil {
 			return err
 		}
-		ad.SetCostSource(func() any { return costs.Snapshot() })
-		aud := auditor
-		ad.SetFrontierSource(func() any {
+		src.SLO = slo
+		src.Audit = func() any {
+			return audit.Report{Stats: auditor.Stats(), Tables: auditor.Tables()}
+		}
+		src.Costs = func() any { return costs.Snapshot() }
+		src.Frontier = func() any {
 			var pts []cost.AccuracyPoint
-			for _, tv := range aud.Tables() {
+			for _, tv := range auditor.Tables() {
 				pts = append(pts, cost.AccuracyPoint{
 					Workload: tv.Workload, Level: tv.Level,
 					Accuracy: tv.MeanRealized, Samples: tv.Samples,
 				})
 			}
 			return cost.Frontier(costs.Snapshot(), pts)
-		})
-		if prof != nil {
-			ad.SetProfiler(prof)
-			// Anomaly trigger #2 (breaker trips are wired at aggregator
-			// construction): capture a profile when any class burns its
-			// error budget faster than allowed.
-			stopWatch := prof.WatchBurn(slo, 5*time.Second)
-			defer stopWatch()
 		}
+		// Anomaly trigger #2 (breaker trips are wired at aggregator
+		// construction): capture a profile when any class burns its
+		// error budget faster than allowed.
+		stopWatch := prof.WatchBurn(slo, 5*time.Second)
+		defer stopWatch()
+	}
+	ad, err := startAdmin(admin, src)
+	if err != nil {
+		return err
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- fs.ListenAndServe(listen) }()

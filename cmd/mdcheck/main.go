@@ -3,13 +3,13 @@
 // links and images and reports:
 //
 //   - relative file targets that do not exist;
-//   - anchor fragments (#section, file.md#section) that match no
+//   - anchor fragments (#section, README.md#section) that match no
 //     heading in the target file, using GitHub's slug rules.
 //
 // External links (http/https/mailto) are not fetched. Exit status is 1
 // if any problem is found.
 //
-// Usage: mdcheck FILE.md [FILE.md ...]
+// Usage: mdcheck README.md [EXPERIMENTS.md ...] (any markdown files)
 package main
 
 import (

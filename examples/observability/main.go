@@ -87,15 +87,9 @@ func main() {
 	}
 
 	// The observability plane: metrics registry + trace recorder,
-	// served by the admin HTTP endpoint.
+	// served (with the audit planes below) by the admin HTTP endpoint.
 	reg := at.NewMetricsRegistry()
 	rec := at.NewTraceRecorder(128, 64)
-	admin := at.NewAdminPlane(reg, rec)
-	adminAddr, err := admin.Listen("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer admin.Close()
 
 	// Aggregator + frontend (counting into reg) + traced front server.
 	agr, err := at.NewNetAggregator(addrs, at.NetAggregatorOptions{Deadline: 200 * time.Millisecond})
@@ -138,7 +132,6 @@ func main() {
 	// everything — production deployments keep the 5% default).
 	slo := at.NewSLOTracker(at.DefaultSLOBudgets())
 	fs.EnableSLO(slo, nil)
-	admin.SetSLOTracker(slo)
 	auditor, err := fs.EnableAudit(at.AuditConfig{
 		SampleFraction: 1.0,
 		Interval:       200 * time.Microsecond,
@@ -148,9 +141,21 @@ func main() {
 		log.Fatal(err)
 	}
 	defer auditor.Close()
-	admin.SetAuditSource(func() any {
-		return at.AuditReport{Stats: auditor.Stats(), Tables: auditor.Tables()}
+
+	// The admin plane, built from the planes it serves.
+	admin := at.NewAdminPlane(at.AdminSources{
+		Registry: reg,
+		Traces:   rec,
+		SLO:      slo,
+		Audit: func() any {
+			return at.AuditReport{Stats: auditor.Stats(), Tables: auditor.Tables()}
+		},
 	})
+	adminAddr, err := admin.Listen("127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer admin.Close()
 	go fs.Serve(fl)
 
 	// A burst of traffic across the three SLO classes. The first

@@ -1,7 +1,6 @@
 package agg
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -121,30 +120,7 @@ func TestConfigRateNormalization(t *testing.T) {
 	}
 }
 
-func TestPersistRoundTrip(t *testing.T) {
-	c := buildTestComponent(t, 11, 12, 600)
-	var buf bytes.Buffer
-	if err := c.Syn.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadSynopsis(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := &Component{T: c.T, Syn: loaded}
-	q := Query{Op: Sum, Lo: 1, Hi: 20}
-	a := NewEngine(c, q, 1)
-	b := NewEngine(c2, q, 1)
-	a.ProcessSynopsis()
-	b.ProcessSynopsis()
-	for k := range a.res.Sum {
-		if a.res.Sum[k] != b.res.Sum[k] || a.res.SumVar[k] != b.res.SumVar[k] {
-			t.Fatalf("loaded synopsis diverges at key %d", k)
-		}
-	}
-}
-
-func TestLoadRejectsCorruptImage(t *testing.T) {
+func TestCheckInvariantsRejectsCorruption(t *testing.T) {
 	corruptions := map[string]func(s *Synopsis){
 		"duplicate row":    func(s *Synopsis) { s.rows[0] = s.rows[1] },
 		"no ladder levels": func(s *Synopsis) { s.lens = nil },
@@ -172,12 +148,8 @@ func TestLoadRejectsCorruptImage(t *testing.T) {
 	for name, corrupt := range corruptions {
 		c := buildTestComponent(t, 13, 8, 300)
 		corrupt(c.Syn)
-		var buf bytes.Buffer
-		if err := c.Syn.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadSynopsis(&buf); err == nil {
-			t.Fatalf("%s: corrupt image loaded without error", name)
+		if err := c.Syn.CheckInvariants(); err == nil {
+			t.Fatalf("%s: corrupt synopsis passed its invariants", name)
 		}
 	}
 }

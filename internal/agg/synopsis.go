@@ -1,9 +1,7 @@
 package agg
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 
@@ -200,38 +198,6 @@ func (s *Synopsis) clampLevel(level int) int {
 		return len(s.lens) - 1
 	}
 	return level
-}
-
-// image is the gob wire format of a Synopsis (see synopsis.Save for the
-// persistence rationale: the stored strata and samples are the starting
-// point for serving without re-stratifying).
-type image struct {
-	Cfg  Config
-	Rows []int32
-	Off  []int32
-	Lens [][]int32
-}
-
-// Save writes the synopsis (strata index file + sample ladder) to w.
-func (s *Synopsis) Save(w io.Writer) error {
-	img := image{Cfg: s.cfg, Rows: s.rows, Off: s.off, Lens: s.lens}
-	if err := gob.NewEncoder(w).Encode(img); err != nil {
-		return fmt.Errorf("agg: save: %w", err)
-	}
-	return nil
-}
-
-// LoadSynopsis reads a synopsis previously written with Save.
-func LoadSynopsis(r io.Reader) (*Synopsis, error) {
-	var img image
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
-		return nil, fmt.Errorf("agg: load: %w", err)
-	}
-	s := &Synopsis{cfg: img.Cfg, rows: img.Rows, off: img.Off, lens: img.Lens}
-	if err := s.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("agg: load: corrupt image: %w", err)
-	}
-	return s, nil
 }
 
 // CheckInvariants verifies the strata partition the row space and every

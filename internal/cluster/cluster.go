@@ -41,9 +41,9 @@ type WorkModel struct {
 	SynopsisUnits float64 // scan the synopsis
 	NumGroups     int     // ranked member sets available for improvement
 	// SynopsisLadder, when non-empty, lists alternative synopsis sizes
-	// (work units, ascending = coarse to fine) for the load-adaptive
-	// extension: under pressure the component answers from a coarser
-	// synopsis (see Config.AdaptiveSynopsis).
+	// (work units, ascending = coarse to fine): the levels a frontend's
+	// degradation controller picks from per request (see
+	// FrontendConfig).
 	SynopsisLadder []float64
 }
 
@@ -79,15 +79,9 @@ type Config struct {
 	// HedgeFloorMs is the minimum hedge delay for Reissue before the
 	// latency estimator warms up.
 	HedgeFloorMs float64
-	// AdaptiveSynopsis enables the load-adaptive extension for
-	// AccuracyTrader: when a sub-operation has already burned more than
-	// half its deadline queueing, the component answers from the coarsest
-	// ladder level that still fits, instead of the fixed synopsis.
-	AdaptiveSynopsis bool
 	// Frontend, when non-nil, puts the simulated accuracy-aware
 	// frontend in front of the components: admission, replica routing,
 	// and per-request ladder-level degradation (see FrontendConfig).
-	// A request's frontend-selected level overrides AdaptiveSynopsis.
 	Frontend *FrontendConfig
 }
 
@@ -285,17 +279,10 @@ func Run(cfg Config) (*Result, error) {
 		switch cfg.Technique {
 		case AccuracyTrader:
 			synUnits := w.SynopsisUnits
-			switch {
-			case op.level >= 0 && len(w.SynopsisLadder) > 0:
+			if op.level >= 0 && len(w.SynopsisLadder) > 0 {
 				// The frontend picked a ladder level at admission time
 				// (coarse 0 … fine len-1).
-				idx := op.level
-				if idx >= len(w.SynopsisLadder) {
-					idx = len(w.SynopsisLadder) - 1
-				}
-				synUnits = w.SynopsisLadder[idx]
-			case cfg.AdaptiveSynopsis && len(w.SynopsisLadder) > 0:
-				synUnits = adaptiveSynopsisUnits(w, start-op.arrival, cfg.DeadlineMs, unit)
+				synUnits = w.SynopsisLadder[min(op.level, len(w.SynopsisLadder)-1)]
 			}
 			synTime := synUnits * unit
 			elapsed := start - op.arrival + synTime
@@ -383,21 +370,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	sim.Run()
 	return res, nil
-}
-
-// adaptiveSynopsisUnits picks the finest ladder level whose processing
-// still fits half of the remaining deadline budget, falling back to the
-// coarsest level when even that does not fit — the component must always
-// process at least one synopsis to produce a result.
-func adaptiveSynopsisUnits(w WorkModel, waited, deadlineMs, unitMs float64) float64 {
-	remaining := deadlineMs - waited
-	best := w.SynopsisLadder[0]
-	for _, units := range w.SynopsisLadder {
-		if units*unitMs <= remaining/2 && units > best {
-			best = units
-		}
-	}
-	return best
 }
 
 // scheduleHedge arms the reissue timer for a sub-operation: when it is

@@ -306,79 +306,6 @@ func TestWorkModelMeanSetUnits(t *testing.T) {
 	}
 }
 
-func TestAdaptiveSynopsisUnderExtremeOverload(t *testing.T) {
-	// With a large fixed synopsis, extreme overload queues even the
-	// synopsis-only work; the adaptive ladder falls back to coarser
-	// synopses and keeps the tail lower.
-	rng := stats.NewRNG(9)
-	arr := poissonArrivals(rng, 1200, 5000)
-	work := WorkModel{
-		FullUnits:      1000,
-		SynopsisUnits:  120, // deliberately heavy fixed synopsis (1.2ms)
-		NumGroups:      10,
-		SynopsisLadder: []float64{5, 30, 120},
-	}
-	base := Config{
-		Components: 4,
-		Arrivals:   arr,
-		Work:       []WorkModel{work},
-		UnitCostMs: 0.01,
-		Technique:  AccuracyTrader,
-		DeadlineMs: 20,
-	}
-	fixed, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive := base
-	adaptive.AdaptiveSynopsis = true
-	ad, err := Run(adaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf := stats.Percentile(fixed.ComponentLatencies(), 99.9)
-	ta := stats.Percentile(ad.ComponentLatencies(), 99.9)
-	if ta >= tf {
-		t.Fatalf("adaptive tail %v not below fixed %v", ta, tf)
-	}
-}
-
-func TestAdaptiveSynopsisIdleUsesFinest(t *testing.T) {
-	// On an idle system the adaptive policy must pick the finest level,
-	// matching the fixed behaviour.
-	work := WorkModel{
-		FullUnits:      1000,
-		SynopsisUnits:  120,
-		NumGroups:      10,
-		SynopsisLadder: []float64{5, 30, 120},
-	}
-	cfg := Config{
-		Components:       2,
-		Arrivals:         []float64{0},
-		Work:             []WorkModel{work},
-		UnitCostMs:       0.01,
-		Technique:        AccuracyTrader,
-		DeadlineMs:       100,
-		AdaptiveSynopsis: true,
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixedCfg := cfg
-	fixedCfg.AdaptiveSynopsis = false
-	fixed, err := Run(fixedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range res.Ops[0] {
-		if res.Ops[0][c].LatencyMs != fixed.Ops[0][c].LatencyMs {
-			t.Fatalf("idle adaptive differs from fixed: %v vs %v",
-				res.Ops[0][c].LatencyMs, fixed.Ops[0][c].LatencyMs)
-		}
-	}
-}
-
 func TestServiceLatencies(t *testing.T) {
 	cfg := baseConfig([]float64{0, 0})
 	res, err := Run(cfg)

@@ -7,26 +7,17 @@ import (
 )
 
 // FrontendConfig models the accuracy-aware frontend (internal/frontend)
-// inside the simulator: the same admission, routing, and degradation
-// policy values that drive the live runtime are evaluated here against
-// the virtual clock, at fan-out widths and arrival rates the live
-// runtime can't reach. Requests pass admission → replica routing →
-// per-component FIFO queues; under load the degradation controller
-// selects coarser ladder levels per request instead of letting queues
-// grow without bound.
+// inside the simulator: the live frontend's own Options — admission,
+// replica routing with its defaults, the degradation controller — are
+// evaluated here against the virtual clock, at fan-out widths and
+// arrival rates the live runtime can't reach. Requests pass admission →
+// replica routing → per-component FIFO queues; under load the
+// controller selects coarser ladder levels per request instead of
+// letting queues grow without bound. A nil Controller disables
+// degradation (components use their fixed synopsis); Metrics is not
+// read.
 type FrontendConfig struct {
-	// Replicas is the replica factor of the component map (default 2):
-	// subset s may be served by components s … s+R-1 (mod n).
-	Replicas int
-	// Admission policies; the most severe verdict wins. Empty admits
-	// everything.
-	Admission []frontend.AdmissionPolicy
-	// Router places each sub-operation on one of the subset's replicas
-	// (default least-loaded).
-	Router frontend.Router
-	// Controller maps observed load to a ladder level per request.
-	// Nil disables degradation (components use their fixed synopsis).
-	Controller *frontend.Controller
+	frontend.Options
 	// QueueCap is the per-component queue bound used to normalise
 	// queue-depth fractions for admission and the controller
 	// (default 64).
@@ -34,21 +25,6 @@ type FrontendConfig struct {
 	// ClassOf assigns request r its SLO class (default: BestEffort for
 	// every request).
 	ClassOf func(req int) frontend.SLO
-}
-
-func (f *FrontendConfig) withDefaults() {
-	if f.Replicas <= 0 {
-		f.Replicas = 2
-	}
-	if f.Router == nil {
-		f.Router = frontend.NewLeastLoaded()
-	}
-	if f.QueueCap <= 0 {
-		f.QueueCap = 64
-	}
-	if f.ClassOf == nil {
-		f.ClassOf = func(int) frontend.SLO { return frontend.BestEffortSLO() }
-	}
 }
 
 // frontendSim is the simulated frontend's runtime state.
@@ -64,7 +40,13 @@ type frontendSim struct {
 
 func newFrontendSim(cfg Config, comps []component, hedge *hedgeEstimator) (*frontendSim, error) {
 	fc := *cfg.Frontend
-	fc.withDefaults()
+	fc.Options = fc.Options.WithDefaults()
+	if fc.QueueCap <= 0 {
+		fc.QueueCap = 64
+	}
+	if fc.ClassOf == nil {
+		fc.ClassOf = func(int) frontend.SLO { return frontend.BestEffortSLO() }
+	}
 	if fc.Controller != nil && cfg.Technique != AccuracyTrader {
 		// Levels would be recorded on the Result but never served —
 		// exact techniques always do full scans.

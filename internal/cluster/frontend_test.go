@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"accuracytrader/internal/frontend"
@@ -42,9 +43,9 @@ func TestFrontendTokenBucketShedsOnVirtualClock(t *testing.T) {
 	rng := stats.NewRNG(11)
 	arr := poissonArrivals(rng, 200, 10000)
 	cfg := baseConfig(arr)
-	cfg.Frontend = &FrontendConfig{
+	cfg.Frontend = &FrontendConfig{Options: frontend.Options{
 		Admission: []frontend.AdmissionPolicy{newTokenBucket(100, 10)},
-	}
+	}}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -94,10 +95,10 @@ func TestFrontendMaxInflightBoundsQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := baseConfig(arr)
-	cfg.Frontend = &FrontendConfig{
+	cfg.Frontend = &FrontendConfig{Options: frontend.Options{
 		Replicas:  1,
 		Admission: []frontend.AdmissionPolicy{frontend.NewMaxInflight(8)},
-	}
+	}}
 	capped, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +150,7 @@ func TestFrontendDegradationCoarsensUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := base
-	cfg.Frontend = &FrontendConfig{Controller: ctrl, QueueCap: 16}
+	cfg.Frontend = &FrontendConfig{Options: frontend.Options{Controller: ctrl}, QueueCap: 16}
 	deg, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -209,8 +210,8 @@ func TestFrontendSLOClasses(t *testing.T) {
 		Technique:  AccuracyTrader,
 		DeadlineMs: 100,
 		Frontend: &FrontendConfig{
-			Controller: ctrl,
-			ClassOf:    func(r int) frontend.SLO { return classes[r] },
+			Options: frontend.Options{Controller: ctrl},
+			ClassOf: func(r int) frontend.SLO { return classes[r] },
 		},
 	}
 	res, err := Run(cfg)
@@ -259,7 +260,7 @@ func TestFrontendRoutingAvoidsSlowComponent(t *testing.T) {
 	}
 	cfg := baseConfig(arr)
 	cfg.Slowdown = slow
-	cfg.Frontend = &FrontendConfig{Replicas: 2, Router: frontend.NewLeastLoaded()}
+	cfg.Frontend = &FrontendConfig{Options: frontend.Options{Replicas: 2, Router: frontend.NewLeastLoaded()}}
 	routed, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -271,6 +272,33 @@ func TestFrontendRoutingAvoidsSlowComponent(t *testing.T) {
 	}
 }
 
+// TestFrontendDefaultsAreTheLiveOnes pins the one place the routing
+// defaults live: a zero frontend.Options runs exactly like the explicit
+// 2-replica, least-loaded configuration, sub-operation for
+// sub-operation.
+func TestFrontendDefaultsAreTheLiveOnes(t *testing.T) {
+	rng := stats.NewRNG(16)
+	arr := poissonArrivals(rng, 120, 5000)
+	run := func(opts frontend.Options) *Result {
+		cfg := baseConfig(arr)
+		cfg.Slowdown = func(c int, at float64) float64 { return 1 + float64((c+int(at/50))%3) }
+		cfg.Frontend = &FrontendConfig{Options: opts}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	zero := run(frontend.Options{})
+	explicit := run(frontend.Options{Replicas: 2, Router: frontend.NewLeastLoaded()})
+	if !reflect.DeepEqual(zero, explicit) {
+		t.Fatal("zero frontend.Options and {Replicas: 2, Router: least-loaded} simulate differently")
+	}
+	if pinned := run(frontend.Options{Replicas: 1}); reflect.DeepEqual(zero, pinned) {
+		t.Fatal("the comparison cannot tell routing apart: 1 replica simulates like 2")
+	}
+}
+
 func TestFrontendDegradationRequiresLadder(t *testing.T) {
 	ctrl, err := frontend.NewController(frontend.ControllerConfig{Levels: 2})
 	if err != nil {
@@ -278,7 +306,7 @@ func TestFrontendDegradationRequiresLadder(t *testing.T) {
 	}
 	cfg := baseConfig([]float64{0}) // WorkModel without SynopsisLadder
 	cfg.Technique = AccuracyTrader
-	cfg.Frontend = &FrontendConfig{Controller: ctrl}
+	cfg.Frontend = &FrontendConfig{Options: frontend.Options{Controller: ctrl}}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected missing-ladder error")
 	}
@@ -310,14 +338,13 @@ func TestFrontendDeterminism(t *testing.T) {
 		cfg := baseConfig(arr)
 		cfg.Work = []WorkModel{work}
 		cfg.Technique = AccuracyTrader
-		cfg.Frontend = &FrontendConfig{
-			Replicas:   2,
+		cfg.Frontend = &FrontendConfig{Options: frontend.Options{
 			Controller: ctrl,
 			Admission: []frontend.AdmissionPolicy{
 				newTokenBucket(250, 20),
 				frontend.NewQueueWatermark(0.5, 0.9),
 			},
-		}
+		}}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

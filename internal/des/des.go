@@ -61,9 +61,6 @@ func (s *Sim) After(d float64, fn func()) {
 	s.At(s.now+d, fn)
 }
 
-// Pending returns the number of scheduled events.
-func (s *Sim) Pending() int { return len(s.heap) }
-
 // Run processes events until none remain.
 func (s *Sim) Run() {
 	for len(s.heap) > 0 {

@@ -47,9 +47,6 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 10 {
 		t.Fatalf("Now = %v", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d", s.Pending())
-	}
 	s.Run()
 	if fired != 2 || s.Now() != 15 {
 		t.Fatalf("final state: fired=%d now=%v", fired, s.Now())

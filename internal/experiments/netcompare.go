@@ -312,7 +312,7 @@ func (nc *NetCompare) runNet(f *aggFix, cfg netCfg) (*NetRow, error) {
 	defer st.Close()
 	call := bare(st.Agg.Call)
 	if cfg.frontend {
-		fe, err := StandardFrontend(st.Agg, 3*n, nc.LevelAccuracy, frontend.Options{})
+		fe, err := StandardFrontend(st.Agg, 3*n, nc.LevelAccuracy, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -153,28 +153,14 @@ func overloadSweep(sc Scale, base cluster.Config, salt uint64, levelAcc, multipl
 			scorePartial(resB, sc, sweep.WindowSeconds, overloadClassMix))
 
 		// Frontend+AT: fresh policy state per run.
-		ctrl, err := frontend.NewController(frontend.ControllerConfig{
-			Levels:             len(levelAcc),
-			LevelAccuracy:      levelAcc,
-			InflightSaturation: 4 * sc.Components,
-		})
+		opts, err := standardOptions(4*sc.Components, levelAcc)
 		if err != nil {
 			return nil, err
 		}
 		cfgF := base
 		cfgF.Arrivals = arrivals
 		cfgF.Technique = cluster.AccuracyTrader
-		cfgF.Frontend = &cluster.FrontendConfig{
-			Replicas: 2,
-			Router:   frontend.NewLeastLoaded(),
-			Admission: []frontend.AdmissionPolicy{
-				frontend.NewMaxInflight(4 * sc.Components),
-				frontend.NewQueueWatermark(0.35, 0.85),
-			},
-			Controller: ctrl,
-			QueueCap:   32,
-			ClassOf:    overloadClassMix,
-		}
+		cfgF.Frontend = &cluster.FrontendConfig{Options: opts, QueueCap: 32, ClassOf: overloadClassMix}
 		resF, err := cluster.Run(cfgF)
 		if err != nil {
 			return nil, err

@@ -223,7 +223,7 @@ func (d deployment) frontServer(agr *netsvc.Aggregator) (*netsvc.FrontServer, er
 	var fe *frontend.Frontend
 	if d.levelAcc != nil {
 		var err error
-		if fe, err = StandardFrontend(agr, d.inflight, d.levelAcc, frontend.Options{}); err != nil {
+		if fe, err = StandardFrontend(agr, d.inflight, d.levelAcc, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -395,30 +395,37 @@ func waitFor(cond func() bool, limit time.Duration) bool {
 	return true
 }
 
-// StandardFrontend assembles the accuracy-aware pipeline every serving
-// deployment here runs: 2 replicas, least-loaded routing, admission by
-// an in-flight cap plus the 0.35/0.85 queue watermark, and a controller
-// calibrated with levelAcc that saturates at the same in-flight count.
-// A maxInflight of 0 admits every request, its controller saturating
-// at the controller's default. opts carries what a deployment adds
-// (cache, metrics registry); its routing, admission and controller
-// fields are overwritten.
-func StandardFrontend(b frontend.Backend, maxInflight int, levelAcc []float64, opts frontend.Options) (*frontend.Frontend, error) {
+// standardOptions is the accuracy-aware policy set every serving
+// deployment here and the overload sweep's Frontend+AT row run: the
+// default routing (2 replicas, least-loaded), admission by an in-flight
+// cap of n plus the 0.35/0.85 queue watermark, and a controller
+// calibrated with levelAcc that saturates at the same n. An n of 0
+// admits every request, its controller saturating at the controller's
+// default. Every call builds fresh policy state.
+func standardOptions(n int, levelAcc []float64) (frontend.Options, error) {
 	ctrl, err := frontend.NewController(frontend.ControllerConfig{
 		Levels:             len(levelAcc),
 		LevelAccuracy:      levelAcc,
-		InflightSaturation: maxInflight,
+		InflightSaturation: n,
 	})
+	if err != nil {
+		return frontend.Options{}, err
+	}
+	opts := frontend.Options{Controller: ctrl}
+	if n > 0 {
+		opts.Admission = []frontend.AdmissionPolicy{frontend.NewMaxInflight(n), frontend.NewQueueWatermark(0.35, 0.85)}
+	}
+	return opts, nil
+}
+
+// StandardFrontend runs the standard policy set (standardOptions) in
+// front of b, counting into metrics (nil: a private registry).
+func StandardFrontend(b frontend.Backend, maxInflight int, levelAcc []float64, metrics *obs.Registry) (*frontend.Frontend, error) {
+	opts, err := standardOptions(maxInflight, levelAcc)
 	if err != nil {
 		return nil, err
 	}
-	opts.Replicas = 2
-	opts.Router = frontend.NewLeastLoaded()
-	opts.Controller = ctrl
-	opts.Admission = nil
-	if maxInflight > 0 {
-		opts.Admission = []frontend.AdmissionPolicy{frontend.NewMaxInflight(maxInflight), frontend.NewQueueWatermark(0.35, 0.85)}
-	}
+	opts.Metrics = metrics
 	return frontend.New(b, opts)
 }
 

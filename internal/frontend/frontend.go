@@ -65,6 +65,20 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
+// WithDefaults returns o with its unset routing filled in: a replica
+// factor of 2 and least-loaded routing. New and the simulator's
+// frontend (cluster.FrontendConfig) both start from it, so one Options
+// value routes alike in every runtime.
+func (o Options) WithDefaults() Options {
+	if o.Replicas <= 0 {
+		o.Replicas = 2
+	}
+	if o.Router == nil {
+		o.Router = NewLeastLoaded()
+	}
+	return o
+}
+
 // Stats counts frontend outcomes.
 type Stats struct {
 	Admitted int64
@@ -189,12 +203,7 @@ type Frontend struct {
 // frontend's replica-routing policy (backends fall back to home
 // placement for anything the router leaves out of range).
 func New(cl Backend, opts Options) (*Frontend, error) {
-	if opts.Replicas <= 0 {
-		opts.Replicas = 2
-	}
-	if opts.Router == nil {
-		opts.Router = NewLeastLoaded()
-	}
+	opts = opts.WithDefaults()
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()

@@ -34,9 +34,6 @@ type BackendOptions struct {
 	// dispatched to another server escapes it. The stall counts against
 	// the sub-operation's budget, exactly like queueing delay.
 	Interfere func(seq uint64) time.Duration
-	// K is the per-component search hit count when the request carries
-	// none (default wire.DefaultK).
-	K int
 	// IMaxFrac caps Algorithm 1 improvement at the top fraction of
 	// ranked sets (the paper's imax). 0 selects the workload default:
 	// 0.4 for search (paper §4.3), every set eligible for CF and
@@ -377,25 +374,26 @@ func NewCFBackend(comps []*cf.Component, opts BackendOptions) Handler {
 	})
 }
 
+// searchK is the hit count a search request asks for: its own K, else
+// wire.DefaultK. The components and the front server's merge pick k by
+// it alike.
+func searchK(req *wire.Request) int {
+	if req.Search != nil && req.Search.K > 0 {
+		return int(req.Search.K)
+	}
+	return wire.DefaultK
+}
+
 // NewSearchBackend returns a handler serving the web-search workload
 // over comps.
 func NewSearchBackend(comps []*textindex.Component, opts BackendOptions) Handler {
-	hits := func(req *wire.Request) int {
-		if k := int(req.Search.K); k > 0 {
-			return k
-		}
-		if opts.K > 0 {
-			return opts.K
-		}
-		return wire.DefaultK
-	}
 	return newBackend(opts, backend{
 		kind: wire.KindSearch, name: "search", shards: len(comps), imax: 0.4,
 		has: func(req *wire.Request) bool { return req.Search != nil },
 		exact: func(shard int, req *wire.Request, rep *wire.SubReply) int {
 			c := comps[shard]
 			q := parseQuery(c.Ix, req.Search.Query)
-			c.Ix.SearchEach(*q, hits(req), hitSink{rep.Search}.add)
+			c.Ix.SearchEach(*q, searchK(req), hitSink{rep.Search}.add)
 			queryBufs.Put(q)
 			return c.Ix.NumDocs()
 		},
@@ -408,7 +406,7 @@ func NewSearchBackend(comps []*textindex.Component, opts BackendOptions) Handler
 		},
 		finish: func(eng core.Engine, req *wire.Request, rep *wire.SubReply) {
 			e := eng.(*textindex.Engine)
-			e.TopKEach(hits(req), hitSink{rep.Search}.add)
+			e.TopKEach(searchK(req), hitSink{rep.Search}.add)
 			e.Release()
 		},
 	})

@@ -765,11 +765,7 @@ func (s *FrontServer) serveMiss(ctx context.Context, req *wire.Request) (*wire.R
 	case wire.KindCF:
 		rep.CF = ComposeCF(subs)
 	case wire.KindSearch:
-		k := wire.DefaultK
-		if req.Search != nil && req.Search.K > 0 {
-			k = int(req.Search.K)
-		}
-		rep.Search = ComposeSearch(subs, k)
+		rep.Search = ComposeSearch(subs, searchK(req))
 	case wire.KindAgg:
 		rep.Agg = ComposeAgg(subs)
 		if partial {

@@ -24,42 +24,53 @@ import (
 //	                and ?filter=anomaly narrow the answer —
 //	                filter=anomaly serves the pinned exemplar store
 //	                instead of the ring
-//	/slo            sliding-window SLO burn rates (SetSLOTracker)
+//	/slo            sliding-window SLO burn rates
 //	/audit          the ground-truth auditor's calibration report
-//	                (SetAuditSource)
 //	/costs          the per-tenant cost attribution table
-//	                (SetCostSource)
 //	/frontier       the accuracy-vs-cost frontier per workload
-//	                (SetFrontierSource)
 //	/debug/profiles the anomaly-triggered profile ring: a JSON listing,
 //	                or ?seq=N&kind=cpu|heap to download one capture
 //	/debug/pprof/*  the standard runtime profiles
 //
-// Readiness starts true and is flipped by SetReady — graceful shutdown
-// flips it false first so load balancers stop routing before the
-// listeners close. Degraded is deliberately still a 200: the process
-// keeps answering (rerouted, possibly at degraded accuracy), so load
-// balancers must not evict it — but operators and probes can see which
-// failure domains are open.
+// Its sources (AdminSources) are fixed at construction. Readiness is
+// the one runtime state: it starts true and is flipped by SetReady —
+// graceful shutdown flips it false first so load balancers stop
+// routing before the listeners close. Degraded is deliberately still a
+// 200: the process keeps answering (rerouted, possibly at degraded
+// accuracy), so load balancers must not evict it — but operators and
+// probes can see which failure domains are open.
 type Admin struct {
-	reg      *Registry
-	rec      *Recorder
-	ready    atomic.Bool
-	health   atomic.Value // func() []string: open-breaker source
-	slo      atomic.Value // *SLOTracker
-	audit    atomic.Value // func() any: audit report source
-	costs    atomic.Value // func() any: cost table source
-	frontier atomic.Value // func() any: frontier source
-	profiler atomic.Value // *Profiler
-	srv      *http.Server
-	ln       net.Listener
+	src   AdminSources
+	ready atomic.Bool
+	srv   *http.Server
+	ln    net.Listener
 }
 
-// NewAdmin returns an admin plane over the given registry and recorder.
-// Either may be nil: /metrics serves an empty exposition, /traces an
-// empty list.
-func NewAdmin(reg *Registry, rec *Recorder) *Admin {
-	a := &Admin{reg: reg, rec: rec}
+// AdminSources are the planes an admin plane serves. Any may be nil:
+// /metrics then serves an empty exposition, /traces an empty list,
+// /healthz plain "ok", /slo an empty view, and /audit, /costs,
+// /frontier and /debug/profiles 404.
+type AdminSources struct {
+	Registry *Registry // /metrics
+	Traces   *Recorder // /traces
+	// OpenBreakers is the degradation probe behind /healthz: the
+	// identifiers (peer addresses, component indices) whose circuit
+	// breakers are open. A non-empty answer turns /healthz into 200
+	// "degraded" listing them.
+	OpenBreakers func() []string
+	SLO          *SLOTracker // /slo
+	// Audit, Costs and Frontier return the JSON-encodable documents
+	// behind /audit, /costs and /frontier (typically audit.Report, a
+	// cost.Table snapshot and its cost.Frontier join with the audit
+	// tables; obs imports neither package, so the coupling stays this
+	// loose).
+	Audit, Costs, Frontier func() any
+	Profiler               *Profiler // /debug/profiles
+}
+
+// NewAdmin returns a ready admin plane over src.
+func NewAdmin(src AdminSources) *Admin {
+	a := &Admin{src: src}
 	a.ready.Store(true)
 	return a
 }
@@ -67,50 +78,16 @@ func NewAdmin(reg *Registry, rec *Recorder) *Admin {
 // SetReady flips the /healthz readiness answer.
 func (a *Admin) SetReady(ready bool) { a.ready.Store(ready) }
 
-// Ready reports the current readiness answer.
-func (a *Admin) Ready() bool { return a.ready.Load() }
-
-// SetHealthSource installs the degradation probe: a function returning
-// the identifiers (peer addresses, component indices) whose circuit
-// breakers are currently open. A non-empty answer turns /healthz into
-// 200 "degraded" listing them; nil or an empty answer keeps plain
-// "ok".
-func (a *Admin) SetHealthSource(openBreakers func() []string) {
-	a.health.Store(openBreakers)
-}
-
-// SetSLOTracker installs the tracker behind /slo.
-func (a *Admin) SetSLOTracker(t *SLOTracker) { a.slo.Store(t) }
-
-// SetAuditSource installs the report source behind /audit — a function
-// returning any JSON-encodable value (typically audit.Auditor.Report;
-// obs cannot import audit, so the coupling stays this loose).
-func (a *Admin) SetAuditSource(report func() any) { a.audit.Store(report) }
-
-// SetCostSource installs the cost-table source behind /costs — a
-// function returning any JSON-encodable value (typically
-// cost.Table.Snapshot; same loose coupling as the audit source).
-func (a *Admin) SetCostSource(view func() any) { a.costs.Store(view) }
-
-// SetFrontierSource installs the accuracy-vs-cost frontier source
-// behind /frontier (typically the cost.Frontier join over the cost
-// table and the audit plane's calibration tables).
-func (a *Admin) SetFrontierSource(view func() any) { a.frontier.Store(view) }
-
-// SetProfiler installs the anomaly-triggered profiler behind
-// /debug/profiles.
-func (a *Admin) SetProfiler(p *Profiler) { a.profiler.Store(p) }
-
 // Handler returns the admin mux.
 func (a *Admin) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", a.handleMetrics)
 	mux.HandleFunc("/healthz", a.handleHealthz)
 	mux.HandleFunc("/traces", a.handleTraces)
-	mux.HandleFunc("/slo", a.handleSLO)
-	mux.HandleFunc("/audit", a.handleAudit)
-	mux.HandleFunc("/costs", a.handleCosts)
-	mux.HandleFunc("/frontier", a.handleFrontier)
+	mux.HandleFunc("/slo", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, a.src.SLO.Snapshot()) })
+	mux.HandleFunc("/audit", func(w http.ResponseWriter, _ *http.Request) { serveDoc(w, "audit", a.src.Audit) })
+	mux.HandleFunc("/costs", func(w http.ResponseWriter, _ *http.Request) { serveDoc(w, "cost", a.src.Costs) })
+	mux.HandleFunc("/frontier", func(w http.ResponseWriter, _ *http.Request) { serveDoc(w, "frontier", a.src.Frontier) })
 	mux.HandleFunc("/debug/profiles", a.handleProfiles)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -122,8 +99,8 @@ func (a *Admin) Handler() http.Handler {
 
 func (a *Admin) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if a.reg != nil {
-		a.reg.WritePrometheus(w)
+	if a.src.Registry != nil {
+		a.src.Registry.WritePrometheus(w)
 	}
 }
 
@@ -134,7 +111,7 @@ func (a *Admin) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "draining")
 		return
 	}
-	if src, _ := a.health.Load().(func() []string); src != nil {
+	if src := a.src.OpenBreakers; src != nil {
 		if open := src(); len(open) > 0 {
 			fmt.Fprintln(w, "degraded")
 			for _, b := range open {
@@ -195,9 +172,9 @@ func (a *Admin) handleTraces(w http.ResponseWriter, r *http.Request) {
 	var views []TraceView
 	switch q.Get("filter") {
 	case "":
-		views = a.rec.Snapshot(n)
+		views = a.src.Traces.Snapshot(n)
 	case "anomaly":
-		views = a.rec.Exemplars(n)
+		views = a.src.Traces.Exemplars(n)
 	default:
 		http.Error(w, "obs: bad filter (want anomaly)", http.StatusBadRequest)
 		return
@@ -221,63 +198,34 @@ func (a *Admin) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if views == nil {
 		views = []TraceView{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(struct {
+	writeJSON(w, struct {
 		Traces []TraceView `json:"traces"`
 	}{views})
 }
 
-func (a *Admin) handleSLO(w http.ResponseWriter, _ *http.Request) {
-	t, _ := a.slo.Load().(*SLOTracker)
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(t.Snapshot())
-}
-
-func (a *Admin) handleAudit(w http.ResponseWriter, _ *http.Request) {
-	src, _ := a.audit.Load().(func() any)
+// serveDoc answers with src's document, or 404 naming the plane when
+// the deployment runs without it.
+func serveDoc(w http.ResponseWriter, plane string, src func() any) {
 	if src == nil {
-		http.Error(w, "obs: no audit source configured", http.StatusNotFound)
+		http.Error(w, "obs: no "+plane+" source configured", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(src())
+	writeJSON(w, src())
 }
 
-func (a *Admin) handleCosts(w http.ResponseWriter, _ *http.Request) {
-	src, _ := a.costs.Load().(func() any)
-	if src == nil {
-		http.Error(w, "obs: no cost source configured", http.StatusNotFound)
-		return
-	}
+// writeJSON writes v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(src())
-}
-
-func (a *Admin) handleFrontier(w http.ResponseWriter, _ *http.Request) {
-	src, _ := a.frontier.Load().(func() any)
-	if src == nil {
-		http.Error(w, "obs: no frontier source configured", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(src())
+	enc.Encode(v)
 }
 
 // handleProfiles serves the anomaly-triggered profile ring: the JSON
 // listing by default, or one capture's raw pprof bytes with
 // ?seq=N&kind=cpu|heap.
 func (a *Admin) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	p, _ := a.profiler.Load().(*Profiler)
+	p := a.src.Profiler
 	if p == nil {
 		http.Error(w, "obs: no profiler configured", http.StatusNotFound)
 		return
@@ -312,10 +260,7 @@ func (a *Admin) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		w.Write(data)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(p.Snapshot())
+	writeJSON(w, p.Snapshot())
 }
 
 // Listen binds the admin plane to addr and serves it on a background

@@ -14,7 +14,7 @@ func newTestAdmin(t *testing.T) (*Admin, *Registry, *Recorder) {
 	t.Helper()
 	reg := NewRegistry()
 	rec := NewRecorder(8, 8)
-	return NewAdmin(reg, rec), reg, rec
+	return NewAdmin(AdminSources{Registry: reg, Traces: rec}), reg, rec
 }
 
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -46,9 +46,6 @@ func TestAdminHealthzFlips(t *testing.T) {
 		t.Fatalf("ready healthz: %d %q", w.Code, w.Body.String())
 	}
 	a.SetReady(false)
-	if a.Ready() {
-		t.Fatal("Ready() should be false")
-	}
 	if w := get(t, a.Handler(), "/healthz"); w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "draining") {
 		t.Fatalf("draining healthz: %d %q", w.Code, w.Body.String())
 	}
@@ -59,9 +56,8 @@ func TestAdminHealthzFlips(t *testing.T) {
 // listing the open breakers so probes can see which domains are down
 // without evicting the process) and draining (503).
 func TestAdminHealthzThreeStates(t *testing.T) {
-	a, _, _ := newTestAdmin(t)
 	var open []string
-	a.SetHealthSource(func() []string { return open })
+	a := NewAdmin(AdminSources{OpenBreakers: func() []string { return open }})
 
 	if w := get(t, a.Handler(), "/healthz"); w.Code != 200 || !strings.Contains(w.Body.String(), "ok") {
 		t.Fatalf("healthy: %d %q", w.Code, w.Body.String())
@@ -125,7 +121,7 @@ func TestAdminTraces(t *testing.T) {
 }
 
 func TestAdminTracesNilRecorder(t *testing.T) {
-	a := NewAdmin(NewRegistry(), nil)
+	a := NewAdmin(AdminSources{Registry: NewRegistry()})
 	w := get(t, a.Handler(), "/traces")
 	if w.Code != 200 || !strings.Contains(w.Body.String(), `"traces": []`) {
 		t.Fatalf("nil recorder: %d %q", w.Code, w.Body.String())
@@ -261,7 +257,7 @@ func TestAdminSLOEndpoint(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	tr.SetClock(func() time.Time { return now })
 	tr.RecordAt(now, 1, "acme", SLODeadlineMiss)
-	a.SetSLOTracker(tr)
+	a = NewAdmin(AdminSources{SLO: tr})
 	w = get(t, a.Handler(), "/slo")
 	if w.Code != 200 {
 		t.Fatalf("/slo status = %d", w.Code)
@@ -340,11 +336,9 @@ func TestAdminCostAndFrontierEndpoints(t *testing.T) {
 			t.Fatalf("unconfigured %s status = %d, want 404", path, w.Code)
 		}
 	}
-	a.SetCostSource(func() any {
-		return map[string]int{"requests": 12}
-	})
-	a.SetFrontierSource(func() any {
-		return []map[string]any{{"workload": "agg"}}
+	a = NewAdmin(AdminSources{
+		Costs:    func() any { return map[string]int{"requests": 12} },
+		Frontier: func() any { return []map[string]any{{"workload": "agg"}} },
 	})
 	w := get(t, a.Handler(), "/costs")
 	if w.Code != 200 {
@@ -370,7 +364,7 @@ func TestAdminProfilesEndpoint(t *testing.T) {
 		t.Fatalf("unconfigured /debug/profiles status = %d, want 404", w.Code)
 	}
 	p := NewProfiler(4, time.Millisecond, time.Minute)
-	a.SetProfiler(p)
+	a = NewAdmin(AdminSources{Profiler: p})
 	w := get(t, a.Handler(), "/debug/profiles")
 	if w.Code != 200 {
 		t.Fatalf("empty listing status = %d", w.Code)
@@ -417,9 +411,7 @@ func TestAdminAuditEndpoint(t *testing.T) {
 	if w := get(t, a.Handler(), "/audit"); w.Code != http.StatusNotFound {
 		t.Fatalf("unconfigured /audit status = %d, want 404", w.Code)
 	}
-	a.SetAuditSource(func() any {
-		return map[string]int{"sampled": 42}
-	})
+	a = NewAdmin(AdminSources{Audit: func() any { return map[string]int{"sampled": 42} }})
 	w := get(t, a.Handler(), "/audit")
 	if w.Code != 200 {
 		t.Fatalf("/audit status = %d", w.Code)

@@ -422,8 +422,11 @@ func TestExemplarPinRace(t *testing.T) {
 				if i%2 == 0 {
 					tr.MarkAnomaly(AnomalyDegraded)
 				}
+				// Read the ID before Finish, as the front server does:
+				// a finished slot may be reclaimed by the next Start.
+				id := tr.ID()
 				tr.Finish(time.Microsecond)
-				rec.Pin(tr.ID(), AnomalyAuditMismatch)
+				rec.Pin(id, AnomalyAuditMismatch)
 			}
 		}()
 	}

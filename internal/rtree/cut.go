@@ -1,18 +1,17 @@
 package rtree
 
 // CutToTarget returns a partition of the stored data into at most
-// maxNodes groups of R-tree nodes. It starts from the deepest full level
-// whose node count fits (ChooseDepth) and then greedily splits the
-// largest remaining nodes into their children while the group count stays
-// within maxNodes.
+// maxNodes groups of R-tree nodes. It starts from the deepest level
+// whose node count fits and then greedily splits the largest remaining
+// nodes into their children while the group count stays within
+// maxNodes.
 //
 // Rationale: with fan-out F the per-level node counts jump by ~F x, so a
 // pure single-depth cut can land far below the requested synopsis size
 // (e.g. 3 groups when 13 were requested), making correlation ranking
 // needlessly coarse. The refinement keeps every group an R-tree node —
 // preserving the similarity grouping of paper §2.2 — while approaching
-// the requested granularity. The paper's single-depth cut is recovered by
-// NodesAtDepth for comparison (see the ablation benchmarks).
+// the requested granularity.
 func (t *Tree) CutToTarget(maxNodes int) []LevelCut {
 	if t.Len() == 0 {
 		return nil
@@ -20,8 +19,7 @@ func (t *Tree) CutToTarget(maxNodes int) []LevelCut {
 	if maxNodes < 1 {
 		maxNodes = 1
 	}
-	depth := t.ChooseDepth(maxNodes)
-	cut := t.nodesAt(depth)
+	cut := t.deepestLevelWithin(maxNodes)
 	sizes := make(map[*node]int, len(cut))
 	size := func(n *node) int {
 		if s, ok := sizes[n]; ok {
@@ -34,10 +32,7 @@ func (t *Tree) CutToTarget(maxNodes int) []LevelCut {
 	for {
 		best := -1
 		for i, n := range cut {
-			if n.leaf || len(n.entries) == 0 {
-				continue
-			}
-			if len(cut)+len(n.entries)-1 > maxNodes {
+			if n.leaf || len(cut)+len(n.entries)-1 > maxNodes {
 				continue
 			}
 			if best == -1 || size(n) > size(cut[best]) {
@@ -47,34 +42,38 @@ func (t *Tree) CutToTarget(maxNodes int) []LevelCut {
 		if best == -1 {
 			break
 		}
-		n := cut[best]
-		children := make([]*node, 0, len(n.entries))
-		for _, e := range n.entries {
-			children = append(children, e.child)
-		}
-		cut = append(cut[:best], append(children, cut[best+1:]...)...)
+		cut = append(cut[:best], append(children(cut[best:best+1]), cut[best+1:]...)...)
 	}
 	out := make([]LevelCut, 0, len(cut))
 	for _, n := range cut {
-		if len(n.entries) == 0 {
-			continue
-		}
 		out = append(out, LevelCut{MBR: mbr(n.entries), Members: t.collectIDs(n, nil)})
 	}
 	return out
 }
 
-// nodesAt returns the internal node list at a depth (0 = root).
-func (t *Tree) nodesAt(depth int) []*node {
+// deepestLevelWithin walks the tree level by level from the root and
+// returns the nodes of the deepest level with at most maxNodes nodes
+// (the root level when no deeper one fits). In a non-empty tree every
+// node has entries, so the levels partition the stored IDs.
+func (t *Tree) deepestLevelWithin(maxNodes int) []*node {
 	level := []*node{t.root}
-	for d := 0; d < depth; d++ {
-		var next []*node
-		for _, n := range level {
-			for _, e := range n.entries {
-				next = append(next, e.child)
-			}
+	for d := 1; d < t.Height(); d++ {
+		next := children(level)
+		if len(next) > maxNodes {
+			break
 		}
 		level = next
 	}
 	return level
+}
+
+// children returns the child nodes of every node in level, in order.
+func children(level []*node) []*node {
+	var next []*node
+	for _, n := range level {
+		for _, e := range n.entries {
+			next = append(next, e.child)
+		}
+	}
+	return next
 }

@@ -39,7 +39,7 @@ func TestCutToTargetApproachesTarget(t *testing.T) {
 	items := randPoints(rng, 800, 3)
 	tr := Bulk(3, 2, 8, items)
 	target := 60
-	depthCount := tr.CountAtDepth(tr.ChooseDepth(target))
+	depthCount := len(tr.deepestLevelWithin(target))
 	refined := len(tr.CutToTarget(target))
 	if refined < depthCount {
 		t.Fatalf("refinement lost nodes: %d < %d", refined, depthCount)

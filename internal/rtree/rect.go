@@ -38,16 +38,6 @@ func (r Rect) Contains(s Rect) bool {
 	return true
 }
 
-// Intersects reports whether r and s overlap (boundary touch counts).
-func (r Rect) Intersects(s Rect) bool {
-	for i := range r.Lo {
-		if s.Hi[i] < r.Lo[i] || s.Lo[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Union returns the smallest rectangle covering both r and s.
 func (r Rect) Union(s Rect) Rect {
 	lo := make([]float64, len(r.Lo))

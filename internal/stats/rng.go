@@ -111,39 +111,3 @@ func (r *RNG) Exp(rate float64) float64 {
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Norm(mu, sigma))
 }
-
-// Pareto returns a Pareto(xm, alpha) sample: heavy-tailed with minimum xm.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return xm / math.Pow(1-u, 1/alpha)
-}
-
-// Poisson returns a Poisson-distributed count with the given mean. For
-// small means it uses Knuth's product method; for large means a normal
-// approximation with continuity correction, which is accurate enough for
-// workload generation.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	n := r.Norm(mean, math.Sqrt(mean))
-	if n < 0 {
-		return 0
-	}
-	return int(n + 0.5)
-}

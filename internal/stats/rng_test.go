@@ -128,41 +128,6 @@ func TestExpPanics(t *testing.T) {
 	NewRNG(1).Exp(0)
 }
 
-func TestPoissonMoments(t *testing.T) {
-	r := NewRNG(8)
-	for _, mean := range []float64{0.5, 3, 12, 80} {
-		var s Summary
-		for i := 0; i < 100000; i++ {
-			s.Add(float64(r.Poisson(mean)))
-		}
-		if math.Abs(s.Mean()-mean) > 0.05*mean+0.05 {
-			t.Fatalf("poisson(%v) mean %v", mean, s.Mean())
-		}
-		// Poisson variance equals the mean.
-		if math.Abs(s.Var()-mean) > 0.1*mean+0.1 {
-			t.Fatalf("poisson(%v) var %v", mean, s.Var())
-		}
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	if got := NewRNG(1).Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d", got)
-	}
-	if got := NewRNG(1).Poisson(-1); got != 0 {
-		t.Fatalf("Poisson(-1) = %d", got)
-	}
-}
-
-func TestParetoMinimum(t *testing.T) {
-	r := NewRNG(10)
-	for i := 0; i < 10000; i++ {
-		if v := r.Pareto(2, 1.5); v < 2 {
-			t.Fatalf("Pareto sample %v below xm", v)
-		}
-	}
-}
-
 func TestLogNormalPositive(t *testing.T) {
 	r := NewRNG(11)
 	for i := 0; i < 10000; i++ {

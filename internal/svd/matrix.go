@@ -1,7 +1,5 @@
 package svd
 
-import "sort"
-
 // Cell is one known value in a sparse row.
 type Cell struct {
 	Col int32
@@ -48,30 +46,6 @@ func (m *Matrix) Set(r, c int, v float64) {
 	}
 	m.cells[r] = append(row, Cell{Col: int32(c), Val: v})
 	m.nnz++
-}
-
-// AppendRow grows the matrix by one row with the given cells and returns
-// the new row index. Used when new data points arrive.
-func (m *Matrix) AppendRow(cells []Cell) int {
-	r := m.rows
-	m.rows++
-	cp := append([]Cell(nil), cells...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Col < cp[j].Col })
-	m.cells = append(m.cells, cp)
-	m.nnz += len(cp)
-	return r
-}
-
-// ReplaceRow overwrites row r's cells entirely (a "changed data point").
-func (m *Matrix) ReplaceRow(r int, cells []Cell) {
-	if r < 0 || r >= m.rows {
-		panic("svd: ReplaceRow out of range")
-	}
-	m.nnz -= len(m.cells[r])
-	cp := append([]Cell(nil), cells...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Col < cp[j].Col })
-	m.cells[r] = cp
-	m.nnz += len(cp)
 }
 
 // Row returns the cells of row r (shared slice; callers must not modify).

@@ -204,14 +204,6 @@ func (mo *Model) FoldIn(cells []Cell, epochs int) []float64 {
 	return u
 }
 
-// AppendRow extends the model with a folded-in latent vector for a new
-// row and returns its index in U.
-func (mo *Model) AppendRow(cells []Cell, epochs int) int {
-	u := mo.FoldIn(cells, epochs)
-	mo.U = append(mo.U, u)
-	return len(mo.U) - 1
-}
-
 // Snapshot is the serializable state of a trained Model.
 type Snapshot struct {
 	U, V [][]float64

@@ -54,19 +54,6 @@ func TestMatrixBasics(t *testing.T) {
 	if _, ok := m.Get(1, 1); ok {
 		t.Fatal("Get of unset cell should miss")
 	}
-	r := m.AppendRow([]Cell{{Col: 3, Val: 1}, {Col: 0, Val: 2}})
-	if r != 3 || m.Rows() != 4 || m.NNZ() != 3 {
-		t.Fatalf("AppendRow: r=%d rows=%d nnz=%d", r, m.Rows(), m.NNZ())
-	}
-	// AppendRow must sort cells by column.
-	row := m.Row(3)
-	if row[0].Col != 0 || row[1].Col != 3 {
-		t.Fatalf("row not sorted: %v", row)
-	}
-	m.ReplaceRow(3, []Cell{{Col: 2, Val: 9}})
-	if m.NNZ() != 2 {
-		t.Fatalf("NNZ after replace = %d", m.NNZ())
-	}
 }
 
 func TestMatrixPanics(t *testing.T) {
@@ -75,7 +62,6 @@ func TestMatrixPanics(t *testing.T) {
 		func() { NewMatrix(2, 0) },
 		func() { NewMatrix(2, 2).Set(2, 0, 1) },
 		func() { NewMatrix(2, 2).Set(0, 5, 1) },
-		func() { NewMatrix(2, 2).ReplaceRow(5, nil) },
 	} {
 		func() {
 			defer func() {
@@ -182,26 +168,6 @@ func TestFoldInApproximatesTraining(t *testing.T) {
 	rf := math.Sqrt(seFolded / float64(len(row)))
 	if rf > rt*2+0.1 {
 		t.Fatalf("fold-in much worse than training: %v vs %v", rf, rt)
-	}
-}
-
-func TestAppendAndUpdateRow(t *testing.T) {
-	rng := stats.NewRNG(7)
-	m, _ := syntheticMatrix(rng, 50, 30, 2, 0.05, 0.5)
-	mo := Train(m, Config{Dims: 2, Epochs: 30, Seed: 7})
-	before := len(mo.U)
-	idx := mo.AppendRow(m.Row(3), 30)
-	if idx != before || len(mo.U) != before+1 {
-		t.Fatalf("AppendRow index = %d, len = %d", idx, len(mo.U))
-	}
-	// A row folded from row 3's data should land near row 3's factors.
-	if d := dist(mo.U[idx], mo.U[3]); d > 0.8 {
-		t.Fatalf("appended row too far from its twin: %v", d)
-	}
-	old := clone(mo.U[5])
-	mo.U[5] = mo.FoldIn(m.Row(3), 30)
-	if dist(mo.U[5], old) == 0 {
-		t.Fatal("re-folding a row did not change its factors")
 	}
 }
 
@@ -320,11 +286,4 @@ func dist(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// clone returns a copy of v.
-func clone(v []float64) []float64 {
-	c := make([]float64, len(v))
-	copy(c, v)
-	return c
 }

@@ -24,7 +24,8 @@ type FeatureSource interface {
 type Config struct {
 	// SVD configures step-1 dimensionality reduction.
 	SVD svd.Config
-	// TreeMin/TreeMax are the R-tree node capacities (defaults 4/16).
+	// TreeMin/TreeMax are the R-tree node capacities (defaults: TreeMax
+	// 8, TreeMin TreeMax/4, so 2).
 	TreeMin, TreeMax int
 	// CompressionRatio is the target ratio of original points per
 	// aggregated point; the paper suggests ~100x. Default 100.

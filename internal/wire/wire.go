@@ -143,7 +143,7 @@ type CFRequest struct {
 // SearchRequest asks for the top-K pages matching a query string.
 type SearchRequest struct {
 	Query string
-	K     int32 // 0: the server's default (DefaultK unless configured)
+	K     int32 // 0: DefaultK
 }
 
 // DefaultK is the search hit count of a request that names none, and the

@@ -116,13 +116,6 @@ func pow(base, exp float64) float64 {
 	return math.Exp(exp * math.Log(base))
 }
 
-// PageText exposes page synthesis for update experiments (new or changed
-// pages on subset s).
-func (d *CorpusData) PageText(seed uint64, topic int) string {
-	rng := stats.NewRNG(seed ^ 0x5bd1e995)
-	return d.pageText(rng, topic)
-}
-
 // SampleQueries draws n queries: each picks a topic and 2-3 of its
 // characteristic words (weighted like page text, so frequent page words
 // are frequent query words, as in real query logs).

@@ -4,7 +4,7 @@
 // and the arrival processes — fixed-rate Poisson for Tables 1-2 and a
 // 24-hour diurnal pattern shaped like the Sogou query log for Figures 5-8.
 //
-// Substitution note (DESIGN.md §3): the real MovieLens/Sogou datasets are
+// Substitution note (EXPERIMENTS.md § Scale and data): the real MovieLens/Sogou datasets are
 // replaced by generators that reproduce the structural properties the
 // experiments depend on — clusters of like-minded users / topically
 // similar pages (so synopses aggregate meaningfully) and realistic

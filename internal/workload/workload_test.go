@@ -202,16 +202,6 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
-func TestPageTextTopicBias(t *testing.T) {
-	cfg := DefaultCorpusConfig()
-	cfg.Seed = 9
-	d := GenerateCorpus(cfg, 1)
-	text := d.PageText(3, 2)
-	if len(text) == 0 {
-		t.Fatal("empty page")
-	}
-}
-
 func TestPoissonArrivals(t *testing.T) {
 	rng := stats.NewRNG(10)
 	arr := PoissonArrivals(rng, 50, 60_000)

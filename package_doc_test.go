@@ -3,8 +3,10 @@ package accuracytrader
 import (
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 )
 
@@ -39,5 +41,54 @@ func TestEveryInternalPackageHasDocComment(t *testing.T) {
 		if f.Doc == nil || len(f.Doc.Text()) < 40 {
 			t.Errorf("%s: missing or trivial package doc comment", docPath)
 		}
+	}
+}
+
+// mdName matches a markdown file name (or path) cited in prose.
+var mdName = regexp.MustCompile(`[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b`)
+
+// TestCommentsCiteExistingDocs fails when a Go comment anywhere in the
+// repository names a *.md file that does not exist — relative to the
+// commenting file's directory or to the repository root — so a comment
+// cannot point readers at a document that was never written or has
+// gone.
+func TestCommentsCiteExistingDocs(t *testing.T) {
+	exists := func(p string) bool { _, err := os.Stat(p); return err == nil }
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".go" {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				for _, name := range mdName.FindAllString(c.Text, -1) {
+					checked++
+					if !exists(filepath.Join(filepath.Dir(path), name)) && !exists(name) {
+						t.Errorf("%s: comment cites %s, which does not exist", fset.Position(c.Pos()), name)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no markdown citation found in any comment — wrong working directory?")
 	}
 }
