@@ -86,21 +86,17 @@ func (a *Account) Usage() Usage {
 	}
 }
 
-// accountKey is the context key for the request's account.
-type accountKey struct{}
-
-// WithAccount returns a context carrying the request's cost account,
-// so every hop below the front server can fold usage in.
-func WithAccount(ctx context.Context, a *Account) context.Context {
-	if a == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, accountKey{}, a)
-}
+// AccountKey is the context key a request's *Account is found under,
+// so every hop below the front server can fold usage in. A request
+// record that carries its own account answers it from Value — a netsvc
+// server's job does, so a metered request adds neither a context layer
+// nor an account object — and context.WithValue puts one on any other
+// context.
+type AccountKey struct{}
 
 // AccountFrom returns the context's cost account, or nil. The nil
 // result composes with the nil-safe methods: callers just call Add.
 func AccountFrom(ctx context.Context) *Account {
-	a, _ := ctx.Value(accountKey{}).(*Account)
+	a, _ := ctx.Value(AccountKey{}).(*Account)
 	return a
 }

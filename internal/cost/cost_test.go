@@ -26,14 +26,11 @@ func TestNilSafety(t *testing.T) {
 	if got := AccountFrom(context.Background()); got != nil {
 		t.Fatalf("AccountFrom(bare ctx) = %v", got)
 	}
-	if ctx := WithAccount(context.Background(), nil); AccountFrom(ctx) != nil {
-		t.Fatal("WithAccount(nil) must not store an account")
-	}
 }
 
 func TestAccountAccumulatesConcurrently(t *testing.T) {
 	a := &Account{}
-	ctx := WithAccount(context.Background(), a)
+	ctx := context.WithValue(context.Background(), AccountKey{}, a)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

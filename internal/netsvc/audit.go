@@ -198,7 +198,8 @@ func searchIDs(res *wire.SearchResult) []float64 {
 }
 
 // auditReplay recomputes a sampled request at Exact class through the
-// same pass the original answer took — the audit.Config Replay hook. A
+// same pass the original answer took — the audit.Config Replay hook,
+// whose context is the replay's timeout: its deadline bounds the pass. A
 // successful replay also upgrades the request's cache entry in place
 // (if it is still cached), so audits double as free refreshes.
 func (s *FrontServer) auditReplay(ctx context.Context, smp *audit.Sample) ([]float64, error) {
@@ -210,7 +211,10 @@ func (s *FrontServer) auditReplay(ctx context.Context, smp *audit.Sample) ([]flo
 	if s.cache != nil {
 		epoch = s.cache.Epoch()
 	}
-	rep, _, _ := s.pass(ctx, exactOf(req), originAudit, time.Time{})
+	dl, _ := ctx.Deadline()
+	j := internalJob(exactOf(req), dl)
+	rep, _, _ := s.pass(j, originAudit)
+	j.finish()
 	kept := storable(rep)
 	if kept == nil {
 		return nil, fmt.Errorf("netsvc: audit replay not exact: status %d (%s)", rep.Status, rep.Err)

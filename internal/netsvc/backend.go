@@ -8,6 +8,7 @@ import (
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/cf"
 	"accuracytrader/internal/core"
+	"accuracytrader/internal/cost"
 	"accuracytrader/internal/textindex"
 	"accuracytrader/internal/wire"
 )
@@ -62,7 +63,7 @@ func errSub(msg string) *wire.SubReply {
 
 // meteredEngine wraps an application engine to charge each Algorithm 1
 // step for the data units it touches, both ways a sub-operation is
-// charged: credited to the request's scan counter — the Scanned
+// charged: credited to the request's cost account — the Scanned
 // dimension of cost attribution, present on traced requests — and paid
 // for at the modeled unit cost. It is installed only when one of the two
 // applies, so the untraced, uncosted hot path never pays the
@@ -79,7 +80,7 @@ func errSub(msg string) *wire.SubReply {
 type meteredEngine struct {
 	algorithm1
 	synopsis int           // data units the synopsis pass touches
-	sc       *scanCounter  // nil: untraced
+	acct     *cost.Account // nil: untraced
 	unit     time.Duration // 0: pure compute
 	debt     time.Duration
 }
@@ -87,9 +88,7 @@ type meteredEngine struct {
 // charge credits and pays for units data units; it sleeps once at least
 // a millisecond is owed.
 func (e *meteredEngine) charge(units int) {
-	if e.sc != nil {
-		e.sc.n.Add(uint64(units))
-	}
+	e.acct.Add(cost.Usage{Scanned: uint64(units)})
 	if e.unit <= 0 {
 		return
 	}
@@ -140,8 +139,8 @@ func getSubop(dl time.Time) *subop {
 
 func (s *subop) more(int) bool { return s.dl.IsZero() || time.Now().Before(s.dl) }
 
-// release zeroes the record, so the pool keeps no engine or scan
-// counter alive, and returns it to the pool.
+// release zeroes the record, so the pool keeps no engine or account
+// alive, and returns it to the pool.
 func (s *subop) release() {
 	*s = subop{cont: s.cont}
 	subops.Put(s)
@@ -170,7 +169,7 @@ func (o BackendOptions) budget(ctx context.Context) time.Time {
 		}
 	}
 	if j, ok := ctx.(*job); ok {
-		j.dl = dl
+		j.dl = unixNanos(dl)
 	}
 	return dl
 }
@@ -214,20 +213,26 @@ type algorithm1 struct {
 }
 
 // newSubReply allocates an OK sub-reply together with the payload
-// struct of its kind, one object per reply (wire.Box); a search reply's
-// hit list starts in the payload's inline array (wire.SearchPayload).
-func newSubReply(kind wire.Kind) *wire.SubReply {
+// struct of its kind and, for a traced request, room for the two server
+// spans the server appends: one object per reply (wire.BoxSub). A search
+// reply's hit list starts in the payload's inline array
+// (wire.SearchPayload).
+func newSubReply(kind wire.Kind, traced bool) *wire.SubReply {
+	spans := 0
+	if traced {
+		spans = wire.ServerSpans
+	}
 	rep := wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel}
 	var out *wire.SubReply
 	switch kind {
 	case wire.KindCF:
-		out, rep.CF = wire.Box[wire.SubReply, wire.CFResult]()
+		out, rep.CF, rep.Spans = wire.BoxSub[wire.CFResult](spans)
 	case wire.KindSearch:
 		var p *wire.SearchPayload
-		out, p = wire.Box[wire.SubReply, wire.SearchPayload]()
+		out, p, rep.Spans = wire.BoxSub[wire.SearchPayload](spans)
 		rep.Search = p.Init()
 	default:
-		out, rep.Agg = wire.Box[wire.SubReply, wire.AggResult]()
+		out, rep.Agg, rep.Spans = wire.BoxSub[wire.AggResult](spans)
 	}
 	*out = rep
 	return out
@@ -266,7 +271,7 @@ func newBackend(opts BackendOptions, w backend) Handler {
 		dl := opts.budget(ctx)
 		opts.interfere(req.Seq)
 		shard := int(req.Subset) % w.shards
-		rep := newSubReply(w.kind)
+		rep := newSubReply(w.kind, req.Trace != 0)
 		var a algorithm1
 		var units int
 		if req.SLO == wire.SLOExact {
@@ -274,12 +279,10 @@ func newBackend(opts BackendOptions, w backend) Handler {
 		} else {
 			a, units = w.approx(shard, req, rep)
 		}
-		sc := scanCounterFrom(ctx)
+		acct := cost.AccountFrom(ctx)
 		if a.Engine == nil {
 			// Answered by one scan: credit its units and pay for them.
-			if sc != nil {
-				sc.n.Add(uint64(units))
-			}
+			acct.Add(cost.Usage{Scanned: uint64(units)})
 			if opts.UnitCost > 0 {
 				time.Sleep(time.Duration(units) * opts.UnitCost)
 			}
@@ -287,8 +290,8 @@ func newBackend(opts BackendOptions, w backend) Handler {
 		}
 		s := getSubop(dl)
 		eng := a.Engine
-		if sc != nil || opts.UnitCost > 0 {
-			s.metered = meteredEngine{algorithm1: a, synopsis: units, sc: sc, unit: opts.UnitCost}
+		if acct != nil || opts.UnitCost > 0 {
+			s.metered = meteredEngine{algorithm1: a, synopsis: units, acct: acct, unit: opts.UnitCost}
 			eng = &s.metered
 		}
 		trace := core.Run(eng, s.cont, opts.imax(a.sets, w.imax))

@@ -10,6 +10,7 @@ import (
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/cf"
 	"accuracytrader/internal/core"
+	"accuracytrader/internal/cost"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/svd"
 	"accuracytrader/internal/synopsis"
@@ -156,7 +157,7 @@ func TestCFBackendHostileRequests(t *testing.T) {
 // engine's improvement — allocates only its reply: the sub-reply boxed
 // with its payload struct (wire.Box) and the result backing the reply
 // ships. That holds on the plain path and on the metered one, where a
-// scan counter on the context installs the metered engine. The metered
+// cost account on the context installs the metered engine. The metered
 // engine credits the rows the engine reads: every row once when every
 // stratum is improved, since each improvement resumes where its sample
 // stopped, and the sample plus the rest of each stratum run when imax
@@ -170,13 +171,13 @@ func TestAggSubOperationAllocations(t *testing.T) {
 	h := NewAggBackend(comps, BackendOptions{SubBudget: time.Hour})
 	req := aggReq(agg.Sum, 0, math.Inf(1))
 	req.Subset, req.SLO = 0, wire.SLOBounded
-	sc := new(scanCounter)
+	acct := new(cost.Account)
 	for _, tc := range []struct {
 		name string
 		ctx  context.Context
 	}{
 		{"plain", context.Background()},
-		{"metered", context.WithValue(context.Background(), scanCounterKey{}, sc)},
+		{"metered", context.WithValue(context.Background(), cost.AccountKey{}, acct)},
 	} {
 		var rep *wire.SubReply
 		// AllocsPerRun's warm-up invocation primes the engine, ranking
@@ -189,16 +190,16 @@ func TestAggSubOperationAllocations(t *testing.T) {
 			t.Errorf("%s Bounded agg sub-operation allocates %.1f times, want %d (its reply)", tc.name, n, replyAllocs)
 		}
 	}
-	if sc.n.Load() == 0 {
+	if acct.Usage().Scanned == 0 {
 		t.Fatal("the metered path credited no scanned units")
 	}
 
 	c := comps[0]
 	level := c.Syn.Levels() - 1 // a request without a level is served at the finest
 	credited := func(h Handler) int {
-		sc := new(scanCounter)
-		h(context.WithValue(context.Background(), scanCounterKey{}, sc), req)
-		return int(sc.n.Load())
+		acct := new(cost.Account)
+		h(context.WithValue(context.Background(), cost.AccountKey{}, acct), req)
+		return int(acct.Usage().Scanned)
 	}
 	if got, want := credited(h), c.T.NumRows(); got != want {
 		t.Errorf("fully improved sub-operation credits %d units, want every row once: %d", got, want)

@@ -184,7 +184,7 @@ func TestOriginCharges(t *testing.T) {
 			if tc.from != originClient {
 				req = exactOf(req)
 			}
-			rep, _, row := fs.pass(context.Background(), req, tc.from, time.Time{})
+			rep, _, row := fs.pass(internalJob(req, time.Time{}), tc.from)
 			if rep.Status != wire.ReplyOK {
 				t.Fatalf("reply: %+v", rep)
 			}

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"accuracytrader/internal/cost"
+	"accuracytrader/internal/obs"
 	"accuracytrader/internal/wire"
 )
 
@@ -17,6 +19,14 @@ import (
 // per job, so a handler that never waits on the context — every
 // component handler — never pays for a channel or a timer; Done makes
 // both on first call.
+//
+// The job is also where the request's planes ride: its trace and its
+// cost account are fields Value answers (obs.TraceKey, cost.AccountKey),
+// so a traced or metered request adds no context layer and no account
+// object, and an untraced one carries them zeroed. The job stays at 112
+// bytes — a job, an agg request and its payload fill the 256-byte size
+// class — which is why the times are Unix nanoseconds and the end reason
+// is a byte (TestRecordSizes).
 //
 // No path of a component server derives a child context from a job: a
 // stdlib child (WithTimeout, WithCancel) asks its parent for Done, which
@@ -30,47 +40,78 @@ import (
 type job struct {
 	req  *wire.Request // decoded into the same object as the job
 	conn *connWriter   // the accepted connection's writer, until the job ends: workers reply concurrently
-	enq  time.Time     // when the request entered the worker queue
+	enq  int64         // when the request entered the worker queue, Unix nanoseconds; 0 for an internal pass
+	// dl is the job's deadline in Unix nanoseconds, 0 for none: the
+	// propagated one (plus a front server's gather grace), set at dequeue
+	// and tightened by the component skeleton. Only the goroutine serving
+	// the job writes it, before it hands the context to anyone who could
+	// ask for Done; the same holds for tr and metered.
+	dl int64
 
-	// dl is the job's deadline, zero for none: the propagated one (plus a
-	// front server's gather grace), set at dequeue and tightened by the
-	// component skeleton. Only the goroutine serving the job writes it,
-	// before it hands the context to anyone who could ask for Done.
-	dl time.Time
-	// scan tallies the data units the handler touched; Value hands it out
-	// on traced requests only.
-	scan scanCounter
+	// tr is a front pass's decision trace, nil when untraced.
+	tr *obs.Trace
+	// acct is the request's cost account, handed out by Value while
+	// metered: on a front pass, the bill the fan-out folds sub-operation
+	// costs into; on a traced component request, the units the handler
+	// scanned, shipped back on its exec span.
+	acct    cost.Account
+	metered bool
 
+	ended jobEnd // why the job ended; guarded by mu
 	mu    sync.Mutex
 	done  atomic.Value // chan struct{}, made by the first Done
-	err   error
-	timer *time.Timer // armed by the first Done, stopped when the job ends
+	timer *time.Timer  // armed by the first Done, stopped when the job ends
 }
 
-// scanCounter tallies the rows/postings a backend computation touched
-// (the handler skeleton, newBackend, credits it).
-type scanCounter struct {
-	n atomic.Uint64
+// jobEnd is why a job ended: not yet, its deadline, or its answer.
+type jobEnd uint8
+
+const (
+	jobLive jobEnd = iota
+	jobExpired
+	jobCanceled
+)
+
+// err is the context error of a job ended this way.
+func (e jobEnd) err() error {
+	switch e {
+	case jobExpired:
+		return context.DeadlineExceeded
+	case jobCanceled:
+		return context.Canceled
+	}
+	return nil
 }
 
-type scanCounterKey struct{}
+// internalJob is the record an internal pass — a cache refresh or an
+// audit replay — runs under: its request and deadline, no connection
+// and no queue wait. finish ends it like a served job.
+func internalJob(req *wire.Request, dl time.Time) *job {
+	return &job{req: req, dl: unixNanos(dl)}
+}
 
-// scanCounterFrom returns the request's scan counter: nil unless the
-// request is traced.
-func scanCounterFrom(ctx context.Context) *scanCounter {
-	c, _ := ctx.Value(scanCounterKey{}).(*scanCounter)
-	return c
+// unixNanos is t in Unix nanoseconds, 0 for the zero time.
+func unixNanos(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
 }
 
 // Deadline returns the job's deadline.
-func (j *job) Deadline() (time.Time, bool) { return j.dl, !j.dl.IsZero() }
+func (j *job) Deadline() (time.Time, bool) {
+	if j.dl == 0 {
+		return time.Time{}, false
+	}
+	return time.Unix(0, j.dl), true
+}
 
 // Done returns a channel closed at the deadline, or when the job ends
 // first; nil for a job without a deadline, which, like
 // context.Background, is never canceled. The first call makes the
 // channel and arms the timer.
 func (j *job) Done() <-chan struct{} {
-	if j.dl.IsZero() {
+	if j.dl == 0 {
 		return nil
 	}
 	if d, ok := j.done.Load().(chan struct{}); ok {
@@ -83,12 +124,12 @@ func (j *job) Done() <-chan struct{} {
 	}
 	d := make(chan struct{})
 	j.done.Store(d)
-	if j.err == nil {
-		if wait := time.Until(j.dl); wait > 0 {
+	if j.ended == jobLive {
+		if wait := time.Until(time.Unix(0, j.dl)); wait > 0 {
 			j.timer = time.AfterFunc(wait, j.expire)
 			return d
 		}
-		j.err = context.DeadlineExceeded
+		j.ended = jobExpired
 	}
 	close(d)
 	return d
@@ -98,27 +139,35 @@ func (j *job) Done() <-chan struct{} {
 // then DeadlineExceeded or Canceled. It reads the clock, so a job whose
 // Done nobody asked for still reports its deadline on time.
 func (j *job) Err() error {
-	if j.dl.IsZero() {
+	if j.dl == 0 {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err == nil && !time.Now().Before(j.dl) {
-		j.endLocked(context.DeadlineExceeded)
+	if j.ended == jobLive && time.Now().UnixNano() >= j.dl {
+		j.endLocked(jobExpired)
 	}
-	return j.err
+	return j.ended.err()
 }
 
-// Value answers the scan counter on a traced request; a job has no
-// parent, so every other key finds nothing.
+// Value answers the request's planes: its trace (obs.TraceFrom) when it
+// has one, its cost account (cost.AccountFrom) while metered. A job has
+// no parent, so every other key finds nothing.
 func (j *job) Value(key any) any {
-	if _, ok := key.(scanCounterKey); ok && j.req != nil && j.req.Trace != 0 {
-		return &j.scan
+	switch key.(type) {
+	case obs.TraceKey:
+		if j.tr != nil {
+			return j.tr
+		}
+	case cost.AccountKey:
+		if j.metered {
+			return &j.acct
+		}
 	}
 	return nil
 }
 
-func (j *job) expire() { j.end(context.DeadlineExceeded) }
+func (j *job) expire() { j.end(jobExpired) }
 
 // finish ends a job once its reply is written (or it was shed), as the
 // deferred cancel of a stdlib context would: Done, if anyone asked for
@@ -127,23 +176,23 @@ func (j *job) expire() { j.end(context.DeadlineExceeded) }
 // writes to (see job).
 func (j *job) finish() {
 	j.conn = nil
-	j.end(context.Canceled)
+	j.end(jobCanceled)
 }
 
-func (j *job) end(err error) {
-	if j.dl.IsZero() {
+func (j *job) end(why jobEnd) {
+	if j.dl == 0 {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.endLocked(err)
+	j.endLocked(why)
 }
 
-func (j *job) endLocked(err error) {
-	if j.err != nil {
+func (j *job) endLocked(why jobEnd) {
+	if j.ended != jobLive {
 		return
 	}
-	j.err = err
+	j.ended = why
 	if d, ok := j.done.Load().(chan struct{}); ok {
 		close(d)
 	}

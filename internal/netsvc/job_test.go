@@ -7,7 +7,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"accuracytrader/internal/cost"
+	"accuracytrader/internal/obs"
 	"accuracytrader/internal/wire"
 )
 
@@ -16,8 +19,9 @@ var _ context.Context = (*job)(nil)
 // servedJob is a job as serveJob leaves it for the handler: a request
 // with a propagated deadline, the deadline set.
 func servedJob(dl time.Time, trace uint64) *job {
-	j := &job{req: &wire.Request{Deadline: dl.UnixNano(), Trace: trace}, enq: time.Now()}
-	j.dl = dl
+	j := &job{req: &wire.Request{Deadline: dl.UnixNano(), Trace: trace}, enq: time.Now().UnixNano()}
+	j.dl = dl.UnixNano()
+	j.metered = trace != 0
 	return j
 }
 
@@ -106,16 +110,22 @@ func TestJobDoneAtDeadline(t *testing.T) {
 	}
 }
 
-// TestJobValue: the record answers the scan counter on traced requests
-// only, and finds nothing for any other key.
+// TestJobValue: the record answers its cost account while metered and
+// its trace when it has one, each its own field, and finds nothing for
+// any other key.
 func TestJobValue(t *testing.T) {
 	traced := servedJob(time.Now().Add(time.Hour), 7)
-	sc := scanCounterFrom(traced)
-	if sc != &traced.scan {
-		t.Fatalf("traced job's scan counter = %p, want the record's own %p", sc, &traced.scan)
+	if a := cost.AccountFrom(traced); a != &traced.acct {
+		t.Fatalf("metered job's account = %p, want the record's own %p", a, &traced.acct)
 	}
-	if sc := scanCounterFrom(servedJob(time.Now().Add(time.Hour), 0)); sc != nil {
-		t.Fatal("untraced job hands out a scan counter")
+	plain := servedJob(time.Now().Add(time.Hour), 0)
+	if cost.AccountFrom(plain) != nil || obs.TraceFrom(plain) != nil {
+		t.Fatal("an unmetered, untraced job hands out an account or a trace")
+	}
+	tr := obs.NewRecorder(1, 1).Start(0, time.Now())
+	plain.tr = tr
+	if got := obs.TraceFrom(plain); got != tr {
+		t.Fatalf("traced job's trace = %p, want its own %p", got, tr)
 	}
 	type other struct{}
 	if v := traced.Value(other{}); v != nil {
@@ -129,17 +139,18 @@ func TestJobChildren(t *testing.T) {
 	type key struct{}
 	j := servedJob(time.Now().Add(20*time.Millisecond), 7)
 	vctx := context.WithValue(j, key{}, "v")
-	if vctx.Value(key{}) != "v" || scanCounterFrom(vctx) != &j.scan {
-		t.Fatal("WithValue child lost its own value or the job's scan counter")
+	if vctx.Value(key{}) != "v" || cost.AccountFrom(vctx) != &j.acct {
+		t.Fatal("WithValue child lost its own value or the job's account")
 	}
-	if dl, _ := vctx.Deadline(); !dl.Equal(j.dl) {
-		t.Fatalf("WithValue child deadline %v, want %v", dl, j.dl)
+	jdl, _ := j.Deadline()
+	if dl, _ := vctx.Deadline(); !dl.Equal(jdl) {
+		t.Fatalf("WithValue child deadline %v, want %v", dl, jdl)
 	}
 
 	tctx, cancel := context.WithTimeout(j, time.Hour)
 	defer cancel()
-	if dl, _ := tctx.Deadline(); !dl.Equal(j.dl) {
-		t.Fatalf("WithTimeout child deadline %v, want the job's earlier %v", dl, j.dl)
+	if dl, _ := tctx.Deadline(); !dl.Equal(jdl) {
+		t.Fatalf("WithTimeout child deadline %v, want the job's earlier %v", dl, jdl)
 	}
 	fired := make(chan struct{})
 	stop := context.AfterFunc(j, func() { close(fired) })
@@ -197,7 +208,7 @@ func TestJobDoneConcurrent(t *testing.T) {
 
 // TestComponentJobContextAllocations: a component handler never asks for
 // Done, so serving its job — the request frame decoded into the job, the
-// skeleton's budget fold, deadline and scan-counter reads, and the end of
+// skeleton's budget fold, deadline and account reads, and the end of
 // the job — costs the one allocation of the decoded object: no separate
 // job record, no channel, no timer.
 func TestComponentJobContextAllocations(t *testing.T) {
@@ -213,12 +224,11 @@ func TestComponentJobContextAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.req = req
-		j.dl = time.Unix(0, req.Deadline)
+		j.req, j.dl, j.metered = req, req.Deadline, req.Trace != 0
 		s := getSubop(opts.budget(j))
 		s.cont(0)
 		s.release()
-		scanCounterFrom(j).n.Add(1)
+		cost.AccountFrom(j).Add(cost.Usage{Scanned: 1})
 		j.finish()
 	})
 	if n != 1 {
@@ -268,5 +278,22 @@ func TestEndedJobDropsConnection(t *testing.T) {
 	}
 	if kept.Search.Query != "kept" {
 		t.Fatalf("kept request's query = %q", kept.Search.Query)
+	}
+}
+
+// TestRecordSizes pins the served job: it holds the request's trace and
+// cost account, yet stays at 112 bytes, so a job decoded with an agg
+// request and its payload still fills one 256-byte size class. Every
+// component sub-operation decodes one, traced or not, so growing the
+// job is a change to review, not a side effect.
+func TestRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(job{}); got != 112 {
+		t.Errorf("job is %d bytes, want 112", got)
+	}
+	if got := unsafe.Sizeof(job{}) + unsafe.Sizeof(wire.Request{}) + unsafe.Sizeof(wire.AggRequest{}); got > 256 {
+		t.Errorf("a job decoded with an agg request is %d bytes, want at most 256", got)
 	}
 }

@@ -200,7 +200,7 @@ func (s *srvCore) readConn(c net.Conn) {
 		if err != nil {
 			return
 		}
-		j.req, j.conn, j.enq = req, sc, time.Now()
+		j.req, j.conn, j.enq = req, sc, time.Now().UnixNano()
 		// pending is raised before the enqueue so a drain never observes
 		// zero while a just-enqueued job is still unserved.
 		s.pending.Add(1)
@@ -230,20 +230,19 @@ func (s *srvCore) worker() {
 
 func (s *srvCore) serveJob(j *job) {
 	s.requests.Add(1)
-	if j.req.Deadline != 0 {
-		j.dl = time.Unix(0, j.req.Deadline)
+	if j.dl = j.req.Deadline; j.dl != 0 {
 		// The propagated budget is already gone: abandon the work
 		// entirely — the aggregator has (or will have) composed without
 		// this subset, so computing would be pure waste.
-		if !time.Now().Before(j.dl) {
+		rem := time.Duration(j.dl - time.Now().UnixNano())
+		if rem <= 0 {
 			s.abandoned.Add(1)
 			_ = j.conn.write(s.expired(j.req)) // see respond: the reader notices
 			j.finish()
 			return
 		}
 		if s.graceful {
-			rem := time.Until(j.dl)
-			j.dl = j.dl.Add(rem/4 + 2*time.Millisecond)
+			j.dl += int64(rem/4 + 2*time.Millisecond)
 		}
 	}
 	_ = j.conn.write(s.respond(j)) // see respond: the reader notices
@@ -335,8 +334,9 @@ func NewServer(h Handler, opts ServerOptions) *Server {
 	s.srvCore.respond = func(j *job) interface{} {
 		req := j.req
 		exec0 := time.Now()
-		// On a traced request the job's context answers its scan counter,
-		// so the handler's engine can report the data units it touched.
+		// On a traced request the job's context answers its account, so
+		// the handler's engine can report the data units it touched.
+		j.metered = req.Trace != 0
 		rep := h(j, req)
 		rep.ID, rep.Subset, rep.Kind = req.ID, req.Subset, req.Kind
 		if req.Trace != 0 {
@@ -344,15 +344,16 @@ func NewServer(h Handler, opts ServerOptions) *Server {
 			// execution back as wire spans for the aggregator to stitch,
 			// each carrying its resource cost (queue wait on the queue
 			// span; CPU, scanned units, and the request frame's wire bytes
-			// on the exec span). Untraced requests pay nothing, not even
-			// the two time stamps' encoding.
-			queueWait := exec0.Sub(j.enq)
+			// on the exec span). The skeleton's reply has room for both in
+			// its own object (wire.BoxSub). Untraced requests pay nothing,
+			// not even the two time stamps' encoding.
+			queueWait := exec0.UnixNano() - j.enq
 			execDur := time.Since(exec0)
 			rep.Spans = append(rep.Spans,
-				wire.Span{Kind: wire.SpanQueue, Start: j.enq.UnixNano(), Dur: int64(queueWait),
+				wire.Span{Kind: wire.SpanQueue, Start: j.enq, Dur: queueWait,
 					Cost: wire.Cost{QueueNs: uint64(queueWait)}},
 				wire.Span{Kind: wire.SpanExec, Start: exec0.UnixNano(), Dur: int64(execDur),
-					Cost: wire.Cost{CPUNs: uint64(execDur), Scanned: j.scan.n.Load(), WireBytes: uint64(req.FrameLen)}})
+					Cost: wire.Cost{CPUNs: uint64(execDur), Scanned: j.acct.Usage().Scanned, WireBytes: uint64(req.FrameLen)}})
 		}
 		return rep
 	}
@@ -424,7 +425,7 @@ func NewFrontServer(agg *Aggregator, front *frontend.Frontend, opts ServerOption
 	s.srvCore = newSrvCore(opts)
 	s.srvCore.graceful = true
 	s.srvCore.respond = func(j *job) interface{} {
-		rep, _, row := s.pass(j, j.req, originClient, j.enq)
+		rep, _, row := s.pass(j, originClient)
 		// The reply frame's own bytes are part of the request's wire cost,
 		// and the row must be on the table before the client can have its
 		// reply: close it on the frame's exact size, ahead of the encode.
@@ -536,16 +537,21 @@ var charges = [...]struct {
 	originAudit:   {},
 }
 
-// pass answers one whole-service request for an origin. It is the only
-// code that starts and finishes a decision trace (adopting the request's
-// propagated trace ID so a client can correlate, minting one otherwise),
-// opens and closes a cost account, consults the cache or fans out, and
-// feeds the SLO tracker and the auditor — each per the origin's row of
-// charges, each a nil check when its plane is off. It returns the reply,
-// the accuracy the answer is claimed at, and the pass's open cost row
-// for the caller to close.
-func (s *FrontServer) pass(ctx context.Context, req *wire.Request, from origin, enq time.Time) (*wire.Reply, float64, costRow) {
+// pass answers one whole-service request, j's, for an origin: a client
+// request's served job, or an internal pass's (internalJob). It is the
+// only code that starts and finishes a decision trace (adopting the
+// request's propagated trace ID so a client can correlate, minting one
+// otherwise), opens and closes a cost account, consults the cache or
+// fans out, and feeds the SLO tracker and the auditor — each per the
+// origin's row of charges, each a nil check when its plane is off. The
+// trace and the account are the job's own fields, and the job is the
+// pass's context, so every stage below finds them through its Value
+// (obs.TraceFrom, cost.AccountFrom). It returns the reply, the accuracy
+// the answer is claimed at, and the pass's open cost row for the caller
+// to close.
+func (s *FrontServer) pass(j *job, from origin) (*wire.Reply, float64, costRow) {
 	ch := &charges[from]
+	req := j.req
 	start := time.Now()
 	epoch := s.dataEpoch.Load()            // pre-answer epoch: audit samples must not straddle a swap
 	tr := s.tracer.Start(req.Trace, start) // nil recorder -> nil trace
@@ -561,25 +567,24 @@ func (s *FrontServer) pass(ctx context.Context, req *wire.Request, from origin, 
 			// foreground requests.
 			tr.SetCacheOutcome(obs.CacheRefresh)
 		}
-		if !enq.IsZero() {
+		if j.enq != 0 {
 			// The front server's own queue wait, before any pipeline
 			// stage ran. Comp -1: not tied to a subset.
+			enq := time.Unix(0, j.enq)
 			tr.Add(obs.SpanServerQueue, -1, enq, start.Sub(enq), 0)
 		}
-		ctx = obs.ContextWithTrace(ctx, tr)
+		j.tr = tr
 	}
-	var acct *cost.Account
 	if ch.cost && s.costs != nil {
-		acct = &cost.Account{}
-		acct.AddWireBytes(uint64(req.FrameLen))
-		ctx = cost.WithAccount(ctx, acct)
+		j.metered = true
+		j.acct.AddWireBytes(uint64(req.FrameLen))
 	}
 	var rep *wire.Reply
 	var acc float64
 	if ch.cached && s.cache != nil {
-		rep, acc = s.answer(ctx, req)
+		rep, acc = s.answer(j, req)
 	} else {
-		rep, acc = s.serveMiss(ctx, req)
+		rep, acc = s.serveMiss(j, req)
 	}
 	rep.Trace = tr.ID() // nil-safe: 0 when untraced
 	dur := time.Since(start)
@@ -596,7 +601,7 @@ func (s *FrontServer) pass(ctx context.Context, req *wire.Request, from origin, 
 	if ch.audit {
 		s.maybeAudit(req, rep, acc, epoch, tenant)
 	}
-	if acct == nil {
+	if !j.metered {
 		return rep, acc, costRow{}
 	}
 	lvl := rep.Level
@@ -605,7 +610,7 @@ func (s *FrontServer) pass(ctx context.Context, req *wire.Request, from origin, 
 		// request's explicit one, but nothing stamped it on the reply.
 		lvl = req.Level
 	}
-	return rep, acc, costRow{table: s.costs, acct: acct, wall: dur, hit: rep.Cached, key: cost.Key{
+	return rep, acc, costRow{table: s.costs, acct: &j.acct, wall: dur, hit: rep.Cached, key: cost.Key{
 		Tenant:   tenant,
 		Class:    sloClassOf(req.SLO),
 		Workload: req.Kind.String(), // the label the audit plane and the frontier join share
@@ -709,10 +714,10 @@ func (s *FrontServer) refreshToExact(_ uint64, payload interface{}) (interface{}
 	if !ok {
 		return nil, 0, false
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*s.agg.Deadline())
-	defer cancel()
-	rep, acc, row := s.pass(ctx, exactOf(req), originRefresh, time.Time{})
+	j := internalJob(exactOf(req), time.Now().Add(2*s.agg.Deadline()))
+	rep, acc, row := s.pass(j, originRefresh)
 	row.close(0)
+	j.finish()
 	kept := storable(rep)
 	return kept, acc, kept != nil
 }

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"accuracytrader/internal/agg"
+	"accuracytrader/internal/audit"
+	"accuracytrader/internal/cost"
 	"accuracytrader/internal/obs"
 	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
@@ -207,4 +209,51 @@ func TestShutdownIdempotent(t *testing.T) {
 		t.Fatal("second Shutdown did not report drained")
 	}
 	srv.Close() // must be a no-op, not a panic
+}
+
+// TestPlanesAllocations pins the price of watching: one client agg pass
+// over loopback with the trace, SLO, audit and cost planes on allocates
+// at most one more time than the same pass with every plane off. The
+// planes ride records the request already has — the served job holds
+// the trace and the cost account, a traced sub-reply's object its two
+// server spans — so a traced pass adds neither a context layer nor an
+// account nor a span slice. (The auditor here samples nothing: a sampled
+// request's replay is real work, not the price of watching.)
+func TestPlanesAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops at random)")
+	}
+	const n = 4
+	comps := buildAggComps(t, n)
+	pass := func(planes bool) float64 {
+		var sopts ServerOptions
+		var enable func(*FrontServer) error
+		if planes {
+			sopts.Tracer = obs.NewRecorder(64, 16)
+			enable = func(fs *FrontServer) error {
+				fs.EnableSLO(obs.NewSLOTracker(obs.SLOBudgets{}), nil)
+				auditor, err := fs.EnableAudit(audit.Config{SampleFraction: 1e-12})
+				if err != nil {
+					return err
+				}
+				t.Cleanup(auditor.Close)
+				return fs.EnableCost(cost.NewTable())
+			}
+		}
+		cl := startLoopback(t, LoopbackSpec{Components: n, Handler: every(NewAggBackend(comps, BackendOptions{})),
+			Agg: waitAll, Front: calibratedFront(nil, sopts, enable)}).Client
+		req := aggReq(agg.Sum, 0, math.Inf(1))
+		req.SLO = wire.SLOBestEffort
+		return testing.AllocsPerRun(300, func() {
+			rep, err := cl.Call(context.Background(), req)
+			if err != nil || rep.Status != wire.ReplyOK || len(rep.SubStatus) != n || (rep.Trace != 0) != planes {
+				t.Fatalf("planes %v: reply %+v, err %v", planes, rep, err)
+			}
+		})
+	}
+	off, on := pass(false), pass(true)
+	t.Logf("client agg pass over %d shards: %.2f allocations with every plane off, %.2f with all on", n, off, on)
+	if on-off > 1 {
+		t.Errorf("the planes cost %.2f allocations per pass, want at most 1", on-off)
+	}
 }

@@ -13,12 +13,16 @@
 // span trees. A request's trace records the admission verdict, the
 // chosen SLO class and ladder level, cache hit/miss/coalesce, per
 // component dispatch/queue/execution time, hedge fires, and merge time.
-// The trace travels by context (ContextWithTrace / TraceFrom) and its
-// 64-bit ID propagates across TCP in the wire protocol (v3), so
+// The trace travels by context: TraceFrom asks the context for TraceKey.
+// A served request carries no context layer for it — the netsvc job the
+// request was decoded into holds the trace and answers the key from its
+// own Value — and context.WithValue puts one on any other context.
+// Its 64-bit ID propagates across TCP in the wire protocol (v3), so
 // component servers report server-side queue and execution spans that
-// the aggregator stitches into the same tree. When no trace rides the
-// context every recording call is a nil-receiver no-op: the disabled
-// hot path performs zero allocations (CI-guarded).
+// the aggregator stitches into the same tree; a traced sub-reply holds
+// them in its own object. When no trace rides the context every
+// recording call is a nil-receiver no-op: the disabled hot path
+// performs zero allocations (CI-guarded).
 //
 // The admin plane (Admin) serves /metrics (Prometheus text), /healthz
 // (readiness, flipped unready during graceful drain), /traces?n=K

@@ -564,22 +564,16 @@ func (r *Recorder) Snapshot(n int) []TraceView {
 	return out
 }
 
-// traceKey carries the active *Trace through a request's context.
-type traceKey struct{}
-
-// ContextWithTrace attaches a trace to the context. Attaching nil
-// returns ctx unchanged, so disabled paths never allocate a context.
-func ContextWithTrace(ctx context.Context, tr *Trace) context.Context {
-	if tr == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, traceKey{}, tr)
-}
+// TraceKey is the context key a request's *Trace is found under. A
+// request record that carries its own trace answers it from Value — a
+// netsvc server's job does, so the served path adds no context layer —
+// and context.WithValue puts one on any other context.
+type TraceKey struct{}
 
 // TraceFrom extracts the active trace; nil when the request is not
 // traced. The nil result is a valid no-op receiver for every Trace
 // method, so call sites need no branches.
 func TraceFrom(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(traceKey{}).(*Trace)
+	tr, _ := ctx.Value(TraceKey{}).(*Trace)
 	return tr
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 )
 
 // allocFrames is one frame of every kind for the allocation contracts.
@@ -56,6 +57,12 @@ var allocFrames = []struct {
 	}, 1 + 1, decodes(DecodeSubReply)},
 	{"sub-reply/agg+spans", func(dst []byte) []byte {
 		return AppendSubReplyFrame(dst, &SubReply{ID: 1, Kind: KindAgg, Level: 2, Spans: make([]Span, 2),
+			Agg: &AggResult{Sum: make([]float64, 64), Cnt: make([]float64, 64), SumVar: make([]float64, 64), CntVar: make([]float64, 64)}})
+	}, 1 + 1, decodes(DecodeSubReply)},
+	// A traced reply's ServerSpans spans share its object; a third spills
+	// them all to a slice of their own.
+	{"sub-reply/agg+3 spans", func(dst []byte) []byte {
+		return AppendSubReplyFrame(dst, &SubReply{ID: 1, Kind: KindAgg, Level: 2, Spans: make([]Span, ServerSpans+1),
 			Agg: &AggResult{Sum: make([]float64, 64), Cnt: make([]float64, 64), SumVar: make([]float64, 64), CntVar: make([]float64, 64)}})
 	}, 1 + 2, decodes(DecodeSubReply)},
 	{"sub-reply/busy", func(dst []byte) []byte {
@@ -128,5 +135,42 @@ func TestFrameAllocations(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("ReadFrame into a buffer with room allocates %.2f times per %d frames, want 0", n, len(allocFrames))
+	}
+}
+
+// TestSubReplyBoxSizes pins the objects an untraced sub-reply is boxed
+// in (Box, BoxSub with no spans, and DecodeSubReply's bare record for a
+// reply without a payload): the record and its payload struct, nothing
+// for tracing. The untraced workloads box several of these per request
+// on each side of the wire, so growing one is a change to review, not a
+// side effect.
+func TestSubReplyBoxSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"status only", unsafe.Sizeof(SubReply{}), 96},
+		{"cf", unsafe.Sizeof(struct {
+			x struct{}
+			r SubReply
+			p CFResult
+		}{}), 144},
+		{"search", unsafe.Sizeof(struct {
+			x struct{}
+			r SubReply
+			p SearchPayload
+		}{}), 280},
+		{"agg", unsafe.Sizeof(struct {
+			x struct{}
+			r SubReply
+			p AggResult
+		}{}), 192},
+	} {
+		if c.got != c.want {
+			t.Errorf("untraced %s sub-reply box is %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
 }

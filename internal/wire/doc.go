@@ -28,14 +28,17 @@
 // per record, plus one per variable-length field that does not fit
 // inline in it. The object holds the record and the payload struct of
 // its kind, and inline in it a Reply's SubStatus bytes (up to 16), a
-// search request's tenant and query (24 bytes together) and a search
-// result's hits (up to DefaultK, SearchPayload). Each field that does
-// not fit is one allocation: a longer string or hit list, an error
-// string, the spans, a CF request's slices, and the parallel float
-// arrays of one CF or aggregation result (one backing allocation, each
-// array capped to its own length). DecodeRequestWith adds a zeroed
-// record of the caller's to the same object, so a server's reader
-// decodes each request into the job that serves it.
+// search request's tenant and query (24 bytes together), a search
+// result's hits (up to DefaultK, SearchPayload) and a traced
+// sub-reply's ServerSpans spans (BoxSub): a traced sub-reply is one
+// object, as an untraced one is, and an untraced one is no larger for
+// it. Each field that does not fit is one allocation: a longer string
+// or hit list, an error string, more spans than ServerSpans, a CF
+// request's slices, and the parallel float arrays of one CF or
+// aggregation result (one backing allocation, each array capped to its
+// own length). DecodeRequestWith adds a zeroed record of the caller's
+// to the same object, so a server's reader decodes each request into
+// the job that serves it.
 //
 // Ownership is unchanged by any of this: a decoded record never aliases
 // the body it was read from and belongs to the caller outright, who may

@@ -305,6 +305,10 @@ const (
 	SpanExec  = 1 // time the handler ran
 )
 
+// ServerSpans is how many spans a traced sub-reply carries (its queue
+// and exec spans), and how many BoxSub keeps in the record's own object.
+const ServerSpans = 2
+
 // Span is one server-side trace span: what kind of time it was, when
 // it started (server wall clock, Unix nanoseconds) and how long it
 // lasted. The aggregator converts Start into its trace's time base.
@@ -765,11 +769,12 @@ func AppendSubReplyFrame(dst []byte, rep *SubReply) []byte {
 	return dst
 }
 
-// DecodeSubReply decodes a sub-reply frame body. The sub-reply and the
+// DecodeSubReply decodes a sub-reply frame body. The sub-reply, the
 // result struct of its kind — a search result's hits inline when they
-// fit (SearchPayload) — are one heap object (see Box); the error string,
-// the spans and a longer hit list or the result's arrays are the only
-// further allocations, and nothing in the result aliases body.
+// fit (SearchPayload) — and a traced reply's ServerSpans spans are one
+// heap object (see BoxSub); the error string, more spans than that and
+// a longer hit list or the result's arrays are the only further
+// allocations, and nothing in the result aliases body.
 func DecodeSubReply(body []byte) (*SubReply, error) {
 	r := &reader{b: body}
 	if err := checkHeader(r, frameSubReply, "sub-reply"); err != nil {
@@ -783,34 +788,45 @@ func DecodeSubReply(body []byte) (*SubReply, error) {
 	rep.Kind = Kind(r.u8("kind"))
 	rep.Level = int16(r.u16("level"))
 	rep.SetsProcessed = r.u32("sets")
-	if n := r.count(spanWireSize, "spans"); r.err == nil && n > 0 {
-		rep.Spans = make([]Span, n)
-		for i := range rep.Spans {
-			rep.Spans[i].Kind = r.u8("span kind")
-			rep.Spans[i].Start = int64(r.u64("span start"))
-			rep.Spans[i].Dur = int64(r.u64("span dur"))
-			rep.Spans[i].Cost.CPUNs = r.u64("span cpu")
-			rep.Spans[i].Cost.Scanned = r.u64("span scanned")
-			rep.Spans[i].Cost.QueueNs = r.u64("span queue")
-			rep.Spans[i].Cost.WireBytes = r.u64("span wire bytes")
-		}
-	}
-	var out *SubReply
+	// The object is chosen before the spans are read (n is 0 once the
+	// frame has failed), so they decode straight into its room for them.
+	n := r.count(spanWireSize, "spans")
+	var (
+		out *SubReply
+		p   *SearchPayload
+	)
 	switch {
-	case rep.Status != StatusOK:
+	case rep.Status != StatusOK && n == 0:
 		out = new(SubReply)
+	case rep.Status != StatusOK:
+		out, _, rep.Spans = BoxSub[struct{}](n)
 	case rep.Kind == KindCF:
-		out, rep.CF = Box[SubReply, CFResult]()
-		r.cfResult(rep.CF)
+		out, rep.CF, rep.Spans = BoxSub[CFResult](n)
 	case rep.Kind == KindSearch:
-		var p *SearchPayload
-		out, p = Box[SubReply, SearchPayload]()
-		rep.Search = r.searchResult(p)
+		out, p, rep.Spans = BoxSub[SearchPayload](n)
 	case rep.Kind == KindAgg:
-		out, rep.Agg = Box[SubReply, AggResult]()
-		r.aggResult(rep.Agg)
+		out, rep.Agg, rep.Spans = BoxSub[AggResult](n)
 	default:
 		return nil, fmt.Errorf("wire: unknown payload kind %d", rep.Kind)
+	}
+	rep.Spans = rep.Spans[:n]
+	for i := range rep.Spans {
+		sp := &rep.Spans[i]
+		sp.Kind = r.u8("span kind")
+		sp.Start = int64(r.u64("span start"))
+		sp.Dur = int64(r.u64("span dur"))
+		sp.Cost.CPUNs = r.u64("span cpu")
+		sp.Cost.Scanned = r.u64("span scanned")
+		sp.Cost.QueueNs = r.u64("span queue")
+		sp.Cost.WireBytes = r.u64("span wire bytes")
+	}
+	switch {
+	case rep.CF != nil:
+		r.cfResult(rep.CF)
+	case p != nil:
+		rep.Search = r.searchResult(p)
+	case rep.Agg != nil:
+		r.aggResult(rep.Agg)
 	}
 	if err := r.done("sub-reply"); err != nil {
 		return nil, err
@@ -975,6 +991,28 @@ func appendResultPayload(dst []byte, kind Kind, cf *CFResult, search *SearchResu
 func Box[R, P any]() (*R, *P) {
 	_, rec, payload := boxWith[struct{}, R, P]()
 	return rec, payload
+}
+
+// BoxSub is Box for a sub-reply with payload struct P, with room for its
+// spans: a traced reply's ServerSpans or fewer live in the same object
+// (after the payload, where a zero-size P costs nothing), more in a slice
+// of their own, and none for spans == 0 (Box itself, so an untraced reply
+// is no larger). The slice is empty, with capacity spans.
+func BoxSub[P any](spans int) (*SubReply, *P, []Span) {
+	switch {
+	case spans == 0:
+		rep, payload := Box[SubReply, P]()
+		return rep, payload, nil
+	case spans <= ServerSpans:
+		b := new(struct {
+			rec     SubReply
+			payload P
+			spans   [ServerSpans]Span
+		})
+		return &b.rec, &b.payload, b.spans[:0:spans]
+	}
+	rep, payload := Box[SubReply, P]()
+	return rep, payload, make([]Span, 0, spans)
 }
 
 // boxWith is Box with a caller's record X in the same object
