@@ -89,10 +89,7 @@ func buildNetService(workload string, sc experiments.Scale) (*netService, error)
 		}
 		queries := svc.Data.SampleAggQueries(sc.Seed^0x51, 16)
 		for _, q := range queries {
-			ns.templates = append(ns.templates, &wire.Request{
-				Kind: wire.KindAgg, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
-				Agg: &wire.AggRequest{Op: uint8(q.Op), Lo: q.Lo, Hi: q.Hi},
-			})
+			ns.templates = append(ns.templates, experiments.AggRequest(q))
 		}
 		ns.levelAcc = experiments.LadderAccuracy(svc.Comps, queries)
 	case "cf":
@@ -102,14 +99,7 @@ func buildNetService(workload string, sc experiments.Scale) (*netService, error)
 		}
 		ns.handler = netsvc.NewCFBackend(svc.Comps, netsvc.BackendOptions{})
 		for _, r := range svc.Data.SampleCFRequests(sc.Seed^0x52, 16, 0.2) {
-			ratings := make([]wire.Rating, len(r.Known))
-			for i, kr := range r.Known {
-				ratings[i] = wire.Rating{Item: kr.Item, Score: kr.Score}
-			}
-			ns.templates = append(ns.templates, &wire.Request{
-				Kind: wire.KindCF, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
-				CF: &wire.CFRequest{Ratings: ratings, Targets: r.Targets},
-			})
+			ns.templates = append(ns.templates, experiments.CFRequest(r))
 		}
 	case "search":
 		svc, err := experiments.BuildSearchService(sc)
@@ -118,10 +108,7 @@ func buildNetService(workload string, sc experiments.Scale) (*netService, error)
 		}
 		ns.handler = netsvc.NewSearchBackend(svc.Comps, netsvc.BackendOptions{})
 		for _, q := range svc.Data.SampleQueries(sc.Seed^0x53, 16) {
-			ns.templates = append(ns.templates, &wire.Request{
-				Kind: wire.KindSearch, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
-				Search: &wire.SearchRequest{Query: q, K: 10},
-			})
+			ns.templates = append(ns.templates, experiments.SearchRequest(q, 10))
 		}
 	default:
 		return nil, fmt.Errorf("unknown workload %q (agg|agglive|cf|search)", workload)

@@ -87,7 +87,20 @@ func TestShouldSampleUntracedFallback(t *testing.T) {
 	}
 }
 
+// TestShouldSampleDoesNotAllocate pins the audit plane's zero cost on
+// the hot path: a disabled (nil) auditor's ShouldSample+Submit, and a
+// live one's decision for a request it does not sample, allocate
+// nothing.
 func TestShouldSampleDoesNotAllocate(t *testing.T) {
+	var off *Auditor
+	if allocs := testing.AllocsPerRun(500, func() {
+		if off.ShouldSample(12345) {
+			t.Fatal("a nil auditor sampled")
+		}
+		off.Submit(nil)
+	}); allocs != 0 {
+		t.Fatalf("nil auditor ShouldSample+Submit allocates %.1f/op, want 0", allocs)
+	}
 	a := newTestAuditor(t, Config{SampleFraction: 0.05})
 	allocs := testing.AllocsPerRun(500, func() {
 		a.ShouldSample(0xabcdef12345)

@@ -52,6 +52,22 @@ func TestBreakerTripsAtThreshold(t *testing.T) {
 	}
 }
 
+// TestClosedPathDoesNotAllocate pins the no-fault hot path: a closed
+// breaker's admission check, state read and success feedback allocate
+// nothing.
+func TestClosedPathDoesNotAllocate(t *testing.T) {
+	b := New(Config{})
+	allocs := testing.AllocsPerRun(1000, func() {
+		if !b.Allow() || b.State() != Closed {
+			t.Fatal("breaker left Closed on the no-fault path")
+		}
+		b.Success()
+	})
+	if allocs != 0 {
+		t.Fatalf("closed-path Allow+State+Success allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestBreakerSuccessResetsConsecutiveCount(t *testing.T) {
 	b, _ := newTestBreaker(3, time.Second)
 	b.Fail()

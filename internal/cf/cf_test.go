@@ -234,7 +234,7 @@ func TestAggregate(t *testing.T) {
 	m := NewMatrix(5)
 	m.AddUser([]Rating{{0, 2}, {1, 4}})
 	m.AddUser([]Rating{{0, 4}, {2, 1}})
-	ag := aggregate(m, 7, []int{0, 1})
+	ag := m.AggregateGroup(synopsis.Group{ID: 7, Members: []int{0, 1}})
 	if ag.GroupID != 7 {
 		t.Fatal("group id lost")
 	}
@@ -298,7 +298,7 @@ func TestApplyChangesReusesAggregates(t *testing.T) {
 	}
 	// Every group's aggregate must match a fresh aggregation.
 	for i, g := range c.Syn.Groups() {
-		fresh := aggregate(m, g.ID, g.Members)
+		fresh := m.AggregateGroup(g)
 		if len(fresh.Ratings) != len(c.Aggs[i].Ratings) {
 			t.Fatalf("group %d aggregate stale", i)
 		}
@@ -555,9 +555,9 @@ func TestAggregateGroupsParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := c.Syn.Groups()
-	parallel := AggregateGroups(m, groups, nil)
+	parallel := synopsis.Aggregate(groups, nil, m.AggregateGroup)
 	for i, g := range groups {
-		serial := aggregate(m, g.ID, g.Members)
+		serial := m.AggregateGroup(g)
 		if len(serial.Ratings) != len(parallel[i].Ratings) {
 			t.Fatalf("group %d differs", i)
 		}
@@ -583,7 +583,7 @@ func TestAggregateGroupsReusesCache(t *testing.T) {
 	// Poison the cache: a cached aggregate must be returned verbatim.
 	poisoned := AggregatedUser{GroupID: groups[0].ID, Mean: -42}
 	prev := map[int64]AggregatedUser{groups[0].ID: poisoned}
-	aggs := AggregateGroups(m, groups, prev)
+	aggs := synopsis.Aggregate(groups, prev, m.AggregateGroup)
 	if aggs[0].Mean != -42 {
 		t.Fatal("cache not reused")
 	}

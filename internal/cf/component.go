@@ -1,9 +1,7 @@
 package cf
 
 import (
-	"runtime"
 	"slices"
-	"sync"
 
 	"accuracytrader/internal/synopsis"
 )
@@ -18,17 +16,18 @@ type AggregatedUser struct {
 	Members []int
 }
 
-// aggregate builds the aggregated user for a member set.
-func aggregate(m *Matrix, groupID int64, members []int) AggregatedUser {
+// AggregateGroup builds the aggregated user for one group's member set
+// (synopsis.Aggregate's per-group step for CF data).
+func (m *Matrix) AggregateGroup(g synopsis.Group) AggregatedUser {
 	sums := make(map[int32]float64)
 	counts := make(map[int32]int)
-	for _, u := range members {
+	for _, u := range g.Members {
 		for _, r := range m.Ratings(u) {
 			sums[r.Item] += r.Score
 			counts[r.Item]++
 		}
 	}
-	ag := AggregatedUser{GroupID: groupID, Members: members}
+	ag := AggregatedUser{GroupID: g.ID, Members: g.Members}
 	for item, s := range sums {
 		ag.Ratings = append(ag.Ratings, Rating{Item: item, Score: s / float64(counts[item])})
 	}
@@ -77,52 +76,7 @@ func BuildComponent(m *Matrix, cfg synopsis.Config) (*Component, error) {
 // reaggregate rebuilds aggregated users, reusing cached ones whose group
 // ID survived (prev maps group ID -> cached aggregate).
 func (c *Component) reaggregate(prev map[int64]AggregatedUser) {
-	c.Aggs = AggregateGroups(c.M, c.Syn.Groups(), prev)
-}
-
-// AggregateGroups performs step 3 of synopsis creation (information
-// aggregation) for all groups, in parallel across CPU cores — the
-// in-process substitute for the paper's Spark-based distributed
-// aggregation (§3.1), which exists for the same reason: step 3 is the
-// most computation-expensive creation step. Groups present in prev (by
-// ID) reuse their cached aggregate.
-func AggregateGroups(m *Matrix, groups []synopsis.Group, prev map[int64]AggregatedUser) []AggregatedUser {
-	aggs := make([]AggregatedUser, len(groups))
-	var todo []int
-	for i, g := range groups {
-		if ag, ok := prev[g.ID]; ok {
-			aggs[i] = ag
-			continue
-		}
-		todo = append(todo, i)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers <= 1 {
-		for _, i := range todo {
-			aggs[i] = aggregate(m, groups[i].ID, groups[i].Members)
-		}
-		return aggs
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				aggs[i] = aggregate(m, groups[i].ID, groups[i].Members)
-			}
-		}()
-	}
-	for _, i := range todo {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return aggs
+	c.Aggs = synopsis.Aggregate(c.Syn.Groups(), prev, c.M.AggregateGroup)
 }
 
 // ApplyChanges routes input-data changes through the synopsis updater and

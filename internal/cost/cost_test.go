@@ -28,6 +28,21 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+// TestNilAccountDoesNotAllocate pins the cost plane's zero cost when
+// off: without an account on the context every accounting call is a
+// nil-receiver no-op that allocates nothing.
+func TestNilAccountDoesNotAllocate(t *testing.T) {
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(1000, func() {
+		acct := AccountFrom(ctx)
+		acct.Add(Usage{CPUNs: 1, Scanned: 2})
+		acct.AddWireBytes(64)
+	})
+	if allocs != 0 {
+		t.Fatalf("cost-off accounting path allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestAccountAccumulatesConcurrently(t *testing.T) {
 	a := &Account{}
 	ctx := context.WithValue(context.Background(), AccountKey{}, a)

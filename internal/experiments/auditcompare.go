@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
-	"testing" // AllocsPerRun: the non-sampled hot-path zero-allocation guard
 	"time"
 
 	"accuracytrader/internal/agg"
@@ -24,10 +23,12 @@ import (
 // networked stack: a ground-truth auditor replaying answered requests
 // at Exact class off the hot path, SLO burn-rate accounting, and
 // tail-based trace retention. Its contracts (EXPERIMENTS.md §
-// auditcompare): zero cost when off or not sampled; healthy bound
-// coverage at the nominal confidence; a stale table detected within
-// auditDetectK audits; drift safety across an ingest epoch swap; burn
-// windows equal to a naive reference; anomalous traces kept pinned.
+// auditcompare): healthy bound coverage at the nominal confidence; a
+// stale table detected within auditDetectK audits; drift safety across
+// an ingest epoch swap; anomalous traces kept pinned. Zero cost when
+// off or not sampled is audit.TestShouldSampleDoesNotAllocate's
+// promise, and burn windows equal to a naive reference
+// obs.TestSLOTrackerMatchesNaiveReference's.
 const (
 	// auditNominalConfidence is the CLT confidence the agg bounds claim
 	// (z = 1.96): healthy coverage must not fall below it.
@@ -77,32 +78,7 @@ func RunAuditCompare(sc Scale) (*AuditCompare, error) {
 	biased, biasFloor := staleTable(f.levelAcc)
 	ac := &AuditCompare{Servers: len(f.Comps)}
 
-	// (1) Zero cost when off, and on the non-sampled hot path.
-	var nilAuditor *audit.Auditor
-	disabled := testing.AllocsPerRun(1000, func() {
-		if nilAuditor.ShouldSample(12345) {
-			nilAuditor.Submit(nil)
-		}
-	})
-	probe, err := audit.New(audit.Config{
-		SampleFraction: 1e-4, // nearly every ID takes the non-sampled path
-		Replay:         func(context.Context, *audit.Sample) ([]float64, error) { return nil, nil },
-	})
-	if err != nil {
-		return nil, err
-	}
-	var id uint64
-	notSampled := testing.AllocsPerRun(1000, func() {
-		id = id*2654435761 + 12345
-		if probe.ShouldSample(id) {
-			_ = id
-		}
-	})
-	probe.Close()
-	ac.promise("zero-cost", (disabled == 0 && notSampled == 0) || raceEnabled,
-		"disabled %.1f allocs/op, non-sampled hot path %.1f allocs/op (%s)", disabled, notSampled, wantZeroAllocs())
-
-	// (2) Healthy pass: honest calibration, achievable floor.
+	// (1) Healthy pass: honest calibration, achievable floor.
 	hp, err := runAuditedPass(f, f.levelAcc, auditHealthyFloor, auditHealthyCalls)
 	if err != nil {
 		return nil, err
@@ -121,7 +97,7 @@ func RunAuditCompare(sc Scale) (*AuditCompare, error) {
 		"honest table: %d/%d audited, bound coverage %.3f over %d bounds (nominal %.2f), realized %.3f vs claimed %.3f, %d floor violations",
 		hp.stats.Audited, auditHealthyCalls, coverage, bounds, auditNominalConfidence, realized, claimed, hp.stats.Violations)
 
-	// (3) Bias pass: a stale table claims a quarter of the best honest
+	// (2) Bias pass: a stale table claims a quarter of the best honest
 	// level's error at every level, and Bounded{biasFloor} traffic — a
 	// floor midway between that level's accuracy and the claim — lands
 	// where load puts it. Every audit then measures realized accuracy under both the
@@ -142,7 +118,7 @@ func RunAuditCompare(sc Scale) (*AuditCompare, error) {
 		biased[0], bp.stats.Violations, bp.stats.Audited, biasFloor, bp.detectAt, auditDetectK, bp.pinnedFloor,
 		ac.BiasRealized, ac.BiasClaimed, gapFloor)
 
-	// (4) Drift: audits queued across an ingest-driven epoch swap must
+	// (3) Drift: audits queued across an ingest-driven epoch swap must
 	// be skipped stale, and post-swap answers must audit normally.
 	if err := runDriftPhase(sc, f); err != nil {
 		ac.promise("drift", false, "%v", err)
@@ -151,10 +127,7 @@ func RunAuditCompare(sc Scale) (*AuditCompare, error) {
 			auditDriftPre, auditDriftPre, auditDriftPost)
 	}
 
-	// (5a) Burn-rate windows vs a naive re-scanning reference.
-	ac.runBurnPhase()
-
-	// (5b) Tail retention: anomalies survive a tiny rotating ring.
+	// (4) Tail retention: anomalies survive a tiny rotating ring.
 	return ac, ac.runRetentionPhase(f)
 }
 
@@ -219,7 +192,7 @@ func runAuditedPass(f *aggFix, levelAcc []float64, floor float64, calls int) (*a
 	defer cancel()
 	for i := 0; i < calls; i++ {
 		s := stamp{slo: frontend.BoundedSLO(floor), deadline: time.Now().Add(msDur(auditDeadlineMs))}
-		if err := st.issue(ctx, aggRequest(f.queries[i%len(f.queries)]), s, nil).failed(); err != nil {
+		if err := st.issue(ctx, AggRequest(f.queries[i%len(f.queries)]), s, nil).failed(); err != nil {
 			return nil, fmt.Errorf("auditcompare: call %d: %w", i, err)
 		}
 	}
@@ -279,7 +252,7 @@ func runDriftPhase(sc Scale, f *aggFix) error {
 	defer cancel()
 	calls := func(n int) error {
 		for i := 0; i < n; i++ {
-			req := aggRequest(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)})
+			req := AggRequest(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)})
 			req.Level = 0
 			if err := st.issue(ctx, req, stamp{slo: frontend.BoundedSLO(0)}, nil).failed(); err != nil {
 				return fmt.Errorf("drift call: %w", err)
@@ -332,111 +305,6 @@ func runDriftPhase(sc Scale, f *aggFix) error {
 	return nil
 }
 
-// burnGrans mirrors the tracker's published window geometry: 60
-// buckets of gran seconds (1m/10m/1h at 1s/10s/60s granularity).
-var burnGrans = []int64{1, 10, 60}
-
-// runBurnPhase feeds one deterministic event stream to the SLO tracker
-// (under a fake clock) and to a naive keep-everything reference, then
-// compares every class x window count and burn rate.
-func (ac *AuditCompare) runBurnPhase() {
-	type ev struct {
-		sec     int64
-		class   uint8
-		flags   obs.SLOFlags
-		counted bool
-	}
-	base := time.Unix(1_750_000_000, 0)
-	now := base
-	budgets := obs.DefaultSLOBudgets()
-	tr := obs.NewSLOTracker(budgets)
-	tr.SetClock(func() time.Time { return now })
-	var events []ev
-
-	rng := uint64(0xb0a7)
-	next := func(n uint64) uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng % n
-	}
-	at := base
-	for i := 0; i < 3000; i++ {
-		at = at.Add(time.Duration(next(3)) * time.Second)
-		class := uint8(next(3))
-		var flags obs.SLOFlags
-		if next(100) < 2 {
-			flags |= obs.SLODeadlineMiss
-		}
-		if next(100) < 8 {
-			flags |= obs.SLODegraded
-		}
-		tr.RecordAt(at, class, "", flags)
-		events = append(events, ev{at.Unix(), class, flags, true})
-		if next(100) < 1 {
-			// After-the-fact floor violation: counter only, no total.
-			now = at
-			tr.RecordFloorViolation(class, "")
-			events = append(events, ev{at.Unix(), class, obs.SLOFloorViolation, false})
-		}
-	}
-	now = at
-
-	naive := func(class uint8, gran int64) (total, miss, floor, deg int64) {
-		hi := at.Unix() / gran
-		lo := hi - 60 + 1
-		for _, e := range events {
-			b := e.sec / gran
-			if e.class != class || b < lo || b > hi {
-				continue
-			}
-			if e.counted {
-				total++
-			}
-			if e.flags&obs.SLODeadlineMiss != 0 {
-				miss++
-			}
-			if e.flags&obs.SLOFloorViolation != 0 {
-				floor++
-			}
-			if e.flags&obs.SLODegraded != 0 {
-				deg++
-			}
-		}
-		return
-	}
-	burnOf := func(bad, total int64, budget float64) float64 {
-		if total == 0 || budget <= 0 {
-			return 0
-		}
-		return float64(bad) / float64(total) / budget
-	}
-	checks, mismatches := 0, 0
-	for class := uint8(0); class < 3; class++ {
-		for w, gran := range burnGrans {
-			total, miss, floor, deg := tr.Window(class, w)
-			nt, nm, nf, nd := naive(class, gran)
-			checks++
-			if total != nt || miss != nm || floor != nf || deg != nd {
-				mismatches++
-				continue
-			}
-			for _, pair := range [][2]float64{
-				{tr.BurnRate(class, obs.SLODeadlineMiss, w), burnOf(nm, nt, budgets.DeadlineMiss)},
-				{tr.BurnRate(class, obs.SLOFloorViolation, w), burnOf(nf, nt, budgets.FloorViolation)},
-				{tr.BurnRate(class, obs.SLODegraded, w), burnOf(nd, nt, budgets.Degraded)},
-			} {
-				if math.Abs(pair[0]-pair[1]) > 1e-9 {
-					mismatches++
-					break
-				}
-			}
-		}
-	}
-	ac.promise("burn rates", checks == 9 && mismatches == 0,
-		"%d class x window checks against the naive reference, %d mismatches", checks, mismatches)
-}
-
 // runRetentionPhase drives degraded replies through a deliberately tiny
 // trace ring, then floods it with healthy traffic: the anomalies must
 // survive in the exemplar store after rotating out of the ring.
@@ -472,7 +340,7 @@ func (ac *AuditCompare) runRetentionPhase(f *aggFix) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	call := func() (outcome, error) {
-		o := st.issue(ctx, aggRequest(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)}), stamp{slo: frontend.BestEffortSLO()}, nil)
+		o := st.issue(ctx, AggRequest(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)}), stamp{slo: frontend.BestEffortSLO()}, nil)
 		if o.err == nil && !wire.ReplyCarriesPayload(o.status) {
 			o.err = fmt.Errorf("retention call status %d (%s)", o.status, o.rep.Err)
 		}

@@ -210,7 +210,6 @@ func (cc *CacheCompare) runRow(f *aggFix, skew float64, cached bool, backend net
 		cache, err = rescache.New(rescache.Config{
 			Capacity:        ccCacheCapacity,
 			BestEffortFloor: 0.6,
-			MaxSlack:        0.6,
 			RefreshBelow:    0.99,
 			RefreshInterval: 10 * time.Millisecond,
 		})
@@ -297,7 +296,7 @@ func (cc *CacheCompare) runCoalesceCheck(n int) error {
 		close(release)
 	}()
 	if err := together(ccCoalesceFanIn, func(int) error {
-		return st.issue(context.Background(), aggRequest(agg.Query{Op: agg.Sum, Lo: 0, Hi: 1}), stamp{slo: frontend.BoundedSLO(0.5)}, nil).failed()
+		return st.issue(context.Background(), AggRequest(agg.Query{Op: agg.Sum, Lo: 0, Hi: 1}), stamp{slo: frontend.BoundedSLO(0.5)}, nil).failed()
 	}); err != nil {
 		return fmt.Errorf("experiments: coalescing call: %w", err)
 	}

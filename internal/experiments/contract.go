@@ -48,16 +48,6 @@ func (c *contracts) renderContracts(b *strings.Builder) {
 	}
 }
 
-// wantZeroAllocs words what an allocation contract over a pooled path
-// expects: the race detector randomizes sync.Pool reuse, so under -race
-// such a contract is measured but judged `|| raceEnabled`.
-func wantZeroAllocs() string {
-	if raceEnabled {
-		return "informational under -race"
-	}
-	return "want 0"
-}
-
 // Check returns nil when every contract r makes holds — a report that
 // makes none passes — and otherwise an error naming each violated
 // contract with its detail. It is the one judge: the CLI turns it into

@@ -12,11 +12,11 @@ import (
 var namedContracts = map[string][]string{
 	"netcompare":    {"wire parity cf", "wire parity search", "wire parity agg", "floor or typed"},
 	"cachecompare":  {"coalescing", "cache floor"},
-	"tracecompare":  {"stitching", "accounting", "zero-cost"},
-	"faultcompare":  {"degradation", "zero-alloc no-fault path"},
-	"ingestcompare": {"floor", "bit-identity", "cache coherence", "read path", "wire"},
-	"auditcompare":  {"zero-cost", "calibration", "detection", "drift", "burn rates", "retention"},
-	"costcompare":   {"zero-cost", "conservation", "attribution", "frontier", "profiler"},
+	"tracecompare":  {"stitching", "accounting"},
+	"faultcompare":  {"degradation"},
+	"ingestcompare": {"floor", "bit-identity", "cache coherence", "wire"},
+	"auditcompare":  {"calibration", "detection", "drift", "retention"},
+	"costcompare":   {"conservation", "attribution", "frontier"},
 }
 
 // calmLagMs is the send lag (a report row's MaxLagMs: how far the load

@@ -6,10 +6,9 @@ import (
 )
 
 // TestCostCompareQuick runs the cost-plane validation at test scale and
-// asserts every contract: the cost-off accounting path allocates
-// nothing, folded child costs explain a bounded share of parent wall
-// time, per-tenant rows sum to the global totals exactly, the frontier
-// join is monotone, and the profiler fires once then cools down.
+// asserts every contract: folded child costs explain a bounded share of
+// parent wall time, per-tenant rows sum to the global totals exactly,
+// and the frontier join is monotone.
 func TestCostCompareQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback serving run")

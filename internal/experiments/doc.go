@@ -22,5 +22,7 @@
 // experiments — netcompare, cachecompare, tracecompare, faultcompare,
 // ingestcompare, auditcompare and costcompare — which deploy, drive and
 // classify through the one loopback harness in serving.go (deployment,
-// target.issue, waitFor) and together state the 27 named contracts.
+// target.issue, waitFor) and together state the 20 named contracts. Each
+// judges the served stack; a promise about one package's code path is
+// that package's unit test, and this package does not import testing.
 package experiments

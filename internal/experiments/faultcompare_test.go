@@ -8,8 +8,8 @@ import (
 // TestFaultCompareQuick runs the kill/stall/heal sweep at quick scale
 // and pins the failure-domain contracts: zero degradation-contract
 // violations anywhere in the sweep, BestEffort availability at least
-// (N-1)/N of healthy under 1-of-N loss, breakers re-closing within the
-// probe budget after each heal, and a zero-allocation no-fault path.
+// (N-1)/N of healthy under 1-of-N loss, and breakers re-closing within
+// the probe budget after each heal.
 func TestFaultCompareQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback fault-injection sweep: seconds of injected stalls")

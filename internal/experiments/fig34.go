@@ -94,7 +94,7 @@ func timeUpdate(sc Scale, data *workload.RatingsData, snapshot []byte, rng *stat
 		return 0, err
 	}
 	comp := &cf.Component{M: m, Syn: syn}
-	comp.Aggs = cf.AggregateGroups(m, syn.Groups(), nil)
+	comp.Aggs = synopsis.Aggregate(syn.Groups(), nil, m.AggregateGroup)
 
 	reqs := data.SampleCFRequests(rng.Uint64(), n, 0.2)
 	changes := make([]synopsis.Change, 0, n)

@@ -9,9 +9,8 @@ import (
 // scale and asserts every contract: merged live answers clear the
 // (frozen-calibrated) Bounded floor at every probe, compacted epochs are
 // bit-identical to from-scratch rebuilds, epoch swaps never let the
-// result cache serve stale, a v5 append travels the wire and becomes
-// visible to exact queries, and the live read path allocates nothing
-// (waived, but still measured, under the race detector).
+// result cache serve stale, and a v5 append travels the wire and
+// becomes visible to exact queries.
 func TestIngestCompareQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streaming + loopback serving run")

@@ -386,13 +386,13 @@ func (nc *NetCompare) runParity(sc Scale, aggSvc *AggService) error {
 	}
 	var cfReqs, searchReqs, aggReqs []*wire.Request
 	for _, r := range cfSvc.Data.SampleCFRequests(sc.Seed^0x31, 3, 0.2) {
-		cfReqs = append(cfReqs, cfRequest(r))
+		cfReqs = append(cfReqs, CFRequest(r))
 	}
 	for _, q := range searchSvc.Data.SampleQueries(sc.Seed^0x32, 3) {
-		searchReqs = append(searchReqs, searchRequest(q, 10))
+		searchReqs = append(searchReqs, SearchRequest(q, 10))
 	}
 	for _, q := range aggSvc.Data.SampleAggQueries(sc.Seed^0x33, 3) {
-		aggReqs = append(aggReqs, aggRequest(q))
+		aggReqs = append(aggReqs, AggRequest(q))
 	}
 	if err := nc.parity("cf", netsvc.NewCFBackend(cfSvc.Comps, netsvc.BackendOptions{}), sc.Shards, cfReqs,
 		func(subs []service.SubResult) interface{} { return netsvc.ComposeCF(subs) }); err != nil {

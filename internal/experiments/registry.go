@@ -105,8 +105,8 @@ func Registry() []Experiment {
 		{Name: "cachecompare", Artifact: "extension", About: "accuracy-aware result cache vs no-cache frontend under Zipf load",
 			Title: "Result cache (accuracy-tagged cache vs no-cache frontend under Zipf load)",
 			Run:   func(sc Scale) (Report, error) { return RunCacheCompare(sc) }},
-		{Name: "tracecompare", Artifact: "extension", About: "end-to-end decision tracing: cross-process stitching, budget accounting, zero-cost-off",
-			Title: "Decision tracing (stitching, budget accounting, zero-cost-off)",
+		{Name: "tracecompare", Artifact: "extension", About: "end-to-end decision tracing: cross-process stitching, budget accounting",
+			Title: "Decision tracing (stitching, budget accounting)",
 			Run:   func(sc Scale) (Report, error) { return RunTraceCompare(sc) }},
 		{Name: "faultcompare", Artifact: "extension", About: "failure-domain hardening: kill/stall/heal sweep with breakers and accuracy-aware degradation",
 			Title: "Failure-domain hardening (kill/stall/heal sweep)",
@@ -114,11 +114,11 @@ func Registry() []Experiment {
 		{Name: "ingestcompare", Artifact: "extension", About: "live synopsis updates: epoch-swapped streaming ingestion vs frozen rebuilds, sampling honesty pinned",
 			Title: "Live synopsis updates (streaming ingestion sweep)",
 			Run:   func(sc Scale) (Report, error) { return RunIngestCompare(sc) }},
-		{Name: "auditcompare", Artifact: "extension", About: "accuracy audit plane: ground-truth replay auditing, SLO burn rates, tail-based trace retention",
-			Title: "Accuracy audit plane (ground-truth replay, burn rates, tail retention)",
+		{Name: "auditcompare", Artifact: "extension", About: "accuracy audit plane: ground-truth replay auditing, drift safety, tail-based trace retention",
+			Title: "Accuracy audit plane (ground-truth replay, drift safety, tail retention)",
 			Run:   func(sc Scale) (Report, error) { return RunAuditCompare(sc) }},
-		{Name: "costcompare", Artifact: "extension", About: "cost attribution plane: per-tenant resource accounting, accuracy-vs-cost frontier, anomaly-triggered profiling",
-			Title: "Cost attribution plane (per-request accounting, frontier, profiler)",
+		{Name: "costcompare", Artifact: "extension", About: "cost attribution plane: per-tenant resource accounting, accuracy-vs-cost frontier",
+			Title: "Cost attribution plane (per-request accounting, frontier)",
 			Run:   func(sc Scale) (Report, error) { return RunCostCompare(sc) }},
 	}
 }

@@ -29,17 +29,17 @@ import (
 // deployment (deployment.start over netsvc.StartLoopback), one way to
 // issue and classify a request (target.issue), and the per-row tally.
 
-// aggRequest builds the whole-service wire request of one aggregation
+// AggRequest builds the whole-service wire request of one aggregation
 // query, unclassed and unlevelled; callers stamp SLO, budget and tenant.
-func aggRequest(q agg.Query) *wire.Request {
+func AggRequest(q agg.Query) *wire.Request {
 	return &wire.Request{
 		Kind: wire.KindAgg, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
 		Agg: &wire.AggRequest{Op: uint8(q.Op), Lo: q.Lo, Hi: q.Hi},
 	}
 }
 
-// cfRequest builds the whole-service wire request of one CF request.
-func cfRequest(r workload.CFRequest) *wire.Request {
+// CFRequest builds the whole-service wire request of one CF request.
+func CFRequest(r workload.CFRequest) *wire.Request {
 	ratings := make([]wire.Rating, len(r.Known))
 	for i, kr := range r.Known {
 		ratings[i] = wire.Rating{Item: kr.Item, Score: kr.Score}
@@ -50,9 +50,9 @@ func cfRequest(r workload.CFRequest) *wire.Request {
 	}
 }
 
-// searchRequest builds the whole-service wire request of one top-k
+// SearchRequest builds the whole-service wire request of one top-k
 // search query.
-func searchRequest(q string, k int32) *wire.Request {
+func SearchRequest(q string, k int32) *wire.Request {
 	return &wire.Request{
 		Kind: wire.KindSearch, Subset: -1, SLO: wire.SLONone, Level: wire.NoLevel,
 		Search: &wire.SearchRequest{Query: q, K: k},
@@ -356,7 +356,7 @@ func (f *aggFix) openRow(tg target, arrivalsMs []float64, qis []int,
 	var mu sync.Mutex
 	lag := netsvc.OpenLoop(arrivalsMs, func(r int, intended time.Time) {
 		qi := qis[r]
-		req := aggRequest(f.queries[qi])
+		req := AggRequest(f.queries[qi])
 		req.ID = uint64(r)
 		o := tg.issue(context.Background(), req, stampOf(r, intended), f.exact[qi])
 		mu.Lock()

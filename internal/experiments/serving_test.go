@@ -67,7 +67,7 @@ func TestClassify(t *testing.T) {
 		{"Bounded downgraded to BestEffort by admission", frontend.BoundedSLO(0.9),
 			wire.Reply{Status: wire.ReplyOK, SLO: wire.SLOBestEffort, Level: 0, SubStatus: ok4, Agg: approxAgg}, levelAcc, false, 0, agg.Accuracy(approx, ref)},
 	}
-	req := aggRequest(agg.Query{Op: agg.Sum})
+	req := AggRequest(agg.Query{Op: agg.Sum})
 	for _, c := range cases {
 		o := classify(req, &c.rep, c.slo, ref, c.levelAcc)
 		if o.broken != c.broken || o.missing != c.missing || o.status != c.rep.Status || o.acc != c.acc {
@@ -90,13 +90,13 @@ func TestIssueStampsAndSeparatesFailures(t *testing.T) {
 		sent = *req
 		return &wire.Reply{Status: wire.ReplyOK, SLO: req.SLO, Level: wire.NoLevel}, nil
 	}}
-	o := tg.issue(context.Background(), aggRequest(agg.Query{Op: agg.Sum}), stamp{slo: frontend.BoundedSLO(0.8), deadline: dl, tenant: "acme"}, nil)
+	o := tg.issue(context.Background(), AggRequest(agg.Query{Op: agg.Sum}), stamp{slo: frontend.BoundedSLO(0.8), deadline: dl, tenant: "acme"}, nil)
 	if o.failed() != nil || sent.SLO != wire.SLOBounded || sent.MinAccuracy != 0.8 || sent.Deadline != dl.UnixNano() || sent.Tenant != "acme" {
 		t.Fatalf("outcome %+v, sent %+v", o, sent)
 	}
 	boom := errors.New("connection reset")
 	tg.send = func(context.Context, *wire.Request) (*wire.Reply, error) { return nil, boom }
-	o = tg.issue(context.Background(), aggRequest(agg.Query{Op: agg.Sum}), stamp{slo: frontend.BestEffortSLO()}, nil)
+	o = tg.issue(context.Background(), AggRequest(agg.Query{Op: agg.Sum}), stamp{slo: frontend.BestEffortSLO()}, nil)
 	if !errors.Is(o.failed(), boom) || o.status != wire.ReplyErr || o.rep != nil || o.broken {
 		t.Fatalf("failed call classified as %+v", o)
 	}

@@ -6,9 +6,8 @@ import (
 )
 
 // TestTraceCompareQuick runs the tracing validation at test scale and
-// asserts all three contracts hold: cross-process span stitching,
-// critical-path budget accounting within tolerance, and a
-// zero-allocation disabled path.
+// asserts both contracts hold: cross-process span stitching and
+// critical-path budget accounting within tolerance.
 func TestTraceCompareQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback serving run")

@@ -255,8 +255,8 @@ func TestAdminSLOEndpoint(t *testing.T) {
 
 	tr := NewSLOTracker(SLOBudgets{})
 	now := time.Unix(1_700_000_000, 0)
-	tr.SetClock(func() time.Time { return now })
-	tr.RecordAt(now, 1, "acme", SLODeadlineMiss)
+	tr.now = func() time.Time { return now }
+	tr.recordAt(now, 1, "acme", SLODeadlineMiss, true)
 	a = NewAdmin(AdminSources{SLO: tr})
 	w = get(t, a.Handler(), "/slo")
 	if w.Code != 200 {

@@ -91,17 +91,6 @@ func NewProfiler(ringSize int, cpuDur, cooldown time.Duration) *Profiler {
 	}
 }
 
-// SetClock overrides the profiler's cooldown clock (tests). The CPU
-// sampling duration still runs on real time.
-func (p *Profiler) SetClock(now func() time.Time) {
-	if p == nil || now == nil {
-		return
-	}
-	p.mu.Lock()
-	p.now = now
-	p.mu.Unlock()
-}
-
 // Trigger requests a capture attributed to reason. It returns true
 // when a capture actually started: false means the cooldown window or
 // an in-flight capture suppressed it — the fire-once-then-cool-down

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -9,7 +10,7 @@ import (
 func TestProfilerTriggerCooldown(t *testing.T) {
 	p := NewProfiler(4, time.Millisecond, 10*time.Second)
 	now := time.Unix(1_700_000_000, 0)
-	p.SetClock(func() time.Time { return now })
+	p.now = func() time.Time { return now }
 
 	if !p.Trigger("first anomaly") {
 		t.Fatal("first trigger must start a capture")
@@ -50,7 +51,7 @@ func TestProfilerTriggerCooldown(t *testing.T) {
 func TestProfilerRingEvictsOldest(t *testing.T) {
 	p := NewProfiler(2, time.Millisecond, time.Second)
 	now := time.Unix(1_700_000_000, 0)
-	p.SetClock(func() time.Time { return now })
+	p.now = func() time.Time { return now }
 	for i := 0; i < 3; i++ {
 		if !p.Trigger("anomaly") {
 			t.Fatalf("trigger %d suppressed", i)
@@ -75,7 +76,7 @@ func TestProfilerBusySuppression(t *testing.T) {
 	// guard while the first capture's 100ms CPU sample is still running.
 	p := NewProfiler(4, 100*time.Millisecond, time.Nanosecond)
 	now := time.Unix(1_700_000_000, 0)
-	p.SetClock(func() time.Time { return now })
+	p.now = func() time.Time { return now }
 	if !p.Trigger("first") {
 		t.Fatal("first trigger must start")
 	}
@@ -101,7 +102,6 @@ func TestProfilerNilSafe(t *testing.T) {
 		t.Fatal("nil profiler must not fire")
 	}
 	p.Wait()
-	p.SetClock(time.Now)
 	if v := p.Snapshot(); len(v.Profiles) != 0 || v.Triggered != 0 {
 		t.Fatalf("nil snapshot = %+v", v)
 	}
@@ -119,15 +119,15 @@ func TestProfilerNilSafe(t *testing.T) {
 func TestProfilerCheckBurnFiresOnceThenCoolsDown(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	tr := NewSLOTracker(SLOBudgets{DeadlineMiss: 0.01})
-	tr.SetClock(func() time.Time { return now })
+	tr.now = func() time.Time { return now }
 	p := NewProfiler(4, time.Millisecond, 30*time.Second)
-	p.SetClock(func() time.Time { return now })
+	p.now = func() time.Time { return now }
 
 	if p.checkBurn(tr) {
 		t.Fatal("no traffic: nothing should burn")
 	}
 	// One miss in one request at a 1% budget: burn 100x, well past 1.
-	tr.RecordAt(now, 1, "acme", SLODeadlineMiss)
+	tr.recordAt(now, 1, "acme", SLODeadlineMiss, true)
 	if !p.checkBurn(tr) {
 		t.Fatal("burn > 1 must trigger a capture")
 	}
@@ -149,22 +149,53 @@ func TestProfilerCheckBurnFiresOnceThenCoolsDown(t *testing.T) {
 	}
 }
 
+// TestProfilerWatchBurnPolls drives the watcher against a sustained
+// burn: the profiler fires once, suppresses at least five re-triggers
+// inside the cooldown, re-arms once the clock passes it, and the
+// captures carry a heap profile and an slo-burn reason.
 func TestProfilerWatchBurnPolls(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	tr := NewSLOTracker(SLOBudgets{Degraded: 0.01})
-	tr.SetClock(func() time.Time { return now })
-	tr.RecordAt(now, 2, "", SLODegraded)
-	p := NewProfiler(4, time.Millisecond, time.Minute)
-	p.SetClock(func() time.Time { return now })
+	tr.now = func() time.Time { return now }
+	tr.recordAt(now, 2, "", SLODegraded, true)
+	const cooldown = time.Minute
+	p := NewProfiler(4, time.Millisecond, cooldown)
+	// The cooldown clock moves only when the test says so; the watcher's
+	// ticker and the CPU capture run on real time.
+	var skew atomic.Int64
+	p.now = func() time.Time { return now.Add(time.Duration(skew.Load())) }
 	stop := p.WatchBurn(tr, time.Millisecond)
 	defer stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Snapshot().Triggered == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("watcher never triggered on a burning SLO")
+	waitFor := func(what string, cond func(ProfilerView) bool) ProfilerView {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			v := p.Snapshot()
+			if cond(v) {
+				return v
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("watcher never %s: %+v", what, v)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
+	waitFor("triggered on a burning SLO", func(v ProfilerView) bool { return v.Triggered >= 1 })
+	mid := waitFor("suppressed re-triggers in cooldown", func(v ProfilerView) bool { return v.SuppressedCooldown >= 5 })
+	if mid.Triggered != 1 {
+		t.Fatalf("%d captures inside the cooldown window, want exactly 1", mid.Triggered)
+	}
+	skew.Store(int64(cooldown + time.Second))
+	waitFor("re-armed after the cooldown", func(v ProfilerView) bool { return v.Triggered >= 2 })
 	stop()
 	p.Wait()
+	end := p.Snapshot()
+	if end.Triggered != 2 {
+		t.Fatalf("fired %d times, want 2 (once + re-arm)", end.Triggered)
+	}
+	for _, prof := range end.Profiles {
+		if prof.HeapBytes == 0 || !strings.HasPrefix(prof.Reason, "slo-burn") {
+			t.Fatalf("capture %+v: want a heap profile and an slo-burn reason", prof)
+		}
+	}
 }

@@ -201,14 +201,6 @@ func NewSLOTracker(budgets SLOBudgets) *SLOTracker {
 	return t
 }
 
-// SetClock overrides the tracker's clock (tests).
-func (t *SLOTracker) SetClock(now func() time.Time) {
-	if t == nil || now == nil {
-		return
-	}
-	t.now = now
-}
-
 // Record accounts one finished request of the given class (0=Exact,
 // 1=Bounded, 2=BestEffort; other values are ignored) with the signals
 // it tripped. tenant "" records only the class aggregate.
@@ -216,12 +208,7 @@ func (t *SLOTracker) Record(class uint8, tenant string, flags SLOFlags) {
 	if t == nil {
 		return
 	}
-	t.RecordAt(t.now(), class, tenant, flags)
-}
-
-// RecordAt is Record with an explicit timestamp (deterministic tests).
-func (t *SLOTracker) RecordAt(at time.Time, class uint8, tenant string, flags SLOFlags) {
-	t.recordAt(at, class, tenant, flags, true)
+	t.recordAt(t.now(), class, tenant, flags, true)
 }
 
 // RecordFloorViolation accounts an after-the-fact floor violation (the

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -52,15 +53,20 @@ func (n *naiveSLO) window(nowSec, gran int64, buckets int) (total, miss, floor, 
 	return
 }
 
+// TestSLOTrackerMatchesNaiveReference feeds one deterministic stream to
+// the tracker and to a keep-everything reference per class, then checks
+// every class x window's counts, and the three signals' burn rates
+// against the naive formula bad/total/budget under DefaultSLOBudgets.
 func TestSLOTrackerMatchesNaiveReference(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	now := base
-	tr := NewSLOTracker(SLOBudgets{})
-	tr.SetClock(func() time.Time { return now })
-	ref := &naiveSLO{}
+	budgets := DefaultSLOBudgets()
+	tr := NewSLOTracker(budgets)
+	tr.now = func() time.Time { return now }
+	var refs [3]naiveSLO
 
 	// A deterministic stream spread over ~2h so every window rolls
-	// buckets out: xorshift drives time steps and flag patterns.
+	// buckets out: xorshift drives time steps, classes and flag patterns.
 	rng := uint64(42)
 	next := func(n uint64) uint64 {
 		rng ^= rng << 13
@@ -69,8 +75,9 @@ func TestSLOTrackerMatchesNaiveReference(t *testing.T) {
 		return rng % n
 	}
 	at := base
-	for i := 0; i < 4000; i++ {
-		at = at.Add(time.Duration(next(4)) * time.Second)
+	for i := 0; i < 6000; i++ {
+		at = at.Add(time.Duration(next(3)) * time.Second)
+		class := uint8(next(3))
 		var flags SLOFlags
 		if next(100) < 5 {
 			flags |= SLODeadlineMiss
@@ -78,44 +85,70 @@ func TestSLOTrackerMatchesNaiveReference(t *testing.T) {
 		if next(100) < 20 {
 			flags |= SLODegraded
 		}
-		tr.RecordAt(at, 1, "", flags)
-		ref.record(at.Unix(), flags, true)
+		tr.recordAt(at, class, "", flags, true)
+		refs[class].record(at.Unix(), flags, true)
 		if next(100) < 3 {
 			// After-the-fact floor violation: bumps only the violation
 			// counter, never the total.
 			now = at
-			tr.RecordFloorViolation(1, "")
-			ref.record(at.Unix(), SLOFloorViolation, false)
+			tr.RecordFloorViolation(class, "")
+			refs[class].record(at.Unix(), SLOFloorViolation, false)
 		}
 	}
 	now = at
-	for w, spec := range sloWindows {
-		total, miss, floor, deg := tr.Window(1, w)
-		nt, nm, nf, nd := ref.window(at.Unix(), spec.gran, spec.buckets)
-		if total != nt || miss != nm || floor != nf || deg != nd {
-			t.Fatalf("window %s: tracker (%d,%d,%d,%d) != naive (%d,%d,%d,%d)",
-				spec.name, total, miss, floor, deg, nt, nm, nf, nd)
+	burn := func(bad, total int64, budget float64) float64 {
+		if total == 0 {
+			return 0
+		}
+		return float64(bad) / float64(total) / budget
+	}
+	for class := uint8(0); class < 3; class++ {
+		for w, spec := range sloWindows {
+			total, miss, floor, deg := tr.Window(class, w)
+			nt, nm, nf, nd := refs[class].window(at.Unix(), spec.gran, spec.buckets)
+			if total != nt || miss != nm || floor != nf || deg != nd {
+				t.Fatalf("class %d window %s: tracker (%d,%d,%d,%d) != naive (%d,%d,%d,%d)",
+					class, spec.name, total, miss, floor, deg, nt, nm, nf, nd)
+			}
+			if nt == 0 || (spec.name == "1h" && (nm == 0 || nf == 0 || nd == 0)) {
+				t.Fatalf("class %d window %s holds too little to judge: (%d,%d,%d,%d)", class, spec.name, nt, nm, nf, nd)
+			}
+			for _, sig := range []struct {
+				flag   SLOFlags
+				bad    int64
+				budget float64
+			}{
+				{SLODeadlineMiss, nm, budgets.DeadlineMiss},
+				{SLOFloorViolation, nf, budgets.FloorViolation},
+				{SLODegraded, nd, budgets.Degraded},
+			} {
+				got, want := tr.BurnRate(class, sig.flag, w), burn(sig.bad, nt, sig.budget)
+				if math.Abs(got-want) > 1e-9 {
+					t.Fatalf("class %d window %s signal %d: burn rate %g, naive %g", class, spec.name, sig.flag, got, want)
+				}
+			}
 		}
 	}
 	// Re-check after the stream ages fully out of the 1m window.
 	now = at.Add(2 * time.Minute)
-	if total, _, _, _ := tr.Window(1, 0); total != 0 {
-		t.Fatalf("1m window still holds %d events 2m after the stream ended", total)
-	}
-	nt, _, _, _ := ref.window(now.Unix(), 1, 60)
-	if nt != 0 {
-		t.Fatalf("naive reference disagrees: %d", nt)
+	for class := uint8(0); class < 3; class++ {
+		if total, _, _, _ := tr.Window(class, 0); total != 0 {
+			t.Fatalf("class %d: 1m window still holds %d events 2m after the stream ended", class, total)
+		}
+		if nt, _, _, _ := refs[class].window(now.Unix(), 1, 60); nt != 0 {
+			t.Fatalf("naive reference disagrees: %d", nt)
+		}
 	}
 }
 
 func TestSLOTrackerBurnRates(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	tr := NewSLOTracker(SLOBudgets{DeadlineMiss: 0.01, Degraded: 0.1})
-	tr.SetClock(func() time.Time { return now })
+	tr.now = func() time.Time { return now }
 	for i := 0; i < 99; i++ {
-		tr.RecordAt(now, 2, "", 0)
+		tr.recordAt(now, 2, "", 0, true)
 	}
-	tr.RecordAt(now, 2, "", SLODeadlineMiss|SLODegraded)
+	tr.recordAt(now, 2, "", SLODeadlineMiss|SLODegraded, true)
 	// 1 miss in 100 at a 1% budget = burn exactly 1.0.
 	if got := tr.BurnRate(2, SLODeadlineMiss, 0); got != 1.0 {
 		t.Fatalf("deadline burn = %g, want 1.0", got)
@@ -133,10 +166,10 @@ func TestSLOTrackerBurnRates(t *testing.T) {
 func TestSLOTrackerTenantsAndOverflow(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	tr := NewSLOTracker(SLOBudgets{})
-	tr.SetClock(func() time.Time { return now })
+	tr.now = func() time.Time { return now }
 	tr.maxTenants = 3
 	for i := 0; i < 10; i++ {
-		tr.RecordAt(now, 1, fmt.Sprintf("tenant-%d", i), SLODegraded)
+		tr.recordAt(now, 1, fmt.Sprintf("tenant-%d", i), SLODegraded, true)
 	}
 	v := tr.Snapshot()
 	if len(v.Tenants) != 4 { // 3 real + "~other"
@@ -165,17 +198,17 @@ func TestSLOTrackerTenantsAndOverflow(t *testing.T) {
 func TestSLOTrackerManyTenantsCapAtDefault(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	tr := NewSLOTracker(SLOBudgets{})
-	tr.SetClock(func() time.Time { return now })
+	tr.now = func() time.Time { return now }
 	if tr.maxTenants != maxSLOTenants {
 		t.Fatalf("default cap = %d, want %d", tr.maxTenants, maxSLOTenants)
 	}
-	tr.RecordAt(now, 1, "early-bird", SLODeadlineMiss)
+	tr.recordAt(now, 1, "early-bird", SLODeadlineMiss, true)
 	const flood = 500
 	for i := 0; i < flood; i++ {
-		tr.RecordAt(now, 1, fmt.Sprintf("flood-%04d", i), SLODegraded)
+		tr.recordAt(now, 1, fmt.Sprintf("flood-%04d", i), SLODegraded, true)
 	}
 	// The early tenant records again after the flood filled the map.
-	tr.RecordAt(now, 1, "early-bird", SLODeadlineMiss)
+	tr.recordAt(now, 1, "early-bird", SLODeadlineMiss, true)
 
 	v := tr.Snapshot()
 	if len(v.Tenants) != maxSLOTenants+1 { // cap + "~other"
@@ -221,7 +254,6 @@ func TestSLOTrackerNilSafe(t *testing.T) {
 	var tr *SLOTracker
 	tr.Record(1, "t", SLODeadlineMiss)
 	tr.RecordFloorViolation(1, "t")
-	tr.SetClock(time.Now)
 	tr.RegisterMetrics(NewRegistry())
 	if got := tr.BurnRate(1, SLODeadlineMiss, 0); got != 0 {
 		t.Fatalf("nil BurnRate = %g, want 0", got)
@@ -243,10 +275,10 @@ func TestSLOTrackerNilSafe(t *testing.T) {
 func TestSLOTrackerRegisterMetrics(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	tr := NewSLOTracker(SLOBudgets{DeadlineMiss: 0.01})
-	tr.SetClock(func() time.Time { return now })
+	tr.now = func() time.Time { return now }
 	reg := NewRegistry()
 	tr.RegisterMetrics(reg)
-	tr.RecordAt(now, 1, "", SLODeadlineMiss)
+	tr.recordAt(now, 1, "", SLODeadlineMiss, true)
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -294,7 +326,7 @@ func TestSLOTrackerRecordRace(t *testing.T) {
 func TestSLOTrackerRecordDoesNotAllocate(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	tr := NewSLOTracker(SLOBudgets{})
-	tr.SetClock(func() time.Time { return now })
+	tr.now = func() time.Time { return now }
 	tr.Record(1, "warm", SLODegraded) // pre-create the tenant series
 	allocs := testing.AllocsPerRun(200, func() {
 		tr.Record(1, "warm", SLODeadlineMiss)

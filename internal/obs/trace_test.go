@@ -385,6 +385,23 @@ func TestNilRecorderExemplarMethods(t *testing.T) {
 	}
 }
 
+// TestNilTraceDoesNotAllocate pins tracing's zero cost when off: an
+// untraced context yields a nil trace, and one request's worth of calls
+// on it allocates nothing.
+func TestNilTraceDoesNotAllocate(t *testing.T) {
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(1000, func() {
+		tr := TraceFrom(ctx)
+		tr.SetRequest(1, 1, 0.9, 0)
+		tr.SetDecision(VerdictAdmitted, 1, 1)
+		tr.Add(SpanSubOp, 0, time.Time{}, 0, 0)
+		tr.Finish(0)
+	})
+	if allocs != 0 {
+		t.Fatalf("untraced request allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // TestHealthyFinishDoesNotAllocate guards the hot path: a healthy
 // (non-anomalous) trace must finish without touching the exemplar store
 // or allocating a view.

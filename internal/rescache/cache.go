@@ -21,14 +21,10 @@ type Config struct {
 	// 16). More shards mean less lock contention on the hit path.
 	Shards int
 	// BestEffortFloor is the accuracy floor applied to BestEffort-class
-	// lookups when the service is idle (default 0.5). Exact and Bounded
-	// floors are fixed by the request and never pass through here.
+	// lookups when the service is idle (default 0.5); load loosens it
+	// linearly to 0 at full load (SetLoad). Exact and Bounded floors are
+	// fixed by the request and never pass through here.
 	BestEffortFloor float64
-	// MaxSlack is how much of BestEffortFloor the degradation
-	// controller may loosen away at full load (default: all of it).
-	// The effective BestEffort floor is
-	// BestEffortFloor - MaxSlack*load, clamped at 0.
-	MaxSlack float64
 	// RefreshBelow marks entries whose accuracy is below this value as
 	// refresh candidates on every hit (default 1: anything inexact).
 	// Only meaningful once SetRefresh installs a refresh function.
@@ -51,9 +47,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BestEffortFloor <= 0 {
 		c.BestEffortFloor = 0.5
-	}
-	if c.MaxSlack <= 0 {
-		c.MaxSlack = c.BestEffortFloor
 	}
 	if c.RefreshBelow <= 0 {
 		c.RefreshBelow = 1
@@ -262,8 +255,8 @@ func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
 func (c *Cache) BumpEpoch() { c.epoch.Add(1) }
 
 // SetLoad feeds the degradation controller's smoothed load estimate in
-// [0,1] to the cache. Load loosens the BestEffort accuracy floor
-// (Config.MaxSlack); it never touches Exact or Bounded floors.
+// [0,1] to the cache. Load loosens the BestEffort accuracy floor to
+// BestEffortFloor·(1 − load); it never touches Exact or Bounded floors.
 func (c *Cache) SetLoad(load float64) {
 	if load < 0 {
 		load = 0
@@ -277,11 +270,7 @@ func (c *Cache) SetLoad(load float64) {
 // BestEffortFloor returns the load-adjusted accuracy floor for
 // BestEffort-class lookups.
 func (c *Cache) BestEffortFloor() float64 {
-	f := c.cfg.BestEffortFloor - c.cfg.MaxSlack*math.Float64frombits(c.load.Load())
-	if f < 0 {
-		f = 0
-	}
-	return f
+	return c.cfg.BestEffortFloor * (1 - math.Float64frombits(c.load.Load()))
 }
 
 // Get looks the key up and returns the cached value when its recorded

@@ -93,7 +93,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestBestEffortFloorLoosensWithLoad(t *testing.T) {
-	c := mustNew(t, Config{Capacity: 8, BestEffortFloor: 0.6, MaxSlack: 0.6})
+	c := mustNew(t, Config{Capacity: 8, BestEffortFloor: 0.6})
 	if f := c.BestEffortFloor(); f != 0.6 {
 		t.Fatalf("idle floor = %g", f)
 	}

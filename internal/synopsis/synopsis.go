@@ -3,7 +3,9 @@ package synopsis
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"accuracytrader/internal/rtree"
@@ -58,6 +60,49 @@ func (c Config) withDefaults() Config {
 type Group struct {
 	ID      int64
 	Members []int
+}
+
+// Aggregate performs step 3 of synopsis creation (information
+// aggregation) for every group, in parallel across CPU cores — the
+// in-process substitute for the paper's Spark-based distributed
+// aggregation (§3.1), which exists for the same reason: step 3 is the
+// most computation-expensive creation step. A group present in prev (by
+// ID) reuses its cached aggregate; every other group is aggregated by
+// one, which must be safe to call concurrently.
+func Aggregate[A any](groups []Group, prev map[int64]A, one func(Group) A) []A {
+	aggs := make([]A, len(groups))
+	var todo []int
+	for i, g := range groups {
+		if a, ok := prev[g.ID]; ok {
+			aggs[i] = a
+			continue
+		}
+		todo = append(todo, i)
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(todo))
+	if workers <= 1 {
+		for _, i := range todo {
+			aggs[i] = one(groups[i])
+		}
+		return aggs
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				aggs[i] = one(groups[i])
+			}
+		}()
+	}
+	for _, i := range todo {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return aggs
 }
 
 // Timings records how long the creation steps took (the paper's §4.2

@@ -2,7 +2,6 @@ package textindex
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -21,17 +20,18 @@ type AggregatedPage struct {
 	Members []int
 }
 
-// aggregatePage merges the member documents of one group.
-func aggregatePage(ix *Index, groupID int64, members []int) AggregatedPage {
+// aggregate merges the member documents of one group
+// (synopsis.Aggregate's per-group step for text data).
+func (ix *Index) aggregate(g synopsis.Group) AggregatedPage {
 	freqs := make(map[int32]int32)
 	length := 0
-	for _, d := range members {
+	for _, d := range g.Members {
 		for _, e := range ix.termVec(d) {
 			freqs[e.Term] += e.Freq
 		}
 		length += ix.docLen[d]
 	}
-	ap := AggregatedPage{GroupID: groupID, Members: members, Len: length}
+	ap := AggregatedPage{GroupID: g.ID, Members: g.Members, Len: length}
 	for t, f := range freqs {
 		ap.Terms = append(ap.Terms, TermFreq{Term: t, Freq: f})
 	}
@@ -75,50 +75,7 @@ func BuildComponent(ix *Index, cfg synopsis.Config) (*Component, error) {
 }
 
 func (c *Component) reaggregate(prev map[int64]AggregatedPage) {
-	c.Aggs = AggregatePages(c.Ix, c.Syn.Groups(), prev)
-}
-
-// AggregatePages performs step 3 (content merging) for all groups in
-// parallel across CPU cores — the in-process substitute for the paper's
-// Spark-based distributed aggregation (§3.1). Groups present in prev (by
-// ID) reuse their cached aggregate.
-func AggregatePages(ix *Index, groups []synopsis.Group, prev map[int64]AggregatedPage) []AggregatedPage {
-	aggs := make([]AggregatedPage, len(groups))
-	var todo []int
-	for i, g := range groups {
-		if ap, ok := prev[g.ID]; ok {
-			aggs[i] = ap
-			continue
-		}
-		todo = append(todo, i)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers <= 1 {
-		for _, i := range todo {
-			aggs[i] = aggregatePage(ix, groups[i].ID, groups[i].Members)
-		}
-		return aggs
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				aggs[i] = aggregatePage(ix, groups[i].ID, groups[i].Members)
-			}
-		}()
-	}
-	for _, i := range todo {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return aggs
+	c.Aggs = synopsis.Aggregate(c.Syn.Groups(), prev, c.Ix.aggregate)
 }
 
 // ApplyChanges routes input-data changes through the synopsis updater and

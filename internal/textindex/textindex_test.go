@@ -191,7 +191,7 @@ func TestAggregatePageMerges(t *testing.T) {
 	ix := NewIndex()
 	ix.Add("alpha beta")
 	ix.Add("alpha gamma gamma")
-	ap := aggregatePage(ix, 3, []int{0, 1})
+	ap := ix.aggregate(synopsis.Group{ID: 3, Members: []int{0, 1}})
 	if ap.GroupID != 3 || ap.Len != 5 {
 		t.Fatalf("ap = %+v", ap)
 	}
@@ -206,7 +206,7 @@ func TestAggregatePageMerges(t *testing.T) {
 func TestAggregatedPageScoreSingletonEqualsDoc(t *testing.T) {
 	ix := buildSmallIndex()
 	q := ix.ParseQuery("go channels")
-	ap := aggregatePage(ix, 0, []int{3})
+	ap := ix.aggregate(synopsis.Group{ID: 0, Members: []int{3}})
 	if d := math.Abs(ap.Score(ix, q) - ix.ScoreDoc(q, 3)); d > 1e-12 {
 		t.Fatalf("singleton aggregate score differs by %v", d)
 	}
@@ -453,8 +453,8 @@ func TestMergedPageOutranksWeakPages(t *testing.T) {
 	ix.Add("gardening flowers seeds")
 	ix.Add("cooking pasta sauce")
 	q := ix.ParseQuery("kernel")
-	strong := aggregatePage(ix, 0, []int{0, 1})
-	weak := aggregatePage(ix, 1, []int{2, 3})
+	strong := ix.aggregate(synopsis.Group{ID: 0, Members: []int{0, 1}})
+	weak := ix.aggregate(synopsis.Group{ID: 1, Members: []int{2, 3}})
 	if strong.Score(ix, q) <= weak.Score(ix, q) {
 		t.Fatal("merged strong page does not outrank weak page")
 	}

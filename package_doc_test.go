@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -90,5 +91,44 @@ func TestCommentsCiteExistingDocs(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no markdown citation found in any comment — wrong working directory?")
+	}
+}
+
+// TestProductionCodeDoesNotImportTesting keeps unit checks in unit
+// tests: no non-test Go file outside the bench/ module imports
+// "testing", so no binary links it and no promise a package test
+// already makes is re-run in production code.
+func TestProductionCodeDoesNotImportTesting(t *testing.T) {
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".go" || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		checked++
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"testing"` {
+				t.Errorf("%s imports \"testing\": move the check into a _test.go file", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked < 50 {
+		t.Fatalf("only %d production files found — wrong working directory?", checked)
 	}
 }
