@@ -368,6 +368,10 @@ func (f *Frontend) Stats() Stats {
 	}
 }
 
+// Backend returns the fan-out runtime the frontend drives, as New was
+// given it (decorators included).
+func (f *Frontend) Backend() Backend { return f.cl }
+
 // Controller exposes the degradation controller (for reporting); nil
 // when the frontend runs without degradation.
 func (f *Frontend) Controller() *Controller { return f.opts.Controller }

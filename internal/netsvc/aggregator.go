@@ -389,6 +389,11 @@ func (d pending) subDone(rep *wire.SubReply, err error) {
 	default:
 		r.Outcome, r.Err = service.OutcomeAppError, fmt.Errorf("netsvc: component %d: %s", d.at.Target, rep.Err)
 	}
+	if r.Value == nil {
+		// Only an answer's record travels on; the status was all this one
+		// carried.
+		wire.ReleaseSubReply(rep)
+	}
 	d.at.Done(r)
 }
 

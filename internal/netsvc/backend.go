@@ -187,8 +187,8 @@ type backend struct {
 	// has reports whether req carries this workload's payload.
 	has func(req *wire.Request) bool
 	// exact answers an Exact-class request with the shard's full scan,
-	// written into rep's payload struct (newSubReply), and returns the data
-	// units it scanned.
+	// written into rep's payload (newSubReply), and returns the data units
+	// it scanned.
 	exact func(shard int, req *wire.Request, rep *wire.SubReply) (units int)
 	// approx opens the shard's Algorithm 1 engine for req and returns it
 	// with the data units its synopsis pass touches. A shard whose
@@ -196,8 +196,9 @@ type backend struct {
 	// ladder read) answers into rep instead and returns the zero
 	// algorithm1 with the units it scanned.
 	approx func(shard int, req *wire.Request, rep *wire.SubReply) (a algorithm1, units int)
-	// finish moves the improved result out of the engine approx opened
-	// into rep, and releases the engine.
+	// finish copies the improved result out of the engine approx opened
+	// into rep, and releases the engine: a pooled engine keeps its own
+	// arrays, and the reply its record's.
 	finish func(e core.Engine, req *wire.Request, rep *wire.SubReply)
 }
 
@@ -212,30 +213,16 @@ type algorithm1 struct {
 	sets   int
 }
 
-// newSubReply allocates an OK sub-reply together with the payload
-// struct of its kind and, for a traced request, room for the two server
-// spans the server appends: one object per reply (wire.BoxSub). A search
-// reply's hit list starts in the payload's inline array
-// (wire.SearchPayload).
-func newSubReply(kind wire.Kind, traced bool) *wire.SubReply {
-	spans := 0
-	if traced {
-		spans = wire.ServerSpans
+// newSubReply takes an OK sub-reply of kind from the record pool, with
+// room for the two server spans of a traced request (wire.NewSubReply).
+// On a served job the job keeps it, and the server releases it once its
+// frame is written; an in-process caller's reply is its own to keep.
+func newSubReply(ctx context.Context, kind wire.Kind, traced bool) *wire.SubReply {
+	rep := wire.NewSubReply(kind, traced)
+	if j, ok := ctx.(*job); ok {
+		j.reply = rep
 	}
-	rep := wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel}
-	var out *wire.SubReply
-	switch kind {
-	case wire.KindCF:
-		out, rep.CF, rep.Spans = wire.BoxSub[wire.CFResult](spans)
-	case wire.KindSearch:
-		var p *wire.SearchPayload
-		out, p, rep.Spans = wire.BoxSub[wire.SearchPayload](spans)
-		rep.Search = p.Init()
-	default:
-		out, rep.Agg, rep.Spans = wire.BoxSub[wire.AggResult](spans)
-	}
-	*out = rep
-	return out
+	return rep
 }
 
 // hitSink appends ranked hits to a search reply as the engine's
@@ -271,7 +258,7 @@ func newBackend(opts BackendOptions, w backend) Handler {
 		dl := opts.budget(ctx)
 		opts.interfere(req.Seq)
 		shard := int(req.Subset) % w.shards
-		rep := newSubReply(w.kind, req.Trace != 0)
+		rep := newSubReply(ctx, w.kind, req.Trace != 0)
 		var a algorithm1
 		var units int
 		if req.SLO == wire.SLOExact {
@@ -312,7 +299,7 @@ func NewAggBackend(comps []*agg.Component, opts BackendOptions) Handler {
 		has: hasAgg,
 		exact: func(shard int, req *wire.Request, rep *wire.SubReply) int {
 			c := comps[shard]
-			setAgg(rep, agg.ExactResult(c, aggQuery(req)))
+			setAgg(rep, agg.ExactResultInto(aggArrays(rep, c.T.NumKeys()), c, aggQuery(req)))
 			return c.T.NumRows()
 		},
 		approx: func(shard int, req *wire.Request, _ *wire.SubReply) (algorithm1, int) {
@@ -327,7 +314,12 @@ func NewAggBackend(comps []*agg.Component, opts BackendOptions) Handler {
 		finish: func(eng core.Engine, _ *wire.Request, rep *wire.SubReply) {
 			e := eng.(*agg.Engine)
 			rep.Level = int16(e.Level)
-			setAgg(rep, e.TakeResult())
+			res := e.Result()
+			out := aggArrays(rep, len(res.Sum))
+			copy(out.Sum, res.Sum)
+			copy(out.Cnt, res.Cnt)
+			copy(out.SumVar, res.SumVar)
+			copy(out.CntVar, res.CntVar)
 			e.Release()
 		},
 	})
@@ -339,42 +331,83 @@ func aggQuery(req *wire.Request) agg.Query {
 	return agg.Query{Op: agg.Op(req.Agg.Op), Lo: req.Agg.Lo, Hi: req.Agg.Hi}
 }
 
-// setAgg ships a result the caller owns in the reply's payload struct;
-// its slices are not copied.
+// aggArrays sizes a pooled aggregation reply's arrays to n keys and
+// returns them as a result to accumulate into (wire.SizeAgg).
+func aggArrays(rep *wire.SubReply, n int) agg.Result {
+	return AggResultOf(wire.SizeAgg(rep, n))
+}
+
+// setAgg ships a result in the reply's payload struct; its slices are
+// not copied. A result accumulated into aggArrays' arrays is the
+// record's own, so this only re-points the reply at it.
 func setAgg(rep *wire.SubReply, res agg.Result) {
 	*rep.Agg = wire.AggResult{Sum: res.Sum, Cnt: res.Cnt, SumVar: res.SumVar, CntVar: res.CntVar}
+}
+
+// cfQuery is one CF sub-operation's request in pooled storage — the
+// active ratings copied out of the wire request — and, while Algorithm 1
+// runs, the engine it opened, whose scorer reads the ratings until
+// finish. It goes back to cfQueries after finish, or after the exact
+// scan, keeping its ratings' capacity.
+type cfQuery struct {
+	*cf.Engine
+	ratings []cf.Rating
+}
+
+var cfQueries = sync.Pool{New: func() any { return new(cfQuery) }}
+
+// getCFQuery converts req's CF payload into a pooled query and returns it
+// with the request over its ratings (sorted in place).
+func getCFQuery(req *wire.Request) (*cfQuery, cf.Request) {
+	q := cfQueries.Get().(*cfQuery)
+	q.ratings = q.ratings[:0]
+	for _, r := range req.CF.Ratings {
+		q.ratings = append(q.ratings, cf.Rating{Item: r.Item, Score: r.Score})
+	}
+	return q, cf.NewRequestInPlace(q.ratings, req.CF.Targets)
+}
+
+func (q *cfQuery) release() {
+	q.Engine = nil
+	cfQueries.Put(q)
 }
 
 // NewCFBackend returns a handler serving the CF recommender workload
 // over comps.
 func NewCFBackend(comps []*cf.Component, opts BackendOptions) Handler {
-	query := func(req *wire.Request) cf.Request {
-		ratings := make([]cf.Rating, len(req.CF.Ratings))
-		for i, r := range req.CF.Ratings {
-			ratings[i] = cf.Rating{Item: r.Item, Score: r.Score}
-		}
-		return cf.NewRequestInPlace(ratings, req.CF.Targets)
-	}
 	return newBackend(opts, backend{
 		kind: wire.KindCF, name: "CF", shards: len(comps), imax: 1.0,
 		has: func(req *wire.Request) bool { return req.CF != nil },
 		exact: func(shard int, req *wire.Request, rep *wire.SubReply) int {
 			c := comps[shard]
-			res := cf.ExactResult(c, query(req))
+			q, creq := getCFQuery(req)
+			res := cf.ExactResultInto(cfArrays(rep, len(creq.Targets)), c, creq)
+			q.release()
 			*rep.CF = wire.CFResult{Num: res.Num, Den: res.Den}
 			return c.M.NumUsers()
 		},
 		approx: func(shard int, req *wire.Request, _ *wire.SubReply) (algorithm1, int) {
 			c := comps[shard]
-			return algorithm1{cf.GetEngine(c, query(req)), c, len(c.Aggs)}, len(c.Aggs)
+			q, creq := getCFQuery(req)
+			q.Engine = cf.GetEngine(c, creq)
+			return algorithm1{q, c, len(c.Aggs)}, len(c.Aggs)
 		},
 		finish: func(eng core.Engine, _ *wire.Request, rep *wire.SubReply) {
-			e := eng.(*cf.Engine)
-			res := e.TakeResult()
-			e.Release()
-			*rep.CF = wire.CFResult{Num: res.Num, Den: res.Den}
+			q := eng.(*cfQuery)
+			res := q.Result()
+			out := cfArrays(rep, len(res.Num))
+			copy(out.Num, res.Num)
+			copy(out.Den, res.Den)
+			q.Engine.Release()
+			q.release()
 		},
 	})
+}
+
+// cfArrays sizes a pooled CF reply's arrays to n targets and returns them
+// as a result to accumulate into (wire.SizeCF).
+func cfArrays(rep *wire.SubReply, n int) cf.Result {
+	return CFResultOf(wire.SizeCF(rep, n))
 }
 
 // searchK is the hit count a search request asks for: its own K, else

@@ -154,10 +154,12 @@ func TestCFBackendHostileRequests(t *testing.T) {
 
 // TestAggSubOperationAllocations: one Bounded agg sub-operation through
 // the skeleton — budget, Algorithm 1's ranking and budget check, the
-// engine's improvement — allocates only its reply: the sub-reply boxed
-// with its payload struct (wire.Box) and the result backing the reply
-// ships. That holds on the plain path and on the metered one, where a
-// cost account on the context installs the metered engine. The metered
+// engine's improvement — allocates only its reply, a record from the
+// sub-reply pool and the float backing its arrays are carved from, when
+// the caller keeps it; and nothing once the caller releases each reply,
+// as a component server does after writing it. That holds on the plain
+// path and on the metered one, where a cost account on the context
+// installs the metered engine. The metered
 // engine credits the rows the engine reads: every row once when every
 // stratum is improved, since each improvement resumes where its sample
 // stopped, and the sample plus the rest of each stratum run when imax
@@ -166,7 +168,7 @@ func TestAggSubOperationAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops at random)")
 	}
-	const replyAllocs = 2 // the boxed sub-reply, the result backing
+	const replyAllocs = 2 // the pooled record, its float backing
 	comps := buildAggComps(t, 1)
 	h := NewAggBackend(comps, BackendOptions{SubBudget: time.Hour})
 	req := aggReq(agg.Sum, 0, math.Inf(1))
@@ -188,6 +190,9 @@ func TestAggSubOperationAllocations(t *testing.T) {
 		}
 		if n != replyAllocs {
 			t.Errorf("%s Bounded agg sub-operation allocates %.1f times, want %d (its reply)", tc.name, n, replyAllocs)
+		}
+		if n := testing.AllocsPerRun(100, func() { wire.ReleaseSubReply(h(tc.ctx, req)) }); n != 0 {
+			t.Errorf("%s Bounded agg sub-operation with its reply released allocates %.1f times, want 0", tc.name, n)
 		}
 	}
 	if acct.Usage().Scanned == 0 {

@@ -2,11 +2,13 @@ package netsvc
 
 import (
 	"context"
+	"math"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"accuracytrader/internal/agg"
 	"accuracytrader/internal/cf"
 	"accuracytrader/internal/faultinject"
 	"accuracytrader/internal/svd"
@@ -190,24 +192,32 @@ func TestOversizedFrameDoesNotPinBuffer(t *testing.T) {
 }
 
 // The allocation budgets of one Exact request through a bare front
-// server (built without a frontend, so one with no controller) to 8 shards: 18 frames, 8 sub-operation dispatches and a merge.
-// Each budget is the count the test measures plus ~10%, so a regression
-// of one allocation per frame (18) trips it. The deadline-carrying case
-// is the benchmark client's shape — a fresh context.WithTimeout per call
-// — and its budget includes that context.
+// server (built without a frontend, so one with no controller) to 8
+// shards: 18 frames, 8 sub-operation dispatches and a merge; and of one
+// Bounded agg request through a frontend with a controller. Each budget
+// is the count the test measures plus ~10%, so a regression of one
+// allocation per frame (18) trips it. The deadline-carrying case is the
+// benchmark client's shape — a fresh context.WithTimeout per call — and
+// its budget includes that context.
 //
-// Measured here: search 45 without a deadline and 48 with one, CF 95 and
-// 98. At the commit before each request frame was decoded into the job
-// that serves it, with a search request's query and every search result's
-// hits inline (a job record beside each served request, a string per
-// query, a hit list per search reply and two per merge): search 73 and
-// 76, CF 104 and 107. Before a served job became its own context and a
-// sub-reply one object: search 148 and 153, CF 143 and 148.
+// Measured here: search 29 without a deadline and 32 with one, CF 47 and
+// 50, Bounded agg 30 and 33. Before sub-reply records were pooled on
+// both sides of the wire and a CF sub-operation's ratings with them (a
+// component's reply and its result arrays, the aggregator's decoded
+// record and its arrays, a CF sub-operation's ratings): search 45 and 48,
+// CF 95 and 98, Bounded agg 62 and 65. At the commit before each request frame was decoded into
+// the job that serves it, with a search request's query and every search
+// result's hits inline (a job record beside each served request, a
+// string per query, a hit list per search reply and two per merge):
+// search 73 and 76, CF 104 and 107. Before a served job became its own
+// context and a sub-reply one object: search 148 and 153, CF 143 and 148.
 const (
-	searchRoundTripBudget         = 50
-	searchDeadlineRoundTripBudget = 53
-	cfRoundTripBudget             = 105
-	cfDeadlineRoundTripBudget     = 108
+	searchRoundTripBudget         = 32
+	searchDeadlineRoundTripBudget = 35
+	cfRoundTripBudget             = 52
+	cfDeadlineRoundTripBudget     = 55
+	aggRoundTripBudget            = 33
+	aggDeadlineRoundTripBudget    = 36
 )
 
 // roundTripAllocs measures the allocations of one client call of next's
@@ -304,4 +314,22 @@ func TestCFRoundTripAllocations(t *testing.T) {
 	})
 	checkRoundTripAllocs(t, "Exact CF", bare, cfRoundTripBudget)
 	checkRoundTripAllocs(t, "Exact CF with a deadline", withDeadline, cfDeadlineRoundTripBudget)
+}
+
+func TestAggRoundTripAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops at random)")
+	}
+	const shards = 8
+	cl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(NewAggBackend(buildAggComps(t, shards), BackendOptions{})),
+		Agg: waitAll, Front: calibratedFront(nil, ServerOptions{}, nil)}).Client
+	i := 0
+	bare, withDeadline := roundTripAllocs(t, cl, func() *wire.Request {
+		i++
+		req := aggReq(agg.Sum, float64(i%16)/4, math.Inf(1))
+		req.SLO, req.MinAccuracy = wire.SLOBounded, 0.75
+		return req
+	})
+	checkRoundTripAllocs(t, "Bounded agg", bare, aggRoundTripBudget)
+	checkRoundTripAllocs(t, "Bounded agg with a deadline", withDeadline, aggDeadlineRoundTripBudget)
 }

@@ -3,7 +3,6 @@ package netsvc
 import (
 	"context"
 
-	"accuracytrader/internal/agg"
 	"accuracytrader/internal/ingest"
 	"accuracytrader/internal/wire"
 )
@@ -91,13 +90,13 @@ func NewLiveIngestHandler(ls LiveStores) IngestHandler {
 // swaps never tear a result — using the snapshot's base synopsis at
 // the requested ladder level plus an exact fold of the unmerged delta.
 // Either way the answer is one bounded scan, not an Algorithm 1 run, so
-// both hooks of the handler skeleton answer in place, into one fresh
-// result the reply then owns.
+// both hooks of the handler skeleton answer in place, into the reply's
+// own arrays.
 func NewLiveAggBackend(lives []*ingest.AggLive, opts BackendOptions) Handler {
 	answer := func(exact bool, shard int, req *wire.Request, rep *wire.SubReply) (units int) {
 		snap, _ := lives[shard].Snapshot()
 		q := aggQuery(req)
-		res := agg.NewResult(snap.NumKeys())
+		res := aggArrays(rep, snap.NumKeys())
 		if base := snap.Base(); exact || base == nil {
 			// Exact class — or an epoch before the first compaction, whose
 			// only data is the exactly scanned delta.

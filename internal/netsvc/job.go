@@ -23,10 +23,11 @@ import (
 // The job is also where the request's planes ride: its trace and its
 // cost account are fields Value answers (obs.TraceKey, cost.AccountKey),
 // so a traced or metered request adds no context layer and no account
-// object, and an untraced one carries them zeroed. The job stays at 112
-// bytes — a job, an agg request and its payload fill the 256-byte size
-// class — which is why the times are Unix nanoseconds and the end reason
-// is a byte (TestRecordSizes).
+// object, and an untraced one carries them zeroed. On a component server
+// the job also holds the handler's pooled sub-reply until its frame is
+// written. The job stays at 120 bytes — a job, an agg request and its
+// payload fill the 256-byte size class exactly — which is why the times
+// are Unix nanoseconds and the end reason is a byte (TestRecordSizes).
 //
 // No path of a component server derives a child context from a job: a
 // stdlib child (WithTimeout, WithCancel) asks its parent for Done, which
@@ -50,6 +51,9 @@ type job struct {
 
 	// tr is a front pass's decision trace, nil when untraced.
 	tr *obs.Trace
+	// reply is a component handler's pooled sub-reply (newSubReply),
+	// released by the server once its frame is written.
+	reply *wire.SubReply
 	// acct is the request's cost account, handed out by Value while
 	// metered: on a front pass, the bill the fan-out folds sub-operation
 	// costs into; on a traced component request, the units the handler

@@ -282,16 +282,17 @@ func TestEndedJobDropsConnection(t *testing.T) {
 }
 
 // TestRecordSizes pins the served job: it holds the request's trace and
-// cost account, yet stays at 112 bytes, so a job decoded with an agg
-// request and its payload still fills one 256-byte size class. Every
+// cost account and the handler's pooled sub-reply, yet stays at 120
+// bytes, so a job decoded with an agg request and its payload still
+// fills one 256-byte size class. Every
 // component sub-operation decodes one, traced or not, so growing the
 // job is a change to review, not a side effect.
 func TestRecordSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(job{}); got != 112 {
-		t.Errorf("job is %d bytes, want 112", got)
+	if got := unsafe.Sizeof(job{}); got != 120 {
+		t.Errorf("job is %d bytes, want 120", got)
 	}
 	if got := unsafe.Sizeof(job{}) + unsafe.Sizeof(wire.Request{}) + unsafe.Sizeof(wire.AggRequest{}); got > 256 {
 		t.Errorf("a job decoded with an agg request is %d bytes, want at most 256", got)

@@ -246,6 +246,12 @@ func (s *srvCore) serveJob(j *job) {
 		}
 	}
 	_ = j.conn.write(s.respond(j)) // see respond: the reader notices
+	if j.reply != nil {
+		// The handler's pooled reply: its frame is written, and nothing
+		// on this server reads it again.
+		wire.ReleaseSubReply(j.reply)
+		j.reply = nil
+	}
 	j.finish()
 }
 
@@ -345,8 +351,8 @@ func NewServer(h Handler, opts ServerOptions) *Server {
 			// each carrying its resource cost (queue wait on the queue
 			// span; CPU, scanned units, and the request frame's wire bytes
 			// on the exec span). The skeleton's reply has room for both in
-			// its own object (wire.BoxSub). Untraced requests pay nothing,
-			// not even the two time stamps' encoding.
+			// its pooled record (wire.NewSubReply). Untraced requests pay
+			// nothing, not even the two time stamps' encoding.
 			queueWait := exec0.UnixNano() - j.enq
 			execDur := time.Since(exec0)
 			rep.Spans = append(rep.Spans,
@@ -382,6 +388,11 @@ type FrontServer struct {
 	fe     *frontend.Frontend
 	cache  *rescache.Cache
 	tracer *obs.Recorder
+	// releaseSubs: the frontend drives this server's own aggregator, so
+	// every answered sub-reply is a pooled record no one else holds, and
+	// serveMiss releases it once composed. A decorated backend may keep
+	// what it returned, so under one nothing is released.
+	releaseSubs bool
 
 	// keyBufs pools canonical-key scratch buffers (*[]byte: a pointer
 	// boxes into the pool's interface without allocating, a slice header
@@ -421,7 +432,8 @@ func NewFrontServer(agg *Aggregator, front *frontend.Frontend, opts ServerOption
 	if front == nil {
 		front, _ = frontend.New(agg, frontend.Options{Replicas: 1}) // New never fails
 	}
-	s := &FrontServer{agg: agg, fe: front, tracer: opts.Tracer}
+	own, _ := front.Backend().(*Aggregator)
+	s := &FrontServer{agg: agg, fe: front, tracer: opts.Tracer, releaseSubs: own != nil && own == agg}
 	s.srvCore = newSrvCore(opts)
 	s.srvCore.graceful = true
 	s.srvCore.respond = func(j *job) interface{} {
@@ -779,6 +791,13 @@ func (s *FrontServer) serveMiss(ctx context.Context, req *wire.Request) (*wire.R
 	}
 	if tr != nil {
 		tr.Add(obs.SpanMerge, -1, mergeT0, time.Since(mergeT0), 0)
+	}
+	if s.releaseSubs {
+		for _, sr := range subs {
+			if sub := subReplyOf(sr); sub != nil {
+				wire.ReleaseSubReply(sub)
+			}
+		}
 	}
 	return rep, call.EstimatedAccuracy
 }

@@ -24,30 +24,49 @@
 // grows dst once to it — zero allocations into a buffer with room (a
 // connection's writer reuses one), exactly one into nil. Decoding:
 // ReadFrame reads into the caller's buffer, length prefix included, and
-// DecodeRequest / DecodeSubReply / DecodeReply allocate one heap object
-// per record, plus one per variable-length field that does not fit
-// inline in it. The object holds the record and the payload struct of
-// its kind, and inline in it a Reply's SubStatus bytes (up to 16), a
-// search request's tenant and query (24 bytes together), a search
-// result's hits (up to DefaultK, SearchPayload) and a traced
-// sub-reply's ServerSpans spans (BoxSub): a traced sub-reply is one
-// object, as an untraced one is, and an untraced one is no larger for
-// it. Each field that does not fit is one allocation: a longer string
-// or hit list, an error string, more spans than ServerSpans, a CF
+// DecodeRequest / DecodeReply allocate one heap object per record, plus
+// one per variable-length field that does not fit inline in it. The
+// object holds the record and the payload struct of its kind, and inline
+// in it a Reply's SubStatus bytes (up to 16), a search request's tenant
+// and query (24 bytes together) and a search result's hits (up to
+// DefaultK, SearchPayload). Each field that does not fit is one
+// allocation: a longer string or hit list, an error string, a CF
 // request's slices, and the parallel float arrays of one CF or
 // aggregation result (one backing allocation, each array capped to its
-// own length). DecodeRequestWith adds a zeroed record of the caller's
-// to the same object, so a server's reader decodes each request into
-// the job that serves it.
+// own length). DecodeRequestWith adds a zeroed record of the caller's to
+// the same object, so a server's reader decodes each request into the
+// job that serves it. DecodeSubReply decodes into a record from the
+// sub-reply pool instead, one shape for every kind: the record, each
+// kind's payload struct, DefaultK inline hits, a traced reply's
+// ServerSpans spans and a float backing the result's arrays are carved
+// from, which the record keeps across uses. A record fresh from the pool
+// costs itself and its backing; a recycled one costs only what does not
+// fit it (an error string, more spans or hits, arrays longer than its
+// backing). NewSubReply takes the same records for a component's own
+// replies, and SizeCF / SizeAgg carve their arrays.
 //
-// Ownership is unchanged by any of this: a decoded record never aliases
-// the body it was read from and belongs to the caller outright, who may
-// retain it indefinitely (the result cache and the auditor do).
-// Retaining a record, or any string or slice of it that lives inline,
-// retains its whole object, and one array of a result its siblings. The
+// Ownership. A decoded request never aliases the body it was read from
+// and belongs to the caller outright, who may retain it indefinitely
+// (the result cache and the auditor do). Retaining a request, or any
+// string or slice of it that lives inline, retains its whole object. The
 // inline strings are unsafe.String views of bytes the decoder writes
-// once; a decoded record is never reused or pooled, so they never change
-// (inlineString). The retained reference decoders in reference_test.go
-// are the simple field-by-field form; FuzzDecodeDifferential holds the
-// live ones to them.
+// once; a decoded request is never reused or pooled, so they never
+// change (inlineString). The same holds for a composed reply. A
+// sub-reply is a pooled record with a lifetime: NewSubReply or
+// DecodeSubReply hands it out, and its last user hands it back with
+// ReleaseSubReply, after which every field and array of it is cleared
+// and reused. On a component server the record lives until its frame is
+// written; on a front server, until it is composed into the reply —
+// when the frontend drives the server's own aggregator. A decorated
+// backend may keep the gathers it returns, so under one nothing is
+// released. A record nobody releases is garbage like any other: an
+// in-process handler's reply, a direct Aggregator.Call's, a hedge loser
+// or a reply that arrives after a partial gather. Bench's codec probe
+// decodes without releasing, so wire.codec_allocs_per_req still counts
+// a fresh record per sub-reply. Nothing links a record to its pool but
+// its address (the SubReply is the record's first field), so records
+// compare and encode exactly as ones built by hand. The retained
+// reference decoders in reference_test.go are the simple field-by-field
+// form; FuzzDecodeDifferential holds the live ones to them, decoding
+// every sub-reply body again into records recycled from other frames.
 package wire

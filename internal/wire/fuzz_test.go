@@ -216,9 +216,74 @@ func spillEdgeBodies() [][]byte {
 	return out
 }
 
+// recycledBodies are the earlier sub-replies a body is decoded after,
+// into the record each was released from: every kind, traced and
+// untraced, arrays longer and shorter than a body's (some of them empty),
+// hit and span lists past the record's inline room, and Err set.
+func recycledBodies() [][]byte {
+	floats := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = float64(i) + 0.5
+		}
+		return out
+	}
+	spans := func(n int) []Span {
+		out := make([]Span, n)
+		for i := range out {
+			out[i] = Span{Kind: SpanExec, Start: int64(i + 1), Dur: 7, Cost: Cost{CPUNs: 7, Scanned: 3}}
+		}
+		return out
+	}
+	hits := make([]Hit, DefaultK+1)
+	for i := range hits {
+		hits[i] = Hit{Doc: int32(i), Score: float64(-i)}
+	}
+	var out [][]byte
+	for _, rep := range []*SubReply{
+		{ID: 1, Kind: KindAgg, Level: 2, SetsProcessed: 9, Spans: spans(ServerSpans),
+			Agg: &AggResult{Sum: floats(64), Cnt: floats(64), SumVar: floats(64), CntVar: floats(64)}},
+		{ID: 2, Kind: KindAgg, Level: 0, Agg: &AggResult{Sum: floats(1), CntVar: floats(1)}},
+		{ID: 3, Kind: KindCF, Level: NoLevel, CF: &CFResult{Num: floats(1), Den: floats(1)}},
+		{ID: 9, Kind: KindCF, Level: NoLevel, CF: &CFResult{}},
+		{ID: 4, Kind: KindCF, Level: NoLevel, Spans: spans(1), CF: &CFResult{Num: floats(40), Den: floats(40)}},
+		{ID: 5, Kind: KindSearch, Level: NoLevel, Spans: spans(ServerSpans + 1), Search: &SearchResult{Hits: hits}},
+		{ID: 6, Kind: KindSearch, Level: NoLevel, Search: &SearchResult{Hits: hits[:3]}},
+		{ID: 7, Kind: KindAgg, Status: StatusBusy, Err: "server queue full", Level: NoLevel, Spans: spans(ServerSpans)},
+		{ID: 8, Kind: KindCF, Status: StatusErr, Err: "component exploded", Level: NoLevel},
+	} {
+		out = append(out, AppendSubReplyFrame(nil, rep)[4:])
+	}
+	return out
+}
+
+// recycled decodes a sub-reply body again into records released from
+// each of recycledBodies' earlier frames — what ReleaseSubReply and
+// DecodeSubReply do around the pool — and holds every such decode to the
+// reference's: both fail, or both decode to the same record.
+func recycled(t *testing.T, data []byte) {
+	want, refErr := refDecodeSubReply(data)
+	for i, prev := range recycledBodies() {
+		old, err := DecodeSubReply(prev)
+		if err != nil {
+			t.Fatalf("earlier frame %d: %v", i, err)
+		}
+		rec := recordOf(old)
+		rec.clear()
+		got, err := rec.decode(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoded after frame %d: live decoder says %v, reference says %v", i, err, refErr)
+		}
+		if err == nil && !sameRecord(reflect.ValueOf(got), reflect.ValueOf(want)) {
+			t.Fatalf("decoded after frame %d, the record differs from a fresh decode:\nrecycled  %+v\nreference %+v", i, got, want)
+		}
+	}
+}
+
 // FuzzDecodeDifferential runs every body through all five frame kinds'
 // decoders (the header admits at most one) against the reference
-// decoders in reference_test.go.
+// decoders in reference_test.go, and a sub-reply body a second time into
+// records recycled from other frames (recycled).
 func FuzzDecodeDifferential(f *testing.F) {
 	for _, b := range seedBodies(f) {
 		f.Add(b)
@@ -231,9 +296,13 @@ func FuzzDecodeDifferential(f *testing.F) {
 		f.Add(AppendIngestRequestFrame(nil, randIngestRequest(rng))[4:])
 		f.Add(AppendIngestReplyFrame(nil, randIngestReply(rng))[4:])
 	}
+	for _, b := range recycledBodies() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		differential(t, "request", data, DecodeRequest, refDecodeRequest, AppendRequestFrame, (*Request).FrameSize)
 		differential(t, "sub-reply", data, DecodeSubReply, refDecodeSubReply, AppendSubReplyFrame, (*SubReply).FrameSize)
+		recycled(t, data)
 		differential(t, "reply", data, DecodeReply, refDecodeReply, AppendReplyFrame, (*Reply).FrameSize)
 		differential(t, "ingest request", data, DecodeIngestRequest, refDecodeIngestRequest, AppendIngestRequestFrame, (*IngestRequest).FrameSize)
 		differential(t, "ingest reply", data, DecodeIngestReply, refDecodeIngestReply, AppendIngestReplyFrame, (*IngestReply).FrameSize)

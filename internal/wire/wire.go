@@ -306,7 +306,7 @@ const (
 )
 
 // ServerSpans is how many spans a traced sub-reply carries (its queue
-// and exec spans), and how many BoxSub keeps in the record's own object.
+// and exec spans), and how many a pooled sub-reply record holds itself.
 const ServerSpans = 2
 
 // Span is one server-side trace span: what kind of time it was, when
@@ -480,12 +480,14 @@ func (r *reader) f64s(what string) []float64 {
 }
 
 // f64Group decodes consecutive float64 arrays — the parallel arrays of
-// one CF or aggregation result — into one backing allocation: it
-// validates every declared count against the bytes present first, then
-// carves each array off the backing with its capacity capped to its
-// length, so an append to one never writes into its neighbour. An empty
-// array decodes to nil, as f64s does.
-func (r *reader) f64Group(what string, dst ...*[]float64) {
+// one CF or aggregation result — into one backing: it validates every
+// declared count against the bytes present first, then carves each array
+// off back (grown to the arrays' total when it is shorter: a fresh
+// allocation for back == nil) with its capacity capped to its length, so
+// an append to one never writes into its neighbour. An empty array
+// decodes to nil, as f64s does. It returns the backing, for a pooled
+// record to keep.
+func (r *reader) f64Group(back []float64, what string, dst ...*[]float64) []float64 {
 	scan := *r
 	total := 0
 	for range dst {
@@ -493,22 +495,27 @@ func (r *reader) f64Group(what string, dst ...*[]float64) {
 		scan.take(8*n, what)
 		total += n
 	}
-	if scan.err != nil || total == 0 {
-		*r = scan // failed, or past the empty arrays: nothing to allocate
-		return
+	if scan.err != nil {
+		*r = scan
+		return back
 	}
-	back := make([]float64, total)
+	if cap(back) < total {
+		back = make([]float64, total)
+	}
+	rest := back[:total]
 	for _, d := range dst {
 		n := r.count(8, what)
 		raw := r.take(8*n, what)
 		if n == 0 {
+			*d = nil
 			continue
 		}
-		*d, back = back[:n:n], back[n:]
+		*d, rest = rest[:n:n], rest[n:]
 		for i := range *d {
 			(*d)[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 	}
+	return back
 }
 
 func (r *reader) i32s(what string) []int32 {
@@ -769,18 +776,33 @@ func AppendSubReplyFrame(dst []byte, rep *SubReply) []byte {
 	return dst
 }
 
-// DecodeSubReply decodes a sub-reply frame body. The sub-reply, the
-// result struct of its kind — a search result's hits inline when they
-// fit (SearchPayload) — and a traced reply's ServerSpans spans are one
-// heap object (see BoxSub); the error string, more spans than that and
-// a longer hit list or the result's arrays are the only further
-// allocations, and nothing in the result aliases body.
+// DecodeSubReply decodes a sub-reply frame body into a record from the
+// sub-reply pool (see NewSubReply): the record holds the payload struct
+// of every kind, a search result's hits inline when they fit
+// (SearchPayload), a traced reply's ServerSpans spans, and the float
+// backing a CF or aggregation result's arrays are carved from. A warm
+// record decodes a frame without allocating; the error string, more
+// spans than that, a longer hit list, and arrays longer than the
+// record's backing are the further allocations. Nothing in the result
+// aliases body. The caller owns the record: it may keep it indefinitely,
+// or hand it back with ReleaseSubReply once nothing reads it any more.
 func DecodeSubReply(body []byte) (*SubReply, error) {
+	rec := subRecords.Get().(*subRecord)
+	rep, err := rec.decode(body)
+	if err != nil {
+		rec.clear()
+		subRecords.Put(rec)
+	}
+	return rep, err
+}
+
+// decode decodes a sub-reply frame body into a cleared record.
+func (rec *subRecord) decode(body []byte) (*SubReply, error) {
 	r := &reader{b: body}
 	if err := checkHeader(r, frameSubReply, "sub-reply"); err != nil {
 		return nil, err
 	}
-	var rep SubReply
+	rep := &rec.rep
 	rep.ID = r.u64("id")
 	rep.Subset = int32(r.u32("subset"))
 	rep.Status = r.u8("status")
@@ -788,28 +810,13 @@ func DecodeSubReply(body []byte) (*SubReply, error) {
 	rep.Kind = Kind(r.u8("kind"))
 	rep.Level = int16(r.u16("level"))
 	rep.SetsProcessed = r.u32("sets")
-	// The object is chosen before the spans are read (n is 0 once the
-	// frame has failed), so they decode straight into its room for them.
-	n := r.count(spanWireSize, "spans")
-	var (
-		out *SubReply
-		p   *SearchPayload
-	)
-	switch {
-	case rep.Status != StatusOK && n == 0:
-		out = new(SubReply)
-	case rep.Status != StatusOK:
-		out, _, rep.Spans = BoxSub[struct{}](n)
-	case rep.Kind == KindCF:
-		out, rep.CF, rep.Spans = BoxSub[CFResult](n)
-	case rep.Kind == KindSearch:
-		out, p, rep.Spans = BoxSub[SearchPayload](n)
-	case rep.Kind == KindAgg:
-		out, rep.Agg, rep.Spans = BoxSub[AggResult](n)
+	switch n := r.count(spanWireSize, "spans"); {
+	case n == 0:
+	case n <= ServerSpans:
+		rep.Spans = rec.spans[:n:n]
 	default:
-		return nil, fmt.Errorf("wire: unknown payload kind %d", rep.Kind)
+		rep.Spans = make([]Span, n)
 	}
-	rep.Spans = rep.Spans[:n]
 	for i := range rep.Spans {
 		sp := &rep.Spans[i]
 		sp.Kind = r.u8("span kind")
@@ -820,20 +827,25 @@ func DecodeSubReply(body []byte) (*SubReply, error) {
 		sp.Cost.QueueNs = r.u64("span queue")
 		sp.Cost.WireBytes = r.u64("span wire bytes")
 	}
-	switch {
-	case rep.CF != nil:
-		r.cfResult(rep.CF)
-	case p != nil:
-		rep.Search = r.searchResult(p)
-	case rep.Agg != nil:
-		r.aggResult(rep.Agg)
+	if rep.Status == StatusOK {
+		switch rep.Kind {
+		case KindCF:
+			rep.CF = &rec.cf
+			rec.floats = r.cfResult(rec.floats, &rec.cf)
+		case KindSearch:
+			rep.Search = r.searchResult(&rec.search)
+		case KindAgg:
+			rep.Agg = &rec.agg
+			rec.floats = r.aggResult(rec.floats, &rec.agg)
+		default:
+			return nil, fmt.Errorf("wire: unknown payload kind %d", rep.Kind)
+		}
 	}
 	if err := r.done("sub-reply"); err != nil {
 		return nil, err
 	}
 	rep.FrameLen = 4 + len(body)
-	*out = rep
-	return out, nil
+	return rep, nil
 }
 
 // FrameSize returns the exact number of bytes AppendReplyFrame appends
@@ -921,14 +933,14 @@ func DecodeReply(body []byte) (*Reply, error) {
 		out = new(replyHead)
 	case rep.Kind == KindCF:
 		out, rep.CF = Box[replyHead, CFResult]()
-		r.cfResult(rep.CF)
+		r.cfResult(nil, rep.CF)
 	case rep.Kind == KindSearch:
 		var p *SearchPayload
 		out, p = Box[replyHead, SearchPayload]()
 		rep.Search = r.searchResult(p)
 	case rep.Kind == KindAgg:
 		out, rep.Agg = Box[replyHead, AggResult]()
-		r.aggResult(rep.Agg)
+		r.aggResult(nil, rep.Agg)
 	default:
 		return nil, fmt.Errorf("wire: unknown payload kind %d", rep.Kind)
 	}
@@ -982,37 +994,14 @@ func appendResultPayload(dst []byte, kind Kind, cf *CFResult, search *SearchResu
 
 // Box allocates a record and the payload struct of its kind as one heap
 // object and returns pointers to both halves: the decoders' one
-// allocation per record, and a component handler's per sub-reply. Only
-// the payload of the record's own kind is boxed, so a record costs its
-// own bytes plus one payload's, and whoever retains the record retains
-// the payload with it (they were never separable: the record points at
-// it). P may embed the payload struct beside inline storage its slices
-// start in (SearchPayload).
+// allocation per composed reply. Only the payload of the record's own
+// kind is boxed, so a record costs its own bytes plus one payload's, and
+// whoever retains the record retains the payload with it (they were
+// never separable: the record points at it). P may embed the payload
+// struct beside inline storage its slices start in (SearchPayload).
 func Box[R, P any]() (*R, *P) {
 	_, rec, payload := boxWith[struct{}, R, P]()
 	return rec, payload
-}
-
-// BoxSub is Box for a sub-reply with payload struct P, with room for its
-// spans: a traced reply's ServerSpans or fewer live in the same object
-// (after the payload, where a zero-size P costs nothing), more in a slice
-// of their own, and none for spans == 0 (Box itself, so an untraced reply
-// is no larger). The slice is empty, with capacity spans.
-func BoxSub[P any](spans int) (*SubReply, *P, []Span) {
-	switch {
-	case spans == 0:
-		rep, payload := Box[SubReply, P]()
-		return rep, payload, nil
-	case spans <= ServerSpans:
-		b := new(struct {
-			rec     SubReply
-			payload P
-			spans   [ServerSpans]Span
-		})
-		return &b.rec, &b.payload, b.spans[:0:spans]
-	}
-	rep, payload := Box[SubReply, P]()
-	return rep, payload, make([]Span, 0, spans)
 }
 
 // boxWith is Box with a caller's record X in the same object
@@ -1027,7 +1016,15 @@ func boxWith[X, R, P any]() (*X, *R, *P) {
 	return &b.x, &b.rec, &b.payload
 }
 
-func (r *reader) cfResult(cf *CFResult) { r.f64Group("cf partials", &cf.Num, &cf.Den) }
+// cfResult and aggResult decode a result's arrays into back (nil: a
+// fresh allocation) and return it (f64Group).
+func (r *reader) cfResult(back []float64, cf *CFResult) []float64 {
+	return r.f64Group(back, "cf partials", &cf.Num, &cf.Den)
+}
+
+func (r *reader) aggResult(back []float64, ar *AggResult) []float64 {
+	return r.f64Group(back, "agg partials", &ar.Sum, &ar.Cnt, &ar.SumVar, &ar.CntVar)
+}
 
 // searchResult decodes a hit list into p — into its inline array, capped
 // to the list's length, when it fits there — and returns p's result.
@@ -1045,10 +1042,6 @@ func (r *reader) searchResult(p *SearchPayload) *SearchResult {
 		}
 	}
 	return &p.SearchResult
-}
-
-func (r *reader) aggResult(ar *AggResult) {
-	r.f64Group("agg partials", &ar.Sum, &ar.Cnt, &ar.SumVar, &ar.CntVar)
 }
 
 func checkHeader(r *reader, wantFrame byte, what string) error {
