@@ -131,10 +131,3 @@ func (a *Auditor) Report() Report {
 	}
 	return Report{Stats: a.Stats(), Tables: a.Tables()}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -394,6 +394,7 @@ func scheduleHedge(sim *des.Sim, cfg Config, h *hedgeEstimator, res *Result, op 
 type hedgeEstimator struct {
 	floor   float64
 	buf     []float64
+	sorted  []float64 // refresh's scratch: buf sorted
 	idx     int
 	cached  float64
 	pending int
@@ -418,9 +419,9 @@ func (h *hedgeEstimator) record(lat float64) {
 
 func (h *hedgeEstimator) refresh() {
 	h.pending = 0
-	cp := append([]float64(nil), h.buf...)
-	sort.Float64s(cp)
-	p := stats.PercentileSorted(cp, 95)
+	h.sorted = append(h.sorted[:0], h.buf...)
+	sort.Float64s(h.sorted)
+	p := stats.PercentileSorted(h.sorted, 95)
 	if math.IsNaN(p) || p < h.floor {
 		p = h.floor
 	}

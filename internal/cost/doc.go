@@ -12,10 +12,10 @@
 //     frames exactly like it stitches trace spans), and the front
 //     server closes the request by folding the account into a Table.
 //
-//   - Table is the sharded aggregate keyed by Key. Both the per-key
-//     entries and the global counters are fed the same integer values,
-//     so per-tenant sums equal the global totals exactly — the
-//     conservation contract `-exp costcompare` pins.
+//   - Table is the aggregate keyed by Key: one map under one lock.
+//     Both the per-key entries and the global counters are fed the
+//     same integer values, so per-tenant sums equal the global totals
+//     exactly — the conservation contract `-exp costcompare` pins.
 //
 // Everything is nil-safe: a nil *Table and a nil *Account no-op, so a
 // deployment without cost attribution pays zero allocations on the

@@ -30,9 +30,6 @@ const InternalTenant = "~internal"
 // enough to track load shifts, smooth enough to survive one outlier.
 const ewmaAlpha = 0.2
 
-// tableShards spreads keys over independent locks. Power of two.
-const tableShards = 16
-
 // maxMetricKeys caps how many keys register per-key Prometheus series;
 // beyond it the aggregate series still grow but scrape cardinality
 // stays bounded. /costs always serves every key.
@@ -54,17 +51,12 @@ type entry struct {
 	seen bool
 }
 
-// tableShard is one lock's worth of the key space.
-type tableShard struct {
-	mu sync.RWMutex
-	m  map[Key]*entry
-}
-
 // Table aggregates per-request usage per Key. All methods are
 // concurrency-safe and nil-safe: a nil *Table no-ops, which is the
 // whole cost plane's off switch.
 type Table struct {
-	shards [tableShards]tableShard
+	mu sync.RWMutex
+	m  map[Key]*entry
 
 	// Global totals, fed the same integers as the entries, so summing
 	// the per-tenant rows reproduces these exactly once writers quiesce.
@@ -82,30 +74,7 @@ type Table struct {
 
 // NewTable returns an empty cost table.
 func NewTable() *Table {
-	t := &Table{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[Key]*entry)
-	}
-	return t
-}
-
-// shardOf hashes k without allocating (FNV-1a over the key fields).
-func shardOf(k Key) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i := 0; i < len(k.Tenant); i++ {
-		h = (h ^ uint32(k.Tenant[i])) * prime
-	}
-	h = (h ^ uint32(k.Class)) * prime
-	for i := 0; i < len(k.Workload); i++ {
-		h = (h ^ uint32(k.Workload[i])) * prime
-	}
-	h = (h ^ uint32(uint16(k.Level))) * prime
-	h = (h ^ uint32(uint16(k.Level)>>8)) * prime
-	return h
+	return &Table{m: make(map[Key]*entry)}
 }
 
 // Record folds one finished request's usage into the table. hit marks
@@ -152,23 +121,22 @@ func (t *Table) Record(k Key, u Usage, hit bool) {
 
 // entry returns (creating if needed) k's entry.
 func (t *Table) entry(k Key) *entry {
-	s := &t.shards[shardOf(k)&(tableShards-1)]
-	s.mu.RLock()
-	e := s.m[k]
-	s.mu.RUnlock()
+	t.mu.RLock()
+	e := t.m[k]
+	t.mu.RUnlock()
 	if e != nil {
 		return e
 	}
-	s.mu.Lock()
-	e = s.m[k]
+	t.mu.Lock()
+	e = t.m[k]
 	if e == nil {
 		e = &entry{}
-		s.m[k] = e
-		s.mu.Unlock()
+		t.m[k] = e
+		t.mu.Unlock()
 		t.registerKeyMetrics(k, e)
 		return e
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 	return e
 }
 
@@ -214,13 +182,9 @@ func (t *Table) registerKeyMetrics(k Key, e *entry) {
 
 // keys counts tracked keys.
 func (t *Table) keys() int {
-	n := 0
-	for i := range t.shards {
-		t.shards[i].mu.RLock()
-		n += len(t.shards[i].m)
-		t.shards[i].mu.RUnlock()
-	}
-	return n
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.m)
 }
 
 // Row is one key's aggregate in a snapshot.
@@ -266,36 +230,33 @@ func (t *Table) Snapshot() View {
 		return View{}
 	}
 	var v View
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		for k, e := range s.m {
-			e.mu.Lock()
-			ew := e.ewma
-			e.mu.Unlock()
-			v.Rows = append(v.Rows, Row{
-				Tenant:    k.Tenant,
-				Class:     obs.ClassLabel(k.Class),
-				Workload:  k.Workload,
-				Level:     k.Level,
-				Requests:  e.requests.Load(),
-				CacheHits: e.hits.Load(),
-				Totals: Usage{
-					CPUNs:     e.cpuNs.Load(),
-					Scanned:   e.scanned.Load(),
-					QueueNs:   e.queueNs.Load(),
-					WireBytes: e.wireNs.Load(),
-					WallNs:    e.wallNs.Load(),
-				},
-				EWMA: EWMAUsage{
-					CPUNs: ew[0], Scanned: ew[1], QueueNs: ew[2],
-					WireBytes: ew[3], WallNs: ew[4],
-				},
-				key: k,
-			})
-		}
-		s.mu.RUnlock()
+	t.mu.RLock()
+	for k, e := range t.m {
+		e.mu.Lock()
+		ew := e.ewma
+		e.mu.Unlock()
+		v.Rows = append(v.Rows, Row{
+			Tenant:    k.Tenant,
+			Class:     obs.ClassLabel(k.Class),
+			Workload:  k.Workload,
+			Level:     k.Level,
+			Requests:  e.requests.Load(),
+			CacheHits: e.hits.Load(),
+			Totals: Usage{
+				CPUNs:     e.cpuNs.Load(),
+				Scanned:   e.scanned.Load(),
+				QueueNs:   e.queueNs.Load(),
+				WireBytes: e.wireNs.Load(),
+				WallNs:    e.wallNs.Load(),
+			},
+			EWMA: EWMAUsage{
+				CPUNs: ew[0], Scanned: ew[1], QueueNs: ew[2],
+				WireBytes: ew[3], WallNs: ew[4],
+			},
+			key: k,
+		})
 	}
+	t.mu.RUnlock()
 	sort.Slice(v.Rows, func(i, j int) bool {
 		a, b := v.Rows[i], v.Rows[j]
 		if a.Tenant != b.Tenant {

@@ -30,6 +30,11 @@ var (
 // dialTimeout bounds each connection attempt, a client's included.
 const dialTimeout = 2 * time.Second
 
+// retryBudget caps how many times one sub-operation may be re-dispatched
+// onto a healthy peer after a peer-level failure (dial error, connection
+// failure, open breaker), always within the propagated deadline.
+const retryBudget = 1
+
 // AggregatorOptions configures an Aggregator.
 type AggregatorOptions struct {
 	// Policy selects the gather behaviour (service.WaitAll,
@@ -42,10 +47,6 @@ type AggregatorOptions struct {
 	// QueueCap/QueueDepth bound the frontend's load snapshot and queue
 	// watermarks act on (default 128).
 	MaxOutstanding int
-	// ConnsPerPeer is the connection-pool width per component (default
-	// 2). Requests are multiplexed by ID, so the pool mainly spreads
-	// TCP-level head-of-line blocking.
-	ConnsPerPeer int
 	// HedgeFloor is the minimum hedge delay before the p95 estimator
 	// has warmed up (default 1ms).
 	HedgeFloor time.Duration
@@ -62,11 +63,6 @@ type AggregatorOptions struct {
 	// waits for its next background probe.
 	RedialBase time.Duration
 	RedialMax  time.Duration
-	// RetryBudget caps how many times one sub-operation may be
-	// re-dispatched onto a healthy peer after a peer-level failure
-	// (dial error, connection failure, open breaker), always within
-	// the propagated deadline. Default 1; negative disables retries.
-	RetryBudget int
 	// Seed drives backoff jitter deterministically.
 	Seed uint64
 	// Metrics, when set, publishes the gather core's netsvc_* series
@@ -78,9 +74,6 @@ func (o AggregatorOptions) withDefaults() AggregatorOptions {
 	if o.MaxOutstanding <= 0 {
 		o.MaxOutstanding = 128
 	}
-	if o.ConnsPerPeer <= 0 {
-		o.ConnsPerPeer = 2
-	}
 	if o.Dial == nil {
 		o.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
@@ -89,16 +82,11 @@ func (o AggregatorOptions) withDefaults() AggregatorOptions {
 	if o.RedialMax <= 0 {
 		o.RedialMax = 500 * time.Millisecond
 	}
-	if o.RetryBudget == 0 {
-		o.RetryBudget = 1
-	} else if o.RetryBudget < 0 {
-		o.RetryBudget = 0
-	}
 	return o
 }
 
 // AggregatorStats are the gather core's counters (SubOps, Hedges,
-// Retries, Faults, BreakerOpens, P999Ms) plus the connection pools'.
+// Retries, Faults, BreakerOpens, P999Ms) plus the peers' re-dials.
 type AggregatorStats struct {
 	service.Stats
 	Reconnects int64 // re-dials after a connection failure
@@ -137,14 +125,14 @@ func NewAggregator(addrs []string, opts AggregatorOptions) (*Aggregator, error) 
 		Policy:      opts.Policy,
 		Deadline:    opts.Deadline,
 		HedgeFloor:  opts.HedgeFloor,
-		RetryBudget: opts.RetryBudget,
+		RetryBudget: retryBudget,
 		Breaker:     opts.Breaker,
 		OnBreakerState: func(target int, s breaker.State) {
 			if s == breaker.Open {
 				// A tripped breaker starts the background prober even when
-				// the pooled connections are still nominally alive (a
-				// stalled or partitioned peer), so recovery never depends
-				// on fresh request traffic.
+				// the peer's connection is still nominally alive (a stalled
+				// or partitioned peer), so recovery never depends on fresh
+				// request traffic.
 				a.peers[target].kickReconnector()
 			}
 		},
@@ -158,7 +146,6 @@ func NewAggregator(addrs []string, opts AggregatorOptions) (*Aggregator, error) 
 			addr:    addr,
 			idx:     i,
 			br:      a.Breaker(i),
-			slots:   make([]*peerConn, opts.ConnsPerPeer),
 			backoff: breaker.NewBackoff(opts.RedialBase, opts.RedialMax, opts.Seed+uint64(i)*0x9e3779b97f4a7c15),
 			closeCh: make(chan struct{}),
 		})
@@ -336,7 +323,7 @@ func (a *Aggregator) Call(ctx context.Context, payload interface{}) ([]service.S
 	return subs, err
 }
 
-// aggTransport is the gather core's transport over the peer pools. The
+// aggTransport is the gather core's transport over the peers. The
 // peers' reconnectors are the breakers' probers (their dial is the
 // half-open probe), so a query sub-operation never is.
 type aggTransport struct{ *Aggregator } // QueueDepth is the Aggregator's
@@ -407,7 +394,7 @@ func (a *Aggregator) Close() {
 	a.Gather.Close()
 }
 
-// peer is the connection pool plus failure-domain state for one
+// peer is the one connection plus failure-domain state for one
 // component server: its circuit breaker, dial backoff, and background
 // reconnector.
 type peer struct {
@@ -424,31 +411,26 @@ type peer struct {
 	closeCh      chan struct{}
 
 	mu         sync.Mutex
-	slots      []*peerConn
-	next       int
+	pc         *peerConn
 	nextDialAt time.Time
 }
 
-// conn returns a live pooled connection, dialing a dead slot as
-// needed. Dials are gated by the peer's capped exponential backoff:
-// inside the backoff window conn fails fast with ErrPeerDown instead
-// of hammering a refusing address once per request.
+// conn returns the live connection, dialing when it is dead or missing.
+// Dials are gated by the peer's capped exponential backoff: inside the
+// backoff window conn fails fast with ErrPeerDown instead of hammering
+// a refusing address once per request.
 func (p *peer) conn() (*peerConn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	i := p.next
-	p.next = (p.next + 1) % len(p.slots)
-	// Any live slot beats redialing (the background reconnector may have
-	// installed a fresh connection already).
-	for k := range p.slots {
-		if pc := p.slots[(i+k)%len(p.slots)]; pc != nil && !pc.isDead() {
-			return pc, nil
+	// A live connection beats redialing (the background reconnector may
+	// have installed a fresh one already).
+	if p.pc != nil {
+		if !p.pc.isDead() {
+			return p.pc, nil
 		}
-	}
-	if p.slots[i] != nil {
 		p.reconnects.Add(1)
 	}
 	if time.Now().Before(p.nextDialAt) {
@@ -461,21 +443,17 @@ func (p *peer) conn() (*peerConn, error) {
 		p.kickReconnector()
 		return nil, err
 	}
-	return p.install(c), nil
+	p.install(c)
+	return p.pc, nil
 }
 
-// install pools an established connection in a dead or empty slot and
-// starts its read loop. Caller holds p.mu.
-func (p *peer) install(c net.Conn) *peerConn {
-	pc := newPeerConn(c, p.kickReconnector)
-	i := 0
-	for i < len(p.slots)-1 && p.slots[i] != nil && !p.slots[i].isDead() {
-		i++
-	}
-	p.slots[i] = pc
+// install makes an established connection the peer's, starts its read
+// loop and returns the connection it replaced. Caller holds p.mu.
+func (p *peer) install(c net.Conn) (replaced *peerConn) {
+	replaced, p.pc = p.pc, newPeerConn(c, p.kickReconnector)
 	p.backoff.Reset()
 	p.nextDialAt = time.Time{}
-	return pc
+	return replaced
 }
 
 // kickReconnector starts the background reconnect/probe loop unless it
@@ -512,13 +490,22 @@ func (p *peer) reconnectLoop() {
 			continue
 		}
 		p.mu.Lock()
-		if p.closed.Load() {
+		if p.closed.Load() || p.br.State() == breaker.Closed && p.pc != nil && !p.pc.isDead() {
+			// Closed, or a request's own dial recovered the peer first.
 			p.mu.Unlock()
 			c.Close()
 			return
 		}
-		p.install(c)
+		old := p.install(c)
 		p.mu.Unlock()
+		if old != nil {
+			// A probe after a breaker trip replaces a connection that may
+			// still be live (a stalled peer): its waiters are refused
+			// (OutcomeDown: retryable, no evidence against the peer) and
+			// it is closed, not orphaned. Outside p.mu, since a refused
+			// waiter's retry re-enters conn. A dead one ignores this.
+			old.fail(ErrClosed)
+		}
 		p.br.Success()
 		return
 	}
@@ -557,14 +544,14 @@ func (d pending) fail(err error) {
 	}
 }
 
-// send registers a record's callback on a pooled connection and writes
+// send registers a record's callback on the peer's connection and writes
 // the record as one frame. False: not written, and the callback already
 // failed.
 func (p *peer) send(id uint64, rec interface{}, deliver pending) bool {
 	pc, err := p.conn()
 	if err == nil && !pc.register(id, deliver) {
-		// The connection died between pooling and registration; one
-		// retry against a fresh slot, then give up.
+		// The connection died between conn and registration; one retry
+		// against a fresh one, then give up.
 		if pc, err = p.conn(); err == nil && !pc.register(id, deliver) {
 			err = errors.New("netsvc: connection lost")
 		}
@@ -581,13 +568,11 @@ func (p *peer) close() {
 		return
 	}
 	close(p.closeCh)
-	p.mu.Lock() // after the flag: a conn() racing us either sees it or is in this snapshot
-	slots := append([]*peerConn(nil), p.slots...)
+	p.mu.Lock() // after the flag: a conn() racing us either sees it or installed pc
+	pc := p.pc
 	p.mu.Unlock()
-	for _, pc := range slots {
-		if pc != nil {
-			pc.fail(ErrClosed)
-		}
+	if pc != nil {
+		pc.fail(ErrClosed)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/breaker"
+	"accuracytrader/internal/faultinject"
 	"accuracytrader/internal/obs"
 	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
@@ -186,6 +187,63 @@ func TestBreakerEvictsReroutesAndRecloses(t *testing.T) {
 		if sr.Err != nil || sr.Skipped {
 			t.Fatalf("post-heal sub %d: %+v", i, sr)
 		}
+	}
+}
+
+// openConns counts the connections a server currently holds open.
+func openConns(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+// oneAggReply is a handler answering every sub-operation at once.
+func oneAggReply(context.Context, *wire.Request) *wire.SubReply {
+	return &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
+		Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0}, CntVar: []float64{0}}}
+}
+
+// TestStalledPeerProbesLeaveNoConnections stalls one component so its
+// breaker trips again and again. Each breaker probe dials a fresh
+// connection over the live, stalled one; the replaced connection must be
+// closed, not orphaned, so after Close the component holds none.
+func TestStalledPeerProbesLeaveNoConnections(t *testing.T) {
+	stall := faultinject.NewScript("comp0", 1)
+	lb := startLoopback(t, LoopbackSpec{Components: 2, Handler: every(oneAggReply),
+		WrapListener: func(i int, l net.Listener) net.Listener {
+			if i == 0 {
+				return stall.WrapListener(l)
+			}
+			return l
+		},
+		Agg: AggregatorOptions{
+			Policy:     service.PartialGather,
+			Deadline:   30 * time.Millisecond,
+			RedialBase: 5 * time.Millisecond,
+			RedialMax:  20 * time.Millisecond,
+			Breaker:    breaker.Config{FailThreshold: 3, Cooldown: 20 * time.Millisecond},
+		}})
+	srv, a := lb.Servers[0], lb.Agg
+	stall.Set(faultinject.Stall)
+	for end := time.Now().Add(2 * time.Second); time.Now().Before(end); {
+		if _, err := a.Call(context.Background(), aggReq(agg.Sum, 0, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opens := a.Stats().BreakerOpens
+	if opens < 2 {
+		t.Fatalf("breaker opened %d times over the stall, want several probes", opens)
+	}
+	a.Close()
+	// The component reads again, so each closed connection's EOF reaches
+	// it; a connection the aggregator still holds stays open.
+	stall.Heal()
+	deadline := time.Now().Add(5 * time.Second)
+	for openConns(srv) != 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := openConns(srv); n != 0 {
+		t.Fatalf("after %d breaker opens and Close, the component holds %d aggregator connections, want 0", opens, n)
 	}
 }
 

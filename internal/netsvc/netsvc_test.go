@@ -213,7 +213,7 @@ func TestAggregatorReconnect(t *testing.T) {
 	comps := buildAggComps(t, 1)
 	h := NewAggBackend(comps, BackendOptions{})
 	lb := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(h),
-		Agg: AggregatorOptions{Policy: service.WaitAll, Deadline: time.Second, ConnsPerPeer: 1}})
+		Agg: AggregatorOptions{Policy: service.WaitAll, Deadline: time.Second}})
 	srv, addr, a := lb.Servers[0], lb.Addrs[0], lb.Agg
 	if _, err := a.Call(context.Background(), aggReq(agg.Count, 0, math.Inf(1))); err != nil {
 		t.Fatal(err)
@@ -244,6 +244,60 @@ func TestAggregatorReconnect(t *testing.T) {
 	}
 	if a.Stats().Reconnects == 0 {
 		t.Fatal("reconnect counter must move")
+	}
+}
+
+// countingListener counts the connections its listener accepted.
+type countingListener struct {
+	net.Listener
+	accepted *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// TestOneConnectionPerComponent: concurrent Hedged calls over healthy
+// components are multiplexed on one connection per component.
+func TestOneConnectionPerComponent(t *testing.T) {
+	const n, callers, calls = 4, 8, 200
+	var accepted atomic.Int64
+	lb := startLoopback(t, LoopbackSpec{Components: n, Handler: every(oneAggReply),
+		WrapListener: func(_ int, l net.Listener) net.Listener { return countingListener{l, &accepted} },
+		Agg:          AggregatorOptions{Policy: service.Hedged, Deadline: 2 * time.Second}})
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				subs, err := lb.Agg.Call(context.Background(), aggReq(agg.Sum, 0, 1))
+				if err == nil {
+					for _, sr := range subs {
+						if sr.Err != nil {
+							err = sr.Err
+						}
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := accepted.Load(); got != n {
+		t.Fatalf("%d components accepted %d connections, want %d", n, got, n)
 	}
 }
 

@@ -2,7 +2,7 @@
 // a unified metrics registry and a per-request decision tracer, surfaced
 // through an admin HTTP plane.
 //
-// The registry (Registry) holds sharded atomic counters, gauges and
+// The registry (Registry) holds atomic counters, gauges and
 // fixed-bucket histograms, and renders them in the Prometheus text
 // exposition format. The three runtime packages' ad-hoc Stats structs
 // (internal/frontend, internal/service, internal/rescache) are backed by

@@ -4,47 +4,26 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand/v2"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// counterShards spreads a hot counter's increments over independent
-// cache lines so concurrent writers do not serialize on one word.
-// Must be a power of two.
-const counterShards = 8
-
-// shardCell pads one atomic to a cache line.
-type shardCell struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing sharded counter. The zero
-// value is usable; increments never allocate.
+// Counter is a monotonically increasing counter. The zero value is
+// usable; increments never allocate.
 type Counter struct {
-	shards [counterShards]shardCell
+	v atomic.Int64
 }
 
 // Add increments the counter by d.
-func (c *Counter) Add(d int64) {
-	c.shards[rand.Uint64()&(counterShards-1)].v.Add(d)
-}
+func (c *Counter) Add(d int64) { c.v.Add(d) }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// Value sums the shards. The sum is exact once writers quiesce;
-// concurrent reads see a consistent-enough point-in-time total.
-func (c *Counter) Value() int64 {
-	var sum int64
-	for i := range c.shards {
-		sum += c.shards[i].v.Load()
-	}
-	return sum
-}
+// Value returns the count.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a settable float64 value.
 type Gauge struct {

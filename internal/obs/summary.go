@@ -203,13 +203,6 @@ func Summarize(traces []TraceView) *Summary {
 	return s
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Render formats the summary as the deadline-budget breakdown table:
 // one row per SLO class, stage columns in mean milliseconds along the
 // critical path.

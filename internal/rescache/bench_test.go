@@ -20,8 +20,8 @@ func BenchmarkCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheHitParallel exercises shard-lock contention: many
-// goroutines hitting a spread of resident keys.
+// BenchmarkCacheHitParallel measures the cache's one lock under
+// contention: many goroutines hitting a spread of resident keys.
 func BenchmarkCacheHitParallel(b *testing.B) {
 	c, err := New(Config{Capacity: 4096})
 	if err != nil {

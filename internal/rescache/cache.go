@@ -14,12 +14,9 @@ import (
 
 // Config configures a Cache.
 type Config struct {
-	// Capacity bounds the total entry count across shards (default
-	// 4096). The bound is enforced per shard with LRU eviction.
+	// Capacity bounds the entry count (default 4096); a store into a
+	// full cache evicts the least recently used entry.
 	Capacity int
-	// Shards is the shard count, rounded up to a power of two (default
-	// 16). More shards mean less lock contention on the hit path.
-	Shards int
 	// BestEffortFloor is the accuracy floor applied to BestEffort-class
 	// lookups when the service is idle (default 0.5); load loosens it
 	// linearly to 0 at full load (SetLoad). Exact and Bounded floors are
@@ -41,9 +38,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Capacity <= 0 {
 		c.Capacity = 4096
-	}
-	if c.Shards <= 0 {
-		c.Shards = 16
 	}
 	if c.BestEffortFloor <= 0 {
 		c.BestEffortFloor = 0.5
@@ -79,7 +73,7 @@ type Stats struct {
 	SavedScanned int64
 }
 
-// entry is one cached reply in a shard's slab. prev/next thread the
+// entry is one cached reply in the cache's slab. prev/next thread the
 // intrusive LRU list (slab indices, -1 = none).
 type entry struct {
 	key     uint64
@@ -95,9 +89,9 @@ type entry struct {
 
 const nilIdx = int32(-1)
 
-// shard is one lock domain: an index map plus a preallocated entry slab
-// threaded with an intrusive LRU list and a free list.
-type shard struct {
+// lru is the cache's one lock domain: an index map plus a preallocated
+// entry slab threaded with an intrusive LRU list and a free list.
+type lru struct {
 	mu   sync.Mutex
 	idx  map[uint64]int32
 	slab []entry
@@ -106,7 +100,7 @@ type shard struct {
 	free int32 // free-list head, threaded through next
 }
 
-func (s *shard) init(capacity int) {
+func (s *lru) init(capacity int) {
 	s.idx = make(map[uint64]int32, capacity)
 	s.slab = make([]entry, capacity)
 	s.head, s.tail = nilIdx, nilIdx
@@ -118,7 +112,7 @@ func (s *shard) init(capacity int) {
 }
 
 // unlink removes slot i from the LRU list.
-func (s *shard) unlink(i int32) {
+func (s *lru) unlink(i int32) {
 	e := &s.slab[i]
 	if e.prev != nilIdx {
 		s.slab[e.prev].next = e.next
@@ -133,7 +127,7 @@ func (s *shard) unlink(i int32) {
 }
 
 // pushFront links slot i as the most recently used.
-func (s *shard) pushFront(i int32) {
+func (s *lru) pushFront(i int32) {
 	e := &s.slab[i]
 	e.prev, e.next = nilIdx, s.head
 	if s.head != nilIdx {
@@ -146,7 +140,7 @@ func (s *shard) pushFront(i int32) {
 }
 
 // toFront moves slot i to the front of the LRU list.
-func (s *shard) toFront(i int32) {
+func (s *lru) toFront(i int32) {
 	if s.head == i {
 		return
 	}
@@ -155,7 +149,7 @@ func (s *shard) toFront(i int32) {
 }
 
 // release returns slot i to the free list, dropping its references.
-func (s *shard) release(i int32) {
+func (s *lru) release(i int32) {
 	e := &s.slab[i]
 	e.value, e.payload = nil, nil
 	e.next = s.free
@@ -165,11 +159,10 @@ func (s *shard) release(i int32) {
 // Cache is the accuracy-aware result cache. All methods are safe for
 // concurrent use.
 type Cache struct {
-	cfg    Config
-	shards []shard
-	mask   uint64
-	epoch  atomic.Uint64
-	load   atomic.Uint64 // float64 bits of the current load in [0,1]
+	lru
+	cfg   Config
+	epoch atomic.Uint64
+	load  atomic.Uint64 // float64 bits of the current load in [0,1]
 
 	fmu     sync.Mutex
 	flights map[uint64]*flight
@@ -192,14 +185,6 @@ type Cache struct {
 // New returns an empty cache.
 func New(cfg Config) (*Cache, error) {
 	cfg = cfg.withDefaults()
-	shards := 1
-	for shards < cfg.Shards {
-		shards <<= 1
-	}
-	perShard := (cfg.Capacity + shards - 1) / shards
-	if perShard < 1 {
-		perShard = 1
-	}
 	if cfg.BestEffortFloor > 1 || cfg.RefreshBelow > 1 {
 		return nil, fmt.Errorf("rescache: accuracy floors must be in [0,1], got BestEffortFloor=%g RefreshBelow=%g",
 			cfg.BestEffortFloor, cfg.RefreshBelow)
@@ -210,8 +195,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:          cfg,
-		shards:       make([]shard, shards),
-		mask:         uint64(shards - 1),
 		flights:      map[uint64]*flight{},
 		quit:         make(chan struct{}),
 		hits:         reg.Counter("rescache_hits_total"),
@@ -226,9 +209,7 @@ func New(cfg Config) (*Cache, error) {
 		savedCPU:     reg.Counter("rescache_saved_cpu_ns_total"),
 		savedScanned: reg.Counter("rescache_saved_scanned_total"),
 	}
-	for i := range c.shards {
-		c.shards[i].init(perShard)
-	}
+	c.init(cfg.Capacity)
 	reg.GaugeFunc("rescache_entries", func() float64 { return float64(c.Len()) })
 	return c, nil
 }
@@ -277,7 +258,7 @@ func (c *Cache) BestEffortFloor() float64 {
 // accuracy clears floor and its epoch is current. The hot path: no
 // allocation on hit or miss.
 func (c *Cache) Get(key uint64, floor float64) (value interface{}, accuracy float64, ok bool) {
-	s := &c.shards[key&c.mask]
+	s := &c.lru
 	epoch := c.epoch.Load()
 	var enqueue bool
 	s.mu.Lock()
@@ -367,7 +348,7 @@ func (c *Cache) storeAt(key uint64, payload, value interface{}, accuracy float64
 	if accuracy > 1 {
 		accuracy = 1
 	}
-	s := &c.shards[key&c.mask]
+	s := &c.lru
 	s.mu.Lock()
 	if i, present := s.idx[key]; present {
 		e := &s.slab[i]
@@ -380,7 +361,7 @@ func (c *Cache) storeAt(key uint64, payload, value interface{}, accuracy float64
 	}
 	i := s.free
 	if i == nilIdx {
-		// Full shard: evict the least recently used entry.
+		// Full: evict the least recently used entry.
 		i = s.tail
 		delete(s.idx, s.slab[i].key)
 		s.unlink(i)
@@ -410,7 +391,7 @@ func (c *Cache) UpgradeIfPresent(key uint64, payload, value interface{}, accurac
 	if accuracy > 1 {
 		accuracy = 1
 	}
-	s := &c.shards[key&c.mask]
+	s := &c.lru
 	s.mu.Lock()
 	i, present := s.idx[key]
 	if !present {
@@ -439,14 +420,9 @@ func (c *Cache) UpgradeIfPresent(key uint64, payload, value interface{}, accurac
 // Len returns the live entry count (entries from old epochs still
 // count until their lazy discard).
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.idx)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.idx)
 }
 
 // Stats returns a snapshot of the counters.
@@ -469,7 +445,7 @@ func (c *Cache) Stats() Stats {
 // payloadOf fetches the stored payload for a pending refresh; ok is
 // false when the entry was evicted or superseded in the meantime.
 func (c *Cache) payloadOf(key uint64) (interface{}, bool) {
-	s := &c.shards[key&c.mask]
+	s := &c.lru
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i, present := s.idx[key]
@@ -485,7 +461,7 @@ func (c *Cache) payloadOf(key uint64) (interface{}, bool) {
 
 // clearQueued resets the refresh-pending flag for key.
 func (c *Cache) clearQueued(key uint64) {
-	s := &c.shards[key&c.mask]
+	s := &c.lru
 	s.mu.Lock()
 	if i, present := s.idx[key]; present {
 		s.slab[i].queued = false

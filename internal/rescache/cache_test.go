@@ -69,8 +69,7 @@ func TestEpochInvalidatesLazily(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// One shard of capacity 4 so the LRU order is fully observable.
-	c := mustNew(t, Config{Capacity: 4, Shards: 1})
+	c := mustNew(t, Config{Capacity: 4})
 	for k := uint64(0); k < 4; k++ {
 		c.Store(k, nil, k, 1)
 	}
@@ -89,6 +88,23 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if st := c.Stats(); st.Evictions != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestCapacityBoundsEntryCount: Capacity is the cache's bound, not a
+// per-lock one — more distinct stores than it never hold more entries.
+func TestCapacityBoundsEntryCount(t *testing.T) {
+	for _, capacity := range []int{4, 100} {
+		c := mustNew(t, Config{Capacity: capacity})
+		for k := uint64(0); k < uint64(4*capacity); k++ {
+			c.Store(k, nil, k, 1)
+		}
+		if n := c.Len(); n > capacity {
+			t.Fatalf("Capacity %d holds %d entries", capacity, n)
+		}
+		if st := c.Stats(); st.Evictions != int64(3*capacity) {
+			t.Fatalf("Capacity %d: %d evictions, want %d", capacity, st.Evictions, 3*capacity)
+		}
 	}
 }
 
@@ -340,11 +356,11 @@ func TestDoWaiterHonorsContext(t *testing.T) {
 }
 
 func TestConcurrentEvictionVsHit(t *testing.T) {
-	// Satellite: hammer one shard with hits on hot keys while stores
-	// churn the same shard past its capacity, under -race. The
+	// Hammer the cache with hits on hot keys while stores churn it past
+	// its capacity, under -race. The
 	// invariant: hot keys either hit with their stored value or miss
 	// cleanly — never a foreign value, never a corrupt LRU list.
-	c := mustNew(t, Config{Capacity: 8, Shards: 1})
+	c := mustNew(t, Config{Capacity: 8})
 	hot := []uint64{1, 2, 3}
 	for _, k := range hot {
 		c.Store(k, nil, k, 1)
@@ -468,7 +484,7 @@ func TestHitPathZeroAlloc(t *testing.T) {
 }
 
 func TestUpgradeIfPresentRefreshesResidentKeys(t *testing.T) {
-	c := mustNew(t, Config{Capacity: 4, Shards: 1})
+	c := mustNew(t, Config{Capacity: 4})
 	c.Store(1, nil, "coarse", 0.8)
 
 	// Resident key at the current epoch: the exact replay upgrades it.

@@ -1,6 +1,6 @@
 // Package rescache is the accuracy-aware result cache of the front tier
-// (netsvc.FrontServer.EnableCache): a sharded, bounded, accuracy-tagged
-// map from canonical request keys to composed replies.
+// (netsvc.FrontServer.EnableCache): a bounded, accuracy-tagged map from
+// canonical request keys to composed replies.
 //
 // In a Zipf-skewed request population most requests repeat, so the
 // cheapest approximate answer is one that was already computed. The
@@ -21,10 +21,10 @@
 //
 // Three mechanisms make the cache production-shaped:
 //
-//   - a zero-alloc hot hit path: per-shard mutex, open-addressed index
-//     map, and an intrusive LRU threaded through a preallocated entry
-//     slab, so Get performs no allocation (benchmarked and CI-guarded
-//     at 0 allocs/op);
+//   - a zero-alloc hot hit path: one mutex, an index map, and an
+//     intrusive LRU threaded through a preallocated entry slab of
+//     exactly Capacity, so Get performs no allocation (benchmarked and
+//     CI-guarded at 0 allocs/op);
 //   - one cache-fronted serve (Serve): lookup, then
 //     singleflight coalescing — concurrent identical misses compute
 //     once, and a waiter whose accuracy floor the shared result cannot

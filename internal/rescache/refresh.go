@@ -92,23 +92,17 @@ func (c *Cache) RewarmHot(max int) int {
 		key     uint64
 		payload interface{}
 	}
-	// Collect {key, payload} under the shard locks, hottest first per
-	// shard: the payload travels with the job because the entry itself
-	// may be lazily discarded (it is stale) before the recompute runs.
+	// Collect {key, payload} under the lock, hottest first: the payload
+	// travels with the job because the entry itself may be lazily
+	// discarded (it is stale) before the recompute runs.
 	jobs := make([]job, 0, max)
-	for si := range c.shards {
-		if len(jobs) == max {
-			break
+	c.mu.Lock()
+	for i := c.head; i != nilIdx && len(jobs) < max; i = c.slab[i].next {
+		if e := &c.slab[i]; e.payload != nil {
+			jobs = append(jobs, job{key: e.key, payload: e.payload})
 		}
-		s := &c.shards[si]
-		s.mu.Lock()
-		for i := s.head; i != nilIdx && len(jobs) < max; i = s.slab[i].next {
-			if e := &s.slab[i]; e.payload != nil {
-				jobs = append(jobs, job{key: e.key, payload: e.payload})
-			}
-		}
-		s.mu.Unlock()
 	}
+	c.mu.Unlock()
 	n := 0
 	for _, j := range jobs {
 		if gate != nil && !gate() {

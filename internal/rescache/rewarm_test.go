@@ -41,7 +41,7 @@ func TestRewarmHotRecomputesStaleEntries(t *testing.T) {
 
 // TestRewarmHotBounded: max bounds the recomputations, hottest first.
 func TestRewarmHotBounded(t *testing.T) {
-	c := mustNew(t, Config{Capacity: 16, Shards: 1, RefreshInterval: time.Hour})
+	c := mustNew(t, Config{Capacity: 16, RefreshInterval: time.Hour})
 	var calls atomic.Int64
 	c.SetRefresh(func(key uint64, payload interface{}) (interface{}, float64, bool) {
 		calls.Add(1)
@@ -61,6 +61,32 @@ func TestRewarmHotBounded(t *testing.T) {
 	}
 	if _, _, ok := c.Get(1, 0); ok {
 		t.Fatal("coldest key re-warmed despite the bound")
+	}
+}
+
+// TestRewarmHotTakesTheHottest: with the default Config, RewarmHot
+// recomputes exactly the most recently touched entries, hottest first,
+// not the first entries it happens to scan.
+func TestRewarmHotTakesTheHottest(t *testing.T) {
+	c := mustNew(t, Config{RefreshInterval: time.Hour})
+	var got []uint64
+	c.SetRefresh(func(key uint64, payload interface{}) (interface{}, float64, bool) {
+		got = append(got, key)
+		return "fresh", 1, true
+	}, nil)
+	for k := uint64(0); k < 32; k++ {
+		c.Store(k, "req", "old", 1) // exact: hits queue no background refresh
+	}
+	for k := uint64(24); k < 32; k++ {
+		c.Get(k, 0)
+	}
+	c.BumpEpoch()
+	if n := c.RewarmHot(8); n != 8 {
+		t.Fatalf("RewarmHot = %d, want 8", n)
+	}
+	want := []uint64{31, 30, 29, 28, 27, 26, 25, 24}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("re-warmed %v, want %v", got, want)
 	}
 }
 

@@ -466,7 +466,7 @@ func aggregatorRig(t *testing.T, p service.Policy, s *script, cap int) rig {
 			}
 		},
 		Agg: netsvc.AggregatorOptions{
-			Policy: p, HedgeFloor: floor, MaxOutstanding: cap, ConnsPerPeer: 1,
+			Policy: p, HedgeFloor: floor, MaxOutstanding: cap,
 			Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
 				c, err := net.DialTimeout("tcp", addr, timeout)
 				if err == nil {
