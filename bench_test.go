@@ -532,7 +532,10 @@ func aggScanShapes(b *testing.B) (*ingest.AggSnapshot, *agg.Component, []agg.Que
 
 // BenchmarkAggExactScan measures the agg kernel where the exact class
 // spends its request: every row of a shard through the masked scan,
-// cycling through 16 sampled queries.
+// cycling through 16 sampled queries. live is the served Exact answer:
+// after the first 16 the shard's memo holds every base answer, so it
+// times a memo hit plus the delta fold; live-scan times the scan of the
+// same live base.
 func BenchmarkAggExactScan(b *testing.B) {
 	live, frozen, qs := aggScanShapes(b)
 	var res agg.Result
@@ -540,6 +543,12 @@ func BenchmarkAggExactScan(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res = live.Exact(res, qs[i%len(qs)])
+		}
+	})
+	b.Run("live-scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res = agg.ExactResultInto(res, live.Base(), qs[i%len(qs)])
 		}
 	})
 	b.Run("frozen", func(b *testing.B) {

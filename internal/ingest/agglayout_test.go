@@ -323,8 +323,8 @@ func TestAggCompactEmptiesTail(t *testing.T) {
 	if len(l.keys) != 0 || len(l.vals) != 0 {
 		t.Fatalf("tail keeps %d compacted rows", len(l.keys))
 	}
-	if l.pending.TotalLen() != 0 || len(l.strata) != 11 {
-		t.Fatalf("pending %d ids, reservoir %d ids after compacting 11 rows", l.pending.TotalLen(), len(l.strata))
+	if l.based != 11 || len(l.strata) != 11 {
+		t.Fatalf("base holds %d rows, reservoir %d ids after compacting 11 rows", l.based, len(l.strata))
 	}
 	allKeys, allVals := append(keys, keys[:3]...), append(vals, vals[:3]...)
 	base := l.base.T
@@ -347,8 +347,10 @@ func TestAggCompactEmptiesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStats(13, 11, 2)
-	if l.pending.Row(0)[0] != 12 || l.pending.Row(2)[0] != 11 {
-		t.Fatalf("tail ids not numbered after the base: %v %v", l.pending.Row(0), l.pending.Row(2))
+	// Tail position j is row based+j: row 11 has key 2, row 12 key 0.
+	if l.based != 11 || !slices.Equal(l.keys, keys[:2]) || !slices.Equal(l.vals, vals[:2]) {
+		t.Fatalf("tail after the base of %d rows holds keys %v vals %v, want %v %v",
+			l.based, l.keys, l.vals, keys[:2], vals[:2])
 	}
 	snap, _ := l.Snapshot()
 	if snap.DeltaRows() != 0 || snap.Rows() != 11 {
@@ -358,4 +360,78 @@ func TestAggCompactEmptiesTail(t *testing.T) {
 	if res.Sum[0] != 1+2+3+1 || res.Sum[1] != 5+6+5 || res.Sum[2] != 8+9+7+8 {
 		t.Fatalf("exact sums %v", res.Sum)
 	}
+}
+
+// fuzzFloats are the values and bounds FuzzAggLiveDifferential draws
+// from: signed zeros, infinities, NaN, the extremes and a few plain
+// values that split the data.
+var fuzzFloats = [16]float64{
+	0, math.Copysign(0, -1), 0.25, 0.5, 0.75, 1, -1, -0.5,
+	math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, math.MaxFloat64, -math.MaxFloat64, 2, 1e-3,
+}
+
+// FuzzAggLiveDifferential drives a live shard and the memo-less arrival
+// reference in lockstep through the appends, publishes, compactions and
+// exact queries the fuzz bytes spell, each query asked twice so the
+// second can come from the memo: every answer must equal the
+// reference's bit for bit.
+func FuzzAggLiveDifferential(f *testing.F) {
+	f.Add([]byte{3, 7, 0, 5, 1, 2, 3, 4, 5, 6, 2, 3, 0, 1, 2, 3, 0, 1, 2, 1, 3, 0, 1, 2})
+	f.Add([]byte{5, 1, 0, 15, 9, 8, 10, 1, 2, 11, 3, 0, 4, 12, 13, 2, 3, 1, 10, 2, 0, 3, 4, 2, 3, 1, 10, 2, 3, 2, 1, 0})
+	f.Add([]byte{0, 0, 0, 3, 0, 10, 1, 8, 2, 3, 2, 9, 8, 3, 1, 1, 0, 0, 0, 1, 3, 1, 1, 0})
+	// Two sums that differ only in Hi, over a base and then a delta.
+	f.Add([]byte{2, 9, 0, 7, 0, 2, 1, 3, 2, 4, 0, 15, 1, 2, 2, 3, 0, 4, 1, 0, 2, 3, 0, 0, 3, 3, 0, 0, 5, 0, 0, 1, 4, 1, 3, 0, 0, 5, 3, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		numKeys := 1 + next()%6
+		cfg := agg.Config{Rates: []float64{0.2, 0.5}, MinSample: 2, Seed: uint64(next())}
+		live, ref := NewAggLive(numKeys, cfg), newArrivalAggLive(numKeys, cfg)
+		res, want := agg.NewResult(numKeys), agg.NewResult(numKeys)
+		for len(data) > 0 {
+			switch next() % 4 {
+			case 0:
+				n := 1 + next()%16
+				keys := make([]int32, n)
+				vals := make([]float64, n)
+				for i := range keys {
+					keys[i] = int32(next() % numKeys)
+					vals[i] = fuzzFloats[next()%len(fuzzFloats)]
+				}
+				if _, err := live.Append(keys, vals); err != nil {
+					t.Fatal(err)
+				}
+				ref.Append(keys, vals)
+			case 1:
+				live.PublishDelta()
+				ref.PublishDelta()
+			case 2:
+				if _, _, _, err := live.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			case 3:
+				q := agg.Query{
+					Op: agg.Op(next() % 3),
+					Lo: fuzzFloats[next()%len(fuzzFloats)],
+					Hi: fuzzFloats[next()%len(fuzzFloats)],
+				}
+				ls, _ := live.Snapshot()
+				rs, _ := ref.snaps.Acquire()
+				for range 2 {
+					if err := sameBits(ls.Exact(res, q), rs.Exact(want, q)); err != nil {
+						t.Fatalf("%d rows, %d in the delta, %+v: %v", ls.Rows(), ls.DeltaRows(), q, err)
+					}
+				}
+			}
+		}
+	})
 }

@@ -3,12 +3,12 @@ package ingest
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
 
 	"accuracytrader/internal/agg"
-	"accuracytrader/internal/csr"
 )
 
 // AggSnapshot is one epoch of a live aggregation shard: a frozen base
@@ -19,6 +19,8 @@ import (
 // across any number of swaps.
 type AggSnapshot struct {
 	comp      *agg.Component
+	gen       uint64     // the base's generation: compactions before it was built
+	memo      *exactMemo // the shard's base exact answers; nil memoizes nothing
 	deltaKeys []int32
 	deltaVals []float64
 	numKeys   int
@@ -70,25 +72,138 @@ func (s *AggSnapshot) QueryLevel(res agg.Result, q agg.Query, level int) agg.Res
 // result. Row order is base strata in synopsis order, then the delta in
 // arrival order — exactly the order a frozen rebuild scans once the
 // delta has been compacted, so results at merged epochs are
-// bit-identical to the rebuild's.
+// bit-identical to the rebuild's. The base's part comes from the
+// shard's memo when this base already answered the query: a base is
+// immutable, so its answer is the one the scan would produce, bit for
+// bit, and only the delta is scanned again.
 func (s *AggSnapshot) Exact(res agg.Result, q agg.Query) agg.Result {
-	if s.comp != nil {
+	res = res.Reset(s.numKeys)
+	if s.comp != nil && !s.memo.load(s.gen, q, res) {
 		res = agg.ExactResultInto(res, s.comp, q)
-	} else {
-		res = res.Reset(s.numKeys)
+		s.memo.store(s.gen, q, res)
 	}
 	res.Fold(q, s.deltaKeys, s.deltaVals)
 	return res
 }
 
+// memoBudget is the bytes of base exact answers a live shard keeps: 192
+// answers over 48 group keys, about the distinct Exact queries a shard's
+// base answers between compactions on the mixed live workload.
+const memoBudget = 144 << 10
+
+// exactMemo holds a live shard's base exact answers, Sum and Cnt per
+// group key, for the queries its current base has answered. An answer
+// is keyed by the base's generation, never by the base itself, so the
+// memo pins no base a compaction replaced. The slots are allocated
+// once; a new generation makes every slot free, and once the
+// generation fills them the oldest answer is replaced first.
+type exactMemo struct {
+	mu   sync.Mutex
+	gen  uint64    // the generation every filled slot belongs to
+	keys []memoKey // slots [0, used) hold answers
+	ans  []float64 // slot i's Sum, then its Cnt, at [2·numKeys·i, 2·numKeys·(i+1))
+	used int
+	next int    // the slot the next answer replaces once all are used
+	hits uint64 // answers served from the memo
+}
+
+// memoKey names one query by its operator and its bounds' bits, so
+// bounds that compare equal but differ in bits (±0, NaNs) are different
+// queries: a miss, never a wrong answer.
+type memoKey struct {
+	op     agg.Op
+	lo, hi uint64
+}
+
+func keyOf(q agg.Query) memoKey {
+	return memoKey{q.Op, math.Float64bits(q.Lo), math.Float64bits(q.Hi)}
+}
+
+// newExactMemo returns the memo of a shard over numKeys group keys:
+// memoBudget's worth of answers, none when one answer exceeds it.
+func newExactMemo(numKeys int) *exactMemo {
+	n := memoBudget / (16 * numKeys)
+	return &exactMemo{keys: make([]memoKey, n), ans: make([]float64, 2*numKeys*n)}
+}
+
+// find returns the slot answering q at generation gen, or -1. Caller
+// holds m.mu.
+func (m *exactMemo) find(gen uint64, k memoKey) int {
+	if gen != m.gen {
+		return -1
+	}
+	for i, sk := range m.keys[:m.used] {
+		if sk == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// load copies the base answer to q at generation gen into res, whose
+// Sum and Cnt are zeroed and cover the shard's keys, and reports
+// whether the memo had it.
+func (m *exactMemo) load(gen uint64, q agg.Query, res agg.Result) bool {
+	if m == nil || len(m.keys) == 0 {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := m.find(gen, keyOf(q))
+	if i < 0 {
+		return false
+	}
+	n := len(res.Sum)
+	copy(res.Sum, m.ans[2*n*i:])
+	copy(res.Cnt, m.ans[2*n*i+n:])
+	m.hits++
+	return true
+}
+
+// store keeps res, the base answer to q at generation gen. An answer
+// of a generation older than the memo's is dropped: its base is gone.
+func (m *exactMemo) store(gen uint64, q agg.Query, res agg.Result) {
+	if m == nil || len(m.keys) == 0 {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	k := keyOf(q)
+	switch {
+	case gen < m.gen || m.find(gen, k) >= 0:
+		return
+	case gen > m.gen:
+		m.gen, m.used, m.next = gen, 0, 0
+	}
+	i := m.used
+	if i < len(m.keys) {
+		m.used++
+	} else {
+		i = m.next
+		m.next = (m.next + 1) % len(m.keys)
+	}
+	n := len(res.Sum)
+	m.keys[i] = k
+	copy(m.ans[2*n*i:], res.Sum)
+	copy(m.ans[2*n*i+n:], res.Cnt)
+}
+
+// hitCount returns how many answers the memo served.
+func (m *exactMemo) hitCount() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.hits
+}
+
 // AggStats counts a live aggregation shard's ingest activity.
 type AggStats struct {
-	Appends     uint64 // rows ever appended
-	Publishes   uint64 // delta publishes (epoch swaps without compaction)
-	Compactions uint64 // base rebuilds
-	Rows        int    // rows appended (published or not)
-	BaseRows    int    // rows folded into the current base
-	StagedRows  int    // appended but not yet visible in any snapshot
+	Appends       uint64 // rows ever appended
+	Publishes     uint64 // delta publishes (epoch swaps without compaction)
+	Compactions   uint64 // base rebuilds
+	ExactMemoHits uint64 // exact answers whose base part the memo held, not a scan
+	Rows          int    // rows appended (published or not)
+	BaseRows      int    // rows folded into the current base
+	StagedRows    int    // appended but not yet visible in any snapshot
 }
 
 // AggLive is the online update path for one aggregation shard: a base
@@ -100,7 +215,8 @@ type AggStats struct {
 // everything into a new base synopsis whose per-level sample lengths
 // are recomputed for the grown strata (reservoir maintenance), keeping
 // each level's sampling rate honest. All mutators serialize on one
-// mutex; readers never lock.
+// mutex; readers never lock it. Exact readers share one memo of base
+// answers per shard, behind its own mutex.
 //
 // Rows are named by their arrival index, the row id the sampling
 // priority hashes: base position i holds row strata[i], and tail
@@ -116,13 +232,13 @@ type AggLive struct {
 	based     int       // rows folded into the base synopsis
 	published int       // rows visible in the current snapshot
 	base      *agg.Component
-	baseVals  []float64        // the base's values, stratum-major, (priority,row)-ordered within a stratum
-	strata    []int32          // the row id at each base position: every stratum's reservoir
-	spare     []int32          // the previous strata array, rewritten by the next Compact
-	off       []int32          // stratum s owns base positions [off[s], off[s+1])
-	pending   csr.Store[int32] // per-stratum ids of the tail, arrival order
-	oldest    time.Time        // arrival of the oldest row not yet visible
+	baseVals  []float64 // the base's values, stratum-major, (priority,row)-ordered within a stratum
+	strata    []int32   // the row id at each base position: every stratum's reservoir
+	spare     []int32   // the previous strata array, rewritten by the next Compact
+	off       []int32   // stratum s owns base positions [off[s], off[s+1])
+	oldest    time.Time // arrival of the oldest row not yet visible
 	stats     AggStats
+	memo      *exactMemo
 
 	snaps Epochs[AggSnapshot]
 }
@@ -137,9 +253,7 @@ func NewAggLive(numKeys int, cfg agg.Config) *AggLive {
 	}
 	l := &AggLive{numKeys: numKeys, cfg: cfg, seed: cfg.Seed ^ 0x1b9a5e11d0e57a1e}
 	l.off = make([]int32, numKeys+1)
-	for s := 0; s < numKeys; s++ {
-		l.pending.AddRow(nil)
-	}
+	l.memo = newExactMemo(numKeys)
 	l.snaps.Publish(&AggSnapshot{numKeys: numKeys})
 	return l
 }
@@ -162,6 +276,7 @@ func (l *AggLive) Stats() AggStats {
 	st.Rows = l.rows()
 	st.BaseRows = l.based
 	st.StagedRows = l.rows() - l.published
+	st.ExactMemoHits = l.memo.hitCount()
 	return st
 }
 
@@ -182,10 +297,6 @@ func (l *AggLive) Append(keys []int32, vals []float64) (int, error) {
 	if l.rows() == l.published {
 		l.oldest = time.Now()
 	}
-	id := int32(l.rows())
-	for i, k := range keys {
-		l.pending.AppendElem(int(k), id+int32(i))
-	}
 	l.keys = append(l.keys, keys...)
 	l.vals = append(l.vals, vals...)
 	l.stats.Appends += uint64(len(keys))
@@ -204,6 +315,8 @@ func (l *AggLive) publishLocked(n int) (uint64, int, time.Duration) {
 	d := n - l.based
 	snap := &AggSnapshot{
 		comp:      l.base,
+		gen:       l.stats.Compactions,
+		memo:      l.memo,
 		deltaKeys: l.keys[:d:d],
 		deltaVals: l.vals[:d:d],
 		numKeys:   l.numKeys,
@@ -230,7 +343,7 @@ func (l *AggLive) PublishDelta() (uint64, int, time.Duration) {
 }
 
 // Compact folds all appended rows into a new base: per stratum, the
-// pending ids are priority-sorted and merged with the old reservoir,
+// tail's rows are priority-sorted and merged with the old reservoir,
 // and the merge writes the new base's columns itself, so base row i is
 // synopsis position i and the synopsis's row order is the identity.
 // The sample ladder's per-level lengths are then recomputed for the
@@ -258,21 +371,34 @@ func (l *AggLive) Compact() (uint64, int, time.Duration, error) {
 	merged := run{ids: ids, vals: make([]float64, 0, n)}
 	keys := make([]int32, n)
 	off := make([]int32, l.numKeys+1)
-	var tail []pendingRow
+	// The tail, bucketed by stratum in arrival order: a counting sort
+	// over its keys. Placing row j moves at[k] from the start of k's
+	// bucket towards its end, where k+1's starts.
+	at := make([]int, l.numKeys+1)
+	for _, k := range l.keys {
+		at[k+1]++
+	}
 	for s := 0; s < l.numKeys; s++ {
-		tail = tail[:0]
-		for _, id := range l.pending.Row(s) {
-			tail = append(tail, pendingRow{Priority(l.seed, id), id, l.vals[int(id)-l.based]})
-		}
-		slices.SortFunc(tail, func(x, y pendingRow) int {
+		at[s+1] += at[s]
+	}
+	tail := make([]pendingRow, len(l.keys))
+	for j, k := range l.keys {
+		id := int32(l.based + j)
+		tail[at[k]] = pendingRow{Priority(l.seed, id), id, l.vals[j]}
+		at[k]++
+	}
+	next := 0
+	for s := 0; s < l.numKeys; s++ {
+		seg := tail[next:at[s]]
+		next = at[s]
+		slices.SortFunc(seg, func(x, y pendingRow) int {
 			if c := cmp.Compare(x.p, y.p); c != 0 {
 				return c
 			}
 			return cmp.Compare(x.id, y.id)
 		})
 		lo, hi := l.off[s], l.off[s+1]
-		merged = mergeByPriority(merged, l.seed, run{ids: l.strata[lo:hi], vals: l.baseVals[lo:hi]}, tail)
-		l.pending.SetRow(s, nil)
+		merged = mergeByPriority(merged, l.seed, run{ids: l.strata[lo:hi], vals: l.baseVals[lo:hi]}, seg)
 		off[s+1] = int32(len(merged.ids))
 		for i := off[s]; i < off[s+1]; i++ {
 			keys[i] = int32(s)
@@ -376,7 +502,8 @@ func identityOrder(n int) []int32 {
 // BuildAggSnapshot is the frozen-rebuild reference: it constructs, in
 // one shot, the compacted snapshot a live shard converges to after
 // appending exactly these rows (in any batching) and compacting. The
-// property harness pins live interleavings against it bit-for-bit.
+// property harness pins live interleavings against it bit-for-bit; it
+// has no memo, so every exact answer it gives is a scan.
 func BuildAggSnapshot(numKeys int, cfg agg.Config, keys []int32, vals []float64) (*AggSnapshot, error) {
 	l := NewAggLive(numKeys, cfg)
 	if _, err := l.Append(keys, vals); err != nil {
@@ -386,5 +513,7 @@ func BuildAggSnapshot(numKeys int, cfg agg.Config, keys []int32, vals []float64)
 		return nil, err
 	}
 	snap, _ := l.Snapshot()
-	return snap, nil
+	frozen := *snap
+	frozen.memo = nil
+	return &frozen, nil
 }

@@ -19,12 +19,16 @@ import (
 //     snapshot equals that snapshot's row count — a batch is visible
 //     in full or not at all, never partially;
 //   - epoch pinning: a query that re-runs on a snapshot it acquired
-//     before any number of swaps gets bit-identical answers.
+//     before any number of swaps gets bit-identical answers;
+//   - memoized answers: repeated exact reads, racing the compactions
+//     that move the shard's memo to a new base, answer bit for bit as a
+//     memo-less scan of the same snapshot.
 func TestAggLiveConcurrent(t *testing.T) {
 	const (
-		appenders = 4
-		batches   = 50
-		queriers  = 4
+		appenders   = 4
+		batches     = 50
+		queriers    = 4
+		memoReaders = 2
 	)
 	cfg := agg.Config{Rates: []float64{0.1, 0.3}, MinSample: 2, Seed: 42}
 	l := NewAggLive(5, cfg)
@@ -90,7 +94,44 @@ func TestAggLiveConcurrent(t *testing.T) {
 		}()
 	}
 
+	for r := 0; r < memoReaders; r++ {
+		qwg.Add(1)
+		go func() {
+			defer qwg.Done()
+			res, want := agg.NewResult(5), agg.NewResult(5)
+			for {
+				for _, q := range oddQueries {
+					for range 2 {
+						snap, ep := l.Snapshot()
+						if err := sameBits(snap.Exact(res, q), memoless(want, snap, q)); err != nil {
+							t.Errorf("epoch %d %+v: memoized exact read: %v", ep, q, err)
+							return
+						}
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+
 	wg.Wait()
+	// The appenders are done: keep compacting under the memo readers,
+	// and leave the last row staged for the worker's drain.
+	rng := stats.NewRNG(0xc0ac7)
+	for round := 0; round < 20; round++ {
+		if _, _, _, err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		keys, vals := []int32{int32(rng.Intn(5))}, []float64{rng.Float64()}
+		if _, err := l.Append(keys, vals); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(stop)
 	qwg.Wait()
 	w.Close()

@@ -1078,6 +1078,8 @@ func FrameKind(body []byte) (byte, error) {
 // the next call; the Decode* functions copy everything they keep out of
 // it. maxFrame bounds the accepted body size (<= 0 selects MaxFrame); an
 // oversized or corrupt length prefix is an error, never an allocation.
+// Memory grows with the bytes received, not the bytes claimed: a peer
+// that stalls after a header claiming MaxFrame pins frameChunk bytes.
 func ReadFrame(r io.Reader, buf []byte, maxFrame int) ([]byte, error) {
 	if maxFrame <= 0 {
 		maxFrame = MaxFrame
@@ -1092,15 +1094,27 @@ func ReadFrame(r io.Reader, buf []byte, maxFrame int) ([]byte, error) {
 	if n < 2 || n > maxFrame {
 		return buf, fmt.Errorf("wire: frame length %d outside [2, %d]", n, maxFrame)
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	// The body arrives in chunks doubling from frameChunk, so the buffer
+	// grows with the bytes received, not the bytes claimed; a body up to
+	// frameChunk is one read into at most one allocation.
+	buf = buf[:0]
+	for len(buf) < n {
+		next := min(n, max(2*len(buf), frameChunk))
+		if cap(buf) < next {
+			buf = append(make([]byte, 0, next), buf...)
 		}
-		return buf, err
+		if _, err := io.ReadFull(r, buf[len(buf):next]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+		buf = buf[:next]
 	}
 	return buf, nil
 }
+
+// frameChunk is the most ReadFrame allocates ahead of the bytes a body
+// has delivered: a stalled body holds frameChunk bytes or twice what it
+// delivered, whichever is more.
+const frameChunk = 64 << 10

@@ -2,12 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"accuracytrader/internal/stats"
 )
@@ -430,6 +433,85 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 	}
 	if &got[0] != &buf[:1][0] {
 		t.Fatal("ReadFrame allocated although the buffer had capacity")
+	}
+}
+
+// stallingReader hands out its bytes, then blocks in Read, closing
+// stalled, until release is closed: a peer that sent a frame's start
+// and went quiet.
+type stallingReader struct {
+	data    []byte
+	stalled chan struct{}
+	release chan struct{}
+}
+
+func (r *stallingReader) Read(p []byte) (int, error) {
+	if len(r.data) > 0 {
+		n := copy(p, r.data)
+		r.data = r.data[n:]
+		return n, nil
+	}
+	close(r.stalled)
+	<-r.release
+	return 0, io.EOF
+}
+
+// TestReadFrameStalledPeerPinsOneChunk sends a header claiming
+// MaxFrame and 3 body bytes, then stalls: while ReadFrame waits for the
+// rest, it holds at most one frameChunk (plus 8 KiB of slack for the
+// reader goroutine and the length prefix), not the 8 MiB claimed.
+func TestReadFrameStalledPeerPinsOneChunk(t *testing.T) {
+	const slack = 8 << 10
+	r := &stallingReader{
+		data:    binary.LittleEndian.AppendUint32(nil, MaxFrame),
+		stalled: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	r.data = append(r.data, 1, 2, 3)
+	done := make(chan error, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go func() {
+		_, err := ReadFrame(r, nil, 0)
+		done <- err
+	}()
+	<-r.stalled
+	runtime.ReadMemStats(&after)
+	close(r.release)
+	if err := <-done; err != io.ErrUnexpectedEOF {
+		t.Fatalf("stalled body ended by EOF: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > frameChunk+slack {
+		t.Fatalf("a stalled %d-byte claim with 3 bytes sent allocated %d bytes, bound %d", MaxFrame, got, frameChunk+slack)
+	}
+}
+
+// TestReadFrameLargeBody reads bodies past frameChunk, delivered a few
+// bytes per Read, into a fresh buffer and into one with room: both
+// arrive whole, the fresh one no larger than the body, and a body cut
+// short is an unexpected EOF.
+func TestReadFrameLargeBody(t *testing.T) {
+	for _, n := range []int{frameChunk + 1, 3*frameChunk + 17, 5 * frameChunk} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		frame := append(binary.LittleEndian.AppendUint32(nil, uint32(n)), body...)
+		got, err := ReadFrame(iotest.HalfReader(bytes.NewReader(frame)), nil, 0)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("%d-byte body: %v, read back equal %v", n, err, bytes.Equal(got, body))
+		}
+		if cap(got) != n {
+			t.Fatalf("%d-byte body read into %d bytes of capacity", n, cap(got))
+		}
+		room := make([]byte, 0, n)
+		got, err = ReadFrame(bytes.NewReader(frame), room, 0)
+		if err != nil || !bytes.Equal(got, body) || &got[0] != &room[:1][0] {
+			t.Fatalf("%d-byte body into a buffer with room: %v, equal %v", n, err, bytes.Equal(got, body))
+		}
+		if _, err := ReadFrame(bytes.NewReader(frame[:len(frame)-3]), nil, 0); err != io.ErrUnexpectedEOF {
+			t.Fatalf("%d-byte body cut 3 bytes short: %v", n, err)
+		}
 	}
 }
 
