@@ -345,10 +345,12 @@ func NewNetAggregator(addrs []string, opts NetAggregatorOptions) (*NetAggregator
 // through the accuracy-aware frontend pipeline.
 type NetFrontServer = netsvc.FrontServer
 
-// NewNetFrontServer wraps an aggregator and a frontend; a nil fe is one
-// with no controller and no admission policy, on home placement.
-func NewNetFrontServer(agr *NetAggregator, fe *Frontend, opts NetServerOptions) *NetFrontServer {
-	return netsvc.NewFrontServer(agr, fe, opts)
+// NewNetFrontServer wraps an aggregator and a frontend, with the planes
+// opts names (Cache, SLO, Audit, Costs); a nil fe is one with no
+// controller and no admission policy, on home placement. An invalid
+// plane combination is refused before anything starts.
+func NewNetFrontServer(agr *NetAggregator, fe *Frontend, opts NetServerOptions) (*NetFrontServer, error) {
+	return netsvc.NewFront(agr, fe, opts)
 }
 
 // NetClient talks to a NetFrontServer over one multiplexed connection.
@@ -381,7 +383,7 @@ type ResultCache = rescache.Cache
 type ResultCacheConfig = rescache.Config
 
 // NewResultCache returns an empty cache. Wire it into a NetFrontServer
-// via its EnableCache method, which keys requests on their canonical
+// as NetServerOptions.Cache: the server keys requests on their canonical
 // wire encoding (semantically identical requests share an entry), serves
 // hits ahead of admission and installs the refresh-to-exact worker.
 // Bump its epoch after synopsis updates to invalidate lazily.
@@ -460,13 +462,14 @@ func DefaultSLOBudgets() SLOBudgets { return obs.DefaultSLOBudgets() }
 
 // SLOTracker accumulates per-class (and per-tenant) SLO attainment
 // over sliding 1m/10m/1h windows. Wire it into a NetFrontServer via
-// EnableSLO and serve it via AdminSources.SLO (/slo).
+// NetServerOptions.SLO and serve it via AdminSources.SLO (/slo).
 type SLOTracker = obs.SLOTracker
 
 // NewSLOTracker returns an empty tracker with the given budgets.
 func NewSLOTracker(budgets SLOBudgets) *SLOTracker { return obs.NewSLOTracker(budgets) }
 
-// AuditConfig configures EnableAudit. The zero value is serviceable:
+// AuditConfig configures a NetFrontServer's auditor, given as
+// NetServerOptions.Audit. The zero value is serviceable:
 // 5% deterministic trace-ID sampling, a 256-slot queue and a paced
 // single worker.
 type AuditConfig = audit.Config

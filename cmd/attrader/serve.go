@@ -261,37 +261,36 @@ func serveFront(ns *netService, agr *netsvc.Aggregator, listen, admin string, re
 			return err
 		}
 	}
-	fs := netsvc.NewFrontServer(agr, fe, netsvc.ServerOptions{Tracer: rec})
-	// Forward append batches to their owning component; after each
-	// observed epoch swap, re-warm up to 32 hot cache entries.
-	fs.EnableIngest(32)
-	// /healthz answers 200 "degraded" (still routable — requests are
-	// served around the failure) whenever any peer breaker is open.
+	// The front server forwards append batches to their owning
+	// component. /healthz answers 200 "degraded" (still routable —
+	// requests are served around the failure) whenever any peer breaker
+	// is open.
+	opts := netsvc.ServerOptions{Tracer: rec}
 	src := obs.AdminSources{Registry: reg, Traces: rec, OpenBreakers: agr.OpenBreakers, Profiler: prof}
 	if admin != "" {
-		// The admin plane also switches on SLO attainment tracking and
-		// the ground-truth auditor: burn rates land in /metrics and
-		// /slo, audit calibration tables in /audit, and audit-flagged
-		// traces are pinned as exemplars at /traces?filter=anomaly.
-		slo := obs.NewSLOTracker(obs.DefaultSLOBudgets())
-		slo.RegisterMetrics(reg)
-		fs.EnableSLO(slo, nil)
-		auditor, err := fs.EnableAudit(audit.Config{Metrics: reg})
-		if err != nil {
-			return err
-		}
-		defer auditor.Close()
-		// Cost attribution: every answered request is metered into a
-		// per-(tenant, class, workload, level) table served at /costs and
-		// exported as cost_* metrics; joined with the auditor's realized
-		// accuracy it becomes the live accuracy-vs-cost frontier at
-		// /frontier.
-		costs := cost.NewTable()
-		costs.RegisterMetrics(reg)
-		if err := fs.EnableCost(costs); err != nil {
-			return err
-		}
-		src.SLO = slo
+		// The admin plane also switches on SLO attainment tracking, the
+		// ground-truth auditor and cost attribution: burn rates land in
+		// /metrics and /slo, audit calibration tables in /audit, and
+		// audit-flagged traces are pinned as exemplars at
+		// /traces?filter=anomaly. Every answered request is metered into
+		// a per-(tenant, class, workload, level) table served at /costs
+		// and exported as cost_* metrics; joined with the auditor's
+		// realized accuracy it becomes the live accuracy-vs-cost frontier
+		// at /frontier.
+		opts.SLO = obs.NewSLOTracker(obs.DefaultSLOBudgets())
+		opts.SLO.RegisterMetrics(reg)
+		opts.Audit = &audit.Config{Metrics: reg}
+		opts.Costs = cost.NewTable()
+		opts.Costs.RegisterMetrics(reg)
+	}
+	fs, err := netsvc.NewFront(agr, fe, opts)
+	if err != nil {
+		return err
+	}
+	defer fs.Close() // and its auditor; a no-op after the drain
+	if admin != "" {
+		auditor, costs := fs.Auditor(), opts.Costs
+		src.SLO = opts.SLO
 		src.Audit = func() any {
 			return audit.Report{Stats: auditor.Stats(), Tables: auditor.Tables()}
 		}
@@ -309,7 +308,7 @@ func serveFront(ns *netService, agr *netsvc.Aggregator, listen, admin string, re
 		// Anomaly trigger #2 (breaker trips are wired at aggregator
 		// construction): capture a profile when any class burns its
 		// error budget faster than allowed.
-		stopWatch := prof.WatchBurn(slo, 5*time.Second)
+		stopWatch := prof.WatchBurn(opts.SLO, 5*time.Second)
 		defer stopWatch()
 	}
 	ad, err := startAdmin(admin, src)

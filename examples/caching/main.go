@@ -152,8 +152,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fs := at.NewNetFrontServer(agr, fe, at.NetServerOptions{})
-	if err := fs.EnableCache(cache); err != nil {
+	fs, err := at.NewNetFrontServer(agr, fe, at.NetServerOptions{Cache: cache})
+	if err != nil {
 		log.Fatal(err)
 	}
 	fl, err := net.Listen("tcp", "127.0.0.1:0")

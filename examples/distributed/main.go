@@ -98,7 +98,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fs := at.NewNetFrontServer(agr, fe, at.NetServerOptions{})
+	fs, err := at.NewNetFrontServer(agr, fe, at.NetServerOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	go fs.Serve(fl)
 	defer fs.Close()
 

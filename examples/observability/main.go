@@ -123,24 +123,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fs := at.NewNetFrontServer(agr, fe, at.NetServerOptions{Tracer: rec})
-
 	// The accuracy audit plane. The SLO tracker counts every reply into
 	// sliding burn-rate windows; the auditor replays a sample of
 	// answered requests at the Exact level in the background (sampling
 	// is cranked to 100% with a fast pace here so a short demo audits
 	// everything — production deployments keep the 5% default).
 	slo := at.NewSLOTracker(at.DefaultSLOBudgets())
-	fs.EnableSLO(slo, nil)
-	auditor, err := fs.EnableAudit(at.AuditConfig{
+	fs, err := at.NewNetFrontServer(agr, fe, at.NetServerOptions{Tracer: rec, SLO: slo, Audit: &at.AuditConfig{
 		SampleFraction: 1.0,
 		Interval:       200 * time.Microsecond,
 		Metrics:        reg,
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer auditor.Close()
+	defer fs.Close() // and its auditor
+	auditor := fs.Auditor()
 
 	// The admin plane, built from the planes it serves.
 	admin := at.NewAdminPlane(at.AdminSources{

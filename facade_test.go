@@ -134,3 +134,59 @@ func TestFacadeExportsAreUsed(t *testing.T) {
 		t.Errorf("facade export %s: no at.%s in examples/, no use in a root test, no `%s` in README.md", name, name, name)
 	}
 }
+
+// TestBenchShimsHaveNoOtherCaller keeps the two-phase front server
+// construction where only the frozen bench/ module needs it: no .go
+// file outside bench/, other than the shims' own, calls NewFrontServer
+// or one of the five Enable* setters. Everything else builds a front
+// server with its planes in one validated call, netsvc.NewFront.
+func TestBenchShimsHaveNoOtherCaller(t *testing.T) {
+	const shims = "internal/netsvc/benchshim.go"
+	banned := map[string]bool{"NewFrontServer": true, "EnableCache": true, "EnableSLO": true,
+		"EnableAudit": true, "EnableCost": true, "EnableIngest": true}
+	fset := token.NewFileSet()
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".go" || filepath.ToSlash(path) == shims {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		checked++
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			name := ""
+			switch fn := call.Fun.(type) {
+			case *ast.Ident:
+				name = fn.Name
+			case *ast.SelectorExpr:
+				name = fn.Sel.Name
+			}
+			if banned[name] {
+				t.Errorf("%s: calls %s, a bench/-only shim; build the front server with netsvc.NewFront and ServerOptions' planes", fset.Position(call.Pos()), name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked < 100 {
+		t.Fatalf("only %d .go files checked — wrong working directory?", checked)
+	}
+}

@@ -70,8 +70,8 @@ type Verdict struct {
 
 // Config parameterizes an Auditor. Replay is the only required field.
 type Config struct {
-	// SampleFraction of answered requests to audit, in [0,1].
-	// Defaults to 0.05; >= 1 audits everything offered.
+	// SampleFraction of answered requests to audit, in [0,1] (New
+	// refuses others). Defaults to 0.05; 1 audits everything offered.
 	SampleFraction float64
 	// QueueLen bounds the pending-sample queue (default 256). A full
 	// queue drops the sample — auditing is best-effort by design.
@@ -136,10 +136,17 @@ type Auditor struct {
 // ErrNoReplay rejects a Config without a Replay hook.
 var ErrNoReplay = errors.New("audit: Config.Replay is required")
 
+// ErrSampleFraction rejects a Config whose SampleFraction is outside
+// [0,1] (or NaN).
+var ErrSampleFraction = errors.New("audit: Config.SampleFraction must be in [0,1]")
+
 // New starts an auditor and its background worker.
 func New(cfg Config) (*Auditor, error) {
 	if cfg.Replay == nil {
 		return nil, ErrNoReplay
+	}
+	if !(cfg.SampleFraction >= 0 && cfg.SampleFraction <= 1) {
+		return nil, ErrSampleFraction
 	}
 	if cfg.SampleFraction == 0 {
 		cfg.SampleFraction = 0.05
@@ -176,9 +183,6 @@ func counterGauge(c *obs.Counter) func() float64 {
 
 // sampleThreshold maps a fraction to the hash-space cut point.
 func sampleThreshold(frac float64) uint64 {
-	if frac <= 0 {
-		return 0
-	}
 	if frac >= 1 {
 		return ^uint64(0)
 	}

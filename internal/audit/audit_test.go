@@ -36,6 +36,11 @@ func TestNewRequiresReplay(t *testing.T) {
 	if _, err := New(Config{}); !errors.Is(err, ErrNoReplay) {
 		t.Fatalf("New without Replay = %v, want ErrNoReplay", err)
 	}
+	for _, frac := range []float64{-0.1, 1.5, math.NaN()} {
+		if a, err := New(Config{SampleFraction: frac, Replay: passReplay}); a != nil || !errors.Is(err, ErrSampleFraction) {
+			t.Fatalf("New with SampleFraction %v = %v, %v; want ErrSampleFraction", frac, a, err)
+		}
+	}
 }
 
 func TestShouldSampleDeterministicAndProportional(t *testing.T) {

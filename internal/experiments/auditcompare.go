@@ -167,10 +167,8 @@ func runAuditedPass(f *aggFix, levelAcc []float64, floor float64, calls int) (*a
 		n:        len(f.Comps),
 		handler:  shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})),
 		server:   netsvc.ServerOptions{Workers: 1, QueueLen: 256},
-		front:    netsvc.ServerOptions{Tracer: rec},
 		levelAcc: levelAcc,
-		slo:      obs.NewSLOTracker(obs.DefaultSLOBudgets()),
-		audit: &audit.Config{
+		front: &netsvc.ServerOptions{Tracer: rec, SLO: obs.NewSLOTracker(obs.DefaultSLOBudgets()), Audit: &audit.Config{
 			SampleFraction: 1,
 			Interval:       200 * time.Microsecond,
 			Gate:           func() bool { return true }, // keep pacing deterministic at this load
@@ -180,7 +178,7 @@ func runAuditedPass(f *aggFix, levelAcc []float64, floor float64, calls int) (*a
 					detectAt.CompareAndSwap(0, i)
 				}
 			},
-		},
+		}},
 	}.start()
 	if err != nil {
 		return nil, err
@@ -239,8 +237,8 @@ func runDriftPhase(sc Scale, f *aggFix) error {
 			return netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
 		},
 		lives: lives,
-		front: netsvc.ServerOptions{Tracer: obs.NewRecorder(32, 16)},
-		audit: &audit.Config{SampleFraction: 1, Interval: 200 * time.Microsecond, Gate: gateOpen.Load},
+		front: &netsvc.ServerOptions{Tracer: obs.NewRecorder(32, 16),
+			Audit: &audit.Config{SampleFraction: 1, Interval: 200 * time.Microsecond, Gate: gateOpen.Load}},
 	}.start()
 	if err != nil {
 		return err
@@ -329,8 +327,7 @@ func (ac *AuditCompare) runRetentionPhase(f *aggFix) error {
 				return inner(ctx, req)
 			}
 		},
-		front: netsvc.ServerOptions{Tracer: rec},
-		slo:   slo,
+		front: &netsvc.ServerOptions{Tracer: rec, SLO: slo},
 	}.start()
 	if err != nil {
 		return err

@@ -142,7 +142,7 @@ func ccDeploy(n int, handler netsvc.Handler, timeout time.Duration, levelAcc []f
 		agg:      &netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: timeout, MaxOutstanding: ccQueueLen},
 		levelAcc: levelAcc,
 		inflight: 6 * n,
-		cache:    cache,
+		front:    &netsvc.ServerOptions{Cache: cache},
 	}.start()
 }
 

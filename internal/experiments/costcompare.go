@@ -131,8 +131,7 @@ func runCostPass(f *aggFix) (cost.View, error) {
 		server:  netsvc.ServerOptions{Workers: 1, QueueLen: 256},
 		// Cost attribution rides tracing: the front server needs a
 		// tracer so component spans come back costed.
-		front: netsvc.ServerOptions{Tracer: obs.NewRecorder(64, 16)},
-		costs: table,
+		front: &netsvc.ServerOptions{Tracer: obs.NewRecorder(64, 16), Costs: table},
 	}.start()
 	if err != nil {
 		return cost.View{}, err

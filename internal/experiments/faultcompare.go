@@ -132,7 +132,7 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 				})(addr, timeout)
 			},
 		},
-		front: netsvc.ServerOptions{Workers: 8},
+		front: &netsvc.ServerOptions{Workers: 8},
 	}.start()
 	if err != nil {
 		return nil, err

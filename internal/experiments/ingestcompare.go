@@ -348,8 +348,7 @@ func runIngestWire(data *workload.FactsData, cfg agg.Config) (*wire.IngestReply,
 		},
 		server: netsvc.ServerOptions{Workers: 2},
 		lives:  lives,
-		rewarm: ingestCacheHot,
-		front:  netsvc.ServerOptions{Workers: 8},
+		front:  &netsvc.ServerOptions{Workers: 8},
 	}.start()
 	if err != nil {
 		return nil, 0, err

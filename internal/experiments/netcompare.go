@@ -303,8 +303,7 @@ func (nc *NetCompare) runNet(f *aggFix, cfg netCfg) (*NetRow, error) {
 		server: netsvc.ServerOptions{Workers: 1, QueueLen: 512},
 		// Warm-start hedging just below the typical finest-synopsis
 		// service time; the P² estimator takes over as it converges.
-		agg:        &netsvc.AggregatorOptions{Policy: cfg.policy, Deadline: cfg.deadline, HedgeFloor: 4 * time.Millisecond, MaxOutstanding: 64},
-		gatherOnly: true,
+		agg: &netsvc.AggregatorOptions{Policy: cfg.policy, Deadline: cfg.deadline, HedgeFloor: 4 * time.Millisecond, MaxOutstanding: 64},
 	}.start()
 	if err != nil {
 		return nil, err
@@ -411,7 +410,7 @@ func (nc *NetCompare) runParity(sc Scale, aggSvc *AggService) error {
 func (nc *NetCompare) parity(workload string, h netsvc.Handler, n int, templates []*wire.Request,
 	compose func([]service.SubResult) interface{}) error {
 	st, err := deployment{n: n, handler: shared(h), server: netsvc.ServerOptions{Workers: 2},
-		agg: &netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 30 * time.Second}, gatherOnly: true}.start()
+		agg: &netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 30 * time.Second}}.start()
 	if err != nil {
 		return err
 	}

@@ -10,13 +10,10 @@ import (
 	"time"
 
 	"accuracytrader/internal/agg"
-	"accuracytrader/internal/audit"
-	"accuracytrader/internal/cost"
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/ingest"
 	"accuracytrader/internal/netsvc"
 	"accuracytrader/internal/obs"
-	"accuracytrader/internal/rescache"
 	"accuracytrader/internal/service"
 	"accuracytrader/internal/stats"
 	"accuracytrader/internal/wire"
@@ -155,31 +152,25 @@ func finestSaturationRate(comps []*agg.Component, unitMs float64) float64 {
 var gatherAll = netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second}
 
 // deployment is one loopback stack of the serving experiments: n
-// component servers, the aggregator over them and — unless gatherOnly —
-// a front server with its frontend and planes.
+// component servers, the aggregator over them and — given front — a
+// front server with its frontend and planes.
 type deployment struct {
 	n       int
 	handler func(i int) netsvc.Handler
 	server  netsvc.ServerOptions
 	agg     *netsvc.AggregatorOptions // nil: gatherAll
 	wrap    func(i int, l net.Listener) net.Listener
-	// lives, when set, are the live stores server i appends to (lives[i]);
-	// the front server then forwards appends and re-warms up to rewarm
-	// cached answers per observed epoch swap.
-	lives  []*ingest.AggLive
-	rewarm int
-
-	gatherOnly bool // no front server: callers drive the aggregator
-	front      netsvc.ServerOptions
+	// lives, when set, are the live stores server i appends to
+	// (lives[i]), through the front server's forwarding.
+	lives []*ingest.AggLive
+	// front is the front server's options, planes included; nil deploys
+	// none, and callers drive the aggregator.
+	front *netsvc.ServerOptions
 	// levelAcc calibrates the standard frontend, admitting at most
 	// inflight requests (0: every one); nil runs the front server's
 	// default frontend.
 	levelAcc []float64
 	inflight int
-	cache    *rescache.Cache
-	slo      *obs.SLOTracker
-	audit    *audit.Config
-	costs    *cost.Table
 }
 
 // shared serves every component with one handler.
@@ -204,48 +195,21 @@ func (d deployment) start() (*served, error) {
 			return netsvc.NewLiveIngestHandler(netsvc.LiveStores{Agg: d.lives[i : i+1]})
 		}
 	}
-	if !d.gatherOnly {
-		spec.Front = d.frontServer
+	if d.front != nil {
+		spec.Front = &netsvc.FrontSpec{Server: *d.front}
+		if d.levelAcc != nil {
+			opts, err := standardOptions(d.inflight, d.levelAcc)
+			if err != nil {
+				return nil, err
+			}
+			spec.Front.Frontend = &opts
+		}
 	}
 	lb, err := netsvc.StartLoopback(spec)
 	if err != nil {
 		return nil, err
 	}
 	return &served{lb, target{lb.Client.Call, d.levelAcc}}, nil // a nil Client's Call is never made
-}
-
-// frontServer builds the front server over agr and enables its planes.
-// The ordering lives here: NewFrontServer fixes the tracer and the
-// frontend (cost attribution needs the one, the cache's accuracy tags
-// the other's controller), then the setters run — cache, SLO, audit,
-// cost, ingest — before StartLoopback serves.
-func (d deployment) frontServer(agr *netsvc.Aggregator) (*netsvc.FrontServer, error) {
-	var fe *frontend.Frontend
-	if d.levelAcc != nil {
-		var err error
-		if fe, err = StandardFrontend(agr, d.inflight, d.levelAcc, nil); err != nil {
-			return nil, err
-		}
-	}
-	fs := netsvc.NewFrontServer(agr, fe, d.front)
-	if d.cache != nil {
-		if err := fs.EnableCache(d.cache); err != nil {
-			return fs, err
-		}
-	}
-	fs.EnableSLO(d.slo, nil) // nil leaves the plane off, as for cost
-	if d.audit != nil {
-		if _, err := fs.EnableAudit(*d.audit); err != nil {
-			return fs, err
-		}
-	}
-	if err := fs.EnableCost(d.costs); err != nil {
-		return fs, err
-	}
-	if d.lives != nil {
-		fs.EnableIngest(d.rewarm)
-	}
-	return fs, nil
 }
 
 // target is where a serving experiment sends whole-service requests —

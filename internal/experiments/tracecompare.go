@@ -91,7 +91,7 @@ func (tc *TraceCompare) runPass(sc Scale, f *aggFix, rec *obs.Recorder) (float64
 		n:        len(f.Comps),
 		handler:  shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{UnitCost: msDur(f.unitMs)})),
 		server:   netsvc.ServerOptions{Workers: 1, QueueLen: 512},
-		front:    netsvc.ServerOptions{Tracer: rec},
+		front:    &netsvc.ServerOptions{Tracer: rec},
 		levelAcc: f.levelAcc,
 	}.start()
 	if err != nil {

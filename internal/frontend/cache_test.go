@@ -10,6 +10,7 @@ import (
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/netsvc"
+	"accuracytrader/internal/obs"
 	"accuracytrader/internal/rescache"
 	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
@@ -33,37 +34,41 @@ func stubAnswer(req *wire.Request, v float64) *wire.SubReply {
 // cachedFront stands up cacheComps component servers over handler, a
 // WaitAll aggregator, a frontend calibrated to levelAcc that admits
 // everything, and a front server with the result cache configured by
-// cfg in front of it.
-func cachedFront(t *testing.T, levelAcc []float64, cfg rescache.Config, handler netsvc.Handler) (*netsvc.Loopback, *frontend.Frontend, *rescache.Cache) {
+// cfg in front of it. stats reads the frontend's counters.
+func cachedFront(t *testing.T, levelAcc []float64, cfg rescache.Config, handler netsvc.Handler) (lb *netsvc.Loopback, stats func() frontend.Stats, cache *rescache.Cache) {
 	t.Helper()
 	cache, err := rescache.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cache.Close)
-	var fe *frontend.Frontend
-	lb, err := netsvc.StartLoopback(netsvc.LoopbackSpec{
+	ctrl, err := frontend.NewController(frontend.ControllerConfig{Levels: len(levelAcc), LevelAccuracy: levelAcc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	lb, err = netsvc.StartLoopback(netsvc.LoopbackSpec{
 		Components: cacheComps,
 		Handler:    func(int) netsvc.Handler { return handler },
 		Server:     netsvc.ServerOptions{Workers: 2},
 		Agg:        netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 5 * time.Second},
-		Front: func(a *netsvc.Aggregator) (*netsvc.FrontServer, error) {
-			ctrl, err := frontend.NewController(frontend.ControllerConfig{Levels: len(levelAcc), LevelAccuracy: levelAcc})
-			if err != nil {
-				return nil, err
-			}
-			if fe, err = frontend.New(a, frontend.Options{Controller: ctrl}); err != nil {
-				return nil, err
-			}
-			fs := netsvc.NewFrontServer(a, fe, netsvc.ServerOptions{})
-			return fs, fs.EnableCache(cache)
+		Front: &netsvc.FrontSpec{
+			Frontend: &frontend.Options{Controller: ctrl, Metrics: reg},
+			Server:   netsvc.ServerOptions{Cache: cache},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(lb.Close)
-	return lb, fe, cache
+	stats = func() frontend.Stats {
+		return frontend.Stats{
+			Admitted: reg.Counter("frontend_admitted_total").Value(),
+			Degraded: reg.Counter("frontend_degraded_total").Value(),
+			Rejected: reg.Counter("frontend_rejected_total").Value(),
+		}
+	}
+	return lb, stats, cache
 }
 
 // sumReq is the whole-service SUM request the tests repeat, at one class.
@@ -76,7 +81,7 @@ func TestCacheHonorsBoundedFloorAndEpoch(t *testing.T) {
 	// Exact-class sub-requests answer 1, approximate ones 0.5: a reply's
 	// sum tells which computation it came from.
 	var calls atomic.Int64
-	lb, fe, cache := cachedFront(t, []float64{0.6, 0.95}, rescache.Config{Capacity: 64, RefreshBelow: 1e-9},
+	lb, stats, cache := cachedFront(t, []float64{0.6, 0.95}, rescache.Config{Capacity: 64, RefreshBelow: 1e-9},
 		func(ctx context.Context, req *wire.Request) *wire.SubReply {
 			calls.Add(1)
 			if req.SLO == wire.SLOExact {
@@ -127,7 +132,7 @@ func TestCacheHonorsBoundedFloorAndEpoch(t *testing.T) {
 		t.Fatal("stale entry served after epoch bump")
 	}
 	// Only the four misses reached the frontend; the two hits never did.
-	if st := fe.Stats(); st.Admitted != 4 || st.Rejected != 0 {
+	if st := stats(); st.Admitted != 4 || st.Rejected != 0 {
 		t.Fatalf("frontend stats = %+v, want 4 admitted", st)
 	}
 }
@@ -135,7 +140,7 @@ func TestCacheHonorsBoundedFloorAndEpoch(t *testing.T) {
 func TestCacheCoalescesThroughFrontend(t *testing.T) {
 	release := make(chan struct{})
 	var calls atomic.Int64
-	lb, fe, _ := cachedFront(t, []float64{0.9}, rescache.Config{Capacity: 64, RefreshBelow: 1e-9},
+	lb, stats, _ := cachedFront(t, []float64{0.9}, rescache.Config{Capacity: 64, RefreshBelow: 1e-9},
 		func(ctx context.Context, req *wire.Request) *wire.SubReply {
 			calls.Add(1)
 			<-release
@@ -177,14 +182,14 @@ func TestCacheCoalescesThroughFrontend(t *testing.T) {
 	if hits.Load() != waiters-1 {
 		t.Fatalf("%d waiters shared the computation, want %d", hits.Load(), waiters-1)
 	}
-	if st := fe.Stats(); st.Admitted != 1 {
+	if st := stats(); st.Admitted != 1 {
 		t.Fatalf("frontend stats = %+v, want the one flight admitted once", st)
 	}
 }
 
 func TestCacheRefreshUpgradesThroughAdmission(t *testing.T) {
 	var exactCalls atomic.Int64
-	lb, fe, _ := cachedFront(t, []float64{0.6, 0.95},
+	lb, stats, _ := cachedFront(t, []float64{0.6, 0.95},
 		rescache.Config{Capacity: 64, RefreshBelow: 1, RefreshInterval: time.Millisecond},
 		func(ctx context.Context, req *wire.Request) *wire.SubReply {
 			if req.SLO == wire.SLOExact {
@@ -210,7 +215,7 @@ func TestCacheRefreshUpgradesThroughAdmission(t *testing.T) {
 				t.Fatal("refresh did not go through the Exact path")
 			}
 			// The foreground miss and the refresh were both admitted.
-			if st := fe.Stats(); st.Admitted < 2 {
+			if st := stats(); st.Admitted < 2 {
 				t.Fatalf("frontend stats = %+v: the refresh bypassed admission", st)
 			}
 			return

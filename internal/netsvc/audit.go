@@ -12,29 +12,13 @@ import (
 	"accuracytrader/internal/wire"
 )
 
-// EnableSLO installs the SLO attainment tracker: every answered
-// whole-service request is recorded with its class, deadline outcome
-// and degradation outcome. tenantOf, when non-nil, keys the per-tenant
-// dimension (return "" for untenanted requests); a nil tenantOf uses
-// the request's wire Tenant field. Call before Serve.
-func (s *FrontServer) EnableSLO(t *obs.SLOTracker, tenantOf func(*wire.Request) string) {
-	s.slo = t
-	s.tenantOf = tenantOf
-}
-
-// SLOTracker returns the installed tracker (nil when disabled).
-func (s *FrontServer) SLOTracker() *obs.SLOTracker { return s.slo }
-
-// EnableAudit starts the ground-truth auditor behind this front server.
-// Unset Config hooks are wired to the server itself: Replay recomputes
-// the sampled request at Exact class through the same pipeline
-// (admission included, so audits yield to foreground traffic — and a
-// successful replay upgrades a still-cached entry for free), Gate holds
-// replays below the controller's refresh load ceiling, and Epoch tracks
-// the ingest-driven data epoch so a sample is never audited against
-// newer data than its answer saw. Call before Serve; the caller owns
-// Close on the returned auditor.
-func (s *FrontServer) EnableAudit(cfg audit.Config) (*audit.Auditor, error) {
+// auditConfig wires cfg's unset hooks to the server: Replay recomputes
+// the sample at Exact class through the same pass (admission included;
+// a successful replay upgrades a still-cached entry), Gate holds replays
+// below the controller's refresh ceiling, and Epoch tracks the ingest
+// data epoch, so a sample is never audited against newer data than its
+// answer saw. cfg's OnVerdict runs after the server's own.
+func (s *FrontServer) auditConfig(cfg audit.Config) audit.Config {
 	if cfg.Replay == nil {
 		cfg.Replay = s.auditReplay
 	}
@@ -51,15 +35,10 @@ func (s *FrontServer) EnableAudit(cfg audit.Config) (*audit.Auditor, error) {
 			user(smp, v)
 		}
 	}
-	a, err := audit.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.auditor = a
-	return a, nil
+	return cfg
 }
 
-// Auditor returns the enabled auditor (nil when disabled).
+// Auditor returns the server's auditor (nil when disabled).
 func (s *FrontServer) Auditor() *audit.Auditor { return s.auditor }
 
 // auditMismatchSlack is how far claimed accuracy may exceed realized

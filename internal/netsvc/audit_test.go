@@ -10,14 +10,16 @@ import (
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/audit"
+	"accuracytrader/internal/cost"
 	"accuracytrader/internal/obs"
 	"accuracytrader/internal/wire"
 )
 
 // auditStack runs 4 component servers behind an audited front server
-// (tracing + SLO tracking + fraction-1 sampling) and returns the client,
-// front server, and auditor.
-func auditStack(t *testing.T, cfg audit.Config) (*Client, *FrontServer, *audit.Auditor) {
+// (tracing + SLO tracking + fraction-1 sampling, and cost attribution
+// into costs unless it is nil) and returns the client, front server,
+// and auditor.
+func auditStack(t *testing.T, cfg audit.Config, costs *cost.Table) (*Client, *FrontServer, *audit.Auditor) {
 	t.Helper()
 	comps := buildAggComps(t, 4)
 	if cfg.SampleFraction == 0 {
@@ -33,12 +35,8 @@ func auditStack(t *testing.T, cfg audit.Config) (*Client, *FrontServer, *audit.A
 		// replay has real error to measure.
 		Handler: every(NewAggBackend(comps, BackendOptions{IMaxFrac: 0.01})),
 		Agg:     waitAll,
-		Front: func(a *Aggregator) (*FrontServer, error) {
-			fs := NewFrontServer(a, nil, ServerOptions{Tracer: obs.NewRecorder(64, 16)})
-			fs.EnableSLO(obs.NewSLOTracker(obs.SLOBudgets{}), nil)
-			_, err := fs.EnableAudit(cfg)
-			return fs, err
-		},
+		Front: &FrontSpec{Server: ServerOptions{Tracer: obs.NewRecorder(64, 16), SLO: obs.NewSLOTracker(obs.SLOBudgets{}),
+			Audit: &cfg, Costs: costs}},
 	})
 	cl, fs, auditor := lb.Client, lb.Front, lb.Front.Auditor()
 	return cl, fs, auditor
@@ -60,7 +58,7 @@ func boundedCoarseReq(minAcc float64) *wire.Request {
 // violation, the original trace is pinned, and the SLO tracker records
 // the after-the-fact floor violation.
 func TestAuditEndToEnd(t *testing.T) {
-	cl, fs, auditor := auditStack(t, audit.Config{})
+	cl, fs, auditor := auditStack(t, audit.Config{}, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -101,7 +99,7 @@ func TestAuditEndToEnd(t *testing.T) {
 	// The verdicts pin the original traces as floor-violation anomalies.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		ex := fs.Tracer().Exemplars(0)
+		ex := fs.tracer.Exemplars(0)
 		pinned := 0
 		for _, v := range ex {
 			if v.Anomaly&uint8(obs.AnomalyFloorViolation) != 0 {
@@ -118,7 +116,7 @@ func TestAuditEndToEnd(t *testing.T) {
 	}
 	// And the SLO tracker's after-the-fact dimension counts them without
 	// inflating the request totals.
-	total, _, floor, _ := fs.SLOTracker().Window(wire.SLOBounded, 2)
+	total, _, floor, _ := fs.slo.Window(wire.SLOBounded, 2)
 	if total != calls {
 		t.Fatalf("SLO total = %d, want %d (floor violations must not double-count)", total, calls)
 	}
@@ -135,7 +133,7 @@ func TestAuditSkipsEpochSwappedSamples(t *testing.T) {
 	var gateOpen atomic.Bool
 	cl, fs, auditor := auditStack(t, audit.Config{
 		Gate: func() bool { return gateOpen.Load() },
-	})
+	}, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -174,7 +172,7 @@ func TestAuditSkipsEpochSwappedSamples(t *testing.T) {
 // audit across a swap, and the accounting invariant must hold exactly
 // once everything settles.
 func TestAuditorEpochSwapRace(t *testing.T) {
-	cl, fs, auditor := auditStack(t, audit.Config{QueueLen: 512})
+	cl, fs, auditor := auditStack(t, audit.Config{QueueLen: 512}, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -236,7 +234,7 @@ func TestAuditorEpochSwapRace(t *testing.T) {
 // in flight during Shutdown must complete or fail cleanly — never
 // panic — and closing the auditor afterward balances the books.
 func TestAuditorSurvivesShutdown(t *testing.T) {
-	cl, fs, auditor := auditStack(t, audit.Config{QueueLen: 512})
+	cl, fs, auditor := auditStack(t, audit.Config{QueueLen: 512}, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -284,11 +282,7 @@ func TestDegradedReplyPinnedAndRecorded(t *testing.T) {
 			Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0.5}, CntVar: []float64{0}}}
 	}
 	lb := startLoopback(t, LoopbackSpec{Components: 4, Handler: every(h), Agg: waitAll,
-		Front: func(a *Aggregator) (*FrontServer, error) {
-			fs := NewFrontServer(a, nil, ServerOptions{Tracer: obs.NewRecorder(4, 8)})
-			fs.EnableSLO(obs.NewSLOTracker(obs.SLOBudgets{}), nil)
-			return fs, nil
-		}})
+		Front: &FrontSpec{Server: ServerOptions{Tracer: obs.NewRecorder(4, 8), SLO: obs.NewSLOTracker(obs.SLOBudgets{})}}})
 	cl, fs := lb.Client, lb.Front
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -321,7 +315,7 @@ func TestDegradedReplyPinnedAndRecorded(t *testing.T) {
 			t.Fatalf("healthy reply: %+v", rep)
 		}
 	}
-	ex := fs.Tracer().Exemplars(0)
+	ex := fs.tracer.Exemplars(0)
 	if len(ex) != 1 || ex[0].ID != degradedID {
 		t.Fatalf("degraded exemplar lost: %+v", ex)
 	}
@@ -329,11 +323,11 @@ func TestDegradedReplyPinnedAndRecorded(t *testing.T) {
 		t.Fatalf("exemplar reasons: %+v", ex[0])
 	}
 	// Healthy traces rotated; none were pinned.
-	if got := fs.Tracer().PinnedTotal(); got != 1 {
+	if got := fs.tracer.PinnedTotal(); got != 1 {
 		t.Fatalf("PinnedTotal = %d, want 1", got)
 	}
 	// The SLO tracker saw 11 BestEffort requests, 1 degraded.
-	total, _, _, deg := fs.SLOTracker().Window(wire.SLOBestEffort, 2)
+	total, _, _, deg := fs.slo.Window(wire.SLOBestEffort, 2)
 	if total != 11 || deg != 1 {
 		t.Fatalf("SLO window: total %d degraded %d, want 11/1", total, deg)
 	}

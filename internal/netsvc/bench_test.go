@@ -20,13 +20,7 @@ import (
 func benchServe(b *testing.B, rec *obs.Recorder, costs *cost.Table) {
 	comps := buildAggComps(b, 1)
 	cl := startLoopback(b, LoopbackSpec{Components: 1, Handler: every(NewAggBackend(comps, BackendOptions{})), Agg: waitAll,
-		Front: func(a *Aggregator) (*FrontServer, error) {
-			fs := NewFrontServer(a, nil, ServerOptions{Tracer: rec})
-			if costs == nil {
-				return fs, nil
-			}
-			return fs, fs.EnableCost(costs)
-		}}).Client
+		Front: &FrontSpec{Server: ServerOptions{Tracer: rec, Costs: costs}}}).Client
 
 	req := aggReq(agg.Sum, 0, math.Inf(1))
 	req.SLO = wire.SLOBestEffort

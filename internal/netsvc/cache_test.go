@@ -35,7 +35,7 @@ func startCachedFrontServer(t *testing.T, n int, admission []frontend.AdmissionP
 		}),
 		Server: ServerOptions{Workers: 2},
 		Agg:    waitAll,
-		Front:  calibratedFront(admission, ServerOptions{}, func(fs *FrontServer) error { return fs.EnableCache(cache) }),
+		Front:  calibratedFront(t, admission, ServerOptions{Cache: cache}),
 	})
 	fs, cl := lb.Front, lb.Client
 	return fs, cache, cl, &backendCalls, comps

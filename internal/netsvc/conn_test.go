@@ -266,7 +266,7 @@ func TestSearchRoundTripAllocations(t *testing.T) {
 		comps[i] = c
 	}
 	cl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(NewSearchBackend(comps, BackendOptions{})),
-		Agg: waitAll, Front: bareFront}).Client
+		Agg: waitAll, Front: &FrontSpec{}}).Client
 	queries := data.SampleQueries(3, 16)
 	i := 0
 	bare, withDeadline := roundTripAllocs(t, cl, func() *wire.Request {
@@ -296,7 +296,7 @@ func TestCFRoundTripAllocations(t *testing.T) {
 		comps[i] = c
 	}
 	cl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(NewCFBackend(comps, BackendOptions{})),
-		Agg: waitAll, Front: bareFront}).Client
+		Agg: waitAll, Front: &FrontSpec{}}).Client
 	sampled := data.SampleCFRequests(7, 16, 0.2)
 	reqs := make([]*wire.Request, len(sampled))
 	for i, s := range sampled {
@@ -322,7 +322,7 @@ func TestAggRoundTripAllocations(t *testing.T) {
 	}
 	const shards = 8
 	cl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(NewAggBackend(buildAggComps(t, shards), BackendOptions{})),
-		Agg: waitAll, Front: calibratedFront(nil, ServerOptions{}, nil)}).Client
+		Agg: waitAll, Front: calibratedFront(t, nil, ServerOptions{})}).Client
 	i := 0
 	bare, withDeadline := roundTripAllocs(t, cl, func() *wire.Request {
 		i++

@@ -15,11 +15,8 @@ import (
 // meters every answered request into the returned table.
 func costStack(t *testing.T, cfg audit.Config) (*Client, *FrontServer, *audit.Auditor, *cost.Table) {
 	t.Helper()
-	cl, fs, auditor := auditStack(t, cfg)
 	table := cost.NewTable()
-	if err := fs.EnableCost(table); err != nil {
-		t.Fatal(err)
-	}
+	cl, fs, auditor := auditStack(t, cfg, table)
 	return cl, fs, auditor, table
 }
 
@@ -106,7 +103,7 @@ func TestInternalTrafficExcluded(t *testing.T) {
 	// SLO windows: the Bounded class saw exactly the client's calls; the
 	// Exact class saw nothing, even though every replay recomputed at
 	// Exact class through the same composition path.
-	tr := fs.SLOTracker()
+	tr := fs.slo
 	if total, _, _, _ := tr.Window(wire.SLOBounded, 0); total != calls {
 		t.Fatalf("Bounded window total = %d, want %d", total, calls)
 	}
@@ -137,7 +134,7 @@ func TestInternalTrafficExcluded(t *testing.T) {
 func TestRefreshBilledToInternalTenant(t *testing.T) {
 	_, fs, _, table := costStack(t, audit.Config{SampleFraction: 0.000001})
 
-	// (Without a controller EnableCache refuses, so the refresh hook is
+	// (Without a controller NewFront refuses a cache, so the refresh hook is
 	// called directly; the cost accounting is what's under test here.)
 	v, _, ok := fs.refreshToExact(0, boundedCoarseReq(0.1))
 	if !ok || v == nil {
@@ -193,13 +190,13 @@ func TestOriginCharges(t *testing.T) {
 			}
 			row.close(0)
 
-			traces := fs.Tracer().Snapshot(0)
+			traces := fs.tracer.Snapshot(0)
 			if len(traces) != 1 || traces[0].ID != rep.Trace || traces[0].CacheOutcome != tc.outcome {
 				t.Fatalf("traces = %+v, want one with id %d and cache outcome %d", traces, rep.Trace, tc.outcome)
 			}
 			var total int64
 			for class := uint8(0); class <= wire.SLOBestEffort; class++ {
-				n, _, _, _ := fs.SLOTracker().Window(class, 0)
+				n, _, _, _ := fs.slo.Window(class, 0)
 				total += n
 			}
 			if total != tc.slo {

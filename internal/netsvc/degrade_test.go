@@ -13,9 +13,9 @@ import (
 )
 
 // degradeFixture serves four subsets where subset 0 fails on demand,
-// behind the FrontServer front builds, and returns a client plus the
+// behind the front server front specifies, and returns a client plus the
 // fault switch.
-func degradeFixture(t *testing.T, front func(*Aggregator) (*FrontServer, error)) (*Client, *atomic.Bool) {
+func degradeFixture(t *testing.T, front *FrontSpec) (*Client, *atomic.Bool) {
 	t.Helper()
 	var lose atomic.Bool
 	h := func(ctx context.Context, req *wire.Request) *wire.SubReply {
@@ -50,7 +50,7 @@ func degradeCall(t *testing.T, cl *Client, slo uint8, minAcc float64) *wire.Repl
 // its floor (typed rejection otherwise), Exact fails fast — and a
 // healthy fan-out stays a plain OK answer.
 func TestDegradationSLORule(t *testing.T) {
-	cl, lose := degradeFixture(t, bareFront)
+	cl, lose := degradeFixture(t, &FrontSpec{})
 
 	// Healthy control: full fan-out, plain OK, no degradation flag.
 	rep := degradeCall(t, cl, wire.SLOBestEffort, 0)
@@ -121,7 +121,7 @@ func TestDegradedReplyIsNeverCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cache.Close)
-	cl, lose := degradeFixture(t, calibratedFront(nil, ServerOptions{}, func(fs *FrontServer) error { return fs.EnableCache(cache) }))
+	cl, lose := degradeFixture(t, calibratedFront(t, nil, ServerOptions{Cache: cache}))
 
 	lose.Store(true)
 	for i := 0; i < 2; i++ {

@@ -24,7 +24,10 @@
 //     frontend pipeline, merges the sub-results with the application
 //     composers (additive for CF and aggregation — bounds-aware via
 //     the carried variances — top-k for search), and answers with a
-//     composed wire.Reply recording what was delivered. Client
+//     composed wire.Reply recording what was delivered. NewFront
+//     builds it with its planes — cache, SLO tracker, auditor, cost
+//     table, each a ServerOptions field — validated together before a
+//     worker starts; every front server forwards append batches. Client
 //     requests, cache refreshes, re-warms and audit replays all take
 //     one pass (FrontServer.pass), which owns the trace, the cost
 //     account, the cache-or-fan-out choice and the SLO and audit

@@ -3,6 +3,7 @@ package netsvc
 import (
 	"context"
 	"errors"
+	"io"
 	"math"
 	"net"
 	"runtime"
@@ -191,7 +192,7 @@ func TestBreakerEvictsReroutesAndRecloses(t *testing.T) {
 }
 
 // openConns counts the connections a server currently holds open.
-func openConns(s *Server) int {
+func openConns(s *srvCore) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.conns)
@@ -239,12 +240,89 @@ func TestStalledPeerProbesLeaveNoConnections(t *testing.T) {
 	// it; a connection the aggregator still holds stays open.
 	stall.Heal()
 	deadline := time.Now().Add(5 * time.Second)
-	for openConns(srv) != 0 && time.Now().Before(deadline) {
+	for openConns(srv.srvCore) != 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := openConns(srv); n != 0 {
+	if n := openConns(srv.srvCore); n != 0 {
 		t.Fatalf("after %d breaker opens and Close, the component holds %d aggregator connections, want 0", opens, n)
 	}
+}
+
+// TestConnectionCapRefusesOverflow fills a front server's connection
+// cap (lowered to 8) with a client and idle peers: every connection past
+// it is accepted, closed and counted as refused, while the client's
+// Exact replies stay bit-exact, and Close leaves no goroutine behind.
+func TestConnectionCapRefusesOverflow(t *testing.T) {
+	const limit, over = 8, 4
+	comps := buildAggComps(t, 2)
+	lb := startLoopback(t, LoopbackSpec{Components: 2, Handler: every(NewAggBackend(comps, BackendOptions{})), Agg: waitAll})
+	checkLeaks := leakCheck(t)
+	fs, err := NewFront(lb.Agg, nil, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.maxConns = limit
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go fs.Serve(l)
+	cl, err := DialClient(l.Addr().String(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() net.Conn {
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	var idle []net.Conn
+	for i := 1; i < limit; i++ {
+		idle = append(idle, dial())
+	}
+	for deadline := time.Now().Add(5 * time.Second); openConns(fs.srvCore) < limit && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := openConns(fs.srvCore); n != limit {
+		t.Fatalf("%d connections open, want the limit, %d", n, limit)
+	}
+
+	q := agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)}
+	exact := agg.NewResult(comps[0].T.NumKeys())
+	for _, c := range comps {
+		exact.Merge(agg.ExactResult(c, q))
+	}
+	for i := 0; i < over; i++ {
+		c := dial()
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Fatalf("connection %d over the limit: read %v, want EOF (closed at accept)", i+1, err)
+		}
+		c.Close()
+		req := aggReq(q.Op, q.Lo, q.Hi)
+		req.SLO = wire.SLOExact
+		rep, err := cl.Call(context.Background(), req)
+		if err != nil || rep.Status != wire.ReplyOK {
+			t.Fatalf("client at the limit: %+v, %v", rep, err)
+		}
+		got := AggResultOf(rep.Agg)
+		for k := range exact.Sum {
+			if math.Float64bits(got.Sum[k]) != math.Float64bits(exact.Sum[k]) || math.Float64bits(got.Cnt[k]) != math.Float64bits(exact.Cnt[k]) {
+				t.Fatalf("key %d: (%v, %v) at the limit, exact (%v, %v)", k, got.Sum[k], got.Cnt[k], exact.Sum[k], exact.Cnt[k])
+			}
+		}
+	}
+	if st := fs.Stats(); st.Refused != over || openConns(fs.srvCore) != limit {
+		t.Fatalf("refused %d with %d open, want %d refused and the limit, %d, open", st.Refused, openConns(fs.srvCore), over, limit)
+	}
+	cl.Close()
+	for _, c := range idle {
+		c.Close()
+	}
+	fs.Close()
+	checkLeaks()
 }
 
 // TestCallCancellationReleasesInflight cancels the caller's context
@@ -312,7 +390,7 @@ func TestClientCancelLeavesNoPending(t *testing.T) {
 			Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0}, CntVar: []float64{0}}}
 	}
 	lb := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(h), Server: ServerOptions{Workers: 2},
-		Agg: waitAll, Front: bareFront})
+		Agg: waitAll, Front: &FrontSpec{}})
 	defer close(release)
 	cl := lb.Client
 

@@ -2,6 +2,7 @@ package netsvc
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -10,6 +11,8 @@ import (
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/audit"
+	"accuracytrader/internal/cost"
+	"accuracytrader/internal/obs"
 	"accuracytrader/internal/rescache"
 	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
@@ -24,10 +27,10 @@ func unitAgg() *wire.SubReply {
 
 // TestNilFrontendFrontServer pins what a front server built without a
 // frontend does: it runs one with no controller and no admission policy.
-// Subset i is served on component i; the cache, whose accuracy tags
-// need a controller, is refused; an SLONone request is answered at its
-// effective class, BestEffort; and the auditor is offered the answer at
-// the degrade rule's base accuracy, 1.
+// Subset i is served on component i; an SLONone request is answered at
+// its effective class, BestEffort; and the auditor is offered the answer
+// at the degrade rule's base accuracy, 1. (Its refusal of a cache is
+// TestNewFrontRejectsInvalidPlanes'.)
 func TestNilFrontendFrontServer(t *testing.T) {
 	const n, calls = 4, 8
 	var misplaced, served atomic.Int64
@@ -41,27 +44,14 @@ func TestNilFrontendFrontServer(t *testing.T) {
 		}
 	}
 	claims := make(chan float64, 2*calls) // a verdict per call, never blocking the auditor
-	var cacheErr error
 	lb := startLoopback(t, LoopbackSpec{Components: n, Handler: handler, Agg: waitAll,
-		Front: func(a *Aggregator) (*FrontServer, error) {
-			fs := NewFrontServer(a, nil, ServerOptions{})
-			cache, err := rescache.New(rescache.Config{Capacity: 8})
-			if err != nil {
-				return nil, err
-			}
-			cacheErr = fs.EnableCache(cache)
-			_, err = fs.EnableAudit(audit.Config{SampleFraction: 1, Interval: time.Microsecond,
-				OnVerdict: func(smp *audit.Sample, _ audit.Verdict) {
-					select {
-					case claims <- smp.ClaimedAccuracy:
-					default:
-					}
-				}})
-			return fs, err
-		}})
-	if cacheErr == nil || !strings.Contains(cacheErr.Error(), "controller") {
-		t.Fatalf("EnableCache without a controller: err %v, want the requires-a-controller refusal", cacheErr)
-	}
+		Front: &FrontSpec{Server: ServerOptions{Audit: &audit.Config{SampleFraction: 1, Interval: time.Microsecond,
+			OnVerdict: func(smp *audit.Sample, _ audit.Verdict) {
+				select {
+				case claims <- smp.ClaimedAccuracy:
+				default:
+				}
+			}}}}})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for i := 0; i < calls; i++ {
@@ -91,6 +81,47 @@ func TestNilFrontendFrontServer(t *testing.T) {
 	}
 }
 
+// TestNewFrontRejectsInvalidPlanes: each plane combination NewFront
+// cannot serve is refused with a typed error before anything starts —
+// a nil server, and the goroutine count back at its baseline, so no
+// half-built server is left running. Every audit config registers its
+// counters in reg, which stays empty: no refusal started an auditor.
+func TestNewFrontRejectsInvalidPlanes(t *testing.T) {
+	lb := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(func(context.Context, *wire.Request) *wire.SubReply { return unitAgg() }),
+		Agg: waitAll})
+	cache, err := rescache.New(rescache.Config{Capacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cache.Close)
+	reg := obs.NewRegistry()
+	for _, tc := range []struct {
+		name string
+		opts ServerOptions
+		want error
+	}{
+		{"cache without a controller", ServerOptions{Cache: cache}, ErrCacheNeedsController},
+		{"cost without a tracer", ServerOptions{Costs: cost.NewTable(), SLO: obs.NewSLOTracker(obs.SLOBudgets{})}, ErrCostNeedsTracer},
+		{"audit fraction above 1", ServerOptions{Audit: &audit.Config{SampleFraction: 1.5, Metrics: reg}}, audit.ErrSampleFraction},
+		{"audit fraction below 0", ServerOptions{Audit: &audit.Config{SampleFraction: -0.5, Metrics: reg}}, audit.ErrSampleFraction},
+		{"audit beside a refused cache", ServerOptions{Cache: cache, Audit: &audit.Config{Metrics: reg}}, ErrCacheNeedsController},
+		{"audit beside a refused cost table", ServerOptions{Costs: cost.NewTable(), Audit: &audit.Config{Metrics: reg}}, ErrCostNeedsTracer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkLeaks := leakCheck(t)
+			fs, err := NewFront(lb.Agg, nil, tc.opts)
+			if fs != nil || !errors.Is(err, tc.want) {
+				t.Fatalf("NewFront = %v, %v; want nil, %v", fs, err, tc.want)
+			}
+			checkLeaks()
+		})
+	}
+	var exposed strings.Builder
+	if err := reg.WritePrometheus(&exposed); err != nil || strings.Contains(exposed.String(), "audit_") {
+		t.Fatalf("a refused NewFront started an auditor: %v\n%s", err, exposed.String())
+	}
+}
+
 // TestCallRecordOutlivesStraggler: the frontend's call record is the
 // context a fan-out runs under. A PartialGather call returns without its
 // straggler; the straggler's peer then fails, and the sub-operation's
@@ -111,7 +142,7 @@ func TestCallRecordOutlivesStraggler(t *testing.T) {
 		}
 	}
 	lb := startLoopback(t, LoopbackSpec{Components: 2, Handler: handler,
-		Agg: AggregatorOptions{Policy: service.PartialGather, Deadline: time.Second}, Front: bareFront})
+		Agg: AggregatorOptions{Policy: service.PartialGather, Deadline: time.Second}, Front: &FrontSpec{}})
 	defer func() {
 		select {
 		case <-release:

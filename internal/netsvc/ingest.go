@@ -15,11 +15,10 @@ import (
 type IngestHandler func(req *wire.IngestRequest) *wire.IngestReply
 
 // SetIngest installs the append-batch handler. Component servers pass
-// a handler staging into their live shards (NewLiveIngestHandler);
-// front servers install a forwarding handler via EnableIngest. Call
-// before Serve; without a handler, ingest frames are answered
-// IngestRejected so a v5 client degrades cleanly against a read-only
-// server.
+// a handler staging into their live shards (NewLiveIngestHandler); a
+// front server forwards from the start (NewFront). Call before Serve;
+// without a handler, ingest frames are answered IngestRejected so a v5
+// client degrades cleanly against a read-only server.
 func (s *srvCore) SetIngest(h IngestHandler) { s.ingest = h }
 
 // serveIngest answers one decoded append batch on the connection's
@@ -129,31 +128,22 @@ func NewLiveAggBackend(lives []*ingest.AggLive, opts BackendOptions) Handler {
 	})
 }
 
-// EnableIngest makes the front server accept v5 append batches and
-// forward each to its owning component through the aggregator, and
-// wires the ingest-driven cache invalidation: whenever a component
-// epoch swap is observed — via the advancing epochs on ingest
-// acknowledgements, or a NotifyEpochSwap call by an in-process owner
-// that swaps its stores itself — the result cache's epoch is bumped
-// (staling every entry) and up to rewarmMax of the hottest entries are
-// recomputed in the background (rescache.RewarmHot), turning the
-// post-swap miss burst back into hits. rewarmMax 0 disables re-warming; without
-// EnableCache the epoch bookkeeping is kept but there is nothing to
-// invalidate. Call before Serve.
-func (s *FrontServer) EnableIngest(rewarmMax int) {
-	s.rewarmMax = rewarmMax
-	s.SetIngest(func(req *wire.IngestRequest) *wire.IngestReply {
-		ctx, cancel := context.WithTimeout(context.Background(), s.agg.Deadline())
-		defer cancel()
-		rep := s.agg.Ingest(ctx, req)
-		if rep.Status == wire.IngestOK {
-			// The staging epoch only advances across a swap, so observing
-			// it grow is observing that previously composed answers went
-			// stale — the cross-process invalidation signal.
-			s.NotifyEpochSwap(rep.Epoch)
-		}
-		return rep
-	})
+// rewarmHot is how many of the hottest cache entries a front server
+// recomputes after each observed epoch swap (rescache.RewarmHot).
+const rewarmHot = 32
+
+// forwardIngest is a front server's append handler: it forwards each
+// batch to its owning component. An acknowledged staging epoch only
+// advances across a swap, so its growth is the cross-process signal
+// that composed answers went stale (NotifyEpochSwap).
+func (s *FrontServer) forwardIngest(req *wire.IngestRequest) *wire.IngestReply {
+	ctx, cancel := context.WithTimeout(context.Background(), s.agg.Deadline())
+	defer cancel()
+	rep := s.agg.Ingest(ctx, req)
+	if rep.Status == wire.IngestOK {
+		s.NotifyEpochSwap(rep.Epoch)
+	}
+	return rep
 }
 
 // NotifyEpochSwap folds one observed data epoch into the front
@@ -180,10 +170,10 @@ func (s *FrontServer) NotifyEpochSwap(epoch uint64) {
 	// captured at its own start, so a pass that straddles further swaps
 	// stays correct (entries are born stale) — overlapping passes would
 	// only duplicate work.
-	if s.rewarmMax > 0 && s.rewarming.CompareAndSwap(false, true) {
+	if s.rewarming.CompareAndSwap(false, true) {
 		go func() {
 			defer s.rewarming.Store(false)
-			s.cache.RewarmHot(s.rewarmMax)
+			s.cache.RewarmHot(rewarmHot)
 		}()
 	}
 }

@@ -30,17 +30,10 @@ func startLiveStack(t *testing.T, n, numKeys int) (*Client, *FrontServer, []*ing
 		Handler:    func(i int) Handler { return NewLiveAggBackend(lives[i:i+1], BackendOptions{}) },
 		Ingest:     func(i int) IngestHandler { return NewLiveIngestHandler(LiveStores{Agg: lives[i : i+1]}) },
 		Agg:        waitAll,
-		Front:      ingestFront,
+		Front:      &FrontSpec{},
 	})
 	cl, fs := lb.Client, lb.Front
 	return cl, fs, lives
-}
-
-// ingestFront is the bare front server with append forwarding on.
-func ingestFront(a *Aggregator) (*FrontServer, error) {
-	fs := NewFrontServer(a, nil, ServerOptions{})
-	fs.EnableIngest(0)
-	return fs, nil
 }
 
 // TestIngestEndToEnd drives an append batch through client → front
@@ -128,7 +121,7 @@ func TestIngestEndToEnd(t *testing.T) {
 func TestIngestNotEnabled(t *testing.T) {
 	comps := buildAggComps(t, 1)
 	cl := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(NewAggBackend(comps, BackendOptions{})),
-		Agg: waitAll, Front: ingestFront}).Client
+		Agg: waitAll, Front: &FrontSpec{}}).Client
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -178,10 +171,7 @@ func TestLiveBackendCreditsScannedUnits(t *testing.T) {
 		Components: n,
 		Handler:    func(i int) Handler { return NewLiveAggBackend(lives[i:i+1], BackendOptions{}) },
 		Agg:        waitAll,
-		Front: func(a *Aggregator) (*FrontServer, error) {
-			fs := NewFrontServer(a, nil, ServerOptions{Tracer: obs.NewRecorder(16, 16)})
-			return fs, fs.EnableCost(table)
-		},
+		Front:      &FrontSpec{Server: ServerOptions{Tracer: obs.NewRecorder(16, 16), Costs: table}},
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

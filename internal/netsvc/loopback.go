@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"accuracytrader/internal/frontend"
 )
 
 // LoopbackSpec is what differs between the loopback deployments the
@@ -21,10 +23,16 @@ type LoopbackSpec struct {
 	// WrapListener, when non-nil, wraps server i's listener before it
 	// serves (fault-injection fabrics).
 	WrapListener func(i int, l net.Listener) net.Listener
-	// Front builds the client-facing server over the ready aggregator,
-	// with whatever frontend, cache and planes the deployment runs. Nil
-	// stops at the aggregator: no front server, no client.
-	Front func(*Aggregator) (*FrontServer, error)
+	// Front is the front server built over the ready aggregator, and
+	// dialed by a client. Nil stops at the aggregator.
+	Front *FrontSpec
+}
+
+// FrontSpec is a loopback front server: its frontend's options (nil:
+// NewFront's own, one replica per subset) and its own, planes included.
+type FrontSpec struct {
+	Frontend *frontend.Options
+	Server   ServerOptions
 }
 
 // Loopback is one running loopback deployment: component servers on
@@ -40,7 +48,7 @@ type Loopback struct {
 }
 
 // Close tears the deployment down in reverse start order: client, front
-// server (and its auditor, if one was enabled), aggregator, components.
+// server (and its auditor), aggregator, components.
 func (lb *Loopback) Close() {
 	for i := len(lb.closers) - 1; i >= 0; i-- {
 		lb.closers[i]()
@@ -95,14 +103,18 @@ func StartLoopback(spec LoopbackSpec) (*Loopback, error) {
 		ok = true
 		return lb, nil
 	}
-	front, err := spec.Front(agg)
-	if front != nil { // even beside an error: its workers are already running
-		lb.Front = front
-		lb.closers = append(lb.closers, front.Auditor().Close, front.Close)
+	var fe *frontend.Frontend
+	if spec.Front.Frontend != nil {
+		if fe, err = frontend.New(agg, *spec.Front.Frontend); err != nil {
+			return nil, err
+		}
 	}
+	front, err := NewFront(agg, fe, spec.Front.Server)
 	if err != nil {
 		return nil, err
 	}
+	lb.Front = front
+	lb.closers = append(lb.closers, front.Close)
 	fl, err := listen()
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/audit"
+	"accuracytrader/internal/cost"
 	"accuracytrader/internal/obs"
 	"accuracytrader/internal/wire"
 )
@@ -14,29 +15,21 @@ import (
 // TestLoopbackCloseLeavesNoGoroutines is the rig's teardown contract:
 // Close after a full start (front server, auditor and client included),
 // after an aggregator-only start, and the unwinding of a start whose
-// Front callback fails — even when the callback hands back the front
-// server it had already built — all return the goroutine count to its
-// pre-start value.
+// front server's planes are refused all return the goroutine count to
+// its pre-start value.
 func TestLoopbackCloseLeavesNoGoroutines(t *testing.T) {
 	h := func(ctx context.Context, req *wire.Request) *wire.SubReply {
 		return &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
 			Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0}, CntVar: []float64{0}}}
 	}
-	errFront := errors.New("front refused")
 	for _, tc := range []struct {
 		name  string
-		front func(*Aggregator) (*FrontServer, error)
+		front *FrontSpec
 		want  error
 	}{
-		{"full start", func(a *Aggregator) (*FrontServer, error) {
-			fs := NewFrontServer(a, nil, ServerOptions{Tracer: obs.NewRecorder(8, 8)})
-			_, err := fs.EnableAudit(audit.Config{SampleFraction: 1})
-			return fs, err
-		}, nil},
+		{"full start", &FrontSpec{Server: ServerOptions{Tracer: obs.NewRecorder(8, 8), Audit: &audit.Config{SampleFraction: 1}}}, nil},
 		{"aggregator only", nil, nil},
-		{"front callback fails", func(a *Aggregator) (*FrontServer, error) {
-			return NewFrontServer(a, nil, ServerOptions{}), errFront
-		}, errFront},
+		{"invalid planes", &FrontSpec{Server: ServerOptions{Costs: cost.NewTable(), Audit: &audit.Config{SampleFraction: 1}}}, ErrCostNeedsTracer},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkLeaks := leakCheck(t)

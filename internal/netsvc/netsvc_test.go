@@ -50,35 +50,19 @@ func every(h Handler) func(int) Handler { return func(int) Handler { return h } 
 // deadline far beyond any healthy round trip.
 var waitAll = AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second}
 
-// bareFront is the front server built without a frontend (so one with
-// no controller and no admission policy) and with no planes.
-func bareFront(a *Aggregator) (*FrontServer, error) {
-	return NewFrontServer(a, nil, ServerOptions{}), nil
-}
-
-// calibratedFront returns a Front callback deploying the frontend with a
-// controller calibrated for buildAggComps' two-level ladder, the given
-// admission policies (nil: admit everything), and whatever enable adds
-// to the server (nil: nothing).
-func calibratedFront(admission []frontend.AdmissionPolicy, sopts ServerOptions, enable func(*FrontServer) error) func(*Aggregator) (*FrontServer, error) {
-	return func(a *Aggregator) (*FrontServer, error) {
-		ctrl, err := frontend.NewController(frontend.ControllerConfig{
-			Levels:        2,
-			LevelAccuracy: []float64{0.8, 0.97},
-		})
-		if err != nil {
-			return nil, err
-		}
-		fe, err := frontend.New(a, frontend.Options{Admission: admission, Controller: ctrl})
-		if err != nil {
-			return nil, err
-		}
-		fs := NewFrontServer(a, fe, sopts)
-		if enable != nil {
-			err = enable(fs)
-		}
-		return fs, err
+// calibratedFront is a front server whose frontend has a controller
+// calibrated for buildAggComps' two-level ladder and the given admission
+// policies (nil: admit everything), with sopts' planes.
+func calibratedFront(t testing.TB, admission []frontend.AdmissionPolicy, sopts ServerOptions) *FrontSpec {
+	t.Helper()
+	ctrl, err := frontend.NewController(frontend.ControllerConfig{
+		Levels:        2,
+		LevelAccuracy: []float64{0.8, 0.97},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return &FrontSpec{Frontend: &frontend.Options{Admission: admission, Controller: ctrl}, Server: sopts}
 }
 
 // aggReq builds a whole-service aggregation request template.
@@ -115,7 +99,7 @@ func buildAggComps(t testing.TB, n int) []*agg.Component {
 // client and aggregator then serve a valid request as usual.
 func TestCallRejectsRequestWithoutPayload(t *testing.T) {
 	lb := startLoopback(t, LoopbackSpec{Components: 2, Handler: every(NewAggBackend(buildAggComps(t, 2), BackendOptions{})),
-		Agg: waitAll, Front: bareFront})
+		Agg: waitAll, Front: &FrontSpec{}})
 	for _, bad := range []*wire.Request{{Kind: wire.KindSearch}, {Kind: wire.KindCF, Agg: &wire.AggRequest{}}, {Kind: 9}} {
 		if rep, err := lb.Client.Call(context.Background(), bad); err == nil {
 			t.Fatalf("Client.Call of kind %d without its payload: reply %+v, no error", bad.Kind, rep)
@@ -351,7 +335,7 @@ func TestEndToEndComposedReply(t *testing.T) {
 	const n = 3
 	comps := buildAggComps(t, n)
 	cl := startLoopback(t, LoopbackSpec{Components: n, Handler: every(NewAggBackend(comps, BackendOptions{})),
-		Agg: waitAll, Front: calibratedFront(nil, ServerOptions{}, nil)}).Client
+		Agg: waitAll, Front: calibratedFront(t, nil, ServerOptions{})}).Client
 
 	// Exact-class request: every component bypasses its synopsis, so
 	// the composed answer equals the exact merged answer bit for bit.

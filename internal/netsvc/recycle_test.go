@@ -108,14 +108,17 @@ func TestRecycledSubRepliesUnderHedging(t *testing.T) {
 			}})
 		},
 		Agg:   AggregatorOptions{Policy: service.Hedged, Deadline: 5 * time.Second, HedgeFloor: 2 * time.Millisecond},
-		Front: bareFront,
+		Front: &FrontSpec{},
 	})
 	keep := &keepingBackend{Aggregator: aggLB.Agg, kept: map[uint64][]service.SubResult{}}
 	fe, err := frontend.New(keep, frontend.Options{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	decorated := NewFrontServer(aggLB.Agg, fe, ServerOptions{})
+	decorated, err := NewFront(aggLB.Agg, fe, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(decorated.Close)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -140,7 +143,7 @@ func TestRecycledSubRepliesUnderHedging(t *testing.T) {
 		}
 	}
 	cfH := NewCFBackend(cfComps, BackendOptions{})
-	cfCl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(cfH), Agg: waitAll, Front: bareFront}).Client
+	cfCl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(cfH), Agg: waitAll, Front: &FrontSpec{}}).Client
 	var cfReqs []*wire.Request
 	for _, s := range ratings.SampleCFRequests(7, 6, 0.2) {
 		rs := make([]wire.Rating, len(s.Known))
@@ -163,7 +166,7 @@ func TestRecycledSubRepliesUnderHedging(t *testing.T) {
 		}
 	}
 	searchH := NewSearchBackend(searchComps, BackendOptions{})
-	searchCl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(searchH), Agg: waitAll, Front: bareFront}).Client
+	searchCl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(searchH), Agg: waitAll, Front: &FrontSpec{}}).Client
 	var searchReqs []*wire.Request
 	for _, q := range corpus.SampleQueries(3, 6) {
 		searchReqs = append(searchReqs, &wire.Request{Kind: wire.KindSearch, Subset: -1, SLO: wire.SLOExact, Level: wire.NoLevel,

@@ -1,8 +1,10 @@
 package netsvc
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -25,8 +27,9 @@ type Handler func(ctx context.Context, req *wire.Request) *wire.SubReply
 
 // ServerOptions configures a Server or FrontServer.
 type ServerOptions struct {
-	// Workers is the worker-pool width (default 1 — the single-server
-	// FIFO queue of the component model; aggregator processes want more).
+	// Workers is the worker-pool width: by default 1 on a Server (the
+	// component model's single-server FIFO queue) and 64 on a
+	// FrontServer, whose requests each hold one for a whole fan-out.
 	Workers int
 	// QueueLen bounds pending requests across connections (default 256).
 	// A full queue answers StatusBusy immediately, surfacing overload
@@ -37,6 +40,14 @@ type ServerOptions struct {
 	// minting one). Component Servers need no recorder: they attach
 	// queue/exec spans to traced sub-replies on the wire instead.
 	Tracer *obs.Recorder
+
+	// A FrontServer's planes, each nil meaning off: the result cache,
+	// the SLO tracker (keyed by the request's wire tenant), the config
+	// of the auditor the server starts and closes, and the cost table.
+	Cache *rescache.Cache
+	SLO   *obs.SLOTracker
+	Audit *audit.Config
+	Costs *cost.Table
 }
 
 func (o ServerOptions) withDefaults() ServerOptions {
@@ -55,7 +66,12 @@ type ServerStats struct {
 	Abandoned int64 // deadline already passed at dequeue: answered Skipped, no work done
 	Shed      int64 // answered StatusBusy at a full queue
 	Ingests   int64 // append batches answered inline on connection readers
+	Refused   int64 // connections closed at accept, over the connection cap
 }
+
+// connCap bounds a server's open connections (each a reader goroutine
+// and its frame buffer); a deployment opens one per aggregator or client.
+const connCap = 1024
 
 // srvCore is the shared listener/worker machinery of Server and
 // FrontServer; the two differ only in how they respond.
@@ -80,9 +96,11 @@ type srvCore struct {
 	// race by a transport epsilon.
 	graceful bool
 
-	queue chan *job
-	quit  chan struct{}
+	queue   chan *job
+	quit    chan struct{}
+	onClose func() // run by Close last: a front server closes its auditor
 
+	maxConns int // connCap; a test lowers it before Serve
 	mu       sync.Mutex
 	lns      []net.Listener
 	conns    map[net.Conn]struct{}
@@ -100,16 +118,18 @@ type srvCore struct {
 	abandoned atomic.Int64
 	shed      atomic.Int64
 	ingests   atomic.Int64
+	refused   atomic.Int64
 	pending   atomic.Int64 // queued + in-flight requests (drain signal)
 }
 
 func newSrvCore(opts ServerOptions) *srvCore {
 	opts = opts.withDefaults()
 	s := &srvCore{
-		opts:  opts,
-		queue: make(chan *job, opts.QueueLen),
-		quit:  make(chan struct{}),
-		conns: map[net.Conn]struct{}{},
+		opts:     opts,
+		queue:    make(chan *job, opts.QueueLen),
+		quit:     make(chan struct{}),
+		maxConns: connCap,
+		conns:    map[net.Conn]struct{}{},
 	}
 	for w := 0; w < opts.Workers; w++ {
 		s.workers.Add(1)
@@ -145,6 +165,12 @@ func (s *srvCore) Serve(l net.Listener) error {
 			s.mu.Unlock()
 			c.Close()
 			return nil
+		}
+		if len(s.conns) >= s.maxConns {
+			s.mu.Unlock()
+			c.Close()
+			s.refused.Add(1)
+			continue
 		}
 		s.conns[c] = struct{}{}
 		s.readers.Add(1)
@@ -262,6 +288,7 @@ func (s *srvCore) Stats() ServerStats {
 		Abandoned: s.abandoned.Load(),
 		Shed:      s.shed.Load(),
 		Ingests:   s.ingests.Load(),
+		Refused:   s.refused.Load(),
 	}
 }
 
@@ -324,6 +351,9 @@ func (s *srvCore) Close() {
 	close(s.quit)
 	s.workers.Wait()
 	s.readers.Wait()
+	if s.onClose != nil {
+		s.onClose()
+	}
 }
 
 // Server is a component server: one shard-holding process answering
@@ -380,8 +410,9 @@ func NewServer(h Handler, opts ServerOptions) *Server {
 
 // FrontServer is an aggregator process's client-facing listener: it
 // answers whole-service requests with composed replies, running every
-// request through the accuracy-aware frontend pipeline and, with
-// EnableCache, through the accuracy-tagged result cache.
+// request through the accuracy-aware frontend pipeline and, with a
+// Cache, through the accuracy-tagged result cache; it forwards append
+// batches to their owning components.
 type FrontServer struct {
 	*srvCore
 	agg    *Aggregator
@@ -399,33 +430,33 @@ type FrontServer struct {
 	// would not) so the cache lookup path does not allocate per request.
 	keyBufs sync.Pool
 
-	// Ingest-driven invalidation state (see EnableIngest): the highest
-	// component data epoch observed, the re-warm budget per swap, and
-	// the flag serializing background re-warm passes.
+	// Ingest-driven invalidation state (see NotifyEpochSwap): the highest
+	// component data epoch observed and the flag serializing re-warms.
 	dataEpoch atomic.Uint64
-	rewarmMax int
 	rewarming atomic.Bool
 
-	// SLO attainment tracking (EnableSLO) and ground-truth auditing
-	// (EnableAudit); both nil when disabled, and every call site is
-	// nil-safe so the off state costs nothing.
-	slo      *obs.SLOTracker
-	tenantOf func(*wire.Request) string
-	auditor  *audit.Auditor
-
-	// costs, when set (EnableCost), meters every answered request into
-	// the per-(tenant, class, workload, level) cost table. Nil costs
-	// nothing: the pass skips the account entirely.
-	costs *cost.Table
+	// The SLO, audit and cost planes (ServerOptions): each nil when off,
+	// and every call site is nil-safe so the off state costs nothing.
+	slo     *obs.SLOTracker
+	auditor *audit.Auditor
+	costs   *cost.Table
 }
 
-// NewFrontServer wraps an aggregator and the frontend in front of it. A
-// nil front is a frontend with no controller and no admission policy on
-// home placement: every request is admitted, served at the level it
-// asks for, and settled by the degrade rule at base accuracy 1.
-// FrontServers want Workers > 1: each in-flight client request occupies
-// a worker for its whole scatter/gather.
-func NewFrontServer(agg *Aggregator, front *frontend.Frontend, opts ServerOptions) *FrontServer {
+// NewFront's refusals. Without a controller the frontend would tag
+// approximate answers with accuracy 1, voiding the cache's floor rule;
+// without a tracer a cost table would meter only bytes and wall time.
+var (
+	ErrCacheNeedsController = errors.New("netsvc: result cache requires a frontend with a degradation controller (entries are accuracy-tagged by its calibrated level estimates)")
+	ErrCostNeedsTracer      = errors.New("netsvc: cost attribution requires a Tracer (sub-operation costs ride traced spans)")
+)
+
+// NewFront wraps an aggregator and the frontend in front of it, with
+// the planes opts names. A nil front is a frontend with no controller
+// and no admission policy on home placement: every request is admitted,
+// served at the level it asks for, and settled by the degrade rule at
+// base accuracy 1. The planes are validated before any worker starts:
+// an error (the two above, or audit.New's wrapped) leaves none running.
+func NewFront(agg *Aggregator, front *frontend.Frontend, opts ServerOptions) (*FrontServer, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 64
 	}
@@ -434,8 +465,13 @@ func NewFrontServer(agg *Aggregator, front *frontend.Frontend, opts ServerOption
 	}
 	own, _ := front.Backend().(*Aggregator)
 	s := &FrontServer{agg: agg, fe: front, tracer: opts.Tracer, releaseSubs: own != nil && own == agg}
+	if err := s.install(opts); err != nil {
+		return nil, err
+	}
 	s.srvCore = newSrvCore(opts)
 	s.srvCore.graceful = true
+	s.srvCore.ingest = s.forwardIngest
+	s.srvCore.onClose = func() { s.auditor.Close() }
 	s.srvCore.respond = func(j *job) interface{} {
 		rep, _, row := s.pass(j, originClient)
 		// The reply frame's own bytes are part of the request's wire cost,
@@ -450,7 +486,31 @@ func NewFrontServer(agg *Aggregator, front *frontend.Frontend, opts ServerOption
 	s.srvCore.busy = func(req *wire.Request) interface{} {
 		return replyTo(req, wire.ReplyRejected, "aggregator queue full")
 	}
-	return s
+	return s, nil
+}
+
+// install validates the planes p names, then installs them; a plane p
+// leaves nil stays as it was. NewFront and the bench/ shims share it.
+func (s *FrontServer) install(p ServerOptions) error {
+	if p.Cache != nil && s.fe.Controller() == nil {
+		return ErrCacheNeedsController
+	}
+	if p.Costs != nil && s.tracer == nil {
+		return ErrCostNeedsTracer
+	}
+	if p.Audit != nil {
+		a, err := audit.New(s.auditConfig(*p.Audit))
+		if err != nil {
+			return fmt.Errorf("netsvc: audit plane: %w", err)
+		}
+		s.auditor = a
+	}
+	if p.Cache != nil {
+		s.cache = p.Cache
+		p.Cache.SetRefresh(s.refreshToExact, s.fe.Controller().RefreshAllowed)
+	}
+	s.slo, s.costs = cmp.Or(p.SLO, s.slo), cmp.Or(p.Costs, s.costs)
+	return nil
 }
 
 // replyTo starts the reply to a whole-service request: its identity and
@@ -458,27 +518,6 @@ func NewFrontServer(agg *Aggregator, front *frontend.Frontend, opts ServerOption
 func replyTo(req *wire.Request, status uint8, errMsg string) *wire.Reply {
 	return &wire.Reply{ID: req.ID, Kind: req.Kind, Status: status, Err: errMsg,
 		SLO: req.SLO, MinAccuracy: req.MinAccuracy, Level: wire.NoLevel}
-}
-
-// EnableCache puts the accuracy-tagged result cache in front of the
-// frontend pipeline: whole-service requests are keyed on their
-// canonical wire encoding (wire.AppendCanonicalKey), hits are served
-// without touching admission or the aggregator, and concurrent
-// identical misses coalesce onto one fan-out. When the cache was built
-// with a refresh target, a background worker recomputes popular coarse
-// entries at Exact class through the frontend (admission included, so
-// refreshes yield to foreground traffic). Requires a frontend with a
-// degradation controller — the accuracy tags come from it. Call before
-// Serve.
-func (s *FrontServer) EnableCache(c *rescache.Cache) error {
-	if s.fe.Controller() == nil {
-		// Without a controller the frontend would tag approximate
-		// answers with accuracy 1 and the floor rule would be void.
-		return errors.New("netsvc: result cache requires a frontend with a degradation controller (entries are accuracy-tagged by its calibrated level estimates)")
-	}
-	s.cache = c
-	c.SetRefresh(s.refreshToExact, s.fe.Controller().RefreshAllowed)
-	return nil
 }
 
 // cacheKey computes the canonical cache key of a whole-service request
@@ -492,35 +531,6 @@ func (s *FrontServer) cacheKey(req *wire.Request) uint64 {
 	key := rescache.Key(*bp)
 	s.keyBufs.Put(bp)
 	return key
-}
-
-// Tracer returns the decision-trace recorder (nil when tracing is
-// disabled) — the admin plane serves its snapshots at /traces.
-func (s *FrontServer) Tracer() *obs.Recorder { return s.tracer }
-
-// EnableCost installs the cost-attribution table: every answered
-// whole-service request opens a cost account on its context, the
-// fan-out folds sub-operation span costs in, and the closed account is
-// recorded per (tenant, SLO class, workload, ladder level). Requires a
-// Tracer — component servers only report span costs on traced
-// requests, so an untraced costed server would meter only wire bytes
-// and wall time. Call before Serve.
-func (s *FrontServer) EnableCost(t *cost.Table) error {
-	if t != nil && s.tracer == nil {
-		return errors.New("netsvc: cost attribution requires a Tracer (sub-operation costs ride traced spans)")
-	}
-	s.costs = t
-	return nil
-}
-
-// tenantFor resolves a request's tenant: the EnableSLO hook when one
-// is installed (it may re-map or reject wire tenants), the request's
-// wire tenant field otherwise.
-func (s *FrontServer) tenantFor(req *wire.Request) string {
-	if s.tenantOf != nil {
-		return s.tenantOf(req)
-	}
-	return req.Tenant
 }
 
 // origin names who asked for a whole-service pass.
@@ -569,7 +579,7 @@ func (s *FrontServer) pass(j *job, from origin) (*wire.Reply, float64, costRow) 
 	tr := s.tracer.Start(req.Trace, start) // nil recorder -> nil trace
 	tenant := ch.tenant
 	if from == originClient {
-		tenant = s.tenantFor(req)
+		tenant = req.Tenant
 	}
 	if tr != nil {
 		tr.SetRequest(uint8(req.Kind), req.SLO, req.MinAccuracy, req.Deadline)

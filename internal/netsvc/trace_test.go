@@ -24,7 +24,7 @@ func startTracedStack(t *testing.T, n int) (*obs.Recorder, *Client) {
 	comps := buildAggComps(t, n)
 	rec := obs.NewRecorder(16, 64)
 	cl := startLoopback(t, LoopbackSpec{Components: n, Handler: every(NewAggBackend(comps, BackendOptions{})),
-		Agg: waitAll, Front: calibratedFront(nil, ServerOptions{Tracer: rec}, nil)}).Client
+		Agg: waitAll, Front: calibratedFront(t, nil, ServerOptions{Tracer: rec})}).Client
 	return rec, cl
 }
 
@@ -132,7 +132,7 @@ func TestUntracedServerStaysSilent(t *testing.T) {
 		}
 		return inner(ctx, req)
 	}
-	cl := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(h), Agg: waitAll, Front: bareFront}).Client
+	cl := startLoopback(t, LoopbackSpec{Components: 1, Handler: every(h), Agg: waitAll, Front: &FrontSpec{}}).Client
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	rep, err := cl.Call(ctx, aggReq(agg.Sum, 0, math.Inf(1)))
@@ -227,21 +227,12 @@ func TestPlanesAllocations(t *testing.T) {
 	comps := buildAggComps(t, n)
 	pass := func(planes bool) float64 {
 		var sopts ServerOptions
-		var enable func(*FrontServer) error
 		if planes {
-			sopts.Tracer = obs.NewRecorder(64, 16)
-			enable = func(fs *FrontServer) error {
-				fs.EnableSLO(obs.NewSLOTracker(obs.SLOBudgets{}), nil)
-				auditor, err := fs.EnableAudit(audit.Config{SampleFraction: 1e-12})
-				if err != nil {
-					return err
-				}
-				t.Cleanup(auditor.Close)
-				return fs.EnableCost(cost.NewTable())
-			}
+			sopts = ServerOptions{Tracer: obs.NewRecorder(64, 16), SLO: obs.NewSLOTracker(obs.SLOBudgets{}),
+				Audit: &audit.Config{SampleFraction: 1e-12}, Costs: cost.NewTable()}
 		}
 		cl := startLoopback(t, LoopbackSpec{Components: n, Handler: every(NewAggBackend(comps, BackendOptions{})),
-			Agg: waitAll, Front: calibratedFront(nil, sopts, enable)}).Client
+			Agg: waitAll, Front: calibratedFront(t, nil, sopts)}).Client
 		req := aggReq(agg.Sum, 0, math.Inf(1))
 		req.SLO = wire.SLOBestEffort
 		return testing.AllocsPerRun(300, func() {

@@ -1,5 +1,5 @@
 // Package rescache is the accuracy-aware result cache of the front tier
-// (netsvc.FrontServer.EnableCache): a bounded, accuracy-tagged map from
+// (netsvc.ServerOptions.Cache): a bounded, accuracy-tagged map from
 // canonical request keys to composed replies.
 //
 // In a Zipf-skewed request population most requests repeat, so the
