@@ -371,9 +371,11 @@ var fuzzFloats = [16]float64{
 }
 
 // FuzzAggLiveDifferential drives a live shard and the memo-less arrival
-// reference in lockstep through the appends, publishes, compactions and
-// exact queries the fuzz bytes spell, each query asked twice so the
-// second can come from the memo: every answer must equal the
+// reference in lockstep through the appends, publishes, compactions,
+// exact queries and level queries the fuzz bytes spell. Each query is
+// asked twice so the second can come from a memo, and a level query is
+// asked at both of the ladder's levels, so a key that drops the level
+// serves one level's answer for the other: every answer must equal the
 // reference's bit for bit.
 func FuzzAggLiveDifferential(f *testing.F) {
 	f.Add([]byte{3, 7, 0, 5, 1, 2, 3, 4, 5, 6, 2, 3, 0, 1, 2, 3, 0, 1, 2, 1, 3, 0, 1, 2})
@@ -381,6 +383,12 @@ func FuzzAggLiveDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 0, 10, 1, 8, 2, 3, 2, 9, 8, 3, 1, 1, 0, 0, 0, 1, 3, 1, 1, 0})
 	// Two sums that differ only in Hi, over a base and then a delta.
 	f.Add([]byte{2, 9, 0, 7, 0, 2, 1, 3, 2, 4, 0, 15, 1, 2, 2, 3, 0, 4, 1, 0, 2, 3, 0, 0, 3, 3, 0, 0, 5, 0, 0, 1, 4, 1, 3, 0, 0, 5, 3, 0, 0, 3})
+	// Level queries at both levels over a base, again after a delta
+	// publish, and over the next base, which a compaction without a
+	// publish before it built; then the same with signed-zero, NaN and
+	// infinite bounds.
+	f.Add([]byte{2, 9, 0, 15, 0, 2, 1, 3, 2, 4, 0, 5, 1, 6, 2, 7, 0, 14, 1, 15, 2, 2, 0, 3, 1, 4, 2, 5, 0, 6, 1, 7, 2, 1, 0, 0, 2, 4, 0, 9, 8, 0, 4, 1, 0, 5, 1, 0, 3, 0, 2, 1, 3, 2, 4, 0, 5, 1, 4, 0, 9, 8, 1, 3, 0, 9, 8, 0, 3, 1, 6, 2, 7, 0, 14, 1, 15, 2, 4, 0, 9, 8, 0, 3, 0, 9, 8})
+	f.Add([]byte{2, 4, 0, 15, 0, 2, 1, 3, 2, 4, 0, 5, 1, 6, 2, 7, 0, 14, 1, 15, 2, 2, 0, 3, 1, 4, 2, 5, 0, 6, 1, 7, 2, 1, 0, 0, 0, 15, 0, 2, 1, 3, 2, 4, 0, 5, 1, 6, 2, 7, 0, 14, 1, 15, 2, 2, 0, 3, 1, 4, 2, 5, 0, 6, 1, 7, 2, 1, 0, 0, 2, 4, 1, 1, 3, 0, 4, 1, 0, 3, 1, 4, 2, 10, 5, 1, 4, 0, 2, 10, 0, 0, 1, 0, 2, 1, 3, 1, 4, 1, 1, 3, 1, 4, 2, 8, 9, 0, 2, 4, 1, 1, 3, 0, 4, 1, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -395,7 +403,7 @@ func FuzzAggLiveDifferential(f *testing.F) {
 		live, ref := NewAggLive(numKeys, cfg), newArrivalAggLive(numKeys, cfg)
 		res, want := agg.NewResult(numKeys), agg.NewResult(numKeys)
 		for len(data) > 0 {
-			switch next() % 4 {
+			switch op := next() % 5; op {
 			case 0:
 				n := 1 + next()%16
 				keys := make([]int32, n)
@@ -418,17 +426,29 @@ func FuzzAggLiveDifferential(f *testing.F) {
 				if err := ref.Compact(); err != nil {
 					t.Fatal(err)
 				}
-			case 3:
+			case 3, 4:
 				q := agg.Query{
 					Op: agg.Op(next() % 3),
 					Lo: fuzzFloats[next()%len(fuzzFloats)],
 					Hi: fuzzFloats[next()%len(fuzzFloats)],
 				}
+				levels := []int{exactLevel}
+				if op == 4 {
+					first := next() % 2
+					levels = []int{first, 1 - first}
+				}
 				ls, _ := live.Snapshot()
 				rs, _ := ref.snaps.Acquire()
-				for range 2 {
-					if err := sameBits(ls.Exact(res, q), rs.Exact(want, q)); err != nil {
-						t.Fatalf("%d rows, %d in the delta, %+v: %v", ls.Rows(), ls.DeltaRows(), q, err)
+				for _, level := range levels {
+					for range 2 {
+						if level == exactLevel {
+							res, want = ls.Exact(res, q), rs.Exact(want, q)
+						} else {
+							res, want = ls.QueryLevel(res, q, level), rs.QueryLevel(want, q, level)
+						}
+						if err := sameBits(res, want); err != nil {
+							t.Fatalf("%d rows, %d in the delta, %+v at level %d: %v", ls.Rows(), ls.DeltaRows(), q, level, err)
+						}
 					}
 				}
 			}

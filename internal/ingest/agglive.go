@@ -19,8 +19,9 @@ import (
 // across any number of swaps.
 type AggSnapshot struct {
 	comp      *agg.Component
-	gen       uint64     // the base's generation: compactions before it was built
-	memo      *exactMemo // the shard's base exact answers; nil memoizes nothing
+	gen       uint64      // the base's generation: compactions before it was built
+	exact     *answerMemo // the shard's base exact answers; nil memoizes nothing
+	levels    *answerMemo // the shard's base level answers; nil memoizes nothing
 	deltaKeys []int32
 	deltaVals []float64
 	numKeys   int
@@ -54,14 +55,20 @@ func (s *AggSnapshot) DeltaRows() int { return len(s.deltaKeys) }
 // the immutable base, one linear scan over the delta slices. Delta rows
 // contribute with zero variance — an unmerged append can only tighten
 // the CLT bounds, never loosen them — which is what keeps Bounded-class
-// accuracy floors honest between compactions.
+// accuracy floors honest between compactions. The base's part comes
+// from the shard's level memo when this base already answered the
+// query at this level, exactly as for Exact.
 func (s *AggSnapshot) QueryLevel(res agg.Result, q agg.Query, level int) agg.Result {
 	res = res.Reset(s.numKeys)
 	if s.comp != nil {
-		e := agg.GetEngine(s.comp, q, level)
-		e.ProcessSynopsis()
-		res.Merge(e.Result())
-		e.Release()
+		k := keyOf(level, q)
+		if !s.levels.load(s.gen, k, res) {
+			e := agg.GetEngine(s.comp, q, level)
+			e.ProcessSynopsis()
+			res.Merge(e.Result())
+			e.Release()
+			s.levels.store(s.gen, k, res)
+		}
 	}
 	res.Fold(q, s.deltaKeys, s.deltaVals)
 	return res
@@ -73,62 +80,84 @@ func (s *AggSnapshot) QueryLevel(res agg.Result, q agg.Query, level int) agg.Res
 // arrival order — exactly the order a frozen rebuild scans once the
 // delta has been compacted, so results at merged epochs are
 // bit-identical to the rebuild's. The base's part comes from the
-// shard's memo when this base already answered the query: a base is
-// immutable, so its answer is the one the scan would produce, bit for
-// bit, and only the delta is scanned again.
+// shard's exact memo when this base already answered the query: a base
+// is immutable, so its answer is the one the scan would produce, bit
+// for bit, and only the delta is scanned again.
 func (s *AggSnapshot) Exact(res agg.Result, q agg.Query) agg.Result {
 	res = res.Reset(s.numKeys)
-	if s.comp != nil && !s.memo.load(s.gen, q, res) {
-		res = agg.ExactResultInto(res, s.comp, q)
-		s.memo.store(s.gen, q, res)
+	if s.comp != nil {
+		k := keyOf(exactLevel, q)
+		if !s.exact.load(s.gen, k, res) {
+			res = agg.ExactResultInto(res, s.comp, q)
+			s.exact.store(s.gen, k, res)
+		}
 	}
 	res.Fold(q, s.deltaKeys, s.deltaVals)
 	return res
 }
 
-// memoBudget is the bytes of base exact answers a live shard keeps: 192
-// answers over 48 group keys, about the distinct Exact queries a shard's
-// base answers between compactions on the mixed live workload.
-const memoBudget = 144 << 10
+// memoArrayBudget is the bytes a live shard's memo spends per array an
+// answer stores: 192 answers over 48 group keys. On the mixed live
+// workload a shard's base sees about 240 distinct level queries between
+// compactions, and a smaller level memo gave back most of the gain
+// (README § The agg scan's budget). The exact memo stores two arrays
+// an answer (144 KiB), the level memo four (288 KiB).
+const memoArrayBudget = 72 << 10
 
-// exactMemo holds a live shard's base exact answers, Sum and Cnt per
-// group key, for the queries its current base has answered. An answer
-// is keyed by the base's generation, never by the base itself, so the
-// memo pins no base a compaction replaced. The slots are allocated
-// once; a new generation makes every slot free, and once the
-// generation fills them the oldest answer is replaced first.
-type exactMemo struct {
-	mu   sync.Mutex
-	gen  uint64    // the generation every filled slot belongs to
-	keys []memoKey // slots [0, used) hold answers
-	ans  []float64 // slot i's Sum, then its Cnt, at [2·numKeys·i, 2·numKeys·(i+1))
-	used int
-	next int    // the slot the next answer replaces once all are used
-	hits uint64 // answers served from the memo
+// exactLevel is the level a memo key gives an Exact answer.
+const exactLevel = -1
+
+// answerMemo holds a live shard's base answers to the queries its
+// current base has answered: width arrays per answer, Sum and Cnt for
+// Exact, then SumVar and CntVar for a ladder level. An answer is keyed
+// by the base's generation, never by the base itself, so the memo pins
+// no base a compaction replaced. The slots are allocated once and fill
+// once per generation: a full memo keeps its generation's first
+// answers, and a new generation frees every slot. Publishes stale the
+// front cache's answers without touching the base, so the queries that
+// come back are the ones answered first; replacing them would evict
+// the answers about to repeat.
+type answerMemo struct {
+	mu    sync.Mutex
+	width int       // arrays per answer: 2 (Exact) or 4 (a level)
+	gen   uint64    // the generation every filled slot belongs to
+	keys  []memoKey // slots [0, used) hold answers
+	ans   []float64 // slot i's arrays, one after the other, at [width·numKeys·i, width·numKeys·(i+1))
+	used  int
+	hits  uint64 // answers served from the memo
 }
 
-// memoKey names one query by its operator and its bounds' bits, so
-// bounds that compare equal but differ in bits (±0, NaNs) are different
-// queries: a miss, never a wrong answer.
+// memoKey names one query at one level (exactLevel for Exact) by its
+// operator and its bounds' bits, so bounds that compare equal but
+// differ in bits (±0, NaNs) are different queries: a miss, never a
+// wrong answer.
 type memoKey struct {
+	level  int
 	op     agg.Op
 	lo, hi uint64
 }
 
-func keyOf(q agg.Query) memoKey {
-	return memoKey{q.Op, math.Float64bits(q.Lo), math.Float64bits(q.Hi)}
+func keyOf(level int, q agg.Query) memoKey {
+	return memoKey{level, q.Op, math.Float64bits(q.Lo), math.Float64bits(q.Hi)}
 }
 
-// newExactMemo returns the memo of a shard over numKeys group keys:
-// memoBudget's worth of answers, none when one answer exceeds it.
-func newExactMemo(numKeys int) *exactMemo {
-	n := memoBudget / (16 * numKeys)
-	return &exactMemo{keys: make([]memoKey, n), ans: make([]float64, 2*numKeys*n)}
+// newAnswerMemo returns a memo of width arrays per answer for a shard
+// over numKeys group keys: memoArrayBudget's worth of answers per
+// array, none when one answer's array exceeds it.
+func newAnswerMemo(numKeys, width int) *answerMemo {
+	n := memoArrayBudget / (8 * numKeys)
+	return &answerMemo{width: width, keys: make([]memoKey, n), ans: make([]float64, width*numKeys*n)}
 }
 
-// find returns the slot answering q at generation gen, or -1. Caller
+// arrays returns res's four arrays in the order a memo stores them; an
+// answer of width w is the first w.
+func arrays(res agg.Result) [4][]float64 {
+	return [4][]float64{res.Sum, res.Cnt, res.SumVar, res.CntVar}
+}
+
+// find returns the slot answering k at generation gen, or -1. Caller
 // holds m.mu.
-func (m *exactMemo) find(gen uint64, k memoKey) int {
+func (m *answerMemo) find(gen uint64, k memoKey) int {
 	if gen != m.gen {
 		return -1
 	}
@@ -140,56 +169,61 @@ func (m *exactMemo) find(gen uint64, k memoKey) int {
 	return -1
 }
 
-// load copies the base answer to q at generation gen into res, whose
-// Sum and Cnt are zeroed and cover the shard's keys, and reports
-// whether the memo had it.
-func (m *exactMemo) load(gen uint64, q agg.Query, res agg.Result) bool {
+// load copies the base answer to k at generation gen into res, whose
+// arrays are zeroed and cover the shard's keys, and reports whether
+// the memo had it.
+func (m *answerMemo) load(gen uint64, k memoKey, res agg.Result) bool {
 	if m == nil || len(m.keys) == 0 {
 		return false
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := m.find(gen, keyOf(q))
+	i := m.find(gen, k)
 	if i < 0 {
 		return false
 	}
 	n := len(res.Sum)
-	copy(res.Sum, m.ans[2*n*i:])
-	copy(res.Cnt, m.ans[2*n*i+n:])
+	at := m.width * n * i
+	a := arrays(res)
+	for _, dst := range a[:m.width] {
+		copy(dst, m.ans[at:at+n])
+		at += n
+	}
 	m.hits++
 	return true
 }
 
-// store keeps res, the base answer to q at generation gen. An answer
-// of a generation older than the memo's is dropped: its base is gone.
-func (m *exactMemo) store(gen uint64, q agg.Query, res agg.Result) {
+// store keeps res, the base answer to k at generation gen, in a free
+// slot. An answer of a generation older than the memo's is dropped
+// (its base is gone), and so is one that finds every slot filled.
+func (m *answerMemo) store(gen uint64, k memoKey, res agg.Result) {
 	if m == nil || len(m.keys) == 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := keyOf(q)
 	switch {
 	case gen < m.gen || m.find(gen, k) >= 0:
 		return
 	case gen > m.gen:
-		m.gen, m.used, m.next = gen, 0, 0
+		m.gen, m.used = gen, 0
+	case m.used == len(m.keys):
+		return
 	}
 	i := m.used
-	if i < len(m.keys) {
-		m.used++
-	} else {
-		i = m.next
-		m.next = (m.next + 1) % len(m.keys)
-	}
-	n := len(res.Sum)
+	m.used++
 	m.keys[i] = k
-	copy(m.ans[2*n*i:], res.Sum)
-	copy(m.ans[2*n*i+n:], res.Cnt)
+	n := len(res.Sum)
+	at := m.width * n * i
+	a := arrays(res)
+	for _, src := range a[:m.width] {
+		copy(m.ans[at:at+n], src)
+		at += n
+	}
 }
 
 // hitCount returns how many answers the memo served.
-func (m *exactMemo) hitCount() uint64 {
+func (m *answerMemo) hitCount() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.hits
@@ -201,6 +235,7 @@ type AggStats struct {
 	Publishes     uint64 // delta publishes (epoch swaps without compaction)
 	Compactions   uint64 // base rebuilds
 	ExactMemoHits uint64 // exact answers whose base part the memo held, not a scan
+	LevelMemoHits uint64 // level answers whose base part the memo held, not a scan
 	Rows          int    // rows appended (published or not)
 	BaseRows      int    // rows folded into the current base
 	StagedRows    int    // appended but not yet visible in any snapshot
@@ -215,8 +250,9 @@ type AggStats struct {
 // everything into a new base synopsis whose per-level sample lengths
 // are recomputed for the grown strata (reservoir maintenance), keeping
 // each level's sampling rate honest. All mutators serialize on one
-// mutex; readers never lock it. Exact readers share one memo of base
-// answers per shard, behind its own mutex.
+// mutex; readers never lock it. Readers share two memos of base
+// answers per shard, one for Exact and one for the ladder levels, each
+// behind its own mutex.
 //
 // Rows are named by their arrival index, the row id the sampling
 // priority hashes: base position i holds row strata[i], and tail
@@ -238,7 +274,8 @@ type AggLive struct {
 	off       []int32   // stratum s owns base positions [off[s], off[s+1])
 	oldest    time.Time // arrival of the oldest row not yet visible
 	stats     AggStats
-	memo      *exactMemo
+	exact     *answerMemo
+	levels    *answerMemo
 
 	snaps Epochs[AggSnapshot]
 }
@@ -253,7 +290,8 @@ func NewAggLive(numKeys int, cfg agg.Config) *AggLive {
 	}
 	l := &AggLive{numKeys: numKeys, cfg: cfg, seed: cfg.Seed ^ 0x1b9a5e11d0e57a1e}
 	l.off = make([]int32, numKeys+1)
-	l.memo = newExactMemo(numKeys)
+	l.exact = newAnswerMemo(numKeys, 2)
+	l.levels = newAnswerMemo(numKeys, 4)
 	l.snaps.Publish(&AggSnapshot{numKeys: numKeys})
 	return l
 }
@@ -276,7 +314,8 @@ func (l *AggLive) Stats() AggStats {
 	st.Rows = l.rows()
 	st.BaseRows = l.based
 	st.StagedRows = l.rows() - l.published
-	st.ExactMemoHits = l.memo.hitCount()
+	st.ExactMemoHits = l.exact.hitCount()
+	st.LevelMemoHits = l.levels.hitCount()
 	return st
 }
 
@@ -316,7 +355,8 @@ func (l *AggLive) publishLocked(n int) (uint64, int, time.Duration) {
 	snap := &AggSnapshot{
 		comp:      l.base,
 		gen:       l.stats.Compactions,
-		memo:      l.memo,
+		exact:     l.exact,
+		levels:    l.levels,
 		deltaKeys: l.keys[:d:d],
 		deltaVals: l.vals[:d:d],
 		numKeys:   l.numKeys,
@@ -503,7 +543,7 @@ func identityOrder(n int) []int32 {
 // one shot, the compacted snapshot a live shard converges to after
 // appending exactly these rows (in any batching) and compacting. The
 // property harness pins live interleavings against it bit-for-bit; it
-// has no memo, so every exact answer it gives is a scan.
+// has no memo, so every answer it gives is a scan.
 func BuildAggSnapshot(numKeys int, cfg agg.Config, keys []int32, vals []float64) (*AggSnapshot, error) {
 	l := NewAggLive(numKeys, cfg)
 	if _, err := l.Append(keys, vals); err != nil {
@@ -514,6 +554,6 @@ func BuildAggSnapshot(numKeys int, cfg agg.Config, keys []int32, vals []float64)
 	}
 	snap, _ := l.Snapshot()
 	frozen := *snap
-	frozen.memo = nil
+	frozen.exact, frozen.levels = nil, nil
 	return &frozen, nil
 }

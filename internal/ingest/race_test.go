@@ -20,9 +20,9 @@ import (
 //     in full or not at all, never partially;
 //   - epoch pinning: a query that re-runs on a snapshot it acquired
 //     before any number of swaps gets bit-identical answers;
-//   - memoized answers: repeated exact reads, racing the compactions
-//     that move the shard's memo to a new base, answer bit for bit as a
-//     memo-less scan of the same snapshot.
+//   - memoized answers: repeated exact and level reads, racing the
+//     compactions that move the shard's memos to a new base, answer bit
+//     for bit as a memo-less scan or synopsis pass of the same snapshot.
 func TestAggLiveConcurrent(t *testing.T) {
 	const (
 		appenders   = 4
@@ -106,6 +106,12 @@ func TestAggLiveConcurrent(t *testing.T) {
 						if err := sameBits(snap.Exact(res, q), memoless(want, snap, q)); err != nil {
 							t.Errorf("epoch %d %+v: memoized exact read: %v", ep, q, err)
 							return
+						}
+						for level := range 2 {
+							if err := sameBits(snap.QueryLevel(res, q, level), memolessLevel(want, snap, q, level)); err != nil {
+								t.Errorf("epoch %d %+v: memoized level %d read: %v", ep, q, level, err)
+								return
+							}
 						}
 					}
 				}

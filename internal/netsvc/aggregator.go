@@ -590,7 +590,7 @@ type peerConn struct {
 
 // newPeerConn wraps an established connection and starts its read loop.
 func newPeerConn(c net.Conn, onDead func()) *peerConn {
-	pc := &peerConn{w: connWriter{c: c}, pending: map[uint64]pending{}, onDead: onDead}
+	pc := &peerConn{w: connWriter{c: c, timeout: writeDeadline}, pending: map[uint64]pending{}, onDead: onDead}
 	go pc.readLoop()
 	return pc
 }
@@ -635,7 +635,7 @@ func (pc *peerConn) take(id uint64) pending {
 // readLoop dispatches reply frames to their pending callbacks until
 // the connection fails.
 func (pc *peerConn) readLoop() {
-	fr := newFrameReader(pc.w.c, wire.MaxFrame)
+	fr := newFrameReader(pc.w.c, frameDeadline)
 	var err error
 	for err == nil {
 		var buf []byte

@@ -81,7 +81,7 @@ func TestConnWriterConcurrentFrames(t *testing.T) {
 					}
 				}(g)
 			}
-			fr := newFrameReader(far, wire.MaxFrame)
+			fr := newFrameReader(far, 0)
 			seen := map[uint64]bool{}
 			for len(seen) < writers*each {
 				body, err := fr.next()
@@ -122,7 +122,7 @@ func TestConnWriterPartitionedConn(t *testing.T) {
 			t.Errorf("healed write: %v", err)
 		}
 	}()
-	body, err := newFrameReader(far, wire.MaxFrame).next()
+	body, err := newFrameReader(far, 0).next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestOversizedFrameDoesNotPinBuffer(t *testing.T) {
 	defer near.Close()
 	defer far.Close()
 	w := &connWriter{c: near}
-	fr := newFrameReader(far, wire.MaxFrame)
+	fr := newFrameReader(far, 0)
 	const bigFloats = 1 << 17 // 8 bytes each: a 1 MiB frame
 	retained := func() int {
 		w.mu.Lock()

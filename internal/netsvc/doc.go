@@ -11,6 +11,15 @@
 //     already passed is answered Skipped without touching the handler,
 //     and handlers run under a context carrying the remaining budget
 //     so Algorithm 1 abandons improvement the moment it is exhausted.
+//     A hostile or broken peer costs a bounded amount: connections past
+//     connCap are closed at accept; a frame whose header has arrived
+//     must arrive whole within frameDeadline, while an idle connection
+//     between frames stays legal; and a write that a peer does not
+//     read within writeDeadline fails, instead of parking the worker
+//     behind it. Each closes the connection and is counted in
+//     ServerStats (Refused, ReadTimeouts, WriteTimeouts). The two
+//     deadlines are constants, and they hold on every connection the
+//     package opens, an aggregator's and a client's included.
 //   - Aggregator: the scatter/gather client — the gather core of
 //     internal/service (service.Gather: placement, first-wins
 //     resolution, the P²-estimated p95 hedge trigger, breakers, retry,

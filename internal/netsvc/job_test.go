@@ -258,7 +258,7 @@ func TestEndedJobDropsConnection(t *testing.T) {
 		Search: &wire.SearchRequest{Query: "kept", K: wire.DefaultK}}); err != nil {
 		t.Fatal(err)
 	}
-	body, err := newFrameReader(near, wire.MaxFrame).next()
+	body, err := newFrameReader(near, 0).next()
 	if err != nil {
 		t.Fatal(err)
 	}

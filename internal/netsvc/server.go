@@ -67,6 +67,9 @@ type ServerStats struct {
 	Shed      int64 // answered StatusBusy at a full queue
 	Ingests   int64 // append batches answered inline on connection readers
 	Refused   int64 // connections closed at accept, over the connection cap
+
+	ReadTimeouts  int64 // connections closed when a started frame missed frameDeadline
+	WriteTimeouts int64 // connections closed when a reply's write missed writeDeadline
 }
 
 // connCap bounds a server's open connections (each a reader goroutine
@@ -100,7 +103,12 @@ type srvCore struct {
 	quit    chan struct{}
 	onClose func() // run by Close last: a front server closes its auditor
 
-	maxConns int // connCap; a test lowers it before Serve
+	// connCap, frameDeadline and writeDeadline; a test lowers them
+	// before Serve.
+	maxConns     int
+	frameTimeout time.Duration
+	writeTimeout time.Duration
+
 	mu       sync.Mutex
 	lns      []net.Listener
 	conns    map[net.Conn]struct{}
@@ -120,16 +128,21 @@ type srvCore struct {
 	ingests   atomic.Int64
 	refused   atomic.Int64
 	pending   atomic.Int64 // queued + in-flight requests (drain signal)
+
+	readTimeouts  atomic.Int64
+	writeTimeouts atomic.Int64
 }
 
 func newSrvCore(opts ServerOptions) *srvCore {
 	opts = opts.withDefaults()
 	s := &srvCore{
-		opts:     opts,
-		queue:    make(chan *job, opts.QueueLen),
-		quit:     make(chan struct{}),
-		maxConns: connCap,
-		conns:    map[net.Conn]struct{}{},
+		opts:         opts,
+		queue:        make(chan *job, opts.QueueLen),
+		quit:         make(chan struct{}),
+		maxConns:     connCap,
+		frameTimeout: frameDeadline,
+		writeTimeout: writeDeadline,
+		conns:        map[net.Conn]struct{}{},
 	}
 	for w := 0; w < opts.Workers; w++ {
 		s.workers.Add(1)
@@ -198,11 +211,14 @@ func (s *srvCore) readConn(c net.Conn) {
 		s.mu.Unlock()
 		c.Close()
 	}()
-	sc := &connWriter{c: c}
-	fr := newFrameReader(c, wire.MaxFrame)
+	sc := &connWriter{c: c, timeout: s.writeTimeout, expired: &s.writeTimeouts}
+	fr := newFrameReader(c, s.frameTimeout)
 	for {
 		buf, err := fr.next()
 		if err != nil {
+			if timedOut(err) {
+				s.readTimeouts.Add(1)
+			}
 			return
 		}
 		// One connection carries both query and append frames; the kind
@@ -289,6 +305,9 @@ func (s *srvCore) Stats() ServerStats {
 		Shed:      s.shed.Load(),
 		Ingests:   s.ingests.Load(),
 		Refused:   s.refused.Load(),
+
+		ReadTimeouts:  s.readTimeouts.Load(),
+		WriteTimeouts: s.writeTimeouts.Load(),
 	}
 }
 

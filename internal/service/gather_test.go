@@ -342,7 +342,8 @@ func runScenario(t *testing.T, sc scenario, p service.Policy, build func(*testin
 				defer cancel()
 				r.call(ctx, true)
 			}()
-			waitFor(t, func() bool { return r.depth(sc.saturate) == k })
+			waitFor(t, r, fmt.Sprintf("component %d's queue at depth %d", sc.saturate, k),
+				func() bool { return r.depth(sc.saturate) == k })
 		}
 		if p == service.Hedged {
 			// Let the park calls' own hedges (which answer them) fire.
@@ -350,7 +351,8 @@ func runScenario(t *testing.T, sc scenario, p service.Policy, build func(*testin
 		}
 		for comp := 0; comp < n; comp++ { // and everything but the parked work drain
 			comp := comp
-			waitFor(t, func() bool { return comp == sc.saturate || r.depth(comp) == 0 })
+			waitFor(t, r, fmt.Sprintf("component %d's queue drained", comp),
+				func() bool { return comp == sc.saturate || r.depth(comp) == 0 })
 		}
 	}
 	before := r.stats()
@@ -387,11 +389,18 @@ func runScenario(t *testing.T, sc scenario, p service.Policy, build func(*testin
 	return d
 }
 
-func waitFor(t *testing.T, cond func() bool) {
+// waitFor polls cond for up to 5 s. On a timeout it names what it
+// waited for and the per-component queue depths it last saw, so a run
+// that never got there says which queue did not drain.
+func waitFor(t *testing.T, r rig, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("condition not reached")
+			var depths [n]int
+			for i := range depths {
+				depths[i] = r.depth(i)
+			}
+			t.Fatalf("%s: not reached in 5s; queue depths per component %v", what, depths)
 		}
 	}
 }
