@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -11,6 +10,7 @@ import (
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/audit"
+	"accuracytrader/internal/faultinject"
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/ingest"
 	"accuracytrader/internal/netsvc"
@@ -156,62 +156,52 @@ func (r *auditPassResult) means() (realized, claimed float64) {
 
 // runAuditedPass builds a fresh audited loopback stack over the
 // fixture's components — claimed per-level accuracy as given — drives
-// `calls` Bounded requests at `floor`, waits for every audit and its
-// verdict pin to settle, and snapshots the auditor.
+// `calls` Bounded requests at `floor`, drains every audit and snapshots
+// the auditor. The run closes the front server, and with it the
+// auditor's worker, so every verdict and its trace pin have landed by
+// then.
 func runAuditedPass(f *aggFix, levelAcc []float64, floor float64, calls int) (*auditPassResult, error) {
 	rec := obs.NewRecorder(2*calls, 32)
 	// detectAt records the audited-sample index of the first floor
 	// violation — the "within K samples" detection-latency measurement.
 	var audited, detectAt atomic.Int64
-	st, err := deployment{
-		n:        len(f.Comps),
-		handler:  shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})),
-		server:   netsvc.ServerOptions{Workers: 1, QueueLen: 256},
-		levelAcc: levelAcc,
-		front: &netsvc.ServerOptions{Tracer: rec, SLO: obs.NewSLOTracker(obs.DefaultSLOBudgets()), Audit: &audit.Config{
-			SampleFraction: 1,
-			Interval:       200 * time.Microsecond,
-			Gate:           func() bool { return true }, // keep pacing deterministic at this load
-			OnVerdict: func(_ *audit.Sample, v audit.Verdict) {
-				i := audited.Add(1)
-				if v.FloorViolated {
-					detectAt.CompareAndSwap(0, i)
-				}
-			},
-		}},
-	}.start()
+	res, err := scenario{
+		deploy: deployment{
+			n:        len(f.Comps),
+			handler:  shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})),
+			server:   netsvc.ServerOptions{Workers: 1, QueueLen: 256},
+			levelAcc: levelAcc,
+			front: &netsvc.ServerOptions{Tracer: rec, SLO: obs.NewSLOTracker(obs.DefaultSLOBudgets()), Audit: &audit.Config{
+				SampleFraction: 1,
+				Interval:       200 * time.Microsecond,
+				Gate:           func() bool { return true }, // keep pacing deterministic at this load
+				OnVerdict: func(_ *audit.Sample, v audit.Verdict) {
+					i := audited.Add(1)
+					if v.FloorViolated {
+						detectAt.CompareAndSwap(0, i)
+					}
+				},
+			}},
+		},
+		steps: []step{
+			loadStep{label: "bounded", n: calls, timeout: 30 * time.Second,
+				request: func(r int, at time.Time) ask {
+					return ask{req: AggRequest(f.queries[r%len(f.queries)]), stamp: stamp{slo: frontend.BoundedSLO(floor), deadline: at.Add(msDur(auditDeadlineMs))}}
+				}},
+			drainStep{limit: 20 * time.Second},
+		},
+	}.run()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("auditcompare: %w", err)
 	}
-	defer st.Close()
-	auditor := st.Front.Auditor()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for i := 0; i < calls; i++ {
-		s := stamp{slo: frontend.BoundedSLO(floor), deadline: time.Now().Add(msDur(auditDeadlineMs))}
-		if err := st.issue(ctx, AggRequest(f.queries[i%len(f.queries)]), s, nil).failed(); err != nil {
-			return nil, fmt.Errorf("auditcompare: call %d: %w", i, err)
+	auditor := res.Front.Auditor()
+	pr := &auditPassResult{stats: auditor.Stats(), tables: auditor.Tables(), detectAt: detectAt.Load()}
+	for _, tv := range rec.Exemplars(0) {
+		if tv.Anomaly&uint8(obs.AnomalyFloorViolation) != 0 {
+			pr.pinnedFloor++
 		}
 	}
-	if !auditor.Drain(20 * time.Second) {
-		return nil, fmt.Errorf("auditcompare: auditor never drained: %+v", auditor.Stats())
-	}
-	res := &auditPassResult{stats: auditor.Stats(), tables: auditor.Tables()}
-
-	// Drain returns once the counters balance; the final OnVerdict (and
-	// its trace pin) may still be in flight on the worker. Poll briefly.
-	waitFor(func() bool {
-		res.pinnedFloor = 0
-		for _, tv := range rec.Exemplars(0) {
-			if tv.Anomaly&uint8(obs.AnomalyFloorViolation) != 0 {
-				res.pinnedFloor++
-			}
-		}
-		return audited.Load() >= res.stats.Audited && int64(res.pinnedFloor) >= res.stats.Violations
-	}, 5*time.Second)
-	res.detectAt = detectAt.Load()
-	return res, nil
+	return pr, nil
 }
 
 // The drift phase's audits queued before and answered after the swap.
@@ -231,73 +221,53 @@ func runDriftPhase(sc Scale, f *aggFix) error {
 		lives[i] = l
 	}
 	var gateOpen atomic.Bool
-	st, err := deployment{
-		n: len(lives),
-		handler: func(i int) netsvc.Handler {
-			return netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
+	calls := func(label string, n int) step {
+		return loadStep{label: label, n: n, timeout: 20 * time.Second,
+			request: asks(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)}, 0, stamp{slo: frontend.BoundedSLO(0)})}
+	}
+	res, err := scenario{
+		deploy: deployment{
+			n: len(lives),
+			handler: func(i int) netsvc.Handler {
+				return netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
+			},
+			lives: lives,
+			front: &netsvc.ServerOptions{Tracer: obs.NewRecorder(32, 16),
+				Audit: &audit.Config{SampleFraction: 1, Interval: 200 * time.Microsecond, Gate: gateOpen.Load}},
 		},
-		lives: lives,
-		front: &netsvc.ServerOptions{Tracer: obs.NewRecorder(32, 16),
-			Audit: &audit.Config{SampleFraction: 1, Interval: 200 * time.Microsecond, Gate: gateOpen.Load}},
-	}.start()
+		steps: []step{
+			// Queue auditDriftPre audits behind the closed gate.
+			calls("pre-swap", auditDriftPre),
+			// Drift arrives through the write path: the append's
+			// acknowledgement carries the staging epoch, which the front
+			// server folds in as an observed swap — every queued sample is
+			// now stale. Only then does the gate open.
+			ingestStep{&wire.IngestRequest{Kind: wire.KindAgg, Subset: 0,
+				Agg: &wire.AggIngest{Keys: []int32{0, 1}, Vals: []float64{5, 7}}}},
+			untilStep{what: "the front observed the swap, which opens the gate", limit: time.Second,
+				cond: func(s *served) bool {
+					if s.Front.DataEpoch() == 0 {
+						return false
+					}
+					gateOpen.Store(true)
+					return true
+				}},
+			drainStep{limit: 10 * time.Second},
+			// Requests answered entirely after the swap audit normally.
+			calls("post-swap", auditDriftPost),
+			drainStep{limit: 10 * time.Second},
+		},
+	}.run()
 	if err != nil {
 		return err
 	}
-	defer st.Close()
-	auditor := st.Front.Auditor()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	calls := func(n int) error {
-		for i := 0; i < n; i++ {
-			req := AggRequest(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)})
-			req.Level = 0
-			if err := st.issue(ctx, req, stamp{slo: frontend.BoundedSLO(0)}, nil).failed(); err != nil {
-				return fmt.Errorf("drift call: %w", err)
-			}
-		}
-		return nil
-	}
-	// Queue auditDriftPre audits behind the closed gate.
-	if err := calls(auditDriftPre); err != nil {
-		return err
-	}
-	// Drift arrives through the write path: the append's acknowledgement
-	// carries the staging epoch, which the front server folds in as an
-	// observed swap — every queued sample is now stale.
-	before := st.Front.DataEpoch()
-	ack, err := st.Client.Ingest(ctx, &wire.IngestRequest{
-		Kind: wire.KindAgg, Subset: 0,
-		Agg: &wire.AggIngest{Keys: []int32{0, 1}, Vals: []float64{5, 7}},
-	})
-	if err != nil {
-		return err
-	}
-	if ack.Status != wire.IngestOK {
-		return fmt.Errorf("drift ingest status %d (%s)", ack.Status, ack.Err)
-	}
-	if st.Front.DataEpoch() == before {
-		return fmt.Errorf("ingest ack (epoch %d) did not advance the observed data epoch %d", ack.Epoch, before)
-	}
-	gateOpen.Store(true)
-	if !auditor.Drain(10 * time.Second) {
-		return fmt.Errorf("drift drain: %+v", auditor.Stats())
-	}
-	if s := auditor.Stats(); s.Audited != 0 || s.SkippedStale != auditDriftPre {
+	s := res.Front.Auditor().Stats()
+	switch {
+	case s.SkippedStale != auditDriftPre:
 		return fmt.Errorf("pre-swap samples not skipped stale: %+v", s)
-	}
-	// Requests answered entirely after the swap audit normally.
-	if err := calls(auditDriftPost); err != nil {
-		return err
-	}
-	if !auditor.Drain(10 * time.Second) {
-		return fmt.Errorf("post-swap drain: %+v", auditor.Stats())
-	}
-	s := auditor.Stats()
-	if s.Audited != auditDriftPost {
+	case s.Audited != auditDriftPost:
 		return fmt.Errorf("post-swap samples not audited: %+v", s)
-	}
-	if s.Sampled != s.Audited+s.SkippedStale+s.ReplayErrs+s.Dropped {
+	case s.Sampled != s.Audited+s.SkippedStale+s.ReplayErrs+s.Dropped:
 		return fmt.Errorf("audit accounting broken: %+v", s)
 	}
 	return nil
@@ -308,65 +278,49 @@ func runDriftPhase(sc Scale, f *aggFix) error {
 // survive in the exemplar store after rotating out of the ring.
 func (ac *AuditCompare) runRetentionPhase(f *aggFix) error {
 	const anomalous, healthy = 4, 3 * auditRetentionRing
-	inner := netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
-	var lose atomic.Bool
 	rec := obs.NewRecorder(auditRetentionRing, 16)
 	slo := obs.NewSLOTracker(obs.DefaultSLOBudgets())
-	st, err := deployment{
-		n: 2,
-		handler: func(i int) netsvc.Handler {
-			if i != 0 {
-				return inner
-			}
-			// Fault injection on shard 0: while lose is set, its
-			// sub-operations fail and BestEffort answers degrade.
-			return func(ctx context.Context, req *wire.Request) *wire.SubReply {
-				if lose.Load() {
-					return &wire.SubReply{Status: wire.StatusErr, Err: "auditcompare: injected fault"}
-				}
-				return inner(ctx, req)
-			}
+	anomalyIDs := make(map[uint64]bool, anomalous)
+	call := func(label string, n int) step {
+		return loadStep{label: label, n: n, timeout: 20 * time.Second,
+			request: asks(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)}, wire.NoLevel, stamp{slo: frontend.BestEffortSLO()})}
+	}
+	_, err := scenario{
+		deploy: deployment{
+			n:       2,
+			handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})),
+			fabric:  faultinject.NewFabric(0),
+			front:   &netsvc.ServerOptions{Tracer: rec, SLO: slo},
 		},
-		front: &netsvc.ServerOptions{Tracer: rec, SLO: slo},
-	}.start()
+		steps: []step{
+			// Degraded phase: shard 0 is down, BestEffort serves around it.
+			faultStep{comp: 0, mode: faultinject.Crash},
+			call("degraded", anomalous),
+			faultStep{comp: 0, mode: faultinject.None, limit: 5 * time.Second},
+			untilStep{what: "shard 0 is dialed again", limit: 5 * time.Second,
+				cond: func(s *served) bool { return s.Agg.WaitReady(10*time.Millisecond) == nil }},
+			// Healthy flood: 3x the ring, rotating the anomalies out of it.
+			call("healthy", healthy),
+		},
+		fold: func(s, _ int, _ float64, o outcome) error {
+			switch {
+			case o.err != nil:
+				return o.err
+			case !wire.ReplyCarriesPayload(o.status):
+				return fmt.Errorf("retention call status %d (%s)", o.status, o.rep.Err)
+			case s != 1: // the healthy flood
+			case !o.rep.Degraded && o.status != wire.ReplyDegraded:
+				return fmt.Errorf("faulted reply not degraded: %+v", o.rep)
+			case o.rep.Trace == 0:
+				return fmt.Errorf("degraded reply carries no trace ID")
+			default:
+				anomalyIDs[o.rep.Trace] = true
+			}
+			return nil
+		},
+	}.run()
 	if err != nil {
 		return err
-	}
-	defer st.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	call := func() (outcome, error) {
-		o := st.issue(ctx, AggRequest(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)}), stamp{slo: frontend.BestEffortSLO()}, nil)
-		if o.err == nil && !wire.ReplyCarriesPayload(o.status) {
-			o.err = fmt.Errorf("retention call status %d (%s)", o.status, o.rep.Err)
-		}
-		return o, o.err
-	}
-
-	// Degraded phase: shard 0 is down, BestEffort serves around it.
-	lose.Store(true)
-	anomalyIDs := make(map[uint64]bool, anomalous)
-	for i := 0; i < anomalous; i++ {
-		o, err := call()
-		if err != nil {
-			return err
-		}
-		if !o.rep.Degraded && o.status != wire.ReplyDegraded {
-			return fmt.Errorf("faulted reply not degraded: %+v", o.rep)
-		}
-		if o.rep.Trace == 0 {
-			return fmt.Errorf("degraded reply carries no trace ID")
-		}
-		anomalyIDs[o.rep.Trace] = true
-	}
-	lose.Store(false)
-
-	// Healthy flood: 3x the ring, rotating the anomalies out of it.
-	for i := 0; i < healthy; i++ {
-		if _, err := call(); err != nil {
-			return err
-		}
 	}
 	inRing, pinned := 0, 0
 	for _, tv := range rec.Snapshot(0) {

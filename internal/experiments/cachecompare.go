@@ -84,20 +84,13 @@ const (
 // ccSkews are the Zipf exponents swept, low to high.
 var ccSkews = []float64{0.4, 1.0, 1.4}
 
-// CacheRow is one measured configuration at one skew.
+// CacheRow is one measured configuration at one skew; its loadRow counts
+// the arrivals past the warm-up cut, equal for both rows of a skew.
 type CacheRow struct {
-	Skew    float64
-	Cached  bool
-	Calls   int // offered requests past the warm-up cut: equal for both rows of a skew
-	HitPct  float64
-	Goodput float64
-	P50Ms   float64
-	P999Ms  float64
-	ShedPct float64
-	MeanAcc float64 // mean measured delivered accuracy over answered requests
-	// ClassAcc[k] is the mean measured accuracy of class k (indexed by
-	// frontend.SLOKind) over answered requests.
-	ClassAcc [3]float64
+	Skew   float64
+	Cached bool
+	loadRow
+	HitPct float64
 	// FloorViolations counts cache hits that break their class's
 	// promise: a Bounded request served from a ladder level calibrated
 	// below its floor, or an Exact one served inexact. The hit rule makes
@@ -105,7 +98,6 @@ type CacheRow struct {
 	FloorViolations int
 	Coalesced       int64
 	Refreshes       int64
-	MaxLagMs        float64 // worst send lag behind the arrival schedule
 }
 
 // CacheCompare is the full experiment result.
@@ -166,11 +158,22 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 	cc.arrivalsMs = workload.PoissonArrivals(stats.NewRNG(sc.Seed^ccArrivalSalt), cc.RatePerSec, cc.WindowSeconds*1000)
 	cc.Arrivals = len(cc.arrivalsMs)
 
-	backend := netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{
-		UnitCost:  msDur(f.unitMs),
-		SubBudget: msDur(ccSubBudgetFrac * ccDeadlineMs),
-		IMaxFrac:  ccIMaxFrac,
-	})
+	// Every row deploys this stack behind its own front server: a
+	// component server per shard (one worker, a 1,024-deep queue), a
+	// WaitAll aggregator whose 1,024-wide outstanding window is the bound
+	// the queue watermark reads, and the standard frontend.
+	deploy := deployment{
+		n: n,
+		handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{
+			UnitCost:  msDur(f.unitMs),
+			SubBudget: msDur(ccSubBudgetFrac * ccDeadlineMs),
+			IMaxFrac:  ccIMaxFrac,
+		})),
+		server:   netsvc.ServerOptions{Workers: 1, QueueLen: ccQueueLen},
+		agg:      &netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: msDur(ccCallTimeoutMs), MaxOutstanding: ccQueueLen},
+		levelAcc: f.levelAcc,
+		inflight: 6 * n,
+	}
 
 	// Every row is offered the one arrival schedule; the request→query
 	// schedule is drawn per skew and shared by its cached and uncached
@@ -182,7 +185,7 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 			qis[i] = zipf.Draw()
 		}
 		for _, cached := range []bool{false, true} {
-			row, err := cc.runRow(f, skew, cached, backend, qis)
+			row, err := cc.runRow(f, skew, cached, deploy, qis)
 			if err != nil {
 				return nil, err
 			}
@@ -195,15 +198,15 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 	}
 	cc.promise("cache floor", floorViol == 0,
 		"%d cache hits served below a Bounded request's floor across %d rows, warm-up included (want 0)", floorViol, len(cc.Rows))
-	if err := cc.runCoalesceCheck(n); err != nil {
+	if err := cc.runCoalesceCheck(deploy); err != nil {
 		return nil, err
 	}
 	return cc, nil
 }
 
-// runRow measures one (skew, cached?) configuration; arrival r asks
-// query qis[r].
-func (cc *CacheCompare) runRow(f *aggFix, skew float64, cached bool, backend netsvc.Handler, qis []int) (*CacheRow, error) {
+// runRow measures one (skew, cached?) configuration of deploy; arrival
+// r asks query qis[r].
+func (cc *CacheCompare) runRow(f *aggFix, skew float64, cached bool, deploy deployment, qis []int) (*CacheRow, error) {
 	var cache *rescache.Cache
 	if cached {
 		var err error
@@ -218,60 +221,58 @@ func (cc *CacheCompare) runRow(f *aggFix, skew float64, cached bool, backend net
 		}
 		defer cache.Close()
 	}
-	st, err := ccDeploy(cc.Servers, backend, msDur(ccCallTimeoutMs), cc.LevelAccuracy, cache)
+	row := &CacheRow{Skew: skew, Cached: cached}
+	warmupMs := ccWarmupFrac * cc.WindowSeconds * 1000
+	deploy.front = &netsvc.ServerOptions{Cache: cache}
+	res, err := scenario{
+		deploy: deploy,
+		steps: []step{loadStep{label: "open loop", at: cc.arrivalsMs,
+			request: f.asking(qis, func(r int, _ time.Time) stamp { return stamp{slo: overloadClassMix(r)} })}},
+		fold: func(_, r int, latMs float64, o outcome) error {
+			// Hits are judged over the whole run — warm-up hits must honor
+			// the floor too.
+			if o.broken && o.rep.Cached {
+				row.FloorViolations++
+			}
+			if cc.arrivalsMs[r] >= warmupMs { // the cut is on the intended time: the same arrivals in both rows
+				row.count(r, latMs, ccDeadlineMs, o)
+			}
+			return nil
+		},
+	}.run()
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-
-	row := &CacheRow{Skew: skew, Cached: cached}
-	var t tally
-	hits, rejected := 0, 0
-	warmupMs := ccWarmupFrac * cc.WindowSeconds * 1000
-	row.MaxLagMs = f.openRow(st.target, cc.arrivalsMs, qis, func(r int, _ time.Time) stamp {
-		return stamp{slo: overloadClassMix(r)}
-	}, func(r int, latMs float64, o outcome) {
-		// Hits are judged over the whole run — warm-up hits must honor
-		// the floor too.
-		if o.broken && o.rep.Cached {
-			row.FloorViolations++
-		}
-		if cc.arrivalsMs[r] < warmupMs {
-			return // the cut is on the intended time: the same arrivals in both rows
-		}
-		row.Calls++
-		if o.status == wire.ReplyRejected {
-			rejected++
-		}
-		if !wire.ReplyCarriesPayload(o.status) {
-			return
-		}
-		if o.rep.Cached {
-			hits++
-		}
-		t.addTimed(latMs, ccDeadlineMs, overloadClassMix(r).Kind, o.acc)
-	})
+	row.close((1-ccWarmupFrac)*cc.WindowSeconds, res.steps[0].lagMs)
+	row.HitPct = pct(row.hits, row.Calls)
 	if cache != nil {
 		cst := cache.Stats()
 		row.Coalesced = cst.Coalesced
 		row.Refreshes = cst.Refreshes
 	}
-	row.Goodput, row.MeanAcc, row.ClassAcc = t.means((1 - ccWarmupFrac) * cc.WindowSeconds)
-	row.P50Ms, row.P999Ms = t.percentile(50), t.percentile(99.9)
-	row.ShedPct, row.HitPct = pct(rejected, row.Calls), pct(hits, row.Calls)
 	return row, nil
 }
 
 // runCoalesceCheck fires ccCoalesceFanIn concurrent identical requests at
 // a cold cache behind an idle front server and counts component
 // sub-operations: the singleflight must collapse them to one fan-out,
-// the rest sharing it.
-func (cc *CacheCompare) runCoalesceCheck(n int) error {
+// the rest sharing it. It deploys as the rows do, over a gated handler
+// and a call timeout no gate outlasts.
+func (cc *CacheCompare) runCoalesceCheck(deploy deployment) error {
+	n := deploy.n
 	release := make(chan struct{})
 	var subCalls atomic.Int64
 	gated := func(ctx context.Context, req *wire.Request) *wire.SubReply {
-		subCalls.Add(1)
-		<-release
+		// The winner's fan-out parks here until every call had time to
+		// reach the flight: its last sub-operation to arrive lets the
+		// computation finish 20 ms later (5 s at most, if one never does).
+		if subCalls.Add(1) == int64(n) {
+			time.AfterFunc(20*time.Millisecond, func() { close(release) })
+		}
+		select {
+		case <-release:
+		case <-time.After(5 * time.Second):
+		}
 		return &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
 			Agg: &wire.AggResult{Sum: make([]float64, 1), Cnt: make([]float64, 1),
 				SumVar: make([]float64, 1), CntVar: make([]float64, 1)}}
@@ -283,21 +284,14 @@ func (cc *CacheCompare) runCoalesceCheck(n int) error {
 		return err
 	}
 	defer cache.Close()
-	st, err := ccDeploy(n, gated, 10*time.Second, cc.LevelAccuracy, cache)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	// Give every call time to reach the flight (the winner's fan-out is
-	// parked in the gated handlers), then let the computation finish.
-	go func() {
-		waitFor(func() bool { return subCalls.Load() >= int64(n) }, 5*time.Second)
-		time.Sleep(20 * time.Millisecond)
-		close(release)
-	}()
-	if err := together(ccCoalesceFanIn, func(int) error {
-		return st.issue(context.Background(), AggRequest(agg.Query{Op: agg.Sum, Lo: 0, Hi: 1}), stamp{slo: frontend.BoundedSLO(0.5)}, nil).failed()
-	}); err != nil {
+	aggOpts := *deploy.agg
+	aggOpts.Deadline = 10 * time.Second
+	deploy.handler, deploy.agg, deploy.front = shared(gated), &aggOpts, &netsvc.ServerOptions{Cache: cache}
+	if _, err := (scenario{
+		deploy: deploy,
+		steps: []step{loadStep{label: "identical misses", n: ccCoalesceFanIn, workers: ccCoalesceFanIn,
+			request: asks(agg.Query{Op: agg.Sum, Lo: 0, Hi: 1}, wire.NoLevel, stamp{slo: frontend.BoundedSLO(0.5)})}},
+	}).run(); err != nil {
 		return fmt.Errorf("experiments: coalescing call: %w", err)
 	}
 	computes := int(subCalls.Load()) / n

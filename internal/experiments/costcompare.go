@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -60,11 +59,28 @@ func RunCostCompare(sc Scale) (*CostCompare, error) {
 	levels := len(f.levelAcc)
 	cc := &CostCompare{Servers: len(f.Comps), Levels: levels}
 
-	// (1)-(3) share one metered loopback stack.
-	v, err := runCostPass(f)
-	if err != nil {
-		return nil, err
+	// (1)-(3) share one metered loopback stack: costCallsPerCell Bounded
+	// requests into every (tenant, ladder level) cell in turn.
+	table := cost.NewTable()
+	if _, err := (scenario{
+		deploy: deployment{
+			n:       len(f.Comps),
+			handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: costIMaxFrac})),
+			server:  netsvc.ServerOptions{Workers: 1, QueueLen: 256},
+			// Cost attribution rides tracing: the front server needs a
+			// tracer so component spans come back costed.
+			front: &netsvc.ServerOptions{Tracer: obs.NewRecorder(64, 16), Costs: table},
+		},
+		steps: []step{loadStep{label: "cells", n: len(costTenants) * levels * costCallsPerCell, timeout: 30 * time.Second,
+			request: func(r int, _ time.Time) ask {
+				req := AggRequest(f.queries[r%len(f.queries)])
+				req.Level = int16(r / costCallsPerCell % levels)
+				return ask{req: req, stamp: stamp{slo: frontend.BoundedSLO(0), tenant: costTenants[r/(costCallsPerCell*levels)]}}
+			}}},
+	}).run(); err != nil {
+		return nil, fmt.Errorf("costcompare: %w", err)
 	}
+	v := table.Snapshot()
 	calls, wantRows := len(costTenants)*levels*costCallsPerCell, len(costTenants)*levels
 
 	// (1) Conservation: the folded child costs explain a bounded,
@@ -118,42 +134,6 @@ func RunCostCompare(sc Scale) (*CostCompare, error) {
 		"%d Pareto points (+%d dominated) of %d levels, scanned spread %.1fx; accuracy must strictly increase with cost over >= 2 points",
 		points, dominated, levels, spread)
 	return cc, nil
-}
-
-// runCostPass builds a metered loopback stack over the fixture's
-// components and drives costCallsPerCell Bounded requests into every
-// (tenant, ladder level) cell, then snapshots the cost table.
-func runCostPass(f *aggFix) (cost.View, error) {
-	table := cost.NewTable()
-	st, err := deployment{
-		n:       len(f.Comps),
-		handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: costIMaxFrac})),
-		server:  netsvc.ServerOptions{Workers: 1, QueueLen: 256},
-		// Cost attribution rides tracing: the front server needs a
-		// tracer so component spans come back costed.
-		front: &netsvc.ServerOptions{Tracer: obs.NewRecorder(64, 16), Costs: table},
-	}.start()
-	if err != nil {
-		return cost.View{}, err
-	}
-	defer st.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	i := 0
-	for _, tenant := range costTenants {
-		for l := range f.levelAcc {
-			for c := 0; c < costCallsPerCell; c++ {
-				req := AggRequest(f.queries[i%len(f.queries)])
-				i++
-				req.Level = int16(l)
-				if err := st.issue(ctx, req, stamp{slo: frontend.BoundedSLO(0), tenant: tenant}, nil).failed(); err != nil {
-					return cost.View{}, fmt.Errorf("costcompare: %s level %d: %w", tenant, l, err)
-				}
-			}
-		}
-	}
-	return table.Snapshot(), nil
 }
 
 // Render formats the validation report.

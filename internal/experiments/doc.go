@@ -20,9 +20,19 @@
 // table1/table2, fig5/fig6, fig7/fig8 and headline; the simulated
 // extensions overload and aggcompare; and the seven wall-clock *compare
 // experiments — netcompare, cachecompare, tracecompare, faultcompare,
-// ingestcompare, auditcompare and costcompare — which deploy, drive and
-// classify through the one loopback harness in serving.go (deployment,
-// target.issue, waitFor) and together state the 20 named contracts. Each
-// judges the served stack; a promise about one package's code path is
-// that package's unit test, and this package does not import testing.
+// ingestcompare, auditcompare and costcompare — which together state the
+// 20 named contracts. Each served experiment is a scenario (scenario.go):
+// a loopback deployment plus a typed timeline of steps — loadStep
+// (requests, open-loop at intended send times or closed-loop over
+// workers, through the client or a supplied target), faultStep (a
+// component's faultinject mode; a heal waits for its breaker to
+// re-close), ingestStep (one append batch), drainStep (the front
+// server's auditor) and untilStep (a bounded wait on the running stack)
+// — and scenario.run starts the stack, runs the steps in order, hands
+// every outcome, classified by target.issue (serving.go), to the
+// experiment's fold and closes the stack on every path. What stays
+// per experiment is its scenario, its fold, its contracts and its
+// render. Each judges the served stack; a promise about one package's
+// code path is that package's unit test, and this package does not
+// import testing.
 package experiments

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"strings"
 	"time"
 
@@ -108,90 +106,63 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 		BoundedFloor: faultBoundedFloor,
 	}
 
-	// Component servers behind fault-injection scripts: every listener
-	// and every aggregator dial goes through the fabric, so one Set()
-	// call crashes or stalls a component and Heal() restores it.
-	fab := faultinject.NewFabric(sc.Seed)
-	st, err := deployment{
-		n:       n,
-		handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{})),
-		server:  netsvc.ServerOptions{Workers: 1, QueueLen: 256},
-		wrap: func(_ int, l net.Listener) net.Listener {
-			return fab.Script(l.Addr().String()).WrapListener(l)
-		},
-		agg: &netsvc.AggregatorOptions{
-			Policy:     service.WaitAll,
-			Deadline:   msDur(faultDeadlineMs),
-			Breaker:    breaker.Config{FailThreshold: faultThreshold, Cooldown: msDur(faultCooldownMs)},
-			RedialBase: 5 * time.Millisecond,
-			RedialMax:  50 * time.Millisecond,
-			Seed:       sc.Seed ^ 0xfa17,
-			Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
-				return fab.Script(addr).Dialer(func(a string, to time.Duration) (net.Conn, error) {
-					return net.DialTimeout("tcp", a, to)
-				})(addr, timeout)
-			},
-		},
-		front: &netsvc.ServerOptions{Workers: 8},
-	}.start()
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	killed := fab.Script(st.Addrs[fc.Killed])
-
 	qrng := stats.NewRNG(sc.Seed ^ 0x5eed)
 	qis := make([]int, 4096)
 	for i := range qis {
 		qis[i] = qrng.Intn(len(f.queries))
 	}
-
-	sweep := []struct {
-		name  string
-		mode  faultinject.Mode
-		calls int
-	}{
-		{"healthy", faultinject.None, 150},
-		{"crash comp0", faultinject.Crash, 150},
-		{"healed", faultinject.None, 100},
-		{"stall comp0", faultinject.Stall, 60},
-		{"healed again", faultinject.None, 100},
+	phase := func(name string, calls int) step {
+		return loadStep{label: name, n: calls, timeout: 6 * msDur(faultDeadlineMs),
+			request: f.asking(qis, func(r int, at time.Time) stamp {
+				return stamp{slo: faultClassSLOs[r%faultClasses], deadline: at.Add(msDur(faultDeadlineMs))}
+			})}
 	}
-	violations := 0
-	for _, ph := range sweep {
-		switch {
-		case ph.mode != faultinject.None:
-			killed.Set(ph.mode)
-		case killed.Mode() != faultinject.None:
-			// Heal, then time the background prober re-closing the
-			// faulted peer's breaker.
-			killed.Heal()
-			t0 := time.Now()
-			if !waitFor(func() bool { return st.Agg.BreakerState(fc.Killed) == breaker.Closed }, 4*msDur(faultRecloseBudgetMs)) {
-				return nil, fmt.Errorf("faultcompare: breaker on %s still %v after heal",
-					st.Addrs[fc.Killed], st.Agg.BreakerState(fc.Killed))
-			}
-			fc.RecloseMs = append(fc.RecloseMs, ms(time.Since(t0)))
+	heal := faultStep{comp: fc.Killed, mode: faultinject.None, limit: 4 * msDur(faultRecloseBudgetMs)}
+	steps := []step{
+		phase("healthy", 150),
+		faultStep{comp: fc.Killed, mode: faultinject.Crash}, phase("crash comp0", 150),
+		heal, phase("healed", 100),
+		faultStep{comp: fc.Killed, mode: faultinject.Stall}, phase("stall comp0", 60),
+		heal, phase("healed again", 100),
+	}
+	phases := map[int]*FaultPhase{} // by step
+	for i, s := range steps {
+		if l, ok := s.(loadStep); ok {
+			phases[i] = &FaultPhase{Name: l.label, Calls: l.n}
 		}
-		p := &FaultPhase{Name: ph.name, Calls: ph.calls}
-		answered, t0 := 0, time.Now()
-		for r := 0; r < ph.calls; r++ {
-			qi, class := qis[r%len(qis)], r%faultClasses
-			p.Offered[class]++
-			ctx, cancel := context.WithTimeout(context.Background(), 6*msDur(faultDeadlineMs))
-			o := st.issue(ctx, AggRequest(f.queries[qi]),
-				stamp{slo: faultClassSLOs[class], deadline: time.Now().Add(msDur(faultDeadlineMs))}, f.exact[qi])
-			cancel()
+	}
+	// Component servers behind fault-injection scripts: every listener
+	// and every aggregator dial goes through the fabric, so a fault step
+	// crashes or stalls a component and a heal restores it.
+	res, err := scenario{
+		deploy: deployment{
+			n:       n,
+			handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{})),
+			server:  netsvc.ServerOptions{Workers: 1, QueueLen: 256},
+			fabric:  faultinject.NewFabric(sc.Seed),
+			agg: &netsvc.AggregatorOptions{
+				Policy:     service.WaitAll,
+				Deadline:   msDur(faultDeadlineMs),
+				Breaker:    breaker.Config{FailThreshold: faultThreshold, Cooldown: msDur(faultCooldownMs)},
+				RedialBase: 5 * time.Millisecond,
+				RedialMax:  50 * time.Millisecond,
+				Seed:       sc.Seed ^ 0xfa17,
+			},
+			front: &netsvc.ServerOptions{Workers: 8},
+		},
+		steps: steps,
+		fold: func(s, r int, _ float64, o outcome) error {
 			if o.err != nil {
-				return nil, fmt.Errorf("faultcompare: client call in phase %q: %w", ph.name, o.err)
+				return o.err
 			}
+			p, class := phases[s], r%faultClasses
+			p.Offered[class]++
 			if o.broken {
 				p.Violations++
 			}
 			switch o.status {
 			case wire.ReplyOK, wire.ReplyDegraded:
 				p.Answered[class]++
-				answered++
 				p.MeanAcc += o.acc
 				if o.status == wire.ReplyDegraded {
 					p.Degraded++
@@ -201,14 +172,25 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 			default:
 				p.Errors++
 			}
-		}
-		p.Seconds = time.Since(t0).Seconds()
-		p.MeanAcc /= float64(max(answered, 1))
-		violations += p.Violations
-		fc.Phases = append(fc.Phases, p)
+			return nil
+		},
+	}.run()
+	if err != nil {
+		return nil, fmt.Errorf("faultcompare: %w", err)
 	}
-
-	ast := st.Agg.Stats()
+	violations := 0
+	for i, st := range res.steps {
+		switch p := phases[i]; {
+		case p != nil:
+			p.Seconds = st.took.Seconds()
+			p.MeanAcc /= float64(max(p.Answered[0]+p.Answered[1]+p.Answered[2], 1))
+			violations += p.Violations
+			fc.Phases = append(fc.Phases, p)
+		case steps[i] == heal:
+			fc.RecloseMs = append(fc.RecloseMs, ms(st.took))
+		}
+	}
+	ast := res.Agg.Stats()
 	fc.BreakerOpens, fc.Retries, fc.Faults = ast.BreakerOpens, ast.Retries, ast.Faults
 	fc.promise("degradation", violations == 0,
 		"%d degradation-contract violations over %d phases (want 0)", violations, len(fc.Phases))

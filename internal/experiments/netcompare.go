@@ -79,28 +79,15 @@ func netStall(seq uint64, server, n int) bool {
 	return seq%netStragglerInv == 0 && int(seq/netStragglerInv)%n == server
 }
 
-// NetRow is one measured configuration.
+// NetRow is one measured configuration; its loadRow counts every
+// arrival of the schedule.
 type NetRow struct {
-	Runtime  string  // "net" or "inproc"
-	Name     string  // gather policy / frontend
-	Calls    int     // arrivals offered: the schedule length, equal in every row
-	Goodput  float64 // good answers per second
-	P50Ms    float64
-	P99Ms    float64
-	P999Ms   float64
+	Runtime string // "net" or "inproc"
+	Name    string // gather policy / frontend
+	loadRow
 	HedgePct float64 // hedges per sub-operation
-	ShedPct  float64 // frontend-rejected fraction of offered requests
-	MeanAcc  float64 // mean delivered accuracy over answered requests
 	SkipPct  float64 // skipped/failed sub-operations per gathered sub-op
 	MeanSets float64 // mean Algorithm 1 improvement steps per answered sub-op
-	ClassAcc [3]float64
-	MaxLagMs float64 // worst send lag behind the arrival schedule
-
-	// Unavailable counts the degrade rule's typed refusals; of the
-	// answered Exact and Bounded replies (promised), broken is those not
-	// exact or claiming under their floor.
-	Unavailable      int
-	promised, broken int
 }
 
 // NetCompare is the full experiment result. Its contracts are the wire
@@ -176,7 +163,11 @@ func RunNetCompare(sc Scale) (*NetCompare, error) {
 		if cfg.frontend {
 			continue // the frontend-over-sockets row is the net-only headline
 		}
-		nc.Rows = append(nc.Rows, nc.runInproc(f, cfg))
+		row, err := nc.runInproc(f, cfg)
+		if err != nil {
+			return nil, err
+		}
+		nc.Rows = append(nc.Rows, row)
 	}
 	return nc, nil
 }
@@ -203,18 +194,12 @@ func bare(call func(context.Context, interface{}) ([]service.SubResult, error)) 
 	}
 }
 
-// row offers the shared arrival schedule through call and folds every
-// answer into one row. Latency runs from each arrival's intended send
-// time, so generator lateness is charged to the request, and the
-// request carries its own absolute service budget (l_spe) measured from
-// that same instant: queueing anywhere along the path eats it, which is
-// what makes component work self-regulating under load. The replies are
-// composed as a front server would (unextrapolated), so the row is
-// classified like every other serving row.
-func (nc *NetCompare) row(f *aggFix, runtime, name string, call netCall, fe bool, gathered func() service.Stats) *NetRow {
-	row := &NetRow{Runtime: runtime, Name: name, Calls: nc.Arrivals}
-	var sets atomic.Int64
-	tg := target{levelAcc: nc.LevelAccuracy, send: func(ctx context.Context, req *wire.Request) (*wire.Reply, error) {
+// asFront turns call into a target's send: the replies are composed as a
+// front server would (unextrapolated), so the row is classified like
+// every other serving row, and each answered sub-operation's Algorithm 1
+// steps are counted into sets.
+func asFront(call netCall, sets *atomic.Int64) func(context.Context, *wire.Request) (*wire.Reply, error) {
+	return func(ctx context.Context, req *wire.Request) (*wire.Reply, error) {
 		res, err := call(ctx, req)
 		rep := &wire.Reply{ID: req.ID, Kind: req.Kind, SLO: req.SLO, MinAccuracy: req.MinAccuracy, Level: wire.NoLevel}
 		switch {
@@ -239,54 +224,61 @@ func (nc *NetCompare) row(f *aggFix, runtime, name string, call netCall, fe bool
 			sets.Add(int64(sr.Value.(*wire.SubReply).SetsProcessed))
 		}
 		return rep, nil
-	}}
+	}
+}
+
+// row offers the shared arrival schedule to one configuration — call
+// over the running deploy — and folds every answer into one row.
+// Latency runs from each arrival's intended send time, so generator
+// lateness is charged to the request, and the request carries its own
+// absolute service budget (l_spe) measured from that same instant:
+// queueing anywhere along the path eats it, which is what makes
+// component work self-regulating under load. gathered reads the gather's
+// counters once the run is over.
+func (nc *NetCompare) row(f *aggFix, runtime string, cfg netCfg, deploy deployment,
+	call func(*served) (netCall, error), gathered func(*served) service.Stats) (*NetRow, error) {
+	row := &NetRow{Runtime: runtime, Name: cfg.name}
 	budget := msDur(netSubBudgetFrac * netDeadlineMs)
-	var t tally
-	rejected, subCnt, skipCnt := 0, 0, 0
-	row.MaxLagMs = f.openRow(tg, nc.arrivalsMs, nc.qis, func(r int, intended time.Time) stamp {
-		st := stamp{slo: overloadClassMix(r), deadline: intended.Add(budget)}
-		if fe && st.slo.Kind == frontend.Exact {
-			st.deadline = time.Time{} // Exact carries no budget: its guarantee is paid in latency
-		}
-		return st
-	}, func(r int, latMs float64, o outcome) {
-		switch o.status {
-		case wire.ReplyUnavailable:
-			row.Unavailable++
-		case wire.ReplyRejected:
-			rejected++
-		}
-		if o.broken {
-			row.broken++
-		}
-		if !wire.ReplyCarriesPayload(o.status) {
-			return
-		}
-		t.addTimed(latMs, nc.DeadlineMs, overloadClassMix(r).Kind, o.acc)
-		if o.rep.SLO != wire.SLOBestEffort {
-			row.promised++
-		}
-		subCnt += o.strata
-		skipCnt += o.missing
-	})
-	row.Goodput, row.MeanAcc, row.ClassAcc = t.means(nc.WindowSeconds)
-	row.P50Ms, row.P99Ms, row.P999Ms = t.percentile(50), t.percentile(99), t.percentile(99.9)
-	st := gathered()
+	var sets atomic.Int64
+	res, err := scenario{
+		deploy: deploy,
+		steps: []step{loadStep{label: runtime + " " + cfg.name, at: nc.arrivalsMs,
+			request: f.asking(nc.qis, func(r int, intended time.Time) stamp {
+				st := stamp{slo: overloadClassMix(r), deadline: intended.Add(budget)}
+				if cfg.frontend && st.slo.Kind == frontend.Exact {
+					st.deadline = time.Time{} // Exact carries no budget: its guarantee is paid in latency
+				}
+				return st
+			}),
+			via: func(s *served) (target, error) {
+				c, err := call(s)
+				return target{send: asFront(c, &sets), levelAcc: nc.LevelAccuracy}, err
+			}}},
+		fold: func(_, r int, latMs float64, o outcome) error {
+			row.count(r, latMs, nc.DeadlineMs, o)
+			return nil
+		},
+	}.run()
+	if err != nil {
+		return nil, err
+	}
+	row.close(nc.WindowSeconds, res.steps[0].lagMs)
+	st := gathered(res)
 	row.HedgePct = pct(int(st.Hedges), int(st.SubOps))
-	row.ShedPct = pct(rejected, row.Calls)
-	row.SkipPct = pct(skipCnt, subCnt)
-	if ok := subCnt - skipCnt; ok > 0 {
+	row.SkipPct = pct(row.missing, row.strata)
+	if ok := row.strata - row.missing; ok > 0 {
 		row.MeanSets = float64(sets.Load()) / float64(ok)
 	}
-	return row
+	return row, nil
 }
 
 // runNet measures one gather configuration over loopback sockets: real
 // engines plus the modeled scan cost, interference keyed on (parent
-// request, server).
+// request, server). Its requests go straight to the aggregator, or
+// through the standard frontend over it.
 func (nc *NetCompare) runNet(f *aggFix, cfg netCfg) (*NetRow, error) {
 	n := nc.Servers
-	st, err := deployment{
+	deploy := deployment{
 		n: n,
 		handler: func(server int) netsvc.Handler {
 			return netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{
@@ -304,34 +296,30 @@ func (nc *NetCompare) runNet(f *aggFix, cfg netCfg) (*NetRow, error) {
 		// Warm-start hedging just below the typical finest-synopsis
 		// service time; the P² estimator takes over as it converges.
 		agg: &netsvc.AggregatorOptions{Policy: cfg.policy, Deadline: cfg.deadline, HedgeFloor: 4 * time.Millisecond, MaxOutstanding: 64},
-	}.start()
-	if err != nil {
-		return nil, err
 	}
-	defer st.Close()
-	call := bare(st.Agg.Call)
-	if cfg.frontend {
-		fe, err := StandardFrontend(st.Agg, 3*n, nc.LevelAccuracy, nil)
-		if err != nil {
-			return nil, err
+	call := func(s *served) (netCall, error) {
+		if !cfg.frontend {
+			return bare(s.Agg.Call), nil
 		}
-		call = func(ctx context.Context, req *wire.Request) (*frontend.Result, error) {
+		fe, err := StandardFrontend(s.Agg, 3*n, nc.LevelAccuracy, nil)
+		return func(ctx context.Context, req *wire.Request) (*frontend.Result, error) {
 			return fe.Call(ctx, req, frontend.SLO{Kind: frontend.SLOKind(req.SLO), MinAccuracy: req.MinAccuracy})
-		}
+		}, err
 	}
-	row := nc.row(f, "net", cfg.name, call, cfg.frontend, func() service.Stats { return st.Agg.Stats().Stats })
-	if cfg.frontend {
+	row, err := nc.row(f, "net", cfg, deploy, call, func(s *served) service.Stats { return s.Agg.Stats().Stats })
+	if err == nil && cfg.frontend {
 		nc.promise("floor or typed", row.broken == 0, "%d of %d answered Exact/Bounded replies inexact or claiming under the floor (want 0); %d typed unavailable",
 			row.broken, row.promised, row.Unavailable)
 	}
-	return row, nil
+	return row, err
 }
 
 // runInproc measures the identical configuration on the in-process
 // goroutine runtime: the same backend handlers (with the same modeled
 // costs), the same interference rule keyed on the executing component
-// via service.ComponentFrom, no sockets or serialization.
-func (nc *NetCompare) runInproc(f *aggFix, cfg netCfg) *NetRow {
+// via service.ComponentFrom, no sockets or serialization. It deploys
+// nothing: its load's target is the in-process gather.
+func (nc *NetCompare) runInproc(f *aggFix, cfg netCfg) (*NetRow, error) {
 	n := nc.Servers
 	backend := netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{UnitCost: msDur(f.unitMs), IMaxFrac: netIMaxFrac})
 	handlers := make([]service.Handler, n)
@@ -364,10 +352,11 @@ func (nc *NetCompare) runInproc(f *aggFix, cfg netCfg) *NetRow {
 		HedgeFloor: 4 * time.Millisecond,
 	})
 	if err != nil {
-		panic(err) // static config: cannot fail
+		return nil, err
 	}
 	defer cl.Close()
-	return nc.row(f, "inproc", cfg.name, bare(cl.Call), false, cl.Stats)
+	return nc.row(f, "inproc", cfg, deployment{}, func(*served) (netCall, error) { return bare(cl.Call), nil },
+		func(*served) service.Stats { return cl.Stats() })
 }
 
 // runParity verifies encode→transport→decode→compose fidelity for all

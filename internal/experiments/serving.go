@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"reflect"
-	"sync"
 	"time"
 
 	"accuracytrader/internal/agg"
@@ -20,11 +17,10 @@ import (
 	"accuracytrader/internal/workload"
 )
 
-// What the wall-clock serving experiments (the *compare family over
-// internal/service and internal/netsvc) share: the request templates, the
-// accuracy references, the calibrated ladder, the frontends, one loopback
-// deployment (deployment.start over netsvc.StartLoopback), one way to
-// issue and classify a request (target.issue), and the per-row tally.
+// What the wall-clock serving experiments share beside their scenario
+// driver (scenario.go): the request templates, the accuracy references,
+// the calibrated ladder, the frontends, one way to issue and classify a
+// request (target.issue), and the per-row tally.
 
 // AggRequest builds the whole-service wire request of one aggregation
 // query, unclassed and unlevelled; callers stamp SLO, budget and tenant.
@@ -92,6 +88,26 @@ func aggFixture(sc Scale, salt uint64, nq int) (*aggFix, error) {
 	return f, nil
 }
 
+// asking is a load's request function asking query qis[r] as request r,
+// stamped by stampOf and scored against the query's exact estimates.
+func (f *aggFix) asking(qis []int, stampOf func(r int, intended time.Time) stamp) func(int, time.Time) ask {
+	return func(r int, intended time.Time) ask {
+		req := AggRequest(f.queries[qis[r]])
+		req.ID = uint64(r)
+		return ask{req, stampOf(r, intended), f.exact[qis[r]]}
+	}
+}
+
+// asks is a load's request function asking q at level for every
+// request, stamped s.
+func asks(q agg.Query, level int16, s stamp) func(int, time.Time) ask {
+	return func(int, time.Time) ask {
+		req := AggRequest(q)
+		req.Level = level
+		return ask{req: req, stamp: s}
+	}
+}
+
 // ms converts a duration to milliseconds; msDur converts back.
 func ms(d time.Duration) float64    { return float64(d) / float64(time.Millisecond) }
 func msDur(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
@@ -150,67 +166,6 @@ func finestSaturationRate(comps []*agg.Component, unitMs float64) float64 {
 // gatherAll is the aggregator of the contract experiments: wait for every
 // component, with a deadline far beyond any healthy round trip.
 var gatherAll = netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: 2 * time.Second}
-
-// deployment is one loopback stack of the serving experiments: n
-// component servers, the aggregator over them and — given front — a
-// front server with its frontend and planes.
-type deployment struct {
-	n       int
-	handler func(i int) netsvc.Handler
-	server  netsvc.ServerOptions
-	agg     *netsvc.AggregatorOptions // nil: gatherAll
-	wrap    func(i int, l net.Listener) net.Listener
-	// lives, when set, are the live stores server i appends to
-	// (lives[i]), through the front server's forwarding.
-	lives []*ingest.AggLive
-	// front is the front server's options, planes included; nil deploys
-	// none, and callers drive the aggregator.
-	front *netsvc.ServerOptions
-	// levelAcc calibrates the standard frontend, admitting at most
-	// inflight requests (0: every one); nil runs the front server's
-	// default frontend.
-	levelAcc []float64
-	inflight int
-}
-
-// shared serves every component with one handler.
-func shared(h netsvc.Handler) func(int) netsvc.Handler {
-	return func(int) netsvc.Handler { return h }
-}
-
-// served is a running deployment and the target its client is.
-type served struct {
-	*netsvc.Loopback
-	target
-}
-
-// start deploys d; the caller closes it.
-func (d deployment) start() (*served, error) {
-	spec := netsvc.LoopbackSpec{Components: d.n, Handler: d.handler, Server: d.server, Agg: gatherAll, WrapListener: d.wrap}
-	if d.agg != nil {
-		spec.Agg = *d.agg
-	}
-	if d.lives != nil {
-		spec.Ingest = func(i int) netsvc.IngestHandler {
-			return netsvc.NewLiveIngestHandler(netsvc.LiveStores{Agg: d.lives[i : i+1]})
-		}
-	}
-	if d.front != nil {
-		spec.Front = &netsvc.FrontSpec{Server: *d.front}
-		if d.levelAcc != nil {
-			opts, err := standardOptions(d.inflight, d.levelAcc)
-			if err != nil {
-				return nil, err
-			}
-			spec.Front.Frontend = &opts
-		}
-	}
-	lb, err := netsvc.StartLoopback(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &served{lb, target{lb.Client.Call, d.levelAcc}}, nil // a nil Client's Call is never made
-}
 
 // target is where a serving experiment sends whole-service requests —
 // a loopback client, or an in-process gather replying as a front server
@@ -311,52 +266,57 @@ func (o outcome) failed() error {
 	return o.err
 }
 
-// openRow offers the arrival schedule to tg, arrival r asking query
-// qis[r] stamped by stampOf, and hands fold each outcome with its
-// latency from the intended send, under one lock. It returns the worst
-// send lag in ms.
-func (f *aggFix) openRow(tg target, arrivalsMs []float64, qis []int,
-	stampOf func(r int, intended time.Time) stamp, fold func(r int, latMs float64, o outcome)) float64 {
-	var mu sync.Mutex
-	lag := netsvc.OpenLoop(arrivalsMs, func(r int, intended time.Time) {
-		qi := qis[r]
-		req := AggRequest(f.queries[qi])
-		req.ID = uint64(r)
-		o := tg.issue(context.Background(), req, stampOf(r, intended), f.exact[qi])
-		mu.Lock()
-		defer mu.Unlock()
-		fold(r, ms(o.at.Sub(intended)), o)
-	})
-	return ms(lag)
+// loadRow is what an open-loop serving row measures over the arrivals
+// it counts.
+type loadRow struct {
+	Calls                int     // arrivals counted
+	Goodput              float64 // good answers per second
+	P50Ms, P99Ms, P999Ms float64
+	ShedPct              float64    // admission-rejected fraction of Calls
+	MeanAcc              float64    // mean measured accuracy over answered requests
+	ClassAcc             [3]float64 // per SLO class, indexed by frontend.SLOKind
+	MaxLagMs             float64    // worst send lag behind the arrival schedule
+	// Unavailable counts the degrade rule's typed refusals; of the
+	// answered Exact and Bounded replies (promised), broken is those not
+	// exact or claiming under their floor.
+	Unavailable                                       int
+	rejected, hits, strata, missing, promised, broken int
+	t                                                 tally
 }
 
-// together runs do(0), …, do(n-1) concurrently — a closed-loop worker
-// pool — and returns their errors joined (nil when none failed).
-func together(n int, do func(w int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for w := range errs {
-		go func() {
-			defer wg.Done()
-			errs[w] = do(w)
-		}()
+// count folds request r's outcome, latMs after its intended send, under
+// the goodput rule's deadline.
+func (lr *loadRow) count(r int, latMs, deadlineMs float64, o outcome) {
+	lr.Calls++
+	switch o.status {
+	case wire.ReplyUnavailable:
+		lr.Unavailable++
+	case wire.ReplyRejected:
+		lr.rejected++
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	if o.broken {
+		lr.broken++
+	}
+	if !wire.ReplyCarriesPayload(o.status) {
+		return
+	}
+	lr.t.addTimed(latMs, deadlineMs, overloadClassMix(r).Kind, o.acc)
+	if o.rep.Cached {
+		lr.hits++
+	}
+	if o.rep.SLO != wire.SLOBestEffort {
+		lr.promised++
+	}
+	lr.strata += o.strata
+	lr.missing += o.missing
 }
 
-// waitFor polls cond every millisecond until it holds (true) or limit
-// has passed (false).
-func waitFor(cond func() bool, limit time.Duration) bool {
-	end := time.Now().Add(limit)
-	for !cond() {
-		if !time.Now().Before(end) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return true
+// close computes the row's statistics over a window of windowSec, its
+// load having lagged lagMs at worst.
+func (lr *loadRow) close(windowSec, lagMs float64) {
+	lr.Goodput, lr.MeanAcc, lr.ClassAcc = lr.t.means(windowSec)
+	lr.P50Ms, lr.P99Ms, lr.P999Ms = lr.t.percentile(50), lr.t.percentile(99), lr.t.percentile(99.9)
+	lr.ShedPct, lr.MaxLagMs = pct(lr.rejected, lr.Calls), lagMs
 }
 
 // standardOptions is the accuracy-aware policy set every serving

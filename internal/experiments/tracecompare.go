@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"accuracytrader/internal/frontend"
@@ -84,50 +82,46 @@ func RunTraceCompare(sc Scale) (*TraceCompare, error) {
 	return tc, nil
 }
 
-// runPass drives traceRequests closed-loop requests through a freshly
-// built loopback stack and returns the mean request latency in ms.
+// runPass drives traceRequests closed-loop requests over traceWorkers
+// through a freshly built loopback stack and returns the mean latency of
+// the answered ones in ms. Worker w draws its queries from its own seeded
+// stream, so both passes ask the same queries in the same order.
 func (tc *TraceCompare) runPass(sc Scale, f *aggFix, rec *obs.Recorder) (float64, error) {
-	st, err := deployment{
-		n:        len(f.Comps),
-		handler:  shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{UnitCost: msDur(f.unitMs)})),
-		server:   netsvc.ServerOptions{Workers: 1, QueueLen: 512},
-		front:    &netsvc.ServerOptions{Tracer: rec},
-		levelAcc: f.levelAcc,
-	}.start()
-	if err != nil {
-		return 0, err
-	}
-	defer st.Close()
-
-	var mu sync.Mutex
-	var totalMs float64
-	answered := 0
 	perWorker := traceRequests / traceWorkers
-	// The workers share the deployment's one multiplexed client connection.
-	err = together(traceWorkers, func(w int) error {
+	qis := make([]int, 0, traceRequests)
+	for w := 0; w < traceWorkers; w++ {
 		rng := stats.NewRNG(sc.Seed ^ uint64(0xace1+w))
 		for i := 0; i < perWorker; i++ {
-			q := f.queries[rng.Intn(len(f.queries))]
-			s := stamp{slo: overloadClassMix(w*perWorker + i)}
-			if s.slo.Kind != frontend.Exact {
-				s.deadline = time.Now().Add(msDur(traceDeadlineMs))
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			t0 := time.Now()
-			o := st.issue(ctx, AggRequest(q), s, nil)
-			cancel()
-			if o.err != nil {
-				return o.err
-			}
-			if o.status == wire.ReplyOK {
-				mu.Lock()
-				totalMs += ms(o.at.Sub(t0))
-				answered++
-				mu.Unlock()
-			}
+			qis = append(qis, rng.Intn(len(f.queries)))
 		}
-		return nil
-	})
+	}
+	var totalMs float64
+	answered := 0
+	// The workers share the deployment's one multiplexed client connection.
+	_, err := scenario{
+		deploy: deployment{
+			n:        len(f.Comps),
+			handler:  shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{UnitCost: msDur(f.unitMs)})),
+			server:   netsvc.ServerOptions{Workers: 1, QueueLen: 512},
+			front:    &netsvc.ServerOptions{Tracer: rec},
+			levelAcc: f.levelAcc,
+		},
+		steps: []step{loadStep{label: "closed loop", n: len(qis), workers: traceWorkers, timeout: 2 * time.Second,
+			request: func(r int, at time.Time) ask {
+				s := stamp{slo: overloadClassMix(r)}
+				if s.slo.Kind != frontend.Exact {
+					s.deadline = at.Add(msDur(traceDeadlineMs))
+				}
+				return ask{req: AggRequest(f.queries[qis[r]]), stamp: s}
+			}}},
+		fold: func(_, _ int, latMs float64, o outcome) error {
+			if o.status == wire.ReplyOK {
+				totalMs += latMs
+				answered++
+			}
+			return o.err
+		},
+	}.run()
 	if err != nil {
 		return 0, err
 	}

@@ -232,7 +232,7 @@ func (m *answerMemo) hitCount() uint64 {
 // AggStats counts a live aggregation shard's ingest activity.
 type AggStats struct {
 	Appends       uint64 // rows ever appended
-	Publishes     uint64 // delta publishes (epoch swaps without compaction)
+	Publishes     uint64 // epoch swaps, compactions included
 	Compactions   uint64 // base rebuilds
 	ExactMemoHits uint64 // exact answers whose base part the memo held, not a scan
 	LevelMemoHits uint64 // level answers whose base part the memo held, not a scan

@@ -32,7 +32,7 @@ func TestAggLiveConcurrent(t *testing.T) {
 	)
 	cfg := agg.Config{Rates: []float64{0.1, 0.3}, MinSample: 2, Seed: 42}
 	l := NewAggLive(5, cfg)
-	w := NewWorker(l, WorkerOptions{Interval: time.Millisecond, CompactEvery: 4, Name: "agg"})
+	w := NewWorker(l, WorkerOptions{Interval: time.Millisecond, CompactEvery: 4})
 
 	var wg sync.WaitGroup
 	for a := 0; a < appenders; a++ {

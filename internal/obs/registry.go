@@ -180,7 +180,7 @@ func EscapeLabelValue(v string) string {
 // name suffix with the values escaped, the one safe way to build a
 // labelled metric name from dynamic strings:
 //
-//	reg.Counter("ingest_publishes_total" + obs.Labels("store", name))
+//	reg.GaugeFunc("cost_key_requests_total"+obs.Labels("tenant", tenant), requests)
 //
 // Odd trailing keys and empty input yield "" (no suffix). Keys are the
 // caller's responsibility and must be static identifiers.

@@ -60,6 +60,7 @@ func (rec *subRecord) clear() {
 // record.
 func NewSubReply(kind Kind, traced bool) *SubReply {
 	rec := subRecords.Get().(*subRecord)
+	take(rec)
 	rep := &rec.rep
 	rep.Status, rep.Kind, rep.Level = StatusOK, kind, NoLevel
 	switch kind {
@@ -112,9 +113,12 @@ func SizeAgg(rep *SubReply, n int) *AggResult {
 // returned back to the record pool. The caller must be its last user:
 // the record, its payload and its arrays are cleared and reused by the
 // next reply of any kind. A component server releases its reply once the
-// frame is written; a front server, the replies it composed.
+// frame is written; a front server, the replies it composed. Under the
+// race detector a released record is poisoned instead of cleared
+// (subpool_race.go), so a use after release reads NaN and out-of-range
+// codes, and a second release panics.
 func ReleaseSubReply(rep *SubReply) {
 	rec := recordOf(rep)
-	rec.clear()
+	release(rec)
 	subRecords.Put(rec)
 }

@@ -788,6 +788,7 @@ func AppendSubReplyFrame(dst []byte, rep *SubReply) []byte {
 // or hand it back with ReleaseSubReply once nothing reads it any more.
 func DecodeSubReply(body []byte) (*SubReply, error) {
 	rec := subRecords.Get().(*subRecord)
+	take(rec)
 	rep, err := rec.decode(body)
 	if err != nil {
 		rec.clear()
