@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -165,36 +166,37 @@ func runAuditedPass(f *aggFix, levelAcc []float64, floor float64, calls int) (*a
 	// detectAt records the audited-sample index of the first floor
 	// violation — the "within K samples" detection-latency measurement.
 	var audited, detectAt atomic.Int64
-	res, err := scenario{
-		deploy: deployment{
-			n:        len(f.Comps),
-			handler:  shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})),
-			server:   netsvc.ServerOptions{Workers: 1, QueueLen: 256},
-			levelAcc: levelAcc,
-			front: &netsvc.ServerOptions{Tracer: rec, SLO: obs.NewSLOTracker(obs.DefaultSLOBudgets()), Audit: &audit.Config{
-				SampleFraction: 1,
-				Interval:       200 * time.Microsecond,
-				Gate:           func() bool { return true }, // keep pacing deterministic at this load
-				OnVerdict: func(_ *audit.Sample, v audit.Verdict) {
-					i := audited.Add(1)
-					if v.FloorViolated {
-						detectAt.CompareAndSwap(0, i)
-					}
-				},
-			}},
-		},
-		steps: []step{
-			loadStep{label: "bounded", n: calls, timeout: 30 * time.Second,
-				request: func(r int, at time.Time) ask {
-					return ask{req: AggRequest(f.queries[r%len(f.queries)]), stamp: stamp{slo: frontend.BoundedSLO(floor), deadline: at.Add(msDur(auditDeadlineMs))}}
-				}},
-			drainStep{limit: 20 * time.Second},
-		},
-	}.run()
+	st, err := deployment{
+		n:        len(f.Comps),
+		handler:  shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})),
+		server:   netsvc.ServerOptions{Workers: 1, QueueLen: 256},
+		levelAcc: levelAcc,
+		front: &netsvc.ServerOptions{Tracer: rec, SLO: obs.NewSLOTracker(obs.DefaultSLOBudgets()), Audit: &audit.Config{
+			SampleFraction: 1,
+			Interval:       200 * time.Microsecond,
+			Gate:           func() bool { return true }, // keep pacing deterministic at this load
+			OnVerdict: func(_ *audit.Sample, v audit.Verdict) {
+				i := audited.Add(1)
+				if v.FloorViolated {
+					detectAt.CompareAndSwap(0, i)
+				}
+			},
+		}},
+	}.start()
+	if err != nil {
+		return nil, err
+	}
+	_, err = load{n: calls, timeout: 30 * time.Second, request: func(r int, at time.Time) ask {
+		return ask{req: AggRequest(f.queries[r%len(f.queries)]), stamp: stamp{slo: frontend.BoundedSLO(floor), deadline: at.Add(msDur(auditDeadlineMs))}}
+	}}.run(st.target, nil)
+	auditor := st.Front.Auditor()
+	if err == nil && !auditor.Drain(20*time.Second) {
+		err = fmt.Errorf("drain: %+v", auditor.Stats())
+	}
+	st.Close()
 	if err != nil {
 		return nil, fmt.Errorf("auditcompare: %w", err)
 	}
-	auditor := res.Front.Auditor()
 	pr := &auditPassResult{stats: auditor.Stats(), tables: auditor.Tables(), detectAt: detectAt.Load()}
 	for _, tv := range rec.Exemplars(0) {
 		if tv.Anomaly&uint8(obs.AnomalyFloorViolation) != 0 {
@@ -221,50 +223,59 @@ func runDriftPhase(sc Scale, f *aggFix) error {
 		lives[i] = l
 	}
 	var gateOpen atomic.Bool
-	calls := func(label string, n int) step {
-		return loadStep{label: label, n: n, timeout: 20 * time.Second,
-			request: asks(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)}, 0, stamp{slo: frontend.BoundedSLO(0)})}
-	}
-	res, err := scenario{
-		deploy: deployment{
-			n: len(lives),
-			handler: func(i int) netsvc.Handler {
-				return netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
-			},
-			lives: lives,
-			front: &netsvc.ServerOptions{Tracer: obs.NewRecorder(32, 16),
-				Audit: &audit.Config{SampleFraction: 1, Interval: 200 * time.Microsecond, Gate: gateOpen.Load}},
+	st, err := deployment{
+		n: len(lives),
+		handler: func(i int) netsvc.Handler {
+			return netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
 		},
-		steps: []step{
-			// Queue auditDriftPre audits behind the closed gate.
-			calls("pre-swap", auditDriftPre),
-			// Drift arrives through the write path: the append's
-			// acknowledgement carries the staging epoch, which the front
-			// server folds in as an observed swap — every queued sample is
-			// now stale. Only then does the gate open.
-			ingestStep{&wire.IngestRequest{Kind: wire.KindAgg, Subset: 0,
-				Agg: &wire.AggIngest{Keys: []int32{0, 1}, Vals: []float64{5, 7}}}},
-			untilStep{what: "the front observed the swap, which opens the gate", limit: time.Second,
-				cond: func(s *served) bool {
-					if s.Front.DataEpoch() == 0 {
-						return false
-					}
-					gateOpen.Store(true)
-					return true
-				}},
-			drainStep{limit: 10 * time.Second},
-			// Requests answered entirely after the swap audit normally.
-			calls("post-swap", auditDriftPost),
-			drainStep{limit: 10 * time.Second},
-		},
-	}.run()
+		lives: lives,
+		front: &netsvc.ServerOptions{Tracer: obs.NewRecorder(32, 16),
+			Audit: &audit.Config{SampleFraction: 1, Interval: 200 * time.Microsecond, Gate: gateOpen.Load}},
+	}.start()
 	if err != nil {
 		return err
 	}
-	s := res.Front.Auditor().Stats()
+	defer st.Close()
+	auditor := st.Front.Auditor()
+	calls := load{timeout: 20 * time.Second,
+		request: asks(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)}, 0, stamp{slo: frontend.BoundedSLO(0)})}
+	// Queue auditDriftPre audits behind the closed gate.
+	calls.n = auditDriftPre
+	if _, err := calls.run(st.target, nil); err != nil {
+		return fmt.Errorf("drift call: %w", err)
+	}
+	// Drift arrives through the write path: the append's acknowledgement
+	// carries the staging epoch, which the front server folds in as an
+	// observed swap — every queued sample is now stale.
+	before := st.Front.DataEpoch()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	ack, err := st.Client.Ingest(ctx, &wire.IngestRequest{Kind: wire.KindAgg, Subset: 0,
+		Agg: &wire.AggIngest{Keys: []int32{0, 1}, Vals: []float64{5, 7}}})
 	switch {
-	case s.SkippedStale != auditDriftPre:
+	case err != nil:
+		return err
+	case ack.Status != wire.IngestOK:
+		return fmt.Errorf("drift ingest status %d (%s)", ack.Status, ack.Err)
+	case st.Front.DataEpoch() == before:
+		return fmt.Errorf("ingest ack (epoch %d) did not advance the observed data epoch %d", ack.Epoch, before)
+	}
+	gateOpen.Store(true)
+	if !auditor.Drain(10 * time.Second) {
+		return fmt.Errorf("drift drain: %+v", auditor.Stats())
+	}
+	if s := auditor.Stats(); s.Audited != 0 || s.SkippedStale != auditDriftPre {
 		return fmt.Errorf("pre-swap samples not skipped stale: %+v", s)
+	}
+	// Requests answered entirely after the swap audit normally.
+	calls.n = auditDriftPost
+	if _, err := calls.run(st.target, nil); err != nil {
+		return fmt.Errorf("drift call: %w", err)
+	}
+	if !auditor.Drain(10 * time.Second) {
+		return fmt.Errorf("post-swap drain: %+v", auditor.Stats())
+	}
+	switch s := auditor.Stats(); {
 	case s.Audited != auditDriftPost:
 		return fmt.Errorf("post-swap samples not audited: %+v", s)
 	case s.Sampled != s.Audited+s.SkippedStale+s.ReplayErrs+s.Dropped:
@@ -280,46 +291,51 @@ func (ac *AuditCompare) runRetentionPhase(f *aggFix) error {
 	const anomalous, healthy = 4, 3 * auditRetentionRing
 	rec := obs.NewRecorder(auditRetentionRing, 16)
 	slo := obs.NewSLOTracker(obs.DefaultSLOBudgets())
-	anomalyIDs := make(map[uint64]bool, anomalous)
-	call := func(label string, n int) step {
-		return loadStep{label: label, n: n, timeout: 20 * time.Second,
-			request: asks(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)}, wire.NoLevel, stamp{slo: frontend.BestEffortSLO()})}
-	}
-	_, err := scenario{
-		deploy: deployment{
-			n:       2,
-			handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})),
-			fabric:  faultinject.NewFabric(0),
-			front:   &netsvc.ServerOptions{Tracer: rec, SLO: slo},
-		},
-		steps: []step{
-			// Degraded phase: shard 0 is down, BestEffort serves around it.
-			faultStep{comp: 0, mode: faultinject.Crash},
-			call("degraded", anomalous),
-			faultStep{comp: 0, mode: faultinject.None, limit: 5 * time.Second},
-			untilStep{what: "shard 0 is dialed again", limit: 5 * time.Second,
-				cond: func(s *served) bool { return s.Agg.WaitReady(10*time.Millisecond) == nil }},
-			// Healthy flood: 3x the ring, rotating the anomalies out of it.
-			call("healthy", healthy),
-		},
-		fold: func(s, _ int, _ float64, o outcome) error {
-			switch {
-			case o.err != nil:
-				return o.err
-			case !wire.ReplyCarriesPayload(o.status):
-				return fmt.Errorf("retention call status %d (%s)", o.status, o.rep.Err)
-			case s != 1: // the healthy flood
-			case !o.rep.Degraded && o.status != wire.ReplyDegraded:
-				return fmt.Errorf("faulted reply not degraded: %+v", o.rep)
-			case o.rep.Trace == 0:
-				return fmt.Errorf("degraded reply carries no trace ID")
-			default:
-				anomalyIDs[o.rep.Trace] = true
-			}
-			return nil
-		},
-	}.run()
+	st, err := deployment{
+		n:       2,
+		handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})),
+		fabric:  faultinject.NewFabric(0),
+		front:   &netsvc.ServerOptions{Tracer: rec, SLO: slo},
+	}.start()
 	if err != nil {
+		return err
+	}
+	defer st.Close()
+	call := load{timeout: 20 * time.Second,
+		request: asks(agg.Query{Op: agg.Sum, Lo: 0, Hi: math.Inf(1)}, wire.NoLevel, stamp{slo: frontend.BestEffortSLO()})}
+	answered := func(o outcome) error {
+		if o.err == nil && !wire.ReplyCarriesPayload(o.status) {
+			return fmt.Errorf("retention call status %d (%s)", o.status, o.rep.Err)
+		}
+		return o.err
+	}
+
+	// Degraded phase: shard 0 is down, BestEffort serves around it.
+	st.fabric.Script(st.Addrs[0]).Set(faultinject.Crash)
+	anomalyIDs := make(map[uint64]bool, anomalous)
+	call.n = anomalous
+	if _, err := call.run(st.target, func(_ int, _ float64, o outcome) error {
+		if err := answered(o); err != nil {
+			return err
+		}
+		switch {
+		case !o.rep.Degraded && o.status != wire.ReplyDegraded:
+			return fmt.Errorf("faulted reply not degraded: %+v", o.rep)
+		case o.rep.Trace == 0:
+			return fmt.Errorf("degraded reply carries no trace ID")
+		}
+		anomalyIDs[o.rep.Trace] = true
+		return nil
+	}); err != nil {
+		return err
+	}
+	if _, err := st.heal(0, 5*time.Second); err != nil {
+		return err
+	}
+
+	// Healthy flood: 3x the ring, rotating the anomalies out of it.
+	call.n = healthy
+	if _, err := call.run(st.target, func(_ int, _ float64, o outcome) error { return answered(o) }); err != nil {
 		return err
 	}
 	inRing, pinned := 0, 0

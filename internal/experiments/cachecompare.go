@@ -120,24 +120,6 @@ type CacheCompare struct {
 	arrivalsMs []float64
 }
 
-// ccDeploy is one deployment of the experiment: a component server per
-// shard over handler (one worker, a 1,024-deep queue), a WaitAll
-// aggregator with the given call timeout whose 1,024-wide outstanding
-// window is the bound the queue watermark reads, and the standard
-// frontend behind a front server — with the result cache enabled when
-// cache is non-nil.
-func ccDeploy(n int, handler netsvc.Handler, timeout time.Duration, levelAcc []float64, cache *rescache.Cache) (*served, error) {
-	return deployment{
-		n:        n,
-		handler:  shared(handler),
-		server:   netsvc.ServerOptions{Workers: 1, QueueLen: ccQueueLen},
-		agg:      &netsvc.AggregatorOptions{Policy: service.WaitAll, Deadline: timeout, MaxOutstanding: ccQueueLen},
-		levelAcc: levelAcc,
-		inflight: 6 * n,
-		front:    &netsvc.ServerOptions{Cache: cache},
-	}.start()
-}
-
 // RunCacheCompare measures the result cache against the no-cache
 // frontend across Zipf skews.
 func RunCacheCompare(sc Scale) (*CacheCompare, error) {
@@ -158,10 +140,8 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 	cc.arrivalsMs = workload.PoissonArrivals(stats.NewRNG(sc.Seed^ccArrivalSalt), cc.RatePerSec, cc.WindowSeconds*1000)
 	cc.Arrivals = len(cc.arrivalsMs)
 
-	// Every row deploys this stack behind its own front server: a
-	// component server per shard (one worker, a 1,024-deep queue), a
-	// WaitAll aggregator whose 1,024-wide outstanding window is the bound
-	// the queue watermark reads, and the standard frontend.
+	// Every row deploys this stack (the standard frontend over a WaitAll
+	// aggregator, ccQueueLen deep) behind its own front server.
 	deploy := deployment{
 		n: n,
 		handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{
@@ -178,6 +158,7 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 	// Every row is offered the one arrival schedule; the request→query
 	// schedule is drawn per skew and shared by its cached and uncached
 	// rows, so paired rows face identical traffic at identical instants.
+	floorViol := 0
 	for si, skew := range ccSkews {
 		zipf := stats.NewZipf(stats.NewRNG(sc.Seed^(0x51b0+uint64(si))), len(f.queries), skew)
 		qis := make([]int, len(cc.arrivalsMs))
@@ -190,11 +171,8 @@ func RunCacheCompare(sc Scale) (*CacheCompare, error) {
 				return nil, err
 			}
 			cc.Rows = append(cc.Rows, row)
+			floorViol += row.FloorViolations
 		}
-	}
-	floorViol := 0
-	for _, r := range cc.Rows {
-		floorViol += r.FloorViolations
 	}
 	cc.promise("cache floor", floorViol == 0,
 		"%d cache hits served below a Bounded request's floor across %d rows, warm-up included (want 0)", floorViol, len(cc.Rows))
@@ -224,11 +202,13 @@ func (cc *CacheCompare) runRow(f *aggFix, skew float64, cached bool, deploy depl
 	row := &CacheRow{Skew: skew, Cached: cached}
 	warmupMs := ccWarmupFrac * cc.WindowSeconds * 1000
 	deploy.front = &netsvc.ServerOptions{Cache: cache}
-	res, err := scenario{
-		deploy: deploy,
-		steps: []step{loadStep{label: "open loop", at: cc.arrivalsMs,
-			request: f.asking(qis, func(r int, _ time.Time) stamp { return stamp{slo: overloadClassMix(r)} })}},
-		fold: func(_, r int, latMs float64, o outcome) error {
+	st, err := deploy.start()
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	lag, err := load{at: cc.arrivalsMs, request: f.asking(qis, func(r int, _ time.Time) stamp { return stamp{slo: overloadClassMix(r)} })}.
+		run(st.target, func(r int, latMs float64, o outcome) error {
 			// Hits are judged over the whole run — warm-up hits must honor
 			// the floor too.
 			if o.broken && o.rep.Cached {
@@ -238,17 +218,15 @@ func (cc *CacheCompare) runRow(f *aggFix, skew float64, cached bool, deploy depl
 				row.count(r, latMs, ccDeadlineMs, o)
 			}
 			return nil
-		},
-	}.run()
+		})
 	if err != nil {
 		return nil, err
 	}
-	row.close((1-ccWarmupFrac)*cc.WindowSeconds, res.steps[0].lagMs)
+	row.close((1-ccWarmupFrac)*cc.WindowSeconds, lag)
 	row.HitPct = pct(row.hits, row.Calls)
 	if cache != nil {
 		cst := cache.Stats()
-		row.Coalesced = cst.Coalesced
-		row.Refreshes = cst.Refreshes
+		row.Coalesced, row.Refreshes = cst.Coalesced, cst.Refreshes
 	}
 	return row, nil
 }
@@ -287,11 +265,13 @@ func (cc *CacheCompare) runCoalesceCheck(deploy deployment) error {
 	aggOpts := *deploy.agg
 	aggOpts.Deadline = 10 * time.Second
 	deploy.handler, deploy.agg, deploy.front = shared(gated), &aggOpts, &netsvc.ServerOptions{Cache: cache}
-	if _, err := (scenario{
-		deploy: deploy,
-		steps: []step{loadStep{label: "identical misses", n: ccCoalesceFanIn, workers: ccCoalesceFanIn,
-			request: asks(agg.Query{Op: agg.Sum, Lo: 0, Hi: 1}, wire.NoLevel, stamp{slo: frontend.BoundedSLO(0.5)})}},
-	}).run(); err != nil {
+	st, err := deploy.start()
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	if _, err := (load{n: ccCoalesceFanIn, workers: ccCoalesceFanIn,
+		request: asks(agg.Query{Op: agg.Sum, Lo: 0, Hi: 1}, wire.NoLevel, stamp{slo: frontend.BoundedSLO(0.5)})}).run(st.target, nil); err != nil {
 		return fmt.Errorf("experiments: coalescing call: %w", err)
 	}
 	computes := int(subCalls.Load()) / n

@@ -62,22 +62,25 @@ func RunCostCompare(sc Scale) (*CostCompare, error) {
 	// (1)-(3) share one metered loopback stack: costCallsPerCell Bounded
 	// requests into every (tenant, ladder level) cell in turn.
 	table := cost.NewTable()
-	if _, err := (scenario{
-		deploy: deployment{
-			n:       len(f.Comps),
-			handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: costIMaxFrac})),
-			server:  netsvc.ServerOptions{Workers: 1, QueueLen: 256},
-			// Cost attribution rides tracing: the front server needs a
-			// tracer so component spans come back costed.
-			front: &netsvc.ServerOptions{Tracer: obs.NewRecorder(64, 16), Costs: table},
-		},
-		steps: []step{loadStep{label: "cells", n: len(costTenants) * levels * costCallsPerCell, timeout: 30 * time.Second,
-			request: func(r int, _ time.Time) ask {
-				req := AggRequest(f.queries[r%len(f.queries)])
-				req.Level = int16(r / costCallsPerCell % levels)
-				return ask{req: req, stamp: stamp{slo: frontend.BoundedSLO(0), tenant: costTenants[r/(costCallsPerCell*levels)]}}
-			}}},
-	}).run(); err != nil {
+	st, err := deployment{
+		n:       len(f.Comps),
+		handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: costIMaxFrac})),
+		server:  netsvc.ServerOptions{Workers: 1, QueueLen: 256},
+		// Cost attribution rides tracing: the front server needs a
+		// tracer so component spans come back costed.
+		front: &netsvc.ServerOptions{Tracer: obs.NewRecorder(64, 16), Costs: table},
+	}.start()
+	if err != nil {
+		return nil, err
+	}
+	_, err = load{n: len(costTenants) * levels * costCallsPerCell, timeout: 30 * time.Second,
+		request: func(r int, _ time.Time) ask {
+			req := AggRequest(f.queries[r%len(f.queries)])
+			req.Level = int16(r / costCallsPerCell % levels)
+			return ask{req: req, stamp: stamp{slo: frontend.BoundedSLO(0), tenant: costTenants[r/(costCallsPerCell*levels)]}}
+		}}.run(st.target, nil)
+	st.Close()
+	if err != nil {
 		return nil, fmt.Errorf("costcompare: %w", err)
 	}
 	v := table.Snapshot()

@@ -21,18 +21,13 @@
 // extensions overload and aggcompare; and the seven wall-clock *compare
 // experiments — netcompare, cachecompare, tracecompare, faultcompare,
 // ingestcompare, auditcompare and costcompare — which together state the
-// 20 named contracts. Each served experiment is a scenario (scenario.go):
-// a loopback deployment plus a typed timeline of steps — loadStep
-// (requests, open-loop at intended send times or closed-loop over
-// workers, through the client or a supplied target), faultStep (a
-// component's faultinject mode; a heal waits for its breaker to
-// re-close), ingestStep (one append batch), drainStep (the front
-// server's auditor) and untilStep (a bounded wait on the running stack)
-// — and scenario.run starts the stack, runs the steps in order, hands
-// every outcome, classified by target.issue (serving.go), to the
-// experiment's fold and closes the stack on every path. What stays
-// per experiment is its scenario, its fold, its contracts and its
-// render. Each judges the served stack; a promise about one package's
+// 20 named contracts. Each starts a loopback deployment (deploy.go),
+// offers it one or more loads — open-loop at intended send times or
+// closed-loop over workers — whose every outcome, classified by
+// target.issue (serving.go), goes to the experiment's fold, and between
+// loads calls the stack directly: a fault and a heal, an ingest, an
+// auditor drain. What stays per experiment is its deployment, its
+// folds, its contracts and its render. Each judges the served stack; a promise about one package's
 // code path is that package's unit test, and this package does not
 // import testing.
 package experiments

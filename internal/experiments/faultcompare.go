@@ -81,9 +81,9 @@ type FaultCompare struct {
 	BoundedFloor float64
 	Phases       []*FaultPhase
 
-	// RecloseMs measures, per heal, how long the faulted peer's breaker
-	// took to re-close after Heal() — driven purely by the background
-	// dial prober, no request traffic.
+	// RecloseMs measures, per heal, how long until the faulted peer's
+	// breaker was closed and the aggregator held a connection to it
+	// again, without request traffic (served.heal).
 	RecloseMs []float64
 
 	// Aggregator failure-handling counters over the whole sweep.
@@ -98,99 +98,93 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(f.Comps)
-	fc := &FaultCompare{
-		Servers:      n,
-		Killed:       0,
-		DeadlineMs:   faultDeadlineMs,
-		BoundedFloor: faultBoundedFloor,
+	fc := &FaultCompare{Servers: len(f.Comps), DeadlineMs: faultDeadlineMs, BoundedFloor: faultBoundedFloor}
+
+	// Component servers behind fault-injection scripts: every listener
+	// and every aggregator dial goes through the fabric, so one fault
+	// call crashes or stalls a component and a heal restores it.
+	st, err := deployment{
+		n:       fc.Servers,
+		handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{})),
+		server:  netsvc.ServerOptions{Workers: 1, QueueLen: 256},
+		fabric:  faultinject.NewFabric(sc.Seed),
+		agg: &netsvc.AggregatorOptions{
+			Policy:     service.WaitAll,
+			Deadline:   msDur(faultDeadlineMs),
+			Breaker:    breaker.Config{FailThreshold: faultThreshold, Cooldown: msDur(faultCooldownMs)},
+			RedialBase: 5 * time.Millisecond,
+			RedialMax:  50 * time.Millisecond,
+			Seed:       sc.Seed ^ 0xfa17,
+		},
+		front: &netsvc.ServerOptions{Workers: 8},
+	}.start()
+	if err != nil {
+		return nil, err
 	}
+	defer st.Close()
 
 	qrng := stats.NewRNG(sc.Seed ^ 0x5eed)
 	qis := make([]int, 4096)
 	for i := range qis {
 		qis[i] = qrng.Intn(len(f.queries))
 	}
-	phase := func(name string, calls int) step {
-		return loadStep{label: name, n: calls, timeout: 6 * msDur(faultDeadlineMs),
+	sweep := []struct {
+		name  string
+		mode  faultinject.Mode
+		calls int
+	}{
+		{"healthy", faultinject.None, 150},
+		{"crash comp0", faultinject.Crash, 150},
+		{"healed", faultinject.None, 100},
+		{"stall comp0", faultinject.Stall, 60},
+		{"healed again", faultinject.None, 100},
+	}
+	violations, faulted := 0, false
+	for _, ph := range sweep {
+		switch {
+		case ph.mode != faultinject.None:
+			st.fabric.Script(st.Addrs[fc.Killed]).Set(ph.mode)
+			faulted = true
+		case faulted:
+			took, err := st.heal(fc.Killed, 4*msDur(faultRecloseBudgetMs))
+			if err != nil {
+				return nil, fmt.Errorf("faultcompare: %w", err)
+			}
+			fc.RecloseMs, faulted = append(fc.RecloseMs, ms(took)), false
+		}
+		p := &FaultPhase{Name: ph.name, Calls: ph.calls}
+		t0 := time.Now()
+		if _, err := (load{n: ph.calls, timeout: 6 * msDur(faultDeadlineMs),
 			request: f.asking(qis, func(r int, at time.Time) stamp {
 				return stamp{slo: faultClassSLOs[r%faultClasses], deadline: at.Add(msDur(faultDeadlineMs))}
-			})}
-	}
-	heal := faultStep{comp: fc.Killed, mode: faultinject.None, limit: 4 * msDur(faultRecloseBudgetMs)}
-	steps := []step{
-		phase("healthy", 150),
-		faultStep{comp: fc.Killed, mode: faultinject.Crash}, phase("crash comp0", 150),
-		heal, phase("healed", 100),
-		faultStep{comp: fc.Killed, mode: faultinject.Stall}, phase("stall comp0", 60),
-		heal, phase("healed again", 100),
-	}
-	phases := map[int]*FaultPhase{} // by step
-	for i, s := range steps {
-		if l, ok := s.(loadStep); ok {
-			phases[i] = &FaultPhase{Name: l.label, Calls: l.n}
-		}
-	}
-	// Component servers behind fault-injection scripts: every listener
-	// and every aggregator dial goes through the fabric, so a fault step
-	// crashes or stalls a component and a heal restores it.
-	res, err := scenario{
-		deploy: deployment{
-			n:       n,
-			handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{})),
-			server:  netsvc.ServerOptions{Workers: 1, QueueLen: 256},
-			fabric:  faultinject.NewFabric(sc.Seed),
-			agg: &netsvc.AggregatorOptions{
-				Policy:     service.WaitAll,
-				Deadline:   msDur(faultDeadlineMs),
-				Breaker:    breaker.Config{FailThreshold: faultThreshold, Cooldown: msDur(faultCooldownMs)},
-				RedialBase: 5 * time.Millisecond,
-				RedialMax:  50 * time.Millisecond,
-				Seed:       sc.Seed ^ 0xfa17,
-			},
-			front: &netsvc.ServerOptions{Workers: 8},
-		},
-		steps: steps,
-		fold: func(s, r int, _ float64, o outcome) error {
-			if o.err != nil {
-				return o.err
-			}
-			p, class := phases[s], r%faultClasses
+			})}).run(st.target, func(r int, _ float64, o outcome) error {
+			class := r % faultClasses
 			p.Offered[class]++
 			if o.broken {
 				p.Violations++
 			}
 			switch o.status {
-			case wire.ReplyOK, wire.ReplyDegraded:
+			case wire.ReplyDegraded:
+				p.Degraded++
+				fallthrough
+			case wire.ReplyOK:
 				p.Answered[class]++
 				p.MeanAcc += o.acc
-				if o.status == wire.ReplyDegraded {
-					p.Degraded++
-				}
 			case wire.ReplyUnavailable:
 				p.Unavailable++
 			default:
 				p.Errors++
 			}
-			return nil
-		},
-	}.run()
-	if err != nil {
-		return nil, fmt.Errorf("faultcompare: %w", err)
-	}
-	violations := 0
-	for i, st := range res.steps {
-		switch p := phases[i]; {
-		case p != nil:
-			p.Seconds = st.took.Seconds()
-			p.MeanAcc /= float64(max(p.Answered[0]+p.Answered[1]+p.Answered[2], 1))
-			violations += p.Violations
-			fc.Phases = append(fc.Phases, p)
-		case steps[i] == heal:
-			fc.RecloseMs = append(fc.RecloseMs, ms(st.took))
+			return o.err
+		}); err != nil {
+			return nil, fmt.Errorf("faultcompare: phase %q: %w", ph.name, err)
 		}
+		p.Seconds = time.Since(t0).Seconds()
+		p.MeanAcc /= float64(max(p.Answered[0]+p.Answered[1]+p.Answered[2], 1))
+		violations += p.Violations
+		fc.Phases = append(fc.Phases, p)
 	}
-	ast := res.Agg.Stats()
+	ast := st.Agg.Stats()
 	fc.BreakerOpens, fc.Retries, fc.Faults = ast.BreakerOpens, ast.Retries, ast.Faults
 	fc.promise("degradation", violations == 0,
 		"%d degradation-contract violations over %d phases (want 0)", violations, len(fc.Phases))

@@ -357,43 +357,44 @@ func runIngestWire(data *workload.FactsData, cfg agg.Config) (*wire.IngestReply,
 		want.Sum[k] += batch.Vals[i]
 		want.Cnt[k]++
 	}
-	var queryErr error
-	res, err := scenario{
-		deploy: deployment{
-			n: len(lives),
-			handler: func(i int) netsvc.Handler {
-				return netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{})
-			},
-			server: netsvc.ServerOptions{Workers: 2},
-			lives:  lives,
-			front:  &netsvc.ServerOptions{Workers: 8},
+	st, err := deployment{
+		n: len(lives),
+		handler: func(i int) netsvc.Handler {
+			return netsvc.NewLiveAggBackend(lives[i:i+1], netsvc.BackendOptions{})
 		},
-		steps: []step{
-			ingestStep{&wire.IngestRequest{Kind: wire.KindAgg, Subset: 0, Agg: batch}},
-			untilStep{what: "the batch is visible to exact queries", limit: 5 * time.Second,
-				cond: func(s *served) bool {
-					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-					defer cancel()
-					o := s.issue(ctx, AggRequest(q), stamp{slo: frontend.ExactSLO()}, nil)
-					if queryErr = o.failed(); queryErr != nil {
-						return true
-					}
-					got := netsvc.AggResultOf(o.rep.Agg)
-					return slices.Equal(got.Sum, want.Sum) && slices.Equal(got.Cnt, want.Cnt)
-				}},
-		},
-	}.run()
+		server: netsvc.ServerOptions{Workers: 2},
+		lives:  lives,
+		front:  &netsvc.ServerOptions{Workers: 8},
+	}.start()
+	if err != nil {
+		return nil, 0, err
+	}
+	defer st.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	t0 := time.Now()
+	ack, err := st.Client.Ingest(ctx, &wire.IngestRequest{Kind: wire.KindAgg, Subset: 0, Agg: batch})
+	if err != nil {
+		return nil, 0, err
+	}
+	if ack.Status != wire.IngestOK || ack.Accepted != uint32(len(batch.Keys)) {
+		return nil, 0, fmt.Errorf("ingest ack status %d accepted %d (err %q)", ack.Status, ack.Accepted, ack.Err)
+	}
+	visible := waitFor(func() bool {
+		o := st.issue(ctx, AggRequest(q), stamp{slo: frontend.ExactSLO()}, nil)
+		if err = o.failed(); err != nil {
+			return true
+		}
+		got := netsvc.AggResultOf(o.rep.Agg)
+		return slices.Equal(got.Sum, want.Sum) && slices.Equal(got.Cnt, want.Cnt)
+	}, 5*time.Second)
 	switch {
 	case err != nil:
-		return nil, 0, err
-	case queryErr != nil:
-		return nil, 0, fmt.Errorf("exact query: %w", queryErr)
+		return nil, 0, fmt.Errorf("exact query: %w", err)
+	case !visible:
+		return nil, 0, fmt.Errorf("appended batch never became visible to exact queries")
 	}
-	ack := res.steps[0].ack
-	if ack.Accepted != uint32(len(batch.Keys)) {
-		return nil, 0, fmt.Errorf("ingest ack accepted %d of %d", ack.Accepted, len(batch.Keys))
-	}
-	return ack, ms(res.steps[0].took + res.steps[1].took), nil
+	return ack, ms(time.Since(t0)), nil
 }
 
 // Render formats the sweep as a text report.

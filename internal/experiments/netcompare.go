@@ -227,43 +227,33 @@ func asFront(call netCall, sets *atomic.Int64) func(context.Context, *wire.Reque
 	}
 }
 
-// row offers the shared arrival schedule to one configuration — call
-// over the running deploy — and folds every answer into one row.
-// Latency runs from each arrival's intended send time, so generator
-// lateness is charged to the request, and the request carries its own
-// absolute service budget (l_spe) measured from that same instant:
-// queueing anywhere along the path eats it, which is what makes
-// component work self-regulating under load. gathered reads the gather's
-// counters once the run is over.
-func (nc *NetCompare) row(f *aggFix, runtime string, cfg netCfg, deploy deployment,
-	call func(*served) (netCall, error), gathered func(*served) service.Stats) (*NetRow, error) {
+// row offers the shared arrival schedule to one configuration through
+// call and folds every answer into one row. Latency runs from each
+// arrival's intended send time, so generator lateness is charged to the
+// request, and the request carries its own absolute service budget
+// (l_spe) measured from that same instant: queueing anywhere along the
+// path eats it, which is what makes component work self-regulating
+// under load. gathered reads the gather's counters once the load is
+// over.
+func (nc *NetCompare) row(f *aggFix, runtime string, cfg netCfg, call netCall, gathered func() service.Stats) (*NetRow, error) {
 	row := &NetRow{Runtime: runtime, Name: cfg.name}
 	budget := msDur(netSubBudgetFrac * netDeadlineMs)
 	var sets atomic.Int64
-	res, err := scenario{
-		deploy: deploy,
-		steps: []step{loadStep{label: runtime + " " + cfg.name, at: nc.arrivalsMs,
-			request: f.asking(nc.qis, func(r int, intended time.Time) stamp {
-				st := stamp{slo: overloadClassMix(r), deadline: intended.Add(budget)}
-				if cfg.frontend && st.slo.Kind == frontend.Exact {
-					st.deadline = time.Time{} // Exact carries no budget: its guarantee is paid in latency
-				}
-				return st
-			}),
-			via: func(s *served) (target, error) {
-				c, err := call(s)
-				return target{send: asFront(c, &sets), levelAcc: nc.LevelAccuracy}, err
-			}}},
-		fold: func(_, r int, latMs float64, o outcome) error {
-			row.count(r, latMs, nc.DeadlineMs, o)
-			return nil
-		},
-	}.run()
+	lag, err := load{at: nc.arrivalsMs, request: f.asking(nc.qis, func(r int, intended time.Time) stamp {
+		st := stamp{slo: overloadClassMix(r), deadline: intended.Add(budget)}
+		if cfg.frontend && st.slo.Kind == frontend.Exact {
+			st.deadline = time.Time{} // Exact carries no budget: its guarantee is paid in latency
+		}
+		return st
+	})}.run(target{asFront(call, &sets), nc.LevelAccuracy}, func(r int, latMs float64, o outcome) error {
+		row.count(r, latMs, nc.DeadlineMs, o)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	row.close(nc.WindowSeconds, res.steps[0].lagMs)
-	st := gathered(res)
+	row.close(nc.WindowSeconds, lag)
+	st := gathered()
 	row.HedgePct = pct(int(st.Hedges), int(st.SubOps))
 	row.SkipPct = pct(row.missing, row.strata)
 	if ok := row.strata - row.missing; ok > 0 {
@@ -278,7 +268,7 @@ func (nc *NetCompare) row(f *aggFix, runtime string, cfg netCfg, deploy deployme
 // through the standard frontend over it.
 func (nc *NetCompare) runNet(f *aggFix, cfg netCfg) (*NetRow, error) {
 	n := nc.Servers
-	deploy := deployment{
+	st, err := deployment{
 		n: n,
 		handler: func(server int) netsvc.Handler {
 			return netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{
@@ -296,17 +286,22 @@ func (nc *NetCompare) runNet(f *aggFix, cfg netCfg) (*NetRow, error) {
 		// Warm-start hedging just below the typical finest-synopsis
 		// service time; the P² estimator takes over as it converges.
 		agg: &netsvc.AggregatorOptions{Policy: cfg.policy, Deadline: cfg.deadline, HedgeFloor: 4 * time.Millisecond, MaxOutstanding: 64},
+	}.start()
+	if err != nil {
+		return nil, err
 	}
-	call := func(s *served) (netCall, error) {
-		if !cfg.frontend {
-			return bare(s.Agg.Call), nil
+	defer st.Close()
+	call := bare(st.Agg.Call)
+	if cfg.frontend {
+		fe, err := StandardFrontend(st.Agg, 3*n, nc.LevelAccuracy, nil)
+		if err != nil {
+			return nil, err
 		}
-		fe, err := StandardFrontend(s.Agg, 3*n, nc.LevelAccuracy, nil)
-		return func(ctx context.Context, req *wire.Request) (*frontend.Result, error) {
+		call = func(ctx context.Context, req *wire.Request) (*frontend.Result, error) {
 			return fe.Call(ctx, req, frontend.SLO{Kind: frontend.SLOKind(req.SLO), MinAccuracy: req.MinAccuracy})
-		}, err
+		}
 	}
-	row, err := nc.row(f, "net", cfg, deploy, call, func(s *served) service.Stats { return s.Agg.Stats().Stats })
+	row, err := nc.row(f, "net", cfg, call, func() service.Stats { return st.Agg.Stats().Stats })
 	if err == nil && cfg.frontend {
 		nc.promise("floor or typed", row.broken == 0, "%d of %d answered Exact/Bounded replies inexact or claiming under the floor (want 0); %d typed unavailable",
 			row.broken, row.promised, row.Unavailable)
@@ -317,8 +312,7 @@ func (nc *NetCompare) runNet(f *aggFix, cfg netCfg) (*NetRow, error) {
 // runInproc measures the identical configuration on the in-process
 // goroutine runtime: the same backend handlers (with the same modeled
 // costs), the same interference rule keyed on the executing component
-// via service.ComponentFrom, no sockets or serialization. It deploys
-// nothing: its load's target is the in-process gather.
+// via service.ComponentFrom, no sockets or serialization.
 func (nc *NetCompare) runInproc(f *aggFix, cfg netCfg) (*NetRow, error) {
 	n := nc.Servers
 	backend := netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{UnitCost: msDur(f.unitMs), IMaxFrac: netIMaxFrac})
@@ -355,8 +349,7 @@ func (nc *NetCompare) runInproc(f *aggFix, cfg netCfg) (*NetRow, error) {
 		return nil, err
 	}
 	defer cl.Close()
-	return nc.row(f, "inproc", cfg, deployment{}, func(*served) (netCall, error) { return bare(cl.Call), nil },
-		func(*served) service.Stats { return cl.Stats() })
+	return nc.row(f, "inproc", cfg, bare(cl.Call), cl.Stats)
 }
 
 // runParity verifies encode→transport→decode→compose fidelity for all

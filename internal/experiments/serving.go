@@ -17,8 +17,8 @@ import (
 	"accuracytrader/internal/workload"
 )
 
-// What the wall-clock serving experiments share beside their scenario
-// driver (scenario.go): the request templates, the accuracy references,
+// What the wall-clock serving experiments share beside their deployment
+// and load (deploy.go): the request templates, the accuracy references,
 // the calibrated ladder, the frontends, one way to issue and classify a
 // request (target.issue), and the per-row tally.
 

@@ -97,32 +97,32 @@ func (tc *TraceCompare) runPass(sc Scale, f *aggFix, rec *obs.Recorder) (float64
 	}
 	var totalMs float64
 	answered := 0
-	// The workers share the deployment's one multiplexed client connection.
-	_, err := scenario{
-		deploy: deployment{
-			n:        len(f.Comps),
-			handler:  shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{UnitCost: msDur(f.unitMs)})),
-			server:   netsvc.ServerOptions{Workers: 1, QueueLen: 512},
-			front:    &netsvc.ServerOptions{Tracer: rec},
-			levelAcc: f.levelAcc,
-		},
-		steps: []step{loadStep{label: "closed loop", n: len(qis), workers: traceWorkers, timeout: 2 * time.Second,
-			request: func(r int, at time.Time) ask {
-				s := stamp{slo: overloadClassMix(r)}
-				if s.slo.Kind != frontend.Exact {
-					s.deadline = at.Add(msDur(traceDeadlineMs))
-				}
-				return ask{req: AggRequest(f.queries[qis[r]]), stamp: s}
-			}}},
-		fold: func(_, _ int, latMs float64, o outcome) error {
-			if o.status == wire.ReplyOK {
-				totalMs += latMs
-				answered++
-			}
-			return o.err
-		},
-	}.run()
+	st, err := deployment{
+		n:        len(f.Comps),
+		handler:  shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{UnitCost: msDur(f.unitMs)})),
+		server:   netsvc.ServerOptions{Workers: 1, QueueLen: 512},
+		front:    &netsvc.ServerOptions{Tracer: rec},
+		levelAcc: f.levelAcc,
+	}.start()
 	if err != nil {
+		return 0, err
+	}
+	defer st.Close()
+	// The workers share the deployment's one multiplexed client connection.
+	if _, err := (load{n: len(qis), workers: traceWorkers, timeout: 2 * time.Second,
+		request: func(r int, at time.Time) ask {
+			s := stamp{slo: overloadClassMix(r)}
+			if s.slo.Kind != frontend.Exact {
+				s.deadline = at.Add(msDur(traceDeadlineMs))
+			}
+			return ask{req: AggRequest(f.queries[qis[r]]), stamp: s}
+		}}).run(st.target, func(_ int, latMs float64, o outcome) error {
+		if o.status == wire.ReplyOK {
+			totalMs += latMs
+			answered++
+		}
+		return o.err
+	}); err != nil {
 		return 0, err
 	}
 	if answered == 0 {
