@@ -28,6 +28,9 @@ func (m *Matrix) AggregateGroup(g synopsis.Group) AggregatedUser {
 		}
 	}
 	ag := AggregatedUser{GroupID: g.ID, Members: g.Members}
+	if len(sums) > 0 {
+		ag.Ratings = make([]Rating, 0, len(sums))
+	}
 	for item, s := range sums {
 		ag.Ratings = append(ag.Ratings, Rating{Item: item, Score: s / float64(counts[item])})
 	}
@@ -61,9 +64,10 @@ type Component struct {
 	Aggs []AggregatedUser
 }
 
-// BuildComponent creates the component's synopsis (offline module) and
-// aggregates every group.
+// BuildComponent packs the rating rows, then creates the component's
+// synopsis (offline module) and aggregates every group.
 func BuildComponent(m *Matrix, cfg synopsis.Config) (*Component, error) {
+	m.users.Pack()
 	syn, err := synopsis.Build(FeatureSource{M: m}, cfg)
 	if err != nil {
 		return nil, err

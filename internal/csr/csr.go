@@ -26,6 +26,9 @@ func (s *Store[T]) Len(r int) int { return int(s.rows[r].n) }
 // TotalLen returns the total number of live elements across all rows.
 func (s *Store[T]) TotalLen() int { return s.live }
 
+// Slots returns the backing array's capacity: TotalLen once packed.
+func (s *Store[T]) Slots() int { return cap(s.flat) }
+
 // Row returns row r as a slice of the backing array (read-mutable in
 // place, but append would clobber a neighbouring row — the slice is
 // capacity-clamped to prevent that).
@@ -135,4 +138,14 @@ func (s *Store[T]) Compact() {
 	}
 	s.flat = flat
 	s.dead = 0
+}
+
+// Pack rewrites the backing array as exactly TotalLen elements in row
+// order, each row's capacity its length: no slack, no holes. A row that
+// grows afterwards relocates as it would anyway.
+func (s *Store[T]) Pack() {
+	for r := range s.rows {
+		s.rows[r].cap = s.rows[r].n
+	}
+	s.Compact()
 }

@@ -137,12 +137,20 @@ func TestStoreCompactPreservesContents(t *testing.T) {
 	}
 }
 
+// TestStoreRandomizedAgainstModel drives the store through random
+// mutations, packing it at random points, and checks it against the
+// model after every pack and at the end.
 func TestStoreRandomizedAgainstModel(t *testing.T) {
 	rng := stats.NewRNG(42)
 	var s Store[int]
 	var m model
+	packs := 0
 	for op := 0; op < 5000; op++ {
 		switch {
+		case s.NumRows() > 0 && rng.Float64() < 0.01:
+			s.Pack()
+			packs++
+			checkAgainstModel(t, &s, &m)
 		case s.NumRows() == 0 || rng.Float64() < 0.1:
 			items := make([]int, rng.Intn(6))
 			for i := range items {
@@ -174,5 +182,84 @@ func TestStoreRandomizedAgainstModel(t *testing.T) {
 			m.removeAt(r, i)
 		}
 	}
+	checkAgainstModel(t, &s, &m)
+	if packs == 0 {
+		t.Fatal("the run never packed")
+	}
+}
+
+// checkPacked asserts s holds exactly its live elements: each row's
+// capacity its length, the backing array TotalLen long with no spare
+// capacity, and no holes.
+func checkPacked(t *testing.T, s *Store[int]) {
+	t.Helper()
+	for r, sp := range s.rows {
+		if sp.cap != sp.n {
+			t.Fatalf("row %d: cap %d, len %d", r, sp.cap, sp.n)
+		}
+	}
+	if len(s.flat) != s.TotalLen() || cap(s.flat) != s.TotalLen() || s.Slots() != s.TotalLen() {
+		t.Fatalf("backing array len %d cap %d, want TotalLen %d", len(s.flat), cap(s.flat), s.TotalLen())
+	}
+	if s.dead != 0 {
+		t.Fatalf("dead = %d after Pack", s.dead)
+	}
+}
+
+// TestStorePack: after churn leaves slack and holes, Pack keeps every
+// row and leaves none of either; inserts, tail appends and row sets made
+// afterwards (into empty rows, full rows and shrunk rows alike) relocate
+// and still match the model, and a second Pack packs again.
+func TestStorePack(t *testing.T) {
+	rng := stats.NewRNG(11)
+	var s Store[int]
+	var m model
+	for r := 0; r < 40; r++ {
+		items := make([]int, rng.Intn(9))
+		for i := range items {
+			items[i] = rng.Intn(100)
+		}
+		s.AddRow(items)
+		m.addRow(items)
+	}
+	for j := 0; j < 300; j++ {
+		r, v := rng.Intn(40), rng.Intn(100)
+		i := rng.Intn(s.Len(r) + 1)
+		s.InsertAt(r, i, v)
+		m.insertAt(r, i, v)
+	}
+	s.RemoveAt(3, 0)
+	m.removeAt(3, 0)
+	s.SetRow(5, nil)
+	m.setRow(5, nil)
+	if s.Slots() == s.TotalLen() {
+		t.Fatal("fixture left no slack or holes to pack")
+	}
+	s.Pack()
+	checkPacked(t, &s)
+	checkAgainstModel(t, &s, &m)
+
+	for j := 0; j < 200; j++ {
+		r, v := rng.Intn(40), rng.Intn(100)
+		switch j % 3 {
+		case 0:
+			i := rng.Intn(s.Len(r) + 1)
+			s.InsertAt(r, i, v)
+			m.insertAt(r, i, v)
+		case 1:
+			s.AppendElem(r, v)
+			m.insertAt(r, len(m.rows[r]), v)
+		default:
+			items := make([]int, rng.Intn(12))
+			for i := range items {
+				items[i] = rng.Intn(100)
+			}
+			s.SetRow(r, items)
+			m.setRow(r, items)
+		}
+		checkAgainstModel(t, &s, &m)
+	}
+	s.Pack()
+	checkPacked(t, &s)
 	checkAgainstModel(t, &s, &m)
 }

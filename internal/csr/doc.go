@@ -13,4 +13,8 @@
 // that outgrows its capacity relocates to the end of the backing array,
 // leaving a hole. Holes are reclaimed by compaction once they exceed half
 // the backing array, so space stays O(live + slack) amortized.
+//
+// A finished store is packed (Store.Pack): its live elements only, rows
+// in order, no slack and no holes; search and CF components pack theirs
+// at build.
 package csr

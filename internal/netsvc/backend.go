@@ -239,8 +239,8 @@ func (s hitSink) add(doc int, score float64) {
 // allocating once the pool has held one as long.
 var queryBufs = sync.Pool{New: func() any { return new(textindex.Query) }}
 
-// parseQuery analyzes text into pooled storage; the caller puts it back
-// into queryBufs when done with it.
+// parseQuery analyzes text into pooled storage; the caller hands it
+// back with putQuery (querypool_norace.go) when done with it.
 func parseQuery(ix *textindex.Index, text string) *textindex.Query {
 	q := queryBufs.Get().(*textindex.Query)
 	*q = ix.ParseQueryInto(*q, text)
@@ -360,16 +360,11 @@ var cfQueries = sync.Pool{New: func() any { return new(cfQuery) }}
 // with the request over its ratings (sorted in place).
 func getCFQuery(req *wire.Request) (*cfQuery, cf.Request) {
 	q := cfQueries.Get().(*cfQuery)
-	q.ratings = q.ratings[:0]
+	q.Engine, q.ratings = nil, q.ratings[:0]
 	for _, r := range req.CF.Ratings {
 		q.ratings = append(q.ratings, cf.Rating{Item: r.Item, Score: r.Score})
 	}
 	return q, cf.NewRequestInPlace(q.ratings, req.CF.Targets)
-}
-
-func (q *cfQuery) release() {
-	q.Engine = nil
-	cfQueries.Put(q)
 }
 
 // NewCFBackend returns a handler serving the CF recommender workload
@@ -430,14 +425,14 @@ func NewSearchBackend(comps []*textindex.Component, opts BackendOptions) Handler
 			c := comps[shard]
 			q := parseQuery(c.Ix, req.Search.Query)
 			c.Ix.SearchEach(*q, searchK(req), hitSink{rep.Search}.add)
-			queryBufs.Put(q)
+			putQuery(q)
 			return c.Ix.NumDocs()
 		},
 		approx: func(shard int, req *wire.Request, _ *wire.SubReply) (algorithm1, int) {
 			c := comps[shard]
 			q := parseQuery(c.Ix, req.Search.Query)
 			e := textindex.GetEngine(c, *q) // the engine keeps its own copy
-			queryBufs.Put(q)
+			putQuery(q)
 			return algorithm1{e, c, len(c.Aggs)}, len(c.Aggs)
 		},
 		finish: func(eng core.Engine, req *wire.Request, rep *wire.SubReply) {

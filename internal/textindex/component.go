@@ -32,6 +32,9 @@ func (ix *Index) aggregate(g synopsis.Group) AggregatedPage {
 		length += ix.docLen[d]
 	}
 	ap := AggregatedPage{GroupID: g.ID, Members: g.Members, Len: length}
+	if len(freqs) > 0 {
+		ap.Terms = make([]TermFreq, 0, len(freqs))
+	}
 	for t, f := range freqs {
 		ap.Terms = append(ap.Terms, TermFreq{Term: t, Freq: f})
 	}
@@ -62,9 +65,11 @@ type Component struct {
 	Aggs []AggregatedPage
 }
 
-// BuildComponent creates the component's synopsis and aggregates every
-// group.
+// BuildComponent packs the index's rows, then creates the component's
+// synopsis and aggregates every group.
 func BuildComponent(ix *Index, cfg synopsis.Config) (*Component, error) {
+	ix.postings.Pack()
+	ix.docTerms.Pack()
 	syn, err := synopsis.Build(FeatureSource{Ix: ix}, cfg)
 	if err != nil {
 		return nil, err

@@ -35,52 +35,73 @@ func FuzzTokenize(f *testing.F) {
 	})
 }
 
-// FuzzIndexOps drives an index through arbitrary add/update/delete/search
-// sequences and checks it never panics unexpectedly and keeps NumDocs
-// consistent.
+// FuzzIndexOps drives an index through arbitrary add/update/delete/
+// pack/search sequences. Every search must equal, by bits, the naive
+// reference kernel over the same index, and NumDocs must track the live
+// count throughout. At the end the index must answer the query exactly
+// as an index rebuilt offline from the live texts does, so a store that
+// lost or reordered a row in a relocation or a pack fails too.
 func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, "alpha beta gamma")
 	f.Add([]byte{0, 0, 1, 3, 2}, "delta epsilon")
+	f.Add([]byte{0, 0, 4, 1, 0, 3, 4, 2, 3}, "alpha alpha beta")
 	f.Fuzz(func(t *testing.T, ops []byte, text string) {
 		ix := NewIndex()
+		var texts []string // by doc id
+		var alive []bool
+		firstLive := func() int {
+			for d := range alive {
+				if alive[d] {
+					return d
+				}
+			}
+			return -1
+		}
 		live := 0
 		for _, op := range ops {
-			switch op % 4 {
+			switch op % 5 {
 			case 0:
-				ix.Add(text + " filler words here")
+				texts = append(texts, text+" filler words here")
+				alive = append(alive, true)
+				ix.Add(texts[len(texts)-1])
 				live++
 			case 1:
-				if live > 0 {
-					// Update the first live doc.
-					for d := 0; d < ix.NumSlots(); d++ {
-						if ix.Alive(d) {
-							ix.Update(d, text)
-							break
-						}
-					}
+				if d := firstLive(); d >= 0 {
+					texts[d] = text
+					ix.Update(d, text)
 				}
 			case 2:
-				if live > 0 {
-					for d := 0; d < ix.NumSlots(); d++ {
-						if ix.Alive(d) {
-							ix.Delete(d)
-							live--
-							break
-						}
-					}
+				if d := firstLive(); d >= 0 {
+					alive[d] = false
+					ix.Delete(d)
+					live--
 				}
 			case 3:
 				q := ix.ParseQuery(text)
 				hits := ix.Search(q, 5)
+				assertHitsBitEqual(t, hits, naiveSearch(ix, q, 5), "naive reference")
 				for _, h := range hits {
-					if !ix.Alive(h.Doc) {
+					if !alive[h.Doc] {
 						t.Fatal("dead doc retrieved")
 					}
 				}
+			case 4:
+				ix.postings.Pack()
+				ix.docTerms.Pack()
 			}
 			if ix.NumDocs() != live {
 				t.Fatalf("NumDocs %d, want %d", ix.NumDocs(), live)
 			}
 		}
+		ref := NewIndex()
+		for _, tx := range texts {
+			ref.Add(tx)
+		}
+		for d := range alive {
+			if !alive[d] {
+				ref.Delete(d)
+			}
+		}
+		assertHitsBitEqual(t, ix.Search(ix.ParseQuery(text), 5), ref.Search(ref.ParseQuery(text), 5), "offline rebuild")
 	})
 }

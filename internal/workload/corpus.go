@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"accuracytrader/internal/stats"
@@ -81,19 +82,22 @@ func GenerateCorpus(cfg CorpusConfig, nSubsets int) *CorpusData {
 // cheap.
 func (d *CorpusData) pageText(rng *stats.RNG, topic int) string {
 	theme := topic % d.cfg.Themes
-	var sb strings.Builder
+	b := make([]byte, 0, 12*d.cfg.DocTokens)
 	for w := 0; w < d.cfg.DocTokens; w++ {
 		r := rng.Float64()
 		switch {
 		case r < d.cfg.TopicBias:
-			fmt.Fprintf(&sb, "t%dw%d ", topic, zipfDraw(rng, d.cfg.TopicVocab))
+			b = strconv.AppendInt(append(b, 't'), int64(topic), 10)
+			b = strconv.AppendInt(append(b, 'w'), int64(zipfDraw(rng, d.cfg.TopicVocab)), 10)
 		case r < d.cfg.TopicBias+d.cfg.ThemeBias:
-			fmt.Fprintf(&sb, "th%dw%d ", theme, zipfDraw(rng, d.cfg.ThemeVocab))
+			b = strconv.AppendInt(append(b, "th"...), int64(theme), 10)
+			b = strconv.AppendInt(append(b, 'w'), int64(zipfDraw(rng, d.cfg.ThemeVocab)), 10)
 		default:
-			fmt.Fprintf(&sb, "bg%d ", zipfDraw(rng, d.cfg.SharedVocab))
+			b = strconv.AppendInt(append(b, "bg"...), int64(zipfDraw(rng, d.cfg.SharedVocab)), 10)
 		}
+		b = append(b, ' ')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // zipfDraw draws a Zipf(1.05) rank in [0,n) via inverse-power sampling —

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"accuracytrader/internal/cf"
@@ -424,5 +426,61 @@ func TestZipfDrawBounds(t *testing.T) {
 	}
 	if counts[0] <= counts[10] {
 		t.Fatalf("zipf head not heavier: %v", counts)
+	}
+}
+
+// pageTextFmt is pageText written with one fmt.Fprintf per token: the
+// reference its appending form must equal byte for byte.
+func pageTextFmt(d *CorpusData, rng *stats.RNG, topic int) string {
+	theme := topic % d.cfg.Themes
+	var sb strings.Builder
+	for w := 0; w < d.cfg.DocTokens; w++ {
+		r := rng.Float64()
+		switch {
+		case r < d.cfg.TopicBias:
+			fmt.Fprintf(&sb, "t%dw%d ", topic, zipfDraw(rng, d.cfg.TopicVocab))
+		case r < d.cfg.TopicBias+d.cfg.ThemeBias:
+			fmt.Fprintf(&sb, "th%dw%d ", theme, zipfDraw(rng, d.cfg.ThemeVocab))
+		default:
+			fmt.Fprintf(&sb, "bg%d ", zipfDraw(rng, d.cfg.SharedVocab))
+		}
+	}
+	return sb.String()
+}
+
+// TestPageTextMatchesFmtReference: generated pages are byte-identical to
+// the fmt form for several seeds, at the default shape and at one with
+// multi-digit topics, themes and vocabularies, with all three token kinds
+// (topic, theme, background) drawn.
+func TestPageTextMatchesFmtReference(t *testing.T) {
+	wide := DefaultCorpusConfig()
+	wide.Themes, wide.Topics = 17, 230
+	wide.TopicVocab, wide.ThemeVocab, wide.SharedVocab = 1200, 3000, 40000
+	for _, cfg := range []CorpusConfig{DefaultCorpusConfig(), wide} {
+		kinds := map[string]int{}
+		for seed := uint64(1); seed <= 6; seed++ {
+			d := &CorpusData{cfg: cfg}
+			a, b := stats.NewRNG(seed), stats.NewRNG(seed)
+			for p := 0; p < 40; p++ {
+				topic := (int(seed)*37 + p*11) % cfg.Topics
+				got, want := d.pageText(a, topic), pageTextFmt(d, b, topic)
+				if got != want {
+					t.Fatalf("seed %d page %d:\n got %q\nwant %q", seed, p, got, want)
+				}
+				for _, tok := range strings.Fields(want) {
+					switch {
+					case strings.HasPrefix(tok, "th"):
+						kinds["theme"]++
+					case strings.HasPrefix(tok, "t"):
+						kinds["topic"]++
+					case strings.HasPrefix(tok, "bg"):
+						kinds["background"]++
+					}
+				}
+			}
+		}
+		if len(kinds) != 3 {
+			t.Fatalf("token kinds drawn: %v, want all three", kinds)
+		}
 	}
 }
