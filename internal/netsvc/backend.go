@@ -139,13 +139,6 @@ func getSubop(dl time.Time) *subop {
 
 func (s *subop) more(int) bool { return s.dl.IsZero() || time.Now().Before(s.dl) }
 
-// release zeroes the record, so the pool keeps no engine or account
-// alive, and returns it to the pool.
-func (s *subop) release() {
-	*s = subop{cont: s.cont}
-	subops.Put(s)
-}
-
 // interfere applies the server's modeled co-located interference.
 func (o BackendOptions) interfere(seq uint64) {
 	if o.Interfere != nil {
@@ -240,7 +233,7 @@ func (s hitSink) add(doc int, score float64) {
 var queryBufs = sync.Pool{New: func() any { return new(textindex.Query) }}
 
 // parseQuery analyzes text into pooled storage; the caller hands it
-// back with putQuery (querypool_norace.go) when done with it.
+// back with putQuery (poison_norace.go) when done with it.
 func parseQuery(ix *textindex.Index, text string) *textindex.Query {
 	q := queryBufs.Get().(*textindex.Query)
 	*q = ix.ParseQueryInto(*q, text)

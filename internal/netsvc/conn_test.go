@@ -9,13 +9,8 @@ import (
 	"time"
 
 	"accuracytrader/internal/agg"
-	"accuracytrader/internal/cf"
 	"accuracytrader/internal/faultinject"
-	"accuracytrader/internal/svd"
-	"accuracytrader/internal/synopsis"
-	"accuracytrader/internal/textindex"
 	"accuracytrader/internal/wire"
-	"accuracytrader/internal/workload"
 )
 
 // idReply is a sub-reply whose payload is a function of its ID — length
@@ -200,8 +195,11 @@ func TestOversizedFrameDoesNotPinBuffer(t *testing.T) {
 // benchmark client's shape — a fresh context.WithTimeout per call — and
 // its budget includes that context.
 //
-// Measured here: search 29 without a deadline and 32 with one, CF 47 and
-// 50, Bounded agg 30 and 33. Before sub-reply records were pooled on
+// Measured here: search 21 without a deadline and 24 with one, CF 23 and
+// 26, Bounded agg 22 and 25. Before each component server decoded its
+// sub-requests into recycled records (a job, request and payload object
+// per sub-request, and a CF request's two lists): search 29 and 32, CF
+// 47 and 50, Bounded agg 30 and 33. Before sub-reply records were pooled on
 // both sides of the wire and a CF sub-operation's ratings with them (a
 // component's reply and its result arrays, the aggregator's decoded
 // record and its arrays, a CF sub-operation's ratings): search 45 and 48,
@@ -212,12 +210,12 @@ func TestOversizedFrameDoesNotPinBuffer(t *testing.T) {
 // search 73 and 76, CF 104 and 107. Before a served job became its own
 // context and a sub-reply one object: search 148 and 153, CF 143 and 148.
 const (
-	searchRoundTripBudget         = 32
-	searchDeadlineRoundTripBudget = 35
-	cfRoundTripBudget             = 52
-	cfDeadlineRoundTripBudget     = 55
-	aggRoundTripBudget            = 33
-	aggDeadlineRoundTripBudget    = 36
+	searchRoundTripBudget         = 23
+	searchDeadlineRoundTripBudget = 26
+	cfRoundTripBudget             = 25
+	cfDeadlineRoundTripBudget     = 29
+	aggRoundTripBudget            = 24
+	aggDeadlineRoundTripBudget    = 28
 )
 
 // roundTripAllocs measures the allocations of one client call of next's
@@ -252,27 +250,14 @@ func TestSearchRoundTripAllocations(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops at random)")
 	}
 	const shards = 8
-	ccfg := workload.DefaultCorpusConfig()
-	ccfg.DocsPerSubset = 120
-	ccfg.Seed = 21
-	data := workload.GenerateCorpus(ccfg, shards)
-	comps := make([]*textindex.Component, shards)
-	for i, ix := range data.Subsets {
-		c, err := textindex.BuildComponent(ix, synopsis.Config{
-			SVD: svd.Config{Dims: 3, Epochs: 10, Seed: 5}, CompressionRatio: 8, FoldInEpochs: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		comps[i] = c
-	}
+	comps, reqs := searchFixture(t, shards, 16)
 	cl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(NewSearchBackend(comps, BackendOptions{})),
 		Agg: waitAll, Front: &FrontSpec{}}).Client
-	queries := data.SampleQueries(3, 16)
 	i := 0
 	bare, withDeadline := roundTripAllocs(t, cl, func() *wire.Request {
 		i++
 		return &wire.Request{Kind: wire.KindSearch, Subset: -1, SLO: wire.SLOExact, Level: wire.NoLevel,
-			Search: &wire.SearchRequest{Query: queries[i%len(queries)], K: 10}}
+			Search: &wire.SearchRequest{Query: reqs[i%len(reqs)].Search.Query, K: 10}}
 	})
 	checkRoundTripAllocs(t, "Exact search", bare, searchRoundTripBudget)
 	checkRoundTripAllocs(t, "Exact search with a deadline", withDeadline, searchDeadlineRoundTripBudget)
@@ -283,30 +268,9 @@ func TestCFRoundTripAllocations(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops at random)")
 	}
 	const shards = 8
-	rcfg := workload.DefaultRatingsConfig()
-	rcfg.UsersPerSubset = 60
-	rcfg.Seed = 23
-	data := workload.GenerateRatings(rcfg, shards)
-	comps := make([]*cf.Component, shards)
-	for i, m := range data.Subsets {
-		c, err := cf.BuildComponent(m, synopsis.Config{SVD: svd.Config{Dims: 3, Epochs: 10, Seed: 5}, CompressionRatio: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		comps[i] = c
-	}
+	comps, reqs := cfFixture(t, shards, 16)
 	cl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(NewCFBackend(comps, BackendOptions{})),
 		Agg: waitAll, Front: &FrontSpec{}}).Client
-	sampled := data.SampleCFRequests(7, 16, 0.2)
-	reqs := make([]*wire.Request, len(sampled))
-	for i, s := range sampled {
-		ratings := make([]wire.Rating, len(s.Known))
-		for j, kr := range s.Known {
-			ratings[j] = wire.Rating{Item: kr.Item, Score: kr.Score}
-		}
-		reqs[i] = &wire.Request{Kind: wire.KindCF, Subset: -1, SLO: wire.SLOExact, Level: wire.NoLevel,
-			CF: &wire.CFRequest{Ratings: ratings, Targets: s.Targets}}
-	}
 	i := 0
 	bare, withDeadline := roundTripAllocs(t, cl, func() *wire.Request {
 		i++

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"accuracytrader/internal/cost"
 	"accuracytrader/internal/obs"
@@ -13,12 +14,14 @@ import (
 
 // job is one request a server's worker answers and, while it is served,
 // that request's context. A connection's reader decodes each request
-// frame straight into its job (wire.DecodeRequestWith), so the request,
-// its payload and the job are the one object serving it costs. It
-// carries the propagated deadline itself instead of deriving a context
-// per job, so a handler that never waits on the context — every
-// component handler — never pays for a channel or a timer; Done makes
-// both on first call.
+// frame straight into its job: on a front server into a one-shot object
+// (wire.DecodeRequestWith), so the request, its payload and the job are
+// the one allocation serving it costs; on a component server into a
+// pooled record (compJob), recycled once the request is answered, so a
+// warm sub-request costs none. It carries the propagated deadline itself
+// instead of deriving a context per job, so a handler that never waits
+// on the context — every component handler — never pays for a channel or
+// a timer; Done makes both on first call.
 //
 // The job is also where the request's planes ride: its trace and its
 // cost account are fields Value answers (obs.TraceKey, cost.AccountKey),
@@ -34,10 +37,11 @@ import (
 // would arm the timer the record exists to avoid. The component skeleton
 // folds its l_spe cap into the record instead (BackendOptions.budget).
 //
-// Whoever keeps the request keeps the job: the result cache holds a
-// client request as its refresh payload, the auditor as its sample
-// payload. So every path that ends a job drops its connection (finish),
-// and a kept request never pins a closed connection's writer and buffer.
+// On a front server, whoever keeps the request keeps the job: the result
+// cache holds a client request as its refresh payload, the auditor as its
+// sample payload. So every path that ends a job drops its connection
+// (finish), and a kept request never pins a closed connection's writer
+// and buffer.
 type job struct {
 	req  *wire.Request // decoded into the same object as the job
 	conn *connWriter   // the accepted connection's writer, until the job ends: workers reply concurrently
@@ -51,8 +55,9 @@ type job struct {
 
 	// tr is a front pass's decision trace, nil when untraced.
 	tr *obs.Trace
-	// reply is a component handler's pooled sub-reply (newSubReply),
-	// released by the server once its frame is written.
+	// reply is a component job's pooled sub-reply — the handler's
+	// (newSubReply), or a shed or expired job's status (statusReply) —
+	// released by endJob once its frame is written.
 	reply *wire.SubReply
 	// acct is the request's cost account, handed out by Value while
 	// metered: on a front pass, the bill the fan-out folds sub-operation
@@ -85,6 +90,71 @@ func (e jobEnd) err() error {
 		return context.Canceled
 	}
 	return nil
+}
+
+// compJob is a component server's pooled sub-request record: the job
+// that serves a sub-request and the wire record its frame decodes into —
+// the request, its payload, the CF lists' backings and the inline
+// tenant and query bytes. Nothing reads a sub-request once its reply
+// frame is written (a Handler's request is valid only until it returns),
+// so the server recycles the record then, or when the request is shed at
+// the queue bound or expires at dequeue (srvCore.endJob), as it does the
+// handler's pooled sub-reply.
+//
+// The job comes first: a pooled job's address is its record's
+// (compJobOf), as a pooled sub-reply's is (wire.subRecord).
+type compJob struct {
+	job
+	rec wire.RequestRecord
+}
+
+// compJobs is the one sub-request record pool, shared by every component
+// server in the process. Like the sub-reply pool, the garbage collector
+// empties it, so the records it holds never count as live heap.
+var compJobs = sync.Pool{New: func() any { return new(compJob) }}
+
+// decodeCompJob decodes a sub-request frame into a pooled record and
+// returns its job.
+func decodeCompJob(body []byte) (*job, error) {
+	cj := compJobs.Get().(*compJob)
+	req, err := cj.rec.Decode(body)
+	if err != nil {
+		recycle(&cj.job)
+		return nil, err
+	}
+	cj.req = req
+	return &cj.job, nil
+}
+
+// decodeJob decodes a request frame into a one-shot object: the request,
+// its payload and the job that serves it, which whoever keeps the
+// request may keep too.
+func decodeJob(body []byte) (*job, error) {
+	req, j, err := wire.DecodeRequestWith[job](body)
+	if err != nil {
+		return nil, err
+	}
+	j.req = req
+	return j, nil
+}
+
+// compJobOf returns the record a pooled job lives in. j must have come
+// from decodeCompJob.
+func compJobOf(j *job) *compJob { return (*compJob)(unsafe.Pointer(j)) }
+
+// recycle hands an ended component job back with its request record.
+// The record is released either way (poisoned under the race detector),
+// but a job whose Done was armed never goes back to the pool: finish
+// stopped its timer, yet a callback already running may still end the
+// job, and it must not end the next request's.
+func recycle(j *job) {
+	cj := compJobOf(j)
+	cj.rec.Release()
+	if j.done.Load() != nil {
+		return
+	}
+	cj.job = job{}
+	compJobs.Put(cj)
 }
 
 // internalJob is the record an internal pass — a cache refresh or an

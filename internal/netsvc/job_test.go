@@ -207,10 +207,10 @@ func TestJobDoneConcurrent(t *testing.T) {
 }
 
 // TestComponentJobContextAllocations: a component handler never asks for
-// Done, so serving its job — the request frame decoded into the job, the
-// skeleton's budget fold, deadline and account reads, and the end of
-// the job — costs the one allocation of the decoded object: no separate
-// job record, no channel, no timer.
+// Done, so serving its job — the request frame decoded into a warm
+// pooled record, the skeleton's budget fold, deadline and account reads,
+// and the end of the job, recycling the record — costs no allocation: no
+// decoded object, no channel, no timer.
 func TestComponentJobContextAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -220,19 +220,20 @@ func TestComponentJobContextAllocations(t *testing.T) {
 		Deadline: time.Now().Add(time.Hour).UnixNano(), Trace: 7,
 		Search: &wire.SearchRequest{Query: "alpha beta gamma", K: wire.DefaultK}})
 	n := testing.AllocsPerRun(100, func() {
-		req, j, err := wire.DecodeRequestWith[job](frame[4:])
+		j, err := decodeCompJob(frame[4:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.req, j.dl, j.metered = req, req.Deadline, req.Trace != 0
+		j.dl, j.metered = j.req.Deadline, j.req.Trace != 0
 		s := getSubop(opts.budget(j))
 		s.cont(0)
 		s.release()
 		cost.AccountFrom(j).Add(cost.Usage{Scanned: 1})
 		j.finish()
+		recycle(j)
 	})
-	if n != 1 {
-		t.Fatalf("a component job, decoded and served, allocates %.0f times, want 1 (the decoded object)", n)
+	if n != 0 {
+		t.Fatalf("a component job, decoded and served, allocates %.0f times, want 0", n)
 	}
 }
 
@@ -283,10 +284,11 @@ func TestEndedJobDropsConnection(t *testing.T) {
 
 // TestRecordSizes pins the served job: it holds the request's trace and
 // cost account and the handler's pooled sub-reply, yet stays at 120
-// bytes, so a job decoded with an agg request and its payload still
-// fills one 256-byte size class. Every
-// component sub-operation decodes one, traced or not, so growing the
-// job is a change to review, not a side effect.
+// bytes, so a front server's job decoded with an agg request and its
+// payload still fills one 256-byte size class. Every whole-service
+// request decodes one, and every component sub-operation serves in one
+// (in a pooled record), so growing the job is a change to review, not a
+// side effect.
 func TestRecordSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")

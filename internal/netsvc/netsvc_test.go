@@ -11,8 +11,12 @@ import (
 	"time"
 
 	"accuracytrader/internal/agg"
+	"accuracytrader/internal/cf"
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/service"
+	"accuracytrader/internal/svd"
+	"accuracytrader/internal/synopsis"
+	"accuracytrader/internal/textindex"
 	"accuracytrader/internal/wire"
 	"accuracytrader/internal/workload"
 )
@@ -91,6 +95,60 @@ func buildAggComps(t testing.TB, n int) []*agg.Component {
 		comps = append(comps, c)
 	}
 	return comps
+}
+
+// searchFixture builds n search shards over a small seeded corpus and
+// returns them with count Exact whole-service requests over its sampled
+// queries.
+func searchFixture(t testing.TB, n, count int) ([]*textindex.Component, []*wire.Request) {
+	t.Helper()
+	ccfg := workload.DefaultCorpusConfig()
+	ccfg.DocsPerSubset = 120
+	ccfg.Seed = 21
+	data := workload.GenerateCorpus(ccfg, n)
+	comps := make([]*textindex.Component, n)
+	for i, ix := range data.Subsets {
+		c, err := textindex.BuildComponent(ix, synopsis.Config{
+			SVD: svd.Config{Dims: 3, Epochs: 10, Seed: 5}, CompressionRatio: 8, FoldInEpochs: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps[i] = c
+	}
+	var reqs []*wire.Request
+	for _, q := range data.SampleQueries(3, count) {
+		reqs = append(reqs, &wire.Request{Kind: wire.KindSearch, Subset: -1, SLO: wire.SLOExact, Level: wire.NoLevel,
+			Search: &wire.SearchRequest{Query: q, K: wire.DefaultK}})
+	}
+	return comps, reqs
+}
+
+// cfFixture builds n CF shards over small seeded ratings and returns them
+// with count Exact whole-service requests over its sampled users.
+func cfFixture(t testing.TB, n, count int) ([]*cf.Component, []*wire.Request) {
+	t.Helper()
+	rcfg := workload.DefaultRatingsConfig()
+	rcfg.UsersPerSubset = 60
+	rcfg.Seed = 23
+	data := workload.GenerateRatings(rcfg, n)
+	comps := make([]*cf.Component, n)
+	for i, m := range data.Subsets {
+		c, err := cf.BuildComponent(m, synopsis.Config{SVD: svd.Config{Dims: 3, Epochs: 10, Seed: 5}, CompressionRatio: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps[i] = c
+	}
+	var reqs []*wire.Request
+	for _, s := range data.SampleCFRequests(7, count, 0.2) {
+		ratings := make([]wire.Rating, len(s.Known))
+		for j, kr := range s.Known {
+			ratings[j] = wire.Rating{Item: kr.Item, Score: kr.Score}
+		}
+		reqs = append(reqs, &wire.Request{Kind: wire.KindCF, Subset: -1, SLO: wire.SLOExact, Level: wire.NoLevel,
+			CF: &wire.CFRequest{Ratings: ratings, Targets: s.Targets}})
+	}
+	return comps, reqs
 }
 
 // TestCallRejectsRequestWithoutPayload: a request whose kind has no

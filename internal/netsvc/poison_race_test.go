@@ -4,7 +4,9 @@ package netsvc
 
 import (
 	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"accuracytrader/internal/cf"
 	"accuracytrader/internal/textindex"
@@ -67,4 +69,40 @@ func TestReleasedQueriesArePoisoned(t *testing.T) {
 		t.Fatalf("a CF query taken again converts the request to %v", creq.Ratings)
 	}
 	cq.release()
+}
+
+// TestReleasedSubopAndKeyBufferArePoisoned: under the race detector a
+// released subop's budget check reads a deadline long past, so a run
+// still holding it stops improving, and its metered engine is gone; a
+// released canonical-key buffer reads poisonKeyByte across its capacity;
+// releasing either twice panics; and a subop taken again checks its own
+// deadline.
+func TestReleasedSubopAndKeyBufferArePoisoned(t *testing.T) {
+	s := getSubop(time.Now().Add(time.Hour))
+	cont := s.cont
+	if !cont(0) {
+		t.Fatal("a live subop's budget check stops the run")
+	}
+	s.metered.unit = time.Millisecond
+	s.release()
+	if cont(0) || s.metered.unit != 0 {
+		t.Fatalf("a released subop's budget check reads %v, its metered unit %v", s.dl, s.metered.unit)
+	}
+	mustPanic(t, "subop", s.release)
+	s = getSubop(time.Time{})
+	if !s.cont(0) {
+		t.Fatal("a subop taken again checks the released deadline")
+	}
+	s.release()
+
+	var pool sync.Pool
+	bp := &[]byte{1, 2, 3}
+	putKeyBuf(&pool, bp)
+	for _, b := range *bp {
+		if b != poisonKeyByte {
+			t.Fatalf("released key buffer reads %v", *bp)
+		}
+	}
+	mustPanic(t, "canonical-key buffer", func() { putKeyBuf(&pool, bp) })
+	putKeyBuf(&pool, new([]byte)) // a buffer that never held a key
 }

@@ -9,14 +9,9 @@ import (
 	"time"
 
 	"accuracytrader/internal/agg"
-	"accuracytrader/internal/cf"
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/service"
-	"accuracytrader/internal/svd"
-	"accuracytrader/internal/synopsis"
-	"accuracytrader/internal/textindex"
 	"accuracytrader/internal/wire"
-	"accuracytrader/internal/workload"
 )
 
 // keepingBackend is a frontend.Backend decorator that keeps every gather
@@ -132,46 +127,12 @@ func TestRecycledSubRepliesUnderHedging(t *testing.T) {
 	t.Cleanup(keptCl.Close)
 
 	// CF and search, Exact through bare fronts.
-	rcfg := workload.DefaultRatingsConfig()
-	rcfg.UsersPerSubset = 60
-	rcfg.Seed = 23
-	ratings := workload.GenerateRatings(rcfg, shards)
-	cfComps := make([]*cf.Component, shards)
-	for i, m := range ratings.Subsets {
-		if cfComps[i], err = cf.BuildComponent(m, synopsis.Config{SVD: svd.Config{Dims: 3, Epochs: 10, Seed: 5}, CompressionRatio: 8}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	cfComps, cfReqs := cfFixture(t, shards, 6)
 	cfH := NewCFBackend(cfComps, BackendOptions{})
 	cfCl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(cfH), Agg: waitAll, Front: &FrontSpec{}}).Client
-	var cfReqs []*wire.Request
-	for _, s := range ratings.SampleCFRequests(7, 6, 0.2) {
-		rs := make([]wire.Rating, len(s.Known))
-		for j, kr := range s.Known {
-			rs[j] = wire.Rating{Item: kr.Item, Score: kr.Score}
-		}
-		cfReqs = append(cfReqs, &wire.Request{Kind: wire.KindCF, Subset: -1, SLO: wire.SLOExact, Level: wire.NoLevel,
-			CF: &wire.CFRequest{Ratings: rs, Targets: s.Targets}})
-	}
-
-	ccfg := workload.DefaultCorpusConfig()
-	ccfg.DocsPerSubset = 120
-	ccfg.Seed = 21
-	corpus := workload.GenerateCorpus(ccfg, shards)
-	searchComps := make([]*textindex.Component, shards)
-	for i, ix := range corpus.Subsets {
-		if searchComps[i], err = textindex.BuildComponent(ix, synopsis.Config{
-			SVD: svd.Config{Dims: 3, Epochs: 10, Seed: 5}, CompressionRatio: 8, FoldInEpochs: 10}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	searchComps, searchReqs := searchFixture(t, shards, 6)
 	searchH := NewSearchBackend(searchComps, BackendOptions{})
 	searchCl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(searchH), Agg: waitAll, Front: &FrontSpec{}}).Client
-	var searchReqs []*wire.Request
-	for _, q := range corpus.SampleQueries(3, 6) {
-		searchReqs = append(searchReqs, &wire.Request{Kind: wire.KindSearch, Subset: -1, SLO: wire.SLOExact, Level: wire.NoLevel,
-			Search: &wire.SearchRequest{Query: q, K: wire.DefaultK}})
-	}
 
 	// Each agg request filters its own value range, so no two replies
 	// agree by accident.

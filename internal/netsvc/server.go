@@ -23,6 +23,12 @@ import (
 // must be safe for concurrent use when Workers > 1. The context
 // carries the request's propagated deadline: handlers running
 // Algorithm 1 should stop improving when the budget is gone.
+//
+// On a Server the request, every string and slice of it, and the context
+// are valid only until the handler returns: the server decodes each
+// request into a pooled record, beside the job that is its context, and
+// reuses both once the reply is written. A handler that needs any of it
+// later copies it.
 type Handler func(ctx context.Context, req *wire.Request) *wire.SubReply
 
 // ServerOptions configures a Server or FrontServer.
@@ -83,13 +89,14 @@ type srvCore struct {
 	// respond handles one live job — its request, its queue entry time
 	// (for queue-wait spans), and its context: the job itself — and
 	// returns the reply record for the connection's writer to encode;
-	// expired answers a request whose deadline has already passed; busy
-	// answers a request shed at the queue bound. A Server's are
-	// *wire.SubReply, a FrontServer's *wire.Reply. A failed reply write
-	// closes the connection; its reader observes that and exits.
+	// expired answers a job whose deadline has already passed; busy
+	// answers a job shed at the queue bound. A Server's are
+	// *wire.SubReply, pooled records the job holds (job.reply) until
+	// endJob releases them; a FrontServer's *wire.Reply. A failed reply
+	// write closes the connection; its reader observes that and exits.
 	respond func(j *job) interface{}
-	expired func(req *wire.Request) interface{}
-	busy    func(req *wire.Request) interface{}
+	expired func(j *job) interface{}
+	busy    func(j *job) interface{}
 
 	// graceful extends the work deadline with gather slack: a front
 	// server's budget bounds the components' work (propagated in the
@@ -98,6 +105,10 @@ type srvCore struct {
 	// work that legitimately fills the budget always loses the gather
 	// race by a transport epsilon.
 	graceful bool
+	// recycles: requests are decoded into pooled records (compJob),
+	// recycled once answered. A component server's are; a front server's
+	// may be kept by its planes, so each is a one-shot object.
+	recycles bool
 
 	queue   chan *job
 	quit    chan struct{}
@@ -237,12 +248,18 @@ func (s *srvCore) readConn(c net.Conn) {
 			s.serveIngest(sc, in)
 			continue
 		}
-		// The request is decoded into the job that serves it: one object.
-		req, j, err := wire.DecodeRequestWith[job](buf)
+		// The request is decoded into the job that serves it: a pooled
+		// record on a component server, one object on a front server.
+		var j *job
+		if s.recycles {
+			j, err = decodeCompJob(buf)
+		} else {
+			j, err = decodeJob(buf)
+		}
 		if err != nil {
 			return
 		}
-		j.req, j.conn, j.enq = req, sc, time.Now().UnixNano()
+		j.conn, j.enq = sc, time.Now().UnixNano()
 		// pending is raised before the enqueue so a drain never observes
 		// zero while a just-enqueued job is still unserved.
 		s.pending.Add(1)
@@ -251,8 +268,8 @@ func (s *srvCore) readConn(c net.Conn) {
 		default:
 			s.pending.Add(-1)
 			s.shed.Add(1)
-			_ = sc.write(s.busy(req)) // a failed write closed c: the next read ends this loop
-			j.finish()
+			_ = sc.write(s.busy(j)) // a failed write closed c: the next read ends this loop
+			s.endJob(j)
 		}
 	}
 }
@@ -279,8 +296,8 @@ func (s *srvCore) serveJob(j *job) {
 		rem := time.Duration(j.dl - time.Now().UnixNano())
 		if rem <= 0 {
 			s.abandoned.Add(1)
-			_ = j.conn.write(s.expired(j.req)) // see respond: the reader notices
-			j.finish()
+			_ = j.conn.write(s.expired(j)) // see respond: the reader notices
+			s.endJob(j)
 			return
 		}
 		if s.graceful {
@@ -288,13 +305,22 @@ func (s *srvCore) serveJob(j *job) {
 		}
 	}
 	_ = j.conn.write(s.respond(j)) // see respond: the reader notices
+	s.endJob(j)
+}
+
+// endJob ends a job whose reply is written, whether it was served, shed
+// or expired. Nothing on this server reads the reply or the request
+// again: a component server releases its pooled reply and recycles the
+// request's record.
+func (s *srvCore) endJob(j *job) {
 	if j.reply != nil {
-		// The handler's pooled reply: its frame is written, and nothing
-		// on this server reads it again.
 		wire.ReleaseSubReply(j.reply)
 		j.reply = nil
 	}
 	j.finish()
+	if s.recycles {
+		recycle(j)
+	}
 }
 
 // Stats returns the server's request counters.
@@ -386,6 +412,7 @@ type Server struct {
 func NewServer(h Handler, opts ServerOptions) *Server {
 	s := &Server{h: h}
 	s.srvCore = newSrvCore(opts)
+	s.srvCore.recycles = true
 	s.srvCore.respond = func(j *job) interface{} {
 		req := j.req
 		exec0 := time.Now()
@@ -412,19 +439,19 @@ func NewServer(h Handler, opts ServerOptions) *Server {
 		}
 		return rep
 	}
-	s.srvCore.expired = func(req *wire.Request) interface{} {
-		return &wire.SubReply{
-			ID: req.ID, Subset: req.Subset, Kind: req.Kind,
-			Status: wire.StatusSkipped, Level: wire.NoLevel,
-		}
-	}
-	s.srvCore.busy = func(req *wire.Request) interface{} {
-		return &wire.SubReply{
-			ID: req.ID, Subset: req.Subset, Kind: req.Kind,
-			Status: wire.StatusBusy, Err: "server queue full", Level: wire.NoLevel,
-		}
-	}
+	s.srvCore.expired = func(j *job) interface{} { return statusReply(j, wire.StatusSkipped, "") }
+	s.srvCore.busy = func(j *job) interface{} { return statusReply(j, wire.StatusBusy, "server queue full") }
 	return s
+}
+
+// statusReply answers a component job with a status and no payload, in
+// a pooled record the job holds until endJob releases it.
+func statusReply(j *job, status uint8, msg string) *wire.SubReply {
+	req := j.req
+	rep := wire.NewSubReply(req.Kind, false)
+	rep.ID, rep.Subset, rep.Status, rep.Err = req.ID, req.Subset, status, msg
+	j.reply = rep
+	return rep
 }
 
 // FrontServer is an aggregator process's client-facing listener: it
@@ -499,11 +526,11 @@ func NewFront(agg *Aggregator, front *frontend.Frontend, opts ServerOptions) (*F
 		row.close(rep.FrameSize())
 		return rep
 	}
-	s.srvCore.expired = func(req *wire.Request) interface{} {
-		return replyTo(req, wire.ReplyErr, "deadline expired before service")
+	s.srvCore.expired = func(j *job) interface{} {
+		return replyTo(j.req, wire.ReplyErr, "deadline expired before service")
 	}
-	s.srvCore.busy = func(req *wire.Request) interface{} {
-		return replyTo(req, wire.ReplyRejected, "aggregator queue full")
+	s.srvCore.busy = func(j *job) interface{} {
+		return replyTo(j.req, wire.ReplyRejected, "aggregator queue full")
 	}
 	return s, nil
 }
@@ -548,7 +575,7 @@ func (s *FrontServer) cacheKey(req *wire.Request) uint64 {
 	}
 	*bp = wire.AppendCanonicalKey((*bp)[:0], req)
 	key := rescache.Key(*bp)
-	s.keyBufs.Put(bp)
+	putKeyBuf(&s.keyBufs, bp)
 	return key
 }
 

@@ -7,6 +7,9 @@ import (
 	"unsafe"
 )
 
+// longTenant is one byte past a request record's inline bytes.
+var longTenant = strings.Repeat("t", recordStrBytes+1)
+
 // allocFrames is one frame of every kind for the allocation contracts.
 var allocFrames = []struct {
 	name  string
@@ -41,6 +44,24 @@ var allocFrames = []struct {
 	{"request/agg+tenant", func(dst []byte) []byte {
 		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindAgg, Tenant: "acme", Agg: &AggRequest{Op: 1, Lo: 0, Hi: 9}})
 	}, 1 + 1, decodes(DecodeRequest)},
+	// A warm request record (a component server's) holds every kind's
+	// payload struct, its CF lists' backings and recordStrBytes (48) of
+	// tenant and query: only a longer tenant or query allocates.
+	{"record/search+tenant", func(dst []byte) []byte {
+		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindSearch, Subset: 3, Tenant: "acme",
+			Search: &SearchRequest{Query: "t12w345 t12w7 t12w88", K: 10}})
+	}, 0, decodesRecord(new(RequestRecord))},
+	{"record/cf", func(dst []byte) []byte {
+		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindCF, Subset: 3,
+			CF: &CFRequest{Ratings: make([]Rating, 80), Targets: make([]int32, 20)}})
+	}, 0, decodesRecord(new(RequestRecord))},
+	{"record/agg+tenant", func(dst []byte) []byte {
+		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindAgg, Subset: 3, Tenant: "acme", Agg: &AggRequest{Op: 1, Lo: 0, Hi: 9}})
+	}, 0, decodesRecord(new(RequestRecord))},
+	{"record/agg, 49-byte tenant", func(dst []byte) []byte {
+		return AppendRequestFrame(dst, &Request{ID: 1, Kind: KindAgg, Subset: 3, Tenant: longTenant,
+			Agg: &AggRequest{Op: 1, Lo: 0, Hi: 9}})
+	}, 1, decodesRecord(new(RequestRecord))},
 	// A sub-reply decodes into a pooled record (released here after each
 	// decode, as a front server does): a warm record holds DefaultK hits,
 	// ServerSpans spans and its float backing, so only a longer hit or
@@ -95,6 +116,18 @@ func decodes[T any](dec func([]byte) (*T, error)) func([]byte) error {
 	}
 }
 
+// decodesRecord decodes a request into rec and releases it, as a
+// component server does once the reply is written.
+func decodesRecord(rec *RequestRecord) func([]byte) error {
+	return func(body []byte) error {
+		_, err := rec.Decode(body)
+		if err == nil {
+			rec.Release()
+		}
+		return err
+	}
+}
+
 // decodesReleased decodes a sub-reply and hands its record back.
 func decodesReleased(body []byte) error {
 	rep, err := DecodeSubReply(body)
@@ -110,8 +143,9 @@ func decodesReleased(body []byte) error {
 // into nil with exactly one allocation (the buffer, grown once to
 // FrameSize); a request or composed reply decodes into one heap object
 // plus one per variable-length field that does not fit inline in it (a
-// search request's short strings and up to DefaultK hits do), a
-// sub-reply into a warm pooled record with only those fields' (not
+// search request's short strings and up to DefaultK hits do), a request
+// into a warm RequestRecord with none but a string past its inline bytes,
+// a sub-reply into a warm pooled record with only those fields' (not
 // asserted under the race detector, whose pools drop records at random);
 // and a connection's steady state reads frames without allocating.
 func TestFrameAllocations(t *testing.T) {

@@ -34,25 +34,35 @@
 // request's slices, and the parallel float arrays of one CF or
 // aggregation result (one backing allocation, each array capped to its
 // own length). DecodeRequestWith adds a zeroed record of the caller's to
-// the same object, so a server's reader decodes each request into the
-// job that serves it. DecodeSubReply decodes into a record from the
-// sub-reply pool instead, one shape for every kind: the record, each
-// kind's payload struct, DefaultK inline hits, a traced reply's
-// ServerSpans spans and a float backing the result's arrays are carved
-// from, which the record keeps across uses. A record fresh from the pool
+// the same object, so a front server's reader decodes each request into
+// the job that serves it. A RequestRecord is the reusable form a
+// component server decodes its sub-requests into: every kind's payload
+// struct, backings for a CF request's lists and 48 inline bytes of
+// tenant and query, kept across uses, so a warm record decodes a frame
+// without allocating; the two decoders share one field-by-field parse.
+// DecodeSubReply decodes into a record from the sub-reply pool, one
+// shape for every kind: the record, each kind's payload struct, DefaultK
+// inline hits, a traced reply's ServerSpans spans and a float backing the
+// result's arrays are carved from, which the record keeps across uses. A record fresh from the pool
 // costs itself and its backing; a recycled one costs only what does not
 // fit it (an error string, more spans or hits, arrays longer than its
 // backing). NewSubReply takes the same records for a component's own
 // replies, and SizeCF / SizeAgg carve their arrays.
 //
-// Ownership. A decoded request never aliases the body it was read from
-// and belongs to the caller outright, who may retain it indefinitely
-// (the result cache and the auditor do). Retaining a request, or any
-// string or slice of it that lives inline, retains its whole object. The
-// inline strings are unsafe.String views of bytes the decoder writes
-// once; a decoded request is never reused or pooled, so they never
-// change (inlineString). The same holds for a composed reply. A
-// sub-reply is a pooled record with a lifetime: NewSubReply or
+// Ownership. A decoded request never aliases the body it was read from,
+// and has one of two lifetimes. One from DecodeRequest or
+// DecodeRequestWith belongs to the caller outright, who may retain it
+// indefinitely (a front server's result cache and auditor do); retaining
+// it, or any string or slice of it that lives inline, retains its whole
+// object, and since that object is never reused its inline strings never
+// change. One from a RequestRecord lives until the record's Release: a
+// component server releases it once the sub-request's reply frame is
+// written (or the request is shed or expired), and the record's next
+// decode rewrites its lists and inline bytes, so nothing may keep the
+// request, or a string or slice of it, past that. Either way the inline
+// strings are unsafe.String views of bytes the decoder writes before the
+// request is returned (inlineString). A composed reply is the one-shot
+// kind. A sub-reply is a pooled record with a lifetime: NewSubReply or
 // DecodeSubReply hands it out, and its last user hands it back with
 // ReleaseSubReply, after which every field and array of it is cleared
 // and reused. On a component server the record lives until its frame is
@@ -68,5 +78,7 @@
 // compare and encode exactly as ones built by hand. The retained
 // reference decoders in reference_test.go are the simple field-by-field
 // form; FuzzDecodeDifferential holds the live ones to them, decoding
-// every sub-reply body again into records recycled from other frames.
+// every request and sub-reply body again into records recycled from
+// other frames. Under the race detector a released record of either kind
+// is poisoned (poison_race.go), and a second release panics.
 package wire

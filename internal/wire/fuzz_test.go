@@ -280,10 +280,85 @@ func recycled(t *testing.T, data []byte) {
 	}
 }
 
+// recycledRequestBodies are the earlier requests a body is decoded after,
+// into the record each was decoded into: every kind, CF lists longer and
+// shorter than a body's (some of them empty), and tenants and queries
+// that fit the record's inline bytes and that spill past them.
+func recycledRequestBodies() [][]byte {
+	ratings := func(n int) []Rating {
+		out := make([]Rating, n)
+		for i := range out {
+			out[i] = Rating{Item: int32(3 * i), Score: float64(i) + 0.25}
+		}
+		return out
+	}
+	targets := func(n int) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = int32(7 * i)
+		}
+		return out
+	}
+	var out [][]byte
+	for _, req := range []*Request{
+		{ID: 1, Kind: KindCF, Subset: 2, SLO: SLOExact, Level: NoLevel, Tenant: "acme",
+			CF: &CFRequest{Ratings: ratings(200), Targets: targets(64)}},
+		{ID: 2, Kind: KindCF, Subset: 0, Level: 1, CF: &CFRequest{Ratings: ratings(1), Targets: targets(1)}},
+		{ID: 3, Kind: KindCF, Subset: 1, Level: NoLevel, CF: &CFRequest{}},
+		{ID: 4, Kind: KindSearch, Subset: 5, Level: NoLevel, Tenant: strings.Repeat("t", recordStrBytes),
+			Search: &SearchRequest{Query: "alpha beta", K: 3}},
+		{ID: 5, Kind: KindSearch, Subset: 1, Level: 2, Tenant: "acme",
+			Search: &SearchRequest{Query: strings.Repeat("q", 2*recordStrBytes), K: DefaultK}},
+		{ID: 6, Kind: KindAgg, Subset: 7, SLO: SLOBounded, MinAccuracy: 0.9, Level: 0, Deadline: 1 << 40, Trace: 9,
+			Tenant: "acme", Agg: &AggRequest{Op: 2, Lo: -1, Hi: 1}},
+	} {
+		out = append(out, AppendRequestFrame(nil, req)[4:])
+	}
+	return out
+}
+
+// recycledRequest decodes a request body again into a RequestRecord that
+// decoded each of recycledRequestBodies' earlier frames and was released
+// — what a component server does with every sub-request — and holds every
+// such decode to the reference's: both fail, or both decode to the same
+// request, which shares no memory with the body.
+func recycledRequest(t *testing.T, data []byte) {
+	want, refErr := refDecodeRequest(data)
+	for i, prev := range recycledRequestBodies() {
+		var rec RequestRecord
+		if _, err := rec.Decode(prev); err != nil {
+			t.Fatalf("earlier request %d: %v", i, err)
+		}
+		rec.Release()
+		in := append([]byte(nil), data...)
+		got, err := rec.Decode(in)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoded after request %d: record says %v, reference says %v", i, err, refErr)
+		}
+		if err != nil {
+			rec.Release()
+			continue
+		}
+		if !sameRecord(reflect.ValueOf(got), reflect.ValueOf(want)) {
+			t.Fatalf("decoded after request %d, the record differs from a fresh decode:\nrecycled  %+v\nreference %+v", i, got, want)
+		}
+		frame := AppendRequestFrame(nil, got)
+		for j := range in {
+			in[j] = ^in[j]
+		}
+		if !bytes.Equal(AppendRequestFrame(nil, got), frame) {
+			t.Fatalf("decoded after request %d, the request aliases the body it was read from: %+v", i, got)
+		}
+		rec.Release()
+	}
+}
+
 // FuzzDecodeDifferential runs every body through all five frame kinds'
 // decoders (the header admits at most one) against the reference
-// decoders in reference_test.go, and a sub-reply body a second time into
-// records recycled from other frames (recycled).
+// decoders in reference_test.go, a request body a second time into
+// request records recycled from other requests (recycledRequest), and a
+// sub-reply body a second time into records recycled from other frames
+// (recycled).
 func FuzzDecodeDifferential(f *testing.F) {
 	for _, b := range seedBodies(f) {
 		f.Add(b)
@@ -299,8 +374,12 @@ func FuzzDecodeDifferential(f *testing.F) {
 	for _, b := range recycledBodies() {
 		f.Add(b)
 	}
+	for _, b := range recycledRequestBodies() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		differential(t, "request", data, DecodeRequest, refDecodeRequest, AppendRequestFrame, (*Request).FrameSize)
+		recycledRequest(t, data)
 		differential(t, "sub-reply", data, DecodeSubReply, refDecodeSubReply, AppendSubReplyFrame, (*SubReply).FrameSize)
 		recycled(t, data)
 		differential(t, "reply", data, DecodeReply, refDecodeReply, AppendReplyFrame, (*Reply).FrameSize)

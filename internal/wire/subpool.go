@@ -115,7 +115,7 @@ func SizeAgg(rep *SubReply, n int) *AggResult {
 // next reply of any kind. A component server releases its reply once the
 // frame is written; a front server, the replies it composed. Under the
 // race detector a released record is poisoned instead of cleared
-// (subpool_race.go), so a use after release reads NaN and out-of-range
+// (poison_race.go), so a use after release reads NaN and out-of-range
 // codes, and a second release panics.
 func ReleaseSubReply(rep *SubReply) {
 	rec := recordOf(rep)

@@ -519,15 +519,24 @@ func (r *reader) f64Group(back []float64, what string, dst ...*[]float64) []floa
 }
 
 func (r *reader) i32s(what string) []int32 {
+	list, _ := r.i32sInto(nil, what)
+	return list
+}
+
+// i32sInto decodes an int32 array into back as ratingsInto does ratings.
+func (r *reader) i32sInto(back []int32, what string) (list, backing []int32) {
 	n := r.count(4, what)
 	if r.err != nil || n == 0 {
-		return nil
+		return nil, back
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(r.u32(what))
+	if cap(back) < n {
+		back = make([]int32, n)
 	}
-	return out
+	list = back[:n:n]
+	for i := range list {
+		list[i] = int32(r.u32(what))
+	}
+	return list, back
 }
 
 func (r *reader) done(kind string) error {
@@ -644,17 +653,48 @@ type searchRequestPayload struct {
 
 // DecodeRequestWith decodes a request frame body into one heap object
 // that holds the request, the payload struct of its kind and a zeroed
-// record X of the caller's: a server decodes each request straight into
-// the record that serves it. A search request's tenant and query live in
-// the same object when together they fit its inlineStrBytes; a longer
+// record X of the caller's: a front server decodes each request straight
+// into the job that serves it. A search request's tenant and query live
+// in the same object when together they fit its inlineStrBytes; a longer
 // string, a CF or aggregation request's tenant, and the CF slices are the
-// only further allocations. Nothing in the result aliases body.
+// only further allocations. Nothing in the result aliases body, and the
+// object is never reused: the caller may keep the request indefinitely.
 func DecodeRequestWith[X any](body []byte) (*Request, *X, error) {
 	r := &reader{b: body}
-	if err := checkHeader(r, frameRequest, "request"); err != nil {
+	var req Request // decoded on the stack, copied into its box once the kind is known
+	tenant, err := r.requestHead(&req)
+	if err != nil {
 		return nil, nil, err
 	}
-	var req Request // decoded on the stack, copied into its box once the kind is known
+	var (
+		x     *X
+		out   *Request
+		spare []byte // the object's inline string bytes (none but a search request's)
+	)
+	switch req.Kind {
+	case KindCF:
+		x, out, req.CF = boxWith[X, Request, CFRequest]()
+	case KindSearch:
+		var s *searchRequestPayload
+		x, out, s = boxWith[X, Request, searchRequestPayload]()
+		req.Search, spare = &s.SearchRequest, s.inline[:]
+	default: // KindAgg: requestHead refused every other kind
+		x, out, req.Agg = boxWith[X, Request, AggRequest]()
+	}
+	if _, _, err := r.requestPayload(&req, tenant, spare, nil, nil); err != nil {
+		return nil, nil, err
+	}
+	*out = req
+	return out, x, nil
+}
+
+// requestHead reads a request body's header and fixed fields into req and
+// returns its tenant's bytes, still in the body. It refuses an unknown
+// payload kind, so the caller can place the payload struct of req.Kind.
+func (r *reader) requestHead(req *Request) (tenant []byte, err error) {
+	if err := checkHeader(r, frameRequest, "request"); err != nil {
+		return nil, err
+	}
 	req.ID = r.u64("id")
 	req.Seq = r.u64("seq")
 	req.Kind = Kind(r.u8("kind"))
@@ -664,63 +704,77 @@ func DecodeRequestWith[X any](body []byte) (*Request, *X, error) {
 	req.Level = int16(r.u16("level"))
 	req.Deadline = int64(r.u64("deadline"))
 	req.Trace = r.u64("trace")
-	tenant := r.take(r.count(1, "tenant"), "tenant") // still in body: copied out below
-	var (
-		x     *X
-		out   *Request
-		query []byte // still in body, as tenant
-		spare []byte // the object's inline string bytes (none but a search request's)
-	)
+	tenant = r.take(r.count(1, "tenant"), "tenant")
+	if req.Kind > KindAgg {
+		return nil, fmt.Errorf("wire: unknown payload kind %d", req.Kind)
+	}
+	return tenant, nil
+}
+
+// requestPayload reads the payload of req's kind into the struct req
+// already points at and checks that nothing trails it: the one
+// field-by-field request parse, behind both request decoders. A CF
+// request's ratings and targets are decoded into the backings passed in,
+// each replaced by one of exactly its length when it is shorter (nil: a
+// fresh allocation), and the backings are returned for a record to keep;
+// each list is capped to its length, so an append to it never writes
+// into the backing's tail. The tenant, and a search request's query, are
+// copied into spare when they fit (inlineString).
+func (r *reader) requestPayload(req *Request, tenant, spare []byte, ratings []Rating, targets []int32) ([]Rating, []int32, error) {
+	var query []byte // still in the body, as tenant
 	switch req.Kind {
 	case KindCF:
-		var cf *CFRequest
-		x, out, cf = boxWith[X, Request, CFRequest]()
-		n := r.count(12, "ratings")
-		if r.err == nil && n > 0 {
-			cf.Ratings = make([]Rating, n)
-			for i := range cf.Ratings {
-				cf.Ratings[i].Item = int32(r.u32("rating item"))
-				cf.Ratings[i].Score = r.f64("rating score")
-			}
-		}
-		cf.Targets = r.i32s("targets")
-		req.CF = cf
+		req.CF.Ratings, ratings = r.ratingsInto(ratings)
+		req.CF.Targets, targets = r.i32sInto(targets, "targets")
 	case KindSearch:
-		var s *searchRequestPayload
-		x, out, s = boxWith[X, Request, searchRequestPayload]()
-		spare = s.inline[:]
 		query = r.take(r.count(1, "query"), "query")
-		s.K = int32(r.u32("k"))
-		req.Search = &s.SearchRequest
+		req.Search.K = int32(r.u32("k"))
 	case KindAgg:
-		x, out, req.Agg = boxWith[X, Request, AggRequest]()
 		req.Agg.Op = r.u8("op")
 		req.Agg.Lo = r.f64("lo")
 		req.Agg.Hi = r.f64("hi")
-	default:
-		return nil, nil, fmt.Errorf("wire: unknown payload kind %d", req.Kind)
 	}
 	if err := r.done("request"); err != nil {
-		return nil, nil, err
+		return ratings, targets, err
 	}
 	req.Tenant = inlineString(&spare, tenant)
 	if req.Search != nil {
 		req.Search.Query = inlineString(&spare, query)
 	}
-	req.FrameLen = 4 + len(body)
-	*out = req
-	return out, x, nil
+	req.FrameLen = 4 + len(r.b)
+	return ratings, targets, nil
+}
+
+// ratingsInto decodes a CF request's ratings into back (see
+// requestPayload) and returns the list, nil when empty, and the backing.
+func (r *reader) ratingsInto(back []Rating) (list, backing []Rating) {
+	n := r.count(12, "ratings")
+	if r.err != nil || n == 0 {
+		return nil, back
+	}
+	if cap(back) < n {
+		back = make([]Rating, n)
+	}
+	list = back[:n:n]
+	for i := range list {
+		list[i].Item = int32(r.u32("rating item"))
+		list[i].Score = r.f64("rating score")
+	}
+	return list, back
 }
 
 // inlineString copies raw into the front of *spare, advances *spare past
 // it and returns the copy as a string; raw longer than what is left of
 // *spare spills to an ordinary string of its own. spare must be inline
-// bytes of the decoded record's own object, and the string is built with
-// unsafe.String over them, which is sound only under the invariant every
-// decoder keeps: it writes those bytes once, here, before the record is
-// returned, and a decoded record is never reused or pooled — nothing
-// writes them again while a string over them can be live. Retaining the
-// string retains the record's object.
+// bytes of the decoded request's own object, and the string is built
+// with unsafe.String over them, which is sound only under the invariant
+// both request decoders keep: the bytes are written here, before the
+// request is returned, and not again while a string over them can be
+// live. A one-shot request (DecodeRequestWith) is never reused, so its
+// strings never change, and retaining one retains its object. A
+// RequestRecord's strings are valid until the record is released: its
+// next decode writes the same bytes (and under the race detector its
+// release overwrites them).
 func inlineString(spare *[]byte, raw []byte) string {
 	n := len(raw)
 	if n == 0 {
