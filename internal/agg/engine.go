@@ -3,6 +3,8 @@ package agg
 import (
 	"math"
 	"sync"
+
+	"accuracytrader/internal/poison"
 )
 
 // Op selects the aggregate of a Query.
@@ -283,6 +285,8 @@ func GetEngine(c *Component, q Query, level int) *Engine {
 // Release returns the engine to the pool. The engine, its Result and
 // any slice obtained from ProcessSynopsis must not be used afterwards.
 func (e *Engine) Release() {
+	poison.Released(e.Comp == nil, "agg: engine")
+	poison.NaN(e.res.Sum, e.res.Cnt, e.res.SumVar, e.res.CntVar, e.corr)
 	e.Comp = nil
 	e.Q = Query{}
 	enginePool.Put(e)

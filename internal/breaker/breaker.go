@@ -3,8 +3,6 @@ package breaker
 import (
 	"sync"
 	"time"
-
-	"accuracytrader/internal/stats"
 )
 
 // State is a breaker's position in the closed → open → half-open cycle.
@@ -190,56 +188,13 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
+// Cooldown returns how long Open fails fast before a probe (Config's,
+// defaults applied): the pace a prober outside the breaker retries at.
+func (b *Breaker) Cooldown() time.Duration { return b.cfg.Cooldown }
+
 // Opens returns the cumulative number of Closed/HalfOpen → Open trips.
 func (b *Breaker) Opens() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.opens
-}
-
-// Backoff produces a capped exponential retry schedule with equal
-// jitter. The zero value is not usable; construct with NewBackoff.
-// Safe for concurrent use.
-type Backoff struct {
-	mu      sync.Mutex
-	base    time.Duration
-	cap     time.Duration
-	attempt int
-	rng     *stats.RNG
-}
-
-// NewBackoff returns a backoff starting at base and capping at max.
-// seed drives the jitter deterministically (same seed, same schedule).
-func NewBackoff(base, max time.Duration, seed uint64) *Backoff {
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	if max < base {
-		max = base
-	}
-	return &Backoff{base: base, cap: max, rng: stats.NewRNG(seed)}
-}
-
-// Next returns the delay before the next attempt and advances the
-// schedule: min(cap, base·2ⁿ), jittered into [d/2, d) so concurrent
-// reconnectors spread out instead of thundering together.
-func (b *Backoff) Next() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	d := b.cap
-	if shift := b.attempt; shift < 32 {
-		if e := b.base << shift; e < b.cap && e > 0 {
-			d = e
-		}
-	}
-	b.attempt++
-	half := d / 2
-	return half + time.Duration(b.rng.Float64()*float64(half))
-}
-
-// Reset rewinds the schedule to the first attempt (after a success).
-func (b *Backoff) Reset() {
-	b.mu.Lock()
-	b.attempt = 0
-	b.mu.Unlock()
 }

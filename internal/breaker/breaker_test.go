@@ -163,40 +163,3 @@ func TestBreakerStateChangeHook(t *testing.T) {
 		}
 	}
 }
-
-func TestBackoffCapsAndJitters(t *testing.T) {
-	base, cap := 10*time.Millisecond, 80*time.Millisecond
-	b := NewBackoff(base, cap, 7)
-	prevCeil := time.Duration(0)
-	for i := 0; i < 8; i++ {
-		d := b.Next()
-		exp := base << i
-		if exp > cap || exp <= 0 {
-			exp = cap
-		}
-		if d < exp/2 || d >= exp {
-			t.Fatalf("attempt %d delay %v outside [%v, %v)", i, d, exp/2, exp)
-		}
-		if exp == cap && prevCeil == cap && d >= cap {
-			t.Fatalf("capped delay %v >= cap %v", d, cap)
-		}
-		prevCeil = exp
-	}
-	if b.attempt != 8 {
-		t.Fatalf("attempts = %d", b.attempt)
-	}
-	b.Reset()
-	if d := b.Next(); d >= base {
-		t.Fatalf("post-reset delay %v not back at base schedule", d)
-	}
-}
-
-func TestBackoffDeterministicPerSeed(t *testing.T) {
-	a := NewBackoff(time.Millisecond, 64*time.Millisecond, 42)
-	b := NewBackoff(time.Millisecond, 64*time.Millisecond, 42)
-	for i := 0; i < 10; i++ {
-		if da, db := a.Next(), b.Next(); da != db {
-			t.Fatalf("attempt %d: %v != %v with equal seeds", i, da, db)
-		}
-	}
-}

@@ -1,8 +1,7 @@
-// Package breaker implements the per-peer circuit breaker and the
-// capped exponential dial backoff of the failure-domain hardening
-// extension (PR 7) — the machinery that keeps a dead or flapping
-// component from turning into retry storms and head-of-line stalls in
-// the networked serving path.
+// Package breaker implements the per-peer circuit breaker of the
+// failure-domain hardening extension (PR 7) — the machinery that keeps
+// a dead or flapping component from turning into retry storms and
+// head-of-line stalls in the networked serving path.
 //
 // A Breaker is the classic three-state machine: Closed counts
 // consecutive failures and trips Open at a threshold; Open fails every
@@ -13,11 +12,8 @@
 // components (internal/service) wear one, so the two runtimes keep
 // behavioural parity under component failure.
 //
-// A Backoff produces the capped exponential retry schedule with equal
-// jitter (half deterministic, half seeded-random) that replaces
-// immediate redialing: attempt n waits base·2ⁿ at most Cap, jittered so
-// a fleet of aggregators does not reconnect in lockstep when a shared
-// component heals. The jitter source is a deterministic seeded RNG
-// (internal/stats), so failure scenarios replay bit-identically in
-// tests and experiments.
+// A breaker is a peer's only failure state. Its cooldown is also the
+// pace of a transport's own prober: the aggregator's reconnector
+// redials a dead peer once per cooldown, as the breaker's half-open
+// probe, and has no dial schedule of its own.
 package breaker

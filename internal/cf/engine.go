@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"sync"
+
+	"accuracytrader/internal/poison"
 )
 
 // Request is one recommendation request: an active user's known ratings
@@ -145,6 +147,8 @@ func GetEngine(c *Component, req Request) *Engine {
 // Release returns the engine to the pool. The engine, its Result and any
 // slice obtained from ProcessSynopsis must not be used afterwards.
 func (e *Engine) Release() {
+	poison.Released(e.Comp == nil, "cf: engine")
+	poison.NaN(e.res.Num, e.res.Den, e.aggWeights, e.corr)
 	e.Comp = nil
 	e.Req = Request{}
 	e.sc.active = nil
@@ -212,6 +216,7 @@ func ExactResult(c *Component, req Request) Result {
 func ExactResultInto(res Result, c *Component, req Request) Result {
 	res = res.Reset(len(req.Targets))
 	e := enginePool.Get().(*Engine)
+	e.Comp = c // checked out, as Release expects
 	e.sc.bind(c.M.NumItems(), req.Ratings, req.Targets)
 	for u := 0; u < c.M.NumUsers(); u++ {
 		e.sc.foldUser(res, c.M, u)

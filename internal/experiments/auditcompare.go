@@ -11,7 +11,6 @@ import (
 
 	"accuracytrader/internal/agg"
 	"accuracytrader/internal/audit"
-	"accuracytrader/internal/faultinject"
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/ingest"
 	"accuracytrader/internal/netsvc"
@@ -291,12 +290,18 @@ func (ac *AuditCompare) runRetentionPhase(f *aggFix) error {
 	const anomalous, healthy = 4, 3 * auditRetentionRing
 	rec := obs.NewRecorder(auditRetentionRing, 16)
 	slo := obs.NewSLOTracker(obs.DefaultSLOBudgets())
-	st, err := deployment{
-		n:       2,
-		handler: shared(netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})),
-		fabric:  faultinject.NewFabric(0),
-		front:   &netsvc.ServerOptions{Tracer: rec, SLO: slo},
-	}.start()
+	// While failing is set, component 0 answers with an error: alive, so
+	// its strata are not rerouted, and BestEffort is served degraded.
+	var failing atomic.Bool
+	h := netsvc.NewAggBackend(f.Comps, netsvc.BackendOptions{IMaxFrac: auditIMaxFrac})
+	st, err := deployment{n: 2, front: &netsvc.ServerOptions{Tracer: rec, SLO: slo}, handler: func(i int) netsvc.Handler {
+		return func(ctx context.Context, req *wire.Request) *wire.SubReply {
+			if i == 0 && failing.Load() {
+				return &wire.SubReply{Status: wire.StatusErr, Err: "component 0 failing", Level: wire.NoLevel}
+			}
+			return h(ctx, req)
+		}
+	}}.start()
 	if err != nil {
 		return err
 	}
@@ -310,8 +315,8 @@ func (ac *AuditCompare) runRetentionPhase(f *aggFix) error {
 		return o.err
 	}
 
-	// Degraded phase: shard 0 is down, BestEffort serves around it.
-	st.fabric.Script(st.Addrs[0]).Set(faultinject.Crash)
+	// Degraded phase: component 0 fails, BestEffort serves around it.
+	failing.Store(true)
 	anomalyIDs := make(map[uint64]bool, anomalous)
 	call.n = anomalous
 	if _, err := call.run(st.target, func(_ int, _ float64, o outcome) error {
@@ -329,9 +334,7 @@ func (ac *AuditCompare) runRetentionPhase(f *aggFix) error {
 	}); err != nil {
 		return err
 	}
-	if _, err := st.heal(0, 5*time.Second); err != nil {
-		return err
-	}
+	failing.Store(false)
 
 	// Healthy flood: 3x the ring, rotating the anomalies out of it.
 	call.n = healthy

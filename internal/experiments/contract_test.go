@@ -13,7 +13,7 @@ var namedContracts = map[string][]string{
 	"netcompare":    {"wire parity cf", "wire parity search", "wire parity agg", "floor or typed"},
 	"cachecompare":  {"coalescing", "cache floor"},
 	"tracecompare":  {"stitching", "accounting"},
-	"faultcompare":  {"degradation"},
+	"faultcompare":  {"degradation", "peer health"},
 	"ingestcompare": {"floor", "bit-identity", "cache coherence", "wire"},
 	"auditcompare":  {"calibration", "detection", "drift", "retention"},
 	"costcompare":   {"conservation", "attribution", "frontier"},

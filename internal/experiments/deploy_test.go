@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"accuracytrader/internal/agg"
+	"accuracytrader/internal/breaker"
 	"accuracytrader/internal/faultinject"
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/netsvc"
@@ -111,9 +112,9 @@ func TestLoadStopsAtFirstFoldError(t *testing.T) {
 }
 
 // TestHealWaitsForTheConnection crashes one component, heals it and
-// then requires every request to be answered in full: the heal returns
-// only once the aggregator can reach the component again, though a
-// crashed component's failing dials never trip its breaker.
+// then requires every request to be answered in full: the heal waits on
+// the breaker alone, which a crash trips and only a landed probe dial
+// re-closes, so a closed breaker means the component is reachable.
 func TestHealWaitsForTheConnection(t *testing.T) {
 	d := stubDeployment()
 	d.fabric = faultinject.NewFabric(1)
@@ -125,17 +126,11 @@ func TestHealWaitsForTheConnection(t *testing.T) {
 	call := load{n: 8, timeout: 5 * time.Second,
 		request: asks(agg.Query{Op: agg.Sum, Lo: 0, Hi: 1}, wire.NoLevel, stamp{slo: frontend.BestEffortSLO()})}
 	st.fabric.Script(st.Addrs[0]).Set(faultinject.Crash)
-	degraded := 0
-	if _, err := call.run(st.target, func(_ int, _ float64, o outcome) error {
-		if o.status == wire.ReplyDegraded {
-			degraded++
-		}
-		return o.err
-	}); err != nil {
+	if _, err := call.run(st.target, func(_ int, _ float64, o outcome) error { return o.err }); err != nil {
 		t.Fatal(err)
 	}
-	if degraded == 0 {
-		t.Fatal("no reply degraded while component 0 was down")
+	if s := st.Agg.BreakerState(0); s == breaker.Closed {
+		t.Fatal("component 0's breaker still closed while it was down")
 	}
 	if _, err := st.heal(0, 5*time.Second); err != nil {
 		t.Fatal(err)

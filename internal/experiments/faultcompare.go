@@ -18,10 +18,11 @@ import (
 // figure) kills, stalls and heals component servers mid-sweep on the
 // real networked stack — wire clients against a FrontServer whose
 // aggregator fans out over loopback TCP through internal/faultinject
-// scripts. Its contract (EXPERIMENTS.md § faultcompare): degradation
-// honesty — every reply keeps its class's promise (target.issue's
-// classifier). Its test adds availability under 1-of-N loss and breaker
-// re-close after each heal; the allocation-free no-fault path is
+// scripts. Its contracts (EXPERIMENTS.md § faultcompare): degradation
+// honesty (target.issue's classifier) and peer health (the faulted
+// peer's breaker trips in each fault, is closed after each other phase).
+// Its test adds availability under 1-of-N loss and breaker re-close
+// after each heal; the allocation-free no-fault path is
 // breaker.TestClosedPathDoesNotAllocate's and
 // frontend.TestClaimDoesNotAllocate's promise.
 const (
@@ -37,8 +38,8 @@ const (
 	// above it a degraded answer still clears the contract.
 	faultBoundedFloor = 0.7
 	// faultRecloseBudgetMs bounds how long a healed peer's breaker may
-	// take to re-close (probe interval: dial backoff cap + cooldown,
-	// with slack for CI schedulers).
+	// take to re-close (probe interval: one cooldown, with slack for CI
+	// schedulers).
 	faultRecloseBudgetMs = 1500.0
 )
 
@@ -82,8 +83,7 @@ type FaultCompare struct {
 	Phases       []*FaultPhase
 
 	// RecloseMs measures, per heal, how long until the faulted peer's
-	// breaker was closed and the aggregator held a connection to it
-	// again, without request traffic (served.heal).
+	// breaker was closed, without request traffic (served.heal).
 	RecloseMs []float64
 
 	// Aggregator failure-handling counters over the whole sweep.
@@ -109,12 +109,9 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 		server:  netsvc.ServerOptions{Workers: 1, QueueLen: 256},
 		fabric:  faultinject.NewFabric(sc.Seed),
 		agg: &netsvc.AggregatorOptions{
-			Policy:     service.WaitAll,
-			Deadline:   msDur(faultDeadlineMs),
-			Breaker:    breaker.Config{FailThreshold: faultThreshold, Cooldown: msDur(faultCooldownMs)},
-			RedialBase: 5 * time.Millisecond,
-			RedialMax:  50 * time.Millisecond,
-			Seed:       sc.Seed ^ 0xfa17,
+			Policy:   service.WaitAll,
+			Deadline: msDur(faultDeadlineMs),
+			Breaker:  breaker.Config{FailThreshold: faultThreshold, Cooldown: msDur(faultCooldownMs)},
 		},
 		front: &netsvc.ServerOptions{Workers: 8},
 	}.start()
@@ -139,13 +136,18 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 		{"stall comp0", faultinject.Stall, 60},
 		{"healed again", faultinject.None, 100},
 	}
-	violations, faulted := 0, false
+	br := st.Agg.Breaker(fc.Killed)
+	var opens int64 // br.Opens() as the current fault began: a crash trips it at once
+	violations, untripped, unclosed, faulted := 0, 0, 0, false
 	for _, ph := range sweep {
 		switch {
 		case ph.mode != faultinject.None:
+			faulted, opens = true, br.Opens()
 			st.fabric.Script(st.Addrs[fc.Killed]).Set(ph.mode)
-			faulted = true
 		case faulted:
+			if br.Opens() == opens {
+				untripped++
+			}
 			took, err := st.heal(fc.Killed, 4*msDur(faultRecloseBudgetMs))
 			if err != nil {
 				return nil, fmt.Errorf("faultcompare: %w", err)
@@ -183,11 +185,17 @@ func RunFaultCompare(sc Scale) (*FaultCompare, error) {
 		p.MeanAcc /= float64(max(p.Answered[0]+p.Answered[1]+p.Answered[2], 1))
 		violations += p.Violations
 		fc.Phases = append(fc.Phases, p)
+		if ph.mode == faultinject.None && br.State() != breaker.Closed {
+			unclosed++
+		}
 	}
 	ast := st.Agg.Stats()
 	fc.BreakerOpens, fc.Retries, fc.Faults = ast.BreakerOpens, ast.Retries, ast.Faults
 	fc.promise("degradation", violations == 0,
 		"%d degradation-contract violations over %d phases (want 0)", violations, len(fc.Phases))
+	fc.promise("peer health", untripped == 0 && unclosed == 0,
+		"%d faults left the faulted peer's breaker untripped, %d other phases ended with it not closed (want 0, 0)",
+		untripped, unclosed)
 	return fc, nil
 }
 
@@ -221,10 +229,10 @@ func (fc *FaultCompare) Render() string {
 	}
 	fmt.Fprintf(&b, "breaker opens %d, retries %d, faults %d over the sweep\n\n", fc.BreakerOpens, fc.Retries, fc.Faults)
 	fc.renderContracts(&b)
-	b.WriteString("\nReading: during the crash phase the killed component's breaker opens and health-aware routing re-homes\n")
-	b.WriteString("its strata on the survivors (every server holds all shards), so BestEffort availability holds and the\n")
-	b.WriteString("brief trip window surfaces as honestly-degraded or typed-unavailable replies — never a silently skewed\n")
-	b.WriteString("ReplyOK. Stalls are the harder fault: connections stay up, so the breaker flaps trip/probe at the\n")
-	b.WriteString("cooldown cadence, bounding how much of the sweep each stall can poison.\n")
+	b.WriteString("\nReading: a crash trips the killed component's breaker within a few counted redials, before or\n")
+	b.WriteString("soon after the first request, and health-aware routing re-homes its strata on the survivors (every\n")
+	b.WriteString("server holds all shards); a request caught in the trip window is honestly degraded or typed\n")
+	b.WriteString("unavailable — never a silently skewed ReplyOK. Stalls are the harder fault: connections stay up, so\n")
+	b.WriteString("the breaker flaps trip/probe at the cooldown cadence, bounding how much of the sweep each stall can poison.\n")
 	return b.String()
 }

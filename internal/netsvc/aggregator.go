@@ -18,9 +18,9 @@ import (
 )
 
 // The gather core's sentinels: Call after Close; a sub-operation shed at
-// a full outstanding window or by a busy server; one refused fast
-// because its peer is known-unhealthy (breaker not closed, or inside the
-// dial backoff window) and no healthy peer could take it.
+// a full outstanding window or by a busy server; a sub-operation or an
+// append batch refused because its peer's breaker is not closed and no
+// healthy peer could take it.
 var (
 	ErrClosed    = service.ErrClosed
 	ErrQueueFull = service.ErrQueueFull
@@ -53,18 +53,11 @@ type AggregatorOptions struct {
 	// Dial overrides the transport dial (default net.DialTimeout over
 	// TCP) — the seam fault injection and connection tests hook.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
-	// Breaker configures the per-peer circuit breakers; zero fields
-	// take the breaker package defaults (trip after 3 consecutive
-	// failures, 200ms cooldown).
+	// Breaker configures the per-peer circuit breakers, each peer's only
+	// failure state; zero fields take the breaker package defaults (trip
+	// after 3 consecutive failures, 200ms cooldown). The cooldown also
+	// paces the redials of a peer whose breaker is open.
 	Breaker breaker.Config
-	// RedialBase and RedialMax bound the capped exponential dial
-	// backoff with jitter that replaces immediate redialing (defaults
-	// 10ms and 500ms). RedialMax also bounds how long a healed peer
-	// waits for its next background probe.
-	RedialBase time.Duration
-	RedialMax  time.Duration
-	// Seed drives backoff jitter deterministically.
-	Seed uint64
 	// Metrics, when set, publishes the gather core's netsvc_* series
 	// (see service.GatherConfig.Metrics) and the ingest-forward counter.
 	Metrics *obs.Registry
@@ -78,9 +71,6 @@ func (o AggregatorOptions) withDefaults() AggregatorOptions {
 		o.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
-	}
-	if o.RedialMax <= 0 {
-		o.RedialMax = 500 * time.Millisecond
 	}
 	return o
 }
@@ -146,24 +136,30 @@ func NewAggregator(addrs []string, opts AggregatorOptions) (*Aggregator, error) 
 			addr:    addr,
 			idx:     i,
 			br:      a.Breaker(i),
-			backoff: breaker.NewBackoff(opts.RedialBase, opts.RedialMax, opts.Seed+uint64(i)*0x9e3779b97f4a7c15),
 			closeCh: make(chan struct{}),
 		})
 	}
 	return a, nil
 }
 
-// WaitReady dials every component until it answers or the timeout
-// elapses — the race-free way to start an aggregator before its
-// component processes are certain to be listening.
+// WaitReady blocks until every component holds a connection or the
+// timeout elapses — the race-free way to start an aggregator before its
+// component processes are certain to be listening. It dials a peer whose
+// breaker is closed and leaves an open one to its reconnector.
 func (a *Aggregator) WaitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for _, p := range a.peers {
-		for _, err := p.conn(); err != nil; _, err = p.conn() {
-			if !time.Now().Before(deadline) {
+		for {
+			err := ErrPeerDown
+			if p.br.State() == breaker.Closed {
+				if err = p.redial(); err == nil {
+					break
+				}
+			}
+			if refusal(err) || !time.Now().Before(deadline) {
 				return fmt.Errorf("netsvc: component %s not ready: %w", p.addr, err)
 			}
-			time.Sleep(50 * time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 	}
 	return nil
@@ -232,11 +228,10 @@ func (a *Aggregator) Ingest(ctx context.Context, req *wire.IngestRequest) *wire.
 	return &out
 }
 
-// refusal reports a send error that is a fast refusal (closed
-// aggregator, dial backoff window), not new evidence against the peer.
-func refusal(err error) bool {
-	return errors.Is(err, ErrClosed) || errors.Is(err, ErrPeerDown)
-}
+// refusal reports a send error that is no evidence against the peer:
+// the aggregator closed, or a probe replaced the connection its waiter
+// was on.
+func refusal(err error) bool { return errors.Is(err, ErrClosed) }
 
 // OpenBreakers returns the addresses of peers whose circuit breaker is
 // not closed — the degraded-health signal /healthz exposes.
@@ -267,11 +262,12 @@ func (a *Aggregator) Stats() AggregatorStats {
 // returned slice has one entry per subset in subset order; Value holds
 // the *wire.SubReply of answered sub-operations.
 //
-// Failure handling: sub-operations on a peer whose breaker is open
-// fail fast with ErrPeerDown; peer-level failures are re-dispatched to
-// a healthy peer while the retry budget and the propagated deadline
-// allow; what still fails surfaces as an errored SubResult for the
-// compose path's accuracy-aware degradation.
+// Failure handling: a sub-operation whose peer's breaker is open goes to
+// a healthy peer, or fails fast with ErrPeerDown when none is;
+// peer-level failures are re-dispatched to a healthy peer while the
+// retry budget and the propagated deadline allow; what still fails
+// surfaces as an errored SubResult for the compose path's accuracy-aware
+// degradation.
 func (a *Aggregator) Call(ctx context.Context, payload interface{}) ([]service.SubResult, error) {
 	tmpl, ok := payload.(*wire.Request)
 	if !ok {
@@ -395,8 +391,8 @@ func (a *Aggregator) Close() {
 }
 
 // peer is the one connection plus failure-domain state for one
-// component server: its circuit breaker, dial backoff, and background
-// reconnector.
+// component server: its circuit breaker, the only health state it has,
+// and background reconnector.
 type peer struct {
 	agg         *Aggregator
 	addr        string
@@ -405,41 +401,29 @@ type peer struct {
 	reconnects  atomic.Int64
 
 	br           *breaker.Breaker // the gather core's, for this component
-	backoff      *breaker.Backoff
 	reconnecting atomic.Bool
 	closed       atomic.Bool
 	closeCh      chan struct{}
 
-	mu         sync.Mutex
-	pc         *peerConn
-	nextDialAt time.Time
+	mu sync.Mutex
+	pc *peerConn
 }
 
 // conn returns the live connection, dialing when it is dead or missing.
-// Dials are gated by the peer's capped exponential backoff: inside the
-// backoff window conn fails fast with ErrPeerDown instead of hammering
-// a refusing address once per request.
+// Only a peer whose breaker is closed is asked (admit evicts an open
+// one), so a failed dial is the caller's to count; it also starts the
+// reconnector.
 func (p *peer) conn() (*peerConn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	// A live connection beats redialing (the background reconnector may
-	// have installed a fresh one already).
-	if p.pc != nil {
-		if !p.pc.isDead() {
-			return p.pc, nil
-		}
-		p.reconnects.Add(1)
-	}
-	if time.Now().Before(p.nextDialAt) {
-		p.kickReconnector()
-		return nil, ErrPeerDown
+	if p.pc != nil && !p.pc.isDead() {
+		return p.pc, nil
 	}
 	c, err := p.agg.opts.Dial(p.addr, dialTimeout)
 	if err != nil {
-		p.nextDialAt = time.Now().Add(p.backoff.Next())
 		p.kickReconnector()
 		return nil, err
 	}
@@ -447,13 +431,34 @@ func (p *peer) conn() (*peerConn, error) {
 	return p.pc, nil
 }
 
+// redial is conn for the peer's own recovery: a failed dial counts
+// against the breaker.
+func (p *peer) redial() error {
+	_, err := p.conn()
+	if err != nil && !refusal(err) {
+		p.agg.Fault(nil, p.idx, -1)
+	}
+	return err
+}
+
 // install makes an established connection the peer's, starts its read
-// loop and returns the connection it replaced. Caller holds p.mu.
+// loop and returns (and counts) the one it replaced. Caller holds p.mu.
 func (p *peer) install(c net.Conn) (replaced *peerConn) {
-	replaced, p.pc = p.pc, newPeerConn(c, p.kickReconnector)
-	p.backoff.Reset()
-	p.nextDialAt = time.Time{}
+	replaced, p.pc = p.pc, newPeerConn(c, p.died)
+	if replaced != nil {
+		p.reconnects.Add(1)
+	}
 	return replaced
+}
+
+// died is told of a connection's death that was not a Close. A death
+// that failed no waiter counts against the breaker here (one that did
+// counts through them), so a peer that drops every connection trips it.
+func (p *peer) died(idle bool) {
+	if idle {
+		p.agg.Fault(nil, p.idx, -1)
+	}
+	p.kickReconnector()
 }
 
 // kickReconnector starts the background reconnect/probe loop unless it
@@ -465,23 +470,31 @@ func (p *peer) kickReconnector() {
 	}
 }
 
-// reconnectLoop is the traffic-independent recovery path: it redials
-// the peer on the capped backoff schedule, acting as the breaker's
-// half-open prober, until a dial lands (connection installed, breaker
-// closed, backoff reset) or the peer is closed. Dial outcomes feed the
-// breaker, so a dead peer's breaker trips — and a healed peer's
-// breaker re-closes — even with zero request traffic.
+// reconnectLoop is the traffic-independent recovery path, paced by the
+// breaker alone. While it is closed the loop redials at once, so a dead
+// peer trips it within a few counted dials. While it is open the loop
+// waits one cooldown and dials as the half-open probe; a landed probe
+// installs the connection and re-closes the breaker.
 func (p *peer) reconnectLoop() {
-	defer p.reconnecting.Store(false)
+	defer func() {
+		p.reconnecting.Store(false)
+		if p.br.State() != breaker.Closed {
+			p.kickReconnector() // a trip raced this exit: an open breaker keeps its prober
+		}
+	}()
 	for {
+		if p.br.State() == breaker.Closed {
+			if err := p.redial(); err == nil || refusal(err) {
+				return
+			}
+			continue
+		}
 		select {
 		case <-p.closeCh:
 			return
-		case <-time.After(p.backoff.Next()):
+		case <-time.After(p.br.Cooldown()):
 		}
-		if p.br.State() != breaker.Closed && !p.br.Allow() {
-			// Still inside the cooldown; the backoff sleep above keeps
-			// the loop from spinning.
+		if p.br.State() == breaker.Closed || !p.br.Allow() {
 			continue
 		}
 		c, err := p.agg.opts.Dial(p.addr, dialTimeout)
@@ -490,8 +503,7 @@ func (p *peer) reconnectLoop() {
 			continue
 		}
 		p.mu.Lock()
-		if p.closed.Load() || p.br.State() == breaker.Closed && p.pc != nil && !p.pc.isDead() {
-			// Closed, or a request's own dial recovered the peer first.
+		if p.closed.Load() {
 			p.mu.Unlock()
 			c.Close()
 			return
@@ -499,11 +511,11 @@ func (p *peer) reconnectLoop() {
 		old := p.install(c)
 		p.mu.Unlock()
 		if old != nil {
-			// A probe after a breaker trip replaces a connection that may
-			// still be live (a stalled peer): its waiters are refused
-			// (OutcomeDown: retryable, no evidence against the peer) and
-			// it is closed, not orphaned. Outside p.mu, since a refused
-			// waiter's retry re-enters conn. A dead one ignores this.
+			// The probe replaces a connection that may still be live (a
+			// stalled peer): its waiters are refused (OutcomeDown:
+			// retryable, no evidence against the peer) and it is closed,
+			// not orphaned. Outside p.mu, since a refused waiter's retry
+			// re-enters conn. A dead one ignores this.
 			old.fail(ErrClosed)
 		}
 		p.br.Success()
@@ -581,7 +593,7 @@ func (p *peer) close() {
 // are matched to replies by ID.
 type peerConn struct {
 	w      connWriter
-	onDead func() // told of a death that was not a Close (kicks a peer's reconnector)
+	onDead func(idle bool) // told of a death that was not a Close, and whether it failed no waiter
 
 	pmu     sync.Mutex
 	pending map[uint64]pending
@@ -589,7 +601,7 @@ type peerConn struct {
 }
 
 // newPeerConn wraps an established connection and starts its read loop.
-func newPeerConn(c net.Conn, onDead func()) *peerConn {
+func newPeerConn(c net.Conn, onDead func(idle bool)) *peerConn {
 	pc := &peerConn{w: connWriter{c: c, timeout: writeDeadline}, pending: map[uint64]pending{}, onDead: onDead}
 	go pc.readLoop()
 	return pc
@@ -694,7 +706,7 @@ func (pc *peerConn) fail(err error) {
 	pc.pmu.Unlock()
 	pc.w.c.Close()
 	if !errors.Is(err, ErrClosed) {
-		pc.onDead()
+		pc.onDead(len(pending) == 0)
 	}
 	for _, deliver := range pending {
 		deliver.fail(fmt.Errorf("netsvc: connection failed: %w", err))

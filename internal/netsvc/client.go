@@ -51,7 +51,7 @@ func (cl *Client) live() (*peerConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl.conn = newPeerConn(c, func() {}) // nobody to tell: the next call re-dials
+	cl.conn = newPeerConn(c, func(bool) {}) // nobody to tell: the next call re-dials
 	return cl.conn, nil
 }
 

@@ -54,17 +54,17 @@ func refusedAddr(t *testing.T) string {
 }
 
 // TestDialBackoffLimitsRedialStorm drives many calls against a
-// refusing listener and asserts dial attempts follow the capped
-// backoff schedule instead of one-dial-per-request.
+// refusing listener and asserts dial attempts are paced by the breaker
+// (a few counted dials trip it, then one probe per cooldown) instead of
+// one dial per request.
 func TestDialBackoffLimitsRedialStorm(t *testing.T) {
 	addr := refusedAddr(t)
 	var dials atomic.Int64
 	// Not the rig: the only peer is an address nothing listens on.
 	a, err := NewAggregator([]string{addr}, AggregatorOptions{
-		Policy:     service.WaitAll,
-		Deadline:   50 * time.Millisecond,
-		RedialBase: 25 * time.Millisecond,
-		RedialMax:  200 * time.Millisecond,
+		Policy:   service.WaitAll,
+		Deadline: 50 * time.Millisecond,
+		Breaker:  breaker.Config{Cooldown: 200 * time.Millisecond},
 		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
 			dials.Add(1)
 			return net.DialTimeout("tcp", addr, timeout)
@@ -86,12 +86,11 @@ func TestDialBackoffLimitsRedialStorm(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// 60 calls over ~300ms. Without backoff every call (plus its retry)
-	// dials: >= 60 attempts. With the 25ms-base/200ms-cap schedule the
-	// call path and the background prober together fit in a small
-	// logarithmic budget.
+	// 60 calls over ~300ms. Unpaced, every call (plus its retry) dials:
+	// >= 60 attempts. Paced, the dials that trip the breaker and one
+	// probe per 200ms cooldown fit in a small budget.
 	if got := dials.Load(); got == 0 || got > 15 {
-		t.Fatalf("dial attempts = %d, want in [1, 15] under backoff", got)
+		t.Fatalf("dial attempts = %d, want in [1, 15] under the breaker's pacing", got)
 	}
 	if a.Stats().Faults == 0 {
 		t.Fatal("fault counter must move")
@@ -109,12 +108,10 @@ func TestBreakerEvictsReroutesAndRecloses(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	lb := startLoopback(t, LoopbackSpec{Components: 2, Handler: every(h), Agg: AggregatorOptions{
-		Policy:     service.WaitAll,
-		Deadline:   300 * time.Millisecond,
-		RedialBase: 10 * time.Millisecond,
-		RedialMax:  80 * time.Millisecond,
-		Breaker:    breaker.Config{FailThreshold: 3, Cooldown: 50 * time.Millisecond},
-		Metrics:    reg,
+		Policy:   service.WaitAll,
+		Deadline: 300 * time.Millisecond,
+		Breaker:  breaker.Config{FailThreshold: 3, Cooldown: 50 * time.Millisecond},
+		Metrics:  reg,
 	}})
 	a, addr0 := lb.Agg, lb.Addrs[0]
 
@@ -218,11 +215,9 @@ func TestStalledPeerProbesLeaveNoConnections(t *testing.T) {
 			return l
 		},
 		Agg: AggregatorOptions{
-			Policy:     service.PartialGather,
-			Deadline:   30 * time.Millisecond,
-			RedialBase: 5 * time.Millisecond,
-			RedialMax:  20 * time.Millisecond,
-			Breaker:    breaker.Config{FailThreshold: 3, Cooldown: 20 * time.Millisecond},
+			Policy:   service.PartialGather,
+			Deadline: 30 * time.Millisecond,
+			Breaker:  breaker.Config{FailThreshold: 3, Cooldown: 20 * time.Millisecond},
 		}})
 	srv, a := lb.Servers[0], lb.Agg
 	stall.Set(faultinject.Stall)
@@ -551,8 +546,7 @@ func TestCloseWithHedgesArmedAndReconnectorRunning(t *testing.T) {
 		Policy:     service.Hedged,
 		HedgeFloor: time.Minute, // armed at Close, never due
 		Deadline:   time.Minute,
-		RedialBase: 5 * time.Millisecond,
-		RedialMax:  20 * time.Millisecond,
+		Breaker:    breaker.Config{Cooldown: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -580,4 +574,149 @@ func TestCloseWithHedgesArmedAndReconnectorRunning(t *testing.T) {
 	close(release)
 	srv.Close()
 	checkLeaks()
+}
+
+// crashableLoopback is two agg component servers behind a front server
+// whose listeners and aggregator dials all go through fab's scripts, so
+// fab.Script(lb.Addrs[i]) crashes and heals component i.
+func crashableLoopback(t *testing.T, br breaker.Config) (*Loopback, *faultinject.Fabric) {
+	t.Helper()
+	fab := faultinject.NewFabric(1)
+	lb := startLoopback(t, LoopbackSpec{Components: 2, Handler: every(NewAggBackend(buildAggComps(t, 2), BackendOptions{})),
+		WrapListener: func(_ int, l net.Listener) net.Listener { return fab.Script(l.Addr().String()).WrapListener(l) },
+		Agg: AggregatorOptions{Policy: service.WaitAll, Deadline: time.Second, Breaker: br,
+			Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+				return fab.Script(addr).Dialer(func(a string, to time.Duration) (net.Conn, error) {
+					return net.DialTimeout("tcp", a, to)
+				})(addr, timeout)
+			}},
+		Front: &FrontSpec{}})
+	return lb, fab
+}
+
+// waitBreaker polls component comp's breaker until cond holds, up to
+// limit, and returns whether it did.
+func waitBreaker(a *Aggregator, comp int, limit time.Duration, cond func(breaker.State) bool) bool {
+	for end := time.Now().Add(limit); !cond(a.BreakerState(comp)); time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			return false
+		}
+	}
+	return true
+}
+
+// answeredInFull sends one BestEffort request through the front server
+// and reports whether it came back ReplyOK with every subset answered.
+func answeredInFull(t *testing.T, cl *Client, i int) bool {
+	t.Helper()
+	req := aggReq(agg.Sum, float64(i%8)/8, math.Inf(1))
+	req.SLO = wire.SLOBestEffort
+	rep, err := cl.Call(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Status != wire.ReplyOK {
+		return false
+	}
+	for _, s := range rep.SubStatus {
+		if s != wire.StatusOK {
+			return false
+		}
+	}
+	return len(rep.SubStatus) == 2
+}
+
+// TestCrashTripsBreakerWithoutTraffic crashes one of two components
+// while no request is in flight or sent: the dead connection and the
+// reconnector's counted redials trip its breaker within one cooldown,
+// with no request to carry the evidence. After the heal the probe dial
+// re-closes it, and the next request is answered in full.
+func TestCrashTripsBreakerWithoutTraffic(t *testing.T) {
+	const cooldown = 30 * time.Millisecond
+	lb, fab := crashableLoopback(t, breaker.Config{Cooldown: cooldown})
+	a := lb.Agg
+	fab.Script(lb.Addrs[0]).Set(faultinject.Crash)
+	if !waitBreaker(a, 0, cooldown, func(s breaker.State) bool { return s != breaker.Closed }) {
+		t.Fatalf("crashed component's breaker still %v one cooldown (%v) after the crash", a.BreakerState(0), cooldown)
+	}
+	if got := a.OpenBreakers(); len(got) != 1 || got[0] != lb.Addrs[0] {
+		t.Fatalf("OpenBreakers() = %v, want [%s]", got, lb.Addrs[0])
+	}
+	fab.Script(lb.Addrs[0]).Set(faultinject.None)
+	if !waitBreaker(a, 0, 5*time.Second, func(s breaker.State) bool { return s == breaker.Closed }) {
+		t.Fatalf("healed component's breaker still %v", a.BreakerState(0))
+	}
+	if !answeredInFull(t, lb.Client, 0) {
+		t.Fatal("first request after the heal was not answered in full")
+	}
+}
+
+// TestBestEffortDuringCrashTripsBreaker sends BestEffort requests while
+// a component is crashed. Each failed dial is evidence, so the
+// component's breaker opens and retries leave it; after a heal that
+// waits on the breaker alone, every request is answered in full.
+func TestBestEffortDuringCrashTripsBreaker(t *testing.T) {
+	lb, fab := crashableLoopback(t, breaker.Config{})
+	a := lb.Agg
+	fab.Script(lb.Addrs[0]).Set(faultinject.Crash)
+	for i := 0; i < 4; i++ {
+		answeredInFull(t, lb.Client, i)
+	}
+	if s, opens := a.BreakerState(0), a.Stats().BreakerOpens; s != breaker.Open || opens < 1 {
+		t.Fatalf("after 4 requests to a crashed component its breaker is %v with %d opens, want open, >= 1", s, opens)
+	}
+	fab.Script(lb.Addrs[0]).Set(faultinject.None)
+	if !waitBreaker(a, 0, 5*time.Second, func(s breaker.State) bool { return s == breaker.Closed }) {
+		t.Fatalf("healed component's breaker still %v", a.BreakerState(0))
+	}
+	ok := 0
+	for i := 0; i < 24; i++ {
+		if answeredInFull(t, lb.Client, i) {
+			ok++
+		}
+	}
+	if ok != 24 {
+		t.Fatalf("%d of 24 requests after the heal answered in full, want all", ok)
+	}
+}
+
+// TestDroppingPeerIsPaced points the aggregator at a listener that
+// accepts every connection and closes it at once. Each idle connection
+// death counts against the breaker like a failed dial, so the peer is
+// redialed a few times per cooldown, not as fast as connections land.
+func TestDroppingPeerIsPaced(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts atomic.Int64
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			c.Close()
+		}
+	}()
+	const cooldown, run = 50 * time.Millisecond, 300 * time.Millisecond
+	a, err := NewAggregator([]string{l.Addr().String()}, AggregatorOptions{Policy: service.WaitAll,
+		Deadline: 50 * time.Millisecond, Breaker: breaker.Config{Cooldown: cooldown}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Call(context.Background(), aggReq(agg.Sum, 0, 1))
+	time.Sleep(run)
+	a.Close()
+	l.Close()
+	// About FailThreshold connections per cooldown: 3 × 6 here.
+	got := accepts.Load()
+	t.Logf("%d connections in %v", got, run)
+	if got > 40 {
+		t.Fatalf("%d connections in %v to a peer that drops each one, want about 3 per %v cooldown", got, run, cooldown)
+	}
+	if a.Stats().BreakerOpens == 0 {
+		t.Fatal("a peer that drops every connection never tripped its breaker")
+	}
 }

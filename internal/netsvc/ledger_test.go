@@ -81,10 +81,12 @@ func (l ledgerListener) Accept() (net.Conn, error) {
 type ledgerRow struct {
 	shape                                            string
 	allocs, allocBytes, framesIn, framesOut, in, out float64
+	hedges, retries, faults                          float64
 }
 
 func (r ledgerRow) String() string {
-	return fmt.Sprintf("%-15s %7.2f %8.1f %6.2f %6.2f %8.1f %8.1f", r.shape, r.allocs, r.allocBytes, r.framesIn, r.framesOut, r.in, r.out)
+	return fmt.Sprintf("%-15s %7.2f %8.1f %6.2f %6.2f %8.1f %8.1f %6.2f %6.2f %6.2f", r.shape, r.allocs, r.allocBytes,
+		r.framesIn, r.framesOut, r.in, r.out, r.hedges, r.retries, r.faults)
 }
 
 const ledgerHeader = `# The work ledger: per-request counts of one request at a time through a
@@ -93,15 +95,17 @@ const ledgerHeader = `# The work ledger: per-request counts of one request at a 
 # P. allocs and alloc B: heap allocations and the bytes they asked for,
 # per request, client to components and back. f and b: the component
 # servers' frames and wire bytes per request, read (in) and written
-# (out). Rewrite with go test ./internal/netsvc -run TestWorkLedger
-# -update.`
+# (out). hedge, retry and fault: the gather core's replicas sent,
+# re-dispatches and peer failures counted, per request. Rewrite with go
+# test ./internal/netsvc -run TestWorkLedger -update.`
 
-const ledgerColumns = "# shape          allocs  alloc B   f.in  f.out     b.in    b.out"
+const ledgerColumns = "# shape          allocs  alloc B   f.in  f.out     b.in    b.out  hedge  retry  fault"
 
 // TestWorkLedger holds the serve path's per-request counts to a golden
 // file: for each request shape, the allocations one request costs across
-// the whole deployment, their bytes, and the frames and wire bytes its component
-// servers read and write. Counts, not times: the garbage collector is
+// the whole deployment, their bytes, the frames and wire bytes its component
+// servers read and write, and the gather core's hedges, retries and
+// faults (Aggregator.Stats deltas; a healthy shape has none). Counts, not times: the garbage collector is
 // off (a cycle that empties the sync.Pools would move an allocation
 // count), one P runs everything (each P has its own pool slots), one
 // request is in flight, the data and request lists are seeded and no
@@ -160,6 +164,7 @@ func TestWorkLedger(t *testing.T) {
 			call(i)
 		}
 		fin, fout, bin, bout := counts.framesIn.Load(), counts.framesOut.Load(), counts.bytesIn.Load(), counts.bytesOut.Load()
+		st0 := lb.Agg.Stats()
 		allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
 		for r := range rounds {
 			var m0, m1 runtime.MemStats
@@ -170,10 +175,13 @@ func TestWorkLedger(t *testing.T) {
 			runtime.ReadMemStats(&m1)
 			allocs, bytes = min(allocs, m1.Mallocs-m0.Mallocs), min(bytes, m1.TotalAlloc-m0.TotalAlloc)
 		}
+		st := lb.Agg.Stats()
 		per := func(d int64, n int) float64 { return float64(d) / float64(n) }
 		lines = append(lines, ledgerRow{sh.name, per(int64(allocs), perRound), per(int64(bytes), perRound),
 			per(counts.framesIn.Load()-fin, rounds*perRound), per(counts.framesOut.Load()-fout, rounds*perRound),
-			per(counts.bytesIn.Load()-bin, rounds*perRound), per(counts.bytesOut.Load()-bout, rounds*perRound)}.String())
+			per(counts.bytesIn.Load()-bin, rounds*perRound), per(counts.bytesOut.Load()-bout, rounds*perRound),
+			per(st.Hedges-st0.Hedges, rounds*perRound), per(st.Retries-st0.Retries, rounds*perRound),
+			per(st.Faults-st0.Faults, rounds*perRound)}.String())
 		lb.Close()
 	}
 	got := strings.Join(lines, "\n") + "\n"

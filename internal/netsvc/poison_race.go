@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"accuracytrader/internal/cf"
+	"accuracytrader/internal/poison"
 	"accuracytrader/internal/textindex"
 )
 
@@ -35,53 +36,37 @@ var releasedDeadline = time.Unix(0, 0xEE)
 const poisonKeyByte = 0xEE
 
 func (s *subop) release() {
-	if s.dl.Equal(releasedDeadline) {
-		panic("netsvc: subop released twice")
-	}
+	poison.Released(s.dl.Equal(releasedDeadline), "netsvc: subop")
 	*s = subop{cont: s.cont, dl: releasedDeadline}
 	subops.Put(s)
 }
 
 func putKeyBuf(pool *sync.Pool, bp *[]byte) {
 	b := *bp
-	if len(b) > 0 && b[0] == poisonKeyByte {
-		panic("netsvc: canonical-key buffer released twice")
-	}
+	poison.Released(len(b) > 0 && b[0] == poisonKeyByte, "netsvc: canonical-key buffer")
 	if cap(b) == 0 {
 		b = make([]byte, 1)
 	}
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = poisonKeyByte
-	}
-	*bp = b
+	*bp = b[:cap(b)]
+	poison.Fill(b, poisonKeyByte)
 	pool.Put(bp)
 }
 
 var releasedEngine = new(cf.Engine)
 
 func putQuery(q *textindex.Query) {
-	if len(q.Terms) > 0 && q.Terms[0] == -1 {
-		panic("netsvc: search query released twice")
-	}
+	poison.Released(len(q.Terms) > 0 && q.Terms[0] == -1, "netsvc: search query")
 	if cap(q.Terms) == 0 {
 		q.Terms = make([]int32, 1)
 	}
 	q.Terms = q.Terms[:cap(q.Terms)]
-	for i := range q.Terms {
-		q.Terms[i] = -1
-	}
+	poison.Fill(q.Terms, -1)
 	queryBufs.Put(q)
 }
 
 func (q *cfQuery) release() {
-	if q.Engine == releasedEngine {
-		panic("netsvc: CF query released twice")
-	}
-	rs := q.ratings[:cap(q.ratings)]
-	for i := range rs {
-		rs[i] = cf.Rating{Item: -1, Score: math.NaN()}
-	}
+	poison.Released(q.Engine == releasedEngine, "netsvc: CF query")
+	poison.Fill(q.ratings, cf.Rating{Item: -1, Score: math.NaN()})
 	q.Engine = releasedEngine
 	cfQueries.Put(q)
 }

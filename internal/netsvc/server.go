@@ -192,8 +192,8 @@ func (s *srvCore) Serve(l net.Listener) error {
 		}
 		if len(s.conns) >= s.maxConns {
 			s.mu.Unlock()
+			s.refused.Add(1) // before Close: a peer that sees EOF sees the count
 			c.Close()
-			s.refused.Add(1)
 			continue
 		}
 		s.conns[c] = struct{}{}

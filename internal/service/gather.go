@@ -25,8 +25,9 @@ const (
 	// OutcomeShed: the target, or the queue before it, refused the work
 	// as overloaded. No latency sample, no health evidence, no retry.
 	OutcomeShed
-	// OutcomeDown: refused fast, the target being already known unhealthy
-	// (dial backoff window, closed transport). No new evidence; retryable.
+	// OutcomeDown: refused with no evidence against the target (the
+	// transport closed, or a breaker probe replaced the connection the
+	// attempt was on). Retryable.
 	OutcomeDown
 	// OutcomePeerFailure: the target could not be reached or broke
 	// mid-flight. Breaker evidence; retryable.

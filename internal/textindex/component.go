@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"accuracytrader/internal/poison"
 	"accuracytrader/internal/synopsis"
 	"accuracytrader/internal/topk"
 )
@@ -156,6 +157,9 @@ func GetEngine(c *Component, q Query) *Engine {
 // Release returns the engine to the pool. The engine (and any slice
 // obtained from its ProcessSynopsis) must not be used afterwards.
 func (e *Engine) Release() {
+	poison.Released(e.Comp == nil, "textindex: engine")
+	poison.NaN(e.aggScores)
+	poison.Fill(e.scored, Hit{Doc: -1, Score: math.NaN()}) // no index assigns document -1
 	e.Comp = nil
 	enginePool.Put(e)
 }

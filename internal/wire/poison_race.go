@@ -2,7 +2,11 @@
 
 package wire
 
-import "math"
+import (
+	"math"
+
+	"accuracytrader/internal/poison"
+)
 
 // Under the race detector a released record is poisoned, not cleared,
 // until it is used again, so a holder that reads it after releasing it
@@ -26,13 +30,8 @@ const (
 )
 
 func release(rec *subRecord) {
-	if rec.rep.FrameLen == releasedMarker {
-		panic("wire: sub-reply released twice")
-	}
-	floats := rec.floats[:cap(rec.floats)]
-	for i := range floats {
-		floats[i] = math.NaN()
-	}
+	poison.Released(rec.rep.FrameLen == releasedMarker, "wire: sub-reply")
+	poison.NaN(rec.floats)
 	rec.rep.Status, rec.rep.Kind, rec.rep.FrameLen = poisonStatus, poisonKind, releasedMarker
 }
 
@@ -42,19 +41,9 @@ func take(rec *subRecord) { rec.clear() }
 // release poisons a request record; its next Decode overwrites every
 // field a request reads.
 func (rec *RequestRecord) release() {
-	if rec.req.FrameLen == releasedMarker {
-		panic("wire: request record released twice")
-	}
-	ratings := rec.ratings[:cap(rec.ratings)]
-	for i := range ratings {
-		ratings[i] = Rating{Item: -1, Score: math.NaN()}
-	}
-	targets := rec.targets[:cap(rec.targets)]
-	for i := range targets {
-		targets[i] = -1
-	}
-	for i := range rec.inline {
-		rec.inline[i] = poisonByte
-	}
+	poison.Released(rec.req.FrameLen == releasedMarker, "wire: request record")
+	poison.Fill(rec.ratings, Rating{Item: -1, Score: math.NaN()})
+	poison.Fill(rec.targets, -1)
+	poison.Fill(rec.inline[:], poisonByte)
 	rec.req.Kind, rec.req.SLO, rec.req.FrameLen = poisonKind, poisonByte, releasedMarker
 }
