@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"accuracytrader/internal/poison"
 )
 
 // Engine is the application-specific side of Algorithm 1. Implementations
@@ -56,8 +58,26 @@ func Run(e Engine, cont Continue, imax int) Trace {
 		done++
 	}
 	*buf = ranking
-	rankBufs.Put(buf)
+	putRankBuf(buf)
 	return Trace{SetsProcessed: done}
+}
+
+// putRankBuf hands ranking storage back to rankBufs. Under the race
+// detector it reads -1 across its capacity until the pool hands it out
+// again, an id no aggregated point has, so a run still ranking through
+// it fails on its next set; a buffer that starts with -1 is released,
+// and releasing it again panics.
+func putRankBuf(buf *[]int) {
+	if poison.Enabled {
+		b := *buf
+		poison.Released(len(b) > 0 && b[0] == -1, "core: ranking buffer")
+		if cap(b) == 0 {
+			b = make([]int, 1)
+		}
+		*buf = b[:cap(b)]
+		poison.Fill(*buf, -1)
+	}
+	rankBufs.Put(buf)
 }
 
 // Rank returns aggregated point ids sorted by descending correlation

@@ -327,6 +327,8 @@ type aggTransport struct{ *Aggregator } // QueueDepth is the Aggregator's
 func (aggTransport) Probe(int, *breaker.Breaker) bool { return false }
 
 // Send completes the fan-out's stamp for one subset and transmits it.
+// ctx is the gather's call record; only its deadline is read, so a
+// sub-operation costs it no channel and no timer.
 func (a aggTransport) Send(ctx context.Context, at service.Attempt, payload interface{}) bool {
 	p := a.peers[at.Target]
 	if p.outstanding.Add(1) > int64(a.opts.MaxOutstanding) {

@@ -195,9 +195,12 @@ func TestOversizedFrameDoesNotPinBuffer(t *testing.T) {
 // benchmark client's shape — a fresh context.WithTimeout per call — and
 // its budget includes that context.
 //
-// Measured here: search 21 without a deadline and 24 with one, CF 23 and
-// 26, Bounded agg 22 and 25. Before each component server decoded its
-// sub-requests into recycled records (a job, request and payload object
+// Measured here: search 12 without a deadline and 20 with one, CF 14 and
+// 22, Bounded agg 13 and 21. Before the gather core recycled its per-call
+// record (the call, its subsets and reply channel, a hedge or deadline
+// timer) and stopped deriving a context for a caller without a deadline:
+// search 21 and 24, CF 23 and 26, Bounded agg 22 and 25. Before each
+// component server decoded its sub-requests into recycled records (a job, request and payload object
 // per sub-request, and a CF request's two lists): search 29 and 32, CF
 // 47 and 50, Bounded agg 30 and 33. Before sub-reply records were pooled on
 // both sides of the wire and a CF sub-operation's ratings with them (a
@@ -210,12 +213,12 @@ func TestOversizedFrameDoesNotPinBuffer(t *testing.T) {
 // search 73 and 76, CF 104 and 107. Before a served job became its own
 // context and a sub-reply one object: search 148 and 153, CF 143 and 148.
 const (
-	searchRoundTripBudget         = 23
-	searchDeadlineRoundTripBudget = 26
-	cfRoundTripBudget             = 25
-	cfDeadlineRoundTripBudget     = 29
-	aggRoundTripBudget            = 24
-	aggDeadlineRoundTripBudget    = 28
+	searchRoundTripBudget         = 13
+	searchDeadlineRoundTripBudget = 22
+	cfRoundTripBudget             = 15
+	cfDeadlineRoundTripBudget     = 24
+	aggRoundTripBudget            = 14
+	aggDeadlineRoundTripBudget    = 23
 )
 
 // roundTripAllocs measures the allocations of one client call of next's

@@ -14,8 +14,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"accuracytrader/internal/agg"
+	"accuracytrader/internal/service"
 	"accuracytrader/internal/wire"
 )
 
@@ -85,21 +87,25 @@ type ledgerRow struct {
 }
 
 func (r ledgerRow) String() string {
-	return fmt.Sprintf("%-15s %7.2f %8.1f %6.2f %6.2f %8.1f %8.1f %6.2f %6.2f %6.2f", r.shape, r.allocs, r.allocBytes,
+	return fmt.Sprintf("%-24s %7.2f %8.1f %6.2f %6.2f %8.1f %8.1f %6.2f %6.2f %6.2f", r.shape, r.allocs, r.allocBytes,
 		r.framesIn, r.framesOut, r.in, r.out, r.hedges, r.retries, r.faults)
 }
 
 const ledgerHeader = `# The work ledger: per-request counts of one request at a time through a
 # loopback deployment (8 component servers, a bare front server, a
 # WaitAll aggregator, UnitCost 0), with the garbage collector off and one
-# P. allocs and alloc B: heap allocations and the bytes they asked for,
+# P. "deadline": each call under a 2 s client context deadline, the
+# benchmark client's. "agg Hedged": a Hedged aggregator (hedge floor
+# 250 ms, so no replica is sent) and BestEffort level-0 requests that
+# carry their own 1 s deadline, agg-straggler's gather path.
+# allocs and alloc B: heap allocations and the bytes they asked for,
 # per request, client to components and back. f and b: the component
 # servers' frames and wire bytes per request, read (in) and written
 # (out). hedge, retry and fault: the gather core's replicas sent,
 # re-dispatches and peer failures counted, per request. Rewrite with go
 # test ./internal/netsvc -run TestWorkLedger -update.`
 
-const ledgerColumns = "# shape          allocs  alloc B   f.in  f.out     b.in    b.out  hedge  retry  fault"
+const ledgerColumns = "# shape                   allocs  alloc B   f.in  f.out     b.in    b.out  hedge  retry  fault"
 
 // TestWorkLedger holds the serve path's per-request counts to a golden
 // file: for each request shape, the allocations one request costs across
@@ -135,15 +141,22 @@ func TestWorkLedger(t *testing.T) {
 		}
 		return reqs
 	}
+	hedged := AggregatorOptions{Policy: service.Hedged, Deadline: 2 * time.Second, HedgeFloor: 250 * time.Millisecond}
 	shapes := []struct {
 		name string
 		h    Handler
 		reqs []*wire.Request
+		agg  AggregatorOptions
+		// ctxDeadline: each call runs under a 2 s client context deadline;
+		// reqDeadline: each request carries its own, 1 s from its send.
+		ctxDeadline, reqDeadline bool
 	}{
-		{"search fan-out", NewSearchBackend(searchComps, BackendOptions{}), searchReqs},
-		{"cf Exact", NewCFBackend(cfComps, BackendOptions{}), cfReqs},
-		{"agg level 0", NewAggBackend(aggComps, BackendOptions{}), aggAt(wire.SLOBestEffort, 0)},
-		{"agg Exact", NewAggBackend(aggComps, BackendOptions{}), aggAt(wire.SLOExact, wire.NoLevel)},
+		{"search fan-out", NewSearchBackend(searchComps, BackendOptions{}), searchReqs, waitAll, false, false},
+		{"search fan-out, deadline", NewSearchBackend(searchComps, BackendOptions{}), searchReqs, waitAll, true, false},
+		{"cf Exact", NewCFBackend(cfComps, BackendOptions{}), cfReqs, waitAll, false, false},
+		{"agg level 0", NewAggBackend(aggComps, BackendOptions{}), aggAt(wire.SLOBestEffort, 0), waitAll, false, false},
+		{"agg Exact", NewAggBackend(aggComps, BackendOptions{}), aggAt(wire.SLOExact, wire.NoLevel), waitAll, false, false},
+		{"agg Hedged", NewAggBackend(aggComps, BackendOptions{}), aggAt(wire.SLOBestEffort, 0), hedged, false, true},
 	}
 	// The runtime's own allocations (timers, channels, goroutines) are part
 	// of the counts, and they differ between toolchains and word sizes: the
@@ -152,10 +165,21 @@ func TestWorkLedger(t *testing.T) {
 	lines := []string{ledgerHeader, toolchain, ledgerColumns}
 	for _, sh := range shapes {
 		counts := new(ledgerCounts)
-		lb := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(sh.h), Agg: waitAll, Front: &FrontSpec{},
+		lb := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(sh.h), Agg: sh.agg, Front: &FrontSpec{},
 			WrapListener: func(_ int, l net.Listener) net.Listener { return ledgerListener{l, counts} }})
 		call := func(i int) {
-			rep, err := lb.Client.Call(context.Background(), sh.reqs[i%len(sh.reqs)])
+			req, ctx := sh.reqs[i%len(sh.reqs)], context.Background()
+			if sh.reqDeadline {
+				r := *req
+				r.Deadline = time.Now().Add(time.Second).UnixNano()
+				req = &r
+			}
+			if sh.ctxDeadline {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, 2*time.Second)
+				defer cancel()
+			}
+			rep, err := lb.Client.Call(ctx, req)
 			if err != nil || rep.Status != wire.ReplyOK || len(rep.SubStatus) != shards {
 				t.Fatalf("%s: reply %+v, err %v", sh.name, rep, err)
 			}

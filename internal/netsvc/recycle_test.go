@@ -209,3 +209,46 @@ func TestRecycledSubRepliesUnderHedging(t *testing.T) {
 		t.Errorf("no sub-operation was hedged past the stalled server: %+v", st)
 	}
 }
+
+// TestServedSearchMatchesComposedSubReplies: Exact and BestEffort search
+// served through a loopback deployment must reply, bit for bit, what
+// ComposeSearch makes of the handler's own sub-replies in process, and
+// those must be hits a live engine ranked: real documents, finite
+// scores, best first. BestEffort runs Algorithm 1 on every shard, to
+// completion well inside the propagated deadline, so its answer does not
+// depend on timing; a sub-operation that reads its engine after
+// releasing it reads poisoned hits under the race detector.
+func TestServedSearchMatchesComposedSubReplies(t *testing.T) {
+	const shards = 8
+	comps, reqs := searchFixture(t, shards, 8)
+	h := NewSearchBackend(comps, BackendOptions{})
+	cl := startLoopback(t, LoopbackSpec{Components: shards, Handler: every(h), Agg: waitAll, Front: &FrontSpec{}}).Client
+	for _, slo := range []uint8{wire.SLOExact, wire.SLOBestEffort} {
+		for _, tmpl := range reqs {
+			req := *tmpl
+			req.SLO = slo
+			rep, err := cl.Call(context.Background(), &req)
+			if err != nil || rep.Status != wire.ReplyOK || rep.Search == nil || len(rep.SubStatus) != shards {
+				t.Fatalf("SLO %d search %q: reply %+v, err %v", slo, req.Search.Query, rep, err)
+			}
+			want := ComposeSearch(inProcess(h, &req, shards), wire.DefaultK).Hits
+			if len(want) == 0 {
+				t.Fatalf("SLO %d search %q: the in-process compose has no hits", slo, req.Search.Query)
+			}
+			for k, w := range want {
+				if w.Doc < 0 || math.IsNaN(w.Score) || math.IsInf(w.Score, 0) || k > 0 && w.Score > want[k-1].Score {
+					t.Fatalf("SLO %d search %q: in-process hits %+v are not a ranking", slo, req.Search.Query, want)
+				}
+			}
+			got := rep.Search.Hits
+			if len(got) != len(want) {
+				t.Fatalf("SLO %d search %q: served %+v, in process %+v", slo, req.Search.Query, got, want)
+			}
+			for k, g := range got {
+				if w := want[k]; g.Doc != w.Doc || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+					t.Errorf("SLO %d search %q hit %d: served %+v, in process %+v", slo, req.Search.Query, k, g, w)
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,11 @@ package poison
 
 import "math"
 
+// Enabled reports that released records are poisoned: true in race
+// builds, so poisoning code that no function here covers compiles away
+// in the others.
+const Enabled = true
+
 // Released panics, naming what, if a record being released already was.
 func Released(already bool, what string) {
 	if already {

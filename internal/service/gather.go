@@ -10,6 +10,7 @@ import (
 
 	"accuracytrader/internal/breaker"
 	"accuracytrader/internal/obs"
+	"accuracytrader/internal/poison"
 	"accuracytrader/internal/stats"
 )
 
@@ -50,8 +51,15 @@ type Result struct {
 type Transport interface {
 	// Send starts one attempt on a.Target and has a.Done called exactly
 	// once with its outcome, possibly before Send returns. False means
-	// refused on the spot, nothing sent. An attempt whose subset
-	// resolved meanwhile (a.Resolved) may be dropped without Done.
+	// refused on the spot, nothing sent (Done is still called once).
+	//
+	// ctx is the call's own record (see call): its Deadline is the
+	// caller's, or the configured one; its Done closes at that deadline,
+	// on the caller's cancellation or when Call returns. It, the attempt
+	// and the payload are valid until Done returns, and the transport
+	// must not touch them after. An attempt whose subset resolved
+	// meanwhile (a.Resolved) may be dropped without Done: its record
+	// then never returns to the pool, and the garbage collector takes it.
 	Send(ctx context.Context, a Attempt, payload interface{}) bool
 	// QueueDepth is the sub-operations outstanding on target, the load
 	// probe routing policies act on.
@@ -100,6 +108,7 @@ type Gather struct {
 	p95est, p999est *stats.P2Quantile
 
 	calls    sync.WaitGroup // in-flight Calls, drained by Close
+	records  sync.Pool      // *call, sized for N
 	inflight atomic.Int64
 	p95us    atomic.Uint64 // cached hedge trigger, microseconds
 
@@ -284,15 +293,156 @@ type subState struct {
 	target atomic.Int32 // component holding the primary (moves on retry)
 }
 
-// call is the per-Call state, one slice of per-subset records.
+// call is one Call's record: the per-subset records, the channel their
+// results arrive on and the one timer the gather loop waits on, recycled
+// through the Gather's pool. It is also the context the call's
+// sub-operations run under, as netsvc's job is a served request's:
+// Deadline is the caller's, or now + the configured one; Value is the
+// caller's; Done is made only on its first call and closed by Call at
+// the deadline, on the caller's cancellation or when Call returns. So a
+// transport that reads only the deadline (netsvc's) costs no channel,
+// and no call derives a child context. A record whose Done was asked for
+// is not recycled (see release).
+//
+// The record is reference-counted. Call holds one reference until it
+// returns; each attempt holds one from just before Transport.Send until
+// the last statement of its Done, and a retry sent from inside Done takes
+// its own first. The last to let go puts the record back, so a late
+// attempt never resolves, or counts against, a later call. An attempt
+// that its transport drops without Done keeps the record from the pool
+// for good: the garbage collector takes it instead, which is never a
+// correctness problem.
 type call struct {
 	g        *Gather
-	ctx      context.Context
+	parent   context.Context
 	tr       *obs.Trace
 	payload  interface{}
 	deadline time.Time
 	reply    chan SubResult // cap n: each subset delivers at most once
 	subs     []subState
+	timer    *time.Timer // the hedge time, then a deadline no caller's Done reports; Call's alone
+	refs     atomic.Int32
+
+	mu      sync.Mutex
+	done    chan struct{} // made by the first Done
+	err     error         // why the context ended; nil while the call is live
+	watched bool          // Done or Err was asked for
+}
+
+// releasedDeadline is a released record's deadline under the race
+// detector: long past, so nothing retries or waits through it.
+var releasedDeadline = time.Unix(0, 0xEE)
+
+// newCall takes a record from the pool, or makes one sized for N, and
+// opens it for one Call, whose reference is the first.
+func (g *Gather) newCall(ctx context.Context, payload interface{}) *call {
+	c, _ := g.records.Get().(*call)
+	if c == nil {
+		c = &call{reply: make(chan SubResult, g.cfg.N), subs: make([]subState, g.cfg.N)}
+	}
+	clear(c.subs)
+	c.g, c.parent, c.tr, c.payload = g, ctx, obs.TraceFrom(ctx), payload
+	var ok bool
+	if c.deadline, ok = ctx.Deadline(); !ok {
+		c.deadline = time.Now().Add(g.cfg.Deadline)
+	}
+	c.done, c.err, c.watched = nil, nil, false
+	c.refs.Store(1)
+	return c
+}
+
+// unref drops one reference; the last puts the record back.
+func (c *call) unref() {
+	switch n := c.refs.Add(-1); {
+	case n == 0:
+		c.release()
+	case n < 0:
+		panic("service: attempt done on a released gather record")
+	}
+}
+
+// release puts the record back, dropping what it referenced, so the pool
+// keeps no caller's context or payload alive. A record whose Done was
+// asked for never goes back, as netsvc's armed jobs do not: a stdlib
+// child derived from it (WithDeadline, WithCancel) may still reach it
+// after its handler returned, when the child's own timer fires, and it
+// must not reach the next call's. The garbage collector takes that one.
+// Under the race detector a recycled record is poisoned until the pool
+// hands it out again: its Gather is nil, its deadline long past and
+// every subset resolved, so a late attempt's Done panics and nothing
+// resolves or retries through it; releasing it again panics.
+func (c *call) release() {
+	g := c.g
+	poison.Released(g == nil, "service: gather record")
+	c.mu.Lock()
+	asked := c.done != nil
+	c.mu.Unlock()
+	if asked {
+		return
+	}
+	c.g, c.parent, c.tr, c.payload = nil, nil, nil, nil
+	if poison.Enabled {
+		c.deadline = releasedDeadline
+		for i := range c.subs {
+			c.subs[i].done.Store(true)
+		}
+	}
+	g.records.Put(c)
+}
+
+// Deadline returns the call's deadline.
+func (c *call) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// Value answers from the caller's context.
+func (c *call) Value(key any) any { return c.parent.Value(key) }
+
+// Done returns a channel closed when the call ends (see call); the first
+// call makes it, and keeps the record from the pool (see release).
+func (c *call) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.watched = true
+	if c.done == nil {
+		c.done = make(chan struct{})
+		if c.err != nil {
+			close(c.done)
+		}
+	}
+	return c.done
+}
+
+// Err agrees with Done: nil until the call ends, then DeadlineExceeded,
+// the caller's error or, once Call returned, Canceled.
+func (c *call) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.watched = true
+	return c.err
+}
+
+// end ends the call's context with err unless it already ended.
+func (c *call) end(err error) {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = err
+		if c.done != nil {
+			close(c.done)
+		}
+	}
+	c.mu.Unlock()
+}
+
+// excused reports whether a peer failure may be the transport seeing
+// the call end rather than evidence against the peer: the caller
+// cancelled, the deadline passed, or the call returned while something
+// watched its context (an in-process handler that gives up with it).
+func (c *call) excused() bool {
+	if c.parent.Err() != nil || !time.Now().Before(c.deadline) {
+		return true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err != nil && c.watched
 }
 
 // Attempt is one placement of one sub-operation; the transport holds
@@ -324,17 +474,8 @@ func (g *Gather) Call(ctx context.Context, payload interface{}) ([]SubResult, er
 	defer g.calls.Done()
 	g.inflight.Add(1)
 	defer g.inflight.Add(-1)
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.cfg.Deadline)
-		defer cancel()
-	}
 	n := g.cfg.N
-	c := &call{
-		g: g, ctx: ctx, tr: obs.TraceFrom(ctx), payload: payload,
-		reply: make(chan SubResult, n), subs: make([]subState, n),
-	}
-	c.deadline, _ = ctx.Deadline()
+	c := g.newCall(ctx, payload)
 	for i := 0; i < n; i++ {
 		target := i
 		if route != nil {
@@ -351,42 +492,72 @@ func (g *Gather) Call(ctx context.Context, payload interface{}) ([]SubResult, er
 	}
 
 	out := make([]SubResult, n)
-	var hedgeC, deadlineC <-chan time.Time
-	if t := g.armHedge(); t != nil {
-		defer t.Stop()
-		hedgeC = t.C
+	// The record's one timer fires at the hedge time when the call may
+	// hedge before its deadline (all primaries go out within
+	// microseconds, so one time at the p95 estimate serves them all),
+	// then at the deadline when no caller's Done reports it. A call
+	// whose caller has the deadline and will not hedge arms nothing:
+	// arming a timer can wake the network poller, a syscall per call.
+	_, callerDeadline := ctx.Deadline()
+	wait, hedging := time.Until(c.deadline), false
+	if g.cfg.Policy == Hedged {
+		if p95 := g.EstimatedP95(); p95 < wait {
+			wait, hedging = p95, true
+		}
 	}
-	if g.cfg.Policy == PartialGather {
-		t := time.NewTimer(time.Until(c.deadline))
-		defer t.Stop()
-		deadlineC = t.C
+	var tick <-chan time.Time // the timer's channel while it is armed and its tick unreceived
+	if hedging || !callerDeadline {
+		if c.timer == nil {
+			c.timer = time.NewTimer(wait)
+		} else {
+			c.timer.Reset(wait)
+		}
+		tick = c.timer.C
 	}
 	for remaining := n; remaining > 0; {
 		select {
 		case r := <-c.reply:
 			out[r.Subset] = r
 			remaining--
-		case <-hedgeC:
-			c.hedge()
-		case <-deadlineC:
-			// Partial execution: compose without the stragglers, whose
-			// components keep working (wasted computation, as in the paper).
-			remaining -= c.abandon(out, nil, true)
+		case <-tick:
+			tick = nil
+			if hedging {
+				hedging = false
+				c.hedge()
+				if !callerDeadline {
+					c.timer.Reset(time.Until(c.deadline))
+					tick = c.timer.C
+				}
+				continue
+			}
+			remaining -= c.expire(out)
 		case <-ctx.Done():
-			// Deadline expiry indicts the component; caller cancellation
-			// does not.
-			remaining -= c.abandon(out, ctx.Err(), errors.Is(ctx.Err(), context.DeadlineExceeded))
+			err := ctx.Err()
+			if errors.Is(err, context.DeadlineExceeded) {
+				remaining -= c.expire(out) // the caller's deadline is the call's
+				continue
+			}
+			// Caller cancellation is no evidence.
+			c.end(err)
+			remaining -= c.abandon(out, err, false)
 		}
 	}
+	if tick != nil && !c.timer.Stop() {
+		<-c.timer.C // go 1.22 timers: drain a tick nobody received before the next Reset
+	}
+	c.end(context.Canceled)
+	c.unref()
 	return out, nil
 }
 
-// send hands one attempt to the transport.
+// send hands one attempt, with a reference to the record, to the
+// transport.
 func (c *call) send(subset, target, try int, hedge bool) bool {
 	if !hedge {
 		c.subs[subset].target.Store(int32(target))
 	}
-	return c.g.t.Send(c.ctx, Attempt{c, subset, target, try, hedge}, c.payload)
+	c.refs.Add(1)
+	return c.g.t.Send(c, Attempt{c, subset, target, try, hedge}, c.payload)
 }
 
 // deliver resolves a subset with r unless something already has. Only
@@ -403,9 +574,23 @@ func (c *call) deliver(subset, target int, r SubResult) {
 	c.reply <- r
 }
 
-// abandon resolves every unanswered subset as skipped and returns how
-// many. With evidence each counts against the component holding it: not
+// expire ends the call at its deadline and resolves every subset still
+// unanswered, each counted against the component holding it: not
 // answering in time is all a stalled or partitioned one ever produces.
+// PartialGather composes without the stragglers, whose components keep
+// working (wasted computation, as in the paper); the other policies
+// report them expired.
+func (c *call) expire(out []SubResult) int {
+	c.end(context.DeadlineExceeded)
+	var err error
+	if c.g.cfg.Policy != PartialGather {
+		err = context.DeadlineExceeded
+	}
+	return c.abandon(out, err, true)
+}
+
+// abandon resolves every unanswered subset as skipped and returns how
+// many, each counted against the component holding it with evidence.
 func (c *call) abandon(out []SubResult, err error, evidence bool) (resolved int) {
 	for i := range c.subs {
 		s := &c.subs[i]
@@ -420,15 +605,6 @@ func (c *call) abandon(out []SubResult, err error, evidence bool) (resolved int)
 		}
 	}
 	return resolved
-}
-
-// armHedge starts a Hedged call's reissue timer. All primaries go out
-// within microseconds, so one timer at the p95 estimate serves them all.
-func (g *Gather) armHedge() *time.Timer {
-	if g.cfg.Policy != Hedged {
-		return nil
-	}
-	return time.NewTimer(g.EstimatedP95())
 }
 
 // hedge sends a replica of every sub-operation still unanswered.
@@ -459,9 +635,12 @@ func (c *call) hedge() {
 }
 
 // Done reports the attempt's outcome. Every reply is bookkept
-// (estimator, breaker) whether or not it wins its subset.
+// (estimator, breaker) whether or not it wins its subset. The attempt's
+// reference to its call's record goes last: nothing of the attempt may
+// be used after Done returns.
 func (a Attempt) Done(r Result) {
 	c, g := a.c, a.c.g
+	defer c.unref()
 	switch r.Outcome {
 	case OutcomeAnswered, OutcomeSkipped, OutcomeAppError:
 		// A reply is proof of life and a service-time sample. A shed is
@@ -470,9 +649,9 @@ func (a Attempt) Done(r Result) {
 		g.brs[a.Target].Success()
 		g.recordLatency(r.Latency)
 	case OutcomePeerFailure:
-		if c.ctx.Err() != nil {
-			// Most likely the call's own expiry or cancellation, seen by
-			// the transport; the gather loop weighs that evidence itself.
+		if c.excused() {
+			// Most likely the call's own end, seen by the transport; the
+			// gather loop weighs an expiry's evidence itself.
 			return
 		}
 		g.Fault(c.tr, a.Target, a.Subset)

@@ -14,7 +14,10 @@ import (
 
 // Handler processes one sub-operation against one data subset. Handlers
 // must be safe for concurrent use: under hedging, the same subset's
-// handler may run on another component's worker.
+// handler may run on another component's worker. Its context carries the
+// call's deadline and the caller's values, and is done once the call is
+// over; it is the call's recycled record (see Transport), so it is valid
+// only until the handler returns.
 type Handler func(ctx context.Context, payload interface{}) (interface{}, error)
 
 // Policy selects the gather behaviour of Call.

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"accuracytrader/internal/breaker"
 )
 
 func sleepHandler(d time.Duration, v interface{}) Handler {
@@ -26,10 +28,13 @@ func sleepHandler(d time.Duration, v interface{}) Handler {
 // channel its result arrives on.
 func park(cl *Cluster, comp int, h Handler) <-chan SubResult {
 	c := &call{
-		g: cl.Gather, ctx: context.Background(), deadline: time.Now().Add(time.Minute),
+		g: cl.Gather, parent: context.Background(), deadline: time.Now().Add(time.Minute),
 		reply: make(chan SubResult, 1), subs: make([]subState, 1),
 	}
-	cl.comps[comp].mailbox <- job{a: Attempt{c: c, Target: comp}, handler: h, ctx: c.ctx, enqueued: time.Now()}
+	// The attempt's reference, and one never dropped: a record of one
+	// subset must not reach the pool.
+	c.refs.Store(2)
+	cl.comps[comp].mailbox <- job{a: Attempt{c: c, Target: comp}, handler: h, ctx: c, enqueued: time.Now()}
 	return c.reply
 }
 
@@ -418,5 +423,47 @@ func TestCloseWithHedgesArmedLeavesNoGoroutines(t *testing.T) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("goroutine leak: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
+	}
+}
+
+// heldTransport keeps every attempt it is sent, for the test to finish.
+type heldTransport struct{ sent []Attempt }
+
+func (*heldTransport) QueueDepth(int) int               { return 0 }
+func (*heldTransport) Probe(int, *breaker.Breaker) bool { return false }
+func (t *heldTransport) Send(_ context.Context, a Attempt, _ interface{}) bool {
+	t.sent = append(t.sent, a)
+	return true
+}
+
+// TestWatchedRecordIsNeverRecycled: a call record whose Done a handler
+// asked for (every stdlib child derived from it does) stays out of the
+// pool once its last reference is gone, and still answers as its own
+// call's context: the child's timer may fire after the handler returned
+// and reach it then.
+func TestWatchedRecordIsNeverRecycled(t *testing.T) {
+	tr := &heldTransport{}
+	g := NewGather(tr, GatherConfig{N: 1, Prefix: "t", Label: func(int) string { return `c="0"` }})
+	defer g.Close()
+	type key struct{}
+	c := g.newCall(context.WithValue(context.Background(), key{}, "caller"), nil)
+	c.send(0, 0, 0, false)
+	child, cancel := context.WithDeadline(c, time.Now().Add(time.Hour))
+	defer cancel()
+	c.end(context.Canceled) // Call returns
+	c.unref()
+	tr.sent[0].Done(Result{Outcome: OutcomeAnswered, Value: 1}) // the last reference
+	for i := 0; i < 4; i++ {
+		if got, _ := g.records.Get().(*call); got == c {
+			t.Fatal("a record whose Done was asked for went back to the pool")
+		}
+	}
+	if v := child.Value(key{}); v != "caller" || c.g != g {
+		t.Fatalf("a watched record after its call reads value %v, Gather %p", v, c.g)
+	}
+	select {
+	case <-child.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a child of the record was not cancelled when its call ended")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"accuracytrader/internal/csr"
+	"accuracytrader/internal/poison"
 	"accuracytrader/internal/svd"
 	"accuracytrader/internal/topk"
 )
@@ -58,9 +59,10 @@ type searchScratch struct {
 	// coord is uint32, not uint16: a pathological query repeating one term
 	// >65535 times must not wrap the count (it feeds both the coord factor
 	// and the first-touch dedup of touched).
-	coord   []uint32
-	touched []int32
-	sel     topk.Selector
+	coord    []uint32
+	touched  []int32
+	sel      topk.Selector
+	released bool // in the pool: marked under the race detector only
 }
 
 // NewIndex returns an empty index.
@@ -237,7 +239,23 @@ func (ix *Index) getScratch() *searchScratch {
 		sc.score = make([]float64, n)
 		sc.coord = make([]uint32, n)
 	}
+	sc.released = false
 	return sc
+}
+
+// putScratch hands scoring state back to ix.scratch. Under the race
+// detector the selector's storage, which the query's hits were read
+// from, reads document -1 and score NaN across its capacity until the
+// pool hands it out again, so a caller still reading hits after the
+// release sees them instead of another query's; releasing it again
+// panics.
+func (ix *Index) putScratch(sc *searchScratch) {
+	if poison.Enabled {
+		poison.Released(sc.released, "textindex: search scratch")
+		sc.released = true
+		poison.Fill(sc.sel.Sorted(), topk.Item{ID: -1, Score: math.NaN()})
+	}
+	ix.scratch.Put(sc)
 }
 
 // Search scores all live documents against the query and returns the top
@@ -261,7 +279,7 @@ func (ix *Index) SearchInto(dst []Hit, q Query, k int) []Hit {
 	for _, it := range selected {
 		dst = append(dst, Hit{Doc: it.ID, Score: it.Score})
 	}
-	ix.scratch.Put(sc)
+	ix.putScratch(sc)
 	return dst
 }
 
@@ -276,12 +294,12 @@ func (ix *Index) SearchEach(q Query, k int, emit func(doc int, score float64)) {
 	for _, it := range sc.sel.Sorted() {
 		emit(it.ID, it.Score)
 	}
-	ix.scratch.Put(sc)
+	ix.putScratch(sc)
 }
 
 // topK runs the exact search into pooled scratch whose selector then
-// holds the top k, for the caller to read out and hand back to
-// ix.scratch; nil when nothing can match.
+// holds the top k, for the caller to read out and hand back with
+// putScratch; nil when nothing can match.
 func (ix *Index) topK(q Query, k int) *searchScratch {
 	if k <= 0 || len(q.Terms) == 0 {
 		return nil

@@ -55,3 +55,36 @@ func TestReleasedEngineIsPoisoned(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedSearchScratchIsPoisoned: under the race detector the
+// scoring state an exact search hands back reads document -1 and NaN
+// across its selector's storage, the hits a caller read from, until the
+// pool hands it out again; releasing it again panics; and a search that
+// takes it from the pool again scores as fresh state does.
+func TestReleasedSearchScratchIsPoisoned(t *testing.T) {
+	c, _ := buildTopicComponent(t, stats.NewRNG(7), 200)
+	q := c.Ix.ParseQuery("topic1word3 topic1word7 common5")
+	sc := c.Ix.topK(q, 10)
+	if sc == nil {
+		t.Fatal("query matched nothing")
+	}
+	hits := sc.sel.Sorted()
+	if len(hits) == 0 {
+		t.Fatal("query selected no documents")
+	}
+	c.Ix.putScratch(sc)
+	for _, h := range hits[:cap(hits)] {
+		if h.ID != -1 || !math.IsNaN(h.Score) {
+			t.Fatalf("released scratch's hit reads %+v, want document -1 and NaN", h)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second release of search scratch did not panic")
+			}
+		}()
+		c.Ix.putScratch(sc)
+	}()
+	assertHitsBitEqual(t, c.Ix.Search(q, 10), naiveSearch(c.Ix, q, 10), "search over pooled state")
+}
